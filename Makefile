@@ -17,7 +17,15 @@ race:
 # run, not a measurement. Use `go test -bench=. -benchtime=...` by hand
 # for real numbers.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
+
+# The repository's one repeatable benchmark (BENCHMARK.json,
+# benchmark/README.md): four closed-loop HTTP workloads, each ending in
+# two JSON lines. BENCHMARK_FLAGS passes flags through, e.g.
+# `make benchmark BENCHMARK_FLAGS='--workload bigpool_fill --trace 1'`.
+.PHONY: benchmark
+benchmark:
+	$(GO) run ./benchmark $(BENCHMARK_FLAGS)
 
 # Repair-reconciliation smoke: recovery latency after a slice-OPS
 # failure at 50+ chains must not scale with the fleet size and must

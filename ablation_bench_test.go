@@ -1,4 +1,4 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for the design choices the package docs call out:
 // the §III-C weight reading (marginal vs static), the O/E/O accounting
 // convention, exact-oracle cost (Kőnig vs branch-and-bound), and the
 // repair/WDM extensions.
@@ -18,8 +18,8 @@ import (
 )
 
 // BenchmarkAblation_WeightReading compares the two readings of the
-// paper's max-weight rule (see EXPERIMENTS.md: the static reading loses
-// to random on ring-window cores).
+// paper's max-weight rule (experiment E4: the static reading loses to
+// random on ring-window cores).
 func BenchmarkAblation_WeightReading(b *testing.B) {
 	topo := genTopo(b, 16, 12, 4)
 	group := topo.VMsByService()["web"]

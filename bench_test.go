@@ -1,5 +1,5 @@
-// Benchmarks: one per experiment of DESIGN.md §4 (E1..E12). Each
-// benchmark times the core operation the experiment sweeps, so
+// Benchmarks: one per experiment of internal/experiments (E1..E12).
+// Each benchmark times the core operation the experiment sweeps, so
 // `go test -bench=. -benchmem` regenerates the performance side of
 // every table/figure; `go run ./cmd/alvc-bench` regenerates the
 // numeric tables themselves.

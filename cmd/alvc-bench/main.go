@@ -1,5 +1,5 @@
 // Command alvc-bench runs the experiment harness: every table and
-// figure-level claim of the paper (E1..E12, see DESIGN.md §4) is
+// figure-level claim of the paper (E1..E15, see internal/experiments) is
 // regenerated and printed as an aligned table, with the shape findings
 // and any violations listed below each experiment.
 //
@@ -11,7 +11,7 @@
 //
 //	alvc-bench                      # run every experiment
 //	alvc-bench -exp E8              # run one experiment
-//	alvc-bench -markdown            # emit EXPERIMENTS.md-ready markdown
+//	alvc-bench -markdown            # emit the tables as markdown
 //	alvc-bench -json                # also write BENCH_<id>.json per experiment
 //	alvc-bench -load http://localhost:8080 -n 200 -c 16
 //	alvc-bench -load http://localhost:8080 -n 200 -c 4 -load-batch 25 -json

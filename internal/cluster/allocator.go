@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -32,18 +34,16 @@ type Allocator struct {
 	opsOwner map[topology.NodeID]VCID
 	nextID   VCID
 	// pool, when non-nil, restricts this allocator to a subset of the
-	// topology's OPSs: availableLocked only offers pool members, so AL
-	// construction (the vertex-cover search under mu) works on a smaller
-	// candidate set and two allocators with disjoint pools never contend
-	// on membership. Orchestrator shards use this to partition the OPS
-	// space. nil means the whole topology.
-	pool map[topology.NodeID]bool
-	// poolIDs is the candidate OPS list availableLocked iterates: the
-	// pool members, or every OPS of the topology when unrestricted. The
-	// OPS population is fixed after topology generation, so caching it
-	// here keeps per-allocation cost proportional to the pool, not the
-	// fabric.
-	poolIDs []topology.NodeID
+	// topology's OPSs, so AL construction (the cover under mu) works on a
+	// smaller candidate set and two allocators with disjoint pools never
+	// contend on membership. Orchestrator shards use this to partition the
+	// OPS space. nil means the whole topology.
+	pool     map[topology.NodeID]bool
+	poolSize int
+	// free is the pool minus opsOwner's keys: what the builder may claim.
+	// It is kept in step on every claim and release, so a build costs the
+	// cover and not a pool-sized set construction.
+	free map[topology.NodeID]bool
 }
 
 // NewAllocator returns an allocator building ALs with the given
@@ -78,17 +78,16 @@ func NewRestrictedAllocator(topo *topology.Topology, builder Builder, pool []top
 			if n == nil || n.Kind != topology.KindOPS {
 				return nil, fmt.Errorf("cluster: allocator: pool node %d is not an OPS", ops)
 			}
-			if !a.pool[ops] {
-				a.pool[ops] = true
-				a.poolIDs = append(a.poolIDs, ops)
-			}
+			a.pool[ops] = true
 		}
-		sort.Slice(a.poolIDs, func(i, j int) bool { return a.poolIDs[i] < a.poolIDs[j] })
+		a.free = maps.Clone(a.pool)
 	} else {
+		a.free = make(map[topology.NodeID]bool)
 		for _, n := range topo.Nodes(topology.KindOPS) {
-			a.poolIDs = append(a.poolIDs, n.ID)
+			a.free[n.ID] = true
 		}
 	}
+	a.poolSize = len(a.free)
 	return a, nil
 }
 
@@ -97,7 +96,7 @@ func NewRestrictedAllocator(topo *topology.Topology, builder Builder, pool []top
 func (a *Allocator) PoolSize() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.poolIDs)
+	return a.poolSize
 }
 
 // Pool returns the restriction set this allocator was built with, or
@@ -109,21 +108,29 @@ func (a *Allocator) Pool() map[topology.NodeID]bool {
 	return a.pool
 }
 
-// AvailableOPS returns the set of OPSs not owned by any AL.
+// AvailableOPS returns the set of OPSs not owned by any AL. The map is
+// the caller's.
 func (a *Allocator) AvailableOPS() map[topology.NodeID]bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.availableLocked()
+	return maps.Clone(a.free)
 }
 
-func (a *Allocator) availableLocked() map[topology.NodeID]bool {
-	avail := make(map[topology.NodeID]bool, len(a.poolIDs)-len(a.opsOwner))
-	for _, id := range a.poolIDs {
-		if _, owned := a.opsOwner[id]; !owned {
-			avail[id] = true
+// setALLocked stores vc under its ID with al as its layer, moving OPS
+// ownership from the layer the ID held before (if any) to al.
+func (a *Allocator) setALLocked(vc *VC, al AL) {
+	if old := a.vcs[vc.ID]; old != nil {
+		for _, ops := range old.AL.OPSs {
+			delete(a.opsOwner, ops)
+			a.free[ops] = true
 		}
 	}
-	return avail
+	vc.AL = al
+	for _, ops := range al.OPSs {
+		a.opsOwner[ops] = vc.ID
+		delete(a.free, ops)
+	}
+	a.vcs[vc.ID] = vc
 }
 
 // BuildVC constructs a virtual cluster for the given VM group, claiming
@@ -132,21 +139,13 @@ func (a *Allocator) availableLocked() map[topology.NodeID]bool {
 func (a *Allocator) BuildVC(service string, vms []topology.NodeID) (*VC, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	al, err := a.builder.Build(a.topo, vms, a.availableLocked())
+	al, err := a.builder.Build(a.topo, vms, a.free)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: build VC for %q: %w", service, err)
 	}
 	a.nextID++
-	vc := &VC{
-		ID:      a.nextID,
-		Service: service,
-		VMs:     append([]topology.NodeID(nil), vms...),
-		AL:      al,
-	}
-	for _, ops := range al.OPSs {
-		a.opsOwner[ops] = vc.ID
-	}
-	a.vcs[vc.ID] = vc
+	vc := &VC{ID: a.nextID, Service: service, VMs: slices.Clone(vms)}
+	a.setALLocked(vc, al)
 	return vc, nil
 }
 
@@ -194,29 +193,21 @@ func (a *Allocator) PatchVC(id VCID, vms []topology.NodeID) (*VC, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: patch: unknown VC %d", id)
 	}
-	allow := a.availableLocked()
+	// Lend the cluster's own live OPSs to the free set for the build.
 	for _, ops := range vc.AL.OPSs {
 		if n := a.topo.Node(ops); n != nil && !n.Down {
-			allow[ops] = true
+			a.free[ops] = true
 		}
 	}
-	al, err := a.builder.Build(a.topo, vms, allow)
+	al, err := a.builder.Build(a.topo, vms, a.free)
 	if err != nil {
+		for _, ops := range vc.AL.OPSs {
+			delete(a.free, ops)
+		}
 		return nil, fmt.Errorf("cluster: patch VC %d: %w", id, err)
 	}
-	for _, ops := range vc.AL.OPSs {
-		delete(a.opsOwner, ops)
-	}
-	patched := &VC{
-		ID:      id,
-		Service: vc.Service,
-		VMs:     append([]topology.NodeID(nil), vms...),
-		AL:      al,
-	}
-	for _, ops := range al.OPSs {
-		a.opsOwner[ops] = id
-	}
-	a.vcs[id] = patched
+	patched := &VC{ID: id, Service: vc.Service, VMs: slices.Clone(vms)}
+	a.setALLocked(patched, al)
 	return patched, nil
 }
 
@@ -230,6 +221,7 @@ func (a *Allocator) Release(id VCID) error {
 	}
 	for _, ops := range vc.AL.OPSs {
 		delete(a.opsOwner, ops)
+		a.free[ops] = true
 	}
 	delete(a.vcs, id)
 	return nil

@@ -24,8 +24,10 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/alvc/alvc/internal/graph"
@@ -54,7 +56,9 @@ func (al AL) OPSSet() map[topology.NodeID]bool {
 }
 
 // Builder constructs an abstraction layer for a VM group using only
-// OPSs permitted by allowOPS (nil means every OPS is available).
+// OPSs permitted by allowOPS (nil means every OPS is available). The
+// Allocator passes its own free set, so Build must neither modify nor
+// retain allowOPS.
 type Builder interface {
 	// Name identifies the algorithm in experiment output.
 	Name() string
@@ -133,33 +137,86 @@ func (p PaperBuilder) Name() string {
 	return "paper-maxweight"
 }
 
-// Build implements Builder.
+// Build implements Builder. Both phases run graph.CoverMarginal straight
+// over the topology's cached adjacency — the VMs' ToR lists, the chosen
+// ToRs' OPS lists, the per-node optical degrees — with allowOPS
+// densified once into the phase-2 mask, the way Snapshot.Filter
+// densifies a RestrictOPS set: no bipartite graph is materialized.
 func (p PaperBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
+	if p.StaticWeight {
+		return buildStaticWeight(topo, vms, allowOPS)
+	}
+	if len(vms) == 0 {
+		return AL{}, ErrNoVMs
+	}
+	// Phase 1: cover the (distinct) VMs by ToRs; a ToR's outgoing
+	// connections are its OPS uplinks.
+	group := slices.Clone(vms)
+	slices.Sort(group)
+	group = slices.Compact(group)
+	lefts := make([][]topology.NodeID, len(group))
+	for i, vm := range group {
+		n := topo.Node(vm)
+		if n == nil || n.Kind != topology.KindVM {
+			return AL{}, fmt.Errorf("cluster: phase 1: node %d is not a VM", vm)
+		}
+		lefts[i] = topo.ToRsOfPM(n.Host)
+	}
+	tors, err := graph.CoverMarginal(lefts, nil, func(tor topology.NodeID) float64 {
+		return float64(len(topo.OPSsOfToR(tor)))
+	})
+	if err != nil {
+		return AL{}, fmt.Errorf("cluster: paper phase 1: VM %d: %w", group[uncoverable(err)], err)
+	}
+	// Phase 2: cover the chosen ToRs by allowed OPSs; an OPS's outgoing
+	// connections are its optical-mesh degree. A cover picks at most one
+	// ToR per VM, so lefts has room.
+	lefts = lefts[:len(tors)]
+	var maxOPS topology.NodeID
+	for i, tor := range tors {
+		lefts[i] = topo.OPSsOfToR(tor)
+		if n := len(lefts[i]); n > 0 {
+			maxOPS = max(maxOPS, lefts[i][n-1])
+		}
+	}
+	var admit []bool
+	if allowOPS != nil {
+		admit = make([]bool, maxOPS+1)
+		for ops, ok := range allowOPS {
+			if ok && ops >= 0 && ops <= maxOPS {
+				admit[ops] = true
+			}
+		}
+	}
+	degree := topo.OpticalDegrees()
+	opss, err := graph.CoverMarginal(lefts, admit, func(ops topology.NodeID) float64 {
+		return float64(degree[ops])
+	})
+	if err != nil {
+		return AL{}, fmt.Errorf("%w: ToR %d has no available OPS uplink", ErrInsufficientOPS, tors[uncoverable(err)])
+	}
+	return AL{ToRs: tors, OPSs: opss}, nil
+}
+
+// uncoverable returns the position of the left vertex a failed
+// graph.CoverMarginal could not cover — its only failure.
+func uncoverable(err error) int {
+	var ue *graph.UncoverableError
+	errors.As(err, &ue)
+	return ue.Left
+}
+
+// buildStaticWeight is the StaticWeight reading: both phases order the
+// candidates once, by static in+out degree, over materialized bipartite
+// projections.
+func buildStaticWeight(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
 	b1, err := phase1(topo, vms)
 	if err != nil {
 		return AL{}, err
 	}
-	// Outgoing connections of a ToR: its OPS uplinks. Memoized — the
-	// cover loop re-evaluates weights every iteration, and counting a
-	// ToR's uplinks walks its whole adjacency (one link per core OPS in
-	// wide fabrics).
-	torOutMemo := make(map[graph.VertexID]float64)
-	torOut := func(r graph.VertexID) float64 {
-		if w, ok := torOutMemo[r]; ok {
-			return w
-		}
-		w := float64(len(topo.OPSsOfToR(topology.NodeID(r))))
-		torOutMemo[r] = w
-		return w
-	}
-	var torsV []graph.VertexID
-	if p.StaticWeight {
-		torsV, err = graph.CoverMaxWeight(b1, func(r graph.VertexID) float64 {
-			return float64(b1.RightDegree(r)) + torOut(r)
-		})
-	} else {
-		torsV, err = graph.CoverMaxWeightMarginal(b1, torOut)
-	}
+	torsV, err := graph.CoverMaxWeight(b1, func(r graph.VertexID) float64 {
+		return float64(b1.RightDegree(r) + len(topo.OPSsOfToR(topology.NodeID(r))))
+	})
 	if err != nil {
 		return AL{}, fmt.Errorf("cluster: paper phase 1: %w", err)
 	}
@@ -168,30 +225,10 @@ func (p PaperBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allo
 	if err != nil {
 		return AL{}, err
 	}
-	// Outgoing connections of an OPS: its optical-mesh degree. Memoized
-	// for the same reason as torOut.
-	opsOutMemo := make(map[graph.VertexID]float64)
-	opsOut := func(r graph.VertexID) float64 {
-		if w, ok := opsOutMemo[r]; ok {
-			return w
-		}
-		deg := 0
-		for _, l := range topo.LinksOf(topology.NodeID(r)) {
-			if l.Kind == topology.LinkOptical {
-				deg++
-			}
-		}
-		opsOutMemo[r] = float64(deg)
-		return float64(deg)
-	}
-	var opsV []graph.VertexID
-	if p.StaticWeight {
-		opsV, err = graph.CoverMaxWeight(b2, func(r graph.VertexID) float64 {
-			return float64(b2.RightDegree(r)) + opsOut(r)
-		})
-	} else {
-		opsV, err = graph.CoverMaxWeightMarginal(b2, opsOut)
-	}
+	degree := topo.OpticalDegrees()
+	opsV, err := graph.CoverMaxWeight(b2, func(r graph.VertexID) float64 {
+		return float64(b2.RightDegree(r) + int(degree[r]))
+	})
 	if err != nil {
 		return AL{}, fmt.Errorf("%w: %v", ErrInsufficientOPS, err)
 	}

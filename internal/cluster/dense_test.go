@@ -1,0 +1,416 @@
+package cluster
+
+import (
+	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"github.com/alvc/alvc/internal/graph"
+	"github.com/alvc/alvc/internal/topology"
+)
+
+// The PaperBuilder of before the dense cover, frozen as the reference
+// the new one must equal: materialized bipartite projections, a
+// map-and-copy marginal cover, the optical degree counted from LinksOf.
+
+func oracleMarginal(b *graph.Bipartite, tieBreak graph.WeightFunc) ([]graph.VertexID, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	uncovered := make(map[graph.VertexID]bool, b.LeftCount())
+	for _, l := range b.Lefts() {
+		uncovered[l] = true
+	}
+	rights := b.Rights()
+	var cover []graph.VertexID
+	for len(uncovered) > 0 {
+		best := graph.VertexID(-1)
+		bestGain := 0
+		bestTie := 0.0
+		for _, r := range rights {
+			gain := 0
+			for _, l := range b.LeftNeighbors(r) {
+				if uncovered[l] {
+					gain++
+				}
+			}
+			if gain == 0 {
+				continue
+			}
+			tie := tieBreak(r)
+			if gain > bestGain ||
+				(gain == bestGain && tie > bestTie) ||
+				(gain == bestGain && tie == bestTie && r < best) {
+				best, bestGain, bestTie = r, gain, tie
+			}
+		}
+		if bestGain == 0 {
+			return nil, graph.ErrUncoverable
+		}
+		cover = append(cover, best)
+		for _, l := range b.LeftNeighbors(best) {
+			delete(uncovered, l)
+		}
+	}
+	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
+	return cover, nil
+}
+
+func oraclePaperBuild(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool, static bool) (AL, error) {
+	b1, err := phase1(topo, vms)
+	if err != nil {
+		return AL{}, err
+	}
+	torOut := func(r graph.VertexID) float64 {
+		return float64(len(topo.OPSsOfToR(topology.NodeID(r))))
+	}
+	var torsV []graph.VertexID
+	if static {
+		torsV, err = graph.CoverMaxWeight(b1, func(r graph.VertexID) float64 {
+			return float64(b1.RightDegree(r)) + torOut(r)
+		})
+	} else {
+		torsV, err = oracleMarginal(b1, torOut)
+	}
+	if err != nil {
+		return AL{}, fmt.Errorf("cluster: paper phase 1: %w", err)
+	}
+	tors := toNodeIDs(torsV)
+	b2, err := phase2(topo, tors, allowOPS)
+	if err != nil {
+		return AL{}, err
+	}
+	opsOut := func(r graph.VertexID) float64 {
+		deg := 0
+		for _, l := range topo.LinksOf(topology.NodeID(r)) {
+			if l.Kind == topology.LinkOptical {
+				deg++
+			}
+		}
+		return float64(deg)
+	}
+	var opsV []graph.VertexID
+	if static {
+		opsV, err = graph.CoverMaxWeight(b2, func(r graph.VertexID) float64 {
+			return float64(b2.RightDegree(r)) + opsOut(r)
+		})
+	} else {
+		opsV, err = oracleMarginal(b2, opsOut)
+	}
+	if err != nil {
+		return AL{}, fmt.Errorf("%w: %v", ErrInsufficientOPS, err)
+	}
+	return AL{ToRs: tors, OPSs: toNodeIDs(opsV)}, nil
+}
+
+// randomTopo generates a topology of seeded shape and fails a seeded
+// share of its switches, machines and links.
+func randomTopo(t *testing.T, rng *rand.Rand) *topology.Topology {
+	t.Helper()
+	cfg := topology.DefaultGenConfig()
+	cfg.Seed = rng.Int63()
+	cfg.Core = topology.CoreShape(rng.Intn(3))
+	cfg.Racks = 2 + rng.Intn(7)
+	cfg.PMsPerRack = 1 + rng.Intn(3)
+	cfg.VMsPerPM = 1 + rng.Intn(3)
+	cfg.OPSCount = 2 + rng.Intn(14)
+	cfg.ToRUplinks = 1 + rng.Intn(cfg.OPSCount)
+	cfg.OPSChords = rng.Intn(3)
+	cfg.DualHomeFrac = rng.Float64()
+	topo, err := topology.Generate(cfg)
+	if err != nil {
+		t.Fatalf("Generate(%+v): %v", cfg, err)
+	}
+	if rng.Intn(3) > 0 {
+		for _, n := range topo.Nodes(topology.KindOPS, topology.KindToR, topology.KindPhysicalMachine) {
+			if rng.Float64() < 0.08 {
+				if err := topo.SetNodeDown(n.ID, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, l := range topo.Links() {
+			if rng.Float64() < 0.08 {
+				if err := topo.SetLinkDown(l.ID, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return topo
+}
+
+// randomAllow draws an allow set: nil, empty, or a seeded share of the
+// OPSs — sparse ones leave ToRs uncoverable — with a few explicit false
+// entries, which must read as absent.
+func randomAllow(rng *rand.Rand, topo *topology.Topology) map[topology.NodeID]bool {
+	switch rng.Intn(5) {
+	case 0:
+		return nil
+	case 1:
+		return map[topology.NodeID]bool{}
+	}
+	allow := map[topology.NodeID]bool{}
+	share := rng.Float64()
+	for _, ops := range topo.NodeIDs(topology.KindOPS) {
+		if rng.Float64() < share {
+			allow[ops] = true
+		} else if rng.Intn(4) == 0 {
+			allow[ops] = false
+		}
+	}
+	return allow
+}
+
+// sameOutcome reports whether two builds agree: the same AL, or failures
+// of the same kind.
+func sameOutcome(got AL, gotErr error, want AL, wantErr error) bool {
+	if gotErr != nil || wantErr != nil {
+		return gotErr != nil && wantErr != nil &&
+			errors.Is(gotErr, ErrNoVMs) == errors.Is(wantErr, ErrNoVMs) &&
+			errors.Is(gotErr, ErrInsufficientOPS) == errors.Is(wantErr, ErrInsufficientOPS)
+	}
+	return slices.Equal(got.ToRs, want.ToRs) && slices.Equal(got.OPSs, want.OPSs)
+}
+
+// Property: PaperBuilder equals the frozen oracle — AL for AL, failure
+// kind for failure kind — over random fabrics, failures, VM groups
+// (unsorted, with repeats) and allow sets, in both weight readings.
+func TestPaperBuilderEqualsOracle(t *testing.T) {
+	built, refused := 0, 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		topo := randomTopo(t, rng)
+		all := topo.NodeIDs(topology.KindVM)
+		for trial := 0; trial < 6; trial++ {
+			var vms []topology.NodeID
+			for n := rng.Intn(2 * len(all)); n > 0; n-- {
+				vms = append(vms, all[rng.Intn(len(all))])
+			}
+			allow := randomAllow(rng, topo)
+			before := maps.Clone(allow)
+			for _, static := range []bool{false, true} {
+				got, err := PaperBuilder{StaticWeight: static}.Build(topo, vms, allow)
+				want, wantErr := oraclePaperBuild(topo, vms, allow, static)
+				if !sameOutcome(got, err, want, wantErr) {
+					t.Fatalf("seed %d trial %d static=%v vms=%v allow=%v:\n got  %+v, %v\n want %+v, %v",
+						seed, trial, static, vms, allow, got, err, want, wantErr)
+				}
+				if err == nil && !VerifyAL(topo, vms, got) {
+					t.Fatalf("seed %d trial %d static=%v: AL %+v does not connect the group", seed, trial, static, got)
+				}
+				if err == nil {
+					built++
+				} else {
+					refused++
+				}
+			}
+			if !maps.Equal(allow, before) {
+				t.Fatalf("seed %d trial %d: Build modified allowOPS", seed, trial)
+			}
+		}
+	}
+	if built < 500 || refused < 500 {
+		t.Fatalf("instances too one-sided to mean anything: %d built, %d refused", built, refused)
+	}
+}
+
+// A node that is not a VM is rejected in either reading.
+func TestPaperBuilderRejectsNonVM(t *testing.T) {
+	topo, vms, ids := fig4Topo(t)
+	for _, static := range []bool{false, true} {
+		_, err := PaperBuilder{StaticWeight: static}.Build(topo, append(vms, ids["tor1"]), nil)
+		if err == nil || errors.Is(err, ErrInsufficientOPS) || errors.Is(err, ErrNoVMs) {
+			t.Fatalf("static=%v: ToR in the VM group: err = %v", static, err)
+		}
+	}
+}
+
+// checkAllocator compares the allocator's free set and ownership with
+// what its clusters imply.
+func checkAllocator(t *testing.T, alloc *Allocator, pool []topology.NodeID, step string) {
+	t.Helper()
+	want := make(map[topology.NodeID]bool, len(pool))
+	for _, ops := range pool {
+		want[ops] = true
+	}
+	for _, vc := range alloc.VCs() {
+		for _, ops := range vc.AL.OPSs {
+			if !want[ops] {
+				t.Fatalf("%s: VC %d holds OPS %d, outside the pool or held twice", step, vc.ID, ops)
+			}
+			delete(want, ops)
+			if owner, ok := alloc.OwnerOf(ops); !ok || owner != vc.ID {
+				t.Fatalf("%s: OwnerOf(%d) = %d, %v; want VC %d", step, ops, owner, ok, vc.ID)
+			}
+		}
+	}
+	if got := alloc.AvailableOPS(); !maps.Equal(got, want) {
+		t.Fatalf("%s: AvailableOPS = %v, want pool minus owned = %v", step, got, want)
+	}
+	if !alloc.Disjoint() {
+		t.Fatalf("%s: ALs overlap", step)
+	}
+}
+
+// Model test: after any sequence of BuildVC / PatchVC / Release — with
+// switches failing and recovering in between — on whole-fabric and
+// restricted pools, the free set is the pool minus the owned OPSs, ALs
+// stay disjoint, and a refused build or patch changes nothing.
+func TestAllocatorFreeSetModel(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		topo := randomTopo(t, rng)
+		opss := topo.NodeIDs(topology.KindOPS)
+		vmsAll := topo.NodeIDs(topology.KindVM)
+		pool := opss
+		var alloc *Allocator
+		var err error
+		if seed%2 == 0 {
+			alloc, err = NewAllocator(topo, PaperBuilder{})
+		} else {
+			pool = nil
+			for _, ops := range opss {
+				if rng.Intn(3) > 0 {
+					pool = append(pool, ops)
+				}
+			}
+			if len(pool) == 0 {
+				pool = opss[:1]
+			}
+			alloc, err = NewRestrictedAllocator(topo, PaperBuilder{}, pool)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		group := func() []topology.NodeID {
+			vms := make([]topology.NodeID, 1+rng.Intn(4))
+			for i := range vms {
+				vms[i] = vmsAll[rng.Intn(len(vmsAll))]
+			}
+			return vms
+		}
+		var live []VCID
+		for step := 0; step < 80; step++ {
+			name := fmt.Sprintf("seed %d step %d", seed, step)
+			before := alloc.AvailableOPS()
+			var opErr error
+			switch op := rng.Intn(10); {
+			case op < 4:
+				var vc *VC
+				if vc, opErr = alloc.BuildVC("svc", group()); opErr == nil {
+					live = append(live, vc.ID)
+				}
+			case op < 6 && len(live) > 0:
+				i := rng.Intn(len(live))
+				if opErr = alloc.Release(live[i]); opErr != nil {
+					t.Fatalf("%s: release: %v", name, opErr)
+				}
+				live = slices.Delete(live, i, i+1)
+			case op < 8 && len(live) > 0:
+				id := live[rng.Intn(len(live))]
+				vc := alloc.VC(id)
+				// Patch around a member that just failed, or around nothing.
+				if rng.Intn(3) > 0 {
+					if err := topo.SetNodeDown(vc.AL.OPSs[rng.Intn(len(vc.AL.OPSs))], true); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var patched *VC
+				if patched, opErr = alloc.PatchVC(id, vc.VMs); opErr == nil && patched.ID != id {
+					t.Fatalf("%s: patch changed the VC ID", name)
+				}
+			default:
+				ops := opss[rng.Intn(len(opss))]
+				if err := topo.SetNodeDown(ops, !topo.Node(ops).Down && rng.Intn(2) == 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if opErr != nil && !maps.Equal(alloc.AvailableOPS(), before) {
+				t.Fatalf("%s: refused (%v) yet the free set moved", name, opErr)
+			}
+			checkAllocator(t, alloc, pool, name)
+		}
+		for _, id := range live {
+			if err := alloc.Release(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkAllocator(t, alloc, pool, fmt.Sprintf("seed %d drained", seed))
+		if got := len(alloc.AvailableOPS()); got != alloc.PoolSize() {
+			t.Fatalf("seed %d: %d OPSs free after releasing everything, pool is %d", seed, got, alloc.PoolSize())
+		}
+	}
+}
+
+// wideFabric is the benchmark fleets' shape: 4 racks of dual-homed PMs,
+// every ToR wired to every one of ops OPSs, one service.
+func wideFabric(tb testing.TB, ops int) (*topology.Topology, []topology.NodeID) {
+	tb.Helper()
+	cfg := topology.DefaultGenConfig()
+	cfg.Racks, cfg.PMsPerRack, cfg.VMsPerPM = 4, 2, 2
+	cfg.OPSCount, cfg.ToRUplinks, cfg.OPSChords = ops, ops, 0
+	cfg.DualHomeFrac = 1
+	cfg.Services = []string{"web"}
+	topo, err := topology.Generate(cfg)
+	if err != nil {
+		tb.Fatalf("Generate: %v", err)
+	}
+	return topo, topo.VMsByService()["web"]
+}
+
+// A build on the 1200-OPS fabric allocates a fixed handful of buffers —
+// the map-and-copy construction took 6469 allocations here.
+func TestPaperBuilderAllocCeiling(t *testing.T) {
+	topo, vms := wideFabric(t, 1200)
+	allow := make(map[topology.NodeID]bool)
+	for _, ops := range topo.NodeIDs(topology.KindOPS) {
+		allow[ops] = true
+	}
+	if _, err := (PaperBuilder{}).Build(topo, vms, allow); err != nil { // fills the derived caches
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := (PaperBuilder{}).Build(topo, vms, allow); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 40 {
+		t.Fatalf("PaperBuilder.Build allocates %.0f times at 1200 OPS, ceiling 40", allocs)
+	}
+}
+
+// BenchmarkBuildVC times what a provision holds Allocator.mu for: one
+// BuildVC (and the Release that keeps the pool from draining) with a
+// third of the pool already claimed.
+func BenchmarkBuildVC(b *testing.B) {
+	for _, ops := range []int{300, 1200} {
+		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
+			topo, vms := wideFabric(b, ops)
+			alloc, err := NewAllocator(topo, PaperBuilder{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < ops/3; i++ {
+				if _, err := alloc.BuildVC("resident", vms); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vc, err := alloc.BuildVC("web", vms)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := alloc.Release(vc.ID); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

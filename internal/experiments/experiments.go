@@ -1,10 +1,9 @@
 // Package experiments regenerates every figure-level claim of the
 // paper as a measurable experiment (the paper is a workshop paper with
-// no numeric tables; DESIGN.md §4 maps each figure/claim to one of the
-// runners here). Each experiment returns one or more tables in the
-// row/series format EXPERIMENTS.md records, and a short list of
-// machine-checked findings ("shape" assertions: who wins, by what
-// factor).
+// no numeric tables; each Result names the figure or claim its runner
+// reproduces). Each experiment returns one or more tables in a
+// row/series format, and a short list of machine-checked findings
+// ("shape" assertions: who wins, by what factor).
 package experiments
 
 import (
@@ -20,7 +19,7 @@ type Result struct {
 	Title  string
 	Figure string // the paper figure/claim reproduced
 	Tables []*metrics.Table
-	// Findings are the shape assertions, phrased for EXPERIMENTS.md.
+	// Findings are the shape assertions, phrased for the report.
 	Findings []string
 	// Violations lists shape assertions that did NOT hold (empty on a
 	// faithful reproduction).

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -70,95 +71,146 @@ func CoverMaxWeight(b *Bipartite, weight WeightFunc) ([]VertexID, error) {
 	return cover, nil
 }
 
-// CoverMaxWeightMarginal is the marginal-gain reading of the paper's
-// rule: each round it selects the right vertex with the most
-// still-uncovered left neighbors (the "incoming connections" that
-// matter — a machine already covered no longer counts, which is exactly
-// why the paper's walk-through skips ToR 2), breaking ties by the
-// supplied secondary weight (outgoing connections) and then by vertex
-// ID. This is greedy set cover with the paper's tie-break; the static
-// variant above is kept for the E4 ablation, where it measurably loses
-// to random selection on ring-structured uplink windows.
-func CoverMaxWeightMarginal(b *Bipartite, tieBreak WeightFunc) ([]VertexID, error) {
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("cover max-weight marginal: %w", err)
+// UncoverableError is CoverMarginal's failure: the left at position Left
+// of its input has no admitted right neighbor, so no cover exists. It
+// unwraps to ErrUncoverable.
+type UncoverableError struct{ Left int }
+
+func (e *UncoverableError) Error() string {
+	return fmt.Sprintf("%v: left #%d has no admitted right neighbor", ErrUncoverable, e.Left)
+}
+
+func (e *UncoverableError) Unwrap() error { return ErrUncoverable }
+
+// CoverMarginal is the marginal-gain reading of the paper's rule, and
+// the one implementation of it: each round it selects the right vertex
+// with the most still-uncovered left neighbors (the "incoming
+// connections" that matter — a machine already covered no longer counts,
+// which is exactly why the paper's walk-through skips ToR 2), breaking
+// ties by the larger tie value (outgoing connections) and then by the
+// lower vertex ID. With a nil tie it is classic greedy set cover.
+//
+// The instance is given densely. lefts[i] is the ascending, duplicate-free
+// list of right neighbors of the i-th left vertex; the slices are only
+// read, so callers pass cached adjacency as is. admit, when non-nil,
+// masks the rights by vertex ID: r takes part iff admit[r] (IDs beyond
+// the mask do not). Gains live in one counter array over the span of
+// right IDs and are decremented as lefts become covered, so a round
+// costs one pass over the candidates and nothing is copied or hashed.
+// The returned cover is sorted ascending.
+func CoverMarginal[V ~int](lefts [][]V, admit []bool, tie func(V) float64) ([]V, error) {
+	admitted := func(r V) bool {
+		return admit == nil || (r >= 0 && int(r) < len(admit) && admit[r])
 	}
-	uncovered := make(map[VertexID]bool, b.LeftCount())
-	for _, l := range b.Lefts() {
-		uncovered[l] = true
+	// The span [lo, hi] of right IDs sizes the counter array.
+	var lo, hi V
+	span, edges := 0, 0
+	for _, ns := range lefts {
+		if len(ns) == 0 {
+			continue
+		}
+		edges += len(ns)
+		if span == 0 || ns[0] < lo {
+			lo = ns[0]
+		}
+		if span == 0 || ns[len(ns)-1] > hi {
+			hi = ns[len(ns)-1]
+		}
+		span = int(hi-lo) + 1
 	}
-	rights := b.Rights()
-	var cover []VertexID
-	for len(uncovered) > 0 {
-		best := VertexID(-1)
-		bestGain := 0
-		bestTie := 0.0
-		for _, r := range rights {
-			gain := 0
-			for _, l := range b.LeftNeighbors(r) {
-				if uncovered[l] {
-					gain++
-				}
-			}
-			if gain == 0 {
+	gain := make([]int32, span)
+	cands := make([]V, 0, min(span, edges))
+	for i, ns := range lefts {
+		coverable := false
+		for _, r := range ns {
+			if !admitted(r) {
 				continue
 			}
-			tie := tieBreak(r)
-			if gain > bestGain ||
-				(gain == bestGain && tie > bestTie) ||
-				(gain == bestGain && tie == bestTie && r < best) {
-				best, bestGain, bestTie = r, gain, tie
+			if gain[r-lo] == 0 {
+				cands = append(cands, r)
 			}
+			gain[r-lo]++
+			coverable = true
 		}
-		if bestGain == 0 {
-			return nil, fmt.Errorf("%w: %d left vertices remain", ErrUncoverable, len(uncovered))
-		}
-		cover = append(cover, best)
-		for _, l := range b.LeftNeighbors(best) {
-			delete(uncovered, l)
+		if !coverable {
+			return nil, &UncoverableError{Left: i}
 		}
 	}
-	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
+	slices.Sort(cands)
+	covered := make([]bool, len(lefts))
+	var cover []V
+	for remaining := len(lefts); remaining > 0; {
+		var best V
+		bestGain, bestTie := int32(0), 0.0
+		for _, r := range cands {
+			g := gain[r-lo]
+			if g == 0 || g < bestGain {
+				continue
+			}
+			t := 0.0
+			if tie != nil {
+				t = tie(r)
+			}
+			if g > bestGain || t > bestTie {
+				best, bestGain, bestTie = r, g, t
+			}
+		}
+		cover = append(cover, best)
+		for i, ns := range lefts {
+			if covered[i] {
+				continue
+			}
+			if _, ok := slices.BinarySearch(ns, best); !ok {
+				continue
+			}
+			covered[i] = true
+			remaining--
+			for _, r := range ns {
+				if admitted(r) {
+					gain[r-lo]--
+				}
+			}
+		}
+	}
+	slices.Sort(cover)
+	return cover, nil
+}
+
+// coverBipartite runs CoverMarginal over b's own adjacency.
+func coverBipartite(b *Bipartite, tie WeightFunc) ([]VertexID, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	lefts := make([][]VertexID, 0, len(b.leftAdj))
+	for _, l := range b.Lefts() {
+		lefts = append(lefts, b.leftAdj[l])
+	}
+	return CoverMarginal(lefts, nil, tie)
+}
+
+// CoverMaxWeightMarginal is CoverMarginal on a Bipartite: marginal gain
+// first, the supplied secondary weight (outgoing connections) on ties,
+// then the lower vertex ID. The static variant above is kept for the E4
+// ablation, where it measurably loses to random selection on
+// ring-structured uplink windows.
+func CoverMaxWeightMarginal(b *Bipartite, tieBreak WeightFunc) ([]VertexID, error) {
+	cover, err := coverBipartite(b, tieBreak)
+	if err != nil {
+		return nil, fmt.Errorf("cover max-weight marginal: %w", err)
+	}
 	return cover, nil
 }
 
 // CoverGreedy is the classic greedy set-cover heuristic: repeatedly pick
 // the right vertex covering the most still-uncovered left vertices
-// (ln(n)-approximate). It serves as the quality baseline the paper's
-// max-weight rule is compared against in experiment E4.
+// (ln(n)-approximate) — CoverMarginal without a tie-break. It serves as
+// the quality baseline the paper's max-weight rule is compared against
+// in experiment E4.
 func CoverGreedy(b *Bipartite) ([]VertexID, error) {
-	if err := b.Validate(); err != nil {
+	cover, err := coverBipartite(b, nil)
+	if err != nil {
 		return nil, fmt.Errorf("cover greedy: %w", err)
 	}
-	uncovered := make(map[VertexID]bool, b.LeftCount())
-	for _, l := range b.Lefts() {
-		uncovered[l] = true
-	}
-	rights := b.Rights()
-	var cover []VertexID
-	for len(uncovered) > 0 {
-		best := VertexID(-1)
-		bestGain := 0
-		for _, r := range rights {
-			gain := 0
-			for _, l := range b.LeftNeighbors(r) {
-				if uncovered[l] {
-					gain++
-				}
-			}
-			if gain > bestGain || (gain == bestGain && gain > 0 && r < best) {
-				best, bestGain = r, gain
-			}
-		}
-		if bestGain == 0 {
-			return nil, fmt.Errorf("%w: %d left vertices remain", ErrUncoverable, len(uncovered))
-		}
-		cover = append(cover, best)
-		for _, l := range b.LeftNeighbors(best) {
-			delete(uncovered, l)
-		}
-	}
-	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
 	return cover, nil
 }
 

@@ -64,38 +64,24 @@ func (sc *SetCoverInstance) Members(id SetID) []int {
 }
 
 // Greedy returns a cover built by the classic max-gain greedy rule, or
-// an error if the sets cannot cover the universe.
+// an error if the sets cannot cover the universe. It is CoverMarginal on
+// the inverted family: each element is a left vertex whose right
+// neighbors are the sets holding it.
 func (sc *SetCoverInstance) Greedy() ([]SetID, error) {
-	uncovered := make(map[int]bool, len(sc.universe))
-	for e := range sc.universe {
-		uncovered[e] = true
-	}
-	ids := sc.SetIDs()
-	var cover []SetID
-	for len(uncovered) > 0 {
-		best := SetID(-1)
-		bestGain := 0
-		for _, id := range ids {
-			gain := 0
-			for _, m := range sc.sets[id] {
-				if uncovered[m] {
-					gain++
-				}
-			}
-			if gain > bestGain || (gain == bestGain && gain > 0 && id < best) {
-				best, bestGain = id, gain
-			}
-		}
-		if bestGain == 0 {
-			return nil, fmt.Errorf("graph: set cover: %d elements uncoverable", len(uncovered))
-		}
-		cover = append(cover, best)
-		for _, m := range sc.sets[best] {
-			delete(uncovered, m)
+	holders := make(map[int][]SetID, len(sc.universe))
+	for _, id := range sc.SetIDs() { // ascending, so every list is too
+		for _, m := range sc.sets[id] {
+			holders[m] = append(holders[m], id)
 		}
 	}
-	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
-	return cover, nil
+	if n := len(sc.universe) - len(holders); n > 0 {
+		return nil, fmt.Errorf("graph: set cover: %d elements uncoverable", n)
+	}
+	lefts := make([][]SetID, 0, len(holders))
+	for _, ids := range holders {
+		lefts = append(lefts, ids)
+	}
+	return CoverMarginal(lefts, nil, nil)
 }
 
 // MaxWeight returns a cover built by descending-weight selection with

@@ -1,6 +1,6 @@
 // Package metrics provides the small statistics toolkit the experiment
 // harness uses: counters, summaries with percentiles, and aligned text
-// tables matching the row/series format EXPERIMENTS.md reports.
+// tables in the row/series format the experiments report.
 package metrics
 
 import (
@@ -288,8 +288,8 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// Markdown renders the table as GitHub-flavored markdown (used to
-// assemble EXPERIMENTS.md).
+// Markdown renders the table as GitHub-flavored markdown (what
+// `alvc-bench -markdown` prints).
 func (t *Table) Markdown() string {
 	var b strings.Builder
 	if t.Title != "" {

@@ -8,6 +8,7 @@ package nfv
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"github.com/alvc/alvc/internal/topology"
@@ -50,23 +51,28 @@ type NFProfile struct {
 // default optoelectronic-router capacity while heavy ones (DPI, IDS,
 // video optimizer) do not — reproducing the §IV-D split where only two
 // of the three VNFs of Fig. 8 can move into the optical domain.
-func DefaultProfiles() map[NFType]NFProfile {
-	return map[NFType]NFProfile{
-		Firewall:     {Type: Firewall, Demand: topology.Resources{CPUCores: 1, MemoryGB: 1, StorageGB: 1}, PerPacketMicros: 2, Description: "stateless packet filter"},
-		NAT:          {Type: NAT, Demand: topology.Resources{CPUCores: 1, MemoryGB: 1, StorageGB: 1}, PerPacketMicros: 1, Description: "address translation"},
-		SecurityGW:   {Type: SecurityGW, Demand: topology.Resources{CPUCores: 2, MemoryGB: 2, StorageGB: 2}, PerPacketMicros: 4, Description: "IPsec-style security gateway"},
-		LoadBalancer: {Type: LoadBalancer, Demand: topology.Resources{CPUCores: 2, MemoryGB: 2, StorageGB: 1}, PerPacketMicros: 2, Description: "L4 load balancer"},
-		Cache:        {Type: Cache, Demand: topology.Resources{CPUCores: 2, MemoryGB: 6, StorageGB: 16}, PerPacketMicros: 3, Description: "content cache"},
-		DPI:          {Type: DPI, Demand: topology.Resources{CPUCores: 8, MemoryGB: 16, StorageGB: 8}, PerPacketMicros: 12, Description: "deep packet inspection"},
-		IDS:          {Type: IDS, Demand: topology.Resources{CPUCores: 6, MemoryGB: 12, StorageGB: 16}, PerPacketMicros: 10, Description: "intrusion detection"},
-		WANOptimizer: {Type: WANOptimizer, Demand: topology.Resources{CPUCores: 4, MemoryGB: 12, StorageGB: 32}, PerPacketMicros: 8, Description: "WAN optimizer"},
-		VideoOpt:     {Type: VideoOpt, Demand: topology.Resources{CPUCores: 12, MemoryGB: 24, StorageGB: 16}, PerPacketMicros: 20, Description: "video transcoder/optimizer"},
-	}
+//
+// Every call returns a fresh map the caller may edit; lookups go to the
+// package's own copy instead (see ProfileByName).
+func DefaultProfiles() map[NFType]NFProfile { return maps.Clone(catalog) }
+
+// catalog is the built-in catalog, built once and never written: NF
+// names are resolved for every NF of every provision.
+var catalog = map[NFType]NFProfile{
+	Firewall:     {Type: Firewall, Demand: topology.Resources{CPUCores: 1, MemoryGB: 1, StorageGB: 1}, PerPacketMicros: 2, Description: "stateless packet filter"},
+	NAT:          {Type: NAT, Demand: topology.Resources{CPUCores: 1, MemoryGB: 1, StorageGB: 1}, PerPacketMicros: 1, Description: "address translation"},
+	SecurityGW:   {Type: SecurityGW, Demand: topology.Resources{CPUCores: 2, MemoryGB: 2, StorageGB: 2}, PerPacketMicros: 4, Description: "IPsec-style security gateway"},
+	LoadBalancer: {Type: LoadBalancer, Demand: topology.Resources{CPUCores: 2, MemoryGB: 2, StorageGB: 1}, PerPacketMicros: 2, Description: "L4 load balancer"},
+	Cache:        {Type: Cache, Demand: topology.Resources{CPUCores: 2, MemoryGB: 6, StorageGB: 16}, PerPacketMicros: 3, Description: "content cache"},
+	DPI:          {Type: DPI, Demand: topology.Resources{CPUCores: 8, MemoryGB: 16, StorageGB: 8}, PerPacketMicros: 12, Description: "deep packet inspection"},
+	IDS:          {Type: IDS, Demand: topology.Resources{CPUCores: 6, MemoryGB: 12, StorageGB: 16}, PerPacketMicros: 10, Description: "intrusion detection"},
+	WANOptimizer: {Type: WANOptimizer, Demand: topology.Resources{CPUCores: 4, MemoryGB: 12, StorageGB: 32}, PerPacketMicros: 8, Description: "WAN optimizer"},
+	VideoOpt:     {Type: VideoOpt, Demand: topology.Resources{CPUCores: 12, MemoryGB: 24, StorageGB: 16}, PerPacketMicros: 20, Description: "video transcoder/optimizer"},
 }
 
 // ProfileByName resolves a catalog name (e.g. from a workload request).
 func ProfileByName(name string) (NFProfile, error) {
-	p, ok := DefaultProfiles()[NFType(name)]
+	p, ok := catalog[NFType(name)]
 	if !ok {
 		return NFProfile{}, fmt.Errorf("nfv: unknown network function %q", name)
 	}
@@ -75,9 +81,8 @@ func ProfileByName(name string) (NFProfile, error) {
 
 // ProfileNames returns the catalog's names sorted.
 func ProfileNames() []string {
-	ps := DefaultProfiles()
-	names := make([]string, 0, len(ps))
-	for t := range ps {
+	names := make([]string, 0, len(catalog))
+	for t := range catalog {
 		names = append(names, string(t))
 	}
 	sort.Strings(names)

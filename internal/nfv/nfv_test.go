@@ -55,6 +55,25 @@ func TestCatalogProfiles(t *testing.T) {
 	}
 }
 
+// DefaultProfiles hands out copies: editing one reaches neither the next
+// copy nor name resolution, which reads the package's own catalog
+// without building a map per lookup.
+func TestDefaultProfilesIsACopy(t *testing.T) {
+	ps := DefaultProfiles()
+	want := ps[Firewall]
+	delete(ps, Firewall)
+	ps[NAT] = NFProfile{Type: NAT}
+	if got, err := ProfileByName("firewall"); err != nil || got != want {
+		t.Fatalf("ProfileByName(firewall) = %+v, %v after editing a copy; want %+v", got, err, want)
+	}
+	if got := DefaultProfiles(); got[Firewall] != want || got[NAT].Demand.IsZero() {
+		t.Fatalf("a later copy saw the edit: %+v", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = ProfileByName("dpi") }); allocs != 0 {
+		t.Fatalf("ProfileByName allocates %.0f times per lookup", allocs)
+	}
+}
+
 func TestProfileByNameAndResolve(t *testing.T) {
 	if _, err := ProfileByName("firewall"); err != nil {
 		t.Fatalf("ProfileByName: %v", err)

@@ -3,7 +3,7 @@ package orch
 import (
 	"errors"
 	"fmt"
-	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -193,43 +193,51 @@ func TestProvisionBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestProvisionBatchFasterThanSequential asserts the point of the
-// worker pool: a batch of 100 provisions completes in strictly less
-// wall-clock time than the same 100 provisions issued one at a time.
-func TestProvisionBatchFasterThanSequential(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs >1 CPU for parallel speedup")
-	}
-	specs := batchSpecs(t, 100)
-	// Best-of-3 per mode damps scheduler noise without weakening the
-	// strict inequality the batch path must win.
-	seq, par := time.Duration(1<<62), time.Duration(1<<62)
-	for attempt := 0; attempt < 3; attempt++ {
-		o := newWideOrch(t, 128)
-		start := time.Now()
-		for _, spec := range specs {
-			if _, err := o.Provision(spec); err != nil {
-				t.Fatalf("sequential provision: %v", err)
+// TestProvisionBatchOverlapsWork asserts the point of the worker pool —
+// a batch keeps exactly `workers` provisions in flight at once — without
+// reading a clock. A stage observer holds every provision at the end of
+// its first stage until `workers` of them are there together: a pool
+// that ran them one after another would never fill the gate.
+func TestProvisionBatchOverlapsWork(t *testing.T) {
+	specs := batchSpecs(t, 24)
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			o := newWideOrch(t, 128)
+			var mu sync.Mutex
+			running, peak := 0, 0
+			full := make(chan struct{})
+			var release sync.Once
+			o.SetStageObserver(func(stage string, _ time.Duration) {
+				switch stage {
+				case "cluster":
+					mu.Lock()
+					running++
+					peak = max(peak, running)
+					if running == workers {
+						release.Do(func() { close(full) })
+					}
+					mu.Unlock()
+					select {
+					case <-full:
+					case <-time.After(30 * time.Second): // a serialized pool: fail, do not hang
+						t.Errorf("gate never filled: the pool does not keep %d provisions in flight", workers)
+						release.Do(func() { close(full) })
+					}
+				case "rules":
+					mu.Lock()
+					running--
+					mu.Unlock()
+				}
+			})
+			for _, res := range o.ProvisionBatch(specs, workers) {
+				if res.Err != nil {
+					t.Fatalf("batch provision: %v", res.Err)
+				}
 			}
-		}
-		if d := time.Since(start); d < seq {
-			seq = d
-		}
-
-		o = newWideOrch(t, 128)
-		start = time.Now()
-		for _, res := range o.ProvisionBatch(specs, 0) {
-			if res.Err != nil {
-				t.Fatalf("batch provision: %v", res.Err)
+			if peak != workers {
+				t.Fatalf("%d provisions in flight at peak, want exactly the %d workers", peak, workers)
 			}
-		}
-		if d := time.Since(start); d < par {
-			par = d
-		}
-	}
-	t.Logf("sequential: %v, batch: %v (%.2fx)", seq, par, float64(seq)/float64(par))
-	if par >= seq {
-		t.Fatalf("batch (%v) not faster than sequential (%v)", par, seq)
+		})
 	}
 }
 

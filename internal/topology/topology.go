@@ -64,6 +64,12 @@ type Topology struct {
 	kindAdj    map[kindAdjKey][]NodeID
 	pairLive   map[int64]*Link
 	pairAny    map[int64]*Link
+
+	// optDeg is the optical-mesh degree of every node, by node ID (see
+	// OpticalDegrees). It counts links up or down, so it is keyed on the
+	// structural generation alone and survives failure storms.
+	optDeg    []int32
+	optDegGen uint64
 }
 
 // kindAdjKey keys one cached neighborsOfKind answer.
@@ -514,6 +520,27 @@ func (t *Topology) ToRsOfVM(vm NodeID) []NodeID {
 // OPSsOfToR returns the OPSs the ToR uplinks to.
 func (t *Topology) OPSsOfToR(tor NodeID) []NodeID {
 	return t.neighborsOfKind(tor, KindOPS)
+}
+
+// OpticalDegrees returns the number of optical-mesh links at every node,
+// indexed by node ID: an OPS's "outgoing connections", the tie-break of
+// the AL cover's second phase (§III-C). Failed links count, as they do
+// in LinksOf. The slice is built once per structural generation and
+// shared with the cache; callers must treat it as read-only.
+func (t *Topology) OpticalDegrees() []int32 {
+	t.derivedMu.Lock()
+	defer t.derivedMu.Unlock()
+	if sg := t.StructuralGeneration(); t.optDeg == nil || t.optDegGen != sg {
+		deg := make([]int32, t.nextNode+1)
+		for _, l := range t.links {
+			if l.Kind == LinkOptical {
+				deg[l.From]++
+				deg[l.To]++
+			}
+		}
+		t.optDeg, t.optDegGen = deg, sg
+	}
+	return t.optDeg
 }
 
 // VMsOnPM returns the VMs hosted on pm, sorted by ID.

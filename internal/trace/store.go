@@ -113,7 +113,8 @@ type Store struct {
 	slow   []string            // slowest-N pinned traces (unordered)
 	errs   []string            // errored pinned traces, oldest first
 	byDep  map[int][]string    // deployment -> trace IDs, oldest first
-	order  []string            // trace creation order (may hold stale IDs)
+	order  []string            // trace creation order from head on (may hold stale IDs)
+	head   int                 // order[:head] is consumed
 	total  int                 // live spans across all traces
 
 	recorded uint64
@@ -156,6 +157,7 @@ func (s *Store) add(sp Span) {
 		e = &entry{id: sp.TraceID, kind: sp.Kind, minStart: sp.Start, maxEnd: sp.End}
 		s.traces[sp.TraceID] = e
 		s.order = append(s.order, sp.TraceID)
+		s.compactOrder()
 		s.pushRecent(e)
 	}
 	e.spans = append(e.spans, sp)
@@ -187,26 +189,51 @@ func (s *Store) add(sp Span) {
 }
 
 // makeRoom force-evicts oldest traces (except exclude, the one being
-// written) until one more span fits under MaxSpans.
+// written) until one more span fits under MaxSpans. The victim is found
+// from head, which moves past it and past every stale ID on the way, so
+// an eviction is amortized O(1).
 func (s *Store) makeRoom(exclude string) {
 	for s.total+1 > s.opts.MaxSpans {
-		idx := -1
-		for i, id := range s.order {
+		victim := -1
+		for i := s.head; i < len(s.order); i++ {
+			id := s.order[i]
 			if _, ok := s.traces[id]; !ok {
-				continue // stale; compacted below when chosen-past
+				if i == s.head {
+					s.head++
+				}
+				continue
 			}
 			if id != exclude {
-				idx = i
+				victim = i
 				break
 			}
 		}
-		if idx < 0 {
+		if victim < 0 {
 			return
 		}
-		id := s.order[idx]
-		s.order = append(s.order[:idx], s.order[idx+1:]...)
-		s.forceEvict(s.traces[id])
+		e := s.traces[s.order[victim]]
+		s.order[victim] = "" // stale from here on: the next scan moves head past it
+		s.forceEvict(e)
 	}
+}
+
+// compactOrder rewrites order to its live IDs once the consumed and
+// stale ones outnumber them — traces freed by refcount leave their IDs
+// behind, and nothing else collects those. Run on every new trace, it
+// keeps len(order) within a constant factor of the live traces at
+// amortized O(1).
+func (s *Store) compactOrder() {
+	if len(s.order) < 2*len(s.traces)+64 {
+		return
+	}
+	live := s.order[:0]
+	for _, id := range s.order[s.head:] {
+		if _, ok := s.traces[id]; ok {
+			live = append(live, id)
+		}
+	}
+	clear(s.order[len(live):])
+	s.order, s.head = live, 0
 }
 
 // forceEvict removes e from every retention set and frees it.

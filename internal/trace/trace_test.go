@@ -200,3 +200,45 @@ func TestChainTraces(t *testing.T) {
 		t.Fatalf("unknown deployment returned %+v", got)
 	}
 }
+
+// TestStoreOrderStaysBounded: the creation-order list is a queue, not a
+// log. Whether traces leave by refcount (small rings, a budget that
+// never bites) or by forced eviction (the budget alone), over 50k traces
+// it stays within a constant factor of the live ones, and forced
+// eviction stays oldest-first.
+func TestStoreOrderStaysBounded(t *testing.T) {
+	for name, opts := range map[string]StoreOptions{
+		"refcount-freed": {RecentPerKind: 8, SlowestN: 2, MaxSpans: 1 << 20},
+		"force-evicted":  {RecentPerKind: 1 << 20, SlowestN: 2, MaxSpans: 64},
+	} {
+		t.Run(name, func(t *testing.T) {
+			st := NewStore(opts)
+			id := SpanID(1)
+			for i := 0; i < 50000; i++ {
+				tid := fmt.Sprintf("t%d", i)
+				st.add(mkSpan(tid, id, 0, KindProvision, time.Millisecond))
+				st.add(mkSpan(tid, id+1, id, KindStage, time.Millisecond))
+				st.add(mkSpan(tid, id+2, id, KindStage, time.Millisecond))
+				id += 3
+				if live := len(st.traces); len(st.order) > 4*live+128 || st.head > len(st.order) {
+					t.Fatalf("after %d traces: order holds %d IDs (head %d) for %d live traces", i+1, len(st.order), st.head, live)
+				}
+				if st.total > opts.MaxSpans {
+					t.Fatalf("after %d traces: %d live spans exceed the %d budget", i+1, st.total, opts.MaxSpans)
+				}
+			}
+			stats := st.Stats()
+			if stats.LiveTraces == 0 || stats.TracesEvicted < 49000 {
+				t.Fatalf("stats = %+v, want a few live traces and the rest evicted", stats)
+			}
+			if _, _, ok := st.Trace("t49999"); !ok {
+				t.Fatal("the newest trace is gone")
+			}
+			for i := 0; i < 50000-stats.LiveTraces; i++ {
+				if _, _, ok := st.Trace(fmt.Sprintf("t%d", i)); ok && name == "force-evicted" {
+					t.Fatalf("trace t%d outlived %d newer ones: eviction is not oldest-first", i, 49999-i)
+				}
+			}
+		})
+	}
+}
