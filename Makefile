@@ -45,11 +45,12 @@ bench-repair:
 bench-resilience:
 	$(GO) run ./cmd/alvc-bench -resilience -chains 25 -json
 
-# Optimizer smoke: a rack event must run zero inline Yen searches with
-# the background engine attached (vs dozens inline), every affected
-# chain must be re-protected after a drain (disjoint again once the
-# outage heals), and the λ-defrag pass must compact fragmented
-# wavelengths. Writes BENCH_optimizer.json.
+# Optimizer smoke: a rack event must ask zero standby searches, and
+# compute fewer paths, on the recovery call with the background engine
+# attached (vs dozens inline), every affected chain must be
+# re-protected after a drain (disjoint again once the outage heals),
+# and the λ-defrag pass must compact fragmented wavelengths. Writes
+# BENCH_optimizer.json.
 .PHONY: bench-optimizer
 bench-optimizer:
 	$(GO) run ./cmd/alvc-bench -optimizer -chains 16 -json
@@ -67,19 +68,22 @@ bench-path:
 # per-event vs as one debounced batch. Contract: zero routing-graph
 # rebuilds during either storm (liveness patches the cached snapshot's
 # overlay in place), the batch >= 2x faster than per-event handling,
-# every victim repaired exactly once with no failures, and the
-# optimizer's storm mode coalescing the re-protect backlog by failure
-# domain. Writes BENCH_storm.json; exits non-zero on any violation.
+# every victim repaired exactly once with no failures, the optimizer's
+# storm mode coalescing the re-protect backlog by failure domain, and
+# the drain running no Yen search and at most one standby search per
+# segment per plan. Writes BENCH_storm.json; exits non-zero on any
+# violation.
 .PHONY: bench-storm
 bench-storm:
 	$(GO) run ./cmd/alvc-bench -storm -chains 160 -json
 
 # Sharding smoke: provision + batch-repair the same 600-tenant fleet at
-# 1/4/16 shards. Contract: 4 shards deliver >= 2x the single-shard
-# provision and repair throughput (per-shard OPS pools shrink every
-# search, so this holds even on one CPU), zero routing-graph rebuilds
-# during provisioning, zero failed repairs. Writes BENCH_scale.json;
-# exits non-zero on any violation.
+# 1/4/16 shards. Contract: no shard count below half of one shard's
+# provision or repair throughput (sharding stopped buying planning
+# speed when standby search stopped scaling with the pool; see
+# scalebench.go), zero routing-graph rebuilds during provisioning, zero
+# failed repairs. Writes BENCH_scale.json; exits non-zero on any
+# violation.
 .PHONY: bench-scale
 bench-scale:
 	$(GO) run ./cmd/alvc-bench -scale -chains 600 -json

@@ -138,8 +138,8 @@ type (
 	DebounceStats = orch.DebounceStats
 	// StormStats counts the optimizer's storm-mode coalescing.
 	StormStats = optimizer.StormStats
-	// GroupPlanStats counts the storm-group planner's shared-search
-	// outcomes (chains planned, unique Yen buckets, sharing, fallbacks).
+	// GroupPlanStats counts the storm-group planner's outcomes (chains
+	// planned, whole-fabric fallbacks).
 	GroupPlanStats = optimizer.GroupPlanStats
 	// GroupReport is one domain-level re-protection pass's outcomes.
 	GroupReport = orch.GroupReport
@@ -209,20 +209,19 @@ func NFCatalog() []string { return nfv.ProfileNames() }
 type Option func(*settings)
 
 type settings struct {
-	builder          cluster.Builder
-	policy           placement.Policy
-	mode             placement.Mode
-	costModel        *optical.CostModel
-	wavelengths      int
-	batchWorkers     int
-	standbyK         int
-	optimizer        *optimizer.Options
-	shards           int
-	shardMode        orch.ShardMode
-	debounceWindow   *time.Duration
-	traceOpts        *trace.StoreOptions
-	traceSet         bool
-	disablePathCache bool
+	builder        cluster.Builder
+	policy         placement.Policy
+	mode           placement.Mode
+	costModel      *optical.CostModel
+	wavelengths    int
+	batchWorkers   int
+	standbyK       int
+	optimizer      *optimizer.Options
+	shards         int
+	shardMode      orch.ShardMode
+	debounceWindow *time.Duration
+	traceOpts      *trace.StoreOptions
+	traceSet       bool
 }
 
 // WithBuilder selects the AL construction algorithm (default: the
@@ -264,10 +263,11 @@ func WithBatchWorkers(n int) Option {
 	return func(s *settings) { s.batchWorkers = n }
 }
 
-// WithStandbyK sets how many alternatives Yen's k-shortest explores per
-// path segment when planning each chain's standby route at provision
-// time (0 keeps the default; negative disables standby planning, so
-// every data-path repair is a cold re-path — useful as a baseline).
+// WithStandbyK switches standby planning: a negative k disables it, so
+// every data-path repair is a cold re-path (useful as a baseline); 0 or
+// any positive k keeps it on. The planner asks for each segment's one
+// best disjoint route directly, so the width k once gave the k-shortest
+// search no longer matters.
 func WithStandbyK(k int) Option {
 	return func(s *settings) { s.standbyK = k }
 }
@@ -309,18 +309,6 @@ func WithOptimizer(opts OptimizerOptions) Option {
 // the hot paths then skip span bookkeeping with zero allocations.
 func WithTracing(opts *TraceOptions) Option {
 	return func(s *settings) { s.traceSet = true; s.traceOpts = opts }
-}
-
-// WithPathCandidateCache enables or disables the SDN controllers'
-// generation-keyed path-candidate cache (default: enabled). The cache
-// memoizes Yen k-shortest results per (structural generation,
-// live-mask version, endpoints, k, pool digest), so repeated standby
-// searches within one topology epoch — optimizer refresh fans,
-// storm-group re-protection — skip the search entirely. Disable it
-// only to measure its effect (the storm bench's per-chain baseline
-// does).
-func WithPathCandidateCache(enabled bool) Option {
-	return func(s *settings) { s.disablePathCache = !enabled }
 }
 
 // WithFailureDebounce attaches a failure debouncer: failure events
@@ -379,14 +367,13 @@ func FromTopology(topo *topology.Topology, opts ...Option) (*Architecture, error
 		opt(&s)
 	}
 	sh, err := orch.NewSharded(orch.Config{
-		Topo:             topo,
-		Builder:          s.builder,
-		Policy:           s.policy,
-		Mode:             s.mode,
-		CostModel:        s.costModel,
-		Wavelengths:      s.wavelengths,
-		StandbyK:         s.standbyK,
-		DisablePathCache: s.disablePathCache,
+		Topo:        topo,
+		Builder:     s.builder,
+		Policy:      s.policy,
+		Mode:        s.mode,
+		CostModel:   s.costModel,
+		Wavelengths: s.wavelengths,
+		StandbyK:    s.standbyK,
 	}, s.shards, s.shardMode)
 	if err != nil {
 		return nil, fmt.Errorf("alvc: %w", err)

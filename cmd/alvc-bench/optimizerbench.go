@@ -11,7 +11,7 @@ import (
 // optimizerBenchReport is the machine-readable result of one optimizer
 // bench run (BENCH_optimizer.json): inline vs async re-protection
 // under the same rack-scale event at several fleet sizes — the async
-// engine must run zero Yen searches on the recovery path and re-
+// engine must ask no standby search on the recovery path and re-
 // protect every affected chain when drained — plus the λ-defrag
 // before/after fragmentation numbers.
 type optimizerBenchReport struct {
@@ -21,14 +21,14 @@ type optimizerBenchReport struct {
 }
 
 // optFleetSample compares inline (no optimizer: cold repairs replan
-// standbys with Yen's inside the recovery call) against async (the
-// optimizer owns re-protection) for one fleet size.
+// standbys inside the recovery call) against async (the optimizer owns
+// re-protection) for one fleet size.
 type optFleetSample struct {
 	Chains int             `json:"chains"`
 	Inline optRecoverStats `json:"inline"`
 	Async  optRecoverStats `json:"async"`
 	// Speedup is inline recovery wall time over async recovery wall
-	// time — the win of moving Yen's off the hot path.
+	// time — the win of moving standby planning off the hot path.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -36,16 +36,18 @@ type optFleetSample struct {
 type optRecoverStats struct {
 	Affected int     `json:"affected"`
 	RepairMs float64 `json:"repair_ms"`
-	// YenRuns counts Yen k-shortest searches during the recovery call —
-	// the inline standby-replanning work. Zero in async mode.
-	YenRuns          int            `json:"yen_runs"`
+	// StandbySearches counts the standby segment searches asked during
+	// the recovery call (memo hits included) — the inline
+	// standby-replanning work. Zero in async mode.
+	StandbySearches  int            `json:"standby_searches"`
 	PathComputations int            `json:"path_computations"`
 	Actions          map[string]int `json:"actions"`
-	// DrainMs / DrainYenRuns measure the background re-protection pass
-	// (async mode only): the same Yen work, off the recovery path.
-	DrainMs      float64 `json:"drain_ms,omitempty"`
-	DrainYenRuns int     `json:"drain_yen_runs,omitempty"`
-	DrainedTasks int     `json:"drained_tasks,omitempty"`
+	// DrainMs / DrainStandbySearches measure the background
+	// re-protection pass (async mode only): the same planning, off the
+	// recovery path.
+	DrainMs              float64 `json:"drain_ms,omitempty"`
+	DrainStandbySearches int     `json:"drain_standby_searches,omitempty"`
+	DrainedTasks         int     `json:"drained_tasks,omitempty"`
 	// Protected / Disjoint count affected still-active chains holding a
 	// standby (and a survivable-disjoint one) after recovery — for
 	// async mode, after the drain. While the failed ToR stays down the
@@ -81,8 +83,8 @@ var optFleetSizes = []int{12, 25, 50}
 // shared primary transit ToR plus, per chain, the first OPS-adjacent
 // standby link — a "ToR plus cable bundle" event that kills primaries
 // AND standbys, so every affected chain needs a cold re-path and fresh
-// protection (a pure swap would hide the inline-Yen cost this bench
-// quantifies).
+// protection (a pure swap would hide the inline planning cost this
+// bench quantifies).
 func rackEventFor(arch *alvc.Architecture) (nodes []alvc.NodeID, links []alvc.LinkID, err error) {
 	deps := arch.Deployments()
 	if len(deps) == 0 {
@@ -123,9 +125,16 @@ func rackEventFor(arch *alvc.Architecture) (nodes []alvc.NodeID, links []alvc.Li
 	return []alvc.NodeID{tor}, links, nil
 }
 
+// standbySearches is the number of standby segment searches asked of
+// the fleet's controller so far, answered from its memo or not.
+func standbySearches(arch *alvc.Architecture) int {
+	hits, misses := arch.Orchestrator().Controller().AlternativesCacheStats()
+	return int(hits + misses)
+}
+
 func measureRecovery(arch *alvc.Architecture, nodes []alvc.NodeID, links []alvc.LinkID) (optRecoverStats, []alvc.DeploymentID, error) {
 	ctrl := arch.Orchestrator().Controller()
-	yenBefore := ctrl.YenRuns()
+	searchesBefore := standbySearches(arch)
 	compBefore := ctrl.PathComputations()
 	start := time.Now()
 	reports, _ := arch.FailBatch(nodes, links) // per-chain outcomes inspected below
@@ -133,7 +142,7 @@ func measureRecovery(arch *alvc.Architecture, nodes []alvc.NodeID, links []alvc.
 	stats := optRecoverStats{
 		Affected:         len(reports),
 		RepairMs:         float64(elapsed) / float64(time.Millisecond),
-		YenRuns:          ctrl.YenRuns() - yenBefore,
+		StandbySearches:  standbySearches(arch) - searchesBefore,
 		PathComputations: ctrl.PathComputations() - compBefore,
 		Actions:          make(map[string]int),
 	}
@@ -164,8 +173,8 @@ func countProtection(arch *alvc.Architecture, affected []alvc.DeploymentID, stat
 func runOptimizerFleet(chains int) (optFleetSample, error) {
 	sample := optFleetSample{Chains: chains}
 
-	// Inline baseline: no optimizer — cold repairs replan standbys with
-	// Yen's inside the recovery call (PR 3 behavior).
+	// Inline baseline: no optimizer — cold repairs replan standbys
+	// inside the recovery call (PR 3 behavior).
 	inline, err := alvc.New(resilienceTopology(chains))
 	if err != nil {
 		return sample, err
@@ -184,8 +193,8 @@ func runOptimizerFleet(chains int) (optFleetSample, error) {
 	countProtection(inline, affected, &stats)
 	sample.Inline = stats
 
-	// Async: the optimizer owns re-protection; the recovery call runs
-	// zero Yen searches and the drain re-protects afterwards.
+	// Async: the optimizer owns re-protection; the recovery call asks no
+	// standby search and the drain re-protects afterwards.
 	async, err := alvc.New(resilienceTopology(chains), alvc.WithOptimizer(alvc.OptimizerOptions{}))
 	if err != nil {
 		return sample, err
@@ -203,12 +212,11 @@ func runOptimizerFleet(chains int) (optFleetSample, error) {
 	if err != nil {
 		return sample, err
 	}
-	ctrl := async.Orchestrator().Controller()
-	yenBefore := ctrl.YenRuns()
+	searchesBefore := standbySearches(async)
 	start := time.Now()
 	results := async.Optimize()
 	stats.DrainMs = float64(time.Since(start)) / float64(time.Millisecond)
-	stats.DrainYenRuns = ctrl.YenRuns() - yenBefore
+	stats.DrainStandbySearches = standbySearches(async) - searchesBefore
 	stats.DrainedTasks = len(results)
 	countProtection(async, affected, &stats)
 
@@ -384,11 +392,11 @@ func runOptimizerBench(defragChains int) (*optimizerBenchReport, error) {
 func printOptimizerReport(r *optimizerBenchReport) {
 	fmt.Println("optimizer: inline vs async re-protection under one rack event")
 	for _, f := range r.Fleets {
-		fmt.Printf("  %2d chains: inline %8.3f ms (%3d yen, %3d affected, %v)\n",
-			f.Chains, f.Inline.RepairMs, f.Inline.YenRuns, f.Inline.Affected, f.Inline.Actions)
-		fmt.Printf("             async  %8.3f ms (%3d yen, %3d affected, %v) + drain %8.3f ms (%d yen, %d tasks) -> %d/%d protected (%d disjoint; %d disjoint after recovery), %.2fx\n",
-			f.Async.RepairMs, f.Async.YenRuns, f.Async.Affected, f.Async.Actions,
-			f.Async.DrainMs, f.Async.DrainYenRuns, f.Async.DrainedTasks,
+		fmt.Printf("  %2d chains: inline %8.3f ms (%3d standby searches, %3d affected, %v)\n",
+			f.Chains, f.Inline.RepairMs, f.Inline.StandbySearches, f.Inline.Affected, f.Inline.Actions)
+		fmt.Printf("             async  %8.3f ms (%3d standby searches, %3d affected, %v) + drain %8.3f ms (%d standby searches, %d tasks) -> %d/%d protected (%d disjoint; %d disjoint after recovery), %.2fx\n",
+			f.Async.RepairMs, f.Async.StandbySearches, f.Async.Affected, f.Async.Actions,
+			f.Async.DrainMs, f.Async.DrainStandbySearches, f.Async.DrainedTasks,
 			f.Async.Protected, f.Async.Affected, f.Async.Disjoint,
 			f.Async.DisjointAfterRecover, f.Speedup)
 	}
@@ -397,18 +405,18 @@ func printOptimizerReport(r *optimizerBenchReport) {
 		d.Chains, d.Wavelengths, d.Deleted, d.BeforeMax, d.AfterMax, d.BeforeSum, d.AfterSum, d.Retuned, d.DefragMs)
 }
 
-// optimizerViolations counts contract breaches: any Yen search on the
-// async recovery path, an inline scenario that exercised no Yen at all
-// (the comparison would be vacuous), affected chains left unprotected
-// after the drain, async recovery slower than inline at the largest
-// scale, or a defrag pass that failed to compact.
+// optimizerViolations counts contract breaches: any standby search on
+// the async recovery path, an inline scenario that planned no standby
+// at all (the comparison would be vacuous), affected chains left unprotected
+// after the drain, an async recovery call that computes as many paths
+// as the inline one, or a defrag pass that failed to compact.
 func optimizerViolations(r *optimizerBenchReport) int {
 	n := 0
 	for _, f := range r.Fleets {
-		if f.Async.YenRuns != 0 {
+		if f.Async.StandbySearches != 0 {
 			n++
 		}
-		if f.Inline.YenRuns == 0 {
+		if f.Inline.StandbySearches == 0 {
 			n++
 		}
 		// Chains whose repair failed or was skipped are no longer active
@@ -423,9 +431,14 @@ func optimizerViolations(r *optimizerBenchReport) int {
 		if f.Async.DisjointAfterRecover < f.Async.Affected-exempt {
 			n++
 		}
-	}
-	if last := r.Fleets[len(r.Fleets)-1]; last.Speedup > 0 && last.Speedup < 1 {
-		n++
+		// The async recovery call must do strictly less routing work than
+		// the inline one: the searches its standbys would have cost. (The
+		// wall-clock speedup is reported, not gated: with a standby plan
+		// at tens of microseconds both calls take a few milliseconds and
+		// one scheduler blip decides their ratio.)
+		if f.Async.PathComputations >= f.Inline.PathComputations {
+			n++
+		}
 	}
 	if r.Defrag.Retuned == 0 || r.Defrag.AfterMax >= r.Defrag.BeforeMax {
 		n++

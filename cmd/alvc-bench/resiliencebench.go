@@ -56,10 +56,11 @@ type fleetSample struct {
 	Affected         int     `json:"affected"`
 	RepairMs         float64 `json:"repair_ms"`
 	PathComputations int     `json:"path_computations"`
-	// YenRuns counts inline standby replans during recovery; with the
-	// optimizer attached the contract is 0 (replanning is deferred).
-	YenRuns int            `json:"yen_runs"`
-	Actions map[string]int `json:"actions"`
+	// StandbySearches counts the standby segment searches asked during
+	// recovery — inline replanning; with the optimizer attached the
+	// contract is 0 (replanning is deferred).
+	StandbySearches int            `json:"standby_searches"`
+	Actions         map[string]int `json:"actions"`
 	// RulesInstalled is the flow-rule churn of the recovery: rules
 	// installed while repairing, normalized per affected chain in
 	// RuleChurnPerChain.
@@ -248,7 +249,7 @@ func runResilienceBench(chains int) (*resilienceBenchReport, error) {
 		}
 		ctrl := arch.Orchestrator().Controller()
 		compsBefore := ctrl.PathComputations()
-		yenBefore := ctrl.YenRuns()
+		searchesBefore := standbySearches(arch)
 		_, rulesBefore := ctrl.Stats()
 		start := time.Now()
 		reports, _ := arch.FailNode(victim) // per-chain failures are reported below
@@ -258,7 +259,7 @@ func runResilienceBench(chains int) (*resilienceBenchReport, error) {
 			Affected:         len(reports),
 			RepairMs:         float64(elapsed) / float64(time.Millisecond),
 			PathComputations: ctrl.PathComputations() - compsBefore,
-			YenRuns:          ctrl.YenRuns() - yenBefore,
+			StandbySearches:  standbySearches(arch) - searchesBefore,
 			RulesInstalled:   rulesAfter - rulesBefore,
 			Actions:          make(map[string]int),
 		}
@@ -341,7 +342,7 @@ func printResilienceReport(r *resilienceBenchReport) {
 	}{{"standby", r.Fleet.Standby}, {"cold", r.Fleet.Cold}} {
 		fmt.Printf("  %-7s fleet (%d chains): repair %8.3f ms, %3d affected, %3d path computations, %2d inline replans, %.1f rules/chain, gap %d -> %d after drain, actions %v\n",
 			s.name, r.Fleet.Chains, s.f.RepairMs, s.f.Affected, s.f.PathComputations,
-			s.f.YenRuns, s.f.RuleChurnPerChain, s.f.ProtectionGap, s.f.ProtectionGapAfterDrain, s.f.Actions)
+			s.f.StandbySearches, s.f.RuleChurnPerChain, s.f.ProtectionGap, s.f.ProtectionGapAfterDrain, s.f.Actions)
 	}
 	fmt.Printf("  speedup: %.2fx\n", r.Fleet.Speedup)
 	fmt.Printf("  rack event: %d nodes -> %d reports (%d duplicates) in %.3f ms, actions %v\n",
@@ -368,9 +369,9 @@ func resilienceViolations(r *resilienceBenchReport) int {
 	if r.Fleet.Standby.Actions["swapped"] == 0 {
 		n++
 	}
-	// Deferred replanning: recovery must run zero inline Yen searches,
+	// Deferred replanning: recovery must ask no standby search inline,
 	// and strictly fewer path computations than the cold fleet pays.
-	if r.Fleet.Standby.YenRuns != 0 {
+	if r.Fleet.Standby.StandbySearches != 0 {
 		n++
 	}
 	if r.Fleet.Standby.PathComputations >= r.Fleet.Cold.PathComputations {

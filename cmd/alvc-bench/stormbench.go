@@ -49,21 +49,18 @@ type stormBenchReport struct {
 	StormGroupTasks int `json:"storm_group_tasks"`
 	DrainedTasks    int `json:"drained_tasks"`
 
-	// Drain-phase planning economics. The baseline fleet drains its
-	// re-protection backlog per chain with the path-candidate cache
-	// disabled — the honest per-chain Yen cost. The batched fleet
-	// group-plans per failure domain over the generation-keyed cache.
-	// Contract: DrainYenRuns <= GroupBuckets (one Yen run per unique
-	// (endpoint, pool) bucket at most) and BaselineDrainYenRuns >=
-	// 2*DrainYenRuns (group planning at least halves the Yen bill).
-	BaselineDrainYenRuns int   `json:"baseline_drain_yen_runs"`
-	DrainYenRuns         int   `json:"yen_runs"`
-	GroupPlanned         int   `json:"group_planned"`
-	GroupBuckets         int   `json:"group_buckets"`
-	GroupShared          int   `json:"group_shared_chains"`
-	GroupFallbacks       int   `json:"group_fallbacks"`
-	CandidateCacheHits   int64 `json:"candidate_cache_hits"`
-	CandidateCacheMisses int64 `json:"candidate_cache_misses"`
+	// Drain-phase planning economics of the batched fleet, which
+	// group-plans per failure domain. GroupPlanned chains went through a
+	// group planner, GroupFallbacks of them were planned a second time on
+	// the whole fabric; StandbySearches segment questions were asked of
+	// the shard controllers and StandbySearchMisses of them ran a search
+	// (the rest were memo hits). Contract: no Yen k-shortest run at all
+	// (DrainYenRuns 0), and at most one search per segment per plan.
+	DrainYenRuns        int   `json:"yen_runs"`
+	GroupPlanned        int   `json:"group_planned"`
+	GroupFallbacks      int   `json:"group_fallbacks"`
+	StandbySearches     int64 `json:"standby_searches"`
+	StandbySearchMisses int64 `json:"standby_search_misses"`
 	// UnprotectedChains counts batched-fleet chains left without a
 	// standby after the drain. Contract: 0 — group planning must match
 	// per-chain protection coverage.
@@ -116,10 +113,9 @@ type stormVictim struct {
 // stormTraySize groups this many chains' links per SRLG tray.
 const stormTraySize = 8
 
-// stormSegmentCeiling bounds how many Yen invocations a single
-// per-chain re-protect can cost: one per standby path segment, and the
-// bench chains (VM -> PM -> two NF hosts -> PM -> VM) never exceed
-// five segments.
+// stormSegmentCeiling bounds how many searches one standby plan can
+// cost: one per standby path segment, and the bench chains (VM -> PM ->
+// two NF hosts -> PM -> VM) never exceed five segments.
 const stormSegmentCeiling = 5
 
 // stormQueueBound caps each optimizer shard queue during the storm:
@@ -144,12 +140,9 @@ func newStormArch(chains int, batched bool) (*alvc.Architecture, error) {
 			alvc.WithOptimizer(alvc.OptimizerOptions{StormThreshold: 8, MaxQueueDepth: stormQueueBound}),
 			alvc.WithFailureDebounce(time.Hour))
 	} else {
-		// The baseline drains per chain — storm grouping off and the
-		// candidate cache disabled, so its drain-phase Yen count is the
-		// true per-chain planning cost the group planner is gated against.
+		// The baseline handles the storm per event, storm grouping off.
 		opts = append(opts,
-			alvc.WithOptimizer(alvc.OptimizerOptions{StormThreshold: -1, MaxQueueDepth: stormQueueBound}),
-			alvc.WithPathCandidateCache(false))
+			alvc.WithOptimizer(alvc.OptimizerOptions{StormThreshold: -1, MaxQueueDepth: stormQueueBound}))
 	}
 	arch, err := alvc.New(stormTopology(chains), opts...)
 	if err != nil {
@@ -413,15 +406,14 @@ func stormRound(chains int) (*stormBenchReport, error) {
 	}
 
 	// Drain the batched fleet's re-protection backlog: the storm-mode
-	// group tasks re-protect each chain exactly once per domain,
-	// bucketing shared endpoint pairs so Yen runs once per bucket.
+	// group tasks re-protect each chain exactly once per domain.
 	drainYenBefore := batchArch.Sharded().YenRuns()
 	hitsBefore, missesBefore := batchArch.Sharded().CandidateCacheStats()
 	results := batchArch.Optimize()
 	report.DrainYenRuns = batchArch.Sharded().YenRuns() - drainYenBefore
 	hits, misses := batchArch.Sharded().CandidateCacheStats()
-	report.CandidateCacheHits = hits - hitsBefore
-	report.CandidateCacheMisses = misses - missesBefore
+	report.StandbySearchMisses = misses - missesBefore
+	report.StandbySearches = hits - hitsBefore + report.StandbySearchMisses
 	report.DrainedTasks = len(results)
 	for _, res := range results {
 		if res.Outcome == "storm-group" {
@@ -439,8 +431,6 @@ func stormRound(chains int) (*stormBenchReport, error) {
 		report.Storm.Domains -= stormBefore.Domains
 		report.Storm.CoalescedTasks -= stormBefore.CoalescedTasks
 		report.GroupPlanned = st.GroupPlans.Planned - groupBefore.Planned
-		report.GroupBuckets = st.GroupPlans.Buckets - groupBefore.Buckets
-		report.GroupShared = st.GroupPlans.SharedChains - groupBefore.SharedChains
 		report.GroupFallbacks = st.GroupPlans.Fallbacks - groupBefore.Fallbacks
 		report.QueueBound = stormQueueBound
 		for _, hw := range st.ShardHighWater {
@@ -450,12 +440,6 @@ func stormRound(chains int) (*stormBenchReport, error) {
 		}
 		report.QueueShed = st.Shed
 	}
-
-	// Drain the baseline fleet the per-chain way and count what it cost:
-	// no grouping, no cache — every chain pays Yen per path segment.
-	baseYenBefore := baseArch.Sharded().YenRuns()
-	baseArch.Optimize()
-	report.BaselineDrainYenRuns = baseArch.Sharded().YenRuns() - baseYenBefore
 	return report, nil
 }
 
@@ -510,24 +494,19 @@ func stormContract(r *stormBenchReport) []string {
 	if r.GroupPlanned == 0 {
 		out = append(out, "no chains were group-planned during the drain (contract: storm groups route through the group planner)")
 	}
-	// The few tasks that queued per-deployment before the storm
-	// threshold crossed drain alongside the group and pay Yen per path
-	// segment; stormSegmentCeiling bounds their share of the Yen bill.
+	if r.DrainYenRuns != 0 {
+		out = append(out, fmt.Sprintf(
+			"batched drain ran Yen's k-shortest %d times (contract: 0, standbys are planned by the avoiding search)",
+			r.DrainYenRuns))
+	}
+	// Every plan asks one question per segment. The few tasks that queued
+	// per-deployment before the storm threshold crossed drain alongside
+	// the groups, each a plan and at most one fabric retry.
 	nonGroup := r.DrainedTasks - r.StormGroupTasks
-	if r.DrainYenRuns > r.GroupBuckets+nonGroup*stormSegmentCeiling {
+	if plans := r.GroupPlanned + r.GroupFallbacks + 2*nonGroup; r.StandbySearches > int64(plans*stormSegmentCeiling) {
 		out = append(out, fmt.Sprintf(
-			"batched drain ran Yen %d times over %d group buckets + %d pre-storm tasks (contract: at most once per bucket)",
-			r.DrainYenRuns, r.GroupBuckets, nonGroup))
-	}
-	if r.DrainYenRuns != int(r.CandidateCacheMisses) {
-		out = append(out, fmt.Sprintf(
-			"batched drain ran Yen %d times on %d cache misses (contract: a cached bucket is never recomputed)",
-			r.DrainYenRuns, r.CandidateCacheMisses))
-	}
-	if r.BaselineDrainYenRuns < 2*r.DrainYenRuns {
-		out = append(out, fmt.Sprintf(
-			"per-chain baseline drain ran Yen %d times vs batched %d (contract: group planning >= 2x fewer)",
-			r.BaselineDrainYenRuns, r.DrainYenRuns))
+			"batched drain asked %d standby searches for %d plans (contract: at most %d per plan, one per segment)",
+			r.StandbySearches, plans, stormSegmentCeiling))
 	}
 	if r.UnprotectedChains != 0 {
 		out = append(out, fmt.Sprintf(
@@ -554,10 +533,10 @@ func printStormReport(r *stormBenchReport) {
 		r.DrainedTasks, r.StormGroupTasks, r.Storm)
 	fmt.Printf("  queue: high-water %d of bound %d, %d shed\n",
 		r.QueueHighWater, r.QueueBound, r.QueueShed)
-	fmt.Printf("  group planning: %d chains in %d buckets (%d shared, %d fallbacks), %d unprotected\n",
-		r.GroupPlanned, r.GroupBuckets, r.GroupShared, r.GroupFallbacks, r.UnprotectedChains)
-	fmt.Printf("  drain yen: batched %d vs per-chain baseline %d; candidate cache %d hits / %d misses\n",
-		r.DrainYenRuns, r.BaselineDrainYenRuns, r.CandidateCacheHits, r.CandidateCacheMisses)
+	fmt.Printf("  group planning: %d chains (%d fabric fallbacks), %d unprotected\n",
+		r.GroupPlanned, r.GroupFallbacks, r.UnprotectedChains)
+	fmt.Printf("  drain: %d standby searches asked, %d ran (the rest memo hits), %d Yen runs\n",
+		r.StandbySearches, r.StandbySearchMisses, r.DrainYenRuns)
 	for _, v := range r.Violations {
 		fmt.Printf("  [VIOLATION] %s\n", v)
 	}

@@ -29,6 +29,9 @@ type Frozen struct {
 	weights  []float64
 	tags     []int64 // per-arc caller tags (nil when the source graph had none)
 	edges    int
+	// penalty exceeds the weight of every simple path (1 + the sum of all
+	// arc weights): what ShortestPathAvoiding charges per avoided crossing.
+	penalty float64
 }
 
 // Frozen returns an immutable CSR snapshot of the graph. Subsequent
@@ -70,12 +73,14 @@ func (g *Graph) Frozen() *Frozen {
 		for _, he := range scratch {
 			f.targets = append(f.targets, index[he.to])
 			f.weights = append(f.weights, he.weight)
+			f.penalty += he.weight
 			if f.tags != nil {
 				f.tags = append(f.tags, he.tag)
 			}
 		}
 		f.offsets[i+1] = int32(len(f.targets))
 	}
+	f.penalty++
 	return f
 }
 
@@ -167,12 +172,13 @@ type frozenScratch struct {
 	done []bool
 	heap []frozenItem
 
-	// allow is the densified Filter for the current search: admitted
-	// vertices by dense index, valid when hasAllow. A search evaluates
-	// the filter once per vertex instead of once per relaxed edge, and
-	// Yen's spur searches — many Dijkstras sharing one filter — reuse it.
-	allow    []bool
-	hasAllow bool
+	// blocked marks, by dense index, the vertices the current search may
+	// not enter (nil = none). It is either the caller's own dense mask
+	// (ShortestPathBlocked) or filterBuf, the Filter densified once per
+	// search instead of called once per relaxed edge — Yen's spur
+	// searches, many Dijkstras sharing one filter, reuse it.
+	blocked   []bool
+	filterBuf []bool
 
 	// Yen's spur state: banned vertices (root-path prefix) and banned
 	// directed arcs (previously used deviations), reset per spur. The
@@ -201,31 +207,31 @@ func (f *Frozen) getScratch() *frozenScratch {
 		s.prev = make([]int32, n)
 		s.done = make([]bool, n)
 		s.banVertex = make([]bool, n)
-		s.allow = make([]bool, n)
+		s.filterBuf = make([]bool, n)
 	}
 	s.dist = s.dist[:n]
 	s.prev = s.prev[:n]
 	s.done = s.done[:n]
 	s.banVertex = s.banVertex[:n]
-	s.allow = s.allow[:n]
-	s.hasAllow = false
+	s.filterBuf = s.filterBuf[:n]
+	s.blocked = nil
 	s.maskVertex, s.maskArc = nil, nil
 	s.heap = s.heap[:0]
 	return s
 }
 
-// densifyFilter evaluates filter once per vertex into s.allow, so the
-// relaxation loop tests a slice index instead of calling a closure per
-// edge. A nil filter leaves hasAllow false (admit all).
+// densifyFilter evaluates filter once per vertex into s.filterBuf, so
+// the relaxation loop tests a slice index instead of calling a closure
+// per edge. A nil filter blocks nothing.
 func (f *Frozen) densifyFilter(filter Filter, s *frozenScratch) {
 	if filter == nil {
-		s.hasAllow = false
+		s.blocked = nil
 		return
 	}
 	for i, id := range f.ids {
-		s.allow[i] = filter(id)
+		s.filterBuf[i] = !filter(id)
 	}
-	s.hasAllow = true
+	s.blocked = s.filterBuf
 }
 
 func putScratch(s *frozenScratch) { frozenScratchPool.Put(s) }
@@ -243,40 +249,43 @@ func (s *frozenScratch) resetSearch() {
 // heapPush / heapPop implement a binary min-heap ordered by
 // (dist, index): among equal distances the lower vertex index — hence
 // the lower VertexID — pops first, matching the map-based pq.
-func (s *frozenScratch) heapPush(it frozenItem) {
-	s.heap = append(s.heap, it)
-	i := len(s.heap) - 1
+func heapPush(h *[]frozenItem, it frozenItem) {
+	heap := append(*h, it)
+	i := len(heap) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !frozenLess(s.heap[i], s.heap[p]) {
+		if !frozenLess(heap[i], heap[p]) {
 			break
 		}
-		s.heap[i], s.heap[p] = s.heap[p], s.heap[i]
+		heap[i], heap[p] = heap[p], heap[i]
 		i = p
 	}
+	*h = heap
 }
 
-func (s *frozenScratch) heapPop() frozenItem {
-	top := s.heap[0]
-	n := len(s.heap) - 1
-	s.heap[0] = s.heap[n]
-	s.heap = s.heap[:n]
+func heapPop(h *[]frozenItem) frozenItem {
+	heap := *h
+	top := heap[0]
+	n := len(heap) - 1
+	heap[0] = heap[n]
+	heap = heap[:n]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && frozenLess(s.heap[l], s.heap[small]) {
+		if l < n && frozenLess(heap[l], heap[small]) {
 			small = l
 		}
-		if r < n && frozenLess(s.heap[r], s.heap[small]) {
+		if r < n && frozenLess(heap[r], heap[small]) {
 			small = r
 		}
 		if small == i {
 			break
 		}
-		s.heap[i], s.heap[small] = s.heap[small], s.heap[i]
+		heap[i], heap[small] = heap[small], heap[i]
 		i = small
 	}
+	*h = heap
 	return top
 }
 
@@ -289,16 +298,16 @@ func frozenLess(a, b frozenItem) bool {
 
 // dijkstra runs a single-source search from src, stopping early once
 // dst is settled (pass dst = -1 for a full sweep). The scratch's
-// densified allow mask filters vertices; the ban sets mask Yen's spur
+// blocked mask filters vertices; the ban sets mask Yen's spur
 // removals. Results land in s.dist / s.prev.
 func (f *Frozen) dijkstra(src, dst int32, useBans bool, s *frozenScratch) {
 	s.resetSearch()
 	s.dist[src] = 0
-	s.heapPush(frozenItem{dist: 0, idx: src})
-	hasAllow := s.hasAllow
+	heapPush(&s.heap, frozenItem{dist: 0, idx: src})
+	blocked := s.blocked
 	maskVertex, maskArc := s.maskVertex, s.maskArc
 	for len(s.heap) > 0 {
-		it := s.heapPop()
+		it := heapPop(&s.heap)
 		u := it.idx
 		if s.done[u] {
 			continue
@@ -315,7 +324,7 @@ func (f *Frozen) dijkstra(src, dst int32, useBans bool, s *frozenScratch) {
 			if maskVertex != nil && maskVertex[v] {
 				continue
 			}
-			if hasAllow && !s.allow[v] {
+			if blocked != nil && blocked[v] {
 				continue
 			}
 			if useBans {
@@ -330,7 +339,7 @@ func (f *Frozen) dijkstra(src, dst int32, useBans bool, s *frozenScratch) {
 			if nd < s.dist[v]-1e-12 {
 				s.dist[v] = nd
 				s.prev[v] = u
-				s.heapPush(frozenItem{dist: nd, idx: v})
+				heapPush(&s.heap, frozenItem{dist: nd, idx: v})
 			}
 		}
 	}
@@ -385,6 +394,27 @@ func (f *Frozen) ShortestPathFiltered(src, dst VertexID, filter Filter) ([]Verte
 // output-identical to rebuilding the graph without the masked vertices
 // and arcs and searching that.
 func (f *Frozen) ShortestPathMasked(src, dst VertexID, filter Filter, m *LiveMask) ([]VertexID, float64, error) {
+	s := f.getScratch()
+	defer putScratch(s)
+	f.densifyFilter(filter, s)
+	return f.shortestPath(src, dst, m, s)
+}
+
+// ShortestPathBlocked is ShortestPathMasked with the restriction given
+// as a dense mask instead of a predicate: blocked[i] bars the vertex
+// with dense index i (IndexOf); nil bars nothing. A caller running many
+// searches under one restriction builds the mask once, where a Filter
+// is called once per vertex on every search. The mask is only read.
+func (f *Frozen) ShortestPathBlocked(src, dst VertexID, blocked []bool, m *LiveMask) ([]VertexID, float64, error) {
+	s := f.getScratch()
+	defer putScratch(s)
+	s.blocked = blocked
+	return f.shortestPath(src, dst, m, s)
+}
+
+// shortestPath is the search behind ShortestPathMasked and
+// ShortestPathBlocked; the scratch carries the restriction.
+func (f *Frozen) shortestPath(src, dst VertexID, m *LiveMask, s *frozenScratch) ([]VertexID, float64, error) {
 	si, ok := f.index[src]
 	if !ok {
 		return nil, 0, fmt.Errorf("graph: shortest path: unknown source %d", src)
@@ -393,11 +423,9 @@ func (f *Frozen) ShortestPathMasked(src, dst VertexID, filter Filter, m *LiveMas
 	if !ok {
 		return nil, 0, fmt.Errorf("graph: shortest path: unknown destination %d", dst)
 	}
-	if filter != nil && (!filter(src) || !filter(dst)) {
+	if s.blocked != nil && (s.blocked[si] || s.blocked[di]) {
 		return nil, 0, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 	}
-	s := f.getScratch()
-	defer putScratch(s)
 	if m != nil {
 		m.mu.RLock()
 		defer m.mu.RUnlock()
@@ -406,7 +434,6 @@ func (f *Frozen) ShortestPathMasked(src, dst VertexID, filter Filter, m *LiveMas
 			return nil, 0, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 		}
 	}
-	f.densifyFilter(filter, s)
 	f.dijkstra(si, di, false, s)
 	if math.IsInf(s.dist[di], 1) {
 		return nil, 0, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)

@@ -12,7 +12,7 @@
 // operationalizes that: four task kinds, in strict priority order —
 //
 //	re-protect  replan a consumed or dead standby (repairs no longer
-//	            run Yen's inline; they enqueue here instead)
+//	            plan standbys inline; they enqueue here instead)
 //	refresh     replan standbys whose Disjoint flag is false now that
 //	            a recovery improved the topology
 //	re-home     undo rebuild-induced placement drift via transactional
@@ -63,10 +63,9 @@ type shardedTarget interface {
 
 // groupTarget is the optional domain-level re-protection surface. When
 // the target implements it, storm-group tasks hand the whole domain to
-// the orchestrator in one call — the group planner Yens once per
-// unique (endpoint, pool) bucket and shares the candidates across the
-// domain's chains — instead of fanning back out to per-chain
-// ReProtect. Both *orch.Orchestrator and *orch.Sharded implement it;
+// the orchestrator in one call — one group planner steers every chain
+// of the domain off the domain's risk groups — instead of fanning back
+// out to per-chain ReProtect. Both *orch.Orchestrator and *orch.Sharded implement it;
 // the interface keeps the engine usable against minimal test targets.
 type groupTarget interface {
 	ReProtectGroup(domain string, ids []orch.DeploymentID) orch.GroupReport
@@ -202,18 +201,12 @@ type StormStats struct {
 
 // GroupPlanStats accumulates storm-group planning outcomes across the
 // engine's lifetime — the operator's evidence that domain-level
-// sharing is actually happening in production storms.
+// planning is actually happening in production storms.
 type GroupPlanStats struct {
 	// Planned counts chains routed through a group planner.
 	Planned int `json:"planned"`
-	// Buckets counts unique (endpoint pair, OPS pool) Yen searches the
-	// group passes ran — the denominator of the sharing win.
-	Buckets int `json:"buckets"`
-	// SharedChains counts planned chains that reused at least one other
-	// chain's segment search.
-	SharedChains int `json:"shared_chains"`
 	// Fallbacks counts whole-fabric retries after a pool-restricted
-	// group plan found no route.
+	// group plan found no route, or none that was disjoint.
 	Fallbacks int `json:"fallbacks"`
 }
 
@@ -920,8 +913,8 @@ func (e *Engine) runTask(t task) (res TaskResult, requeue bool) {
 // runGroupTask executes one storm-mode group task: it claims the
 // domain's accumulated members and re-protects each exactly once. When
 // the target exposes ReProtectGroup the whole domain goes down in one
-// call — the group planner shares the Yen candidate searches across
-// every member — and per-chain ReProtect is only the fallback for
+// call — one group planner, one avoidance set for every member — and
+// per-chain ReProtect is only the fallback for
 // minimal targets. Busy members requeue as ordinary per-deployment
 // tasks (the storm may be over by then); deleted ones are moot.
 // Members reported after the claim re-accumulate under the domain and
@@ -975,8 +968,6 @@ func (e *Engine) runGroupTask(t task) TaskResult {
 		}
 		e.mu.Lock()
 		e.groupPlan.Planned += gstats.Planned
-		e.groupPlan.Buckets += gstats.Buckets
-		e.groupPlan.SharedChains += gstats.SharedChains
 		e.groupPlan.Fallbacks += gstats.Fallbacks
 		e.mu.Unlock()
 	} else {
@@ -1001,8 +992,7 @@ func (e *Engine) runGroupTask(t task) TaskResult {
 	res.Detail = fmt.Sprintf("domain %s: %d chains (%d protected, %d already, %d busy requeued, %d failed)",
 		t.key.domain, len(members), protected, already, busy, failed)
 	if grouped {
-		res.Detail += fmt.Sprintf("; %d segment requests in %d buckets, %d shared",
-			gstats.SegmentRequests, gstats.Buckets, gstats.SharedChains)
+		res.Detail += fmt.Sprintf("; %d group-planned, %d fabric fallbacks", gstats.Planned, gstats.Fallbacks)
 	}
 	if failed > 0 {
 		res.Outcome = "failed"
@@ -1018,8 +1008,8 @@ func (e *Engine) runGroupTask(t task) TaskResult {
 			}}
 		if grouped {
 			sp.Attrs = append(sp.Attrs,
-				trace.Attr{Key: "buckets", Value: fmt.Sprintf("%d", gstats.Buckets)},
-				trace.Attr{Key: "shared", Value: fmt.Sprintf("%d", gstats.SharedChains)})
+				trace.Attr{Key: "planned", Value: fmt.Sprintf("%d", gstats.Planned)},
+				trace.Attr{Key: "fallbacks", Value: fmt.Sprintf("%d", gstats.Fallbacks)})
 		}
 		for _, p := range parents[1:] {
 			if p.TraceID != sc.TraceID {

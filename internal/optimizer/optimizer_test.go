@@ -129,7 +129,7 @@ func pathHas(path []topology.NodeID, n topology.NodeID) bool {
 }
 
 // TestRefreshEndToEnd is the ISSUE's recover-time refresh scenario:
-// fail → swap (zero Yen inline, standby consumed) → drain re-protects
+// fail → swap (no standby search inline, standby consumed) → drain re-protects
 // with the best the degraded topology allows (non-disjoint) → recover
 // → the recovery event queues a refresh → drain → disjoint again.
 func TestRefreshEndToEnd(t *testing.T) {
@@ -140,9 +140,9 @@ func TestRefreshEndToEnd(t *testing.T) {
 	}
 
 	// Primary transit ToR dies (the OPSs are AL members and would
-	// classify as a slice patch): swap, zero Yen runs inline.
+	// classify as a slice patch): swap, no standby search inline.
 	victim := tors[0][0]
-	yenBefore := o.Controller().YenRuns()
+	hits, misses := o.Controller().AlternativesCacheStats()
 	reports, err := o.HandleNodeFailure(victim)
 	if err != nil {
 		t.Fatalf("HandleNodeFailure: %v", err)
@@ -150,8 +150,8 @@ func TestRefreshEndToEnd(t *testing.T) {
 	if len(reports) != 1 || reports[0].Action != orch.ActionSwapped {
 		t.Fatalf("reports = %+v, want swapped", reports)
 	}
-	if got := o.Controller().YenRuns(); got != yenBefore {
-		t.Fatalf("swap ran %d Yen searches", got-yenBefore)
+	if h, m := o.Controller().AlternativesCacheStats(); h+m != hits+misses {
+		t.Fatalf("swap asked %d standby searches", h+m-hits-misses)
 	}
 	if cur := o.Deployment(dep.ID); cur.Standby != nil {
 		t.Fatalf("consumed standby still present: %+v", cur.Standby)

@@ -101,7 +101,7 @@ func (o *Orchestrator) eventSink() EventSink {
 
 // SetDeferReprotect switches standby replanning between inline and
 // deferred mode. Deferred: repair re-runs of the pipeline stop
-// planning standbys inline — Yen's search leaves the recovery hot
+// planning standbys inline — the standby search leaves the recovery hot
 // path entirely — and instead rely on a background optimizer
 // re-protecting the chain from the emitted repair-completed event.
 // Provision-time standby planning is unaffected. Only flip this on
@@ -114,7 +114,7 @@ func (o *Orchestrator) SetDeferReprotect(v bool) {
 }
 
 // asyncOptimize reports whether repairs defer standby replanning to a
-// background optimizer instead of running Yen's inline.
+// background optimizer instead of planning inline.
 func (o *Orchestrator) asyncOptimize() bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()

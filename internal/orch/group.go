@@ -3,9 +3,8 @@ package orch
 // Domain-level re-protection: the storm-group entry point the
 // background optimizer calls instead of fanning a coalesced group back
 // out to per-chain ReProtect. One GroupPlanner per failure domain
-// shares the Yen candidate searches across every survivor of the
-// domain, so re-protection work scales with unique (endpoint, pool)
-// search problems, not affected chains.
+// plans every survivor of the domain off the domain's risk groups,
+// under one hold of the topology lock.
 
 import (
 	"fmt"
@@ -41,24 +40,21 @@ type GroupReport struct {
 	// Outcomes has one entry per requested member, in ascending ID
 	// order.
 	Outcomes []GroupOutcome
-	// Stats is the shared planner's bucketing summary for the pass.
+	// Stats is the shared planner's summary for the pass.
 	Stats resilience.GroupStats
 }
 
 // ReProtectGroup re-protects every given chain as one failure-domain
 // group: the domain's risk groups are parsed once into a shared
-// avoidance set, members are planned through one GroupPlanner whose
-// (endpoint pair, OPS pool) buckets run Yen once and serve every chain
-// in the bucket, and each member's standby is specialized with the
-// same overlap scoring per-chain ReProtect uses. Per-member semantics
-// are ReProtect's exactly: alive-and-disjoint standbys are left alone,
+// avoidance set and every member is planned through one GroupPlanner
+// that avoids them on top of the member's own primary. Per-member
+// semantics are ReProtect's exactly: alive-and-disjoint standbys are left alone,
 // busy members are skipped with ErrBusy in their outcome (never
 // blocked on), and a failed plan drops the dead standby rather than
 // leaving a stale alternate indexed.
 //
-// The topology read lock is held once across the whole group — the
-// memo's validity window — so a structural mutation waits for the pass
-// rather than splitting it.
+// The topology read lock is held once across the whole group, so a
+// structural mutation waits for the pass rather than splitting it.
 func (o *Orchestrator) ReProtectGroup(domain string, ids []DeploymentID) GroupReport {
 	rep := GroupReport{Domain: domain}
 	if len(ids) == 0 {
@@ -72,7 +68,7 @@ func (o *Orchestrator) ReProtectGroup(domain string, ids []DeploymentID) GroupRe
 
 	var gp *resilience.GroupPlanner
 	if o.standbyK > 0 {
-		gp, _ = resilience.NewGroupPlanner(o.ctrl, o.topo, o.standbyK, domainSRLGs(domain))
+		gp, _ = resilience.NewGroupPlanner(o.ctrl, o.topo, domainSRLGs(domain))
 	}
 	for _, id := range sorted {
 		dep, err := o.beginExclusive(id)

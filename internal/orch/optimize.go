@@ -22,7 +22,7 @@ import (
 // topology allows: a standby that is alive and disjoint is left alone
 // (replanned=false); anything else — consumed, dead, or planned
 // non-disjoint around an outage that has since healed — is replanned
-// with Yen's k-shortest. This is the cold-repair standby work moved
+// (resilience.PlanStandby). This is the cold-repair standby work moved
 // off the recovery path: repairs drop the standby and report, and this
 // call restores protection in the background.
 //
@@ -45,8 +45,8 @@ func (o *Orchestrator) ReProtect(id DeploymentID) (sb *resilience.Standby, repla
 // caller holds the deployment's exclusive claim and topoMu.RLock —
 // ReProtectGroup holds the topology lock once across a whole domain
 // group, so the body must not reacquire it. When gp is non-nil the
-// standby is planned through the group's shared candidate memo;
-// otherwise per-chain.
+// standby is planned under the group's domain avoidance set; otherwise
+// per-chain.
 func (o *Orchestrator) reProtectDep(dep *Deployment, gp *resilience.GroupPlanner) (sb *resilience.Standby, replanned bool, err error) {
 	id := dep.ID
 	o.mu.Lock()
@@ -57,13 +57,7 @@ func (o *Orchestrator) reProtectDep(dep *Deployment, gp *resilience.GroupPlanner
 		return cur, false, nil
 	}
 	p := o.pipelineFrom(context.Background(), dep)
-	var planErr error
-	if gp != nil {
-		planErr = p.planStandbyGroup(gp)
-	} else {
-		planErr = p.planStandby()
-	}
-	if planErr != nil {
+	if planErr := p.planStandby(gp); planErr != nil {
 		if alive {
 			// The current standby still works; a failed search for a
 			// better one must not strip the protection the chain has.
@@ -72,9 +66,7 @@ func (o *Orchestrator) reProtectDep(dep *Deployment, gp *resilience.GroupPlanner
 		// The standby is dead (or absent): drop it so the reverse index
 		// stops routing failures at a stale alternate.
 		o.mu.Lock()
-		o.unindexLocked(dep)
-		dep.Standby = nil
-		o.indexLocked(dep)
+		o.dropStandbyLocked(dep)
 		o.mu.Unlock()
 		return nil, true, fmt.Errorf("orch: re-protect %d: chain left unprotected: %w", id, planErr)
 	}

@@ -42,6 +42,13 @@ func (s *recordingSink) count(kind EventKind) int {
 	return n
 }
 
+// standbySearches counts the standby segment searches asked of the
+// orchestrator's controller so far, answered from its memo or not.
+func standbySearches(o *Orchestrator) int64 {
+	hits, misses := o.Controller().AlternativesCacheStats()
+	return hits + misses
+}
+
 // TestReProtectAlreadyProtectedIsNoOp: a chain whose standby is alive
 // and disjoint must not be replanned.
 func TestReProtectAlreadyProtectedIsNoOp(t *testing.T) {
@@ -50,7 +57,7 @@ func TestReProtectAlreadyProtectedIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	before := o.Controller().YenRuns()
+	before := standbySearches(o)
 	sb, replanned, err := o.ReProtect(dep.ID)
 	if err != nil {
 		t.Fatalf("ReProtect: %v", err)
@@ -61,13 +68,13 @@ func TestReProtectAlreadyProtectedIsNoOp(t *testing.T) {
 	if sb == nil || !sb.Disjoint {
 		t.Fatalf("standby snapshot = %+v, want disjoint", sb)
 	}
-	if got := o.Controller().YenRuns(); got != before {
-		t.Fatalf("no-op re-protect ran %d Yen searches", got-before)
+	if got := standbySearches(o); got != before {
+		t.Fatalf("no-op re-protect asked %d standby searches", got-before)
 	}
 }
 
 // TestAsyncRestandbyDropsAndReProtectReplans: with a sink attached, a
-// standby-only failure drops the standby with zero Yen runs and emits
+// standby-only failure drops the standby with no standby search and emits
 // repair-completed; the background ReProtect then replans it over the
 // surviving spare route.
 func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
@@ -83,7 +90,7 @@ func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 		t.Fatalf("standby %+v, want route 1", dep.Standby)
 	}
 
-	yenBefore := o.Controller().YenRuns()
+	searchesBefore := standbySearches(o)
 	reports, err := o.HandleNodeFailure(ids.opss[1]) // standby transit only
 	if err != nil {
 		t.Fatalf("HandleNodeFailure: %v", err)
@@ -91,12 +98,13 @@ func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 	if len(reports) != 1 || reports[0].Action != ActionRestandby || reports[0].Err != nil {
 		t.Fatalf("reports = %+v, want one clean restandby", reports)
 	}
-	if got := o.Controller().YenRuns(); got != yenBefore {
-		t.Fatalf("async restandby ran %d Yen searches inline", got-yenBefore)
+	if got := standbySearches(o); got != searchesBefore {
+		t.Fatalf("async restandby asked %d standby searches inline", got-searchesBefore)
 	}
 	if cur := o.Deployment(dep.ID); cur.Standby != nil {
 		t.Fatalf("standby not dropped: %+v", cur.Standby)
 	}
+	checkReverseIndexes(t, o)
 	if sink.count(EventRepairCompleted) != 1 {
 		t.Fatalf("events = %v, want one repair-completed", sink.kinds())
 	}
@@ -114,7 +122,7 @@ func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 }
 
 // TestAsyncRepathDefersStandby: with a sink attached a cold re-path
-// must not replan the standby inline (zero Yen runs); the chain is
+// must not replan the standby inline (no standby search); the chain is
 // repaired but unprotected until ReProtect runs.
 func TestAsyncRepathDefersStandby(t *testing.T) {
 	o, ids := triOrch(t, Config{})
@@ -127,7 +135,7 @@ func TestAsyncRepathDefersStandby(t *testing.T) {
 	// Kill primary AND standby transit ToRs in one batch (the OPSs are
 	// AL members and would classify as a slice patch): no swap
 	// possible, the repair must be a cold re-path via the spare route.
-	yenBefore := o.Controller().YenRuns()
+	searchesBefore := standbySearches(o)
 	reports, err := o.HandleFailures([]topology.NodeID{ids.tors[0][0], ids.tors[0][1]}, nil)
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
@@ -135,8 +143,8 @@ func TestAsyncRepathDefersStandby(t *testing.T) {
 	if len(reports) != 1 || reports[0].Action != ActionRepathed {
 		t.Fatalf("reports = %+v, want one repathed", reports)
 	}
-	if got := o.Controller().YenRuns(); got != yenBefore {
-		t.Fatalf("async repath ran %d Yen searches inline", got-yenBefore)
+	if got := standbySearches(o); got != searchesBefore {
+		t.Fatalf("async repath asked %d standby searches inline", got-searchesBefore)
 	}
 	cur := o.Deployment(dep.ID)
 	if cur.Standby != nil {

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -163,22 +164,15 @@ type Config struct {
 	// Wavelengths, when positive, enables per-flow WDM assignment with
 	// that many wavelengths per optical link.
 	Wavelengths int
-	// StandbyK is how many alternatives Yen's k-shortest explores per
-	// path segment when planning a chain's standby route at provision
-	// time. 0 selects DefaultStandbyK; negative disables standby
-	// planning entirely (every data-path repair is then a cold re-path).
+	// StandbyK switches standby planning: negative disables it entirely
+	// (every data-path repair is then a cold re-path), anything else
+	// plans a standby for every chain. The magnitude was the width of the
+	// k-shortest search the planner used to run and no longer matters.
 	StandbyK int
-	// DisablePathCache turns off the SDN controllers' generation-keyed
-	// path-candidate memo (sdn.Controller.SetAlternativesCache), forcing
-	// every PathAlternatives call to run Yen's search cold. Benchmark
-	// baselines use it to measure the cache's effect; production fleets
-	// leave it off.
-	DisablePathCache bool
 }
 
-// DefaultStandbyK is the Yen's search width used when Config.StandbyK
-// is zero: enough alternatives that a disjoint route is found whenever
-// the topology has one, small enough to keep provisioning cheap.
+// DefaultStandbyK is what a zero Config.StandbyK becomes: standby
+// planning on.
 const DefaultStandbyK = 4
 
 // sharedCore is the state every orchestrator shard reads and writes
@@ -209,8 +203,7 @@ type sharedCore struct {
 	mode      placement.Mode
 	costModel optical.CostModel
 
-	// standbyK is the Yen's search width for standby planning
-	// (non-positive: disabled).
+	// standbyK is positive when standby planning is on.
 	standbyK int
 
 	// vmIdx caches the live VMs offering each service (see liveVMs).
@@ -344,6 +337,10 @@ type Orchestrator struct {
 	// provisionOK/provisionFail count Provision outcomes (atomics).
 	provisionOK   uint64
 	provisionFail uint64
+	// standbyFallbacks counts per-chain standby plans that retried on the
+	// whole fabric because the shard's pool offered no disjoint route
+	// (pipeline.planStandby); group plans count theirs on the planner.
+	standbyFallbacks atomic.Int64
 }
 
 // SetStageObserver installs (or, with nil, removes) the per-stage
@@ -446,9 +443,6 @@ func New(cfg Config) (*Orchestrator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("orch: %w", err)
 	}
-	if cfg.DisablePathCache {
-		ctrl.SetAlternativesCache(false)
-	}
 	return newShard(core, alloc, ctrl, 0, 1), nil
 }
 
@@ -550,20 +544,55 @@ func (o *Orchestrator) indexLocked(dep *Deployment) {
 // Caller holds o.mu.
 func (o *Orchestrator) unindexLocked(dep *Deployment) {
 	for _, n := range dep.idxNodes {
-		set := o.nodeIndex[n]
-		delete(set, dep.ID)
-		if len(set) == 0 {
-			delete(o.nodeIndex, n)
-		}
+		unindex(o.nodeIndex, n, dep.ID)
 	}
 	for _, l := range dep.idxLinks {
-		set := o.linkIndex[l]
-		delete(set, dep.ID)
-		if len(set) == 0 {
-			delete(o.linkIndex, l)
-		}
+		unindex(o.linkIndex, l, dep.ID)
 	}
 	dep.idxNodes, dep.idxLinks = nil, nil
+}
+
+// unindex takes one deployment out of a reverse index's entry for key,
+// dropping the entry once it is empty.
+func unindex[K comparable](index map[K]map[DeploymentID]struct{}, key K, id DeploymentID) {
+	set := index[key]
+	delete(set, id)
+	if len(set) == 0 {
+		delete(index, key)
+	}
+}
+
+// dropStandbyLocked forgets the deployment's standby and takes out of
+// the reverse indexes exactly what the standby alone put there: its
+// nodes and links that are not also slice OPSs, VNF hosts or on the
+// primary path. Everything else the deployment registered stays as it
+// is, so losing a standby costs a walk of the standby, not a
+// recomputation of the whole footprint. Caller holds o.mu.
+func (o *Orchestrator) dropStandbyLocked(dep *Deployment) {
+	sb := dep.Standby
+	if sb == nil {
+		return
+	}
+	dep.Standby = nil
+	for _, n := range sb.Path {
+		if slices.Contains(dep.Path, n) || slices.Contains(dep.Placement.Hosts, n) ||
+			(dep.Slice != nil && slices.Contains(dep.Slice.OPSs, n)) {
+			continue
+		}
+		if i := slices.Index(dep.idxNodes, n); i >= 0 {
+			dep.idxNodes = slices.Delete(dep.idxNodes, i, i+1)
+			unindex(o.nodeIndex, n, dep.ID)
+		}
+	}
+	for _, l := range sb.Links {
+		if slices.Contains(dep.primaryLinks, l) {
+			continue
+		}
+		if i := slices.Index(dep.idxLinks, l); i >= 0 {
+			dep.idxLinks = slices.Delete(dep.idxLinks, i, i+1)
+			unindex(o.linkIndex, l, dep.ID)
+		}
+	}
 }
 
 // footprint returns the deduplicated nodes this deployment depends on:
@@ -819,7 +848,7 @@ func (o *Orchestrator) rebuild(ctx context.Context, dep *Deployment) error {
 		b.attachTrace(ctx)
 		// With a background optimizer attached, even a full rebuild
 		// leaves standby planning to the async re-protect task — no
-		// Yen's search on the recovery path.
+		// standby search on the recovery path.
 		b.deferStandby = o.asyncOptimize()
 		err = b.runFrom(stageCluster)
 	}

@@ -107,7 +107,7 @@ type pipeline struct {
 	reentry bool
 	// deferStandby forces the standby stage to skip planning even on a
 	// fresh (non-reentrant) pipeline — set by rebuild when a background
-	// optimizer owns re-protection, so no repair path runs Yen's inline.
+	// optimizer owns re-protection, so no repair path plans inline.
 	deferStandby bool
 	// graced marks an in-flight two-λ wavelength move; the old channel
 	// is released by commitWDM after the caller commits the pipeline
@@ -323,52 +323,47 @@ func (p *pipeline) runPath() error {
 	return nil
 }
 
-// planStandby plans the chain's alternate route via Yen's k-shortest
-// (sdn.PathAlternatives) and stores it on the pipeline. The error
-// reports why no standby exists (planning disabled counts as no
-// error); callers decide whether that is fatal.
-func (p *pipeline) planStandby() error {
+// planStandby plans the chain's alternate route (resilience.PlanStandby
+// — one avoiding search per segment) and stores it on the pipeline;
+// with a non-nil gp the plan goes through that failure-domain group
+// planner instead, which adds the domain's risk groups to what the
+// route avoids. The error reports why no standby exists (planning
+// disabled counts as no error); callers decide whether that is fatal.
+//
+// A sharded orchestrator plans protection inside its own OPS partition:
+// the slice came from the shard's pool, so the standby staying there
+// keeps repairs shard-local. When the pool cannot protect this chain —
+// no route at all, or none disjoint from the primary (e.g. an NF was
+// moved onto an out-of-pool host) — the whole fabric is tried too and
+// the better plan kept: protection beats partition purity. The retry is
+// counted, on the group planner or the shard, so operators can see when
+// partition purity lost.
+func (p *pipeline) planStandby(gp *resilience.GroupPlanner) error {
 	p.standby = nil
 	k := p.o.standbyK
 	if k <= 0 {
 		return nil
 	}
-	stops := p.standbyStops()
-	// A sharded orchestrator plans protection inside its own OPS
-	// partition: the slice came from the shard's pool, so the standby
-	// staying there keeps repairs shard-local and Yen's searches sized
-	// to the pool. If the pool can't protect this chain (e.g. an NF was
-	// moved onto an out-of-pool host), fall back to the whole fabric —
-	// protection beats partition purity.
+	stops, slice := p.standbyStops(), p.slice.OPSSet()
+	plan := func(allow map[topology.NodeID]bool) (*resilience.Standby, error) {
+		return resilience.PlanStandby(p.o.ctrl, p.o.topo, p.path, stops, slice, k, allow)
+	}
+	fallback := func() (*resilience.Standby, error) {
+		p.o.standbyFallbacks.Add(1)
+		return plan(nil)
+	}
+	if gp != nil {
+		plan = func(allow map[topology.NodeID]bool) (*resilience.Standby, error) {
+			return gp.Plan(p.path, stops, slice, allow)
+		}
+		fallback = func() (*resilience.Standby, error) { return gp.PlanFallback(p.path, stops, slice) }
+	}
 	allow := p.o.alloc.Pool()
-	sb, err := resilience.PlanStandby(p.o.ctrl, p.o.topo, p.path, stops, p.slice.OPSSet(), k, allow)
-	if err != nil && allow != nil {
-		sb, err = resilience.PlanStandby(p.o.ctrl, p.o.topo, p.path, stops, p.slice.OPSSet(), k, nil)
-	}
-	if err != nil {
-		return err
-	}
-	p.standby = sb
-	return nil
-}
-
-// planStandbyGroup is planStandby routed through a failure-domain
-// group planner: segment alternatives come from the group's shared
-// memo (Yen once per unique (endpoint, pool) bucket across the whole
-// domain) and the domain's risk groups fold into the overlap scoring.
-// The pool fallback mirrors planStandby's and is counted on the
-// planner so operators can see when partition purity lost.
-func (p *pipeline) planStandbyGroup(gp *resilience.GroupPlanner) error {
-	p.standby = nil
-	if p.o.standbyK <= 0 {
-		return nil
-	}
-	stops := p.standbyStops()
-	allow := p.o.alloc.Pool()
-	sb, err := gp.Plan(p.path, stops, p.slice.OPSSet(), allow)
-	if err != nil && allow != nil {
-		gp.AddFallback()
-		sb, err = gp.Plan(p.path, stops, p.slice.OPSSet(), nil)
+	sb, err := plan(allow)
+	if allow != nil && (err != nil || !sb.Disjoint) {
+		if wide, wideErr := fallback(); err != nil || (wideErr == nil && wide.Disjoint) {
+			sb, err = wide, wideErr
+		}
 	}
 	if err != nil {
 		return err
@@ -403,15 +398,15 @@ func (p *pipeline) standbyStops() []topology.NodeID {
 //
 // With a background optimizer attached, repair re-runs (and rebuilds,
 // via deferStandby) skip planning entirely: the chain is reported
-// repaired-but-unprotected and the optimizer's re-protect task runs
-// Yen's off the recovery hot path. Provision-time planning is
+// repaired-but-unprotected and the optimizer's re-protect task plans
+// off the recovery hot path. Provision-time planning is
 // unaffected — a fresh chain is still born protected.
 func (p *pipeline) runStandby() error {
 	if p.deferStandby || (p.reentry && p.o.asyncOptimize()) {
 		p.standby = nil
 		return nil
 	}
-	_ = p.planStandby()
+	_ = p.planStandby(nil)
 	return nil
 }
 

@@ -412,7 +412,7 @@ func (o *Orchestrator) repairAround(ctx context.Context, id DeploymentID, dead r
 		// The primary is intact; only the anticipation was consumed.
 		// With a background optimizer attached the dead standby is just
 		// dropped — the repair-completed event enqueues the async
-		// re-protect, and zero Yen's runs happen on this path. Inline
+		// re-protect, and no standby search happens on this path. Inline
 		// mode replans here: still off the hot recovery path of any
 		// chain actually carrying traffic over dead resources. A replan
 		// failure is NOT grounds for the rebuild fallback — the chain
@@ -420,9 +420,7 @@ func (o *Orchestrator) repairAround(ctx context.Context, id DeploymentID, dead r
 		// unprotected instead of silently claiming re-protection.
 		if o.asyncOptimize() {
 			o.mu.Lock()
-			o.unindexLocked(dep)
-			dep.Standby = nil
-			o.indexLocked(dep)
+			o.dropStandbyLocked(dep)
 			o.mu.Unlock()
 			return RepairReport{ID: id, Action: ActionRestandby}
 		}
@@ -491,7 +489,7 @@ func (o *Orchestrator) swapToStandby(ctx context.Context, dep *Deployment) error
 // reports that the chain is left unprotected.
 func (o *Orchestrator) replanStandby(ctx context.Context, dep *Deployment) error {
 	p := o.pipelineFrom(ctx, dep)
-	planErr := p.planStandby()
+	planErr := p.planStandby(nil)
 	o.mu.Lock()
 	o.unindexLocked(dep)
 	dep.Standby = p.standby // nil when planning failed

@@ -180,9 +180,6 @@ func NewSharded(cfg Config, n int, mode ShardMode) (*Sharded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("orch: sharded: shard %d: %w", i, err)
 		}
-		if cfg.DisablePathCache {
-			ctrl.SetAlternativesCache(false)
-		}
 		s.shards[i] = newShard(core, alloc, ctrl, i, n)
 	}
 	return s, nil
@@ -309,10 +306,7 @@ func (s *Sharded) ReProtectGroup(domain string, ids []DeploymentID) GroupReport 
 	for _, r := range reports {
 		rep.Outcomes = append(rep.Outcomes, r.Outcomes...)
 		rep.Stats.Planned += r.Stats.Planned
-		rep.Stats.Buckets += r.Stats.Buckets
-		rep.Stats.SharedChains += r.Stats.SharedChains
 		rep.Stats.Fallbacks += r.Stats.Fallbacks
-		rep.Stats.SegmentRequests += r.Stats.SegmentRequests
 	}
 	sort.Slice(rep.Outcomes, func(i, j int) bool { return rep.Outcomes[i].ID < rep.Outcomes[j].ID })
 	return rep
@@ -493,7 +487,8 @@ func (s *Sharded) PathComputations() int {
 	return n
 }
 
-// YenRuns sums Yen's k-shortest invocations across shard controllers.
+// YenRuns sums Yen's k-shortest invocations across shard controllers
+// (PathAlternatives callers only; standby planning runs none).
 func (s *Sharded) YenRuns() int {
 	n := 0
 	for _, sh := range s.shards {
@@ -511,8 +506,9 @@ func (s *Sharded) RuleCount() int {
 	return n
 }
 
-// CandidateCacheStats sums the path-candidate cache hit/miss counters
-// across shard controllers.
+// CandidateCacheStats sums the standby-search memo's hit/miss counters
+// across shard controllers; their sum is the number of standby segment
+// searches asked.
 func (s *Sharded) CandidateCacheStats() (hits, misses int64) {
 	for _, sh := range s.shards {
 		h, m := sh.ctrl.AlternativesCacheStats()
@@ -520,6 +516,17 @@ func (s *Sharded) CandidateCacheStats() (hits, misses int64) {
 		misses += m
 	}
 	return hits, misses
+}
+
+// StandbyFallbacks sums, across shards, the per-chain standby plans that
+// tried the whole fabric after the shard's own pool offered no disjoint
+// route. Storm-group plans count theirs in GroupReport.Stats.
+func (s *Sharded) StandbyFallbacks() int64 {
+	var n int64
+	for _, sh := range s.shards {
+		n += sh.standbyFallbacks.Load()
+	}
+	return n
 }
 
 // ShardStat is one shard's slice of the fleet, for metrics endpoints
@@ -538,7 +545,7 @@ type ShardStat struct {
 	ProvisionFailed  uint64 `json:"provision_failed"`
 	BusyOps          int    `json:"busy_ops"`
 	// CandidateCacheHits/Misses are the shard controller's
-	// path-candidate memo counters (PathAlternatives served warm vs
+	// standby-search memo counters (segment searches served warm vs
 	// searched cold).
 	CandidateCacheHits   int64 `json:"candidate_cache_hits"`
 	CandidateCacheMisses int64 `json:"candidate_cache_misses"`

@@ -2,163 +2,62 @@ package resilience
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
 
 	"github.com/alvc/alvc/internal/topology"
 )
 
 // GroupPlanner plans standbys for every survivor of one failure domain
-// as a single shared search problem. Per-chain PlanStandby pays one
-// Yen's run per path segment per chain; after a storm, dozens of chains
-// in the same domain share endpoints (same src/dst ToR pairs, same OPS
-// pool) and must avoid the same trays, so their segment searches are
-// literally the same question. The planner computes the domain
-// avoidance set once, buckets segment requests by (endpoint pair, pool
-// restriction), runs Yen once per bucket, and specializes the shared
-// k-alternatives per chain with the existing cheap O(path)
-// overlap/disjointness scoring — Yen work becomes proportional to
-// unique search problems, not affected chains.
+// under the domain's shared avoidance set: the risk groups that just
+// failed are avoided by every member's standby like the member's own
+// primary links, so re-protection steers the whole group off the trays
+// that define the domain. Members that ask the same segment question
+// (same endpoints, pool, primary and spread) share the finder's memo.
 //
 // A planner is single-pass state: build one per domain group, call Plan
-// for each member while the topology is held stable (the orchestrator
-// holds its topology read lock across the group), then read Stats.
-// It is NOT safe for concurrent use and must not outlive the pass —
-// the memo has no generation key; stability is the caller's lock.
-//
-// Errors are memoized alongside alternatives: within one pass the
-// topology cannot heal, so a failed bucket search would fail
-// identically for every chain in the bucket, and retrying it per chain
-// would break the "Yen runs ≤ buckets" economics.
+// for each member, then read Stats. It is NOT safe for concurrent use.
 type GroupPlanner struct {
 	finder PathFinder
 	topo   *topology.Topology
-	k      int
-	// avoid is the failure domain's shared-risk groups: alternatives
-	// crossing a link in any of them score as overlap, steering every
-	// member's standby off the trays that just failed.
-	avoid map[int]bool
-	memo  map[groupSegKey]groupSegEntry
+	// avoid is the failure domain's shared-risk groups.
+	avoid []int
 	stats GroupStats
 }
 
-// groupSegKey identifies one unique segment search problem within the
-// domain pass.
-type groupSegKey struct {
-	src, dst topology.NodeID
-	pool     uint64
-}
-
-// groupSegEntry is a memoized bucket result — the shared k-alternatives
-// or the shared failure.
-type groupSegEntry struct {
-	alts [][]topology.NodeID
-	err  error
-}
-
-// GroupStats summarizes one domain pass for operators and the bench:
-// how much Yen work the bucketing saved is (SegmentRequests − Buckets).
+// GroupStats summarizes one domain pass for operators and the bench.
 type GroupStats struct {
 	// Planned counts Plan calls — chains routed through the group
 	// planner, successful or not.
 	Planned int
-	// Buckets counts unique (endpoint pair, pool) segment problems —
-	// the finder calls actually made.
-	Buckets int
-	// SharedChains counts planned chains that had at least one segment
-	// served from the memo — chains that provably shared another
-	// chain's search.
-	SharedChains int
-	// Fallbacks counts whole-fabric retries (AddFallback) after a
-	// pool-restricted plan found no route.
+	// Fallbacks counts whole-fabric retries (PlanFallback) after a
+	// pool-restricted plan found no route, or none that was disjoint.
 	Fallbacks int
-	// SegmentRequests counts all segment alternative requests,
-	// memo hits included.
-	SegmentRequests int
 }
 
 // NewGroupPlanner builds a planner for one failure domain. domainSRLGs
 // lists the shared-risk groups that define the domain (nil for an
-// anonymous batch domain — the planner then scores exactly like
+// anonymous batch domain — the planner then plans exactly like
 // per-chain PlanStandby).
-func NewGroupPlanner(f PathFinder, topo *topology.Topology, k int, domainSRLGs []int) (*GroupPlanner, error) {
+func NewGroupPlanner(f PathFinder, topo *topology.Topology, domainSRLGs []int) (*GroupPlanner, error) {
 	if f == nil || topo == nil {
 		return nil, fmt.Errorf("resilience: group planner: nil finder or topology")
 	}
-	if k <= 0 {
-		return nil, fmt.Errorf("resilience: group planner: k must be positive, got %d", k)
-	}
-	var avoid map[int]bool
-	if len(domainSRLGs) > 0 {
-		avoid = make(map[int]bool, len(domainSRLGs))
-		for _, g := range domainSRLGs {
-			avoid[g] = true
-		}
-	}
-	return &GroupPlanner{
-		finder: f,
-		topo:   topo,
-		k:      k,
-		avoid:  avoid,
-		memo:   make(map[groupSegKey]groupSegEntry),
-	}, nil
+	return &GroupPlanner{finder: f, topo: topo, avoid: domainSRLGs}, nil
 }
 
-// Plan computes one member chain's standby through the shared memo.
-// Parameters mirror PlanStandby; the k and finder are the planner's.
+// Plan computes one member chain's standby. Parameters mirror
+// PlanStandby; the finder is the planner's.
 func (gp *GroupPlanner) Plan(primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, allowOPS map[topology.NodeID]bool) (*Standby, error) {
 	gp.stats.Planned++
-	pool := poolDigest(allowOPS)
-	shared := false
-	getAlts := func(a, b topology.NodeID) ([][]topology.NodeID, error) {
-		gp.stats.SegmentRequests++
-		key := groupSegKey{src: a, dst: b, pool: pool}
-		if e, ok := gp.memo[key]; ok {
-			shared = true
-			return e.alts, e.err
-		}
-		gp.stats.Buckets++
-		alts, err := gp.finder.PathAlternatives(a, b, gp.k, allowOPS)
-		gp.memo[key] = groupSegEntry{alts: alts, err: err}
-		return alts, err
-	}
-	sb, err := planStandbyWith(getAlts, gp.topo, primary, stops, sliceOPS, gp.avoid)
-	if shared {
-		gp.stats.SharedChains++
-	}
-	return sb, err
+	return planStandbyWith(gp.finder, gp.topo, primary, stops, sliceOPS, allowOPS, gp.avoid)
 }
 
-// AddFallback records that a member's pool-restricted plan failed and
-// the caller retried against the whole fabric (a nil pool Plan call).
-func (gp *GroupPlanner) AddFallback() { gp.stats.Fallbacks++ }
+// PlanFallback is the whole-fabric retry of a member whose
+// pool-restricted Plan fell short — no route, or none disjoint. It
+// counts as a fallback, not as another planned chain.
+func (gp *GroupPlanner) PlanFallback(primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool) (*Standby, error) {
+	gp.stats.Fallbacks++
+	return planStandbyWith(gp.finder, gp.topo, primary, stops, sliceOPS, nil, gp.avoid)
+}
 
 // Stats returns the pass's accumulated counters.
 func (gp *GroupPlanner) Stats() GroupStats { return gp.stats }
-
-// poolDigest hashes an OPS restriction set to a stable key component;
-// nil (whole fabric) is distinguishable from any real pool.
-func poolDigest(allowOPS map[topology.NodeID]bool) uint64 {
-	if allowOPS == nil {
-		return 0
-	}
-	ids := make([]int, 0, len(allowOPS))
-	for n, ok := range allowOPS {
-		if ok {
-			ids = append(ids, int(n))
-		}
-	}
-	sort.Ints(ids)
-	h := fnv.New64a()
-	var buf [8]byte
-	buf[0] = 1
-	h.Write(buf[:1])
-	for _, id := range ids {
-		v := uint64(id)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}

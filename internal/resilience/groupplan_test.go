@@ -9,25 +9,13 @@ import (
 	"github.com/alvc/alvc/internal/topology"
 )
 
-// countingFinder wraps another finder and counts PathAlternatives
-// calls — the witness that bucketing actually collapses searches.
-type countingFinder struct {
-	inner PathFinder
-	calls int
-}
-
-func (c *countingFinder) PathAlternatives(src, dst topology.NodeID, k int, restrictOPS map[topology.NodeID]bool) ([][]topology.NodeID, error) {
-	c.calls++
-	return c.inner.PathAlternatives(src, dst, k, restrictOPS)
-}
-
 // meshFleet is a randomized endpoint-sharing fleet over a PM mesh:
 // every PM pair is joined by several parallel two-ToR routes, and the
 // fleet's chains draw (src, dst) from the small PM pool so segment
 // searches collide.
 type meshFleet struct {
 	topo   *topology.Topology
-	finder stubFinder
+	finder PathFinder
 	chains []meshChain
 }
 
@@ -47,7 +35,7 @@ func buildMeshFleet(t *testing.T, rng *rand.Rand) meshFleet {
 	for i := range pms {
 		pms[i] = topo.AddPM(i, big)
 	}
-	finder := stubFinder{alts: make(map[string][][]topology.NodeID)}
+	routes := make(map[string][][]topology.NodeID)
 	addRoute := func(a, b topology.NodeID, lat float64) []topology.NodeID {
 		t1, t2 := topo.AddToR(0), topo.AddToR(1)
 		for _, hop := range [][2]topology.NodeID{{a, t1}, {t1, t2}, {t2, b}} {
@@ -59,21 +47,20 @@ func buildMeshFleet(t *testing.T, rng *rand.Rand) meshFleet {
 	}
 	for i := 0; i < pmCount; i++ {
 		for j := i + 1; j < pmCount; j++ {
-			routes := 2 + rng.Intn(2)
-			for r := 0; r < routes; r++ {
+			for r, n := 0, 2+rng.Intn(2); r < n; r++ {
 				path := addRoute(pms[i], pms[j], float64(1+rng.Intn(5)))
 				fwd := fmt.Sprintf("%d-%d", pms[i], pms[j])
-				finder.alts[fwd] = append(finder.alts[fwd], path)
+				routes[fwd] = append(routes[fwd], path)
 				rev := make([]topology.NodeID, len(path))
 				for n, id := range path {
 					rev[len(path)-1-n] = id
 				}
-				finder.alts[fmt.Sprintf("%d-%d", pms[j], pms[i])] = append(
-					finder.alts[fmt.Sprintf("%d-%d", pms[j], pms[i])], rev)
+				routes[fmt.Sprintf("%d-%d", pms[j], pms[i])] = append(
+					routes[fmt.Sprintf("%d-%d", pms[j], pms[i])], rev)
 			}
 		}
 	}
-	fleet := meshFleet{topo: topo, finder: finder}
+	fleet := meshFleet{topo: topo, finder: finderOver(t, topo)}
 	chainCount := 4 + rng.Intn(8)
 	for c := 0; c < chainCount; c++ {
 		src := pms[rng.Intn(pmCount)]
@@ -90,7 +77,7 @@ func buildMeshFleet(t *testing.T, rng *rand.Rand) meshFleet {
 		}
 		var primary []topology.NodeID
 		for s := 0; s+1 < len(stops); s++ {
-			seg := finder.alts[fmt.Sprintf("%d-%d", stops[s], stops[s+1])][0]
+			seg := routes[fmt.Sprintf("%d-%d", stops[s], stops[s+1])][0]
 			if len(primary) > 0 {
 				seg = seg[1:]
 			}
@@ -102,14 +89,14 @@ func buildMeshFleet(t *testing.T, rng *rand.Rand) meshFleet {
 }
 
 // TestGroupPlannerEquivalentToPlanStandby: with no domain avoidance
-// set, group planning is a pure memoization — every chain's standby is
+// set, group planning is per-chain planning — every chain's standby is
 // byte-identical to the per-chain path, across randomized fleets.
 func TestGroupPlannerEquivalentToPlanStandby(t *testing.T) {
 	const k = 4
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fleet := buildMeshFleet(t, rng)
-		gp, err := NewGroupPlanner(fleet.finder, fleet.topo, k, nil)
+		gp, err := NewGroupPlanner(fleet.finder, fleet.topo, nil)
 		if err != nil {
 			t.Fatalf("seed %d: NewGroupPlanner: %v", seed, err)
 		}
@@ -131,49 +118,6 @@ func TestGroupPlannerEquivalentToPlanStandby(t *testing.T) {
 		if st.Planned != len(fleet.chains) {
 			t.Fatalf("seed %d: Planned = %d, want %d", seed, st.Planned, len(fleet.chains))
 		}
-		if st.Buckets > st.SegmentRequests {
-			t.Fatalf("seed %d: Buckets %d > SegmentRequests %d", seed, st.Buckets, st.SegmentRequests)
-		}
-	}
-}
-
-// TestGroupPlannerBucketsCollapseSharedSegments: chains sharing one
-// endpoint pair cost exactly one finder call; every chain after the
-// first counts as shared.
-func TestGroupPlannerBucketsCollapseSharedSegments(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	fleet := buildMeshFleet(t, rng)
-	counter := &countingFinder{inner: fleet.finder}
-	gp, err := NewGroupPlanner(counter, fleet.topo, 4, nil)
-	if err != nil {
-		t.Fatalf("NewGroupPlanner: %v", err)
-	}
-	ch := fleet.chains[0]
-	const members = 6
-	for i := 0; i < members; i++ {
-		if _, err := gp.Plan(ch.primary, ch.stops, nil, nil); err != nil {
-			t.Fatalf("Plan %d: %v", i, err)
-		}
-	}
-	st := gp.Stats()
-	segments := len(ch.stops) - 1
-	if counter.calls != segments || st.Buckets != segments {
-		t.Fatalf("finder calls = %d, buckets = %d, want %d (one per unique segment)",
-			counter.calls, st.Buckets, segments)
-	}
-	if st.SharedChains != members-1 {
-		t.Fatalf("SharedChains = %d, want %d", st.SharedChains, members-1)
-	}
-	if st.SegmentRequests != members*segments {
-		t.Fatalf("SegmentRequests = %d, want %d", st.SegmentRequests, members*segments)
-	}
-
-	// A different pool digest is a different bucket even for the same
-	// endpoints — pool restrictions must never bleed across chains.
-	pool := map[topology.NodeID]bool{fleet.chains[0].stops[0]: true}
-	_, _ = gp.Plan(ch.primary, ch.stops, nil, pool)
-	if got := gp.Stats().Buckets; got != 2*segments {
-		t.Fatalf("buckets after pool-restricted plan = %d, want %d", got, 2*segments)
 	}
 }
 
@@ -184,7 +128,7 @@ func TestGroupPlannerAvoidsDomainSRLGs(t *testing.T) {
 	topo := topology.New()
 	big := topology.Resources{CPUCores: 32, MemoryGB: 64, StorageGB: 512}
 	pm1, pm2 := topo.AddPM(0, big), topo.AddPM(1, big)
-	finder := stubFinder{alts: make(map[string][][]topology.NodeID)}
+	var routes [][]topology.NodeID
 	var trayLinks []topology.LinkID
 	for r := 0; r < 3; r++ {
 		t1, t2 := topo.AddToR(0), topo.AddToR(1)
@@ -199,8 +143,7 @@ func TestGroupPlannerAvoidsDomainSRLGs(t *testing.T) {
 		if r == 1 {
 			trayLinks = ids
 		}
-		key := fmt.Sprintf("%d-%d", pm1, pm2)
-		finder.alts[key] = append(finder.alts[key], []topology.NodeID{pm1, t1, t2, pm2})
+		routes = append(routes, []topology.NodeID{pm1, t1, t2, pm2})
 	}
 	// Route 1 — the first disjoint alternative — rides the failed tray.
 	const tray = 4242
@@ -209,18 +152,19 @@ func TestGroupPlannerAvoidsDomainSRLGs(t *testing.T) {
 			t.Fatalf("SetLinkSRLG: %v", err)
 		}
 	}
-	primary := finder.alts[fmt.Sprintf("%d-%d", pm1, pm2)][0]
+	primary := routes[0]
 	stops := []topology.NodeID{pm1, pm2}
+	finder := finderOver(t, topo)
 
 	perChain, err := PlanStandby(finder, topo, primary, stops, nil, 3, nil)
 	if err != nil {
 		t.Fatalf("PlanStandby: %v", err)
 	}
-	if perChain.Path[1] != finder.alts[fmt.Sprintf("%d-%d", pm1, pm2)][1][1] {
+	if perChain.Path[1] != routes[1][1] {
 		t.Fatalf("per-chain standby = %v, want the tray route (no domain knowledge)", perChain.Path)
 	}
 
-	gp, err := NewGroupPlanner(finder, topo, 3, []int{tray})
+	gp, err := NewGroupPlanner(finder, topo, []int{tray})
 	if err != nil {
 		t.Fatalf("NewGroupPlanner: %v", err)
 	}
@@ -236,40 +180,13 @@ func TestGroupPlannerAvoidsDomainSRLGs(t *testing.T) {
 	}
 }
 
-// TestGroupPlannerMemoizesErrors: a bucket whose search fails is not
-// retried for later chains in the same pass.
-func TestGroupPlannerMemoizesErrors(t *testing.T) {
-	topo, pm1, pm2, tors, _ := twoRouteTopo(t)
-	counter := &countingFinder{inner: stubFinder{alts: map[string][][]topology.NodeID{}}}
-	gp, err := NewGroupPlanner(counter, topo, 2, nil)
-	if err != nil {
-		t.Fatalf("NewGroupPlanner: %v", err)
-	}
-	stops := []topology.NodeID{pm1, pm2}
-	primary := []topology.NodeID{pm1, tors[0][0], tors[0][1], pm2}
-	for i := 0; i < 3; i++ {
-		if _, err := gp.Plan(primary, stops, nil, nil); err == nil {
-			t.Fatalf("Plan %d: want error for routeless fleet", i)
-		}
-	}
-	if counter.calls != 1 {
-		t.Fatalf("failed bucket searched %d times, want 1 (errors memoized)", counter.calls)
-	}
-	if st := gp.Stats(); st.Buckets != 1 || st.Planned != 3 {
-		t.Fatalf("stats = %+v, want Buckets=1 Planned=3", st)
-	}
-}
-
 // TestNewGroupPlannerValidation mirrors PlanStandby's guards.
 func TestNewGroupPlannerValidation(t *testing.T) {
 	topo := topology.New()
-	if _, err := NewGroupPlanner(nil, topo, 2, nil); err == nil {
+	if _, err := NewGroupPlanner(nil, topo, nil); err == nil {
 		t.Fatal("nil finder accepted")
 	}
-	if _, err := NewGroupPlanner(stubFinder{}, nil, 2, nil); err == nil {
+	if _, err := NewGroupPlanner(finderOver(t, topo), nil, nil); err == nil {
 		t.Fatal("nil topology accepted")
-	}
-	if _, err := NewGroupPlanner(stubFinder{}, topo, 0, nil); err == nil {
-		t.Fatal("k=0 accepted")
 	}
 }

@@ -15,6 +15,7 @@ package resilience
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/alvc/alvc/internal/topology"
@@ -146,6 +147,9 @@ func PathLinks(topo *topology.Topology, path []topology.NodeID) ([]topology.Link
 		if l == nil {
 			return nil, fmt.Errorf("resilience: path links: no link %d-%d", path[i], path[i+1])
 		}
+		if out == nil {
+			out = make([]topology.LinkID, 0, len(path)-1-i)
+		}
 		out = append(out, l.ID)
 	}
 	return out, nil
@@ -230,18 +234,24 @@ func (s *Standby) Clone() *Standby {
 }
 
 // LinkSRLGs returns the deduplicated shared-risk groups of the given
-// links, in first-seen order.
+// links, in first-seen order; nil on a topology that models none. The
+// lists are a handful of entries, so a linear scan dedupes them.
 func LinkSRLGs(topo *topology.Topology, links []topology.LinkID) []int {
-	seen := make(map[int]bool)
-	var out []int
+	if !topo.HasSRLGs() {
+		return nil
+	}
+	return appendLinkSRLGs(nil, topo, links)
+}
+
+// appendLinkSRLGs appends the links' groups not yet in out.
+func appendLinkSRLGs(out []int, topo *topology.Topology, links []topology.LinkID) []int {
 	for _, l := range links {
 		link := topo.Link(l)
 		if link == nil {
 			continue
 		}
 		for _, g := range link.SRLG {
-			if !seen[g] {
-				seen[g] = true
+			if !slices.Contains(out, g) {
 				out = append(out, g)
 			}
 		}
@@ -249,30 +259,39 @@ func LinkSRLGs(topo *topology.Topology, links []topology.LinkID) []int {
 	return out
 }
 
-// PathFinder yields alternate routes between two nodes; it is the
-// corner of the SDN controller the planner needs (Yen's k-shortest).
+// PathFinder answers the standby planner's one question; it is the
+// corner of the SDN controller the planner needs
+// (sdn.Controller.AppendRouteAvoiding).
 type PathFinder interface {
-	PathAlternatives(src, dst topology.NodeID, k int, restrictOPS map[topology.NodeID]bool) ([][]topology.NodeID, error)
+	// AppendRouteAvoiding appends to buf the route through stops in
+	// order, each leg crossing the fewest of avoid's nodes and links and
+	// the cheapest among those, inside restrictOPS when that is non-nil.
+	AppendRouteAvoiding(buf []topology.NodeID, stops []topology.NodeID, restrictOPS map[topology.NodeID]bool, avoid topology.Avoid) ([]topology.NodeID, error)
 }
 
 // PlanStandby computes a standby route for a chain whose primary path
-// visits the given stops (src, VNF hosts, dst) in order. Per segment it
-// asks the finder for up to k alternatives and picks the one sharing
-// the fewest transit nodes and links with the primary (ties break
-// toward the shorter alternative, which is first in Yen's order, so
-// planning is deterministic). Stops themselves are shared by
-// construction — the standby must still visit every VNF.
+// visits the given stops (src, VNF hosts, dst) in order. Per segment
+// the finder answers one question: the cheapest route to the next stop
+// that crosses the fewest of the primary's transit nodes, the primary's
+// links, and the links sharing a risk group with them. Stops themselves
+// are shared by construction — the standby must still visit every VNF.
+// Equal-cost choices are rotated by the chain's first slice OPS
+// (topology.Avoid.Spread), so the standbys of a fleet spread over the
+// spare fabric instead of piling onto its lowest-ID links, and the same
+// chain always gets the same standby.
 //
-// The result is best-effort: when no fully disjoint alternative exists
-// the least-overlapping one is returned with Disjoint=false, and the
+// The result is best-effort: the planner counts what the route still
+// shares with the primary, and when that is not zero — no fully
+// disjoint route exists — returns it with Disjoint=false; the
 // reconciler's liveness check decides at recovery time whether it
-// survived the actual failure. An error means no alternate route
-// exists at all for some segment.
+// survived the actual failure. An error means no route exists at all
+// for some segment.
 //
-// allowOPS, when non-nil, restricts every alternative to those OPSs —
+// allowOPS, when non-nil, restricts every segment to those OPSs —
 // sharded orchestrators pass their shard's OPS pool so protection
-// routes stay inside the shard's partition and Yen's searches scale
-// with the pool, not the fabric. nil searches the whole topology.
+// routes stay inside the shard's partition. nil searches the whole
+// topology. k is vestigial: it was the width of the k-shortest search
+// this planner used to run and is only checked to be positive.
 func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, k int, allowOPS map[topology.NodeID]bool) (*Standby, error) {
 	if f == nil || topo == nil {
 		return nil, fmt.Errorf("resilience: plan standby: nil finder or topology")
@@ -280,120 +299,54 @@ func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeI
 	if k <= 0 {
 		return nil, fmt.Errorf("resilience: plan standby: k must be positive, got %d", k)
 	}
-	getAlts := func(a, b topology.NodeID) ([][]topology.NodeID, error) {
-		return f.PathAlternatives(a, b, k, allowOPS)
-	}
-	return planStandbyWith(getAlts, topo, primary, stops, sliceOPS, nil)
+	return planStandbyWith(f, topo, primary, stops, sliceOPS, allowOPS, nil)
 }
 
 // planStandbyWith is the planning core shared by PlanStandby and
-// GroupPlanner.Plan: segment alternatives come from getAlts (a direct
-// finder call, or a group-level memo), and avoidSRLGs — when non-empty
-// — folds a failure domain's shared-risk groups into the overlap score,
-// so alternatives crossing a suspect tray rank behind clean ones and a
-// standby forced onto one reports Disjoint=false. With a nil avoid set
-// the scoring is exactly PlanStandby's, which is what makes group
-// planning provably equivalent to per-chain planning.
-func planStandbyWith(getAlts func(a, b topology.NodeID) ([][]topology.NodeID, error), topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, avoidSRLGs map[int]bool) (*Standby, error) {
+// GroupPlanner.Plan. avoidSRLGs — when non-empty — adds a failure
+// domain's shared-risk groups to the primary's own: links in any of
+// them are avoided like the primary's links, and a standby forced onto
+// one reports Disjoint=false. With a nil avoid set this is exactly
+// PlanStandby, which is what makes group planning equivalent to
+// per-chain planning.
+//
+// The warm path (every segment a memo hit) is a few microseconds, so
+// the sets are small slices scanned linearly, the route lands in one
+// pre-sized buffer, and risk groups cost nothing on a topology without
+// any.
+func planStandbyWith(f PathFinder, topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS, allowOPS map[topology.NodeID]bool, avoidSRLGs []int) (*Standby, error) {
 	if len(primary) == 0 || len(stops) < 2 {
 		return nil, fmt.Errorf("resilience: plan standby: primary and stops required")
 	}
-	stopSet := make(map[topology.NodeID]bool, len(stops))
-	for _, s := range stops {
-		stopSet[s] = true
-	}
 	// Primary transit nodes (everything that is not a mandatory stop)
 	// and primary links are what the standby tries to avoid.
-	transit := make(map[topology.NodeID]bool)
+	avoid := topology.Avoid{Nodes: make([]topology.NodeID, 0, len(primary)), Spread: spreadKey(sliceOPS, stops)}
 	for _, n := range primary {
-		if !stopSet[n] {
-			transit[n] = true
+		if !slices.Contains(stops, n) {
+			avoid.Nodes = append(avoid.Nodes, n)
 		}
 	}
-	primaryLinks, err := PathLinks(topo, primary)
-	if err != nil {
+	var err error
+	if avoid.Links, err = PathLinks(topo, primary); err != nil {
 		return nil, err
 	}
-	linkSet := make(map[topology.LinkID]bool, len(primaryLinks))
-	for _, l := range primaryLinks {
-		linkSet[l] = true
-	}
-	// Shared-risk groups of the primary: an alternative crossing a link
-	// in the same group (same cable tray, same power feed) would die
-	// with the primary, so it scores as overlap even when the link
-	// itself is distinct.
-	primaryGroups := make(map[int]bool)
-	for _, g := range LinkSRLGs(topo, primaryLinks) {
-		primaryGroups[g] = true
-	}
-
-	overlap := func(seg []topology.NodeID) (int, error) {
-		score := 0
-		for _, n := range seg[1 : len(seg)-1] {
-			if transit[n] {
-				score++
-			}
-		}
-		segLinks, err := PathLinks(topo, seg)
-		if err != nil {
-			return 0, err
-		}
-		for _, l := range segLinks {
-			if linkSet[l] {
-				score++
-				continue
-			}
-			if len(primaryGroups) > 0 || len(avoidSRLGs) > 0 {
-				if link := topo.Link(l); link != nil {
-					for _, g := range link.SRLG {
-						if primaryGroups[g] || avoidSRLGs[g] {
-							score++
-							break
-						}
-					}
+	// Shared-risk groups of the primary and of the failure domain: a
+	// link in the same group (same cable tray, same power feed) would die
+	// with the primary, so it is avoided, and counts as overlap, even
+	// though the link itself is distinct.
+	if topo.HasSRLGs() {
+		for _, g := range appendLinkSRLGs(slices.Clone(avoidSRLGs), topo, avoid.Links) {
+			for _, l := range topo.SRLGLinks(g) {
+				if !slices.Contains(avoid.Links, l) {
+					avoid.Links = append(avoid.Links, l)
 				}
 			}
 		}
-		return score, nil
 	}
 
-	var full []topology.NodeID
-	totalOverlap := 0
-	for i := 0; i+1 < len(stops); i++ {
-		a, b := stops[i], stops[i+1]
-		if a == b {
-			continue
-		}
-		alts, err := getAlts(a, b)
-		if err != nil {
-			return nil, fmt.Errorf("resilience: plan standby segment %d: %w", i, err)
-		}
-		best := -1
-		bestScore := 0
-		for j, alt := range alts {
-			if len(alt) < 2 {
-				continue
-			}
-			score, err := overlap(alt)
-			if err != nil {
-				continue
-			}
-			if best < 0 || score < bestScore {
-				best, bestScore = j, score
-			}
-			if score == 0 {
-				break // Yen's order: first zero-overlap alt is the shortest
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("resilience: plan standby segment %d: no usable alternative %d->%d", i, a, b)
-		}
-		seg := alts[best]
-		totalOverlap += bestScore
-		if len(full) > 0 {
-			seg = seg[1:] // drop the duplicated joint
-		}
-		full = append(full, seg...)
+	full, err := f.AppendRouteAvoiding(make([]topology.NodeID, 0, len(primary)+len(stops)), stops, allowOPS, avoid)
+	if err != nil {
+		return nil, fmt.Errorf("resilience: plan standby: %w", err)
 	}
 	if len(full) == 0 {
 		return nil, fmt.Errorf("resilience: plan standby: degenerate stop list")
@@ -401,6 +354,19 @@ func planStandbyWith(getAlts func(a, b topology.NodeID) ([][]topology.NodeID, er
 	links, err := PathLinks(topo, full)
 	if err != nil {
 		return nil, err
+	}
+	// The acceptance test, independent of how the route was found: what
+	// does it still share with the primary?
+	overlap := 0
+	for _, n := range full {
+		if slices.Contains(avoid.Nodes, n) {
+			overlap++
+		}
+	}
+	for _, l := range links {
+		if slices.Contains(avoid.Links, l) {
+			overlap++
+		}
 	}
 	confined := true
 	for _, id := range full {
@@ -412,9 +378,25 @@ func planStandbyWith(getAlts func(a, b topology.NodeID) ([][]topology.NodeID, er
 	return &Standby{
 		Path:      full,
 		Links:     links,
-		Disjoint:  totalOverlap == 0,
+		Disjoint:  overlap == 0,
 		Confined:  confined,
 		SRLGs:     LinkSRLGs(topo, links),
 		PlannedAt: time.Now(),
 	}, nil
+}
+
+// spreadKey is what rotates a chain's equal-cost choices: its first
+// slice OPS — a node no other chain owns — or, for a chain without a
+// slice, its source.
+func spreadKey(sliceOPS map[topology.NodeID]bool, stops []topology.NodeID) topology.NodeID {
+	first := topology.NodeID(0)
+	for id, ok := range sliceOPS {
+		if ok && (first == 0 || id < first) {
+			first = id
+		}
+	}
+	if first == 0 {
+		return stops[0]
+	}
+	return first
 }

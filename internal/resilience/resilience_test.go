@@ -1,9 +1,11 @@
 package resilience
 
 import (
-	"fmt"
+	"errors"
 	"testing"
 
+	"github.com/alvc/alvc/internal/graph"
+	"github.com/alvc/alvc/internal/sdn"
 	"github.com/alvc/alvc/internal/topology"
 )
 
@@ -113,31 +115,21 @@ func TestPathAlive(t *testing.T) {
 	}
 }
 
-// stubFinder serves canned alternatives keyed by src->dst.
-type stubFinder struct {
-	alts map[string][][]topology.NodeID
-}
-
-func (s stubFinder) PathAlternatives(src, dst topology.NodeID, k int, _ map[topology.NodeID]bool) ([][]topology.NodeID, error) {
-	key := fmt.Sprintf("%d-%d", src, dst)
-	out, ok := s.alts[key]
-	if !ok {
-		return nil, fmt.Errorf("no route %s", key)
+// finderOver returns the production finder — an SDN controller — over
+// the topology.
+func finderOver(t *testing.T, topo *topology.Topology) *sdn.Controller {
+	t.Helper()
+	c, err := sdn.NewController(topo)
+	if err != nil {
+		t.Fatalf("NewController: %v", err)
 	}
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out, nil
+	return c
 }
 
 func TestPlanStandbyPrefersDisjoint(t *testing.T) {
 	topo, pm1, pm2, tors, _ := twoRouteTopo(t)
 	primary := []topology.NodeID{pm1, tors[0][0], tors[0][1], pm2}
-	alt := []topology.NodeID{pm1, tors[1][0], tors[1][1], pm2}
-	finder := stubFinder{alts: map[string][][]topology.NodeID{
-		fmt.Sprintf("%d-%d", pm1, pm2): {primary, alt},
-	}}
-	sb, err := PlanStandby(finder, topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, nil)
+	sb, err := PlanStandby(finderOver(t, topo), topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, nil)
 	if err != nil {
 		t.Fatalf("PlanStandby: %v", err)
 	}
@@ -150,15 +142,22 @@ func TestPlanStandbyPrefersDisjoint(t *testing.T) {
 	if len(sb.Links) != 3 {
 		t.Fatalf("standby links = %v, want 3", sb.Links)
 	}
+	// The cheap route is the primary here; protecting the dear one must
+	// come back with the cheap one, not with the primary again.
+	sb, err = PlanStandby(finderOver(t, topo), topo, sb.Path, []topology.NodeID{pm1, pm2}, nil, 4, nil)
+	if err != nil || !sb.Disjoint || sb.Path[1] != tors[0][0] {
+		t.Fatalf("standby of the second route = %+v, %v; want the first route, disjoint", sb, err)
+	}
 }
 
 func TestPlanStandbyBestEffortWhenOnlyOverlappingAltExists(t *testing.T) {
-	topo, pm1, pm2, tors, _ := twoRouteTopo(t)
+	topo, pm1, pm2, tors, links := twoRouteTopo(t)
 	primary := []topology.NodeID{pm1, tors[0][0], tors[0][1], pm2}
-	finder := stubFinder{alts: map[string][][]topology.NodeID{
-		fmt.Sprintf("%d-%d", pm1, pm2): {primary},
-	}}
-	sb, err := PlanStandby(finder, topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, nil)
+	// The second route is cut: the only way left is the primary's own.
+	if err := topo.SetLinkDown(links[1][0], true); err != nil {
+		t.Fatalf("SetLinkDown: %v", err)
+	}
+	sb, err := PlanStandby(finderOver(t, topo), topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, nil)
 	if err != nil {
 		t.Fatalf("PlanStandby: %v", err)
 	}
@@ -168,15 +167,9 @@ func TestPlanStandbyBestEffortWhenOnlyOverlappingAltExists(t *testing.T) {
 }
 
 func TestPlanStandbyErrors(t *testing.T) {
-	topo, pm1, pm2, tors, _ := twoRouteTopo(t)
+	topo, pm1, pm2, tors, links := twoRouteTopo(t)
 	primary := []topology.NodeID{pm1, tors[0][0], tors[0][1], pm2}
-	finder := stubFinder{alts: map[string][][]topology.NodeID{}}
-	if _, err := PlanStandby(finder, topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, nil); err == nil {
-		t.Fatal("no-route segment accepted")
-	}
-	good := stubFinder{alts: map[string][][]topology.NodeID{
-		fmt.Sprintf("%d-%d", pm1, pm2): {primary},
-	}}
+	good := finderOver(t, topo)
 	if _, err := PlanStandby(good, topo, primary, []topology.NodeID{pm1, pm2}, nil, 0, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
@@ -185,6 +178,52 @@ func TestPlanStandbyErrors(t *testing.T) {
 	}
 	if _, err := PlanStandby(good, topo, nil, []topology.NodeID{pm1, pm2}, nil, 4, nil); err == nil {
 		t.Fatal("empty primary accepted")
+	}
+	for r := range links {
+		if err := topo.SetLinkDown(links[r][1], true); err != nil {
+			t.Fatalf("SetLinkDown: %v", err)
+		}
+	}
+	if _, err := PlanStandby(good, topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, nil); !errors.Is(err, graph.ErrNoPath) {
+		t.Fatalf("no-route segment: err = %v, want graph.ErrNoPath", err)
+	}
+}
+
+// TestPlanStandbyConfinedFlag: Confined says every OPS of the standby
+// is the chain's own.
+func TestPlanStandbyConfinedFlag(t *testing.T) {
+	topo := topology.New()
+	big := topology.Resources{CPUCores: 32, MemoryGB: 64, StorageGB: 512}
+	pm1, pm2 := topo.AddPM(0, big), topo.AddPM(1, big)
+	var opss [2]topology.NodeID
+	var primary []topology.NodeID
+	for r := range opss {
+		t1, t2 := topo.AddToR(0), topo.AddToR(1)
+		opss[r] = topo.AddOPS(false, topology.Resources{})
+		route := []topology.NodeID{pm1, t1, opss[r], t2, pm2}
+		for i, kind := range []topology.LinkKind{topology.LinkElectronic, topology.LinkBoundary, topology.LinkBoundary, topology.LinkElectronic} {
+			if _, err := topo.AddLink(route[i], route[i+1], kind, 10, 1); err != nil {
+				t.Fatalf("AddLink: %v", err)
+			}
+		}
+		if r == 0 {
+			primary = route
+		}
+	}
+	for _, tc := range []struct {
+		slice map[topology.NodeID]bool
+		want  bool
+	}{
+		{map[topology.NodeID]bool{opss[0]: true, opss[1]: true}, true},
+		{map[topology.NodeID]bool{opss[0]: true}, false},
+	} {
+		sb, err := PlanStandby(finderOver(t, topo), topo, primary, []topology.NodeID{pm1, pm2}, tc.slice, 4, nil)
+		if err != nil || !sb.Disjoint {
+			t.Fatalf("slice %v: standby %+v, %v; want a disjoint one", tc.slice, sb, err)
+		}
+		if sb.Confined != tc.want {
+			t.Errorf("slice %v: Confined = %v, want %v (standby %v)", tc.slice, sb.Confined, tc.want, sb.Path)
+		}
 	}
 }
 
@@ -217,13 +256,13 @@ func TestPlanStandbySRLGCountsAsOverlap(t *testing.T) {
 		t.Fatalf("SetLinkSRLG: %v", err)
 	}
 	primary := []topology.NodeID{pm1, tors[0][0], tors[0][1], pm2}
-	alt := []topology.NodeID{pm1, tors[1][0], tors[1][1], pm2}
-	finder := stubFinder{alts: map[string][][]topology.NodeID{
-		fmt.Sprintf("%d-%d", pm1, pm2): {alt},
-	}}
+	finder := finderOver(t, topo)
 	sb, err := PlanStandby(finder, topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, nil)
 	if err != nil {
 		t.Fatalf("PlanStandby: %v", err)
+	}
+	if sb.Path[1] != tors[1][0] {
+		t.Fatalf("standby = %v, want the second route (one shared tray beats the primary's own links)", sb.Path)
 	}
 	if sb.Disjoint {
 		t.Fatal("tray-sharing standby marked disjoint")

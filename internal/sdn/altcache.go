@@ -1,21 +1,20 @@
 package sdn
 
 import (
-	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"github.com/alvc/alvc/internal/topology"
 )
 
-// altCache memoizes PathAlternatives results across the window where
-// they stay valid: one (structural generation, live-mask version)
-// epoch. Yen's k-shortest search is the most expensive primitive in the
-// planning stack, and after a failure storm the optimizer asks the same
-// (src, dst, k, pool) questions over and over — refresh tasks landing
-// in the same epoch, group plans re-keyed per shard, re-protect retries
-// after a busy skip. The cache turns all of those into map lookups.
+// altCache memoizes standby-search answers — one path per leg of
+// AppendRouteAvoiding, PathAlternatives' k paths — across the window where they stay
+// valid: one (structural generation, live-mask version) epoch. A
+// standby is planned per segment between a chain's stops, and the same
+// (src, dst, pool, avoid set) questions come back again and again: a
+// chain re-provisioned over the same machines, a move that re-plans the
+// standby it just had, refresh tasks landing in one epoch, re-protect
+// retries after a busy skip. The cache turns those into map lookups.
 //
 // Correctness rests on the generation pair: a structural mutation
 // invalidates the routing snapshot (structGen moves), a liveness
@@ -39,13 +38,18 @@ type altCache struct {
 	misses atomic.Int64
 }
 
-// altKey identifies one alternatives search problem within an epoch.
-// The restriction set is folded to a digest: order-independent callers
-// that pass the same pool get the same key.
+// altKey identifies one search problem within an epoch. The sets are
+// folded to digests: the restriction order-independently (callers that
+// pass the same pool get the same key), the avoided nodes and links in
+// the order given (a chain lists its primary the same way every time).
+// k is 0 for an avoiding search, which PathAlternatives never asks.
 type altKey struct {
-	src, dst topology.NodeID
-	k        int
-	digest   uint64
+	src, dst   topology.NodeID
+	k          int
+	digest     uint64
+	avoidNodes uint64
+	avoidLinks uint64
+	spread     topology.NodeID
 }
 
 // altCacheMaxEntries bounds the per-controller memo. When full, new
@@ -56,30 +60,38 @@ const altCacheMaxEntries = 4096
 // restrictionDigest hashes an OPS restriction set to a stable 64-bit
 // key component. nil (no restriction) and the empty set are
 // distinguishable from any real pool; only nodes mapped to true
-// participate, matching how searches consume the set.
+// participate, matching how searches consume the set. Members are mixed
+// one by one and summed, so the map's iteration order does not matter
+// and nothing is sorted or allocated.
 func restrictionDigest(restrictOPS map[topology.NodeID]bool) uint64 {
 	if restrictOPS == nil {
 		return 0
 	}
-	ids := make([]int, 0, len(restrictOPS))
+	h := uint64(1) // non-nil marker: {} hashes differently from nil
 	for n, ok := range restrictOPS {
 		if ok {
-			ids = append(ids, int(n))
+			h += mix64(uint64(n))
 		}
 	}
-	sort.Ints(ids)
-	h := fnv.New64a()
-	var buf [8]byte
-	buf[0] = 1 // non-nil marker: {} hashes differently from nil
-	h.Write(buf[:1])
+	return h
+}
+
+// sequenceDigest hashes a list in order (FNV-1a over whole elements).
+func sequenceDigest[T ~int](ids []T) uint64 {
+	h := uint64(14695981039346656037)
 	for _, id := range ids {
-		v := uint64(id)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
+		h = (h ^ uint64(id)) * 1099511628211
 	}
-	return h.Sum64()
+	return h
+}
+
+// mix64 is the splitmix64 finalizer: consecutive IDs land far apart, so
+// a sum of mixed members identifies the set.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // get returns the cached alternatives for the key if the cache is
@@ -124,9 +136,9 @@ func (ac *altCache) invalidate() {
 	ac.entries = nil
 }
 
-// SetAlternativesCache enables or disables the candidate-path memo on
-// this controller. Intended for construction time (benchmark baselines,
-// A/B comparison); disabling also drops any cached entries.
+// SetAlternativesCache enables or disables the memo on this controller
+// for both kinds of search. Intended for construction time (measuring
+// the searches cold); disabling also drops any cached entries.
 func (c *Controller) SetAlternativesCache(enabled bool) {
 	c.altCacheOff.Store(!enabled)
 	if !enabled {
@@ -134,14 +146,15 @@ func (c *Controller) SetAlternativesCache(enabled bool) {
 	}
 }
 
-// InvalidateAlternatives drops every memoized candidate set. The
+// InvalidateAlternatives drops every memoized answer. The
 // generation pair already invalidates on any topology movement; this is
 // the explicit escape hatch for callers that mutated state the
 // controller cannot see.
 func (c *Controller) InvalidateAlternatives() { c.alts.invalidate() }
 
-// AlternativesCacheStats returns the candidate-cache hit and miss
-// counts since construction.
+// AlternativesCacheStats returns the memo's hit and miss counts since
+// construction. With Yen off the production path, their sum is the
+// number of standby segment searches asked of this controller.
 func (c *Controller) AlternativesCacheStats() (hits, misses int64) {
 	return c.alts.hits.Load(), c.alts.misses.Load()
 }

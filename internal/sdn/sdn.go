@@ -87,8 +87,8 @@ type Controller struct {
 
 	pathsProvisioned int
 	rulesInstalled   int
-	// pathComputations counts graph searches (shortest-path and Yen's
-	// runs). The resilience contract — a standby swap performs zero
+	// pathComputations counts graph searches (shortest-path, avoiding
+	// and Yen's runs). The resilience contract — a standby swap performs zero
 	// shortest-path work at recovery time — is asserted against this
 	// counter. Atomic: path computation is the read-heavy hot path and
 	// must not serialize on c.mu (which guards the flow tables) — with
@@ -96,15 +96,13 @@ type Controller struct {
 	// metrics aggregation reads them all.
 	pathComputations atomic.Int64
 	// yenRuns counts only the Yen's k-shortest searches
-	// (PathAlternatives), the expensive standby-planning primitive. The
-	// background-optimizer contract — repairs never plan standbys
-	// inline — is asserted against this counter's delta. Atomic for the
-	// same reason as pathComputations.
+	// (PathAlternatives), which no production path runs any more. Atomic
+	// for the same reason as pathComputations.
 	yenRuns atomic.Int64
 
-	// alts memoizes PathAlternatives results within one
-	// (structural, liveness) generation epoch; altCacheOff disables it
-	// (benchmark baselines). See altcache.go.
+	// alts memoizes AppendRouteAvoiding and PathAlternatives results
+	// within one (structural, liveness) generation epoch; altCacheOff
+	// disables it (cold measurements). See altcache.go.
 	alts        altCache
 	altCacheOff atomic.Bool
 }
@@ -150,6 +148,10 @@ func (c *Controller) ComputePathVia(src topology.NodeID, via []topology.NodeID, 
 	stops = append(stops, via...)
 	stops = append(stops, dst)
 	snap := c.snapshot()
+	// One dense restriction for all segments: densifying per segment cost
+	// more than the searches on a wide fabric.
+	restriction := snap.Restrict(restrictOPS)
+	defer snap.Release(restriction)
 	var full []topology.NodeID
 	segments := 0
 	for i := 0; i+1 < len(stops); i++ {
@@ -157,7 +159,7 @@ func (c *Controller) ComputePathVia(src topology.NodeID, via []topology.NodeID, 
 			continue
 		}
 		segments++
-		seg, _, err := snap.ShortestPath(stops[i], stops[i+1], restrictOPS)
+		seg, _, err := snap.ShortestPathIn(stops[i], stops[i+1], restriction)
 		if err != nil {
 			c.countPathComputations(segments)
 			return nil, fmt.Errorf("sdn: via segment %d: sdn: compute path %d->%d: %w", i, stops[i], stops[i+1], err)
@@ -174,14 +176,83 @@ func (c *Controller) ComputePathVia(src topology.NodeID, via []topology.NodeID, 
 	return full, nil
 }
 
+// AppendRouteAvoiding appends to buf the route that visits stops in
+// order, each leg the path to the next stop that crosses the fewest of
+// avoid's nodes and links and, among those, has the lowest latency —
+// the standby planner's question, asked once per leg
+// (topology.Snapshot.AppendPathAvoiding). Consecutive equal stops make
+// no leg. Answers are memoized per leg under (structural generation,
+// live-mask version, src, dst, restriction digest, avoided nodes,
+// avoided links, spread): the same chain asking again within one
+// topology epoch is a map lookup per leg. A hit is copied into buf, so
+// what comes back is always the caller's own.
+//
+// Everything that is the same for every leg is worked out once per
+// route — the digests of the key, and, when some leg has to be searched,
+// the dense form of the restriction: both cost a pass over the OPS pool,
+// which for a sharded orchestrator's legs was more than the searches.
+func (c *Controller) AppendRouteAvoiding(buf []topology.NodeID, stops []topology.NodeID, restrictOPS map[topology.NodeID]bool, avoid topology.Avoid) ([]topology.NodeID, error) {
+	cached := !c.altCacheOff.Load()
+	var key altKey
+	var structGen, liveGen uint64
+	if cached {
+		key = altKey{digest: restrictionDigest(restrictOPS),
+			avoidNodes: sequenceDigest(avoid.Nodes), avoidLinks: sequenceDigest(avoid.Links), spread: avoid.Spread}
+		// Read before the searches and re-checked by put, as in
+		// PathAlternatives.
+		structGen, liveGen = c.topo.StructuralGeneration(), c.topo.LivenessGeneration()
+	}
+	var snap *topology.Snapshot
+	var restriction *topology.Restriction
+	defer func() {
+		if snap != nil {
+			snap.Release(restriction)
+		}
+	}()
+	first := len(buf)
+	for i := 0; i+1 < len(stops); i++ {
+		src, dst := stops[i], stops[i+1]
+		if src == dst {
+			continue
+		}
+		if len(buf) > first {
+			buf = buf[:len(buf)-1] // the leg starts with the joint again
+		}
+		if cached {
+			key.src, key.dst = src, dst
+			if out, ok := c.alts.get(key, structGen, liveGen); ok {
+				c.alts.hits.Add(1)
+				buf = append(buf, out[0]...)
+				continue
+			}
+			c.alts.misses.Add(1)
+		}
+		c.pathComputations.Add(1)
+		if snap == nil {
+			snap = c.snapshot()
+			restriction = snap.Restrict(restrictOPS)
+		}
+		start := len(buf)
+		var err error
+		if buf, err = snap.AppendPathAvoiding(buf, src, dst, restriction, avoid); err != nil {
+			return buf, fmt.Errorf("sdn: route avoiding: leg %d->%d: %w", src, dst, err)
+		}
+		if cached {
+			c.alts.put(key, structGen, liveGen, [][]topology.NodeID{append([]topology.NodeID(nil), buf[start:]...)})
+		}
+	}
+	return buf, nil
+}
+
 // PathAlternatives returns up to k loopless paths between two nodes in
 // nondecreasing latency order (Yen's algorithm over the routing
-// snapshot), giving the controller fallback routes for fast failover
-// without recomputation. Results are memoized per (structural
-// generation, live-mask version, src, dst, k, restriction digest):
-// repeated questions within one topology epoch — optimizer refresh
-// fans, storm-group plans — skip the Yen run entirely. Callers must
-// treat the returned paths as immutable.
+// snapshot). Standby planning no longer calls it — AppendRouteAvoiding
+// asks for the one path it wants directly — so it is an API for
+// callers that want to see the k shortest routes, and the oracle the
+// tests hold the direct search against. Results are memoized like
+// AppendRouteAvoiding's legs, per (structural generation, live-mask version,
+// src, dst, k, restriction digest). Callers must treat the returned
+// paths as immutable.
 func (c *Controller) PathAlternatives(src, dst topology.NodeID, k int, restrictOPS map[topology.NodeID]bool) ([][]topology.NodeID, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("sdn: path alternatives: k must be positive, got %d", k)
@@ -446,7 +517,8 @@ func (c *Controller) countPathComputations(n int) {
 }
 
 // PathComputations returns the cumulative number of graph searches the
-// controller has run (ComputePath calls and Yen's k-shortest runs).
+// controller has run (ComputePath segments, avoiding searches that
+// missed the memo, and Yen's k-shortest runs).
 // Recovery code paths that promise "no shortest-path work" are asserted
 // against the delta of this counter.
 func (c *Controller) PathComputations() int {
@@ -454,9 +526,8 @@ func (c *Controller) PathComputations() int {
 }
 
 // YenRuns returns the cumulative number of Yen's k-shortest searches
-// (PathAlternatives calls) — the standby-planning primitive. Repair
-// paths that promise "no inline standby replanning" are asserted
-// against the delta of this counter.
+// (PathAlternatives calls that missed the memo). Standby planning runs
+// none; AlternativesCacheStats counts its searches.
 func (c *Controller) YenRuns() int {
 	return int(c.yenRuns.Load())
 }

@@ -325,18 +325,6 @@ func (p *Plane) registerOptimizer() {
 			st, _ := arch.OptimizerStatus()
 			return []Sample{{Value: float64(st.GroupPlans.Planned)}}
 		})
-	p.reg.CounterFunc("alvc_groupplan_buckets_total",
-		"Distinct (endpoint, pool) buckets Yen actually ran for during group planning.",
-		nil, func() []Sample {
-			st, _ := arch.OptimizerStatus()
-			return []Sample{{Value: float64(st.GroupPlans.Buckets)}}
-		})
-	p.reg.CounterFunc("alvc_groupplan_shared_chains_total",
-		"Group-planned chains that reused another chain's candidate bucket.",
-		nil, func() []Sample {
-			st, _ := arch.OptimizerStatus()
-			return []Sample{{Value: float64(st.GroupPlans.SharedChains)}}
-		})
 	p.reg.CounterFunc("alvc_groupplan_fallbacks_total",
 		"Group plans that fell back from a restricted OPS pool to the full pool.",
 		nil, func() []Sample {
@@ -361,7 +349,7 @@ func (p *Plane) registerRouting() {
 			return out
 		})
 	p.reg.CounterFunc("alvc_sdn_yen_runs_total",
-		"Yen k-shortest-path invocations per shard controller.",
+		"Yen k-shortest-path invocations per shard controller (PathAlternatives callers; standby planning runs none).",
 		[]string{"shard"}, func() []Sample {
 			var out []Sample
 			for _, st := range arch.ShardStats() {
@@ -370,7 +358,7 @@ func (p *Plane) registerRouting() {
 			return out
 		})
 	p.reg.CounterFunc("alvc_sdn_candidate_cache_hits_total",
-		"Path-alternative candidate cache hits per shard controller.",
+		"Standby segment searches served from the memo, per shard controller.",
 		[]string{"shard"}, func() []Sample {
 			var out []Sample
 			for _, st := range arch.ShardStats() {
@@ -379,7 +367,7 @@ func (p *Plane) registerRouting() {
 			return out
 		})
 	p.reg.CounterFunc("alvc_sdn_candidate_cache_misses_total",
-		"Path-alternative candidate cache misses per shard controller.",
+		"Standby segment searches that ran (memo misses), per shard controller.",
 		[]string{"shard"}, func() []Sample {
 			var out []Sample
 			for _, st := range arch.ShardStats() {
@@ -447,6 +435,11 @@ func (p *Plane) registerResilience() {
 		nil, func() []Sample {
 			_, nd, u := standbyCounts()
 			return []Sample{{Value: float64(nd + u)}}
+		})
+	p.reg.CounterFunc("alvc_resilience_standby_fallbacks_total",
+		"Per-chain standby plans that tried the whole fabric after the shard's OPS pool offered no disjoint route.",
+		nil, func() []Sample {
+			return []Sample{{Value: float64(arch.Sharded().StandbyFallbacks())}}
 		})
 	p.rehomeChurn = p.reg.NewCounterVec("alvc_capacity_rehome_churn_total",
 		"VNF re-home migrations by rack and direction (from = vacated, to = filled).",

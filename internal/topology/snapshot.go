@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"github.com/alvc/alvc/internal/graph"
@@ -41,6 +42,13 @@ type Snapshot struct {
 	// plus parallels), resolved once at build time via edge tags so a
 	// liveness patch is O(affected arcs).
 	linkArcs map[LinkID][]int32
+	// opsVertex is opsMask by dense vertex index: the restriction that
+	// admits no OPS at all, which Restrict copies and then opens up.
+	opsVertex []bool
+	// restrictions and avoidSets pool the dense per-search buffers
+	// (Restrict, AppendPathAvoiding), both sized to this snapshot's graph.
+	restrictions sync.Pool
+	avoidSets    sync.Pool
 }
 
 // Generation returns the structural generation the snapshot was built
@@ -77,16 +85,99 @@ func (s *Snapshot) Filter(restrict map[NodeID]bool) graph.Filter {
 	}
 }
 
+// Restriction is a RestrictOPS set densified over one snapshot: a flag
+// per vertex, built once and then read by any number of searches. A nil
+// *Restriction restricts nothing.
+type Restriction struct {
+	blocked []bool
+}
+
+// Restrict densifies a RestrictOPS set (nil = unrestricted, which yields
+// nil). Hand the result back with Release once the searches are done.
+func (s *Snapshot) Restrict(restrict map[NodeID]bool) *Restriction {
+	if restrict == nil {
+		return nil
+	}
+	r := s.restrictions.Get().(*Restriction)
+	copy(r.blocked, s.opsVertex)
+	for id, ok := range restrict {
+		if !ok {
+			continue
+		}
+		if i, found := s.frozen.IndexOf(graph.VertexID(id)); found {
+			r.blocked[i] = false
+		}
+	}
+	return r
+}
+
+// Release returns a Restriction obtained from Restrict to the snapshot.
+func (s *Snapshot) Release(r *Restriction) {
+	if r != nil {
+		s.restrictions.Put(r)
+	}
+}
+
+func (r *Restriction) mask() []bool {
+	if r == nil {
+		return nil
+	}
+	return r.blocked
+}
+
 // ShortestPath returns the minimum-weight path between two nodes over
 // the snapshot, honoring a RestrictOPS set (nil = unrestricted) and the
 // liveness overlay. It is output-identical to searching
 // Topology.RoutingGraph built with the same options and restriction.
 func (s *Snapshot) ShortestPath(src, dst NodeID, restrict map[NodeID]bool) ([]NodeID, float64, error) {
-	vp, w, err := s.frozen.ShortestPathMasked(graph.VertexID(src), graph.VertexID(dst), s.Filter(restrict), s.mask)
+	r := s.Restrict(restrict)
+	defer s.Release(r)
+	return s.ShortestPathIn(src, dst, r)
+}
+
+// ShortestPathIn is ShortestPath under a restriction already densified
+// by Restrict, for callers that search several times under one set.
+func (s *Snapshot) ShortestPathIn(src, dst NodeID, r *Restriction) ([]NodeID, float64, error) {
+	vp, w, err := s.frozen.ShortestPathBlocked(graph.VertexID(src), graph.VertexID(dst), r.mask(), s.mask)
 	if err != nil {
 		return nil, 0, err
 	}
 	return toNodePath(vp), w, nil
+}
+
+// Avoid is what a standby search should stay off: the transit nodes and
+// links of the route it protects (links sharing a risk group with them
+// included), and the node that rotates its choice among equal paths.
+type Avoid struct {
+	Nodes []NodeID
+	Links []LinkID
+	// Spread picks among equally good paths: see
+	// graph.ShortestPathAvoiding. Zero prefers the lowest IDs.
+	Spread NodeID
+}
+
+// AppendPathAvoiding appends to buf the src→dst path that crosses the
+// fewest of avoid's nodes and links and, among those, has the least
+// weight (graph.ShortestPathAvoiding), honoring the restriction and the
+// liveness overlay. Unknown nodes and links in avoid are ignored.
+func (s *Snapshot) AppendPathAvoiding(buf []NodeID, src, dst NodeID, r *Restriction, avoid Avoid) ([]NodeID, error) {
+	var set *graph.AvoidSet
+	if len(avoid.Nodes)+len(avoid.Links) > 0 {
+		set = s.avoidSets.Get().(*graph.AvoidSet)
+		defer func() {
+			set.Reset()
+			s.avoidSets.Put(set)
+		}()
+		for _, n := range avoid.Nodes {
+			if i, ok := s.frozen.IndexOf(graph.VertexID(n)); ok {
+				set.AddVertex(i)
+			}
+		}
+		for _, l := range avoid.Links {
+			set.AddArcs(s.linkArcs[l])
+		}
+	}
+	return graph.ShortestPathAvoiding(s.frozen, buf, graph.VertexID(src), graph.VertexID(dst), r.mask(), s.mask, set, graph.VertexID(avoid.Spread))
 }
 
 // KShortestPaths returns up to k loopless paths between two nodes in
@@ -291,9 +382,15 @@ func (t *Topology) buildSnapshot(key snapKey, structGen uint64) *Snapshot {
 		}
 	}
 	s.opsMask = make([]bool, maxID+1)
+	s.opsVertex = make([]bool, f.VertexCount())
 	for _, n := range t.Nodes(KindOPS) {
 		s.opsMask[n.ID] = true
+		if i, ok := f.IndexOf(graph.VertexID(n.ID)); ok {
+			s.opsVertex[i] = true
+		}
 	}
+	s.restrictions.New = func() any { return &Restriction{blocked: make([]bool, f.VertexCount())} }
+	s.avoidSets.New = func() any { return f.NewAvoidSet() }
 	return s
 }
 

@@ -70,6 +70,12 @@ type Topology struct {
 	// structural generation alone and survives failure storms.
 	optDeg    []int32
 	optDegGen uint64
+
+	// srlgLinks lists the links of every shared-risk group (see
+	// SRLGLinks), nil when no link carries one. Group membership is a
+	// structural property, so like optDeg it survives failure storms.
+	srlgLinks    map[int][]LinkID
+	srlgLinksGen uint64
 }
 
 // kindAdjKey keys one cached neighborsOfKind answer.
@@ -446,6 +452,36 @@ func (t *Topology) SetLinkSRLG(id LinkID, groups ...int) error {
 	l.SRLG = append([]int(nil), groups...)
 	t.bumpStructural()
 	return nil
+}
+
+// SRLGLinks returns the links that belong to a shared-risk group, in
+// ascending ID order — what fails, or is suspect, together. The index
+// behind it is built once per structural generation; the caller must
+// not modify the returned slice.
+func (t *Topology) SRLGLinks(group int) []LinkID {
+	return t.srlgIndex()[group]
+}
+
+// HasSRLGs reports whether any link carries a shared-risk group, so
+// callers can skip risk-group work on topologies that model none.
+func (t *Topology) HasSRLGs() bool { return len(t.srlgIndex()) > 0 }
+
+func (t *Topology) srlgIndex() map[int][]LinkID {
+	t.derivedMu.Lock()
+	defer t.derivedMu.Unlock()
+	if sg := t.StructuralGeneration(); t.srlgLinksGen != sg {
+		var idx map[int][]LinkID
+		for _, l := range t.Links() {
+			for _, g := range l.SRLG {
+				if idx == nil {
+					idx = make(map[int][]LinkID)
+				}
+				idx[g] = append(idx[g], l.ID)
+			}
+		}
+		t.srlgLinks, t.srlgLinksGen = idx, sg
+	}
+	return t.srlgLinks
 }
 
 // LinkBetween returns a live link connecting a and b, or nil. With
