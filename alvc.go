@@ -105,6 +105,10 @@ type (
 	// ImpactEntry is one chain inside a resource's blast radius with the
 	// roles the resource plays for it (slice/host/path/standby).
 	ImpactEntry = orch.ImpactEntry
+	// Tombstone is what the orchestrator remembers of a deleted chain
+	// (identity, deleted-at, the delete's trace) while it is among the
+	// newest orch.TombstoneRing deletes of its shard.
+	Tombstone = orch.Tombstone
 	// Optimizer is the background maintenance engine: async standby
 	// re-protection, recover-time refresh, placement re-homing and
 	// λ defragmentation behind a deduplicating prioritized queue.
@@ -533,8 +537,9 @@ func (a *Architecture) DeployRequest(req ChainRequest) (*Deployment, error) {
 // Delete tears a deployment down and releases its resources.
 func (a *Architecture) Delete(id DeploymentID) error { return a.sh.Delete(id) }
 
-// DeleteCtx is Delete carrying a request context for trace propagation.
-func (a *Architecture) DeleteCtx(ctx context.Context, id DeploymentID) error {
+// DeleteCtx is Delete carrying a request context for trace propagation;
+// it returns the deployment's final record (state deleted).
+func (a *Architecture) DeleteCtx(ctx context.Context, id DeploymentID) (*Deployment, error) {
 	return a.sh.DeleteCtx(ctx, id)
 }
 
@@ -707,11 +712,20 @@ func (a *Architecture) Optimize() []OptimizerTaskResult {
 	return a.opt.Drain()
 }
 
-// Deployments lists all deployments.
+// Deployments lists the deployments the orchestrator holds records of
+// (active and failed), each a deep copy. Deleted chains are not among
+// them; see Tombstones.
 func (a *Architecture) Deployments() []*Deployment { return a.sh.Deployments() }
 
-// Deployment returns one deployment, or nil.
+// Deployment returns one deployment, or nil (unknown or deleted).
 func (a *Architecture) Deployment(id DeploymentID) *Deployment { return a.sh.Deployment(id) }
+
+// Tombstone returns what is remembered of a deleted deployment; ok is
+// false for IDs never deleted or already pushed out of the ring.
+func (a *Architecture) Tombstone(id DeploymentID) (Tombstone, bool) { return a.sh.Tombstone(id) }
+
+// Tombstones lists the remembered deleted deployments, sorted by ID.
+func (a *Architecture) Tombstones() []Tombstone { return a.sh.Tombstones() }
 
 // MeasureDeployment replays n representative flows of the deployment
 // through the flow simulator and returns the measured aggregate
@@ -788,12 +802,10 @@ func (a *Architecture) Summarize() Summary {
 		Clusters:           len(a.Clusters()),
 		InstalledRules:     a.sh.RuleCount(),
 	}
-	for _, dep := range a.sh.Deployments() {
-		if dep.State == orch.StateActive {
-			s.ActiveDeployments++
-			s.TotalConversions += dep.Conversions
-			s.TotalEnergyJoules += dep.EnergyJoules
-		}
+	for _, st := range a.sh.ShardStats() {
+		s.ActiveDeployments += st.Active
+		s.TotalConversions += st.Conversions
+		s.TotalEnergyJoules += st.EnergyJoules
 	}
 	return s
 }

@@ -18,7 +18,8 @@ type InstanceID int
 //	Activate: Pending → Active
 //	ScaleTo:  Active  → Active (replica count changes)
 //	Update:   Active  → Updating → Active
-//	Terminate: any non-terminated → Terminated
+//	Terminate: any state → Terminated, and the manager forgets the
+//	           instance (the transition stays in the event log)
 type State int
 
 // Lifecycle states.
@@ -58,7 +59,9 @@ type Instance struct {
 	Demand topology.Resources
 }
 
-// Event records one lifecycle transition for auditability.
+// Event records one lifecycle transition for auditability. Seq numbers
+// every transition since the manager started, so a reader of Events can
+// tell from the first Seq how many older ones the log has dropped.
 type Event struct {
 	Seq      int
 	Instance InstanceID
@@ -66,16 +69,24 @@ type Event struct {
 	Note     string
 }
 
-// Manager is the Cloud/NFV manager of Fig. 6: it owns VNF instances,
-// their lifecycle and the host resource ledger. Safe for concurrent
-// use.
+// EventLogSize is how many lifecycle events the manager retains: the
+// newest ones, oldest dropped first.
+const EventLogSize = 1024
+
+// Manager is the Cloud/NFV manager of Fig. 6: it owns the live VNF
+// instances, their lifecycle and the host resource ledger. It holds no
+// history: a terminated instance is forgotten and the event log is a
+// bounded ring. Safe for concurrent use.
 type Manager struct {
 	mu        sync.Mutex
 	topo      *topology.Topology
 	ledger    *Ledger
 	profiles  map[NFType]NFProfile
 	instances map[InstanceID]*Instance
+	// events grows by append to EventLogSize; from then on eventNext is
+	// the oldest entry and the slot the next event overwrites.
 	events    []Event
+	eventNext int
 	nextID    InstanceID
 	eventSeq  int
 }
@@ -100,7 +111,13 @@ func (m *Manager) Ledger() *Ledger { return m.ledger }
 
 func (m *Manager) recordLocked(id InstanceID, from, to State, note string) {
 	m.eventSeq++
-	m.events = append(m.events, Event{Seq: m.eventSeq, Instance: id, From: from, To: to, Note: note})
+	ev := Event{Seq: m.eventSeq, Instance: id, From: from, To: to, Note: note}
+	if len(m.events) < EventLogSize {
+		m.events = append(m.events, ev)
+		return
+	}
+	m.events[m.eventNext] = ev
+	m.eventNext = (m.eventNext + 1) % EventLogSize
 }
 
 // Create places a new VNF of type t on host, reserving one replica's
@@ -260,8 +277,9 @@ func (m *Manager) Migrate(id InstanceID, to topology.NodeID) error {
 	return nil
 }
 
-// Terminate releases the instance's resources and marks it Terminated.
-// Terminating twice is an error.
+// Terminate releases the instance's resources and forgets the instance:
+// from here on its ID is unknown (Instance returns nil, terminating
+// twice is an error), and only the event log remembers it.
 func (m *Manager) Terminate(id InstanceID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -269,15 +287,11 @@ func (m *Manager) Terminate(id InstanceID) error {
 	if err != nil {
 		return err
 	}
-	if inst.State == StateTerminated {
-		return fmt.Errorf("nfv: terminate: instance %d already terminated", id)
-	}
 	if err := m.ledger.Free(inst.Host, inst.Demand.Scale(float64(inst.Replicas))); err != nil {
 		return fmt.Errorf("nfv: terminate instance %d: %w", id, err)
 	}
-	from := inst.State
-	inst.State = StateTerminated
-	m.recordLocked(id, from, StateTerminated, "terminated")
+	delete(m.instances, id)
+	m.recordLocked(id, inst.State, StateTerminated, "terminated")
 	return nil
 }
 
@@ -294,7 +308,8 @@ func (m *Manager) copyLocked(inst *Instance) *Instance {
 	return &c
 }
 
-// Instance returns a copy of the instance, or nil if unknown.
+// Instance returns a copy of the instance, or nil if unknown or
+// terminated.
 func (m *Manager) Instance(id InstanceID) *Instance {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -305,7 +320,7 @@ func (m *Manager) Instance(id InstanceID) *Instance {
 	return m.copyLocked(inst)
 }
 
-// Instances returns copies of all instances sorted by ID.
+// Instances returns copies of all live instances sorted by ID.
 func (m *Manager) Instances() []*Instance {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -317,14 +332,14 @@ func (m *Manager) Instances() []*Instance {
 	return out
 }
 
-// InstancesOn returns copies of the non-terminated instances hosted on
-// the given node, sorted by ID.
+// InstancesOn returns copies of the instances hosted on the given node,
+// sorted by ID.
 func (m *Manager) InstancesOn(host topology.NodeID) []*Instance {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []*Instance
 	for _, inst := range m.instances {
-		if inst.Host == host && inst.State != StateTerminated {
+		if inst.Host == host {
 			out = append(out, m.copyLocked(inst))
 		}
 	}
@@ -332,9 +347,10 @@ func (m *Manager) InstancesOn(host topology.NodeID) []*Instance {
 	return out
 }
 
-// Events returns a copy of the lifecycle audit log.
+// Events returns a copy of the lifecycle audit log: the newest
+// EventLogSize transitions, oldest first.
 func (m *Manager) Events() []Event {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]Event(nil), m.events...)
+	return append(append([]Event(nil), m.events[m.eventNext:]...), m.events[:m.eventNext]...)
 }

@@ -399,3 +399,53 @@ func TestStateString(t *testing.T) {
 		t.Error("unknown state must render")
 	}
 }
+
+// TestManagerHoldsNoHistory: a terminated instance is forgotten — its
+// ID is unknown from then on — and the event log keeps the newest
+// EventLogSize transitions under a Seq that counts all of them.
+func TestManagerHoldsNoHistory(t *testing.T) {
+	topo, pm, _, _ := hostTopo(t)
+	m, _ := NewManager(topo)
+	keep, err := m.Create(NAT, pm)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	const cycles = EventLogSize // two events a cycle: the log wraps
+	for i := 0; i < cycles; i++ {
+		inst, err := m.Create(Firewall, pm)
+		if err != nil {
+			t.Fatalf("Create %d: %v", i, err)
+		}
+		if err := m.Terminate(inst.ID); err != nil {
+			t.Fatalf("Terminate %d: %v", i, err)
+		}
+		if m.Instance(inst.ID) != nil {
+			t.Fatalf("terminated instance %d still known", inst.ID)
+		}
+		if err := m.Update(inst.ID); err == nil || !strings.Contains(err.Error(), "unknown") {
+			t.Fatalf("update of terminated instance %d: %v", inst.ID, err)
+		}
+	}
+	if all := m.Instances(); len(all) != 1 || all[0].ID != keep.ID {
+		t.Fatalf("Instances = %+v, want only the live one", all)
+	}
+	if on := m.InstancesOn(pm); len(on) != 1 {
+		t.Fatalf("InstancesOn = %+v, want only the live one", on)
+	}
+	events := m.Events()
+	if len(events) != EventLogSize {
+		t.Fatalf("event log holds %d events, want %d", len(events), EventLogSize)
+	}
+	total := 1 + 2*cycles
+	if first, last := events[0].Seq, events[len(events)-1].Seq; last != total || first != total-EventLogSize+1 {
+		t.Fatalf("log spans Seq %d..%d, want %d..%d", first, last, total-EventLogSize+1, total)
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].Seq != events[i-1].Seq+1 {
+			t.Fatalf("events %d and %d out of order: Seq %d then %d", i-1, i, events[i-1].Seq, events[i].Seq)
+		}
+	}
+	if last := events[len(events)-1]; last.To != StateTerminated {
+		t.Fatalf("last event = %+v, want a termination", last)
+	}
+}

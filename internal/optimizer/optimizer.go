@@ -44,9 +44,12 @@ import (
 // Target is the orchestration surface the engine optimizes against:
 // the fleet sweep plus the three maintenance verbs. Both a standalone
 // *orch.Orchestrator and the sharded *orch.Sharded facade satisfy it,
-// so one engine serves either.
+// so one engine serves either. The sweep is by value — one
+// orch.ChainHealth per active chain, ID-sorted, appended to the
+// engine's buffer — so a recovery event costs what it reads, not a copy
+// of every deployment record.
 type Target interface {
-	Deployments() []*orch.Deployment
+	AppendChainHealth(buf []orch.ChainHealth) []orch.ChainHealth
 	ReProtect(id orch.DeploymentID) (*resilience.Standby, bool, error)
 	Rehome(id orch.DeploymentID, margin int) (bool, error)
 	DefragLambda(id orch.DeploymentID) (from, to int, retuned bool, err error)
@@ -278,13 +281,17 @@ type Engine struct {
 	shardOf func(orch.DeploymentID) int
 	queues  []*shardQueue
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	depth     int // queued tasks across all shard queues
-	paused    bool
-	running   int
-	stats     [numKinds]KindStats
+	mu      sync.Mutex
+	cond    *sync.Cond
+	depth   int // queued tasks across all shard queues
+	paused  bool
+	running int
+	stats   [numKinds]KindStats
+	// results is a ring of the last opts.ResultLog outcomes: it grows by
+	// append to that size, then resNext is the oldest entry and the slot
+	// the next result overwrites.
 	results   []TaskResult
+	resNext   int
 	storm     bool
 	stormStat StormStats
 	groupPlan GroupPlanStats
@@ -306,6 +313,12 @@ type Engine struct {
 	// tracer, when set, makes event-driven tasks record optimizer
 	// spans continuing the originating repair's trace. Guarded by mu.
 	tracer *trace.Tracer
+
+	// sweepMu serializes fleet sweeps (recovery intake, Tick) over the
+	// one reused summary buffer. Taken before the queue and engine locks,
+	// never under them.
+	sweepMu  sync.Mutex
+	sweepBuf []orch.ChainHealth
 
 	// debounceSrc, when set, lets Status surface the upstream failure
 	// debouncer's coalescing counters next to the engine's own.
@@ -411,17 +424,17 @@ func (e *Engine) OrchEvent(ev orch.Event) {
 	case orch.EventNodeRecovered, orch.EventLinkRecovered:
 		// Capacity came back: refresh standbys planned around the
 		// outage and pull drifted chains home.
-		for _, dep := range e.o.Deployments() {
-			if dep.State != orch.StateActive {
-				continue
+		e.sweepMu.Lock()
+		e.sweepBuf = e.o.AppendChainHealth(e.sweepBuf[:0])
+		for _, h := range e.sweepBuf {
+			if !h.Disjoint {
+				e.Enqueue(h.ID, KindRefresh)
 			}
-			if dep.Standby == nil || !dep.Standby.Disjoint {
-				e.Enqueue(dep.ID, KindRefresh)
-			}
-			if dep.Repairs > 0 {
-				e.Enqueue(dep.ID, KindRehome)
+			if h.Repairs > 0 {
+				e.Enqueue(h.ID, KindRehome)
 			}
 		}
+		e.sweepMu.Unlock()
 	case orch.EventDeploymentDeleted:
 		e.Cancel(ev.Deployment)
 	}
@@ -700,16 +713,16 @@ func (e *Engine) popBatch() []task {
 // a non-lowest wavelength. The Start loop fires it on an interval;
 // tests and benches call it directly.
 func (e *Engine) Tick() {
-	for _, dep := range e.o.Deployments() {
-		if dep.State != orch.StateActive {
-			continue
+	e.sweepMu.Lock()
+	defer e.sweepMu.Unlock()
+	e.sweepBuf = e.o.AppendChainHealth(e.sweepBuf[:0])
+	for _, h := range e.sweepBuf {
+		if !h.Disjoint {
+			e.Enqueue(h.ID, KindRefresh)
 		}
-		if dep.Standby == nil || !dep.Standby.Disjoint {
-			e.Enqueue(dep.ID, KindRefresh)
-		}
-		e.Enqueue(dep.ID, KindRehome)
-		if dep.Lambda > 0 {
-			e.Enqueue(dep.ID, KindDefrag)
+		e.Enqueue(h.ID, KindRehome)
+		if h.Lambda > 0 {
+			e.Enqueue(h.ID, KindDefrag)
 		}
 	}
 }
@@ -817,9 +830,11 @@ func (e *Engine) runTask(t task) (res TaskResult, requeue bool) {
 			default:
 				e.stats[t.key.kind].Completed++
 			}
-			e.results = append(e.results, res)
-			if over := len(e.results) - e.opts.ResultLog; over > 0 {
-				e.results = append([]TaskResult(nil), e.results[over:]...)
+			if len(e.results) < e.opts.ResultLog {
+				e.results = append(e.results, res)
+			} else {
+				e.results[e.resNext] = res
+				e.resNext = (e.resNext + 1) % len(e.results)
 			}
 		} else {
 			e.stats[t.key.kind].Requeued++
@@ -902,10 +917,16 @@ func (e *Engine) runTask(t task) (res TaskResult, requeue bool) {
 		res.Error = err.Error()
 	}
 	if tr != nil {
-		tr.Record(trace.Span{TraceID: sc.TraceID, SpanID: sc.SpanID, Parent: t.parent,
+		sp := trace.Span{TraceID: sc.TraceID, SpanID: sc.SpanID, Parent: t.parent,
 			Name: "optimizer." + t.key.kind.String(), Kind: trace.KindOptimizer,
-			Start: spanStart, End: time.Now(), Dep: int(t.key.dep), Err: res.Error,
-			Attrs: []trace.Attr{{Key: "outcome", Value: res.Outcome}}})
+			Start: spanStart, End: time.Now(), Err: res.Error,
+			Attrs: []trace.Attr{{Key: "outcome", Value: res.Outcome}}}
+		// A cancelled task's chain is gone; filing the span under it
+		// would give the chain a trace-index entry again.
+		if res.Outcome != "cancelled" {
+			sp.Dep = int(t.key.dep)
+		}
+		tr.Record(sp)
 	}
 	return res, false
 }
@@ -1128,7 +1149,7 @@ func (e *Engine) Status() Status {
 		Shed:           e.shedTotal,
 		Storm:          e.stormStat,
 		GroupPlans:     e.groupPlan,
-		LastResults:    append([]TaskResult(nil), e.results...),
+		LastResults:    append(append([]TaskResult(nil), e.results[e.resNext:]...), e.results[:e.resNext]...),
 	}
 	st.Storm.Active = e.storm
 	for kind := TaskKind(0); kind < numKinds; kind++ {

@@ -149,13 +149,16 @@ func TestConcurrentDeleteVsRepairExclusive(t *testing.T) {
 		go func() { done <- o.Repair(dep.ID) }()
 		<-done
 		<-done
-		got := o.Deployment(dep.ID)
-		switch got.State {
-		case StateDeleted:
-			if o.Allocator().VC(got.VC.ID) != nil {
-				t.Fatalf("deleted deployment still owns VC %d", got.VC.ID)
+		switch got := o.Deployment(dep.ID); {
+		case got == nil:
+			// Delete won: the record is gone, a tombstone answers for it.
+			if _, ok := o.Tombstone(dep.ID); !ok {
+				t.Fatal("deleted deployment left no tombstone")
 			}
-		case StateActive:
+			if o.Allocator().VC(dep.VC.ID) != nil {
+				t.Fatalf("deleted deployment still owns VC %d", dep.VC.ID)
+			}
+		case got.State == StateActive:
 			// Repair won and Delete was rejected as busy — fine.
 		default:
 			t.Fatalf("unexpected terminal state %s", got.State)

@@ -119,9 +119,25 @@ func (o *Orchestrator) rehome(id DeploymentID, margin int) (moved, rebuilt bool,
 		return false, false, fmt.Errorf("orch: rehome: %w", err)
 	}
 	defer o.endExclusive(id)
+	// A score is never negative and BetterBy is current minus candidate,
+	// so a chain already scoring below the margin cannot be beaten by it:
+	// skip the fresh placement altogether.
+	o.mu.Lock()
+	atFloor := placement.Score(dep.Placement) < margin
+	o.mu.Unlock()
+	if atFloor {
+		return false, false, nil
+	}
 	o.topoMu.RLock()
 	defer o.topoMu.RUnlock()
+	return o.rehomeClaimed(dep, margin)
+}
 
+// rehomeClaimed is the evaluate-and-migrate body of rehome. The caller
+// holds the deployment's exclusive claim and topoMu (read side), and
+// passes margin >= 1.
+func (o *Orchestrator) rehomeClaimed(dep *Deployment, margin int) (moved, rebuilt bool, err error) {
+	id := dep.ID
 	profiles, err := nfv.ResolveChain(dep.Spec.NFNames())
 	if err != nil {
 		return false, false, fmt.Errorf("orch: rehome %d: %w", id, err)

@@ -286,7 +286,18 @@ type Orchestrator struct {
 	alloc *cluster.Allocator
 	ctrl  *sdn.Controller
 
+	// deployments holds the chains this shard has a record of: active
+	// ones and those a failed repair left in StateFailed. Delete takes
+	// the record out and leaves a Tombstone in tombs, so every walk of
+	// the map is O(active).
 	deployments map[DeploymentID]*Deployment
+	tombs       tombstoneRing
+	// repairsTotal and deletedTotal count successful repairs and
+	// deletes since construction. Counters rather than sums over the
+	// map, so they stay monotone when repaired chains are deleted.
+	// Guarded by mu.
+	repairsTotal int
+	deletedTotal int
 	// flowKeys maps each active (or being-provisioned) chain's flow key
 	// to its deployment, reserving the SDN flow-table and WDM namespace:
 	// two live chains must never share a key (Delete of one would strip
@@ -861,6 +872,7 @@ func (o *Orchestrator) rebuild(ctx context.Context, dep *Deployment) error {
 	b.apply(dep)
 	o.indexLocked(dep)
 	dep.Repairs++
+	o.repairsTotal++
 	o.mu.Unlock()
 	return nil
 }
@@ -1058,52 +1070,68 @@ func (o *Orchestrator) ScaleNF(id DeploymentID, idx, replicas int) error {
 }
 
 // Delete tears a deployment down: flow rules removed, VNFs terminated,
-// slice and cluster released. The deployment record is retained with
-// state Deleted.
+// slice and cluster released. The record leaves the shard; a Tombstone
+// in a fixed ring is what the shard remembers of it.
 func (o *Orchestrator) Delete(id DeploymentID) error {
-	return o.DeleteCtx(context.Background(), id)
+	_, err := o.DeleteCtx(context.Background(), id)
+	return err
 }
 
-// DeleteCtx is Delete carrying a request context; with a tracer
+// DeleteCtx is Delete carrying a request context, and returns the
+// deployment's final record (state deleted) on success. With a tracer
 // attached it records a "delete" span under the span in ctx.
-func (o *Orchestrator) DeleteCtx(ctx context.Context, id DeploymentID) error {
+func (o *Orchestrator) DeleteCtx(ctx context.Context, id DeploymentID) (*Deployment, error) {
 	tr := o.tracer()
 	if tr == nil {
-		return o.delete(id)
+		return o.delete(id, "")
 	}
 	parent, _ := trace.FromContext(ctx)
 	sc := tr.Start(parent)
 	start := time.Now()
-	err := o.delete(id)
+	final, err := o.delete(id, sc.TraceID)
 	sp := trace.Span{
 		TraceID: sc.TraceID, SpanID: sc.SpanID, Parent: parent.SpanID,
-		Name: "delete", Kind: trace.KindDelete, Start: start, End: time.Now(), Dep: int(id),
+		Name: "delete", Kind: trace.KindDelete, Start: start, End: time.Now(),
+	}
+	// A refused delete of a chain that is already gone must not give it
+	// a per-chain index entry in the trace store again.
+	if !errors.Is(err, ErrUnknownDeployment) && !errors.Is(err, ErrNotActive) {
+		sp.Dep = int(id)
 	}
 	sp.SetError(err)
 	tr.Record(sp)
-	return err
+	return final, err
 }
 
-func (o *Orchestrator) delete(id DeploymentID) error {
+func (o *Orchestrator) delete(id DeploymentID, traceID string) (*Deployment, error) {
 	dep, err := o.beginExclusive(id)
 	if err != nil {
-		return fmt.Errorf("orch: delete: %w", err)
+		return nil, fmt.Errorf("orch: delete: %w", err)
 	}
 	defer o.endExclusive(id)
 	o.mu.Lock()
 	o.unindexLocked(dep)
 	dep.State = StateDeleted
 	delete(o.flowKeys, dep.FlowKey())
+	delete(o.deployments, id)
+	o.deletedTotal++
+	o.tombs.push(Tombstone{
+		ID: id, Name: dep.Spec.Name, Tenant: dep.Spec.Tenant, Service: dep.Spec.Service,
+		DeletedAt: time.Now(), TraceID: traceID,
+	})
 	o.mu.Unlock()
 	err = o.teardown(dep)
 	o.emit(Event{Kind: EventDeploymentDeleted, Deployment: id})
 	if err != nil {
-		return fmt.Errorf("orch: delete deployment %d: %w", id, err)
+		return nil, fmt.Errorf("orch: delete deployment %d: %w", id, err)
 	}
-	return nil
+	// The record left the map under this call's exclusive claim, so
+	// nothing else can reach it: it is the caller's, no copy needed.
+	return dep, nil
 }
 
-// Deployment returns a snapshot of the deployment, or nil.
+// Deployment returns a snapshot of the deployment, or nil when the shard
+// holds no record of it — never issued, or deleted (see Tombstone).
 func (o *Orchestrator) Deployment(id DeploymentID) *Deployment {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -1114,7 +1142,9 @@ func (o *Orchestrator) Deployment(id DeploymentID) *Deployment {
 	return o.snapshot(dep)
 }
 
-// Deployments returns snapshots of all deployments sorted by ID.
+// Deployments returns snapshots of all deployments sorted by ID: a deep
+// copy per chain, for callers whose answer is the whole records. Fleet
+// sweeps that read a few fields use AppendChainHealth or ShardStats.
 func (o *Orchestrator) Deployments() []*Deployment {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -1142,6 +1172,9 @@ func (o *Orchestrator) ActiveCount() int {
 func (o *Orchestrator) activeLocked(id DeploymentID) (*Deployment, error) {
 	dep, ok := o.deployments[id]
 	if !ok {
+		if _, deleted := o.tombs.find(id); deleted {
+			return nil, fmt.Errorf("%w: deployment %d is %s", ErrNotActive, id, StateDeleted)
+		}
 		return nil, fmt.Errorf("%w: %d", ErrUnknownDeployment, id)
 	}
 	if dep.State != StateActive {

@@ -176,11 +176,9 @@ func TestProvisionRollbackLeavesNoState(t *testing.T) {
 	if o.ActiveCount() != 0 {
 		t.Fatal("deployments leaked")
 	}
-	// Instance resources all freed.
-	for _, inst := range o.Manager().Instances() {
-		if inst.State != nfv.StateTerminated {
-			t.Fatalf("instance %d leaked in state %s", inst.ID, inst.State)
-		}
+	// Instance resources all freed, and the manager forgot them.
+	if left := o.Manager().Instances(); len(left) != 0 {
+		t.Fatalf("%d instances leaked, first %+v", len(left), left[0])
 	}
 }
 
@@ -243,8 +241,11 @@ func TestDeleteReleasesEverything(t *testing.T) {
 	if err := o.Delete(dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if got := o.Deployment(dep.ID); got.State != StateDeleted {
-		t.Fatalf("state = %s, want deleted", got.State)
+	if got := o.Deployment(dep.ID); got != nil {
+		t.Fatalf("deleted deployment still has a record in state %s", got.State)
+	}
+	if ts, ok := o.Tombstone(dep.ID); !ok || ts.Name != dep.Spec.Name || ts.Tenant != dep.Spec.Tenant {
+		t.Fatalf("tombstone = %+v, %v", ts, ok)
 	}
 	if got := len(o.Allocator().AvailableOPS()); got != availBefore {
 		t.Fatalf("OPSs not released: %d -> %d", availBefore, got)
@@ -253,8 +254,8 @@ func TestDeleteReleasesEverything(t *testing.T) {
 		t.Fatalf("rules remain: %d", got)
 	}
 	for _, id := range dep.Instances {
-		if inst := o.Manager().Instance(id); inst.State != nfv.StateTerminated {
-			t.Fatalf("instance %d not terminated", id)
+		if inst := o.Manager().Instance(id); inst != nil {
+			t.Fatalf("instance %d not terminated: %+v", id, inst)
 		}
 	}
 	// Operations on a deleted deployment fail.

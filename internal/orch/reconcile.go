@@ -454,6 +454,7 @@ func (o *Orchestrator) finishRepairFrom(p *pipeline, dep *Deployment, first stag
 	p.apply(dep)
 	o.indexLocked(dep)
 	dep.Repairs++
+	o.repairsTotal++
 	o.mu.Unlock()
 	p.commitWDM()
 	return nil

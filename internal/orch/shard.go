@@ -250,8 +250,9 @@ func (s *Sharded) ProvisionBatch(specs []chain.Spec, workers int) []BatchResult 
 // Delete routes to the owning shard.
 func (s *Sharded) Delete(id DeploymentID) error { return s.owner(id).Delete(id) }
 
-// DeleteCtx is Delete carrying a request context for trace propagation.
-func (s *Sharded) DeleteCtx(ctx context.Context, id DeploymentID) error {
+// DeleteCtx is Delete carrying a request context for trace propagation;
+// it returns the deployment's final record.
+func (s *Sharded) DeleteCtx(ctx context.Context, id DeploymentID) (*Deployment, error) {
 	return s.owner(id).DeleteCtx(ctx, id)
 }
 
@@ -325,7 +326,8 @@ func (s *Sharded) DefragLambda(id DeploymentID) (from, to int, retuned bool, err
 // Deployment returns a snapshot from the owning shard, or nil.
 func (s *Sharded) Deployment(id DeploymentID) *Deployment { return s.owner(id).Deployment(id) }
 
-// Deployments merges every shard's snapshots, sorted by ID.
+// Deployments merges every shard's snapshots, sorted by ID (a deep copy
+// of the fleet; see Orchestrator.Deployments).
 func (s *Sharded) Deployments() []*Deployment {
 	var out []*Deployment
 	for _, sh := range s.shards {
@@ -530,13 +532,24 @@ func (s *Sharded) StandbyFallbacks() int64 {
 }
 
 // ShardStat is one shard's slice of the fleet, for metrics endpoints
-// and the scale bench.
+// and the scale bench. Active and Failed count the shard's records;
+// Deleted and Repairs are since-start counters (deleted chains leave
+// the shard, and their repairs stay counted).
 type ShardStat struct {
-	Shard            int    `json:"shard"`
-	Active           int    `json:"active"`
-	Deleted          int    `json:"deleted"`
-	Failed           int    `json:"failed"`
-	Repairs          int    `json:"repairs"`
+	Shard   int `json:"shard"`
+	Active  int `json:"active"`
+	Deleted int `json:"deleted"`
+	Failed  int `json:"failed"`
+	Repairs int `json:"repairs"`
+	// StandbyDisjoint, StandbyNonDisjoint and Unprotected split the
+	// active chains by protection status; Conversions and EnergyJoules
+	// sum their per-flow O/E/O accounting.
+	StandbyDisjoint    int     `json:"standby_disjoint"`
+	StandbyNonDisjoint int     `json:"standby_non_disjoint"`
+	Unprotected        int     `json:"unprotected"`
+	Conversions        int     `json:"conversions"`
+	EnergyJoules       float64 `json:"energy_joules"`
+
 	OPSPool          int    `json:"ops_pool"`
 	PathComputations int    `json:"path_computations"`
 	YenRuns          int    `json:"yen_runs"`
@@ -573,17 +586,24 @@ func (o *Orchestrator) shardStat() ShardStat {
 	st.CandidateCacheHits, st.CandidateCacheMisses = o.ctrl.AlternativesCacheStats()
 	st.ProvisionOK, st.ProvisionFailed = o.ProvisionOutcomes()
 	o.mu.Lock()
+	defer o.mu.Unlock()
+	st.Deleted, st.Repairs = o.deletedTotal, o.repairsTotal
 	for _, dep := range o.deployments {
-		switch dep.State {
-		case StateActive:
-			st.Active++
-		case StateDeleted:
-			st.Deleted++
-		case StateFailed:
+		if dep.State != StateActive {
 			st.Failed++
+			continue
 		}
-		st.Repairs += dep.Repairs
+		st.Active++
+		switch {
+		case dep.Standby == nil:
+			st.Unprotected++
+		case dep.Standby.Disjoint:
+			st.StandbyDisjoint++
+		default:
+			st.StandbyNonDisjoint++
+		}
+		st.Conversions += dep.Conversions
+		st.EnergyJoules += dep.EnergyJoules
 	}
-	o.mu.Unlock()
 	return st
 }

@@ -244,8 +244,8 @@ func TestShardedDeleteVsRepairRaceAcrossShards(t *testing.T) {
 		}
 	}
 	for _, dep := range byShard[0] {
-		if cur := s.Deployment(dep.ID); cur == nil || cur.State != StateDeleted {
-			t.Fatalf("shard-0 deployment %d not deleted: %+v", dep.ID, cur)
+		if _, deleted := s.Tombstone(dep.ID); !deleted || s.Deployment(dep.ID) != nil {
+			t.Fatalf("shard-0 deployment %d not deleted: %+v", dep.ID, s.Deployment(dep.ID))
 		}
 	}
 	for _, dep := range byShard[1] {

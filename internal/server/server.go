@@ -234,8 +234,19 @@ func (s *Server) handleProvisionBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
+// handleListChains lists the chains the orchestrator holds records of.
+// Deleted chains have none: ?state=deleted lists their tombstones.
 func (s *Server) handleListChains(w http.ResponseWriter, r *http.Request) {
 	stateFilter := r.URL.Query().Get("state")
+	if stateFilter == orch.StateDeleted.String() {
+		tombs := s.arch.Tombstones()
+		out := make([]DeploymentJSON, 0, len(tombs))
+		for _, t := range tombs {
+			out = append(out, tombstoneJSON(t))
+		}
+		writeJSON(w, http.StatusOK, out)
+		return
+	}
 	deps := s.arch.Deployments()
 	out := make([]DeploymentJSON, 0, len(deps))
 	for _, dep := range deps {
@@ -252,12 +263,15 @@ func (s *Server) handleGetChain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	dep := s.arch.Deployment(id)
-	if dep == nil {
-		writeError(w, http.StatusNotFound, "unknown deployment %d", id)
+	if dep := s.arch.Deployment(id); dep != nil {
+		writeJSON(w, http.StatusOK, toDeploymentJSON(dep))
 		return
 	}
-	writeJSON(w, http.StatusOK, toDeploymentJSON(dep))
+	if t, ok := s.arch.Tombstone(id); ok {
+		writeJSON(w, http.StatusOK, tombstoneJSON(t))
+		return
+	}
+	writeError(w, http.StatusNotFound, "unknown deployment %d", id)
 }
 
 func (s *Server) handleDeleteChain(w http.ResponseWriter, r *http.Request) {
@@ -265,11 +279,12 @@ func (s *Server) handleDeleteChain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := s.arch.DeleteCtx(r.Context(), id); err != nil {
+	final, err := s.arch.DeleteCtx(r.Context(), id)
+	if err != nil {
 		writeError(w, statusOf(err), "delete: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toDeploymentJSON(s.arch.Deployment(id)))
+	writeJSON(w, http.StatusOK, toDeploymentJSON(final))
 }
 
 func (s *Server) handleModify(w http.ResponseWriter, r *http.Request) {
@@ -612,15 +627,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp.InstalledRules = sum.InstalledRules
 	resp.TotalConversions = sum.TotalConversions
 	resp.TotalEnergyJoules = sum.TotalEnergyJoules
-	for _, dep := range s.arch.Deployments() {
-		switch dep.State {
-		case orch.StateActive:
-			resp.Deployments.Active++
-		case orch.StateDeleted:
-			resp.Deployments.Deleted++
-		case orch.StateFailed:
-			resp.Deployments.Failed++
-		}
+	resp.Shards = s.arch.ShardStats()
+	for _, st := range resp.Shards {
+		resp.Deployments.Active += st.Active
+		resp.Deployments.Deleted += st.Deleted
+		resp.Deployments.Failed += st.Failed
 	}
 	ledger := s.arch.Orchestrator().Manager().Ledger()
 	resp.Utilization = make(map[string]UtilizationJSON, 2)
@@ -641,7 +652,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		resp.Utilization[dom.String()] = u
 	}
 	resp.ShardCount = s.arch.ShardCount()
-	resp.Shards = s.arch.ShardStats()
 	if st, ok := s.arch.OptimizerStatus(); ok {
 		resp.OptimizerQueueHighWater = st.ShardHighWater
 	}

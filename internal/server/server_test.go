@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
 	"github.com/alvc/alvc"
 	"github.com/alvc/alvc/internal/chain"
+	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/topology"
 )
 
@@ -491,5 +493,82 @@ func TestHealthz(t *testing.T) {
 	status, _ := do(t, "GET", ts.URL+"/healthz", nil)
 	if status != http.StatusOK {
 		t.Fatalf("healthz: %d", status)
+	}
+}
+
+// TestDeletedChainAnswersFromTombstone: DELETE still returns the full
+// final record; from then on the chain's record is gone and a tombstone
+// answers for it — 200 "deleted" on GET and under ?state=deleted while
+// it is among the newest orch.TombstoneRing deletes, 404 after — and the
+// deleted counts are deletes since start.
+func TestDeletedChainAnswersFromTombstone(t *testing.T) {
+	ts, _ := newTestServer(t)
+	churn := func(traceID string) (DeploymentJSON, string) {
+		t.Helper()
+		status, body := do(t, "POST", ts.URL+"/v1/chains", specBody("c1", "t1", "web", "firewall", "nat"))
+		if status != http.StatusCreated {
+			t.Fatalf("provision: %d (%s)", status, body)
+		}
+		dep := mustUnmarshal[DeploymentJSON](t, body)
+		url := fmt.Sprintf("%s/v1/chains/%d", ts.URL, dep.ID)
+		status, body, _ = doTraced(t, "DELETE", url, traceID, nil)
+		if status != http.StatusOK {
+			t.Fatalf("delete: %d (%s)", status, body)
+		}
+		final := mustUnmarshal[DeploymentJSON](t, body)
+		dep.State = "deleted"
+		if !reflect.DeepEqual(final, dep) {
+			t.Fatalf("DELETE body\n %+v\nwant the provisioned record, deleted\n %+v", final, dep)
+		}
+		return dep, url
+	}
+
+	first, firstURL := churn("del-first")
+	status, body := do(t, "GET", firstURL, nil)
+	if status != http.StatusOK {
+		t.Fatalf("get deleted: %d (%s)", status, body)
+	}
+	tomb := mustUnmarshal[DeploymentJSON](t, body)
+	if tomb.ID != first.ID || tomb.State != "deleted" || tomb.Name != "c1" || tomb.Tenant != "t1" || tomb.Service != "web" ||
+		tomb.DeletedAt == nil || tomb.LastTraceID != "del-first" || len(tomb.Path) != 0 {
+		t.Fatalf("tombstone = %+v", tomb)
+	}
+	if status, body = do(t, "GET", ts.URL+"/v1/traces/del-first", nil); status != http.StatusOK {
+		t.Fatalf("delete trace through the tombstone: %d (%s)", status, body)
+	}
+	if status, body = do(t, "GET", firstURL+"/traces", nil); status != http.StatusOK || string(bytes.TrimSpace(body)) != "[]" {
+		t.Fatalf("chain traces of a deleted chain: %d %s", status, body)
+	}
+
+	var last DeploymentJSON
+	var lastURL string
+	for i := 0; i < orch.TombstoneRing; i++ {
+		last, lastURL = churn("")
+	}
+	if status, body = do(t, "GET", firstURL, nil); status != http.StatusNotFound {
+		t.Fatalf("get after ring overflow: %d (%s), want 404", status, body)
+	}
+	if status, body = do(t, "DELETE", firstURL, nil); status != http.StatusNotFound {
+		t.Fatalf("delete after ring overflow: %d (%s), want 404", status, body)
+	}
+	status, body = do(t, "GET", lastURL, nil)
+	if got := mustUnmarshal[DeploymentJSON](t, body); status != http.StatusOK || got.ID != last.ID || got.State != "deleted" {
+		t.Fatalf("get newest deleted: %d %+v", status, got)
+	}
+	status, body = do(t, "GET", ts.URL+"/v1/chains?state=deleted", nil)
+	if got := mustUnmarshal[[]DeploymentJSON](t, body); status != http.StatusOK || len(got) != orch.TombstoneRing || got[len(got)-1].ID != last.ID {
+		t.Fatalf("list deleted: %d, %d entries, want the ring's %d ending in %d", status, len(got), orch.TombstoneRing, last.ID)
+	}
+	if status, body = do(t, "GET", ts.URL+"/v1/chains", nil); status != http.StatusOK || string(bytes.TrimSpace(body)) != "[]" {
+		t.Fatalf("list after deleting everything: %d %s", status, body)
+	}
+	_, body = do(t, "GET", ts.URL+"/v1/metrics", nil)
+	if m := mustUnmarshal[MetricsResponse](t, body); m.Deployments.Deleted != orch.TombstoneRing+1 || m.Deployments.Active != 0 {
+		t.Fatalf("metrics deployments = %+v, want %d deleted since start", m.Deployments, orch.TombstoneRing+1)
+	}
+	_, body = do(t, "GET", ts.URL+"/metrics", nil)
+	want := fmt.Sprintf(`alvc_orch_deployments{shard="0",state="deleted"} %d`, orch.TombstoneRing+1)
+	if !bytes.Contains(body, []byte(want)) {
+		t.Fatalf("/metrics lacks %q", want)
 	}
 }

@@ -43,6 +43,11 @@ type DeploymentJSON struct {
 	// optimizer still owes work. Absent when no standby is planned —
 	// i.e. the chain is currently unprotected.
 	Standby *StandbyJSON `json:"standby,omitempty"`
+	// DeletedAt and LastTraceID appear only on a tombstone — the answer
+	// for a deleted chain once its record is gone: when it was deleted,
+	// and the trace of that delete (GET /v1/traces/{id}).
+	DeletedAt   *time.Time `json:"deleted_at,omitempty"`
+	LastTraceID string     `json:"last_trace_id,omitempty"`
 }
 
 // StandbyJSON is the wire form of a chain's standby-path health.
@@ -90,6 +95,21 @@ func toDeploymentJSON(d *orch.Deployment) DeploymentJSON {
 		out.Domains = append(out.Domains, dom.String())
 	}
 	return out
+}
+
+// tombstoneJSON renders what is remembered of a deleted chain in the
+// deployment wire form: identity and state, no resources.
+func tombstoneJSON(t orch.Tombstone) DeploymentJSON {
+	return DeploymentJSON{
+		ID:          int(t.ID),
+		Name:        t.Name,
+		Tenant:      t.Tenant,
+		Service:     t.Service,
+		State:       orch.StateDeleted.String(),
+		Lambda:      -1,
+		DeletedAt:   &t.DeletedAt,
+		LastTraceID: t.TraceID,
+	}
 }
 
 // BatchRequest is the body of POST /v1/chains:batch. Workers bounds

@@ -161,7 +161,7 @@ func (p *Plane) registerOrch() {
 			return out
 		})
 	p.reg.GaugeFunc("alvc_orch_deployments",
-		"Deployments by shard and lifecycle state.",
+		"Deployments by shard and lifecycle state (deleted: deletes since start).",
 		[]string{"shard", "state"}, func() []Sample {
 			var out []Sample
 			for _, st := range arch.ShardStats() {
@@ -174,7 +174,7 @@ func (p *Plane) registerOrch() {
 			return out
 		})
 	p.reg.CounterFunc("alvc_orch_shard_repairs_total",
-		"Successful repairs accumulated per shard's deployments.",
+		"Successful repairs per shard since start (repairs of chains deleted since stay counted).",
 		[]string{"shard"}, func() []Sample {
 			var out []Sample
 			for _, st := range arch.ShardStats() {
@@ -405,18 +405,10 @@ func (p *Plane) registerRouting() {
 func (p *Plane) registerResilience() {
 	arch := p.arch
 	standbyCounts := func() (disjoint, nonDisjoint, unprotected int) {
-		for _, dep := range arch.Deployments() {
-			if dep.State != orch.StateActive {
-				continue
-			}
-			switch {
-			case dep.Standby == nil:
-				unprotected++
-			case dep.Standby.Disjoint:
-				disjoint++
-			default:
-				nonDisjoint++
-			}
+		for _, st := range arch.ShardStats() {
+			disjoint += st.StandbyDisjoint
+			nonDisjoint += st.StandbyNonDisjoint
+			unprotected += st.Unprotected
 		}
 		return
 	}

@@ -5,7 +5,8 @@ package trace
 // that turns out to be interesting — among the slowest N roots, or
 // errored — is pinned in a side set so it survives ring churn. A
 // per-deployment index keeps the last few lifecycle traces of each
-// chain reachable for GET /v1/chains/{id}/traces. A trace is freed
+// chain reachable for GET /v1/chains/{id}/traces, until the chain's
+// successful delete span drops its entry. A trace is freed
 // only when no retention set references it (refcounted), and a hard
 // MaxSpans budget force-evicts oldest-first so the store can never
 // grow past its configured size no matter the workload.
@@ -56,6 +57,8 @@ type Stats struct {
 	TracesEvicted uint64
 	LiveSpans     int
 	LiveTraces    int
+	// IndexedChains counts deployments with a per-chain index entry.
+	IndexedChains int
 }
 
 // Summary is the list-view of one trace.
@@ -173,7 +176,18 @@ func (s *Store) add(sp Span) {
 		e.errored = true
 		s.pushErrored(e)
 	}
-	if sp.Dep != 0 {
+	switch {
+	case sp.Dep == 0:
+	case sp.Kind == KindDelete && sp.Err == "":
+		// The chain is gone: its index entry goes with it, and this
+		// span does not start a new one. The delete's own trace stays
+		// reachable by ID (the orchestrator's tombstone carries it)
+		// while a ring or pinned set holds it.
+		s.dropDep(sp.Dep)
+		if e.refs <= 0 {
+			return // the index held the last reference to this trace too
+		}
+	default:
 		s.indexDep(e, sp.Dep)
 	}
 	if sp.Parent == 0 && !e.rootSeen {
@@ -371,6 +385,18 @@ func (s *Store) indexDep(e *entry, d int) {
 	}
 }
 
+// dropDep forgets deployment d's chain index, releasing the reference it
+// held on each indexed trace.
+func (s *Store) dropDep(d int) {
+	for _, id := range s.byDep[d] {
+		if v, ok := s.traces[id]; ok {
+			v.deps = removeDep(v.deps, d)
+			s.unref(v)
+		}
+	}
+	delete(s.byDep, d)
+}
+
 func removeID(ids []string, id string) []string {
 	for i, have := range ids {
 		if have == id {
@@ -477,5 +503,6 @@ func (s *Store) Stats() Stats {
 		TracesEvicted: s.evicted,
 		LiveSpans:     s.total,
 		LiveTraces:    len(s.traces),
+		IndexedChains: len(s.byDep),
 	}
 }

@@ -242,3 +242,39 @@ func TestStoreOrderStaysBounded(t *testing.T) {
 		})
 	}
 }
+
+// TestDeleteSpanDropsChainIndex: a chain's successful delete span takes
+// its per-chain index entry away — the traces it pinned are released,
+// the delete's own trace stays reachable by ID — while a refused delete
+// is indexed like any other span of a live chain.
+func TestDeleteSpanDropsChainIndex(t *testing.T) {
+	st := NewStore(StoreOptions{RecentPerKind: 2, SlowestN: 1})
+	dep := func(sp Span, d int) Span { sp.Dep = d; return sp }
+	st.add(dep(mkSpan("prov", 1, 0, KindProvision, time.Millisecond), 7))
+	// Push "prov" out of its ring and of the slowest set: only chain 7's
+	// index holds it now.
+	st.add(mkSpan("p2", 2, 0, KindProvision, 2*time.Millisecond))
+	st.add(mkSpan("p3", 3, 0, KindProvision, 3*time.Millisecond))
+	refused := dep(mkSpan("busy", 4, 0, KindDelete, time.Millisecond), 7)
+	refused.Err = "deployment operation in progress"
+	st.add(refused)
+	if got := st.ChainTraces(7); len(got) != 2 || got[0].ID != "busy" || got[1].ID != "prov" {
+		t.Fatalf("ChainTraces before the delete = %+v, want [busy prov]", got)
+	}
+	st.add(dep(mkSpan("del", 5, 0, KindDelete, time.Millisecond), 7))
+	if got := st.ChainTraces(7); len(got) != 0 {
+		t.Fatalf("ChainTraces after the delete = %+v, want none", got)
+	}
+	if n := st.Stats().IndexedChains; n != 0 {
+		t.Fatalf("%d chains indexed after the delete, want 0", n)
+	}
+	if _, _, ok := st.Trace("del"); !ok {
+		t.Fatal("the delete's trace is gone")
+	}
+	if _, _, ok := st.Trace("prov"); ok {
+		t.Fatal("the provision trace outlived the chain index that alone held it")
+	}
+	if sums := st.Traces(Query{Kind: KindDelete}); len(sums) != 2 || len(sums[0].Deps)+len(sums[1].Deps) != 0 {
+		t.Fatalf("delete traces = %+v, want two with no chain reference left", sums)
+	}
+}
