@@ -611,29 +611,16 @@ func (o *Orchestrator) dropStandbyLocked(dep *Deployment) {
 // node on its standby path (a failure consuming only the standby still
 // needs reconciling — the standby must be replanned).
 func (d *Deployment) footprint() []topology.NodeID {
-	seen := make(map[topology.NodeID]struct{}, len(d.Path)+len(d.Placement.Hosts))
-	var out []topology.NodeID
-	add := func(n topology.NodeID) {
-		if _, dup := seen[n]; !dup {
-			seen[n] = struct{}{}
-			out = append(out, n)
-		}
-	}
+	var opss, standby []topology.NodeID
 	if d.Slice != nil {
-		for _, n := range d.Slice.OPSs {
-			add(n)
-		}
-	}
-	for _, n := range d.Placement.Hosts {
-		add(n)
-	}
-	for _, n := range d.Path {
-		add(n)
+		opss = d.Slice.OPSs
 	}
 	if d.Standby != nil {
-		for _, n := range d.Standby.Path {
-			add(n)
-		}
+		standby = d.Standby.Path
+	}
+	out := make([]topology.NodeID, 0, len(opss)+len(d.Placement.Hosts)+len(d.Path)+len(standby))
+	for _, part := range [...][]topology.NodeID{opss, d.Placement.Hosts, d.Path, standby} {
+		out = appendUnseen(out, part)
 	}
 	return out
 }
@@ -641,19 +628,22 @@ func (d *Deployment) footprint() []topology.NodeID {
 // linkFootprint returns the deduplicated physical links of the primary
 // (already enumerated by the caller) and standby paths.
 func (d *Deployment) linkFootprint(primary []topology.LinkID) []topology.LinkID {
-	seen := make(map[topology.LinkID]struct{})
-	var out []topology.LinkID
-	add := func(ids []topology.LinkID) {
-		for _, l := range ids {
-			if _, dup := seen[l]; !dup {
-				seen[l] = struct{}{}
-				out = append(out, l)
-			}
-		}
-	}
-	add(primary)
+	var standby []topology.LinkID
 	if d.Standby != nil {
-		add(d.Standby.Links)
+		standby = d.Standby.Links
+	}
+	out := make([]topology.LinkID, 0, len(primary)+len(standby))
+	return appendUnseen(appendUnseen(out, primary), standby)
+}
+
+// appendUnseen appends to out, in order, the elements of in that out
+// does not hold yet. A footprint is a few dozen entries, where a linear
+// look-back beats building a set.
+func appendUnseen[T comparable](out, in []T) []T {
+	for _, v := range in {
+		if !slices.Contains(out, v) {
+			out = append(out, v)
+		}
 	}
 	return out
 }

@@ -467,18 +467,11 @@ func (p *pipeline) commitWDM() {
 }
 
 func (p *pipeline) runRules() error {
-	// Make-before-break on re-entry: a repair re-run installs the new
-	// generation of rules before the previous generation disappears. A
-	// fresh build has no previous generation and takes the plain
-	// install, which skips Reroute's old-generation table scan.
+	// Make-before-break: a repair re-run installs the new generation of
+	// rules before the previous generation disappears. A fresh build has
+	// no previous generation, which costs Reroute one map miss.
 	m := sdn.Match{FlowKey: p.flowKey, Src: p.src, Dst: p.dst}
-	var err error
-	if p.reentry {
-		_, err = p.o.ctrl.Reroute(m, p.path, 100)
-	} else {
-		_, err = p.o.ctrl.InstallPath(m, p.path, 100)
-	}
-	if err != nil {
+	if _, err := p.o.ctrl.Reroute(m, p.path, 100); err != nil {
 		return fmt.Errorf("install: %w", err)
 	}
 	p.pushUndo(func() { p.o.ctrl.RemoveFlow(p.flowKey) })

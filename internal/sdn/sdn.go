@@ -4,7 +4,8 @@
 // between VMs hosting VNFs". The controller computes paths over the
 // topology (optionally restricted to one slice's OPSs), installs
 // OpenFlow-style match/action rules on every switch along the path, and
-// keeps per-switch flow tables with statistics.
+// keeps per-switch flow tables with statistics, indexed by flow as well
+// so that changing one chain costs its path and not the fleet's rules.
 package sdn
 
 import (
@@ -76,14 +77,25 @@ type FlowRule struct {
 	// Hits counts packets/flows accounted against this rule via
 	// RecordHits (OpenFlow-style counters).
 	Hits int64
+	// slot is the rule's index in its switch's table, what lets one rule
+	// leave a table without a pass over it. Zero in every copy handed out.
+	slot int
 }
 
 // Controller is the in-process SDN controller. Safe for concurrent use.
 type Controller struct {
-	mu       sync.Mutex
-	topo     *topology.Topology
-	tables   map[topology.NodeID][]*FlowRule
-	nextRule RuleID
+	mu   sync.Mutex
+	topo *topology.Topology
+	// The rule plane is indexed twice, and c.mu keeps the two in step:
+	// tables is what a switch holds (in no particular order — a removal
+	// moves the table's last rule into the gap), flows is what a flow
+	// owns, in rule-ID order, and what tables' pointers point into. Every
+	// verb but RulesAt goes through flows and costs O(the flow's rules),
+	// whatever else the controller holds.
+	tables    map[topology.NodeID][]*FlowRule
+	flows     map[string][]FlowRule
+	ruleCount int
+	nextRule  RuleID
 
 	pathsProvisioned int
 	rulesInstalled   int
@@ -115,6 +127,7 @@ func NewController(topo *topology.Topology) (*Controller, error) {
 	return &Controller{
 		topo:   topo,
 		tables: make(map[topology.NodeID][]*FlowRule),
+		flows:  make(map[string][]FlowRule),
 	}, nil
 }
 
@@ -307,20 +320,33 @@ func (c *Controller) validatePath(m Match, path []topology.NodeID) error {
 // InstallPath installs one rule per hop of the path: each switch
 // forwards matching packets to the next hop; boundary crossings get
 // explicit conversion actions; the final node delivers. It returns the
-// installed rule IDs in path order.
+// installed rule IDs in path order. Rules already installed under the
+// flow key stay, as an older generation beside the new one.
 func (c *Controller) InstallPath(m Match, path []topology.NodeID, priority int) ([]RuleID, error) {
 	if err := c.validatePath(m, path); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.installPathLocked(m, path, priority), nil
+	return c.installPathLocked(m, path, priority, c.flows[m.FlowKey]), nil
 }
 
-func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority int) []RuleID {
-	var ids []RuleID
+// installPathLocked installs the path's rules as one block — one
+// []FlowRule, one []Action backing array shared by its rules, one
+// []RuleID — and makes the block, behind the rules of keep (the flow's
+// older generations the caller wants to stay installed, moved into the
+// new block), the flow's entry in c.flows.
+func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority int, keep []FlowRule) []RuleID {
+	block := make([]FlowRule, len(keep)+len(path))
+	for i := range keep {
+		block[i] = keep[i]
+		c.tables[keep[i].Switch][keep[i].slot] = &block[i]
+	}
+	oe, eo, _ := c.CountConversionsOnPath(path) // nodes validated by the caller
+	actions := make([]Action, 0, len(path)+oe+eo)
+	ids := make([]RuleID, len(path))
 	for i, node := range path {
-		var actions []Action
+		first := len(actions)
 		if i+1 < len(path) {
 			cur, next := c.topo.Node(node), c.topo.Node(path[i+1])
 			if cur.Domain() != next.Domain() {
@@ -335,19 +361,43 @@ func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority
 			actions = append(actions, Action{Type: ActionDeliver})
 		}
 		c.nextRule++
-		rule := &FlowRule{
+		rule := &block[len(keep)+i]
+		*rule = FlowRule{
 			ID:       c.nextRule,
 			Switch:   node,
 			Priority: priority,
 			Match:    m,
-			Actions:  actions,
+			Actions:  actions[first:len(actions):len(actions)],
+			slot:     len(c.tables[node]),
 		}
 		c.tables[node] = append(c.tables[node], rule)
-		c.rulesInstalled++
-		ids = append(ids, rule.ID)
+		ids[i] = rule.ID
 	}
+	c.flows[m.FlowKey] = block
+	c.ruleCount += len(path)
+	c.rulesInstalled += len(path)
 	c.pathsProvisioned++
 	return ids
+}
+
+// uninstallLocked takes the rules out of their switches' tables, each by
+// moving the table's last rule into the freed slot. The caller has
+// already taken them out of c.flows.
+func (c *Controller) uninstallLocked(rules []FlowRule) {
+	for i := range rules {
+		r := &rules[i]
+		table := c.tables[r.Switch]
+		last := len(table) - 1
+		table[r.slot] = table[last]
+		table[r.slot].slot = r.slot
+		table[last] = nil
+		if last == 0 {
+			delete(c.tables, r.Switch)
+		} else {
+			c.tables[r.Switch] = table[:last]
+		}
+	}
+	c.ruleCount -= len(rules)
 }
 
 // Reroute replaces the flow's rules with rules along the new path in
@@ -355,25 +405,16 @@ func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority
 // old one is removed, and both steps happen under one controller lock,
 // so a concurrent reader never observes the flow without rules. It
 // returns the new rule IDs in path order. With no pre-existing rules it
-// degenerates to InstallPath.
+// is InstallPath plus one map miss.
 func (c *Controller) Reroute(m Match, path []topology.NodeID, priority int) ([]RuleID, error) {
 	if err := c.validatePath(m, path); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := make(map[RuleID]bool)
-	for _, rules := range c.tables {
-		for _, r := range rules {
-			if r.Match.FlowKey == m.FlowKey {
-				old[r.ID] = true
-			}
-		}
-	}
-	ids := c.installPathLocked(m, path, priority)
-	if len(old) > 0 {
-		c.removeRulesLocked(old)
-	}
+	old := c.flows[m.FlowKey]
+	ids := c.installPathLocked(m, path, priority, nil)
+	c.uninstallLocked(old)
 	return ids, nil
 }
 
@@ -382,41 +423,19 @@ func (c *Controller) Reroute(m Match, path []topology.NodeID, priority int) ([]R
 func (c *Controller) RemoveFlow(flowKey string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	removed := 0
-	for sw, rules := range c.tables {
-		kept := rules[:0]
-		for _, r := range rules {
-			if r.Match.FlowKey == flowKey {
-				removed++
-				continue
-			}
-			kept = append(kept, r)
-		}
-		if len(kept) == 0 {
-			delete(c.tables, sw)
-		} else {
-			c.tables[sw] = kept
-		}
-	}
-	return removed
+	rules := c.flows[flowKey]
+	delete(c.flows, flowKey)
+	c.uninstallLocked(rules)
+	return len(rules)
 }
 
-// removeRulesLocked deletes the given rules from every switch table.
-func (c *Controller) removeRulesLocked(ids map[RuleID]bool) {
-	for sw, rules := range c.tables {
-		kept := rules[:0]
-		for _, r := range rules {
-			if ids[r.ID] {
-				continue
-			}
-			kept = append(kept, r)
-		}
-		if len(kept) == 0 {
-			delete(c.tables, sw)
-		} else {
-			c.tables[sw] = kept
-		}
-	}
+// copyRule returns the rule as callers see it: its own Actions, none of
+// the controller's bookkeeping.
+func copyRule(r *FlowRule) FlowRule {
+	cp := *r
+	cp.Actions = append([]Action(nil), r.Actions...)
+	cp.slot = 0
+	return cp
 }
 
 // RulesAt returns copies of the rules installed on the given switch,
@@ -427,30 +446,26 @@ func (c *Controller) RulesAt(sw topology.NodeID) []FlowRule {
 	rules := c.tables[sw]
 	out := make([]FlowRule, 0, len(rules))
 	for _, r := range rules {
-		cp := *r
-		cp.Actions = append([]Action(nil), r.Actions...)
-		out = append(out, cp)
+		out = append(out, copyRule(r))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // RulesForFlow returns copies of every rule matching the flow key,
-// sorted by rule ID.
+// sorted by rule ID — the order c.flows keeps them in: path order within
+// a generation, older generations first.
 func (c *Controller) RulesForFlow(flowKey string) []FlowRule {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []FlowRule
-	for _, rules := range c.tables {
-		for _, r := range rules {
-			if r.Match.FlowKey == flowKey {
-				cp := *r
-				cp.Actions = append([]Action(nil), r.Actions...)
-				out = append(out, cp)
-			}
-		}
+	rules := c.flows[flowKey]
+	if len(rules) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := make([]FlowRule, len(rules))
+	for i := range rules {
+		out[i] = copyRule(&rules[i])
+	}
 	return out
 }
 
@@ -463,16 +478,11 @@ func (c *Controller) RecordHits(flowKey string, n int64) int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	credited := 0
-	for _, rules := range c.tables {
-		for _, r := range rules {
-			if r.Match.FlowKey == flowKey {
-				r.Hits += n
-				credited++
-			}
-		}
+	rules := c.flows[flowKey]
+	for i := range rules {
+		rules[i].Hits += n
 	}
-	return credited
+	return len(rules)
 }
 
 // FlowHits returns the total hits across the flow's rules.
@@ -480,12 +490,9 @@ func (c *Controller) FlowHits(flowKey string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var total int64
-	for _, rules := range c.tables {
-		for _, r := range rules {
-			if r.Match.FlowKey == flowKey {
-				total += r.Hits
-			}
-		}
+	rules := c.flows[flowKey]
+	for i := range rules {
+		total += rules[i].Hits
 	}
 	return total
 }
@@ -494,11 +501,7 @@ func (c *Controller) FlowHits(flowKey string) int64 {
 func (c *Controller) RuleCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, rules := range c.tables {
-		n += len(rules)
-	}
-	return n
+	return c.ruleCount
 }
 
 // Stats returns (paths provisioned, rules installed) since creation.
