@@ -44,12 +44,14 @@ import (
 // Target is the orchestration surface the engine optimizes against:
 // the fleet sweep plus the three maintenance verbs. Both a standalone
 // *orch.Orchestrator and the sharded *orch.Sharded facade satisfy it,
-// so one engine serves either. The sweep is by value — one
-// orch.ChainHealth per active chain, ID-sorted, appended to the
-// engine's buffer — so a recovery event costs what it reads, not a copy
-// of every deployment record.
+// so one engine serves either. Both sweeps are by value — one
+// orch.ChainHealth per chain, ID-sorted, appended to the engine's
+// buffer: the idle tick reads every active chain, a recovery event only
+// the chains the orchestrator's maintenance-owed index holds, so it costs
+// the chains it can help and not a pass over the fleet.
 type Target interface {
 	AppendChainHealth(buf []orch.ChainHealth) []orch.ChainHealth
+	AppendOwedHealth(buf []orch.ChainHealth) []orch.ChainHealth
 	ReProtect(id orch.DeploymentID) (*resilience.Standby, bool, error)
 	Rehome(id orch.DeploymentID, margin int) (bool, error)
 	DefragLambda(id orch.DeploymentID) (from, to int, retuned bool, err error)
@@ -423,14 +425,15 @@ func (e *Engine) OrchEvent(ev orch.Event) {
 			traceID: ev.TraceID, parent: ev.SpanID})
 	case orch.EventNodeRecovered, orch.EventLinkRecovered:
 		// Capacity came back: refresh standbys planned around the
-		// outage and pull drifted chains home.
+		// outage and pull drifted chains home. Only the chains the
+		// orchestrator holds as owed are read; Tick covers the rest.
 		e.sweepMu.Lock()
-		e.sweepBuf = e.o.AppendChainHealth(e.sweepBuf[:0])
+		e.sweepBuf = e.o.AppendOwedHealth(e.sweepBuf[:0])
 		for _, h := range e.sweepBuf {
 			if !h.Disjoint {
 				e.Enqueue(h.ID, KindRefresh)
 			}
-			if h.Repairs > 0 {
+			if h.Drifted {
 				e.Enqueue(h.ID, KindRehome)
 			}
 		}

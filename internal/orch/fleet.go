@@ -20,20 +20,26 @@ type ChainHealth struct {
 	// link or risk group with the primary; false also when the chain
 	// has no standby at all.
 	Disjoint bool
-	// Repairs counts the chain's successful failure repairs.
-	Repairs int
+	// Drifted is the deployment's Drifted flag.
+	Drifted bool
 	// Lambda is the chain's wavelength (-1 without WDM).
 	Lambda int
+}
+
+func healthOf(dep *Deployment) ChainHealth {
+	return ChainHealth{
+		ID:       dep.ID,
+		Disjoint: dep.Standby != nil && dep.Standby.Disjoint,
+		Drifted:  dep.Drifted,
+		Lambda:   dep.Lambda,
+	}
 }
 
 // AppendChainHealth appends one entry per active deployment to buf, in
 // ID order, and returns the extended slice. It allocates only when buf
 // has to grow.
 func (o *Orchestrator) AppendChainHealth(buf []ChainHealth) []ChainHealth {
-	from := len(buf)
-	buf = o.appendChainHealth(buf)
-	sortChainHealth(buf[from:])
-	return buf
+	return sortAppended(buf, o.appendChainHealth(buf))
 }
 
 // appendChainHealth is AppendChainHealth in map order.
@@ -41,33 +47,55 @@ func (o *Orchestrator) appendChainHealth(buf []ChainHealth) []ChainHealth {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for _, dep := range o.deployments {
-		if dep.State != StateActive {
-			continue
+		if dep.State == StateActive {
+			buf = append(buf, healthOf(dep))
 		}
-		buf = append(buf, ChainHealth{
-			ID:       dep.ID,
-			Disjoint: dep.Standby != nil && dep.Standby.Disjoint,
-			Repairs:  dep.Repairs,
-			Lambda:   dep.Lambda,
-		})
 	}
 	return buf
 }
 
-func sortChainHealth(hs []ChainHealth) {
-	slices.SortFunc(hs, func(a, b ChainHealth) int { return int(a.ID - b.ID) })
+// AppendOwedHealth is AppendChainHealth over the maintenance-owed index
+// alone: the active chains without a disjoint standby or Drifted. It
+// reads, copies and sorts what a recovery can help, not the fleet.
+func (o *Orchestrator) AppendOwedHealth(buf []ChainHealth) []ChainHealth {
+	return sortAppended(buf, o.appendOwedHealth(buf))
+}
+
+// appendOwedHealth is AppendOwedHealth in map order.
+func (o *Orchestrator) appendOwedHealth(buf []ChainHealth) []ChainHealth {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, dep := range o.owed {
+		buf = append(buf, healthOf(dep))
+	}
+	return buf
+}
+
+// sortAppended sorts by ID what a sweep appended to buf, and returns the
+// extended slice.
+func sortAppended(buf, extended []ChainHealth) []ChainHealth {
+	slices.SortFunc(extended[len(buf):], func(a, b ChainHealth) int { return int(a.ID - b.ID) })
+	return extended
 }
 
 // AppendChainHealth appends every shard's entries to buf and sorts the
 // appended part by ID, so a sweep over a sharded fleet sees the same
 // order as one over a single orchestrator.
 func (s *Sharded) AppendChainHealth(buf []ChainHealth) []ChainHealth {
-	from := len(buf)
+	out := buf
 	for _, sh := range s.shards {
-		buf = sh.appendChainHealth(buf)
+		out = sh.appendChainHealth(out)
 	}
-	sortChainHealth(buf[from:])
-	return buf
+	return sortAppended(buf, out)
+}
+
+// AppendOwedHealth merges every shard's owed entries, sorted by ID.
+func (s *Sharded) AppendOwedHealth(buf []ChainHealth) []ChainHealth {
+	out := buf
+	for _, sh := range s.shards {
+		out = sh.appendOwedHealth(out)
+	}
+	return sortAppended(buf, out)
 }
 
 // Tombstone is what a shard remembers of a deleted chain: enough to

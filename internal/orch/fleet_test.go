@@ -16,14 +16,14 @@ import (
 	"github.com/alvc/alvc/internal/trace"
 )
 
-// recount derives from the whole-record copy what shardStat and
-// AppendChainHealth read in place.
+// recount derives from the whole-record copy what shardStat, the sweeps
+// and the maintenance-owed index read in place.
 type recount struct {
 	active, failed                     int
 	disjoint, nonDisjoint, unprotected int
-	conversions, repairs               int
+	drifted, conversions, repairs      int
 	energy                             float64
-	health                             []ChainHealth
+	health, owed                       []ChainHealth
 }
 
 func recountFleet(deps []*Deployment) recount {
@@ -42,25 +42,52 @@ func recountFleet(deps []*Deployment) recount {
 		default:
 			rc.nonDisjoint++
 		}
+		if dep.Drifted {
+			rc.drifted++
+		}
 		rc.conversions += dep.Conversions
 		rc.energy += dep.EnergyJoules
 		rc.repairs += dep.Repairs
-		rc.health = append(rc.health, ChainHealth{
+		h := ChainHealth{
 			ID:       dep.ID,
 			Disjoint: dep.Standby != nil && dep.Standby.Disjoint,
-			Repairs:  dep.Repairs,
+			Drifted:  dep.Drifted,
 			Lambda:   dep.Lambda,
-		})
+		}
+		rc.health = append(rc.health, h)
+		if dep.Standby == nil || !dep.Standby.Disjoint || dep.Drifted {
+			rc.owed = append(rc.owed, h)
+		}
 	}
 	return rc
 }
 
-// TestFleetStatsEqualRecount drives seeded provision / delete / node and
-// link failure / recovery / re-protect sequences and checks after every
-// step that the in-place reads (ShardStats, AppendChainHealth) agree with
-// a recount over Deployments(), that the repair counter never goes down —
-// not when a repaired chain is deleted either — and that the deleted
-// counter is the number of deletes.
+// owedSize is the size of the shards' owed indexes, read in place; every
+// entry must be the live record of an active chain of that shard.
+func owedSize(t *testing.T, s *Sharded) int {
+	t.Helper()
+	n := 0
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for id, dep := range sh.owed {
+			if sh.deployments[id] != dep || dep.State != StateActive {
+				t.Errorf("shard %d: owed entry %d is not the shard's active record", sh.shard, id)
+			}
+		}
+		n += len(sh.owed)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// TestFleetStatsEqualRecount drives seeded sequences of every verb that
+// can change a chain's record — provision / modify / scale / move / node,
+// link and batch failure / recovery / re-protect / re-home / delete, with
+// outages that last across steps — and checks after every step that the
+// in-place reads (ShardStats, AppendChainHealth, and the owed index behind
+// AppendOwedHealth) agree with a recount over Deployments(), that the
+// repair counter never goes down — not when a repaired chain is deleted
+// either — and that the deleted counter is the number of deletes.
 func TestFleetStatsEqualRecount(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -73,8 +100,14 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 			// mixes disjoint, degraded and unprotected chains.
 			s.SetDeferReprotect(true)
 			rng := rand.New(rand.NewSource(int64(17 + shards)))
+			pms := topo.NodeIDs(topology.KindPhysicalMachine)
 			var live []DeploymentID
+			var downNodes []topology.NodeID
+			var downLinks []topology.LinkID
 			next, deletes, lastRepairs, repairedDeleted := 0, 0, 0, 0
+			everDrifted, everOwed, everHome, broughtHome := 0, 0, 0, 0
+			migrated := 0
+			wasDrifted := make(map[DeploymentID]bool)
 
 			check := func(step int, op string) {
 				t.Helper()
@@ -88,12 +121,14 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 					sum.StandbyDisjoint += st.StandbyDisjoint
 					sum.StandbyNonDisjoint += st.StandbyNonDisjoint
 					sum.Unprotected += st.Unprotected
+					sum.Drifted += st.Drifted
 					sum.Conversions += st.Conversions
 					sum.EnergyJoules += st.EnergyJoules
 				}
 				if sum.Active != rc.active || sum.Failed != rc.failed ||
 					sum.StandbyDisjoint != rc.disjoint || sum.StandbyNonDisjoint != rc.nonDisjoint ||
-					sum.Unprotected != rc.unprotected || sum.Conversions != rc.conversions ||
+					sum.Unprotected != rc.unprotected || sum.Drifted != rc.drifted ||
+					sum.Conversions != rc.conversions ||
 					math.Abs(sum.EnergyJoules-rc.energy) > 1e-9*(1+rc.energy) {
 					t.Fatalf("step %d (%s): stats %+v, recount %+v", step, op, sum, rc)
 				}
@@ -111,20 +146,38 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 				if got := s.AppendChainHealth(nil); !slices.Equal(got, rc.health) {
 					t.Fatalf("step %d (%s): health %+v, recount %+v", step, op, got, rc.health)
 				}
+				if got := s.AppendOwedHealth(nil); !slices.Equal(got, rc.owed) {
+					t.Fatalf("step %d (%s): owed %+v, recount %+v", step, op, got, rc.owed)
+				}
+				if got := owedSize(t, s); got != len(rc.owed) {
+					t.Fatalf("step %d (%s): owed index holds %d chains, recount %d", step, op, got, len(rc.owed))
+				}
+				for _, h := range rc.health {
+					if wasDrifted[h.ID] && !h.Drifted {
+						broughtHome++
+					}
+					wasDrifted[h.ID] = h.Drifted
+				}
+				everDrifted += rc.drifted
+				everOwed += len(rc.owed)
+				everHome += rc.active - len(rc.owed)
 			}
 
 			for step := 0; step < 300; step++ {
 				op := "provision"
-				switch r := rng.Intn(10); {
-				case len(live) < 8 || (r < 3 && len(live) < 40):
+				pick := func() *Deployment { return s.Deployment(live[rng.Intn(len(live))]) }
+				switch r := rng.Intn(20); {
+				case len(live) < 8 || (r < 4 && len(live) < 40):
 					spec := residentSpec(t, next, fmt.Sprintf("t%d", next%11))
 					next++
-					dep, err := s.Provision(spec)
-					if err != nil {
-						t.Fatalf("step %d: provision: %v", step, err)
+					// An outage can leave the spec's shard without a pool to
+					// cover the VMs; the next provision tries again.
+					if dep, err := s.Provision(spec); err == nil {
+						live = append(live, dep.ID)
+					} else if len(downNodes)+len(downLinks) == 0 {
+						t.Fatalf("step %d: provision on a whole fabric: %v", step, err)
 					}
-					live = append(live, dep.ID)
-				case r < 5:
+				case r < 6:
 					op = "delete"
 					i := rng.Intn(len(live))
 					repairedDeleted += s.Deployment(live[i]).Repairs
@@ -134,25 +187,68 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 					deletes++
 					live = slices.Delete(live, i, i+1)
 				case r < 7:
-					op = "node failure"
-					dep := s.Deployment(live[rng.Intn(len(live))])
-					victim := dep.Slice.OPSs[rng.Intn(len(dep.Slice.OPSs))]
-					_, _ = s.HandleNodeFailure(victim)
-					if err := s.RecoverNode(victim); err != nil {
-						t.Fatalf("step %d: recover node: %v", step, err)
+					op = "modify"
+					if err := s.Modify(pick().ID, float64(1+rng.Intn(4))); err != nil {
+						t.Fatalf("step %d: modify: %v", step, err)
 					}
-				case r < 9:
+				case r < 8:
+					op = "scale" // refused when the host is full
+					_ = s.ScaleNF(pick().ID, rng.Intn(2), 1+rng.Intn(2))
+				case r < 10:
+					op = "move" // refused when the target is down or unreachable
+					_ = s.MoveNF(pick().ID, rng.Intn(2), pms[rng.Intn(len(pms))])
+				case r < 12 && len(downNodes) < 2:
+					op = "node failure"
+					dep := pick()
+					victim := dep.Slice.OPSs[rng.Intn(len(dep.Slice.OPSs))]
+					if rng.Intn(2) == 0 {
+						victim = dep.Placement.Hosts[rng.Intn(len(dep.Placement.Hosts))]
+					}
+					_, _ = s.HandleNodeFailure(victim)
+					downNodes = append(downNodes, victim)
+				case r < 14 && len(downLinks) < 2:
 					op = "link failure"
-					dep := s.Deployment(live[rng.Intn(len(live))])
+					dep := pick()
 					i := 1 + rng.Intn(len(dep.Path)-3)
 					l := topo.LinkBetween(dep.Path[i], dep.Path[i+1])
 					_, _ = s.HandleLinkFailure(l.ID)
-					if err := s.RecoverLink(l.ID); err != nil {
-						t.Fatalf("step %d: recover link: %v", step, err)
+					downLinks = append(downLinks, l.ID)
+				case r < 15 && len(downNodes) < 2 && len(downLinks) < 2:
+					op = "batch failure"
+					a, b := pick(), pick()
+					victim := a.Slice.OPSs[rng.Intn(len(a.Slice.OPSs))]
+					l := topo.LinkBetween(b.Path[1], b.Path[2])
+					_, _ = s.HandleFailures([]topology.NodeID{victim}, []topology.LinkID{l.ID})
+					downNodes = append(downNodes, victim)
+					downLinks = append(downLinks, l.ID)
+				case r < 17:
+					op = "recover"
+					switch {
+					case len(downNodes) > 0 && (len(downLinks) == 0 || rng.Intn(2) == 0):
+						i := rng.Intn(len(downNodes))
+						if err := s.RecoverNode(downNodes[i]); err != nil {
+							t.Fatalf("step %d: recover node: %v", step, err)
+						}
+						downNodes = slices.Delete(downNodes, i, i+1)
+					case len(downLinks) > 0:
+						i := rng.Intn(len(downLinks))
+						if err := s.RecoverLink(downLinks[i]); err != nil {
+							t.Fatalf("step %d: recover link: %v", step, err)
+						}
+						downLinks = slices.Delete(downLinks, i, i+1)
+					}
+				case r < 18:
+					op = "re-home"
+					for i := 0; i < 6; i++ {
+						if moved, _ := s.Rehome(pick().ID, 1); moved {
+							migrated++
+						}
 					}
 				default:
-					op = "re-protect"
-					_, _, _ = s.ReProtect(live[rng.Intn(len(live))])
+					op = "re-protect" // a drain's worth: repairs leave many unprotected
+					for i := 0; i < 6; i++ {
+						_, _, _ = s.ReProtect(pick().ID)
+					}
 				}
 				// A repair that could not succeed leaves a failed record.
 				live = slices.DeleteFunc(live, func(id DeploymentID) bool {
@@ -163,6 +259,10 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 			if lastRepairs == 0 || repairedDeleted == 0 {
 				t.Fatalf("sequence exercised no repaired-then-deleted chain (repairs %d, of deleted %d)",
 					lastRepairs, repairedDeleted)
+			}
+			if everDrifted == 0 || everOwed == 0 || everHome == 0 || migrated == 0 || broughtHome <= migrated {
+				t.Fatalf("sequence not mixed: chain-steps drifted %d, owed %d, not owed %d; %d re-homes migrated, %d chains lost the flag (some must at score 0, without a migration)",
+					everDrifted, everOwed, everHome, migrated, broughtHome)
 			}
 		})
 	}
@@ -288,9 +388,9 @@ func TestRehomeFloorEqualsFullEvaluation(t *testing.T) {
 
 // storeSizes is every per-chain store a provision+delete cycle touches.
 type storeSizes struct {
-	deployments, nodeIndex, linkIndex, flowKeys, busy int
-	instances, events                                 int
-	tracedChains                                      int
+	deployments, nodeIndex, linkIndex, flowKeys, busy, owed int
+	instances, events                                       int
+	tracedChains                                            int
 }
 
 func sizesOf(o *Orchestrator, st *trace.Store) storeSizes {
@@ -298,7 +398,7 @@ func sizesOf(o *Orchestrator, st *trace.Store) storeSizes {
 	defer o.mu.Unlock()
 	return storeSizes{
 		deployments: len(o.deployments), nodeIndex: len(o.nodeIndex), linkIndex: len(o.linkIndex),
-		flowKeys: len(o.flowKeys), busy: len(o.busy),
+		flowKeys: len(o.flowKeys), busy: len(o.busy), owed: len(o.owed),
 		instances: len(o.mgr.Instances()), events: len(o.mgr.Events()),
 		tracedChains: st.Stats().IndexedChains,
 	}
@@ -314,7 +414,8 @@ func heapObjects() uint64 {
 
 // TestDeletedChainsLeaveMemory is the soak in miniature: 5 000 traced
 // provision+delete cycles beside ten resident chains on a 40-OPS pool
-// leave every per-chain store, and the heap, where 200 cycles left them.
+// leave every per-chain store (the owed index among them), and the heap,
+// where 200 cycles left them.
 func TestDeletedChainsLeaveMemory(t *testing.T) {
 	topo := benchFleetTopo(t, 40)
 	o, err := New(Config{Topo: topo})
@@ -328,6 +429,16 @@ func TestDeletedChainsLeaveMemory(t *testing.T) {
 		if _, err := o.ProvisionCtx(ctx, residentSpec(t, i, "resident")); err != nil {
 			t.Fatalf("Provision resident %d: %v", i, err)
 		}
+	}
+	// One resident loses its standby and is not re-protected: the owed
+	// index holds it, and only it, however many chains come and go.
+	o.SetDeferReprotect(true)
+	sb := o.Deployment(1).Standby
+	if _, err := o.HandleLinkFailure(sb.Links[1]); err != nil {
+		t.Fatalf("HandleLinkFailure: %v", err)
+	}
+	if err := o.RecoverLink(sb.Links[1]); err != nil {
+		t.Fatalf("RecoverLink: %v", err)
 	}
 	var first, last DeploymentID
 	cycle := func(n int) {
@@ -351,7 +462,7 @@ func TestDeletedChainsLeaveMemory(t *testing.T) {
 	if got := sizesOf(o, store); got != sizes {
 		t.Fatalf("store sizes after 5000 cycles %+v, after 200 %+v", got, sizes)
 	}
-	if sizes.deployments != 10 || sizes.instances != 20 || sizes.tracedChains != 10 {
+	if sizes.deployments != 10 || sizes.instances != 20 || sizes.tracedChains != 10 || sizes.owed != 1 {
 		t.Fatalf("stores hold more than the ten residents: %+v", sizes)
 	}
 	if got := heapObjects(); float64(got) > 1.1*float64(objects) {

@@ -121,9 +121,15 @@ func (o *Orchestrator) rehome(id DeploymentID, margin int) (moved, rebuilt bool,
 	defer o.endExclusive(id)
 	// A score is never negative and BetterBy is current minus candidate,
 	// so a chain already scoring below the margin cannot be beaten by it:
-	// skip the fresh placement altogether.
+	// skip the fresh placement altogether. At score 0 nothing ever will
+	// beat it, whatever recovers: the chain is home.
 	o.mu.Lock()
-	atFloor := placement.Score(dep.Placement) < margin
+	score := placement.Score(dep.Placement)
+	atFloor := score < margin
+	if score == 0 && dep.Drifted {
+		dep.Drifted = false
+		o.noteOwedLocked(dep)
+	}
 	o.mu.Unlock()
 	if atFloor {
 		return false, false, nil
@@ -235,6 +241,7 @@ func (o *Orchestrator) rehomeClaimed(dep *Deployment, margin int) (moved, rebuil
 		}
 	}
 	p.place.Conversions = placement.CountOEO(p.place.Domains, o.mode)
+	p.drifted = false // the policy's own choice under today's topology
 	if err := p.runFrom(stagePath); err != nil {
 		if rErr := restore(); rErr != nil {
 			if rbErr := o.rebuild(context.Background(), dep); rbErr != nil {

@@ -118,6 +118,12 @@ type Deployment struct {
 	// optical mesh; transit then uses foreign OPSs but hosting does
 	// not).
 	SliceConfined bool
+	// Drifted marks instances moved under duress — a replaced, patched or
+	// rebuilt repair — and not since brought home: set when such a repair
+	// commits, cleared when Rehome migrates the chain or finds it at
+	// conversion score 0, which no placement can beat. Kept beside the
+	// other bool, in its padding: the record is copied per chain per list.
+	Drifted bool
 	// Lambda is the assigned wavelength on the path's optical segments
 	// (-1 when WDM is disabled).
 	Lambda int
@@ -321,6 +327,12 @@ type Orchestrator struct {
 	// standby links), so link failures classify without scanning.
 	// Guarded by mu.
 	linkIndex map[topology.LinkID]map[DeploymentID]struct{}
+	// owed is the maintenance-owed index: the active chains a recovery
+	// can help, those without a disjoint standby (refresh) or Drifted
+	// (re-home). Filed where the reverse indexes commit (indexLocked,
+	// dropStandbyLocked: they bracket every standby and placement change),
+	// left with the active state (delete, failLocked). Guarded by mu.
+	owed map[DeploymentID]*Deployment
 
 	// sink receives lifecycle events (events.go); deferReprotect
 	// switches repairs to deferred standby replanning — set only when a
@@ -474,6 +486,7 @@ func newShard(core *sharedCore, alloc *cluster.Allocator, ctrl *sdn.Controller, 
 		busy:        make(map[DeploymentID]bool),
 		nodeIndex:   make(map[topology.NodeID]map[DeploymentID]struct{}),
 		linkIndex:   make(map[topology.LinkID]map[DeploymentID]struct{}),
+		owed:        make(map[DeploymentID]*Deployment),
 	}
 }
 
@@ -548,6 +561,17 @@ func (o *Orchestrator) indexLocked(dep *Deployment) {
 		}
 		set[dep.ID] = struct{}{}
 	}
+	o.noteOwedLocked(dep)
+}
+
+// noteOwedLocked files the deployment in the maintenance-owed index, or
+// takes it out, as its standby and Drifted flag stand. Caller holds o.mu.
+func (o *Orchestrator) noteOwedLocked(dep *Deployment) {
+	if dep.Standby == nil || !dep.Standby.Disjoint || dep.Drifted {
+		o.owed[dep.ID] = dep
+	} else {
+		delete(o.owed, dep.ID)
+	}
 }
 
 // unindexLocked removes the deployment's registered footprint from the
@@ -585,6 +609,7 @@ func (o *Orchestrator) dropStandbyLocked(dep *Deployment) {
 		return
 	}
 	dep.Standby = nil
+	o.noteOwedLocked(dep)
 	for _, n := range sb.Path {
 		if slices.Contains(dep.Path, n) || slices.Contains(dep.Placement.Hosts, n) ||
 			(dep.Slice != nil && slices.Contains(dep.Slice.OPSs, n)) {
@@ -851,6 +876,7 @@ func (o *Orchestrator) rebuild(ctx context.Context, dep *Deployment) error {
 		// leaves standby planning to the async re-protect task — no
 		// standby search on the recovery path.
 		b.deferStandby = o.asyncOptimize()
+		b.drifted = true
 		err = b.runFrom(stageCluster)
 	}
 	if err != nil {
@@ -872,6 +898,7 @@ func (o *Orchestrator) rebuild(ctx context.Context, dep *Deployment) error {
 func (o *Orchestrator) failLocked(dep *Deployment) {
 	o.mu.Lock()
 	o.unindexLocked(dep)
+	delete(o.owed, dep.ID)
 	dep.State = StateFailed
 	delete(o.flowKeys, dep.FlowKey())
 	o.mu.Unlock()
@@ -1104,6 +1131,7 @@ func (o *Orchestrator) delete(id DeploymentID, traceID string) (*Deployment, err
 	dep.State = StateDeleted
 	delete(o.flowKeys, dep.FlowKey())
 	delete(o.deployments, id)
+	delete(o.owed, id)
 	o.deletedTotal++
 	o.tombs.push(Tombstone{
 		ID: id, Name: dep.Spec.Name, Tenant: dep.Spec.Tenant, Service: dep.Spec.Service,

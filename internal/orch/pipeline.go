@@ -100,6 +100,8 @@ type pipeline struct {
 	confined  bool
 	lambda    int
 	standby   *resilience.Standby
+	// drifted is the deployment's Drifted flag as the commit will leave it.
+	drifted bool
 
 	// reentry marks a pipeline seeded from a live deployment: its
 	// connectivity stages must swap the previous generation of
@@ -187,6 +189,7 @@ func (o *Orchestrator) pipelineFrom(ctx context.Context, dep *Deployment) *pipel
 		confined:  dep.SliceConfined,
 		lambda:    dep.Lambda,
 		standby:   dep.Standby,
+		drifted:   dep.Drifted,
 		reentry:   true,
 	}
 	p.attachTrace(ctx)
@@ -489,6 +492,7 @@ func (p *pipeline) apply(dep *Deployment) {
 	dep.SliceConfined = p.confined
 	dep.Lambda = p.lambda
 	dep.Standby = p.standby
+	dep.Drifted = p.drifted
 	dep.Conversions = p.place.Conversions
 	dep.EnergyJoules = p.o.costModel.TotalEnergy(p.place.Conversions, dep.Spec.FlowBytes)
 }

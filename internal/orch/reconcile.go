@@ -510,6 +510,7 @@ func (o *Orchestrator) replaceAndRepath(ctx context.Context, dep *Deployment, de
 	if err := o.migrateOff(p, dep, dead); err != nil {
 		return err
 	}
+	p.drifted = true
 	return o.finishRepairFrom(p, dep, stagePath)
 }
 
@@ -546,6 +547,7 @@ func (o *Orchestrator) patchSlice(ctx context.Context, dep *Deployment, dead res
 	if err := o.migrateOff(p, dep, dead); err != nil {
 		return err
 	}
+	p.drifted = true
 	return o.finishRepairFrom(p, dep, stagePath)
 }
 

@@ -542,11 +542,13 @@ type ShardStat struct {
 	Failed  int `json:"failed"`
 	Repairs int `json:"repairs"`
 	// StandbyDisjoint, StandbyNonDisjoint and Unprotected split the
-	// active chains by protection status; Conversions and EnergyJoules
-	// sum their per-flow O/E/O accounting.
+	// active chains by protection status; Drifted counts those carrying
+	// the Drifted flag; Conversions and EnergyJoules sum their per-flow
+	// O/E/O accounting.
 	StandbyDisjoint    int     `json:"standby_disjoint"`
 	StandbyNonDisjoint int     `json:"standby_non_disjoint"`
 	Unprotected        int     `json:"unprotected"`
+	Drifted            int     `json:"drifted"`
 	Conversions        int     `json:"conversions"`
 	EnergyJoules       float64 `json:"energy_joules"`
 
@@ -601,6 +603,9 @@ func (o *Orchestrator) shardStat() ShardStat {
 			st.StandbyDisjoint++
 		default:
 			st.StandbyNonDisjoint++
+		}
+		if dep.Drifted {
+			st.Drifted++
 		}
 		st.Conversions += dep.Conversions
 		st.EnergyJoules += dep.EnergyJoules

@@ -38,6 +38,10 @@ type DeploymentJSON struct {
 	// backward compatibility; Standby carries the full health record.
 	StandbyPath     []topology.NodeID `json:"standby_path,omitempty"`
 	StandbyDisjoint bool              `json:"standby_disjoint,omitempty"`
+	// Drifted reports instances moved under duress (a replaced, patched
+	// or rebuilt repair) and not since re-homed: why the chain is on the
+	// optimizer's re-home list after a recovery. Absent when false.
+	Drifted bool `json:"drifted,omitempty"`
 	// Standby is the chain's protection health: operators watch
 	// disjoint and lastReplanned to see which chains the background
 	// optimizer still owes work. Absent when no standby is planned —
@@ -69,6 +73,7 @@ func toDeploymentJSON(d *orch.Deployment) DeploymentJSON {
 		State:         d.State.String(),
 		Version:       d.Version,
 		Repairs:       d.Repairs,
+		Drifted:       d.Drifted,
 		NFs:           d.Spec.NFNames(),
 		BandwidthGbps: d.Spec.BandwidthGbps,
 		FlowBytes:     d.Spec.FlowBytes,
