@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -40,10 +39,11 @@ type Allocator struct {
 	// OPS space. nil means the whole topology.
 	pool     map[topology.NodeID]bool
 	poolSize int
-	// free is the pool minus opsOwner's keys: what the builder may claim.
-	// It is kept in step on every claim and release, so a build costs the
-	// cover and not a pool-sized set construction.
-	free map[topology.NodeID]bool
+	// free marks, by node ID, the pool minus opsOwner's keys: what the
+	// builder may claim, in the dense form the paper's builder reads. It is
+	// kept in step on every claim and release, so a build costs the cover
+	// and not a pool-sized set construction.
+	free []bool
 }
 
 // NewAllocator returns an allocator building ALs with the given
@@ -68,6 +68,7 @@ func NewRestrictedAllocator(topo *topology.Topology, builder Builder, pool []top
 		vcs:      make(map[VCID]*VC),
 		opsOwner: make(map[topology.NodeID]VCID),
 	}
+	a.free = make([]bool, len(topo.OpticalDegrees())) // one entry per node ID
 	if pool != nil {
 		if len(pool) == 0 {
 			return nil, fmt.Errorf("cluster: allocator: empty OPS pool")
@@ -78,16 +79,15 @@ func NewRestrictedAllocator(topo *topology.Topology, builder Builder, pool []top
 			if n == nil || n.Kind != topology.KindOPS {
 				return nil, fmt.Errorf("cluster: allocator: pool node %d is not an OPS", ops)
 			}
-			a.pool[ops] = true
+			a.pool[ops], a.free[ops] = true, true
 		}
-		a.free = maps.Clone(a.pool)
+		a.poolSize = len(a.pool)
 	} else {
-		a.free = make(map[topology.NodeID]bool)
 		for _, n := range topo.Nodes(topology.KindOPS) {
 			a.free[n.ID] = true
+			a.poolSize++
 		}
 	}
-	a.poolSize = len(a.free)
 	return a, nil
 }
 
@@ -113,7 +113,18 @@ func (a *Allocator) Pool() map[topology.NodeID]bool {
 func (a *Allocator) AvailableOPS() map[topology.NodeID]bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return maps.Clone(a.free)
+	return a.freeSetLocked()
+}
+
+// freeSetLocked returns the free OPSs as a set of the caller's own.
+func (a *Allocator) freeSetLocked() map[topology.NodeID]bool {
+	set := make(map[topology.NodeID]bool)
+	for ops, free := range a.free {
+		if free {
+			set[topology.NodeID(ops)] = true
+		}
+	}
+	return set
 }
 
 // setALLocked stores vc under its ID with al as its layer, moving OPS
@@ -128,9 +139,19 @@ func (a *Allocator) setALLocked(vc *VC, al AL) {
 	vc.AL = al
 	for _, ops := range al.OPSs {
 		a.opsOwner[ops] = vc.ID
-		delete(a.free, ops)
+		a.free[ops] = false
 	}
 	a.vcs[vc.ID] = vc
+}
+
+// buildLocked builds a layer for vms out of the free OPSs. The paper's
+// builder reads the allocator's mask as it is; the baseline builders take
+// a set.
+func (a *Allocator) buildLocked(vms []topology.NodeID) (AL, error) {
+	if p, ok := a.builder.(PaperBuilder); ok && !p.StaticWeight {
+		return buildMarginal(a.topo, vms, a.free)
+	}
+	return a.builder.Build(a.topo, vms, a.freeSetLocked())
 }
 
 // BuildVC constructs a virtual cluster for the given VM group, claiming
@@ -139,7 +160,7 @@ func (a *Allocator) setALLocked(vc *VC, al AL) {
 func (a *Allocator) BuildVC(service string, vms []topology.NodeID) (*VC, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	al, err := a.builder.Build(a.topo, vms, a.free)
+	al, err := a.buildLocked(vms)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: build VC for %q: %w", service, err)
 	}
@@ -199,10 +220,10 @@ func (a *Allocator) PatchVC(id VCID, vms []topology.NodeID) (*VC, error) {
 			a.free[ops] = true
 		}
 	}
-	al, err := a.builder.Build(a.topo, vms, a.free)
+	al, err := a.buildLocked(vms)
 	if err != nil {
 		for _, ops := range vc.AL.OPSs {
-			delete(a.free, ops)
+			a.free[ops] = false
 		}
 		return nil, fmt.Errorf("cluster: patch VC %d: %w", id, err)
 	}

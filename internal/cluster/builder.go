@@ -137,15 +137,31 @@ func (p PaperBuilder) Name() string {
 	return "paper-maxweight"
 }
 
-// Build implements Builder. Both phases run graph.CoverMarginal straight
-// over the topology's cached adjacency — the VMs' ToR lists, the chosen
-// ToRs' OPS lists, the per-node optical degrees — with allowOPS
-// densified once into the phase-2 mask, the way Snapshot.Filter
-// densifies a RestrictOPS set: no bipartite graph is materialized.
+// Build implements Builder: allowOPS densified once into a mask by node
+// ID, the way Snapshot.Filter densifies a RestrictOPS set, then
+// buildMarginal. The Allocator keeps that mask itself and skips this.
 func (p PaperBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
 	if p.StaticWeight {
 		return buildStaticWeight(topo, vms, allowOPS)
 	}
+	var admit []bool
+	if allowOPS != nil {
+		admit = make([]bool, len(topo.OpticalDegrees()))
+		for ops, ok := range allowOPS {
+			if ok && ops >= 0 && int(ops) < len(admit) {
+				admit[ops] = true
+			}
+		}
+	}
+	return buildMarginal(topo, vms, admit)
+}
+
+// buildMarginal is the paper's construction: both phases run
+// graph.CoverMarginal straight over the topology's cached adjacency — the
+// VMs' ToR lists, the chosen ToRs' OPS lists, the per-node optical
+// degrees — and no bipartite graph is materialized. admit masks the OPSs
+// by node ID (nil admits all, IDs beyond it are barred) and is only read.
+func buildMarginal(topo *topology.Topology, vms []topology.NodeID, admit []bool) (AL, error) {
 	if len(vms) == 0 {
 		return AL{}, ErrNoVMs
 	}
@@ -172,21 +188,8 @@ func (p PaperBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allo
 	// connections are its optical-mesh degree. A cover picks at most one
 	// ToR per VM, so lefts has room.
 	lefts = lefts[:len(tors)]
-	var maxOPS topology.NodeID
 	for i, tor := range tors {
 		lefts[i] = topo.OPSsOfToR(tor)
-		if n := len(lefts[i]); n > 0 {
-			maxOPS = max(maxOPS, lefts[i][n-1])
-		}
-	}
-	var admit []bool
-	if allowOPS != nil {
-		admit = make([]bool, maxOPS+1)
-		for ops, ok := range allowOPS {
-			if ok && ops >= 0 && ops <= maxOPS {
-				admit[ops] = true
-			}
-		}
 	}
 	degree := topo.OpticalDegrees()
 	opss, err := graph.CoverMarginal(lefts, admit, func(ops topology.NodeID) float64 {

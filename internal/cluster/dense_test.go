@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -230,8 +231,9 @@ func TestPaperBuilderRejectsNonVM(t *testing.T) {
 	}
 }
 
-// checkAllocator compares the allocator's free set and ownership with
-// what its clusters imply.
+// checkAllocator compares the allocator's free set — AvailableOPS reads
+// it off the dense mask the paper's builder is handed — and ownership
+// with what its clusters imply.
 func checkAllocator(t *testing.T, alloc *Allocator, pool []topology.NodeID, step string) {
 	t.Helper()
 	want := make(map[topology.NodeID]bool, len(pool))
@@ -259,8 +261,9 @@ func checkAllocator(t *testing.T, alloc *Allocator, pool []topology.NodeID, step
 
 // Model test: after any sequence of BuildVC / PatchVC / Release — with
 // switches failing and recovering in between — on whole-fabric and
-// restricted pools, the free set is the pool minus the owned OPSs, ALs
-// stay disjoint, and a refused build or patch changes nothing.
+// restricted pools, the free mask is the pool minus the owned OPSs, a
+// build off it is Build off the same set, ALs stay disjoint, and a
+// refused build or patch changes nothing.
 func TestAllocatorFreeSetModel(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -301,9 +304,15 @@ func TestAllocatorFreeSetModel(t *testing.T) {
 			var opErr error
 			switch op := rng.Intn(10); {
 			case op < 4:
+				// The allocator's build off its mask is Build off the set.
+				vms := group()
+				want, wantErr := PaperBuilder{}.Build(topo, vms, before)
 				var vc *VC
-				if vc, opErr = alloc.BuildVC("svc", group()); opErr == nil {
+				if vc, opErr = alloc.BuildVC("svc", vms); opErr == nil {
 					live = append(live, vc.ID)
+				}
+				if (opErr == nil) != (wantErr == nil) || (opErr == nil && !reflect.DeepEqual(vc.AL, want)) {
+					t.Fatalf("%s: BuildVC = %+v, %v; Build over the free set = %+v, %v", name, vc, opErr, want, wantErr)
 				}
 			case op < 6 && len(live) > 0:
 				i := rng.Intn(len(live))

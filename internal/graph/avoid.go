@@ -115,8 +115,8 @@ func putAvoidScratch(s *avoidScratch) {
 // ShortestPathMasked's does, and a path clear of the avoid set is found
 // whenever one exists. src and dst themselves are never charged.
 //
-// blocked and m restrict the search as in ShortestPathBlocked. The
-// search is bidirectional — a frontier from each end, advanced in turn,
+// r and m restrict the search as in ShortestPathIn. The search is
+// bidirectional — a frontier from each end, advanced in turn,
 // stopping once they cannot meet more cheaply — which on a fabric where
 // every ToR reaches every OPS settles a handful of vertices where a
 // one-ended search pops every OPS before it reaches a machine two
@@ -131,7 +131,7 @@ func putAvoidScratch(s *avoidScratch) {
 // paths over one fabric pass a vertex of their own, so that equal-cost
 // choices spread over the fabric instead of all taking the lowest ID;
 // the same spread always gives the same path.
-func ShortestPathAvoiding[V ~int](f *Frozen, buf []V, src, dst VertexID, blocked []bool, m *LiveMask, avoid *AvoidSet, spread VertexID) ([]V, error) {
+func ShortestPathAvoiding[V ~int](f *Frozen, buf []V, src, dst VertexID, r *Restriction, m *LiveMask, avoid *AvoidSet, spread VertexID) ([]V, error) {
 	if f.directed {
 		return buf, fmt.Errorf("graph: avoiding path: graph is directed")
 	}
@@ -143,7 +143,7 @@ func ShortestPathAvoiding[V ~int](f *Frozen, buf []V, src, dst VertexID, blocked
 	if !ok {
 		return buf, fmt.Errorf("graph: avoiding path: unknown destination %d", dst)
 	}
-	if blocked != nil && (blocked[si] || blocked[di]) {
+	if r.bars(si) || r.bars(di) {
 		return buf, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 	}
 	var maskVertex, maskArc []bool
@@ -204,42 +204,50 @@ func ShortestPathAvoiding[V ~int](f *Frozen, buf []V, src, dst VertexID, blocked
 		if avoidVertex != nil && charged(u) {
 			uCost = halfCost
 		}
-		for e := f.offsets[u]; e < f.offsets[u+1]; e++ {
-			v := f.targets[e]
-			if maskArc != nil && maskArc[e] {
-				continue
-			}
-			if maskVertex != nil && maskVertex[v] {
-				continue
-			}
-			if blocked != nil && blocked[v] {
-				continue
-			}
-			nd := it.dist + f.weights[e] + uCost
-			if avoidVertex != nil {
-				if avoidArc[e] {
-					nd += arcCost
+		lo, cnt, idx, more := f.arcsAt(u, r)
+		for {
+			for k := int32(0); k < cnt; k++ {
+				e := lo + k
+				if idx != nil {
+					e = idx[k]
 				}
-				if charged(v) {
-					nd += halfCost
+				v := f.targets[e]
+				if maskArc != nil && maskArc[e] {
+					continue
+				}
+				if maskVertex != nil && maskVertex[v] {
+					continue
+				}
+				nd := it.dist + f.weights[e] + uCost
+				if avoidVertex != nil {
+					if avoidArc[e] {
+						nd += arcCost
+					}
+					if charged(v) {
+						nd += halfCost
+					}
+				}
+				if nd < dist[v]-avoidEps {
+					if math.IsInf(dist[v], 1) && math.IsInf(other[v], 1) {
+						s.touched = append(s.touched, v)
+					}
+					dist[v] = nd
+					s.prev[side][v] = u
+					heapPush(&s.heap[side], frozenItem{dist: nd, idx: v})
+				}
+				if math.IsInf(other[v], 1) {
+					continue
+				}
+				total := nd + other[v]
+				if total < best-avoidEps || (total <= best+avoidEps && rank(v) < rank(meetFar)) {
+					best = math.Min(best, total)
+					meetNear, meetFar, meetSide = u, v, side
 				}
 			}
-			if nd < dist[v]-avoidEps {
-				if math.IsInf(dist[v], 1) && math.IsInf(other[v], 1) {
-					s.touched = append(s.touched, v)
-				}
-				dist[v] = nd
-				s.prev[side][v] = u
-				heapPush(&s.heap[side], frozenItem{dist: nd, idx: v})
+			if len(more) == 0 {
+				break
 			}
-			if math.IsInf(other[v], 1) {
-				continue
-			}
-			total := nd + other[v]
-			if total < best-avoidEps || (total <= best+avoidEps && rank(v) < rank(meetFar)) {
-				best = math.Min(best, total)
-				meetNear, meetFar, meetSide = u, v, side
-			}
+			idx, more, cnt = more, nil, int32(len(more))
 		}
 	}
 	if math.IsInf(best, 1) {

@@ -11,8 +11,12 @@ import (
 // multigraph: a restriction, a liveness mask and an avoid set, all
 // drawn independently, kept in the dense forms the search reads.
 type avoidCase struct {
-	f        *Frozen
+	f *Frozen
+	// blocked is the restriction as the oracles read it, restrict as the
+	// search does: every third vertex and every blocked one restrictable,
+	// the unblocked of those admitted. Both nil when nothing is blocked.
 	blocked  []bool
+	restrict *Restriction
 	mask     *LiveMask
 	avoid    *AvoidSet
 	src, dst VertexID
@@ -58,6 +62,20 @@ func randomAvoidCase(t *testing.T, rng *rand.Rand, n, extra int, pBlock, pDown, 
 		if rng.Float64() < pAvoid {
 			c.avoid.AddVertex(i)
 		}
+	}
+	if c.blocked != nil {
+		restrictable := make([]bool, n)
+		for i := range restrictable {
+			restrictable[i] = c.blocked[i] || i%3 == 0
+		}
+		f.IndexRestrictable(restrictable)
+		c.restrict = f.NewRestriction()
+		for i := int32(0); i < int32(n); i++ {
+			if !c.blocked[i] {
+				c.restrict.Admit(i)
+			}
+		}
+		c.restrict.Seal()
 	}
 	for tg := int64(1); tg <= tag; tg++ {
 		down, avoided := rng.Float64() < pDown, rng.Float64() < pAvoid
@@ -183,7 +201,7 @@ func (c avoidCase) costOf(t *testing.T, path []VertexID) avoidCost {
 }
 
 func (c avoidCase) search(buf []VertexID) ([]VertexID, error) {
-	return ShortestPathAvoiding(c.f, buf, c.src, c.dst, c.blocked, c.mask, c.avoid, c.spread)
+	return ShortestPathAvoiding(c.f, buf, c.src, c.dst, c.restrict, c.mask, c.avoid, c.spread)
 }
 
 // TestShortestPathAvoidingExact: on small random meshes the search's
@@ -234,7 +252,7 @@ func TestShortestPathAvoidingNothingMatchesMasked(t *testing.T) {
 			filter = func(v VertexID) bool { return !c.blocked[c.f.index[v]] }
 		}
 		_, want, wantErr := c.f.ShortestPathMasked(c.src, c.dst, filter, c.mask)
-		got, err := ShortestPathAvoiding[VertexID](c.f, nil, c.src, c.dst, c.blocked, c.mask, avoid, c.spread)
+		got, err := ShortestPathAvoiding[VertexID](c.f, nil, c.src, c.dst, c.restrict, c.mask, avoid, c.spread)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("trial %d: avoiding err %v, masked err %v", trial, err, wantErr)
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // WeightFunc assigns a selection weight to a right vertex. The paper's
@@ -96,20 +97,20 @@ func (e *UncoverableError) Unwrap() error { return ErrUncoverable }
 // masks the rights by vertex ID: r takes part iff admit[r] (IDs beyond
 // the mask do not). Gains live in one counter array over the span of
 // right IDs and are decremented as lefts become covered, so a round
-// costs one pass over the candidates and nothing is copied or hashed.
-// The returned cover is sorted ascending.
+// costs one pass over the candidates and nothing is copied or hashed;
+// the working arrays are pooled, so a call allocates its result. The
+// returned cover is sorted ascending.
 func CoverMarginal[V ~int](lefts [][]V, admit []bool, tie func(V) float64) ([]V, error) {
 	admitted := func(r V) bool {
 		return admit == nil || (r >= 0 && int(r) < len(admit) && admit[r])
 	}
 	// The span [lo, hi] of right IDs sizes the counter array.
 	var lo, hi V
-	span, edges := 0, 0
+	span := 0
 	for _, ns := range lefts {
 		if len(ns) == 0 {
 			continue
 		}
-		edges += len(ns)
 		if span == 0 || ns[0] < lo {
 			lo = ns[0]
 		}
@@ -118,8 +119,14 @@ func CoverMarginal[V ~int](lefts [][]V, admit []bool, tie func(V) float64) ([]V,
 		}
 		span = int(hi-lo) + 1
 	}
-	gain := make([]int32, span)
-	cands := make([]V, 0, min(span, edges))
+	s := coverScratchPool.Get().(*coverScratch)
+	defer coverScratchPool.Put(s)
+	s.gain = slices.Grow(s.gain[:0], span)[:span]
+	s.covered = slices.Grow(s.covered[:0], len(lefts))[:len(lefts)]
+	s.cands = s.cands[:0]
+	clear(s.gain)
+	clear(s.covered)
+	gain, covered := s.gain, s.covered
 	for i, ns := range lefts {
 		coverable := false
 		for _, r := range ns {
@@ -127,7 +134,7 @@ func CoverMarginal[V ~int](lefts [][]V, admit []bool, tie func(V) float64) ([]V,
 				continue
 			}
 			if gain[r-lo] == 0 {
-				cands = append(cands, r)
+				s.cands = append(s.cands, int(r))
 			}
 			gain[r-lo]++
 			coverable = true
@@ -136,13 +143,13 @@ func CoverMarginal[V ~int](lefts [][]V, admit []bool, tie func(V) float64) ([]V,
 			return nil, &UncoverableError{Left: i}
 		}
 	}
-	slices.Sort(cands)
-	covered := make([]bool, len(lefts))
+	slices.Sort(s.cands)
 	var cover []V
 	for remaining := len(lefts); remaining > 0; {
 		var best V
 		bestGain, bestTie := int32(0), 0.0
-		for _, r := range cands {
+		for _, c := range s.cands {
+			r := V(c)
 			g := gain[r-lo]
 			if g == 0 || g < bestGain {
 				continue
@@ -175,6 +182,16 @@ func CoverMarginal[V ~int](lefts [][]V, admit []bool, tie func(V) float64) ([]V,
 	slices.Sort(cover)
 	return cover, nil
 }
+
+// coverScratch is CoverMarginal's working state: gain and cands grow to
+// the span of right IDs, the whole OPS pool when an AL is built.
+type coverScratch struct {
+	gain    []int32
+	cands   []int
+	covered []bool
+}
+
+var coverScratchPool = sync.Pool{New: func() any { return new(coverScratch) }}
 
 // coverBipartite runs CoverMarginal over b's own adjacency.
 func coverBipartite(b *Bipartite, tie WeightFunc) ([]VertexID, error) {

@@ -32,6 +32,12 @@ type Frozen struct {
 	// penalty exceeds the weight of every simple path (1 + the sum of all
 	// arc weights): what ShortestPathAvoiding charges per avoided crossing.
 	penalty float64
+	// IndexRestrictable's: the vertices a Restriction may bar, the positions
+	// coreArc[coreOff[u]:coreOff[u+1]] of u's arcs into the other vertices,
+	// and the position rev[e] of arc e's reverse.
+	restrictable     []bool
+	coreOff, coreArc []int32
+	rev              []int32
 }
 
 // Frozen returns an immutable CSR snapshot of the graph. Subsequent
@@ -173,12 +179,14 @@ type frozenScratch struct {
 	heap []frozenItem
 
 	// blocked marks, by dense index, the vertices the current search may
-	// not enter (nil = none). It is either the caller's own dense mask
-	// (ShortestPathBlocked) or filterBuf, the Filter densified once per
+	// not enter (nil = none): filterBuf, the Filter densified once per
 	// search instead of called once per relaxed edge — Yen's spur
 	// searches, many Dijkstras sharing one filter, reuse it.
 	blocked   []bool
 	filterBuf []bool
+	// restrict is ShortestPathIn's restriction (nil = none): it names the
+	// arcs to relax, where blocked is a test on every arc of the graph.
+	restrict *Restriction
 
 	// Yen's spur state: banned vertices (root-path prefix) and banned
 	// directed arcs (previously used deviations), reset per spur. The
@@ -214,7 +222,7 @@ func (f *Frozen) getScratch() *frozenScratch {
 	s.done = s.done[:n]
 	s.banVertex = s.banVertex[:n]
 	s.filterBuf = s.filterBuf[:n]
-	s.blocked = nil
+	s.blocked, s.restrict = nil, nil
 	s.maskVertex, s.maskArc = nil, nil
 	s.heap = s.heap[:0]
 	return s
@@ -298,13 +306,13 @@ func frozenLess(a, b frozenItem) bool {
 
 // dijkstra runs a single-source search from src, stopping early once
 // dst is settled (pass dst = -1 for a full sweep). The scratch's
-// blocked mask filters vertices; the ban sets mask Yen's spur
-// removals. Results land in s.dist / s.prev.
+// blocked mask or restriction bars vertices; the ban sets mask Yen's
+// spur removals. Results land in s.dist / s.prev.
 func (f *Frozen) dijkstra(src, dst int32, useBans bool, s *frozenScratch) {
 	s.resetSearch()
 	s.dist[src] = 0
 	heapPush(&s.heap, frozenItem{dist: 0, idx: src})
-	blocked := s.blocked
+	blocked, restrict := s.blocked, s.restrict
 	maskVertex, maskArc := s.maskVertex, s.maskArc
 	for len(s.heap) > 0 {
 		it := heapPop(&s.heap)
@@ -316,31 +324,42 @@ func (f *Frozen) dijkstra(src, dst int32, useBans bool, s *frozenScratch) {
 		if u == dst {
 			return
 		}
-		for e := f.offsets[u]; e < f.offsets[u+1]; e++ {
-			v := f.targets[e]
-			if maskArc != nil && maskArc[e] {
-				continue
-			}
-			if maskVertex != nil && maskVertex[v] {
-				continue
-			}
-			if blocked != nil && blocked[v] {
-				continue
-			}
-			if useBans {
-				if s.banVertex[v] {
+		lo, n, idx, more := f.arcsAt(u, restrict)
+		for {
+			for k := int32(0); k < n; k++ {
+				e := lo + k
+				if idx != nil {
+					e = idx[k]
+				}
+				v := f.targets[e]
+				if maskArc != nil && maskArc[e] {
 					continue
 				}
-				if bannedArc(s.banArcs, packArc(u, v)) {
+				if maskVertex != nil && maskVertex[v] {
 					continue
 				}
+				if blocked != nil && blocked[v] {
+					continue
+				}
+				if useBans {
+					if s.banVertex[v] {
+						continue
+					}
+					if bannedArc(s.banArcs, packArc(u, v)) {
+						continue
+					}
+				}
+				nd := it.dist + f.weights[e]
+				if nd < s.dist[v]-1e-12 {
+					s.dist[v] = nd
+					s.prev[v] = u
+					heapPush(&s.heap, frozenItem{dist: nd, idx: v})
+				}
 			}
-			nd := it.dist + f.weights[e]
-			if nd < s.dist[v]-1e-12 {
-				s.dist[v] = nd
-				s.prev[v] = u
-				heapPush(&s.heap, frozenItem{dist: nd, idx: v})
+			if len(more) == 0 {
+				break
 			}
+			idx, more, n = more, nil, int32(len(more))
 		}
 	}
 }
@@ -400,20 +419,20 @@ func (f *Frozen) ShortestPathMasked(src, dst VertexID, filter Filter, m *LiveMas
 	return f.shortestPath(src, dst, m, s)
 }
 
-// ShortestPathBlocked is ShortestPathMasked with the restriction given
-// as a dense mask instead of a predicate: blocked[i] bars the vertex
-// with dense index i (IndexOf); nil bars nothing. A caller running many
-// searches under one restriction builds the mask once, where a Filter
-// is called once per vertex on every search. The mask is only read.
-func (f *Frozen) ShortestPathBlocked(src, dst VertexID, blocked []bool, m *LiveMask) ([]VertexID, float64, error) {
+// ShortestPathIn is ShortestPathMasked with the restriction given as a
+// Restriction instead of a predicate (nil restricts nothing). It returns
+// what a Filter barring the same vertices would, and relaxes only the
+// arcs the restriction leaves: a caller running many searches under one
+// restriction seals it once. The restriction is only read.
+func (f *Frozen) ShortestPathIn(src, dst VertexID, r *Restriction, m *LiveMask) ([]VertexID, float64, error) {
 	s := f.getScratch()
 	defer putScratch(s)
-	s.blocked = blocked
+	s.restrict = r
 	return f.shortestPath(src, dst, m, s)
 }
 
 // shortestPath is the search behind ShortestPathMasked and
-// ShortestPathBlocked; the scratch carries the restriction.
+// ShortestPathIn; the scratch carries the filter or the restriction.
 func (f *Frozen) shortestPath(src, dst VertexID, m *LiveMask, s *frozenScratch) ([]VertexID, float64, error) {
 	si, ok := f.index[src]
 	if !ok {
@@ -423,7 +442,7 @@ func (f *Frozen) shortestPath(src, dst VertexID, m *LiveMask, s *frozenScratch) 
 	if !ok {
 		return nil, 0, fmt.Errorf("graph: shortest path: unknown destination %d", dst)
 	}
-	if s.blocked != nil && (s.blocked[si] || s.blocked[di]) {
+	if s.restrict.bars(si) || s.restrict.bars(di) || (s.blocked != nil && (s.blocked[si] || s.blocked[di])) {
 		return nil, 0, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 	}
 	if m != nil {

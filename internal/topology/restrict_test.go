@@ -1,0 +1,169 @@
+package topology
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+)
+
+// restrictTestTopo is a generated fabric with chords where racks meet
+// only through the OPSs, one of them down.
+func restrictTestTopo(t *testing.T) (*Topology, *Snapshot) {
+	t.Helper()
+	cfg := DefaultGenConfig()
+	cfg.Seed = 20
+	cfg.OPSCount, cfg.ToRUplinks, cfg.OPSChords = 12, 3, 2
+	cfg.DualHomeFrac = 0
+	topo, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.SetNodeDown(topo.NodeIDs(KindOPS)[1], true); err != nil {
+		t.Fatal(err)
+	}
+	return topo, topo.RoutingSnapshot(GraphOptions{IncludeVMs: true})
+}
+
+// searchBoth routes src→dst under restrict by both restricted kernels
+// and by Yen's first path, which reads the set as a Filter mask.
+func searchBoth(snap *Snapshot, src, dst NodeID, restrict map[NodeID]bool) (in, avoiding, filtered []NodeID) {
+	r := snap.Restrict(restrict)
+	defer snap.Release(r)
+	in, _, _ = snap.ShortestPathIn(src, dst, r)
+	avoiding, _ = snap.AppendPathAvoiding(nil, src, dst, r, Avoid{})
+	if paths, _, err := snap.KShortestPaths(src, dst, 1, restrict); err == nil {
+		filtered = paths[0]
+	}
+	return in, avoiding, filtered
+}
+
+// TestRestrictReleaseRestrict: the snapshot's pooled Restriction, handed
+// back and laid out again for a different set — wide, then narrow, then
+// empty — routes as the Filter mask does: nothing of the set before
+// survives in it.
+func TestRestrictReleaseRestrict(t *testing.T) {
+	topo, snap := restrictTestTopo(t)
+	opss, pms := topo.NodeIDs(KindOPS), topo.NodeIDs(KindPhysicalMachine)
+	rng := rand.New(rand.NewSource(3))
+	found := 0
+	for trial := 0; trial < 300; trial++ {
+		restrict := make(map[NodeID]bool)
+		for _, ops := range opss {
+			if rng.Float64() < []float64{0.9, 0.15, 0}[trial%3] {
+				restrict[ops] = rng.Intn(8) > 0 // a false entry admits nothing
+			}
+		}
+		src, dst := pms[rng.Intn(len(pms))], pms[rng.Intn(len(pms))]
+		in, avoiding, filtered := searchBoth(snap, src, dst, restrict)
+		if !reflect.DeepEqual(in, filtered) {
+			t.Fatalf("trial %d %d->%d under %v: ShortestPathIn %v, filter mask %v", trial, src, dst, restrict, in, filtered)
+		}
+		// With nothing to avoid the two-ended search may take another of
+		// the equally short paths, but finds one exactly when there is one.
+		if (avoiding == nil) != (filtered == nil) {
+			t.Fatalf("trial %d %d->%d under %v: AppendPathAvoiding %v, filter mask %v", trial, src, dst, restrict, avoiding, filtered)
+		}
+		for _, n := range avoiding {
+			if topo.Node(n).Kind == KindOPS && !restrict[n] {
+				t.Fatalf("trial %d: avoiding path %v crosses OPS %d outside %v", trial, avoiding, n, restrict)
+			}
+		}
+		if filtered != nil {
+			found++
+		}
+	}
+	if found < 60 || found > 240 {
+		t.Fatalf("%d of 300 searches found a path: the sets do not exercise both outcomes", found)
+	}
+}
+
+// TestRestrictConcurrent: batch workers lay out and search their own
+// restrictions over one snapshot at once, while link failures patch its
+// overlay; every worker's paths stay inside its own slice. Run under
+// -race.
+func TestRestrictConcurrent(t *testing.T) {
+	topo, snap := restrictTestTopo(t)
+	opss, pms := topo.NodeIDs(KindOPS), topo.NodeIDs(KindPhysicalMachine)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 200; i++ {
+				restrict := map[NodeID]bool{opss[(w*5+i)%len(opss)]: true, opss[(w*5+i+7)%len(opss)]: true}
+				in, avoiding, _ := searchBoth(snap, pms[rng.Intn(len(pms))], pms[rng.Intn(len(pms))], restrict)
+				for _, path := range [][]NodeID{in, avoiding} {
+					for _, n := range path {
+						if topo.Node(n).Kind == KindOPS && !restrict[n] {
+							errs <- fmt.Errorf("worker %d: path %v crosses OPS %d outside %v", w, path, n, restrict)
+							return
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	link := topo.LinksOf(opss[0])[0].ID
+	for i := 0; i < 50; i++ {
+		if err := topo.SetLinkDown(link, i%2 == 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestAnyLinkBetweenKeyedOnStructure: the liveness-blind pair memo
+// outlives failures and recoveries, answers the failed link itself, and
+// is dropped by a structural change — a new link between a pair that had
+// none is found.
+func TestAnyLinkBetweenKeyedOnStructure(t *testing.T) {
+	topo, tors, opss := snapTestTopo(t)
+	l := topo.AnyLinkBetween(tors[0], opss[0])
+	if l == nil || topo.AnyLinkBetween(tors[1], opss[2]) != nil {
+		t.Fatalf("AnyLinkBetween: tor0-ops0 = %v, tor1-ops2 = %v; want a link and none", l, topo.AnyLinkBetween(tors[1], opss[2]))
+	}
+	memo := len(topo.pairAny)
+	for _, down := range []bool{true, false, true} {
+		if err := topo.SetLinkDown(l.ID, down); err != nil {
+			t.Fatal(err)
+		}
+		if got := topo.AnyLinkBetween(tors[0], opss[0]); got != l || got.Down != down {
+			t.Fatalf("after SetLinkDown(%v): AnyLinkBetween = %+v, want link %d itself", down, got, l.ID)
+		}
+		if len(topo.pairAny) != memo || topo.pairAnyGen != topo.StructuralGeneration() {
+			t.Fatalf("after SetLinkDown(%v): the memo holds %d pairs at generation %d, want the same %d pairs kept", down, len(topo.pairAny), topo.pairAnyGen, memo)
+		}
+		if (topo.LinkBetween(tors[0], opss[0]) == nil) != down {
+			t.Fatalf("after SetLinkDown(%v): LinkBetween does not follow liveness", down)
+		}
+	}
+	added, err := topo.AddLink(tors[1], opss[2], LinkBoundary, 40, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := topo.AnyLinkBetween(tors[1], opss[2]); got == nil || got.ID != added {
+		t.Fatalf("after AddLink: AnyLinkBetween = %v, want the new link %d", got, added)
+	}
+	// Readers share the memo; run under -race.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if topo.AnyLinkBetween(tors[i%2], opss[i%4]) == nil && i%4 < 2 {
+					t.Errorf("AnyLinkBetween(tor %d, ops %d) = nil", i%2, i%4)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -42,11 +42,8 @@ type Snapshot struct {
 	// plus parallels), resolved once at build time via edge tags so a
 	// liveness patch is O(affected arcs).
 	linkArcs map[LinkID][]int32
-	// opsVertex is opsMask by dense vertex index: the restriction that
-	// admits no OPS at all, which Restrict copies and then opens up.
-	opsVertex []bool
-	// restrictions and avoidSets pool the dense per-search buffers
-	// (Restrict, AppendPathAvoiding), both sized to this snapshot's graph.
+	// restrictions and avoidSets pool the per-search buffers (Restrict,
+	// AppendPathAvoiding), both sized to this snapshot's graph.
 	restrictions sync.Pool
 	avoidSets    sync.Pool
 }
@@ -85,29 +82,30 @@ func (s *Snapshot) Filter(restrict map[NodeID]bool) graph.Filter {
 	}
 }
 
-// Restriction is a RestrictOPS set densified over one snapshot: a flag
-// per vertex, built once and then read by any number of searches. A nil
-// *Restriction restricts nothing.
-type Restriction struct {
-	blocked []bool
-}
+// Restriction is a RestrictOPS set laid out over one snapshot as the
+// admitted OPSs' own arcs: built once from their arc lists, then read by
+// any number of searches, each of which walks the slice's arcs and never
+// the other OPSs' uplinks. A nil *Restriction restricts nothing.
+type Restriction = graph.Restriction
 
-// Restrict densifies a RestrictOPS set (nil = unrestricted, which yields
-// nil). Hand the result back with Release once the searches are done.
+// Restrict lays out a RestrictOPS set (nil = unrestricted, which yields
+// nil) at the cost of the admitted OPSs' degrees. Hand the result back
+// with Release once the searches are done.
 func (s *Snapshot) Restrict(restrict map[NodeID]bool) *Restriction {
 	if restrict == nil {
 		return nil
 	}
 	r := s.restrictions.Get().(*Restriction)
-	copy(r.blocked, s.opsVertex)
+	r.Reset()
 	for id, ok := range restrict {
 		if !ok {
 			continue
 		}
 		if i, found := s.frozen.IndexOf(graph.VertexID(id)); found {
-			r.blocked[i] = false
+			r.Admit(i)
 		}
 	}
+	r.Seal()
 	return r
 }
 
@@ -116,13 +114,6 @@ func (s *Snapshot) Release(r *Restriction) {
 	if r != nil {
 		s.restrictions.Put(r)
 	}
-}
-
-func (r *Restriction) mask() []bool {
-	if r == nil {
-		return nil
-	}
-	return r.blocked
 }
 
 // ShortestPath returns the minimum-weight path between two nodes over
@@ -135,10 +126,10 @@ func (s *Snapshot) ShortestPath(src, dst NodeID, restrict map[NodeID]bool) ([]No
 	return s.ShortestPathIn(src, dst, r)
 }
 
-// ShortestPathIn is ShortestPath under a restriction already densified
+// ShortestPathIn is ShortestPath under a restriction already laid out
 // by Restrict, for callers that search several times under one set.
 func (s *Snapshot) ShortestPathIn(src, dst NodeID, r *Restriction) ([]NodeID, float64, error) {
-	vp, w, err := s.frozen.ShortestPathBlocked(graph.VertexID(src), graph.VertexID(dst), r.mask(), s.mask)
+	vp, w, err := s.frozen.ShortestPathIn(graph.VertexID(src), graph.VertexID(dst), r, s.mask)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -177,7 +168,7 @@ func (s *Snapshot) AppendPathAvoiding(buf []NodeID, src, dst NodeID, r *Restrict
 			set.AddArcs(s.linkArcs[l])
 		}
 	}
-	return graph.ShortestPathAvoiding(s.frozen, buf, graph.VertexID(src), graph.VertexID(dst), r.mask(), s.mask, set, graph.VertexID(avoid.Spread))
+	return graph.ShortestPathAvoiding(s.frozen, buf, graph.VertexID(src), graph.VertexID(dst), r, s.mask, set, graph.VertexID(avoid.Spread))
 }
 
 // KShortestPaths returns up to k loopless paths between two nodes in
@@ -382,14 +373,15 @@ func (t *Topology) buildSnapshot(key snapKey, structGen uint64) *Snapshot {
 		}
 	}
 	s.opsMask = make([]bool, maxID+1)
-	s.opsVertex = make([]bool, f.VertexCount())
+	opsVertex := make([]bool, f.VertexCount())
 	for _, n := range t.Nodes(KindOPS) {
 		s.opsMask[n.ID] = true
 		if i, ok := f.IndexOf(graph.VertexID(n.ID)); ok {
-			s.opsVertex[i] = true
+			opsVertex[i] = true
 		}
 	}
-	s.restrictions.New = func() any { return &Restriction{blocked: make([]bool, f.VertexCount())} }
+	f.IndexRestrictable(opsVertex)
+	s.restrictions.New = func() any { return f.NewRestriction() }
 	s.avoidSets.New = func() any { return f.NewAvoidSet() }
 	return s
 }

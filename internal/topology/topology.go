@@ -63,7 +63,13 @@ type Topology struct {
 	derivedGen uint64
 	kindAdj    map[kindAdjKey][]NodeID
 	pairLive   map[int64]*Link
+
+	// pairAny memoizes AnyLinkBetween, which ignores liveness: keyed on the
+	// structural generation, it outlives a storm's failures and recoveries,
+	// and a hit takes its own lock shared — every batch worker asks per hop.
+	pairAnyMu  sync.RWMutex
 	pairAny    map[int64]*Link
+	pairAnyGen uint64
 
 	// optDeg is the optical-mesh degree of every node, by node ID (see
 	// OpticalDegrees). It counts links up or down, so it is keyed on the
@@ -94,7 +100,6 @@ func (t *Topology) resetDerivedLocked() {
 	if t.kindAdj == nil || t.derivedGen != gen {
 		t.kindAdj = make(map[kindAdjKey][]NodeID)
 		t.pairLive = make(map[int64]*Link)
-		t.pairAny = make(map[int64]*Link)
 		t.derivedGen = gen
 	}
 }
@@ -516,12 +521,18 @@ func (t *Topology) LinkBetween(a, b NodeID) *Link {
 // walks paths hop by hop asking "did the dead link sit here" after the
 // link was already marked down, so it needs the dead ones too.
 func (t *Topology) AnyLinkBetween(a, b NodeID) *Link {
-	t.derivedMu.Lock()
-	defer t.derivedMu.Unlock()
-	t.resetDerivedLocked()
-	key := packPair(a, b)
-	if l, ok := t.pairAny[key]; ok {
+	key, sg := packPair(a, b), t.StructuralGeneration()
+	t.pairAnyMu.RLock()
+	l, ok := t.pairAny[key]
+	ok = ok && t.pairAnyGen == sg
+	t.pairAnyMu.RUnlock()
+	if ok {
 		return l
+	}
+	t.pairAnyMu.Lock()
+	defer t.pairAnyMu.Unlock()
+	if t.pairAny == nil || t.pairAnyGen != sg {
+		t.pairAny, t.pairAnyGen = make(map[int64]*Link), sg
 	}
 	var best *Link
 	for _, lid := range t.adj[a] {
