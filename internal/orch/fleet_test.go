@@ -477,3 +477,57 @@ func TestDeletedChainsLeaveMemory(t *testing.T) {
 		t.Fatalf("delete trace %s of chain %d not reachable through its tombstone", ts.TraceID, last)
 	}
 }
+
+// TestViewsShowLiveRecords: the views hand fn the shard's own records —
+// not copies — in ID order within each shard, every record once; the
+// single view answers false for an ID deleted or never issued; and the
+// ordering scratch is empty again afterwards, so a deleted chain's
+// record is not kept reachable by the last list.
+func TestViewsShowLiveRecords(t *testing.T) {
+	s := newSharded(t, shardTopo(t, 32), 4, ShardByTenant)
+	var ids []DeploymentID
+	for i := 0; i < 12; i++ {
+		dep, err := s.Provision(tenantSpec(t, i))
+		if err != nil {
+			t.Fatalf("Provision %d: %v", i, err)
+		}
+		ids = append(ids, dep.ID)
+	}
+	if err := s.Delete(ids[5]); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+
+	seen := make(map[DeploymentID]bool)
+	lastOf := make(map[int]DeploymentID)
+	s.ViewDeployments(func(dep *Deployment) {
+		sh := s.owner(dep.ID)
+		if sh.deployments[dep.ID] != dep { // under sh.mu: the view holds it
+			t.Errorf("view of %d is not the shard's record", dep.ID)
+		}
+		if seen[dep.ID] || dep.ID <= lastOf[sh.shard] {
+			t.Errorf("shard %d showed %d after %d", sh.shard, dep.ID, lastOf[sh.shard])
+		}
+		seen[dep.ID], lastOf[sh.shard] = true, dep.ID
+	})
+	if len(seen) != len(ids)-1 || seen[ids[5]] {
+		t.Fatalf("view showed %d records (deleted one: %v), want %d", len(seen), seen[ids[5]], len(ids)-1)
+	}
+	for _, sh := range s.shards {
+		for i, dep := range sh.viewOrder[:cap(sh.viewOrder)] {
+			if dep != nil {
+				t.Fatalf("shard %d: scratch slot %d still holds record %d", sh.shard, i, dep.ID)
+			}
+		}
+	}
+
+	var path []topology.NodeID
+	if !s.ViewDeployment(ids[0], func(dep *Deployment) { path = slices.Clone(dep.Path) }) ||
+		!slices.Equal(path, s.Deployment(ids[0]).Path) {
+		t.Fatalf("ViewDeployment(%d) read path %v, snapshot has %v", ids[0], path, s.Deployment(ids[0]).Path)
+	}
+	for _, id := range []DeploymentID{ids[5], 9999} {
+		if s.ViewDeployment(id, func(*Deployment) { t.Errorf("fn called for %d", id) }) {
+			t.Fatalf("ViewDeployment(%d) = true for a chain with no record", id)
+		}
+	}
+}

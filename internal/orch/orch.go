@@ -298,6 +298,9 @@ type Orchestrator struct {
 	// the map is O(active).
 	deployments map[DeploymentID]*Deployment
 	tombs       tombstoneRing
+	// viewOrder is ViewDeployments' scratch: the records in ID order
+	// while a view runs, cleared between views. Guarded by mu.
+	viewOrder []*Deployment
 	// repairsTotal and deletedTotal count successful repairs and
 	// deletes since construction. Counters rather than sums over the
 	// map, so they stay monotone when repaired chains are deleted.
@@ -831,7 +834,7 @@ func (o *Orchestrator) provision(ctx context.Context, spec chain.Spec) (*Deploym
 	o.deployments[dep.ID] = dep
 	o.flowKeys[flowKey] = dep.ID
 	o.indexLocked(dep)
-	return o.snapshot(dep), nil
+	return snapshot(dep), nil
 }
 
 // Repair tears an active deployment's resources down and rebuilds the
@@ -1148,29 +1151,52 @@ func (o *Orchestrator) delete(id DeploymentID, traceID string) (*Deployment, err
 	return dep, nil
 }
 
-// Deployment returns a snapshot of the deployment, or nil when the shard
-// holds no record of it — never issued, or deleted (see Tombstone).
-func (o *Orchestrator) Deployment(id DeploymentID) *Deployment {
+// ViewDeployment calls fn with the shard's live record of the deployment,
+// under the shard lock, and reports whether there is one — false for an
+// ID never issued or deleted (see Tombstone). fn reads the record where
+// it lies: it must not keep dep or anything dep points to, call back into
+// the shard, or block.
+func (o *Orchestrator) ViewDeployment(id DeploymentID, fn func(dep *Deployment)) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	dep, ok := o.deployments[id]
-	if !ok {
-		return nil
+	if ok {
+		fn(dep)
 	}
-	return o.snapshot(dep)
+	return ok
+}
+
+// ViewDeployments calls fn with every record the shard holds, in ID
+// order, in one hold of the shard lock: the package's one walk of whole
+// records. ViewDeployment's rules for fn apply.
+func (o *Orchestrator) ViewDeployments(fn func(dep *Deployment)) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	order := o.viewOrder[:0]
+	for _, dep := range o.deployments {
+		order = append(order, dep)
+	}
+	slices.SortFunc(order, func(a, b *Deployment) int { return int(a.ID - b.ID) })
+	for _, dep := range order {
+		fn(dep)
+	}
+	clear(order) // a deleted chain's record must not stay reachable from here
+	o.viewOrder = order
+}
+
+// Deployment returns a snapshot of the deployment, or nil when the shard
+// holds no record of it — never issued, or deleted (see Tombstone).
+func (o *Orchestrator) Deployment(id DeploymentID) (cp *Deployment) {
+	o.ViewDeployment(id, func(dep *Deployment) { cp = snapshot(dep) })
+	return cp
 }
 
 // Deployments returns snapshots of all deployments sorted by ID: a deep
-// copy per chain, for callers whose answer is the whole records. Fleet
-// sweeps that read a few fields use AppendChainHealth or ShardStats.
-func (o *Orchestrator) Deployments() []*Deployment {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]*Deployment, 0, len(o.deployments))
-	for _, dep := range o.deployments {
-		out = append(out, o.snapshot(dep))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+// copy per chain, for callers that keep the records. Readers that only
+// look use ViewDeployments; fleet sweeps that read a few fields use
+// AppendChainHealth or ShardStats.
+func (o *Orchestrator) Deployments() (out []*Deployment) {
+	o.ViewDeployments(func(dep *Deployment) { out = append(out, snapshot(dep)) })
 	return out
 }
 
@@ -1243,7 +1269,7 @@ func (o *Orchestrator) TopologyJSON() ([]byte, error) {
 	return json.Marshal(o.topo)
 }
 
-func (o *Orchestrator) snapshot(dep *Deployment) *Deployment {
+func snapshot(dep *Deployment) *Deployment {
 	cp := *dep
 	cp.Instances = append([]nfv.InstanceID(nil), dep.Instances...)
 	cp.Path = append([]topology.NodeID(nil), dep.Path...)

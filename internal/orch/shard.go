@@ -323,16 +323,28 @@ func (s *Sharded) DefragLambda(id DeploymentID) (from, to int, retuned bool, err
 	return s.owner(id).DefragLambda(id)
 }
 
+// ViewDeployment shows fn the owning shard's live record; see
+// Orchestrator.ViewDeployment.
+func (s *Sharded) ViewDeployment(id DeploymentID, fn func(dep *Deployment)) bool {
+	return s.owner(id).ViewDeployment(id, fn)
+}
+
+// ViewDeployments shows fn every shard's records, shard by shard and in
+// ID order within each: one shard lock at a time, so the view is
+// point-in-time per shard, not across them.
+func (s *Sharded) ViewDeployments(fn func(dep *Deployment)) {
+	for _, sh := range s.shards {
+		sh.ViewDeployments(fn)
+	}
+}
+
 // Deployment returns a snapshot from the owning shard, or nil.
 func (s *Sharded) Deployment(id DeploymentID) *Deployment { return s.owner(id).Deployment(id) }
 
 // Deployments merges every shard's snapshots, sorted by ID (a deep copy
 // of the fleet; see Orchestrator.Deployments).
-func (s *Sharded) Deployments() []*Deployment {
-	var out []*Deployment
-	for _, sh := range s.shards {
-		out = append(out, sh.Deployments()...)
-	}
+func (s *Sharded) Deployments() (out []*Deployment) {
+	s.ViewDeployments(func(dep *Deployment) { out = append(out, snapshot(dep)) })
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

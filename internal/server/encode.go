@@ -1,0 +1,323 @@
+package server
+
+// The read plane's encoders. A chain record or a trace summary is
+// appended as JSON text straight from the value it describes — for a
+// live chain, from the orchestrator's own record under its shard's lock
+// (orch.ViewDeployment) — into a pooled buffer that is written to the
+// connection in one piece once the lock is released. The bytes are
+// exactly what encoding/json makes of DeploymentJSON, BatchResponse and
+// TraceSummaryJSON, which stay as the types clients decode into; the
+// tests hold the two equal.
+
+import (
+	"encoding/json"
+	"math"
+	"net/http"
+	"slices"
+	"strconv"
+	"sync"
+	"time"
+
+	"github.com/alvc/alvc"
+	"github.com/alvc/alvc/internal/orch"
+)
+
+// scratch is what a response body is built in.
+type scratch struct {
+	body []byte
+	// recs holds a list's records in the order the shards showed them,
+	// segs where each lies, until they are joined into body in ID order.
+	recs []byte
+	segs []segment
+}
+
+type segment struct {
+	id         orch.DeploymentID
+	start, end int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledBytes bounds the buffers a pooled scratch may keep: one grown
+// past it (a list of some 1 500 chains) goes to the collector instead of
+// pinning its size for the life of the process.
+const maxPooledBytes = 1 << 20
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func putScratch(sc *scratch) {
+	if max(cap(sc.body), cap(sc.recs)) > maxPooledBytes {
+		return
+	}
+	sc.body, sc.recs, sc.segs = sc.body[:0], sc.recs[:0], sc.segs[:0]
+	scratchPool.Put(sc)
+}
+
+// writeBody sends an encoded JSON body in one write, its length
+// announced.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
+// writeDeployment answers with a record the caller owns: a provision's
+// snapshot, a delete's final record.
+func writeDeployment(w http.ResponseWriter, status int, dep *orch.Deployment) {
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.body = append(appendDeployment(sc.body, dep), '\n')
+	writeBody(w, status, sc.body)
+}
+
+// writeChain answers 200 with what the orchestrator holds of the chain
+// now: its live record, read in place; else its tombstone; else a 404.
+// GET /v1/chains/{id} is this, and so is the answer of every verb that
+// changed a chain and reads it back — a delete may land in between, and
+// that is a tombstone, not an error.
+func (s *Server) writeChain(w http.ResponseWriter, id alvc.DeploymentID) {
+	sc := getScratch()
+	defer putScratch(sc)
+	if s.arch.Sharded().ViewDeployment(id, func(dep *orch.Deployment) {
+		sc.body = append(appendDeployment(sc.body, dep), '\n')
+	}) {
+		writeBody(w, http.StatusOK, sc.body)
+		return
+	}
+	if t, ok := s.arch.Tombstone(id); ok {
+		writeJSON(w, http.StatusOK, tombstoneJSON(t))
+		return
+	}
+	writeError(w, http.StatusNotFound, "unknown deployment %d", id)
+}
+
+// writeChains answers with every record in the given state ("" for
+// all), ordered by ID. Each shard's records are encoded under that
+// shard's lock, one shard at a time — the list is point-in-time per
+// shard — and nothing is written until the last lock is released.
+func (s *Server) writeChains(w http.ResponseWriter, state string) {
+	sc := getScratch()
+	defer putScratch(sc)
+	s.arch.Sharded().ViewDeployments(func(dep *orch.Deployment) {
+		if state != "" && dep.State.String() != state {
+			return
+		}
+		start := len(sc.recs)
+		sc.recs = appendDeployment(sc.recs, dep)
+		sc.segs = append(sc.segs, segment{id: dep.ID, start: start, end: len(sc.recs)})
+	})
+	// Shards issue interleaved IDs: ID order across them is a sort of
+	// the segments, already in order when there is one shard.
+	slices.SortFunc(sc.segs, func(a, b segment) int { return int(a.id - b.id) })
+	sc.body = append(sc.body, '[')
+	for i, seg := range sc.segs {
+		if i > 0 {
+			sc.body = append(sc.body, ',')
+		}
+		sc.body = append(sc.body, sc.recs[seg.start:seg.end]...)
+	}
+	sc.body = append(sc.body, ']', '\n')
+	writeBody(w, http.StatusOK, sc.body)
+}
+
+// writeBatch answers a batch provision: BatchResponse's encoding, each
+// provisioned chain's record appended from its snapshot.
+func writeBatch(w http.ResponseWriter, results []orch.BatchResult) {
+	provisioned := 0
+	for _, res := range results {
+		if res.Err == nil {
+			provisioned++
+		}
+	}
+	failed := len(results) - provisioned
+	status := http.StatusCreated
+	if provisioned == 0 {
+		// Nothing provisioned: surface the dominant failure class.
+		status = http.StatusConflict
+	} else if failed > 0 {
+		status = http.StatusMultiStatus
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	b := strconv.AppendInt(append(sc.body, `{"provisioned":`...), int64(provisioned), 10)
+	b = strconv.AppendInt(append(b, `,"failed":`...), int64(failed), 10)
+	b = append(b, `,"results":[`...)
+	for i, res := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(append(b, `{"index":`...), int64(res.Index), 10)
+		switch {
+		case res.Err == nil:
+			b = appendDeployment(append(b, `,"deployment":`...), res.Deployment)
+		case res.Err.Error() != "":
+			b = appendString(append(b, `,"error":`...), res.Err.Error())
+		}
+		b = append(b, '}')
+	}
+	sc.body = append(b, "]}\n"...)
+	writeBody(w, status, sc.body)
+}
+
+// writeTraceSummaries answers a trace listing.
+func writeTraceSummaries(w http.ResponseWriter, sums []alvc.TraceSummary) {
+	sc := getScratch()
+	defer putScratch(sc)
+	b := append(sc.body, '[')
+	for i := range sums {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendTraceSummary(b, &sums[i])
+	}
+	sc.body = append(b, ']', '\n')
+	writeBody(w, http.StatusOK, sc.body)
+}
+
+// appendDeployment appends the chain's wire form: byte for byte what
+// encoding/json makes of DeploymentJSON filled from the same record.
+func appendDeployment(b []byte, d *orch.Deployment) []byte {
+	b = strconv.AppendInt(append(b, `{"id":`...), int64(d.ID), 10)
+	b = appendString(append(b, `,"name":`...), d.Spec.Name)
+	b = appendString(append(b, `,"tenant":`...), d.Spec.Tenant)
+	b = appendString(append(b, `,"service":`...), d.Spec.Service)
+	b = appendString(append(b, `,"state":`...), d.State.String())
+	b = strconv.AppendInt(append(b, `,"version":`...), int64(d.Version), 10)
+	b = strconv.AppendInt(append(b, `,"repairs":`...), int64(d.Repairs), 10)
+	b = append(b, `,"nfs":[`...)
+	for i := range d.Spec.NFs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendString(b, d.Spec.NFs[i].Name)
+	}
+	b = appendFloat(append(b, `],"bandwidth_gbps":`...), d.Spec.BandwidthGbps)
+	b = strconv.AppendInt(append(b, `,"flow_bytes":`...), d.Spec.FlowBytes, 10)
+	b = append(b, `,"slice_opss":`...)
+	if d.Slice != nil {
+		b = appendInts(b, d.Slice.OPSs)
+	} else {
+		b = append(b, "null"...)
+	}
+	b = appendInts(append(b, `,"hosts":`...), d.Placement.Hosts)
+	b = append(b, `,"domains":`...)
+	if len(d.Placement.Domains) == 0 {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, dom := range d.Placement.Domains {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, dom.String())
+		}
+		b = append(b, ']')
+	}
+	b = appendInts(append(b, `,"path":`...), d.Path)
+	b = strconv.AppendBool(append(b, `,"slice_confined":`...), d.SliceConfined)
+	b = strconv.AppendInt(append(b, `,"lambda":`...), int64(d.Lambda), 10)
+	b = strconv.AppendInt(append(b, `,"conversions":`...), int64(d.Conversions), 10)
+	b = appendFloat(append(b, `,"energy_joules":`...), d.EnergyJoules)
+	sb := d.Standby
+	pathFrom, pathTo := 0, 0 // where the standby path's digits lie in b once written
+	if sb != nil && len(sb.Path) > 0 {
+		b = append(b, `,"standby_path":`...)
+		pathFrom = len(b)
+		b = appendInts(b, sb.Path)
+		pathTo = len(b)
+	}
+	if sb != nil && sb.Disjoint {
+		b = append(b, `,"standby_disjoint":true`...)
+	}
+	if d.Drifted {
+		b = append(b, `,"drifted":true`...)
+	}
+	if sb != nil {
+		b = append(b, `,"standby":{"path":`...)
+		if pathTo > pathFrom {
+			b = append(b, b[pathFrom:pathTo]...) // the same path again: copied, not formatted twice
+		} else {
+			b = appendInts(b, sb.Path)
+		}
+		b = strconv.AppendBool(append(b, `,"disjoint":`...), sb.Disjoint)
+		b = appendTime(append(b, `,"lastReplanned":`...), sb.PlannedAt)
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+// appendTraceSummary appends TraceSummaryJSON's encoding of the summary.
+func appendTraceSummary(b []byte, sum *alvc.TraceSummary) []byte {
+	b = appendString(append(b, `{"id":`...), sum.ID)
+	b = appendString(append(b, `,"kind":`...), sum.Kind)
+	b = appendString(append(b, `,"name":`...), sum.Name)
+	b = appendTime(append(b, `,"start":`...), sum.Start.UTC())
+	b = appendFloat(append(b, `,"duration_ms":`...), float64(sum.Duration)/float64(time.Millisecond))
+	b = strconv.AppendInt(append(b, `,"spans":`...), int64(sum.Spans), 10)
+	if sum.Dropped != 0 {
+		b = strconv.AppendInt(append(b, `,"dropped":`...), int64(sum.Dropped), 10)
+	}
+	if sum.Errored {
+		b = append(b, `,"errored":true`...)
+	}
+	if len(sum.Deps) > 0 {
+		b = appendInts(append(b, `,"chains":`...), sum.Deps)
+	}
+	return append(b, '}')
+}
+
+// appendInts appends a JSON array of integers, null for a nil slice.
+func appendInts[T ~int](b []byte, ids []T) []byte {
+	if ids == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	return append(b, ']')
+}
+
+// appendString appends s as a JSON string. Printable ASCII that neither
+// JSON nor encoding/json's HTML-safe default escapes is copied; a string
+// with anything else in it is encoding/json's to quote.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendFloat appends a finite f as encoding/json does: shortest
+// round-trip digits, exponent form only below 1e-6 or from 1e21, and
+// then with a one-digit exponent unpadded (1e-7, not 1e-07).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendTime appends t as time.Time marshals: quoted RFC 3339 with
+// nanoseconds, trailing zeros dropped.
+func appendTime(b []byte, t time.Time) []byte {
+	b = append(b, '"')
+	b = t.AppendFormat(b, time.RFC3339Nano)
+	return append(b, '"')
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
@@ -10,6 +11,17 @@ import (
 
 	"github.com/alvc/alvc/internal/trace"
 )
+
+// quietHandler is the default logger's handler: it enables no level, so
+// a server built without WithLogger formats no line at all. (A text
+// handler over io.Discard formats every line and then drops it;
+// slog.DiscardHandler is Go 1.24.)
+type quietHandler struct{}
+
+func (quietHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (quietHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h quietHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h quietHandler) WithGroup(string) slog.Handler           { return h }
 
 // statusRecorder captures the status code a handler writes so the
 // logging and tracing middleware can report it.
@@ -98,6 +110,10 @@ func withTracing(tr *trace.Tracer, next http.Handler) http.Handler {
 // line in the log can be pivoted straight into GET /v1/traces/{id}.
 func withLogging(logger *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !logger.Enabled(r.Context(), slog.LevelInfo) {
+			next.ServeHTTP(w, r) // nobody reads the line: no recorder, no clock, no attrs
+			return
+		}
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(rec, r)

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -34,8 +33,9 @@ const maxBodyBytes = 10 << 20
 // Option customizes a Server.
 type Option func(*Server)
 
-// WithLogger replaces the default (discard) logger. Request lines are
-// structured: method, path, status, duration and trace_id attributes.
+// WithLogger replaces the default logger, which logs nothing. Request
+// lines are structured: method, path, status, duration and trace_id
+// attributes.
 func WithLogger(l *slog.Logger) Option {
 	return func(s *Server) { s.logger = l }
 }
@@ -65,7 +65,7 @@ func New(arch *alvc.Architecture, opts ...Option) (*Server, error) {
 	}
 	s := &Server{
 		arch:   arch,
-		logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		logger: slog.New(quietHandler{}),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -187,7 +187,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), "provision: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, toDeploymentJSON(dep))
+	writeDeployment(w, http.StatusCreated, dep)
 }
 
 func (s *Server) handleProvisionBatch(w http.ResponseWriter, r *http.Request) {
@@ -210,28 +210,7 @@ func (s *Server) handleProvisionBatch(w http.ResponseWriter, r *http.Request) {
 	if workers <= 0 || workers > ceiling {
 		workers = ceiling
 	}
-	results := s.arch.Sharded().ProvisionBatch(req.Specs, workers)
-	resp := BatchResponse{Results: make([]BatchItemJSON, len(results))}
-	for i, res := range results {
-		item := BatchItemJSON{Index: res.Index}
-		if res.Err != nil {
-			item.Error = res.Err.Error()
-			resp.Failed++
-		} else {
-			dj := toDeploymentJSON(res.Deployment)
-			item.Deployment = &dj
-			resp.Provisioned++
-		}
-		resp.Results[i] = item
-	}
-	status := http.StatusCreated
-	if resp.Provisioned == 0 {
-		// Nothing provisioned: surface the dominant failure class.
-		status = http.StatusConflict
-	} else if resp.Failed > 0 {
-		status = http.StatusMultiStatus
-	}
-	writeJSON(w, status, resp)
+	writeBatch(w, s.arch.Sharded().ProvisionBatch(req.Specs, workers))
 }
 
 // handleListChains lists the chains the orchestrator holds records of.
@@ -247,15 +226,7 @@ func (s *Server) handleListChains(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 		return
 	}
-	deps := s.arch.Deployments()
-	out := make([]DeploymentJSON, 0, len(deps))
-	for _, dep := range deps {
-		if stateFilter != "" && dep.State.String() != stateFilter {
-			continue
-		}
-		out = append(out, toDeploymentJSON(dep))
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.writeChains(w, stateFilter)
 }
 
 func (s *Server) handleGetChain(w http.ResponseWriter, r *http.Request) {
@@ -263,15 +234,7 @@ func (s *Server) handleGetChain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if dep := s.arch.Deployment(id); dep != nil {
-		writeJSON(w, http.StatusOK, toDeploymentJSON(dep))
-		return
-	}
-	if t, ok := s.arch.Tombstone(id); ok {
-		writeJSON(w, http.StatusOK, tombstoneJSON(t))
-		return
-	}
-	writeError(w, http.StatusNotFound, "unknown deployment %d", id)
+	s.writeChain(w, id)
 }
 
 func (s *Server) handleDeleteChain(w http.ResponseWriter, r *http.Request) {
@@ -284,7 +247,7 @@ func (s *Server) handleDeleteChain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), "delete: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toDeploymentJSON(final))
+	writeDeployment(w, http.StatusOK, final)
 }
 
 func (s *Server) handleModify(w http.ResponseWriter, r *http.Request) {
@@ -305,7 +268,7 @@ func (s *Server) handleModify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), "modify: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toDeploymentJSON(s.arch.Deployment(id)))
+	s.writeChain(w, id)
 }
 
 func (s *Server) handleUpgrade(w http.ResponseWriter, r *http.Request) {
@@ -317,7 +280,7 @@ func (s *Server) handleUpgrade(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), "upgrade: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toDeploymentJSON(s.arch.Deployment(id)))
+	s.writeChain(w, id)
 }
 
 func (s *Server) handleScale(w http.ResponseWriter, r *http.Request) {
@@ -334,7 +297,7 @@ func (s *Server) handleScale(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), "scale: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toDeploymentJSON(s.arch.Deployment(id)))
+	s.writeChain(w, id)
 }
 
 func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
@@ -351,7 +314,7 @@ func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), "move: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toDeploymentJSON(s.arch.Deployment(id)))
+	s.writeChain(w, id)
 }
 
 func (s *Server) pathNode(w http.ResponseWriter, r *http.Request) (topology.NodeID, bool) {

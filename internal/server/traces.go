@@ -58,20 +58,6 @@ type TraceJSON struct {
 	Roots   []*SpanJSON `json:"roots"`
 }
 
-func toTraceSummaryJSON(sum alvc.TraceSummary) TraceSummaryJSON {
-	return TraceSummaryJSON{
-		ID:         sum.ID,
-		Kind:       sum.Kind,
-		Name:       sum.Name,
-		Start:      sum.Start.UTC().Format(time.RFC3339Nano),
-		DurationMS: float64(sum.Duration) / float64(time.Millisecond),
-		Spans:      sum.Spans,
-		Dropped:    sum.Dropped,
-		Errored:    sum.Errored,
-		Chains:     sum.Deps,
-	}
-}
-
 // buildTraceJSON nests flat spans into parent→children order. Spans
 // are recorded on completion, so children typically arrive before
 // their parents — the tree is linked only after every node exists.
@@ -147,12 +133,7 @@ func (s *Server) handleListTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		q.Limit = n
 	}
-	sums := st.Traces(q)
-	out := make([]TraceSummaryJSON, 0, len(sums))
-	for _, sum := range sums {
-		out = append(out, toTraceSummaryJSON(sum))
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeTraceSummaries(w, st.Traces(q))
 }
 
 func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
@@ -178,10 +159,5 @@ func (s *Server) handleChainTraces(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sums := st.ChainTraces(int(id))
-	out := make([]TraceSummaryJSON, 0, len(sums))
-	for _, sum := range sums {
-		out = append(out, toTraceSummaryJSON(sum))
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeTraceSummaries(w, st.ChainTraces(int(id)))
 }

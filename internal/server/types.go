@@ -64,44 +64,6 @@ type StandbyJSON struct {
 	LastReplanned time.Time `json:"lastReplanned"`
 }
 
-func toDeploymentJSON(d *orch.Deployment) DeploymentJSON {
-	out := DeploymentJSON{
-		ID:            int(d.ID),
-		Name:          d.Spec.Name,
-		Tenant:        d.Spec.Tenant,
-		Service:       d.Spec.Service,
-		State:         d.State.String(),
-		Version:       d.Version,
-		Repairs:       d.Repairs,
-		Drifted:       d.Drifted,
-		NFs:           d.Spec.NFNames(),
-		BandwidthGbps: d.Spec.BandwidthGbps,
-		FlowBytes:     d.Spec.FlowBytes,
-		Hosts:         d.Placement.Hosts,
-		Path:          d.Path,
-		SliceConfined: d.SliceConfined,
-		Lambda:        d.Lambda,
-		Conversions:   d.Conversions,
-		EnergyJoules:  d.EnergyJoules,
-	}
-	if d.Slice != nil {
-		out.SliceOPSs = d.Slice.OPSs
-	}
-	if d.Standby != nil {
-		out.StandbyPath = d.Standby.Path
-		out.StandbyDisjoint = d.Standby.Disjoint
-		out.Standby = &StandbyJSON{
-			Path:          d.Standby.Path,
-			Disjoint:      d.Standby.Disjoint,
-			LastReplanned: d.Standby.PlannedAt,
-		}
-	}
-	for _, dom := range d.Placement.Domains {
-		out.Domains = append(out.Domains, dom.String())
-	}
-	return out
-}
-
 // tombstoneJSON renders what is remembered of a deleted chain in the
 // deployment wire form: identity and state, no resources.
 func tombstoneJSON(t orch.Tombstone) DeploymentJSON {

@@ -12,11 +12,13 @@ package telemetry
 
 import (
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
 	"github.com/alvc/alvc"
 	"github.com/alvc/alvc/internal/orch"
+	"github.com/alvc/alvc/internal/trace"
 )
 
 // Histogram bucket bound sets, in seconds unless noted.
@@ -60,6 +62,8 @@ type Plane struct {
 	drainSeconds *HistogramVec
 	rehomeChurn  *CounterVec // by rack, direction
 
+	scrape scrapeState
+
 	cancelEvents func()
 	cancelHub    func()
 }
@@ -77,6 +81,7 @@ func NewPlane(arch *alvc.Architecture) *Plane {
 func NewPlaneWith(arch *alvc.Architecture, opts PlaneOptions) *Plane {
 	p := &Plane{arch: arch, reg: NewRegistry(),
 		hub: NewHubWith(HubOptions{RingSize: opts.WatchRing})}
+	p.reg.BeforeScrape(p.refresh)
 	p.registerOrch()
 	p.registerOptimizer()
 	p.registerRouting()
@@ -145,52 +150,83 @@ func (s eventCounterSink) OrchEvent(ev orch.Event) {
 	}
 }
 
+// scrapeState is what one scrape reads of the architecture: every
+// source once, in refresh, before the families render from it. Scrapes
+// take turns (Registry.BeforeScrape), so the closures read it unlocked.
+type scrapeState struct {
+	shards    []alvc.ShardStat
+	optimizer alvc.OptimizerStatus // zero without an optimizer
+	optimized bool                 // an optimizer is attached
+	debounce  alvc.DebounceStats   // zero without a debouncer
+	trace     trace.Stats          // zero with tracing disabled
+	occupancy []float64            // λ occupancy ratio per lit optical link
+	mem       runtime.MemStats     // as of memRead: see refreshMem
+	memRead   time.Time
+	gcPauses  []float64 // the GC-pause histogram's observation buffer
+}
+
+func (p *Plane) refresh() {
+	s, arch := &p.scrape, p.arch
+	s.shards = arch.ShardStats()
+	s.optimizer, s.optimized = arch.OptimizerStatus()
+	s.debounce, _ = arch.FailureDebounceStats()
+	s.trace = trace.Stats{}
+	if st := arch.TraceStore(); st != nil {
+		s.trace = st.Stats()
+	}
+	s.occupancy = s.occupancy[:0]
+	if wdm := arch.Orchestrator().WDM(); wdm != nil {
+		capacity := float64(wdm.Capacity())
+		for _, used := range wdm.Utilizations() {
+			s.occupancy = append(s.occupancy, float64(used)/capacity)
+		}
+	}
+	s.refreshMem()
+}
+
+// one wraps a single unlabeled value as a scrape-time family's closure.
+func one(value func() float64) func(Sink) {
+	return func(s Sink) { s.Add(value()) }
+}
+
+// perShard wraps one value per shard, labeled with the shard's index.
+func (p *Plane) perShard(value func(st *alvc.ShardStat) float64) func(Sink) {
+	return func(s Sink) {
+		for i := range p.scrape.shards {
+			st := &p.scrape.shards[i]
+			s.Add(value(st), strconv.Itoa(st.Shard))
+		}
+	}
+}
+
 // registerOrch wires the orchestration-layer families.
 func (p *Plane) registerOrch() {
-	arch := p.arch
-	p.reg.CounterFunc("alvc_orch_provisions_total",
+	sc := &p.scrape
+	p.reg.CounterSink("alvc_orch_provisions_total",
 		"Chain provisioning attempts by shard and outcome.",
-		[]string{"shard", "outcome"}, func() []Sample {
-			var out []Sample
-			for _, st := range arch.ShardStats() {
+		[]string{"shard", "outcome"}, func(s Sink) {
+			for _, st := range sc.shards {
 				shard := strconv.Itoa(st.Shard)
-				out = append(out,
-					Sample{Labels: []string{shard, "ok"}, Value: float64(st.ProvisionOK)},
-					Sample{Labels: []string{shard, "failed"}, Value: float64(st.ProvisionFailed)})
+				s.Add(float64(st.ProvisionOK), shard, "ok")
+				s.Add(float64(st.ProvisionFailed), shard, "failed")
 			}
-			return out
 		})
-	p.reg.GaugeFunc("alvc_orch_deployments",
+	p.reg.GaugeSink("alvc_orch_deployments",
 		"Deployments by shard and lifecycle state (deleted: deletes since start).",
-		[]string{"shard", "state"}, func() []Sample {
-			var out []Sample
-			for _, st := range arch.ShardStats() {
+		[]string{"shard", "state"}, func(s Sink) {
+			for _, st := range sc.shards {
 				shard := strconv.Itoa(st.Shard)
-				out = append(out,
-					Sample{Labels: []string{shard, "active"}, Value: float64(st.Active)},
-					Sample{Labels: []string{shard, "deleted"}, Value: float64(st.Deleted)},
-					Sample{Labels: []string{shard, "failed"}, Value: float64(st.Failed)})
+				s.Add(float64(st.Active), shard, "active")
+				s.Add(float64(st.Deleted), shard, "deleted")
+				s.Add(float64(st.Failed), shard, "failed")
 			}
-			return out
 		})
-	p.reg.CounterFunc("alvc_orch_shard_repairs_total",
+	p.reg.CounterSink("alvc_orch_shard_repairs_total",
 		"Successful repairs per shard since start (repairs of chains deleted since stay counted).",
-		[]string{"shard"}, func() []Sample {
-			var out []Sample
-			for _, st := range arch.ShardStats() {
-				out = append(out, Sample{Labels: []string{strconv.Itoa(st.Shard)}, Value: float64(st.Repairs)})
-			}
-			return out
-		})
-	p.reg.GaugeFunc("alvc_orch_shard_busy_ops",
+		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.Repairs) }))
+	p.reg.GaugeSink("alvc_orch_shard_busy_ops",
 		"Exclusive operations in flight per shard (repairs, moves, deletes).",
-		[]string{"shard"}, func() []Sample {
-			var out []Sample
-			for _, st := range arch.ShardStats() {
-				out = append(out, Sample{Labels: []string{strconv.Itoa(st.Shard)}, Value: float64(st.BusyOps)})
-			}
-			return out
-		})
+		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.BusyOps) }))
 	p.repairsTotal = p.reg.NewCounterVec("alvc_orch_repairs_total",
 		"Completed repairs by reconciliation action.", "action")
 	p.eventsTotal = p.reg.NewCounterVec("alvc_orch_events_total",
@@ -200,35 +236,24 @@ func (p *Plane) registerOrch() {
 
 	// Debounce families are always registered (zeros without a
 	// debouncer) so the exposition surface is configuration-independent.
-	p.reg.CounterFunc("alvc_orch_debounce_events_total",
+	p.reg.CounterSink("alvc_orch_debounce_events_total",
 		"Failure reports received by the debouncer.",
-		nil, func() []Sample {
-			st, _ := arch.FailureDebounceStats()
-			return []Sample{{Value: float64(st.Events)}}
-		})
-	p.reg.CounterFunc("alvc_orch_debounce_batches_total",
+		nil, one(func() float64 { return float64(sc.debounce.Events) }))
+	p.reg.CounterSink("alvc_orch_debounce_batches_total",
 		"Coalesced failure batches dispatched by the debouncer.",
-		nil, func() []Sample {
-			st, _ := arch.FailureDebounceStats()
-			return []Sample{{Value: float64(st.Batches)}}
-		})
-	p.reg.CounterFunc("alvc_orch_debounce_coalesced_total",
+		nil, one(func() float64 { return float64(sc.debounce.Batches) }))
+	p.reg.CounterSink("alvc_orch_debounce_coalesced_total",
 		"Failure reports merged into an already-armed debounce window.",
-		nil, func() []Sample {
-			st, _ := arch.FailureDebounceStats()
-			return []Sample{{Value: float64(st.Coalesced)}}
-		})
-	p.reg.GaugeFunc("alvc_orch_debounce_pending",
+		nil, one(func() float64 { return float64(sc.debounce.Coalesced) }))
+	p.reg.GaugeSink("alvc_orch_debounce_pending",
 		"Failed resources awaiting the next debounce flush.",
-		[]string{"resource"}, func() []Sample {
+		[]string{"resource"}, func(s Sink) {
 			var nodes, links int
-			if d := arch.Debouncer(); d != nil {
+			if d := p.arch.Debouncer(); d != nil {
 				nodes, links = d.Pending()
 			}
-			return []Sample{
-				{Labels: []string{"links"}, Value: float64(links)},
-				{Labels: []string{"nodes"}, Value: float64(nodes)},
-			}
+			s.Add(float64(links), "links")
+			s.Add(float64(nodes), "nodes")
 		})
 	p.flushSeconds = p.reg.NewHistogramVec("alvc_orch_debounce_flush_seconds",
 		"Reconciliation latency of dispatched debounce batches.", batchBounds)
@@ -238,99 +263,65 @@ func (p *Plane) registerOrch() {
 // registerOptimizer wires the background-engine families; all emit
 // zeros when no optimizer is attached.
 func (p *Plane) registerOptimizer() {
-	arch := p.arch
-	p.reg.GaugeFunc("alvc_optimizer_queue_depth",
+	sc := &p.scrape
+	// perQueue reports one value per optimizer shard queue, and a zero
+	// for shard 0 without an optimizer.
+	perQueue := func(values func() []int) func(Sink) {
+		return func(s Sink) {
+			if !sc.optimized {
+				s.Add(0, "0")
+				return
+			}
+			for i, d := range values() {
+				s.Add(float64(d), strconv.Itoa(i))
+			}
+		}
+	}
+	p.reg.GaugeSink("alvc_optimizer_queue_depth",
 		"Queued maintenance tasks per optimizer shard queue.",
-		[]string{"shard"}, func() []Sample {
-			st, ok := arch.OptimizerStatus()
-			if !ok {
-				return []Sample{{Labels: []string{"0"}, Value: 0}}
-			}
-			var out []Sample
-			for i, d := range st.ShardDepths {
-				out = append(out, Sample{Labels: []string{strconv.Itoa(i)}, Value: float64(d)})
-			}
-			return out
-		})
-	p.reg.GaugeFunc("alvc_optimizer_queue_high_water",
+		[]string{"shard"}, perQueue(func() []int { return sc.optimizer.ShardDepths }))
+	p.reg.GaugeSink("alvc_optimizer_queue_high_water",
 		"Per-shard optimizer queue high-water mark since start.",
-		[]string{"shard"}, func() []Sample {
-			st, ok := arch.OptimizerStatus()
-			if !ok {
-				return []Sample{{Labels: []string{"0"}, Value: 0}}
-			}
-			var out []Sample
-			for i, d := range st.ShardHighWater {
-				out = append(out, Sample{Labels: []string{strconv.Itoa(i)}, Value: float64(d)})
-			}
-			return out
-		})
-	p.reg.CounterFunc("alvc_optimizer_tasks_total",
+		[]string{"shard"}, perQueue(func() []int { return sc.optimizer.ShardHighWater }))
+	p.reg.CounterSink("alvc_optimizer_tasks_total",
 		"Optimizer task lifecycle counts by kind and outcome.",
-		[]string{"kind", "outcome"}, func() []Sample {
-			st, ok := arch.OptimizerStatus()
-			if !ok {
-				return nil
+		[]string{"kind", "outcome"}, func(s Sink) {
+			for kind, ks := range sc.optimizer.Kinds {
+				s.Add(float64(ks.Enqueued), kind, "enqueued")
+				s.Add(float64(ks.Deduped), kind, "deduped")
+				s.Add(float64(ks.Completed), kind, "completed")
+				s.Add(float64(ks.Requeued), kind, "requeued")
+				s.Add(float64(ks.Skipped), kind, "skipped")
+				s.Add(float64(ks.Cancelled), kind, "cancelled")
+				s.Add(float64(ks.Failed), kind, "failed")
 			}
-			var out []Sample
-			for kind, ks := range st.Kinds {
-				out = append(out,
-					Sample{Labels: []string{kind, "enqueued"}, Value: float64(ks.Enqueued)},
-					Sample{Labels: []string{kind, "deduped"}, Value: float64(ks.Deduped)},
-					Sample{Labels: []string{kind, "completed"}, Value: float64(ks.Completed)},
-					Sample{Labels: []string{kind, "requeued"}, Value: float64(ks.Requeued)},
-					Sample{Labels: []string{kind, "skipped"}, Value: float64(ks.Skipped)},
-					Sample{Labels: []string{kind, "cancelled"}, Value: float64(ks.Cancelled)},
-					Sample{Labels: []string{kind, "failed"}, Value: float64(ks.Failed)})
-			}
-			return out
 		})
-	p.reg.GaugeFunc("alvc_optimizer_running",
+	p.reg.GaugeSink("alvc_optimizer_running",
 		"Optimizer tasks executing right now.",
-		nil, func() []Sample {
-			st, _ := arch.OptimizerStatus()
-			return []Sample{{Value: float64(st.Running)}}
-		})
-	p.reg.GaugeFunc("alvc_optimizer_storm_active",
+		nil, one(func() float64 { return float64(sc.optimizer.Running) }))
+	p.reg.GaugeSink("alvc_optimizer_storm_active",
 		"1 while storm-mode coalescing is engaged.",
-		nil, func() []Sample {
-			st, _ := arch.OptimizerStatus()
-			v := 0.0
-			if st.Storm.Active {
-				v = 1
+		nil, one(func() float64 {
+			if sc.optimizer.Storm.Active {
+				return 1
 			}
-			return []Sample{{Value: v}}
-		})
-	p.reg.CounterFunc("alvc_optimizer_storm_activations_total",
+			return 0
+		}))
+	p.reg.CounterSink("alvc_optimizer_storm_activations_total",
 		"Quiet-to-storm transitions of the optimizer queue.",
-		nil, func() []Sample {
-			st, _ := arch.OptimizerStatus()
-			return []Sample{{Value: float64(st.Storm.Activations)}}
-		})
-	p.reg.CounterFunc("alvc_optimizer_storm_coalesced_total",
+		nil, one(func() float64 { return float64(sc.optimizer.Storm.Activations) }))
+	p.reg.CounterSink("alvc_optimizer_storm_coalesced_total",
 		"Re-protect tasks folded into storm-mode domain groups.",
-		nil, func() []Sample {
-			st, _ := arch.OptimizerStatus()
-			return []Sample{{Value: float64(st.Storm.CoalescedTasks)}}
-		})
-	p.reg.CounterFunc("alvc_optimizer_queue_shed_total",
+		nil, one(func() float64 { return float64(sc.optimizer.Storm.CoalescedTasks) }))
+	p.reg.CounterSink("alvc_optimizer_queue_shed_total",
 		"Tasks dropped by the optimizer queue-depth bound.",
-		nil, func() []Sample {
-			st, _ := arch.OptimizerStatus()
-			return []Sample{{Value: float64(st.Shed)}}
-		})
-	p.reg.CounterFunc("alvc_groupplan_plans_total",
+		nil, one(func() float64 { return float64(sc.optimizer.Shed) }))
+	p.reg.CounterSink("alvc_groupplan_plans_total",
 		"Chains planned through storm-group re-protection.",
-		nil, func() []Sample {
-			st, _ := arch.OptimizerStatus()
-			return []Sample{{Value: float64(st.GroupPlans.Planned)}}
-		})
-	p.reg.CounterFunc("alvc_groupplan_fallbacks_total",
+		nil, one(func() float64 { return float64(sc.optimizer.GroupPlans.Planned) }))
+	p.reg.CounterSink("alvc_groupplan_fallbacks_total",
 		"Group plans that fell back from a restricted OPS pool to the full pool.",
-		nil, func() []Sample {
-			st, _ := arch.OptimizerStatus()
-			return []Sample{{Value: float64(st.GroupPlans.Fallbacks)}}
-		})
+		nil, one(func() float64 { return float64(sc.optimizer.GroupPlans.Fallbacks) }))
 	p.drainSeconds = p.reg.NewHistogramVec("alvc_optimizer_drain_seconds",
 		"Wall time of optimizer drain passes.", batchBounds)
 	p.drainSeconds.WithLabelValues()
@@ -338,101 +329,61 @@ func (p *Plane) registerOptimizer() {
 
 // registerRouting wires the SDN and topology fast-path families.
 func (p *Plane) registerRouting() {
-	arch := p.arch
-	p.reg.CounterFunc("alvc_sdn_path_computations_total",
+	topo := p.arch.Topology()
+	p.reg.CounterSink("alvc_sdn_path_computations_total",
 		"Shortest-path computations per shard controller.",
-		[]string{"shard"}, func() []Sample {
-			var out []Sample
-			for _, st := range arch.ShardStats() {
-				out = append(out, Sample{Labels: []string{strconv.Itoa(st.Shard)}, Value: float64(st.PathComputations)})
-			}
-			return out
-		})
-	p.reg.CounterFunc("alvc_sdn_yen_runs_total",
+		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.PathComputations) }))
+	p.reg.CounterSink("alvc_sdn_yen_runs_total",
 		"Yen k-shortest-path invocations per shard controller (PathAlternatives callers; standby planning runs none).",
-		[]string{"shard"}, func() []Sample {
-			var out []Sample
-			for _, st := range arch.ShardStats() {
-				out = append(out, Sample{Labels: []string{strconv.Itoa(st.Shard)}, Value: float64(st.YenRuns)})
-			}
-			return out
-		})
-	p.reg.CounterFunc("alvc_sdn_candidate_cache_hits_total",
+		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.YenRuns) }))
+	p.reg.CounterSink("alvc_sdn_candidate_cache_hits_total",
 		"Standby segment searches served from the memo, per shard controller.",
-		[]string{"shard"}, func() []Sample {
-			var out []Sample
-			for _, st := range arch.ShardStats() {
-				out = append(out, Sample{Labels: []string{strconv.Itoa(st.Shard)}, Value: float64(st.CandidateCacheHits)})
-			}
-			return out
-		})
-	p.reg.CounterFunc("alvc_sdn_candidate_cache_misses_total",
+		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.CandidateCacheHits) }))
+	p.reg.CounterSink("alvc_sdn_candidate_cache_misses_total",
 		"Standby segment searches that ran (memo misses), per shard controller.",
-		[]string{"shard"}, func() []Sample {
-			var out []Sample
-			for _, st := range arch.ShardStats() {
-				out = append(out, Sample{Labels: []string{strconv.Itoa(st.Shard)}, Value: float64(st.CandidateCacheMisses)})
-			}
-			return out
-		})
-	p.reg.GaugeFunc("alvc_sdn_installed_rules",
+		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.CandidateCacheMisses) }))
+	p.reg.GaugeSink("alvc_sdn_installed_rules",
 		"Installed flow rules per shard controller.",
-		[]string{"shard"}, func() []Sample {
-			var out []Sample
-			for _, st := range arch.ShardStats() {
-				out = append(out, Sample{Labels: []string{strconv.Itoa(st.Shard)}, Value: float64(st.InstalledRules)})
-			}
-			return out
-		})
-	p.reg.CounterFunc("alvc_topology_graph_builds_total",
+		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.InstalledRules) }))
+	p.reg.CounterSink("alvc_topology_graph_builds_total",
 		"Full routing-graph (CSR) rebuilds.",
-		nil, func() []Sample {
-			return []Sample{{Value: float64(arch.Topology().GraphBuilds())}}
-		})
-	p.reg.CounterFunc("alvc_topology_snapshot_hits_total",
+		nil, one(func() float64 { return float64(topo.GraphBuilds()) }))
+	p.reg.CounterSink("alvc_topology_snapshot_hits_total",
 		"Warm routing-snapshot fetches (epoch cache hits).",
-		nil, func() []Sample {
-			return []Sample{{Value: float64(arch.Topology().SnapshotHits())}}
-		})
-	p.reg.CounterFunc("alvc_topology_liveness_patches_total",
+		nil, one(func() float64 { return float64(topo.SnapshotHits()) }))
+	p.reg.CounterSink("alvc_topology_liveness_patches_total",
 		"In-place liveness-overlay patches on the routing snapshot.",
-		nil, func() []Sample {
-			return []Sample{{Value: float64(arch.Topology().LivenessPatches())}}
-		})
+		nil, one(func() float64 { return float64(topo.LivenessPatches()) }))
 }
 
 // registerResilience wires the protection-posture families.
 func (p *Plane) registerResilience() {
-	arch := p.arch
+	sc := &p.scrape
 	standbyCounts := func() (disjoint, nonDisjoint, unprotected int) {
-		for _, st := range arch.ShardStats() {
+		for _, st := range sc.shards {
 			disjoint += st.StandbyDisjoint
 			nonDisjoint += st.StandbyNonDisjoint
 			unprotected += st.Unprotected
 		}
 		return
 	}
-	p.reg.GaugeFunc("alvc_resilience_standby_chains",
+	p.reg.GaugeSink("alvc_resilience_standby_chains",
 		"Active chains by standby protection status.",
-		[]string{"status"}, func() []Sample {
+		[]string{"status"}, func(s Sink) {
 			d, nd, u := standbyCounts()
-			return []Sample{
-				{Labels: []string{"disjoint"}, Value: float64(d)},
-				{Labels: []string{"non_disjoint"}, Value: float64(nd)},
-				{Labels: []string{"unprotected"}, Value: float64(u)},
-			}
+			s.Add(float64(d), "disjoint")
+			s.Add(float64(nd), "non_disjoint")
+			s.Add(float64(u), "unprotected")
 		})
-	p.reg.GaugeFunc("alvc_resilience_protection_gap",
+	p.reg.GaugeSink("alvc_resilience_protection_gap",
 		"Active chains lacking a disjoint standby (non-disjoint plus unprotected).",
-		nil, func() []Sample {
+		nil, one(func() float64 {
 			_, nd, u := standbyCounts()
-			return []Sample{{Value: float64(nd + u)}}
-		})
-	p.reg.CounterFunc("alvc_resilience_standby_fallbacks_total",
+			return float64(nd + u)
+		}))
+	p.reg.CounterSink("alvc_resilience_standby_fallbacks_total",
 		"Per-chain standby plans that tried the whole fabric after the shard's OPS pool offered no disjoint route.",
-		nil, func() []Sample {
-			return []Sample{{Value: float64(arch.Sharded().StandbyFallbacks())}}
-		})
+		nil, one(func() float64 { return float64(p.arch.Sharded().StandbyFallbacks()) }))
 	p.rehomeChurn = p.reg.NewCounterVec("alvc_capacity_rehome_churn_total",
 		"VNF re-home migrations by rack and direction (from = vacated, to = filled).",
 		"rack", "direction")
@@ -441,101 +392,56 @@ func (p *Plane) registerResilience() {
 // registerOptical wires the λ-occupancy early-warning families; all
 // read zero when WDM assignment is disabled.
 func (p *Plane) registerOptical() {
-	arch := p.arch
-	occupancies := func() []float64 {
-		wdm := arch.Orchestrator().WDM()
-		if wdm == nil {
-			return nil
-		}
-		cap := float64(wdm.Capacity())
-		var out []float64
-		for _, used := range wdm.Utilizations() {
-			out = append(out, float64(used)/cap)
-		}
-		return out
-	}
+	sc := &p.scrape
 	p.reg.HistogramFunc("alvc_optical_lambda_occupancy_ratio",
 		"Per-link wavelength occupancy ratio across lit optical links.",
-		occupancyBounds, occupancies)
-	p.reg.GaugeFunc("alvc_optical_links_congested",
+		occupancyBounds, func() []float64 { return sc.occupancy })
+	p.reg.GaugeSink("alvc_optical_links_congested",
 		"Optical links at or above the congestion occupancy threshold (0.75).",
-		nil, func() []Sample {
+		nil, one(func() float64 {
 			n := 0
-			for _, r := range occupancies() {
+			for _, r := range sc.occupancy {
 				if r >= congestedOccupancy {
 					n++
 				}
 			}
-			return []Sample{{Value: float64(n)}}
-		})
-	p.reg.GaugeFunc("alvc_optical_links_lit",
+			return float64(n)
+		}))
+	p.reg.GaugeSink("alvc_optical_links_lit",
 		"Optical links with at least one wavelength in use.",
-		nil, func() []Sample {
-			return []Sample{{Value: float64(len(occupancies()))}}
-		})
+		nil, one(func() float64 { return float64(len(sc.occupancy)) }))
 }
 
 // registerTrace wires the trace-store self-observability families; all
 // read zero when tracing is disabled (WithTracing(nil)).
 func (p *Plane) registerTrace() {
-	arch := p.arch
-	p.reg.CounterFunc("alvc_trace_spans_total",
+	sc := &p.scrape
+	p.reg.CounterSink("alvc_trace_spans_total",
 		"Spans recorded into the trace store.",
-		nil, func() []Sample {
-			if st := arch.TraceStore(); st != nil {
-				return []Sample{{Value: float64(st.Stats().SpansRecorded)}}
-			}
-			return []Sample{{Value: 0}}
-		})
-	p.reg.CounterFunc("alvc_trace_spans_dropped_total",
+		nil, one(func() float64 { return float64(sc.trace.SpansRecorded) }))
+	p.reg.CounterSink("alvc_trace_spans_dropped_total",
 		"Spans dropped by the per-trace cap or the store span budget.",
-		nil, func() []Sample {
-			if st := arch.TraceStore(); st != nil {
-				return []Sample{{Value: float64(st.Stats().SpansDropped)}}
-			}
-			return []Sample{{Value: 0}}
-		})
-	p.reg.CounterFunc("alvc_trace_traces_evicted_total",
+		nil, one(func() float64 { return float64(sc.trace.SpansDropped) }))
+	p.reg.CounterSink("alvc_trace_traces_evicted_total",
 		"Whole traces force-evicted to stay under the span budget.",
-		nil, func() []Sample {
-			if st := arch.TraceStore(); st != nil {
-				return []Sample{{Value: float64(st.Stats().TracesEvicted)}}
-			}
-			return []Sample{{Value: 0}}
-		})
-	p.reg.GaugeFunc("alvc_trace_store_spans",
+		nil, one(func() float64 { return float64(sc.trace.TracesEvicted) }))
+	p.reg.GaugeSink("alvc_trace_store_spans",
 		"Spans currently retained by the trace store.",
-		nil, func() []Sample {
-			if st := arch.TraceStore(); st != nil {
-				return []Sample{{Value: float64(st.Stats().LiveSpans)}}
-			}
-			return []Sample{{Value: 0}}
-		})
-	p.reg.GaugeFunc("alvc_trace_store_traces",
+		nil, one(func() float64 { return float64(sc.trace.LiveSpans) }))
+	p.reg.GaugeSink("alvc_trace_store_traces",
 		"Traces currently retained by the trace store.",
-		nil, func() []Sample {
-			if st := arch.TraceStore(); st != nil {
-				return []Sample{{Value: float64(st.Stats().LiveTraces)}}
-			}
-			return []Sample{{Value: 0}}
-		})
+		nil, one(func() float64 { return float64(sc.trace.LiveTraces) }))
 }
 
 // registerWatch wires the hub's self-observability families.
 func (p *Plane) registerWatch() {
-	p.reg.GaugeFunc("alvc_watch_subscribers",
+	p.reg.GaugeSink("alvc_watch_subscribers",
 		"Active /v1/watch subscribers.",
-		nil, func() []Sample {
-			return []Sample{{Value: float64(p.hub.Subscribers())}}
-		})
-	p.reg.CounterFunc("alvc_watch_events_total",
+		nil, one(func() float64 { return float64(p.hub.Subscribers()) }))
+	p.reg.CounterSink("alvc_watch_events_total",
 		"Lifecycle events ingested by the watch hub.",
-		nil, func() []Sample {
-			return []Sample{{Value: float64(p.hub.Events())}}
-		})
-	p.reg.CounterFunc("alvc_watch_dropped_subscribers_total",
+		nil, one(func() float64 { return float64(p.hub.Events()) }))
+	p.reg.CounterSink("alvc_watch_dropped_subscribers_total",
 		"Watch subscribers dropped for not keeping up.",
-		nil, func() []Sample {
-			return []Sample{{Value: float64(p.hub.Dropped())}}
-		})
+		nil, one(func() float64 { return float64(p.hub.Dropped()) }))
 }

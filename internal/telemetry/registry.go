@@ -14,11 +14,11 @@
 package telemetry
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,79 +38,143 @@ const (
 	TypeHistogram MetricType = "histogram"
 )
 
-// Sample is one series of a scrape-time family: label values (aligned
-// with the family's label names) and the current value.
-type Sample struct {
-	Labels []string
-	Value  float64
+// family is what every kind of metric family carries: its name, its
+// series' label names and the # HELP / # TYPE lines that open it in an
+// exposition, rendered at registration.
+type family struct {
+	name       string
+	labelNames []string
+	header     []byte
 }
+
+func (f *family) meta() *family { return f }
 
 // collector is one registered metric family.
 type collector interface {
-	famName() string
-	famHelp() string
-	famType() MetricType
-	// write emits the family's series lines (no HELP/TYPE).
-	write(w *bufio.Writer)
+	meta() *family
+	// appendSeries appends the family's series lines (no HELP/TYPE).
+	appendSeries(b []byte) []byte
+}
+
+// series is one line of a family as far as it never changes: the key
+// the family's series sort by and the line's head, `name{k="v",…} `,
+// rendered when the series is first seen. A scrape appends the head and
+// the value's digits.
+type series struct {
+	key  string
+	head []byte
+}
+
+func (s *series) sortKey() string { return s.key }
+
+// findSeries locates the series with the given label values in a
+// key-sorted list: its index, or where it belongs.
+func findSeries[S interface{ sortKey() string }](list []S, values []string) (int, bool) {
+	// A plain loop, not slices.BinarySearchFunc: through its comparison
+	// callback values would escape, and every WithLabelValues and
+	// Sink.Add allocate its variadic slice.
+	lo, hi := 0, len(list)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := compareKey(list[mid].sortKey(), values); {
+		case c == 0:
+			return mid, true
+		case c < 0:
+			lo = mid + 1
+		default:
+			hi = mid
+		}
+	}
+	return lo, false
+}
+
+// newSeries renders the series the label values name.
+func (f *family) newSeries(values []string) series {
+	return series{key: labelKey(values), head: lineHead(f.name, f.labelNames, values)}
+}
+
+// checkArity panics unless there is one label value per label name.
+func (f *family) checkArity(values []string) {
+	if len(values) != len(f.labelNames) {
+		panic(fmt.Sprintf("telemetry: %s: %d label values for %d labels", f.name, len(values), len(f.labelNames)))
+	}
 }
 
 // Registry holds metric families and renders them in Prometheus text
 // exposition format. Safe for concurrent registration and scraping.
 type Registry struct {
 	mu   sync.RWMutex
-	fams map[string]collector
+	fams []collector // sorted by name
+
+	// scrapeMu makes scrapes take turns: what beforeScrape refreshes and
+	// the scrape-time families' series slots belong to the one rendering.
+	scrapeMu     sync.Mutex
+	beforeScrape func()
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{fams: make(map[string]collector)}
+func NewRegistry() *Registry { return new(Registry) }
+
+// BeforeScrape sets a hook every scrape runs before it renders: where
+// the owner of the scrape-time families reads, once, what they report.
+func (r *Registry) BeforeScrape(fn func()) {
+	r.scrapeMu.Lock()
+	defer r.scrapeMu.Unlock()
+	r.beforeScrape = fn
 }
 
 // register adds a family, panicking on a duplicate name — families are
 // wired once at construction time, so a collision is a programming
 // error, and failing loud beats silently exporting garbage.
-func (r *Registry) register(c collector) {
-	name := c.famName()
-	if name == "" {
+func (r *Registry) register(c collector, mtype MetricType, help string) {
+	f := c.meta()
+	if f.name == "" {
 		panic("telemetry: empty metric family name")
 	}
+	f.header = fmt.Appendf(nil, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(help), f.name, mtype)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.fams[name]; dup {
-		panic(fmt.Sprintf("telemetry: duplicate metric family %q", name))
+	i, dup := slices.BinarySearchFunc(r.fams, f.name, func(c collector, name string) int {
+		return strings.Compare(c.meta().name, name)
+	})
+	if dup {
+		panic(fmt.Sprintf("telemetry: duplicate metric family %q", f.name))
 	}
-	r.fams[name] = c
+	r.fams = slices.Insert(r.fams, i, c)
 }
 
 // FamilyNames returns the registered family names, sorted.
 func (r *Registry) FamilyNames() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.fams))
-	for name := range r.fams {
-		out = append(out, name)
+	out := make([]string, len(r.fams))
+	for i, c := range r.fams {
+		out[i] = c.meta().name
 	}
-	sort.Strings(out)
 	return out
 }
 
+var expositionPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // WritePrometheus renders every family in text exposition format,
-// sorted by family name.
+// sorted by family name, and writes the exposition in one piece.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	bp := expositionPool.Get().(*[]byte)
+	b := (*bp)[:0]
+	r.scrapeMu.Lock()
+	if r.beforeScrape != nil {
+		r.beforeScrape()
+	}
 	r.mu.RLock()
-	fams := make([]collector, 0, len(r.fams))
 	for _, c := range r.fams {
-		fams = append(fams, c)
+		b = c.appendSeries(append(b, c.meta().header...))
 	}
 	r.mu.RUnlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].famName() < fams[j].famName() })
-	bw := bufio.NewWriter(w)
-	for _, c := range fams {
-		fmt.Fprintf(bw, "# HELP %s %s\n", c.famName(), escapeHelp(c.famHelp()))
-		fmt.Fprintf(bw, "# TYPE %s %s\n", c.famName(), c.famType())
-		c.write(bw)
-	}
-	return bw.Flush()
+	r.scrapeMu.Unlock()
+	_, err := w.Write(b)
+	*bp = b
+	expositionPool.Put(bp)
+	return err
 }
 
 // Handler returns the GET /metrics scrape handler.
@@ -135,48 +199,69 @@ func escapeLabel(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// formatValue renders a sample value ("+Inf"/"-Inf"/"NaN" for the
+// appendValue appends a sample value ("+Inf"/"-Inf"/"NaN" for the
 // non-finite cases, shortest round-trip decimal otherwise).
-func formatValue(v float64) string {
+func appendValue(b []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
-		return "+Inf"
+		return append(b, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		return append(b, "-Inf"...)
 	case math.IsNaN(v):
-		return "NaN"
+		return append(b, "NaN"...)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// seriesName renders name{k1="v1",k2="v2"}; a series with no labels is
-// the bare name.
-func seriesName(name string, labelNames, labelValues []string) string {
-	if len(labelNames) == 0 {
-		return name
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+// lineHead renders `name{k1="v1",k2="v2"} `, what a series line opens
+// with; a series with no labels is the bare name.
+func lineHead(name string, labelNames, labelValues []string) []byte {
+	b := []byte(name)
 	for i, k := range labelNames {
-		if i > 0 {
-			b.WriteByte(',')
+		sep, v := byte(','), ""
+		if i == 0 {
+			sep = '{'
 		}
-		v := ""
 		if i < len(labelValues) {
 			v = labelValues[i]
 		}
-		// escapeLabel already applied exposition-format escaping; %q
-		// would escape the backslashes a second time.
-		fmt.Fprintf(&b, "%s=\"%s\"", k, escapeLabel(v))
+		b = append(append(append(b, sep), k...), '=', '"')
+		b = append(append(b, escapeLabel(v)...), '"')
 	}
-	b.WriteByte('}')
-	return b.String()
+	if len(labelNames) > 0 {
+		b = append(b, '}')
+	}
+	return append(b, ' ')
 }
 
-// labelKey joins label values into a deterministic child-map key.
+// labelKey joins label values into the key a family's series sort by.
 func labelKey(values []string) string {
 	return strings.Join(values, "\x1f")
+}
+
+// compareKey compares a series key with labelKey(values) without
+// joining the values.
+func compareKey(key string, values []string) int {
+	for i, v := range values {
+		if i > 0 {
+			if key == "" {
+				return -1
+			}
+			if key[0] != '\x1f' {
+				return int(key[0]) - '\x1f'
+			}
+			key = key[1:]
+		}
+		n := min(len(key), len(v))
+		if c := strings.Compare(key[:n], v[:n]); c != 0 {
+			return c
+		}
+		if n < len(v) {
+			return -1
+		}
+		key = key[n:]
+	}
+	return len(key) // what is left of a longer key sorts it after
 }
 
 // ---------------------------------------------------------------------------
@@ -185,77 +270,58 @@ func labelKey(values []string) string {
 // CounterVec is a labeled counter family backed by metrics.Counter
 // children, one per label-value combination.
 type CounterVec struct {
-	name, help string
-	labelNames []string
-	mu         sync.Mutex
-	children   map[string]*counterChild
+	family
+	mu   sync.Mutex
+	kids []*counterChild // sorted by key
 }
 
 type counterChild struct {
-	values []string
-	c      metrics.Counter
+	series
+	c metrics.Counter
 }
 
 // NewCounterVec registers a counter family with the given label names
 // (none for a single-series counter).
 func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
-	v := &CounterVec{
-		name:       name,
-		help:       help,
-		labelNames: labelNames,
-		children:   make(map[string]*counterChild),
-	}
-	r.register(v)
+	v := &CounterVec{family: family{name: name, labelNames: labelNames}}
+	r.register(v, TypeCounter, help)
 	return v
 }
 
 // WithLabelValues returns (creating if needed) the child counter for
 // the label values, which must match the family's label arity.
 func (v *CounterVec) WithLabelValues(values ...string) *metrics.Counter {
-	if len(values) != len(v.labelNames) {
-		panic(fmt.Sprintf("telemetry: %s: %d label values for %d labels", v.name, len(values), len(v.labelNames)))
-	}
-	key := labelKey(values)
+	v.checkArity(values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	ch, ok := v.children[key]
+	i, ok := findSeries(v.kids, values)
 	if !ok {
-		ch = &counterChild{values: append([]string(nil), values...)}
-		v.children[key] = ch
+		v.kids = slices.Insert(v.kids, i, &counterChild{series: v.newSeries(values)})
 	}
-	return &ch.c
+	return &v.kids[i].c
 }
 
-func (v *CounterVec) famName() string     { return v.name }
-func (v *CounterVec) famHelp() string     { return v.help }
-func (v *CounterVec) famType() MetricType { return TypeCounter }
-
-func (v *CounterVec) write(w *bufio.Writer) {
+func (v *CounterVec) appendSeries(b []byte) []byte {
 	v.mu.Lock()
-	kids := make([]*counterChild, 0, len(v.children))
-	for _, ch := range v.children {
-		kids = append(kids, ch)
+	defer v.mu.Unlock()
+	for _, ch := range v.kids {
+		b = append(strconv.AppendInt(append(b, ch.head...), ch.c.Value(), 10), '\n')
 	}
-	v.mu.Unlock()
-	sort.Slice(kids, func(i, j int) bool { return labelKey(kids[i].values) < labelKey(kids[j].values) })
-	for _, ch := range kids {
-		fmt.Fprintf(w, "%s %d\n", seriesName(v.name, v.labelNames, ch.values), ch.c.Value())
-	}
+	return b
 }
 
 // GaugeVec is a labeled gauge family; children hold float64 values in
 // atomic bit form so Set/Add stay lock-free on hot paths.
 type GaugeVec struct {
-	name, help string
-	labelNames []string
-	mu         sync.Mutex
-	children   map[string]*Gauge
+	family
+	mu   sync.Mutex
+	kids []*Gauge // sorted by key
 }
 
 // Gauge is one settable series of a GaugeVec.
 type Gauge struct {
-	values []string
-	bits   atomic.Uint64
+	series
+	bits atomic.Uint64
 }
 
 // Set stores the gauge value.
@@ -277,47 +343,30 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // NewGaugeVec registers a gauge family.
 func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	v := &GaugeVec{
-		name:       name,
-		help:       help,
-		labelNames: labelNames,
-		children:   make(map[string]*Gauge),
-	}
-	r.register(v)
+	v := &GaugeVec{family: family{name: name, labelNames: labelNames}}
+	r.register(v, TypeGauge, help)
 	return v
 }
 
 // WithLabelValues returns (creating if needed) the child gauge.
 func (v *GaugeVec) WithLabelValues(values ...string) *Gauge {
-	if len(values) != len(v.labelNames) {
-		panic(fmt.Sprintf("telemetry: %s: %d label values for %d labels", v.name, len(values), len(v.labelNames)))
-	}
-	key := labelKey(values)
+	v.checkArity(values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	g, ok := v.children[key]
+	i, ok := findSeries(v.kids, values)
 	if !ok {
-		g = &Gauge{values: append([]string(nil), values...)}
-		v.children[key] = g
+		v.kids = slices.Insert(v.kids, i, &Gauge{series: v.newSeries(values)})
 	}
-	return g
+	return v.kids[i]
 }
 
-func (v *GaugeVec) famName() string     { return v.name }
-func (v *GaugeVec) famHelp() string     { return v.help }
-func (v *GaugeVec) famType() MetricType { return TypeGauge }
-
-func (v *GaugeVec) write(w *bufio.Writer) {
+func (v *GaugeVec) appendSeries(b []byte) []byte {
 	v.mu.Lock()
-	kids := make([]*Gauge, 0, len(v.children))
-	for _, g := range v.children {
-		kids = append(kids, g)
+	defer v.mu.Unlock()
+	for _, g := range v.kids {
+		b = append(appendValue(append(b, g.head...), g.Value()), '\n')
 	}
-	v.mu.Unlock()
-	sort.Slice(kids, func(i, j int) bool { return labelKey(kids[i].values) < labelKey(kids[j].values) })
-	for _, g := range kids {
-		fmt.Fprintf(w, "%s %s\n", seriesName(v.name, v.labelNames, g.values), formatValue(g.Value()))
-	}
+	return b
 }
 
 // HistogramVec is a labeled histogram family backed by
@@ -325,16 +374,16 @@ func (v *GaugeVec) write(w *bufio.Writer) {
 // backend tracks bucket counts only). Exposition renders cumulative
 // le-labeled buckets with the implicit +Inf, _sum and _count series.
 type HistogramVec struct {
-	name, help string
-	labelNames []string
-	bounds     []float64
-	mu         sync.Mutex
-	children   map[string]*HistogramChild
+	family
+	bounds []float64
+	mu     sync.Mutex
+	kids   []*HistogramChild // sorted by key
 }
 
 // HistogramChild is one observable series of a HistogramVec.
 type HistogramChild struct {
-	values  []string
+	series
+	heads   [][]byte // see histogramHeads
 	h       *metrics.Histogram
 	sumBits atomic.Uint64
 }
@@ -358,137 +407,177 @@ func (r *Registry) NewHistogramVec(name, help string, bounds []float64, labelNam
 		panic(fmt.Sprintf("telemetry: %s: %v", name, err))
 	}
 	v := &HistogramVec{
-		name:       name,
-		help:       help,
-		labelNames: labelNames,
-		bounds:     append([]float64(nil), bounds...),
-		children:   make(map[string]*HistogramChild),
+		family: family{name: name, labelNames: labelNames},
+		bounds: append([]float64(nil), bounds...),
 	}
-	r.register(v)
+	r.register(v, TypeHistogram, help)
 	return v
 }
 
 // WithLabelValues returns (creating if needed) the child histogram.
 func (v *HistogramVec) WithLabelValues(values ...string) *HistogramChild {
-	if len(values) != len(v.labelNames) {
-		panic(fmt.Sprintf("telemetry: %s: %d label values for %d labels", v.name, len(values), len(v.labelNames)))
-	}
-	key := labelKey(values)
+	v.checkArity(values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	ch, ok := v.children[key]
+	i, ok := findSeries(v.kids, values)
 	if !ok {
 		h, err := metrics.NewHistogram(v.bounds...)
 		if err != nil {
 			panic(fmt.Sprintf("telemetry: %s: %v", v.name, err))
 		}
-		ch = &HistogramChild{values: append([]string(nil), values...), h: h}
-		v.children[key] = ch
+		v.kids = slices.Insert(v.kids, i, &HistogramChild{
+			series: v.newSeries(values),
+			heads:  histogramHeads(v.name, v.labelNames, values, v.bounds),
+			h:      h,
+		})
 	}
-	return ch
+	return v.kids[i]
 }
 
-func (v *HistogramVec) famName() string     { return v.name }
-func (v *HistogramVec) famHelp() string     { return v.help }
-func (v *HistogramVec) famType() MetricType { return TypeHistogram }
-
-func (v *HistogramVec) write(w *bufio.Writer) {
+func (v *HistogramVec) appendSeries(b []byte) []byte {
 	v.mu.Lock()
-	kids := make([]*HistogramChild, 0, len(v.children))
-	for _, ch := range v.children {
-		kids = append(kids, ch)
+	defer v.mu.Unlock()
+	for _, ch := range v.kids {
+		b = appendHistogram(b, ch.heads, ch.h.Counts(), math.Float64frombits(ch.sumBits.Load()))
 	}
-	v.mu.Unlock()
-	sort.Slice(kids, func(i, j int) bool { return labelKey(kids[i].values) < labelKey(kids[j].values) })
-	for _, ch := range kids {
-		counts := ch.h.Counts()
-		writeHistogram(w, v.name, v.labelNames, ch.values, v.bounds, counts,
-			math.Float64frombits(ch.sumBits.Load()))
-	}
+	return b
 }
 
-// writeHistogram renders one histogram series: cumulative buckets (the
-// per-bucket counts accumulate into each le bound, ending at +Inf),
-// then _sum and _count. counts has len(bounds)+1 entries, the last
-// being the overflow bucket.
-func writeHistogram(w *bufio.Writer, name string, labelNames, labelValues []string, bounds []float64, counts []int64, sum float64) {
-	leNames := append(append([]string(nil), labelNames...), "le")
+// histogramHeads renders the line heads of one histogram series: a
+// _bucket per bound, the +Inf _bucket, then _sum and _count.
+func histogramHeads(name string, labelNames, labelValues []string, bounds []float64) [][]byte {
+	leNames := append(slices.Clone(labelNames), "le")
+	bucket := func(le string) []byte {
+		return lineHead(name+"_bucket", leNames, append(slices.Clone(labelValues), le))
+	}
+	heads := make([][]byte, 0, len(bounds)+3)
+	for _, bound := range bounds {
+		heads = append(heads, bucket(string(appendValue(nil, bound))))
+	}
+	return append(heads, bucket("+Inf"),
+		lineHead(name+"_sum", labelNames, labelValues),
+		lineHead(name+"_count", labelNames, labelValues))
+}
+
+// appendHistogram appends one histogram series under its heads:
+// cumulative buckets (the per-bucket counts accumulate into each le
+// bound, ending at +Inf), then _sum and _count. counts has one entry
+// per bound and a last one for the overflow bucket.
+func appendHistogram(b []byte, heads [][]byte, counts []int64, sum float64) []byte {
 	var cum int64
-	for i, b := range bounds {
-		cum += counts[i]
-		vals := append(append([]string(nil), labelValues...), formatValue(b))
-		fmt.Fprintf(w, "%s %d\n", seriesName(name+"_bucket", leNames, vals), cum)
+	for i, n := range counts {
+		cum += n
+		b = append(strconv.AppendInt(append(b, heads[i]...), cum, 10), '\n')
 	}
-	if len(counts) > len(bounds) {
-		cum += counts[len(bounds)]
-	}
-	vals := append(append([]string(nil), labelValues...), "+Inf")
-	fmt.Fprintf(w, "%s %d\n", seriesName(name+"_bucket", leNames, vals), cum)
-	fmt.Fprintf(w, "%s %s\n", seriesName(name+"_sum", labelNames, labelValues), formatValue(sum))
-	fmt.Fprintf(w, "%s %d\n", seriesName(name+"_count", labelNames, labelValues), cum)
+	b = append(appendValue(append(b, heads[len(counts)]...), sum), '\n')
+	return append(strconv.AppendInt(append(b, heads[len(counts)+1]...), cum, 10), '\n')
 }
 
 // ---------------------------------------------------------------------------
 // Scrape-time families
 
+// Sample is one series of a scrape-time family: label values (aligned
+// with the family's label names) and the current value.
+type Sample struct {
+	Labels []string
+	Value  float64
+}
+
+// Sink is where a scrape-time family reports the series of the scrape
+// in progress.
+type Sink struct{ c *funcCollector }
+
+// Add reports one series: its value and its label values, aligned with
+// the family's label names. Series are rendered sorted by label values
+// whatever order they are added in; adding the same labels twice in one
+// scrape keeps the last value.
+func (s Sink) Add(value float64, labels ...string) {
+	c := s.c
+	i, ok := findSeries(c.kids, labels)
+	if !ok {
+		c.kids = slices.Insert(c.kids, i, &funcSeries{series: c.newSeries(labels)})
+	}
+	c.kids[i].value, c.kids[i].scrape = value, c.scrape
+}
+
 // funcCollector reads its series from a closure at scrape time — the
 // natural fit for state the architecture already tracks (shard stats,
 // optimizer status, topology counters): no shadow copies to keep in
-// sync, the scrape sees the live value.
+// sync, the scrape sees the live value. Every series it has ever
+// reported keeps its rendered head and a value slot; a scrape renders
+// the ones its closure added. Touched only under the registry's
+// scrapeMu.
 type funcCollector struct {
-	name, help string
-	mtype      MetricType
-	labelNames []string
-	fn         func() []Sample
+	family
+	fn     func(Sink)
+	kids   []*funcSeries // sorted by key
+	scrape uint64
 }
 
-func (c *funcCollector) famName() string     { return c.name }
-func (c *funcCollector) famHelp() string     { return c.help }
-func (c *funcCollector) famType() MetricType { return c.mtype }
+type funcSeries struct {
+	series
+	value  float64
+	scrape uint64 // the scrape that set value
+}
 
-func (c *funcCollector) write(w *bufio.Writer) {
-	samples := c.fn()
-	sort.SliceStable(samples, func(i, j int) bool {
-		return labelKey(samples[i].Labels) < labelKey(samples[j].Labels)
-	})
-	for _, s := range samples {
-		fmt.Fprintf(w, "%s %s\n", seriesName(c.name, c.labelNames, s.Labels), formatValue(s.Value))
+func (c *funcCollector) appendSeries(b []byte) []byte {
+	c.scrape++
+	c.fn(Sink{c})
+	for _, k := range c.kids {
+		if k.scrape == c.scrape {
+			b = append(appendValue(append(b, k.head...), k.value), '\n')
+		}
 	}
+	return b
 }
 
-// CounterFunc registers a scrape-time counter family: fn is called per
-// scrape and returns the current series.
+// CounterSink registers a scrape-time counter family: fn is called per
+// scrape and adds the current series to its Sink.
+func (r *Registry) CounterSink(name, help string, labelNames []string, fn func(Sink)) {
+	r.register(&funcCollector{family: family{name: name, labelNames: labelNames}, fn: fn}, TypeCounter, help)
+}
+
+// GaugeSink registers a scrape-time gauge family.
+func (r *Registry) GaugeSink(name, help string, labelNames []string, fn func(Sink)) {
+	r.register(&funcCollector{family: family{name: name, labelNames: labelNames}, fn: fn}, TypeGauge, help)
+}
+
+// CounterFunc is CounterSink for a closure that returns its series.
 func (r *Registry) CounterFunc(name, help string, labelNames []string, fn func() []Sample) {
-	r.register(&funcCollector{name: name, help: help, mtype: TypeCounter, labelNames: labelNames, fn: fn})
+	r.CounterSink(name, help, labelNames, addSamples(fn))
 }
 
-// GaugeFunc registers a scrape-time gauge family.
+// GaugeFunc is GaugeSink for a closure that returns its series.
 func (r *Registry) GaugeFunc(name, help string, labelNames []string, fn func() []Sample) {
-	r.register(&funcCollector{name: name, help: help, mtype: TypeGauge, labelNames: labelNames, fn: fn})
+	r.GaugeSink(name, help, labelNames, addSamples(fn))
+}
+
+func addSamples(fn func() []Sample) func(Sink) {
+	return func(s Sink) {
+		for _, sm := range fn() {
+			s.Add(sm.Value, sm.Labels...)
+		}
+	}
 }
 
 // histogramFunc buckets a scrape-time observation set — e.g. per-link
 // λ occupancy ratios — into a fixed bound list on every scrape.
 type histogramFunc struct {
-	name, help string
-	bounds     []float64
-	fn         func() []float64
+	family
+	bounds []float64
+	heads  [][]byte
+	counts []int64 // the scrape's buckets; touched only under scrapeMu
+	fn     func() []float64
 }
 
-func (c *histogramFunc) famName() string     { return c.name }
-func (c *histogramFunc) famHelp() string     { return c.help }
-func (c *histogramFunc) famType() MetricType { return TypeHistogram }
-
-func (c *histogramFunc) write(w *bufio.Writer) {
-	obs := c.fn()
-	counts := make([]int64, len(c.bounds)+1)
+func (c *histogramFunc) appendSeries(b []byte) []byte {
+	clear(c.counts)
 	sum := 0.0
-	for _, v := range obs {
+	for _, v := range c.fn() {
 		sum += v
-		i := sort.SearchFloat64s(c.bounds, v)
-		counts[i]++
+		c.counts[sort.SearchFloat64s(c.bounds, v)]++
 	}
-	writeHistogram(w, c.name, nil, nil, c.bounds, counts, sum)
+	return appendHistogram(b, c.heads, c.counts, sum)
 }
 
 // HistogramFunc registers a scrape-time histogram: fn returns the full
@@ -497,5 +586,11 @@ func (r *Registry) HistogramFunc(name, help string, bounds []float64, fn func() 
 	if _, err := metrics.NewHistogram(bounds...); err != nil {
 		panic(fmt.Sprintf("telemetry: %s: %v", name, err))
 	}
-	r.register(&histogramFunc{name: name, help: help, bounds: append([]float64(nil), bounds...), fn: fn})
+	r.register(&histogramFunc{
+		family: family{name: name},
+		bounds: append([]float64(nil), bounds...),
+		heads:  histogramHeads(name, nil, nil, bounds),
+		counts: make([]int64, len(bounds)+1),
+		fn:     fn,
+	}, TypeHistogram, help)
 }

@@ -3,13 +3,11 @@ package telemetry
 // Go runtime self-observability: goroutine count, heap gauges and a
 // GC-pause histogram, all read at scrape time — no background sampler
 // goroutine, no shadow state. runtime.ReadMemStats stops the world
-// briefly, so one cached reader serves every family of a scrape: the
-// first family to render triggers the read and the rest reuse it
-// within a short max-age window.
+// briefly, so a scrape reads it once for all its families (refreshMem,
+// from Plane.refresh), and not again within memStatsMaxAge.
 
 import (
 	"runtime"
-	"sync"
 	"time"
 )
 
@@ -17,72 +15,48 @@ import (
 // concurrent GC) through the 100ms pathological tail.
 var gcPauseBounds = []float64{1e-5, 1e-4, 1e-3, 1e-2, 0.1}
 
-// memStatsReader caches one runtime.ReadMemStats result for maxAge so
-// a scrape rendering several runtime families pays for one
-// stop-the-world read, not five.
-type memStatsReader struct {
-	mu     sync.Mutex
-	stats  runtime.MemStats
-	read   time.Time
-	maxAge time.Duration
-}
+// memStatsMaxAge is how stale the runtime families may read.
+const memStatsMaxAge = time.Second
 
-func (r *memStatsReader) get() runtime.MemStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.read.IsZero() || time.Since(r.read) > r.maxAge {
-		runtime.ReadMemStats(&r.stats)
-		r.read = time.Now()
+// refreshMem re-reads the runtime's memory statistics, unless the last
+// reading is younger than memStatsMaxAge.
+func (s *scrapeState) refreshMem() {
+	if s.memRead.IsZero() || time.Since(s.memRead) > memStatsMaxAge {
+		runtime.ReadMemStats(&s.mem)
+		s.memRead = time.Now()
 	}
-	return r.stats
 }
 
 // registerRuntime wires the Go runtime families.
 func (p *Plane) registerRuntime() {
-	rd := &memStatsReader{maxAge: time.Second}
-	p.reg.GaugeFunc("alvc_go_goroutines",
+	sc := &p.scrape
+	p.reg.GaugeSink("alvc_go_goroutines",
 		"Goroutines currently live in the process.",
-		nil, func() []Sample {
-			return []Sample{{Value: float64(runtime.NumGoroutine())}}
-		})
-	p.reg.GaugeFunc("alvc_go_heap_alloc_bytes",
+		nil, one(func() float64 { return float64(runtime.NumGoroutine()) }))
+	p.reg.GaugeSink("alvc_go_heap_alloc_bytes",
 		"Bytes of allocated heap objects.",
-		nil, func() []Sample {
-			return []Sample{{Value: float64(rd.get().HeapAlloc)}}
-		})
-	p.reg.GaugeFunc("alvc_go_heap_objects",
+		nil, one(func() float64 { return float64(sc.mem.HeapAlloc) }))
+	p.reg.GaugeSink("alvc_go_heap_objects",
 		"Number of allocated heap objects.",
-		nil, func() []Sample {
-			return []Sample{{Value: float64(rd.get().HeapObjects)}}
-		})
-	p.reg.GaugeFunc("alvc_go_heap_sys_bytes",
+		nil, one(func() float64 { return float64(sc.mem.HeapObjects) }))
+	p.reg.GaugeSink("alvc_go_heap_sys_bytes",
 		"Bytes of heap memory obtained from the OS.",
-		nil, func() []Sample {
-			return []Sample{{Value: float64(rd.get().HeapSys)}}
-		})
-	p.reg.CounterFunc("alvc_go_alloc_bytes_total",
+		nil, one(func() float64 { return float64(sc.mem.HeapSys) }))
+	p.reg.CounterSink("alvc_go_alloc_bytes_total",
 		"Cumulative bytes allocated for heap objects.",
-		nil, func() []Sample {
-			return []Sample{{Value: float64(rd.get().TotalAlloc)}}
-		})
-	p.reg.CounterFunc("alvc_go_gc_cycles_total",
+		nil, one(func() float64 { return float64(sc.mem.TotalAlloc) }))
+	p.reg.CounterSink("alvc_go_gc_cycles_total",
 		"Completed GC cycles.",
-		nil, func() []Sample {
-			return []Sample{{Value: float64(rd.get().NumGC)}}
-		})
+		nil, one(func() float64 { return float64(sc.mem.NumGC) }))
 	p.reg.HistogramFunc("alvc_go_gc_pause_seconds",
 		"Stop-the-world GC pause durations (most recent pauses).",
 		gcPauseBounds, func() []float64 {
-			ms := rd.get()
 			// PauseNs is a circular buffer of the last up-to-256 pauses.
-			n := int(ms.NumGC)
-			if n > len(ms.PauseNs) {
-				n = len(ms.PauseNs)
+			n := min(int(sc.mem.NumGC), len(sc.mem.PauseNs))
+			sc.gcPauses = sc.gcPauses[:0]
+			for _, ns := range sc.mem.PauseNs[:n] {
+				sc.gcPauses = append(sc.gcPauses, float64(ns)/1e9)
 			}
-			out := make([]float64, 0, n)
-			for i := 0; i < n; i++ {
-				out = append(out, float64(ms.PauseNs[i])/1e9)
-			}
-			return out
+			return sc.gcPauses
 		})
 }

@@ -12,7 +12,9 @@ package trace
 // grow past its configured size no matter the workload.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -433,14 +435,27 @@ func (s *Store) summaryLocked(e *entry) Summary {
 	}
 }
 
-// Traces lists retained traces matching q, slowest-first.
+// slowerFirst orders traces for a listing: by duration descending, ties
+// by ID. IDs are unique, so it never answers 0 for two traces.
+func slowerFirst(a, b *entry) int {
+	if c := cmp.Compare(b.duration(), a.duration()); c != 0 {
+		return c
+	}
+	return strings.Compare(a.id, b.id)
+}
+
+// Traces lists retained traces matching q, slowest-first. The scan
+// keeps the limit slowest matches seen so far, in order, and only the
+// ones left at the end are summarised: a query costs the store's size in
+// comparisons and the limit in copies.
 func (s *Store) Traces(q Query) []Summary {
 	limit := q.Limit
 	if limit <= 0 {
 		limit = 100
 	}
 	s.mu.Lock()
-	out := make([]Summary, 0, len(s.traces))
+	defer s.mu.Unlock()
+	top := make([]*entry, 0, min(limit, len(s.traces)))
 	for _, e := range s.traces {
 		if q.Kind != "" && e.kind != q.Kind {
 			continue
@@ -451,17 +466,18 @@ func (s *Store) Traces(q Query) []Summary {
 		if q.MinDuration > 0 && e.duration() < q.MinDuration {
 			continue
 		}
-		out = append(out, s.summaryLocked(e))
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Duration != out[j].Duration {
-			return out[i].Duration > out[j].Duration
+		if len(top) == limit {
+			if slowerFirst(e, top[limit-1]) > 0 {
+				continue
+			}
+			top = top[:limit-1]
 		}
-		return out[i].ID < out[j].ID
-	})
-	if len(out) > limit {
-		out = out[:limit]
+		i, _ := slices.BinarySearchFunc(top, e, slowerFirst)
+		top = slices.Insert(top, i, e)
+	}
+	out := make([]Summary, len(top))
+	for i, e := range top {
+		out[i] = s.summaryLocked(e)
 	}
 	return out
 }
