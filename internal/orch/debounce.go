@@ -11,7 +11,7 @@ package orch
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -203,8 +203,8 @@ func (d *FailureDebouncer) Flush() ([]RepairReport, error) {
 	d.mu.Unlock()
 
 	// Deterministic dispatch order (map iteration is not).
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
+	slices.Sort(nodes)
+	slices.Sort(links)
 
 	// The batch span continues the first coalesced report's trace — so
 	// a failure report's trace contains the whole downstream repair —

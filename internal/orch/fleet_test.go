@@ -396,8 +396,9 @@ type storeSizes struct {
 func sizesOf(o *Orchestrator, st *trace.Store) storeSizes {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	nodeIndex, linkIndex := o.indexSizes()
 	return storeSizes{
-		deployments: len(o.deployments), nodeIndex: len(o.nodeIndex), linkIndex: len(o.linkIndex),
+		deployments: len(o.deployments), nodeIndex: nodeIndex, linkIndex: linkIndex,
 		flowKeys: len(o.flowKeys), busy: len(o.busy), owed: len(o.owed),
 		instances: len(o.mgr.Instances()), events: len(o.mgr.Events()),
 		tracedChains: st.Stats().IndexedChains,

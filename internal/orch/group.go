@@ -8,7 +8,7 @@ package orch
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -19,8 +19,8 @@ import (
 // re-protection pass; the fields mirror ReProtect's returns.
 type GroupOutcome struct {
 	ID DeploymentID
-	// Standby is the chain's protection after the pass (nil when the
-	// chain was left unprotected).
+	// Standby is the chain's protection after the pass: its immutable
+	// record, not a copy (nil when the chain was left unprotected).
 	Standby *resilience.Standby
 	// Replanned reports whether a fresh standby search ran (false when
 	// the existing standby was alive and disjoint, or the member was
@@ -60,8 +60,8 @@ func (o *Orchestrator) ReProtectGroup(domain string, ids []DeploymentID) GroupRe
 	if len(ids) == 0 {
 		return rep
 	}
-	sorted := append([]DeploymentID(nil), ids...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
 
 	o.topoMu.RLock()
 	defer o.topoMu.RUnlock()

@@ -19,12 +19,13 @@ type ImpactEntry struct {
 
 // NodeImpact answers the operator-planning question "what breaks if
 // this node dies": every active deployment whose footprint includes the
-// node, straight from the reverse index (no scan), sorted by ID.
+// node, straight from the reverse index's posting list (no scan, and
+// already in ID order).
 func (o *Orchestrator) NodeImpact(node topology.NodeID) []ImpactEntry {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	var out []ImpactEntry
-	for id := range o.nodeIndex[node] {
+	for _, id := range o.nodeIndex.of(node) {
 		dep, ok := o.deployments[id]
 		if !ok || dep.State != StateActive {
 			continue
@@ -48,18 +49,17 @@ func (o *Orchestrator) NodeImpact(node topology.NodeID) []ImpactEntry {
 		sort.Strings(roles)
 		out = append(out, ImpactEntry{ID: id, Roles: roles})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // LinkImpact is the link variant of NodeImpact: every active deployment
 // whose primary or standby path crosses the link, from the reverse link
-// index and the per-deployment link caches, sorted by ID.
+// index and the per-deployment link caches, in ID order.
 func (o *Orchestrator) LinkImpact(link topology.LinkID) []ImpactEntry {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	var out []ImpactEntry
-	for id := range o.linkIndex[link] {
+	for _, id := range o.linkIndex.of(link) {
 		dep, ok := o.deployments[id]
 		if !ok || dep.State != StateActive {
 			continue
@@ -76,6 +76,5 @@ func (o *Orchestrator) LinkImpact(link topology.LinkID) []ImpactEntry {
 		}
 		out = append(out, ImpactEntry{ID: id, Roles: roles})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -26,10 +26,11 @@ import (
 // off the recovery path: repairs drop the standby and report, and this
 // call restores protection in the background.
 //
-// The returned standby is a snapshot (nil when no alternate route
-// exists or planning is disabled). An error with replanned=true means
-// the chain is left unprotected; ErrBusy means a concurrent exclusive
-// operation owns the deployment and the caller should retry.
+// The returned standby is the chain's record, immutable once planned
+// (nil when no alternate route exists or planning is disabled). An error
+// with replanned=true means the chain is left unprotected; ErrBusy means
+// a concurrent exclusive operation owns the deployment and the caller
+// should retry.
 func (o *Orchestrator) ReProtect(id DeploymentID) (sb *resilience.Standby, replanned bool, err error) {
 	dep, err := o.beginExclusive(id)
 	if err != nil {
@@ -50,7 +51,7 @@ func (o *Orchestrator) ReProtect(id DeploymentID) (sb *resilience.Standby, repla
 func (o *Orchestrator) reProtectDep(dep *Deployment, gp *resilience.GroupPlanner) (sb *resilience.Standby, replanned bool, err error) {
 	id := dep.ID
 	o.mu.Lock()
-	cur := dep.Standby.Clone()
+	cur := dep.Standby
 	o.mu.Unlock()
 	alive := cur != nil && resilience.PathAlive(o.topo, cur.Path)
 	if alive && cur.Disjoint {
@@ -66,17 +67,16 @@ func (o *Orchestrator) reProtectDep(dep *Deployment, gp *resilience.GroupPlanner
 		// The standby is dead (or absent): drop it so the reverse index
 		// stops routing failures at a stale alternate.
 		o.mu.Lock()
-		o.dropStandbyLocked(dep)
+		o.setStandbyLocked(dep, nil)
 		o.mu.Unlock()
 		return nil, true, fmt.Errorf("orch: re-protect %d: chain left unprotected: %w", id, planErr)
 	}
+	// The chain's footprint is otherwise what it was: the commit costs
+	// the standby's own nodes and links.
 	o.mu.Lock()
-	o.unindexLocked(dep)
-	dep.Standby = p.standby
-	o.indexLocked(dep)
-	sb = dep.Standby.Clone()
+	o.setStandbyLocked(dep, p.standby)
 	o.mu.Unlock()
-	return sb, true, nil
+	return p.standby, true, nil
 }
 
 // Rehome undoes rebuild-induced placement drift: it computes a fresh
@@ -253,9 +253,7 @@ func (o *Orchestrator) rehomeClaimed(dep *Deployment, margin int) (moved, rebuil
 		return false, false, fmt.Errorf("orch: rehome %d: %w", id, err)
 	}
 	o.mu.Lock()
-	o.unindexLocked(dep)
-	p.apply(dep)
-	o.indexLocked(dep)
+	p.commitLocked(dep)
 	o.mu.Unlock()
 	p.commitWDM()
 	return true, false, nil

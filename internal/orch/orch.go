@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,19 +133,25 @@ type Deployment struct {
 	// of Spec.FlowBytes.
 	EnergyJoules float64
 
-	// idxNodes/idxLinks record exactly what indexLocked registered in
-	// the reverse indexes, so unindexLocked removes the same set even
+	// idxNodes/idxLinks record exactly what the reverse indexes hold for
+	// this deployment, so the next commit is a diff against them even
 	// after the footprint fields (or link liveness) changed underneath.
 	// primaryLinks caches the primary path's physical links (computed
 	// once per commit alongside the index), so per-chain failure
 	// classification under o.mu is a set probe, not a topology walk.
+	// All three are refilled in place: a snapshot carries none of them.
 	idxNodes     []topology.NodeID
 	idxLinks     []topology.LinkID
 	primaryLinks []topology.LinkID
+	// flowKey is FlowKey's answer, joined once at provision.
+	flowKey string
 }
 
 // FlowKey returns the SDN flow tag isolating this deployment.
 func (d *Deployment) FlowKey() string {
+	if d.flowKey != "" {
+		return d.flowKey
+	}
 	return d.Spec.Tenant + "/" + d.Spec.Name
 }
 
@@ -323,17 +328,17 @@ type Orchestrator struct {
 	// nodeIndex is the reverse index node → deployments whose footprint
 	// (slice OPSs, VNF hosts, path nodes, standby nodes) includes it,
 	// maintained on provision/repair/move/delete so failure impact is an
-	// O(1) lookup instead of an O(deployments × path-length) scan.
-	// Guarded by mu.
-	nodeIndex map[topology.NodeID]map[DeploymentID]struct{}
+	// O(1) lookup instead of an O(deployments × path-length) scan
+	// (index.go). Guarded by mu.
+	nodeIndex postings[topology.NodeID]
 	// linkIndex is the same reverse index for links (primary-path and
 	// standby links), so link failures classify without scanning.
 	// Guarded by mu.
-	linkIndex map[topology.LinkID]map[DeploymentID]struct{}
+	linkIndex postings[topology.LinkID]
 	// owed is the maintenance-owed index: the active chains a recovery
 	// can help, those without a disjoint standby (refresh) or Drifted
 	// (re-home). Filed where the reverse indexes commit (indexLocked,
-	// dropStandbyLocked: they bracket every standby and placement change),
+	// setStandbyLocked: they bracket every standby and placement change),
 	// left with the active state (delete, failLocked). Guarded by mu.
 	owed map[DeploymentID]*Deployment
 
@@ -487,8 +492,8 @@ func newShard(core *sharedCore, alloc *cluster.Allocator, ctrl *sdn.Controller, 
 		deployments: make(map[DeploymentID]*Deployment),
 		flowKeys:    make(map[string]DeploymentID),
 		busy:        make(map[DeploymentID]bool),
-		nodeIndex:   make(map[topology.NodeID]map[DeploymentID]struct{}),
-		linkIndex:   make(map[topology.LinkID]map[DeploymentID]struct{}),
+		nodeIndex:   newPostings[topology.NodeID](),
+		linkIndex:   newPostings[topology.LinkID](),
 		owed:        make(map[DeploymentID]*Deployment),
 	}
 }
@@ -533,147 +538,6 @@ func (o *Orchestrator) InvalidateVMCache() {
 	o.vmIdx.mu.Lock()
 	o.vmIdx.valid = false
 	o.vmIdx.mu.Unlock()
-}
-
-// indexLocked adds the deployment's current footprint (nodes and
-// links, primary and standby) to the reverse indexes, recording exactly
-// what was registered on the deployment so the matching unindexLocked
-// removes the same set even if liveness changed in between. Caller
-// holds o.mu; the topology must be readable (topoMu either side or a
-// quiescent deployment).
-func (o *Orchestrator) indexLocked(dep *Deployment) {
-	dep.idxNodes = dep.footprint()
-	// The primary link enumeration can only fail on a path whose hops
-	// are no longer adjacent — impossible at a commit point, where the
-	// path was just computed or verified alive.
-	dep.primaryLinks, _ = resilience.PathLinks(o.topo, dep.Path)
-	dep.idxLinks = dep.linkFootprint(dep.primaryLinks)
-	for _, n := range dep.idxNodes {
-		set := o.nodeIndex[n]
-		if set == nil {
-			set = make(map[DeploymentID]struct{})
-			o.nodeIndex[n] = set
-		}
-		set[dep.ID] = struct{}{}
-	}
-	for _, l := range dep.idxLinks {
-		set := o.linkIndex[l]
-		if set == nil {
-			set = make(map[DeploymentID]struct{})
-			o.linkIndex[l] = set
-		}
-		set[dep.ID] = struct{}{}
-	}
-	o.noteOwedLocked(dep)
-}
-
-// noteOwedLocked files the deployment in the maintenance-owed index, or
-// takes it out, as its standby and Drifted flag stand. Caller holds o.mu.
-func (o *Orchestrator) noteOwedLocked(dep *Deployment) {
-	if dep.Standby == nil || !dep.Standby.Disjoint || dep.Drifted {
-		o.owed[dep.ID] = dep
-	} else {
-		delete(o.owed, dep.ID)
-	}
-}
-
-// unindexLocked removes the deployment's registered footprint from the
-// reverse indexes; call it before mutating the footprint fields.
-// Caller holds o.mu.
-func (o *Orchestrator) unindexLocked(dep *Deployment) {
-	for _, n := range dep.idxNodes {
-		unindex(o.nodeIndex, n, dep.ID)
-	}
-	for _, l := range dep.idxLinks {
-		unindex(o.linkIndex, l, dep.ID)
-	}
-	dep.idxNodes, dep.idxLinks = nil, nil
-}
-
-// unindex takes one deployment out of a reverse index's entry for key,
-// dropping the entry once it is empty.
-func unindex[K comparable](index map[K]map[DeploymentID]struct{}, key K, id DeploymentID) {
-	set := index[key]
-	delete(set, id)
-	if len(set) == 0 {
-		delete(index, key)
-	}
-}
-
-// dropStandbyLocked forgets the deployment's standby and takes out of
-// the reverse indexes exactly what the standby alone put there: its
-// nodes and links that are not also slice OPSs, VNF hosts or on the
-// primary path. Everything else the deployment registered stays as it
-// is, so losing a standby costs a walk of the standby, not a
-// recomputation of the whole footprint. Caller holds o.mu.
-func (o *Orchestrator) dropStandbyLocked(dep *Deployment) {
-	sb := dep.Standby
-	if sb == nil {
-		return
-	}
-	dep.Standby = nil
-	o.noteOwedLocked(dep)
-	for _, n := range sb.Path {
-		if slices.Contains(dep.Path, n) || slices.Contains(dep.Placement.Hosts, n) ||
-			(dep.Slice != nil && slices.Contains(dep.Slice.OPSs, n)) {
-			continue
-		}
-		if i := slices.Index(dep.idxNodes, n); i >= 0 {
-			dep.idxNodes = slices.Delete(dep.idxNodes, i, i+1)
-			unindex(o.nodeIndex, n, dep.ID)
-		}
-	}
-	for _, l := range sb.Links {
-		if slices.Contains(dep.primaryLinks, l) {
-			continue
-		}
-		if i := slices.Index(dep.idxLinks, l); i >= 0 {
-			dep.idxLinks = slices.Delete(dep.idxLinks, i, i+1)
-			unindex(o.linkIndex, l, dep.ID)
-		}
-	}
-}
-
-// footprint returns the deduplicated nodes this deployment depends on:
-// its slice's OPSs, its VNF hosts, every node on its path, and every
-// node on its standby path (a failure consuming only the standby still
-// needs reconciling — the standby must be replanned).
-func (d *Deployment) footprint() []topology.NodeID {
-	var opss, standby []topology.NodeID
-	if d.Slice != nil {
-		opss = d.Slice.OPSs
-	}
-	if d.Standby != nil {
-		standby = d.Standby.Path
-	}
-	out := make([]topology.NodeID, 0, len(opss)+len(d.Placement.Hosts)+len(d.Path)+len(standby))
-	for _, part := range [...][]topology.NodeID{opss, d.Placement.Hosts, d.Path, standby} {
-		out = appendUnseen(out, part)
-	}
-	return out
-}
-
-// linkFootprint returns the deduplicated physical links of the primary
-// (already enumerated by the caller) and standby paths.
-func (d *Deployment) linkFootprint(primary []topology.LinkID) []topology.LinkID {
-	var standby []topology.LinkID
-	if d.Standby != nil {
-		standby = d.Standby.Links
-	}
-	out := make([]topology.LinkID, 0, len(primary)+len(standby))
-	return appendUnseen(appendUnseen(out, primary), standby)
-}
-
-// appendUnseen appends to out, in order, the elements of in that out
-// does not hold yet. A footprint is a few dozen entries, where a linear
-// look-back beats building a set.
-func appendUnseen[T comparable](out, in []T) []T {
-	for _, v := range in {
-		if !slices.Contains(out, v) {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // beginExclusive claims the deployment for an exclusive operation. The
@@ -829,11 +693,11 @@ func (o *Orchestrator) provision(ctx context.Context, spec chain.Spec) (*Deploym
 		Spec:    spec,
 		State:   StateActive,
 		Version: 1,
+		flowKey: flowKey,
 	}
-	b.apply(dep)
+	b.commitLocked(dep)
 	o.deployments[dep.ID] = dep
 	o.flowKeys[flowKey] = dep.ID
-	o.indexLocked(dep)
 	return snapshot(dep), nil
 }
 
@@ -862,7 +726,7 @@ func (o *Orchestrator) Repair(id DeploymentID) error {
 
 // rebuild is the teardown-and-rebuild-everything repair. The caller
 // holds the deployment's exclusive claim and topoMu (read side). The
-// deployment stays in the reverse index throughout; the commit swaps
+// deployment stays in the reverse index throughout; the commit moves
 // the index entries atomically with the fields, and the failure paths
 // unindex via failLocked.
 func (o *Orchestrator) rebuild(ctx context.Context, dep *Deployment) error {
@@ -887,9 +751,7 @@ func (o *Orchestrator) rebuild(ctx context.Context, dep *Deployment) error {
 		return fmt.Errorf("rebuild: %w", err)
 	}
 	o.mu.Lock()
-	o.unindexLocked(dep)
-	b.apply(dep)
-	o.indexLocked(dep)
+	b.commitLocked(dep)
 	dep.Repairs++
 	o.repairsTotal++
 	o.mu.Unlock()
@@ -964,6 +826,7 @@ func (o *Orchestrator) moveNF(id DeploymentID, idx int, to topology.NodeID) (reb
 	// Stage the new placement and re-run only the connectivity stages
 	// of the pipeline (path → WDM → rules).
 	p := o.pipelineFrom(context.Background(), dep)
+	p.ownPlacement()
 	p.place.Hosts[idx] = to
 	p.place.Domains[idx] = migrated.Domain
 	p.place.Conversions = placement.CountOEO(p.place.Domains, o.mode)
@@ -986,9 +849,7 @@ func (o *Orchestrator) moveNF(id DeploymentID, idx int, to topology.NodeID) (reb
 	}
 
 	o.mu.Lock()
-	o.unindexLocked(dep)
-	p.apply(dep)
-	o.indexLocked(dep)
+	p.commitLocked(dep)
 	o.mu.Unlock()
 	p.commitWDM()
 	return false, nil
@@ -1274,7 +1135,7 @@ func snapshot(dep *Deployment) *Deployment {
 	cp.Instances = append([]nfv.InstanceID(nil), dep.Instances...)
 	cp.Path = append([]topology.NodeID(nil), dep.Path...)
 	cp.Standby = dep.Standby.Clone()
-	cp.idxNodes, cp.idxLinks = nil, nil
+	cp.idxNodes, cp.idxLinks, cp.primaryLinks = nil, nil, nil
 	return &cp
 }
 
@@ -1301,6 +1162,6 @@ func (o *Orchestrator) pmsOf(vms []topology.NodeID) []topology.NodeID {
 			out = append(out, n.Host)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -3,6 +3,7 @@ package orch
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/alvc/alvc/internal/chain"
@@ -167,14 +168,12 @@ func (o *Orchestrator) newPipeline(spec chain.Spec, flowKey string) (*pipeline, 
 
 // pipelineFrom seeds a pipeline with a deployment's surviving state
 // and arms stage-span emission under the span carried by ctx, if any.
-// Placement is deep-copied so in-flight mutation (instance migration)
-// never races snapshot readers; the remaining fields are immutable
-// records or replaced wholesale by the stages that recompute them. The
-// caller must hold the deployment's exclusive-operation claim.
+// The fields are immutable records or replaced wholesale by the stages
+// that recompute them, but for the placement's hosts and domains, which
+// snapshot readers share: a caller that migrates an instance takes its
+// own copy first (ownPlacement). The caller must hold the deployment's
+// exclusive-operation claim.
 func (o *Orchestrator) pipelineFrom(ctx context.Context, dep *Deployment) *pipeline {
-	place := dep.Placement
-	place.Hosts = append([]topology.NodeID(nil), dep.Placement.Hosts...)
-	place.Domains = append([]topology.Domain(nil), dep.Placement.Domains...)
 	p := &pipeline{
 		o:         o,
 		spec:      dep.Spec,
@@ -183,7 +182,7 @@ func (o *Orchestrator) pipelineFrom(ctx context.Context, dep *Deployment) *pipel
 		dst:       dep.Path[len(dep.Path)-1],
 		vc:        dep.VC,
 		slice:     dep.Slice,
-		place:     place,
+		place:     dep.Placement,
 		instances: dep.Instances,
 		path:      dep.Path,
 		confined:  dep.SliceConfined,
@@ -194,6 +193,13 @@ func (o *Orchestrator) pipelineFrom(ctx context.Context, dep *Deployment) *pipel
 	}
 	p.attachTrace(ctx)
 	return p
+}
+
+// ownPlacement copies the seeded placement's hosts and domains, so an
+// instance migration edits the pipeline's arrays and not the record's.
+func (p *pipeline) ownPlacement() {
+	p.place.Hosts = slices.Clone(p.place.Hosts)
+	p.place.Domains = slices.Clone(p.place.Domains)
 }
 
 func (p *pipeline) pushUndo(f func()) { p.undo = append(p.undo, f) }
@@ -481,9 +487,11 @@ func (p *pipeline) runRules() error {
 	return nil
 }
 
-// apply copies the pipeline's outcome onto the deployment record. The
-// caller must hold o.mu (and the deployment's exclusive claim).
-func (p *pipeline) apply(dep *Deployment) {
+// commitLocked copies the pipeline's outcome onto the deployment record
+// and moves the reverse-index entries from the old footprint to the new
+// one, atomically with the fields. The caller must hold o.mu (and the
+// deployment's exclusive claim).
+func (p *pipeline) commitLocked(dep *Deployment) {
 	dep.VC = p.vc
 	dep.Slice = p.slice
 	dep.Instances = p.instances
@@ -495,4 +503,5 @@ func (p *pipeline) apply(dep *Deployment) {
 	dep.Drifted = p.drifted
 	dep.Conversions = p.place.Conversions
 	dep.EnergyJoules = p.o.costModel.TotalEnergy(p.place.Conversions, dep.Spec.FlowBytes)
+	p.o.indexLocked(dep)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -301,28 +302,17 @@ func firstRepairError(reports []RepairReport) error {
 
 // affectedBy returns the active deployments whose footprint intersects
 // the failure set, each exactly once, sorted by ID — a union of
-// reverse-index lookups, not a scan.
+// reverse-index lookups, not a scan: the dead resources' posting lists,
+// concatenated, sorted once and compacted.
 func (o *Orchestrator) affectedBy(dead resilience.FailureSet) []DeploymentID {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	seen := make(map[DeploymentID]bool)
 	var out []DeploymentID
-	collect := func(set map[DeploymentID]struct{}) {
-		for id := range set {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			if dep, ok := o.deployments[id]; ok && dep.State == StateActive {
-				out = append(out, id)
-			}
-		}
-	}
 	for n := range dead.Nodes {
-		collect(o.nodeIndex[n])
+		out = append(out, o.nodeIndex.of(n)...)
 	}
 	for l := range dead.Links {
-		collect(o.linkIndex[l])
+		out = append(out, o.linkIndex.of(l)...)
 	}
 	// Shared-risk expansion: chains whose footprint crosses a live link
 	// in the same risk group as a dead one must be visited too — their
@@ -340,21 +330,24 @@ func (o *Orchestrator) affectedBy(dead resilience.FailureSet) []DeploymentID {
 			if dead.Links[l] {
 				continue // dead links were collected above
 			}
-			collect(o.linkIndex[l])
+			out = append(out, o.linkIndex.of(l)...)
 		}
 	case len(dead.SRLGs) > 0:
-		for l, set := range o.linkIndex {
+		for l, list := range o.linkIndex.lists {
 			if dead.Links[l] {
 				continue
 			}
 			link := o.topo.Link(l)
 			if link != nil && dead.HitsAnySRLG(link.SRLG) {
-				collect(set)
+				out = append(out, *list...)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.DeleteFunc(slices.Compact(out), func(id DeploymentID) bool {
+		dep, ok := o.deployments[id]
+		return !ok || dep.State != StateActive
+	})
 }
 
 // repairAround is the per-deployment reconciler: it classifies how the
@@ -420,7 +413,7 @@ func (o *Orchestrator) repairAround(ctx context.Context, id DeploymentID, dead r
 		// unprotected instead of silently claiming re-protection.
 		if o.asyncOptimize() {
 			o.mu.Lock()
-			o.dropStandbyLocked(dep)
+			o.setStandbyLocked(dep, nil)
 			o.mu.Unlock()
 			return RepairReport{ID: id, Action: ActionRestandby}
 		}
@@ -442,7 +435,7 @@ func (o *Orchestrator) repairAround(ctx context.Context, id DeploymentID, dead r
 }
 
 // finishRepairFrom re-runs the pipeline from the given stage and, on
-// success, commits the outcome: the reverse indexes swap from the old
+// success, commits the outcome: the reverse indexes move from the old
 // to the new footprint atomically with the field update, and any two-λ
 // grace window closes only after the new rules are live.
 func (o *Orchestrator) finishRepairFrom(p *pipeline, dep *Deployment, first stageID) error {
@@ -450,9 +443,7 @@ func (o *Orchestrator) finishRepairFrom(p *pipeline, dep *Deployment, first stag
 		return err
 	}
 	o.mu.Lock()
-	o.unindexLocked(dep)
-	p.apply(dep)
-	o.indexLocked(dep)
+	p.commitLocked(dep)
 	dep.Repairs++
 	o.repairsTotal++
 	o.mu.Unlock()
@@ -484,7 +475,7 @@ func (o *Orchestrator) swapToStandby(ctx context.Context, dep *Deployment) error
 
 // replanStandby recomputes only the standby route (the primary is
 // untouched, so this is not counted as a repair of the deployment) and
-// swaps the reverse-index entries to the new anticipation footprint.
+// moves the reverse-index entries to the new anticipation footprint.
 // On planning failure the dead standby is still dropped — the index
 // must not keep routing failures at a stale alternate — and the error
 // reports that the chain is left unprotected.
@@ -492,9 +483,7 @@ func (o *Orchestrator) replanStandby(ctx context.Context, dep *Deployment) error
 	p := o.pipelineFrom(ctx, dep)
 	planErr := p.planStandby(nil)
 	o.mu.Lock()
-	o.unindexLocked(dep)
-	dep.Standby = p.standby // nil when planning failed
-	o.indexLocked(dep)
+	o.setStandbyLocked(dep, p.standby) // nil when planning failed
 	o.mu.Unlock()
 	if planErr != nil {
 		return fmt.Errorf("chain left unprotected: %w", planErr)
@@ -538,7 +527,6 @@ func (o *Orchestrator) patchSlice(ctx context.Context, dep *Deployment, dead res
 	// The membership swap changes the footprint mid-repair: keep the
 	// index exact at every commit point.
 	o.mu.Lock()
-	o.unindexLocked(dep)
 	dep.VC = vc
 	dep.Slice = slice
 	o.indexLocked(dep)
@@ -575,6 +563,9 @@ func (o *Orchestrator) migrateOff(p *pipeline, dep *Deployment, dead resilience.
 				continue
 			}
 			inst := o.mgr.Instance(instID)
+			if !moved {
+				p.ownPlacement()
+			}
 			p.place.Hosts[idx] = cand
 			p.place.Domains[idx] = inst.Domain
 			hosted = true

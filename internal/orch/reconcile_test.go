@@ -345,7 +345,7 @@ func TestReverseIndexMaintained(t *testing.T) {
 		t.Fatalf("Delete: %v", err)
 	}
 	o.mu.Lock()
-	leftoverNodes, leftoverLinks := len(o.nodeIndex), len(o.linkIndex)
+	leftoverNodes, leftoverLinks := o.indexSizes()
 	o.mu.Unlock()
 	if leftoverNodes != 0 {
 		t.Fatalf("node index leaked %d entries after delete", leftoverNodes)

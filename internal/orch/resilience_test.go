@@ -2,6 +2,7 @@ package orch
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -133,14 +134,14 @@ func TestProvisionPlansDisjointStandby(t *testing.T) {
 	// only the standby must still find the deployment.
 	for _, n := range []topology.NodeID{ids.tors[0][1], ids.opss[1]} {
 		o.mu.Lock()
-		_, hit := o.nodeIndex[n][dep.ID]
+		hit := slices.Contains(o.indexed(n), dep.ID)
 		o.mu.Unlock()
 		if !hit {
 			t.Fatalf("standby node %d missing from reverse index", n)
 		}
 	}
 	o.mu.Lock()
-	_, linkHit := o.linkIndex[ids.torOpsLinks[0][1]][dep.ID]
+	linkHit := slices.Contains(o.indexed(ids.torOpsLinks[0][1]), dep.ID)
 	o.mu.Unlock()
 	if !linkHit {
 		t.Fatal("standby link missing from reverse link index")

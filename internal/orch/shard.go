@@ -21,7 +21,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/alvc/alvc/internal/chain"
@@ -309,7 +309,7 @@ func (s *Sharded) ReProtectGroup(domain string, ids []DeploymentID) GroupReport 
 		rep.Stats.Planned += r.Stats.Planned
 		rep.Stats.Fallbacks += r.Stats.Fallbacks
 	}
-	sort.Slice(rep.Outcomes, func(i, j int) bool { return rep.Outcomes[i].ID < rep.Outcomes[j].ID })
+	slices.SortFunc(rep.Outcomes, func(a, b GroupOutcome) int { return int(a.ID - b.ID) })
 	return rep
 }
 
@@ -345,7 +345,7 @@ func (s *Sharded) Deployment(id DeploymentID) *Deployment { return s.owner(id).D
 // of the fleet; see Orchestrator.Deployments).
 func (s *Sharded) Deployments() (out []*Deployment) {
 	s.ViewDeployments(func(dep *Deployment) { out = append(out, snapshot(dep)) })
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Deployment) int { return int(a.ID - b.ID) })
 	return out
 }
 
@@ -411,7 +411,7 @@ func (s *Sharded) HandleFailuresCtx(ctx context.Context, nodes []topology.NodeID
 		sh.emitRepairEvents(perShard[i], domain)
 		reports = append(reports, perShard[i]...)
 	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
+	slices.SortFunc(reports, func(a, b RepairReport) int { return int(a.ID - b.ID) })
 	return reports, firstRepairError(reports)
 }
 
@@ -430,7 +430,7 @@ func (s *Sharded) NodeImpact(node topology.NodeID) []ImpactEntry {
 	for _, sh := range s.shards {
 		out = append(out, sh.NodeImpact(node)...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b ImpactEntry) int { return int(a.ID - b.ID) })
 	return out
 }
 
@@ -440,7 +440,7 @@ func (s *Sharded) LinkImpact(link topology.LinkID) []ImpactEntry {
 	for _, sh := range s.shards {
 		out = append(out, sh.LinkImpact(link)...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b ImpactEntry) int { return int(a.ID - b.ID) })
 	return out
 }
 

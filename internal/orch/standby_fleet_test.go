@@ -3,7 +3,6 @@ package orch
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -157,8 +156,8 @@ func checkReverseIndexes(t *testing.T, o *Orchestrator) {
 	t.Helper()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	wantNodes := make(map[topology.NodeID]map[DeploymentID]struct{})
-	wantLinks := make(map[topology.LinkID]map[DeploymentID]struct{})
+	wantNodes := make(map[topology.NodeID][]DeploymentID)
+	wantLinks := make(map[topology.LinkID][]DeploymentID)
 	for id, dep := range o.deployments {
 		if dep.State != StateActive {
 			continue
@@ -176,24 +175,30 @@ func checkReverseIndexes(t *testing.T, o *Orchestrator) {
 			t.Errorf("deployment %d: idxLinks %v, link footprint %v", id, dep.idxLinks, links)
 		}
 		for _, n := range nodes {
-			if wantNodes[n] == nil {
-				wantNodes[n] = make(map[DeploymentID]struct{})
-			}
-			wantNodes[n][id] = struct{}{}
+			wantNodes[n] = append(wantNodes[n], id)
 		}
 		for _, l := range links {
-			if wantLinks[l] == nil {
-				wantLinks[l] = make(map[DeploymentID]struct{})
-			}
-			wantLinks[l][id] = struct{}{}
+			wantLinks[l] = append(wantLinks[l], id)
 		}
 	}
-	if !reflect.DeepEqual(o.nodeIndex, wantNodes) {
+	gotNodes, gotLinks := o.indexSizes()
+	if gotNodes != len(wantNodes) || !indexHolds(o, wantNodes) {
 		t.Errorf("node index differs from the recomputed footprints")
 	}
-	if !reflect.DeepEqual(o.linkIndex, wantLinks) {
+	if gotLinks != len(wantLinks) || !indexHolds(o, wantLinks) {
 		t.Errorf("link index differs from the recomputed footprints")
 	}
+}
+
+// indexHolds reports whether every key's deployments in want are, as a
+// set, what the shard's reverse index files under the key.
+func indexHolds[K comparable](o *Orchestrator, want map[K][]DeploymentID) bool {
+	for key, ids := range want {
+		if !sameSet(o.indexed(key), ids) {
+			return false
+		}
+	}
+	return true
 }
 
 // sameSet reports whether two duplicate-free lists hold the same

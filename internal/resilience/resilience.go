@@ -134,7 +134,12 @@ func (f FailureSet) HitsAnyLink(links []topology.LinkID) bool {
 // is usually asking "did the dead link sit on this path", after the
 // link was already marked down.
 func PathLinks(topo *topology.Topology, path []topology.NodeID) ([]topology.LinkID, error) {
-	var out []topology.LinkID
+	return AppendPathLinks(nil, topo, path)
+}
+
+// AppendPathLinks is PathLinks appending to out, for a caller that keeps
+// the list's array from one path to the next.
+func AppendPathLinks(out []topology.LinkID, topo *topology.Topology, path []topology.NodeID) ([]topology.LinkID, error) {
 	for i := 0; i+1 < len(path); i++ {
 		a, b := topo.Node(path[i]), topo.Node(path[i+1])
 		if a == nil || b == nil {

@@ -1,13 +1,15 @@
 package server
 
-// The read plane's encoders. A chain record or a trace summary is
-// appended as JSON text straight from the value it describes — for a
-// live chain, from the orchestrator's own record under its shard's lock
+// The read plane's and the failure plane's encoders. A chain record, a
+// trace summary, a 202, a recovery or an error is appended as JSON text
+// straight from the value it describes — for a live chain, from the
+// orchestrator's own record under its shard's lock
 // (orch.ViewDeployment) — into a pooled buffer that is written to the
 // connection in one piece once the lock is released. The bytes are
-// exactly what encoding/json makes of DeploymentJSON, BatchResponse and
-// TraceSummaryJSON, which stay as the types clients decode into; the
-// tests hold the two equal.
+// exactly what encoding/json makes of DeploymentJSON, BatchResponse,
+// TraceSummaryJSON, FailureAcceptedResponse, RecoverResponse and
+// ErrorResponse, which stay as the types clients decode into; the tests
+// hold the two equal.
 
 import (
 	"encoding/json"
@@ -53,14 +55,30 @@ func putScratch(sc *scratch) {
 	scratchPool.Put(sc)
 }
 
-// writeBody sends an encoded JSON body in one write, its length
-// announced.
-func writeBody(w http.ResponseWriter, status int, body []byte) {
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+// jsonContentType is the Content-Type of every JSON answer: one list
+// shared by them all. net/http copies a response's headers when it
+// writes them, and nothing here edits one in place.
+var jsonContentType = []string{"application/json"}
+
+// The answers that never change.
+var (
+	healthyBody = []byte(`{"status":"ok"}` + "\n")
+	pausedBody  = []byte(`{"paused":true}` + "\n")
+	resumedBody = []byte(`{"paused":false}` + "\n")
+)
+
+// sendJSON sends an encoded JSON body in one write.
+func sendJSON(w http.ResponseWriter, status int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
+}
+
+// writeBody is sendJSON with the body's length announced, whatever its
+// size: the read plane's answers, a list's megabyte among them.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	sendJSON(w, status, body)
 }
 
 // writeDeployment answers with a record the caller owns: a provision's
@@ -245,6 +263,27 @@ func appendDeployment(b []byte, d *orch.Deployment) []byte {
 		b = appendTime(append(b, `,"lastReplanned":`...), sb.PlannedAt)
 		b = append(b, '}')
 	}
+	return append(b, '}')
+}
+
+// appendAccepted appends FailureAcceptedResponse's encoding.
+func appendAccepted(b []byte, resp *FailureAcceptedResponse) []byte {
+	b = append(b, '{')
+	if resp.Node != 0 {
+		b = append(strconv.AppendInt(append(b, `"node":`...), int64(resp.Node), 10), ',')
+	}
+	if resp.Link != 0 {
+		b = append(strconv.AppendInt(append(b, `"link":`...), int64(resp.Link), 10), ',')
+	}
+	if len(resp.Nodes) > 0 {
+		b = append(appendInts(append(b, `"nodes":`...), resp.Nodes), ',')
+	}
+	if len(resp.Links) > 0 {
+		b = append(appendInts(append(b, `"links":`...), resp.Links), ',')
+	}
+	b = strconv.AppendBool(append(b, `"accepted":`...), resp.Accepted)
+	b = strconv.AppendInt(append(b, `,"pending_nodes":`...), int64(resp.PendingNodes), 10)
+	b = strconv.AppendInt(append(b, `,"pending_links":`...), int64(resp.PendingLinks), 10)
 	return append(b, '}')
 }
 

@@ -30,6 +30,16 @@ type statusRecorder struct {
 	status int
 }
 
+// frame is what a traced request allocates, once: the recorder its
+// handlers write through, the context that carries its span (handed out
+// by address, see trace.Carrier) and the one-value list its X-Trace-Id
+// header points at.
+type frame struct {
+	rec     statusRecorder
+	ctx     trace.Carrier
+	traceID [1]string
+}
+
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
@@ -51,6 +61,21 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
+// Unwrap lets http.ResponseController reach the connection behind the
+// recorder: deadlines, hijack, and a Flush that reports its error.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
+// statusAttrs is a request span's attribute list per status the handlers
+// write: built once and shared by every span that reports the status,
+// since a recorded span is never edited.
+var statusAttrs = make(map[int][]trace.Attr)
+
+func init() {
+	for _, code := range []int{200, 201, 202, 207, 400, 404, 405, 409, 422, 500} {
+		statusAttrs[code] = []trace.Attr{{Key: "status", Value: strconv.Itoa(code)}}
+	}
+}
+
 // untraced reports whether a path is excluded from request tracing:
 // scrape and streaming endpoints would flood the store with spans that
 // describe the observer, not the system, and the trace-query API must
@@ -66,7 +91,8 @@ func untraced(path string) bool {
 // fresh ID is minted. The resolved ID is echoed in the X-Trace-Id
 // response header either way, and the span context rides the request
 // context into the handlers, where the orchestrator's provision and
-// repair spans attach as children.
+// repair spans attach as children. The recorder, the context and the
+// header's value are one allocation, the request's frame.
 func withTracing(tr *trace.Tracer, next http.Handler) http.Handler {
 	if tr == nil {
 		return next
@@ -76,30 +102,35 @@ func withTracing(tr *trace.Tracer, next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		var sc trace.SpanContext
+		f := &frame{rec: statusRecorder{ResponseWriter: w}}
+		f.ctx.Context = r.Context()
 		if id := r.Header.Get("X-Trace-Id"); id != "" && trace.ValidTraceID(id) {
-			sc = tr.StartTrace(id)
+			f.ctx.SC = tr.StartTrace(id)
 		} else {
-			sc = tr.Start(trace.SpanContext{})
+			f.ctx.SC = tr.Start(trace.SpanContext{})
 		}
-		w.Header().Set("X-Trace-Id", sc.TraceID)
-		rec := &statusRecorder{ResponseWriter: w}
+		f.traceID[0] = f.ctx.SC.TraceID
+		w.Header()["X-Trace-Id"] = f.traceID[:]
 		start := time.Now()
-		next.ServeHTTP(rec, r.WithContext(trace.ContextWith(r.Context(), sc)))
-		if rec.status == 0 {
-			rec.status = http.StatusOK
+		next.ServeHTTP(&f.rec, r.WithContext(&f.ctx))
+		status := f.rec.status
+		if status == 0 {
+			status = http.StatusOK
 		}
 		sp := trace.Span{
-			TraceID: sc.TraceID,
-			SpanID:  sc.SpanID,
+			TraceID: f.ctx.SC.TraceID,
+			SpanID:  f.ctx.SC.SpanID,
 			Name:    r.Method + " " + r.URL.Path,
 			Kind:    trace.KindHTTP,
 			Start:   start,
 			End:     time.Now(),
-			Attrs:   []trace.Attr{{Key: "status", Value: strconv.Itoa(rec.status)}},
+			Attrs:   statusAttrs[status],
 		}
-		if rec.status >= http.StatusInternalServerError {
-			sp.Err = http.StatusText(rec.status)
+		if sp.Attrs == nil {
+			sp.Attrs = []trace.Attr{{Key: "status", Value: strconv.Itoa(status)}}
+		}
+		if status >= http.StatusInternalServerError {
+			sp.Err = http.StatusText(status)
 		}
 		tr.Record(sp)
 	})
@@ -114,7 +145,10 @@ func withLogging(logger *slog.Logger, next http.Handler) http.Handler {
 			next.ServeHTTP(w, r) // nobody reads the line: no recorder, no clock, no attrs
 			return
 		}
-		rec := &statusRecorder{ResponseWriter: w}
+		rec, ok := w.(*statusRecorder) // a traced request brought its own, in its frame
+		if !ok {
+			rec = &statusRecorder{ResponseWriter: w}
+		}
 		start := time.Now()
 		next.ServeHTTP(rec, r)
 		if rec.status == 0 {

@@ -120,13 +120,17 @@ func (s *Server) Handler() http.Handler { return s.handler }
 func (s *Server) Telemetry() *telemetry.Plane { return s.tele }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeError answers with an ErrorResponse.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.body = append(appendString(append(sc.body, `{"error":`...), fmt.Sprintf(format, args...)), "}\n"...)
+	sendJSON(w, status, sc.body)
 }
 
 // statusOf maps orchestration errors to HTTP statuses: missing things
@@ -173,7 +177,7 @@ func (s *Server) pathID(w http.ResponseWriter, r *http.Request) (alvc.Deployment
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	sendJSON(w, http.StatusOK, healthyBody)
 }
 
 func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
@@ -357,7 +361,19 @@ func (s *Server) acceptFailures(w http.ResponseWriter, r *http.Request, resp Fai
 	s.arch.ReportFailuresCtx(r.Context(), nodes, links)
 	resp.Accepted = true
 	resp.PendingNodes, resp.PendingLinks = s.arch.Debouncer().Pending()
-	writeJSON(w, http.StatusAccepted, resp)
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.body = append(appendAccepted(sc.body, &resp), '\n')
+	sendJSON(w, http.StatusAccepted, sc.body)
+}
+
+// writeRecovered answers a recovery: RecoverResponse's encoding.
+func writeRecovered(w http.ResponseWriter, resource string, id int) {
+	sc := getScratch()
+	defer putScratch(sc)
+	b := append(append(append(sc.body, `{"`...), resource...), `":`...)
+	sc.body = append(strconv.AppendInt(b, int64(id), 10), `,"recovered":true}`+"\n"...)
+	sendJSON(w, http.StatusOK, sc.body)
 }
 
 func (s *Server) handleFailNode(w http.ResponseWriter, r *http.Request) {
@@ -395,7 +411,7 @@ func (s *Server) handleRecoverNode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), "recover node: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"node": node, "recovered": true})
+	writeRecovered(w, "node", int(node))
 }
 
 func (s *Server) pathLink(w http.ResponseWriter, r *http.Request) (topology.LinkID, bool) {
@@ -441,7 +457,7 @@ func (s *Server) handleRecoverLink(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusOf(err), "recover link: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"link": link, "recovered": true})
+	writeRecovered(w, "link", int(link))
 }
 
 func (s *Server) handleFailBatch(w http.ResponseWriter, r *http.Request) {
@@ -554,7 +570,7 @@ func (s *Server) handleOptimizerPause(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	eng.Pause()
-	writeJSON(w, http.StatusOK, map[string]bool{"paused": true})
+	sendJSON(w, http.StatusOK, pausedBody)
 }
 
 func (s *Server) handleOptimizerResume(w http.ResponseWriter, r *http.Request) {
@@ -563,7 +579,7 @@ func (s *Server) handleOptimizerResume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	eng.Resume()
-	writeJSON(w, http.StatusOK, map[string]bool{"paused": false})
+	sendJSON(w, http.StatusOK, resumedBody)
 }
 
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
@@ -572,9 +588,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "marshal topology: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
+	sendJSON(w, http.StatusOK, data)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -161,6 +161,14 @@ type FailureAcceptedResponse struct {
 	PendingLinks int               `json:"pending_links"`
 }
 
+// RecoverResponse is the body of DELETE /v1/failures/{node} and DELETE
+// /v1/failures/links/{id}: the node or the link that is live again.
+type RecoverResponse struct {
+	Node      topology.NodeID `json:"node,omitempty"`
+	Link      topology.LinkID `json:"link,omitempty"`
+	Recovered bool            `json:"recovered"`
+}
+
 // BatchFailureRequest is the body of POST /v1/failures:batch — one
 // rack-scale event: every named node and link goes down together and
 // each affected chain is reconciled exactly once against the union.

@@ -86,6 +86,7 @@ type Query struct {
 
 type entry struct {
 	id           string
+	pos          int    // where order holds id
 	kind         string // root span's kind once seen, else first span's
 	ringKind     string // which recent ring holds this trace ("" = popped)
 	spans        []Span
@@ -121,6 +122,10 @@ type Store struct {
 	order  []string            // trace creation order from head on (may hold stale IDs)
 	head   int                 // order[:head] is consumed
 	total  int                 // live spans across all traces
+	// spare holds freed traces' entries, span arrays attached, for the
+	// next new trace: a full store frees one trace for every one it
+	// admits.
+	spare []*entry
 
 	recorded uint64
 	dropped  uint64
@@ -159,8 +164,14 @@ func (s *Store) add(sp Span) {
 		return
 	}
 	if !ok {
-		e = &entry{id: sp.TraceID, kind: sp.Kind, minStart: sp.Start, maxEnd: sp.End}
+		if n := len(s.spare); n > 0 {
+			e, s.spare = s.spare[n-1], s.spare[:n-1]
+		} else {
+			e = new(entry)
+		}
+		e.id, e.kind, e.minStart, e.maxEnd = sp.TraceID, sp.Kind, sp.Start, sp.End
 		s.traces[sp.TraceID] = e
+		e.pos = len(s.order)
 		s.order = append(s.order, sp.TraceID)
 		s.compactOrder()
 		s.pushRecent(e)
@@ -227,9 +238,7 @@ func (s *Store) makeRoom(exclude string) {
 		if victim < 0 {
 			return
 		}
-		e := s.traces[s.order[victim]]
-		s.order[victim] = "" // stale from here on: the next scan moves head past it
-		s.forceEvict(e)
+		s.forceEvict(s.traces[s.order[victim]])
 	}
 }
 
@@ -244,7 +253,8 @@ func (s *Store) compactOrder() {
 	}
 	live := s.order[:0]
 	for _, id := range s.order[s.head:] {
-		if _, ok := s.traces[id]; ok {
+		if e, ok := s.traces[id]; ok {
+			e.pos = len(live)
 			live = append(live, id)
 		}
 	}
@@ -276,10 +286,27 @@ func (s *Store) forceEvict(e *entry) {
 	s.free(e)
 }
 
+// The bounds of the spare list: how many freed entries it keeps, and how
+// long a span array a kept entry may hold on to. Most traces are one
+// request's few spans; a storm batch's hundred go to the collector.
+const (
+	maxSpareEntries = 16
+	maxSpareSpans   = 8
+)
+
+// free forgets the trace. Nothing may use e afterwards: it is reset and
+// kept for the next new trace. Readers were handed copies (Trace,
+// summaryLocked), so reusing the span array aliases nothing.
 func (s *Store) free(e *entry) {
 	delete(s.traces, e.id)
+	s.order[e.pos] = "" // stale from here on, and no longer holding the ID's bytes
 	s.total -= len(e.spans)
 	s.evicted++
+	if len(s.spare) < maxSpareEntries && cap(e.spans) <= maxSpareSpans {
+		clear(e.spans) // the spans' strings and attributes go now, not at reuse
+		*e = entry{spans: e.spans[:0], deps: e.deps[:0]}
+		s.spare = append(s.spare, e)
+	}
 }
 
 func (s *Store) unref(e *entry) {
@@ -300,6 +327,7 @@ func (s *Store) pushRecent(e *entry) {
 func (s *Store) trimRecent(k string) {
 	for len(s.recent[k]) > s.opts.RecentPerKind {
 		old := s.recent[k][0]
+		s.recent[k][0] = "" // the array outlives the slot: it must not keep the ID's bytes
 		s.recent[k] = s.recent[k][1:]
 		if v, ok := s.traces[old]; ok && v.ringKind == k {
 			v.ringKind = ""

@@ -88,15 +88,38 @@ func (sc SpanContext) Valid() bool { return sc.TraceID != "" }
 
 type ctxKey struct{}
 
-// ContextWith returns ctx carrying sc.
-func ContextWith(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, ctxKey{}, sc)
+// Carrier is a context that carries a span context in itself: its Value
+// answers this package's key with a pointer to SC, so neither wrapping
+// the parent nor reading the span back boxes a value. ContextWith
+// returns one; a caller that already allocates per request (the server's
+// request frame) embeds one and hands out its address. SC must not
+// change once the carrier is in use.
+type Carrier struct {
+	context.Context
+	SC SpanContext
 }
 
-// FromContext extracts the span context threaded through ctx, if any.
+// Value serves the span context, and the parent's values otherwise.
+func (c *Carrier) Value(key any) any {
+	if _, ok := key.(ctxKey); ok {
+		return &c.SC
+	}
+	return c.Context.Value(key)
+}
+
+// ContextWith returns ctx carrying sc.
+func ContextWith(ctx context.Context, sc SpanContext) context.Context {
+	return &Carrier{Context: ctx, SC: sc}
+}
+
+// FromContext extracts the span context threaded through ctx, if any:
+// the nearest Carrier's, whatever contexts were derived from it since.
 func FromContext(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(ctxKey{}).(SpanContext)
-	return sc, ok && sc.Valid()
+	sc, ok := ctx.Value(ctxKey{}).(*SpanContext)
+	if !ok {
+		return SpanContext{}, false
+	}
+	return *sc, sc.Valid()
 }
 
 // ValidTraceID reports whether id is acceptable as an externally
@@ -150,7 +173,9 @@ func (t *Tracer) NewTraceID() string {
 	if t == nil {
 		return ""
 	}
-	return t.prefix + "-" + strconv.FormatUint(t.traceN.Add(1), 16)
+	var buf [32]byte // the prefix is at most six digits, the count sixteen
+	b := append(append(buf[:0], t.prefix...), '-')
+	return string(strconv.AppendUint(b, t.traceN.Add(1), 16))
 }
 
 // Start allocates a span identity under parent: same trace when
