@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench fmt fmt-check vet ci
+.PHONY: all build test race bench fmt fmt-check vet loc ci
 
 all: build
 
@@ -99,6 +99,13 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# The size the north star tracks (ROADMAP aim 2): Go lines outside
+# tests, in tests, and outside tests and benchmark/. Printed, not gated.
+loc:
+	@printf 'non-test Go lines:                    %s\n' "$$(find . -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1}')"
+	@printf 'test Go lines:                        %s\n' "$$(find . -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1}')"
+	@printf 'non-test Go lines outside benchmark/: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l | tail -1 | awk '{print $$1}')"
 
 # Exactly what .github/workflows/ci.yml runs.
 ci: build fmt-check vet race bench bench-repair bench-resilience bench-optimizer bench-path bench-scale bench-storm

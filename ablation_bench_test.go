@@ -87,7 +87,7 @@ func BenchmarkAblation_ExactOracles(b *testing.B) {
 // BenchmarkE13_Repair times one full failure-repair cycle.
 func BenchmarkE13_Repair(b *testing.B) {
 	topo := orchTopo(b)
-	o, err := orch.New(orch.Config{Topo: topo})
+	o, err := orch.New(orch.Config{Topo: topo}, 1, orch.ShardByTenant)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func BenchmarkE13_Repair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dep, err := o.Provision(spec)
+	dep, err := o.Provision(ctx, spec)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,7 +19,7 @@
 //	if err != nil { ... }
 //	spec, _ := alvc.LinearChain("my-chain", "tenant-a", "web", 2.0, 1<<20,
 //		"firewall", "lb", "dpi")
-//	dep, err := arch.Deploy(spec)
+//	dep, err := arch.Deploy(context.Background(), spec)
 //	fmt.Println(dep.Conversions, dep.EnergyJoules)
 //
 // The facade re-exports the concrete types of the internal packages as
@@ -219,7 +219,7 @@ type settings struct {
 	costModel      *optical.CostModel
 	wavelengths    int
 	batchWorkers   int
-	standbyK       int
+	noStandby      bool
 	optimizer      *optimizer.Options
 	shards         int
 	shardMode      orch.ShardMode
@@ -267,16 +267,13 @@ func WithBatchWorkers(n int) Option {
 	return func(s *settings) { s.batchWorkers = n }
 }
 
-// WithStandbyK switches standby planning: a negative k disables it, so
-// every data-path repair is a cold re-path (useful as a baseline); 0 or
-// any positive k keeps it on. The planner asks for each segment's one
-// best disjoint route directly, so the width k once gave the k-shortest
-// search no longer matters.
-func WithStandbyK(k int) Option {
-	return func(s *settings) { s.standbyK = k }
+// WithoutStandby disables standby planning, so every data-path repair
+// is a cold re-path (useful as a baseline).
+func WithoutStandby() Option {
+	return func(s *settings) { s.noStandby = true }
 }
 
-// WithShards splits the orchestrator into n shards, each owning its
+// WithShards makes the orchestrator a set of n shards, each owning its
 // own deployment map, reverse indexes, flow-key space, SDN flow tables
 // and a disjoint partition of the OPS pool, behind a router that
 // hashes the tenant (default, see WithShardMode) to pick a chain's
@@ -294,8 +291,9 @@ func WithShardMode(mode ShardMode) Option {
 }
 
 // WithOptimizer attaches the background optimization engine: repairs
-// stop replanning standbys inline (Yen's search leaves the recovery
-// hot path; the engine re-protects chains asynchronously), recoveries
+// stop replanning standbys inline (the standby search leaves the
+// recovery hot path; the engine re-protects chains asynchronously),
+// recoveries
 // trigger standby refresh and placement re-homing, and idle ticks
 // consolidate fragmented wavelength assignments. The engine is wired
 // as the orchestrator's event sink; drive it with
@@ -333,13 +331,9 @@ func WithFailureDebounce(window time.Duration) Option {
 // engine attached.
 type Architecture struct {
 	topo *topology.Topology
-	// sh is the sharded orchestration layer every verb routes through;
-	// with one shard (the default) it is a thin pass-through. orch and
-	// alloc alias shard 0 for single-shard compatibility surfaces
-	// (Orchestrator(), BuildServiceClusters).
+	// sh is the orchestrator every verb goes through: a set of shards,
+	// one unless WithShards raised the count.
 	sh           *orch.Sharded
-	alloc        *cluster.Allocator
-	orch         *orch.Orchestrator
 	opt          *optimizer.Engine
 	events       *orch.EventMux
 	debounce     *orch.FailureDebouncer
@@ -370,14 +364,17 @@ func FromTopology(topo *topology.Topology, opts ...Option) (*Architecture, error
 	for _, opt := range opts {
 		opt(&s)
 	}
-	sh, err := orch.NewSharded(orch.Config{
+	sh, err := orch.New(orch.Config{
 		Topo:        topo,
 		Builder:     s.builder,
 		Policy:      s.policy,
 		Mode:        s.mode,
 		CostModel:   s.costModel,
 		Wavelengths: s.wavelengths,
-		StandbyK:    s.standbyK,
+		NoStandby:   s.noStandby,
+		// Only with an engine draining repair events may repairs defer
+		// standby replanning off the recovery hot path.
+		DeferReprotect: s.optimizer != nil,
 	}, s.shards, s.shardMode)
 	if err != nil {
 		return nil, fmt.Errorf("alvc: %w", err)
@@ -385,8 +382,7 @@ func FromTopology(topo *topology.Topology, opts ...Option) (*Architecture, error
 	arch := &Architecture{
 		topo:         topo,
 		sh:           sh,
-		alloc:        sh.Shard(0).Allocator(),
-		orch:         sh.Shard(0),
+		events:       orch.NewEventMux(),
 		batchWorkers: s.batchWorkers,
 	}
 	// Tracing is on by default (bounded store, default sizes); only an
@@ -399,25 +395,21 @@ func FromTopology(topo *topology.Topology, opts ...Option) (*Architecture, error
 	}
 	if traceOpts != nil {
 		arch.tracer = trace.NewTracer(trace.NewStore(*traceOpts))
-		sh.SetTracer(arch.tracer)
 	}
-	// Every shard emits into one multiplexer rather than claiming the
-	// orchestrator's single sink slot, so the optimizer, telemetry
-	// bridges and other observers subscribe independently
+	// The orchestrator emits into one multiplexer, so the optimizer,
+	// telemetry bridges and other observers subscribe independently
 	// (SubscribeEvents). The mux is always installed: event streaming
 	// works with or without an optimizer.
-	mux := orch.NewEventMux()
-	sh.SetEventSink(mux)
-	arch.events = mux
+	sh.UpdateHooks(func(h *orch.Hooks) {
+		h.Tracer = arch.tracer
+		h.Events = arch.events
+	})
 	if s.optimizer != nil {
 		eng, err := optimizer.New(sh, *s.optimizer)
 		if err != nil {
 			return nil, fmt.Errorf("alvc: %w", err)
 		}
-		mux.Subscribe(eng)
-		// Only with an engine draining repair events may repairs defer
-		// standby replanning off the recovery hot path.
-		sh.SetDeferReprotect(true)
+		arch.events.Subscribe(eng)
 		if arch.tracer != nil {
 			eng.SetTracer(arch.tracer)
 		}
@@ -441,23 +433,18 @@ func FromTopology(topo *topology.Topology, opts ...Option) (*Architecture, error
 // observational — it never changes repair semantics (deferred standby
 // replanning is tied to WithOptimizer, not to subscription).
 // Subscribers run synchronously per event and must return quickly
-// (enqueue, don't execute). ok is always true; the pair form is kept
-// for call-site compatibility.
-func (a *Architecture) SubscribeEvents(s orch.EventSink) (cancel func(), ok bool) {
-	return a.events.Subscribe(s), true
+// (enqueue, don't execute).
+func (a *Architecture) SubscribeEvents(s orch.EventSink) (cancel func()) {
+	return a.events.Subscribe(s)
 }
 
 // Topology returns the underlying network.
 func (a *Architecture) Topology() *Topology { return a.topo }
 
-// Orchestrator returns the underlying NFC orchestrator for advanced
-// inspection (flow tables, VNF lifecycle events, slices). Under
-// WithShards this is shard 0; use Sharded for the routed fleet view.
-func (a *Architecture) Orchestrator() *orch.Orchestrator { return a.orch }
-
-// Sharded returns the sharded orchestration layer (one shard unless
-// WithShards raised the count): routed per-deployment verbs, fleet
-// merges and per-shard statistics.
+// Sharded returns the orchestrator — a set of shards, one unless
+// WithShards raised the count: routed per-deployment verbs, fleet
+// merges, per-shard statistics, and through Shard(i) each shard's
+// allocator, SDN controller, NFV manager, slices and wavelengths.
 func (a *Architecture) Sharded() *orch.Sharded { return a.sh }
 
 // ShardCount returns the number of orchestrator shards (1 without
@@ -472,7 +459,7 @@ func (a *Architecture) ShardStats() []ShardStat { return a.sh.ShardStats() }
 // chains. The clusters claim OPSs from the same pool chain deployments
 // use (shard 0's partition when WithShards splits the pool).
 func (a *Architecture) BuildServiceClusters() ([]*VC, error) {
-	vcs, err := a.alloc.BuildAllByService()
+	vcs, err := a.sh.Shard(0).Allocator().BuildAllByService()
 	if err != nil {
 		return nil, fmt.Errorf("alvc: %w", err)
 	}
@@ -481,7 +468,7 @@ func (a *Architecture) BuildServiceClusters() ([]*VC, error) {
 
 // ReleaseCluster dissolves a cluster built by BuildServiceClusters.
 func (a *Architecture) ReleaseCluster(id cluster.VCID) error {
-	return a.alloc.Release(id)
+	return a.sh.Shard(0).Allocator().Release(id)
 }
 
 // Clusters returns all current virtual clusters (service clusters and
@@ -496,16 +483,11 @@ func (a *Architecture) Clusters() []*VC {
 }
 
 // Deploy provisions a chain end to end (paper §IV): virtual cluster,
-// optical slice, VNF placement and instantiation, SDN path.
-func (a *Architecture) Deploy(spec Spec) (*Deployment, error) {
-	return a.sh.Provision(spec)
-}
-
-// DeployCtx is Deploy carrying a request context: when the context
+// optical slice, VNF placement and instantiation, SDN path. When ctx
 // holds a span (the server middleware's root HTTP span), the provision
 // span and its per-stage children join that trace.
-func (a *Architecture) DeployCtx(ctx context.Context, spec Spec) (*Deployment, error) {
-	return a.sh.ProvisionCtx(ctx, spec)
+func (a *Architecture) Deploy(ctx context.Context, spec Spec) (*Deployment, error) {
+	return a.sh.Provision(ctx, spec)
 }
 
 // DeployBatch provisions independent chain specs concurrently over a
@@ -531,16 +513,14 @@ func (a *Architecture) DeployRequest(req ChainRequest) (*Deployment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("alvc: deploy request: %w", err)
 	}
-	return a.Deploy(spec)
+	return a.Deploy(context.Background(), spec)
 }
 
-// Delete tears a deployment down and releases its resources.
-func (a *Architecture) Delete(id DeploymentID) error { return a.sh.Delete(id) }
-
-// DeleteCtx is Delete carrying a request context for trace propagation;
-// it returns the deployment's final record (state deleted).
-func (a *Architecture) DeleteCtx(ctx context.Context, id DeploymentID) (*Deployment, error) {
-	return a.sh.DeleteCtx(ctx, id)
+// Delete tears a deployment down, releases its resources and returns
+// its final record (state deleted); its span joins the trace ctx
+// carries.
+func (a *Architecture) Delete(ctx context.Context, id DeploymentID) (*Deployment, error) {
+	return a.sh.Delete(ctx, id)
 }
 
 // Upgrade rolls every VNF of the chain to the next version.
@@ -561,15 +541,9 @@ func (a *Architecture) ScaleNF(id DeploymentID, nfIndex, replicas int) error {
 // single-VNF replacement, AL/slice patch) over full rebuilds. It
 // returns one RepairReport per affected chain; chains whose repair was
 // impossible transition to the Failed state and are also reported
-// through the error.
-func (a *Architecture) FailNode(id NodeID) ([]RepairReport, error) {
-	return a.sh.HandleNodeFailure(id)
-}
-
-// FailNodeCtx is FailNode carrying a request context: every repair it
-// triggers records a span in the context's trace.
-func (a *Architecture) FailNodeCtx(ctx context.Context, id NodeID) ([]RepairReport, error) {
-	return a.sh.HandleNodeFailureCtx(ctx, id)
+// through the error. Every repair records a span in ctx's trace.
+func (a *Architecture) FailNode(ctx context.Context, id NodeID) ([]RepairReport, error) {
+	return a.sh.HandleFailures(ctx, []NodeID{id}, nil)
 }
 
 // RepairedIDs filters a FailNode report list down to the chains whose
@@ -588,14 +562,8 @@ func (a *Architecture) RecoverNode(id NodeID) error {
 // primary or standby path crossed it: a dead primary link swaps to the
 // standby when one survives (zero shortest-path runs), re-paths cold
 // otherwise; a dead standby link merely replans the standby.
-func (a *Architecture) FailLink(id LinkID) ([]RepairReport, error) {
-	return a.sh.HandleLinkFailure(id)
-}
-
-// FailLinkCtx is FailLink carrying a request context for trace
-// propagation.
-func (a *Architecture) FailLinkCtx(ctx context.Context, id LinkID) ([]RepairReport, error) {
-	return a.sh.HandleLinkFailureCtx(ctx, id)
+func (a *Architecture) FailLink(ctx context.Context, id LinkID) ([]RepairReport, error) {
+	return a.sh.HandleFailures(ctx, nil, []LinkID{id})
 }
 
 // RecoverLink marks a failed link as live again. Existing deployments
@@ -607,34 +575,23 @@ func (a *Architecture) RecoverLink(id LinkID) error {
 // FailBatch injects a set of node and link failures as one event — a
 // rack-scale incident — and reconciles each affected chain exactly
 // once against the union of dead resources.
-func (a *Architecture) FailBatch(nodes []NodeID, links []LinkID) ([]RepairReport, error) {
-	return a.sh.HandleFailures(nodes, links)
-}
-
-// FailBatchCtx is FailBatch carrying a request context for trace
-// propagation.
-func (a *Architecture) FailBatchCtx(ctx context.Context, nodes []NodeID, links []LinkID) ([]RepairReport, error) {
-	return a.sh.HandleFailuresCtx(ctx, nodes, links)
+func (a *Architecture) FailBatch(ctx context.Context, nodes []NodeID, links []LinkID) ([]RepairReport, error) {
+	return a.sh.HandleFailures(ctx, nodes, links)
 }
 
 // ReportFailures feeds a failure notification into the debouncer
 // (WithFailureDebounce): reports within one window coalesce into a
-// single FailBatch. Without a debouncer it falls back to an immediate
-// FailBatch, so callers can use one code path either way.
-func (a *Architecture) ReportFailures(nodes []NodeID, links []LinkID) {
-	a.ReportFailuresCtx(context.Background(), nodes, links)
-}
-
-// ReportFailuresCtx is ReportFailures carrying a request context: the
-// debouncer remembers the context's span as a parent of the batch that
-// eventually flushes the report, so the failure report's trace reaches
-// the coalesced repairs.
-func (a *Architecture) ReportFailuresCtx(ctx context.Context, nodes []NodeID, links []LinkID) {
+// single FailBatch, and the debouncer remembers ctx's span as a parent
+// of the batch that eventually flushes the report, so the failure
+// report's trace reaches the coalesced repairs. Without a debouncer it
+// falls back to an immediate FailBatch, so callers can use one code
+// path either way.
+func (a *Architecture) ReportFailures(ctx context.Context, nodes []NodeID, links []LinkID) {
 	if a.debounce == nil {
-		_, _ = a.sh.HandleFailuresCtx(ctx, nodes, links)
+		_, _ = a.sh.HandleFailures(ctx, nodes, links)
 		return
 	}
-	a.debounce.ReportCtx(ctx, nodes, links)
+	a.debounce.Report(ctx, nodes, links)
 }
 
 // FlushFailures dispatches the debouncer's pending failure union
@@ -743,7 +700,7 @@ func (a *Architecture) MeasureDeployment(id DeploymentID, n int) (FlowResult, er
 	cfg := flow.DefaultConfig()
 	cfg.VNFDelayUs = make(map[NodeID]float64)
 	for _, instID := range dep.Instances {
-		inst := a.orch.Manager().Instance(instID)
+		inst := a.sh.Shard(0).Manager().Instance(instID)
 		if inst == nil {
 			continue
 		}

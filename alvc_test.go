@@ -1,10 +1,16 @@
 package alvc
 
 import (
+	"context"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/alvc/alvc/internal/orch"
 )
+
+// ctx is what the package's tests pass where a request context goes.
+var ctx = context.Background()
 
 func archConfig() TopologyConfig {
 	cfg := DefaultTopology()
@@ -50,7 +56,7 @@ func TestDeployLifecycleThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LinearChain: %v", err)
 	}
-	dep, err := arch.Deploy(spec)
+	dep, err := arch.Deploy(ctx, spec)
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
@@ -74,7 +80,7 @@ func TestDeployLifecycleThroughFacade(t *testing.T) {
 	if res.Flows != 10 || res.MeanHops == 0 {
 		t.Fatalf("flow result = %+v", res)
 	}
-	if err := arch.Delete(dep.ID); err != nil {
+	if _, err := arch.Delete(ctx, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if arch.Summarize().ActiveDeployments != 0 {
@@ -133,7 +139,7 @@ func TestClusterAndChainShareOPSPool(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LinearChain: %v", err)
 	}
-	dep, err := arch.Deploy(spec)
+	dep, err := arch.Deploy(ctx, spec)
 	if err != nil {
 		// Acceptable outcome: pool exhausted. The invariant is that it
 		// must NOT double-allocate.
@@ -160,7 +166,7 @@ func TestWithOptions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LinearChain: %v", err)
 	}
-	dep, err := arch.Deploy(spec)
+	dep, err := arch.Deploy(ctx, spec)
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
@@ -204,7 +210,7 @@ func TestFacadeFailureRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LinearChain: %v", err)
 	}
-	dep, err := arch.Deploy(spec)
+	dep, err := arch.Deploy(ctx, spec)
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
@@ -212,7 +218,7 @@ func TestFacadeFailureRecovery(t *testing.T) {
 		t.Fatalf("lambda = %d, want assigned with WithWavelengths", dep.Lambda)
 	}
 	victim := dep.Slice.OPSs[0]
-	reports, err := arch.FailNode(victim)
+	reports, err := arch.FailNode(ctx, victim)
 	if err != nil {
 		t.Fatalf("FailNode: %v", err)
 	}
@@ -233,7 +239,37 @@ func TestFacadeFailureRecovery(t *testing.T) {
 	if arch.Deployment(dep.ID).Repairs != 2 {
 		t.Fatal("manual repair not counted")
 	}
-	if _, err := arch.FailNode(999999); err == nil {
+	if _, err := arch.FailNode(ctx, 999999); err == nil {
 		t.Fatal("unknown node accepted")
+	}
+}
+
+// TestOneFormPerVerb pins the shape of the orchestration surface: no
+// type offers a verb twice (X beside XCtx), and a shard offers none of
+// the fleet-level entry points — failures, batches and hooks are the
+// shard set's.
+func TestOneFormPerVerb(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(&orch.Sharded{}),
+		reflect.TypeOf(&orch.Orchestrator{}),
+		reflect.TypeOf(&orch.FailureDebouncer{}),
+		reflect.TypeOf(&Architecture{}),
+	} {
+		for i := 0; i < typ.NumMethod(); i++ {
+			name := typ.Method(i).Name
+			if _, twin := typ.MethodByName(name + "Ctx"); twin {
+				t.Errorf("%v has both %s and %sCtx", typ, name, name)
+			}
+			if strings.HasSuffix(name, "Ctx") {
+				t.Errorf("%v.%s: the context form goes under the plain name", typ, name)
+			}
+		}
+	}
+	shard := reflect.TypeOf(&orch.Orchestrator{})
+	for i := 0; i < shard.NumMethod(); i++ {
+		name := shard.Method(i).Name
+		if strings.HasPrefix(name, "Handle") || strings.HasPrefix(name, "Set") || name == "ProvisionBatch" {
+			t.Errorf("shard method %s belongs to the shard set", name)
+		}
 	}
 }

@@ -6,6 +6,7 @@
 package alvc_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -22,6 +23,9 @@ import (
 	"github.com/alvc/alvc/internal/update"
 	"github.com/alvc/alvc/internal/workload"
 )
+
+// ctx is what the benchmarks pass where a request context goes.
+var ctx = context.Background()
 
 func genTopo(b *testing.B, racks, ops, uplinks int) *topology.Topology {
 	b.Helper()
@@ -123,7 +127,7 @@ func BenchmarkE4_ALQuality(b *testing.B) {
 // chain (experiment E5, Fig. 5).
 func BenchmarkE5_ChainDeploy(b *testing.B) {
 	topo := orchTopo(b)
-	o, err := orch.New(orch.Config{Topo: topo})
+	o, err := orch.New(orch.Config{Topo: topo}, 1, orch.ShardByTenant)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -133,11 +137,11 @@ func BenchmarkE5_ChainDeploy(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dep, err := o.Provision(spec)
+		dep, err := o.Provision(ctx, spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := o.Delete(dep.ID); err != nil {
+		if _, err := o.Delete(ctx, dep.ID); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,7 +151,7 @@ func BenchmarkE5_ChainDeploy(b *testing.B) {
 // (experiment E6, Fig. 6).
 func BenchmarkE6_Lifecycle(b *testing.B) {
 	topo := orchTopo(b)
-	o, err := orch.New(orch.Config{Topo: topo})
+	o, err := orch.New(orch.Config{Topo: topo}, 1, orch.ShardByTenant)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -157,7 +161,7 @@ func BenchmarkE6_Lifecycle(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dep, err := o.Provision(spec)
+		dep, err := o.Provision(ctx, spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,7 +171,7 @@ func BenchmarkE6_Lifecycle(b *testing.B) {
 		if err := o.Upgrade(dep.ID); err != nil {
 			b.Fatal(err)
 		}
-		if err := o.Delete(dep.ID); err != nil {
+		if _, err := o.Delete(ctx, dep.ID); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,7 +190,7 @@ func BenchmarkE7_Slicing(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	slices := arch.Orchestrator().Slices()
+	slices := arch.Sharded().Shard(0).Slices()
 	opss := arch.Topology().NodeIDs(topology.KindOPS)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -342,7 +346,7 @@ func BenchmarkE11_CapacityGate(b *testing.B) {
 // through a deployed chain (experiment E12, §IV-A).
 func BenchmarkE12_FlowSteering(b *testing.B) {
 	topo := orchTopo(b)
-	o, err := orch.New(orch.Config{Topo: topo})
+	o, err := orch.New(orch.Config{Topo: topo}, 1, orch.ShardByTenant)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -350,7 +354,7 @@ func BenchmarkE12_FlowSteering(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dep, err := o.Provision(spec)
+	dep, err := o.Provision(ctx, spec)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,28 +3,22 @@
 // regenerated and printed as an aligned table, with the shape findings
 // and any violations listed below each experiment.
 //
-// It doubles as the control-plane load generator: pointed at a running
-// alvc-server it fires concurrent HTTP provisions and reports
-// throughput and latency percentiles.
-//
 // Usage:
 //
 //	alvc-bench                      # run every experiment
 //	alvc-bench -exp E8              # run one experiment
 //	alvc-bench -markdown            # emit the tables as markdown
 //	alvc-bench -json                # also write BENCH_<id>.json per experiment
-//	alvc-bench -load http://localhost:8080 -n 200 -c 16
-//	alvc-bench -load http://localhost:8080 -n 200 -c 4 -load-batch 25 -json
 //	alvc-bench -repair -chains 50 -json
 //	alvc-bench -path -json          # routing fast-path micro-bench
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"github.com/alvc/alvc/internal/experiments"
 )
@@ -50,18 +44,20 @@ type jsonTable struct {
 	Rows    [][]string `json:"rows"`
 }
 
+// writeJSONFile writes v as indented JSON to path.
+func writeJSONFile(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
 func run() int {
 	exp := flag.String("exp", "", "run a single experiment (E1..E12); default all")
 	markdown := flag.Bool("markdown", false, "emit markdown tables instead of aligned text")
 	emitJSON := flag.Bool("json", false, "write BENCH_<name>.json machine-readable results")
 	outDir := flag.String("out", ".", "directory for -json output files")
-	loadURL := flag.String("load", "", "load-generator mode: base URL of a running alvc-server")
-	loadN := flag.Int("n", 100, "load mode: total provisions to fire")
-	loadC := flag.Int("c", 8, "load mode: concurrent in-flight requests")
-	loadBatch := flag.Int("load-batch", 0, "load mode: use /v1/chains:batch in groups of this size (0 = singleton POSTs)")
-	loadService := flag.String("service", "web", "load mode: service of the generated chains")
-	loadNFs := flag.String("nfs", "firewall,nat", "load mode: comma-separated NF chain")
-	noCleanup := flag.Bool("no-cleanup", false, "load mode: keep provisioned chains instead of deleting them")
 	repairMode := flag.Bool("repair", false, "repair-bench mode: measure in-process recovery latency vs fleet size")
 	repairChains := flag.Int("chains", 50, "repair/resilience mode: fleet size to measure")
 	resilienceMode := flag.Bool("resilience", false, "resilience-bench mode: compare standby-swap vs cold-repath recovery and rack-event batching")
@@ -198,35 +194,6 @@ func run() int {
 		}
 		if v := repairViolations(report); v > 0 {
 			fmt.Fprintf(os.Stderr, "alvc-bench: %d repair contract violations\n", v)
-			return 2
-		}
-		return 0
-	}
-
-	if *loadURL != "" {
-		report, err := runLoad(loadConfig{
-			URL:         *loadURL,
-			Requests:    *loadN,
-			Concurrency: *loadC,
-			BatchSize:   *loadBatch,
-			Service:     *loadService,
-			NFs:         strings.Split(*loadNFs, ","),
-			Cleanup:     !*noCleanup,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alvc-bench: %v\n", err)
-			return 1
-		}
-		printLoadReport(report)
-		if *emitJSON {
-			path := filepath.Join(*outDir, "BENCH_load.json")
-			if err := writeJSONFile(path, report); err != nil {
-				fmt.Fprintf(os.Stderr, "alvc-bench: write %s: %v\n", path, err)
-				return 1
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-		if report.Succeeded == 0 {
 			return 2
 		}
 		return 0

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -128,16 +129,17 @@ func rackEventFor(arch *alvc.Architecture) (nodes []alvc.NodeID, links []alvc.Li
 // standbySearches is the number of standby segment searches asked of
 // the fleet's controller so far, answered from its memo or not.
 func standbySearches(arch *alvc.Architecture) int {
-	hits, misses := arch.Orchestrator().Controller().AlternativesCacheStats()
+	hits, misses := arch.Sharded().Shard(0).Controller().AlternativesCacheStats()
 	return int(hits + misses)
 }
 
 func measureRecovery(arch *alvc.Architecture, nodes []alvc.NodeID, links []alvc.LinkID) (optRecoverStats, []alvc.DeploymentID, error) {
-	ctrl := arch.Orchestrator().Controller()
+	ctx := context.Background()
+	ctrl := arch.Sharded().Shard(0).Controller()
 	searchesBefore := standbySearches(arch)
 	compBefore := ctrl.PathComputations()
 	start := time.Now()
-	reports, _ := arch.FailBatch(nodes, links) // per-chain outcomes inspected below
+	reports, _ := arch.FailBatch(ctx, nodes, links) // per-chain outcomes inspected below
 	elapsed := time.Since(start)
 	stats := optRecoverStats{
 		Affected:         len(reports),
@@ -305,6 +307,7 @@ func defragTopology(chains int) (*alvc.Topology, error) {
 }
 
 func runDefragSample(chains int) (defragSample, error) {
+	ctx := context.Background()
 	sample := defragSample{Chains: chains, Wavelengths: chains}
 	topo, err := defragTopology(chains)
 	if err != nil {
@@ -312,7 +315,7 @@ func runDefragSample(chains int) (defragSample, error) {
 	}
 	arch, err := alvc.FromTopology(topo,
 		alvc.WithWavelengths(chains),
-		alvc.WithStandbyK(-1),
+		alvc.WithoutStandby(),
 		alvc.WithOptimizer(alvc.OptimizerOptions{}))
 	if err != nil {
 		return sample, err
@@ -325,7 +328,7 @@ func runDefragSample(chains int) (defragSample, error) {
 		if err != nil {
 			return sample, err
 		}
-		if _, err := arch.Deploy(spec); err != nil {
+		if _, err := arch.Deploy(ctx, spec); err != nil {
 			return sample, fmt.Errorf("provision %d: %w", i, err)
 		}
 	}
@@ -333,13 +336,13 @@ func runDefragSample(chains int) (defragSample, error) {
 	// odd ones — maximal fragmentation for the survivor count.
 	for _, dep := range arch.Deployments() {
 		if dep.Lambda%2 == 0 {
-			if err := arch.Delete(dep.ID); err != nil {
+			if _, err := arch.Delete(ctx, dep.ID); err != nil {
 				return sample, fmt.Errorf("delete %d: %w", dep.ID, err)
 			}
 			sample.Deleted++
 		}
 	}
-	wdm := arch.Orchestrator().WDM()
+	wdm := arch.Sharded().Shard(0).WDM()
 	sample.BeforeMax, sample.BeforeSum = lambdaFragmentation(wdm.LambdaHistogram())
 
 	eng := arch.Optimizer()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -22,7 +23,7 @@ type repairBenchReport struct {
 type repairSample struct {
 	Chains   int `json:"chains"`
 	Affected int `json:"affected"`
-	// RepairMs is the wall time of the HandleNodeFailure call that
+	// RepairMs is the wall time of the FailNode call that
 	// reconciled the OPS failure.
 	RepairMs float64 `json:"repair_ms"`
 	// ProvisionMs is the wall time of provisioning the whole fleet
@@ -76,6 +77,7 @@ func runRepairBench(maxChains int) (*repairBenchReport, error) {
 }
 
 func repairAt(chains int) (*repairSample, error) {
+	ctx := context.Background()
 	arch, err := alvc.New(repairTopology(chains))
 	if err != nil {
 		return nil, err
@@ -104,7 +106,7 @@ func repairAt(chains int) (*repairSample, error) {
 	victim := victimDep.Slice.OPSs[0]
 
 	start := time.Now()
-	reports, err := arch.FailNode(victim)
+	reports, err := arch.FailNode(ctx, victim)
 	repair := time.Since(start)
 	if err != nil {
 		return nil, fmt.Errorf("FailNode: %w", err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -158,6 +159,7 @@ func protectionGap(arch *alvc.Architecture) int {
 }
 
 func runResilienceBench(chains int) (*resilienceBenchReport, error) {
+	ctx := context.Background()
 	if chains < 2 {
 		return nil, fmt.Errorf("resilience bench: need at least 2 chains, got %d", chains)
 	}
@@ -177,14 +179,14 @@ func runResilienceBench(chains int) (*resilienceBenchReport, error) {
 	if victim == 0 {
 		return nil, fmt.Errorf("resilience bench: no swap victim on chain 1 (standby=%v)", dep.Standby)
 	}
-	before := arch.Orchestrator().Controller().PathComputations()
+	before := arch.Sharded().Shard(0).Controller().PathComputations()
 	start := time.Now()
-	reports, err := arch.FailNode(victim)
+	reports, err := arch.FailNode(ctx, victim)
 	elapsed := time.Since(start)
 	if err != nil {
 		return nil, fmt.Errorf("contract FailNode: %w", err)
 	}
-	report.Contract.PathComputations = arch.Orchestrator().Controller().PathComputations() - before
+	report.Contract.PathComputations = arch.Sharded().Shard(0).Controller().PathComputations() - before
 	report.Contract.SwapMs = float64(elapsed) / float64(time.Millisecond)
 	for _, rep := range reports {
 		if rep.ID == dep.ID {
@@ -194,20 +196,20 @@ func runResilienceBench(chains int) (*resilienceBenchReport, error) {
 
 	// The same failure on an identical but unprotected chain: cold
 	// re-path latency is the baseline the swap is measured against.
-	coldArch, err := alvc.New(resilienceTopology(chains), alvc.WithStandbyK(-1))
+	coldArch, err := alvc.New(resilienceTopology(chains), alvc.WithoutStandby())
 	if err != nil {
 		return nil, err
 	}
 	if err := provisionFleet(coldArch, 1); err != nil {
 		return nil, err
 	}
-	before = coldArch.Orchestrator().Controller().PathComputations()
+	before = coldArch.Sharded().Shard(0).Controller().PathComputations()
 	start = time.Now()
-	if _, err := coldArch.FailNode(victim); err != nil {
+	if _, err := coldArch.FailNode(ctx, victim); err != nil {
 		return nil, fmt.Errorf("contract cold FailNode: %w", err)
 	}
 	report.Contract.ColdMs = float64(time.Since(start)) / float64(time.Millisecond)
-	report.Contract.ColdPathComputations = coldArch.Orchestrator().Controller().PathComputations() - before
+	report.Contract.ColdPathComputations = coldArch.Sharded().Shard(0).Controller().PathComputations() - before
 	if report.Contract.SwapMs > 0 {
 		report.Contract.Speedup = report.Contract.ColdMs / report.Contract.SwapMs
 	}
@@ -222,7 +224,7 @@ func runResilienceBench(chains int) (*resilienceBenchReport, error) {
 		out  *fleetSample
 	}{
 		{"standby", []alvc.Option{alvc.WithOptimizer(alvc.OptimizerOptions{})}, &report.Fleet.Standby},
-		{"cold", []alvc.Option{alvc.WithStandbyK(-1)}, &report.Fleet.Cold},
+		{"cold", []alvc.Option{alvc.WithoutStandby()}, &report.Fleet.Cold},
 	} {
 		arch, err := alvc.New(resilienceTopology(chains), mode.opts...)
 		if err != nil {
@@ -247,12 +249,12 @@ func runResilienceBench(chains int) (*resilienceBenchReport, error) {
 		if victim == 0 {
 			return nil, fmt.Errorf("resilience bench: no ToR victim in %s fleet", mode.name)
 		}
-		ctrl := arch.Orchestrator().Controller()
+		ctrl := arch.Sharded().Shard(0).Controller()
 		compsBefore := ctrl.PathComputations()
 		searchesBefore := standbySearches(arch)
 		_, rulesBefore := ctrl.Stats()
 		start := time.Now()
-		reports, _ := arch.FailNode(victim) // per-chain failures are reported below
+		reports, _ := arch.FailNode(ctx, victim) // per-chain failures are reported below
 		elapsed := time.Since(start)
 		_, rulesAfter := ctrl.Stats()
 		sample := fleetSample{
@@ -312,7 +314,7 @@ func runResilienceBench(chains int) (*resilienceBenchReport, error) {
 		}
 	}
 	start = time.Now()
-	rackReports, _ := arch.FailBatch(rack, nil) // dead endpoints may legitimately fail chains
+	rackReports, _ := arch.FailBatch(ctx, rack, nil) // dead endpoints may legitimately fail chains
 	elapsed = time.Since(start)
 	report.Rack = rackSample{
 		Nodes:   len(rack),

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -125,6 +126,7 @@ func runScaleBench(chains int) (*scaleBenchReport, error) {
 }
 
 func scaleAt(chains, shards int) (*scaleSample, error) {
+	ctx := context.Background()
 	arch, err := alvc.New(scaleTopology(chains), alvc.WithShards(shards))
 	if err != nil {
 		return nil, err
@@ -141,7 +143,7 @@ func scaleAt(chains, shards int) (*scaleSample, error) {
 
 	// Warmup: the first chain pays the cold snapshot build so the
 	// timed phase measures steady-state provisioning.
-	if _, err := arch.Deploy(specs[0]); err != nil {
+	if _, err := arch.Deploy(ctx, specs[0]); err != nil {
 		return nil, fmt.Errorf("warmup provision: %w", err)
 	}
 	buildsBefore := arch.Topology().GraphBuilds()
@@ -172,7 +174,7 @@ func scaleAt(chains, shards int) (*scaleSample, error) {
 		}
 	}
 	repairStart := time.Now()
-	reports, err := arch.FailBatch(victims, nil)
+	reports, err := arch.FailBatch(ctx, victims, nil)
 	repair := time.Since(repairStart)
 	if err != nil {
 		return nil, fmt.Errorf("FailBatch(%d victims): %w", len(victims), err)

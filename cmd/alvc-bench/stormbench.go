@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -232,12 +233,13 @@ func assignTrays(arch *alvc.Architecture, victims []stormVictim) (int, error) {
 // and recover one transit link of the sacrificial chain 0, then drain
 // the optimizer.
 func warmStorm(arch *alvc.Architecture) error {
+	ctx := context.Background()
 	dep := arch.Deployments()[0]
 	links := transitLinks(arch.Topology(), dep.Path)
 	if len(links) == 0 {
 		return fmt.Errorf("storm bench: sacrificial chain has no transit links")
 	}
-	if _, err := arch.FailLink(links[0]); err != nil {
+	if _, err := arch.FailLink(ctx, links[0]); err != nil {
 		return fmt.Errorf("warm-up FailLink: %w", err)
 	}
 	if err := arch.RecoverLink(links[0]); err != nil {
@@ -276,17 +278,18 @@ func countVictimsRepaired(s *stormSample, seen map[alvc.DeploymentID]int, victim
 // primary links first (each chain swaps onto its standby), then the
 // standby links (each chain cold-repaths off its now-dead standby).
 func runStormBaseline(arch *alvc.Architecture, victims []stormVictim) (stormSample, error) {
+	ctx := context.Background()
 	sample := stormSample{Actions: make(map[string]int)}
 	seen := make(map[alvc.DeploymentID]int)
 	buildsBefore := arch.Topology().GraphBuilds()
 	start := time.Now()
 	for _, v := range victims {
-		reports, _ := arch.FailLink(v.primary) // per-chain outcomes folded below
+		reports, _ := arch.FailLink(ctx, v.primary) // per-chain outcomes folded below
 		sample.Events++
 		foldStormReports(&sample, seen, reports)
 	}
 	for _, v := range victims {
-		reports, _ := arch.FailLink(v.standby)
+		reports, _ := arch.FailLink(ctx, v.standby)
 		sample.Events++
 		foldStormReports(&sample, seen, reports)
 	}
@@ -299,13 +302,14 @@ func runStormBaseline(arch *alvc.Architecture, victims []stormVictim) (stormSamp
 // runStormBatched reports every dead link to the debouncer as its own
 // notification and flushes once: one union batch, one repair per chain.
 func runStormBatched(arch *alvc.Architecture, victims []stormVictim) (stormSample, error) {
+	ctx := context.Background()
 	sample := stormSample{Actions: make(map[string]int)}
 	seen := make(map[alvc.DeploymentID]int)
 	buildsBefore := arch.Topology().GraphBuilds()
 	start := time.Now()
 	for _, v := range victims {
-		arch.ReportFailures(nil, []alvc.LinkID{v.primary})
-		arch.ReportFailures(nil, []alvc.LinkID{v.standby})
+		arch.ReportFailures(ctx, nil, []alvc.LinkID{v.primary})
+		arch.ReportFailures(ctx, nil, []alvc.LinkID{v.standby})
 	}
 	reports, _ := arch.FlushFailures() // per-chain outcomes folded below
 	sample.Events = 1

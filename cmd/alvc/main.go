@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -108,6 +109,7 @@ func runClusters(args []string) int {
 }
 
 func runDeploy(args []string) int {
+	ctx := context.Background()
 	fs := flag.NewFlagSet("deploy", flag.ContinueOnError)
 	cfg := topoFlags(fs)
 	tenants := fs.Int("tenants", 3, "number of tenants")
@@ -157,7 +159,7 @@ func runDeploy(args []string) int {
 		"chain", "tenant", "service", "NFs", "AL", "hops", "conversions", "energy J")
 	failures := 0
 	for _, spec := range specs {
-		dep, err := arch.Deploy(spec)
+		dep, err := arch.Deploy(ctx, spec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "alvc deploy: %s: %v\n", spec.Name, err)
 			failures++

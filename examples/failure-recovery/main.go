@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := alvc.DefaultTopology()
 	cfg.Racks = 8
 	cfg.OPSCount = 24
@@ -33,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("failure-recovery: %v", err)
 	}
-	depA, err := arch.Deploy(specA)
+	depA, err := arch.Deploy(ctx, specA)
 	if err != nil {
 		log.Fatalf("failure-recovery: deploy a: %v", err)
 	}
@@ -42,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("failure-recovery: %v", err)
 	}
-	depB, err := arch.Deploy(specB)
+	depB, err := arch.Deploy(ctx, specB)
 	if err != nil {
 		log.Fatalf("failure-recovery: deploy b: %v", err)
 	}
@@ -52,7 +54,7 @@ func main() {
 	// Kill an OPS in tenant-a's slice.
 	victim := depA.Slice.OPSs[0]
 	fmt.Printf("\n*** OPS %d fails ***\n\n", victim)
-	reports, err := arch.FailNode(victim)
+	reports, err := arch.FailNode(ctx, victim)
 	if err != nil {
 		log.Fatalf("failure-recovery: repair failed: %v", err)
 	}
@@ -80,7 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("failure-recovery: %v", err)
 	}
-	depC, err := arch.Deploy(specC)
+	depC, err := arch.Deploy(ctx, specC)
 	if err != nil {
 		log.Fatalf("failure-recovery: deploy c: %v", err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := alvc.DefaultTopology()
 	cfg.Racks = 8
 	cfg.OPSCount = 24
@@ -39,7 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("multitenant: spec: %v", err)
 		}
-		dep, err := arch.Deploy(spec)
+		dep, err := arch.Deploy(ctx, spec)
 		if err != nil {
 			log.Fatalf("multitenant: deploy %s: %v", tn.tenant, err)
 		}
@@ -62,7 +64,7 @@ func main() {
 
 	// Tenant "globex" leaves; its slice returns to the pool.
 	summaryBefore := arch.Summarize()
-	if err := arch.Delete(deps[1].ID); err != nil {
+	if _, err := arch.Delete(ctx, deps[1].ID); err != nil {
 		log.Fatalf("multitenant: delete: %v", err)
 	}
 	summaryAfter := arch.Summarize()
@@ -75,7 +77,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("multitenant: spec: %v", err)
 	}
-	dep, err := arch.Deploy(spec)
+	dep, err := arch.Deploy(ctx, spec)
 	if err != nil {
 		log.Fatalf("multitenant: redeploy: %v", err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := alvc.DefaultTopology()
 	cfg.Racks = 8
 	cfg.OPSCount = 24
@@ -41,7 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("nfc-orchestration: spec %s: %v", c.name, err)
 		}
-		dep, err := arch.Deploy(spec)
+		dep, err := arch.Deploy(ctx, spec)
 		if err != nil {
 			log.Fatalf("nfc-orchestration: deploy %s: %v", c.name, err)
 		}
@@ -65,7 +67,7 @@ func main() {
 	fmt.Printf("\n%d OPSs allocated across 3 chains — all abstraction layers disjoint ✓\n", len(owned))
 
 	// Flow rules are isolated per chain: inspect the controller.
-	ctrl := arch.Orchestrator().Controller()
+	ctrl := arch.Sharded().Shard(0).Controller()
 	for i, dep := range deps {
 		rules := ctrl.RulesForFlow(dep.FlowKey())
 		fmt.Printf("%-6s flow rules installed: %d (one per hop)\n", chains[i].name, len(rules))

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,6 +44,7 @@ func main() {
 // deploys the Fig. 8 chain and returns its conversion count and
 // per-flow conversion energy.
 func deployUnder(policy alvc.PlacementPolicy, flowBytes int64) (int, float64) {
+	ctx := context.Background()
 	cfg := alvc.DefaultTopology()
 	cfg.Racks = 8
 	cfg.OPSCount = 24
@@ -58,7 +60,7 @@ func deployUnder(policy alvc.PlacementPolicy, flowBytes int64) (int, float64) {
 	if err != nil {
 		log.Fatalf("oeo-placement: spec: %v", err)
 	}
-	dep, err := arch.Deploy(spec)
+	dep, err := arch.Deploy(ctx, spec)
 	if err != nil {
 		log.Fatalf("oeo-placement: deploy: %v", err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A small data center: 8 racks behind a 24-OPS optical core. Wide
 	// uplink windows leave room for several disjoint abstraction
 	// layers.
@@ -54,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("quickstart: spec: %v", err)
 	}
-	dep, err := arch.Deploy(spec)
+	dep, err := arch.Deploy(ctx, spec)
 	if err != nil {
 		log.Fatalf("quickstart: deploy: %v", err)
 	}

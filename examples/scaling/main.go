@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := alvc.DefaultTopology()
 	cfg.Racks = 8
 	cfg.OPSCount = 24
@@ -30,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("scaling: spec: %v", err)
 	}
-	dep, err := arch.Deploy(spec)
+	dep, err := arch.Deploy(ctx, spec)
 	if err != nil {
 		log.Fatalf("scaling: deploy: %v", err)
 	}
@@ -46,7 +48,7 @@ func main() {
 	if dpiIdx < 0 {
 		log.Fatal("scaling: no electronic stage found")
 	}
-	mgr := arch.Orchestrator().Manager()
+	mgr := arch.Sharded().Shard(0).Manager()
 	instID := dep.Instances[dpiIdx]
 	host := mgr.Instance(instID).Host
 

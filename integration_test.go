@@ -58,7 +58,7 @@ func TestFullPaperStory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("LinearChain: %v", err)
 		}
-		dep, err := arch.Deploy(spec)
+		dep, err := arch.Deploy(ctx, spec)
 		if err != nil {
 			t.Fatalf("Deploy %s: %v", c.tenant, err)
 		}
@@ -98,7 +98,7 @@ func TestFullPaperStory(t *testing.T) {
 	// Failure: kill an OPS in blue's slice; repair must succeed and
 	// green/black must stay active.
 	victim := blue.Slice.OPSs[0]
-	reports, err := arch.FailNode(victim)
+	reports, err := arch.FailNode(ctx, victim)
 	if err != nil {
 		t.Fatalf("FailNode: %v", err)
 	}
@@ -122,14 +122,14 @@ func TestFullPaperStory(t *testing.T) {
 	if res.Flows != 200 || res.MeanHops == 0 {
 		t.Fatalf("flow result = %+v", res)
 	}
-	hits := arch.Orchestrator().Controller().FlowHits(arch.Deployment(blue.ID).FlowKey())
+	hits := arch.Sharded().Shard(0).Controller().FlowHits(arch.Deployment(blue.ID).FlowKey())
 	if hits == 0 {
 		t.Fatal("flow-table counters did not move")
 	}
 
 	// Teardown: everything releases.
 	for _, dep := range deps {
-		if err := arch.Delete(dep.ID); err != nil {
+		if _, err := arch.Delete(ctx, dep.ID); err != nil {
 			t.Fatalf("Delete: %v", err)
 		}
 	}
@@ -137,7 +137,7 @@ func TestFullPaperStory(t *testing.T) {
 	if final.ActiveDeployments != 0 || final.Clusters != 0 {
 		t.Fatalf("leaks after teardown: %+v", final)
 	}
-	if !arch.Orchestrator().Allocator().Disjoint() || !arch.Orchestrator().Slices().Disjoint() {
+	if !arch.Sharded().Shard(0).Allocator().Disjoint() || !arch.Sharded().Shard(0).Slices().Disjoint() {
 		t.Fatal("disjointness violated at the end")
 	}
 }
@@ -153,7 +153,7 @@ func TestMoveNFThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LinearChain: %v", err)
 	}
-	dep, err := arch.Deploy(spec)
+	dep, err := arch.Deploy(ctx, spec)
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}

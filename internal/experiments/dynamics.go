@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -87,7 +88,7 @@ func E12FlowSteering() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E12: %w", err)
 	}
-	o, err := orch.New(orch.Config{Topo: topo})
+	o, err := orch.New(orch.Config{Topo: topo}, 1, orch.ShardByTenant)
 	if err != nil {
 		return nil, fmt.Errorf("E12: %w", err)
 	}
@@ -95,7 +96,7 @@ func E12FlowSteering() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E12: %w", err)
 	}
-	dep, err := o.Provision(specs[0])
+	dep, err := o.Provision(context.Background(), specs[0])
 	if err != nil {
 		return nil, fmt.Errorf("E12: provision: %w", err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/alvc/alvc/internal/cluster"
@@ -24,7 +25,7 @@ func E13FailureRepair() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E13: %w", err)
 	}
-	o, err := orch.New(orch.Config{Topo: topo})
+	o, err := orch.New(orch.Config{Topo: topo}, 1, orch.ShardByTenant)
 	if err != nil {
 		return nil, fmt.Errorf("E13: %w", err)
 	}
@@ -34,7 +35,7 @@ func E13FailureRepair() (*Result, error) {
 	}
 	var deps []*orch.Deployment
 	for _, spec := range specs {
-		dep, err := o.Provision(spec)
+		dep, err := o.Provision(context.Background(), spec)
 		if err != nil {
 			return nil, fmt.Errorf("E13: provision %s: %w", spec.Name, err)
 		}
@@ -45,7 +46,7 @@ func E13FailureRepair() (*Result, error) {
 	clean := true
 	for i := 1; i <= 3; i++ {
 		victim := o.Deployment(deps[0].ID).Slice.OPSs[0]
-		reports, err := o.HandleNodeFailure(victim)
+		reports, err := o.HandleFailures(context.Background(), []topology.NodeID{victim}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("E13: failure %d: %w", i, err)
 		}
@@ -80,7 +81,7 @@ func E13FailureRepair() (*Result, error) {
 	} else {
 		res.Violations = append(res.Violations, "a failure left a chain down or still using the failed OPS")
 	}
-	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+	if !o.Shard(0).Allocator().Disjoint() || !o.Shard(0).Slices().Disjoint() {
 		res.Violations = append(res.Violations, "disjointness violated during repairs")
 	} else {
 		res.Findings = append(res.Findings, "AL/slice disjointness held through every repair")
@@ -166,7 +167,7 @@ func E14WDMBlocking() (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E14: %w", err)
 		}
-		o, err := orch.New(orch.Config{Topo: topo, Wavelengths: wl})
+		o, err := orch.New(orch.Config{Topo: topo, Wavelengths: wl}, 1, orch.ShardByTenant)
 		if err != nil {
 			return nil, fmt.Errorf("E14: %w", err)
 		}
@@ -180,7 +181,7 @@ func E14WDMBlocking() (*Result, error) {
 			s := spec[0] // all web-service chains: they share ToRs and boundary links
 			s.Name = fmt.Sprintf("chain-%d", i)
 			s.Tenant = fmt.Sprintf("tenant-%d", i)
-			if _, err := o.Provision(s); err != nil {
+			if _, err := o.Provision(context.Background(), s); err != nil {
 				blocked++
 				continue
 			}
@@ -188,7 +189,7 @@ func E14WDMBlocking() (*Result, error) {
 		}
 		// After blocking, no partial state may remain beyond the
 		// admitted chains.
-		leaks := len(o.Slices().Slices()) - admitted
+		leaks := len(o.Shard(0).Slices().Slices()) - admitted
 		tbl.AddRow(fmt.Sprint(wl), fmt.Sprint(admitted), fmt.Sprint(blocked), fmt.Sprint(leaks))
 		if admitted < prevAdmitted {
 			monotone = false

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/alvc/alvc/internal/chain"
@@ -59,7 +60,7 @@ func E5ChainDeploy() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E5: %w", err)
 	}
-	o, err := orch.New(orch.Config{Topo: topo})
+	o, err := orch.New(orch.Config{Topo: topo}, 1, orch.ShardByTenant)
 	if err != nil {
 		return nil, fmt.Errorf("E5: %w", err)
 	}
@@ -70,17 +71,17 @@ func E5ChainDeploy() (*Result, error) {
 	tbl := metrics.NewTable("E5: per-chain deployment",
 		"chain", "NFs", "AL size", "path hops", "rules", "conversions", "slice-confined")
 	for _, spec := range specs {
-		dep, err := o.Provision(spec)
+		dep, err := o.Provision(context.Background(), spec)
 		if err != nil {
 			return nil, fmt.Errorf("E5: provision %s: %w", spec.Name, err)
 		}
-		rules := o.Controller().RulesForFlow(dep.FlowKey())
+		rules := o.Shard(0).Controller().RulesForFlow(dep.FlowKey())
 		tbl.AddRow(spec.Name, fmt.Sprint(len(spec.NFs)), fmt.Sprint(dep.VC.AL.Size()),
 			fmt.Sprint(len(dep.Path)-1), fmt.Sprint(len(rules)),
 			fmt.Sprint(dep.Conversions), fmt.Sprint(dep.SliceConfined))
 	}
 	res.Tables = append(res.Tables, tbl)
-	if o.ActiveCount() == 3 && o.Allocator().Disjoint() && o.Slices().Disjoint() {
+	if o.ActiveCount() == 3 && o.Shard(0).Allocator().Disjoint() && o.Shard(0).Slices().Disjoint() {
 		res.Findings = append(res.Findings,
 			"all three Fig. 5 chains route over disjoint ALs with per-chain flow rules")
 	} else {
@@ -101,7 +102,7 @@ func E6Lifecycle() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E6: %w", err)
 	}
-	o, err := orch.New(orch.Config{Topo: topo})
+	o, err := orch.New(orch.Config{Topo: topo}, 1, orch.ShardByTenant)
 	if err != nil {
 		return nil, fmt.Errorf("E6: %w", err)
 	}
@@ -116,7 +117,7 @@ func E6Lifecycle() (*Result, error) {
 	for round := 1; round <= rounds; round++ {
 		var ids []orch.DeploymentID
 		for _, spec := range specs {
-			dep, err := o.Provision(spec)
+			dep, err := o.Provision(context.Background(), spec)
 			if err != nil {
 				return nil, fmt.Errorf("E6 round %d: provision: %w", round, err)
 			}
@@ -145,11 +146,11 @@ func E6Lifecycle() (*Result, error) {
 					return nil, fmt.Errorf("E6 round %d: scale: %w", round, err)
 				}
 			}
-			if err := o.Delete(id); err != nil {
+			if _, err := o.Delete(context.Background(), id); err != nil {
 				return nil, fmt.Errorf("E6 round %d: delete: %w", round, err)
 			}
 		}
-		leaks := o.ActiveCount() + len(o.Slices().Slices()) + len(o.Allocator().VCs())
+		leaks := o.ActiveCount() + len(o.Shard(0).Slices().Slices()) + len(o.Shard(0).Allocator().VCs())
 		tbl.AddRow(fmt.Sprint(round), "3", "3", "3", "3", "3", fmt.Sprint(leaks))
 		totalOps += 15
 		if leaks != 0 {
@@ -177,7 +178,7 @@ func E7Slicing() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E7: %w", err)
 	}
-	o, err := orch.New(orch.Config{Topo: topo})
+	o, err := orch.New(orch.Config{Topo: topo}, 1, orch.ShardByTenant)
 	if err != nil {
 		return nil, fmt.Errorf("E7: %w", err)
 	}
@@ -189,7 +190,7 @@ func E7Slicing() (*Result, error) {
 		"tenant", "slice OPSs", "bandwidth Gbps", "confined path")
 	confinedAll := true
 	for _, spec := range specs {
-		dep, err := o.Provision(spec)
+		dep, err := o.Provision(context.Background(), spec)
 		if err != nil {
 			return nil, fmt.Errorf("E7: provision: %w", err)
 		}
@@ -200,7 +201,7 @@ func E7Slicing() (*Result, error) {
 		}
 	}
 	res.Tables = append(res.Tables, tbl)
-	if !o.Slices().Disjoint() {
+	if !o.Shard(0).Slices().Disjoint() {
 		res.Violations = append(res.Violations, "slices overlap")
 	} else {
 		res.Findings = append(res.Findings, "slices are pairwise disjoint (one OPS never serves two NFCs)")

@@ -31,11 +31,10 @@ func healthyFleet(t testing.TB, shards, n int, seed int64) (*orch.Sharded, *topo
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	s, err := orch.NewSharded(orch.Config{Topo: topo, Wavelengths: 8}, shards, orch.ShardByTenant)
+	s, err := orch.New(orch.Config{Topo: topo, Wavelengths: 8, DeferReprotect: true}, shards, orch.ShardByTenant)
 	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
+		t.Fatalf("orch.New: %v", err)
 	}
-	s.SetDeferReprotect(true)
 	var blocked []topology.LinkID
 	for _, l := range topo.Links() {
 		if l.Kind == topology.LinkBoundary && l.ID%2 == 0 {
@@ -51,7 +50,7 @@ func healthyFleet(t testing.TB, shards, n int, seed int64) (*orch.Sharded, *topo
 		if err != nil {
 			t.Fatalf("Linear: %v", err)
 		}
-		if deps[i], err = s.Provision(spec); err != nil {
+		if deps[i], err = s.Provision(bg, spec); err != nil {
 			t.Fatalf("Provision %d: %v", i, err)
 		}
 	}
@@ -79,7 +78,7 @@ func cutPrimary(t testing.TB, s *orch.Sharded, topo *topology.Topology, id orch.
 	if !ok {
 		return
 	}
-	_, _ = s.HandleLinkFailure(l)
+	_, _ = s.HandleFailures(bg, nil, []topology.LinkID{l})
 	if whileDown != nil {
 		whileDown()
 	}
@@ -114,7 +113,7 @@ func mixedFleet(t *testing.T, shards, n int, seed int64) *orch.Sharded {
 			continue
 		case 1:
 			victim := dep.Slice.OPSs[rng.Intn(len(dep.Slice.OPSs))]
-			_, _ = s.HandleNodeFailure(victim)
+			_, _ = s.HandleFailures(bg, []topology.NodeID{victim}, nil)
 			if err := s.RecoverNode(victim); err != nil {
 				t.Fatalf("RecoverNode: %v", err)
 			}
@@ -122,7 +121,7 @@ func mixedFleet(t *testing.T, shards, n int, seed int64) *orch.Sharded {
 			if err := s.MoveNF(dep.ID, rng.Intn(2), spare); err != nil {
 				t.Fatalf("MoveNF: %v", err)
 			}
-			_, _ = s.HandleNodeFailure(spare)
+			_, _ = s.HandleFailures(bg, []topology.NodeID{spare}, nil)
 			if err := s.RecoverNode(spare); err != nil {
 				t.Fatalf("RecoverNode: %v", err)
 			}
@@ -219,7 +218,7 @@ func TestDriftLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("optimizer.New: %v", err)
 	}
-	s.SetEventSink(eng)
+	s.UpdateHooks(func(h *orch.Hooks) { h.Events = eng })
 	i := slices.IndexFunc(deps, func(d *orch.Deployment) bool { return d.Conversions == 0 })
 	if i < 0 {
 		t.Fatal("no chain of the fleet was born all-optical")
@@ -231,9 +230,9 @@ func TestDriftLifecycle(t *testing.T) {
 	cut := func(want orch.RepairAction) topology.LinkID {
 		t.Helper()
 		l, ok := primaryTransit(topo, get())
-		reports, err := s.HandleLinkFailure(l)
+		reports, err := s.HandleFailures(bg, nil, []topology.LinkID{l})
 		if !ok || err != nil {
-			t.Fatalf("HandleLinkFailure: %v", err)
+			t.Fatalf("HandleFailures: %v", err)
 		}
 		for _, rep := range reports {
 			if rep.ID == id && rep.Action == want && !get().Drifted {
@@ -286,7 +285,7 @@ func TestDriftLifecycle(t *testing.T) {
 	for inst, err := mgr.Create(nfv.Firewall, home); err == nil; inst, err = mgr.Create(nfv.Firewall, home) {
 		fillers = append(fillers, inst.ID)
 	}
-	if reports, err := s.HandleNodeFailure(spare); err != nil || len(reports) != 1 || reports[0].Action != orch.ActionReplaced {
+	if reports, err := s.HandleFailures(bg, []topology.NodeID{spare}, nil); err != nil || len(reports) != 1 || reports[0].Action != orch.ActionReplaced {
 		t.Fatalf("server failure: reports %+v, %v; want the chain replaced", reports, err)
 	}
 	if dep := get(); !dep.Drifted || dep.Conversions != 1 {
@@ -429,7 +428,7 @@ func TestRecoveryStormVsDrainAndDeletes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	s.SetEventSink(eng)
+	s.UpdateHooks(func(h *orch.Hooks) { h.Events = eng })
 	deps := s.Deployments()
 	active := s.ActiveCount()
 	var wg sync.WaitGroup
@@ -475,7 +474,7 @@ func TestRecoveryStormVsDrainAndDeletes(t *testing.T) {
 				continue
 			}
 			// ErrBusy: an optimizer task holds the chain; try again.
-			for err := s.Delete(dep.ID); err != nil; err = s.Delete(dep.ID) {
+			for _, err := s.Delete(bg, dep.ID); err != nil; _, err = s.Delete(bg, dep.ID) {
 				if !errors.Is(err, orch.ErrBusy) {
 					t.Errorf("delete %d: %v", dep.ID, err)
 					return

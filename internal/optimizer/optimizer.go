@@ -41,39 +41,26 @@ import (
 	"github.com/alvc/alvc/internal/trace"
 )
 
-// Target is the orchestration surface the engine optimizes against:
-// the fleet sweep plus the three maintenance verbs. Both a standalone
-// *orch.Orchestrator and the sharded *orch.Sharded facade satisfy it,
-// so one engine serves either. Both sweeps are by value — one
-// orch.ChainHealth per chain, ID-sorted, appended to the engine's
-// buffer: the idle tick reads every active chain, a recovery event only
-// the chains the orchestrator's maintenance-owed index holds, so it costs
-// the chains it can help and not a pass over the fleet.
+// Target is the orchestration surface the engine optimizes against —
+// *orch.Sharded; tests that need a fake embed one. Shards and ShardOf
+// give the engine one work queue per shard, so enqueues from different
+// shards' repair fan-outs never contend on a single queue lock. Both
+// sweeps are by value — one orch.ChainHealth per chain, ID-sorted,
+// appended to the engine's buffer: the idle tick reads every active
+// chain, a recovery event only the chains the orchestrator's
+// maintenance-owed index holds, so it costs the chains it can help and
+// not a pass over the fleet. Storm-group tasks hand a whole failure
+// domain to ReProtectGroup in one call — one group planner steers every
+// chain of the domain off the domain's risk groups.
 type Target interface {
+	Shards() int
+	ShardOf(id orch.DeploymentID) int
 	AppendChainHealth(buf []orch.ChainHealth) []orch.ChainHealth
 	AppendOwedHealth(buf []orch.ChainHealth) []orch.ChainHealth
 	ReProtect(id orch.DeploymentID) (*resilience.Standby, bool, error)
+	ReProtectGroup(domain string, ids []orch.DeploymentID) orch.GroupReport
 	Rehome(id orch.DeploymentID, margin int) (bool, error)
 	DefragLambda(id orch.DeploymentID) (from, to int, retuned bool, err error)
-}
-
-// shardedTarget is the optional routing surface a sharded target
-// exposes. When the target implements it with more than one shard, the
-// engine keeps one work queue per shard so enqueues from different
-// shards' repair fan-outs never contend on a single queue lock.
-type shardedTarget interface {
-	Shards() int
-	ShardOf(id orch.DeploymentID) int
-}
-
-// groupTarget is the optional domain-level re-protection surface. When
-// the target implements it, storm-group tasks hand the whole domain to
-// the orchestrator in one call — one group planner steers every chain
-// of the domain off the domain's risk groups — instead of fanning back
-// out to per-chain ReProtect. Both *orch.Orchestrator and *orch.Sharded implement it;
-// the interface keeps the engine usable against minimal test targets.
-type groupTarget interface {
-	ReProtectGroup(domain string, ids []orch.DeploymentID) orch.GroupReport
 }
 
 // TaskKind names one maintenance task type. Smaller is higher
@@ -220,7 +207,7 @@ type Status struct {
 	Paused     bool `json:"paused"`
 	QueueDepth int  `json:"queue_depth"`
 	// ShardDepths is the queued task count per shard queue, in shard
-	// order (one element on an unsharded target).
+	// order.
 	ShardDepths []int `json:"shard_depths,omitempty"`
 	// ShardHighWater is the per-shard queued-task high-water mark since
 	// the engine started — the spike detector's evidence trail.
@@ -272,16 +259,14 @@ type shardQueue struct {
 	order  [numKinds][]task
 }
 
-// Engine is the background optimization engine over one orchestration
-// target (a standalone orchestrator or the sharded facade, with one
-// queue per shard in the latter case). It implements orch.EventSink;
-// attach it with SetEventSink (the alvc facade's WithOptimizer does
+// Engine is the background optimization engine over the orchestrator,
+// with one queue per shard. It implements orch.EventSink; attach it as
+// (or behind) orch.Hooks.Events (the alvc facade's WithOptimizer does
 // this). Safe for concurrent use.
 type Engine struct {
-	o       Target
-	opts    Options
-	shardOf func(orch.DeploymentID) int
-	queues  []*shardQueue
+	o      Target
+	opts   Options
+	queues []*shardQueue
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -337,16 +322,10 @@ func New(o Target, opts Options) (*Engine, error) {
 	if o == nil {
 		return nil, fmt.Errorf("optimizer: nil orchestrator")
 	}
-	shards := 1
-	shardOf := func(orch.DeploymentID) int { return 0 }
-	if st, ok := o.(shardedTarget); ok && st.Shards() > 1 {
-		shards = st.Shards()
-		shardOf = st.ShardOf
-	}
+	shards := o.Shards()
 	e := &Engine{
 		o:         o,
 		opts:      opts.withDefaults(),
-		shardOf:   shardOf,
 		queues:    make([]*shardQueue, shards),
 		highWater: make([]int, shards),
 		groups:    make(map[string][]orch.DeploymentID),
@@ -395,7 +374,7 @@ func (e *Engine) traceFor() *trace.Tracer {
 
 // queueFor returns the shard queue owning the deployment's tasks.
 func (e *Engine) queueFor(dep orch.DeploymentID) *shardQueue {
-	return e.queues[e.shardOf(dep)]
+	return e.queues[e.o.ShardOf(dep)]
 }
 
 // OrchEvent implements orch.EventSink: it translates lifecycle events
@@ -512,7 +491,7 @@ func (e *Engine) enqueue(t task) bool {
 	if t.key.kind < 0 || t.key.kind >= numKinds {
 		return false
 	}
-	idx := e.shardOf(t.key.dep)
+	idx := e.o.ShardOf(t.key.dep)
 	q := e.queues[idx]
 	maxDepth := e.opts.MaxQueueDepth
 	q.mu.Lock()
@@ -675,7 +654,7 @@ func (e *Engine) QueueDepth() int {
 }
 
 // ShardQueueDepths returns the queued task count per shard queue, in
-// shard order (a single-element slice on an unsharded target).
+// shard order.
 func (e *Engine) ShardQueueDepths() []int {
 	out := make([]int, len(e.queues))
 	for i, q := range e.queues {
@@ -935,11 +914,10 @@ func (e *Engine) runTask(t task) (res TaskResult, requeue bool) {
 }
 
 // runGroupTask executes one storm-mode group task: it claims the
-// domain's accumulated members and re-protects each exactly once. When
-// the target exposes ReProtectGroup the whole domain goes down in one
-// call — one group planner, one avoidance set for every member — and
-// per-chain ReProtect is only the fallback for
-// minimal targets. Busy members requeue as ordinary per-deployment
+// domain's accumulated members and re-protects each exactly once: the
+// whole domain goes down in one ReProtectGroup call — one group planner,
+// one avoidance set for every member. Busy members requeue as ordinary
+// per-deployment
 // tasks (the storm may be over by then); deleted ones are moot.
 // Members reported after the claim re-accumulate under the domain and
 // re-create the group task.
@@ -969,55 +947,30 @@ func (e *Engine) runGroupTask(t task) TaskResult {
 		}
 	}
 	protected, already, busy, failed := 0, 0, 0, 0
-	var gstats resilience.GroupStats
-	grouped := false
-	if gt, ok := e.o.(groupTarget); ok {
-		grouped = true
-		grep := gt.ReProtectGroup(t.key.domain, members)
-		gstats = grep.Stats
-		for _, out := range grep.Outcomes {
-			switch {
-			case out.Err == nil && out.Replanned:
-				protected++
-			case out.Err == nil:
-				already++
-			case errors.Is(out.Err, orch.ErrBusy):
-				busy++
-				e.enqueue(task{key: taskKey{dep: out.ID, kind: KindReProtect}})
-			case errors.Is(out.Err, orch.ErrUnknownDeployment), errors.Is(out.Err, orch.ErrNotActive):
-				// Deleted mid-storm: nothing to protect.
-			default:
-				failed++
-			}
-		}
-		e.mu.Lock()
-		e.groupPlan.Planned += gstats.Planned
-		e.groupPlan.Fallbacks += gstats.Fallbacks
-		e.mu.Unlock()
-	} else {
-		for _, id := range members {
-			_, replanned, err := e.o.ReProtect(id)
-			switch {
-			case err == nil && replanned:
-				protected++
-			case err == nil:
-				already++
-			case errors.Is(err, orch.ErrBusy):
-				busy++
-				e.enqueue(task{key: taskKey{dep: id, kind: KindReProtect}})
-			case errors.Is(err, orch.ErrUnknownDeployment), errors.Is(err, orch.ErrNotActive):
-				// Deleted mid-storm: nothing to protect.
-			default:
-				failed++
-			}
+	grep := e.o.ReProtectGroup(t.key.domain, members)
+	gstats := grep.Stats
+	for _, out := range grep.Outcomes {
+		switch {
+		case out.Err == nil && out.Replanned:
+			protected++
+		case out.Err == nil:
+			already++
+		case errors.Is(out.Err, orch.ErrBusy):
+			busy++
+			e.enqueue(task{key: taskKey{dep: out.ID, kind: KindReProtect}})
+		case errors.Is(out.Err, orch.ErrUnknownDeployment), errors.Is(out.Err, orch.ErrNotActive):
+			// Deleted mid-storm: nothing to protect.
+		default:
+			failed++
 		}
 	}
+	e.mu.Lock()
+	e.groupPlan.Planned += gstats.Planned
+	e.groupPlan.Fallbacks += gstats.Fallbacks
+	e.mu.Unlock()
 	res := TaskResult{Kind: t.key.kind.String(), Outcome: "storm-group", When: time.Now()}
-	res.Detail = fmt.Sprintf("domain %s: %d chains (%d protected, %d already, %d busy requeued, %d failed)",
-		t.key.domain, len(members), protected, already, busy, failed)
-	if grouped {
-		res.Detail += fmt.Sprintf("; %d group-planned, %d fabric fallbacks", gstats.Planned, gstats.Fallbacks)
-	}
+	res.Detail = fmt.Sprintf("domain %s: %d chains (%d protected, %d already, %d busy requeued, %d failed); %d group-planned, %d fabric fallbacks",
+		t.key.domain, len(members), protected, already, busy, failed, gstats.Planned, gstats.Fallbacks)
 	if failed > 0 {
 		res.Outcome = "failed"
 	}
@@ -1029,12 +982,9 @@ func (e *Engine) runGroupTask(t task) TaskResult {
 				{Key: "domain", Value: t.key.domain},
 				{Key: "chains", Value: fmt.Sprintf("%d", len(members))},
 				{Key: "outcome", Value: res.Outcome},
+				{Key: "planned", Value: fmt.Sprintf("%d", gstats.Planned)},
+				{Key: "fallbacks", Value: fmt.Sprintf("%d", gstats.Fallbacks)},
 			}}
-		if grouped {
-			sp.Attrs = append(sp.Attrs,
-				trace.Attr{Key: "planned", Value: fmt.Sprintf("%d", gstats.Planned)},
-				trace.Attr{Key: "fallbacks", Value: fmt.Sprintf("%d", gstats.Fallbacks)})
-		}
 		for _, p := range parents[1:] {
 			if p.TraceID != sc.TraceID {
 				sp.Links = append(sp.Links, p.TraceID)

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,6 +11,9 @@ import (
 	"github.com/alvc/alvc/internal/placement"
 	"github.com/alvc/alvc/internal/topology"
 )
+
+// bg is what the package's tests pass where a request context goes.
+var bg = context.Background()
 
 // routeTopo builds a dual-rack topology with `routes` fully disjoint
 // ToR/OPS routes between two PMs (latency 1+route, so route 0 is the
@@ -82,9 +86,9 @@ func wideTopo(t *testing.T, opsCount int) *topology.Topology {
 	return topo
 }
 
-func engineOver(t *testing.T, topo *topology.Topology, opts Options) (*orch.Orchestrator, *Engine) {
+func engineOver(t *testing.T, topo *topology.Topology, opts Options) (*orch.Sharded, *Engine) {
 	t.Helper()
-	o, err := orch.New(orch.Config{Topo: topo, Policy: placement.AllElectronic{}})
+	o, err := orch.New(orch.Config{Topo: topo, Policy: placement.AllElectronic{}, DeferReprotect: true}, 1, orch.ShardByTenant)
 	if err != nil {
 		t.Fatalf("orch.New: %v", err)
 	}
@@ -92,27 +96,26 @@ func engineOver(t *testing.T, topo *topology.Topology, opts Options) (*orch.Orch
 	if err != nil {
 		t.Fatalf("optimizer.New: %v", err)
 	}
-	o.SetEventSink(eng)
-	o.SetDeferReprotect(true)
+	o.UpdateHooks(func(h *orch.Hooks) { h.Events = eng })
 	return o, eng
 }
 
 // newRig wires an orchestrator and an attached engine over a
 // routes-wide topology.
-func newRig(t *testing.T, routes int, opts Options) (*orch.Orchestrator, *Engine, []topology.NodeID, [][2]topology.NodeID) {
+func newRig(t *testing.T, routes int, opts Options) (*orch.Sharded, *Engine, []topology.NodeID, [][2]topology.NodeID) {
 	t.Helper()
 	topo, opss, tors := routeTopo(t, routes)
 	o, eng := engineOver(t, topo, opts)
 	return o, eng, opss, tors
 }
 
-func provision(t *testing.T, o *orch.Orchestrator, name string) *orch.Deployment {
+func provision(t *testing.T, o *orch.Sharded, name string) *orch.Deployment {
 	t.Helper()
 	spec, err := chain.Linear(name, "tenant-a", "web", 1, 1<<20, "firewall")
 	if err != nil {
 		t.Fatalf("Linear: %v", err)
 	}
-	dep, err := o.Provision(spec)
+	dep, err := o.Provision(bg, spec)
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -142,15 +145,15 @@ func TestRefreshEndToEnd(t *testing.T) {
 	// Primary transit ToR dies (the OPSs are AL members and would
 	// classify as a slice patch): swap, no standby search inline.
 	victim := tors[0][0]
-	hits, misses := o.Controller().AlternativesCacheStats()
-	reports, err := o.HandleNodeFailure(victim)
+	hits, misses := o.Shard(0).Controller().AlternativesCacheStats()
+	reports, err := o.HandleFailures(bg, []topology.NodeID{victim}, nil)
 	if err != nil {
-		t.Fatalf("HandleNodeFailure: %v", err)
+		t.Fatalf("HandleFailures: %v", err)
 	}
 	if len(reports) != 1 || reports[0].Action != orch.ActionSwapped {
 		t.Fatalf("reports = %+v, want swapped", reports)
 	}
-	if h, m := o.Controller().AlternativesCacheStats(); h+m != hits+misses {
+	if h, m := o.Shard(0).Controller().AlternativesCacheStats(); h+m != hits+misses {
 		t.Fatalf("swap asked %d standby searches", h+m-hits-misses)
 	}
 	if cur := o.Deployment(dep.ID); cur.Standby != nil {
@@ -236,7 +239,7 @@ func TestDeleteCancelsQueuedWork(t *testing.T) {
 	if depth := eng.QueueDepth(); depth != 2 {
 		t.Fatalf("queue depth = %d, want 2", depth)
 	}
-	if err := o.Delete(dep.ID); err != nil {
+	if _, err := o.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if depth := eng.QueueDepth(); depth != 0 {
@@ -273,7 +276,7 @@ func TestDrainVsDeleteRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, dep := range deps {
-			_ = o.Delete(dep.ID)
+			_, _ = o.Delete(bg, dep.ID)
 		}
 	}()
 	results := eng.Drain()

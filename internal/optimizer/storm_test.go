@@ -16,7 +16,7 @@ import (
 // countingTarget wraps an orchestrator and counts ReProtect calls per
 // deployment — the exactly-once witness for storm-mode grouping.
 type countingTarget struct {
-	*orch.Orchestrator
+	*orch.Sharded
 	mu         sync.Mutex
 	reprotects map[orch.DeploymentID]int
 }
@@ -25,19 +25,19 @@ func (c *countingTarget) ReProtect(id orch.DeploymentID) (*resilience.Standby, b
 	c.mu.Lock()
 	c.reprotects[id]++
 	c.mu.Unlock()
-	return c.Orchestrator.ReProtect(id)
+	return c.Sharded.ReProtect(id)
 }
 
-// ReProtectGroup counts each member once — the embedded orchestrator's
-// group entry point is what storm-group tasks call now, so exactly-once
-// must hold across both paths combined.
+// ReProtectGroup counts each member once — the group entry point is
+// what storm-group tasks call, so exactly-once must hold across both
+// paths combined.
 func (c *countingTarget) ReProtectGroup(domain string, ids []orch.DeploymentID) orch.GroupReport {
 	c.mu.Lock()
 	for _, id := range ids {
 		c.reprotects[id]++
 	}
 	c.mu.Unlock()
-	return c.Orchestrator.ReProtectGroup(domain, ids)
+	return c.Sharded.ReProtectGroup(domain, ids)
 }
 
 // TestStormModeCoalescesByDomain: once the queue depth crosses the
@@ -45,17 +45,16 @@ func (c *countingTarget) ReProtectGroup(domain string, ids []orch.DeploymentID) 
 // group task; draining re-protects every member exactly once and
 // disengages the storm.
 func TestStormModeCoalescesByDomain(t *testing.T) {
-	o, err := orch.New(orch.Config{Topo: wideTopo(t, 10), Policy: placement.AllElectronic{}})
+	o, err := orch.New(orch.Config{Topo: wideTopo(t, 10), Policy: placement.AllElectronic{}, DeferReprotect: true}, 1, orch.ShardByTenant)
 	if err != nil {
 		t.Fatalf("orch.New: %v", err)
 	}
-	target := &countingTarget{Orchestrator: o, reprotects: make(map[orch.DeploymentID]int)}
+	target := &countingTarget{Sharded: o, reprotects: make(map[orch.DeploymentID]int)}
 	eng, err := New(target, Options{StormThreshold: 2})
 	if err != nil {
 		t.Fatalf("optimizer.New: %v", err)
 	}
-	o.SetEventSink(eng)
-	o.SetDeferReprotect(true)
+	o.UpdateHooks(func(h *orch.Hooks) { h.Events = eng })
 
 	var deps []*orch.Deployment
 	for i := 0; i < 6; i++ {
@@ -174,7 +173,7 @@ func TestStormGroupMemberDeleteAndHighWater(t *testing.T) {
 	}
 	// Delete a grouped member; its deployment-deleted event must pull
 	// it out of the group before the group task runs.
-	if err := o.Delete(deps[2].ID); err != nil {
+	if _, err := o.Delete(bg, deps[2].ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	for _, res := range eng.Drain() {
@@ -200,13 +199,13 @@ func TestStatusSurfacesDebounceCounters(t *testing.T) {
 	if st := eng.Status(); st.Debounce == nil || st.Debounce.Events != 0 {
 		t.Fatalf("debounce stats = %+v, want zeroed", st.Debounce)
 	}
-	d.Report(nil, nil) // empty: not counted
+	d.Report(bg, nil, nil) // empty: not counted
 	if st := eng.Status(); st.Debounce.Events != 0 {
 		t.Fatalf("empty report counted: %+v", st.Debounce)
 	}
 	// Two coalesced reports, one batch — the counters flow through.
-	d.Report([]topology.NodeID{99990}, nil)
-	d.Report([]topology.NodeID{99991}, nil)
+	d.Report(bg, []topology.NodeID{99990}, nil)
+	d.Report(bg, []topology.NodeID{99991}, nil)
 	if _, err := d.Flush(); err == nil {
 		t.Fatal("unknown-node batch should error")
 	}

@@ -1,11 +1,8 @@
 package orch
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
-
-	"github.com/alvc/alvc/internal/chain"
 )
 
 // BatchResult is the outcome of one spec in a ProvisionBatch call.
@@ -59,48 +56,4 @@ func runPool(n, workers int, fn func(i int)) {
 	}
 	close(jobs)
 	wg.Wait()
-}
-
-// ProvisionBatch provisions independent chain specs concurrently over a
-// bounded worker pool and returns one result per spec, in input order.
-// Individual failures do not abort the batch: each failed spec is
-// rolled back exactly as a lone Provision would be, and reported in its
-// BatchResult. Specs that collide on flow key (tenant/name) with each
-// other are rejected up front — a batch must not race against itself
-// for the same SDN flow table entry.
-//
-// The pool is bounded by workers (DefaultBatchWorkers when <= 0): the
-// per-deployment state stays guarded by the orchestrator's locks, so
-// correctness does not depend on the pool size, only contention does.
-func (o *Orchestrator) ProvisionBatch(specs []chain.Spec, workers int) []BatchResult {
-	results := make([]BatchResult, len(specs))
-	if len(specs) == 0 {
-		return results
-	}
-
-	// Reject intra-batch flow-key duplicates before spawning workers;
-	// everything else (validation, capacity) is reported per item by
-	// Provision itself.
-	seen := make(map[string]int, len(specs))
-	dup := make(map[int]int, 0)
-	for i, spec := range specs {
-		key := spec.Tenant + "/" + spec.Name
-		if first, ok := seen[key]; ok {
-			dup[i] = first
-			continue
-		}
-		seen[key] = i
-	}
-
-	runPool(len(specs), workers, func(i int) {
-		if first, ok := dup[i]; ok {
-			results[i] = BatchResult{Index: i, Err: fmt.Errorf(
-				"orch: batch: spec %d duplicates flow key %q of spec %d",
-				i, specs[i].Tenant+"/"+specs[i].Name, first)}
-			return
-		}
-		dep, err := o.Provision(specs[i])
-		results[i] = BatchResult{Index: i, Deployment: dep, Err: err}
-	})
-	return results
 }

@@ -47,13 +47,9 @@ func batchSpecs(t testing.TB, n int) []chain.Spec {
 	return specs
 }
 
-func newWideOrch(t testing.TB, opsCount int) *Orchestrator {
+func newWideOrch(t testing.TB, opsCount int) (*Sharded, *Orchestrator) {
 	t.Helper()
-	o, err := New(Config{Topo: wideTopology(t, opsCount)})
-	if err != nil {
-		t.Fatalf("orch.New: %v", err)
-	}
-	return o
+	return newTestOrch(t, Config{Topo: wideTopology(t, opsCount)})
 }
 
 // TestProvisionBatch100 is the acceptance scenario: 100 independent
@@ -61,9 +57,9 @@ func newWideOrch(t testing.TB, opsCount int) *Orchestrator {
 // Run under -race this also proves the provisioning pipeline's
 // concurrency safety.
 func TestProvisionBatch100(t *testing.T) {
-	o := newWideOrch(t, 128)
+	s, o := newWideOrch(t, 128)
 	specs := batchSpecs(t, 100)
-	results := o.ProvisionBatch(specs, 0)
+	results := s.ProvisionBatch(specs, 0)
 	if len(results) != 100 {
 		t.Fatalf("got %d results, want 100", len(results))
 	}
@@ -95,8 +91,8 @@ func TestProvisionBatch100(t *testing.T) {
 func TestProvisionBatchPartialFailure(t *testing.T) {
 	// Pool of 8 OPSs: some of 20 specs must fail with capacity errors,
 	// and the failures must not corrupt the successes.
-	o := newWideOrch(t, 8)
-	results := o.ProvisionBatch(batchSpecs(t, 20), 4)
+	s, o := newWideOrch(t, 8)
+	results := s.ProvisionBatch(batchSpecs(t, 20), 4)
 	ok, failed := 0, 0
 	for _, res := range results {
 		if res.Err != nil {
@@ -117,11 +113,11 @@ func TestProvisionBatchPartialFailure(t *testing.T) {
 }
 
 func TestProvisionBatchDuplicateFlowKeys(t *testing.T) {
-	o := newWideOrch(t, 16)
+	s, o := newWideOrch(t, 16)
 	specs := batchSpecs(t, 3)
 	specs[2].Name = specs[0].Name
 	specs[2].Tenant = specs[0].Tenant
-	results := o.ProvisionBatch(specs, 2)
+	results := s.ProvisionBatch(specs, 2)
 	if results[0].Err != nil || results[1].Err != nil {
 		t.Fatalf("unique specs failed: %v / %v", results[0].Err, results[1].Err)
 	}
@@ -139,13 +135,13 @@ func TestProvisionBatchDuplicateFlowKeys(t *testing.T) {
 // exactly one of deleted (with resources released) or active.
 func TestConcurrentDeleteVsRepairExclusive(t *testing.T) {
 	for round := 0; round < 5; round++ {
-		o := newWideOrch(t, 16)
-		dep, err := o.Provision(batchSpecs(t, 1)[0])
+		_, o := newWideOrch(t, 16)
+		dep, err := o.Provision(bg, batchSpecs(t, 1)[0])
 		if err != nil {
 			t.Fatalf("provision: %v", err)
 		}
 		done := make(chan error, 2)
-		go func() { done <- o.Delete(dep.ID) }()
+		go func() { _, err := o.Delete(bg, dep.ID); done <- err }()
 		go func() { done <- o.Repair(dep.ID) }()
 		<-done
 		<-done
@@ -172,26 +168,26 @@ func TestConcurrentDeleteVsRepairExclusive(t *testing.T) {
 // TestDuplicateFlowKeyAcrossCalls ensures the flow-key reservation
 // spans separate Provision calls, not just one batch.
 func TestDuplicateFlowKeyAcrossCalls(t *testing.T) {
-	o := newWideOrch(t, 16)
+	_, o := newWideOrch(t, 16)
 	spec := batchSpecs(t, 1)[0]
-	first, err := o.Provision(spec)
+	first, err := o.Provision(bg, spec)
 	if err != nil {
 		t.Fatalf("first provision: %v", err)
 	}
-	if _, err := o.Provision(spec); !errors.Is(err, ErrDuplicateChain) {
+	if _, err := o.Provision(bg, spec); !errors.Is(err, ErrDuplicateChain) {
 		t.Fatalf("second provision: got %v, want ErrDuplicateChain", err)
 	}
-	if err := o.Delete(first.ID); err != nil {
+	if _, err := o.Delete(bg, first.ID); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if _, err := o.Provision(spec); err != nil {
+	if _, err := o.Provision(bg, spec); err != nil {
 		t.Fatalf("re-provision after delete: %v", err)
 	}
 }
 
 func TestProvisionBatchEmpty(t *testing.T) {
-	o := newWideOrch(t, 4)
-	if got := o.ProvisionBatch(nil, 8); len(got) != 0 {
+	s, _ := newWideOrch(t, 4)
+	if got := s.ProvisionBatch(nil, 8); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
 }
@@ -205,12 +201,12 @@ func TestProvisionBatchOverlapsWork(t *testing.T) {
 	specs := batchSpecs(t, 24)
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			o := newWideOrch(t, 128)
+			s, _ := newWideOrch(t, 128)
 			var mu sync.Mutex
 			running, peak := 0, 0
 			full := make(chan struct{})
 			var release sync.Once
-			o.SetStageObserver(func(stage string, _ time.Duration) {
+			observe := func(stage string, _ time.Duration) {
 				switch stage {
 				case "cluster":
 					mu.Lock()
@@ -231,8 +227,9 @@ func TestProvisionBatchOverlapsWork(t *testing.T) {
 					running--
 					mu.Unlock()
 				}
-			})
-			for _, res := range o.ProvisionBatch(specs, workers) {
+			}
+			s.UpdateHooks(func(h *Hooks) { h.Stage = observe })
+			for _, res := range s.ProvisionBatch(specs, workers) {
 				if res.Err != nil {
 					t.Fatalf("batch provision: %v", res.Err)
 				}
@@ -249,10 +246,10 @@ func BenchmarkProvisionSequential100(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		o := newWideOrch(b, 128)
+		_, o := newWideOrch(b, 128)
 		b.StartTimer()
 		for _, spec := range specs {
-			if _, err := o.Provision(spec); err != nil {
+			if _, err := o.Provision(bg, spec); err != nil {
 				b.Fatalf("provision: %v", err)
 			}
 		}
@@ -264,9 +261,9 @@ func BenchmarkProvisionBatch100(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		o := newWideOrch(b, 128)
+		s, _ := newWideOrch(b, 128)
 		b.StartTimer()
-		for _, res := range o.ProvisionBatch(specs, 0) {
+		for _, res := range s.ProvisionBatch(specs, 0) {
 			if res.Err != nil {
 				b.Fatalf("batch: %v", res.Err)
 			}

@@ -13,7 +13,7 @@ import (
 // dry; the invariants are no panics, no double allocation, and a clean
 // final state. Run with -race.
 func TestConcurrentProvisionDelete(t *testing.T) {
-	o := newOrch(t)
+	_, o := newOrch(t)
 	services := []string{"web", "mapreduce", "sns"}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -31,14 +31,14 @@ func TestConcurrentProvisionDelete(t *testing.T) {
 					t.Errorf("Linear: %v", err)
 					return
 				}
-				dep, err := o.Provision(spec)
+				dep, err := o.Provision(bg, spec)
 				if err != nil {
 					continue // pool exhaustion under contention is fine
 				}
 				if err := o.Upgrade(dep.ID); err != nil {
 					t.Errorf("Upgrade: %v", err)
 				}
-				if err := o.Delete(dep.ID); err != nil {
+				if _, err := o.Delete(bg, dep.ID); err != nil {
 					t.Errorf("Delete: %v", err)
 				}
 			}
@@ -58,8 +58,8 @@ func TestConcurrentProvisionDelete(t *testing.T) {
 
 // TestConcurrentReads exercises the snapshot paths while mutators run.
 func TestConcurrentReads(t *testing.T) {
-	o := newOrch(t)
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newOrch(t)
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}

@@ -21,17 +21,10 @@ import (
 )
 
 // FailureHandler is the reconciliation entry point the debouncer
-// drives. Orchestrator and Sharded both satisfy it.
+// drives: Sharded.HandleFailures. The context carries the batch span
+// the debouncer opens, so it reaches the repair spans.
 type FailureHandler interface {
-	HandleFailures(nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error)
-}
-
-// ctxFailureHandler is the context-carrying reconciliation entry point.
-// Orchestrator and Sharded both satisfy it; the debouncer dispatches
-// through it when available so the batch span it opens reaches the
-// repair spans. Unexported so FailureHandler stays the public contract.
-type ctxFailureHandler interface {
-	HandleFailuresCtx(ctx context.Context, nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error)
+	HandleFailures(ctx context.Context, nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error)
 }
 
 // maxBatchParents bounds how many distinct originating spans one batch
@@ -66,11 +59,10 @@ type FailureDebouncer struct {
 	links   map[topology.LinkID]struct{}
 	timer   *time.Timer
 	stats   DebounceStats
-	onBatch func([]RepairReport, error)
 	onFlush func(d time.Duration, reports int)
 	tracer  *trace.Tracer
 	// parents are the spans of the coalesced reports (one per distinct
-	// trace), accumulated by ReportCtx and drained at flush: the batch
+	// trace), accumulated by Report and drained at flush: the batch
 	// span continues the first parent's trace and links the others, so
 	// the async window does not sever causality.
 	parents []trace.SpanContext
@@ -86,16 +78,6 @@ func NewFailureDebouncer(h FailureHandler, window time.Duration) *FailureDebounc
 		nodes:  make(map[topology.NodeID]struct{}),
 		links:  make(map[topology.LinkID]struct{}),
 	}
-}
-
-// SetOnBatch registers a callback receiving each dispatched batch's
-// reports and error. Timer-expiry flushes run it on the timer
-// goroutine; synchronous flushes run it inline. Must be set before the
-// first Report.
-func (d *FailureDebouncer) SetOnBatch(fn func([]RepairReport, error)) {
-	d.mu.Lock()
-	d.onBatch = fn
-	d.mu.Unlock()
 }
 
 // SetFlushObserver registers a telemetry hook receiving each dispatched
@@ -120,17 +102,12 @@ func (d *FailureDebouncer) SetTracer(tr *trace.Tracer) {
 // Report merges a failure notification into the pending window. The
 // first report of a quiet period arms the window timer; later reports
 // within the window coalesce into it. With a non-positive window the
-// union (just this report) dispatches before Report returns.
-func (d *FailureDebouncer) Report(nodes []topology.NodeID, links []topology.LinkID) {
-	d.ReportCtx(context.Background(), nodes, links)
-}
-
-// ReportCtx is Report carrying a request context: when the context
+// union (just this report) dispatches before Report returns. When ctx
 // holds a span (the failure report's HTTP request) and a tracer is
 // attached, the span is remembered as a parent of the batch that
 // eventually flushes this report, preserving causality across the
 // debounce window.
-func (d *FailureDebouncer) ReportCtx(ctx context.Context, nodes []topology.NodeID, links []topology.LinkID) {
+func (d *FailureDebouncer) Report(ctx context.Context, nodes []topology.NodeID, links []topology.LinkID) {
 	if len(nodes) == 0 && len(links) == 0 {
 		return
 	}
@@ -195,7 +172,6 @@ func (d *FailureDebouncer) Flush() ([]RepairReport, error) {
 	d.nodes = make(map[topology.NodeID]struct{})
 	d.links = make(map[topology.LinkID]struct{})
 	d.stats.Batches++
-	onBatch := d.onBatch
 	onFlush := d.onFlush
 	tr := d.tracer
 	parents := d.parents
@@ -222,13 +198,7 @@ func (d *FailureDebouncer) Flush() ([]RepairReport, error) {
 	}
 
 	start := time.Now()
-	var reports []RepairReport
-	var err error
-	if ch, ok := d.h.(ctxFailureHandler); ok {
-		reports, err = ch.HandleFailuresCtx(ctx, nodes, links)
-	} else {
-		reports, err = d.h.HandleFailures(nodes, links)
-	}
+	reports, err := d.h.HandleFailures(ctx, nodes, links)
 	elapsed := time.Since(start)
 	if tr != nil {
 		sp := trace.Span{TraceID: sc.TraceID, SpanID: sc.SpanID,
@@ -251,9 +221,6 @@ func (d *FailureDebouncer) Flush() ([]RepairReport, error) {
 	}
 	if onFlush != nil {
 		onFlush(elapsed, len(reports))
-	}
-	if onBatch != nil {
-		onBatch(reports, err)
 	}
 	return reports, err
 }

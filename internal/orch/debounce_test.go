@@ -1,6 +1,7 @@
 package orch
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +16,7 @@ type fakeHandler struct {
 	batches [][2][]int // [nodes, links] as ints for easy comparison
 }
 
-func (f *fakeHandler) HandleFailures(nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error) {
+func (f *fakeHandler) HandleFailures(_ context.Context, nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var ns, ls []int
@@ -41,12 +42,12 @@ func TestDebouncerCoalescesWindow(t *testing.T) {
 	h := &fakeHandler{}
 	d := NewFailureDebouncer(h, 20*time.Millisecond)
 	done := make(chan struct{})
-	d.SetOnBatch(func([]RepairReport, error) { close(done) })
+	d.SetFlushObserver(func(time.Duration, int) { close(done) })
 
-	d.Report([]topology.NodeID{1}, nil)
-	d.Report([]topology.NodeID{2}, []topology.LinkID{10})
-	d.Report(nil, []topology.LinkID{10, 11}) // duplicate link 10
-	d.Report([]topology.NodeID{1}, nil)      // duplicate node 1
+	d.Report(bg, []topology.NodeID{1}, nil)
+	d.Report(bg, []topology.NodeID{2}, []topology.LinkID{10})
+	d.Report(bg, nil, []topology.LinkID{10, 11}) // duplicate link 10
+	d.Report(bg, []topology.NodeID{1}, nil)      // duplicate node 1
 
 	select {
 	case <-done:
@@ -74,8 +75,8 @@ func TestDebouncerCoalescesWindow(t *testing.T) {
 func TestDebouncerFlushSynchronous(t *testing.T) {
 	h := &fakeHandler{}
 	d := NewFailureDebouncer(h, time.Hour) // never expires on its own
-	d.Report([]topology.NodeID{5}, []topology.LinkID{7})
-	d.Report([]topology.NodeID{6}, nil)
+	d.Report(bg, []topology.NodeID{5}, []topology.LinkID{7})
+	d.Report(bg, []topology.NodeID{6}, nil)
 	if n, l := d.Pending(); n != 2 || l != 1 {
 		t.Fatalf("pending = (%d,%d), want (2,1)", n, l)
 	}
@@ -102,8 +103,8 @@ func TestDebouncerFlushSynchronous(t *testing.T) {
 func TestDebouncerZeroWindowPassThrough(t *testing.T) {
 	h := &fakeHandler{}
 	d := NewFailureDebouncer(h, 0)
-	d.Report([]topology.NodeID{1}, nil)
-	d.Report([]topology.NodeID{2}, nil)
+	d.Report(bg, []topology.NodeID{1}, nil)
+	d.Report(bg, []topology.NodeID{2}, nil)
 	if got := h.batchCount(); got != 2 {
 		t.Fatalf("batches = %d, want 2 (pass-through)", got)
 	}
@@ -118,18 +119,18 @@ func TestDebouncerZeroWindowPassThrough(t *testing.T) {
 // into one batch that classifies the chain against the union and
 // repairs it exactly once.
 func TestDebouncedStormRepairsOnce(t *testing.T) {
-	o, ids := triOrch(t, Config{})
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	s, o, ids := triOrch(t, Config{})
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	if dep.Standby == nil {
 		t.Fatal("no standby planned")
 	}
-	d := NewFailureDebouncer(o, time.Hour)
+	d := NewFailureDebouncer(s, time.Hour)
 	// Event 1: the primary's transit link. Event 2: the standby's.
-	d.Report(nil, []topology.LinkID{ids.torOpsLinks[0][0]})
-	d.Report(nil, []topology.LinkID{ids.torOpsLinks[0][1]})
+	d.Report(bg, nil, []topology.LinkID{ids.torOpsLinks[0][0]})
+	d.Report(bg, nil, []topology.LinkID{ids.torOpsLinks[0][1]})
 	reports, err := d.Flush()
 	if err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -155,12 +156,12 @@ func TestDebouncedStormRepairsOnce(t *testing.T) {
 // batch's shared failure domain — the dead links' SRLGs when any are
 // grouped, a unique batch tag otherwise.
 func TestRepairEventsCarryFailureDomain(t *testing.T) {
-	o, ids := triOrch(t, Config{})
-	if _, err := o.Provision(triSpec(t, "chain-1")); err != nil {
+	s, o, ids := triOrch(t, Config{})
+	if _, err := o.Provision(bg, triSpec(t, "chain-1")); err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	sink := &recordingSink{}
-	o.SetEventSink(sink)
+	s.UpdateHooks(func(h *Hooks) { h.Events = sink })
 
 	// Both route-0 transit links ride tray 42.
 	if err := o.topo.SetLinkSRLG(ids.torOpsLinks[0][0], 42); err != nil {
@@ -169,7 +170,7 @@ func TestRepairEventsCarryFailureDomain(t *testing.T) {
 	if err := o.topo.SetLinkSRLG(ids.torOpsLinks[1][0], 42); err != nil {
 		t.Fatalf("SetLinkSRLG: %v", err)
 	}
-	if _, err := o.HandleFailures(nil, []topology.LinkID{ids.torOpsLinks[0][0], ids.torOpsLinks[1][0]}); err != nil {
+	if _, err := s.HandleFailures(bg, nil, []topology.LinkID{ids.torOpsLinks[0][0], ids.torOpsLinks[1][0]}); err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
 	sink.mu.Lock()
@@ -193,7 +194,7 @@ func TestRepairEventsCarryFailureDomain(t *testing.T) {
 	sink.mu.Lock()
 	sink.events = nil
 	sink.mu.Unlock()
-	if _, err := o.HandleFailures(nil, []topology.LinkID{ids.torOpsLinks[0][1]}); err != nil {
+	if _, err := s.HandleFailures(bg, nil, []topology.LinkID{ids.torOpsLinks[0][1]}); err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
 	sink.mu.Lock()

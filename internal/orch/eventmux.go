@@ -3,10 +3,9 @@ package orch
 import "sync"
 
 // EventMux fans orchestrator events out to any number of sinks.
-// SetEventSink accepts exactly one sink — the optimizer historically
-// claimed it exclusively; the mux lets metrics exporters, auditers and
-// the optimizer subscribe independently: attach the mux as the
-// orchestrator's sink and Subscribe each consumer to the mux.
+// Hooks.Events is exactly one sink; the mux lets metrics exporters,
+// auditers and the optimizer subscribe independently: attach the mux as
+// the orchestrator's sink and Subscribe each consumer to the mux.
 //
 // Delivery is synchronous and in subscription order, with the same
 // contract as EventSink itself: sinks run with no orchestrator locks
@@ -60,7 +59,7 @@ func (m *EventMux) Len() int {
 
 // OrchEvent delivers the event to every subscriber in subscription
 // order. EventMux itself is an EventSink, so it plugs directly into
-// Orchestrator.SetEventSink.
+// Hooks.Events.
 func (m *EventMux) OrchEvent(ev Event) {
 	m.mu.RLock()
 	subs := make([]muxSub, len(m.subs))

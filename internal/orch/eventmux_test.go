@@ -66,22 +66,22 @@ func TestEventMuxFanOutAndCancel(t *testing.T) {
 // and two independent subscribers (a metrics exporter and an optimizer
 // stand-in) and asserts both see live lifecycle events.
 func TestEventMuxAsOrchestratorSink(t *testing.T) {
-	o := newOrch(t)
+	s, o := newOrch(t)
 	m := NewEventMux()
 	metrics, opt := &muxRecorder{}, &muxRecorder{}
 	m.Subscribe(metrics)
 	m.Subscribe(opt)
-	o.SetEventSink(m)
+	s.UpdateHooks(func(h *Hooks) { h.Events = m })
 
-	dep, err := o.Provision(webSpec(t, "mux-chain"))
+	dep, err := o.Provision(bg, webSpec(t, "mux-chain"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	mid := dep.Path[len(dep.Path)/2]
-	if _, err := o.HandleNodeFailure(mid); err != nil {
-		t.Fatalf("HandleNodeFailure: %v", err)
+	if _, err := failNode(s, mid); err != nil {
+		t.Fatalf("HandleFailures: %v", err)
 	}
-	if err := o.RecoverNode(mid); err != nil {
+	if err := s.RecoverNode(mid); err != nil {
 		t.Fatalf("RecoverNode: %v", err)
 	}
 	if metrics.count() == 0 || opt.count() == 0 {

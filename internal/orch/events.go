@@ -1,6 +1,8 @@
 package orch
 
 import (
+	"time"
+
 	"github.com/alvc/alvc/internal/topology"
 	"github.com/alvc/alvc/internal/trace"
 )
@@ -81,50 +83,53 @@ type EventSink interface {
 	OrchEvent(Event)
 }
 
-// SetEventSink attaches (or, with nil, detaches) the event sink.
-// Attaching a sink is purely observational — telemetry bridges and
-// event muxes may subscribe freely; whether repairs defer standby
-// replanning to a background optimizer is a separate switch
-// (SetDeferReprotect), flipped only when an optimizer is actually
-// consuming the events.
-func (o *Orchestrator) SetEventSink(s EventSink) {
-	o.mu.Lock()
-	o.sink = s
-	o.mu.Unlock()
+// Hooks is everything that observes the orchestrator, as one value on
+// the shared core: every shard reads the same one, with one atomic load
+// per operation, and Sharded.UpdateHooks is the one way to change it. A
+// zero field is "not attached". Every hook is record-only: it runs
+// synchronously on the calling path and must not block.
+type Hooks struct {
+	// Events receives lifecycle events. Attaching a sink is purely
+	// observational — whether repairs defer standby replanning to a
+	// background optimizer is Config.DeferReprotect, not implied by it.
+	Events EventSink
+	// Stage is called once per executed pipeline stage with the stage
+	// name and its wall-clock duration, inside the provisioning/repair
+	// pipeline: it must never call back into the orchestrator.
+	Stage func(stage string, d time.Duration)
+	// Rehome is called once per VNF migration a re-home commits, with
+	// the source and destination racks (-1 when a host has no rack).
+	// Same contract as Stage.
+	Rehome func(fromRack, toRack int)
+	// Tracer records spans: Provision/Delete and every reconciliation
+	// repair record one, each executed pipeline stage becomes a child
+	// span, and repair-completed events carry their repair span's
+	// identity so downstream consumers (debouncer, optimizer) continue
+	// the trace. Nil leaves the hot paths with zero span allocations.
+	Tracer *trace.Tracer
 }
 
-func (o *Orchestrator) eventSink() EventSink {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.sink
-}
-
-// SetDeferReprotect switches standby replanning between inline and
-// deferred mode. Deferred: repair re-runs of the pipeline stop
-// planning standbys inline — the standby search leaves the recovery hot
-// path entirely — and instead rely on a background optimizer
-// re-protecting the chain from the emitted repair-completed event.
-// Provision-time standby planning is unaffected. Only flip this on
-// when such an optimizer is subscribed, or repaired chains stay
-// unprotected.
-func (o *Orchestrator) SetDeferReprotect(v bool) {
-	o.mu.Lock()
-	o.deferReprotect = v
-	o.mu.Unlock()
-}
-
-// asyncOptimize reports whether repairs defer standby replanning to a
-// background optimizer instead of planning inline.
-func (o *Orchestrator) asyncOptimize() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.deferReprotect
+// UpdateHooks replaces the hooks value with a copy edited by fn — the
+// only way to attach or detach an observer after construction (the
+// telemetry plane comes and goes on a running orchestrator). An
+// operation already under way keeps the value it loaded; fn may run
+// more than once if updates race.
+func (s *Sharded) UpdateHooks(fn func(h *Hooks)) {
+	for {
+		old := s.core.hooks.Load()
+		h := *old
+		fn(&h)
+		if s.core.hooks.CompareAndSwap(old, &h) {
+			return
+		}
+	}
 }
 
 // emit delivers the event to the attached sink, if any. Callers must
-// not hold o.mu or topoMu (the sink may read orchestrator state).
-func (o *Orchestrator) emit(ev Event) {
-	if s := o.eventSink(); s != nil {
+// not hold a shard's mu or topoMu (the sink may read orchestrator
+// state).
+func (c *sharedCore) emit(ev Event) {
+	if s := c.hooks.Load().Events; s != nil {
 		s.OrchEvent(ev)
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 func TestRepairRebuildsChain(t *testing.T) {
-	o := newOrch(t)
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newOrch(t)
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -40,16 +40,16 @@ func TestRepairRebuildsChain(t *testing.T) {
 }
 
 func TestHandleNodeFailureOPS(t *testing.T) {
-	o := newOrch(t)
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	s, o := newOrch(t)
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	// Fail one OPS of the deployment's slice.
 	failed := dep.Slice.OPSs[0]
-	reports, err := o.HandleNodeFailure(failed)
+	reports, err := failNode(s, failed)
 	if err != nil {
-		t.Fatalf("HandleNodeFailure: %v", err)
+		t.Fatalf("HandleFailures: %v", err)
 	}
 	repaired := RepairedIDs(reports)
 	if len(repaired) != 1 || repaired[0] != dep.ID {
@@ -76,8 +76,8 @@ func TestHandleNodeFailureOPS(t *testing.T) {
 }
 
 func TestHandleNodeFailureVNFHostPM(t *testing.T) {
-	o := newOrch(t)
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	s, o := newOrch(t)
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -92,9 +92,9 @@ func TestHandleNodeFailureVNFHostPM(t *testing.T) {
 	if pmHost == 0 {
 		t.Skip("no electronic VNF in this placement")
 	}
-	reports, err := o.HandleNodeFailure(pmHost)
+	reports, err := failNode(s, pmHost)
 	if err != nil {
-		t.Fatalf("HandleNodeFailure: %v", err)
+		t.Fatalf("HandleFailures: %v", err)
 	}
 	if repaired := RepairedIDs(reports); len(repaired) != 1 {
 		t.Fatalf("repaired = %v", repaired)
@@ -108,8 +108,8 @@ func TestHandleNodeFailureVNFHostPM(t *testing.T) {
 }
 
 func TestHandleNodeFailureUntouchedDeploymentsUnaffected(t *testing.T) {
-	o := newOrch(t)
-	d1, err := o.Provision(webSpec(t, "chain-1"))
+	s, o := newOrch(t)
+	d1, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision 1: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestHandleNodeFailureUntouchedDeploymentsUnaffected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Linear: %v", err)
 	}
-	d2, err := o.Provision(spec2)
+	d2, err := o.Provision(bg, spec2)
 	if err != nil {
 		t.Fatalf("Provision 2: %v", err)
 	}
@@ -136,9 +136,9 @@ func TestHandleNodeFailureUntouchedDeploymentsUnaffected(t *testing.T) {
 	if target == 0 {
 		t.Skip("no exclusive OPS found")
 	}
-	reports, err := o.HandleNodeFailure(target)
+	reports, err := failNode(s, target)
 	if err != nil {
-		t.Fatalf("HandleNodeFailure: %v", err)
+		t.Fatalf("HandleFailures: %v", err)
 	}
 	for _, id := range RepairedIDs(reports) {
 		if id == d2.ID {
@@ -151,19 +151,19 @@ func TestHandleNodeFailureUntouchedDeploymentsUnaffected(t *testing.T) {
 }
 
 func TestHandleNodeFailureUnknownNode(t *testing.T) {
-	o := newOrch(t)
-	if _, err := o.HandleNodeFailure(99999); err == nil {
+	s, _ := newOrch(t)
+	if _, err := failNode(s, 99999); err == nil {
 		t.Fatal("unknown node accepted")
 	}
 }
 
 func TestRepairNonActive(t *testing.T) {
-	o := newOrch(t)
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newOrch(t)
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if err := o.Delete(dep.ID); err != nil {
+	if _, err := o.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if err := o.Repair(dep.ID); err == nil {
@@ -172,11 +172,8 @@ func TestRepairNonActive(t *testing.T) {
 }
 
 func TestProvisionWithWDM(t *testing.T) {
-	o, err := New(Config{Topo: orchTopo(t), Wavelengths: 8})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newTestOrch(t, Config{Topo: orchTopo(t), Wavelengths: 8})
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -187,7 +184,7 @@ func TestProvisionWithWDM(t *testing.T) {
 		t.Fatalf("WDM assignment missing or mismatched: %+v %v", a, ok)
 	}
 	// Delete releases the wavelength.
-	if err := o.Delete(dep.ID); err != nil {
+	if _, err := o.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if _, ok := o.WDM().AssignmentOf(dep.FlowKey()); ok {
@@ -196,8 +193,8 @@ func TestProvisionWithWDM(t *testing.T) {
 }
 
 func TestWDMDisabledLambdaMinusOne(t *testing.T) {
-	o := newOrch(t)
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newOrch(t)
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -212,17 +209,14 @@ func TestWDMDisabledLambdaMinusOne(t *testing.T) {
 func TestWDMBlockingRollsBack(t *testing.T) {
 	// Capacity 1: two chains of the same service share boundary links
 	// (same ToRs), so the second must block and roll back cleanly.
-	o, err := New(Config{Topo: orchTopo(t), Wavelengths: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	d1, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newTestOrch(t, Config{Topo: orchTopo(t), Wavelengths: 1})
+	d1, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision 1: %v", err)
 	}
 	availBefore := len(o.Allocator().AvailableOPS())
 	rulesBefore := o.Controller().RuleCount()
-	_, err = o.Provision(webSpec(t, "chain-2"))
+	_, err = o.Provision(bg, webSpec(t, "chain-2"))
 	if err == nil {
 		// Paths may be disjoint on this topology; nothing to assert.
 		t.Skip("second chain found disjoint optical links")

@@ -79,8 +79,8 @@ func sortAppended(buf, extended []ChainHealth) []ChainHealth {
 }
 
 // AppendChainHealth appends every shard's entries to buf and sorts the
-// appended part by ID, so a sweep over a sharded fleet sees the same
-// order as one over a single orchestrator.
+// appended part by ID, so a sweep sees the same order at any shard
+// count.
 func (s *Sharded) AppendChainHealth(buf []ChainHealth) []ChainHealth {
 	out := buf
 	for _, sh := range s.shards {

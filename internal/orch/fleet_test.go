@@ -92,13 +92,9 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			topo := benchFleetTopo(t, 64)
-			s, err := NewSharded(Config{Topo: topo, Wavelengths: 16}, shards, ShardByTenant)
-			if err != nil {
-				t.Fatalf("NewSharded: %v", err)
-			}
 			// Repairs drop standbys instead of replanning, so the fleet
 			// mixes disjoint, degraded and unprotected chains.
-			s.SetDeferReprotect(true)
+			s := newTestSet(t, Config{Topo: topo, Wavelengths: 16, DeferReprotect: true}, shards)
 			rng := rand.New(rand.NewSource(int64(17 + shards)))
 			pms := topo.NodeIDs(topology.KindPhysicalMachine)
 			var live []DeploymentID
@@ -172,7 +168,7 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 					next++
 					// An outage can leave the spec's shard without a pool to
 					// cover the VMs; the next provision tries again.
-					if dep, err := s.Provision(spec); err == nil {
+					if dep, err := s.Provision(bg, spec); err == nil {
 						live = append(live, dep.ID)
 					} else if len(downNodes)+len(downLinks) == 0 {
 						t.Fatalf("step %d: provision on a whole fabric: %v", step, err)
@@ -181,7 +177,7 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 					op = "delete"
 					i := rng.Intn(len(live))
 					repairedDeleted += s.Deployment(live[i]).Repairs
-					if err := s.Delete(live[i]); err != nil {
+					if _, err := s.Delete(bg, live[i]); err != nil {
 						t.Fatalf("step %d: delete %d: %v", step, live[i], err)
 					}
 					deletes++
@@ -204,21 +200,21 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						victim = dep.Placement.Hosts[rng.Intn(len(dep.Placement.Hosts))]
 					}
-					_, _ = s.HandleNodeFailure(victim)
+					_, _ = failNode(s, victim)
 					downNodes = append(downNodes, victim)
 				case r < 14 && len(downLinks) < 2:
 					op = "link failure"
 					dep := pick()
 					i := 1 + rng.Intn(len(dep.Path)-3)
 					l := topo.LinkBetween(dep.Path[i], dep.Path[i+1])
-					_, _ = s.HandleLinkFailure(l.ID)
+					_, _ = failLink(s, l.ID)
 					downLinks = append(downLinks, l.ID)
 				case r < 15 && len(downNodes) < 2 && len(downLinks) < 2:
 					op = "batch failure"
 					a, b := pick(), pick()
 					victim := a.Slice.OPSs[rng.Intn(len(a.Slice.OPSs))]
 					l := topo.LinkBetween(b.Path[1], b.Path[2])
-					_, _ = s.HandleFailures([]topology.NodeID{victim}, []topology.LinkID{l.ID})
+					_, _ = s.HandleFailures(bg, []topology.NodeID{victim}, []topology.LinkID{l.ID})
 					downNodes = append(downNodes, victim)
 					downLinks = append(downLinks, l.ID)
 				case r < 17:
@@ -272,15 +268,15 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 // a tombstone) while it is among the shard's newest TombstoneRing
 // deletes, and as unknown after.
 func TestTombstoneRing(t *testing.T) {
-	o := newWideOrch(t, 8)
+	_, o := newWideOrch(t, 8)
 	spec := batchSpecs(t, 1)[0]
 	var ids []DeploymentID
 	for i := 0; i < TombstoneRing+3; i++ {
-		dep, err := o.Provision(spec)
+		dep, err := o.Provision(bg, spec)
 		if err != nil {
 			t.Fatalf("Provision %d: %v", i, err)
 		}
-		final, err := o.DeleteCtx(context.Background(), dep.ID)
+		final, err := o.Delete(context.Background(), dep.ID)
 		if err != nil {
 			t.Fatalf("Delete %d: %v", i, err)
 		}
@@ -294,7 +290,7 @@ func TestTombstoneRing(t *testing.T) {
 	}
 	for i, id := range ids {
 		ts, ok := o.Tombstone(id)
-		err := o.Delete(id)
+		_, err := o.Delete(bg, id)
 		if o.Deployment(id) != nil {
 			t.Fatalf("deleted deployment %d still has a record", id)
 		}
@@ -329,10 +325,7 @@ func TestRehomeFloorEqualsFullEvaluation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Generate: %v", err)
 		}
-		o, err := New(Config{Topo: topo, Policy: placement.OpticalFirst{}})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
+		_, o := newTestOrch(t, Config{Topo: topo, Policy: placement.OpticalFirst{}})
 		rng := rand.New(rand.NewSource(seed))
 		pms := topo.NodeIDs(topology.KindPhysicalMachine)
 		var ids []DeploymentID
@@ -345,7 +338,7 @@ func TestRehomeFloorEqualsFullEvaluation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Linear: %v", err)
 			}
-			dep, err := o.Provision(spec)
+			dep, err := o.Provision(bg, spec)
 			if err != nil {
 				continue // pool or capacity exhausted on this fabric
 			}
@@ -419,36 +412,32 @@ func heapObjects() uint64 {
 // where 200 cycles left them.
 func TestDeletedChainsLeaveMemory(t *testing.T) {
 	topo := benchFleetTopo(t, 40)
-	o, err := New(Config{Topo: topo})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s, o := newTestOrch(t, Config{Topo: topo, DeferReprotect: true})
 	store := trace.NewStore(trace.StoreOptions{})
-	o.SetTracer(trace.NewTracer(store))
+	s.UpdateHooks(func(h *Hooks) { h.Tracer = trace.NewTracer(store) })
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		if _, err := o.ProvisionCtx(ctx, residentSpec(t, i, "resident")); err != nil {
+		if _, err := o.Provision(ctx, residentSpec(t, i, "resident")); err != nil {
 			t.Fatalf("Provision resident %d: %v", i, err)
 		}
 	}
 	// One resident loses its standby and is not re-protected: the owed
 	// index holds it, and only it, however many chains come and go.
-	o.SetDeferReprotect(true)
 	sb := o.Deployment(1).Standby
-	if _, err := o.HandleLinkFailure(sb.Links[1]); err != nil {
-		t.Fatalf("HandleLinkFailure: %v", err)
+	if _, err := failLink(s, sb.Links[1]); err != nil {
+		t.Fatalf("HandleFailures: %v", err)
 	}
-	if err := o.RecoverLink(sb.Links[1]); err != nil {
+	if err := s.RecoverLink(sb.Links[1]); err != nil {
 		t.Fatalf("RecoverLink: %v", err)
 	}
 	var first, last DeploymentID
 	cycle := func(n int) {
 		for i := 0; i < n; i++ {
-			dep, err := o.ProvisionCtx(ctx, residentSpec(t, 1000, "churn"))
+			dep, err := o.Provision(ctx, residentSpec(t, 1000, "churn"))
 			if err != nil {
 				t.Fatalf("Provision: %v", err)
 			}
-			if _, err := o.DeleteCtx(ctx, dep.ID); err != nil {
+			if _, err := o.Delete(ctx, dep.ID); err != nil {
 				t.Fatalf("Delete %d: %v", dep.ID, err)
 			}
 			if first == 0 {
@@ -488,13 +477,13 @@ func TestViewsShowLiveRecords(t *testing.T) {
 	s := newSharded(t, shardTopo(t, 32), 4, ShardByTenant)
 	var ids []DeploymentID
 	for i := 0; i < 12; i++ {
-		dep, err := s.Provision(tenantSpec(t, i))
+		dep, err := s.Provision(bg, tenantSpec(t, i))
 		if err != nil {
 			t.Fatalf("Provision %d: %v", i, err)
 		}
 		ids = append(ids, dep.ID)
 	}
-	if err := s.Delete(ids[5]); err != nil {
+	if _, err := s.Delete(bg, ids[5]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 

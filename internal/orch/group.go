@@ -67,7 +67,7 @@ func (o *Orchestrator) ReProtectGroup(domain string, ids []DeploymentID) GroupRe
 	defer o.topoMu.RUnlock()
 
 	var gp *resilience.GroupPlanner
-	if o.standbyK > 0 {
+	if !o.noStandby {
 		gp, _ = resilience.NewGroupPlanner(o.ctrl, o.topo, domainSRLGs(domain))
 	}
 	for _, id := range sorted {

@@ -15,10 +15,10 @@ import (
 // ID order, and a second pass over the now-protected fleet plans
 // nothing new.
 func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
-	o := newWideOrch(t, 16)
+	s, o := newTestOrch(t, Config{Topo: wideTopology(t, 16), DeferReprotect: true})
 	var deps []*Deployment
 	for _, spec := range batchSpecs(t, 6) {
-		dep, err := o.Provision(spec)
+		dep, err := o.Provision(bg, spec)
 		if err != nil {
 			t.Fatalf("Provision %q: %v", spec.Name, err)
 		}
@@ -26,8 +26,7 @@ func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
 	}
 	// Kill every standby-only link in one deferred batch: each hit
 	// chain drops protection and waits for background re-protection.
-	o.SetEventSink(&recordingSink{})
-	o.SetDeferReprotect(true)
+	s.UpdateHooks(func(h *Hooks) { h.Events = &recordingSink{} })
 	onPrimary := make(map[topology.LinkID]bool)
 	for _, dep := range deps {
 		for _, l := range pathLinkIDs(t, o, dep.Path) {
@@ -47,7 +46,7 @@ func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
 			}
 		}
 	}
-	if _, err := o.HandleFailures(nil, doomed); err != nil {
+	if _, err := s.HandleFailures(bg, nil, doomed); err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
 	var dropped []DeploymentID
@@ -60,7 +59,7 @@ func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
 		t.Fatalf("only %d chains lost protection; fixture too weak", len(dropped))
 	}
 	for _, l := range doomed {
-		if err := o.RecoverLink(l); err != nil {
+		if err := s.RecoverLink(l); err != nil {
 			t.Fatalf("RecoverLink: %v", err)
 		}
 	}
@@ -134,10 +133,10 @@ func pathLinkIDs(t *testing.T, o *Orchestrator, path []topology.NodeID) []topolo
 // exclusive operation is reported ErrBusy without blocking the rest of
 // the group.
 func TestReProtectGroupBusyMemberSkipped(t *testing.T) {
-	o := newWideOrch(t, 16)
+	_, o := newWideOrch(t, 16)
 	var members []DeploymentID
 	for _, spec := range batchSpecs(t, 3) {
-		dep, err := o.Provision(spec)
+		dep, err := o.Provision(bg, spec)
 		if err != nil {
 			t.Fatalf("Provision %q: %v", spec.Name, err)
 		}
@@ -170,8 +169,8 @@ func TestReProtectGroupBusyMemberSkipped(t *testing.T) {
 // TestReProtectGroupUnknownMember: a deleted or never-existing ID gets
 // an error outcome; the rest of the group still completes.
 func TestReProtectGroupUnknownMember(t *testing.T) {
-	o, _ := triOrch(t, Config{})
-	dep, err := o.Provision(triSpec(t, "chain-0"))
+	_, o, _ := triOrch(t, Config{})
+	dep, err := o.Provision(bg, triSpec(t, "chain-0"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -214,13 +213,10 @@ func TestDomainSRLGParsing(t *testing.T) {
 // per-shard planner stats.
 func TestShardedReProtectGroupMergesShards(t *testing.T) {
 	topo := wideTopology(t, 16)
-	s, err := NewSharded(Config{Topo: topo}, 4, ShardByTenant)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
+	s := newTestSet(t, Config{Topo: topo}, 4)
 	var members []DeploymentID
 	for _, spec := range batchSpecs(t, 8) {
-		dep, err := s.Provision(spec)
+		dep, err := s.Provision(bg, spec)
 		if err != nil {
 			t.Fatalf("Provision %q: %v", spec.Name, err)
 		}

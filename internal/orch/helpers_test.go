@@ -1,0 +1,39 @@
+package orch
+
+import (
+	"context"
+	"testing"
+
+	"github.com/alvc/alvc/internal/topology"
+)
+
+// bg is what the package's tests pass where a request context goes.
+var bg = context.Background()
+
+// newTestSet builds an n-shard orchestrator over cfg.
+func newTestSet(t testing.TB, cfg Config, n int) *Sharded {
+	t.Helper()
+	s, err := New(cfg, n, ShardByTenant)
+	if err != nil {
+		t.Fatalf("New(%d shards): %v", n, err)
+	}
+	return s
+}
+
+// newTestOrch builds a one-shard orchestrator over cfg and returns it
+// with its only shard: s takes the fleet-level verbs (failures,
+// recoveries, batches, hooks), o is what a test inspects.
+func newTestOrch(t testing.TB, cfg Config) (s *Sharded, o *Orchestrator) {
+	t.Helper()
+	s = newTestSet(t, cfg, 1)
+	return s, s.Shard(0)
+}
+
+// failNode and failLink are the one-resource forms of HandleFailures.
+func failNode(s *Sharded, n topology.NodeID) ([]RepairReport, error) {
+	return s.HandleFailures(bg, []topology.NodeID{n}, nil)
+}
+
+func failLink(s *Sharded, l topology.LinkID) ([]RepairReport, error) {
+	return s.HandleFailures(bg, nil, []topology.LinkID{l})
+}

@@ -182,7 +182,7 @@ func (x *indexScript) step() string {
 	switch {
 	case dep == nil || (op == 0 && x.s.ActiveCount() < 24):
 		x.next++
-		_, _ = x.s.Provision(residentSpec(x.t, x.next, fmt.Sprintf("t%d", x.next)))
+		_, _ = x.s.Provision(bg, residentSpec(x.t, x.next, fmt.Sprintf("t%d", x.next)))
 		return "provision"
 	case len(x.nodes)+len(x.links) >= 4 || op == 1:
 		// Something down comes back: the fabric must not drain away.
@@ -195,7 +195,7 @@ func (x *indexScript) step() string {
 		}
 		return "recover"
 	case op == 2:
-		_ = x.s.Delete(dep.ID)
+		_, _ = x.s.Delete(bg, dep.ID)
 		return "delete"
 	case op == 3:
 		_ = x.s.Modify(dep.ID, 1+x.rng.Float64())
@@ -209,18 +209,18 @@ func (x *indexScript) step() string {
 	case op == 6:
 		node, _ := x.exposure(dep)
 		x.nodes = append(x.nodes, node)
-		_, _ = x.s.HandleNodeFailure(node)
+		_, _ = failNode(x.s, node)
 		return "fail node"
 	case op == 7 || op == 8:
 		_, link := x.exposure(dep)
 		x.links = append(x.links, link)
-		_, _ = x.s.HandleLinkFailure(link)
+		_, _ = failLink(x.s, link)
 		return "fail link"
 	case op == 9:
 		node, link := x.exposure(dep)
 		_, other := x.exposure(x.pick())
 		x.nodes, x.links = append(x.nodes, node), append(x.links, link, other)
-		_, _ = x.s.HandleFailures([]topology.NodeID{node}, []topology.LinkID{link, other})
+		_, _ = x.s.HandleFailures(bg, []topology.NodeID{node}, []topology.LinkID{link, other})
 		return "fail batch"
 	case op == 10:
 		_, _, _ = x.s.ReProtect(dep.ID)
@@ -233,7 +233,10 @@ func (x *indexScript) step() string {
 		_, _ = x.s.Rehome(dep.ID, 1)
 		return "re-home"
 	case op == 13:
-		x.s.SetDeferReprotect(x.rng.Intn(2) == 0)
+		// Config fixes the switch at construction; the script, with no
+		// verb in flight between steps, flips it to put both repair
+		// modes through one fleet.
+		x.s.core.deferReprotect = x.rng.Intn(2) == 0
 		return "defer re-protect on/off"
 	default:
 		x.drain()
@@ -249,10 +252,7 @@ func TestReverseIndexesEqualRecomputation(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			topo := benchFleetTopo(t, 48)
-			s, err := NewSharded(Config{Topo: topo, Wavelengths: 64}, shards, ShardByTenant)
-			if err != nil {
-				t.Fatalf("NewSharded: %v", err)
-			}
+			s := newTestSet(t, Config{Topo: topo, Wavelengths: 64}, shards)
 			x := &indexScript{t: t, rng: rand.New(rand.NewSource(int64(23 + shards))), s: s, topo: topo,
 				pms: topo.NodeIDs(topology.KindPhysicalMachine)}
 			verbs := make(map[string]int)
@@ -312,12 +312,9 @@ func TestIndexAuditFires(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			o, err := New(Config{Topo: benchFleetTopo(t, 8)})
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
+			_, o := newTestOrch(t, Config{Topo: benchFleetTopo(t, 8)})
 			for i := 0; i < 3; i++ {
-				if _, err := o.Provision(residentSpec(t, i, "t")); err != nil {
+				if _, err := o.Provision(bg, residentSpec(t, i, "t")); err != nil {
 					t.Fatalf("Provision: %v", err)
 				}
 			}
@@ -396,11 +393,7 @@ func TestReProtectCommitCostsTheStandby(t *testing.T) {
 // leaving re-protection to the caller as they do under an optimizer.
 func stormFleet(tb testing.TB) (*Sharded, *topology.Topology) {
 	topo := benchFleetTopo(tb, 168)
-	s, err := NewSharded(Config{Topo: topo}, 4, ShardByTenant)
-	if err != nil {
-		tb.Fatalf("NewSharded: %v", err)
-	}
-	s.SetDeferReprotect(true)
+	s := newTestSet(tb, Config{Topo: topo, DeferReprotect: true}, 4)
 	router := NewShardRouter(4, ShardByTenant)
 	for i, salt := 0, 0; i < 160; i++ {
 		spec := residentSpec(tb, i, fmt.Sprintf("t%d", salt))
@@ -409,7 +402,7 @@ func stormFleet(tb testing.TB) (*Sharded, *topology.Topology) {
 			spec.Tenant = fmt.Sprintf("t%d", salt)
 		}
 		salt++
-		if _, err := s.Provision(spec); err != nil {
+		if _, err := s.Provision(bg, spec); err != nil {
 			tb.Fatalf("Provision %d: %v", i, err)
 		}
 	}
@@ -450,7 +443,7 @@ func BenchmarkStormRound(b *testing.B) {
 			})
 			victims = append(victims, id)
 		}
-		reports, err := s.HandleFailuresCtx(ctx, nil, tray)
+		reports, err := s.HandleFailures(ctx, nil, tray)
 		if err != nil || len(reports) < len(victims) {
 			b.Fatalf("round %d: %d reports, %v", i, len(reports), err)
 		}

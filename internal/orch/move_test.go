@@ -12,11 +12,8 @@ import (
 // conversion each time a light VNF is moved into an optoelectronic
 // router.
 func TestMoveNFIntoOpticalSavesConversions(t *testing.T) {
-	o, err := New(Config{Topo: orchTopo(t), Policy: placement.AllElectronic{}})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	dep, err := o.Provision(webSpec(t, "chain-1")) // firewall, lb, dpi
+	_, o := newTestOrch(t, Config{Topo: orchTopo(t), Policy: placement.AllElectronic{}})
+	dep, err := o.Provision(bg, webSpec(t, "chain-1")) // firewall, lb, dpi
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -70,8 +67,8 @@ func TestMoveNFIntoOpticalSavesConversions(t *testing.T) {
 }
 
 func TestMoveNFValidation(t *testing.T) {
-	o := newOrch(t)
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newOrch(t)
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}

@@ -224,7 +224,7 @@ func (o *Orchestrator) rehomeClaimed(dep *Deployment, margin int) (moved, rebuil
 	if len(done) == 0 {
 		return false, false, nil
 	}
-	if obs := o.rehomeObserver(); obs != nil {
+	if obs := o.hooks.Load().Rehome; obs != nil {
 		for _, m := range done {
 			obs(o.rackOf(m.from), o.rackOf(cand.Hosts[m.idx]))
 		}

@@ -52,8 +52,8 @@ func standbySearches(o *Orchestrator) int64 {
 // TestReProtectAlreadyProtectedIsNoOp: a chain whose standby is alive
 // and disjoint must not be replanned.
 func TestReProtectAlreadyProtectedIsNoOp(t *testing.T) {
-	o, _ := triOrch(t, Config{})
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	_, o, _ := triOrch(t, Config{})
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -78,11 +78,10 @@ func TestReProtectAlreadyProtectedIsNoOp(t *testing.T) {
 // repair-completed; the background ReProtect then replans it over the
 // surviving spare route.
 func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
-	o, ids := triOrch(t, Config{})
+	s, o, ids := triOrch(t, Config{DeferReprotect: true})
 	sink := &recordingSink{}
-	o.SetEventSink(sink)
-	o.SetDeferReprotect(true)
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	s.UpdateHooks(func(h *Hooks) { h.Events = sink })
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -91,9 +90,9 @@ func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 	}
 
 	searchesBefore := standbySearches(o)
-	reports, err := o.HandleNodeFailure(ids.opss[1]) // standby transit only
+	reports, err := failNode(s, ids.opss[1]) // standby transit only
 	if err != nil {
-		t.Fatalf("HandleNodeFailure: %v", err)
+		t.Fatalf("HandleFailures: %v", err)
 	}
 	if len(reports) != 1 || reports[0].Action != ActionRestandby || reports[0].Err != nil {
 		t.Fatalf("reports = %+v, want one clean restandby", reports)
@@ -125,10 +124,9 @@ func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 // must not replan the standby inline (no standby search); the chain is
 // repaired but unprotected until ReProtect runs.
 func TestAsyncRepathDefersStandby(t *testing.T) {
-	o, ids := triOrch(t, Config{})
-	o.SetEventSink(&recordingSink{})
-	o.SetDeferReprotect(true)
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	s, o, ids := triOrch(t, Config{DeferReprotect: true})
+	s.UpdateHooks(func(h *Hooks) { h.Events = &recordingSink{} })
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -136,7 +134,7 @@ func TestAsyncRepathDefersStandby(t *testing.T) {
 	// AL members and would classify as a slice patch): no swap
 	// possible, the repair must be a cold re-path via the spare route.
 	searchesBefore := standbySearches(o)
-	reports, err := o.HandleFailures([]topology.NodeID{ids.tors[0][0], ids.tors[0][1]}, nil)
+	reports, err := s.HandleFailures(bg, []topology.NodeID{ids.tors[0][0], ids.tors[0][1]}, nil)
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
@@ -159,8 +157,8 @@ func TestAsyncRepathDefersStandby(t *testing.T) {
 // off its optical host) is undone by Rehome when the conversion win
 // meets the margin, and left alone (no oscillation) when within it.
 func TestRehomeMovesBackAndHysteresis(t *testing.T) {
-	o, ids := triOrch(t, Config{Policy: placement.OpticalFirst{}})
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	_, o, ids := triOrch(t, Config{Policy: placement.OpticalFirst{}})
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -215,14 +213,14 @@ func TestRehomeMovesBackAndHysteresis(t *testing.T) {
 // moves to the lowest free channel make-before-break; a flow already
 // on the lowest is a no-op.
 func TestDefragLambdaRetunesDown(t *testing.T) {
-	o, ids := triOrch(t, Config{Wavelengths: 4})
+	_, o, ids := triOrch(t, Config{Wavelengths: 4})
 	// Occupy λ0 on the primary route's optical links so the chain is
 	// born on λ1, then free it — classic fragmentation.
 	blockers := []topology.LinkID{ids.torOpsLinks[0][0], ids.torOpsLinks[1][0]}
 	if _, err := o.WDM().AssignPath("blocker", blockers); err != nil {
 		t.Fatalf("AssignPath blocker: %v", err)
 	}
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -269,11 +267,8 @@ func TestSRLGClassification(t *testing.T) {
 		if err := topo.SetLinkSRLG(ids.torOpsLinks[0][2], 5); err != nil {
 			t.Fatalf("SetLinkSRLG: %v", err)
 		}
-		o, err := New(Config{Topo: topo, Policy: placement.AllElectronic{}})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		dep, err := o.Provision(triSpec(t, "chain-1"))
+		s, o := newTestOrch(t, Config{Topo: topo, Policy: placement.AllElectronic{}})
+		dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 		if err != nil {
 			t.Fatalf("Provision: %v", err)
 		}
@@ -282,9 +277,9 @@ func TestSRLGClassification(t *testing.T) {
 		}
 		// The spare link is NOT in the chain's footprint; only the SRLG
 		// expansion can route this failure to the chain.
-		reports, err := o.HandleLinkFailure(ids.torOpsLinks[0][2])
+		reports, err := failLink(s, ids.torOpsLinks[0][2])
 		if err != nil {
-			t.Fatalf("HandleLinkFailure: %v", err)
+			t.Fatalf("HandleFailures: %v", err)
 		}
 		if len(reports) != 1 || reports[0].ID != dep.ID || reports[0].Action != ActionRestandby {
 			t.Fatalf("reports = %+v, want restandby for chain %d", reports, dep.ID)
@@ -301,11 +296,8 @@ func TestSRLGClassification(t *testing.T) {
 		if err := topo.SetLinkSRLG(ids.torOpsLinks[1][2], 6); err != nil {
 			t.Fatalf("SetLinkSRLG: %v", err)
 		}
-		o, err := New(Config{Topo: topo, Policy: placement.AllElectronic{}})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		dep, err := o.Provision(triSpec(t, "chain-1"))
+		s, o := newTestOrch(t, Config{Topo: topo, Policy: placement.AllElectronic{}})
+		dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 		if err != nil {
 			t.Fatalf("Provision: %v", err)
 		}
@@ -315,7 +307,7 @@ func TestSRLGClassification(t *testing.T) {
 		// Primary transit dies together with the standby's tray-mate:
 		// the standby is alive but not survivable — must re-path, not
 		// swap.
-		reports, err := o.HandleFailures(
+		reports, err := s.HandleFailures(bg,
 			[]topology.NodeID{ids.tors[0][0]},
 			[]topology.LinkID{ids.torOpsLinks[1][2]})
 		if err != nil {
@@ -336,20 +328,20 @@ func TestSRLGClassification(t *testing.T) {
 // TestEventEmission: each lifecycle verb emits its event with no
 // orchestrator locks held.
 func TestEventEmission(t *testing.T) {
-	o, ids := triOrch(t, Config{})
+	s, o, ids := triOrch(t, Config{})
 	sink := &recordingSink{}
-	o.SetEventSink(sink)
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	s.UpdateHooks(func(h *Hooks) { h.Events = sink })
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if _, err := o.HandleNodeFailure(ids.opss[0]); err != nil {
-		t.Fatalf("HandleNodeFailure: %v", err)
+	if _, err := failNode(s, ids.opss[0]); err != nil {
+		t.Fatalf("HandleFailures: %v", err)
 	}
 	if sink.count(EventRepairCompleted) != 1 {
 		t.Fatalf("events after failure: %v", sink.kinds())
 	}
-	if err := o.RecoverNode(ids.opss[0]); err != nil {
+	if err := s.RecoverNode(ids.opss[0]); err != nil {
 		t.Fatalf("RecoverNode: %v", err)
 	}
 	if sink.count(EventNodeRecovered) != 1 {
@@ -361,7 +353,7 @@ func TestEventEmission(t *testing.T) {
 	if sink.count(EventPlacementChanged) != 1 {
 		t.Fatalf("events after move: %v", sink.kinds())
 	}
-	if err := o.Delete(dep.ID); err != nil {
+	if _, err := o.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if sink.count(EventDeploymentDeleted) != 1 {
@@ -373,12 +365,12 @@ func TestEventEmission(t *testing.T) {
 // occupied on the flow's links, defrag cannot make-before-break and
 // must leave the assignment untouched.
 func TestDefragNoSpareChannelIsQuietNoOp(t *testing.T) {
-	o, ids := triOrch(t, Config{Wavelengths: 2})
+	_, o, ids := triOrch(t, Config{Wavelengths: 2})
 	blockers := []topology.LinkID{ids.torOpsLinks[0][0], ids.torOpsLinks[1][0]}
 	if _, err := o.WDM().AssignPath("blocker", blockers); err != nil {
 		t.Fatalf("AssignPath blocker: %v", err)
 	}
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}

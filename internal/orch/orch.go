@@ -10,8 +10,8 @@
 // (WDM) on the optical segments.
 //
 // Beyond the paper's five verbs the orchestrator also repairs: when
-// nodes or links fail (HandleNodeFailure, HandleLinkFailure, or a
-// rack-scale HandleFailures batch) a differential reconciliation
+// nodes or links fail (Sharded.HandleFailures: one node, one link or a
+// rack-scale batch) a differential reconciliation
 // engine (reconcile.go) classifies the damage per affected chain
 // against the union of dead resources and re-runs only the
 // provisioning stages the failure invalidated — a make-before-break
@@ -25,7 +25,6 @@ package orch
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -175,16 +174,18 @@ type Config struct {
 	// Wavelengths, when positive, enables per-flow WDM assignment with
 	// that many wavelengths per optical link.
 	Wavelengths int
-	// StandbyK switches standby planning: negative disables it entirely
-	// (every data-path repair is then a cold re-path), anything else
-	// plans a standby for every chain. The magnitude was the width of the
-	// k-shortest search the planner used to run and no longer matters.
-	StandbyK int
+	// NoStandby disables standby planning: every data-path repair is then
+	// a cold re-path (a baseline; protection is on by default).
+	NoStandby bool
+	// DeferReprotect switches standby replanning from inline to deferred:
+	// repair re-runs of the pipeline stop planning standbys — the standby
+	// search leaves the recovery hot path — and rely on a background
+	// optimizer re-protecting the chain from the emitted repair-completed
+	// event. Provision-time planning is unaffected. Set it only when such
+	// an optimizer consumes Hooks.Events, or repaired chains stay
+	// unprotected.
+	DeferReprotect bool
 }
-
-// DefaultStandbyK is what a zero Config.StandbyK becomes: standby
-// planning on.
-const DefaultStandbyK = 4
 
 // sharedCore is the state every orchestrator shard reads and writes
 // through the same instance: the physical topology and its mutation
@@ -194,8 +195,8 @@ const DefaultStandbyK = 4
 // and the configuration knobs. Per-shard state — deployment maps,
 // reverse indexes, flow-key reservations, busy guards, the OPS-pool-
 // restricted cluster allocator and the SDN flow tables — lives on each
-// Orchestrator; a single-orchestrator deployment is simply one shard
-// owning the whole pool.
+// Orchestrator; a one-shard set is simply one shard owning the whole
+// pool.
 type sharedCore struct {
 	// topoMu serializes topology mutations (node up/down transitions)
 	// against the provisioning pipeline, which reads liveness bits all
@@ -214,8 +215,14 @@ type sharedCore struct {
 	mode      placement.Mode
 	costModel optical.CostModel
 
-	// standbyK is positive when standby planning is on.
-	standbyK int
+	// noStandby and deferReprotect are Config's switches of the same
+	// names, fixed at construction.
+	noStandby      bool
+	deferReprotect bool
+
+	// hooks is the current Hooks value (events.go), never nil: readers
+	// load it once per operation, Sharded.UpdateHooks replaces it.
+	hooks atomic.Pointer[Hooks]
 
 	// vmIdx caches the live VMs offering each service (see liveVMs).
 	// Shared: liveness transitions invalidate it for every shard at
@@ -257,30 +264,27 @@ func newSharedCore(cfg Config) (*sharedCore, error) {
 			return nil, err
 		}
 	}
-	standbyK := cfg.StandbyK
-	if standbyK == 0 {
-		standbyK = DefaultStandbyK
+	core := &sharedCore{
+		topo:           cfg.Topo,
+		slices:         slices,
+		mgr:            mgr,
+		wdm:            wdm,
+		policy:         policy,
+		mode:           mode,
+		costModel:      model,
+		noStandby:      cfg.NoStandby,
+		deferReprotect: cfg.DeferReprotect,
 	}
-	if standbyK < 0 {
-		standbyK = 0 // disabled
-	}
-	return &sharedCore{
-		topo:      cfg.Topo,
-		slices:    slices,
-		mgr:       mgr,
-		wdm:       wdm,
-		policy:    policy,
-		mode:      mode,
-		costModel: model,
-		standbyK:  standbyK,
-	}, nil
+	core.hooks.Store(&Hooks{})
+	return core, nil
 }
 
-// Orchestrator coordinates the cluster allocator, slice manager,
-// Cloud/NFV manager and SDN controller for the deployments it owns.
-// Safe for concurrent use. A standalone orchestrator (New) is a single
-// shard owning every OPS; NewSharded stands up N of them over one
-// sharedCore with partitioned OPS pools and strided deployment IDs.
+// Orchestrator is one shard of the orchestrator (Sharded): it
+// coordinates the cluster allocator, slice manager, Cloud/NFV manager
+// and SDN controller for the deployments it owns. Safe for concurrent
+// use. New stands up N of them over one sharedCore with partitioned OPS
+// pools and strided deployment IDs; fleet-level work — failure batches,
+// recoveries, batch provisioning, hooks — is the set's, not a shard's.
 type Orchestrator struct {
 	*sharedCore
 
@@ -289,8 +293,8 @@ type Orchestrator struct {
 	// shard/idStride identify this orchestrator inside a Sharded router:
 	// shard s of n issues deployment IDs s+1, s+1+n, s+1+2n, … so the
 	// owning shard of any ID is (id-1) mod n — no shared ID allocator,
-	// no cross-shard lookup. A standalone orchestrator is shard 0 with
-	// stride 1 (IDs 1,2,3,… exactly as before).
+	// no cross-shard lookup. A one-shard set is shard 0 with stride 1
+	// (IDs 1,2,3,…).
 	shard    int
 	idStride DeploymentID
 
@@ -342,29 +346,6 @@ type Orchestrator struct {
 	// left with the active state (delete, failLocked). Guarded by mu.
 	owed map[DeploymentID]*Deployment
 
-	// sink receives lifecycle events (events.go); deferReprotect
-	// switches repairs to deferred standby replanning — set only when a
-	// background optimizer consumes the events (SetDeferReprotect), not
-	// implied by a sink being attached. Both guarded by mu.
-	sink           EventSink
-	deferReprotect bool
-
-	// hookMu guards the telemetry observer hooks below. A dedicated
-	// lock because the hooks are read inside the pipeline and the
-	// re-home transaction, which run while mu or topoMu are held.
-	hookMu sync.RWMutex
-	// stageObs, when set, is called once per executed pipeline stage
-	// with the stage name and its wall-clock duration.
-	stageObs func(stage string, d time.Duration)
-	// rehomeObs, when set, is called once per VNF migration a re-home
-	// commits, with the source and destination racks (-1 when a host
-	// has no rack).
-	rehomeObs func(fromRack, toRack int)
-	// tr, when set, records spans for provision/repair/delete and
-	// their pipeline stages. Like the observers it is read inside the
-	// pipeline while mu or topoMu are held, hence hookMu.
-	tr *trace.Tracer
-
 	// provisionOK/provisionFail count Provision outcomes (atomics).
 	provisionOK   uint64
 	provisionFail uint64
@@ -372,55 +353,6 @@ type Orchestrator struct {
 	// whole fabric because the shard's pool offered no disjoint route
 	// (pipeline.planStandby); group plans count theirs on the planner.
 	standbyFallbacks atomic.Int64
-}
-
-// SetStageObserver installs (or, with nil, removes) the per-stage
-// pipeline latency hook. The observer runs synchronously inside the
-// provisioning/repair pipeline and must only record, never call back
-// into the orchestrator.
-func (o *Orchestrator) SetStageObserver(fn func(stage string, d time.Duration)) {
-	o.hookMu.Lock()
-	o.stageObs = fn
-	o.hookMu.Unlock()
-}
-
-func (o *Orchestrator) stageObserver() func(string, time.Duration) {
-	o.hookMu.RLock()
-	defer o.hookMu.RUnlock()
-	return o.stageObs
-}
-
-// SetRehomeObserver installs (or, with nil, removes) the re-home churn
-// hook, called once per committed VNF migration with source and
-// destination racks. Same contract as SetStageObserver: record only.
-func (o *Orchestrator) SetRehomeObserver(fn func(fromRack, toRack int)) {
-	o.hookMu.Lock()
-	o.rehomeObs = fn
-	o.hookMu.Unlock()
-}
-
-func (o *Orchestrator) rehomeObserver() func(int, int) {
-	o.hookMu.RLock()
-	defer o.hookMu.RUnlock()
-	return o.rehomeObs
-}
-
-// SetTracer installs (or, with nil, removes) the span tracer. With a
-// tracer attached, Provision/Delete and every reconciliation repair
-// record a span, each executed pipeline stage becomes a child span,
-// and repair-completed events carry their repair span's identity so
-// downstream consumers (debouncer, optimizer) continue the trace.
-// A nil tracer leaves the hot paths with zero span allocations.
-func (o *Orchestrator) SetTracer(tr *trace.Tracer) {
-	o.hookMu.Lock()
-	o.tr = tr
-	o.hookMu.Unlock()
-}
-
-func (o *Orchestrator) tracer() *trace.Tracer {
-	o.hookMu.RLock()
-	defer o.hookMu.RUnlock()
-	return o.tr
 }
 
 // ProvisionOutcomes returns how many Provision calls succeeded and
@@ -441,40 +373,12 @@ func (o *Orchestrator) BusyOps() int {
 // vmIndex caches the liveness-filtered service → VM grouping so the
 // provisioning pipeline does not rebuild the full VM-by-service map (a
 // scan of every topology node) on every chain build. Node liveness
-// transitions (HandleNodeFailure, RecoverNode) invalidate it
-// wholesale; the next build re-derives it once.
+// transitions (HandleFailures, RecoverNode) invalidate it wholesale;
+// the next build re-derives it once.
 type vmIndex struct {
 	mu        sync.Mutex
 	valid     bool
 	byService map[string][]topology.NodeID
-}
-
-// New builds a standalone orchestrator over the given topology: a
-// single shard (stride 1) owning the entire OPS pool.
-func New(cfg Config) (*Orchestrator, error) {
-	if cfg.Topo == nil {
-		return nil, fmt.Errorf("orch: nil topology")
-	}
-	core, err := newSharedCore(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("orch: %w", err)
-	}
-	alloc := cfg.Allocator
-	if alloc == nil {
-		builder := cfg.Builder
-		if builder == nil {
-			builder = cluster.PaperBuilder{}
-		}
-		alloc, err = cluster.NewAllocator(cfg.Topo, builder)
-		if err != nil {
-			return nil, fmt.Errorf("orch: %w", err)
-		}
-	}
-	ctrl, err := sdn.NewController(cfg.Topo)
-	if err != nil {
-		return nil, fmt.Errorf("orch: %w", err)
-	}
-	return newShard(core, alloc, ctrl, 0, 1), nil
 }
 
 // newShard assembles one orchestrator shard over an existing core.
@@ -531,13 +435,13 @@ func (o *Orchestrator) liveVMs(service string) []topology.NodeID {
 
 // InvalidateVMCache drops the cached service → live-VM index. The
 // orchestrator invalidates it on its own liveness transitions
-// (HandleNodeFailure, RecoverNode); callers that mutate the shared
-// topology directly (VM churn, link failures) must call this
-// themselves.
-func (o *Orchestrator) InvalidateVMCache() {
-	o.vmIdx.mu.Lock()
-	o.vmIdx.valid = false
-	o.vmIdx.mu.Unlock()
+// (HandleFailures, RecoverNode, RecoverLink); callers that mutate the
+// shared topology directly (VM churn) must call this themselves, on
+// any shard: the index is the core's.
+func (c *sharedCore) InvalidateVMCache() {
+	c.vmIdx.mu.Lock()
+	c.vmIdx.valid = false
+	c.vmIdx.mu.Unlock()
 }
 
 // beginExclusive claims the deployment for an exclusive operation. The
@@ -623,18 +527,13 @@ func (o *Orchestrator) teardown(dep *Deployment) error {
 // Provision deploys a chain end to end. On any failure all partial
 // state is rolled back and the orchestrator is unchanged. Safe for
 // concurrent use: independent specs provision in parallel (see also
-// ProvisionBatch), serialized only at the shared resource pools.
-func (o *Orchestrator) Provision(spec chain.Spec) (*Deployment, error) {
-	return o.ProvisionCtx(context.Background(), spec)
-}
-
-// ProvisionCtx is Provision carrying a request context. With a tracer
-// attached it records a "provision" span — a child of the span in ctx
-// (the server's per-request root) when one is there, the root of a
-// fresh trace otherwise — with every executed pipeline stage as a
-// child span.
-func (o *Orchestrator) ProvisionCtx(ctx context.Context, spec chain.Spec) (*Deployment, error) {
-	tr := o.tracer()
+// Sharded.ProvisionBatch), serialized only at the shared resource
+// pools. With a tracer attached it records a "provision" span — a child
+// of the span in ctx (the server's per-request root) when one is there,
+// the root of a fresh trace otherwise — with every executed pipeline
+// stage as a child span.
+func (o *Orchestrator) Provision(ctx context.Context, spec chain.Spec) (*Deployment, error) {
+	tr := o.hooks.Load().Tracer
 	if tr == nil {
 		return o.provision(ctx, spec)
 	}
@@ -703,7 +602,7 @@ func (o *Orchestrator) provision(ctx context.Context, spec chain.Spec) (*Deploym
 
 // Repair tears an active deployment's resources down and rebuilds the
 // chain from scratch around the current topology state. This is the
-// heavyweight path; HandleNodeFailure prefers the differential repairs
+// heavyweight path; HandleFailures prefers the differential repairs
 // in reconcile.go and only falls back to this. On success the
 // deployment stays Active with Repairs incremented; on failure its
 // resources are released and it transitions to Failed.
@@ -742,7 +641,7 @@ func (o *Orchestrator) rebuild(ctx context.Context, dep *Deployment) error {
 		// With a background optimizer attached, even a full rebuild
 		// leaves standby planning to the async re-protect task — no
 		// standby search on the recovery path.
-		b.deferStandby = o.asyncOptimize()
+		b.deferStandby = o.deferReprotect
 		b.drifted = true
 		err = b.runFrom(stageCluster)
 	}
@@ -951,18 +850,12 @@ func (o *Orchestrator) ScaleNF(id DeploymentID, idx, replicas int) error {
 }
 
 // Delete tears a deployment down: flow rules removed, VNFs terminated,
-// slice and cluster released. The record leaves the shard; a Tombstone
-// in a fixed ring is what the shard remembers of it.
-func (o *Orchestrator) Delete(id DeploymentID) error {
-	_, err := o.DeleteCtx(context.Background(), id)
-	return err
-}
-
-// DeleteCtx is Delete carrying a request context, and returns the
-// deployment's final record (state deleted) on success. With a tracer
-// attached it records a "delete" span under the span in ctx.
-func (o *Orchestrator) DeleteCtx(ctx context.Context, id DeploymentID) (*Deployment, error) {
-	tr := o.tracer()
+// slice and cluster released. The record leaves the shard — a Tombstone
+// in a fixed ring is what the shard remembers of it — and is returned as
+// the deployment's final record (state deleted). With a tracer attached
+// it records a "delete" span under the span in ctx.
+func (o *Orchestrator) Delete(ctx context.Context, id DeploymentID) (*Deployment, error) {
+	tr := o.hooks.Load().Tracer
 	if tr == nil {
 		return o.delete(id, "")
 	}
@@ -1086,48 +979,6 @@ func (o *Orchestrator) activeLocked(id DeploymentID) (*Deployment, error) {
 		return nil, fmt.Errorf("%w: deployment %d is %s", ErrNotActive, id, dep.State)
 	}
 	return dep, nil
-}
-
-// RecoverNode marks a failed node as live again. Existing deployments
-// are not rebalanced inline; the emitted recovery event lets an
-// attached background optimizer refresh degraded standbys and re-home
-// drifted placements, and new deployments may use the node
-// immediately.
-func (o *Orchestrator) RecoverNode(node topology.NodeID) error {
-	o.topoMu.Lock()
-	if err := o.topo.SetNodeDown(node, false); err != nil {
-		o.topoMu.Unlock()
-		return fmt.Errorf("orch: recover node: %w", err)
-	}
-	o.InvalidateVMCache()
-	o.topoMu.Unlock()
-	o.emit(Event{Kind: EventNodeRecovered, Node: node})
-	return nil
-}
-
-// RecoverLink marks a failed link as live again. Existing deployments
-// are not rerouted back inline; the emitted recovery event lets an
-// attached background optimizer refresh standbys planned around the
-// outage, and new paths may use the link immediately.
-func (o *Orchestrator) RecoverLink(link topology.LinkID) error {
-	o.topoMu.Lock()
-	if err := o.topo.SetLinkDown(link, false); err != nil {
-		o.topoMu.Unlock()
-		return fmt.Errorf("orch: recover link: %w", err)
-	}
-	// A recovered PM↔ToR link can bring stranded VMs back.
-	o.InvalidateVMCache()
-	o.topoMu.Unlock()
-	o.emit(Event{Kind: EventLinkRecovered, Link: link})
-	return nil
-}
-
-// TopologyJSON serializes the topology consistently with respect to
-// concurrent failure injection and repair.
-func (o *Orchestrator) TopologyJSON() ([]byte, error) {
-	o.topoMu.RLock()
-	defer o.topoMu.RUnlock()
-	return json.Marshal(o.topo)
 }
 
 func snapshot(dep *Deployment) *Deployment {

@@ -28,13 +28,9 @@ func orchTopo(t *testing.T) *topology.Topology {
 	return topo
 }
 
-func newOrch(t *testing.T) *Orchestrator {
+func newOrch(t *testing.T) (*Sharded, *Orchestrator) {
 	t.Helper()
-	o, err := New(Config{Topo: orchTopo(t)})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return o
+	return newTestOrch(t, Config{Topo: orchTopo(t)})
 }
 
 func webSpec(t *testing.T, name string) chain.Spec {
@@ -47,8 +43,8 @@ func webSpec(t *testing.T, name string) chain.Spec {
 }
 
 func TestProvisionEndToEnd(t *testing.T) {
-	o := newOrch(t)
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newOrch(t)
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -102,8 +98,8 @@ func TestProvisionEndToEnd(t *testing.T) {
 }
 
 func TestProvisionOneVCPerNFC(t *testing.T) {
-	o := newOrch(t)
-	d1, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newOrch(t)
+	d1, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision 1: %v", err)
 	}
@@ -111,7 +107,7 @@ func TestProvisionOneVCPerNFC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Linear: %v", err)
 	}
-	d2, err := o.Provision(spec2)
+	d2, err := o.Provision(bg, spec2)
 	if err != nil {
 		t.Fatalf("Provision 2: %v", err)
 	}
@@ -137,31 +133,31 @@ func TestProvisionOneVCPerNFC(t *testing.T) {
 }
 
 func TestProvisionValidation(t *testing.T) {
-	o := newOrch(t)
-	if _, err := o.Provision(chain.Spec{}); err == nil {
+	_, o := newOrch(t)
+	if _, err := o.Provision(bg, chain.Spec{}); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
 	s := webSpec(t, "x")
 	s.Service = "nonexistent"
-	if _, err := o.Provision(s); err == nil || !strings.Contains(err.Error(), "no live VMs") {
+	if _, err := o.Provision(bg, s); err == nil || !strings.Contains(err.Error(), "no live VMs") {
 		t.Fatalf("unknown service error = %v", err)
 	}
 	s = webSpec(t, "y")
 	s.NFs = []chain.NFRef{{Name: "bogus"}}
-	if _, err := o.Provision(s); err == nil {
+	if _, err := o.Provision(bg, s); err == nil {
 		t.Fatal("unknown NF accepted")
 	}
 }
 
 func TestProvisionRollbackLeavesNoState(t *testing.T) {
-	o := newOrch(t)
+	_, o := newOrch(t)
 	availBefore := len(o.Allocator().AvailableOPS())
 	rulesBefore := o.Controller().RuleCount()
 	// Unknown NF fails after the VC and slice are allocated — rollback
 	// must free everything.
 	s := webSpec(t, "doomed")
 	s.NFs = append(s.NFs, chain.NFRef{Name: "bogus"})
-	if _, err := o.Provision(s); err == nil {
+	if _, err := o.Provision(bg, s); err == nil {
 		t.Fatal("expected failure")
 	}
 	if got := len(o.Allocator().AvailableOPS()); got != availBefore {
@@ -183,8 +179,8 @@ func TestProvisionRollbackLeavesNoState(t *testing.T) {
 }
 
 func TestModifyUpgradeScale(t *testing.T) {
-	o := newOrch(t)
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newOrch(t)
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -232,13 +228,13 @@ func TestModifyUpgradeScale(t *testing.T) {
 }
 
 func TestDeleteReleasesEverything(t *testing.T) {
-	o := newOrch(t)
+	_, o := newOrch(t)
 	availBefore := len(o.Allocator().AvailableOPS())
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if err := o.Delete(dep.ID); err != nil {
+	if _, err := o.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if got := o.Deployment(dep.ID); got != nil {
@@ -259,7 +255,7 @@ func TestDeleteReleasesEverything(t *testing.T) {
 		}
 	}
 	// Operations on a deleted deployment fail.
-	if err := o.Delete(dep.ID); err == nil {
+	if _, err := o.Delete(bg, dep.ID); err == nil {
 		t.Fatal("double delete accepted")
 	}
 	if err := o.Upgrade(dep.ID); err == nil {
@@ -269,14 +265,14 @@ func TestDeleteReleasesEverything(t *testing.T) {
 		t.Fatal("modify of deleted deployment accepted")
 	}
 	// Resources are reusable: provision again.
-	if _, err := o.Provision(webSpec(t, "chain-2")); err != nil {
+	if _, err := o.Provision(bg, webSpec(t, "chain-2")); err != nil {
 		t.Fatalf("re-provision after delete: %v", err)
 	}
 }
 
 func TestUnknownDeploymentOps(t *testing.T) {
-	o := newOrch(t)
-	if err := o.Delete(42); err == nil {
+	_, o := newOrch(t)
+	if _, err := o.Delete(bg, 42); err == nil {
 		t.Fatal("delete unknown accepted")
 	}
 	if o.Deployment(42) != nil {
@@ -287,7 +283,7 @@ func TestUnknownDeploymentOps(t *testing.T) {
 func TestProvisionLifecycleStorm(t *testing.T) {
 	// E6-style storm: repeated provision/modify/upgrade/delete cycles
 	// must leave the orchestrator consistent.
-	o := newOrch(t)
+	_, o := newOrch(t)
 	for round := 0; round < 5; round++ {
 		var ids []DeploymentID
 		for i, svc := range []string{"web", "mapreduce", "sns"} {
@@ -301,7 +297,7 @@ func TestProvisionLifecycleStorm(t *testing.T) {
 				t.Fatalf("Linear: %v", err)
 			}
 			s.Name = s.Name + "-" + svc
-			dep, err := o.Provision(s)
+			dep, err := o.Provision(bg, s)
 			if err != nil {
 				t.Fatalf("round %d provision %s: %v", round, svc, err)
 			}
@@ -314,7 +310,7 @@ func TestProvisionLifecycleStorm(t *testing.T) {
 			if err := o.Upgrade(id); err != nil {
 				t.Fatalf("round %d upgrade: %v", round, err)
 			}
-			if err := o.Delete(id); err != nil {
+			if _, err := o.Delete(bg, id); err != nil {
 				t.Fatalf("round %d delete: %v", round, err)
 			}
 		}
@@ -325,11 +321,8 @@ func TestProvisionLifecycleStorm(t *testing.T) {
 }
 
 func TestOrchestratorWithOptimalPolicy(t *testing.T) {
-	o, err := New(Config{Topo: orchTopo(t), Policy: placement.Optimal{}})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newTestOrch(t, Config{Topo: orchTopo(t), Policy: placement.Optimal{}})
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -339,14 +332,14 @@ func TestOrchestratorWithOptimalPolicy(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(Config{}, 1, ShardByTenant); err == nil {
 		t.Fatal("nil topology accepted")
 	}
 }
 
 func TestDeploymentSnapshotIsolation(t *testing.T) {
-	o := newOrch(t)
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newOrch(t)
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}

@@ -131,7 +131,7 @@ type pipeline struct {
 // span in ctx (an untraced entry point), the pipeline stays span-free:
 // stage spans only ever exist inside an enclosing traced operation.
 func (p *pipeline) attachTrace(ctx context.Context) {
-	if tr := p.o.tracer(); tr != nil {
+	if tr := p.o.hooks.Load().Tracer; tr != nil {
 		if sc, ok := trace.FromContext(ctx); ok {
 			p.tr, p.sctx = tr, sc
 		}
@@ -219,7 +219,7 @@ func (p *pipeline) rollback() {
 // observer is installed (telemetry), each executed stage reports its
 // wall-clock duration — including the failing one.
 func (p *pipeline) runFrom(first stageID) error {
-	obs := p.o.stageObserver()
+	obs := p.o.hooks.Load().Stage
 	for s := first; s < numStages; s++ {
 		var err error
 		if obs != nil || p.tr != nil {
@@ -332,6 +332,10 @@ func (p *pipeline) runPath() error {
 	return nil
 }
 
+// standbyWidth is what resilience.PlanStandby's vestigial k parameter is
+// passed: the planner only checks it is positive.
+const standbyWidth = 1
+
 // planStandby plans the chain's alternate route (resilience.PlanStandby
 // — one avoiding search per segment) and stores it on the pipeline;
 // with a non-nil gp the plan goes through that failure-domain group
@@ -349,13 +353,12 @@ func (p *pipeline) runPath() error {
 // partition purity lost.
 func (p *pipeline) planStandby(gp *resilience.GroupPlanner) error {
 	p.standby = nil
-	k := p.o.standbyK
-	if k <= 0 {
+	if p.o.noStandby {
 		return nil
 	}
 	stops, slice := p.standbyStops(), p.slice.OPSSet()
 	plan := func(allow map[topology.NodeID]bool) (*resilience.Standby, error) {
-		return resilience.PlanStandby(p.o.ctrl, p.o.topo, p.path, stops, slice, k, allow)
+		return resilience.PlanStandby(p.o.ctrl, p.o.topo, p.path, stops, slice, standbyWidth, allow)
 	}
 	fallback := func() (*resilience.Standby, error) {
 		p.o.standbyFallbacks.Add(1)
@@ -411,7 +414,7 @@ func (p *pipeline) standbyStops() []topology.NodeID {
 // off the recovery hot path. Provision-time planning is
 // unaffected — a fresh chain is still born protected.
 func (p *pipeline) runStandby() error {
-	if p.deferStandby || (p.reentry && p.o.asyncOptimize()) {
+	if p.deferStandby || (p.reentry && p.o.deferReprotect) {
 		p.standby = nil
 		return nil
 	}

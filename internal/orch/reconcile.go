@@ -107,83 +107,22 @@ const (
 	busyRetryDelay = 10 * time.Millisecond
 )
 
-// HandleNodeFailure marks one node as down and reconciles every active
-// deployment whose footprint includes it. It is the single-node form of
-// HandleFailures.
-func (o *Orchestrator) HandleNodeFailure(node topology.NodeID) ([]RepairReport, error) {
-	return o.HandleFailuresCtx(context.Background(), []topology.NodeID{node}, nil)
-}
-
-// HandleNodeFailureCtx is HandleNodeFailure carrying a request context
-// for trace propagation.
-func (o *Orchestrator) HandleNodeFailureCtx(ctx context.Context, node topology.NodeID) ([]RepairReport, error) {
-	return o.HandleFailuresCtx(ctx, []topology.NodeID{node}, nil)
-}
-
-// HandleLinkFailure marks one link as down and reconciles every active
-// deployment whose primary or standby path crosses it. It is the
-// single-link form of HandleFailures.
-func (o *Orchestrator) HandleLinkFailure(link topology.LinkID) ([]RepairReport, error) {
-	return o.HandleFailuresCtx(context.Background(), nil, []topology.LinkID{link})
-}
-
-// HandleLinkFailureCtx is HandleLinkFailure carrying a request context
-// for trace propagation.
-func (o *Orchestrator) HandleLinkFailureCtx(ctx context.Context, link topology.LinkID) ([]RepairReport, error) {
-	return o.HandleFailuresCtx(ctx, nil, []topology.LinkID{link})
-}
-
-// HandleFailures marks every given node and link as down in one
-// topology transaction and reconciles each affected active deployment
-// exactly once, classifying it against the union of dead resources — a
-// rack-level event (a ToR plus all its PMs, or a cable bundle) is one
-// reconciliation pass, not one per resource. Affected chains are found
-// through the reverse node and link indexes (O(damage), not
-// O(deployments)) and repaired concurrently over a bounded worker pool.
-// One report per affected deployment is returned in ID order; err
-// carries the first failed repair, if any.
-//
-// Unknown IDs are rejected up front: nothing is marked down and no
-// repair runs, so callers can map the error to a 404 without partial
-// state.
-func (o *Orchestrator) HandleFailures(nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error) {
-	return o.HandleFailuresCtx(context.Background(), nodes, links)
-}
-
-// HandleFailuresCtx is HandleFailures carrying a request context: when
-// tracing is enabled and the context holds a span (the HTTP request's
-// root span, or a debouncer batch span), every repair records a child
-// span in that trace, and the repair-completed events carry the repair
-// span's identity across the event mux.
-func (o *Orchestrator) HandleFailuresCtx(ctx context.Context, nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error) {
-	if len(nodes) == 0 && len(links) == 0 {
-		return nil, nil
-	}
-	dead, err := o.markFailuresDown(nodes, links)
-	if err != nil {
-		return nil, err
-	}
-	reports := o.reconcileFailures(ctx, dead)
-	o.emitRepairEvents(reports, o.failureDomain(dead))
-	return reports, firstRepairError(reports)
-}
-
 // markFailuresDown is the topology half of HandleFailures: it validates
 // every ID, marks the nodes and links down in one write-lock
 // transaction, and returns the failure set with its shared-risk groups
-// collected. It touches only shared-core state, so under sharding it
-// runs exactly once regardless of how many shards reconcile afterwards.
-func (o *Orchestrator) markFailuresDown(nodes []topology.NodeID, links []topology.LinkID) (resilience.FailureSet, error) {
-	o.topoMu.Lock()
+// collected. It touches only shared-core state, so it runs exactly once
+// regardless of how many shards reconcile afterwards.
+func (c *sharedCore) markFailuresDown(nodes []topology.NodeID, links []topology.LinkID) (resilience.FailureSet, error) {
+	c.topoMu.Lock()
 	for _, n := range nodes {
-		if o.topo.Node(n) == nil {
-			o.topoMu.Unlock()
+		if c.topo.Node(n) == nil {
+			c.topoMu.Unlock()
 			return resilience.FailureSet{}, fmt.Errorf("orch: node failure: topology: SetNodeDown: unknown node %d", n)
 		}
 	}
 	for _, l := range links {
-		if o.topo.Link(l) == nil {
-			o.topoMu.Unlock()
+		if c.topo.Link(l) == nil {
+			c.topoMu.Unlock()
 			return resilience.FailureSet{}, fmt.Errorf("orch: link failure: topology: SetLinkDown: unknown link %d", l)
 		}
 	}
@@ -191,30 +130,33 @@ func (o *Orchestrator) markFailuresDown(nodes []topology.NodeID, links []topolog
 	// topology generation bump and one overlay patch per cached
 	// snapshot, so a storm of dead links costs O(affected arcs), not
 	// O(resources) graph invalidations.
-	_ = o.topo.SetNodesDown(nodes, true)
-	_ = o.topo.SetLinksDown(links, true)
+	_ = c.topo.SetNodesDown(nodes, true)
+	_ = c.topo.SetLinksDown(links, true)
 	// Inside the write lock: a provision acquiring topoMu.RLock after
 	// this point must not see the stale live-VM cache. Link failures
 	// invalidate it too — a dead PM↔ToR link strands that PM's VMs.
-	o.InvalidateVMCache()
+	c.InvalidateVMCache()
 	dead := resilience.NewFailureSet(nodes, links)
 	// Shared-risk groups of the dead links, collected while the
 	// topology is still quiescent: standbys crossing a same-group
 	// survivor are suspect and get replanned rather than swapped onto.
-	dead.CollectSRLGs(o.topo)
-	o.topoMu.Unlock()
+	dead.CollectSRLGs(c.topo)
+	c.topoMu.Unlock()
 	return dead, nil
 }
 
 // reconcileFailures is the deployment half of HandleFailures: it finds
-// this orchestrator's affected active deployments through the reverse
-// indexes and repairs them concurrently over a bounded worker pool.
-// Under sharding every shard runs its own pass against the same
-// already-marked failure set.
+// this shard's affected active deployments through the reverse indexes
+// (O(damage), not O(deployments)) and repairs them concurrently over a
+// bounded worker pool, one report per deployment in ID order. Every
+// shard runs its own pass against the same already-marked failure set.
+// When tracing is enabled every repair records a span — a child of the
+// span in ctx (the HTTP request's root span, or a debouncer batch span)
+// when one is there.
 func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.FailureSet) []RepairReport {
 	affected := o.affectedBy(dead)
 	reports := make([]RepairReport, len(affected))
-	tr := o.tracer()
+	tr := o.hooks.Load().Tracer
 	parent, _ := trace.FromContext(ctx)
 	runPool(len(affected), 0, func(i int) {
 		// One repair span per deployment wraps the whole busy-retry
@@ -254,10 +196,10 @@ func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.Fa
 // placement behind. All events of one HandleFailures batch carry the
 // same failure domain, letting the optimizer's storm mode coalesce
 // their follow-up work per shared cause instead of per deployment.
-func (o *Orchestrator) emitRepairEvents(reports []RepairReport, domain string) {
+func (c *sharedCore) emitRepairEvents(reports []RepairReport, domain string) {
 	for _, rep := range reports {
 		if rep.Succeeded() {
-			o.emit(Event{Kind: EventRepairCompleted, Deployment: rep.ID, Action: rep.Action,
+			c.emit(Event{Kind: EventRepairCompleted, Deployment: rep.ID, Action: rep.Action,
 				Domain: domain, TraceID: rep.TraceID, SpanID: rep.SpanID})
 		}
 	}
@@ -267,7 +209,7 @@ func (o *Orchestrator) emitRepairEvents(reports []RepairReport, domain string) {
 // batch: the dead links' risk groups when any exist ("srlg:3+7" — the
 // physical tray or conduit that snapped), otherwise a unique per-batch
 // tag — either way, every repair event of the batch shares it.
-func (o *Orchestrator) failureDomain(dead resilience.FailureSet) string {
+func (c *sharedCore) failureDomain(dead resilience.FailureSet) string {
 	if len(dead.SRLGs) > 0 {
 		groups := make([]int, 0, len(dead.SRLGs))
 		for g := range dead.SRLGs {
@@ -280,7 +222,7 @@ func (o *Orchestrator) failureDomain(dead resilience.FailureSet) string {
 		}
 		return "srlg:" + strings.Join(parts, "+")
 	}
-	return "batch:" + strconv.FormatUint(atomic.AddUint64(&o.batchSeq, 1), 10)
+	return "batch:" + strconv.FormatUint(atomic.AddUint64(&c.batchSeq, 1), 10)
 }
 
 // firstRepairError folds a report list to the error HandleFailures
@@ -411,7 +353,7 @@ func (o *Orchestrator) repairAround(ctx context.Context, id DeploymentID, dead r
 		// failure is NOT grounds for the rebuild fallback — the chain
 		// still works — but the report must say the chain is now
 		// unprotected instead of silently claiming re-protection.
-		if o.asyncOptimize() {
+		if o.deferReprotect {
 			o.mu.Lock()
 			o.setStandbyLocked(dep, nil)
 			o.mu.Unlock()

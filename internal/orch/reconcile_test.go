@@ -34,11 +34,8 @@ func sliceOPSNotHosting(dep *Deployment) topology.NodeID {
 // of tearing the chain down. The all-electronic policy guarantees the
 // failed OPS hosts no VNF, so the patch must not touch any instance.
 func TestSliceOPSFailurePatchesWithoutTouchingVNFs(t *testing.T) {
-	o, err := New(Config{Topo: orchTopo(t), Policy: placement.AllElectronic{}})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	s, o := newTestOrch(t, Config{Topo: orchTopo(t), Policy: placement.AllElectronic{}})
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -50,9 +47,9 @@ func TestSliceOPSFailurePatchesWithoutTouchingVNFs(t *testing.T) {
 	bandwidth := dep.Slice.BandwidthGbps
 	hostsBefore := append([]topology.NodeID(nil), dep.Placement.Hosts...)
 
-	reports, err := o.HandleNodeFailure(victim)
+	reports, err := failNode(s, victim)
 	if err != nil {
-		t.Fatalf("HandleNodeFailure: %v", err)
+		t.Fatalf("HandleFailures: %v", err)
 	}
 	if len(reports) != 1 || reports[0].ID != dep.ID {
 		t.Fatalf("reports = %+v, want one for %d", reports, dep.ID)
@@ -105,8 +102,8 @@ func TestSliceOPSFailurePatchesWithoutTouchingVNFs(t *testing.T) {
 // The VNF is first staged (MoveNF) onto a PM hosting no web VM, so the
 // failure cannot also kill an endpoint and force a rebuild.
 func TestPMFailureReplacesOnlyAffectedVNF(t *testing.T) {
-	o := newOrch(t)
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	s, o := newOrch(t)
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -141,9 +138,9 @@ func TestPMFailureReplacesOnlyAffectedVNF(t *testing.T) {
 	dep = o.Deployment(dep.ID)
 
 	vcID, sliceID := dep.VC.ID, dep.Slice.ID
-	reports, err := o.HandleNodeFailure(pmHost)
+	reports, err := failNode(s, pmHost)
 	if err != nil {
-		t.Fatalf("HandleNodeFailure: %v", err)
+		t.Fatalf("HandleFailures: %v", err)
 	}
 	var rep *RepairReport
 	for i := range reports {
@@ -188,8 +185,8 @@ func TestPMFailureReplacesOnlyAffectedVNF(t *testing.T) {
 // probed in path order; the first one whose surroundings leave an
 // alternative route must yield a pure re-path.
 func TestTransitNodeFailureRepathsOnly(t *testing.T) {
-	o := newOrch(t)
-	first, err := o.Provision(webSpec(t, "chain-1"))
+	s, o := newOrch(t)
+	first, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -236,9 +233,9 @@ func TestTransitNodeFailureRepathsOnly(t *testing.T) {
 		if victim == 0 {
 			break
 		}
-		reports, err := o.HandleNodeFailure(victim)
+		reports, err := failNode(s, victim)
 		if err != nil {
-			t.Fatalf("HandleNodeFailure(%d): %v", victim, err)
+			t.Fatalf("HandleFailures(%d): %v", victim, err)
 		}
 		var rep *RepairReport
 		for i := range reports {
@@ -271,7 +268,7 @@ func TestTransitNodeFailureRepathsOnly(t *testing.T) {
 				}
 			}
 		}
-		if err := o.RecoverNode(victim); err != nil {
+		if err := s.RecoverNode(victim); err != nil {
 			t.Fatalf("RecoverNode: %v", err)
 		}
 	}
@@ -285,11 +282,8 @@ func TestTransitNodeFailureRepathsOnly(t *testing.T) {
 // must not pick the dead switch (the bipartite projection filters
 // down nodes), so both chains end patched, not rebuilt or failed.
 func TestSequentialOPSFailuresKeepPatching(t *testing.T) {
-	o, err := New(Config{Topo: orchTopo(t), Policy: placement.AllElectronic{}})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	d1, err := o.Provision(webSpec(t, "chain-1"))
+	s, o := newTestOrch(t, Config{Topo: orchTopo(t), Policy: placement.AllElectronic{}})
+	d1, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision 1: %v", err)
 	}
@@ -297,15 +291,15 @@ func TestSequentialOPSFailuresKeepPatching(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Linear: %v", err)
 	}
-	d2, err := o.Provision(spec2)
+	d2, err := o.Provision(bg, spec2)
 	if err != nil {
 		t.Fatalf("Provision 2: %v", err)
 	}
 	assertPatched := func(dep *Deployment, victim topology.NodeID) {
 		t.Helper()
-		reports, err := o.HandleNodeFailure(victim)
+		reports, err := failNode(s, victim)
 		if err != nil {
-			t.Fatalf("HandleNodeFailure(%d): %v", victim, err)
+			t.Fatalf("HandleFailures(%d): %v", victim, err)
 		}
 		for _, rep := range reports {
 			if rep.ID == dep.ID && rep.Action != ActionPatched {
@@ -330,8 +324,8 @@ func TestSequentialOPSFailuresKeepPatching(t *testing.T) {
 // TestReverseIndexMaintained: the node → deployments index must track
 // provision, repair and delete, keeping affectedBy an exact lookup.
 func TestReverseIndexMaintained(t *testing.T) {
-	o := newOrch(t)
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newOrch(t)
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -341,7 +335,7 @@ func TestReverseIndexMaintained(t *testing.T) {
 			t.Fatalf("affectedBy(%d) = %v, want [%d]", n, ids, dep.ID)
 		}
 	}
-	if err := o.Delete(dep.ID); err != nil {
+	if _, err := o.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	o.mu.Lock()
@@ -359,8 +353,8 @@ func TestReverseIndexMaintained(t *testing.T) {
 // cover Upgrade and ScaleNF so a concurrent Delete cannot terminate
 // instances mid-operation; callers see ErrBusy (HTTP 409).
 func TestUpgradeScaleRespectBusyGuard(t *testing.T) {
-	o := newOrch(t)
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newOrch(t)
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -373,7 +367,7 @@ func TestUpgradeScaleRespectBusyGuard(t *testing.T) {
 	if err := o.ScaleNF(dep.ID, 0, 2); !errors.Is(err, ErrBusy) {
 		t.Fatalf("ScaleNF under busy = %v, want ErrBusy", err)
 	}
-	if err := o.Delete(dep.ID); !errors.Is(err, ErrBusy) {
+	if _, err := o.Delete(bg, dep.ID); !errors.Is(err, ErrBusy) {
 		t.Fatalf("Delete under busy = %v, want ErrBusy", err)
 	}
 	o.mu.Lock()
@@ -387,13 +381,13 @@ func TestUpgradeScaleRespectBusyGuard(t *testing.T) {
 	}
 }
 
-// TestConcurrentFailureAndProvision races HandleNodeFailure/RecoverNode
+// TestConcurrentFailureAndProvision races HandleFailures/RecoverNode
 // against a stream of provisions and deletes. Run with -race. The
 // invariants: no panics, disjoint ALs and slices, consistent final
 // state.
 func TestConcurrentFailureAndProvision(t *testing.T) {
-	o := newOrch(t)
-	seedDep, err := o.Provision(webSpec(t, "seed"))
+	s, o := newOrch(t)
+	seedDep, err := o.Provision(bg, webSpec(t, "seed"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -412,12 +406,12 @@ func TestConcurrentFailureAndProvision(t *testing.T) {
 				t.Errorf("Linear: %v", err)
 				return
 			}
-			dep, err := o.Provision(spec)
+			dep, err := o.Provision(bg, spec)
 			if err != nil {
 				continue // exhaustion or mid-failure churn is fine
 			}
 			if i%2 == 0 {
-				_ = o.Delete(dep.ID)
+				_, _ = o.Delete(bg, dep.ID)
 			}
 		}
 	}()
@@ -425,8 +419,8 @@ func TestConcurrentFailureAndProvision(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
 			victim := victims[i%len(victims)]
-			_, _ = o.HandleNodeFailure(victim)
-			_ = o.RecoverNode(victim)
+			_, _ = failNode(s, victim)
+			_ = s.RecoverNode(victim)
 		}
 	}()
 	wg.Wait()
@@ -448,8 +442,8 @@ func TestConcurrentFailureAndProvision(t *testing.T) {
 // migration fails, the instance must move back and the deployment
 // record (placement, path, rules, λ) must be exactly as before.
 func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
-	o := newOrch(t)
-	dep, err := o.Provision(webSpec(t, "chain-1"))
+	_, o := newOrch(t)
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -529,7 +523,7 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 // TestVMCacheInvalidation: the service → live-VM cache must drop VMs
 // whose host fails and restore them on recovery.
 func TestVMCacheInvalidation(t *testing.T) {
-	o := newOrch(t)
+	s, o := newOrch(t)
 	o.topoMu.RLock()
 	webBefore := len(o.liveVMs("web"))
 	o.topoMu.RUnlock()
@@ -544,8 +538,8 @@ func TestVMCacheInvalidation(t *testing.T) {
 			break
 		}
 	}
-	if _, err := o.HandleNodeFailure(pm); err != nil {
-		t.Fatalf("HandleNodeFailure: %v", err)
+	if _, err := failNode(s, pm); err != nil {
+		t.Fatalf("HandleFailures: %v", err)
 	}
 	o.topoMu.RLock()
 	webDuring := len(o.liveVMs("web"))
@@ -553,7 +547,7 @@ func TestVMCacheInvalidation(t *testing.T) {
 	if webDuring >= webBefore {
 		t.Fatalf("cache not invalidated: %d live web VMs, want < %d", webDuring, webBefore)
 	}
-	if err := o.RecoverNode(pm); err != nil {
+	if err := s.RecoverNode(pm); err != nil {
 		t.Fatalf("RecoverNode: %v", err)
 	}
 	o.topoMu.RLock()

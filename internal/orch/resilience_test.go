@@ -62,7 +62,7 @@ func triTopo(t *testing.T) (*topology.Topology, *triIDs) {
 	return topo, ids
 }
 
-func triOrch(t *testing.T, cfg Config) (*Orchestrator, *triIDs) {
+func triOrch(t *testing.T, cfg Config) (*Sharded, *Orchestrator, *triIDs) {
 	t.Helper()
 	topo, ids := triTopo(t)
 	cfg.Topo = topo
@@ -71,11 +71,8 @@ func triOrch(t *testing.T, cfg Config) (*Orchestrator, *triIDs) {
 		// host failures.
 		cfg.Policy = placement.AllElectronic{}
 	}
-	o, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return o, ids
+	s, o := newTestOrch(t, cfg)
+	return s, o, ids
 }
 
 func triSpec(t *testing.T, name string) chain.Spec {
@@ -101,8 +98,8 @@ func pathContains(path []topology.NodeID, n topology.NodeID) bool {
 // time, and both primary and standby must be registered in the reverse
 // indexes.
 func TestProvisionPlansDisjointStandby(t *testing.T) {
-	o, ids := triOrch(t, Config{})
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	_, o, ids := triOrch(t, Config{})
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -154,8 +151,8 @@ func TestProvisionPlansDisjointStandby(t *testing.T) {
 // computations (asserted via the controller's counting hook), keeping
 // VC/slice/instances untouched, and consuming the standby.
 func TestStandbySwapZeroPathComputations(t *testing.T) {
-	o, ids := triOrch(t, Config{Wavelengths: 2})
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	s, o, ids := triOrch(t, Config{Wavelengths: 2})
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -169,9 +166,9 @@ func TestStandbySwapZeroPathComputations(t *testing.T) {
 	}
 
 	before := o.Controller().PathComputations()
-	reports, err := o.HandleNodeFailure(victim)
+	reports, err := failNode(s, victim)
 	if err != nil {
-		t.Fatalf("HandleNodeFailure: %v", err)
+		t.Fatalf("HandleFailures: %v", err)
 	}
 	after := o.Controller().PathComputations()
 	if after != before {
@@ -219,21 +216,21 @@ func TestStandbySwapZeroPathComputations(t *testing.T) {
 }
 
 // TestColdRepathWhenStandbyDisabled: with planning disabled
-// (StandbyK < 0) the same transit failure must fall back to the cold
+// (NoStandby) the same transit failure must fall back to the cold
 // re-path — shortest-path computations happen at recovery time.
 func TestColdRepathWhenStandbyDisabled(t *testing.T) {
-	o, ids := triOrch(t, Config{StandbyK: -1})
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	s, o, ids := triOrch(t, Config{NoStandby: true})
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	if dep.Standby != nil {
-		t.Fatalf("standby planned despite StandbyK<0: %+v", dep.Standby)
+		t.Fatalf("standby planned despite NoStandby: %+v", dep.Standby)
 	}
 	before := o.Controller().PathComputations()
-	reports, err := o.HandleNodeFailure(ids.tors[0][0])
+	reports, err := failNode(s, ids.tors[0][0])
 	if err != nil {
-		t.Fatalf("HandleNodeFailure: %v", err)
+		t.Fatalf("HandleFailures: %v", err)
 	}
 	if len(reports) != 1 || reports[0].Action != ActionRepathed {
 		t.Fatalf("reports = %+v, want repathed", reports)
@@ -251,16 +248,16 @@ func TestColdRepathWhenStandbyDisabled(t *testing.T) {
 // must produce a per-chain report exactly like a node failure, and with
 // a live standby the repair is a swap with zero shortest-path runs.
 func TestLinkFailureSwapsToStandby(t *testing.T) {
-	o, ids := triOrch(t, Config{})
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	s, o, ids := triOrch(t, Config{})
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	victim := ids.torOpsLinks[0][0] // primary boundary link
 	before := o.Controller().PathComputations()
-	reports, err := o.HandleLinkFailure(victim)
+	reports, err := failLink(s, victim)
 	if err != nil {
-		t.Fatalf("HandleLinkFailure: %v", err)
+		t.Fatalf("HandleFailures: %v", err)
 	}
 	if o.Controller().PathComputations() != before {
 		t.Fatal("link-failure standby swap ran shortest-path computations")
@@ -276,7 +273,7 @@ func TestLinkFailureSwapsToStandby(t *testing.T) {
 		t.Fatalf("path %v still crosses the dead link's route", got.Path)
 	}
 	// Recovery of the link is accepted and idempotent for deployments.
-	if err := o.RecoverLink(victim); err != nil {
+	if err := s.RecoverLink(victim); err != nil {
 		t.Fatalf("RecoverLink: %v", err)
 	}
 }
@@ -285,8 +282,8 @@ func TestLinkFailureSwapsToStandby(t *testing.T) {
 // the standby (primary untouched) must replan the anticipation without
 // counting as a repair, and the new standby must avoid the dead node.
 func TestStandbyOnlyFailureReplansStandby(t *testing.T) {
-	o, ids := triOrch(t, Config{})
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	s, o, ids := triOrch(t, Config{})
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -302,9 +299,9 @@ func TestStandbyOnlyFailureReplansStandby(t *testing.T) {
 	}
 	pathBefore := append([]topology.NodeID(nil), dep.Path...)
 
-	reports, err := o.HandleNodeFailure(victim)
+	reports, err := failNode(s, victim)
 	if err != nil {
-		t.Fatalf("HandleNodeFailure: %v", err)
+		t.Fatalf("HandleFailures: %v", err)
 	}
 	if len(reports) != 1 || reports[0].ID != dep.ID || reports[0].Action != ActionRestandby {
 		t.Fatalf("reports = %+v, want one restandby for %d", reports, dep.ID)
@@ -335,14 +332,14 @@ func TestStandbyOnlyFailureReplansStandby(t *testing.T) {
 // chain visited at most once, classified against the union of dead
 // resources.
 func TestRackEventSingleBatchReconciliation(t *testing.T) {
-	o := newOrch(t)
+	s, o := newOrch(t)
 	var deps []*Deployment
 	for _, svc := range []string{"web", "mapreduce", "sns"} {
 		spec, err := chain.Linear("chain-"+svc, "t-"+svc, svc, 1, 1<<20, "firewall", "nat")
 		if err != nil {
 			t.Fatalf("Linear: %v", err)
 		}
-		dep, err := o.Provision(spec)
+		dep, err := o.Provision(bg, spec)
 		if err != nil {
 			t.Fatalf("Provision %s: %v", svc, err)
 		}
@@ -372,7 +369,7 @@ func TestRackEventSingleBatchReconciliation(t *testing.T) {
 		t.Fatalf("test setup: rack has no PMs under ToR %d", tor)
 	}
 
-	reports, err := o.HandleFailures(rack, nil)
+	reports, err := s.HandleFailures(bg, rack, nil)
 	if err != nil &&
 		!strings.Contains(err.Error(), "no live VMs") && !errors.Is(err, ErrBusy) {
 		// A rack event may legitimately kill a service's only VMs; any
@@ -421,17 +418,14 @@ func TestRackEventStrandedVMsExcludedFromRebuild(t *testing.T) {
 	if _, err := topo.AddLink(pm3, ids.tors[0][0], topology.LinkElectronic, 10, 1); err != nil {
 		t.Fatalf("AddLink: %v", err)
 	}
-	o, err := New(Config{Topo: topo, Policy: placement.AllElectronic{}})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	s, o := newTestOrch(t, Config{Topo: topo, Policy: placement.AllElectronic{}})
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	// The rack event: the shared ToR plus the src endpoint's host.
 	srcHost := o.topo.Node(dep.Path[0]).Host
-	reports, err := o.HandleFailures([]topology.NodeID{ids.tors[0][0], srcHost}, nil)
+	reports, err := s.HandleFailures(bg, []topology.NodeID{ids.tors[0][0], srcHost}, nil)
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
@@ -459,20 +453,20 @@ func TestRackEventStrandedVMsExcludedFromRebuild(t *testing.T) {
 // or link anywhere in the batch must reject the whole event before any
 // resource is marked down.
 func TestHandleFailuresUnknownResourceRejectedAtomically(t *testing.T) {
-	o, ids := triOrch(t, Config{})
-	if _, err := o.Provision(triSpec(t, "chain-1")); err != nil {
+	s, o, ids := triOrch(t, Config{})
+	if _, err := o.Provision(bg, triSpec(t, "chain-1")); err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if _, err := o.HandleFailures([]topology.NodeID{ids.tors[0][0], 99999}, nil); err == nil {
+	if _, err := s.HandleFailures(bg, []topology.NodeID{ids.tors[0][0], 99999}, nil); err == nil {
 		t.Fatal("unknown node accepted")
 	}
-	if _, err := o.HandleFailures(nil, []topology.LinkID{99999}); err == nil {
+	if _, err := s.HandleFailures(bg, nil, []topology.LinkID{99999}); err == nil {
 		t.Fatal("unknown link accepted")
 	}
 	if n := o.topo.Node(ids.tors[0][0]); n.Down {
 		t.Fatal("batch with unknown member still marked nodes down")
 	}
-	reports, err := o.HandleFailures(nil, nil)
+	reports, err := s.HandleFailures(bg, nil, nil)
 	if err != nil || len(reports) != 0 {
 		t.Fatalf("empty failure set: reports=%v err=%v", reports, err)
 	}
@@ -482,18 +476,18 @@ func TestHandleFailuresUnknownResourceRejectedAtomically(t *testing.T) {
 // standby, a second primary failure must fall back to the cold re-path
 // (which replans a fresh standby as part of its pipeline suffix).
 func TestSwapThenColdRepathAfterStandbyConsumed(t *testing.T) {
-	o, ids := triOrch(t, Config{})
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	s, o, ids := triOrch(t, Config{})
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if reports, err := o.HandleNodeFailure(ids.tors[0][0]); err != nil || reports[0].Action != ActionSwapped {
+	if reports, err := failNode(s, ids.tors[0][0]); err != nil || reports[0].Action != ActionSwapped {
 		t.Fatalf("first failure: reports=%+v err=%v", reports, err)
 	}
 	// Now on route 1 with no standby. Fail its ToR: cold repath to
 	// route 2, and the suffix replans a standby (none remains — routes
 	// 0 and 1 are dead — so it stays nil, best-effort).
-	reports, err := o.HandleNodeFailure(ids.tors[0][1])
+	reports, err := failNode(s, ids.tors[0][1])
 	if err != nil {
 		t.Fatalf("second failure: %v", err)
 	}
@@ -513,8 +507,8 @@ func TestSwapThenColdRepathAfterStandbyConsumed(t *testing.T) {
 // chain with the exact roles a resource plays, and nothing for
 // untouched resources.
 func TestNodeAndLinkImpact(t *testing.T) {
-	o, ids := triOrch(t, Config{})
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	_, o, ids := triOrch(t, Config{})
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -577,7 +571,7 @@ func TestNodeAndLinkImpact(t *testing.T) {
 		t.Fatalf("LinkImpact(spare link) = %+v, want empty", entries)
 	}
 	// After delete, every blast radius is empty.
-	if err := o.Delete(dep.ID); err != nil {
+	if _, err := o.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if entries := o.NodeImpact(ids.tors[0][0]); len(entries) != 0 {

@@ -1,10 +1,11 @@
-// Sharded multi-tenant orchestration: N orchestrator shards over one
-// shared physical substrate. Each shard owns its own deployment map,
+// The orchestrator is a shard set: N orchestrator shards over one
+// shared physical substrate (N = 1 is the degenerate case, one shard
+// owning the whole pool). Each shard owns its own deployment map,
 // reverse node/link→deployment indexes, flow-key reservations, busy
 // guards, SDN flow tables and — critically for throughput — its own
 // cluster allocator over a disjoint partition of the OPS pool, so the
 // vertex-cover search that dominates provisioning (the single global
-// allocator mutex was the measured lock convoy in BENCH_load) runs on
+// allocator mutex was the measured lock convoy under concurrent load) runs on
 // an n-times smaller candidate set with zero cross-shard contention.
 // The topology, its epoch-keyed routing snapshots, the capacity ledger
 // and the wavelength allocator stay shared: they are physical truth and
@@ -19,17 +20,16 @@ package orch
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"time"
 
 	"github.com/alvc/alvc/internal/chain"
 	"github.com/alvc/alvc/internal/cluster"
 	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/sdn"
 	"github.com/alvc/alvc/internal/topology"
-	"github.com/alvc/alvc/internal/trace"
 )
 
 // ShardMode selects what the router hashes to pick a shard.
@@ -116,39 +116,39 @@ func (r ShardRouter) ShardOf(id DeploymentID) int {
 	return int(id-1) % r.n
 }
 
-// Sharded is the multi-shard orchestrator facade: the full Orchestrator
-// verb set, with per-deployment verbs routed to the owning shard and
-// fleet-wide operations fanned out over all shards and merged. A
-// one-shard Sharded behaves byte-for-byte like a bare Orchestrator.
+// Sharded is the orchestrator: per-deployment verbs routed to the owning
+// shard, fleet-wide operations — failure batches, recoveries, batch
+// provisioning, hooks — done once on the shared core or fanned out over
+// all shards and merged.
 type Sharded struct {
 	core   *sharedCore
 	router ShardRouter
 	shards []*Orchestrator
 }
 
-// NewSharded builds n orchestrator shards over one shared core,
-// partitioning the topology's OPSs round-robin (in ID order) into n
-// disjoint allocator pools. Config.Allocator cannot be combined with
-// n > 1 — a caller-shared allocator would reintroduce exactly the
-// global lock sharding removes.
-func NewSharded(cfg Config, n int, mode ShardMode) (*Sharded, error) {
+// New builds the orchestrator: n shards (n < 1 is treated as 1) over
+// one shared core, partitioning the topology's OPSs round-robin (in ID
+// order) into n disjoint allocator pools; one shard owns the whole pool.
+// Config.Allocator cannot be combined with n > 1 — a caller-shared
+// allocator would reintroduce exactly the global lock sharding removes.
+func New(cfg Config, n int, mode ShardMode) (*Sharded, error) {
 	if cfg.Topo == nil {
-		return nil, fmt.Errorf("orch: sharded: nil topology")
+		return nil, fmt.Errorf("orch: nil topology")
 	}
 	if n < 1 {
 		n = 1
 	}
 	if cfg.Allocator != nil && n > 1 {
-		return nil, fmt.Errorf("orch: sharded: a shared Allocator requires shards=1")
+		return nil, fmt.Errorf("orch: a shared Allocator requires shards=1")
 	}
 	opss := cfg.Topo.NodeIDs(topology.KindOPS)
 	if n > 1 && len(opss) < n {
-		return nil, fmt.Errorf("orch: sharded: %d shards need at least %d OPSs, topology has %d",
+		return nil, fmt.Errorf("orch: %d shards need at least %d OPSs, topology has %d",
 			n, n, len(opss))
 	}
 	core, err := newSharedCore(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("orch: sharded: %w", err)
+		return nil, fmt.Errorf("orch: %w", err)
 	}
 	builder := cfg.Builder
 	if builder == nil {
@@ -173,12 +173,12 @@ func NewSharded(cfg Config, n int, mode ShardMode) (*Sharded, error) {
 			}
 			alloc, err = cluster.NewRestrictedAllocator(cfg.Topo, builder, pool)
 			if err != nil {
-				return nil, fmt.Errorf("orch: sharded: shard %d: %w", i, err)
+				return nil, fmt.Errorf("orch: shard %d: %w", i, err)
 			}
 		}
 		ctrl, err := sdn.NewController(cfg.Topo)
 		if err != nil {
-			return nil, fmt.Errorf("orch: sharded: shard %d: %w", i, err)
+			return nil, fmt.Errorf("orch: shard %d: %w", i, err)
 		}
 		s.shards[i] = newShard(core, alloc, ctrl, i, n)
 	}
@@ -191,9 +191,8 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // Router returns the shard router.
 func (s *Sharded) Router() ShardRouter { return s.router }
 
-// Shard returns the i-th shard orchestrator. Shard 0 of a one-shard
-// Sharded is the whole system; callers that need a plain Orchestrator
-// (tests, single-shard embedders) use this.
+// Shard returns the i-th shard, for what only a shard has: its
+// Allocator, Controller, and the shared Manager, Slices and WDM.
 func (s *Sharded) Shard(i int) *Orchestrator { return s.shards[i] }
 
 // ShardOf returns the shard index owning the deployment ID.
@@ -203,22 +202,21 @@ func (s *Sharded) owner(id DeploymentID) *Orchestrator {
 	return s.shards[s.router.ShardOf(id)]
 }
 
-// Provision routes the spec to its shard and deploys it there.
-func (s *Sharded) Provision(spec chain.Spec) (*Deployment, error) {
-	return s.shards[s.router.ShardForSpec(spec)].Provision(spec)
-}
-
-// ProvisionCtx is Provision carrying a request context for trace
-// propagation.
-func (s *Sharded) ProvisionCtx(ctx context.Context, spec chain.Spec) (*Deployment, error) {
-	return s.shards[s.router.ShardForSpec(spec)].ProvisionCtx(ctx, spec)
+// Provision routes the spec to its shard and deploys it there; see
+// Orchestrator.Provision.
+func (s *Sharded) Provision(ctx context.Context, spec chain.Spec) (*Deployment, error) {
+	return s.shards[s.router.ShardForSpec(spec)].Provision(ctx, spec)
 }
 
 // ProvisionBatch provisions independent specs concurrently across
-// shards over one bounded worker pool, one result per spec in input
-// order. Intra-batch flow-key duplicates are rejected up front exactly
-// like Orchestrator.ProvisionBatch; cross-request duplicates are
-// caught by the owning shard (same key → same shard, always).
+// shards over one bounded worker pool (DefaultBatchWorkers when
+// workers <= 0), one result per spec in input order. Individual
+// failures do not abort the batch: each failed spec is rolled back
+// exactly as a lone Provision would be, and reported in its
+// BatchResult. Intra-batch flow-key duplicates are rejected up front —
+// a batch must not race against itself for the same SDN flow table
+// entry; cross-request duplicates are caught by the owning shard (same
+// key → same shard, always).
 func (s *Sharded) ProvisionBatch(specs []chain.Spec, workers int) []BatchResult {
 	results := make([]BatchResult, len(specs))
 	if len(specs) == 0 {
@@ -241,19 +239,15 @@ func (s *Sharded) ProvisionBatch(specs []chain.Spec, workers int) []BatchResult 
 				i, specs[i].Tenant+"/"+specs[i].Name, first)}
 			return
 		}
-		dep, err := s.Provision(specs[i])
+		dep, err := s.Provision(context.Background(), specs[i])
 		results[i] = BatchResult{Index: i, Deployment: dep, Err: err}
 	})
 	return results
 }
 
-// Delete routes to the owning shard.
-func (s *Sharded) Delete(id DeploymentID) error { return s.owner(id).Delete(id) }
-
-// DeleteCtx is Delete carrying a request context for trace propagation;
-// it returns the deployment's final record.
-func (s *Sharded) DeleteCtx(ctx context.Context, id DeploymentID) (*Deployment, error) {
-	return s.owner(id).DeleteCtx(ctx, id)
+// Delete routes to the owning shard; see Orchestrator.Delete.
+func (s *Sharded) Delete(ctx context.Context, id DeploymentID) (*Deployment, error) {
+	return s.owner(id).Delete(ctx, id)
 }
 
 // Repair routes to the owning shard.
@@ -358,46 +352,25 @@ func (s *Sharded) ActiveCount() int {
 	return n
 }
 
-// HandleNodeFailure is the single-node form of HandleFailures.
-func (s *Sharded) HandleNodeFailure(node topology.NodeID) ([]RepairReport, error) {
-	return s.HandleFailuresCtx(context.Background(), []topology.NodeID{node}, nil)
-}
-
-// HandleNodeFailureCtx is HandleNodeFailure carrying a request context
-// for trace propagation.
-func (s *Sharded) HandleNodeFailureCtx(ctx context.Context, node topology.NodeID) ([]RepairReport, error) {
-	return s.HandleFailuresCtx(ctx, []topology.NodeID{node}, nil)
-}
-
-// HandleLinkFailure is the single-link form of HandleFailures.
-func (s *Sharded) HandleLinkFailure(link topology.LinkID) ([]RepairReport, error) {
-	return s.HandleFailuresCtx(context.Background(), nil, []topology.LinkID{link})
-}
-
-// HandleLinkFailureCtx is HandleLinkFailure carrying a request context
-// for trace propagation.
-func (s *Sharded) HandleLinkFailureCtx(ctx context.Context, link topology.LinkID) ([]RepairReport, error) {
-	return s.HandleFailuresCtx(ctx, nil, []topology.LinkID{link})
-}
-
-// HandleFailures marks the failed resources down once — the topology
-// and its liveness bits are shared-core state — then fans the
-// reconciliation pass out over every shard concurrently: each shard
-// classifies and repairs its own affected deployments against the same
-// failure set, so a rack failure spanning tenants on different shards
-// repairs every affected chain exactly once. Reports merge in ID
-// order; err carries the first failed or permanently-busy repair.
-func (s *Sharded) HandleFailures(nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error) {
-	return s.HandleFailuresCtx(context.Background(), nodes, links)
-}
-
-// HandleFailuresCtx is HandleFailures carrying a request context: every
-// shard's repair spans join the trace the context carries.
-func (s *Sharded) HandleFailuresCtx(ctx context.Context, nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error) {
+// HandleFailures is the one failure entry point — a node, a link or a
+// rack-scale batch. It marks the failed resources down once, in one
+// topology transaction — the topology and its liveness bits are
+// shared-core state — then fans the reconciliation pass out over every
+// shard concurrently: each shard classifies and repairs its own affected
+// deployments against the union of dead resources, so a rack failure
+// spanning tenants on different shards repairs every affected chain
+// exactly once. Reports merge in ID order; err carries the first failed
+// or permanently-busy repair. Every repair span joins the trace ctx
+// carries.
+//
+// Unknown IDs are rejected up front: nothing is marked down and no
+// repair runs, so callers can map the error to a 404 without partial
+// state.
+func (s *Sharded) HandleFailures(ctx context.Context, nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error) {
 	if len(nodes) == 0 && len(links) == 0 {
 		return nil, nil
 	}
-	dead, err := s.shards[0].markFailuresDown(nodes, links)
+	dead, err := s.core.markFailuresDown(nodes, links)
 	if err != nil {
 		return nil, err
 	}
@@ -405,23 +378,51 @@ func (s *Sharded) HandleFailuresCtx(ctx context.Context, nodes []topology.NodeID
 	runPool(len(s.shards), 0, func(i int) {
 		perShard[i] = s.shards[i].reconcileFailures(ctx, dead)
 	})
-	domain := s.shards[0].failureDomain(dead)
+	domain := s.core.failureDomain(dead)
 	var reports []RepairReport
-	for i, sh := range s.shards {
-		sh.emitRepairEvents(perShard[i], domain)
-		reports = append(reports, perShard[i]...)
+	for _, reps := range perShard {
+		s.core.emitRepairEvents(reps, domain)
+		reports = append(reports, reps...)
 	}
 	slices.SortFunc(reports, func(a, b RepairReport) int { return int(a.ID - b.ID) })
 	return reports, firstRepairError(reports)
 }
 
-// RecoverNode marks a failed node live again (shared-core state, done
-// once) and emits one recovery event for the optimizer sweep.
-func (s *Sharded) RecoverNode(node topology.NodeID) error { return s.shards[0].RecoverNode(node) }
+// RecoverNode marks a failed node as live again. Existing deployments
+// are not rebalanced inline; the emitted recovery event lets an
+// attached background optimizer refresh degraded standbys and re-home
+// drifted placements, and new deployments may use the node
+// immediately.
+func (s *Sharded) RecoverNode(node topology.NodeID) error {
+	c := s.core
+	c.topoMu.Lock()
+	if err := c.topo.SetNodeDown(node, false); err != nil {
+		c.topoMu.Unlock()
+		return fmt.Errorf("orch: recover node: %w", err)
+	}
+	c.InvalidateVMCache()
+	c.topoMu.Unlock()
+	c.emit(Event{Kind: EventNodeRecovered, Node: node})
+	return nil
+}
 
-// RecoverLink marks a failed link live again and emits one recovery
-// event.
-func (s *Sharded) RecoverLink(link topology.LinkID) error { return s.shards[0].RecoverLink(link) }
+// RecoverLink marks a failed link as live again. Existing deployments
+// are not rerouted back inline; the emitted recovery event lets an
+// attached background optimizer refresh standbys planned around the
+// outage, and new paths may use the link immediately.
+func (s *Sharded) RecoverLink(link topology.LinkID) error {
+	c := s.core
+	c.topoMu.Lock()
+	if err := c.topo.SetLinkDown(link, false); err != nil {
+		c.topoMu.Unlock()
+		return fmt.Errorf("orch: recover link: %w", err)
+	}
+	// A recovered PM↔ToR link can bring stranded VMs back.
+	c.InvalidateVMCache()
+	c.topoMu.Unlock()
+	c.emit(Event{Kind: EventLinkRecovered, Link: link})
+	return nil
+}
 
 // NodeImpact merges every shard's blast-radius entries for the node,
 // sorted by ID (shard entry sets are disjoint by construction).
@@ -444,49 +445,13 @@ func (s *Sharded) LinkImpact(link topology.LinkID) []ImpactEntry {
 	return out
 }
 
-// SetEventSink attaches the sink to every shard. Purely observational;
-// see Orchestrator.SetEventSink.
-func (s *Sharded) SetEventSink(sink EventSink) {
-	for _, sh := range s.shards {
-		sh.SetEventSink(sink)
-	}
-}
-
-// SetDeferReprotect flips deferred standby replanning on every shard;
-// see Orchestrator.SetDeferReprotect.
-func (s *Sharded) SetDeferReprotect(v bool) {
-	for _, sh := range s.shards {
-		sh.SetDeferReprotect(v)
-	}
-}
-
-// SetStageObserver attaches the pipeline-stage latency observer to
-// every shard; see Orchestrator.SetStageObserver.
-func (s *Sharded) SetStageObserver(fn func(stage string, d time.Duration)) {
-	for _, sh := range s.shards {
-		sh.SetStageObserver(fn)
-	}
-}
-
-// SetRehomeObserver attaches the re-home churn observer to every
-// shard; see Orchestrator.SetRehomeObserver.
-func (s *Sharded) SetRehomeObserver(fn func(fromRack, toRack int)) {
-	for _, sh := range s.shards {
-		sh.SetRehomeObserver(fn)
-	}
-}
-
-// SetTracer attaches the tracer to every shard; see
-// Orchestrator.SetTracer.
-func (s *Sharded) SetTracer(tr *trace.Tracer) {
-	for _, sh := range s.shards {
-		sh.SetTracer(tr)
-	}
-}
-
 // TopologyJSON serializes the shared topology consistently with
 // respect to concurrent failure injection and repair.
-func (s *Sharded) TopologyJSON() ([]byte, error) { return s.shards[0].TopologyJSON() }
+func (s *Sharded) TopologyJSON() ([]byte, error) {
+	s.core.topoMu.RLock()
+	defer s.core.topoMu.RUnlock()
+	return json.Marshal(s.core.topo)
+}
 
 // ControllerOf returns the SDN controller of the shard owning the
 // deployment ID — flow rules live in the owning shard's tables.

@@ -34,9 +34,9 @@ func shardTopo(t *testing.T, opsCount int) *topology.Topology {
 
 func newSharded(t *testing.T, topo *topology.Topology, n int, mode ShardMode) *Sharded {
 	t.Helper()
-	s, err := NewSharded(Config{Topo: topo}, n, mode)
+	s, err := New(Config{Topo: topo}, n, mode)
 	if err != nil {
-		t.Fatalf("NewSharded(%d): %v", n, err)
+		t.Fatalf("New(%d shards): %v", n, err)
 	}
 	return s
 }
@@ -89,7 +89,7 @@ func TestShardedCrossShardFailureRepairsEachChainOnce(t *testing.T) {
 	s := newSharded(t, shardTopo(t, 2*chains), 4, ShardByTenant)
 	deps := make([]*Deployment, chains)
 	for i := range deps {
-		dep, err := s.Provision(tenantSpec(t, i))
+		dep, err := s.Provision(bg, tenantSpec(t, i))
 		if err != nil {
 			t.Fatalf("Provision %d: %v", i, err)
 		}
@@ -114,7 +114,7 @@ func TestShardedCrossShardFailureRepairsEachChainOnce(t *testing.T) {
 		victims = append(victims, v)
 	}
 
-	reports, err := s.HandleFailures(victims, nil)
+	reports, err := s.HandleFailures(bg, victims, nil)
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
@@ -167,12 +167,12 @@ func TestShardedCrossShardFailureRepairsEachChainOnce(t *testing.T) {
 func TestShardedDuplicateFlowKeyRejectedAcrossShards(t *testing.T) {
 	s := newSharded(t, shardTopo(t, 32), 4, ShardByTenant)
 	spec := tenantSpec(t, 0)
-	if _, err := s.Provision(spec); err != nil {
+	if _, err := s.Provision(bg, spec); err != nil {
 		t.Fatalf("first Provision: %v", err)
 	}
 	// Same flow key again, through the router: must hit the owning
 	// shard's reservation map no matter how many shards exist.
-	if _, err := s.Provision(spec); !errors.Is(err, ErrDuplicateChain) {
+	if _, err := s.Provision(bg, spec); !errors.Is(err, ErrDuplicateChain) {
 		t.Fatalf("duplicate Provision error = %v, want ErrDuplicateChain", err)
 	}
 	// Batch form: intra-batch duplicates are rejected up front, and a
@@ -195,7 +195,7 @@ func TestShardedDeleteVsRepairRaceAcrossShards(t *testing.T) {
 	s := newSharded(t, shardTopo(t, 2*chains), 2, ShardByTenant)
 	byShard := map[int][]*Deployment{}
 	for i := 0; i < chains; i++ {
-		dep, err := s.Provision(tenantSpec(t, i))
+		dep, err := s.Provision(bg, tenantSpec(t, i))
 		if err != nil {
 			t.Fatalf("Provision %d: %v", i, err)
 		}
@@ -222,12 +222,12 @@ func TestShardedDeleteVsRepairRaceAcrossShards(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, dep := range byShard[0] {
-			if err := s.Delete(dep.ID); err != nil && delErr == nil {
+			if _, err := s.Delete(bg, dep.ID); err != nil && delErr == nil {
 				delErr = fmt.Errorf("delete %d: %w", dep.ID, err)
 			}
 		}
 	}()
-	reports, repErr := s.HandleFailures(victims, nil)
+	reports, repErr := s.HandleFailures(bg, victims, nil)
 	wg.Wait()
 	if delErr != nil {
 		t.Fatal(delErr)

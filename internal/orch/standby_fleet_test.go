@@ -95,12 +95,9 @@ func checkStandbyFleet(t *testing.T, topo *topology.Topology, deps []*Deployment
 // through the primary's first ToR link.
 func TestStandbyFleetAllDisjoint(t *testing.T) {
 	topo := benchFleetTopo(t, 300)
-	o, err := New(Config{Topo: topo})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	_, o := newTestOrch(t, Config{Topo: topo})
 	for i := 0; i < 200; i++ {
-		if _, err := o.Provision(residentSpec(t, i, fmt.Sprintf("t%d", i))); err != nil {
+		if _, err := o.Provision(bg, residentSpec(t, i, fmt.Sprintf("t%d", i))); err != nil {
 			t.Fatalf("Provision %d: %v", i, err)
 		}
 	}
@@ -127,10 +124,7 @@ func TestStandbyFleetAllDisjoint(t *testing.T) {
 // standbys that leave their shard's pool piling onto one spare link.
 func TestShardedStandbyFleetAllDisjoint(t *testing.T) {
 	topo := benchFleetTopo(t, 168)
-	s, err := NewSharded(Config{Topo: topo}, 4, ShardByTenant)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
+	s := newTestSet(t, Config{Topo: topo}, 4)
 	router := NewShardRouter(4, ShardByTenant)
 	for i, salt := 0, 0; i < 160; i++ {
 		spec := residentSpec(t, i, fmt.Sprintf("t%d", salt))
@@ -139,7 +133,7 @@ func TestShardedStandbyFleetAllDisjoint(t *testing.T) {
 			spec.Tenant = fmt.Sprintf("t%d", salt)
 		}
 		salt++
-		if _, err := s.Provision(spec); err != nil {
+		if _, err := s.Provision(bg, spec); err != nil {
 			t.Fatalf("Provision %d: %v", i, err)
 		}
 	}
@@ -218,13 +212,9 @@ func sameSet[T ~int](a, b []T) bool {
 // the slice still there, the rest gone.
 func TestAsyncRestandbyReindexesOnlyTheStandby(t *testing.T) {
 	topo := benchFleetTopo(t, 60)
-	o, err := New(Config{Topo: topo})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	o.SetDeferReprotect(true)
+	s, o := newTestOrch(t, Config{Topo: topo, DeferReprotect: true})
 	for i := 0; i < 40; i++ {
-		if _, err := o.Provision(residentSpec(t, i, fmt.Sprintf("t%d", i))); err != nil {
+		if _, err := o.Provision(bg, residentSpec(t, i, fmt.Sprintf("t%d", i))); err != nil {
 			t.Fatalf("Provision %d: %v", i, err)
 		}
 	}
@@ -252,7 +242,7 @@ func TestAsyncRestandbyReindexesOnlyTheStandby(t *testing.T) {
 		t.Fatalf("only %d standby-only links in the fleet", len(cut))
 	}
 	cut = cut[:8]
-	reports, err := o.HandleFailures(nil, cut)
+	reports, err := s.HandleFailures(bg, nil, cut)
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}

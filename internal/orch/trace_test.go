@@ -17,14 +17,14 @@ func newTestTracer() *trace.Tracer {
 // "provision" span under the caller's span, with one child span per
 // executed pipeline stage.
 func TestProvisionTraceStageSpans(t *testing.T) {
-	o := newOrch(t)
+	s, o := newOrch(t)
 	tr := newTestTracer()
-	o.SetTracer(tr)
+	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
 
 	root := tr.StartTrace("prov-1")
-	dep, err := o.ProvisionCtx(trace.ContextWith(context.Background(), root), webSpec(t, "chain-1"))
+	dep, err := o.Provision(trace.ContextWith(context.Background(), root), webSpec(t, "chain-1"))
 	if err != nil {
-		t.Fatalf("ProvisionCtx: %v", err)
+		t.Fatalf("Provision: %v", err)
 	}
 	spans, dropped, ok := tr.Store().Trace("prov-1")
 	if !ok || dropped != 0 {
@@ -72,14 +72,14 @@ func TestProvisionTraceStageSpans(t *testing.T) {
 // same entry points leave the store untouched (and there is no store
 // to touch — the orchestrator's tracer is nil).
 func TestUntracedProvisionRecordsNothing(t *testing.T) {
-	o := newOrch(t)
-	if _, err := o.ProvisionCtx(context.Background(), webSpec(t, "chain-1")); err != nil {
-		t.Fatalf("ProvisionCtx: %v", err)
+	s, o := newOrch(t)
+	if _, err := o.Provision(context.Background(), webSpec(t, "chain-1")); err != nil {
+		t.Fatalf("Provision: %v", err)
 	}
 	// Attach a tracer after the fact: the earlier provision must not
 	// have queued anything into it.
 	tr := newTestTracer()
-	o.SetTracer(tr)
+	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
 	if stats := tr.Store().Stats(); stats.SpansRecorded != 0 {
 		t.Fatalf("stats = %+v, want empty store", stats)
 	}
@@ -91,20 +91,20 @@ func TestUntracedProvisionRecordsNothing(t *testing.T) {
 // report's trace and links the second, and the single repair it
 // triggers records exactly one repair span inside that same trace.
 func TestDebouncedStormBatchSpanLinksParents(t *testing.T) {
-	o, ids := triOrch(t, Config{})
+	s, o, ids := triOrch(t, Config{})
 	tr := newTestTracer()
-	o.SetTracer(tr)
-	dep, err := o.Provision(triSpec(t, "chain-1"))
+	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 
-	d := NewFailureDebouncer(o, time.Hour)
+	d := NewFailureDebouncer(s, time.Hour)
 	d.SetTracer(tr)
 	ctxA := trace.ContextWith(context.Background(), tr.StartTrace("report-a"))
 	ctxB := trace.ContextWith(context.Background(), tr.StartTrace("report-b"))
-	d.ReportCtx(ctxA, nil, []topology.LinkID{ids.torOpsLinks[0][0]})
-	d.ReportCtx(ctxB, nil, []topology.LinkID{ids.torOpsLinks[0][1]})
+	d.Report(ctxA, nil, []topology.LinkID{ids.torOpsLinks[0][0]})
+	d.Report(ctxB, nil, []topology.LinkID{ids.torOpsLinks[0][1]})
 
 	reports, err := d.Flush()
 	if err != nil {
@@ -150,18 +150,18 @@ func TestDebouncedStormBatchSpanLinksParents(t *testing.T) {
 	}
 }
 
-// TestReportCtxWithoutSpanStaysUnparented: reports arriving without a
+// TestReportWithoutSpanStaysUnparented: reports arriving without a
 // span in their context flush under a fresh trace with no links.
-func TestReportCtxWithoutSpanStaysUnparented(t *testing.T) {
-	o, ids := triOrch(t, Config{})
+func TestReportWithoutSpanStaysUnparented(t *testing.T) {
+	s, o, ids := triOrch(t, Config{})
 	tr := newTestTracer()
-	o.SetTracer(tr)
-	if _, err := o.Provision(triSpec(t, "chain-1")); err != nil {
+	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
+	if _, err := o.Provision(bg, triSpec(t, "chain-1")); err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	d := NewFailureDebouncer(o, time.Hour)
+	d := NewFailureDebouncer(s, time.Hour)
 	d.SetTracer(tr)
-	d.Report(nil, []topology.LinkID{ids.torOpsLinks[0][0]})
+	d.Report(bg, nil, []topology.LinkID{ids.torOpsLinks[0][0]})
 	if _, err := d.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -174,5 +174,53 @@ func TestReportCtxWithoutSpanStaysUnparented(t *testing.T) {
 		if sp.Kind == trace.KindBatch && (sp.Parent != 0 || len(sp.Links) != 0) {
 			t.Fatalf("unparented batch span = %+v, want root with no links", sp)
 		}
+	}
+}
+
+// TestSingleNodeFailureJoinsRequestTrace: one dead node through the one
+// failure entry point, under a request's span, records its repair span
+// as that span's child and stamps the report with the repair span's
+// identity — what the per-resource context forms used to promise.
+func TestSingleNodeFailureJoinsRequestTrace(t *testing.T) {
+	s, o, ids := triOrch(t, Config{})
+	tr := newTestTracer()
+	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	if err != nil {
+		t.Fatalf("Provision: %v", err)
+	}
+	root := tr.StartTrace("fail-1")
+	reports, err := s.HandleFailures(trace.ContextWith(bg, root), []topology.NodeID{ids.tors[0][0]}, nil)
+	if err != nil {
+		t.Fatalf("HandleFailures: %v", err)
+	}
+	if len(reports) != 1 || reports[0].ID != dep.ID || reports[0].Action != ActionSwapped {
+		t.Fatalf("reports = %+v, want one swap of deployment %d", reports, dep.ID)
+	}
+	if reports[0].TraceID != "fail-1" {
+		t.Fatalf("report trace = %q, want the request's trace fail-1", reports[0].TraceID)
+	}
+	spans, _, ok := tr.Store().Trace("fail-1")
+	if !ok {
+		t.Fatal("request trace fail-1 not in store")
+	}
+	var repair *trace.Span
+	stages := 0
+	for i := range spans {
+		switch spans[i].Kind {
+		case trace.KindRepair:
+			repair = &spans[i]
+		case trace.KindStage:
+			stages++
+		}
+	}
+	if repair == nil || repair.Parent != root.SpanID || repair.Dep != int(dep.ID) {
+		t.Fatalf("repair span = %+v, want a child of the request span %d for deployment %d", repair, root.SpanID, dep.ID)
+	}
+	if repair.SpanID != reports[0].SpanID {
+		t.Fatalf("report span %d != repair span %d", reports[0].SpanID, repair.SpanID)
+	}
+	if stages != 2 { // a swap re-enters at wdm: wdm, rules
+		t.Fatalf("stage spans = %d, want the swap's 2", stages)
 	}
 }

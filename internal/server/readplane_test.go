@@ -6,6 +6,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -47,7 +48,7 @@ func deployOne(tb testing.TB, arch *alvc.Architecture, i int) *alvc.Deployment {
 	if err != nil {
 		tb.Fatalf("spec %d: %v", i, err)
 	}
-	dep, err := arch.Deploy(spec)
+	dep, err := arch.Deploy(context.Background(), spec)
 	if err != nil {
 		tb.Fatalf("deploy %d: %v", i, err)
 	}
@@ -182,7 +183,7 @@ func TestReadsEqualOracleOnFleet(t *testing.T) {
 // ID never issued a 404; none of them a panic.
 func TestWriteChainLiveTombstoneUnknown(t *testing.T) {
 	srv, arch, ids := bootFleet(t, 3, 1)
-	if err := arch.Delete(ids[1]); err != nil {
+	if _, err := arch.Delete(context.Background(), ids[1]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	tomb, ok := arch.Tombstone(ids[1])

@@ -186,7 +186,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse chain spec: %v", err)
 		return
 	}
-	dep, err := s.arch.DeployCtx(r.Context(), spec)
+	dep, err := s.arch.Deploy(r.Context(), spec)
 	if err != nil {
 		writeError(w, statusOf(err), "provision: %v", err)
 		return
@@ -246,7 +246,7 @@ func (s *Server) handleDeleteChain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	final, err := s.arch.DeleteCtx(r.Context(), id)
+	final, err := s.arch.Delete(r.Context(), id)
 	if err != nil {
 		writeError(w, statusOf(err), "delete: %v", err)
 		return
@@ -358,7 +358,7 @@ func fillReports(resp *FailureResponse, reports []orch.RepairReport, err error) 
 // debouncer and answers 202 Accepted: repairs run when the window
 // flushes, so there are no per-chain reports to return yet.
 func (s *Server) acceptFailures(w http.ResponseWriter, r *http.Request, resp FailureAcceptedResponse, nodes []topology.NodeID, links []topology.LinkID) {
-	s.arch.ReportFailuresCtx(r.Context(), nodes, links)
+	s.arch.ReportFailures(r.Context(), nodes, links)
 	resp.Accepted = true
 	resp.PendingNodes, resp.PendingLinks = s.arch.Debouncer().Pending()
 	sc := getScratch()
@@ -392,7 +392,7 @@ func (s *Server) handleFailNode(w http.ResponseWriter, r *http.Request) {
 	// The node exists, so FailNode's error can only report repairs that
 	// did not succeed — the injection itself has landed. Report those
 	// in-band: the client asked for a failure and got one.
-	reports, err := s.arch.FailNodeCtx(r.Context(), node)
+	reports, err := s.arch.FailNode(r.Context(), node)
 	resp := FailureResponse{Node: node}
 	fillReports(&resp, reports, err)
 	writeJSON(w, http.StatusOK, resp)
@@ -438,7 +438,7 @@ func (s *Server) handleFailLink(w http.ResponseWriter, r *http.Request) {
 	}
 	// Mirrors handleFailNode: the injection has landed, so per-chain
 	// repair outcomes are reported in-band.
-	reports, err := s.arch.FailLinkCtx(r.Context(), link)
+	reports, err := s.arch.FailLink(r.Context(), link)
 	resp := FailureResponse{Link: link}
 	fillReports(&resp, reports, err)
 	writeJSON(w, http.StatusOK, resp)
@@ -487,7 +487,7 @@ func (s *Server) handleFailBatch(w http.ResponseWriter, r *http.Request) {
 		s.acceptFailures(w, r, FailureAcceptedResponse{Nodes: req.Nodes, Links: req.Links}, req.Nodes, req.Links)
 		return
 	}
-	reports, err := s.arch.FailBatchCtx(r.Context(), req.Nodes, req.Links)
+	reports, err := s.arch.FailBatch(r.Context(), req.Nodes, req.Links)
 	resp := FailureResponse{Nodes: req.Nodes, Links: req.Links}
 	fillReports(&resp, reports, err)
 	writeJSON(w, http.StatusOK, resp)
@@ -610,7 +610,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		resp.Deployments.Deleted += st.Deleted
 		resp.Deployments.Failed += st.Failed
 	}
-	ledger := s.arch.Orchestrator().Manager().Ledger()
+	ledger := s.arch.Sharded().Shard(0).Manager().Ledger()
 	resp.Utilization = make(map[string]UtilizationJSON, 2)
 	for _, dom := range []topology.Domain{topology.DomainElectronic, topology.DomainOptical} {
 		var u UtilizationJSON

@@ -449,7 +449,7 @@ func TestConcurrentTraffic(t *testing.T) {
 	wg.Wait()
 
 	// Invariants survived the storm: ALs disjoint, state readable.
-	if !arch.Orchestrator().Allocator().Disjoint() {
+	if !arch.Sharded().Shard(0).Allocator().Disjoint() {
 		t.Fatal("ALs are not disjoint after concurrent traffic")
 	}
 	status, _ := do(t, "GET", ts.URL+"/v1/metrics", nil)

@@ -10,6 +10,7 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -253,14 +254,14 @@ func TestPlaneExpositionEqualsOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("spec: %v", err)
 		}
-		dep, err := arch.Deploy(spec)
+		dep, err := arch.Deploy(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("deploy %d: %v", i, err)
 		}
 		deps = append(deps, dep)
 	}
 	victim := deps[3].Slice.OPSs[0]
-	arch.ReportFailures([]alvc.NodeID{victim, deps[5].Slice.OPSs[0]}, nil)
+	arch.ReportFailures(context.Background(), []alvc.NodeID{victim, deps[5].Slice.OPSs[0]}, nil)
 	if reports, err := arch.FlushFailures(); err != nil || len(reports) == 0 {
 		t.Fatalf("flush: %d reports, %v", len(reports), err)
 	}
@@ -269,7 +270,7 @@ func TestPlaneExpositionEqualsOracle(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	arch.Optimize()
-	if err := arch.Delete(deps[0].ID); err != nil {
+	if _, err := arch.Delete(context.Background(), deps[0].ID); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	checkAgainstOracle(t, "plane after a lifecycle", p.Registry())

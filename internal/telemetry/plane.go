@@ -91,13 +91,14 @@ func NewPlaneWith(arch *alvc.Architecture, opts PlaneOptions) *Plane {
 	p.registerTrace()
 	p.registerRuntime()
 
-	sh := arch.Sharded()
-	sh.SetStageObserver(func(stage string, d time.Duration) {
-		p.stageSeconds.WithLabelValues(stage).Observe(d.Seconds())
-	})
-	sh.SetRehomeObserver(func(fromRack, toRack int) {
-		p.rehomeChurn.WithLabelValues(strconv.Itoa(fromRack), "from").Inc()
-		p.rehomeChurn.WithLabelValues(strconv.Itoa(toRack), "to").Inc()
+	arch.Sharded().UpdateHooks(func(h *orch.Hooks) {
+		h.Stage = func(stage string, d time.Duration) {
+			p.stageSeconds.WithLabelValues(stage).Observe(d.Seconds())
+		}
+		h.Rehome = func(fromRack, toRack int) {
+			p.rehomeChurn.WithLabelValues(strconv.Itoa(fromRack), "from").Inc()
+			p.rehomeChurn.WithLabelValues(strconv.Itoa(toRack), "to").Inc()
+		}
 	})
 	if d := arch.Debouncer(); d != nil {
 		d.SetFlushObserver(func(d time.Duration, reports int) {
@@ -109,8 +110,8 @@ func NewPlaneWith(arch *alvc.Architecture, opts PlaneOptions) *Plane {
 			p.drainSeconds.WithLabelValues().Observe(d.Seconds())
 		})
 	}
-	p.cancelEvents, _ = arch.SubscribeEvents(eventCounterSink{p})
-	p.cancelHub, _ = arch.SubscribeEvents(p.hub)
+	p.cancelEvents = arch.SubscribeEvents(eventCounterSink{p})
+	p.cancelHub = arch.SubscribeEvents(p.hub)
 	return p
 }
 
@@ -126,15 +127,19 @@ func (p *Plane) MetricsHandler() http.Handler { return p.reg.Handler() }
 // WatchHandler returns the GET /v1/watch SSE handler.
 func (p *Plane) WatchHandler() http.Handler { return p.hub }
 
-// Close unsubscribes the plane from the architecture's event mux.
-// Observer hooks stay attached (they are cheap and overwritten by the
-// next plane, if any).
+// Close detaches everything NewPlaneWith attached — the event-mux
+// subscriptions and the four observers — so a closed plane's registry
+// is written no more. A plane opened after this one must be closed
+// after it, or it loses its observers to this call.
 func (p *Plane) Close() {
-	if p.cancelEvents != nil {
-		p.cancelEvents()
+	p.cancelEvents()
+	p.cancelHub()
+	p.arch.Sharded().UpdateHooks(func(h *orch.Hooks) { h.Stage, h.Rehome = nil, nil })
+	if d := p.arch.Debouncer(); d != nil {
+		d.SetFlushObserver(nil)
 	}
-	if p.cancelHub != nil {
-		p.cancelHub()
+	if opt := p.arch.Optimizer(); opt != nil {
+		opt.SetDrainObserver(nil)
 	}
 }
 
@@ -175,7 +180,7 @@ func (p *Plane) refresh() {
 		s.trace = st.Stats()
 	}
 	s.occupancy = s.occupancy[:0]
-	if wdm := arch.Orchestrator().WDM(); wdm != nil {
+	if wdm := arch.Sharded().Shard(0).WDM(); wdm != nil {
 		capacity := float64(wdm.Capacity())
 		for _, used := range wdm.Utilizations() {
 			s.occupancy = append(s.occupancy, float64(used)/capacity)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func mustDeploy(t *testing.T, arch *alvc.Architecture, name string) *alvc.Deploy
 	if err != nil {
 		t.Fatalf("spec: %v", err)
 	}
-	dep, err := arch.Deploy(spec)
+	dep, err := arch.Deploy(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("deploy %s: %v", name, err)
 	}
@@ -112,8 +113,8 @@ func TestPlaneObservesLifecycle(t *testing.T) {
 
 	// Failure goes through the debounced one-code-path entry point and
 	// is flushed explicitly (the test window is an hour).
-	arch.ReportFailures(nil, nil) // no-op report must not flush anything
-	arch.ReportFailures([]alvc.NodeID{dep.Slice.OPSs[0]}, nil)
+	arch.ReportFailures(context.Background(), nil, nil) // no-op report must not flush anything
+	arch.ReportFailures(context.Background(), []alvc.NodeID{dep.Slice.OPSs[0]}, nil)
 	if reports, err := arch.FlushFailures(); err != nil || len(reports) == 0 {
 		t.Fatalf("flush: reports=%d err=%v", len(reports), err)
 	}
@@ -146,5 +147,50 @@ func TestPlaneObservesLifecycle(t *testing.T) {
 	if strings.Contains(out, "alvc_orch_pipeline_stage_seconds_count 0\n") &&
 		!strings.Contains(out, `alvc_orch_pipeline_stage_seconds_count{`) {
 		t.Error("no pipeline stage observations recorded")
+	}
+}
+
+// pushedSeries returns the exposition lines the plane's hooks write —
+// stage, flush and drain histogram counts, the event counter — as
+// opposed to what a scrape reads from the architecture.
+func pushedSeries(t *testing.T, p *Plane) (out []string) {
+	t.Helper()
+	for _, line := range strings.Split(scrape(t, p), "\n") {
+		for _, prefix := range []string{
+			"alvc_orch_pipeline_stage_seconds_count",
+			"alvc_orch_debounce_flush_seconds_count",
+			"alvc_optimizer_drain_seconds_count",
+			"alvc_orch_events_total",
+		} {
+			if strings.HasPrefix(line, prefix) {
+				out = append(out, line)
+			}
+		}
+	}
+	return out
+}
+
+// TestClosedPlaneStopsObserving: Close detaches every hook NewPlane
+// attached, so work done afterwards — a provision, a flushed failure, an
+// optimizer drain — leaves the closed plane's histograms and counters
+// where they were.
+func TestClosedPlaneStopsObserving(t *testing.T) {
+	arch := newTestArch(t)
+	p := NewPlane(arch)
+	dep := mustDeploy(t, arch, "c1")
+	before := pushedSeries(t, p)
+	if len(before) == 0 || !strings.Contains(strings.Join(before, "\n"), `alvc_orch_pipeline_stage_seconds_count{stage="path"} 1`) {
+		t.Fatalf("open plane did not observe the provision: %v", before)
+	}
+	p.Close()
+
+	mustDeploy(t, arch, "c2")
+	arch.ReportFailures(context.Background(), []alvc.NodeID{dep.Slice.OPSs[0]}, nil)
+	if reports, err := arch.FlushFailures(); err != nil || len(reports) == 0 {
+		t.Fatalf("flush: reports=%d err=%v", len(reports), err)
+	}
+	arch.Optimize()
+	if after := pushedSeries(t, p); strings.Join(after, "\n") != strings.Join(before, "\n") {
+		t.Fatalf("closed plane kept observing:\nbefore %v\nafter  %v", before, after)
 	}
 }
