@@ -44,6 +44,8 @@ type Allocator struct {
 	// kept in step on every claim and release, so a build costs the cover
 	// and not a pool-sized set construction.
 	free []bool
+	// cover counts how the paper builder's phase 2 was answered.
+	cover CoverStats
 }
 
 // NewAllocator returns an allocator building ALs with the given
@@ -149,9 +151,17 @@ func (a *Allocator) setALLocked(vc *VC, al AL) {
 // a set.
 func (a *Allocator) buildLocked(vms []topology.NodeID) (AL, error) {
 	if p, ok := a.builder.(PaperBuilder); ok && !p.StaticWeight {
-		return buildMarginal(a.topo, vms, a.free)
+		return buildMarginal(a.topo, vms, a.free, &a.cover)
 	}
 	return a.builder.Build(a.topo, vms, a.freeSetLocked())
+}
+
+// CoverStats returns the counts of the paper builder's phase-2 answers
+// over this allocator's builds and patches.
+func (a *Allocator) CoverStats() CoverStats {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.cover
 }
 
 // BuildVC constructs a virtual cluster for the given VM group, claiming

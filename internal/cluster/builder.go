@@ -153,15 +153,27 @@ func (p PaperBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allo
 			}
 		}
 	}
-	return buildMarginal(topo, vms, admit)
+	var stats CoverStats
+	return buildMarginal(topo, vms, admit, &stats)
 }
 
-// buildMarginal is the paper's construction: both phases run
-// graph.CoverMarginal straight over the topology's cached adjacency — the
+// CoverStats counts how the paper builder answered phase 2 (chosen ToRs
+// → OPSs) for an Allocator; see coverToRs.
+type CoverStats struct {
+	// FullCovers counts the builds one admitted OPS uplinking every chosen
+	// ToR answered, Fallbacks the builds that ran graph.CoverMarginal.
+	FullCovers, Fallbacks int
+	// Evaluated counts the admitted OPSs the full-cover walk tested
+	// against the chosen ToRs' uplinks.
+	Evaluated int
+}
+
+// buildMarginal is the paper's construction: both phases run the
+// marginal-gain cover straight over the topology's cached adjacency — the
 // VMs' ToR lists, the chosen ToRs' OPS lists, the per-node optical
 // degrees — and no bipartite graph is materialized. admit masks the OPSs
 // by node ID (nil admits all, IDs beyond it are barred) and is only read.
-func buildMarginal(topo *topology.Topology, vms []topology.NodeID, admit []bool) (AL, error) {
+func buildMarginal(topo *topology.Topology, vms []topology.NodeID, admit []bool, stats *CoverStats) (AL, error) {
 	if len(vms) == 0 {
 		return AL{}, ErrNoVMs
 	}
@@ -184,21 +196,72 @@ func buildMarginal(topo *topology.Topology, vms []topology.NodeID, admit []bool)
 	if err != nil {
 		return AL{}, fmt.Errorf("cluster: paper phase 1: VM %d: %w", group[uncoverable(err)], err)
 	}
-	// Phase 2: cover the chosen ToRs by allowed OPSs; an OPS's outgoing
-	// connections are its optical-mesh degree. A cover picks at most one
-	// ToR per VM, so lefts has room.
-	lefts = lefts[:len(tors)]
-	for i, tor := range tors {
-		lefts[i] = topo.OPSsOfToR(tor)
-	}
-	degree := topo.OpticalDegrees()
-	opss, err := graph.CoverMarginal(lefts, admit, func(ops topology.NodeID) float64 {
-		return float64(degree[ops])
-	})
+	// A cover picks at most one ToR per VM, so lefts has room for phase 2.
+	opss, err := coverToRs(topo, tors, lefts[:len(tors)], admit, stats)
 	if err != nil {
 		return AL{}, fmt.Errorf("%w: ToR %d has no available OPS uplink", ErrInsufficientOPS, tors[uncoverable(err)])
 	}
 	return AL{ToRs: tors, OPSs: opss}, nil
+}
+
+// coverToRs is phase 2: cover the chosen ToRs by admitted OPSs, an OPS's
+// outgoing connections (the tie-break) being its optical-mesh degree. It
+// fills lefts with the ToRs' live uplinks and returns what
+// graph.CoverMarginal would over them, running that candidate pass — one
+// per round over every admitted OPS the ToRs reach, the pool on a wide
+// fabric — only when no single admitted OPS uplinks every chosen ToR (see
+// fullCover). Either way the cover is the one slice it allocates.
+func coverToRs(topo *topology.Topology, tors []topology.NodeID, lefts [][]topology.NodeID, admit []bool, stats *CoverStats) ([]topology.NodeID, error) {
+	scan := 0
+	for i, tor := range tors {
+		lefts[i] = topo.OPSsOfToR(tor)
+		if len(lefts[i]) < len(lefts[scan]) {
+			scan = i
+		}
+	}
+	ops, evaluated := fullCover(lefts, topo.OPSsOfToRByDegree(tors[scan]), admit)
+	stats.Evaluated += evaluated
+	if ops > 0 {
+		stats.FullCovers++
+		return []topology.NodeID{ops}, nil
+	}
+	stats.Fallbacks++
+	degree := topo.OpticalDegrees()
+	return graph.CoverMarginal(lefts, admit, func(ops topology.NodeID) float64 {
+		return float64(degree[ops])
+	})
+}
+
+// fullCover returns the first admitted OPS of byTie that is in every list
+// of lefts, or 0 (no node's ID) if there is none, and how many admitted
+// OPSs it tested. byTie must be the live uplinks of one ToR of lefts in
+// the cover's tie order (optical degree descending, then ID ascending):
+// an OPS in every list has the largest gain CoverMarginal can see, every
+// OPS of that gain uplinks this ToR too, and the first of them in tie
+// order is the greedy's first pick — which covers every ToR, so it is the
+// whole cover. A list that missed a recovered uplink or kept an old
+// degree order would answer something else
+// (TestFullCoverCatchesStaleTieOrder).
+func fullCover(lefts [][]topology.NodeID, byTie []topology.NodeID, admit []bool) (ops topology.NodeID, evaluated int) {
+	for _, o := range byTie {
+		if admit != nil && (int(o) >= len(admit) || !admit[o]) {
+			continue
+		}
+		evaluated++
+		if inEvery(lefts, o) {
+			return o, evaluated
+		}
+	}
+	return 0, evaluated
+}
+
+func inEvery(lists [][]topology.NodeID, v topology.NodeID) bool {
+	for _, l := range lists {
+		if _, ok := slices.BinarySearch(l, v); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // uncoverable returns the position of the left vertex a failed

@@ -397,7 +397,7 @@ func TestPaperBuilderAllocCeiling(t *testing.T) {
 // BuildVC (and the Release that keeps the pool from draining) with a
 // third of the pool already claimed.
 func BenchmarkBuildVC(b *testing.B) {
-	for _, ops := range []int{300, 1200} {
+	for _, ops := range []int{300, 1200, 4800} {
 		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
 			topo, vms := wideFabric(b, ops)
 			alloc, err := NewAllocator(topo, PaperBuilder{})

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Frozen is an immutable compressed-sparse-row (CSR) view of a Graph,
@@ -38,7 +39,15 @@ type Frozen struct {
 	restrictable     []bool
 	coreOff, coreArc []int32
 	rev              []int32
+	// resets counts the search-state entries the plain search restored
+	// (see SearchResets).
+	resets atomic.Int64
 }
+
+// SearchResets returns how many dist/prev/done entries the plain search
+// (ShortestPath*, Distances*, KShortestPaths*) has restored after its
+// runs on f — one per vertex a run reached, not one per vertex of f.
+func (f *Frozen) SearchResets() int64 { return f.resets.Load() }
 
 // Frozen returns an immutable CSR snapshot of the graph. Subsequent
 // mutations of g do not affect the returned value.
@@ -169,14 +178,19 @@ type frozenItem struct {
 	idx  int32
 }
 
-// frozenScratch is the reusable per-search state. All slices are sized
-// to the vertex count on first use and reset in O(n) per search, which
-// replaces the per-search map allocations of the map-based Dijkstra.
+// frozenScratch is the reusable per-search state, which replaces the
+// per-search map allocations of the map-based Dijkstra. All slices are
+// sized to the vertex count on first use. Between searches dist is +Inf,
+// prev -1 and done false for every vertex: a search lists the vertices it
+// wrote in touched and restores exactly those, as ShortestPathAvoiding's
+// scratch does, so a search that reaches a dozen vertices of a thousand
+// pays for a dozen.
 type frozenScratch struct {
-	dist []float64
-	prev []int32
-	done []bool
-	heap []frozenItem
+	dist    []float64
+	prev    []int32
+	done    []bool
+	heap    []frozenItem
+	touched []int32
 
 	// blocked marks, by dense index, the vertices the current search may
 	// not enter (nil = none): filterBuf, the Filter densified once per
@@ -213,10 +227,14 @@ func (f *Frozen) getScratch() *frozenScratch {
 	if cap(s.dist) < n {
 		s.dist = make([]float64, n)
 		s.prev = make([]int32, n)
+		for i := range s.dist {
+			s.dist[i], s.prev[i] = math.Inf(1), -1
+		}
 		s.done = make([]bool, n)
 		s.banVertex = make([]bool, n)
 		s.filterBuf = make([]bool, n)
 	}
+	// The whole capacity stays clean, so a smaller graph may reslice.
 	s.dist = s.dist[:n]
 	s.prev = s.prev[:n]
 	s.done = s.done[:n]
@@ -242,15 +260,21 @@ func (f *Frozen) densifyFilter(filter Filter, s *frozenScratch) {
 	s.blocked = s.filterBuf
 }
 
-func putScratch(s *frozenScratch) { frozenScratchPool.Put(s) }
+func (f *Frozen) putScratch(s *frozenScratch) {
+	f.resetSearch(s)
+	frozenScratchPool.Put(s)
+}
 
-// resetSearch prepares dist/prev/done for one Dijkstra run.
-func (s *frozenScratch) resetSearch() {
-	for i := range s.dist {
-		s.dist[i] = math.Inf(1)
-		s.prev[i] = -1
-		s.done[i] = false
+// resetSearch restores dist/prev/done at the vertices the last run wrote.
+func (f *Frozen) resetSearch(s *frozenScratch) {
+	inf := math.Inf(1)
+	for _, v := range s.touched {
+		s.dist[v], s.prev[v], s.done[v] = inf, -1, false
 	}
+	if len(s.touched) > 0 {
+		f.resets.Add(int64(len(s.touched)))
+	}
+	s.touched = s.touched[:0]
 	s.heap = s.heap[:0]
 }
 
@@ -309,8 +333,9 @@ func frozenLess(a, b frozenItem) bool {
 // blocked mask or restriction bars vertices; the ban sets mask Yen's
 // spur removals. Results land in s.dist / s.prev.
 func (f *Frozen) dijkstra(src, dst int32, useBans bool, s *frozenScratch) {
-	s.resetSearch()
+	f.resetSearch(s)
 	s.dist[src] = 0
+	s.touched = append(s.touched, src)
 	heapPush(&s.heap, frozenItem{dist: 0, idx: src})
 	blocked, restrict := s.blocked, s.restrict
 	maskVertex, maskArc := s.maskVertex, s.maskArc
@@ -351,6 +376,9 @@ func (f *Frozen) dijkstra(src, dst int32, useBans bool, s *frozenScratch) {
 				}
 				nd := it.dist + f.weights[e]
 				if nd < s.dist[v]-1e-12 {
+					if math.IsInf(s.dist[v], 1) {
+						s.touched = append(s.touched, v)
+					}
 					s.dist[v] = nd
 					s.prev[v] = u
 					heapPush(&s.heap, frozenItem{dist: nd, idx: v})
@@ -414,7 +442,7 @@ func (f *Frozen) ShortestPathFiltered(src, dst VertexID, filter Filter) ([]Verte
 // and arcs and searching that.
 func (f *Frozen) ShortestPathMasked(src, dst VertexID, filter Filter, m *LiveMask) ([]VertexID, float64, error) {
 	s := f.getScratch()
-	defer putScratch(s)
+	defer f.putScratch(s)
 	f.densifyFilter(filter, s)
 	return f.shortestPath(src, dst, m, s)
 }
@@ -426,7 +454,7 @@ func (f *Frozen) ShortestPathMasked(src, dst VertexID, filter Filter, m *LiveMas
 // restriction seals it once. The restriction is only read.
 func (f *Frozen) ShortestPathIn(src, dst VertexID, r *Restriction, m *LiveMask) ([]VertexID, float64, error) {
 	s := f.getScratch()
-	defer putScratch(s)
+	defer f.putScratch(s)
 	s.restrict = r
 	return f.shortestPath(src, dst, m, s)
 }
@@ -478,7 +506,7 @@ func (f *Frozen) DistancesMasked(src VertexID, filter Filter, m *LiveMask) (map[
 		return map[VertexID]float64{}, nil
 	}
 	s := f.getScratch()
-	defer putScratch(s)
+	defer f.putScratch(s)
 	if m != nil {
 		m.mu.RLock()
 		defer m.mu.RUnlock()
@@ -594,7 +622,7 @@ func (f *Frozen) KShortestPathsMasked(src, dst VertexID, k int, filter Filter, m
 		return nil, nil, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 	}
 	s := f.getScratch()
-	defer putScratch(s)
+	defer f.putScratch(s)
 	if m != nil {
 		// One read-lock spans the whole Yen run: liveness patches wait
 		// for in-flight searches, searches never see a half-applied

@@ -12,7 +12,7 @@ import (
 // Kept as the oracle ShortestPathIn must equal.
 func shortestPathDenseMask(f *Frozen, src, dst VertexID, blocked []bool, m *LiveMask) ([]VertexID, float64, error) {
 	s := f.getScratch()
-	defer putScratch(s)
+	defer f.putScratch(s)
 	s.blocked = blocked
 	return f.shortestPath(src, dst, m, s)
 }
@@ -250,14 +250,15 @@ func fleetFabric(tb testing.TB, ops int) (f *Frozen, src, dst VertexID, r *Restr
 }
 
 // TestRestrictedSearchCostFollowsTheSlice: the arcs a search under a
-// one-OPS restriction relaxes are the same few on a 300-OPS and a
-// 1200-OPS fabric, where the settled vertices' CSR regions — what the
-// dense-mask search scanned — grow with the pool.
+// one-OPS restriction relaxes, and the search-state entries it restores
+// after, are the same few on a 300-OPS and a 1200-OPS fabric, where the
+// settled vertices' CSR regions — what the dense-mask search scanned —
+// and the vertex count — what a whole-state reset rewrote — grow with
+// the pool.
 func TestRestrictedSearchCostFollowsTheSlice(t *testing.T) {
-	relaxed := func(ops int) (restricted, csr int) {
+	relaxed := func(ops int) (restricted, csr int, resets int64) {
 		f, src, dst, r := fleetFabric(t, ops)
 		s := f.getScratch()
-		defer putScratch(s)
 		s.restrict = r
 		di := f.index[dst]
 		f.dijkstra(f.index[src], di, false, s)
@@ -271,12 +272,16 @@ func TestRestrictedSearchCostFollowsTheSlice(t *testing.T) {
 				csr += int(f.offsets[u+1] - f.offsets[u])
 			}
 		}
-		return restricted, csr
+		f.putScratch(s)
+		return restricted, csr, f.SearchResets()
 	}
-	small, smallCSR := relaxed(300)
-	big, bigCSR := relaxed(1200)
+	small, smallCSR, smallResets := relaxed(300)
+	big, bigCSR, bigResets := relaxed(1200)
 	if small != big || small > 40 {
 		t.Fatalf("restricted search relaxes %d arcs at 300 OPSs and %d at 1200, want the same few", small, big)
+	}
+	if smallResets != bigResets || smallResets == 0 || smallResets > int64(small)+1 {
+		t.Fatalf("restricted search restores %d entries at 300 OPSs and %d at 1200, want the same few (it relaxes %d arcs)", smallResets, bigResets, small)
 	}
 	if smallCSR < 300 || bigCSR < 3*smallCSR {
 		t.Fatalf("settled CSR regions hold %d and %d arcs: the fabric no longer makes the dense scan grow with the pool", smallCSR, bigCSR)
@@ -314,8 +319,7 @@ func TestRestrictedSearchAllocs(t *testing.T) {
 }
 
 // BenchmarkRestrictedSearch is one in-slice leg by each kernel under a
-// one-OPS restriction. What is left of the pool size in ns/op is the
-// plain search's O(V) reset of its state.
+// one-OPS restriction; neither kernel's ns/op should grow with the pool.
 func BenchmarkRestrictedSearch(b *testing.B) {
 	for _, ops := range []int{300, 1200} {
 		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {

@@ -3,6 +3,7 @@ package orch
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // BatchResult is the outcome of one spec in a ProvisionBatch call.
@@ -29,7 +30,9 @@ func DefaultBatchWorkers() int {
 // runPool runs fn(i) for every i in [0, n) over a bounded worker pool
 // and blocks until all calls return. It is the pool shape shared by
 // batch provisioning and failure reconciliation; workers <= 0 selects
-// DefaultBatchWorkers.
+// DefaultBatchWorkers. Workers take the next index off one counter, in
+// ascending order: no feeder goroutine hands them out, so none waits on a
+// hand-off.
 func runPool(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -37,23 +40,17 @@ func runPool(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = DefaultBatchWorkers()
 	}
-	if workers > n {
-		workers = n
-	}
-	jobs := make(chan int)
+	workers = min(workers, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 				fn(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
 	wg.Wait()
 }

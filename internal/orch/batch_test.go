@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -238,6 +239,34 @@ func TestProvisionBatchOverlapsWork(t *testing.T) {
 				t.Fatalf("%d provisions in flight at peak, want exactly the %d workers", peak, workers)
 			}
 		})
+	}
+}
+
+// TestRunPoolRunsEveryIndexOnce: for no work, one item, fewer items than
+// workers and many, and for a defaulted pool size, every index runs
+// exactly once; one worker runs them in order.
+func TestRunPoolRunsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 1000} {
+		for _, workers := range []int{-1, 0, 1, 4, 16} {
+			runs := make([]atomic.Int32, n)
+			var order []int
+			runPool(n, workers, func(i int) {
+				runs[i].Add(1)
+				if workers == 1 {
+					order = append(order, i)
+				}
+			})
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Fatalf("n=%d workers=%d: index %d ran %d times", n, workers, i, got)
+				}
+			}
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("n=%d: one worker ran index %d %d-th, want ascending order", n, got, i)
+				}
+			}
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,6 +65,9 @@ type Topology struct {
 	derivedGen uint64
 	kindAdj    map[kindAdjKey][]NodeID
 	pairLive   map[int64]*Link
+	// opsByDegree holds OPSsOfToRByDegree's answers: each an OPSsOfToR
+	// list re-sorted, so it is refilled from that cache per generation.
+	opsByDegree map[NodeID][]NodeID
 
 	// pairAny memoizes AnyLinkBetween, which ignores liveness: keyed on the
 	// structural generation, it outlives a storm's failures and recoveries,
@@ -100,6 +105,9 @@ func (t *Topology) resetDerivedLocked() {
 	if t.kindAdj == nil || t.derivedGen != gen {
 		t.kindAdj = make(map[kindAdjKey][]NodeID)
 		t.pairLive = make(map[int64]*Link)
+		// Cleared, not remade: a liveness batch that builds no AL must not
+		// pay for it.
+		clear(t.opsByDegree)
 		t.derivedGen = gen
 	}
 }
@@ -320,6 +328,12 @@ func (t *Topology) neighborsOfKind(id NodeID, kind NodeKind) []NodeID {
 	t.derivedMu.Lock()
 	defer t.derivedMu.Unlock()
 	t.resetDerivedLocked()
+	return t.neighborsOfKindLocked(id, kind)
+}
+
+// neighborsOfKindLocked is neighborsOfKind under derivedMu, the derived
+// caches already reset for the current generation.
+func (t *Topology) neighborsOfKindLocked(id NodeID, kind NodeKind) []NodeID {
 	key := kindAdjKey{id: id, kind: kind}
 	if out, ok := t.kindAdj[key]; ok {
 		return out
@@ -577,6 +591,33 @@ func (t *Topology) OPSsOfToR(tor NodeID) []NodeID {
 func (t *Topology) OpticalDegrees() []int32 {
 	t.derivedMu.Lock()
 	defer t.derivedMu.Unlock()
+	return t.opticalDegreesLocked()
+}
+
+// OPSsOfToRByDegree returns OPSsOfToR(tor) in the AL cover's phase-2
+// tie order: optical degree (OpticalDegrees) descending, then node ID
+// ascending. It is re-sorted from the OPSsOfToR cache entry of the same
+// generation, so it lists exactly the live uplinks; callers must treat
+// it as read-only.
+func (t *Topology) OPSsOfToRByDegree(tor NodeID) []NodeID {
+	t.derivedMu.Lock()
+	defer t.derivedMu.Unlock()
+	t.resetDerivedLocked()
+	if out, ok := t.opsByDegree[tor]; ok {
+		return out
+	}
+	if t.opsByDegree == nil {
+		t.opsByDegree = make(map[NodeID][]NodeID)
+	}
+	deg := t.opticalDegreesLocked()
+	out := slices.Clone(t.neighborsOfKindLocked(tor, KindOPS))
+	// Stable: the list is ascending by ID, which settles equal degrees.
+	slices.SortStableFunc(out, func(a, b NodeID) int { return cmp.Compare(deg[b], deg[a]) })
+	t.opsByDegree[tor] = out
+	return out
+}
+
+func (t *Topology) opticalDegreesLocked() []int32 {
 	if sg := t.StructuralGeneration(); t.optDeg == nil || t.optDegGen != sg {
 		deg := make([]int32, t.nextNode+1)
 		for _, l := range t.links {
