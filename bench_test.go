@@ -1,8 +1,9 @@
 // Benchmarks: one per experiment of internal/experiments (E1..E12).
 // Each benchmark times the core operation the experiment sweeps, so
 // `go test -bench=. -benchmem` regenerates the performance side of
-// every table/figure; `go run ./cmd/alvc-bench` regenerates the
-// numeric tables themselves.
+// every table/figure; `go run ./cmd/alvc exp` regenerates the numeric
+// tables themselves, and contracts_test.go holds the control plane's
+// count contracts.
 package alvc_test
 
 import (

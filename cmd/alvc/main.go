@@ -3,10 +3,13 @@
 //	alvc clusters   build service-based virtual clusters and print ALs
 //	alvc deploy     deploy generated chain requests end to end
 //	alvc catalog    list the network function catalog
-//	alvc exp        run the experiment harness (see also alvc-bench)
+//	alvc churn      replay VM churn and compare AL-VC vs flat update costs
+//	alvc exp        run the paper's experiments (internal/experiments)
 //
-// Every subcommand takes -racks/-ops/-uplinks/-seed to shape the
-// underlying generated data center.
+// Every subcommand but catalog and exp takes -racks/-ops/-uplinks/-seed
+// to shape the underlying generated data center. exp prints each
+// experiment's tables, then its shape findings as [ok] lines and any
+// that did not hold as [VIOLATION] lines, and exits 2 on a violation.
 package main
 
 import (
@@ -29,6 +32,7 @@ func main() {
 }
 
 func usage() {
+	ids := experiments.IDs()
 	fmt.Fprintf(os.Stderr, `usage: alvc <command> [flags]
 
 commands:
@@ -36,8 +40,8 @@ commands:
   deploy     deploy generated chain requests and print the deployments
   catalog    list the built-in network function types
   churn      replay VM churn and compare AL-VC vs flat update costs
-  exp        run experiments (all, or -exp E1..E14)
-`)
+  exp        run experiments (all, or -exp %s..%s)
+`, ids[0], ids[len(ids)-1])
 }
 
 func run(args []string) int {
@@ -253,19 +257,33 @@ func runExp(args []string) int {
 	if *exp != "" {
 		ids = []string{*exp}
 	}
+	violations := 0
 	for _, id := range ids {
 		res, err := experiments.Run(id)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "alvc exp: %v\n", err)
 			return 1
 		}
-		fmt.Printf("=== %s — %s\n", res.ID, res.Title)
+		fmt.Printf("=== %s — %s\n    reproduces: %s\n\n", res.ID, res.Title, res.Figure)
 		for _, tbl := range res.Tables {
 			if err := tbl.Render(os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "alvc exp: %s: render: %v\n", res.ID, err)
 				return 1
 			}
 			fmt.Println()
 		}
+		for _, f := range res.Findings {
+			fmt.Printf("  [ok] %s\n", f)
+		}
+		for _, v := range res.Violations {
+			fmt.Printf("  [VIOLATION] %s\n", v)
+		}
+		fmt.Println()
+		violations += len(res.Violations)
+	}
+	if violations > 0 {
+		fmt.Fprintf(os.Stderr, "alvc exp: %d shape violations\n", violations)
+		return 2
 	}
 	return 0
 }

@@ -82,16 +82,3 @@ func Run(id string) (*Result, error) {
 	}
 	return r()
 }
-
-// RunAll executes every experiment in canonical order.
-func RunAll() ([]*Result, error) {
-	var out []*Result
-	for _, id := range IDs() {
-		res, err := Run(id)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}

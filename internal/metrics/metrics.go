@@ -1,6 +1,7 @@
-// Package metrics provides the small statistics toolkit the experiment
-// harness uses: counters, summaries with percentiles, and aligned text
-// tables in the row/series format the experiments report.
+// Package metrics provides the small statistics toolkit of the
+// experiments (internal/experiments) and the alvc CLI: counters,
+// summaries with percentiles, and aligned text tables in the row/series
+// format the experiments report and `alvc exp` prints.
 package metrics
 
 import (
@@ -286,25 +287,6 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Markdown renders the table as GitHub-flavored markdown (what
-// `alvc-bench -markdown` prints).
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	b.WriteString("| " + strings.Join(sep, " | ") + " |\n")
-	for _, row := range t.rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	return b.String()
 }
 
 // Fmt formats a float with adaptive precision for table cells.

@@ -111,18 +111,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableMarkdown(t *testing.T) {
-	tbl := NewTable("T", "a", "b")
-	tbl.AddRow("1", "2")
-	md := tbl.Markdown()
-	if !strings.Contains(md, "| a | b |") || !strings.Contains(md, "| 1 | 2 |") {
-		t.Fatalf("markdown:\n%s", md)
-	}
-	if !strings.Contains(md, "| --- | --- |") {
-		t.Fatal("separator missing")
-	}
-}
-
 func TestTableRowsCopies(t *testing.T) {
 	tbl := NewTable("", "a")
 	tbl.AddRow("x")

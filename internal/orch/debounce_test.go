@@ -115,9 +115,9 @@ func TestDebouncerZeroWindowPassThrough(t *testing.T) {
 
 // TestDebouncedStormRepairsOnce: two failure events — the chain's
 // primary link and its standby link, the classic storm pattern that
-// per-event handling repairs twice (swap, then re-path) — coalesce
-// into one batch that classifies the chain against the union and
-// repairs it exactly once.
+// per-event handling repairs twice (swap, then re-path, asserted on a
+// second fleet) — coalesce into one batch that classifies the chain
+// against the union and repairs it exactly once.
 func TestDebouncedStormRepairsOnce(t *testing.T) {
 	s, o, ids := triOrch(t, Config{})
 	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
@@ -149,6 +149,19 @@ func TestDebouncedStormRepairsOnce(t *testing.T) {
 	}
 	if st := d.Stats(); st.Events != 2 || st.Batches != 1 || st.Coalesced != 1 {
 		t.Fatalf("stats = %+v, want Events=2 Batches=1 Coalesced=1", st)
+	}
+
+	// The same two events, one at a time, on an identical fleet: the
+	// chain reconciles twice — a swap, then a re-path off the standby.
+	s, _, ids = triOrch(t, Config{})
+	if _, err := s.Provision(bg, triSpec(t, "chain-1")); err != nil {
+		t.Fatalf("Provision: %v", err)
+	}
+	for route, want := range []RepairAction{ActionSwapped, ActionRepathed} {
+		reports, err := failLink(s, ids.torOpsLinks[0][route])
+		if err != nil || len(reports) != 1 || reports[0].Action != want {
+			t.Fatalf("per-event failure %d: reports=%+v err=%v, want one %s", route, reports, err, want)
+		}
 	}
 }
 

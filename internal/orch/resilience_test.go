@@ -148,8 +148,9 @@ func TestProvisionPlansDisjointStandby(t *testing.T) {
 // TestStandbySwapZeroPathComputations is the tentpole acceptance test:
 // a transit failure on the primary path, with a live standby, must
 // repair by promoting the standby — performing zero shortest-path
-// computations (asserted via the controller's counting hook), keeping
-// VC/slice/instances untouched, and consuming the standby.
+// computations and zero standby searches (asserted via the controller's
+// counting hooks), keeping VC/slice/instances untouched, and consuming
+// the standby.
 func TestStandbySwapZeroPathComputations(t *testing.T) {
 	s, o, ids := triOrch(t, Config{Wavelengths: 2})
 	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
@@ -166,6 +167,7 @@ func TestStandbySwapZeroPathComputations(t *testing.T) {
 	}
 
 	before := o.Controller().PathComputations()
+	hits, misses := o.Controller().AlternativesCacheStats()
 	reports, err := failNode(s, victim)
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
@@ -173,6 +175,9 @@ func TestStandbySwapZeroPathComputations(t *testing.T) {
 	after := o.Controller().PathComputations()
 	if after != before {
 		t.Fatalf("standby swap ran %d shortest-path computations, want 0", after-before)
+	}
+	if h, m := o.Controller().AlternativesCacheStats(); h+m != hits+misses {
+		t.Fatalf("standby swap asked %d standby searches, want 0", h+m-hits-misses)
 	}
 	if len(reports) != 1 || reports[0].ID != dep.ID || reports[0].Action != ActionSwapped {
 		t.Fatalf("reports = %+v, want one swapped for %d", reports, dep.ID)

@@ -466,16 +466,6 @@ func (s *Sharded) PathComputations() int {
 	return n
 }
 
-// YenRuns sums Yen's k-shortest invocations across shard controllers
-// (PathAlternatives callers only; standby planning runs none).
-func (s *Sharded) YenRuns() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.ctrl.YenRuns()
-	}
-	return n
-}
-
 // RuleCount sums installed flow rules across shard controllers.
 func (s *Sharded) RuleCount() int {
 	n := 0
@@ -483,18 +473,6 @@ func (s *Sharded) RuleCount() int {
 		n += sh.ctrl.RuleCount()
 	}
 	return n
-}
-
-// CandidateCacheStats sums the standby-search memo's hit/miss counters
-// across shard controllers; their sum is the number of standby segment
-// searches asked.
-func (s *Sharded) CandidateCacheStats() (hits, misses int64) {
-	for _, sh := range s.shards {
-		h, m := sh.ctrl.AlternativesCacheStats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
 }
 
 // StandbyFallbacks sums, across shards, the per-chain standby plans that
@@ -509,7 +487,7 @@ func (s *Sharded) StandbyFallbacks() int64 {
 }
 
 // ShardStat is one shard's slice of the fleet, for metrics endpoints
-// and the scale bench. Active and Failed count the shard's records;
+// and the root package's count contracts (contracts_test.go). Active and Failed count the shard's records;
 // Deleted and Repairs are since-start counters (deleted chains leave
 // the shard, and their repairs stay counted).
 type ShardStat struct {
