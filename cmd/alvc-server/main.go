@@ -11,10 +11,10 @@
 //
 // Quick exercise against a running server:
 //
-//	curl -s localhost:8080/v1/metrics
 //	curl -s -X POST localhost:8080/v1/chains -d '{"name":"c1","tenant":"t1",
 //	  "service":"web","nfs":[{"name":"firewall"},{"name":"lb"}],
 //	  "bandwidth_gbps":2,"flow_bytes":1048576}'
+//	curl -s localhost:8080/metrics   # every count: Prometheus text exposition
 package main
 
 import (

@@ -21,7 +21,6 @@ import (
 	"github.com/alvc/alvc"
 	"github.com/alvc/alvc/internal/chain"
 	"github.com/alvc/alvc/internal/experiments"
-	"github.com/alvc/alvc/internal/metrics"
 	"github.com/alvc/alvc/internal/topology"
 	"github.com/alvc/alvc/internal/update"
 	"github.com/alvc/alvc/internal/workload"
@@ -100,7 +99,7 @@ func runClusters(args []string) int {
 		fmt.Fprintf(os.Stderr, "alvc clusters: %v\n", err)
 		return 1
 	}
-	tbl := metrics.NewTable("virtual clusters", "id", "service", "VMs", "selected ToRs", "AL size (OPSs)")
+	tbl := experiments.NewTable("virtual clusters", "id", "service", "VMs", "selected ToRs", "AL size (OPSs)")
 	for _, vc := range vcs {
 		tbl.AddRow(fmt.Sprint(vc.ID), vc.Service, fmt.Sprint(len(vc.VMs)),
 			fmt.Sprint(len(vc.AL.ToRs)), fmt.Sprint(vc.AL.Size()))
@@ -159,7 +158,7 @@ func runDeploy(args []string) int {
 			specs = append(specs, spec)
 		}
 	}
-	tbl := metrics.NewTable("deployments",
+	tbl := experiments.NewTable("deployments",
 		"chain", "tenant", "service", "NFs", "AL", "hops", "conversions", "energy J")
 	failures := 0
 	for _, spec := range specs {
@@ -188,7 +187,7 @@ func runDeploy(args []string) int {
 }
 
 func runCatalog() int {
-	tbl := metrics.NewTable("network function catalog", "name")
+	tbl := experiments.NewTable("network function catalog", "name")
 	for _, name := range alvc.NFCatalog() {
 		tbl.AddRow(name)
 	}
@@ -234,7 +233,7 @@ func runChurn(args []string) int {
 		fmt.Fprintf(os.Stderr, "alvc churn: %v\n", err)
 		return 1
 	}
-	tbl := metrics.NewTable(fmt.Sprintf("churn: %d events on service %q", report.Events, *service),
+	tbl := experiments.NewTable(fmt.Sprintf("churn: %d events on service %q", report.Events, *service),
 		"strategy", "switches touched", "rules changed")
 	tbl.AddRow("AL-VC (scoped)", fmt.Sprint(report.ALVC.SwitchesTouched), fmt.Sprint(report.ALVC.RulesChanged))
 	tbl.AddRow("flat (whole network)", fmt.Sprint(report.Flat.SwitchesTouched), fmt.Sprint(report.Flat.RulesChanged))

@@ -277,6 +277,13 @@ func (a *Allocator) VCs() []*VC {
 	return out
 }
 
+// VCCount returns the number of clusters built and not released.
+func (a *Allocator) VCCount() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.vcs)
+}
+
 // OwnerOf returns the VC owning the given OPS, if any.
 func (a *Allocator) OwnerOf(ops topology.NodeID) (VCID, bool) {
 	a.mu.Lock()

@@ -7,7 +7,6 @@ import (
 
 	"github.com/alvc/alvc/internal/cluster"
 	"github.com/alvc/alvc/internal/flow"
-	"github.com/alvc/alvc/internal/metrics"
 	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/topology"
 	"github.com/alvc/alvc/internal/update"
@@ -22,7 +21,7 @@ func E9UpdateCost() (*Result, error) {
 		Title:  "Network update cost under churn: AL-VC vs flat",
 		Figure: "§I claim via [14] (low network update costs)",
 	}
-	tbl := metrics.NewTable("E9: switches touched over 50 churn events",
+	tbl := NewTable("E9: switches touched over 50 churn events",
 		"racks", "AL-VC", "flat", "flat/AL-VC", "AL rebuilds")
 	prevRatio := 0.0
 	widens := true
@@ -50,7 +49,7 @@ func E9UpdateCost() (*Result, error) {
 		ratio := float64(report.Flat.SwitchesTouched) / float64(report.ALVC.SwitchesTouched)
 		tbl.AddRow(fmt.Sprint(racks),
 			fmt.Sprint(report.ALVC.SwitchesTouched), fmt.Sprint(report.Flat.SwitchesTouched),
-			metrics.Fmt(ratio), fmt.Sprint(report.Rebuilds))
+			Fmt(ratio), fmt.Sprint(report.Rebuilds))
 		if report.ALVC.SwitchesTouched >= report.Flat.SwitchesTouched {
 			alwaysWins = false
 		}
@@ -104,7 +103,7 @@ func E12FlowSteering() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E12: %w", err)
 	}
-	tbl := metrics.NewTable("E12: flow replay through the blue chain",
+	tbl := NewTable("E12: flow replay through the blue chain",
 		"flows", "mode", "conversions/flow", "mean latency us", "wall time")
 	agrees := true
 	for _, n := range []int{100, 1000, 10000} {
@@ -128,11 +127,11 @@ func E12FlowSteering() (*Result, error) {
 			agrees = false
 		}
 		tbl.AddRow(fmt.Sprint(n), "batch",
-			metrics.Fmt(float64(batch.TotalConversions)/float64(batch.Flows)),
-			metrics.Fmt(batch.MeanLatencyUs), batchWall.Round(time.Microsecond).String())
+			Fmt(float64(batch.TotalConversions)/float64(batch.Flows)),
+			Fmt(batch.MeanLatencyUs), batchWall.Round(time.Microsecond).String())
 		tbl.AddRow(fmt.Sprint(n), "event",
-			metrics.Fmt(float64(event.TotalConversions)/float64(event.Flows)),
-			metrics.Fmt(event.MeanLatencyUs), eventWall.Round(time.Microsecond).String())
+			Fmt(float64(event.TotalConversions)/float64(event.Flows)),
+			Fmt(event.MeanLatencyUs), eventWall.Round(time.Microsecond).String())
 	}
 	res.Tables = append(res.Tables, tbl)
 	if agrees {
@@ -147,7 +146,7 @@ func E12FlowSteering() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E12: measure: %w", err)
 	}
-	t2 := metrics.NewTable("E12b: analytic vs path-measured conversions (blue chain)",
+	t2 := NewTable("E12b: analytic vs path-measured conversions (blue chain)",
 		"source", "conversions")
 	t2.AddRow("placement (per-VNF accounting)", fmt.Sprint(dep.Conversions))
 	t2.AddRow("path walk (measured excursions)", fmt.Sprint(pf.OEOConversions))

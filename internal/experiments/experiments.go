@@ -9,8 +9,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-
-	"github.com/alvc/alvc/internal/metrics"
 )
 
 // Result is an experiment's output.
@@ -18,7 +16,7 @@ type Result struct {
 	ID     string
 	Title  string
 	Figure string // the paper figure/claim reproduced
-	Tables []*metrics.Table
+	Tables []*Table
 	// Findings are the shape assertions, phrased for the report.
 	Findings []string
 	// Violations lists shape assertions that did NOT hold (empty on a

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/alvc/alvc/internal/cluster"
-	"github.com/alvc/alvc/internal/metrics"
 	"github.com/alvc/alvc/internal/optical"
 	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/topology"
@@ -41,7 +40,7 @@ func E13FailureRepair() (*Result, error) {
 		}
 		deps = append(deps, dep)
 	}
-	tbl := metrics.NewTable("E13: sequential OPS failures in chain 1's slice",
+	tbl := NewTable("E13: sequential OPS failures in chain 1's slice",
 		"failure #", "failed OPS", "repaired", "new AL", "others touched")
 	clean := true
 	for i := 1; i <= 3; i++ {
@@ -98,7 +97,7 @@ func E15CoreShapes() (*Result, error) {
 		Title:  "AL quality across optical-core shapes (extension)",
 		Figure: "§III-B (core built from OPSs per Ohsita-Murata [29])",
 	}
-	tbl := metrics.NewTable("E15: mean AL size over 10 seeds (8 racks, 12 OPSs)",
+	tbl := NewTable("E15: mean AL size over 10 seeds (8 racks, 12 OPSs)",
 		"core shape", "paper", "direct-exact", "paper/exact", "optical links")
 	violated := false
 	for _, shape := range []topology.CoreShape{topology.CoreRingChords, topology.CoreFullMesh, topology.CoreLeafSpine} {
@@ -134,8 +133,8 @@ func E15CoreShapes() (*Result, error) {
 			trials++
 		}
 		n := float64(trials)
-		tbl.AddRow(shape.String(), metrics.Fmt(sumPaper/n), metrics.Fmt(sumExact/n),
-			metrics.Fmt((sumPaper/n)/(sumExact/n)), fmt.Sprint(links))
+		tbl.AddRow(shape.String(), Fmt(sumPaper/n), Fmt(sumExact/n),
+			Fmt((sumPaper/n)/(sumExact/n)), fmt.Sprint(links))
 	}
 	res.Tables = append(res.Tables, tbl)
 	if violated {
@@ -157,7 +156,7 @@ func E14WDMBlocking() (*Result, error) {
 		Title:  "WDM wavelength assignment and blocking (extension)",
 		Figure: "§IV-B (optical network divided into virtual slices)",
 	}
-	tbl := metrics.NewTable("E14: chains admitted vs wavelengths per link (same-service chains share links)",
+	tbl := NewTable("E14: chains admitted vs wavelengths per link (same-service chains share links)",
 		"wavelengths/link", "admitted", "blocked", "leaks after blocking")
 	prevAdmitted := -1
 	monotone := true
@@ -215,7 +214,7 @@ func E14WDMBlocking() (*Result, error) {
 
 	// Direct allocator stress: force contention on one shared link to
 	// show blocking does engage when links are shared.
-	stress := metrics.NewTable("E14b: direct WDM stress on one shared link (capacity 4)",
+	stress := NewTable("E14b: direct WDM stress on one shared link (capacity 4)",
 		"flows offered", "assigned", "blocked")
 	topo, err := orchTopology(14)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/alvc/alvc/internal/chain"
-	"github.com/alvc/alvc/internal/metrics"
 	"github.com/alvc/alvc/internal/nfv"
 	"github.com/alvc/alvc/internal/optical"
 	"github.com/alvc/alvc/internal/orch"
@@ -68,7 +67,7 @@ func E5ChainDeploy() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E5: %w", err)
 	}
-	tbl := metrics.NewTable("E5: per-chain deployment",
+	tbl := NewTable("E5: per-chain deployment",
 		"chain", "NFs", "AL size", "path hops", "rules", "conversions", "slice-confined")
 	for _, spec := range specs {
 		dep, err := o.Provision(context.Background(), spec)
@@ -110,7 +109,7 @@ func E6Lifecycle() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E6: %w", err)
 	}
-	tbl := metrics.NewTable("E6: lifecycle storm (10 rounds x 3 chains)",
+	tbl := NewTable("E6: lifecycle storm (10 rounds x 3 chains)",
 		"round", "provisioned", "modified", "upgraded", "scaled", "deleted", "leaks")
 	const rounds = 10
 	totalOps := 0
@@ -186,7 +185,7 @@ func E7Slicing() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E7: %w", err)
 	}
-	tbl := metrics.NewTable("E7: slices",
+	tbl := NewTable("E7: slices",
 		"tenant", "slice OPSs", "bandwidth Gbps", "confined path")
 	confinedAll := true
 	for _, spec := range specs {
@@ -195,7 +194,7 @@ func E7Slicing() (*Result, error) {
 			return nil, fmt.Errorf("E7: provision: %w", err)
 		}
 		tbl.AddRow(spec.Tenant, fmt.Sprint(len(dep.Slice.OPSs)),
-			metrics.Fmt(dep.Slice.BandwidthGbps), fmt.Sprint(dep.SliceConfined))
+			Fmt(dep.Slice.BandwidthGbps), fmt.Sprint(dep.SliceConfined))
 		if !dep.SliceConfined {
 			confinedAll = false
 		}
@@ -237,7 +236,7 @@ func E8OEOPlacement() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E8: %w", err)
 	}
-	t1 := metrics.NewTable("E8a: Fig. 8 instance (3-VNF chain)",
+	t1 := NewTable("E8a: Fig. 8 instance (3-VNF chain)",
 		"policy", "optical VNFs", "conversions", "energy J (1GB flow)")
 	model := optical.DefaultCostModel()
 	policies := []placement.Policy{placement.AllElectronic{}, placement.OpticalFirst{}, placement.Optimal{}}
@@ -264,7 +263,7 @@ func E8OEOPlacement() (*Result, error) {
 	}
 
 	// Part 2: chain-length sweep.
-	t2 := metrics.NewTable("E8b: conversions vs chain length (per-VNF accounting)",
+	t2 := NewTable("E8b: conversions vs chain length (per-VNF accounting)",
 		"chain len", "all-electronic", "optical-first", "optimal", "saved by paper %")
 	mixes := [][]string{
 		{"firewall", "dpi"},
@@ -298,7 +297,7 @@ func E8OEOPlacement() (*Result, error) {
 			saved = 100 * float64(row[0]-row[1]) / float64(row[0])
 		}
 		t2.AddRow(fmt.Sprint(len(mix)), fmt.Sprint(row[0]), fmt.Sprint(row[1]),
-			fmt.Sprint(row[2]), metrics.Fmt(saved))
+			fmt.Sprint(row[2]), Fmt(saved))
 		if !(row[0] >= row[1] && row[1] >= row[2]) {
 			orderingHolds = false
 		}
@@ -312,7 +311,7 @@ func E8OEOPlacement() (*Result, error) {
 	}
 
 	// Part 3: conversion cost proportional to flow length.
-	t3 := metrics.NewTable("E8c: energy per conversion vs flow length",
+	t3 := NewTable("E8c: energy per conversion vs flow length",
 		"flow bytes", "energy J/conversion")
 	for _, bytes := range []int64{1 << 10, 1 << 20, 1 << 30, 10 << 30} {
 		t3.AddRow(fmt.Sprint(bytes), fmt.Sprintf("%.6f", model.ConversionEnergy(bytes)))
@@ -376,7 +375,7 @@ func E11CapacityGate() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E11: %w", err)
 	}
-	tbl := metrics.NewTable("E11: optical VNFs and conversions vs OER CPU capacity",
+	tbl := NewTable("E11: optical VNFs and conversions vs OER CPU capacity",
 		"OER cores", "optical VNFs", "conversions", "DPI electronic")
 	prevOptical := 1 << 30
 	monotone := true
@@ -408,7 +407,7 @@ func E11CapacityGate() (*Result, error) {
 			monotone = false
 		}
 		prevOptical = opt
-		tbl.AddRow(metrics.Fmt(cores), fmt.Sprint(opt), fmt.Sprint(r.Conversions), fmt.Sprint(dpiElectronic))
+		tbl.AddRow(Fmt(cores), fmt.Sprint(opt), fmt.Sprint(r.Conversions), fmt.Sprint(dpiElectronic))
 	}
 	res.Tables = append(res.Tables, tbl)
 	if monotone {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/alvc/alvc/internal/cluster"
-	"github.com/alvc/alvc/internal/metrics"
 	"github.com/alvc/alvc/internal/topology"
 	"github.com/alvc/alvc/internal/workload"
 )
@@ -19,7 +18,7 @@ func E1Topology() (*Result, error) {
 		Title:  "AL-VC topology generation sweep",
 		Figure: "Fig. 1-2 (racks -> ToR -> multi-OPS optical core)",
 	}
-	tbl := metrics.NewTable("E1: topology sweep",
+	tbl := NewTable("E1: topology sweep",
 		"racks", "ops", "uplinks/tor", "pms", "vms", "boundary links", "optical links", "valid")
 	type shape struct{ racks, ops, uplinks int }
 	shapes := []shape{
@@ -76,7 +75,7 @@ func E2Clustering() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E2: %w", err)
 	}
-	tbl := metrics.NewTable("E2: intra-cluster traffic fraction vs correlation",
+	tbl := NewTable("E2: intra-cluster traffic fraction vs correlation",
 		"intra-frac param", "measured intra fraction", "flows")
 	prev := -1.0
 	monotone := true
@@ -89,7 +88,7 @@ func E2Clustering() (*Result, error) {
 			return nil, fmt.Errorf("E2: traffic: %w", err)
 		}
 		measured := workload.IntraFraction(flows)
-		tbl.AddRow(metrics.Fmt(p), metrics.Fmt(measured), fmt.Sprint(len(flows)))
+		tbl.AddRow(Fmt(p), Fmt(measured), fmt.Sprint(len(flows)))
 		if measured < prev {
 			monotone = false
 		}
@@ -119,7 +118,7 @@ func E3ALConstruction() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E3: fig4: %w", err)
 	}
-	tbl := metrics.NewTable("E3: Fig. 4 worked example",
+	tbl := NewTable("E3: Fig. 4 worked example",
 		"algorithm", "selected ToRs", "AL size", "covers all VMs")
 	builders := []cluster.Builder{
 		cluster.PaperBuilder{},
@@ -219,7 +218,7 @@ func E4ALQuality() (*Result, error) {
 		Title:  "AL size: paper algorithm vs baselines vs optimum",
 		Figure: "Fig. 4 claim ('minimum set of OPSs')",
 	}
-	tbl := metrics.NewTable("E4: mean AL size over 20 seeds (8 racks, sweep OPS count)",
+	tbl := NewTable("E4: mean AL size over 20 seeds (8 racks, sweep OPS count)",
 		"ops", "random [15]", "paper", "paper-static (ablation)", "greedy", "direct-exact", "paper/exact")
 	rng := rand.New(rand.NewSource(99))
 	violated := false
@@ -273,9 +272,9 @@ func E4ALQuality() (*Result, error) {
 		}
 		n := float64(trials)
 		tbl.AddRow(fmt.Sprint(opsCount),
-			metrics.Fmt(sumRandom/n), metrics.Fmt(sumPaper/n), metrics.Fmt(sumStatic/n),
-			metrics.Fmt(sumGreedy/n), metrics.Fmt(sumExact/n),
-			metrics.Fmt((sumPaper/n)/(sumExact/n)))
+			Fmt(sumRandom/n), Fmt(sumPaper/n), Fmt(sumStatic/n),
+			Fmt(sumGreedy/n), Fmt(sumExact/n),
+			Fmt((sumPaper/n)/(sumExact/n)))
 		if sumPaper > sumRandom {
 			violated = true
 		}
@@ -304,7 +303,7 @@ func E10Scalability() (*Result, error) {
 		Title:  "Flexibility and scalability of AL construction",
 		Figure: "§I claim via [15] (flexibility, scalability)",
 	}
-	tbl := metrics.NewTable("E10: AL build time vs DC size (per-service group)",
+	tbl := NewTable("E10: AL build time vs DC size (per-service group)",
 		"racks", "vms/group", "AL size", "build time/group", "build time/vm")
 	var lastPerVM float64
 	for _, racks := range []int{4, 8, 16, 32, 64} {

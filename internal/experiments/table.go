@@ -1,0 +1,96 @@
+package experiments
+
+// The experiments' output format: aligned plain-text tables in the
+// row/series form every experiment reports and `alvc exp` prints.
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"strings"
+)
+
+// Table accumulates rows of string cells under a header and renders an
+// aligned plain-text table — the output format of every experiment.
+type Table struct {
+	Title   string
+	Headers []string
+	rows    [][]string
+}
+
+// NewTable returns a table with the given title and column headers.
+func NewTable(title string, headers ...string) *Table {
+	return &Table{Title: title, Headers: append([]string(nil), headers...)}
+}
+
+// AddRow appends a row; short rows are padded with empty cells.
+func (t *Table) AddRow(cells ...string) {
+	row := append([]string(nil), cells...)
+	for len(row) < len(t.Headers) {
+		row = append(row, "")
+	}
+	t.rows = append(t.rows, row)
+}
+
+// Rows returns a copy of the accumulated rows.
+func (t *Table) Rows() [][]string {
+	out := make([][]string, len(t.rows))
+	for i, r := range t.rows {
+		out[i] = append([]string(nil), r...)
+	}
+	return out
+}
+
+// RowCount returns the number of rows.
+func (t *Table) RowCount() int { return len(t.rows) }
+
+// Render writes the aligned table to w.
+func (t *Table) Render(w io.Writer) error {
+	widths := make([]int, len(t.Headers))
+	for i, h := range t.Headers {
+		widths[i] = len(h)
+	}
+	for _, row := range t.rows {
+		for i, c := range row {
+			if i < len(widths) && len(c) > widths[i] {
+				widths[i] = len(c)
+			}
+		}
+	}
+	var b strings.Builder
+	if t.Title != "" {
+		fmt.Fprintf(&b, "%s\n", t.Title)
+	}
+	writeRow := func(cells []string) {
+		for i, c := range cells {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			fmt.Fprintf(&b, "%-*s", widths[i], c)
+		}
+		b.WriteString("\n")
+	}
+	writeRow(t.Headers)
+	sep := make([]string, len(t.Headers))
+	for i := range sep {
+		sep[i] = strings.Repeat("-", widths[i])
+	}
+	writeRow(sep)
+	for _, row := range t.rows {
+		writeRow(row)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// Fmt formats a float with adaptive precision for table cells.
+func Fmt(v float64) string {
+	switch {
+	case v == math.Trunc(v) && math.Abs(v) < 1e9:
+		return fmt.Sprintf("%.0f", v)
+	case math.Abs(v) >= 100:
+		return fmt.Sprintf("%.1f", v)
+	default:
+		return fmt.Sprintf("%.3f", v)
+	}
+}

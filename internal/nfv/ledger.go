@@ -3,7 +3,6 @@ package nfv
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/alvc/alvc/internal/topology"
@@ -24,6 +23,9 @@ type Ledger struct {
 	capacity map[topology.NodeID]topology.Resources
 	used     map[topology.NodeID]topology.Resources
 	domain   map[topology.NodeID]topology.Domain
+	// capacityIn and usedIn total capacity and used by domain, kept in
+	// step with every Alloc and Free.
+	capacityIn, usedIn [topology.DomainOptical + 1]topology.Resources
 }
 
 // NewLedger indexes the topology's hosting-capable nodes: every PM and
@@ -40,11 +42,13 @@ func NewLedger(topo *topology.Topology) (*Ledger, error) {
 	for _, n := range topo.Nodes(topology.KindPhysicalMachine) {
 		l.capacity[n.ID] = n.Capacity
 		l.domain[n.ID] = topology.DomainElectronic
+		l.capacityIn[topology.DomainElectronic] = l.capacityIn[topology.DomainElectronic].Add(n.Capacity)
 	}
 	for _, n := range topo.Nodes(topology.KindOPS) {
 		if n.Optoelectronic {
 			l.capacity[n.ID] = n.Capacity
 			l.domain[n.ID] = topology.DomainOptical
+			l.capacityIn[topology.DomainOptical] = l.capacityIn[topology.DomainOptical].Add(n.Capacity)
 		}
 	}
 	return l, nil
@@ -74,6 +78,8 @@ func (l *Ledger) Alloc(id topology.NodeID, demand topology.Resources) error {
 			ErrInsufficientCapacity, id, demand, cap.Sub(l.used[id]))
 	}
 	l.used[id] = l.used[id].Add(demand)
+	d := l.domain[id]
+	l.usedIn[d] = l.usedIn[d].Add(demand)
 	return nil
 }
 
@@ -90,6 +96,8 @@ func (l *Ledger) Free(id topology.NodeID, demand topology.Resources) error {
 		return fmt.Errorf("nfv: free: node %d releasing %s exceeds used %s", id, demand, l.used[id])
 	}
 	l.used[id] = rem
+	d := l.domain[id]
+	l.usedIn[d] = l.usedIn[d].Sub(demand)
 	return nil
 }
 
@@ -128,17 +136,14 @@ func (l *Ledger) Domain(id topology.NodeID) (topology.Domain, bool) {
 	return d, ok
 }
 
-// HostsInDomain returns the hosting-capable nodes of the given domain,
-// sorted by ID.
-func (l *Ledger) HostsInDomain(d topology.Domain) []topology.NodeID {
+// DomainTotals returns what the domain's hosting-capable nodes have
+// allocated and what they hold in total. It allocates nothing and costs
+// no walk: the totals are kept as allocations come and go.
+func (l *Ledger) DomainTotals(d topology.Domain) (used, capacity topology.Resources) {
+	if d != topology.DomainElectronic && d != topology.DomainOptical {
+		return topology.Resources{}, topology.Resources{}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []topology.NodeID
-	for id, dom := range l.domain {
-		if dom == d {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return l.usedIn[d], l.capacityIn[d]
 }

@@ -147,14 +147,24 @@ func TestLedgerDomains(t *testing.T) {
 	if d, ok := l.Domain(oer); !ok || d != topology.DomainOptical {
 		t.Fatal("OER domain wrong")
 	}
-	elec := l.HostsInDomain(topology.DomainElectronic)
-	opt := l.HostsInDomain(topology.DomainOptical)
-	if len(elec) != 1 || elec[0] != pm {
-		t.Fatalf("electronic hosts = %v", elec)
+	// The domain totals follow every Alloc and Free on their hosts only.
+	demand := topology.Resources{CPUCores: 2, MemoryGB: 4, StorageGB: 8}
+	if err := l.Alloc(pm, demand); err != nil {
+		t.Fatal(err)
 	}
-	if len(opt) != 1 || opt[0] != oer {
-		t.Fatalf("optical hosts = %v", opt)
+	totals := func(d topology.Domain, host topology.NodeID, wantUsed topology.Resources) {
+		t.Helper()
+		used, capacity := l.DomainTotals(d)
+		if used != wantUsed || capacity != topo.Node(host).Capacity {
+			t.Fatalf("%s totals = used %v of %v, want %v of %v", d, used, capacity, wantUsed, topo.Node(host).Capacity)
+		}
 	}
+	totals(topology.DomainElectronic, pm, demand)
+	totals(topology.DomainOptical, oer, topology.Resources{})
+	if err := l.Free(pm, demand); err != nil {
+		t.Fatal(err)
+	}
+	totals(topology.DomainElectronic, pm, topology.Resources{})
 }
 
 func TestManagerLifecycle(t *testing.T) {

@@ -486,39 +486,38 @@ func (s *Sharded) StandbyFallbacks() int64 {
 	return n
 }
 
-// ShardStat is one shard's slice of the fleet, for metrics endpoints
-// and the root package's count contracts (contracts_test.go). Active and Failed count the shard's records;
-// Deleted and Repairs are since-start counters (deleted chains leave
-// the shard, and their repairs stay counted).
+// ShardStat is one shard's slice of the fleet, exactly as GET /metrics
+// serves it: each field is one series labeled with the shard's index,
+// read in one walk a scrape (TestShardStatIsServed, internal/telemetry,
+// holds the field-to-series map). The protection split alone is served
+// summed over shards, as alvc_resilience_standby_chains{status}.
 type ShardStat struct {
-	Shard   int `json:"shard"`
-	Active  int `json:"active"`
-	Deleted int `json:"deleted"`
-	Failed  int `json:"failed"`
-	Repairs int `json:"repairs"`
+	Shard int
+	// Active and Failed count the shard's records; Deleted and Repairs
+	// count since start (deleted chains leave the shard, and their
+	// repairs stay counted).
+	Active, Failed, Deleted, Repairs int
 	// StandbyDisjoint, StandbyNonDisjoint and Unprotected split the
 	// active chains by protection status; Drifted counts those carrying
-	// the Drifted flag; Conversions and EnergyJoules sum their per-flow
-	// O/E/O accounting.
-	StandbyDisjoint    int     `json:"standby_disjoint"`
-	StandbyNonDisjoint int     `json:"standby_non_disjoint"`
-	Unprotected        int     `json:"unprotected"`
-	Drifted            int     `json:"drifted"`
-	Conversions        int     `json:"conversions"`
-	EnergyJoules       float64 `json:"energy_joules"`
-
-	OPSPool          int    `json:"ops_pool"`
-	PathComputations int    `json:"path_computations"`
-	YenRuns          int    `json:"yen_runs"`
-	InstalledRules   int    `json:"installed_rules"`
-	ProvisionOK      uint64 `json:"provision_ok"`
-	ProvisionFailed  uint64 `json:"provision_failed"`
-	BusyOps          int    `json:"busy_ops"`
-	// CandidateCacheHits/Misses are the shard controller's
-	// standby-search memo counters (segment searches served warm vs
-	// searched cold).
-	CandidateCacheHits   int64 `json:"candidate_cache_hits"`
-	CandidateCacheMisses int64 `json:"candidate_cache_misses"`
+	// the Drifted flag.
+	StandbyDisjoint, StandbyNonDisjoint, Unprotected, Drifted int
+	// Conversions and EnergyJoules sum the active chains' per-flow O/E/O
+	// accounting.
+	Conversions  int
+	EnergyJoules float64
+	// OPSPool is the shard's OPS partition and VCs the ALs built on it.
+	OPSPool, VCs int
+	// PathComputations, YenRuns, InstalledRules and RuleInstalls are the
+	// shard controller's shortest-path runs, k-shortest searches, rules in
+	// its tables now and rules installed since start.
+	PathComputations, YenRuns, InstalledRules, RuleInstalls int
+	// CandidateCacheHits and CandidateCacheMisses count the controller's
+	// standby segment searches served from the memo and searched.
+	CandidateCacheHits, CandidateCacheMisses int64
+	// ProvisionOK and ProvisionFailed count provisions by outcome;
+	// BusyOps is the exclusive operations in flight.
+	ProvisionOK, ProvisionFailed uint64
+	BusyOps                      int
 }
 
 // ShardStats returns one entry per shard, in shard order.
@@ -535,11 +534,13 @@ func (o *Orchestrator) shardStat() ShardStat {
 	st := ShardStat{
 		Shard:            o.shard,
 		OPSPool:          o.alloc.PoolSize(),
+		VCs:              o.alloc.VCCount(),
 		PathComputations: o.ctrl.PathComputations(),
 		YenRuns:          o.ctrl.YenRuns(),
 		InstalledRules:   o.ctrl.RuleCount(),
 		BusyOps:          o.BusyOps(),
 	}
+	_, st.RuleInstalls = o.ctrl.Stats()
 	st.CandidateCacheHits, st.CandidateCacheMisses = o.ctrl.AlternativesCacheStats()
 	st.ProvisionOK, st.ProvisionFailed = o.ProvisionOutcomes()
 	o.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -204,19 +205,14 @@ func TestStormAndDebounceObservabilityOverHTTP(t *testing.T) {
 		t.Fatalf("storm queue state = %+v, want coalesced backlog", st)
 	}
 
-	_, body = do(t, "GET", ts.URL+"/v1/metrics", nil)
-	metrics := mustUnmarshal[MetricsResponse](t, body)
-	if len(metrics.OptimizerQueueHighWater) == 0 {
-		t.Fatalf("metrics carry no optimizer high-water marks: %s", body)
-	}
-	peak := 0
-	for _, hw := range metrics.OptimizerQueueHighWater {
-		if hw > peak {
-			peak = hw
+	peak := 0.0
+	for series, hw := range scrapeSeries(t, ts.URL) {
+		if strings.HasPrefix(series, "alvc_optimizer_queue_high_water{") {
+			peak = max(peak, hw)
 		}
 	}
 	if peak < 2 {
-		t.Fatalf("high-water = %v, want a recorded spike", metrics.OptimizerQueueHighWater)
+		t.Fatalf("optimizer queue high-water on /metrics = %v, want a recorded spike", peak)
 	}
 
 	// Draining over HTTP disengages the storm.

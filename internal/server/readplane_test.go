@@ -262,7 +262,7 @@ func TestReadPlaneAllocationCeilings(t *testing.T) {
 	}{
 		{"list", "/v1/chains", 24},                                   // 2 224
 		{"get", fmt.Sprintf("/v1/chains/%d", ids[100]), 10},          // 28
-		{"scrape", "/metrics", 20},                                   // 1 904
+		{"scrape", "/metrics", 2},                                    // 1 904
 		{"traces", "/v1/traces", 100},                                // 309
 		{"chain traces", fmt.Sprintf("/v1/chains/%d/traces", 7), 24}, // one summary
 	} {

@@ -2,7 +2,8 @@
 // plane: the network-service surface of the paper's Fig. 6
 // orchestrator. Chains are provisioned, inspected, modified, upgraded,
 // scaled, moved and deleted over HTTP; node failures are injected and
-// recovered; topology and resource metrics are observable. All state
+// recovered; the topology is served as JSON and every metric on
+// GET /metrics (Prometheus text, internal/telemetry). All state
 // lives in the wrapped alvc.Architecture — the server itself is
 // stateless and safe for concurrent requests.
 package server
@@ -73,7 +74,7 @@ func New(arch *alvc.Architecture, opts ...Option) (*Server, error) {
 	// The telemetry plane wires its observer hooks and event-mux
 	// subscriptions at construction; the server just mounts its two
 	// handlers.
-	s.tele = telemetry.NewPlaneWith(arch, telemetry.PlaneOptions{WatchRing: s.watchRing})
+	s.tele = telemetry.NewPlane(arch, s.watchRing)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -99,7 +100,6 @@ func New(arch *alvc.Architecture, opts ...Option) (*Server, error) {
 	mux.HandleFunc("GET /v1/nodes/{node}/impact", s.handleNodeImpact)
 	mux.HandleFunc("GET /v1/links/{link}/impact", s.handleLinkImpact)
 	mux.HandleFunc("GET /v1/topology", s.handleTopology)
-	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/optimizer/status", s.handleOptimizerStatus)
 	mux.HandleFunc("POST /v1/optimizer:run", s.handleOptimizerRun)
 	mux.HandleFunc("POST /v1/optimizer/pause", s.handleOptimizerPause)
@@ -589,48 +589,4 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sendJSON(w, http.StatusOK, data)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var resp MetricsResponse
-	sum := s.arch.Summarize()
-	resp.Topology.PMs = sum.PMs
-	resp.Topology.VMs = sum.VMs
-	resp.Topology.ToRs = sum.ToRs
-	resp.Topology.OPSs = sum.OPSs
-	resp.Topology.OptoelectronicOPSs = sum.OptoelectronicOPSs
-	resp.Topology.Services = sum.Services
-	resp.Clusters = sum.Clusters
-	resp.InstalledRules = sum.InstalledRules
-	resp.TotalConversions = sum.TotalConversions
-	resp.TotalEnergyJoules = sum.TotalEnergyJoules
-	resp.Shards = s.arch.ShardStats()
-	for _, st := range resp.Shards {
-		resp.Deployments.Active += st.Active
-		resp.Deployments.Deleted += st.Deleted
-		resp.Deployments.Failed += st.Failed
-	}
-	ledger := s.arch.Sharded().Shard(0).Manager().Ledger()
-	resp.Utilization = make(map[string]UtilizationJSON, 2)
-	for _, dom := range []topology.Domain{topology.DomainElectronic, topology.DomainOptical} {
-		var u UtilizationJSON
-		for _, host := range ledger.HostsInDomain(dom) {
-			capacity, ok := ledger.Capacity(host)
-			if !ok {
-				continue
-			}
-			u.Hosts++
-			u.Capacity = u.Capacity.Add(capacity)
-			u.Used = u.Used.Add(ledger.Used(host))
-		}
-		if u.Capacity.CPUCores > 0 {
-			u.CPUPercent = 100 * u.Used.CPUCores / u.Capacity.CPUCores
-		}
-		resp.Utilization[dom.String()] = u
-	}
-	resp.ShardCount = s.arch.ShardCount()
-	if st, ok := s.arch.OptimizerStatus(); ok {
-		resp.OptimizerQueueHighWater = st.ShardHighWater
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -427,7 +429,7 @@ func TestConcurrentTraffic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if status, _ := do(t, "GET", ts.URL+"/v1/metrics", nil); status != http.StatusOK {
+				if status, _ := do(t, "GET", ts.URL+"/metrics", nil); status != http.StatusOK {
 					t.Errorf("metrics: status %d", status)
 				}
 				if status, _ := do(t, "GET", ts.URL+"/v1/chains", nil); status != http.StatusOK {
@@ -452,10 +454,33 @@ func TestConcurrentTraffic(t *testing.T) {
 	if !arch.Sharded().Shard(0).Allocator().Disjoint() {
 		t.Fatal("ALs are not disjoint after concurrent traffic")
 	}
-	status, _ := do(t, "GET", ts.URL+"/v1/metrics", nil)
+	status, _ := do(t, "GET", ts.URL+"/metrics", nil)
 	if status != http.StatusOK {
 		t.Fatalf("final metrics: %d", status)
 	}
+}
+
+// scrapeSeries reads GET /metrics into series → value, each series named
+// with its label set exactly as exposed.
+func scrapeSeries(t *testing.T, baseURL string) map[string]float64 {
+	t.Helper()
+	status, body := do(t, "GET", baseURL+"/metrics", nil)
+	if status != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", status)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		cut := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[cut+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics sample %q: %v", line, err)
+		}
+		out[line[:cut]] = v
+	}
+	return out
 }
 
 func TestTopologyAndMetricsEndpoints(t *testing.T) {
@@ -475,16 +500,18 @@ func TestTopologyAndMetricsEndpoints(t *testing.T) {
 	if status, _ = do(t, "POST", ts.URL+"/v1/chains", specBody("m1", "t1", "web", "firewall")); status != http.StatusCreated {
 		t.Fatalf("provision: %d", status)
 	}
-	status, body = do(t, "GET", ts.URL+"/v1/metrics", nil)
-	if status != http.StatusOK {
-		t.Fatalf("metrics: %d", status)
+	m := scrapeSeries(t, ts.URL)
+	if m[`alvc_orch_deployments{shard="0",state="active"}`] != 1 || m[`alvc_sdn_installed_rules{shard="0"}`] == 0 ||
+		m[`alvc_cluster_ops_pool{shard="0"}`] != 24 || m[`alvc_cluster_vcs{shard="0"}`] != 1 {
+		t.Fatalf("metrics: %v", m)
 	}
-	m := mustUnmarshal[MetricsResponse](t, body)
-	if m.Deployments.Active != 1 || m.InstalledRules == 0 || m.Topology.OPSs == 0 {
-		t.Fatalf("metrics: %+v", m)
+	if used, capacity := m[`alvc_nfv_cpu_cores{domain="electronic",kind="used"}`]+m[`alvc_nfv_cpu_cores{domain="optical",kind="used"}`],
+		m[`alvc_nfv_cpu_cores{domain="electronic",kind="capacity"}`]; used != 1 || capacity == 0 {
+		t.Fatalf("VNF-hosting CPU: %v cores used of %v electronic, want the firewall's 1", used, capacity)
 	}
-	if m.Utilization["electronic"].Hosts == 0 {
-		t.Fatalf("metrics utilization missing electronic domain: %+v", m.Utilization)
+	// /metrics is the one metric surface: the JSON side door is gone.
+	if status, body = do(t, "GET", ts.URL+"/v1/metrics", nil); status != http.StatusNotFound {
+		t.Fatalf("GET /v1/metrics: %d (%s), want 404", status, body)
 	}
 }
 
@@ -499,8 +526,8 @@ func TestHealthz(t *testing.T) {
 // TestDeletedChainAnswersFromTombstone: DELETE still returns the full
 // final record; from then on the chain's record is gone and a tombstone
 // answers for it — 200 "deleted" on GET and under ?state=deleted while
-// it is among the newest orch.TombstoneRing deletes, 404 after — and the
-// deleted counts are deletes since start.
+// it is among the newest orch.TombstoneRing deletes, 404 after — and
+// alvc_orch_deletes_total counts deletes since start.
 func TestDeletedChainAnswersFromTombstone(t *testing.T) {
 	ts, _ := newTestServer(t)
 	churn := func(traceID string) (DeploymentJSON, string) {
@@ -562,13 +589,11 @@ func TestDeletedChainAnswersFromTombstone(t *testing.T) {
 	if status, body = do(t, "GET", ts.URL+"/v1/chains", nil); status != http.StatusOK || string(bytes.TrimSpace(body)) != "[]" {
 		t.Fatalf("list after deleting everything: %d %s", status, body)
 	}
-	_, body = do(t, "GET", ts.URL+"/v1/metrics", nil)
-	if m := mustUnmarshal[MetricsResponse](t, body); m.Deployments.Deleted != orch.TombstoneRing+1 || m.Deployments.Active != 0 {
-		t.Fatalf("metrics deployments = %+v, want %d deleted since start", m.Deployments, orch.TombstoneRing+1)
+	m := scrapeSeries(t, ts.URL)
+	if got := m[`alvc_orch_deletes_total{shard="0"}`]; got != orch.TombstoneRing+1 || m[`alvc_orch_deployments{shard="0",state="active"}`] != 0 {
+		t.Fatalf("alvc_orch_deletes_total = %v, want %d deletes since start and no active record", got, orch.TombstoneRing+1)
 	}
-	_, body = do(t, "GET", ts.URL+"/metrics", nil)
-	want := fmt.Sprintf(`alvc_orch_deployments{shard="0",state="deleted"} %d`, orch.TombstoneRing+1)
-	if !bytes.Contains(body, []byte(want)) {
-		t.Fatalf("/metrics lacks %q", want)
+	if _, ok := m[`alvc_orch_deployments{shard="0",state="deleted"}`]; ok {
+		t.Fatal(`a since-start count is served on the gauge alvc_orch_deployments{state="deleted"}`)
 	}
 }

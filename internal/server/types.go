@@ -193,44 +193,6 @@ type ImpactResponse struct {
 	Count  int               `json:"count"`
 }
 
-// UtilizationJSON aggregates the resource ledger over one hosting
-// domain (electronic PMs or optical optoelectronic routers).
-type UtilizationJSON struct {
-	Hosts      int                `json:"hosts"`
-	Capacity   topology.Resources `json:"capacity"`
-	Used       topology.Resources `json:"used"`
-	CPUPercent float64            `json:"cpu_percent"`
-}
-
-// MetricsResponse is the body of GET /v1/metrics.
-type MetricsResponse struct {
-	Topology struct {
-		PMs, VMs, ToRs, OPSs int
-		OptoelectronicOPSs   int
-		Services             int
-	} `json:"topology"`
-	Deployments struct {
-		Active  int `json:"active"`
-		Deleted int `json:"deleted"`
-		Failed  int `json:"failed"`
-	} `json:"deployments"`
-	Clusters          int                        `json:"clusters"`
-	InstalledRules    int                        `json:"installed_rules"`
-	TotalConversions  int                        `json:"total_conversions"`
-	TotalEnergyJoules float64                    `json:"total_energy_joules"`
-	Utilization       map[string]UtilizationJSON `json:"utilization"`
-	// ShardCount and Shards expose the orchestrator sharding layout:
-	// one entry per shard with its deployment counts, repair total, OPS
-	// pool size and controller load. A single-shard server reports one
-	// entry.
-	ShardCount int              `json:"shard_count"`
-	Shards     []alvc.ShardStat `json:"shards"`
-	// OptimizerQueueHighWater is the deepest backlog each optimizer
-	// shard queue has reached since start — the storm watermark. Absent
-	// when no optimizer is attached.
-	OptimizerQueueHighWater []int `json:"optimizer_queue_high_water,omitempty"`
-}
-
 // OptimizerRunResponse is the body of POST /v1/optimizer:run — a
 // synchronous drain of the background maintenance queue: the tasks
 // executed by this call and the engine state afterwards.

@@ -8,8 +8,9 @@ import (
 // TestSeriesLookupAllocatesNothing: finding an existing series — the
 // pipeline does it once per stage per provision, a scrape-time family
 // once per series per scrape — allocates nothing, the variadic label
-// slice included, whatever the number of labels; and a scrape of push
-// and scrape-time families costs the histogram's one counts copy.
+// slice included, whatever the number of labels; and neither does a
+// scrape of push and scrape-time families: histogram buckets are read
+// where they are counted.
 func TestSeriesLookupAllocatesNothing(t *testing.T) {
 	r := NewRegistry()
 	stages := r.NewHistogramVec("stage_seconds", "h", []float64{1, 2}, "stage")
@@ -31,7 +32,7 @@ func TestSeriesLookupAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { churn.WithLabelValues("3", "from").Inc() }); n != 0 {
 		t.Errorf("CounterVec.WithLabelValues of two labels allocates %.0f times", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = r.WritePrometheus(io.Discard) }); n > 6 && !raceEnabled {
-		t.Errorf("a scrape of 9 series allocates %.0f times, want the 6 histogram counts copies at most", n)
+	if n := testing.AllocsPerRun(100, func() { _ = r.WritePrometheus(io.Discard) }); n != 0 && !raceEnabled {
+		t.Errorf("a scrape of 9 series allocates %.0f times", n)
 	}
 }

@@ -113,7 +113,7 @@ func oracleExposition(r *Registry) []byte {
 		switch c := c.(type) {
 		case *CounterVec:
 			for _, ch := range c.kids {
-				kids = append(kids, oracleSeries{values: labelsOf(f, ch.key), text: fmt.Sprintf("%d", ch.c.Value())})
+				kids = append(kids, oracleSeries{values: labelsOf(f, ch.key), text: fmt.Sprintf("%d", ch.Value())})
 			}
 		case *GaugeVec:
 			for _, g := range c.kids {
@@ -128,7 +128,7 @@ func oracleExposition(r *Registry) []byte {
 		case *HistogramVec:
 			bounds = c.bounds
 			for _, ch := range c.kids {
-				kids = append(kids, oracleSeries{values: labelsOf(f, ch.key), counts: ch.h.Counts(), sum: math.Float64frombits(ch.sumBits.Load())})
+				kids = append(kids, oracleSeries{values: labelsOf(f, ch.key), counts: bucketCounts(ch), sum: math.Float64frombits(ch.sumBits.Load())})
 			}
 		case *histogramFunc:
 			bounds = c.bounds
@@ -209,14 +209,18 @@ func TestExpositionEqualsOracle(t *testing.T) {
 					v.WithLabelValues(tuple()...).Observe(math.Abs(rng.NormFloat64()))
 				}
 			case 3:
-				samples := make(map[string]Sample) // one value per label tuple: the scrape keeps the last
+				type sample struct {
+					labels []string
+					value  float64
+				}
+				samples := make(map[string]sample) // one value per label tuple: the scrape keeps the last
 				for i := 0; i < 12; i++ {
 					vals := tuple()
-					samples[labelKey(vals)] = Sample{Labels: vals, Value: value()}
+					samples[labelKey(vals)] = sample{vals, value()}
 				}
 				r.GaugeSink(name, "scrape-time", labels, func(s Sink) {
 					for _, sm := range samples { // map order: a different arrival order every scrape
-						s.Add(sm.Value, sm.Labels...)
+						s.Add(sm.value, sm.labels...)
 					}
 				})
 			}
@@ -244,7 +248,7 @@ func TestPlaneExpositionEqualsOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("alvc.New: %v", err)
 	}
-	p := NewPlane(arch)
+	p := NewPlane(arch, 0)
 	defer p.Close()
 	checkAgainstOracle(t, "idle plane", p.Registry())
 

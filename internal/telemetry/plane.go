@@ -18,6 +18,7 @@ import (
 
 	"github.com/alvc/alvc"
 	"github.com/alvc/alvc/internal/orch"
+	"github.com/alvc/alvc/internal/topology"
 	"github.com/alvc/alvc/internal/trace"
 )
 
@@ -38,13 +39,6 @@ var (
 // congestedOccupancy is the λ occupancy ratio at or above which a link
 // counts as congested (alvc_optical_links_congested).
 const congestedOccupancy = 0.75
-
-// PlaneOptions tunes a Plane.
-type PlaneOptions struct {
-	// WatchRing is the /v1/watch Last-Event-ID replay horizon in
-	// events (default 256); see HubOptions.RingSize.
-	WatchRing int
-}
 
 // Plane is the telemetry plane over one Architecture: a Registry
 // serving GET /metrics and a Hub serving GET /v1/watch, with every
@@ -72,21 +66,17 @@ type Plane struct {
 // every hook: the stage and re-home observers on all shards, the
 // debouncer's flush observer and the optimizer's drain observer when
 // attached, and two event-mux subscriptions (the counter sink and the
-// watch hub).
-func NewPlane(arch *alvc.Architecture) *Plane {
-	return NewPlaneWith(arch, PlaneOptions{})
-}
-
-// NewPlaneWith is NewPlane with explicit options.
-func NewPlaneWith(arch *alvc.Architecture, opts PlaneOptions) *Plane {
-	p := &Plane{arch: arch, reg: NewRegistry(),
-		hub: NewHubWith(HubOptions{RingSize: opts.WatchRing})}
+// watch hub, whose Last-Event-ID replay ring holds watchRing events; 256
+// when watchRing ≤ 0).
+func NewPlane(arch *alvc.Architecture, watchRing int) *Plane {
+	p := &Plane{arch: arch, reg: NewRegistry(), hub: NewHub(watchRing)}
 	p.reg.BeforeScrape(p.refresh)
 	p.registerOrch()
 	p.registerOptimizer()
 	p.registerRouting()
 	p.registerResilience()
 	p.registerOptical()
+	p.registerFleet()
 	p.registerWatch()
 	p.registerTrace()
 	p.registerRuntime()
@@ -127,7 +117,7 @@ func (p *Plane) MetricsHandler() http.Handler { return p.reg.Handler() }
 // WatchHandler returns the GET /v1/watch SSE handler.
 func (p *Plane) WatchHandler() http.Handler { return p.hub }
 
-// Close detaches everything NewPlaneWith attached — the event-mux
+// Close detaches everything NewPlane attached — the event-mux
 // subscriptions and the four observers — so a closed plane's registry
 // is written no more. A plane opened after this one must be closed
 // after it, or it loses its observers to this call.
@@ -165,6 +155,8 @@ type scrapeState struct {
 	debounce  alvc.DebounceStats   // zero without a debouncer
 	trace     trace.Stats          // zero with tracing disabled
 	occupancy []float64            // λ occupancy ratio per lit optical link
+	cpuUsed   [2]float64           // VNF-hosting CPU cores allocated, per hostingDomains entry
+	cpuTotal  [2]float64           // and installed
 	mem       runtime.MemStats     // as of memRead: see refreshMem
 	memRead   time.Time
 	gcPauses  []float64 // the GC-pause histogram's observation buffer
@@ -178,6 +170,11 @@ func (p *Plane) refresh() {
 	s.trace = trace.Stats{}
 	if st := arch.TraceStore(); st != nil {
 		s.trace = st.Stats()
+	}
+	ledger := arch.Sharded().Shard(0).Manager().Ledger()
+	for i, d := range hostingDomains {
+		used, capacity := ledger.DomainTotals(d)
+		s.cpuUsed[i], s.cpuTotal[i] = used.CPUCores, capacity.CPUCores
 	}
 	s.occupancy = s.occupancy[:0]
 	if wdm := arch.Sharded().Shard(0).WDM(); wdm != nil {
@@ -217,15 +214,20 @@ func (p *Plane) registerOrch() {
 			}
 		})
 	p.reg.GaugeSink("alvc_orch_deployments",
-		"Deployments by shard and lifecycle state (deleted: deletes since start).",
+		"Deployment records by shard and lifecycle state.",
 		[]string{"shard", "state"}, func(s Sink) {
 			for _, st := range sc.shards {
 				shard := strconv.Itoa(st.Shard)
 				s.Add(float64(st.Active), shard, "active")
-				s.Add(float64(st.Deleted), shard, "deleted")
 				s.Add(float64(st.Failed), shard, "failed")
 			}
 		})
+	p.reg.CounterSink("alvc_orch_deletes_total",
+		"Chains deleted per shard since start (a deleted chain leaves the shard's records).",
+		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.Deleted) }))
+	p.reg.GaugeSink("alvc_orch_drifted_chains",
+		"Active chains per shard moved under duress by a repair and not re-homed since.",
+		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.Drifted) }))
 	p.reg.CounterSink("alvc_orch_shard_repairs_total",
 		"Successful repairs per shard since start (repairs of chains deleted since stay counted).",
 		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.Repairs) }))
@@ -350,6 +352,9 @@ func (p *Plane) registerRouting() {
 	p.reg.GaugeSink("alvc_sdn_installed_rules",
 		"Installed flow rules per shard controller.",
 		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.InstalledRules) }))
+	p.reg.CounterSink("alvc_sdn_rule_installs_total",
+		"Flow rules installed per shard controller since start (removals do not subtract).",
+		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.RuleInstalls) }))
 	p.reg.CounterSink("alvc_topology_graph_builds_total",
 		"Full routing-graph (CSR) rebuilds.",
 		nil, one(func() float64 { return float64(topo.GraphBuilds()) }))
@@ -415,6 +420,37 @@ func (p *Plane) registerOptical() {
 	p.reg.GaugeSink("alvc_optical_links_lit",
 		"Optical links with at least one wavelength in use.",
 		nil, one(func() float64 { return float64(len(sc.occupancy)) }))
+}
+
+// hostingDomains are the domains VNFs are hosted in: electronic PMs
+// and optical optoelectronic routers.
+var hostingDomains = [2]topology.Domain{topology.DomainElectronic, topology.DomainOptical}
+
+// registerFleet wires the paper's per-fleet counts: ALs and the OPS
+// pool they claim from (§III), O/E/O conversions and their energy
+// (§IV-D), and VNF-hosting CPU by domain.
+func (p *Plane) registerFleet() {
+	sc := &p.scrape
+	p.reg.GaugeSink("alvc_cluster_ops_pool",
+		"OPSs in each shard's partition of the optical core.",
+		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.OPSPool) }))
+	p.reg.GaugeSink("alvc_cluster_vcs",
+		"Virtual clusters (ALs) built on each shard's OPS pool.",
+		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.VCs) }))
+	p.reg.GaugeSink("alvc_oeo_conversions",
+		"O/E/O conversions per flow, summed over each shard's active chains.",
+		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.Conversions) }))
+	p.reg.GaugeSink("alvc_oeo_energy_joules",
+		"O/E/O conversion energy per flow in joules, summed over each shard's active chains.",
+		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return st.EnergyJoules }))
+	p.reg.GaugeSink("alvc_nfv_cpu_cores",
+		"VNF-hosting CPU cores by domain: allocated (used) and installed (capacity).",
+		[]string{"domain", "kind"}, func(s Sink) {
+			for i, d := range hostingDomains {
+				s.Add(sc.cpuUsed[i], d.String(), "used")
+				s.Add(sc.cpuTotal[i], d.String(), "capacity")
+			}
+		})
 }
 
 // registerTrace wires the trace-store self-observability families; all

@@ -57,7 +57,7 @@ func scrape(t *testing.T, p *Plane) string {
 // alvc_ prefix, each announced exactly once.
 func TestPlaneFamilySurface(t *testing.T) {
 	arch := newTestArch(t)
-	p := NewPlane(arch)
+	p := NewPlane(arch, 0)
 	defer p.Close()
 
 	names := p.Registry().FamilyNames()
@@ -103,7 +103,7 @@ func TestPlaneFamilySurface(t *testing.T) {
 // repair counters, the watch hub, and the debounce flush histogram.
 func TestPlaneObservesLifecycle(t *testing.T) {
 	arch := newTestArch(t)
-	p := NewPlane(arch)
+	p := NewPlane(arch, 0)
 	defer p.Close()
 
 	ch, cancel := p.Hub().Subscribe(0, 64)
@@ -176,7 +176,7 @@ func pushedSeries(t *testing.T, p *Plane) (out []string) {
 // where they were.
 func TestClosedPlaneStopsObserving(t *testing.T) {
 	arch := newTestArch(t)
-	p := NewPlane(arch)
+	p := NewPlane(arch, 0)
 	dep := mustDeploy(t, arch, "c1")
 	before := pushedSeries(t, p)
 	if len(before) == 0 || !strings.Contains(strings.Join(before, "\n"), `alvc_orch_pipeline_stage_seconds_count{stage="path"} 1`) {

@@ -1,16 +1,15 @@
-// Package telemetry is the first-class observability plane of the
-// AL-VC stack: a dependency-free metric registry with Prometheus
-// text-format exposition (GET /metrics) and a ring-buffered event hub
-// streaming orchestrator lifecycle events over SSE (GET /v1/watch).
+// Package telemetry is the observability plane of the AL-VC stack and
+// its only metric model: a dependency-free registry whose families own
+// their series and render the Prometheus text exposition (GET /metrics),
+// and a ring-buffered event hub streaming orchestrator lifecycle events
+// over SSE (GET /v1/watch).
 //
-// The registry reuses the internal/metrics primitives (Counter,
-// Histogram) as storage backends and adds what an exposition endpoint
-// needs on top: metric families with HELP/TYPE metadata, labeled
-// series, cumulative histogram buckets, and scrape-time collectors
-// (CounterFunc/GaugeFunc/HistogramFunc) that read live architecture
-// state instead of duplicating it into push-updated shadows. Output is
-// deterministic — families sorted by name, series by label values —
-// so exposition tests can compare against golden files.
+// A family is push-updated (CounterVec, GaugeVec, HistogramVec: lock-free
+// children a hot path bumps) or read at scrape time (CounterSink,
+// GaugeSink, HistogramFunc: closures that report live architecture state
+// instead of duplicating it into push-updated shadows). Output is
+// deterministic — families sorted by name, series by label values — so
+// exposition tests can compare against golden files.
 package telemetry
 
 import (
@@ -24,8 +23,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"github.com/alvc/alvc/internal/metrics"
 )
 
 // MetricType is the Prometheus family type announced by # TYPE.
@@ -267,18 +264,35 @@ func compareKey(key string, values []string) int {
 // ---------------------------------------------------------------------------
 // Push-updated families
 
-// CounterVec is a labeled counter family backed by metrics.Counter
-// children, one per label-value combination.
+// CounterVec is a labeled counter family, one Counter per label-value
+// combination.
 type CounterVec struct {
 	family
 	mu   sync.Mutex
-	kids []*counterChild // sorted by key
+	kids []*Counter // sorted by key
 }
 
-type counterChild struct {
+// Counter is one series of a CounterVec. Lock-free: counters sit on hot
+// paths (per-shard provisioning loops, repair fan-outs) where a mutex
+// per increment would serialize exactly the work being counted.
+type Counter struct {
 	series
-	c metrics.Counter
+	n atomic.Int64
 }
+
+// Add increments the counter by delta; a negative delta is ignored, a
+// counter never goes down.
+func (c *Counter) Add(delta int64) {
+	if delta > 0 {
+		c.n.Add(delta)
+	}
+}
+
+// Inc increments the counter by one.
+func (c *Counter) Inc() { c.n.Add(1) }
+
+// Value returns the current count.
+func (c *Counter) Value() int64 { return c.n.Load() }
 
 // NewCounterVec registers a counter family with the given label names
 // (none for a single-series counter).
@@ -290,22 +304,22 @@ func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *Count
 
 // WithLabelValues returns (creating if needed) the child counter for
 // the label values, which must match the family's label arity.
-func (v *CounterVec) WithLabelValues(values ...string) *metrics.Counter {
+func (v *CounterVec) WithLabelValues(values ...string) *Counter {
 	v.checkArity(values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	i, ok := findSeries(v.kids, values)
 	if !ok {
-		v.kids = slices.Insert(v.kids, i, &counterChild{series: v.newSeries(values)})
+		v.kids = slices.Insert(v.kids, i, &Counter{series: v.newSeries(values)})
 	}
-	return &v.kids[i].c
+	return v.kids[i]
 }
 
 func (v *CounterVec) appendSeries(b []byte) []byte {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for _, ch := range v.kids {
-		b = append(strconv.AppendInt(append(b, ch.head...), ch.c.Value(), 10), '\n')
+	for _, c := range v.kids {
+		b = append(strconv.AppendInt(append(b, c.head...), c.Value(), 10), '\n')
 	}
 	return b
 }
@@ -369,10 +383,9 @@ func (v *GaugeVec) appendSeries(b []byte) []byte {
 	return b
 }
 
-// HistogramVec is a labeled histogram family backed by
-// metrics.Histogram children plus a separately tracked sample sum (the
-// backend tracks bucket counts only). Exposition renders cumulative
-// le-labeled buckets with the implicit +Inf, _sum and _count series.
+// HistogramVec is a labeled histogram family. Exposition renders
+// cumulative le-labeled buckets with the implicit +Inf, _sum and _count
+// series.
 type HistogramVec struct {
 	family
 	bounds []float64
@@ -383,19 +396,62 @@ type HistogramVec struct {
 // HistogramChild is one observable series of a HistogramVec.
 type HistogramChild struct {
 	series
-	heads   [][]byte // see histogramHeads
-	h       *metrics.Histogram
-	sumBits atomic.Uint64
+	buckets
 }
 
 // Observe records one sample.
-func (c *HistogramChild) Observe(v float64) {
-	c.h.Observe(v)
+func (c *HistogramChild) Observe(v float64) { c.observe(v) }
+
+// buckets is one histogram series: samples counted into fixed ascending
+// upper bounds, the last slot being the overflow bucket, beside the
+// samples' sum. Lock-free: a scrape reads the counts where they are,
+// without a copy.
+type buckets struct {
+	bounds  []float64
+	heads   [][]byte       // see histogramHeads
+	counts  []atomic.Int64 // len(bounds)+1
+	sumBits atomic.Uint64
+}
+
+func newBuckets(bounds []float64, heads [][]byte) buckets {
+	return buckets{bounds: bounds, heads: heads, counts: make([]atomic.Int64, len(bounds)+1)}
+}
+
+func (k *buckets) observe(v float64) {
+	k.counts[sort.SearchFloat64s(k.bounds, v)].Add(1)
 	for {
-		old := c.sumBits.Load()
+		old := k.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
-		if c.sumBits.CompareAndSwap(old, next) {
+		if k.sumBits.CompareAndSwap(old, next) {
 			return
+		}
+	}
+}
+
+// appendTo appends the series: cumulative buckets (the per-bucket
+// counts accumulate into each le bound, ending at +Inf), then _sum and
+// _count.
+func (k *buckets) appendTo(b []byte) []byte {
+	var cum int64
+	for i := range k.counts {
+		cum += k.counts[i].Load()
+		b = append(strconv.AppendInt(append(b, k.heads[i]...), cum, 10), '\n')
+	}
+	n := len(k.counts)
+	b = append(appendValue(append(b, k.heads[n]...), math.Float64frombits(k.sumBits.Load())), '\n')
+	return append(strconv.AppendInt(append(b, k.heads[n+1]...), cum, 10), '\n')
+}
+
+// checkBounds panics unless bounds is a non-empty ascending list — a
+// histogram's buckets are wired once at construction, so bad bounds are
+// a programming error.
+func checkBounds(name string, bounds []float64) {
+	if len(bounds) == 0 {
+		panic(fmt.Sprintf("telemetry: %s: histogram needs at least one bound", name))
+	}
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			panic(fmt.Sprintf("telemetry: %s: histogram bounds not ascending at %d", name, i))
 		}
 	}
 }
@@ -403,12 +459,10 @@ func (c *HistogramChild) Observe(v float64) {
 // NewHistogramVec registers a histogram family with the given
 // ascending bucket upper bounds (the +Inf bucket is implicit).
 func (r *Registry) NewHistogramVec(name, help string, bounds []float64, labelNames ...string) *HistogramVec {
-	if _, err := metrics.NewHistogram(bounds...); err != nil {
-		panic(fmt.Sprintf("telemetry: %s: %v", name, err))
-	}
+	checkBounds(name, bounds)
 	v := &HistogramVec{
 		family: family{name: name, labelNames: labelNames},
-		bounds: append([]float64(nil), bounds...),
+		bounds: slices.Clone(bounds),
 	}
 	r.register(v, TypeHistogram, help)
 	return v
@@ -421,14 +475,9 @@ func (v *HistogramVec) WithLabelValues(values ...string) *HistogramChild {
 	defer v.mu.Unlock()
 	i, ok := findSeries(v.kids, values)
 	if !ok {
-		h, err := metrics.NewHistogram(v.bounds...)
-		if err != nil {
-			panic(fmt.Sprintf("telemetry: %s: %v", v.name, err))
-		}
 		v.kids = slices.Insert(v.kids, i, &HistogramChild{
-			series: v.newSeries(values),
-			heads:  histogramHeads(v.name, v.labelNames, values, v.bounds),
-			h:      h,
+			series:  v.newSeries(values),
+			buckets: newBuckets(v.bounds, histogramHeads(v.name, v.labelNames, values, v.bounds)),
 		})
 	}
 	return v.kids[i]
@@ -438,7 +487,7 @@ func (v *HistogramVec) appendSeries(b []byte) []byte {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for _, ch := range v.kids {
-		b = appendHistogram(b, ch.heads, ch.h.Counts(), math.Float64frombits(ch.sumBits.Load()))
+		b = ch.appendTo(b)
 	}
 	return b
 }
@@ -459,29 +508,8 @@ func histogramHeads(name string, labelNames, labelValues []string, bounds []floa
 		lineHead(name+"_count", labelNames, labelValues))
 }
 
-// appendHistogram appends one histogram series under its heads:
-// cumulative buckets (the per-bucket counts accumulate into each le
-// bound, ending at +Inf), then _sum and _count. counts has one entry
-// per bound and a last one for the overflow bucket.
-func appendHistogram(b []byte, heads [][]byte, counts []int64, sum float64) []byte {
-	var cum int64
-	for i, n := range counts {
-		cum += n
-		b = append(strconv.AppendInt(append(b, heads[i]...), cum, 10), '\n')
-	}
-	b = append(appendValue(append(b, heads[len(counts)]...), sum), '\n')
-	return append(strconv.AppendInt(append(b, heads[len(counts)+1]...), cum, 10), '\n')
-}
-
 // ---------------------------------------------------------------------------
 // Scrape-time families
-
-// Sample is one series of a scrape-time family: label values (aligned
-// with the family's label names) and the current value.
-type Sample struct {
-	Labels []string
-	Value  float64
-}
 
 // Sink is where a scrape-time family reports the series of the scrape
 // in progress.
@@ -542,55 +570,33 @@ func (r *Registry) GaugeSink(name, help string, labelNames []string, fn func(Sin
 	r.register(&funcCollector{family: family{name: name, labelNames: labelNames}, fn: fn}, TypeGauge, help)
 }
 
-// CounterFunc is CounterSink for a closure that returns its series.
-func (r *Registry) CounterFunc(name, help string, labelNames []string, fn func() []Sample) {
-	r.CounterSink(name, help, labelNames, addSamples(fn))
-}
-
-// GaugeFunc is GaugeSink for a closure that returns its series.
-func (r *Registry) GaugeFunc(name, help string, labelNames []string, fn func() []Sample) {
-	r.GaugeSink(name, help, labelNames, addSamples(fn))
-}
-
-func addSamples(fn func() []Sample) func(Sink) {
-	return func(s Sink) {
-		for _, sm := range fn() {
-			s.Add(sm.Value, sm.Labels...)
-		}
-	}
-}
-
 // histogramFunc buckets a scrape-time observation set — e.g. per-link
 // λ occupancy ratios — into a fixed bound list on every scrape.
 type histogramFunc struct {
 	family
-	bounds []float64
-	heads  [][]byte
-	counts []int64 // the scrape's buckets; touched only under scrapeMu
-	fn     func() []float64
+	buckets
+	fn func() []float64
 }
 
 func (c *histogramFunc) appendSeries(b []byte) []byte {
-	clear(c.counts)
-	sum := 0.0
-	for _, v := range c.fn() {
-		sum += v
-		c.counts[sort.SearchFloat64s(c.bounds, v)]++
+	for i := range c.counts {
+		c.counts[i].Store(0)
 	}
-	return appendHistogram(b, c.heads, c.counts, sum)
+	c.sumBits.Store(0)
+	for _, v := range c.fn() {
+		c.observe(v)
+	}
+	return c.appendTo(b)
 }
 
 // HistogramFunc registers a scrape-time histogram: fn returns the full
 // observation set each scrape (a distribution snapshot, not a stream).
 func (r *Registry) HistogramFunc(name, help string, bounds []float64, fn func() []float64) {
-	if _, err := metrics.NewHistogram(bounds...); err != nil {
-		panic(fmt.Sprintf("telemetry: %s: %v", name, err))
-	}
+	checkBounds(name, bounds)
+	bounds = slices.Clone(bounds)
 	r.register(&histogramFunc{
-		family: family{name: name},
-		bounds: append([]float64(nil), bounds...),
-		heads:  histogramHeads(name, nil, nil, bounds),
-		counts: make([]int64, len(bounds)+1),
-		fn:     fn,
+		family:  family{name: name},
+		buckets: newBuckets(bounds, histogramHeads(name, nil, nil, bounds)),
+		fn:      fn,
 	}, TypeHistogram, help)
 }

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -35,13 +36,11 @@ func goldenRegistry() *Registry {
 		child.Observe(v)
 	}
 
-	r.GaugeFunc("test_live_value", "Scrape-time gauge.",
-		[]string{"shard"}, func() []Sample {
+	r.GaugeSink("test_live_value", "Scrape-time gauge.",
+		[]string{"shard"}, func(s Sink) {
 			// Deliberately unsorted: the writer must order by label key.
-			return []Sample{
-				{Labels: []string{"1"}, Value: 2},
-				{Labels: []string{"0"}, Value: 1},
-			}
+			s.Add(2, "1")
+			s.Add(1, "0")
 		})
 
 	r.HistogramFunc("test_occupancy_ratio", "Scrape-time distribution.",
@@ -86,7 +85,7 @@ func TestDuplicateFamilyPanics(t *testing.T) {
 			t.Fatal("duplicate family registration did not panic")
 		}
 	}()
-	r.GaugeFunc("dup_total", "second", nil, func() []Sample { return nil })
+	r.GaugeSink("dup_total", "second", nil, func(Sink) {})
 }
 
 func TestLabelArityPanics(t *testing.T) {
@@ -150,9 +149,7 @@ func TestConcurrentScrape(t *testing.T) {
 	cv := r.NewCounterVec("conc_total", "c", "k")
 	gv := r.NewGaugeVec("conc_depth", "g", "k")
 	hv := r.NewHistogramVec("conc_seconds", "h", []float64{0.1, 1}, "k")
-	r.GaugeFunc("conc_live", "f", nil, func() []Sample {
-		return []Sample{{Value: 1}}
-	})
+	r.GaugeSink("conc_live", "f", nil, func(s Sink) { s.Add(1) })
 
 	const writers = 4
 	var wg sync.WaitGroup
@@ -182,4 +179,95 @@ func TestConcurrentScrape(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+func TestCounter(t *testing.T) {
+	c := NewRegistry().NewCounterVec("c_total", "c").WithLabelValues()
+	c.Inc()
+	c.Add(4)
+	c.Add(-10) // ignored: a counter never goes down
+	if c.Value() != 5 {
+		t.Fatalf("Value = %d, want 5", c.Value())
+	}
+}
+
+func TestCounterConcurrent(t *testing.T) {
+	v := NewRegistry().NewCounterVec("c_total", "c", "k")
+	var wg sync.WaitGroup
+	for i := 0; i < 50; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				v.WithLabelValues("a").Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := v.WithLabelValues("a").Value(); got != 5000 {
+		t.Fatalf("Value = %d, want 5000", got)
+	}
+}
+
+// bucketCounts copies a histogram series' per-bucket counts, the
+// overflow bucket last.
+func bucketCounts(c *HistogramChild) []int64 {
+	out := make([]int64, len(c.counts))
+	for i := range c.counts {
+		out[i] = c.counts[i].Load()
+	}
+	return out
+}
+
+func TestHistogram(t *testing.T) {
+	bounds := []float64{1, 10, 100}
+	h := NewRegistry().NewHistogramVec("h_seconds", "h", bounds)
+	bounds[0] = 999 // the family keeps its own copy
+	c := h.WithLabelValues()
+	for _, v := range []float64{0.5, 1, 5, 50, 500, 5000} {
+		c.Observe(v)
+	}
+	// Buckets: ≤1, ≤10, ≤100, overflow.
+	if got, want := bucketCounts(c), []int64{2, 1, 1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("counts = %v, want %v", got, want)
+	}
+}
+
+func TestHistogramValidation(t *testing.T) {
+	for _, bounds := range [][]float64{nil, {5, 5}, {5, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("bounds %v accepted", bounds)
+				}
+			}()
+			NewRegistry().NewHistogramVec("h_seconds", "h", bounds)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("scrape-time histogram bounds %v accepted", bounds)
+				}
+			}()
+			NewRegistry().HistogramFunc("h_ratio", "h", bounds, func() []float64 { return nil })
+		}()
+	}
+}
+
+func TestHistogramConcurrent(t *testing.T) {
+	c := NewRegistry().NewHistogramVec("h_seconds", "h", []float64{10}).WithLabelValues()
+	var wg sync.WaitGroup
+	for i := 0; i < 20; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				c.Observe(float64(j))
+			}
+		}()
+	}
+	wg.Wait()
+	if got := bucketCounts(c); got[0]+got[1] != 2000 || got[0] != 20*11 {
+		t.Fatalf("counts = %v, want 220 at or under 10 of 2000", got)
+	}
 }

@@ -23,34 +23,13 @@ import (
 )
 
 // defaultRingSize is how many recent events the hub retains for
-// Last-Event-ID replay when HubOptions does not say otherwise.
+// Last-Event-ID replay when NewHub is given no positive size.
 const defaultRingSize = 256
 
-// defaultSubscriberBuffer is the per-subscriber channel depth: enough
-// to ride out a scheduling hiccup, small enough that a genuinely
-// stalled client is detected within one failure batch.
-const defaultSubscriberBuffer = 64
-
-// HubOptions tunes a Hub.
-type HubOptions struct {
-	// RingSize is the Last-Event-ID replay horizon in events
-	// (default 256). Larger rings let clients reconnect across longer
-	// gaps at the cost of retained memory.
-	RingSize int
-	// SubscriberBuffer is the per-subscriber channel depth
-	// (default 64); a subscriber this far behind is dropped.
-	SubscriberBuffer int
-}
-
-func (o HubOptions) withDefaults() HubOptions {
-	if o.RingSize <= 0 {
-		o.RingSize = defaultRingSize
-	}
-	if o.SubscriberBuffer <= 0 {
-		o.SubscriberBuffer = defaultSubscriberBuffer
-	}
-	return o
-}
+// subscriberBuffer is the per-subscriber channel depth of a /v1/watch
+// stream: enough to ride out a scheduling hiccup, small enough that a
+// genuinely stalled client is detected within one failure batch.
+const subscriberBuffer = 64
 
 // StreamEvent is one orchestrator lifecycle event as streamed to
 // /v1/watch clients: the orch.Event payload plus a monotonic sequence
@@ -73,11 +52,11 @@ type StreamEvent struct {
 // numbers, keeps the replay ring, and forwards to subscribers without
 // ever blocking the emitting orchestrator. Safe for concurrent use.
 type Hub struct {
-	opts HubOptions
+	horizon int // the replay ring's size in events
 
 	mu   sync.Mutex
 	seq  uint64
-	ring []StreamEvent // at most opts.RingSize, oldest first
+	ring []StreamEvent // at most horizon, oldest first
 	subs map[*subscriber]struct{}
 
 	events  uint64 // events ingested
@@ -88,18 +67,15 @@ type subscriber struct {
 	ch chan StreamEvent
 }
 
-// NewHub returns an empty hub with default options.
-func NewHub() *Hub {
-	return NewHubWith(HubOptions{})
+// NewHub returns an empty hub retaining the newest ring events for
+// Last-Event-ID replay (256 when ring ≤ 0). Larger rings let clients
+// reconnect across longer gaps at the cost of retained memory.
+func NewHub(ring int) *Hub {
+	if ring <= 0 {
+		ring = defaultRingSize
+	}
+	return &Hub{horizon: ring, subs: make(map[*subscriber]struct{})}
 }
-
-// NewHubWith returns an empty hub with the given options.
-func NewHubWith(opts HubOptions) *Hub {
-	return &Hub{opts: opts.withDefaults(), subs: make(map[*subscriber]struct{})}
-}
-
-// Options returns the hub's effective (defaulted) options.
-func (h *Hub) Options() HubOptions { return h.opts }
 
 // OrchEvent implements orch.EventSink: stamp, ring, fan out. A
 // subscriber whose buffer is full is dropped on the spot — its channel
@@ -120,8 +96,8 @@ func (h *Hub) OrchEvent(ev orch.Event) {
 		TraceID:    ev.TraceID,
 	}
 	h.ring = append(h.ring, se)
-	if len(h.ring) > h.opts.RingSize {
-		h.ring = h.ring[len(h.ring)-h.opts.RingSize:]
+	if len(h.ring) > h.horizon {
+		h.ring = h.ring[len(h.ring)-h.horizon:]
 	}
 	for sub := range h.subs {
 		select {
@@ -145,7 +121,7 @@ func (h *Hub) OrchEvent(ev orch.Event) {
 // behind (the slow-consumer drop); cancel unregisters without closing.
 func (h *Hub) Subscribe(afterSeq uint64, buf int) (<-chan StreamEvent, func()) {
 	if buf <= 0 {
-		buf = defaultSubscriberBuffer
+		buf = subscriberBuffer
 	}
 	h.mu.Lock()
 	var replay []StreamEvent
@@ -209,7 +185,7 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		after = n
 	}
-	ch, cancel := h.Subscribe(after, h.opts.SubscriberBuffer)
+	ch, cancel := h.Subscribe(after, subscriberBuffer)
 	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

@@ -22,7 +22,7 @@ func repairEvent(dep int) orch.Event {
 }
 
 func TestHubOrderingAndReplay(t *testing.T) {
-	h := NewHub()
+	h := NewHub(0)
 	for i := 1; i <= 5; i++ {
 		h.OrchEvent(repairEvent(i))
 	}
@@ -53,7 +53,7 @@ func TestHubOrderingAndReplay(t *testing.T) {
 }
 
 func TestHubRingTrimsToHorizon(t *testing.T) {
-	h := NewHub()
+	h := NewHub(0)
 	total := defaultRingSize + 50
 	for i := 0; i < total; i++ {
 		h.OrchEvent(repairEvent(i))
@@ -72,7 +72,7 @@ func TestHubRingTrimsToHorizon(t *testing.T) {
 // subscriber that stops draining is dropped (channel closed) while
 // OrchEvent keeps returning immediately.
 func TestHubSlowConsumerDropped(t *testing.T) {
-	h := NewHub()
+	h := NewHub(0)
 	ch, cancel := h.Subscribe(0, 2)
 	defer cancel()
 	fast, cancelFast := h.Subscribe(0, 64)
@@ -146,7 +146,7 @@ func readFrames(t *testing.T, sc *bufio.Scanner, n int) []sseFrame {
 }
 
 func TestServeHTTPStreamsSSE(t *testing.T) {
-	h := NewHub()
+	h := NewHub(0)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -190,7 +190,7 @@ func TestServeHTTPStreamsSSE(t *testing.T) {
 }
 
 func TestServeHTTPLastEventIDResume(t *testing.T) {
-	h := NewHub()
+	h := NewHub(0)
 	for i := 1; i <= 4; i++ {
 		h.OrchEvent(repairEvent(i))
 	}
@@ -213,7 +213,7 @@ func TestServeHTTPLastEventIDResume(t *testing.T) {
 }
 
 func TestServeHTTPBadLastEventID(t *testing.T) {
-	h := NewHub()
+	h := NewHub(0)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	req, _ := http.NewRequest("GET", ts.URL, nil)
@@ -232,13 +232,10 @@ func TestServeHTTPBadLastEventID(t *testing.T) {
 // size trims its Last-Event-ID replay horizon to that size, and a
 // resuming subscriber sees exactly the retained tail.
 func TestHubCustomRingSizeResume(t *testing.T) {
-	h := NewHubWith(HubOptions{RingSize: 16})
-	if got := h.Options().RingSize; got != 16 {
-		t.Fatalf("RingSize = %d, want 16", got)
+	if got := NewHub(0).horizon; got != defaultRingSize {
+		t.Fatalf("NewHub(0) keeps %d events, want the default %d", got, defaultRingSize)
 	}
-	if got := h.Options().SubscriberBuffer; got != defaultSubscriberBuffer {
-		t.Fatalf("SubscriberBuffer = %d, want default %d", got, defaultSubscriberBuffer)
-	}
+	h := NewHub(16)
 	total := 40
 	for i := 0; i < total; i++ {
 		h.OrchEvent(repairEvent(i))
@@ -263,7 +260,7 @@ func TestHubCustomRingSizeResume(t *testing.T) {
 // TestHubStreamEventCarriesTraceID: the SSE wire form surfaces the
 // emitting event's trace ID.
 func TestHubStreamEventCarriesTraceID(t *testing.T) {
-	h := NewHub()
+	h := NewHub(0)
 	ev := repairEvent(3)
 	ev.TraceID = "trace-xyz"
 	h.OrchEvent(ev)
