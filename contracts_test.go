@@ -650,3 +650,94 @@ func TestContractLinkStorm(t *testing.T) {
 		t.Errorf("%d chains unprotected after the drain, want 0", gap)
 	}
 }
+
+// trayCut is what one failure_storm round cuts: from each chain of the
+// tray, the primary's first transit link and the standby's last, so
+// every victim needs a real re-path (benchmark/runner.go's storm).
+func trayCut(arch *alvc.Architecture, tray []alvc.DeploymentID) []alvc.LinkID {
+	topo := arch.Topology()
+	transit := func(path []alvc.NodeID) []alvc.LinkID {
+		var out []alvc.LinkID
+		for i := 0; i+1 < len(path); i++ {
+			a, b := topo.Node(path[i]).Kind, topo.Node(path[i+1]).Kind
+			if (a == topology.KindToR || a == topology.KindOPS) && (b == topology.KindToR || b == topology.KindOPS) {
+				out = append(out, topo.LinkBetween(path[i], path[i+1]).ID)
+			}
+		}
+		return out
+	}
+	seen := make(map[alvc.LinkID]bool)
+	var links []alvc.LinkID
+	for _, id := range tray {
+		dep := arch.Deployment(id)
+		prim, stby := transit(dep.Path), transit(dep.Standby.Path)
+		for _, l := range []alvc.LinkID{prim[0], stby[len(stby)-1]} {
+			if !seen[l] {
+				seen[l] = true
+				links = append(links, l)
+			}
+		}
+	}
+	return links
+}
+
+// TestContractStormRevisit runs failure_storm's rounds over one tray:
+// cut, flush, drain, recover, drain. A repaired chain settles on its
+// other route and the next cut moves it back, so the third round cuts
+// the links the first did and meets the same fabric states. The standby
+// memo is keyed by those states' content, so the third round's drain
+// answers every re-protect leg from it: no search, and the same
+// standbys the first drain planned.
+func TestContractStormRevisit(t *testing.T) {
+	arch, _ := stormFleet(t, 64, alvc.WithOptimizer(alvc.OptimizerOptions{StormThreshold: 4}), alvc.WithFailureDebounce(time.Hour))
+	var tray []alvc.DeploymentID
+	for _, dep := range arch.Deployments()[1:9] {
+		tray = append(tray, dep.ID)
+	}
+	type round struct {
+		links    []alvc.LinkID
+		drain    counts
+		standbys [][]alvc.NodeID
+	}
+	var rounds []round
+	for i := 0; i < 3; i++ {
+		r := round{links: trayCut(arch, tray)}
+		for _, l := range r.links {
+			arch.ReportFailures(ctx, nil, []alvc.LinkID{l})
+		}
+		if _, err := arch.FlushFailures(); err != nil {
+			t.Fatalf("round %d: flush: %v", i, err)
+		}
+		before := countsOf(arch)
+		arch.Optimize()
+		r.drain = countsOf(arch).minus(before)
+		for _, id := range tray {
+			dep := arch.Deployment(id)
+			if dep.Standby == nil {
+				t.Fatalf("round %d: chain %d unprotected after the drain", i, id)
+			}
+			r.standbys = append(r.standbys, dep.Standby.Path)
+		}
+		for _, l := range r.links {
+			if err := arch.RecoverLink(l); err != nil {
+				t.Fatalf("RecoverLink: %v", err)
+			}
+		}
+		arch.Optimize()
+		rounds = append(rounds, r)
+		t.Logf("round %d: %d links cut, drain %+v", i, len(r.links), r.drain)
+	}
+	first, third := rounds[0], rounds[2]
+	if fmt.Sprint(first.links) != fmt.Sprint(third.links) {
+		t.Fatalf("the third round cut %v, the first %v: the tray did not return", third.links, first.links)
+	}
+	if first.drain.pathComps == 0 {
+		t.Fatal("the first drain searched nothing: the comparison is vacuous")
+	}
+	if third.drain.pathComps != 0 || third.drain.standbySearches != first.drain.standbySearches {
+		t.Errorf("third drain: %d searches for %d standby legs; want none for the first drain's %d", third.drain.pathComps, third.drain.standbySearches, first.drain.standbySearches)
+	}
+	if fmt.Sprint(first.standbys) != fmt.Sprint(third.standbys) {
+		t.Errorf("standbys differ on the revisit:\n%v\n%v", first.standbys, third.standbys)
+	}
+}

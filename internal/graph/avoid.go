@@ -125,38 +125,43 @@ func putAvoidScratch(s *avoidScratch) {
 // other end would otherwise settle everything cheaper than the penalty
 // first. It needs an undirected graph.
 //
+// It also returns the live mask's digest as the search read it under
+// the mask's read lock (0 without a mask): the live state the path is
+// exact for, which a caller memoizing the answer keys it by.
+//
 // Where several equally cheap paths meet the frontiers at different
 // vertices, the one whose meeting vertex comes first in ascending-ID
 // order counted cyclically from spread wins. Callers that plan many
 // paths over one fabric pass a vertex of their own, so that equal-cost
 // choices spread over the fabric instead of all taking the lowest ID;
 // the same spread always gives the same path.
-func ShortestPathAvoiding[V ~int](f *Frozen, buf []V, src, dst VertexID, r *Restriction, m *LiveMask, avoid *AvoidSet, spread VertexID) ([]V, error) {
+func ShortestPathAvoiding[V ~int](f *Frozen, buf []V, src, dst VertexID, r *Restriction, m *LiveMask, avoid *AvoidSet, spread VertexID) ([]V, uint64, error) {
 	if f.directed {
-		return buf, fmt.Errorf("graph: avoiding path: graph is directed")
+		return buf, 0, fmt.Errorf("graph: avoiding path: graph is directed")
 	}
 	si, ok := f.index[src]
 	if !ok {
-		return buf, fmt.Errorf("graph: avoiding path: unknown source %d", src)
+		return buf, 0, fmt.Errorf("graph: avoiding path: unknown source %d", src)
 	}
 	di, ok := f.index[dst]
 	if !ok {
-		return buf, fmt.Errorf("graph: avoiding path: unknown destination %d", dst)
+		return buf, 0, fmt.Errorf("graph: avoiding path: unknown destination %d", dst)
 	}
 	if r.bars(si) || r.bars(di) {
-		return buf, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
+		return buf, 0, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 	}
 	var maskVertex, maskArc []bool
+	var digest uint64
 	if m != nil {
 		m.mu.RLock()
 		defer m.mu.RUnlock()
-		maskVertex, maskArc = m.downVertex, m.downArc
+		maskVertex, maskArc, digest = m.downVertex, m.downArc, m.Digest()
 		if maskVertex[si] || maskVertex[di] {
-			return buf, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
+			return buf, digest, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 		}
 	}
 	if si == di {
-		return append(buf, V(src)), nil
+		return append(buf, V(src)), digest, nil
 	}
 	var avoidVertex, avoidArc []bool
 	if avoid != nil && len(avoid.setV)+len(avoid.setA) > 0 {
@@ -251,7 +256,7 @@ func ShortestPathAvoiding[V ~int](f *Frozen, buf []V, src, dst VertexID, r *Rest
 		}
 	}
 	if math.IsInf(best, 1) {
-		return buf, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
+		return buf, digest, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 	}
 
 	// The source half runs meet→src along prev[0] and is written
@@ -276,5 +281,5 @@ func ShortestPathAvoiding[V ~int](f *Frozen, buf []V, src, dst VertexID, r *Rest
 	for at := fromDst; at >= 0; at = s.prev[1][at] {
 		buf = append(buf, V(f.ids[at]))
 	}
-	return buf, nil
+	return buf, digest, nil
 }

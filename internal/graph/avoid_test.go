@@ -201,7 +201,8 @@ func (c avoidCase) costOf(t *testing.T, path []VertexID) avoidCost {
 }
 
 func (c avoidCase) search(buf []VertexID) ([]VertexID, error) {
-	return ShortestPathAvoiding(c.f, buf, c.src, c.dst, c.restrict, c.mask, c.avoid, c.spread)
+	path, _, err := ShortestPathAvoiding(c.f, buf, c.src, c.dst, c.restrict, c.mask, c.avoid, c.spread)
+	return path, err
 }
 
 // TestShortestPathAvoidingExact: on small random meshes the search's
@@ -252,7 +253,7 @@ func TestShortestPathAvoidingNothingMatchesMasked(t *testing.T) {
 			filter = func(v VertexID) bool { return !c.blocked[c.f.index[v]] }
 		}
 		_, want, wantErr := c.f.ShortestPathMasked(c.src, c.dst, filter, c.mask)
-		got, err := ShortestPathAvoiding[VertexID](c.f, nil, c.src, c.dst, c.restrict, c.mask, avoid, c.spread)
+		got, _, err := ShortestPathAvoiding[VertexID](c.f, nil, c.src, c.dst, c.restrict, c.mask, avoid, c.spread)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("trial %d: avoiding err %v, masked err %v", trial, err, wantErr)
 		}
@@ -283,11 +284,11 @@ func TestShortestPathAvoidingSpread(t *testing.T) {
 	avoid.AddVertex(f.index[3]) // the lowest-ID middle is the primary's
 	middles := make(map[VertexID]bool)
 	for spread := VertexID(0); spread <= 10; spread++ {
-		path, err := ShortestPathAvoiding[VertexID](f, nil, 1, 2, nil, nil, avoid, spread)
+		path, _, err := ShortestPathAvoiding[VertexID](f, nil, 1, 2, nil, nil, avoid, spread)
 		if err != nil || len(path) != 3 || path[1] == 3 {
 			t.Fatalf("spread %d: path %v, %v; want 1-x-2 off vertex 3", spread, path, err)
 		}
-		again, _ := ShortestPathAvoiding[VertexID](f, nil, 1, 2, nil, nil, avoid, spread)
+		again, _, _ := ShortestPathAvoiding[VertexID](f, nil, 1, 2, nil, nil, avoid, spread)
 		if !pathsEqual(path, again) {
 			t.Fatalf("spread %d: %v then %v", spread, path, again)
 		}
@@ -305,27 +306,27 @@ func TestShortestPathAvoidingSpread(t *testing.T) {
 func TestShortestPathAvoidingEdges(t *testing.T) {
 	g := randomWeightedGraph(t, 3, 12, 20)
 	f := g.Frozen()
-	if _, err := ShortestPathAvoiding[VertexID](f, nil, 99, 1, nil, nil, nil, 0); err == nil {
+	if _, _, err := ShortestPathAvoiding[VertexID](f, nil, 99, 1, nil, nil, nil, 0); err == nil {
 		t.Fatal("unknown source accepted")
 	}
-	if _, err := ShortestPathAvoiding[VertexID](f, nil, 1, 99, nil, nil, nil, 0); err == nil {
+	if _, _, err := ShortestPathAvoiding[VertexID](f, nil, 1, 99, nil, nil, nil, 0); err == nil {
 		t.Fatal("unknown destination accepted")
 	}
 	d := New(true)
 	if err := d.AddEdge(1, 2, 1); err != nil {
 		t.Fatalf("AddEdge: %v", err)
 	}
-	if _, err := ShortestPathAvoiding[VertexID](d.Frozen(), nil, 1, 2, nil, nil, nil, 0); err == nil {
+	if _, _, err := ShortestPathAvoiding[VertexID](d.Frozen(), nil, 1, 2, nil, nil, nil, 0); err == nil {
 		t.Fatal("directed graph accepted")
 	}
 	// Results are appended: what the buffer held stays, and src == dst
 	// is the one-vertex path.
 	buf := []VertexID{7}
-	buf, err := ShortestPathAvoiding(f, buf, 4, 4, nil, nil, nil, 0)
+	buf, _, err := ShortestPathAvoiding(f, buf, 4, 4, nil, nil, nil, 0)
 	if err != nil || !pathsEqual(buf, []VertexID{7, 4}) {
 		t.Fatalf("src == dst: %v, %v; want [7 4]", buf, err)
 	}
-	buf, err = ShortestPathAvoiding(f, buf, 1, 12, nil, nil, nil, 0)
+	buf, _, err = ShortestPathAvoiding(f, buf, 1, 12, nil, nil, nil, 0)
 	if err != nil || buf[0] != 7 || buf[1] != 4 || buf[2] != 1 || buf[len(buf)-1] != 12 {
 		t.Fatalf("appended path: %v, %v", buf, err)
 	}
@@ -381,7 +382,7 @@ func BenchmarkShortestPathAvoiding(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if buf, err = ShortestPathAvoiding(f, buf[:0], pmIDs[0], pmIDs[len(pmIDs)-1], nil, nil, avoid, torIDs[i%tors]); err != nil {
+		if buf, _, err = ShortestPathAvoiding(f, buf[:0], pmIDs[0], pmIDs[len(pmIDs)-1], nil, nil, avoid, torIDs[i%tors]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -106,6 +106,15 @@ func (f *Frozen) IndexOf(v VertexID) (int32, bool) {
 	return i, ok
 }
 
+// SoleArc returns the position of u's arc to v (dense indices) when
+// that is u's only arc: the one path between the two is then that arc.
+func (f *Frozen) SoleArc(u, v int32) (int32, bool) {
+	if lo := f.offsets[u]; f.offsets[u+1]-lo == 1 && f.targets[lo] == v {
+		return lo, true
+	}
+	return 0, false
+}
+
 // ArcTags returns the caller tag of every CSR arc position (parallel to
 // the internal targets array), or nil if the source graph was untagged.
 // The caller must not modify the returned slice.
@@ -598,46 +607,49 @@ func (f *Frozen) KShortestPaths(src, dst VertexID, k int) ([][]VertexID, []float
 // KShortestPathsFiltered is KShortestPaths restricted to vertices
 // admitted by filter.
 func (f *Frozen) KShortestPathsFiltered(src, dst VertexID, k int, filter Filter) ([][]VertexID, []float64, error) {
-	return f.KShortestPathsMasked(src, dst, k, filter, nil)
+	paths, weights, _, err := f.KShortestPathsMasked(src, dst, k, filter, nil)
+	return paths, weights, err
 }
 
 // KShortestPathsMasked is KShortestPathsFiltered with a durable
 // liveness mask applied on top of the filter (nil mask = no masking):
 // masked vertices and arcs are invisible to the first search, every
 // spur search, and candidate path weighing, exactly as if the graph had
-// been rebuilt without them.
-func (f *Frozen) KShortestPathsMasked(src, dst VertexID, k int, filter Filter, m *LiveMask) ([][]VertexID, []float64, error) {
+// been rebuilt without them. It also returns the mask's digest as the
+// run read it (0 without a mask): the live state the paths are exact for.
+func (f *Frozen) KShortestPathsMasked(src, dst VertexID, k int, filter Filter, m *LiveMask) ([][]VertexID, []float64, uint64, error) {
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("graph: k-shortest paths: k must be positive, got %d", k)
+		return nil, nil, 0, fmt.Errorf("graph: k-shortest paths: k must be positive, got %d", k)
 	}
 	si, ok := f.index[src]
 	if !ok {
-		return nil, nil, fmt.Errorf("graph: shortest path: unknown source %d", src)
+		return nil, nil, 0, fmt.Errorf("graph: shortest path: unknown source %d", src)
 	}
 	di, ok := f.index[dst]
 	if !ok {
-		return nil, nil, fmt.Errorf("graph: shortest path: unknown destination %d", dst)
+		return nil, nil, 0, fmt.Errorf("graph: shortest path: unknown destination %d", dst)
 	}
 	if filter != nil && (!filter(src) || !filter(dst)) {
-		return nil, nil, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
+		return nil, nil, 0, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 	}
 	s := f.getScratch()
 	defer f.putScratch(s)
+	var digest uint64
 	if m != nil {
 		// One read-lock spans the whole Yen run: liveness patches wait
 		// for in-flight searches, searches never see a half-applied
 		// batch.
 		m.mu.RLock()
 		defer m.mu.RUnlock()
-		s.maskVertex, s.maskArc = m.downVertex, m.downArc
+		s.maskVertex, s.maskArc, digest = m.downVertex, m.downArc, m.Digest()
 		if s.maskVertex[si] || s.maskVertex[di] {
-			return nil, nil, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
+			return nil, nil, digest, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 		}
 	}
 	f.densifyFilter(filter, s)
 	f.dijkstra(si, di, false, s)
 	if math.IsInf(s.dist[di], 1) {
-		return nil, nil, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
+		return nil, nil, digest, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 	}
 	first := f.extractPath(si, di, s)
 	paths := [][]VertexID{first}
@@ -714,7 +726,7 @@ func (f *Frozen) KShortestPathsMasked(src, dst VertexID, k int, filter Filter, m
 		paths = append(paths, best.path)
 		weights = append(weights, best.weight)
 	}
-	return paths, weights, nil
+	return paths, weights, digest, nil
 }
 
 // banArc masks every parallel u->v arc (and v->u for undirected

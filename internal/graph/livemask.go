@@ -1,6 +1,9 @@
 package graph
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // LiveMask is a durable vertex/arc down-mask over one Frozen graph —
 // the Yen ban-set masking promoted to a persistent layer. The frozen
@@ -12,11 +15,21 @@ import "sync"
 // lock for its whole run, so a search observes either all or none of a
 // batch patch and the race detector stays quiet under concurrent
 // patch-vs-search traffic.
+//
+// The mask also keeps a digest of what it holds down: the XOR of Mix64
+// over every down vertex and arc (Digest). It names the fabric's live
+// state by content, not by how it was reached — a flap that goes down
+// and back up returns the digest to what it was — so answers computed
+// under one state can be keyed by it and found again when the state
+// recurs. All up is 0.
 type LiveMask struct {
 	mu         sync.RWMutex
 	downVertex []bool // by dense vertex index (Frozen.IndexOf)
 	downArc    []bool // by CSR arc position (Frozen.ArcTags order)
 	downCount  int    // total down entries, for the Empty fast path
+	// digest changes under mu's write lock, one flip at a time; it is
+	// atomic so that Digest needs no lock.
+	digest atomic.Uint64
 }
 
 // NewLiveMask returns an all-up mask sized for f.
@@ -65,11 +78,7 @@ func (m *LiveMask) setVertexLocked(idx int32, down bool) {
 		return
 	}
 	m.downVertex[idx] = down
-	if down {
-		m.downCount++
-	} else {
-		m.downCount--
-	}
+	m.flipLocked(down, uint64(idx)<<1)
 }
 
 func (m *LiveMask) setArcLocked(p int32, down bool) {
@@ -77,11 +86,19 @@ func (m *LiveMask) setArcLocked(p int32, down bool) {
 		return
 	}
 	m.downArc[p] = down
+	m.flipLocked(down, uint64(p)<<1|1)
+}
+
+// flipLocked counts one transition and folds it into the digest; the
+// element is a vertex index or an arc position shifted left, tagged by
+// its low bit, so the two kinds never mix to the same value.
+func (m *LiveMask) flipLocked(down bool, element uint64) {
 	if down {
 		m.downCount++
 	} else {
 		m.downCount--
 	}
+	m.digest.Store(m.digest.Load() ^ Mix64(element))
 }
 
 // Empty reports whether nothing is masked (everything up).
@@ -96,4 +113,19 @@ func (m *LiveMask) VertexDown(idx int32) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return int(idx) < len(m.downVertex) && m.downVertex[idx]
+}
+
+// Digest returns the content digest of what the mask holds down, read
+// without a lock. A search reports the digest it read under its read
+// lock — the state it actually ran under — while a caller looking up an
+// answer for "now" reads this.
+func (m *LiveMask) Digest() uint64 { return m.digest.Load() }
+
+// Mix64 is the splitmix64 finalizer: consecutive integers land far
+// apart, so a sum or XOR of mixed members identifies the set.
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }

@@ -116,7 +116,7 @@ func TestLiveMaskEqualsRebuild(t *testing.T) {
 			if gotErr == nil && (!reflect.DeepEqual(gotP, wantP) || gotW != wantW) {
 				t.Fatalf("round %d: masked path %v/%v != cold %v/%v", round, gotP, gotW, wantP, wantW)
 			}
-			gotPs, gotWs, gotErr2 := f.KShortestPathsMasked(src, dst, 4, nil, m)
+			gotPs, gotWs, _, gotErr2 := f.KShortestPathsMasked(src, dst, 4, nil, m)
 			wantPs, wantWs, wantErr2 := cold.KShortestPaths(src, dst, 4)
 			if (gotErr2 == nil) != (wantErr2 == nil) {
 				t.Fatalf("round %d: masked yen err=%v cold err=%v", round, gotErr2, wantErr2)
@@ -170,5 +170,53 @@ func TestLiveMaskRecoveryAndEmpty(t *testing.T) {
 	p, w, err := f.ShortestPathMasked(1, 16, nil, m)
 	if err != nil || !reflect.DeepEqual(p, basePath) || w != baseW {
 		t.Fatalf("post-recovery search %v/%v/%v != baseline %v/%v", p, w, err, basePath, baseW)
+	}
+}
+
+// TestLiveMaskDigestNamesTheState: the digest is a function of what is
+// down, not of the path there — 0 all up, back to its value when a flap
+// recovers, equal for two masks that reached one state in different
+// orders, distinct for a vertex index and the arc position of the same
+// number — and the searches report the one they ran under.
+func TestLiveMaskDigestNamesTheState(t *testing.T) {
+	g, _, _ := maskedTestGraph(t)
+	f := g.Frozen()
+	a, b := f.NewLiveMask(), f.NewLiveMask()
+	if a.Digest() != 0 {
+		t.Fatalf("all-up digest %#x, want 0", a.Digest())
+	}
+	a.SetVertexDown(3, true)
+	a.SetArcsDown([]int32{5, 6}, true)
+	b.Patch(map[int32]bool{3: true}, []int32{6, 5}, true)
+	b.SetArcsDown([]int32{5}, true) // no transition: no change
+	if a.Digest() == 0 || a.Digest() != b.Digest() {
+		t.Fatalf("same state, digests %#x and %#x", a.Digest(), b.Digest())
+	}
+	down := a.Digest()
+	a.SetArcsDown([]int32{7}, true)
+	if a.Digest() == down {
+		t.Fatal("one more arc down left the digest unchanged")
+	}
+	a.SetArcsDown([]int32{7}, false)
+	if a.Digest() != down {
+		t.Fatalf("after the flap %#x, want %#x", a.Digest(), down)
+	}
+	v, arc := f.NewLiveMask(), f.NewLiveMask()
+	v.SetVertexDown(5, true)
+	arc.SetArcsDown([]int32{5}, true)
+	if v.Digest() == arc.Digest() {
+		t.Fatal("vertex 5 and arc 5 share a digest")
+	}
+
+	if _, got, err := ShortestPathAvoiding[VertexID](f, nil, 1, 16, nil, a, nil, 0); err != nil || got != down {
+		t.Fatalf("avoiding search reported %#x, %v; want %#x", got, err, down)
+	}
+	if _, _, got, err := f.KShortestPathsMasked(1, 16, 2, nil, a); err != nil || got != down {
+		t.Fatalf("Yen reported %#x, %v; want %#x", got, err, down)
+	}
+	a.SetVertexDown(3, false)
+	a.SetArcsDown([]int32{5, 6}, false)
+	if a.Digest() != 0 || !a.Empty() {
+		t.Fatalf("all recovered: digest %#x, empty %v", a.Digest(), a.Empty())
 	}
 }

@@ -26,7 +26,8 @@ func avoidingDenseMask(f *Frozen, src, dst VertexID, blocked []bool, m *LiveMask
 	for i := range both.downVertex {
 		both.downVertex[i] = m.downVertex[i] || (blocked != nil && blocked[i])
 	}
-	return ShortestPathAvoiding[VertexID](f, nil, src, dst, nil, both, avoid, spread)
+	path, _, err := ShortestPathAvoiding[VertexID](f, nil, src, dst, nil, both, avoid, spread)
+	return path, err
 }
 
 // fabric is a random three-layer network — servers, ToRs, OPSs — with
@@ -209,7 +210,7 @@ func TestRestrictedSearchEqualsDenseMask(t *testing.T) {
 			}
 			spread := VertexID(rng.Intn(len(fb.vertices) + 2))
 			want, wantErr = avoidingDenseMask(f, src, dst, blocked, fb.mask, avoid, spread)
-			got, err = ShortestPathAvoiding[VertexID](f, nil, src, dst, r, fb.mask, avoid, spread)
+			got, _, err = ShortestPathAvoiding[VertexID](f, nil, src, dst, r, fb.mask, avoid, spread)
 			if !pathsEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s: ShortestPathAvoiding (spread %d) = %v, %v; dense mask %v, %v", name, spread, got, err, want, wantErr)
 			}
@@ -310,7 +311,7 @@ func TestRestrictedSearchAllocs(t *testing.T) {
 		}
 		r.Seal()
 		var err error
-		if buf, err = ShortestPathAvoiding(f, buf[:0], src, dst, r, nil, nil, 0); err != nil {
+		if buf, _, err = ShortestPathAvoiding(f, buf[:0], src, dst, r, nil, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -332,7 +333,7 @@ func BenchmarkRestrictedSearch(b *testing.B) {
 					b.Fatal(err)
 				}
 				var err error
-				if buf, err = ShortestPathAvoiding(f, buf[:0], src, dst, r, nil, nil, 0); err != nil {
+				if buf, _, err = ShortestPathAvoiding(f, buf[:0], src, dst, r, nil, nil, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

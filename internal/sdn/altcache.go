@@ -1,61 +1,112 @@
 package sdn
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"github.com/alvc/alvc/internal/graph"
 	"github.com/alvc/alvc/internal/topology"
 )
 
-// altCache memoizes standby-search answers — one path per leg of
-// AppendRouteAvoiding, PathAlternatives' k paths — across the window where they stay
-// valid: one (structural generation, live-mask version) epoch. A
-// standby is planned per segment between a chain's stops, and the same
-// (src, dst, pool, avoid set) questions come back again and again: a
-// chain re-provisioned over the same machines, a move that re-plans the
-// standby it just had, refresh tasks landing in one epoch, re-protect
-// retries after a busy skip. The cache turns those into map lookups.
+// altCache memoizes standby-search answers — one path per searched leg
+// of AppendRouteAvoiding, PathAlternatives' k paths — keyed by the
+// fabric state they were searched under: the routing snapshot's
+// structural generation and the content digest of its liveness overlay
+// (topology.Snapshot.LiveDigest). A standby is planned per segment
+// between a chain's stops, and the same (src, dst, pool, avoid set)
+// questions come back again and again: a chain re-provisioned over the
+// same machines, a move that re-plans the standby it just had, refresh
+// tasks, re-protect retries after a busy skip — and, because the key is
+// the live state's content and not a count of its changes, a failure
+// state that recurs: a link flap returns the fabric to the digest it
+// had, a tray cut that repeats meets the answers its last cut left.
 //
-// Correctness rests on the generation pair: a structural mutation
-// invalidates the routing snapshot (structGen moves), a liveness
-// transition patches the snapshot's overlay in place (liveGen moves,
-// bumped *after* the patch lands). Either movement makes every cached
-// answer stale, so the whole map is discarded on a pair mismatch —
-// there is no per-entry staleness. Entries are stored only when the
-// pair observed before the search still matches after it, so a search
-// racing a mutation can never publish a result under the wrong epoch.
+// Correctness rests on what an entry is stored under: the digest its own
+// search read under the overlay's read lock (AppendPathAvoiding,
+// KShortestPaths report it), never one read before or after, so an
+// entry is exact for the state it names whatever patched the overlay
+// around the search. A lookup reads the digest of now, lock-free, and
+// finds only entries searched under that state. Liveness never
+// invalidates an entry; the new state simply misses. A structural
+// change (new snapshot) resets the memo.
+//
+// Entries are compact and pointer-free, so the collector never scans
+// them: a 64-bit hash of the whole question in a small open-addressed
+// index, the endpoints checked on a hit, and the answer in a shared
+// int32 arena. When the memo is full it first evicts the entries of
+// other live states, then stops storing until the state moves — a
+// one-state workload never churns.
 //
 // Errors are never cached: a failed search is cheap relative to its
-// retry policy and its cause (a partitioned pair, an empty pool) may
-// heal without a generation bump observable here.
+// retry policy, and its cause (a partitioned pair, an empty pool) may
+// heal.
 type altCache struct {
-	mu        sync.Mutex
-	structGen uint64
-	liveGen   uint64
-	entries   map[altKey][][]topology.NodeID
+	mu sync.Mutex
+	// gen is the structural generation every entry was searched at.
+	gen     uint64
+	entries []altEntry
+	// slots indexes entries by hash, open-addressed and linearly probed:
+	// entry index + 1, 0 for free. Its length is a power of two, at least
+	// twice cap(entries).
+	slots []int32
+	// arena holds the answers back to back in entry order: entry i's is
+	// arena[entries[i-1].end:entries[i].end]. A PathAlternatives answer
+	// is its paths joined by pathSep.
+	arena []int32
+	// fullAt is the live state (altEntry.live) at which the memo last
+	// filled with nothing of another state to evict; stores stop until
+	// the state moves. full says whether fullAt is set.
+	fullAt uint32
+	full   bool
 
 	hits   atomic.Int64
 	misses atomic.Int64
+
+	// questions, non-nil only while a test audits the memo, keeps each
+	// stored entry's question by hash so it can be asked afresh.
+	questions map[uint64]altQuestion
 }
 
-// altKey identifies one search problem within an epoch. The sets are
-// folded to digests: the restriction order-independently (callers that
-// pass the same pool get the same key), the avoided nodes and links in
-// the order given (a chain lists its primary the same way every time).
-// k is 0 for an avoiding search, which PathAlternatives never asks.
-type altKey struct {
-	src, dst   topology.NodeID
-	k          int
-	digest     uint64
-	avoidNodes uint64
-	avoidLinks uint64
-	spread     topology.NodeID
+// altEntry is one memoized answer: 24 bytes, no pointers.
+type altEntry struct {
+	hash     uint64 // altQuestion.hash: the question and the live state
+	src, dst int32  // checked on a hit: the hash is not trusted alone
+	end      int32  // the answer ends at arena[end]
+	live     uint32 // the live digest's low half: what eviction sorts by
 }
 
-// altCacheMaxEntries bounds the per-controller memo. When full, new
-// results are computed but not stored; the map resets wholesale at the
-// next generation movement anyway, so a cap beats an eviction policy.
+// pathSep separates the paths of a PathAlternatives answer in the arena;
+// node IDs are positive.
+const pathSep = -1
+
+// altCacheMaxEntries bounds the per-controller memo.
 const altCacheMaxEntries = 4096
+
+// altQuestion is what a route's legs share: every part of the question
+// but the endpoints and the live state, hashed once per route into base.
+// k is 0 for an avoiding search, which PathAlternatives never asks.
+type altQuestion struct {
+	base     uint64
+	k        int
+	restrict map[topology.NodeID]bool
+	avoid    topology.Avoid
+}
+
+func newAltQuestion(k int, restrict map[topology.NodeID]bool, avoid topology.Avoid) altQuestion {
+	h := graph.Mix64(uint64(k))
+	for _, part := range []uint64{restrictionDigest(restrict), sequenceDigest(avoid.Nodes), sequenceDigest(avoid.Links), uint64(avoid.Spread)} {
+		h = graph.Mix64(h ^ part)
+	}
+	return altQuestion{base: h, k: k, restrict: restrict, avoid: avoid}
+}
+
+// hash keys one leg of the question under one live state.
+func (q *altQuestion) hash(src, dst topology.NodeID, live uint64) uint64 {
+	h := graph.Mix64(q.base ^ uint64(src)<<32 ^ uint64(uint32(dst)))
+	return graph.Mix64(h ^ live)
+}
 
 // restrictionDigest hashes an OPS restriction set to a stable 64-bit
 // key component. nil (no restriction) and the empty set are
@@ -70,7 +121,7 @@ func restrictionDigest(restrictOPS map[topology.NodeID]bool) uint64 {
 	h := uint64(1) // non-nil marker: {} hashes differently from nil
 	for n, ok := range restrictOPS {
 		if ok {
-			h += mix64(uint64(n))
+			h += graph.Mix64(uint64(n))
 		}
 	}
 	return h
@@ -85,55 +136,202 @@ func sequenceDigest[T ~int](ids []T) uint64 {
 	return h
 }
 
-// mix64 is the splitmix64 finalizer: consecutive IDs land far apart, so
-// a sum of mixed members identifies the set.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// at brings the memo to structural generation gen and reports whether
+// it is there: a newer generation resets it, an older one (a search on a
+// superseded snapshot) must neither read nor write it. Caller holds mu.
+func (ac *altCache) at(gen uint64) bool {
+	if gen == ac.gen {
+		return true
+	}
+	if gen < ac.gen {
+		return false
+	}
+	ac.gen = gen
+	ac.resetLocked()
+	return true
 }
 
-// get returns the cached alternatives for the key if the cache is
-// coherent with the given generation pair. A pair mismatch discards
-// every entry (they were all computed against a superseded routing
-// state) before reporting a miss.
-func (ac *altCache) get(key altKey, structGen, liveGen uint64) ([][]topology.NodeID, bool) {
+func (ac *altCache) resetLocked() {
+	ac.entries, ac.arena = ac.entries[:0], ac.arena[:0]
+	clear(ac.slots)
+	ac.full = false
+	if ac.questions != nil {
+		clear(ac.questions)
+	}
+}
+
+// find returns the index of the entry for (h, src, dst), or -1. Caller
+// holds mu.
+func (ac *altCache) find(h uint64, src, dst int32) int {
+	if len(ac.slots) == 0 {
+		return -1
+	}
+	mask := uint64(len(ac.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := ac.slots[i]
+		if s == 0 {
+			return -1
+		}
+		if e := &ac.entries[s-1]; e.hash == h && e.src == src && e.dst == dst {
+			return int(s - 1)
+		}
+	}
+}
+
+// answer returns entry i's stretch of the arena. Caller holds mu.
+func (ac *altCache) answer(i int) []int32 {
+	start := int32(0)
+	if i > 0 {
+		start = ac.entries[i-1].end
+	}
+	return ac.arena[start:ac.entries[i].end]
+}
+
+// appendLeg appends the memoized answer to one leg, if the memo holds
+// one for this structural generation and live state.
+func (ac *altCache) appendLeg(buf []topology.NodeID, gen uint64, q *altQuestion, src, dst topology.NodeID, live uint64) ([]topology.NodeID, bool) {
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
-	if ac.structGen != structGen || ac.liveGen != liveGen {
-		ac.structGen, ac.liveGen = structGen, liveGen
-		ac.entries = nil
+	if !ac.at(gen) {
+		return buf, false
+	}
+	i := ac.find(q.hash(src, dst, live), int32(src), int32(dst))
+	if i < 0 {
+		return buf, false
+	}
+	for _, n := range ac.answer(i) {
+		buf = append(buf, topology.NodeID(n))
+	}
+	return buf, true
+}
+
+// paths returns a memoized PathAlternatives answer as fresh slices.
+func (ac *altCache) paths(gen uint64, q *altQuestion, src, dst topology.NodeID, live uint64) ([][]topology.NodeID, bool) {
+	ac.mu.Lock()
+	defer ac.mu.Unlock()
+	if !ac.at(gen) {
 		return nil, false
 	}
-	out, ok := ac.entries[key]
-	return out, ok
+	i := ac.find(q.hash(src, dst, live), int32(src), int32(dst))
+	if i < 0 {
+		return nil, false
+	}
+	answer := ac.answer(i)
+	seps := 0
+	for _, n := range answer {
+		if n == pathSep {
+			seps++
+		}
+	}
+	// One array for every path's nodes, one for the paths.
+	flat := make([]topology.NodeID, 0, len(answer)-seps)
+	out := make([][]topology.NodeID, 0, seps+1)
+	start := 0
+	for _, n := range answer {
+		if n == pathSep {
+			out, start = append(out, flat[start:len(flat):len(flat)]), len(flat)
+			continue
+		}
+		flat = append(flat, topology.NodeID(n))
+	}
+	return append(out, flat[start:]), true
 }
 
-// put stores a freshly computed result, but only if the generation pair
-// observed before the search is still the cache's current pair — a
-// concurrent mutation between get and put voids the store rather than
-// poisoning the new epoch.
-func (ac *altCache) put(key altKey, structGen, liveGen uint64, paths [][]topology.NodeID) {
+// put stores an answer searched at structural generation gen under live
+// state live — the digest the search itself read.
+func (ac *altCache) put(gen uint64, q *altQuestion, src, dst topology.NodeID, live uint64, paths ...[]topology.NodeID) {
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
-	if ac.structGen != structGen || ac.liveGen != liveGen {
+	if !ac.at(gen) {
 		return
 	}
-	if ac.entries == nil {
-		ac.entries = make(map[altKey][][]topology.NodeID)
+	h := q.hash(src, dst, live)
+	if ac.find(h, int32(src), int32(dst)) >= 0 {
+		return // a concurrent planner stored it first
 	}
-	if len(ac.entries) >= altCacheMaxEntries {
+	if !ac.room(uint32(live)) {
 		return
 	}
-	ac.entries[key] = paths
+	for i, p := range paths {
+		if i > 0 {
+			ac.arena = append(ac.arena, pathSep)
+		}
+		for _, n := range p {
+			ac.arena = append(ac.arena, int32(n))
+		}
+	}
+	ac.entries = append(ac.entries, altEntry{hash: h, src: int32(src), dst: int32(dst), end: int32(len(ac.arena)), live: uint32(live)})
+	ac.index(len(ac.entries) - 1)
+	if ac.questions != nil {
+		stored := *q
+		stored.restrict = maps.Clone(q.restrict)
+		stored.avoid.Nodes, stored.avoid.Links = slices.Clone(q.avoid.Nodes), slices.Clone(q.avoid.Links)
+		ac.questions[h] = stored
+	}
+}
+
+// room makes space for one more entry under live state live, growing
+// the memo up to its cap and, at the cap, evicting the entries of other
+// states; it reports false when the memo is full of this state's.
+// Caller holds mu.
+func (ac *altCache) room(live uint32) bool {
+	if len(ac.entries) < cap(ac.entries) {
+		return true
+	}
+	if n := cap(ac.entries); n < altCacheMaxEntries {
+		grown := make([]altEntry, n, min(max(2*n, 64), altCacheMaxEntries))
+		copy(grown, ac.entries)
+		ac.entries = grown
+		ac.slots = make([]int32, 2*cap(grown))
+		ac.reindex()
+		return true
+	}
+	if ac.full && ac.fullAt == live {
+		return false
+	}
+	// Compact in place: entries and answers only ever move down.
+	kept, from, end := 0, int32(0), int32(0)
+	for _, e := range ac.entries {
+		answer := ac.arena[from:e.end]
+		from = e.end
+		if e.live != live {
+			continue
+		}
+		end += int32(copy(ac.arena[end:], answer))
+		e.end = end
+		ac.entries[kept] = e
+		kept++
+	}
+	ac.entries, ac.arena = ac.entries[:kept], ac.arena[:end]
+	clear(ac.slots)
+	ac.reindex()
+	ac.full, ac.fullAt = kept == altCacheMaxEntries, live
+	return !ac.full
+}
+
+// reindex fills the cleared slots from every entry. Caller holds mu.
+func (ac *altCache) reindex() {
+	for i := range ac.entries {
+		ac.index(i)
+	}
+}
+
+// index puts entry i into the first free slot of its probe sequence.
+func (ac *altCache) index(i int) {
+	mask := uint64(len(ac.slots) - 1)
+	for s := ac.entries[i].hash & mask; ; s = (s + 1) & mask {
+		if ac.slots[s] == 0 {
+			ac.slots[s] = int32(i + 1)
+			return
+		}
+	}
 }
 
 // invalidate drops every cached entry regardless of generation.
 func (ac *altCache) invalidate() {
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
-	ac.entries = nil
+	ac.resetLocked()
 }
 
 // SetAlternativesCache enables or disables the memo on this controller
@@ -146,15 +344,17 @@ func (c *Controller) SetAlternativesCache(enabled bool) {
 	}
 }
 
-// InvalidateAlternatives drops every memoized answer. The
-// generation pair already invalidates on any topology movement; this is
+// InvalidateAlternatives drops every memoized answer. The memo already
+// keys every answer by the fabric state it was searched under; this is
 // the explicit escape hatch for callers that mutated state the
 // controller cannot see.
 func (c *Controller) InvalidateAlternatives() { c.alts.invalidate() }
 
 // AlternativesCacheStats returns the memo's hit and miss counts since
 // construction. With Yen off the production path, their sum is the
-// number of standby segment searches asked of this controller.
+// number of standby segment searches asked of this controller — the legs
+// that need a search: a VM↔host leg is answered without one and counts
+// as neither.
 func (c *Controller) AlternativesCacheStats() (hits, misses int64) {
 	return c.alts.hits.Load(), c.alts.misses.Load()
 }

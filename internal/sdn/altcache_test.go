@@ -75,8 +75,8 @@ func TestPathAlternativesCacheStructuralInvalidation(t *testing.T) {
 }
 
 // TestPathAlternativesCacheLivenessInvalidation: a liveness batch
-// bumps the live-mask version, so cached candidates that ride a dead
-// link are never served.
+// moves the live digest, so cached candidates that ride a dead link are
+// never served, and the recovery's state is served its own again.
 func TestPathAlternativesCacheLivenessInvalidation(t *testing.T) {
 	topo, ids := chainTopo(t)
 	// Second route so a failure leaves something to find.

@@ -113,8 +113,8 @@ type Controller struct {
 	yenRuns atomic.Int64
 
 	// alts memoizes AppendRouteAvoiding and PathAlternatives results
-	// within one (structural, liveness) generation epoch; altCacheOff
-	// disables it (cold measurements). See altcache.go.
+	// under the fabric state they were searched in; altCacheOff disables
+	// it (cold measurements). See altcache.go.
 	alts        altCache
 	altCacheOff atomic.Bool
 }
@@ -133,8 +133,9 @@ func NewController(topo *topology.Topology) (*Controller, error) {
 
 // snapshot returns the epoch-cached routing view the controller
 // computes over. Rebuilds happen only when the topology mutated since
-// the last fetch; slice restrictions are applied at search time, so
-// every restriction set shares the same cache entry.
+// the last fetch, and a warm fetch takes no lock; slice restrictions
+// are applied at search time, so every restriction set shares the same
+// cache entry.
 func (c *Controller) snapshot() *topology.Snapshot {
 	return c.topo.RoutingSnapshot(topology.GraphOptions{IncludeVMs: true})
 }
@@ -194,31 +195,32 @@ func (c *Controller) ComputePathVia(src topology.NodeID, via []topology.NodeID, 
 // avoid's nodes and links and, among those, has the lowest latency —
 // the standby planner's question, asked once per leg
 // (topology.Snapshot.AppendPathAvoiding). Consecutive equal stops make
-// no leg. Answers are memoized per leg under (structural generation,
-// live-mask version, src, dst, restriction digest, avoided nodes,
-// avoided links, spread): the same chain asking again within one
-// topology epoch is a map lookup per leg. A hit is copied into buf, so
-// what comes back is always the caller's own.
+// no leg, and a leg between a VM and its host needs no search: it is the
+// VM's one edge (topology.Snapshot.AppendHostHop), errors included.
+// Every other leg's answer is memoized under the fabric state it was
+// searched in — (structural generation, live digest, src, dst,
+// restriction digest, avoided nodes, avoided links, spread), see
+// altcache.go — so the same question asked again in that state, now or
+// when the state recurs, is a lookup. A hit is copied into buf, so what
+// comes back is always the caller's own.
 //
 // Everything that is the same for every leg is worked out once per
-// route — the digests of the key, and, when some leg has to be searched,
-// the dense form of the restriction: both cost a pass over the OPS pool,
-// which for a sharded orchestrator's legs was more than the searches.
+// route — the snapshot (one atomic load when warm), the question's
+// digests, and, when some leg has to be searched, the dense form of the
+// restriction: both digests and restriction cost a pass over the OPS
+// pool, which for a sharded orchestrator's legs was more than the
+// searches.
 func (c *Controller) AppendRouteAvoiding(buf []topology.NodeID, stops []topology.NodeID, restrictOPS map[topology.NodeID]bool, avoid topology.Avoid) ([]topology.NodeID, error) {
-	cached := !c.altCacheOff.Load()
-	var key altKey
-	var structGen, liveGen uint64
-	if cached {
-		key = altKey{digest: restrictionDigest(restrictOPS),
-			avoidNodes: sequenceDigest(avoid.Nodes), avoidLinks: sequenceDigest(avoid.Links), spread: avoid.Spread}
-		// Read before the searches and re-checked by put, as in
-		// PathAlternatives.
-		structGen, liveGen = c.topo.StructuralGeneration(), c.topo.LivenessGeneration()
+	snap := c.snapshot()
+	var q *altQuestion // nil: memo off
+	if !c.altCacheOff.Load() {
+		question := newAltQuestion(0, restrictOPS, avoid)
+		q = &question
 	}
-	var snap *topology.Snapshot
 	var restriction *topology.Restriction
+	laid := false
 	defer func() {
-		if snap != nil {
+		if laid {
 			snap.Release(restriction)
 		}
 	}()
@@ -231,27 +233,33 @@ func (c *Controller) AppendRouteAvoiding(buf []topology.NodeID, stops []topology
 		if len(buf) > first {
 			buf = buf[:len(buf)-1] // the leg starts with the joint again
 		}
-		if cached {
-			key.src, key.dst = src, dst
-			if out, ok := c.alts.get(key, structGen, liveGen); ok {
+		out, hop, err := snap.AppendHostHop(buf, src, dst)
+		if err != nil {
+			return buf, fmt.Errorf("sdn: route avoiding: leg %d->%d: %w", src, dst, err)
+		}
+		if hop {
+			buf = out
+			continue
+		}
+		if q != nil {
+			if out, ok := c.alts.appendLeg(buf, snap.Generation(), q, src, dst, snap.LiveDigest()); ok {
 				c.alts.hits.Add(1)
-				buf = append(buf, out[0]...)
+				buf = out
 				continue
 			}
 			c.alts.misses.Add(1)
 		}
 		c.pathComputations.Add(1)
-		if snap == nil {
-			snap = c.snapshot()
-			restriction = snap.Restrict(restrictOPS)
+		if !laid {
+			restriction, laid = snap.Restrict(restrictOPS), true
 		}
 		start := len(buf)
-		var err error
-		if buf, err = snap.AppendPathAvoiding(buf, src, dst, restriction, avoid); err != nil {
+		var live uint64
+		if buf, live, err = snap.AppendPathAvoiding(buf, src, dst, restriction, avoid); err != nil {
 			return buf, fmt.Errorf("sdn: route avoiding: leg %d->%d: %w", src, dst, err)
 		}
-		if cached {
-			c.alts.put(key, structGen, liveGen, [][]topology.NodeID{append([]topology.NodeID(nil), buf[start:]...)})
+		if q != nil {
+			c.alts.put(snap.Generation(), q, src, dst, live, buf[start:])
 		}
 	}
 	return buf, nil
@@ -263,40 +271,32 @@ func (c *Controller) AppendRouteAvoiding(buf []topology.NodeID, stops []topology
 // asks for the one path it wants directly — so it is an API for
 // callers that want to see the k shortest routes, and the oracle the
 // tests hold the direct search against. Results are memoized like
-// AppendRouteAvoiding's legs, per (structural generation, live-mask version,
-// src, dst, k, restriction digest). Callers must treat the returned
-// paths as immutable.
+// AppendRouteAvoiding's legs, per (structural generation, live digest,
+// src, dst, k, restriction digest), and a hit is a fresh copy.
 func (c *Controller) PathAlternatives(src, dst topology.NodeID, k int, restrictOPS map[topology.NodeID]bool) ([][]topology.NodeID, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("sdn: path alternatives: k must be positive, got %d", k)
 	}
-	if c.altCacheOff.Load() {
-		c.yenRuns.Add(1)
-		c.pathComputations.Add(1)
-		out, _, err := c.snapshot().KShortestPaths(src, dst, k, restrictOPS)
-		if err != nil {
-			return nil, fmt.Errorf("sdn: path alternatives %d->%d: %w", src, dst, err)
+	snap := c.snapshot()
+	cached := !c.altCacheOff.Load()
+	var q altQuestion
+	if cached {
+		q = newAltQuestion(k, restrictOPS, topology.Avoid{})
+		if out, ok := c.alts.paths(snap.Generation(), &q, src, dst, snap.LiveDigest()); ok {
+			c.alts.hits.Add(1)
+			return out, nil
 		}
-		return out, nil
+		c.alts.misses.Add(1)
 	}
-	key := altKey{src: src, dst: dst, k: k, digest: restrictionDigest(restrictOPS)}
-	// The pair is read before the search; put re-checks it, so a
-	// mutation landing mid-search voids the store instead of caching a
-	// result under the wrong epoch.
-	structGen := c.topo.StructuralGeneration()
-	liveGen := c.topo.LivenessGeneration()
-	if out, ok := c.alts.get(key, structGen, liveGen); ok {
-		c.alts.hits.Add(1)
-		return out, nil
-	}
-	c.alts.misses.Add(1)
 	c.yenRuns.Add(1)
 	c.pathComputations.Add(1)
-	out, _, err := c.snapshot().KShortestPaths(src, dst, k, restrictOPS)
+	out, _, live, err := snap.KShortestPaths(src, dst, k, restrictOPS)
 	if err != nil {
 		return nil, fmt.Errorf("sdn: path alternatives %d->%d: %w", src, dst, err)
 	}
-	c.alts.put(key, structGen, liveGen, out)
+	if cached {
+		c.alts.put(snap.Generation(), &q, src, dst, live, out...)
+	}
 	return out, nil
 }
 

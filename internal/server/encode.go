@@ -7,15 +7,16 @@ package server
 // (orch.ViewDeployment) — into a pooled buffer that is written to the
 // connection in one piece once the lock is released. The bytes are
 // exactly what encoding/json makes of DeploymentJSON, BatchResponse,
-// TraceSummaryJSON, FailureAcceptedResponse, RecoverResponse and
-// ErrorResponse, which stay as the types clients decode into; the tests
-// hold the two equal.
+// TraceSummaryJSON, FailureAcceptedResponse, RecoverResponse,
+// OptimizerRunResponse, the optimizer's Status and ErrorResponse, which
+// stay as the types clients decode into; the tests hold the two equal.
 
 import (
 	"encoding/json"
 	"math"
 	"net/http"
 	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -192,6 +193,112 @@ func writeTraceSummaries(w http.ResponseWriter, sums []alvc.TraceSummary) {
 	}
 	sc.body = append(b, ']', '\n')
 	writeBody(w, http.StatusOK, sc.body)
+}
+
+// writeOptimizerRun answers a drain: OptimizerRunResponse's encoding of
+// the tasks it ran and the engine's state after.
+func writeOptimizerRun(w http.ResponseWriter, results []alvc.OptimizerTaskResult, st *alvc.OptimizerStatus) {
+	if results == nil {
+		results = []alvc.OptimizerTaskResult{} // a drain that ran nothing lists nothing
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	b := strconv.AppendInt(append(sc.body, `{"drained":`...), int64(len(results)), 10)
+	b = appendTaskResults(append(b, `,"results":`...), results)
+	b = appendOptimizerStatus(append(b, `,"status":`...), st)
+	sc.body = append(b, "}\n"...)
+	writeBody(w, http.StatusOK, sc.body)
+}
+
+// writeOptimizerStatus answers GET /v1/optimizer/status.
+func writeOptimizerStatus(w http.ResponseWriter, st *alvc.OptimizerStatus) {
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.body = append(appendOptimizerStatus(sc.body, st), '\n')
+	writeBody(w, http.StatusOK, sc.body)
+}
+
+// appendOptimizerStatus appends optimizer.Status's encoding.
+func appendOptimizerStatus(b []byte, st *alvc.OptimizerStatus) []byte {
+	b = strconv.AppendBool(append(b, `{"paused":`...), st.Paused)
+	b = strconv.AppendInt(append(b, `,"queue_depth":`...), int64(st.QueueDepth), 10)
+	if len(st.ShardDepths) > 0 {
+		b = appendInts(append(b, `,"shard_depths":`...), st.ShardDepths)
+	}
+	if len(st.ShardHighWater) > 0 {
+		b = appendInts(append(b, `,"shard_high_water":`...), st.ShardHighWater)
+	}
+	b = strconv.AppendInt(append(b, `,"running":`...), int64(st.Running), 10)
+	b = append(b, `,"kinds":`...)
+	if st.Kinds == nil {
+		b = append(b, "null"...)
+	} else {
+		kinds := make([]string, 0, len(st.Kinds))
+		for k := range st.Kinds {
+			kinds = append(kinds, k)
+		}
+		sort.Strings(kinds)
+		b = append(b, '{')
+		for i, k := range kinds {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			ks := st.Kinds[k]
+			b = append(appendString(b, k), ':')
+			b = strconv.AppendInt(append(b, `{"enqueued":`...), int64(ks.Enqueued), 10)
+			b = strconv.AppendInt(append(b, `,"deduped":`...), int64(ks.Deduped), 10)
+			b = strconv.AppendInt(append(b, `,"completed":`...), int64(ks.Completed), 10)
+			b = strconv.AppendInt(append(b, `,"requeued":`...), int64(ks.Requeued), 10)
+			b = strconv.AppendInt(append(b, `,"skipped":`...), int64(ks.Skipped), 10)
+			b = strconv.AppendInt(append(b, `,"cancelled":`...), int64(ks.Cancelled), 10)
+			b = strconv.AppendInt(append(b, `,"failed":`...), int64(ks.Failed), 10)
+			b = append(b, '}')
+		}
+		b = append(b, '}')
+	}
+	b = strconv.AppendInt(append(b, `,"queue_shed":`...), int64(st.Shed), 10)
+	b = strconv.AppendBool(append(b, `,"storm":{"active":`...), st.Storm.Active)
+	b = strconv.AppendInt(append(b, `,"activations":`...), int64(st.Storm.Activations), 10)
+	b = strconv.AppendInt(append(b, `,"domains":`...), int64(st.Storm.Domains), 10)
+	b = strconv.AppendInt(append(b, `,"coalesced_tasks":`...), int64(st.Storm.CoalescedTasks), 10)
+	b = strconv.AppendInt(append(b, `},"group_plans":{"planned":`...), int64(st.GroupPlans.Planned), 10)
+	b = strconv.AppendInt(append(b, `,"fallbacks":`...), int64(st.GroupPlans.Fallbacks), 10)
+	b = append(b, '}')
+	if d := st.Debounce; d != nil {
+		b = strconv.AppendUint(append(b, `,"debounce":{"events":`...), d.Events, 10)
+		b = strconv.AppendUint(append(b, `,"batches":`...), d.Batches, 10)
+		b = strconv.AppendUint(append(b, `,"coalesced":`...), d.Coalesced, 10)
+		b = append(b, '}')
+	}
+	b = appendTaskResults(append(b, `,"last_results":`...), st.LastResults)
+	return append(b, '}')
+}
+
+// appendTaskResults appends a list of optimizer.TaskResult, null for a
+// nil one.
+func appendTaskResults(b []byte, results []alvc.OptimizerTaskResult) []byte {
+	if results == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		r := &results[i]
+		b = strconv.AppendInt(append(b, `{"deployment":`...), int64(r.Deployment), 10)
+		b = appendString(append(b, `,"kind":`...), r.Kind)
+		b = appendString(append(b, `,"outcome":`...), r.Outcome)
+		if r.Detail != "" {
+			b = appendString(append(b, `,"detail":`...), r.Detail)
+		}
+		if r.Error != "" {
+			b = appendString(append(b, `,"error":`...), r.Error)
+		}
+		b = appendTime(append(b, `,"when":`...), r.When)
+		b = append(b, '}')
+	}
+	return append(b, ']')
 }
 
 // appendDeployment appends the chain's wire form: byte for byte what

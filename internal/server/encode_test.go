@@ -8,6 +8,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,6 +23,7 @@ import (
 	"github.com/alvc/alvc"
 	"github.com/alvc/alvc/internal/chain"
 	"github.com/alvc/alvc/internal/optical"
+	"github.com/alvc/alvc/internal/optimizer"
 	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/topology"
@@ -308,4 +310,142 @@ func TestTraceSummariesEqualEncodingJSON(t *testing.T) {
 		writeTraceSummaries(rec, list)
 		checkBody(t, fmt.Sprintf("%d summaries", len(list)), rec, http.StatusOK, mustOracleBody(t, want))
 	}
+}
+
+// craftDrain builds a drain no engine would report: shape picks, two bits
+// a field, the results' count and outcomes — busy skips, failures with
+// and without a message, cancellations, storm groups — and which of the
+// status's optional parts are nil, empty or filled.
+func craftDrain(detail, errMsg string, shape uint32, at time.Time) ([]alvc.OptimizerTaskResult, alvc.OptimizerStatus) {
+	pick := func() uint32 { // the next two bits of shape
+		v := shape & 3
+		shape >>= 2
+		return v
+	}
+	var results []alvc.OptimizerTaskResult
+	switch pick() {
+	case 1:
+		results = []alvc.OptimizerTaskResult{}
+	case 2, 3:
+		for i, outcome := range []string{"skipped", "failed", "cancelled", "storm-group", "protected"} {
+			r := alvc.OptimizerTaskResult{Deployment: orch.DeploymentID(i*7 - 1), Kind: "re-protect", Outcome: outcome, When: at}
+			switch outcome {
+			case "skipped":
+				r.Detail = "busy: " + detail
+			case "failed":
+				r.Error = errMsg
+			case "storm-group":
+				r.Kind, r.Detail = "storm-group<&>", detail
+			}
+			results = append(results, r)
+		}
+	}
+	st := alvc.OptimizerStatus{
+		Paused: shape&1 == 1, QueueDepth: int(shape >> 3 & 31), Running: int(shape >> 8 & 3), Shed: int(shape >> 10 & 63),
+		Storm:      alvc.StormStats{Active: shape>>16&1 == 1, Activations: int(shape >> 17 & 7), Domains: 3, CoalescedTasks: 54},
+		GroupPlans: alvc.GroupPlanStats{Planned: 55, Fallbacks: int(shape >> 20 & 31)},
+	}
+	switch pick() {
+	case 1:
+		st.ShardDepths, st.ShardHighWater = []int{}, []int{}
+	case 2, 3:
+		st.ShardDepths, st.ShardHighWater = []int{0, 3, 1, 0}, []int{9, 64, 2, 0}
+	}
+	switch pick() {
+	case 1:
+		st.Kinds = map[string]optimizer.KindStats{}
+	case 2, 3:
+		st.Kinds = map[string]optimizer.KindStats{
+			"refresh": {Enqueued: 3, Completed: 2}, "re-protect": {Enqueued: 40, Deduped: 2, Completed: 35, Requeued: 4, Skipped: 1, Cancelled: 2, Failed: 1},
+			"defrag": {}, detail: {Failed: 7},
+		}
+	}
+	if pick() != 0 {
+		st.Debounce = &alvc.DebounceStats{Events: 32, Batches: 1, Coalesced: 1<<64 - 1}
+	}
+	switch pick() {
+	case 1:
+		st.LastResults = []alvc.OptimizerTaskResult{}
+	case 2, 3:
+		st.LastResults = results
+	}
+	return results, st
+}
+
+// checkDrain holds both optimizer bodies to encoding/json for one drain.
+func checkDrain(t *testing.T, what string, results []alvc.OptimizerTaskResult, st alvc.OptimizerStatus) {
+	t.Helper()
+	oracleResults := results
+	if oracleResults == nil {
+		oracleResults = []alvc.OptimizerTaskResult{} // what the handler always sent
+	}
+	want, ok := oracleBody(OptimizerRunResponse{Drained: len(results), Results: oracleResults, Status: st})
+	if !ok {
+		t.Skip("encoding/json refuses this drain")
+	}
+	rec := httptest.NewRecorder()
+	writeOptimizerRun(rec, results, &st)
+	checkBody(t, what+": optimizer:run", rec, http.StatusOK, want)
+	rec = httptest.NewRecorder()
+	writeOptimizerStatus(rec, &st)
+	checkBody(t, what+": optimizer/status", rec, http.StatusOK, mustOracleBody(t, st))
+}
+
+// TestOptimizerBodiesEqualEncodingJSON: an engine's empty drain and its
+// storm-group drain, then crafted drains crossing busy, failed and
+// cancelled outcomes with every string and timestamp the encoders treat
+// specially.
+func TestOptimizerBodiesEqualEncodingJSON(t *testing.T) {
+	_, arch := newTestServerWith(t, wideConfig(24),
+		alvc.WithOptimizer(alvc.OptimizerOptions{StormThreshold: 1}), alvc.WithFailureDebounce(time.Hour))
+	eng := arch.Optimizer()
+	eng.Pause()
+	results := eng.Drain()
+	checkDrain(t, "empty drain", results, eng.Status())
+	var hosts []alvc.NodeID
+	for i := 0; i < 3; i++ {
+		spec, err := alvc.LinearChain(fmt.Sprintf("storm-%d", i), "t-storm", "web", 1, 1<<20, "firewall", "nat")
+		if err != nil {
+			t.Fatalf("LinearChain: %v", err)
+		}
+		dep, err := arch.Deploy(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("Deploy: %v", err)
+		}
+		hosts = append(hosts, dep.Placement.Hosts[0])
+	}
+	arch.ReportFailures(context.Background(), hosts, nil)
+	if _, err := arch.FlushFailures(); err != nil {
+		t.Fatalf("FlushFailures: %v", err)
+	}
+	results = eng.Drain()
+	storm := false
+	for _, r := range results {
+		storm = storm || r.Outcome == "storm-group"
+	}
+	if !storm {
+		t.Fatalf("drain %+v ran no storm group", results)
+	}
+	checkDrain(t, "storm-group drain", results, eng.Status())
+
+	rng := rand.New(rand.NewSource(28))
+	for i, s := range hardStrings {
+		for k, at := range hardTimes {
+			results, st := craftDrain(s, hardStrings[(i+k)%len(hardStrings)], rng.Uint32(), at)
+			checkDrain(t, fmt.Sprintf("crafted %d/%d", i, k), results, st)
+		}
+	}
+}
+
+// FuzzAppendOptimizerRun lets the fuzzer pick the drain's strings, shape
+// and timestamp; tier-1 runs the seed corpus.
+func FuzzAppendOptimizerRun(f *testing.F) {
+	for i, s := range hardStrings {
+		f.Add(s, hardStrings[len(hardStrings)-1-i], uint32(0x9e3779b9*uint32(i+1)), int64(i)*1e17+int64(i), int16(i*97-300))
+	}
+	f.Fuzz(func(t *testing.T, detail, errMsg string, shape uint32, nanos int64, zoneMinutes int16) {
+		at := time.Unix(0, nanos).In(time.FixedZone("", int(zoneMinutes)%(24*60)*60))
+		results, st := craftDrain(detail, errMsg, shape, at)
+		checkDrain(t, "fuzzed", results, st)
+	})
 }

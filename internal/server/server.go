@@ -545,7 +545,8 @@ func (s *Server) handleOptimizerStatus(w http.ResponseWriter, r *http.Request) {
 	if eng == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, eng.Status())
+	st := eng.Status()
+	writeOptimizerStatus(w, &st)
 }
 
 func (s *Server) handleOptimizerRun(w http.ResponseWriter, r *http.Request) {
@@ -554,14 +555,8 @@ func (s *Server) handleOptimizerRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := eng.Drain()
-	if results == nil {
-		results = []alvc.OptimizerTaskResult{}
-	}
-	writeJSON(w, http.StatusOK, OptimizerRunResponse{
-		Drained: len(results),
-		Results: results,
-		Status:  eng.Status(),
-	})
+	st := eng.Status()
+	writeOptimizerRun(w, results, &st)
 }
 
 func (s *Server) handleOptimizerPause(w http.ResponseWriter, r *http.Request) {

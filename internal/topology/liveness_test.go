@@ -87,7 +87,7 @@ func TestLivenessOverlayEqualsColdRebuild(t *testing.T) {
 			}
 
 			wantPs, wantWs, wantErr2 := coldG.KShortestPaths(graph.VertexID(src), graph.VertexID(dst), 3)
-			gotPs, gotWs, gotErr2 := snap.KShortestPaths(src, dst, 3, restrict)
+			gotPs, gotWs, _, gotErr2 := snap.KShortestPaths(src, dst, 3, restrict)
 			if (wantErr2 == nil) != (gotErr2 == nil) {
 				t.Fatalf("step %d yen %d->%d: error mismatch cold=%v masked=%v", step, src, dst, wantErr2, gotErr2)
 			}

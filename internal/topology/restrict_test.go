@@ -32,8 +32,8 @@ func searchBoth(snap *Snapshot, src, dst NodeID, restrict map[NodeID]bool) (in, 
 	r := snap.Restrict(restrict)
 	defer snap.Release(r)
 	in, _, _ = snap.ShortestPathIn(src, dst, r)
-	avoiding, _ = snap.AppendPathAvoiding(nil, src, dst, r, Avoid{})
-	if paths, _, err := snap.KShortestPaths(src, dst, 1, restrict); err == nil {
+	avoiding, _, _ = snap.AppendPathAvoiding(nil, src, dst, r, Avoid{})
+	if paths, _, _, err := snap.KShortestPaths(src, dst, 1, restrict); err == nil {
 		filtered = paths[0]
 	}
 	return in, avoiding, filtered

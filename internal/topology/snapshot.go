@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -24,7 +25,8 @@ import (
 //
 // A Snapshot is safe for concurrent use. Searches hold the overlay's
 // read lock for their whole run, so each observes either all or none of
-// a batch liveness patch.
+// a batch liveness patch, and report the overlay's content digest as
+// they read it (LiveDigest): the live state their answer is exact for.
 type Snapshot struct {
 	structGen uint64
 	key       snapKey
@@ -51,6 +53,12 @@ type Snapshot struct {
 // Generation returns the structural generation the snapshot was built
 // at. Liveness transitions do not advance it.
 func (s *Snapshot) Generation() uint64 { return s.structGen }
+
+// LiveDigest returns the content digest of the snapshot's liveness
+// overlay now (graph.LiveMask.Digest): 0 with everything up, and the
+// same value whenever the same nodes and links are down, however the
+// fabric got there. Read without a lock.
+func (s *Snapshot) LiveDigest() uint64 { return s.mask.Digest() }
 
 // Graph returns the frozen CSR graph backing the snapshot. It contains
 // every node and link regardless of liveness; direct searches on it
@@ -150,8 +158,9 @@ type Avoid struct {
 // AppendPathAvoiding appends to buf the src→dst path that crosses the
 // fewest of avoid's nodes and links and, among those, has the least
 // weight (graph.ShortestPathAvoiding), honoring the restriction and the
-// liveness overlay. Unknown nodes and links in avoid are ignored.
-func (s *Snapshot) AppendPathAvoiding(buf []NodeID, src, dst NodeID, r *Restriction, avoid Avoid) ([]NodeID, error) {
+// liveness overlay, and returns the overlay digest the search ran under.
+// Unknown nodes and links in avoid are ignored.
+func (s *Snapshot) AppendPathAvoiding(buf []NodeID, src, dst NodeID, r *Restriction, avoid Avoid) ([]NodeID, uint64, error) {
 	var set *graph.AvoidSet
 	if len(avoid.Nodes)+len(avoid.Links) > 0 {
 		set = s.avoidSets.Get().(*graph.AvoidSet)
@@ -171,19 +180,45 @@ func (s *Snapshot) AppendPathAvoiding(buf []NodeID, src, dst NodeID, r *Restrict
 	return graph.ShortestPathAvoiding(s.frozen, buf, graph.VertexID(src), graph.VertexID(dst), r, s.mask, set, graph.VertexID(avoid.Spread))
 }
 
+// AppendHostHop answers, without a search, a leg between a VM and the PM
+// hosting it: the VM hangs off its host by its one edge, so [src, dst]
+// is the only route there is. ok reports whether src and dst are such a
+// pair; when they are and either is down, err is the search's ErrNoPath.
+func (s *Snapshot) AppendHostHop(buf []NodeID, src, dst NodeID) (out []NodeID, ok bool, err error) {
+	si, okS := s.frozen.IndexOf(graph.VertexID(src))
+	di, okD := s.frozen.IndexOf(graph.VertexID(dst))
+	if !okS || !okD || !s.hostEdge(si, di) && !s.hostEdge(di, si) {
+		return buf, false, nil
+	}
+	if s.mask.VertexDown(si) || s.mask.VertexDown(di) {
+		return buf, true, fmt.Errorf("%w from %d to %d", graph.ErrNoPath, src, dst)
+	}
+	return append(buf, src, dst), true, nil
+}
+
+// hostEdge reports whether vm's only arc is a VM edge to host: the
+// untagged kind buildSnapshot adds, every link's arcs carrying its ID
+// (a graph with no link at all has no tags).
+func (s *Snapshot) hostEdge(vm, host int32) bool {
+	arc, ok := s.frozen.SoleArc(vm, host)
+	tags := s.frozen.ArcTags()
+	return ok && (tags == nil || tags[arc] == 0)
+}
+
 // KShortestPaths returns up to k loopless paths between two nodes in
 // nondecreasing weight order over the snapshot, honoring a RestrictOPS
-// set (nil = unrestricted) and the liveness overlay.
-func (s *Snapshot) KShortestPaths(src, dst NodeID, k int, restrict map[NodeID]bool) ([][]NodeID, []float64, error) {
-	vps, ws, err := s.frozen.KShortestPathsMasked(graph.VertexID(src), graph.VertexID(dst), k, s.Filter(restrict), s.mask)
+// set (nil = unrestricted) and the liveness overlay, and the overlay
+// digest the search ran under.
+func (s *Snapshot) KShortestPaths(src, dst NodeID, k int, restrict map[NodeID]bool) ([][]NodeID, []float64, uint64, error) {
+	vps, ws, digest, err := s.frozen.KShortestPathsMasked(graph.VertexID(src), graph.VertexID(dst), k, s.Filter(restrict), s.mask)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, digest, err
 	}
 	out := make([][]NodeID, len(vps))
 	for i, vp := range vps {
 		out[i] = toNodePath(vp)
 	}
-	return out, ws, nil
+	return out, ws, digest, nil
 }
 
 // Distances returns the shortest-path weight from src to every node
@@ -224,6 +259,18 @@ func toNodePath(vp []graph.VertexID) []NodeID {
 type snapKey struct {
 	includeVMs bool
 	useHops    bool
+}
+
+// slot is the key's place in Topology.snaps.
+func (k snapKey) slot() int {
+	i := 0
+	if k.includeVMs {
+		i |= 1
+	}
+	if k.useHops {
+		i |= 2
+	}
+	return i
 }
 
 // Generation returns the topology's total mutation epoch. Every
@@ -268,34 +315,29 @@ func (t *Topology) SnapshotHits() uint64 { return atomic.LoadUint64(&t.snapHits)
 // the storm fast path's "no rebuild happened here" counter.
 func (t *Topology) LivenessPatches() uint64 { return atomic.LoadUint64(&t.livePatches) }
 
-// LivenessGeneration returns the live-mask version: the number of
-// liveness batches fully applied to the cached snapshots. It bumps
-// *after* each overlay patch lands, so a reader that observes a new
-// value is guaranteed the corresponding down-state is visible; paired
-// with StructuralGeneration it keys caches of path-search results.
-func (t *Topology) LivenessGeneration() uint64 { return atomic.LoadUint64(&t.liveGen) }
-
 // RoutingSnapshot returns the cached routing snapshot for the options,
 // rebuilding only if the topology *structurally* mutated since the last
 // build with the same (IncludeVMs, UseHops) key; liveness transitions
 // are patched into the cached snapshot in place and never rebuild.
 // opts.RestrictOPS is ignored here — pass restriction sets to the
 // snapshot's search methods instead, so restricted searches share the
-// unrestricted cache entry.
+// unrestricted cache entry. A warm fetch takes no lock.
 func (t *Topology) RoutingSnapshot(opts GraphOptions) *Snapshot {
 	key := snapKey{includeVMs: opts.IncludeVMs, useHops: opts.UseHops}
+	slot := &t.snaps[key.slot()]
+	if s := slot.Load(); s != nil && s.structGen == t.StructuralGeneration() {
+		atomic.AddUint64(&t.snapHits, 1)
+		return s
+	}
 	t.snapMu.Lock()
 	defer t.snapMu.Unlock()
 	sg := t.StructuralGeneration()
-	if t.snaps == nil {
-		t.snaps = make(map[snapKey]*Snapshot)
-	}
-	if s := t.snaps[key]; s != nil && s.structGen == sg {
+	if s := slot.Load(); s != nil && s.structGen == sg { // built while this caller waited
 		atomic.AddUint64(&t.snapHits, 1)
 		return s
 	}
 	s := t.buildSnapshot(key, sg)
-	t.snaps[key] = s
+	slot.Store(s)
 	return s
 }
 
@@ -409,8 +451,9 @@ func (t *Topology) applyLiveness(nodes []*Node, links []*Link, down bool) {
 	defer t.snapMu.Unlock()
 	atomic.AddUint64(&t.livePatches, 1)
 	sg := t.StructuralGeneration()
-	for _, s := range t.snaps {
-		if s.structGen != sg {
+	for i := range t.snaps {
+		s := t.snaps[i].Load()
+		if s == nil || s.structGen != sg {
 			continue
 		}
 		var vertex map[int32]bool
@@ -428,9 +471,6 @@ func (t *Topology) applyLiveness(nodes []*Node, links []*Link, down bool) {
 			s.mask.Patch(vertex, arcs, down)
 		}
 	}
-	// Bumped last, under snapMu: a reader that sees the new version is
-	// guaranteed every snapshot already carries this batch's patch.
-	atomic.AddUint64(&t.liveGen, 1)
 }
 
 // collectNodePatch records the node's effective down-state (and, for a

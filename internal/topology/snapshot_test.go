@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/alvc/alvc/internal/graph"
@@ -306,7 +307,7 @@ func TestSnapshotFilteredEqualsColdRebuild(t *testing.T) {
 		}
 		cold := topo.RoutingGraph(GraphOptions{IncludeVMs: true, RestrictOPS: restrict})
 		wantPaths, wantWs, wantErr := cold.KShortestPaths(graph.VertexID(src), graph.VertexID(dst), 4)
-		gotPaths, gotWs, gotErr := snap.KShortestPaths(src, dst, 4, restrict)
+		gotPaths, gotWs, _, gotErr := snap.KShortestPaths(src, dst, 4, restrict)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("yen trial %d: error mismatch cold=%v cached=%v", trial, wantErr, gotErr)
 		}
@@ -340,5 +341,96 @@ func TestSnapshotRestrictedEndpointNoPath(t *testing.T) {
 	restrict := map[NodeID]bool{opss[0]: true}
 	if _, _, err := snap.ShortestPath(opss[3], opss[0], restrict); err == nil {
 		t.Fatal("restricted-out source must not find a path")
+	}
+}
+
+// TestAppendHostHopEqualsSearch: a VM↔host leg is answered without a
+// search with exactly what the search returns — the one route, or its
+// error when either end is down — and nothing else counts as one: not a
+// VM to another PM, not a PM's only uplink.
+func TestAppendHostHopEqualsSearch(t *testing.T) {
+	topo, ids := smallTopo(t)
+	lone := topo.AddPM(0, Resources{})
+	if _, err := topo.AddLink(lone, ids["tor1"], LinkElectronic, 10, 1); err != nil {
+		t.Fatalf("AddLink: %v", err)
+	}
+	opts := GraphOptions{IncludeVMs: true}
+	check := func(when string) {
+		t.Helper()
+		snap := topo.RoutingSnapshot(opts)
+		for _, leg := range [][2]NodeID{
+			{ids["vm1"], ids["pm1"]}, {ids["pm1"], ids["vm2"]}, {ids["vm3"], ids["pm2"]},
+		} {
+			got, ok, err := snap.AppendHostHop([]NodeID{9}, leg[0], leg[1])
+			want, _, wantErr := snap.AppendPathAvoiding([]NodeID{9}, leg[0], leg[1], nil, Avoid{})
+			if !ok || (err == nil) != (wantErr == nil) || (err == nil && !slices.Equal(got, want)) {
+				t.Fatalf("%s: leg %v: host hop %v, %v, %v; search %v, %v", when, leg, got, ok, err, want, wantErr)
+			}
+			if err != nil && !slices.Equal(got, []NodeID{9}) {
+				t.Fatalf("%s: a failed hop appended %v", when, got)
+			}
+		}
+		for _, leg := range [][2]NodeID{
+			{ids["vm1"], ids["pm2"]}, {ids["vm1"], ids["vm2"]}, {ids["pm1"], ids["tor1"]}, {lone, ids["tor1"]}, {ids["tor1"], lone},
+		} {
+			if got, ok, err := snap.AppendHostHop(nil, leg[0], leg[1]); ok || err != nil || got != nil {
+				t.Fatalf("%s: leg %v answered as a host hop: %v, %v", when, leg, got, err)
+			}
+		}
+	}
+	check("all up")
+	if err := topo.SetNodeDown(ids["pm1"], true); err != nil {
+		t.Fatalf("SetNodeDown: %v", err)
+	}
+	check("pm1 down")
+	if err := topo.SetNodeDown(ids["pm1"], false); err != nil {
+		t.Fatalf("SetNodeDown: %v", err)
+	}
+	if err := topo.SetNodeDown(ids["vm3"], true); err != nil {
+		t.Fatalf("SetNodeDown: %v", err)
+	}
+	check("vm3 down")
+}
+
+// TestLiveDigestNamesTheFabricState: the snapshot's digest moves with
+// every liveness batch and returns when the fabric does — a link flap,
+// a node down and up — and a search reports the one it ran under.
+func TestLiveDigestNamesTheFabricState(t *testing.T) {
+	topo, ids := smallTopo(t)
+	snap := topo.RoutingSnapshot(GraphOptions{IncludeVMs: true})
+	if snap.LiveDigest() != 0 {
+		t.Fatalf("all-up digest %#x, want 0", snap.LiveDigest())
+	}
+	core := topo.LinkBetween(ids["ops1"], ids["ops2"]).ID
+	if err := topo.SetLinkDown(core, true); err != nil {
+		t.Fatalf("SetLinkDown: %v", err)
+	}
+	cut := snap.LiveDigest()
+	if cut == 0 {
+		t.Fatal("a link down left the digest at 0")
+	}
+	if _, ran, err := snap.AppendPathAvoiding(nil, ids["pm1"], ids["pm2"], nil, Avoid{}); err != nil || ran != cut {
+		t.Fatalf("search ran under %#x, %v; want %#x", ran, err, cut)
+	}
+	if err := topo.SetNodeDown(ids["pm2"], true); err != nil {
+		t.Fatalf("SetNodeDown: %v", err)
+	}
+	if snap.LiveDigest() == cut {
+		t.Fatal("a node down left the digest unchanged")
+	}
+	if err := topo.SetNodeDown(ids["pm2"], false); err != nil {
+		t.Fatalf("SetNodeDown: %v", err)
+	}
+	if snap.LiveDigest() != cut {
+		t.Fatalf("node back up: %#x, want %#x", snap.LiveDigest(), cut)
+	}
+	if err := topo.SetLinkDown(core, false); err != nil {
+		t.Fatalf("SetLinkDown: %v", err)
+	}
+	if snap.LiveDigest() != 0 {
+		t.Fatalf("all recovered: %#x, want 0", snap.LiveDigest())
+	}
+	if topo.RoutingSnapshot(GraphOptions{IncludeVMs: true}) != snap {
+		t.Fatal("liveness moved the snapshot")
 	}
 }

@@ -40,18 +40,13 @@ type Topology struct {
 	snapHits    uint64
 	livePatches uint64
 
-	// liveGen is the live-mask version: it bumps once per applied
-	// liveness batch, after the overlay patch lands (see
-	// LivenessGeneration). Together with structGen it versions the
-	// effective routing state, keying caches of search *results* —
-	// an entry computed under (structGen, liveGen) is valid iff both
-	// still match.
-	liveGen uint64
-
-	// snapMu guards the epoch-keyed routing-snapshot cache. Snapshots
-	// themselves are immutable once published.
+	// snaps is the epoch-keyed routing-snapshot cache, one slot per
+	// snapKey (snapKey.slot). A warm fetch is one atomic load; snapMu
+	// serializes what writes the slots or patches their overlays —
+	// builds and liveness batches. Snapshots themselves are immutable
+	// once published, but for their liveness overlay.
 	snapMu sync.Mutex
-	snaps  map[snapKey]*Snapshot
+	snaps  [4]atomic.Pointer[Snapshot]
 
 	// derivedMu guards the per-generation derived adjacency caches:
 	// kind-filtered neighbor lists and node-pair link resolution. Both
