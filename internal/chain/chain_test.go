@@ -2,6 +2,7 @@ package chain
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"github.com/alvc/alvc/internal/topology"
@@ -215,6 +216,29 @@ func TestSpecUnmarshalValidates(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{not json`), &s); err == nil {
 		t.Fatal("malformed JSON accepted")
+	}
+}
+
+// TestSpecUnmarshalRejectsUnknownFields: decoding is strict at both
+// levels — a field the spec or an NF does not have is an error, alone
+// and inside a ParseSpecs list; the same spec spelled right parses.
+func TestSpecUnmarshalRejectsUnknownFields(t *testing.T) {
+	good := `{"name":"x","tenant":"t","service":"web","bandwidth_gbps":1,"flow_bytes":1,"nfs":[{"name":"nat","cpu":3}]}`
+	for _, bad := range []string{
+		strings.Replace(good, `"name":"x"`, `"name":"x","bogus":1`, 1),
+		strings.Replace(good, `"cpu":3`, `"cpuu":3`, 1),
+	} {
+		var s Spec
+		if err := json.Unmarshal([]byte(bad), &s); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: err = %v, want an unknown field", bad, err)
+		}
+		if _, err := ParseSpecs([]byte("[" + good + "," + bad + "]")); err == nil {
+			t.Errorf("ParseSpecs accepted %s", bad)
+		}
+	}
+	var s Spec
+	if err := json.Unmarshal([]byte(good), &s); err != nil || s.NFs[0].Demand.CPUCores != 3 {
+		t.Fatalf("good spec: %+v, %v", s, err)
 	}
 }
 

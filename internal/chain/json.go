@@ -1,8 +1,10 @@
 package chain
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"github.com/alvc/alvc/internal/topology"
 )
@@ -50,14 +52,16 @@ func (s Spec) MarshalJSON() ([]byte, error) {
 // an explicit tenant; only the JSON surface treats it as optional.
 const DefaultTenant = "default"
 
-// UnmarshalJSON parses and validates a spec. The tenant field is
-// optional on the wire: an absent or empty tenant resolves to
-// DefaultTenant before validation, so single-tenant API clients don't
-// need to invent one (flow keys and shard routing still see a concrete
-// tenant).
+// UnmarshalJSON parses and validates a spec. Decoding is strict: a
+// field the spec or an NF does not have is an error, not ignored, so a
+// typo ("cpuu") cannot silently provision a chain without the demand it
+// meant. The tenant field is optional on the wire: an absent or empty
+// tenant resolves to DefaultTenant before validation, so single-tenant
+// API clients don't need to invent one (flow keys and shard routing
+// still see a concrete tenant).
 func (s *Spec) UnmarshalJSON(data []byte) error {
 	var in jsonSpec
-	if err := json.Unmarshal(data, &in); err != nil {
+	if err := decodeStrict(data, &in); err != nil {
 		return fmt.Errorf("chain: parse spec: %w", err)
 	}
 	if in.Tenant == "" {
@@ -85,6 +89,41 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 	}
 	*s = out
 	return nil
+}
+
+// strictDecoder is a json.Decoder that rejects unknown fields, reading
+// from a reader it owns. Decoders are pooled: a fresh one costs a
+// handful of allocations and its buffer, and every provision decodes a
+// spec.
+type strictDecoder struct {
+	r   bytes.Reader
+	dec *json.Decoder
+}
+
+var strictDecoders = sync.Pool{New: func() any {
+	d := new(strictDecoder)
+	d.dec = json.NewDecoder(&d.r)
+	d.dec.DisallowUnknownFields()
+	return d
+}}
+
+// decodeStrict decodes data, one JSON value and nothing after it but
+// white space, into v, rejecting fields v does not have at any depth.
+func decodeStrict(data []byte, v any) error {
+	d := strictDecoders.Get().(*strictDecoder)
+	d.r.Reset(data)
+	start := d.dec.InputOffset()
+	err := d.dec.Decode(v)
+	n := d.dec.InputOffset() - start
+	if err == nil && len(bytes.TrimLeft(data[n:], " \t\r\n")) > 0 {
+		err = fmt.Errorf("invalid character after top-level value")
+	}
+	// A decoder goes back only when it read data exactly: after an error
+	// it may be stuck, and bytes it left unread would lead the next input.
+	if err == nil && n == int64(len(data)) {
+		strictDecoders.Put(d)
+	}
+	return err
 }
 
 // ParseSpecs decodes a JSON array of chain specs, validating each.

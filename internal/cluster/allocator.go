@@ -32,12 +32,12 @@ type Allocator struct {
 	vcs      map[VCID]*VC
 	opsOwner map[topology.NodeID]VCID
 	nextID   VCID
-	// pool, when non-nil, restricts this allocator to a subset of the
-	// topology's OPSs, so AL construction (the cover under mu) works on a
-	// smaller candidate set and two allocators with disjoint pools never
-	// contend on membership. Orchestrator shards use this to partition the
-	// OPS space. nil means the whole topology.
-	pool     map[topology.NodeID]bool
+	// pool, when its set is non-nil, restricts this allocator to a subset
+	// of the topology's OPSs, so AL construction (the cover under mu) works
+	// on a smaller candidate set and two allocators with disjoint pools
+	// never contend on membership. Orchestrator shards use this to
+	// partition the OPS space. The zero Pool means the whole topology.
+	pool     topology.Pool
 	poolSize int
 	// free marks, by node ID, the pool minus opsOwner's keys: what the
 	// builder may claim, in the dense form the paper's builder reads. It is
@@ -75,15 +75,15 @@ func NewRestrictedAllocator(topo *topology.Topology, builder Builder, pool []top
 		if len(pool) == 0 {
 			return nil, fmt.Errorf("cluster: allocator: empty OPS pool")
 		}
-		a.pool = make(map[topology.NodeID]bool, len(pool))
+		set := make(map[topology.NodeID]bool, len(pool))
 		for _, ops := range pool {
 			n := a.topo.Node(ops)
 			if n == nil || n.Kind != topology.KindOPS {
 				return nil, fmt.Errorf("cluster: allocator: pool node %d is not an OPS", ops)
 			}
-			a.pool[ops], a.free[ops] = true, true
+			set[ops], a.free[ops] = true, true
 		}
-		a.poolSize = len(a.pool)
+		a.pool, a.poolSize = topology.NewPool(set), len(set)
 	} else {
 		for _, n := range topo.Nodes(topology.KindOPS) {
 			a.free[n.ID] = true
@@ -101,12 +101,13 @@ func (a *Allocator) PoolSize() int {
 	return a.poolSize
 }
 
-// Pool returns the restriction set this allocator was built with, or
-// nil when it may claim any OPS. The returned map is the allocator's
-// own (it is immutable after construction) — callers must treat it as
-// read-only. Orchestrator shards pass it to path planners so standby
-// routes stay inside the shard's partition.
-func (a *Allocator) Pool() map[topology.NodeID]bool {
+// Pool returns the restriction set this allocator was built with, its
+// digest computed once at construction, or the zero Pool when it may
+// claim any OPS. The set is the allocator's own (it is immutable after
+// construction) — callers must treat it as read-only. Orchestrator
+// shards pass it to path planners so standby routes stay inside the
+// shard's partition.
+func (a *Allocator) Pool() topology.Pool {
 	return a.pool
 }
 

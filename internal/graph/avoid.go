@@ -139,11 +139,11 @@ func ShortestPathAvoiding[V ~int](f *Frozen, buf []V, src, dst VertexID, r *Rest
 	if f.directed {
 		return buf, 0, fmt.Errorf("graph: avoiding path: graph is directed")
 	}
-	si, ok := f.index[src]
+	si, ok := f.IndexOf(src)
 	if !ok {
 		return buf, 0, fmt.Errorf("graph: avoiding path: unknown source %d", src)
 	}
-	di, ok := f.index[dst]
+	di, ok := f.IndexOf(dst)
 	if !ok {
 		return buf, 0, fmt.Errorf("graph: avoiding path: unknown destination %d", dst)
 	}
@@ -173,7 +173,7 @@ func ShortestPathAvoiding[V ~int](f *Frozen, buf []V, src, dst VertexID, r *Rest
 	arcCost, halfCost := f.penalty, f.penalty/2
 	charged := func(v int32) bool { return avoidVertex[v] && v != si && v != di }
 	n := int32(len(f.ids))
-	rot := f.index[spread] // 0 when spread is not a vertex
+	rot := f.at(spread) // 0 when spread is not a vertex
 	rank := func(v int32) int32 { return (v - rot + n) % n }
 
 	s := f.getAvoidScratch()

@@ -12,9 +12,11 @@ import (
 // built once and queried many times. Vertices are mapped onto dense
 // int32 indices in ascending VertexID order; each vertex's out-edges
 // live in one contiguous, sorted-once region of the targets/weights
-// arrays. Searches run over slice-based distance/predecessor state with
-// an index-keyed binary heap and pooled scratch buffers, so a warm
-// query allocates only its result.
+// arrays. The VertexID → index map is a table as long as the largest
+// vertex ID, which suits the small dense IDs a topology hands out (IDs
+// must be non-negative). Searches run over slice-based
+// distance/predecessor state with an index-keyed binary heap and pooled
+// scratch buffers, so a warm query allocates only its result.
 //
 // Frozen searches reproduce the map-based Graph searches exactly: the
 // same (lower vertex ID first) tie-breaking, the same relaxation order,
@@ -23,10 +25,10 @@ import (
 // unrestricted snapshot via vertex filters.
 type Frozen struct {
 	directed bool
-	ids      []VertexID         // index -> VertexID, ascending
-	index    map[VertexID]int32 // VertexID -> index
-	offsets  []int32            // per-vertex edge region, len(ids)+1
-	targets  []int32            // edge head indices, sorted by (id, weight)
+	ids      []VertexID // index -> VertexID, ascending
+	index    []int32    // VertexID -> index, -1 where no vertex
+	offsets  []int32    // per-vertex edge region, len(ids)+1
+	targets  []int32    // edge head indices, sorted by (id, weight)
 	weights  []float64
 	tags     []int64 // per-arc caller tags (nil when the source graph had none)
 	edges    int
@@ -50,10 +52,20 @@ type Frozen struct {
 func (f *Frozen) SearchResets() int64 { return f.resets.Load() }
 
 // Frozen returns an immutable CSR snapshot of the graph. Subsequent
-// mutations of g do not affect the returned value.
+// mutations of g do not affect the returned value. It panics on a
+// negative vertex ID.
 func (g *Graph) Frozen() *Frozen {
 	ids := g.Vertices()
-	index := make(map[VertexID]int32, len(ids))
+	var index []int32
+	if len(ids) > 0 {
+		if ids[0] < 0 {
+			panic(fmt.Sprintf("graph: Frozen: negative vertex ID %d", ids[0]))
+		}
+		index = make([]int32, ids[len(ids)-1]+1)
+		for i := range index {
+			index[i] = -1
+		}
+	}
 	for i, id := range ids {
 		index[id] = int32(i)
 	}
@@ -100,10 +112,20 @@ func (g *Graph) Frozen() *Frozen {
 }
 
 // IndexOf returns the dense index of v, used to address LiveMask vertex
-// entries.
+// entries, and whether v is a vertex of f (the index is 0 when not).
 func (f *Frozen) IndexOf(v VertexID) (int32, bool) {
-	i, ok := f.index[v]
-	return i, ok
+	if uint(v) < uint(len(f.index)) {
+		if i := f.index[v]; i >= 0 {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// at is IndexOf's index alone.
+func (f *Frozen) at(v VertexID) int32 {
+	i, _ := f.IndexOf(v)
+	return i
 }
 
 // SoleArc returns the position of u's arc to v (dense indices) when
@@ -135,7 +157,7 @@ func (f *Frozen) EdgeCount() int { return f.edges }
 
 // HasVertex reports whether v is in the snapshot.
 func (f *Frozen) HasVertex(v VertexID) bool {
-	_, ok := f.index[v]
+	_, ok := f.IndexOf(v)
 	return ok
 }
 
@@ -146,11 +168,11 @@ func (f *Frozen) Vertices() []VertexID { return f.ids }
 // EdgeWeight returns the minimum weight among parallel u->v edges, and
 // whether any such edge exists.
 func (f *Frozen) EdgeWeight(u, v VertexID) (float64, bool) {
-	ui, ok := f.index[u]
+	ui, ok := f.IndexOf(u)
 	if !ok {
 		return 0, false
 	}
-	vi, ok := f.index[v]
+	vi, ok := f.IndexOf(v)
 	if !ok {
 		return 0, false
 	}
@@ -471,11 +493,11 @@ func (f *Frozen) ShortestPathIn(src, dst VertexID, r *Restriction, m *LiveMask) 
 // shortestPath is the search behind ShortestPathMasked and
 // ShortestPathIn; the scratch carries the filter or the restriction.
 func (f *Frozen) shortestPath(src, dst VertexID, m *LiveMask, s *frozenScratch) ([]VertexID, float64, error) {
-	si, ok := f.index[src]
+	si, ok := f.IndexOf(src)
 	if !ok {
 		return nil, 0, fmt.Errorf("graph: shortest path: unknown source %d", src)
 	}
-	di, ok := f.index[dst]
+	di, ok := f.IndexOf(dst)
 	if !ok {
 		return nil, 0, fmt.Errorf("graph: shortest path: unknown destination %d", dst)
 	}
@@ -507,7 +529,7 @@ func (f *Frozen) Distances(src VertexID, filter Filter) (map[VertexID]float64, e
 // top of the filter (nil mask = no masking). A masked source yields an
 // empty map, mirroring a source excluded by the filter.
 func (f *Frozen) DistancesMasked(src VertexID, filter Filter, m *LiveMask) (map[VertexID]float64, error) {
-	si, ok := f.index[src]
+	si, ok := f.IndexOf(src)
 	if !ok {
 		return nil, fmt.Errorf("graph: distances: unknown source %d", src)
 	}
@@ -546,7 +568,7 @@ func (f *Frozen) BFSOrder(src VertexID, filter Filter) []VertexID {
 // top of the filter (nil mask = no masking). A masked source yields nil,
 // mirroring a source excluded by the filter.
 func (f *Frozen) BFSOrderMasked(src VertexID, filter Filter, m *LiveMask) []VertexID {
-	si, ok := f.index[src]
+	si, ok := f.IndexOf(src)
 	if !ok {
 		return nil
 	}
@@ -621,11 +643,11 @@ func (f *Frozen) KShortestPathsMasked(src, dst VertexID, k int, filter Filter, m
 	if k <= 0 {
 		return nil, nil, 0, fmt.Errorf("graph: k-shortest paths: k must be positive, got %d", k)
 	}
-	si, ok := f.index[src]
+	si, ok := f.IndexOf(src)
 	if !ok {
 		return nil, nil, 0, fmt.Errorf("graph: shortest path: unknown source %d", src)
 	}
-	di, ok := f.index[dst]
+	di, ok := f.IndexOf(dst)
 	if !ok {
 		return nil, nil, 0, fmt.Errorf("graph: shortest path: unknown destination %d", dst)
 	}
@@ -675,9 +697,9 @@ func (f *Frozen) KShortestPathsMasked(src, dst VertexID, k int, filter Filter, m
 				}
 			}
 			for _, v := range rootPath[:len(rootPath)-1] {
-				s.banVertex[f.index[v]] = true
+				s.banVertex[f.at(v)] = true
 			}
-			spi := f.index[spur]
+			spi := f.at(spur)
 			f.dijkstra(spi, di, true, s)
 			found := !math.IsInf(s.dist[di], 1)
 			var spurPath []VertexID
@@ -685,7 +707,7 @@ func (f *Frozen) KShortestPathsMasked(src, dst VertexID, k int, filter Filter, m
 				spurPath = f.extractPath(spi, di, s)
 			}
 			for _, v := range rootPath[:len(rootPath)-1] {
-				s.banVertex[f.index[v]] = false
+				s.banVertex[f.at(v)] = false
 			}
 			if !found {
 				continue
@@ -732,11 +754,11 @@ func (f *Frozen) KShortestPathsMasked(src, dst VertexID, k int, filter Filter, m
 // banArc masks every parallel u->v arc (and v->u for undirected
 // graphs), mirroring Graph.removeEdge.
 func (f *Frozen) banArc(s *frozenScratch, u, v VertexID) {
-	ui, ok := f.index[u]
+	ui, ok := f.IndexOf(u)
 	if !ok {
 		return
 	}
-	vi, ok := f.index[v]
+	vi, ok := f.IndexOf(v)
 	if !ok {
 		return
 	}
@@ -751,7 +773,7 @@ func (f *Frozen) banArc(s *frozenScratch, u, v VertexID) {
 func (f *Frozen) pathWeight(path []VertexID, maskArc []bool) float64 {
 	total := 0.0
 	for i := 0; i+1 < len(path); i++ {
-		w, ok := f.edgeWeightIdx(f.index[path[i]], f.index[path[i+1]], maskArc)
+		w, ok := f.edgeWeightIdx(f.at(path[i]), f.at(path[i+1]), maskArc)
 		if !ok {
 			return math.Inf(1)
 		}

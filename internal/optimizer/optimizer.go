@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/alvc/alvc/internal/orch"
@@ -94,7 +95,10 @@ func (k TaskKind) String() string {
 
 // Options tunes an Engine.
 type Options struct {
-	// Workers bounds how many tasks execute concurrently (default 4).
+	// Workers bounds how many tasks execute concurrently (default 4):
+	// the draining goroutine and up to Workers-1 pool workers, which
+	// start with the first drain that has work for them and live until
+	// Stop.
 	Workers int
 	// RehomeMargin is the hysteresis: a fresh placement must beat the
 	// current one by at least this many O/E/O conversions before a
@@ -314,6 +318,36 @@ type Engine struct {
 	loopMu sync.Mutex
 	stopCh chan struct{}
 	loopWG sync.WaitGroup
+
+	// pool is the task pool's live workers (nil until a drain needs
+	// them, and again after Stop). poolMu guards the pointer only.
+	poolMu sync.Mutex
+	pool   *workerPool
+}
+
+// workerPool is one generation of the task pool's workers: goroutines
+// that live across drains, each taking batches off jobs until quit
+// closes.
+type workerPool struct {
+	jobs chan *batch
+	quit chan struct{}
+	wg   sync.WaitGroup
+}
+
+// batch is one drain round's tasks, claimed index by index by the
+// draining goroutine and whichever workers joined it.
+type batch struct {
+	n      int
+	fn     func(int)
+	next   atomic.Int64
+	joined sync.WaitGroup
+}
+
+// run claims and runs the batch's items until none is left.
+func (b *batch) run() {
+	for i := int(b.next.Add(1) - 1); i < b.n; i = int(b.next.Add(1) - 1) {
+		b.fn(i)
+	}
 }
 
 // New builds an engine over the target. The caller wires it as the
@@ -760,35 +794,68 @@ func (e *Engine) Drain() []TaskResult {
 	}
 }
 
-// runPool runs fn(i) for i in [0,n) over the engine's bounded worker
-// pool and waits for completion.
+// runPool runs fn(i) for i in [0,n), at most opts.Workers at a time,
+// and waits for completion. The caller runs items itself and offers the
+// batch to the pool's idle workers, never waiting for one: a batch
+// always progresses, so concurrent drains, or a drain inside a task,
+// cannot deadlock on the pool. No goroutine starts here but the pool's
+// own, once.
 func (e *Engine) runPool(n int, fn func(int)) {
-	workers := e.opts.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
+	b := &batch{n: n, fn: fn}
+	if want := min(e.opts.Workers, n) - 1; want > 0 {
+		jobs := e.livePool().jobs
+		for offered := 0; offered < want; offered++ {
+			b.joined.Add(1)
+			select {
+			case jobs <- b:
+			default: // no worker is idle: the caller runs the rest
+				b.joined.Done()
+				offered = want
 			}
-		}()
+		}
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
+	b.run()
+	b.joined.Wait()
+}
+
+// livePool returns the task pool's live workers, starting
+// opts.Workers-1 of them if none run.
+func (e *Engine) livePool() *workerPool {
+	e.poolMu.Lock()
+	defer e.poolMu.Unlock()
+	if e.pool == nil {
+		p := &workerPool{jobs: make(chan *batch), quit: make(chan struct{})}
+		for w := 1; w < e.opts.Workers; w++ {
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				for {
+					select {
+					case b := <-p.jobs:
+						b.run()
+						b.joined.Done()
+					case <-p.quit:
+						return
+					}
+				}
+			}()
+		}
+		e.pool = p
 	}
-	close(jobs)
-	wg.Wait()
+	return e.pool
+}
+
+// stopPool ends the task pool's workers, if any run, once each has
+// finished the batch it holds.
+func (e *Engine) stopPool() {
+	e.poolMu.Lock()
+	p := e.pool
+	e.pool = nil
+	e.poolMu.Unlock()
+	if p != nil {
+		close(p.quit)
+		p.wg.Wait()
+	}
 }
 
 // runTask executes one task and classifies its outcome. requeue=true
@@ -1067,9 +1134,11 @@ func stopped(stop chan struct{}) bool {
 	}
 }
 
-// Stop halts the background dispatcher and ticker started by Start and
-// waits for in-flight tasks to finish. Queued tasks stay queued.
+// Stop halts the background dispatcher and ticker started by Start,
+// waits for in-flight tasks to finish and ends the task pool's workers;
+// a later Drain starts them again. Queued tasks stay queued.
 func (e *Engine) Stop() {
+	defer e.stopPool()
 	e.loopMu.Lock()
 	stop := e.stopCh
 	e.stopCh = nil

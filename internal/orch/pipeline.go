@@ -357,22 +357,22 @@ func (p *pipeline) planStandby(gp *resilience.GroupPlanner) error {
 		return nil
 	}
 	stops, slice := p.standbyStops(), p.slice.OPSSet()
-	plan := func(allow map[topology.NodeID]bool) (*resilience.Standby, error) {
+	plan := func(allow topology.Pool) (*resilience.Standby, error) {
 		return resilience.PlanStandby(p.o.ctrl, p.o.topo, p.path, stops, slice, standbyWidth, allow)
 	}
 	fallback := func() (*resilience.Standby, error) {
 		p.o.standbyFallbacks.Add(1)
-		return plan(nil)
+		return plan(topology.Pool{})
 	}
 	if gp != nil {
-		plan = func(allow map[topology.NodeID]bool) (*resilience.Standby, error) {
+		plan = func(allow topology.Pool) (*resilience.Standby, error) {
 			return gp.Plan(p.path, stops, slice, allow)
 		}
 		fallback = func() (*resilience.Standby, error) { return gp.PlanFallback(p.path, stops, slice) }
 	}
 	allow := p.o.alloc.Pool()
 	sb, err := plan(allow)
-	if allow != nil && (err != nil || !sb.Disjoint) {
+	if allow.OPS != nil && (err != nil || !sb.Disjoint) {
 		if wide, wideErr := fallback(); err != nil || (wideErr == nil && wide.Disjoint) {
 			sb, err = wide, wideErr
 		}

@@ -277,10 +277,12 @@ func (s *Sharded) ReProtect(id DeploymentID) (*resilience.Standby, bool, error) 
 }
 
 // ReProtectGroup partitions the members by owning shard and runs each
-// shard's sub-group concurrently — every shard builds its own
-// GroupPlanner (its OPS pool is its own, so cross-shard bucket sharing
-// could never happen anyway). Outcomes merge in ID order and the
-// planner stats sum.
+// shard's sub-group in turn, in the calling goroutine — every shard
+// builds its own GroupPlanner (its OPS pool is its own, so cross-shard
+// bucket sharing could never happen anyway). The caller is the
+// optimizer's task pool, which already runs tasks side by side; a
+// second fan-out here only paid for goroutines. Outcomes merge in ID
+// order and the planner stats sum.
 func (s *Sharded) ReProtectGroup(domain string, ids []DeploymentID) GroupReport {
 	rep := GroupReport{Domain: domain}
 	if len(ids) == 0 {
@@ -291,14 +293,11 @@ func (s *Sharded) ReProtectGroup(domain string, ids []DeploymentID) GroupReport 
 		sh := s.router.ShardOf(id)
 		perShard[sh] = append(perShard[sh], id)
 	}
-	reports := make([]GroupReport, len(s.shards))
-	runPool(len(s.shards), 0, func(i int) {
-		if len(perShard[i]) == 0 {
-			return
+	for i, members := range perShard {
+		if len(members) == 0 {
+			continue
 		}
-		reports[i] = s.shards[i].ReProtectGroup(domain, perShard[i])
-	})
-	for _, r := range reports {
+		r := s.shards[i].ReProtectGroup(domain, members)
 		rep.Outcomes = append(rep.Outcomes, r.Outcomes...)
 		rep.Stats.Planned += r.Stats.Planned
 		rep.Stats.Fallbacks += r.Stats.Fallbacks

@@ -46,9 +46,9 @@ func NewGroupPlanner(f PathFinder, topo *topology.Topology, domainSRLGs []int) (
 
 // Plan computes one member chain's standby. Parameters mirror
 // PlanStandby; the finder is the planner's.
-func (gp *GroupPlanner) Plan(primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, allowOPS map[topology.NodeID]bool) (*Standby, error) {
+func (gp *GroupPlanner) Plan(primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, allow topology.Pool) (*Standby, error) {
 	gp.stats.Planned++
-	return planStandbyWith(gp.finder, gp.topo, primary, stops, sliceOPS, allowOPS, gp.avoid)
+	return planStandbyWith(gp.finder, gp.topo, primary, stops, sliceOPS, allow, gp.avoid)
 }
 
 // PlanFallback is the whole-fabric retry of a member whose
@@ -56,7 +56,7 @@ func (gp *GroupPlanner) Plan(primary []topology.NodeID, stops []topology.NodeID,
 // counts as a fallback, not as another planned chain.
 func (gp *GroupPlanner) PlanFallback(primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool) (*Standby, error) {
 	gp.stats.Fallbacks++
-	return planStandbyWith(gp.finder, gp.topo, primary, stops, sliceOPS, nil, gp.avoid)
+	return planStandbyWith(gp.finder, gp.topo, primary, stops, sliceOPS, topology.Pool{}, gp.avoid)
 }
 
 // Stats returns the pass's accumulated counters.

@@ -101,8 +101,8 @@ func TestGroupPlannerEquivalentToPlanStandby(t *testing.T) {
 			t.Fatalf("seed %d: NewGroupPlanner: %v", seed, err)
 		}
 		for i, ch := range fleet.chains {
-			want, wantErr := PlanStandby(fleet.finder, fleet.topo, ch.primary, ch.stops, nil, k, nil)
-			got, gotErr := gp.Plan(ch.primary, ch.stops, nil, nil)
+			want, wantErr := PlanStandby(fleet.finder, fleet.topo, ch.primary, ch.stops, nil, k, topology.Pool{})
+			got, gotErr := gp.Plan(ch.primary, ch.stops, nil, topology.Pool{})
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("seed %d chain %d: error mismatch: per-chain %v, group %v", seed, i, wantErr, gotErr)
 			}
@@ -156,7 +156,7 @@ func TestGroupPlannerAvoidsDomainSRLGs(t *testing.T) {
 	stops := []topology.NodeID{pm1, pm2}
 	finder := finderOver(t, topo)
 
-	perChain, err := PlanStandby(finder, topo, primary, stops, nil, 3, nil)
+	perChain, err := PlanStandby(finder, topo, primary, stops, nil, 3, topology.Pool{})
 	if err != nil {
 		t.Fatalf("PlanStandby: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestGroupPlannerAvoidsDomainSRLGs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGroupPlanner: %v", err)
 	}
-	grouped, err := gp.Plan(primary, stops, nil, nil)
+	grouped, err := gp.Plan(primary, stops, nil, topology.Pool{})
 	if err != nil {
 		t.Fatalf("group Plan: %v", err)
 	}

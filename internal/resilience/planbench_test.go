@@ -46,7 +46,7 @@ func newFleetChain(tb testing.TB, ops int) fleetChain {
 }
 
 func (c fleetChain) plan(tb testing.TB, f PathFinder) *Standby {
-	sb, err := PlanStandby(f, c.topo, c.primary, c.stops, c.slice, 4, nil)
+	sb, err := PlanStandby(f, c.topo, c.primary, c.stops, c.slice, 4, topology.Pool{})
 	if err != nil || !sb.Disjoint {
 		tb.Fatalf("PlanStandby = %+v, %v; want a disjoint standby", sb, err)
 	}

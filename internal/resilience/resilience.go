@@ -148,7 +148,7 @@ func AppendPathLinks(out []topology.LinkID, topo *topology.Topology, path []topo
 		if virtualHop(a, b) {
 			continue
 		}
-		l := anyLinkBetween(topo, path[i], path[i+1])
+		l := topo.AnyLinkBetween(path[i], path[i+1])
 		if l == nil {
 			return nil, fmt.Errorf("resilience: path links: no link %d-%d", path[i], path[i+1])
 		}
@@ -165,11 +165,6 @@ func AppendPathLinks(out []topology.LinkID, topo *topology.Topology, path []topo
 func virtualHop(a, b *topology.Node) bool {
 	return (a.Kind == topology.KindVM && a.Host == b.ID) ||
 		(b.Kind == topology.KindVM && b.Host == a.ID)
-}
-
-// anyLinkBetween is LinkBetween without the liveness filter.
-func anyLinkBetween(topo *topology.Topology, a, b topology.NodeID) *topology.Link {
-	return topo.AnyLinkBetween(a, b)
 }
 
 // PathAlive reports whether every node on the path is live and every
@@ -270,8 +265,8 @@ func appendLinkSRLGs(out []int, topo *topology.Topology, links []topology.LinkID
 type PathFinder interface {
 	// AppendRouteAvoiding appends to buf the route through stops in
 	// order, each leg crossing the fewest of avoid's nodes and links and
-	// the cheapest among those, inside restrictOPS when that is non-nil.
-	AppendRouteAvoiding(buf []topology.NodeID, stops []topology.NodeID, restrictOPS map[topology.NodeID]bool, avoid topology.Avoid) ([]topology.NodeID, error)
+	// the cheapest among those, inside pool when that restricts.
+	AppendRouteAvoiding(buf []topology.NodeID, stops []topology.NodeID, pool topology.Pool, avoid topology.Avoid) ([]topology.NodeID, error)
 }
 
 // PlanStandby computes a standby route for a chain whose primary path
@@ -292,19 +287,19 @@ type PathFinder interface {
 // survived the actual failure. An error means no route exists at all
 // for some segment.
 //
-// allowOPS, when non-nil, restricts every segment to those OPSs —
-// sharded orchestrators pass their shard's OPS pool so protection
-// routes stay inside the shard's partition. nil searches the whole
+// allow, when it restricts, keeps every segment to its OPSs — sharded
+// orchestrators pass their shard's OPS pool so protection routes stay
+// inside the shard's partition. The zero Pool searches the whole
 // topology. k is vestigial: it was the width of the k-shortest search
 // this planner used to run and is only checked to be positive.
-func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, k int, allowOPS map[topology.NodeID]bool) (*Standby, error) {
+func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, k int, allow topology.Pool) (*Standby, error) {
 	if f == nil || topo == nil {
 		return nil, fmt.Errorf("resilience: plan standby: nil finder or topology")
 	}
 	if k <= 0 {
 		return nil, fmt.Errorf("resilience: plan standby: k must be positive, got %d", k)
 	}
-	return planStandbyWith(f, topo, primary, stops, sliceOPS, allowOPS, nil)
+	return planStandbyWith(f, topo, primary, stops, sliceOPS, allow, nil)
 }
 
 // planStandbyWith is the planning core shared by PlanStandby and
@@ -319,7 +314,7 @@ func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeI
 // the sets are small slices scanned linearly, the route lands in one
 // pre-sized buffer, and risk groups cost nothing on a topology without
 // any.
-func planStandbyWith(f PathFinder, topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS, allowOPS map[topology.NodeID]bool, avoidSRLGs []int) (*Standby, error) {
+func planStandbyWith(f PathFinder, topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, allow topology.Pool, avoidSRLGs []int) (*Standby, error) {
 	if len(primary) == 0 || len(stops) < 2 {
 		return nil, fmt.Errorf("resilience: plan standby: primary and stops required")
 	}
@@ -349,7 +344,7 @@ func planStandbyWith(f PathFinder, topo *topology.Topology, primary []topology.N
 		}
 	}
 
-	full, err := f.AppendRouteAvoiding(make([]topology.NodeID, 0, len(primary)+len(stops)), stops, allowOPS, avoid)
+	full, err := f.AppendRouteAvoiding(make([]topology.NodeID, 0, len(primary)+len(stops)), stops, allow, avoid)
 	if err != nil {
 		return nil, fmt.Errorf("resilience: plan standby: %w", err)
 	}

@@ -129,7 +129,7 @@ func finderOver(t *testing.T, topo *topology.Topology) *sdn.Controller {
 func TestPlanStandbyPrefersDisjoint(t *testing.T) {
 	topo, pm1, pm2, tors, _ := twoRouteTopo(t)
 	primary := []topology.NodeID{pm1, tors[0][0], tors[0][1], pm2}
-	sb, err := PlanStandby(finderOver(t, topo), topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, nil)
+	sb, err := PlanStandby(finderOver(t, topo), topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, topology.Pool{})
 	if err != nil {
 		t.Fatalf("PlanStandby: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestPlanStandbyPrefersDisjoint(t *testing.T) {
 	}
 	// The cheap route is the primary here; protecting the dear one must
 	// come back with the cheap one, not with the primary again.
-	sb, err = PlanStandby(finderOver(t, topo), topo, sb.Path, []topology.NodeID{pm1, pm2}, nil, 4, nil)
+	sb, err = PlanStandby(finderOver(t, topo), topo, sb.Path, []topology.NodeID{pm1, pm2}, nil, 4, topology.Pool{})
 	if err != nil || !sb.Disjoint || sb.Path[1] != tors[0][0] {
 		t.Fatalf("standby of the second route = %+v, %v; want the first route, disjoint", sb, err)
 	}
@@ -157,7 +157,7 @@ func TestPlanStandbyBestEffortWhenOnlyOverlappingAltExists(t *testing.T) {
 	if err := topo.SetLinkDown(links[1][0], true); err != nil {
 		t.Fatalf("SetLinkDown: %v", err)
 	}
-	sb, err := PlanStandby(finderOver(t, topo), topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, nil)
+	sb, err := PlanStandby(finderOver(t, topo), topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, topology.Pool{})
 	if err != nil {
 		t.Fatalf("PlanStandby: %v", err)
 	}
@@ -170,13 +170,13 @@ func TestPlanStandbyErrors(t *testing.T) {
 	topo, pm1, pm2, tors, links := twoRouteTopo(t)
 	primary := []topology.NodeID{pm1, tors[0][0], tors[0][1], pm2}
 	good := finderOver(t, topo)
-	if _, err := PlanStandby(good, topo, primary, []topology.NodeID{pm1, pm2}, nil, 0, nil); err == nil {
+	if _, err := PlanStandby(good, topo, primary, []topology.NodeID{pm1, pm2}, nil, 0, topology.Pool{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := PlanStandby(nil, topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, nil); err == nil {
+	if _, err := PlanStandby(nil, topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, topology.Pool{}); err == nil {
 		t.Fatal("nil finder accepted")
 	}
-	if _, err := PlanStandby(good, topo, nil, []topology.NodeID{pm1, pm2}, nil, 4, nil); err == nil {
+	if _, err := PlanStandby(good, topo, nil, []topology.NodeID{pm1, pm2}, nil, 4, topology.Pool{}); err == nil {
 		t.Fatal("empty primary accepted")
 	}
 	for r := range links {
@@ -184,7 +184,7 @@ func TestPlanStandbyErrors(t *testing.T) {
 			t.Fatalf("SetLinkDown: %v", err)
 		}
 	}
-	if _, err := PlanStandby(good, topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, nil); !errors.Is(err, graph.ErrNoPath) {
+	if _, err := PlanStandby(good, topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, topology.Pool{}); !errors.Is(err, graph.ErrNoPath) {
 		t.Fatalf("no-route segment: err = %v, want graph.ErrNoPath", err)
 	}
 }
@@ -217,7 +217,7 @@ func TestPlanStandbyConfinedFlag(t *testing.T) {
 		{map[topology.NodeID]bool{opss[0]: true, opss[1]: true}, true},
 		{map[topology.NodeID]bool{opss[0]: true}, false},
 	} {
-		sb, err := PlanStandby(finderOver(t, topo), topo, primary, []topology.NodeID{pm1, pm2}, tc.slice, 4, nil)
+		sb, err := PlanStandby(finderOver(t, topo), topo, primary, []topology.NodeID{pm1, pm2}, tc.slice, 4, topology.Pool{})
 		if err != nil || !sb.Disjoint {
 			t.Fatalf("slice %v: standby %+v, %v; want a disjoint one", tc.slice, sb, err)
 		}
@@ -257,7 +257,7 @@ func TestPlanStandbySRLGCountsAsOverlap(t *testing.T) {
 	}
 	primary := []topology.NodeID{pm1, tors[0][0], tors[0][1], pm2}
 	finder := finderOver(t, topo)
-	sb, err := PlanStandby(finder, topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, nil)
+	sb, err := PlanStandby(finder, topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, topology.Pool{})
 	if err != nil {
 		t.Fatalf("PlanStandby: %v", err)
 	}
@@ -281,7 +281,7 @@ func TestPlanStandbySRLGCountsAsOverlap(t *testing.T) {
 	if err := topo.SetLinkSRLG(links[1][0]); err != nil {
 		t.Fatalf("clear SRLG: %v", err)
 	}
-	sb, err = PlanStandby(finder, topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, nil)
+	sb, err = PlanStandby(finder, topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, topology.Pool{})
 	if err != nil {
 		t.Fatalf("PlanStandby: %v", err)
 	}

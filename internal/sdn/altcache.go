@@ -88,43 +88,24 @@ const altCacheMaxEntries = 4096
 // but the endpoints and the live state, hashed once per route into base.
 // k is 0 for an avoiding search, which PathAlternatives never asks.
 type altQuestion struct {
-	base     uint64
-	k        int
-	restrict map[topology.NodeID]bool
-	avoid    topology.Avoid
+	base  uint64
+	k     int
+	pool  topology.Pool
+	avoid topology.Avoid
 }
 
-func newAltQuestion(k int, restrict map[topology.NodeID]bool, avoid topology.Avoid) altQuestion {
+func newAltQuestion(k int, pool topology.Pool, avoid topology.Avoid) altQuestion {
 	h := graph.Mix64(uint64(k))
-	for _, part := range []uint64{restrictionDigest(restrict), sequenceDigest(avoid.Nodes), sequenceDigest(avoid.Links), uint64(avoid.Spread)} {
+	for _, part := range []uint64{pool.Digest(), sequenceDigest(avoid.Nodes), sequenceDigest(avoid.Links), uint64(avoid.Spread)} {
 		h = graph.Mix64(h ^ part)
 	}
-	return altQuestion{base: h, k: k, restrict: restrict, avoid: avoid}
+	return altQuestion{base: h, k: k, pool: pool, avoid: avoid}
 }
 
 // hash keys one leg of the question under one live state.
 func (q *altQuestion) hash(src, dst topology.NodeID, live uint64) uint64 {
 	h := graph.Mix64(q.base ^ uint64(src)<<32 ^ uint64(uint32(dst)))
 	return graph.Mix64(h ^ live)
-}
-
-// restrictionDigest hashes an OPS restriction set to a stable 64-bit
-// key component. nil (no restriction) and the empty set are
-// distinguishable from any real pool; only nodes mapped to true
-// participate, matching how searches consume the set. Members are mixed
-// one by one and summed, so the map's iteration order does not matter
-// and nothing is sorted or allocated.
-func restrictionDigest(restrictOPS map[topology.NodeID]bool) uint64 {
-	if restrictOPS == nil {
-		return 0
-	}
-	h := uint64(1) // non-nil marker: {} hashes differently from nil
-	for n, ok := range restrictOPS {
-		if ok {
-			h += graph.Mix64(uint64(n))
-		}
-	}
-	return h
 }
 
 // sequenceDigest hashes a list in order (FNV-1a over whole elements).
@@ -264,7 +245,7 @@ func (ac *altCache) put(gen uint64, q *altQuestion, src, dst topology.NodeID, li
 	ac.index(len(ac.entries) - 1)
 	if ac.questions != nil {
 		stored := *q
-		stored.restrict = maps.Clone(q.restrict)
+		stored.pool = topology.NewPool(maps.Clone(q.pool.OPS))
 		stored.avoid.Nodes, stored.avoid.Links = slices.Clone(q.avoid.Nodes), slices.Clone(q.avoid.Links)
 		ac.questions[h] = stored
 	}

@@ -49,7 +49,7 @@ func TestPathAlternativesOrderAndDisjointness(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
-	alts, err := c.PathAlternatives(pm1, pm2, 3, nil)
+	alts, err := c.PathAlternatives(pm1, pm2, 3, topology.Pool{})
 	if err != nil {
 		t.Fatalf("PathAlternatives: %v", err)
 	}
@@ -113,12 +113,12 @@ func TestPathAlternativesDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
-	first, err := c.PathAlternatives(pm1, pm2, 3, nil)
+	first, err := c.PathAlternatives(pm1, pm2, 3, topology.Pool{})
 	if err != nil {
 		t.Fatalf("PathAlternatives: %v", err)
 	}
 	for trial := 0; trial < 5; trial++ {
-		again, err := c.PathAlternatives(pm1, pm2, 3, nil)
+		again, err := c.PathAlternatives(pm1, pm2, 3, topology.Pool{})
 		if err != nil {
 			t.Fatalf("PathAlternatives trial %d: %v", trial, err)
 		}
@@ -147,17 +147,17 @@ func TestPathAlternativesFewerThanK(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
-	alts, err := c.PathAlternatives(pm1, pm2, 50, nil)
+	alts, err := c.PathAlternatives(pm1, pm2, 50, topology.Pool{})
 	if err != nil {
 		t.Fatalf("PathAlternatives(k=50): %v", err)
 	}
 	if len(alts) != 3 {
 		t.Fatalf("k=50 returned %d alternatives, want the 3 that exist", len(alts))
 	}
-	if alts, err := c.PathAlternatives(pm1, pm2, 1, nil); err != nil || len(alts) != 1 {
+	if alts, err := c.PathAlternatives(pm1, pm2, 1, topology.Pool{}); err != nil || len(alts) != 1 {
 		t.Fatalf("k=1: alts=%v err=%v", alts, err)
 	}
-	if _, err := c.PathAlternatives(pm1, pm2, 0, nil); err == nil {
+	if _, err := c.PathAlternatives(pm1, pm2, 0, topology.Pool{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 	// Strand pm2: all its ToR links die.
@@ -166,7 +166,7 @@ func TestPathAlternativesFewerThanK(t *testing.T) {
 			t.Fatalf("SetLinkDown: %v", err)
 		}
 	}
-	if _, err := c.PathAlternatives(pm1, pm2, 3, nil); err == nil {
+	if _, err := c.PathAlternatives(pm1, pm2, 3, topology.Pool{}); err == nil {
 		t.Fatal("alternatives to a stranded node succeeded")
 	}
 }
@@ -180,7 +180,7 @@ func TestPathAlternativesRestrictOPS(t *testing.T) {
 		t.Fatalf("NewController: %v", err)
 	}
 	restrict := map[topology.NodeID]bool{opss[1]: true}
-	alts, err := c.PathAlternatives(pm1, pm2, 3, restrict)
+	alts, err := c.PathAlternatives(pm1, pm2, 3, topology.NewPool(restrict))
 	if err != nil {
 		t.Fatalf("PathAlternatives restricted: %v", err)
 	}
@@ -211,7 +211,7 @@ func TestPathComputationCounter(t *testing.T) {
 	if got := c.PathComputations(); got != 1 {
 		t.Fatalf("counter after ComputePath = %d, want 1", got)
 	}
-	if _, err := c.PathAlternatives(pm1, pm2, 3, nil); err != nil {
+	if _, err := c.PathAlternatives(pm1, pm2, 3, topology.Pool{}); err != nil {
 		t.Fatalf("PathAlternatives: %v", err)
 	}
 	if got := c.PathComputations(); got != 2 {

@@ -41,7 +41,7 @@ func TestAppendRouteAvoidingMemo(t *testing.T) {
 	}
 	avoid := routeAvoid(t, topo, primary)
 
-	first, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, nil, avoid)
+	first, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
 	if err != nil {
 		t.Fatalf("AppendRouteAvoiding: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestAppendRouteAvoidingMemo(t *testing.T) {
 	}
 	computed := c.PathComputations()
 	prefix := []topology.NodeID{7, 7}
-	again, err := c.AppendRouteAvoiding(prefix, []topology.NodeID{pm1, pm2}, nil, avoid)
+	again, err := c.AppendRouteAvoiding(prefix, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
 	if err != nil {
 		t.Fatalf("AppendRouteAvoiding (memo): %v", err)
 	}
@@ -63,7 +63,7 @@ func TestAppendRouteAvoidingMemo(t *testing.T) {
 	if c.PathComputations() != computed {
 		t.Fatal("memo hit ran a search")
 	}
-	fresh, err := cold.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, nil, avoid)
+	fresh, err := cold.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
 	if err != nil || !slices.Equal(fresh, first) {
 		t.Fatalf("fresh search = %v, %v; memo served %v", fresh, err, first)
 	}
@@ -72,7 +72,7 @@ func TestAppendRouteAvoidingMemo(t *testing.T) {
 	}
 	// Scribbling on either answer must not reach the stored one.
 	first[1], again[3] = 0, 0
-	third, _ := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, nil, avoid)
+	third, _ := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
 	if !slices.Equal(third, fresh) {
 		t.Fatalf("stored answer was aliased: %v, want %v", third, fresh)
 	}
@@ -89,7 +89,7 @@ func TestAppendRouteAvoidingMemo(t *testing.T) {
 		{nil, topology.Avoid{Nodes: avoid.Nodes, Links: avoid.Links, Spread: opss[2]}},
 	}
 	for i, v := range variants {
-		if _, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, v.restrict, v.avoid); err != nil {
+		if _, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.NewPool(v.restrict), v.avoid); err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
 	}
@@ -108,7 +108,7 @@ func TestAppendRouteAvoidingMemoGenerations(t *testing.T) {
 	ask := func(want topology.NodeID, when string) {
 		t.Helper()
 		for i := 0; i < 2; i++ { // the search, then its memo entry
-			got, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, nil, avoid)
+			got, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
 			if err != nil || !slices.Contains(got, want) {
 				t.Fatalf("%s (ask %d): %v, %v; want the route over node %d", when, i, got, err, want)
 			}
@@ -145,7 +145,7 @@ func TestAppendRouteAvoidingErrorsNotCached(t *testing.T) {
 	c, _ := NewController(topo)
 	none := map[topology.NodeID]bool{}
 	for i := 0; i < 2; i++ {
-		if _, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, none, topology.Avoid{}); err == nil {
+		if _, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.NewPool(none), topology.Avoid{}); err == nil {
 			t.Fatal("route found through an empty OPS pool")
 		}
 	}
@@ -224,11 +224,11 @@ func TestAvoidingNeverWorseThanYen(t *testing.T) {
 			}
 			avoid := routeAvoid(t, topo, primary)
 			avoid.Spread = opss[rng.Intn(len(opss))]
-			ours, err := c.AppendRouteAvoiding(nil, []topology.NodeID{src, dst}, pool, avoid)
+			ours, err := c.AppendRouteAvoiding(nil, []topology.NodeID{src, dst}, topology.NewPool(pool), avoid)
 			if err != nil {
 				t.Fatalf("seed %d %d->%d: %v, but the primary %v exists", seed, src, dst, err, primary)
 			}
-			alts, err := c.PathAlternatives(src, dst, 8, pool)
+			alts, err := c.PathAlternatives(src, dst, 8, topology.NewPool(pool))
 			if err != nil {
 				t.Fatalf("PathAlternatives: %v", err)
 			}
@@ -309,13 +309,13 @@ func TestAppendRouteAvoidingLegs(t *testing.T) {
 	primary, _ := c.ComputePath(pm1, pm2, nil)
 	avoid := routeAvoid(t, topo, primary)
 	stops := []topology.NodeID{pm1, opss[1], opss[1], pm2, pm1}
-	got, err := c.AppendRouteAvoiding([]topology.NodeID{9}, stops, nil, avoid)
+	got, err := c.AppendRouteAvoiding([]topology.NodeID{9}, stops, topology.Pool{}, avoid)
 	if err != nil {
 		t.Fatalf("AppendRouteAvoiding: %v", err)
 	}
 	want := []topology.NodeID{9}
 	for i, leg := range [][2]topology.NodeID{{pm1, opss[1]}, {opss[1], pm2}, {pm2, pm1}} {
-		path, err := c.AppendRouteAvoiding(nil, leg[:], nil, avoid)
+		path, err := c.AppendRouteAvoiding(nil, leg[:], topology.Pool{}, avoid)
 		if err != nil {
 			t.Fatalf("leg %d: %v", i, err)
 		}
@@ -330,13 +330,13 @@ func TestAppendRouteAvoidingLegs(t *testing.T) {
 	if hits, misses := c.AlternativesCacheStats(); hits != 3 || misses != 3 {
 		t.Fatalf("stats = %d hits / %d misses, want 3/3 (three legs searched, then each asked alone)", hits, misses)
 	}
-	if out, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm1}, nil, avoid); err != nil || len(out) != 0 {
+	if out, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm1}, topology.Pool{}, avoid); err != nil || len(out) != 0 {
 		t.Fatalf("route with no leg: %v, %v; want nothing", out, err)
 	}
 	if err := topo.SetNodeDown(pm2, true); err != nil {
 		t.Fatalf("SetNodeDown: %v", err)
 	}
-	if _, err := c.AppendRouteAvoiding(nil, stops, nil, avoid); err == nil {
+	if _, err := c.AppendRouteAvoiding(nil, stops, topology.Pool{}, avoid); err == nil {
 		t.Fatal("route through a dead stop succeeded")
 	}
 }
@@ -372,7 +372,7 @@ func TestAppendRouteAvoidingConcurrent(t *testing.T) {
 			a := avoid
 			a.Spread = opss[g%len(opss)]
 			for i := 0; i < 300; i++ {
-				got, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2, pm1}, nil, a)
+				got, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2, pm1}, topology.Pool{}, a)
 				if err != nil || got[0] != pm1 || got[len(got)-1] != pm1 || !slices.Contains(got, pm2) {
 					t.Errorf("goroutine %d: route %v, %v", g, got, err)
 					return

@@ -57,12 +57,12 @@ func (c *Controller) auditMemo() (checked int, bad []string) {
 		var ran uint64
 		var err error
 		if q.k == 0 {
-			r := snap.Restrict(q.restrict)
+			r := snap.Restrict(q.pool.OPS)
 			fresh, ran, err = snap.AppendPathAvoiding(nil, src, dst, r, q.avoid)
 			snap.Release(r)
 		} else {
 			var paths [][]topology.NodeID
-			paths, _, ran, err = snap.KShortestPaths(src, dst, q.k, q.restrict)
+			paths, _, ran, err = snap.KShortestPaths(src, dst, q.k, q.pool.OPS)
 			for j, p := range paths {
 				if j > 0 {
 					fresh = append(fresh, pathSep)
@@ -88,7 +88,7 @@ func TestMemoAuditFires(t *testing.T) {
 	c, _ := NewController(topo)
 	c.recordMemoQuestions()
 	stops := []topology.NodeID{pm1, pm2}
-	if route, err := c.AppendRouteAvoiding(nil, stops, nil, topology.Avoid{}); err != nil || !slices.Contains(route, opss[0]) {
+	if route, err := c.AppendRouteAvoiding(nil, stops, topology.Pool{}, topology.Avoid{}); err != nil || !slices.Contains(route, opss[0]) {
 		t.Fatalf("route %v, %v; want the cheapest, over %d", route, err, opss[0])
 	}
 	if checked, bad := c.auditMemo(); checked != 1 || len(bad) != 0 {
@@ -99,7 +99,7 @@ func TestMemoAuditFires(t *testing.T) {
 		t.Helper()
 		c.InvalidateAlternatives()
 		snap := c.snapshot()
-		q := newAltQuestion(0, nil, topology.Avoid{})
+		q := newAltQuestion(0, topology.Pool{}, topology.Avoid{})
 		before := snap.LiveDigest()
 		if err := topo.SetNodeDown(opss[0], true); err != nil { // the concurrent patch
 			t.Fatalf("SetNodeDown: %v", err)
@@ -121,14 +121,14 @@ func TestMemoAuditFires(t *testing.T) {
 	if _, bad := c.auditMemo(); len(bad) != 1 {
 		t.Fatalf("planted stale entry: violations %v, want 1", bad)
 	}
-	if route, _ := c.AppendRouteAvoiding(nil, stops, nil, topology.Avoid{}); slices.Contains(route, opss[0]) {
+	if route, _ := c.AppendRouteAvoiding(nil, stops, topology.Pool{}, topology.Avoid{}); slices.Contains(route, opss[0]) {
 		t.Fatalf("the planted entry was not served (%v): the plant tests nothing", route)
 	}
 	plant(true)
 	if checked, bad := c.auditMemo(); checked != 0 || len(bad) != 0 {
 		t.Fatalf("entry under the search's own digest: %d checked now, violations %v", checked, bad)
 	}
-	if route, _ := c.AppendRouteAvoiding(nil, stops, nil, topology.Avoid{}); !slices.Contains(route, opss[0]) {
+	if route, _ := c.AppendRouteAvoiding(nil, stops, topology.Pool{}, topology.Avoid{}); !slices.Contains(route, opss[0]) {
 		t.Fatalf("all up again: route %v, want the one over %d", route, opss[0])
 	}
 }
@@ -168,12 +168,12 @@ func TestMemoUnderFlaps(t *testing.T) {
 				if i%3 == 0 {
 					avoid.Nodes = opss[:1]
 				}
-				if _, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2, pm1}, nil, avoid); err != nil {
+				if _, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2, pm1}, topology.Pool{}, avoid); err != nil {
 					t.Errorf("planner %d: %v", g, err)
 					return
 				}
 				if i%10 == 0 {
-					if _, err := c.PathAlternatives(pm1, pm2, 2, nil); err != nil {
+					if _, err := c.PathAlternatives(pm1, pm2, 2, topology.Pool{}); err != nil {
 						t.Errorf("planner %d: PathAlternatives: %v", g, err)
 						return
 					}
@@ -227,7 +227,7 @@ func planAll(t *testing.T, c *Controller, topo *topology.Topology, stops, primar
 	t.Helper()
 	var out [][]topology.NodeID
 	for i := range stops {
-		sb, err := resilience.PlanStandby(c, topo, primaries[i], stops[i], nil, 1, nil)
+		sb, err := resilience.PlanStandby(c, topo, primaries[i], stops[i], nil, 1, topology.Pool{})
 		if err != nil {
 			t.Fatalf("chain %d: PlanStandby: %v", i, err)
 		}
@@ -299,14 +299,14 @@ func TestRouteSkipsVMLegs(t *testing.T) {
 		want = append(want, leg[1:]...)
 	}
 	searched := c.PathComputations()
-	got, err := c.AppendRouteAvoiding(nil, stops[0], nil, avoid)
+	got, err := c.AppendRouteAvoiding(nil, stops[0], topology.Pool{}, avoid)
 	if err != nil || !slices.Equal(got, want) {
 		t.Fatalf("route %v, %v; every leg searched gives %v", got, err, want)
 	}
 	if hits, misses := c.AlternativesCacheStats(); hits != 0 || misses != 2 || c.PathComputations()-searched != 2 {
 		t.Fatalf("%d hits, %d misses, %d searches; want the 2 host-to-host legs searched", hits, misses, c.PathComputations()-searched)
 	}
-	if _, err := c.AppendRouteAvoiding(nil, stops[0], nil, avoid); err != nil {
+	if _, err := c.AppendRouteAvoiding(nil, stops[0], topology.Pool{}, avoid); err != nil {
 		t.Fatalf("again: %v", err)
 	}
 	if hits, misses := c.AlternativesCacheStats(); hits != 2 || misses != 2 || len(c.alts.entries) != 2 {
@@ -316,7 +316,7 @@ func TestRouteSkipsVMLegs(t *testing.T) {
 		if err := topo.SetNodeDown(end, true); err != nil {
 			t.Fatalf("SetNodeDown: %v", err)
 		}
-		if _, err := c.AppendRouteAvoiding(nil, stops[0], nil, avoid); err == nil {
+		if _, err := c.AppendRouteAvoiding(nil, stops[0], topology.Pool{}, avoid); err == nil {
 			t.Fatalf("node %d down, the plan still succeeded", end)
 		}
 		if err := topo.SetNodeDown(end, false); err != nil {
@@ -331,7 +331,7 @@ func TestRouteSkipsVMLegs(t *testing.T) {
 // evicting the entries of the others.
 func TestMemoFullEvictsOtherStatesOnly(t *testing.T) {
 	var ac altCache
-	q := newAltQuestion(0, nil, topology.Avoid{})
+	q := newAltQuestion(0, topology.Pool{}, topology.Avoid{})
 	const a, b = 0xa, 0xb
 	for i := 0; i < altCacheMaxEntries+10; i++ {
 		ac.put(1, &q, topology.NodeID(i+1), topology.NodeID(i+2), a, []topology.NodeID{topology.NodeID(i + 1), 9, topology.NodeID(i + 2)})
@@ -409,7 +409,7 @@ fill:
 				if src == dst {
 					continue
 				}
-				route, err := c.AppendRouteAvoiding(nil, []topology.NodeID{src, dst}, nil, topology.Avoid{Spread: spread})
+				route, err := c.AppendRouteAvoiding(nil, []topology.NodeID{src, dst}, topology.Pool{}, topology.Avoid{Spread: spread})
 				if err != nil {
 					t.Fatalf("AppendRouteAvoiding: %v", err)
 				}

@@ -199,22 +199,21 @@ func (c *Controller) ComputePathVia(src topology.NodeID, via []topology.NodeID, 
 // VM's one edge (topology.Snapshot.AppendHostHop), errors included.
 // Every other leg's answer is memoized under the fabric state it was
 // searched in — (structural generation, live digest, src, dst,
-// restriction digest, avoided nodes, avoided links, spread), see
-// altcache.go — so the same question asked again in that state, now or
-// when the state recurs, is a lookup. A hit is copied into buf, so what
-// comes back is always the caller's own.
+// pool digest, avoided nodes, avoided links, spread), see altcache.go —
+// so the same question asked again in that state, now or when the state
+// recurs, is a lookup. A hit is copied into buf, so what comes back is
+// always the caller's own.
 //
 // Everything that is the same for every leg is worked out once per
 // route — the snapshot (one atomic load when warm), the question's
 // digests, and, when some leg has to be searched, the dense form of the
-// restriction: both digests and restriction cost a pass over the OPS
-// pool, which for a sharded orchestrator's legs was more than the
-// searches.
-func (c *Controller) AppendRouteAvoiding(buf []topology.NodeID, stops []topology.NodeID, restrictOPS map[topology.NodeID]bool, avoid topology.Avoid) ([]topology.NodeID, error) {
+// pool. The pool's digest came with it (topology.NewPool), so a route
+// answered from the memo never walks the pool.
+func (c *Controller) AppendRouteAvoiding(buf []topology.NodeID, stops []topology.NodeID, pool topology.Pool, avoid topology.Avoid) ([]topology.NodeID, error) {
 	snap := c.snapshot()
 	var q *altQuestion // nil: memo off
 	if !c.altCacheOff.Load() {
-		question := newAltQuestion(0, restrictOPS, avoid)
+		question := newAltQuestion(0, pool, avoid)
 		q = &question
 	}
 	var restriction *topology.Restriction
@@ -251,7 +250,7 @@ func (c *Controller) AppendRouteAvoiding(buf []topology.NodeID, stops []topology
 		}
 		c.pathComputations.Add(1)
 		if !laid {
-			restriction, laid = snap.Restrict(restrictOPS), true
+			restriction, laid = snap.Restrict(pool.OPS), true
 		}
 		start := len(buf)
 		var live uint64
@@ -272,8 +271,8 @@ func (c *Controller) AppendRouteAvoiding(buf []topology.NodeID, stops []topology
 // callers that want to see the k shortest routes, and the oracle the
 // tests hold the direct search against. Results are memoized like
 // AppendRouteAvoiding's legs, per (structural generation, live digest,
-// src, dst, k, restriction digest), and a hit is a fresh copy.
-func (c *Controller) PathAlternatives(src, dst topology.NodeID, k int, restrictOPS map[topology.NodeID]bool) ([][]topology.NodeID, error) {
+// src, dst, k, pool digest), and a hit is a fresh copy.
+func (c *Controller) PathAlternatives(src, dst topology.NodeID, k int, pool topology.Pool) ([][]topology.NodeID, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("sdn: path alternatives: k must be positive, got %d", k)
 	}
@@ -281,7 +280,7 @@ func (c *Controller) PathAlternatives(src, dst topology.NodeID, k int, restrictO
 	cached := !c.altCacheOff.Load()
 	var q altQuestion
 	if cached {
-		q = newAltQuestion(k, restrictOPS, topology.Avoid{})
+		q = newAltQuestion(k, pool, topology.Avoid{})
 		if out, ok := c.alts.paths(snap.Generation(), &q, src, dst, snap.LiveDigest()); ok {
 			c.alts.hits.Add(1)
 			return out, nil
@@ -290,7 +289,7 @@ func (c *Controller) PathAlternatives(src, dst topology.NodeID, k int, restrictO
 	}
 	c.yenRuns.Add(1)
 	c.pathComputations.Add(1)
-	out, _, live, err := snap.KShortestPaths(src, dst, k, restrictOPS)
+	out, _, live, err := snap.KShortestPaths(src, dst, k, pool.OPS)
 	if err != nil {
 		return nil, fmt.Errorf("sdn: path alternatives %d->%d: %w", src, dst, err)
 	}

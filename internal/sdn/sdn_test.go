@@ -216,7 +216,7 @@ func TestCountConversionsOnPath(t *testing.T) {
 func TestPathAlternatives(t *testing.T) {
 	topo, ids := chainTopo(t)
 	c, _ := NewController(topo)
-	paths, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 3, nil)
+	paths, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 3, topology.Pool{})
 	if err != nil {
 		t.Fatalf("PathAlternatives: %v", err)
 	}
@@ -230,10 +230,10 @@ func TestPathAlternatives(t *testing.T) {
 	if paths[0][0] != ids["vm1"] || paths[0][len(paths[0])-1] != ids["vm2"] {
 		t.Fatalf("endpoints wrong: %v", paths[0])
 	}
-	if _, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 0, nil); err == nil {
+	if _, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 0, topology.Pool{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := c.PathAlternatives(9999, ids["vm2"], 1, nil); err == nil {
+	if _, err := c.PathAlternatives(9999, ids["vm2"], 1, topology.Pool{}); err == nil {
 		t.Fatal("unknown source accepted")
 	}
 }

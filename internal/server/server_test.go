@@ -312,6 +312,39 @@ func TestProvisionUnknownService422(t *testing.T) {
 	}
 }
 
+// TestProvisionRejectsUnknownFields: a field the chain spec or one of
+// its NFs does not have is a 400, as it is on the batch envelope — a
+// typo ("cpuu") must not provision the chain without the demand it
+// meant. The same specs spelled right provision.
+func TestProvisionRejectsUnknownFields(t *testing.T) {
+	ts, arch := newTestServer(t)
+	spec := func(extra, nfExtra string) string {
+		return `{"name":"c1","tenant":"t1","service":"web"` + extra + `,
+			"nfs":[{"name":"firewall"},{"name":"nat","cpu":1` + nfExtra + `}],
+			"bandwidth_gbps":1,"flow_bytes":1024}`
+	}
+	for _, tc := range []struct{ name, path, body string }{
+		{"spec field", "/v1/chains", spec(`,"bogus":1`, "")},
+		{"NF field", "/v1/chains", spec("", `,"cpuu":3`)},
+		{"batch spec field", "/v1/chains:batch", `{"specs":[` + spec(`,"bogus":1`, "") + `]}`},
+		{"batch NF field", "/v1/chains:batch", `{"specs":[` + spec("", `,"cpuu":3`) + `]}`},
+	} {
+		status, resp := do(t, "POST", ts.URL+tc.path, []byte(tc.body))
+		if status != http.StatusBadRequest || !bytes.Contains(resp, []byte("unknown field")) {
+			t.Errorf("%s: got %d (%s), want 400 naming the unknown field", tc.name, status, resp)
+		}
+	}
+	if n := arch.Sharded().ActiveCount(); n != 0 {
+		t.Fatalf("%d chains provisioned by rejected requests", n)
+	}
+	if status, resp := do(t, "POST", ts.URL+"/v1/chains", []byte(spec("", ""))); status != http.StatusCreated {
+		t.Fatalf("well-formed spec: got %d (%s), want 201", status, resp)
+	}
+	if status, resp := do(t, "POST", ts.URL+"/v1/chains:batch", []byte(`{"specs":[`+strings.Replace(spec("", ""), `"c1"`, `"c2"`, 1)+`]}`)); status != http.StatusCreated {
+		t.Fatalf("well-formed batch: got %d (%s), want 201", status, resp)
+	}
+}
+
 func TestDuplicateChain409(t *testing.T) {
 	ts, _ := newTestServer(t)
 	body := specBody("dup", "t1", "web", "nat")

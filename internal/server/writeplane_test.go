@@ -268,7 +268,17 @@ func TestWritePlaneUnderReads(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			for round := 0; round < 12; round++ {
-				dep := arch.Deployment(ids[(w+4*round)%len(ids)])
+				id := ids[(w+4*round)%len(ids)]
+				// Another writer's cut may have taken this chain's standby
+				// since its last round: that writer's flush queues the
+				// re-protect, and a drain — that writer's or this one — runs
+				// it. Drain until the chain is protected again, a bounded
+				// number of times.
+				dep := arch.Deployment(id)
+				for drains := 0; dep.Standby == nil && drains < 1000; drains++ {
+					request("POST", "/v1/optimizer:run", http.StatusOK)
+					dep = arch.Deployment(id)
+				}
 				if dep.Standby == nil {
 					t.Errorf("chain %d entered round %d unprotected", dep.ID, round)
 					return

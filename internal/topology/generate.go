@@ -186,7 +186,7 @@ func buildCore(t *Topology, cfg GenConfig, rng *rand.Rand, opsIDs []NodeID) erro
 		return nil
 	}
 	optical := func(u, v NodeID) error {
-		if u == v || hasLinkBetween(t, u, v) {
+		if u == v || t.AnyLinkBetween(u, v) != nil {
 			return nil
 		}
 		_, err := t.AddLink(u, v, LinkOptical, cfg.OpticalGbps, cfg.OpticalLatUs)
@@ -236,15 +236,6 @@ func buildCore(t *Topology, cfg GenConfig, rng *rand.Rand, opsIDs []NodeID) erro
 		}
 	}
 	return nil
-}
-
-func hasLinkBetween(t *Topology, u, v NodeID) bool {
-	for _, l := range t.LinksOf(u) {
-		if l.From == v || l.To == v {
-			return true
-		}
-	}
-	return false
 }
 
 // newServicePicker returns a function drawing service labels. With skew

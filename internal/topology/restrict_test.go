@@ -120,39 +120,45 @@ func TestRestrictConcurrent(t *testing.T) {
 	}
 }
 
-// TestAnyLinkBetweenKeyedOnStructure: the liveness-blind pair memo
-// outlives failures and recoveries, answers the failed link itself, and
-// is dropped by a structural change — a new link between a pair that had
-// none is found.
-func TestAnyLinkBetweenKeyedOnStructure(t *testing.T) {
+// TestHopResolutionAllocatesNothing: resolving a hop to its link reads
+// the adjacency tables and nothing else — after a liveness flip as
+// before it, a LinkBetween or AnyLinkBetween call allocates 0 times.
+// AnyLinkBetween answers the failed link itself, LinkBetween follows
+// liveness, and a structural change is seen at once: a new link between
+// a pair that had none is found. Readers share the tables; run under
+// -race.
+func TestHopResolutionAllocatesNothing(t *testing.T) {
 	topo, tors, opss := snapTestTopo(t)
 	l := topo.AnyLinkBetween(tors[0], opss[0])
 	if l == nil || topo.AnyLinkBetween(tors[1], opss[2]) != nil {
 		t.Fatalf("AnyLinkBetween: tor0-ops0 = %v, tor1-ops2 = %v; want a link and none", l, topo.AnyLinkBetween(tors[1], opss[2]))
 	}
-	memo := len(topo.pairAny)
 	for _, down := range []bool{true, false, true} {
 		if err := topo.SetLinkDown(l.ID, down); err != nil {
 			t.Fatal(err)
 		}
-		if got := topo.AnyLinkBetween(tors[0], opss[0]); got != l || got.Down != down {
-			t.Fatalf("after SetLinkDown(%v): AnyLinkBetween = %+v, want link %d itself", down, got, l.ID)
+		var anyGot, liveGot *Link
+		allocs := testing.AllocsPerRun(100, func() {
+			anyGot = topo.AnyLinkBetween(tors[0], opss[0])
+			liveGot = topo.LinkBetween(opss[0], tors[0])
+		})
+		if allocs != 0 {
+			t.Fatalf("after SetLinkDown(%v): a hop resolution allocates %.1f times, want 0", down, allocs)
 		}
-		if len(topo.pairAny) != memo || topo.pairAnyGen != topo.StructuralGeneration() {
-			t.Fatalf("after SetLinkDown(%v): the memo holds %d pairs at generation %d, want the same %d pairs kept", down, len(topo.pairAny), topo.pairAnyGen, memo)
+		if anyGot != l || anyGot.Down != down {
+			t.Fatalf("after SetLinkDown(%v): AnyLinkBetween = %+v, want link %d itself", down, anyGot, l.ID)
 		}
-		if (topo.LinkBetween(tors[0], opss[0]) == nil) != down {
-			t.Fatalf("after SetLinkDown(%v): LinkBetween does not follow liveness", down)
+		if (liveGot == nil) != down {
+			t.Fatalf("after SetLinkDown(%v): LinkBetween = %v does not follow liveness", down, liveGot)
 		}
 	}
 	added, err := topo.AddLink(tors[1], opss[2], LinkBoundary, 40, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := topo.AnyLinkBetween(tors[1], opss[2]); got == nil || got.ID != added {
+	if got := topo.AnyLinkBetween(opss[2], tors[1]); got == nil || got.ID != added {
 		t.Fatalf("after AddLink: AnyLinkBetween = %v, want the new link %d", got, added)
 	}
-	// Readers share the memo; run under -race.
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

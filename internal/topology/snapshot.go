@@ -40,10 +40,10 @@ type Snapshot struct {
 	// mask is the durable liveness overlay: down vertices by dense index
 	// and down link arcs by CSR position.
 	mask *graph.LiveMask
-	// linkArcs maps each link to its CSR arc positions (both directions,
-	// plus parallels), resolved once at build time via edge tags so a
-	// liveness patch is O(affected arcs).
-	linkArcs map[LinkID][]int32
+	// linkArcs lists each link's CSR arc positions (both directions), by
+	// link ID, resolved once at build time via edge tags so a liveness
+	// patch is O(affected arcs).
+	linkArcs [][]int32
 	// restrictions and avoidSets pool the per-search buffers (Restrict,
 	// AppendPathAvoiding), both sized to this snapshot's graph.
 	restrictions sync.Pool
@@ -89,6 +89,37 @@ func (s *Snapshot) Filter(restrict map[NodeID]bool) graph.Filter {
 		return i >= len(mask) || !mask[i] || allowed[i]
 	}
 }
+
+// Pool is an OPS restriction set — the OPSs a search may cross, a nil
+// OPS meaning every one — carried with its content digest, which keys
+// memoized searches under the set. The digest is computed once, by
+// NewPool, so asking a question under a pool never walks the set; the
+// set must not change after. The zero Pool restricts nothing.
+type Pool struct {
+	OPS    map[NodeID]bool
+	digest uint64
+}
+
+// NewPool makes the pool of an OPS set. Only members mapped to true
+// count, as they do for searches; nil (no restriction) and the empty set
+// digest apart from each other and from any real pool.
+func NewPool(ops map[NodeID]bool) Pool {
+	if ops == nil {
+		return Pool{}
+	}
+	// Members are mixed one by one and summed: the map's iteration order
+	// does not matter and nothing is sorted or allocated.
+	h := uint64(1)
+	for n, ok := range ops {
+		if ok {
+			h += graph.Mix64(uint64(n))
+		}
+	}
+	return Pool{OPS: ops, digest: h}
+}
+
+// Digest returns the pool's content digest: 0 for the zero Pool.
+func (p Pool) Digest() uint64 { return p.digest }
 
 // Restriction is a RestrictOPS set laid out over one snapshot as the
 // admitted OPSs' own arcs: built once from their arc lists, then read by
@@ -174,7 +205,9 @@ func (s *Snapshot) AppendPathAvoiding(buf []NodeID, src, dst NodeID, r *Restrict
 			}
 		}
 		for _, l := range avoid.Links {
-			set.AddArcs(s.linkArcs[l])
+			if uint(l) < uint(len(s.linkArcs)) {
+				set.AddArcs(s.linkArcs[l])
+			}
 		}
 	}
 	return graph.ShortestPathAvoiding(s.frozen, buf, graph.VertexID(src), graph.VertexID(dst), r, s.mask, set, graph.VertexID(avoid.Spread))
@@ -353,7 +386,7 @@ func (t *Topology) buildSnapshot(key snapKey, structGen uint64) *Snapshot {
 		}
 	}
 	for _, l := range t.Links() {
-		nf, nt := t.nodes[l.From], t.nodes[l.To]
+		nf, nt := t.Node(l.From), t.Node(l.To)
 		if nf == nil || nt == nil || nf.Kind == KindVM || nt.Kind == KindVM {
 			continue
 		}
@@ -367,7 +400,7 @@ func (t *Topology) buildSnapshot(key snapKey, structGen uint64) *Snapshot {
 	}
 	if key.includeVMs {
 		for _, n := range t.Nodes(KindVM) {
-			if t.nodes[n.Host] == nil {
+			if t.Node(n.Host) == nil {
 				continue
 			}
 			w := 0.1
@@ -383,7 +416,7 @@ func (t *Topology) buildSnapshot(key snapKey, structGen uint64) *Snapshot {
 		key:       key,
 		frozen:    f,
 		mask:      f.NewLiveMask(),
-		linkArcs:  make(map[LinkID][]int32),
+		linkArcs:  make([][]int32, len(t.links)),
 	}
 	for pos, tag := range f.ArcTags() {
 		if tag != 0 {
@@ -393,14 +426,14 @@ func (t *Topology) buildSnapshot(key snapKey, structGen uint64) *Snapshot {
 	// Seed the overlay with the current liveness state.
 	vertex := make(map[int32]bool)
 	var deadArcs []int32
-	for _, n := range t.nodes {
+	for _, n := range t.Nodes() {
 		if t.effectiveDown(n) {
 			if i, ok := f.IndexOf(graph.VertexID(n.ID)); ok {
 				vertex[i] = true
 			}
 		}
 	}
-	for _, l := range t.links {
+	for _, l := range t.links[1:] {
 		if l.Down {
 			deadArcs = append(deadArcs, s.linkArcs[l.ID]...)
 		}
@@ -436,7 +469,7 @@ func (t *Topology) effectiveDown(n *Node) bool {
 		return true
 	}
 	if n.Kind == KindVM {
-		h := t.nodes[n.Host]
+		h := t.Node(n.Host)
 		return h == nil || h.Down
 	}
 	return false
@@ -483,7 +516,7 @@ func (s *Snapshot) collectNodePatch(t *Topology, n *Node, vertex map[int32]bool)
 	if n.Kind == KindPhysicalMachine && s.key.includeVMs {
 		for _, vm := range t.VMsOnPM(n.ID) {
 			if i, ok := s.frozen.IndexOf(graph.VertexID(vm)); ok {
-				vertex[i] = t.effectiveDown(t.nodes[vm])
+				vertex[i] = t.effectiveDown(t.Node(vm))
 			}
 		}
 	}

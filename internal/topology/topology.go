@@ -15,9 +15,15 @@ import (
 // concurrent mutation; the orchestration layers treat it as read-only
 // after construction.
 type Topology struct {
-	nodes    map[NodeID]*Node
-	links    map[LinkID]*Link
-	adj      map[NodeID][]LinkID
+	// nodes, links and adj are dense tables indexed by ID: IDs come from
+	// the nextNode/nextLink counters, so entry 0 is unused and a removed
+	// VM leaves a nil entry. A lookup is a slice load, and a walk in
+	// index order is a walk in ID order. adj lists a node's links in
+	// ascending ID order (they are appended as they are created).
+	nodes    []*Node
+	links    []*Link
+	adj      [][]LinkID
+	live     int // non-nil entries of nodes
 	nextNode NodeID
 	nextLink LinkID
 
@@ -49,27 +55,17 @@ type Topology struct {
 	snaps  [4]atomic.Pointer[Snapshot]
 
 	// derivedMu guards the per-generation derived adjacency caches:
-	// kind-filtered neighbor lists and node-pair link resolution. Both
-	// are pure functions of the topology at one generation and are
-	// discarded wholesale when the generation moves. They exist because
-	// AL construction and standby scoring ask the same "OPSs of this
-	// ToR" / "link between these two" questions thousands of times per
-	// provisioning batch, and each cold answer walks a ToR's full uplink
-	// list with a map lookup per link.
+	// kind-filtered neighbor lists, a pure function of the topology at
+	// one generation, discarded wholesale when the generation moves. They
+	// exist because AL construction asks the same "OPSs of this ToR"
+	// question thousands of times per provisioning batch, and each cold
+	// answer walks a ToR's full uplink list.
 	derivedMu  sync.Mutex
 	derivedGen uint64
 	kindAdj    map[kindAdjKey][]NodeID
-	pairLive   map[int64]*Link
 	// opsByDegree holds OPSsOfToRByDegree's answers: each an OPSsOfToR
 	// list re-sorted, so it is refilled from that cache per generation.
 	opsByDegree map[NodeID][]NodeID
-
-	// pairAny memoizes AnyLinkBetween, which ignores liveness: keyed on the
-	// structural generation, it outlives a storm's failures and recoveries,
-	// and a hit takes its own lock shared — every batch worker asks per hop.
-	pairAnyMu  sync.RWMutex
-	pairAny    map[int64]*Link
-	pairAnyGen uint64
 
 	// optDeg is the optical-mesh degree of every node, by node ID (see
 	// OpticalDegrees). It counts links up or down, so it is keyed on the
@@ -90,16 +86,12 @@ type kindAdjKey struct {
 	kind NodeKind
 }
 
-// packPair keys one cached node-pair link answer.
-func packPair(a, b NodeID) int64 { return int64(a)<<32 | int64(uint32(b)) }
-
 // resetDerivedLocked clears the derived caches if the topology mutated
 // since they were filled. Caller holds derivedMu.
 func (t *Topology) resetDerivedLocked() {
 	gen := t.Generation()
 	if t.kindAdj == nil || t.derivedGen != gen {
 		t.kindAdj = make(map[kindAdjKey][]NodeID)
-		t.pairLive = make(map[int64]*Link)
 		// Cleared, not remade: a liveness batch that builds no AL must not
 		// pay for it.
 		clear(t.opsByDegree)
@@ -109,11 +101,8 @@ func (t *Topology) resetDerivedLocked() {
 
 // New returns an empty topology.
 func New() *Topology {
-	return &Topology{
-		nodes: make(map[NodeID]*Node),
-		links: make(map[LinkID]*Link),
-		adj:   make(map[NodeID][]LinkID),
-	}
+	// Entry 0 of each table stands for no ID.
+	return &Topology{nodes: []*Node{nil}, links: []*Link{nil}, adj: [][]LinkID{nil}}
 }
 
 func (t *Topology) addNode(n Node) NodeID {
@@ -122,7 +111,9 @@ func (t *Topology) addNode(n Node) NodeID {
 	if n.Name == "" {
 		n.Name = fmt.Sprintf("%s-%d", n.Kind, n.ID)
 	}
-	t.nodes[n.ID] = &n
+	t.nodes = append(t.nodes, &n)
+	t.adj = append(t.adj, nil)
+	t.live++
 	t.bumpStructural()
 	return n.ID
 }
@@ -136,8 +127,8 @@ func (t *Topology) AddPM(rack int, capacity Resources) NodeID {
 // AddVM adds a virtual machine hosted on pm offering the given service.
 // It returns an error if pm is not a physical machine.
 func (t *Topology) AddVM(pm NodeID, service string) (NodeID, error) {
-	host, ok := t.nodes[pm]
-	if !ok || host.Kind != KindPhysicalMachine {
+	host := t.Node(pm)
+	if host == nil || host.Kind != KindPhysicalMachine {
 		return 0, fmt.Errorf("topology: AddVM: node %d is not a physical machine", pm)
 	}
 	id := t.addNode(Node{Kind: KindVM, Host: pm, Service: service, Rack: host.Rack})
@@ -162,12 +153,12 @@ func (t *Topology) AddOPS(optoelectronic bool, capacity Resources) NodeID {
 // with the endpoint kinds (electronic: both electronic-domain nodes;
 // boundary: exactly one OPS; optical: both OPSs).
 func (t *Topology) AddLink(from, to NodeID, kind LinkKind, bandwidthGbps, latencyMicros float64) (LinkID, error) {
-	nf, ok := t.nodes[from]
-	if !ok {
+	nf := t.Node(from)
+	if nf == nil {
 		return 0, fmt.Errorf("topology: AddLink: unknown node %d", from)
 	}
-	nt, ok := t.nodes[to]
-	if !ok {
+	nt := t.Node(to)
+	if nt == nil {
 		return 0, fmt.Errorf("topology: AddLink: unknown node %d", to)
 	}
 	if from == to {
@@ -199,7 +190,7 @@ func (t *Topology) AddLink(from, to NodeID, kind LinkKind, bandwidthGbps, latenc
 	t.nextLink++
 	l := &Link{ID: t.nextLink, From: from, To: to, Kind: kind,
 		BandwidthGbps: bandwidthGbps, LatencyMicros: latencyMicros}
-	t.links[l.ID] = l
+	t.links = append(t.links, l)
 	t.adj[from] = append(t.adj[from], l.ID)
 	t.adj[to] = append(t.adj[to], l.ID)
 	t.bumpStructural()
@@ -209,11 +200,12 @@ func (t *Topology) AddLink(from, to NodeID, kind LinkKind, bandwidthGbps, latenc
 // RemoveVM deletes a VM from the topology (churn: VM departure). Only
 // VMs can be removed; switches and PMs are fixed plant.
 func (t *Topology) RemoveVM(vm NodeID) error {
-	n := t.nodes[vm]
+	n := t.Node(vm)
 	if n == nil || n.Kind != KindVM {
 		return fmt.Errorf("topology: RemoveVM: node %d is not a VM", vm)
 	}
-	delete(t.nodes, vm)
+	t.nodes[vm] = nil
+	t.live--
 	t.bumpStructural()
 	return nil
 }
@@ -221,11 +213,11 @@ func (t *Topology) RemoveVM(vm NodeID) error {
 // MigrateVM moves a VM to another physical machine (churn: VM
 // migration). The VM keeps its ID and service label.
 func (t *Topology) MigrateVM(vm, toPM NodeID) error {
-	n := t.nodes[vm]
+	n := t.Node(vm)
 	if n == nil || n.Kind != KindVM {
 		return fmt.Errorf("topology: MigrateVM: node %d is not a VM", vm)
 	}
-	host := t.nodes[toPM]
+	host := t.Node(toPM)
 	if host == nil || host.Kind != KindPhysicalMachine {
 		return fmt.Errorf("topology: MigrateVM: node %d is not a physical machine", toPM)
 	}
@@ -236,31 +228,36 @@ func (t *Topology) MigrateVM(vm, toPM NodeID) error {
 }
 
 // Node returns the node with the given ID, or nil.
-func (t *Topology) Node(id NodeID) *Node { return t.nodes[id] }
+func (t *Topology) Node(id NodeID) *Node {
+	if uint(id) < uint(len(t.nodes)) {
+		return t.nodes[id]
+	}
+	return nil
+}
 
 // Link returns the link with the given ID, or nil.
-func (t *Topology) Link(id LinkID) *Link { return t.links[id] }
+func (t *Topology) Link(id LinkID) *Link {
+	if uint(id) < uint(len(t.links)) {
+		return t.links[id]
+	}
+	return nil
+}
 
 // NodeCount returns the total number of nodes.
-func (t *Topology) NodeCount() int { return len(t.nodes) }
+func (t *Topology) NodeCount() int { return t.live }
 
 // LinkCount returns the total number of links.
-func (t *Topology) LinkCount() int { return len(t.links) }
+func (t *Topology) LinkCount() int { return len(t.links) - 1 }
 
 // Nodes returns all nodes of the given kinds (all nodes if none given),
 // sorted by ID.
 func (t *Topology) Nodes(kinds ...NodeKind) []*Node {
-	want := make(map[NodeKind]bool, len(kinds))
-	for _, k := range kinds {
-		want[k] = true
-	}
 	var out []*Node
 	for _, n := range t.nodes {
-		if len(want) == 0 || want[n.Kind] {
+		if n != nil && (len(kinds) == 0 || slices.Contains(kinds, n.Kind)) {
 			out = append(out, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -275,24 +272,25 @@ func (t *Topology) NodeIDs(kinds ...NodeKind) []NodeID {
 }
 
 // Links returns all links sorted by ID.
-func (t *Topology) Links() []*Link {
-	out := make([]*Link, 0, len(t.links))
-	for _, l := range t.links {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func (t *Topology) Links() []*Link { return slices.Clone(t.links[1:]) }
 
 // LinksOf returns the links incident to id sorted by link ID.
 func (t *Topology) LinksOf(id NodeID) []*Link {
-	ids := append([]LinkID(nil), t.adj[id]...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := t.linkIDsOf(id)
 	out := make([]*Link, 0, len(ids))
 	for _, lid := range ids {
 		out = append(out, t.links[lid])
 	}
 	return out
+}
+
+// linkIDsOf returns the IDs of the links incident to id, ascending; the
+// caller must not modify the slice.
+func (t *Topology) linkIDsOf(id NodeID) []LinkID {
+	if uint(id) < uint(len(t.adj)) {
+		return t.adj[id]
+	}
+	return nil
 }
 
 // Neighbors returns the IDs of nodes adjacent to id, deduplicated and
@@ -334,9 +332,9 @@ func (t *Topology) neighborsOfKindLocked(id NodeID, kind NodeKind) []NodeID {
 		return out
 	}
 	var out []NodeID
-	for _, lid := range t.adj[id] {
+	for _, lid := range t.linkIDsOf(id) {
 		l := t.links[lid]
-		if l == nil || l.Down {
+		if l.Down {
 			continue
 		}
 		other := l.From
@@ -367,7 +365,7 @@ func (t *Topology) neighborsOfKindLocked(id NodeID, kind NodeKind) []NodeID {
 // This is a liveness transition: cached routing snapshots are patched
 // in place (zero graph rebuilds), only the derived caches invalidate.
 func (t *Topology) SetNodeDown(id NodeID, down bool) error {
-	n := t.nodes[id]
+	n := t.Node(id)
 	if n == nil {
 		return fmt.Errorf("topology: SetNodeDown: unknown node %d", id)
 	}
@@ -380,7 +378,7 @@ func (t *Topology) SetNodeDown(id NodeID, down bool) error {
 // SetLinkDown marks a link as failed (or repaired). Like SetNodeDown
 // this patches cached routing snapshots in place instead of rebuilding.
 func (t *Topology) SetLinkDown(id LinkID, down bool) error {
-	l := t.links[id]
+	l := t.Link(id)
 	if l == nil {
 		return fmt.Errorf("topology: SetLinkDown: unknown link %d", id)
 	}
@@ -401,7 +399,7 @@ func (t *Topology) SetNodesDown(ids []NodeID, down bool) error {
 	}
 	nodes := make([]*Node, len(ids))
 	for i, id := range ids {
-		n := t.nodes[id]
+		n := t.Node(id)
 		if n == nil {
 			return fmt.Errorf("topology: SetNodesDown: unknown node %d", id)
 		}
@@ -423,7 +421,7 @@ func (t *Topology) SetLinksDown(ids []LinkID, down bool) error {
 	}
 	links := make([]*Link, len(ids))
 	for i, id := range ids {
-		l := t.links[id]
+		l := t.Link(id)
 		if l == nil {
 			return fmt.Errorf("topology: SetLinksDown: unknown link %d", id)
 		}
@@ -440,7 +438,7 @@ func (t *Topology) SetLinksDown(ids []LinkID, down bool) error {
 // SetLinkLatency updates a link's latency (e.g. re-calibrated
 // measurements), invalidating cached routing snapshots.
 func (t *Topology) SetLinkLatency(id LinkID, latencyMicros float64) error {
-	l := t.links[id]
+	l := t.Link(id)
 	if l == nil {
 		return fmt.Errorf("topology: SetLinkLatency: unknown link %d", id)
 	}
@@ -459,7 +457,7 @@ func (t *Topology) SetLinkLatency(id LinkID, latencyMicros float64) error {
 // failure classification (same-group links become suspect). Call at
 // topology-build time; the assignment is read lock-free afterwards.
 func (t *Topology) SetLinkSRLG(id LinkID, groups ...int) error {
-	l := t.links[id]
+	l := t.Link(id)
 	if l == nil {
 		return fmt.Errorf("topology: SetLinkSRLG: unknown link %d", id)
 	}
@@ -485,7 +483,7 @@ func (t *Topology) srlgIndex() map[int][]LinkID {
 	defer t.derivedMu.Unlock()
 	if sg := t.StructuralGeneration(); t.srlgLinksGen != sg {
 		var idx map[int][]LinkID
-		for _, l := range t.Links() {
+		for _, l := range t.links[1:] {
 			for _, g := range l.SRLG {
 				if idx == nil {
 					idx = make(map[int][]LinkID)
@@ -499,62 +497,32 @@ func (t *Topology) srlgIndex() map[int][]LinkID {
 }
 
 // LinkBetween returns a live link connecting a and b, or nil. With
-// parallel links the lowest link ID wins (matching LinksOf order). The
-// adjacency list is scanned unsorted: standby planning calls this per
-// hop of every candidate path, and sorting a wide ToR's links each
-// time dominated the planner's profile.
-func (t *Topology) LinkBetween(a, b NodeID) *Link {
-	t.derivedMu.Lock()
-	defer t.derivedMu.Unlock()
-	t.resetDerivedLocked()
-	key := packPair(a, b)
-	if l, ok := t.pairLive[key]; ok {
-		return l
-	}
-	var best *Link
-	for _, lid := range t.adj[a] {
-		l := t.links[lid]
-		if l == nil || l.Down {
-			continue
-		}
-		if (l.From == b || l.To == b) && (best == nil || l.ID < best.ID) {
-			best = l
-		}
-	}
-	t.pairLive[key] = best
-	return best
-}
+// parallel links the lowest link ID wins (matching LinksOf order).
+// Standby planning and swap checks call this per hop, so it takes no
+// lock and keeps no cache: it scans the shorter of the two adjacency
+// lists — a ToR↔OPS hop reads the OPS's handful of links, never the
+// ToR's hundreds of uplinks.
+func (t *Topology) LinkBetween(a, b NodeID) *Link { return t.linkBetween(a, b, true) }
 
 // AnyLinkBetween is LinkBetween without the liveness filter: the
 // lowest-ID link joining a and b, up or down. Failure classification
 // walks paths hop by hop asking "did the dead link sit here" after the
 // link was already marked down, so it needs the dead ones too.
-func (t *Topology) AnyLinkBetween(a, b NodeID) *Link {
-	key, sg := packPair(a, b), t.StructuralGeneration()
-	t.pairAnyMu.RLock()
-	l, ok := t.pairAny[key]
-	ok = ok && t.pairAnyGen == sg
-	t.pairAnyMu.RUnlock()
-	if ok {
-		return l
+func (t *Topology) AnyLinkBetween(a, b NodeID) *Link { return t.linkBetween(a, b, false) }
+
+// linkBetween is the lowest-ID link joining a and b, live ones only if
+// live is set. The scanned list is ascending, so the first match wins.
+func (t *Topology) linkBetween(a, b NodeID, live bool) *Link {
+	ids := t.linkIDsOf(a)
+	if other := t.linkIDsOf(b); len(other) < len(ids) {
+		ids, b = other, a
 	}
-	t.pairAnyMu.Lock()
-	defer t.pairAnyMu.Unlock()
-	if t.pairAny == nil || t.pairAnyGen != sg {
-		t.pairAny, t.pairAnyGen = make(map[int64]*Link), sg
-	}
-	var best *Link
-	for _, lid := range t.adj[a] {
-		l := t.links[lid]
-		if l == nil {
-			continue
-		}
-		if (l.From == b || l.To == b) && (best == nil || l.ID < best.ID) {
-			best = l
+	for _, lid := range ids {
+		if l := t.links[lid]; (l.From == b || l.To == b) && !(live && l.Down) {
+			return l
 		}
 	}
-	t.pairAny[key] = best
-	return best
+	return nil
 }
 
 // ToRsOfPM returns the ToR switches the physical machine is wired to.
@@ -566,7 +534,7 @@ func (t *Topology) ToRsOfPM(pm NodeID) []NodeID {
 
 // ToRsOfVM returns the ToRs of the VM's hosting PM.
 func (t *Topology) ToRsOfVM(vm NodeID) []NodeID {
-	n := t.nodes[vm]
+	n := t.Node(vm)
 	if n == nil || n.Kind != KindVM {
 		return nil
 	}
@@ -615,7 +583,7 @@ func (t *Topology) OPSsOfToRByDegree(tor NodeID) []NodeID {
 func (t *Topology) opticalDegreesLocked() []int32 {
 	if sg := t.StructuralGeneration(); t.optDeg == nil || t.optDegGen != sg {
 		deg := make([]int32, t.nextNode+1)
-		for _, l := range t.links {
+		for _, l := range t.links[1:] {
 			if l.Kind == LinkOptical {
 				deg[l.From]++
 				deg[l.To]++
@@ -629,8 +597,8 @@ func (t *Topology) opticalDegreesLocked() []int32 {
 // VMsOnPM returns the VMs hosted on pm, sorted by ID.
 func (t *Topology) VMsOnPM(pm NodeID) []NodeID {
 	var out []NodeID
-	for _, n := range t.Nodes(KindVM) {
-		if n.Host == pm {
+	for _, n := range t.nodes {
+		if n != nil && n.Kind == KindVM && n.Host == pm {
 			out = append(out, n.ID)
 		}
 	}
@@ -653,7 +621,7 @@ func (t *Topology) VMsByService() map[string][]NodeID {
 func (t *Topology) VMToRBipartite(vms []NodeID) (*graph.Bipartite, error) {
 	b := graph.NewBipartite()
 	for _, vm := range vms {
-		n := t.nodes[vm]
+		n := t.Node(vm)
 		if n == nil || n.Kind != KindVM {
 			return nil, fmt.Errorf("topology: VMToRBipartite: node %d is not a VM", vm)
 		}
@@ -672,7 +640,7 @@ func (t *Topology) VMToRBipartite(vms []NodeID) (*graph.Bipartite, error) {
 func (t *Topology) ToROPSBipartite(tors []NodeID, allow map[NodeID]bool) (*graph.Bipartite, error) {
 	b := graph.NewBipartite()
 	for _, tor := range tors {
-		n := t.nodes[tor]
+		n := t.Node(tor)
 		if n == nil || n.Kind != KindToR {
 			return nil, fmt.Errorf("topology: ToROPSBipartite: node %d is not a ToR", tor)
 		}
@@ -728,7 +696,7 @@ func (t *Topology) RoutingGraph(opts GraphOptions) *graph.Graph {
 		if l.Down {
 			continue
 		}
-		nf, nt := t.nodes[l.From], t.nodes[l.To]
+		nf, nt := t.Node(l.From), t.Node(l.To)
 		if !include(nf) || !include(nt) {
 			continue
 		}
@@ -743,7 +711,7 @@ func (t *Topology) RoutingGraph(opts GraphOptions) *graph.Graph {
 	}
 	if opts.IncludeVMs {
 		for _, n := range t.Nodes(KindVM) {
-			if n.Down || t.nodes[n.Host] == nil || t.nodes[n.Host].Down {
+			if h := t.Node(n.Host); n.Down || h == nil || h.Down {
 				continue
 			}
 			g.AddVertex(graph.VertexID(n.ID))
@@ -773,7 +741,7 @@ type Stats struct {
 func (t *Topology) ComputeStats() Stats {
 	var s Stats
 	services := make(map[string]bool)
-	for _, n := range t.nodes {
+	for _, n := range t.Nodes() {
 		switch n.Kind {
 		case KindPhysicalMachine:
 			s.PMs++
@@ -789,7 +757,7 @@ func (t *Topology) ComputeStats() Stats {
 			}
 		}
 	}
-	for _, l := range t.links {
+	for _, l := range t.links[1:] {
 		switch l.Kind {
 		case LinkElectronic:
 			s.ElectronicLinks++

@@ -19,7 +19,7 @@ import (
 // It returns the first violation found.
 func (t *Topology) Validate() error {
 	for _, n := range t.Nodes(KindVM) {
-		host := t.nodes[n.Host]
+		host := t.Node(n.Host)
 		if host == nil || host.Kind != KindPhysicalMachine {
 			return fmt.Errorf("topology: validate: VM %d has invalid host %d", n.ID, n.Host)
 		}
@@ -35,7 +35,7 @@ func (t *Topology) Validate() error {
 		}
 	}
 	for _, l := range t.Links() {
-		nf, nt := t.nodes[l.From], t.nodes[l.To]
+		nf, nt := t.Node(l.From), t.Node(l.To)
 		if nf == nil || nt == nil {
 			return fmt.Errorf("topology: validate: link %d has missing endpoint", l.ID)
 		}
