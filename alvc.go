@@ -142,11 +142,9 @@ type (
 	DebounceStats = orch.DebounceStats
 	// StormStats counts the optimizer's storm-mode coalescing.
 	StormStats = optimizer.StormStats
-	// GroupPlanStats counts the storm-group planner's outcomes (chains
+	// GroupPlanStats counts storm-group planning outcomes (chains
 	// planned, whole-fabric fallbacks).
 	GroupPlanStats = optimizer.GroupPlanStats
-	// GroupReport is one domain-level re-protection pass's outcomes.
-	GroupReport = orch.GroupReport
 	// Tracer issues request-scoped spans into the trace store; nil-safe
 	// (every method on a nil Tracer is a no-op).
 	Tracer = trace.Tracer

@@ -611,11 +611,12 @@ func TestContractLinkStorm(t *testing.T) {
 		t.Errorf("debouncer: %d batches from %d reports, want 1 from %d", st.Batches, st.Events, 2*len(batchVictims))
 	}
 
-	drainBefore := countsOf(batch)
+	drainBefore, fallbacksBefore := countsOf(batch), batch.Sharded().StandbyFallbacks()
 	results := batch.Optimize()
 	drain := countsOf(batch).minus(drainBefore)
+	fallbacks := int(batch.Sharded().StandbyFallbacks() - fallbacksBefore)
 	after, _ := batch.OptimizerStatus()
-	t.Logf("drain: %d tasks, %+v, storm %+v, group plans %+v, queue high-water %v", len(results), drain, after.Storm, after.GroupPlans, after.ShardHighWater)
+	t.Logf("drain: %d tasks, %+v, storm %+v, group plans %+v, fabric retries %d, queue high-water %v", len(results), drain, after.Storm, after.GroupPlans, fallbacks, after.ShardHighWater)
 	if after.Storm.Activations == before.Storm.Activations || after.Storm.CoalescedTasks == before.Storm.CoalescedTasks {
 		t.Errorf("storm mode never coalesced: %+v -> %+v", before.Storm, after.Storm)
 	}
@@ -634,15 +635,15 @@ func TestContractLinkStorm(t *testing.T) {
 	if drain.yenRuns != 0 {
 		t.Errorf("drain ran %d Yen searches, want 0", drain.yenRuns)
 	}
-	// Tasks queued per chain before the threshold crossed drain beside
-	// the groups: a plan and at most one fabric retry each.
-	perChain := len(results)
+	// Every plan is counted: the group members planned, the tasks queued
+	// per chain before the threshold crossed that re-planned beside the
+	// groups, and every fabric retry of either.
+	plans := planned + fallbacks
 	for _, res := range results {
-		if res.Outcome == "storm-group" {
-			perChain--
+		if res.Outcome == "protected" || res.Outcome == "unprotected" {
+			plans++
 		}
 	}
-	plans := planned + after.GroupPlans.Fallbacks - before.GroupPlans.Fallbacks + 2*perChain
 	if drain.standbySearches > segments*plans {
 		t.Errorf("drain asked %d standby searches for %d plans, want at most %d per plan", drain.standbySearches, plans, segments)
 	}

@@ -66,7 +66,13 @@ func primaryTransit(topo *topology.Topology, dep *orch.Deployment) (topology.Lin
 	if i < 1 {
 		return 0, false
 	}
-	return topo.LinkBetween(dep.Path[i-1], dep.Path[i]).ID, true
+	// Nil when the link is down: a concurrent cut took it after the
+	// deployment was read.
+	l := topo.LinkBetween(dep.Path[i-1], dep.Path[i])
+	if l == nil {
+		return 0, false
+	}
+	return l.ID, true
 }
 
 // cutPrimary cuts the chain's primaryTransit link and recovers it: with a
@@ -105,7 +111,7 @@ func mixedFleet(t *testing.T, shards, n int, seed int64) *orch.Sharded {
 	for _, dep := range deps {
 		reprotect := func() {}
 		if rng.Intn(2) == 0 {
-			reprotect = func() { _, _, _ = s.ReProtect(dep.ID) }
+			reprotect = func() { s.ReProtectGroup(nil, orch.FailureDomain{}, []orch.DeploymentID{dep.ID}) }
 		}
 		switch rng.Intn(6) {
 		case 0:

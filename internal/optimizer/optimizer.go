@@ -32,13 +32,12 @@ package optimizer
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/alvc/alvc/internal/orch"
-	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/trace"
 )
 
@@ -50,16 +49,16 @@ import (
 // appended to the engine's buffer: the idle tick reads every active
 // chain, a recovery event only the chains the orchestrator's
 // maintenance-owed index holds, so it costs the chains it can help and
-// not a pass over the fleet. Storm-group tasks hand a whole failure
-// domain to ReProtectGroup in one call — one group planner steers every
-// chain of the domain off the domain's risk groups.
+// not a pass over the fleet. ReProtectGroup is the one re-protection
+// call: a storm-group task hands it a whole failure domain, steering
+// every chain of the domain off the domain's risk groups, and a
+// per-chain task a group of one with no domain.
 type Target interface {
 	Shards() int
 	ShardOf(id orch.DeploymentID) int
 	AppendChainHealth(buf []orch.ChainHealth) []orch.ChainHealth
 	AppendOwedHealth(buf []orch.ChainHealth) []orch.ChainHealth
-	ReProtect(id orch.DeploymentID) (*resilience.Standby, bool, error)
-	ReProtectGroup(domain string, ids []orch.DeploymentID) orch.GroupReport
+	ReProtectGroup(buf []orch.GroupOutcome, domain orch.FailureDomain, ids []orch.DeploymentID) []orch.GroupOutcome
 	Rehome(id orch.DeploymentID, margin int) (bool, error)
 	DefragLambda(id orch.DeploymentID) (from, to int, retuned bool, err error)
 }
@@ -197,12 +196,14 @@ type StormStats struct {
 
 // GroupPlanStats accumulates storm-group planning outcomes across the
 // engine's lifetime — the operator's evidence that domain-level
-// planning is actually happening in production storms.
+// planning is actually happening in production storms. Per-chain tasks
+// are not counted here.
 type GroupPlanStats struct {
-	// Planned counts chains routed through a group planner.
+	// Planned counts storm-group members whose standby was re-planned.
 	Planned int `json:"planned"`
-	// Fallbacks counts whole-fabric retries after a pool-restricted
-	// group plan found no route, or none that was disjoint.
+	// Fallbacks counts storm-group members whose plan retried on the
+	// whole fabric after the shard's pool offered no route, or none that
+	// was disjoint.
 	Fallbacks int `json:"fallbacks"`
 }
 
@@ -223,7 +224,7 @@ type Status struct {
 	Shed int `json:"queue_shed"`
 	// Storm reports the storm-mode coalescing counters.
 	Storm StormStats `json:"storm"`
-	// GroupPlans reports the storm-group planner's sharing counters.
+	// GroupPlans reports the storm-group planning counters.
 	GroupPlans GroupPlanStats `json:"group_plans"`
 	// Debounce mirrors the upstream failure debouncer's counters when
 	// one is attached (SetDebounceSource).
@@ -235,9 +236,10 @@ type Status struct {
 type taskKey struct {
 	dep  orch.DeploymentID
 	kind TaskKind
-	// domain is non-empty for storm-mode group tasks: one queue entry
-	// re-protects every chain the failure domain hit (dep is 0; the
-	// members live in Engine.groups until the task runs).
+	// domain is the failure domain's key (FailureDomain.String) for
+	// storm-mode group tasks: one queue entry re-protects every chain the
+	// domain hit (dep is 0; the members live in Engine.groups until the
+	// task runs).
 	domain string
 }
 
@@ -290,16 +292,13 @@ type Engine struct {
 	shedTotal int   // tasks dropped by the MaxQueueDepth bound
 	drainObs  func(d time.Duration, tasks int)
 
-	// grpMu guards the storm-mode group membership. Never held while
-	// enqueueing (which takes q.mu then e.mu), so there is no ordering
-	// cycle with the queue locks.
+	// grpMu guards the storm-mode group membership: the groups by domain
+	// key, and each grouped member's key. Never held while enqueueing
+	// (which takes q.mu then e.mu), so there is no ordering cycle with
+	// the queue locks.
 	grpMu  sync.Mutex
-	groups map[string][]orch.DeploymentID
+	groups map[string]*stormGroup
 	member map[orch.DeploymentID]string
-	// gparents accumulates, per storm domain, the repair spans of the
-	// coalesced members' events (one per distinct trace): the group
-	// task's span continues the first and links the rest.
-	gparents map[string][]trace.SpanContext
 
 	// tracer, when set, makes event-driven tasks record optimizer
 	// spans continuing the originating repair's trace. Guarded by mu.
@@ -323,6 +322,16 @@ type Engine struct {
 	// them, and again after Stop). poolMu guards the pointer only.
 	poolMu sync.Mutex
 	pool   *workerPool
+}
+
+// stormGroup is one failure domain's storm-mode record: the domain, the
+// members whose re-protects coalesced under it, and the repair spans of
+// their events (one per distinct trace) — the group task's span
+// continues the first and links the rest.
+type stormGroup struct {
+	domain  orch.FailureDomain
+	members []orch.DeploymentID
+	parents []trace.SpanContext
 }
 
 // workerPool is one generation of the task pool's workers: goroutines
@@ -362,9 +371,8 @@ func New(o Target, opts Options) (*Engine, error) {
 		opts:      opts.withDefaults(),
 		queues:    make([]*shardQueue, shards),
 		highWater: make([]int, shards),
-		groups:    make(map[string][]orch.DeploymentID),
+		groups:    make(map[string]*stormGroup),
 		member:    make(map[orch.DeploymentID]string),
-		gparents:  make(map[string][]trace.SpanContext),
 	}
 	for i := range e.queues {
 		e.queues[i] = &shardQueue{queued: make(map[taskKey]bool)}
@@ -470,7 +478,8 @@ func (e *Engine) Enqueue(dep orch.DeploymentID, kind TaskKind) bool {
 // threshold. Once the depth crosses the threshold, storm mode engages
 // and each domain's chains share one group task until the queue drains.
 func (e *Engine) stormEnqueue(ev orch.Event) bool {
-	if ev.Domain == "" || e.opts.StormThreshold < 0 {
+	key := ev.Domain.String()
+	if key == "" || e.opts.StormThreshold < 0 {
 		return false
 	}
 	e.mu.Lock()
@@ -491,25 +500,19 @@ func (e *Engine) stormEnqueue(ev orch.Event) bool {
 		e.mu.Unlock()
 		return true
 	}
-	e.member[ev.Deployment] = ev.Domain
-	first := len(e.groups[ev.Domain]) == 0
-	e.groups[ev.Domain] = append(e.groups[ev.Domain], ev.Deployment)
-	if ev.TraceID != "" {
-		dup := false
-		for _, p := range e.gparents[ev.Domain] {
-			if p.TraceID == ev.TraceID {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			e.gparents[ev.Domain] = append(e.gparents[ev.Domain],
-				trace.SpanContext{TraceID: ev.TraceID, SpanID: ev.SpanID})
-		}
+	e.member[ev.Deployment] = key
+	g, grouped := e.groups[key]
+	if !grouped {
+		g = &stormGroup{domain: ev.Domain}
+		e.groups[key] = g
+	}
+	g.members = append(g.members, ev.Deployment)
+	if ev.TraceID != "" && !slices.ContainsFunc(g.parents, func(p trace.SpanContext) bool { return p.TraceID == ev.TraceID }) {
+		g.parents = append(g.parents, trace.SpanContext{TraceID: ev.TraceID, SpanID: ev.SpanID})
 	}
 	e.grpMu.Unlock()
-	if first {
-		e.enqueue(task{key: taskKey{kind: KindReProtect, domain: ev.Domain}})
+	if !grouped {
+		e.enqueue(task{key: taskKey{kind: KindReProtect, domain: key}})
 		e.mu.Lock()
 		e.stormStat.Domains++
 		e.mu.Unlock()
@@ -628,19 +631,11 @@ func (e *Engine) Cancel(dep orch.DeploymentID) int {
 	// A deleted deployment also leaves its storm group: the group task
 	// stays queued for the surviving members.
 	e.grpMu.Lock()
-	if dom, ok := e.member[dep]; ok {
+	if key, ok := e.member[dep]; ok {
 		delete(e.member, dep)
-		kept := e.groups[dom][:0]
-		for _, id := range e.groups[dom] {
-			if id != dep {
-				kept = append(kept, id)
-			}
-		}
-		if len(kept) == 0 {
-			delete(e.groups, dom)
-			delete(e.gparents, dom)
-		} else {
-			e.groups[dom] = kept
+		g := e.groups[key]
+		if g.members = slices.DeleteFunc(g.members, func(id orch.DeploymentID) bool { return id == dep }); len(g.members) == 0 {
+			delete(e.groups, key)
 		}
 	}
 	e.grpMu.Unlock()
@@ -768,14 +763,13 @@ func (e *Engine) Drain() []TaskResult {
 			}
 			return out
 		}
-		results := make([]TaskResult, len(batch))
-		requeue := make([]bool, len(batch))
+		slots := make([]taskSlot, len(batch))
 		e.runPool(len(batch), func(i int) {
-			results[i], requeue[i] = e.runTask(batch[i])
+			slots[i].res, slots[i].requeue = e.runTask(batch[i], &slots[i])
 		})
 		busyOnly := true
 		for i := range batch {
-			if requeue[i] {
+			if slots[i].requeue {
 				// Requeue the whole task, trace fields included — the
 				// retry is the same causal operation.
 				rt := batch[i]
@@ -784,7 +778,7 @@ func (e *Engine) Drain() []TaskResult {
 				continue
 			}
 			busyOnly = false
-			out = append(out, results[i])
+			out = append(out, slots[i].res)
 		}
 		if busyOnly {
 			// Everything still queued is waiting on in-flight exclusive
@@ -858,10 +852,20 @@ func (e *Engine) stopPool() {
 	}
 }
 
+// taskSlot is one task's place in a drain round: its result, whether it
+// goes back on the queue, and the member and outcome a per-chain
+// re-protect hands ReProtectGroup, so a group of one allocates neither.
+type taskSlot struct {
+	res     TaskResult
+	requeue bool
+	ids     [1]orch.DeploymentID
+	outs    [1]orch.GroupOutcome
+}
+
 // runTask executes one task and classifies its outcome. requeue=true
 // means the deployment was busy and the task should go back on the
 // queue (unless its retry budget is spent).
-func (e *Engine) runTask(t task) (res TaskResult, requeue bool) {
+func (e *Engine) runTask(t task, slot *taskSlot) (res TaskResult, requeue bool) {
 	e.mu.Lock()
 	e.running++
 	e.mu.Unlock()
@@ -909,16 +913,17 @@ func (e *Engine) runTask(t task) (res TaskResult, requeue bool) {
 	var err error
 	switch t.key.kind {
 	case KindReProtect, KindRefresh:
-		standby, replanned, rErr := e.o.ReProtect(t.key.dep)
-		err = rErr
+		slot.ids[0] = t.key.dep
+		out := e.o.ReProtectGroup(slot.outs[:0], orch.FailureDomain{}, slot.ids[:])[0]
+		err = out.Err
 		switch {
-		case rErr != nil:
-		case !replanned:
+		case out.Err != nil:
+		case !out.Replanned:
 			res.Outcome = "already-protected"
-		case standby == nil:
+		case out.Standby == nil:
 			res.Outcome = "unprotected"
 			res.Detail = "standby planning disabled or no alternate route"
-		case standby.Disjoint:
+		case out.Standby.Disjoint:
 			res.Outcome = "protected"
 			res.Detail = "disjoint standby planned"
 		default:
@@ -981,26 +986,25 @@ func (e *Engine) runTask(t task) (res TaskResult, requeue bool) {
 }
 
 // runGroupTask executes one storm-mode group task: it claims the
-// domain's accumulated members and re-protects each exactly once: the
-// whole domain goes down in one ReProtectGroup call — one group planner,
-// one avoidance set for every member. Busy members requeue as ordinary
-// per-deployment
-// tasks (the storm may be over by then); deleted ones are moot.
-// Members reported after the claim re-accumulate under the domain and
-// re-create the group task.
+// domain's accumulated members and re-protects each exactly once — the
+// whole domain goes down in one ReProtectGroup call, one avoidance set
+// for every member. Busy members requeue as ordinary per-deployment
+// tasks (the storm may be over by then); deleted ones are moot. Members
+// reported after the claim re-accumulate under the domain and re-create
+// the group task.
 func (e *Engine) runGroupTask(t task) TaskResult {
 	e.grpMu.Lock()
-	members := e.groups[t.key.domain]
+	g := e.groups[t.key.domain]
+	if g == nil {
+		// Every member was deleted while the task was queued.
+		g = &stormGroup{}
+	}
 	delete(e.groups, t.key.domain)
-	parents := e.gparents[t.key.domain]
-	delete(e.gparents, t.key.domain)
-	for _, id := range members {
+	for _, id := range g.members {
 		delete(e.member, id)
 	}
 	e.grpMu.Unlock()
-	// Coalescing order depends on repair fan-out scheduling; sort so
-	// execution order, traces and bench action counts are stable.
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	parents := g.parents
 	// The group span continues the first coalesced repair's trace and
 	// links every other member's, so each originating failure trace
 	// reaches the storm-coalesced re-protect that closed it out.
@@ -1013,10 +1017,18 @@ func (e *Engine) runGroupTask(t task) TaskResult {
 			spanStart = time.Now()
 		}
 	}
+	// ReProtectGroup sorts the members, so execution order, traces and
+	// bench action counts are stable whatever order the repairs
+	// coalesced in.
+	var gstats GroupPlanStats
 	protected, already, busy, failed := 0, 0, 0, 0
-	grep := e.o.ReProtectGroup(t.key.domain, members)
-	gstats := grep.Stats
-	for _, out := range grep.Outcomes {
+	for _, out := range e.o.ReProtectGroup(nil, g.domain, g.members) {
+		if out.Replanned {
+			gstats.Planned++
+		}
+		if out.Fallback {
+			gstats.Fallbacks++
+		}
 		switch {
 		case out.Err == nil && out.Replanned:
 			protected++
@@ -1037,7 +1049,7 @@ func (e *Engine) runGroupTask(t task) TaskResult {
 	e.mu.Unlock()
 	res := TaskResult{Kind: t.key.kind.String(), Outcome: "storm-group", When: time.Now()}
 	res.Detail = fmt.Sprintf("domain %s: %d chains (%d protected, %d already, %d busy requeued, %d failed); %d group-planned, %d fabric fallbacks",
-		t.key.domain, len(members), protected, already, busy, failed, gstats.Planned, gstats.Fallbacks)
+		t.key.domain, len(g.members), protected, already, busy, failed, gstats.Planned, gstats.Fallbacks)
 	if failed > 0 {
 		res.Outcome = "failed"
 	}
@@ -1047,7 +1059,7 @@ func (e *Engine) runGroupTask(t task) TaskResult {
 			Start: spanStart, End: time.Now(),
 			Attrs: []trace.Attr{
 				{Key: "domain", Value: t.key.domain},
-				{Key: "chains", Value: fmt.Sprintf("%d", len(members))},
+				{Key: "chains", Value: fmt.Sprintf("%d", len(g.members))},
 				{Key: "outcome", Value: res.Outcome},
 				{Key: "planned", Value: fmt.Sprintf("%d", gstats.Planned)},
 				{Key: "fallbacks", Value: fmt.Sprintf("%d", gstats.Fallbacks)},

@@ -9,11 +9,10 @@ import (
 
 	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/placement"
-	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/topology"
 )
 
-// countingTarget wraps an orchestrator and counts ReProtect calls per
+// countingTarget wraps an orchestrator and counts re-protects per
 // deployment — the exactly-once witness for storm-mode grouping.
 type countingTarget struct {
 	*orch.Sharded
@@ -21,23 +20,16 @@ type countingTarget struct {
 	reprotects map[orch.DeploymentID]int
 }
 
-func (c *countingTarget) ReProtect(id orch.DeploymentID) (*resilience.Standby, bool, error) {
-	c.mu.Lock()
-	c.reprotects[id]++
-	c.mu.Unlock()
-	return c.Sharded.ReProtect(id)
-}
-
-// ReProtectGroup counts each member once — the group entry point is
-// what storm-group tasks call, so exactly-once must hold across both
-// paths combined.
-func (c *countingTarget) ReProtectGroup(domain string, ids []orch.DeploymentID) orch.GroupReport {
+// ReProtectGroup counts each member once — storm-group tasks and
+// per-chain tasks (groups of one) both call it, so exactly-once must
+// hold across both combined.
+func (c *countingTarget) ReProtectGroup(buf []orch.GroupOutcome, domain orch.FailureDomain, ids []orch.DeploymentID) []orch.GroupOutcome {
 	c.mu.Lock()
 	for _, id := range ids {
 		c.reprotects[id]++
 	}
 	c.mu.Unlock()
-	return c.Sharded.ReProtectGroup(domain, ids)
+	return c.Sharded.ReProtectGroup(buf, domain, ids)
 }
 
 // TestStormModeCoalescesByDomain: once the queue depth crosses the
@@ -70,7 +62,7 @@ func TestStormModeCoalescesByDomain(t *testing.T) {
 			Kind:       orch.EventRepairCompleted,
 			Deployment: dep.ID,
 			Action:     orch.ActionSwapped,
-			Domain:     "srlg:7",
+			Domain:     orch.FailureDomain{SRLGs: []int{7}},
 		})
 	}
 	st := eng.Status()
@@ -125,7 +117,7 @@ func TestStormDisabledAndThresholdGate(t *testing.T) {
 	for _, dep := range deps {
 		eng.OrchEvent(orch.Event{
 			Kind: orch.EventRepairCompleted, Deployment: dep.ID,
-			Action: orch.ActionSwapped, Domain: "srlg:1",
+			Action: orch.ActionSwapped, Domain: orch.FailureDomain{SRLGs: []int{1}},
 		})
 	}
 	st := eng.Status()
@@ -143,7 +135,7 @@ func TestStormDisabledAndThresholdGate(t *testing.T) {
 		dep := provision(t, o2, fmt.Sprintf("chain-%d", i))
 		eng2.OrchEvent(orch.Event{
 			Kind: orch.EventRepairCompleted, Deployment: dep.ID,
-			Action: orch.ActionSwapped, Domain: "srlg:1",
+			Action: orch.ActionSwapped, Domain: orch.FailureDomain{SRLGs: []int{1}},
 		})
 	}
 	if st := eng2.Status(); st.Storm.Active || st.QueueDepth != 4 {
@@ -165,7 +157,7 @@ func TestStormGroupMemberDeleteAndHighWater(t *testing.T) {
 	for _, dep := range deps {
 		eng.OrchEvent(orch.Event{
 			Kind: orch.EventRepairCompleted, Deployment: dep.ID,
-			Action: orch.ActionSwapped, Domain: "srlg:3",
+			Action: orch.ActionSwapped, Domain: orch.FailureDomain{SRLGs: []int{3}},
 		})
 	}
 	if st := eng.Status(); !st.Storm.Active {
@@ -214,4 +206,39 @@ func TestStatusSurfacesDebounceCounters(t *testing.T) {
 		t.Fatalf("debounce stats = %+v, want Events=2 Batches=1 Coalesced=1", st.Debounce)
 	}
 	_ = provision(t, o, "chain-1")
+}
+
+// TestStormGroupFallbackMovesBothFamilies: a storm-group member whose
+// shard pool offers no disjoint standby retries on the whole fabric, and
+// that one retry counts as a group-plan fallback
+// (alvc_groupplan_fallbacks_total) and as a standby fallback
+// (alvc_resilience_standby_fallbacks_total) alike.
+func TestStormGroupFallbackMovesBothFamilies(t *testing.T) {
+	// Both PMs are single-homed: no standby is ever disjoint, so a
+	// four-shard pool's plan always falls back.
+	s, err := orch.New(orch.Config{Topo: wideTopo(t, 8), Policy: placement.AllElectronic{}, DeferReprotect: true}, 4, orch.ShardByTenant)
+	if err != nil {
+		t.Fatalf("orch.New: %v", err)
+	}
+	eng, err := New(s, Options{StormThreshold: 1})
+	if err != nil {
+		t.Fatalf("optimizer.New: %v", err)
+	}
+	dep := provision(t, s, "chain-1")
+	if dep.Standby == nil || dep.Standby.Disjoint {
+		t.Fatalf("standby at provision = %+v, want a non-disjoint one", dep.Standby)
+	}
+	// A queued task holds the depth at the threshold, so the repair event
+	// coalesces into a storm group instead of queueing per chain.
+	eng.Enqueue(dep.ID, KindDefrag)
+	before := s.StandbyFallbacks()
+	eng.OrchEvent(orch.Event{Kind: orch.EventRepairCompleted, Deployment: dep.ID,
+		Action: orch.ActionSwapped, Domain: orch.FailureDomain{SRLGs: []int{7}}})
+	eng.Drain()
+	if st := eng.Status(); st.Storm.Domains != 1 || st.GroupPlans != (GroupPlanStats{Planned: 1, Fallbacks: 1}) {
+		t.Fatalf("storm %+v, group plans %+v: want one group, one member planned, one fallback", st.Storm, st.GroupPlans)
+	}
+	if got := s.StandbyFallbacks() - before; got != 1 {
+		t.Fatalf("standby fallbacks moved by %d, want the group member's 1", got)
+	}
 }

@@ -29,7 +29,7 @@ func TestStormGroupSpanLinksParents(t *testing.T) {
 			Kind:       orch.EventRepairCompleted,
 			Deployment: dep.ID,
 			Action:     orch.ActionSwapped,
-			Domain:     "srlg:7",
+			Domain:     orch.FailureDomain{SRLGs: []int{7}},
 			TraceID:    fmt.Sprintf("evt-%d", i+1),
 			SpanID:     trace.SpanID(100 + i),
 		})

@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,21 +10,21 @@ import (
 	"github.com/alvc/alvc/internal/topology"
 )
 
-// goroutineSampler records, from inside every group task, how many
+// goroutineSampler records, from inside every re-protect task, how many
 // goroutines exist while the task runs.
 type goroutineSampler struct {
 	*orch.Sharded
 	max, calls atomic.Int64
 }
 
-func (g *goroutineSampler) ReProtectGroup(domain string, ids []orch.DeploymentID) orch.GroupReport {
+func (g *goroutineSampler) ReProtectGroup(buf []orch.GroupOutcome, domain orch.FailureDomain, ids []orch.DeploymentID) []orch.GroupOutcome {
 	g.calls.Add(1)
 	for n := int64(runtime.NumGoroutine()); ; {
 		if m := g.max.Load(); n <= m || g.max.CompareAndSwap(m, n) {
 			break
 		}
 	}
-	return g.Sharded.ReProtectGroup(domain, ids)
+	return g.Sharded.ReProtectGroup(buf, domain, ids)
 }
 
 // stormRound queues one storm round: a repair event per chain, spread
@@ -34,7 +33,7 @@ func (g *goroutineSampler) ReProtectGroup(domain string, ids []orch.DeploymentID
 func stormRound(eng *Engine, deps []*orch.Deployment) {
 	for i, dep := range deps {
 		eng.OrchEvent(orch.Event{Kind: orch.EventRepairCompleted, Deployment: dep.ID,
-			Action: orch.ActionSwapped, Domain: fmt.Sprintf("srlg:%d", i%3)})
+			Action: orch.ActionSwapped, Domain: orch.FailureDomain{SRLGs: []int{i % 3}}})
 	}
 }
 
@@ -98,19 +97,19 @@ func TestWarmWorkersStartNoGoroutines(t *testing.T) {
 	}
 }
 
-// nestingTarget drains the engine from inside every other group task —
-// a drain nested in a pool worker's task.
+// nestingTarget drains the engine from inside every other re-protect
+// task — a drain nested in a pool worker's task.
 type nestingTarget struct {
 	*orch.Sharded
 	eng   *Engine
 	calls atomic.Int64
 }
 
-func (n *nestingTarget) ReProtectGroup(domain string, ids []orch.DeploymentID) orch.GroupReport {
+func (n *nestingTarget) ReProtectGroup(buf []orch.GroupOutcome, domain orch.FailureDomain, ids []orch.DeploymentID) []orch.GroupOutcome {
 	if n.calls.Add(1)%2 == 0 {
 		n.eng.Drain()
 	}
-	return n.Sharded.ReProtectGroup(domain, ids)
+	return n.Sharded.ReProtectGroup(buf, domain, ids)
 }
 
 // TestConcurrentDrainsProtectEveryChain: link cuts and recoveries,
@@ -175,7 +174,7 @@ func TestConcurrentDrainsProtectEveryChain(t *testing.T) {
 				return
 			default:
 			}
-			s.ReProtectGroup("srlg:9", ids)
+			s.ReProtectGroup(nil, orch.FailureDomain{SRLGs: []int{9}}, ids)
 		}
 	}()
 	cutters.Wait()

@@ -190,7 +190,7 @@ func TestRepairEventsCarryFailureDomain(t *testing.T) {
 	var domains []string
 	for _, ev := range sink.events {
 		if ev.Kind == EventRepairCompleted {
-			domains = append(domains, ev.Domain)
+			domains = append(domains, ev.Domain.String())
 		}
 	}
 	sink.mu.Unlock()
@@ -213,8 +213,8 @@ func TestRepairEventsCarryFailureDomain(t *testing.T) {
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
 	for _, ev := range sink.events {
-		if ev.Kind == EventRepairCompleted && !strings.HasPrefix(ev.Domain, "batch:") {
-			t.Fatalf("ungrouped failure domain = %q, want batch:N", ev.Domain)
+		if ev.Kind == EventRepairCompleted && (ev.Domain.SRLGs != nil || !strings.HasPrefix(ev.Domain.String(), "batch:")) {
+			t.Fatalf("ungrouped failure domain = %+v, want batch:N", ev.Domain)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package orch
 
 import (
+	"strconv"
 	"time"
 
 	"github.com/alvc/alvc/internal/topology"
@@ -60,12 +61,10 @@ type Event struct {
 	Action     RepairAction
 	Node       topology.NodeID
 	Link       topology.LinkID
-	// Domain names the shared failure domain for repair-completed
-	// events: "srlg:…" when the batch cut risk-grouped links, else a
-	// unique "batch:N" tag. Every repair of one HandleFailures batch
-	// carries the same domain — the optimizer's storm mode groups
-	// re-protect work by it.
-	Domain string
+	// Domain is the shared failure domain of repair-completed events.
+	// Every repair of one HandleFailures batch carries the same domain —
+	// the optimizer's storm mode groups re-protect work by it.
+	Domain FailureDomain
 	// TraceID/SpanID identify the span that emitted the event (the
 	// repair span for repair-completed) when tracing is enabled, so
 	// consumers on the far side of the event mux — the optimizer's
@@ -73,6 +72,39 @@ type Event struct {
 	// instead of starting orphan traces. Empty/0 when tracing is off.
 	TraceID string
 	SpanID  trace.SpanID
+}
+
+// FailureDomain is the shared cause of one HandleFailures batch: the
+// risk groups of the links it cut, ascending, when it cut any — the
+// physical tray or conduit that snapped — else the batch's sequence
+// number. The zero value is no domain.
+type FailureDomain struct {
+	SRLGs []int
+	Batch uint64
+	// key is the domain's rendering, made once by the batch that names
+	// the domain (failureDomain), so its events do not each render it.
+	key string
+}
+
+// String renders the domain as "srlg:3+7" or "batch:N" ("" for no
+// domain): the /v1/watch domain field and the optimizer's group key.
+func (d FailureDomain) String() string {
+	switch {
+	case d.key != "":
+		return d.key
+	case len(d.SRLGs) > 0:
+		b := []byte("srlg:")
+		for i, g := range d.SRLGs {
+			if i > 0 {
+				b = append(b, '+')
+			}
+			b = strconv.AppendInt(b, int64(g), 10)
+		}
+		return string(b)
+	case d.Batch > 0:
+		return "batch:" + strconv.FormatUint(d.Batch, 10)
+	}
+	return ""
 }
 
 // EventSink receives orchestrator events. Calls are synchronous and

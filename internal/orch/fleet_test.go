@@ -243,7 +243,7 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 				default:
 					op = "re-protect" // a drain's worth: repairs leave many unprotected
 					for i := 0; i < 6; i++ {
-						_, _, _ = s.ReProtect(pick().ID)
+						reProtect(s, pick().ID)
 					}
 				}
 				// A repair that could not succeed leaves a failed record.

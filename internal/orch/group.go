@@ -1,107 +1,125 @@
 package orch
 
-// Domain-level re-protection: the storm-group entry point the
-// background optimizer calls instead of fanning a coalesced group back
-// out to per-chain ReProtect. One GroupPlanner per failure domain
-// plans every survivor of the domain off the domain's risk groups,
-// under one hold of the topology lock.
+// Re-protection: the one way a chain's standby is re-planned after it
+// was consumed, dropped or planned around an outage. A storm-group task
+// hands the optimizer's whole failure domain over at once; a per-chain
+// task is a group of one with no domain; the reconciler's inline
+// restandby runs the same member body.
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 
 	"github.com/alvc/alvc/internal/resilience"
 )
 
-// GroupOutcome is one member chain's result within a group
-// re-protection pass; the fields mirror ReProtect's returns.
+// GroupOutcome is one member chain's result within a re-protection
+// pass.
 type GroupOutcome struct {
 	ID DeploymentID
 	// Standby is the chain's protection after the pass: its immutable
 	// record, not a copy (nil when the chain was left unprotected).
 	Standby *resilience.Standby
-	// Replanned reports whether a fresh standby search ran (false when
-	// the existing standby was alive and disjoint, or the member was
-	// skipped busy).
+	// Replanned reports whether the standby was re-planned (false when
+	// the existing standby was alive and disjoint, when a failed search
+	// left a live one in place, or when the member was skipped).
 	Replanned bool
+	// Fallback reports that the plan retried on the whole fabric after
+	// the shard's OPS pool offered no route, or none disjoint.
+	Fallback bool
 	// Err carries the member's failure: ErrBusy when a concurrent
 	// exclusive operation owned the chain (the caller should requeue
 	// it), or the planning error that left the chain unprotected.
 	Err error
 }
 
-// GroupReport is the result of one ReProtectGroup pass.
-type GroupReport struct {
-	// Domain is the failure domain the group was coalesced under
-	// ("srlg:3+7" or "batch:N").
-	Domain string
-	// Outcomes has one entry per requested member, in ascending ID
-	// order.
-	Outcomes []GroupOutcome
-	// Stats is the shared planner's summary for the pass.
-	Stats resilience.GroupStats
+// ReProtectGroup ensures every given chain has the best standby the
+// current topology allows, as one failure-domain group: every member's
+// standby avoids the domain's risk groups on top of the member's own
+// primary (the zero domain adds none, and a group of one is then exactly
+// a per-chain re-protect). A standby that is alive and disjoint is left
+// alone; anything else — consumed, dead, or planned non-disjoint around
+// an outage that has since healed — is re-planned. Busy members are
+// skipped with ErrBusy in their outcome (never blocked on), and a failed
+// plan drops a dead standby rather than leaving a stale alternate
+// indexed.
+//
+// Outcomes are appended to buf, one per member in ascending ID order.
+// ids is reordered in place: sorted by owning shard, then ID, so each
+// shard's members are one run that shard re-protects under one hold of
+// its topology read lock, in the calling goroutine — the caller is the
+// optimizer's task pool, which already runs tasks side by side.
+func (s *Sharded) ReProtectGroup(buf []GroupOutcome, domain FailureDomain, ids []DeploymentID) []GroupOutcome {
+	buf = slices.Grow(buf, len(ids))
+	slices.SortFunc(ids, func(a, b DeploymentID) int {
+		return cmp.Or(cmp.Compare(s.router.ShardOf(a), s.router.ShardOf(b)), cmp.Compare(a, b))
+	})
+	first := len(buf)
+	for lo := 0; lo < len(ids); {
+		sh := s.router.ShardOf(ids[lo])
+		hi := lo + 1
+		for hi < len(ids) && s.router.ShardOf(ids[hi]) == sh {
+			hi++
+		}
+		buf = s.shards[sh].reProtectGroup(buf, domain.SRLGs, ids[lo:hi])
+		lo = hi
+	}
+	slices.SortFunc(buf[first:], func(a, b GroupOutcome) int { return cmp.Compare(a.ID, b.ID) })
+	return buf
 }
 
-// ReProtectGroup re-protects every given chain as one failure-domain
-// group: the domain's risk groups are parsed once into a shared
-// avoidance set and every member is planned through one GroupPlanner
-// that avoids them on top of the member's own primary. Per-member
-// semantics are ReProtect's exactly: alive-and-disjoint standbys are left alone,
-// busy members are skipped with ErrBusy in their outcome (never
-// blocked on), and a failed plan drops the dead standby rather than
-// leaving a stale alternate indexed.
-//
-// The topology read lock is held once across the whole group, so a
+// reProtectGroup is ReProtectGroup on one shard's members, in the order
+// given. The topology read lock is held once across them, so a
 // structural mutation waits for the pass rather than splitting it.
-func (o *Orchestrator) ReProtectGroup(domain string, ids []DeploymentID) GroupReport {
-	rep := GroupReport{Domain: domain}
-	if len(ids) == 0 {
-		return rep
-	}
-	sorted := slices.Clone(ids)
-	slices.Sort(sorted)
-
+func (o *Orchestrator) reProtectGroup(buf []GroupOutcome, srlgs []int, ids []DeploymentID) []GroupOutcome {
 	o.topoMu.RLock()
 	defer o.topoMu.RUnlock()
-
-	var gp *resilience.GroupPlanner
-	if !o.noStandby {
-		gp, _ = resilience.NewGroupPlanner(o.ctrl, o.topo, domainSRLGs(domain))
-	}
-	for _, id := range sorted {
+	for _, id := range ids {
 		dep, err := o.beginExclusive(id)
 		if err != nil {
-			rep.Outcomes = append(rep.Outcomes, GroupOutcome{ID: id, Err: fmt.Errorf("orch: re-protect: %w", err)})
+			buf = append(buf, GroupOutcome{ID: id, Err: fmt.Errorf("orch: re-protect: %w", err)})
 			continue
 		}
-		sb, replanned, err := o.reProtectDep(dep, gp)
+		buf = append(buf, o.reProtectDep(dep, srlgs))
 		o.endExclusive(id)
-		rep.Outcomes = append(rep.Outcomes, GroupOutcome{ID: id, Standby: sb, Replanned: replanned, Err: err})
 	}
-	if gp != nil {
-		rep.Stats = gp.Stats()
-	}
-	return rep
+	return buf
 }
 
-// domainSRLGs parses a failure-domain tag back into its shared-risk
-// groups: "srlg:3+7" → [3, 7]; batch domains and malformed tags parse
-// to nil (an anonymous domain with no avoidance set).
-func domainSRLGs(domain string) []int {
-	rest, ok := strings.CutPrefix(domain, "srlg:")
-	if !ok || rest == "" {
-		return nil
+// reProtectDep re-protects one member, avoiding srlgs on top of its
+// primary. The caller holds the deployment's exclusive claim and
+// topoMu.RLock.
+func (o *Orchestrator) reProtectDep(dep *Deployment, srlgs []int) GroupOutcome {
+	out := GroupOutcome{ID: dep.ID}
+	o.mu.Lock()
+	cur := dep.Standby
+	o.mu.Unlock()
+	alive := cur != nil && resilience.PathAlive(o.topo, cur.Path)
+	if alive && cur.Disjoint {
+		out.Standby = cur
+		return out
 	}
-	parts := strings.Split(rest, "+")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		g, err := strconv.Atoi(p)
-		if err != nil {
-			return nil
-		}
-		out = append(out, g)
+	p := o.pipelineFrom(context.Background(), dep)
+	var planErr error
+	out.Fallback, planErr = p.planStandby(srlgs)
+	if planErr != nil && alive {
+		// The current standby still works; a failed search for a better
+		// one must not strip the protection the chain has.
+		out.Standby = cur
+		return out
+	}
+	// A failed plan leaves p.standby nil: the dead (or absent) standby is
+	// dropped so the reverse index stops routing failures at a stale
+	// alternate. Otherwise the chain's footprint is what it was, and the
+	// commit costs the standby's own nodes and links.
+	o.mu.Lock()
+	o.setStandbyLocked(dep, p.standby)
+	o.mu.Unlock()
+	out.Standby, out.Replanned = p.standby, true
+	if planErr != nil {
+		out.Err = fmt.Errorf("orch: re-protect %d: chain left unprotected: %w", dep.ID, planErr)
 	}
 	return out
 }

@@ -2,7 +2,8 @@ package orch
 
 import (
 	"errors"
-	"reflect"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,9 +12,8 @@ import (
 )
 
 // TestReProtectGroupExactlyOnceAndSorted: a group pass restores every
-// dropped standby in one planner pass, reports outcomes in ascending
-// ID order, and a second pass over the now-protected fleet plans
-// nothing new.
+// dropped standby in one pass, reports outcomes in ascending ID order,
+// and a second pass over the now-protected fleet plans nothing new.
 func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
 	s, o := newTestOrch(t, Config{Topo: wideTopology(t, 16), DeferReprotect: true})
 	var deps []*Deployment
@@ -64,24 +64,26 @@ func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
 		}
 	}
 
-	// Members handed over in scrambled order; the report must sort.
+	// Members handed over in scrambled order; the outcomes must sort.
 	members := make([]DeploymentID, 0, len(deps))
 	for i := len(deps) - 1; i >= 0; i-- {
 		members = append(members, deps[i].ID)
 	}
-	rep := o.ReProtectGroup("srlg:9", members)
-	if rep.Domain != "srlg:9" || len(rep.Outcomes) != len(deps) {
-		t.Fatalf("report = %+v, want %d outcomes for srlg:9", rep, len(deps))
+	domain := FailureDomain{SRLGs: []int{9}}
+	outs := s.ReProtectGroup(nil, domain, members)
+	if len(outs) != len(deps) {
+		t.Fatalf("outcomes = %+v, want %d", outs, len(deps))
 	}
-	if !sort.SliceIsSorted(rep.Outcomes, func(i, j int) bool {
-		return rep.Outcomes[i].ID < rep.Outcomes[j].ID
-	}) {
-		t.Fatalf("outcomes out of order: %+v", rep.Outcomes)
+	if !sort.SliceIsSorted(outs, func(i, j int) bool { return outs[i].ID < outs[j].ID }) {
+		t.Fatalf("outcomes out of order: %+v", outs)
 	}
 	replanned := 0
-	for _, out := range rep.Outcomes {
+	for _, out := range outs {
 		if out.Err != nil || out.Standby == nil {
 			t.Fatalf("member %d outcome = %+v, want protection restored", out.ID, out)
+		}
+		if out.Fallback {
+			t.Fatalf("member %d fell back on a one-shard fleet, whose pool is the fabric", out.ID)
 		}
 		if out.Replanned {
 			replanned++
@@ -93,22 +95,17 @@ func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
 	if replanned < len(dropped) {
 		t.Fatalf("replanned %d members, want at least the %d dropped", replanned, len(dropped))
 	}
-	st := rep.Stats
-	if st.Planned != replanned {
-		t.Fatalf("Stats.Planned = %d, want %d (one Plan per replanned member)", st.Planned, replanned)
-	}
 
 	// Second pass: members holding a live disjoint standby are left
 	// alone (a non-disjoint best-effort standby replans every pass by
 	// design, so only the disjoint ones are asserted stable).
 	disjoint := make(map[DeploymentID]bool)
-	for _, out := range rep.Outcomes {
+	for _, out := range outs {
 		if out.Standby.Disjoint {
 			disjoint[out.ID] = true
 		}
 	}
-	again := o.ReProtectGroup("srlg:9", members)
-	for _, out := range again.Outcomes {
+	for _, out := range s.ReProtectGroup(nil, domain, members) {
 		if out.Err != nil {
 			t.Fatalf("second pass member %d failed: %v", out.ID, out.Err)
 		}
@@ -133,7 +130,7 @@ func pathLinkIDs(t *testing.T, o *Orchestrator, path []topology.NodeID) []topolo
 // exclusive operation is reported ErrBusy without blocking the rest of
 // the group.
 func TestReProtectGroupBusyMemberSkipped(t *testing.T) {
-	_, o := newWideOrch(t, 16)
+	s, o := newWideOrch(t, 16)
 	var members []DeploymentID
 	for _, spec := range batchSpecs(t, 3) {
 		dep, err := o.Provision(bg, spec)
@@ -142,15 +139,15 @@ func TestReProtectGroupBusyMemberSkipped(t *testing.T) {
 		}
 		members = append(members, dep.ID)
 	}
-	if _, err := o.beginExclusive(members[1]); err != nil {
+	busyID := members[1]
+	if _, err := o.beginExclusive(busyID); err != nil {
 		t.Fatalf("beginExclusive: %v", err)
 	}
-	defer o.endExclusive(members[1])
-	rep := o.ReProtectGroup("batch:1", members)
+	defer o.endExclusive(busyID)
 	var busy, clean int
-	for _, out := range rep.Outcomes {
+	for _, out := range s.ReProtectGroup(nil, FailureDomain{Batch: 1}, members) {
 		switch {
-		case out.ID == members[1]:
+		case out.ID == busyID:
 			if !errors.Is(out.Err, ErrBusy) {
 				t.Fatalf("busy member outcome = %+v, want ErrBusy", out)
 			}
@@ -169,48 +166,46 @@ func TestReProtectGroupBusyMemberSkipped(t *testing.T) {
 // TestReProtectGroupUnknownMember: a deleted or never-existing ID gets
 // an error outcome; the rest of the group still completes.
 func TestReProtectGroupUnknownMember(t *testing.T) {
-	_, o, _ := triOrch(t, Config{})
+	s, o, _ := triOrch(t, Config{})
 	dep, err := o.Provision(bg, triSpec(t, "chain-0"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	rep := o.ReProtectGroup("srlg:1", []DeploymentID{dep.ID, 424242})
-	if len(rep.Outcomes) != 2 {
-		t.Fatalf("outcomes = %+v, want 2", rep.Outcomes)
+	outs := s.ReProtectGroup(nil, FailureDomain{SRLGs: []int{1}}, []DeploymentID{424242, dep.ID})
+	if len(outs) != 2 {
+		t.Fatalf("outcomes = %+v, want 2", outs)
 	}
-	if rep.Outcomes[0].ID != dep.ID || rep.Outcomes[0].Err != nil {
-		t.Fatalf("known member outcome = %+v", rep.Outcomes[0])
+	if outs[0].ID != dep.ID || outs[0].Err != nil {
+		t.Fatalf("known member outcome = %+v", outs[0])
 	}
-	if rep.Outcomes[1].Err == nil {
-		t.Fatalf("phantom member succeeded: %+v", rep.Outcomes[1])
+	if outs[1].Err == nil {
+		t.Fatalf("phantom member succeeded: %+v", outs[1])
 	}
 }
 
-// TestDomainSRLGParsing: the "srlg:3+7" domain grammar and its
-// rejections.
-func TestDomainSRLGParsing(t *testing.T) {
-	cases := []struct {
-		domain string
-		want   []int
+// TestFailureDomainString: the one rendering of a failure domain, the
+// /v1/watch field and the optimizer's group key.
+func TestFailureDomainString(t *testing.T) {
+	for _, tc := range []struct {
+		domain FailureDomain
+		want   string
 	}{
-		{"srlg:7", []int{7}},
-		{"srlg:3+7", []int{3, 7}},
-		{"srlg:2000+3000+17", []int{2000, 3000, 17}},
-		{"batch:4", nil},
-		{"srlg:", nil},
-		{"srlg:x+2", nil},
-		{"", nil},
-	}
-	for _, tc := range cases {
-		if got := domainSRLGs(tc.domain); !reflect.DeepEqual(got, tc.want) {
-			t.Fatalf("domainSRLGs(%q) = %v, want %v", tc.domain, got, tc.want)
+		{FailureDomain{SRLGs: []int{7}}, "srlg:7"},
+		{FailureDomain{SRLGs: []int{3, 7}}, "srlg:3+7"},
+		{FailureDomain{SRLGs: []int{17, 2000, 3000}}, "srlg:17+2000+3000"},
+		{FailureDomain{Batch: 4}, "batch:4"},
+		{FailureDomain{}, ""},
+	} {
+		if got := tc.domain.String(); got != tc.want {
+			t.Fatalf("%+v renders %q, want %q", tc.domain, got, tc.want)
 		}
 	}
 }
 
-// TestShardedReProtectGroupMergesShards: the sharded fan-out routes
-// each member to its owner, merges outcomes back sorted, and sums the
-// per-shard planner stats.
+// TestShardedReProtectGroupMergesShards: the sharded pass routes each
+// member to its owner, appends the merged outcomes after what buf held,
+// sorted, and every fallback an outcome reports is one the shards
+// counted.
 func TestShardedReProtectGroupMergesShards(t *testing.T) {
 	topo := wideTopology(t, 16)
 	s := newTestSet(t, Config{Topo: topo}, 4)
@@ -222,27 +217,178 @@ func TestShardedReProtectGroupMergesShards(t *testing.T) {
 		}
 		members = append(members, dep.ID)
 	}
-	rep := s.ReProtectGroup("srlg:5", members)
-	if len(rep.Outcomes) != len(members) {
-		t.Fatalf("outcomes = %d, want %d", len(rep.Outcomes), len(members))
+	fallbacksBefore := s.StandbyFallbacks()
+	outs := s.ReProtectGroup([]GroupOutcome{{ID: -1}}, FailureDomain{SRLGs: []int{5}}, members)
+	if len(outs) != 1+len(members) || outs[0].ID != -1 {
+		t.Fatalf("outcomes = %+v, want buf's entry then %d", outs, len(members))
 	}
-	if !sort.SliceIsSorted(rep.Outcomes, func(i, j int) bool {
-		return rep.Outcomes[i].ID < rep.Outcomes[j].ID
-	}) {
-		t.Fatalf("merged outcomes out of order: %+v", rep.Outcomes)
+	outs = outs[1:]
+	if !sort.SliceIsSorted(outs, func(i, j int) bool { return outs[i].ID < outs[j].ID }) {
+		t.Fatalf("merged outcomes out of order: %+v", outs)
 	}
-	replanned := 0
-	for _, out := range rep.Outcomes {
+	fallbacks := 0
+	for _, out := range outs {
 		if out.Err != nil {
 			t.Fatalf("member %d failed: %v", out.ID, out.Err)
 		}
-		if out.Replanned {
-			replanned++
+		if out.Fallback {
+			fallbacks++
 		}
 	}
-	// The merged stats must agree with the merged outcomes: each
-	// shard's planner saw exactly its replanned members.
-	if rep.Stats.Planned != replanned {
-		t.Fatalf("merged Stats.Planned = %d, want %d replanned members", rep.Stats.Planned, replanned)
+	if got := s.StandbyFallbacks() - fallbacksBefore; got != int64(fallbacks) {
+		t.Fatalf("shards counted %d fallbacks, the outcomes report %d", got, fallbacks)
+	}
+}
+
+// equivalenceFleet is a seeded fleet for the group-of-one property:
+// dual-homing varies with the seed so some chains have no disjoint
+// standby, and a third of the ToR↔OPS links ride one of four trays.
+func equivalenceFleet(t *testing.T, seed int64, shards int) *Sharded {
+	t.Helper()
+	cfg := topology.DefaultGenConfig()
+	cfg.Seed = seed
+	cfg.Racks, cfg.PMsPerRack, cfg.VMsPerPM = 4, 2, 2
+	cfg.OPSCount, cfg.ToRUplinks, cfg.OPSChords = 24, 24, 0
+	cfg.DualHomeFrac = float64(seed%3) / 2
+	cfg.Services = []string{"web"}
+	cfg.PMCapacity = topology.Resources{CPUCores: 1 << 20, MemoryGB: 1 << 20, StorageGB: 1 << 20}
+	topo, err := topology.Generate(cfg)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for _, l := range topo.Links() {
+		if l.Kind == topology.LinkBoundary && rng.Intn(3) == 0 {
+			if err := topo.SetLinkSRLG(l.ID, 1+rng.Intn(4)); err != nil {
+				t.Fatalf("SetLinkSRLG: %v", err)
+			}
+		}
+	}
+	s := newTestSet(t, Config{Topo: topo}, shards)
+	for _, spec := range batchSpecs(t, 12) {
+		if _, err := s.Provision(bg, spec); err != nil {
+			t.Fatalf("seed %d: Provision %q: %v", seed, spec.Name, err)
+		}
+	}
+	return s
+}
+
+// TestReProtectGroupOfOneEqualsPlanStandby: over seeded fleets at 1 and
+// 4 shards, a one-member ReProtectGroup with no domain re-plans a chain's
+// dropped standby into exactly what resilience.PlanStandby gives under
+// the pool-then-fabric rule — same path, same Disjoint, same SRLGs — and
+// reports the fabric retry exactly when the rule takes one.
+func TestReProtectGroupOfOneEqualsPlanStandby(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		fellBack := 0
+		for seed := int64(1); seed <= 6; seed++ {
+			s := equivalenceFleet(t, seed, shards)
+			for _, dep := range s.Deployments() {
+				o := s.owner(dep.ID)
+				o.mu.Lock()
+				live := o.deployments[dep.ID]
+				o.mu.Unlock()
+				stops, slice, pool := o.pipelineFrom(bg, live).standbyStops(), live.Slice.OPSSet(), o.alloc.Pool()
+				want, wantErr := resilience.PlanStandby(o.ctrl, o.topo, live.Path, stops, slice, 1, pool)
+				wantFallback := pool.OPS != nil && (wantErr != nil || !want.Disjoint)
+				if wantFallback {
+					wide, wideErr := resilience.PlanStandby(o.ctrl, o.topo, live.Path, stops, slice, 1, topology.Pool{})
+					if wantErr != nil || (wideErr == nil && wide.Disjoint) {
+						want, wantErr = wide, wideErr
+					}
+					fellBack++
+				}
+				o.mu.Lock()
+				o.setStandbyLocked(live, nil)
+				o.mu.Unlock()
+				out := reProtect(s, dep.ID)
+				if (wantErr == nil) != (out.Err == nil) || out.Fallback != wantFallback {
+					t.Fatalf("shards %d seed %d chain %d: group of one %+v, PlanStandby err %v fallback %v",
+						shards, seed, dep.ID, out, wantErr, wantFallback)
+				}
+				if wantErr != nil {
+					continue
+				}
+				got := out.Standby
+				if !slices.Equal(got.Path, want.Path) || got.Disjoint != want.Disjoint || !slices.Equal(got.SRLGs, want.SRLGs) {
+					t.Fatalf("shards %d seed %d chain %d: group of one planned %v (disjoint %v, SRLGs %v), PlanStandby %v (disjoint %v, SRLGs %v)",
+						shards, seed, dep.ID, got.Path, got.Disjoint, got.SRLGs, want.Path, want.Disjoint, want.SRLGs)
+				}
+			}
+		}
+		if shards > 1 && fellBack == 0 {
+			t.Fatalf("no chain on %d shards took the fabric retry; the fleets do not exercise the rule", shards)
+		}
+	}
+}
+
+// TestReProtectGroupAvoidsDomainSRLGs: a "srlg:N" domain steers a
+// member's standby off tray N, where a group of one with no domain —
+// which knows nothing of the failure — picks it.
+func TestReProtectGroupAvoidsDomainSRLGs(t *testing.T) {
+	s, o, ids := triOrch(t, Config{})
+	// Route 1 — the first disjoint alternative — rides tray 4242.
+	const tray = 4242
+	for side := 0; side < 2; side++ {
+		if err := o.topo.SetLinkSRLG(ids.torOpsLinks[side][1], tray); err != nil {
+			t.Fatalf("SetLinkSRLG: %v", err)
+		}
+	}
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	if err != nil {
+		t.Fatalf("Provision: %v", err)
+	}
+	drop := func() {
+		o.mu.Lock()
+		o.setStandbyLocked(o.deployments[dep.ID], nil)
+		o.mu.Unlock()
+	}
+	drop()
+	perChain := reProtect(s, dep.ID)
+	if perChain.Err != nil || !pathContains(perChain.Standby.Path, ids.opss[1]) {
+		t.Fatalf("no-domain standby = %+v, want the tray route (no domain knowledge)", perChain)
+	}
+	drop()
+	grouped := s.ReProtectGroup(nil, FailureDomain{SRLGs: []int{tray}}, []DeploymentID{dep.ID})[0]
+	if grouped.Err != nil || pathContains(grouped.Standby.Path, ids.opss[1]) {
+		t.Fatalf("srlg:%d standby = %+v, still rides the domain tray", tray, grouped)
+	}
+	if !grouped.Standby.Disjoint {
+		t.Fatalf("domain standby not disjoint: %+v", grouped.Standby)
+	}
+}
+
+// TestReProtectGroupOfOneAllocations: the one re-protection path costs
+// a per-chain re-protect no allocation but its outcome — at most 1 when
+// the standby is alive and disjoint, at most 8 when it is re-planned
+// (the per-chain call it replaced: 0 and 7). Allocation counts under
+// the race detector are not exact.
+func TestReProtectGroupOfOneAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	s, o, _ := triOrch(t, Config{})
+	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	if err != nil {
+		t.Fatalf("Provision: %v", err)
+	}
+	ids := []DeploymentID{dep.ID}
+	noop := testing.AllocsPerRun(100, func() {
+		if out := s.ReProtectGroup(nil, FailureDomain{}, ids); out[0].Replanned {
+			t.Fatal("alive disjoint standby re-planned")
+		}
+	})
+	live := o.deployments[dep.ID]
+	replan := testing.AllocsPerRun(100, func() {
+		o.mu.Lock()
+		o.setStandbyLocked(live, nil)
+		o.mu.Unlock()
+		if out := s.ReProtectGroup(nil, FailureDomain{}, ids); !out[0].Replanned || out[0].Standby == nil {
+			t.Fatalf("dropped standby not re-planned: %+v", out[0])
+		}
+	})
+	t.Logf("group of one: %.0f allocations as a no-op, %.0f re-planning", noop, replan)
+	if noop > 1 || replan > 8 {
+		t.Fatalf("group of one allocates %.0f times as a no-op (want ≤ 1) and %.0f re-planning (want ≤ 8)", noop, replan)
 	}
 }

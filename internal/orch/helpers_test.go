@@ -37,3 +37,9 @@ func failNode(s *Sharded, n topology.NodeID) ([]RepairReport, error) {
 func failLink(s *Sharded, l topology.LinkID) ([]RepairReport, error) {
 	return s.HandleFailures(bg, nil, []topology.LinkID{l})
 }
+
+// reProtect re-protects one chain as a group of one with no domain, the
+// way the optimizer's per-chain task does.
+func reProtect(s *Sharded, id DeploymentID) GroupOutcome {
+	return s.ReProtectGroup(nil, FailureDomain{}, []DeploymentID{id})[0]
+}

@@ -165,7 +165,7 @@ func (x *indexScript) exposure(dep *Deployment) (topology.NodeID, topology.LinkI
 func (x *indexScript) drain() {
 	for _, h := range x.s.AppendOwedHealth(nil) {
 		if !h.Disjoint {
-			_, _, _ = x.s.ReProtect(h.ID)
+			reProtect(x.s, h.ID)
 		}
 		if h.Drifted {
 			_, _ = x.s.Rehome(h.ID, 1)
@@ -223,11 +223,11 @@ func (x *indexScript) step() string {
 		_, _ = x.s.HandleFailures(bg, []topology.NodeID{node}, []topology.LinkID{link, other})
 		return "fail batch"
 	case op == 10:
-		_, _, _ = x.s.ReProtect(dep.ID)
+		reProtect(x.s, dep.ID)
 		return "re-protect"
 	case op == 11:
 		ids := []DeploymentID{dep.ID, x.pick().ID, x.pick().ID}
-		x.s.ReProtectGroup(fmt.Sprintf("srlg:%d", 1+x.rng.Intn(3)), ids)
+		x.s.ReProtectGroup(nil, FailureDomain{SRLGs: []int{1 + x.rng.Intn(3)}}, ids)
 		return "re-protect group"
 	case op == 12:
 		_, _ = x.s.Rehome(dep.ID, 1)
@@ -447,15 +447,15 @@ func BenchmarkStormRound(b *testing.B) {
 		if err != nil || len(reports) < len(victims) {
 			b.Fatalf("round %d: %d reports, %v", i, len(reports), err)
 		}
-		s.ReProtectGroup("batch:1", RepairedIDs(reports))
+		s.ReProtectGroup(nil, FailureDomain{Batch: 1}, RepairedIDs(reports))
 		for _, l := range tray {
 			if err := s.RecoverLink(l); err != nil {
 				b.Fatalf("RecoverLink: %v", err)
 			}
 		}
 		for _, rep := range reports {
-			if sb, _, err := s.ReProtect(rep.ID); err != nil || sb == nil {
-				b.Fatalf("round %d: chain %d left unprotected: %v", i, rep.ID, err)
+			if out := reProtect(s, rep.ID); out.Err != nil || out.Standby == nil {
+				b.Fatalf("round %d: chain %d left unprotected: %v", i, rep.ID, out.Err)
 			}
 		}
 	}

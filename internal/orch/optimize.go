@@ -2,7 +2,7 @@ package orch
 
 // The background-optimization entry points: the orchestrator-side
 // operations the maintenance engine (internal/optimizer) executes off
-// the request and recovery hot paths. Each takes the per-deployment
+// the request and recovery hot paths (re-protection is group.go's). Each takes the per-deployment
 // exclusive-operation guard, so a task colliding with an in-flight
 // repair/move/delete surfaces as ErrBusy and is requeued by the
 // engine rather than interleaving teardowns.
@@ -14,70 +14,8 @@ import (
 	"github.com/alvc/alvc/internal/nfv"
 	"github.com/alvc/alvc/internal/optical"
 	"github.com/alvc/alvc/internal/placement"
-	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/topology"
 )
-
-// ReProtect ensures the deployment has the best standby the current
-// topology allows: a standby that is alive and disjoint is left alone
-// (replanned=false); anything else — consumed, dead, or planned
-// non-disjoint around an outage that has since healed — is replanned
-// (resilience.PlanStandby). This is the cold-repair standby work moved
-// off the recovery path: repairs drop the standby and report, and this
-// call restores protection in the background.
-//
-// The returned standby is the chain's record, immutable once planned
-// (nil when no alternate route exists or planning is disabled). An error
-// with replanned=true means the chain is left unprotected; ErrBusy means
-// a concurrent exclusive operation owns the deployment and the caller
-// should retry.
-func (o *Orchestrator) ReProtect(id DeploymentID) (sb *resilience.Standby, replanned bool, err error) {
-	dep, err := o.beginExclusive(id)
-	if err != nil {
-		return nil, false, fmt.Errorf("orch: re-protect: %w", err)
-	}
-	defer o.endExclusive(id)
-	o.topoMu.RLock()
-	defer o.topoMu.RUnlock()
-	return o.reProtectDep(dep, nil)
-}
-
-// reProtectDep is ReProtect's body, shared with ReProtectGroup. The
-// caller holds the deployment's exclusive claim and topoMu.RLock —
-// ReProtectGroup holds the topology lock once across a whole domain
-// group, so the body must not reacquire it. When gp is non-nil the
-// standby is planned under the group's domain avoidance set; otherwise
-// per-chain.
-func (o *Orchestrator) reProtectDep(dep *Deployment, gp *resilience.GroupPlanner) (sb *resilience.Standby, replanned bool, err error) {
-	id := dep.ID
-	o.mu.Lock()
-	cur := dep.Standby
-	o.mu.Unlock()
-	alive := cur != nil && resilience.PathAlive(o.topo, cur.Path)
-	if alive && cur.Disjoint {
-		return cur, false, nil
-	}
-	p := o.pipelineFrom(context.Background(), dep)
-	if planErr := p.planStandby(gp); planErr != nil {
-		if alive {
-			// The current standby still works; a failed search for a
-			// better one must not strip the protection the chain has.
-			return cur, false, nil
-		}
-		// The standby is dead (or absent): drop it so the reverse index
-		// stops routing failures at a stale alternate.
-		o.mu.Lock()
-		o.setStandbyLocked(dep, nil)
-		o.mu.Unlock()
-		return nil, true, fmt.Errorf("orch: re-protect %d: chain left unprotected: %w", id, planErr)
-	}
-	// The chain's footprint is otherwise what it was: the commit costs
-	// the standby's own nodes and links.
-	o.mu.Lock()
-	o.setStandbyLocked(dep, p.standby)
-	o.mu.Unlock()
-	return p.standby, true, nil
-}
 
 // Rehome undoes rebuild-induced placement drift: it computes a fresh
 // placement for the chain under the current topology (as if the chain

@@ -52,21 +52,21 @@ func standbySearches(o *Orchestrator) int64 {
 // TestReProtectAlreadyProtectedIsNoOp: a chain whose standby is alive
 // and disjoint must not be replanned.
 func TestReProtectAlreadyProtectedIsNoOp(t *testing.T) {
-	_, o, _ := triOrch(t, Config{})
+	s, o, _ := triOrch(t, Config{})
 	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	before := standbySearches(o)
-	sb, replanned, err := o.ReProtect(dep.ID)
-	if err != nil {
-		t.Fatalf("ReProtect: %v", err)
+	out := reProtect(s, dep.ID)
+	if out.Err != nil {
+		t.Fatalf("re-protect: %v", out.Err)
 	}
-	if replanned {
-		t.Fatal("protected chain was replanned")
+	if out.Replanned || out.Fallback {
+		t.Fatalf("protected chain was replanned: %+v", out)
 	}
-	if sb == nil || !sb.Disjoint {
-		t.Fatalf("standby snapshot = %+v, want disjoint", sb)
+	if out.Standby == nil || !out.Standby.Disjoint {
+		t.Fatalf("standby snapshot = %+v, want disjoint", out.Standby)
 	}
 	if got := standbySearches(o); got != before {
 		t.Fatalf("no-op re-protect asked %d standby searches", got-before)
@@ -75,7 +75,7 @@ func TestReProtectAlreadyProtectedIsNoOp(t *testing.T) {
 
 // TestAsyncRestandbyDropsAndReProtectReplans: with a sink attached, a
 // standby-only failure drops the standby with no standby search and emits
-// repair-completed; the background ReProtect then replans it over the
+// repair-completed; the background re-protect then replans it over the
 // surviving spare route.
 func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 	s, o, ids := triOrch(t, Config{DeferReprotect: true})
@@ -108,12 +108,13 @@ func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 		t.Fatalf("events = %v, want one repair-completed", sink.kinds())
 	}
 
-	sb, replanned, err := o.ReProtect(dep.ID)
-	if err != nil {
-		t.Fatalf("ReProtect: %v", err)
+	out := reProtect(s, dep.ID)
+	if out.Err != nil {
+		t.Fatalf("re-protect: %v", out.Err)
 	}
-	if !replanned || sb == nil {
-		t.Fatalf("ReProtect = (%+v, %v), want replanned standby", sb, replanned)
+	sb := out.Standby
+	if !out.Replanned || sb == nil {
+		t.Fatalf("re-protect = %+v, want replanned standby", out)
 	}
 	if !pathContains(sb.Path, ids.opss[2]) || !sb.Disjoint {
 		t.Fatalf("replanned standby %+v, want disjoint via route 2", sb)
@@ -122,7 +123,7 @@ func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 
 // TestAsyncRepathDefersStandby: with a sink attached a cold re-path
 // must not replan the standby inline (no standby search); the chain is
-// repaired but unprotected until ReProtect runs.
+// repaired but unprotected until a re-protect runs.
 func TestAsyncRepathDefersStandby(t *testing.T) {
 	s, o, ids := triOrch(t, Config{DeferReprotect: true})
 	s.UpdateHooks(func(h *Hooks) { h.Events = &recordingSink{} })

@@ -332,16 +332,12 @@ func (p *pipeline) runPath() error {
 	return nil
 }
 
-// standbyWidth is what resilience.PlanStandby's vestigial k parameter is
-// passed: the planner only checks it is positive.
-const standbyWidth = 1
-
-// planStandby plans the chain's alternate route (resilience.PlanStandby
-// — one avoiding search per segment) and stores it on the pipeline;
-// with a non-nil gp the plan goes through that failure-domain group
-// planner instead, which adds the domain's risk groups to what the
-// route avoids. The error reports why no standby exists (planning
-// disabled counts as no error); callers decide whether that is fatal.
+// planStandby plans the chain's alternate route
+// (resilience.PlanStandbyAvoiding — one avoiding search per segment, off
+// the primary and the failure domain's risk groups srlgs, nil outside a
+// storm group) and stores it on the pipeline. The error reports why no
+// standby exists (planning disabled counts as no error); callers decide
+// whether that is fatal.
 //
 // A sharded orchestrator plans protection inside its own OPS partition:
 // the slice came from the shard's pool, so the standby staying there
@@ -349,39 +345,29 @@ const standbyWidth = 1
 // no route at all, or none disjoint from the primary (e.g. an NF was
 // moved onto an out-of-pool host) — the whole fabric is tried too and
 // the better plan kept: protection beats partition purity. The retry is
-// counted, on the group planner or the shard, so operators can see when
-// partition purity lost.
-func (p *pipeline) planStandby(gp *resilience.GroupPlanner) error {
+// counted here, for every plan, so operators can see when partition
+// purity lost; fellBack reports it to the caller.
+func (p *pipeline) planStandby(srlgs []int) (fellBack bool, err error) {
 	p.standby = nil
 	if p.o.noStandby {
-		return nil
+		return false, nil
 	}
 	stops, slice := p.standbyStops(), p.slice.OPSSet()
-	plan := func(allow topology.Pool) (*resilience.Standby, error) {
-		return resilience.PlanStandby(p.o.ctrl, p.o.topo, p.path, stops, slice, standbyWidth, allow)
-	}
-	fallback := func() (*resilience.Standby, error) {
-		p.o.standbyFallbacks.Add(1)
-		return plan(topology.Pool{})
-	}
-	if gp != nil {
-		plan = func(allow topology.Pool) (*resilience.Standby, error) {
-			return gp.Plan(p.path, stops, slice, allow)
-		}
-		fallback = func() (*resilience.Standby, error) { return gp.PlanFallback(p.path, stops, slice) }
-	}
 	allow := p.o.alloc.Pool()
-	sb, err := plan(allow)
+	sb, err := resilience.PlanStandbyAvoiding(p.o.ctrl, p.o.topo, p.path, stops, slice, allow, srlgs)
 	if allow.OPS != nil && (err != nil || !sb.Disjoint) {
-		if wide, wideErr := fallback(); err != nil || (wideErr == nil && wide.Disjoint) {
+		fellBack = true
+		p.o.standbyFallbacks.Add(1)
+		wide, wideErr := resilience.PlanStandbyAvoiding(p.o.ctrl, p.o.topo, p.path, stops, slice, topology.Pool{}, srlgs)
+		if err != nil || (wideErr == nil && wide.Disjoint) {
 			sb, err = wide, wideErr
 		}
 	}
 	if err != nil {
-		return err
+		return fellBack, err
 	}
 	p.standby = sb
-	return nil
+	return fellBack, nil
 }
 
 // standbyStops lists the chain's mandatory standby waypoints: the
@@ -418,7 +404,7 @@ func (p *pipeline) runStandby() error {
 		p.standby = nil
 		return nil
 	}
-	_ = p.planStandby(nil)
+	_, _ = p.planStandby(nil)
 	return nil
 }
 

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -196,7 +193,7 @@ func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.Fa
 // placement behind. All events of one HandleFailures batch carry the
 // same failure domain, letting the optimizer's storm mode coalesce
 // their follow-up work per shared cause instead of per deployment.
-func (c *sharedCore) emitRepairEvents(reports []RepairReport, domain string) {
+func (c *sharedCore) emitRepairEvents(reports []RepairReport, domain FailureDomain) {
 	for _, rep := range reports {
 		if rep.Succeeded() {
 			c.emit(Event{Kind: EventRepairCompleted, Deployment: rep.ID, Action: rep.Action,
@@ -206,23 +203,21 @@ func (c *sharedCore) emitRepairEvents(reports []RepairReport, domain string) {
 }
 
 // failureDomain names the shared failure domain of one HandleFailures
-// batch: the dead links' risk groups when any exist ("srlg:3+7" — the
-// physical tray or conduit that snapped), otherwise a unique per-batch
-// tag — either way, every repair event of the batch shares it.
-func (c *sharedCore) failureDomain(dead resilience.FailureSet) string {
+// batch: the dead links' risk groups when any exist, otherwise the next
+// batch number — either way, every repair event of the batch shares it.
+func (c *sharedCore) failureDomain(dead resilience.FailureSet) FailureDomain {
+	var d FailureDomain
 	if len(dead.SRLGs) > 0 {
-		groups := make([]int, 0, len(dead.SRLGs))
+		d.SRLGs = make([]int, 0, len(dead.SRLGs))
 		for g := range dead.SRLGs {
-			groups = append(groups, g)
+			d.SRLGs = append(d.SRLGs, g)
 		}
-		sort.Ints(groups)
-		parts := make([]string, len(groups))
-		for i, g := range groups {
-			parts[i] = strconv.Itoa(g)
-		}
-		return "srlg:" + strings.Join(parts, "+")
+		slices.Sort(d.SRLGs)
+	} else {
+		d.Batch = atomic.AddUint64(&c.batchSeq, 1)
 	}
-	return "batch:" + strconv.FormatUint(atomic.AddUint64(&c.batchSeq, 1), 10)
+	d.key = d.String()
+	return d
 }
 
 // firstRepairError folds a report list to the error HandleFailures
@@ -344,22 +339,22 @@ func (o *Orchestrator) repairAround(ctx context.Context, id DeploymentID, dead r
 			patchErr = o.repath(ctx, dep)
 		}
 	case standbyHit:
-		// The primary is intact; only the anticipation was consumed.
-		// With a background optimizer attached the dead standby is just
-		// dropped — the repair-completed event enqueues the async
-		// re-protect, and no standby search happens on this path. Inline
-		// mode replans here: still off the hot recovery path of any
-		// chain actually carrying traffic over dead resources. A replan
-		// failure is NOT grounds for the rebuild fallback — the chain
-		// still works — but the report must say the chain is now
-		// unprotected instead of silently claiming re-protection.
+		// The primary is intact; only the anticipation was consumed, and
+		// the dead standby is dropped. With a background optimizer
+		// attached that is all — the repair-completed event enqueues the
+		// async re-protect, and no standby search happens on this path.
+		// Inline mode re-protects here, a group of one: still off the hot
+		// recovery path of any chain actually carrying traffic over dead
+		// resources. A failed plan is NOT grounds for the rebuild fallback
+		// — the chain still works — but the report must say the chain is
+		// now unprotected instead of silently claiming re-protection.
+		o.mu.Lock()
+		o.setStandbyLocked(dep, nil)
+		o.mu.Unlock()
 		if o.deferReprotect {
-			o.mu.Lock()
-			o.setStandbyLocked(dep, nil)
-			o.mu.Unlock()
 			return RepairReport{ID: id, Action: ActionRestandby}
 		}
-		return RepairReport{ID: id, Action: ActionRestandby, Err: o.replanStandby(ctx, dep)}
+		return RepairReport{ID: id, Action: ActionRestandby, Err: o.reProtectDep(dep, nil).Err}
 	default:
 		// The footprint changed since the index snapshot; the failure
 		// no longer touches this deployment.
@@ -413,24 +408,6 @@ func (o *Orchestrator) swapToStandby(ctx context.Context, dep *Deployment) error
 	p.confined = sb.Confined
 	p.standby = nil
 	return o.finishRepairFrom(p, dep, stageWDM)
-}
-
-// replanStandby recomputes only the standby route (the primary is
-// untouched, so this is not counted as a repair of the deployment) and
-// moves the reverse-index entries to the new anticipation footprint.
-// On planning failure the dead standby is still dropped — the index
-// must not keep routing failures at a stale alternate — and the error
-// reports that the chain is left unprotected.
-func (o *Orchestrator) replanStandby(ctx context.Context, dep *Deployment) error {
-	p := o.pipelineFrom(ctx, dep)
-	planErr := p.planStandby(nil)
-	o.mu.Lock()
-	o.setStandbyLocked(dep, p.standby) // nil when planning failed
-	o.mu.Unlock()
-	if planErr != nil {
-		return fmt.Errorf("chain left unprotected: %w", planErr)
-	}
-	return nil
 }
 
 // replaceAndRepath migrates the VNF instances hosted on dead nodes to

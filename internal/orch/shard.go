@@ -27,7 +27,6 @@ import (
 
 	"github.com/alvc/alvc/internal/chain"
 	"github.com/alvc/alvc/internal/cluster"
-	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/sdn"
 	"github.com/alvc/alvc/internal/topology"
 )
@@ -271,41 +270,6 @@ func (s *Sharded) MoveNF(id DeploymentID, idx int, to topology.NodeID) error {
 	return s.owner(id).MoveNF(id, idx, to)
 }
 
-// ReProtect routes to the owning shard.
-func (s *Sharded) ReProtect(id DeploymentID) (*resilience.Standby, bool, error) {
-	return s.owner(id).ReProtect(id)
-}
-
-// ReProtectGroup partitions the members by owning shard and runs each
-// shard's sub-group in turn, in the calling goroutine — every shard
-// builds its own GroupPlanner (its OPS pool is its own, so cross-shard
-// bucket sharing could never happen anyway). The caller is the
-// optimizer's task pool, which already runs tasks side by side; a
-// second fan-out here only paid for goroutines. Outcomes merge in ID
-// order and the planner stats sum.
-func (s *Sharded) ReProtectGroup(domain string, ids []DeploymentID) GroupReport {
-	rep := GroupReport{Domain: domain}
-	if len(ids) == 0 {
-		return rep
-	}
-	perShard := make([][]DeploymentID, len(s.shards))
-	for _, id := range ids {
-		sh := s.router.ShardOf(id)
-		perShard[sh] = append(perShard[sh], id)
-	}
-	for i, members := range perShard {
-		if len(members) == 0 {
-			continue
-		}
-		r := s.shards[i].ReProtectGroup(domain, members)
-		rep.Outcomes = append(rep.Outcomes, r.Outcomes...)
-		rep.Stats.Planned += r.Stats.Planned
-		rep.Stats.Fallbacks += r.Stats.Fallbacks
-	}
-	slices.SortFunc(rep.Outcomes, func(a, b GroupOutcome) int { return int(a.ID - b.ID) })
-	return rep
-}
-
 // Rehome routes to the owning shard.
 func (s *Sharded) Rehome(id DeploymentID, margin int) (bool, error) {
 	return s.owner(id).Rehome(id, margin)
@@ -474,9 +438,10 @@ func (s *Sharded) RuleCount() int {
 	return n
 }
 
-// StandbyFallbacks sums, across shards, the per-chain standby plans that
-// tried the whole fabric after the shard's own pool offered no disjoint
-// route. Storm-group plans count theirs in GroupReport.Stats.
+// StandbyFallbacks sums, across shards, the standby plans that tried the
+// whole fabric after the shard's own pool offered no disjoint route —
+// provisions, repairs and re-protects alike, storm-group members
+// included.
 func (s *Sharded) StandbyFallbacks() int64 {
 	var n int64
 	for _, sh := range s.shards {

@@ -109,7 +109,7 @@ func TestStandbyFleetAllDisjoint(t *testing.T) {
 	for _, memo := range []bool{true, false, true} {
 		o.ctrl.SetAlternativesCache(memo)
 		p := o.pipelineFrom(context.Background(), o.deployments[dep.ID])
-		if err := p.planStandby(nil); err != nil {
+		if _, err := p.planStandby(nil); err != nil {
 			t.Fatalf("replan (memo %v): %v", memo, err)
 		}
 		if !slices.Equal(p.standby.Path, dep.Standby.Path) {
@@ -260,8 +260,8 @@ func TestAsyncRestandbyReindexesOnlyTheStandby(t *testing.T) {
 	checkReverseIndexes(t, o)
 	// The background pass restores them, and indexes them again.
 	for _, r := range reports {
-		if sb, _, err := o.ReProtect(r.ID); err != nil || !sb.Disjoint {
-			t.Fatalf("ReProtect %d: %+v, %v", r.ID, sb, err)
+		if out := reProtect(s, r.ID); out.Err != nil || !out.Standby.Disjoint {
+			t.Fatalf("re-protect %d: %+v", r.ID, out)
 		}
 	}
 	checkReverseIndexes(t, o)

@@ -270,7 +270,22 @@ type PathFinder interface {
 }
 
 // PlanStandby computes a standby route for a chain whose primary path
-// visits the given stops (src, VNF hosts, dst) in order. Per segment
+// visits the given stops (src, VNF hosts, dst) in order: it is
+// PlanStandbyAvoiding with no failure domain, after checking its
+// arguments. k is vestigial: it was the width of the k-shortest search
+// this planner used to run and is only checked to be positive.
+func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, k int, allow topology.Pool) (*Standby, error) {
+	if f == nil || topo == nil {
+		return nil, fmt.Errorf("resilience: plan standby: nil finder or topology")
+	}
+	if k <= 0 {
+		return nil, fmt.Errorf("resilience: plan standby: k must be positive, got %d", k)
+	}
+	return PlanStandbyAvoiding(f, topo, primary, stops, sliceOPS, allow, nil)
+}
+
+// PlanStandbyAvoiding computes a standby route for a chain whose primary
+// path visits the given stops (src, VNF hosts, dst) in order. Per segment
 // the finder answers one question: the cheapest route to the next stop
 // that crosses the fewest of the primary's transit nodes, the primary's
 // links, and the links sharing a risk group with them. Stops themselves
@@ -279,6 +294,11 @@ type PathFinder interface {
 // (topology.Avoid.Spread), so the standbys of a fleet spread over the
 // spare fabric instead of piling onto its lowest-ID links, and the same
 // chain always gets the same standby.
+//
+// domainSRLGs — a failure domain's shared-risk groups, nil outside a
+// storm group — are added to the primary's own: links in any of them are
+// avoided like the primary's links, and a standby forced onto one reports
+// Disjoint=false. With nil the plan depends on the chain alone.
 //
 // The result is best-effort: the planner counts what the route still
 // shares with the primary, and when that is not zero — no fully
@@ -290,31 +310,13 @@ type PathFinder interface {
 // allow, when it restricts, keeps every segment to its OPSs — sharded
 // orchestrators pass their shard's OPS pool so protection routes stay
 // inside the shard's partition. The zero Pool searches the whole
-// topology. k is vestigial: it was the width of the k-shortest search
-// this planner used to run and is only checked to be positive.
-func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, k int, allow topology.Pool) (*Standby, error) {
-	if f == nil || topo == nil {
-		return nil, fmt.Errorf("resilience: plan standby: nil finder or topology")
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("resilience: plan standby: k must be positive, got %d", k)
-	}
-	return planStandbyWith(f, topo, primary, stops, sliceOPS, allow, nil)
-}
-
-// planStandbyWith is the planning core shared by PlanStandby and
-// GroupPlanner.Plan. avoidSRLGs — when non-empty — adds a failure
-// domain's shared-risk groups to the primary's own: links in any of
-// them are avoided like the primary's links, and a standby forced onto
-// one reports Disjoint=false. With a nil avoid set this is exactly
-// PlanStandby, which is what makes group planning equivalent to
-// per-chain planning.
+// topology.
 //
 // The warm path (every segment a memo hit) is a few microseconds, so
 // the sets are small slices scanned linearly, the route lands in one
 // pre-sized buffer, and risk groups cost nothing on a topology without
 // any.
-func planStandbyWith(f PathFinder, topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, allow topology.Pool, avoidSRLGs []int) (*Standby, error) {
+func PlanStandbyAvoiding(f PathFinder, topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, allow topology.Pool, domainSRLGs []int) (*Standby, error) {
 	if len(primary) == 0 || len(stops) < 2 {
 		return nil, fmt.Errorf("resilience: plan standby: primary and stops required")
 	}
@@ -335,7 +337,7 @@ func planStandbyWith(f PathFinder, topo *topology.Topology, primary []topology.N
 	// with the primary, so it is avoided, and counts as overlap, even
 	// though the link itself is distinct.
 	if topo.HasSRLGs() {
-		for _, g := range appendLinkSRLGs(slices.Clone(avoidSRLGs), topo, avoid.Links) {
+		for _, g := range appendLinkSRLGs(slices.Clone(domainSRLGs), topo, avoid.Links) {
 			for _, l := range topo.SRLGLinks(g) {
 				if !slices.Contains(avoid.Links, l) {
 					avoid.Links = append(avoid.Links, l)

@@ -324,10 +324,10 @@ func (p *Plane) registerOptimizer() {
 		"Tasks dropped by the optimizer queue-depth bound.",
 		nil, one(func() float64 { return float64(sc.optimizer.Shed) }))
 	p.reg.CounterSink("alvc_groupplan_plans_total",
-		"Chains planned through storm-group re-protection.",
+		"Storm-group members whose standby was re-planned.",
 		nil, one(func() float64 { return float64(sc.optimizer.GroupPlans.Planned) }))
 	p.reg.CounterSink("alvc_groupplan_fallbacks_total",
-		"Group plans that fell back from a restricted OPS pool to the full pool.",
+		"Storm-group members whose standby plan fell back from the shard's OPS pool to the whole fabric.",
 		nil, one(func() float64 { return float64(sc.optimizer.GroupPlans.Fallbacks) }))
 	p.drainSeconds = p.reg.NewHistogramVec("alvc_optimizer_drain_seconds",
 		"Wall time of optimizer drain passes.", batchBounds)
@@ -392,7 +392,7 @@ func (p *Plane) registerResilience() {
 			return float64(nd + u)
 		}))
 	p.reg.CounterSink("alvc_resilience_standby_fallbacks_total",
-		"Per-chain standby plans that tried the whole fabric after the shard's OPS pool offered no disjoint route.",
+		"Standby plans that tried the whole fabric after the shard's OPS pool offered no disjoint route, storm-group members included.",
 		nil, one(func() float64 { return float64(p.arch.Sharded().StandbyFallbacks()) }))
 	p.rehomeChurn = p.reg.NewCounterVec("alvc_capacity_rehome_churn_total",
 		"VNF re-home migrations by rack and direction (from = vacated, to = filled).",

@@ -92,7 +92,7 @@ func (h *Hub) OrchEvent(ev orch.Event) {
 		Action:     string(ev.Action),
 		Node:       ev.Node,
 		Link:       ev.Link,
-		Domain:     ev.Domain,
+		Domain:     ev.Domain.String(),
 		TraceID:    ev.TraceID,
 	}
 	h.ring = append(h.ring, se)

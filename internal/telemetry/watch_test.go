@@ -17,7 +17,7 @@ func repairEvent(dep int) orch.Event {
 		Kind:       orch.EventRepairCompleted,
 		Deployment: orch.DeploymentID(dep),
 		Action:     orch.ActionRepathed,
-		Domain:     "batch:1",
+		Domain:     orch.FailureDomain{Batch: 1},
 	}
 }
 
