@@ -667,6 +667,15 @@ func (a *Architecture) Optimize() []OptimizerTaskResult {
 	return a.opt.Drain()
 }
 
+// Close stops the background optimizer, if attached, and ends the
+// orchestrator's fan-out workers; queued optimizer tasks stay queued.
+func (a *Architecture) Close() {
+	if a.opt != nil {
+		a.opt.Stop()
+	}
+	a.sh.Close()
+}
+
 // Deployments lists the deployments the orchestrator holds records of
 // (active and failed), each a deep copy. Deleted chains are not among
 // them; see Tombstones.

@@ -116,12 +116,12 @@ func run() int {
 		logger.Error("topology construction failed", "error", err)
 		return 1
 	}
+	defer arch.Close()
 	if eng := arch.Optimizer(); eng != nil {
 		if err := eng.Start(*optTick); err != nil {
 			logger.Error("optimizer start failed", "error", err)
 			return 1
 		}
-		defer eng.Stop()
 	}
 
 	var srvOpts []server.Option

@@ -142,10 +142,6 @@ func (f *Frozen) SoleArc(u, v int32) (int32, bool) {
 // The caller must not modify the returned slice.
 func (f *Frozen) ArcTags() []int64 { return f.tags }
 
-// ArcCount returns the number of CSR arc positions (each undirected edge
-// occupies two).
-func (f *Frozen) ArcCount() int { return len(f.targets) }
-
 // Directed reports whether the source graph was directed.
 func (f *Frozen) Directed() bool { return f.directed }
 

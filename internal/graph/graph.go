@@ -157,9 +157,6 @@ func (g *Graph) Neighbors(v VertexID) []VertexID {
 	return out
 }
 
-// Degree returns the out-degree of v (counting parallel edges).
-func (g *Graph) Degree(v VertexID) int { return len(g.adj[v]) }
-
 // Edges returns every edge. For undirected graphs each edge is reported
 // once with From < To. The result is sorted by (From, To, Weight).
 func (g *Graph) Edges() []Edge {

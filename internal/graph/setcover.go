@@ -42,12 +42,6 @@ func (sc *SetCoverInstance) AddSet(id SetID, members []int) {
 	}
 }
 
-// UniverseSize returns the number of elements.
-func (sc *SetCoverInstance) UniverseSize() int { return len(sc.universe) }
-
-// SetCount returns the number of candidate sets.
-func (sc *SetCoverInstance) SetCount() int { return len(sc.sets) }
-
 // SetIDs returns the candidate set IDs in ascending order.
 func (sc *SetCoverInstance) SetIDs() []SetID {
 	ids := make([]SetID, 0, len(sc.sets))

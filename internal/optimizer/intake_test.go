@@ -344,9 +344,9 @@ func TestRecoveryIntakeAllocsDoNotGrowWithFleet(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { eng.OrchEvent(ev) }); allocs != 0 || eng.QueueDepth() != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { eng.OrchEvent(ev) }); allocs != 0 || eng.Status().QueueDepth != 0 {
 			t.Fatalf("%d healthy chains: a recovery event allocates %.0f and queues %d tasks, want 0 and 0",
-				chains, allocs, eng.QueueDepth())
+				chains, allocs, eng.Status().QueueDepth)
 		}
 		if chains != 160 {
 			continue
@@ -360,9 +360,9 @@ func TestRecoveryIntakeAllocsDoNotGrowWithFleet(t *testing.T) {
 				}
 			}
 			eng.OrchEvent(ev)
-			if k < v || k > 3*v || len(eng.sweepBuf) != k || eng.QueueDepth() != k {
+			if k < v || k > 3*v || len(eng.sweepBuf) != k || eng.Status().QueueDepth != k {
 				t.Fatalf("%d cuts, %d chains owed among %d: the intake read %d and %d are queued",
-					v, k, chains, len(eng.sweepBuf), eng.QueueDepth())
+					v, k, chains, len(eng.sweepBuf), eng.Status().QueueDepth)
 			}
 		}
 		if allocs := testing.AllocsPerRun(20, func() { eng.OrchEvent(ev) }); allocs != 0 {
@@ -392,7 +392,7 @@ func BenchmarkRecoveryIntake(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng.OrchEvent(ev)
 			}
-			if depth := eng.QueueDepth(); depth < 8 || depth > 24 {
+			if depth := eng.Status().QueueDepth; depth < 8 || depth > 24 {
 				b.Fatalf("%d tasks queued, want the victims' refreshes", depth)
 			}
 		})

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/alvc/alvc/internal/orch"
@@ -314,14 +313,18 @@ type Engine struct {
 	// debouncer's coalescing counters next to the engine's own.
 	debounceSrc interface{ Stats() orch.DebounceStats }
 
-	loopMu sync.Mutex
-	stopCh chan struct{}
-	loopWG sync.WaitGroup
+	// loopMu guards the background loop: stopCh is nil when stopped,
+	// stopTick cancels the armed tick, and loopWG counts the dispatcher
+	// and a tick in flight.
+	loopMu   sync.Mutex
+	stopCh   chan struct{}
+	stopTick func() bool
+	loopWG   sync.WaitGroup
 
-	// pool is the task pool's live workers (nil until a drain needs
-	// them, and again after Stop). poolMu guards the pointer only.
-	poolMu sync.Mutex
-	pool   *workerPool
+	// pool runs drain rounds Options.Workers wide until Stop; clock
+	// times the idle tick and the busy pause.
+	pool  *orch.Pool
+	clock orch.Clock
 }
 
 // stormGroup is one failure domain's storm-mode record: the domain, the
@@ -332,31 +335,6 @@ type stormGroup struct {
 	domain  orch.FailureDomain
 	members []orch.DeploymentID
 	parents []trace.SpanContext
-}
-
-// workerPool is one generation of the task pool's workers: goroutines
-// that live across drains, each taking batches off jobs until quit
-// closes.
-type workerPool struct {
-	jobs chan *batch
-	quit chan struct{}
-	wg   sync.WaitGroup
-}
-
-// batch is one drain round's tasks, claimed index by index by the
-// draining goroutine and whichever workers joined it.
-type batch struct {
-	n      int
-	fn     func(int)
-	next   atomic.Int64
-	joined sync.WaitGroup
-}
-
-// run claims and runs the batch's items until none is left.
-func (b *batch) run() {
-	for i := int(b.next.Add(1) - 1); i < b.n; i = int(b.next.Add(1) - 1) {
-		b.fn(i)
-	}
 }
 
 // New builds an engine over the target. The caller wires it as the
@@ -373,6 +351,8 @@ func New(o Target, opts Options) (*Engine, error) {
 		highWater: make([]int, shards),
 		groups:    make(map[string]*stormGroup),
 		member:    make(map[orch.DeploymentID]string),
+		pool:      orch.NewPool(),
+		clock:     orch.WallClock,
 	}
 	for i := range e.queues {
 		e.queues[i] = &shardQueue{queued: make(map[taskKey]bool)}
@@ -412,11 +392,6 @@ func (e *Engine) traceFor() *trace.Tracer {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.tracer
-}
-
-// queueFor returns the shard queue owning the deployment's tasks.
-func (e *Engine) queueFor(dep orch.DeploymentID) *shardQueue {
-	return e.queues[e.o.ShardOf(dep)]
 }
 
 // OrchEvent implements orch.EventSink: it translates lifecycle events
@@ -492,35 +467,34 @@ func (e *Engine) stormEnqueue(ev orch.Event) bool {
 	if !active {
 		return false
 	}
+	// A chain already grouped, or joining a domain's group, coalesces;
+	// the first chain of a domain opens its group task.
 	e.grpMu.Lock()
-	if _, grouped := e.member[ev.Deployment]; grouped {
-		e.grpMu.Unlock()
-		e.mu.Lock()
-		e.stormStat.CoalescedTasks++
-		e.mu.Unlock()
-		return true
-	}
-	e.member[ev.Deployment] = key
+	_, member := e.member[ev.Deployment]
 	g, grouped := e.groups[key]
-	if !grouped {
-		g = &stormGroup{domain: ev.Domain}
-		e.groups[key] = g
-	}
-	g.members = append(g.members, ev.Deployment)
-	if ev.TraceID != "" && !slices.ContainsFunc(g.parents, func(p trace.SpanContext) bool { return p.TraceID == ev.TraceID }) {
-		g.parents = append(g.parents, trace.SpanContext{TraceID: ev.TraceID, SpanID: ev.SpanID})
+	if !member {
+		e.member[ev.Deployment] = key
+		if !grouped {
+			g = &stormGroup{domain: ev.Domain}
+			e.groups[key] = g
+		}
+		g.members = append(g.members, ev.Deployment)
+		if ev.TraceID != "" && !slices.ContainsFunc(g.parents, func(p trace.SpanContext) bool { return p.TraceID == ev.TraceID }) {
+			g.parents = append(g.parents, trace.SpanContext{TraceID: ev.TraceID, SpanID: ev.SpanID})
+		}
 	}
 	e.grpMu.Unlock()
-	if !grouped {
+	opened := !member && !grouped
+	if opened {
 		e.enqueue(task{key: taskKey{kind: KindReProtect, domain: key}})
-		e.mu.Lock()
-		e.stormStat.Domains++
-		e.mu.Unlock()
-	} else {
-		e.mu.Lock()
-		e.stormStat.CoalescedTasks++
-		e.mu.Unlock()
 	}
+	e.mu.Lock()
+	if opened {
+		e.stormStat.Domains++
+	} else {
+		e.stormStat.CoalescedTasks++
+	}
+	e.mu.Unlock()
 	return true
 }
 
@@ -610,7 +584,7 @@ func (q *shardQueue) shedLowestLocked() (taskKey, bool) {
 // the work is moot). Tasks already executing observe the deletion
 // themselves through the orchestrator's state errors.
 func (e *Engine) Cancel(dep orch.DeploymentID) int {
-	q := e.queueFor(dep)
+	q := e.queues[e.o.ShardOf(dep)]
 	var dropped [numKinds]int
 	n := 0
 	q.mu.Lock()
@@ -665,33 +639,6 @@ func (e *Engine) Resume() {
 	e.paused = false
 	e.mu.Unlock()
 	e.cond.Broadcast()
-}
-
-// Paused reports whether background dispatching is paused.
-func (e *Engine) Paused() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.paused
-}
-
-// QueueDepth returns the number of queued (not yet executing) tasks
-// across all shard queues.
-func (e *Engine) QueueDepth() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.depth
-}
-
-// ShardQueueDepths returns the queued task count per shard queue, in
-// shard order.
-func (e *Engine) ShardQueueDepths() []int {
-	out := make([]int, len(e.queues))
-	for i, q := range e.queues {
-		q.mu.Lock()
-		out[i] = len(q.queued)
-		q.mu.Unlock()
-	}
-	return out
 }
 
 // popBatch removes every queued task, highest priority first (kind
@@ -764,7 +711,7 @@ func (e *Engine) Drain() []TaskResult {
 			return out
 		}
 		slots := make([]taskSlot, len(batch))
-		e.runPool(len(batch), func(i int) {
+		e.pool.Run(len(batch), e.opts.Workers, func(i int) {
 			slots[i].res, slots[i].requeue = e.runTask(batch[i], &slots[i])
 		})
 		busyOnly := true
@@ -783,72 +730,8 @@ func (e *Engine) Drain() []TaskResult {
 		if busyOnly {
 			// Everything still queued is waiting on in-flight exclusive
 			// operations; give them a moment before the next round.
-			time.Sleep(5 * time.Millisecond)
+			e.clock.Sleep(5 * time.Millisecond)
 		}
-	}
-}
-
-// runPool runs fn(i) for i in [0,n), at most opts.Workers at a time,
-// and waits for completion. The caller runs items itself and offers the
-// batch to the pool's idle workers, never waiting for one: a batch
-// always progresses, so concurrent drains, or a drain inside a task,
-// cannot deadlock on the pool. No goroutine starts here but the pool's
-// own, once.
-func (e *Engine) runPool(n int, fn func(int)) {
-	b := &batch{n: n, fn: fn}
-	if want := min(e.opts.Workers, n) - 1; want > 0 {
-		jobs := e.livePool().jobs
-		for offered := 0; offered < want; offered++ {
-			b.joined.Add(1)
-			select {
-			case jobs <- b:
-			default: // no worker is idle: the caller runs the rest
-				b.joined.Done()
-				offered = want
-			}
-		}
-	}
-	b.run()
-	b.joined.Wait()
-}
-
-// livePool returns the task pool's live workers, starting
-// opts.Workers-1 of them if none run.
-func (e *Engine) livePool() *workerPool {
-	e.poolMu.Lock()
-	defer e.poolMu.Unlock()
-	if e.pool == nil {
-		p := &workerPool{jobs: make(chan *batch), quit: make(chan struct{})}
-		for w := 1; w < e.opts.Workers; w++ {
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				for {
-					select {
-					case b := <-p.jobs:
-						b.run()
-						b.joined.Done()
-					case <-p.quit:
-						return
-					}
-				}
-			}()
-		}
-		e.pool = p
-	}
-	return e.pool
-}
-
-// stopPool ends the task pool's workers, if any run, once each has
-// finished the batch it holds.
-func (e *Engine) stopPool() {
-	e.poolMu.Lock()
-	p := e.pool
-	e.pool = nil
-	e.poolMu.Unlock()
-	if p != nil {
-		close(p.quit)
-		p.wg.Wait()
 	}
 }
 
@@ -1093,7 +976,7 @@ func (e *Engine) endStormIfDrained() {
 
 // Start launches the background dispatcher: queued tasks execute as
 // they arrive (bounded by Options.Workers), and when tickEvery is
-// positive an idle ticker fires Tick on that interval. Stop shuts both
+// positive an idle tick fires Tick on that interval. Stop shuts both
 // down. Calling Start twice without Stop is an error.
 func (e *Engine) Start(tickEvery time.Duration) error {
 	e.loopMu.Lock()
@@ -1119,22 +1002,30 @@ func (e *Engine) Start(tickEvery time.Duration) error {
 		}
 	}()
 	if tickEvery > 0 {
-		e.loopWG.Add(1)
-		go func() {
-			defer e.loopWG.Done()
-			ticker := time.NewTicker(tickEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					e.Tick()
-				}
-			}
-		}()
+		e.armTick(stop, tickEvery)
 	}
 	return nil
+}
+
+// armTick schedules the next idle tick of the run stop belongs to; the
+// tick sweeps outside loopMu, counted in loopWG so Stop waits for it,
+// then arms the one after it. Caller holds loopMu.
+func (e *Engine) armTick(stop chan struct{}, every time.Duration) {
+	e.stopTick = e.clock.AfterFunc(every, func() {
+		e.loopMu.Lock()
+		defer e.loopMu.Unlock()
+		if e.stopCh != stop {
+			return // stopped since this tick was armed
+		}
+		e.loopWG.Add(1)
+		e.loopMu.Unlock()
+		e.Tick()
+		e.loopWG.Done()
+		e.loopMu.Lock()
+		if e.stopCh == stop {
+			e.armTick(stop, every)
+		}
+	})
 }
 
 func stopped(stop chan struct{}) bool {
@@ -1146,14 +1037,18 @@ func stopped(stop chan struct{}) bool {
 	}
 }
 
-// Stop halts the background dispatcher and ticker started by Start,
-// waits for in-flight tasks to finish and ends the task pool's workers;
-// a later Drain starts them again. Queued tasks stay queued.
+// Stop halts the background dispatcher and idle tick started by Start,
+// waits for a tick and tasks in flight to finish and ends the task
+// pool's workers; a later Drain starts them again. Queued tasks stay
+// queued.
 func (e *Engine) Stop() {
-	defer e.stopPool()
+	defer e.pool.Close()
 	e.loopMu.Lock()
 	stop := e.stopCh
 	e.stopCh = nil
+	if e.stopTick != nil {
+		e.stopTick() // a stale one, after Start(0), stops nothing
+	}
 	e.loopMu.Unlock()
 	if stop == nil {
 		return
@@ -1171,7 +1066,12 @@ func (e *Engine) Stop() {
 
 // Status snapshots the engine's observable state.
 func (e *Engine) Status() Status {
-	shardDepths := e.ShardQueueDepths()
+	shardDepths := make([]int, len(e.queues))
+	for i, q := range e.queues {
+		q.mu.Lock()
+		shardDepths[i] = len(q.queued)
+		q.mu.Unlock()
+	}
 	e.mu.Lock()
 	st := Status{
 		Paused:         e.paused,

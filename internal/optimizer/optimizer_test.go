@@ -179,7 +179,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 	if err := o.RecoverNode(victim); err != nil {
 		t.Fatalf("RecoverNode: %v", err)
 	}
-	if eng.QueueDepth() == 0 {
+	if eng.Status().QueueDepth == 0 {
 		t.Fatal("recovery event queued no refresh")
 	}
 	eng.Drain()
@@ -208,7 +208,7 @@ func TestDedupUnderBurst(t *testing.T) {
 			Action:     orch.ActionSwapped,
 		})
 	}
-	if depth := eng.QueueDepth(); depth != 1 {
+	if depth := eng.Status().QueueDepth; depth != 1 {
 		t.Fatalf("queue depth = %d, want 1 (deduplicated)", depth)
 	}
 	st := eng.Status()
@@ -222,7 +222,7 @@ func TestDedupUnderBurst(t *testing.T) {
 	// Rebuild-class repairs additionally queue a re-home.
 	eng.OrchEvent(orch.Event{Kind: orch.EventRepairCompleted, Deployment: dep.ID, Action: orch.ActionRebuilt})
 	eng.OrchEvent(orch.Event{Kind: orch.EventRepairCompleted, Deployment: dep.ID, Action: orch.ActionRebuilt})
-	if depth := eng.QueueDepth(); depth != 2 {
+	if depth := eng.Status().QueueDepth; depth != 2 {
 		t.Fatalf("queue depth = %d, want 2 (re-protect + re-home)", depth)
 	}
 	eng.Drain()
@@ -236,13 +236,13 @@ func TestDeleteCancelsQueuedWork(t *testing.T) {
 	dep := provision(t, o, "chain-1")
 	eng.Enqueue(dep.ID, KindReProtect)
 	eng.Enqueue(dep.ID, KindRehome)
-	if depth := eng.QueueDepth(); depth != 2 {
+	if depth := eng.Status().QueueDepth; depth != 2 {
 		t.Fatalf("queue depth = %d, want 2", depth)
 	}
 	if _, err := o.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if depth := eng.QueueDepth(); depth != 0 {
+	if depth := eng.Status().QueueDepth; depth != 0 {
 		t.Fatalf("queue depth after delete = %d, want 0 (purged)", depth)
 	}
 	st := eng.Status()
@@ -321,7 +321,7 @@ func TestPauseResume(t *testing.T) {
 	o, eng := engineOver(t, wideTopo(t, 6), Options{})
 	dep := provision(t, o, "chain-1")
 	eng.Pause()
-	if !eng.Paused() {
+	if !eng.Status().Paused {
 		t.Fatal("not paused")
 	}
 	eng.Enqueue(dep.ID, KindReProtect)
@@ -329,7 +329,7 @@ func TestPauseResume(t *testing.T) {
 		t.Fatalf("paused drain ran %d tasks, want 1 (drain ignores pause)", len(results))
 	}
 	eng.Resume()
-	if eng.Paused() {
+	if eng.Status().Paused {
 		t.Fatal("still paused after resume")
 	}
 }

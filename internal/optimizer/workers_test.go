@@ -38,10 +38,10 @@ func stormRound(eng *Engine, deps []*orch.Deployment) {
 }
 
 // settle lets goroutines that have finished their work exit, by count:
-// it yields until NumGoroutine is at most want, at most 10 000 times.
+// it yields until NumGoroutine is at most want, at most 100 000 times.
 func settle(want int) int {
 	n := runtime.NumGoroutine()
-	for i := 0; i < 10000 && n > want; i++ {
+	for i := 0; i < 100000 && n > want; i++ {
 		runtime.Gosched()
 		n = runtime.NumGoroutine()
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -197,76 +196,51 @@ func TestProvisionBatchEmpty(t *testing.T) {
 // a batch keeps exactly `workers` provisions in flight at once — without
 // reading a clock. A stage observer holds every provision at the end of
 // its first stage until `workers` of them are there together: a pool
-// that ran them one after another would never fill the gate.
+// that ran them one after another would never fill the gate. A second
+// batch on the now warm pool must fill it again.
 func TestProvisionBatchOverlapsWork(t *testing.T) {
-	specs := batchSpecs(t, 24)
+	specs := batchSpecs(t, 48)
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			s, _ := newWideOrch(t, 128)
-			var mu sync.Mutex
-			running, peak := 0, 0
-			full := make(chan struct{})
-			var release sync.Once
-			observe := func(stage string, _ time.Duration) {
-				switch stage {
-				case "cluster":
-					mu.Lock()
-					running++
-					peak = max(peak, running)
-					if running == workers {
-						release.Do(func() { close(full) })
+			for round, batch := range [][]chain.Spec{specs[:24], specs[24:]} {
+				var mu sync.Mutex
+				running, peak := 0, 0
+				full := make(chan struct{})
+				var release sync.Once
+				observe := func(stage string, _ time.Duration) {
+					switch stage {
+					case "cluster":
+						mu.Lock()
+						running++
+						peak = max(peak, running)
+						if running == workers {
+							release.Do(func() { close(full) })
+						}
+						mu.Unlock()
+						select {
+						case <-full:
+						case <-time.After(30 * time.Second): // a serialized pool: fail, do not hang
+							t.Errorf("batch %d: gate never filled: the pool does not keep %d provisions in flight", round, workers)
+							release.Do(func() { close(full) })
+						}
+					case "rules":
+						mu.Lock()
+						running--
+						mu.Unlock()
 					}
-					mu.Unlock()
-					select {
-					case <-full:
-					case <-time.After(30 * time.Second): // a serialized pool: fail, do not hang
-						t.Errorf("gate never filled: the pool does not keep %d provisions in flight", workers)
-						release.Do(func() { close(full) })
+				}
+				s.UpdateHooks(func(h *Hooks) { h.Stage = observe })
+				for _, res := range s.ProvisionBatch(batch, workers) {
+					if res.Err != nil {
+						t.Fatalf("batch %d: provision: %v", round, res.Err)
 					}
-				case "rules":
-					mu.Lock()
-					running--
-					mu.Unlock()
 				}
-			}
-			s.UpdateHooks(func(h *Hooks) { h.Stage = observe })
-			for _, res := range s.ProvisionBatch(specs, workers) {
-				if res.Err != nil {
-					t.Fatalf("batch provision: %v", res.Err)
+				if peak != workers {
+					t.Fatalf("batch %d: %d provisions in flight at peak, want exactly the %d workers", round, peak, workers)
 				}
-			}
-			if peak != workers {
-				t.Fatalf("%d provisions in flight at peak, want exactly the %d workers", peak, workers)
 			}
 		})
-	}
-}
-
-// TestRunPoolRunsEveryIndexOnce: for no work, one item, fewer items than
-// workers and many, and for a defaulted pool size, every index runs
-// exactly once; one worker runs them in order.
-func TestRunPoolRunsEveryIndexOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 1000} {
-		for _, workers := range []int{-1, 0, 1, 4, 16} {
-			runs := make([]atomic.Int32, n)
-			var order []int
-			runPool(n, workers, func(i int) {
-				runs[i].Add(1)
-				if workers == 1 {
-					order = append(order, i)
-				}
-			})
-			for i := range runs {
-				if got := runs[i].Load(); got != 1 {
-					t.Fatalf("n=%d workers=%d: index %d ran %d times", n, workers, i, got)
-				}
-			}
-			for i, got := range order {
-				if got != i {
-					t.Fatalf("n=%d: one worker ran index %d %d-th, want ascending order", n, got, i)
-				}
-			}
-		}
 	}
 }
 

@@ -53,11 +53,15 @@ type DebounceStats struct {
 type FailureDebouncer struct {
 	h      FailureHandler
 	window time.Duration
+	clock  Clock
 
-	mu      sync.Mutex
-	nodes   map[topology.NodeID]struct{}
-	links   map[topology.LinkID]struct{}
-	timer   *time.Timer
+	mu    sync.Mutex
+	nodes map[topology.NodeID]struct{}
+	links map[topology.LinkID]struct{}
+	// stop cancels the armed window's expiry (nil when none is armed);
+	// gen numbers the windows, so a late expiry spares a newer one.
+	stop    func() bool
+	gen     uint64
 	stats   DebounceStats
 	onFlush func(d time.Duration, reports int)
 	tracer  *trace.Tracer
@@ -75,6 +79,7 @@ func NewFailureDebouncer(h FailureHandler, window time.Duration) *FailureDebounc
 	return &FailureDebouncer{
 		h:      h,
 		window: window,
+		clock:  WallClock,
 		nodes:  make(map[topology.NodeID]struct{}),
 		links:  make(map[topology.LinkID]struct{}),
 	}
@@ -119,27 +124,19 @@ func (d *FailureDebouncer) Report(ctx context.Context, nodes []topology.NodeID, 
 	for _, l := range links {
 		d.links[l] = struct{}{}
 	}
-	if d.tracer != nil {
-		if sc, ok := trace.FromContext(ctx); ok && len(d.parents) < maxBatchParents {
-			dup := false
-			for _, p := range d.parents {
-				if p.TraceID == sc.TraceID {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				d.parents = append(d.parents, sc)
-			}
-		}
+	if sc, ok := trace.FromContext(ctx); ok && d.tracer != nil && len(d.parents) < maxBatchParents &&
+		!slices.ContainsFunc(d.parents, func(p trace.SpanContext) bool { return p.TraceID == sc.TraceID }) {
+		d.parents = append(d.parents, sc)
 	}
 	if d.window <= 0 {
 		d.mu.Unlock()
 		d.Flush()
 		return
 	}
-	if d.timer == nil {
-		d.timer = time.AfterFunc(d.window, func() { d.Flush() })
+	if d.stop == nil {
+		d.gen++
+		gen := d.gen
+		d.stop = d.clock.AfterFunc(d.window, func() { d.flush(gen) })
 	} else {
 		d.stats.Coalesced++
 	}
@@ -148,16 +145,19 @@ func (d *FailureDebouncer) Report(ctx context.Context, nodes []topology.NodeID, 
 
 // Flush dispatches the pending union immediately as one HandleFailures
 // batch, cancelling the armed window, and returns the batch outcome. A
-// flush with nothing pending is a no-op returning (nil, nil). Exactly
-// one flusher dispatches any given union: a timer expiry racing an
-// explicit Flush finds the pending sets already drained.
-func (d *FailureDebouncer) Flush() ([]RepairReport, error) {
+// flush with nothing pending is a no-op returning (nil, nil).
+func (d *FailureDebouncer) Flush() ([]RepairReport, error) { return d.flush(0) }
+
+// flush is Flush, or with gen > 0 the expiry of window gen: a no-op once
+// that window is flushed, so an expiry racing a Flush spares the next.
+func (d *FailureDebouncer) flush(gen uint64) ([]RepairReport, error) {
 	d.mu.Lock()
-	if d.timer != nil {
-		d.timer.Stop()
-		d.timer = nil
+	stale := gen > 0 && (gen != d.gen || d.stop == nil)
+	if !stale && d.stop != nil {
+		d.stop()
+		d.stop = nil
 	}
-	if len(d.nodes) == 0 && len(d.links) == 0 {
+	if stale || len(d.nodes) == 0 && len(d.links) == 0 {
 		d.mu.Unlock()
 		return nil, nil
 	}

@@ -37,23 +37,24 @@ func (f *fakeHandler) batchCount() int {
 }
 
 // TestDebouncerCoalescesWindow: a burst of reports within one window
-// dispatches as exactly one union batch, with duplicates deduplicated.
+// dispatches as exactly one union batch, with duplicates deduplicated,
+// when the window expires and not before.
 func TestDebouncerCoalescesWindow(t *testing.T) {
 	h := &fakeHandler{}
+	clock := &manualClock{}
 	d := NewFailureDebouncer(h, 20*time.Millisecond)
-	done := make(chan struct{})
-	d.SetFlushObserver(func(time.Duration, int) { close(done) })
+	d.clock = clock
 
 	d.Report(bg, []topology.NodeID{1}, nil)
 	d.Report(bg, []topology.NodeID{2}, []topology.LinkID{10})
 	d.Report(bg, nil, []topology.LinkID{10, 11}) // duplicate link 10
 	d.Report(bg, []topology.NodeID{1}, nil)      // duplicate node 1
 
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("window never flushed")
+	clock.advance(20*time.Millisecond - 1)
+	if got := h.batchCount(); got != 0 {
+		t.Fatalf("batches = %d before the window expired, want 0", got)
 	}
+	clock.advance(1)
 	if got := h.batchCount(); got != 1 {
 		t.Fatalf("batches = %d, want 1", got)
 	}
@@ -66,6 +67,52 @@ func TestDebouncerCoalescesWindow(t *testing.T) {
 	st := d.Stats()
 	if st.Events != 4 || st.Batches != 1 || st.Coalesced != 3 {
 		t.Fatalf("stats = %+v, want Events=4 Batches=1 Coalesced=3", st)
+	}
+	if n := clock.armed(); n != 0 {
+		t.Fatalf("%d windows still armed after the flush", n)
+	}
+}
+
+// TestDebouncerStaleExpiryKeepsNextWindow: a window's expiry that fires
+// while an explicit Flush holds the debouncer runs only after that Flush
+// and a new report armed the next window. It must leave the next window
+// alone: the new report stays pending, later reports still coalesce into
+// it, and it flushes when its own expiry comes.
+func TestDebouncerStaleExpiryKeepsNextWindow(t *testing.T) {
+	h := &fakeHandler{}
+	clock := &manualClock{}
+	d := NewFailureDebouncer(h, 20*time.Millisecond)
+	d.clock = clock
+
+	d.Report(bg, []topology.NodeID{1}, nil)
+	// The first window's timer fires, and an explicit Flush dispatches its
+	// union before the expiry runs; then the next window opens, and only
+	// then the first expiry runs.
+	stale := clock.take()
+	if _, err := d.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	d.Report(bg, []topology.NodeID{2}, nil)
+	stale()
+	if got := h.batchCount(); got != 1 {
+		t.Fatalf("batches = %d after the stale expiry, want the explicit flush's 1", got)
+	}
+	if n, l := d.Pending(); n != 1 || l != 0 {
+		t.Fatalf("pending = (%d,%d) after the stale expiry, want the new report's (1,0)", n, l)
+	}
+	d.Report(bg, nil, []topology.LinkID{7})
+	if st := d.Stats(); st.Events != 3 || st.Batches != 1 || st.Coalesced != 1 {
+		t.Fatalf("stats = %+v, want Events=3 Batches=1 Coalesced=1", st)
+	}
+	clock.advance(20 * time.Millisecond)
+	if got := h.batchCount(); got != 2 {
+		t.Fatalf("batches = %d after the second window expired, want 2", got)
+	}
+	h.mu.Lock()
+	batch := h.batches[1]
+	h.mu.Unlock()
+	if len(batch[0]) != 1 || len(batch[1]) != 1 {
+		t.Fatalf("second batch = %v, want node 2 and link 7", batch)
 	}
 }
 

@@ -50,13 +50,6 @@ func (m *EventMux) Subscribe(s EventSink) (cancel func()) {
 	}
 }
 
-// Len returns the number of subscribed sinks.
-func (m *EventMux) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.subs)
-}
-
 // OrchEvent delivers the event to every subscriber in subscription
 // order. EventMux itself is an EventSink, so it plugs directly into
 // Hooks.Events.

@@ -10,13 +10,15 @@ import (
 // bg is what the package's tests pass where a request context goes.
 var bg = context.Background()
 
-// newTestSet builds an n-shard orchestrator over cfg.
+// newTestSet builds an n-shard orchestrator over cfg; the test's end
+// closes its pool.
 func newTestSet(t testing.TB, cfg Config, n int) *Sharded {
 	t.Helper()
 	s, err := New(cfg, n, ShardByTenant)
 	if err != nil {
 		t.Fatalf("New(%d shards): %v", n, err)
 	}
+	t.Cleanup(s.Close)
 	return s
 }
 

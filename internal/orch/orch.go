@@ -233,6 +233,11 @@ type sharedCore struct {
 	// group, giving their repair events a unique failure domain
 	// (failureDomain). Shared so sharded fleets number globally.
 	batchSeq uint64
+
+	// pool runs the set's fan-outs until Sharded.Close; clock times the
+	// reconciler's busy retries.
+	pool  executor
+	clock Clock
 }
 
 // newSharedCore builds the cross-shard substrate from a Config.
@@ -274,6 +279,8 @@ func newSharedCore(cfg Config) (*sharedCore, error) {
 		costModel:      model,
 		noStandby:      cfg.NoStandby,
 		deferReprotect: cfg.DeferReprotect,
+		pool:           NewPool(),
+		clock:          WallClock,
 	}
 	core.hooks.Store(&Hooks{})
 	return core, nil

@@ -144,8 +144,8 @@ func (c *sharedCore) markFailuresDown(nodes []topology.NodeID, links []topology.
 
 // reconcileFailures is the deployment half of HandleFailures: it finds
 // this shard's affected active deployments through the reverse indexes
-// (O(damage), not O(deployments)) and repairs them concurrently over a
-// bounded worker pool, one report per deployment in ID order. Every
+// (O(damage), not O(deployments)) and repairs them concurrently on the
+// set's pool, one report per deployment in ID order. Every
 // shard runs its own pass against the same already-marked failure set.
 // When tracing is enabled every repair records a span — a child of the
 // span in ctx (the HTTP request's root span, or a debouncer batch span)
@@ -155,7 +155,7 @@ func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.Fa
 	reports := make([]RepairReport, len(affected))
 	tr := o.hooks.Load().Tracer
 	parent, _ := trace.FromContext(ctx)
-	runPool(len(affected), 0, func(i int) {
+	o.pool.Run(len(affected), 0, func(i int) {
 		// One repair span per deployment wraps the whole busy-retry
 		// loop — retries are attempts at the same repair, not separate
 		// operations — continuing the caller's trace (the failure
@@ -171,7 +171,7 @@ func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.Fa
 		rep := o.repairAround(rctx, affected[i], dead)
 		for attempt := 0; attempt < busyRetries &&
 			rep.Action == ActionSkipped && errors.Is(rep.Err, ErrBusy); attempt++ {
-			time.Sleep(busyRetryDelay)
+			o.clock.Sleep(busyRetryDelay)
 			rep = o.repairAround(rctx, affected[i], dead)
 		}
 		if tr != nil {

@@ -79,9 +79,6 @@ func NewShardRouter(n int, mode ShardMode) ShardRouter {
 // Shards returns the shard count.
 func (r ShardRouter) Shards() int { return r.n }
 
-// Mode returns the routing mode.
-func (r ShardRouter) Mode() ShardMode { return r.mode }
-
 // ShardForKey returns the shard owning the given tenant/name flow key.
 // Both modes derive the shard from the flow key alone, so two specs
 // with the same flow key always land on the same shard — which is what
@@ -187,8 +184,9 @@ func New(cfg Config, n int, mode ShardMode) (*Sharded, error) {
 // Shards returns the shard count.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// Router returns the shard router.
-func (s *Sharded) Router() ShardRouter { return s.router }
+// Close ends the set's fan-out workers once each has finished what it
+// holds; a later fan-out starts them again.
+func (s *Sharded) Close() { s.core.pool.Close() }
 
 // Shard returns the i-th shard, for what only a shard has: its
 // Allocator, Controller, and the shared Manager, Slices and WDM.
@@ -207,8 +205,19 @@ func (s *Sharded) Provision(ctx context.Context, spec chain.Spec) (*Deployment, 
 	return s.shards[s.router.ShardForSpec(spec)].Provision(ctx, spec)
 }
 
+// BatchResult is the outcome of one spec in a ProvisionBatch call.
+// Exactly one of Deployment and Err is set.
+type BatchResult struct {
+	// Index is the spec's position in the submitted batch.
+	Index int
+	// Deployment is the provisioned chain on success.
+	Deployment *Deployment
+	// Err is the provisioning failure, nil on success.
+	Err error
+}
+
 // ProvisionBatch provisions independent specs concurrently across
-// shards over one bounded worker pool (DefaultBatchWorkers when
+// shards on the set's pool, workers wide (DefaultBatchWorkers when
 // workers <= 0), one result per spec in input order. Individual
 // failures do not abort the batch: each failed spec is rolled back
 // exactly as a lone Provision would be, and reported in its
@@ -231,7 +240,7 @@ func (s *Sharded) ProvisionBatch(specs []chain.Spec, workers int) []BatchResult 
 		}
 		seen[key] = i
 	}
-	runPool(len(specs), workers, func(i int) {
+	s.core.pool.Run(len(specs), workers, func(i int) {
 		if first, ok := dup[i]; ok {
 			results[i] = BatchResult{Index: i, Err: fmt.Errorf(
 				"orch: batch: spec %d duplicates flow key %q of spec %d",
@@ -319,12 +328,12 @@ func (s *Sharded) ActiveCount() int {
 // rack-scale batch. It marks the failed resources down once, in one
 // topology transaction — the topology and its liveness bits are
 // shared-core state — then fans the reconciliation pass out over every
-// shard concurrently: each shard classifies and repairs its own affected
-// deployments against the union of dead resources, so a rack failure
-// spanning tenants on different shards repairs every affected chain
-// exactly once. Reports merge in ID order; err carries the first failed
-// or permanently-busy repair. Every repair span joins the trace ctx
-// carries.
+// shard concurrently on the set's pool: each shard classifies and
+// repairs its own affected deployments against the union of dead
+// resources, so a rack failure spanning tenants on different shards
+// repairs every affected chain exactly once. Reports merge in ID order;
+// err carries the first failed or permanently-busy repair. Every repair
+// span joins the trace ctx carries.
 //
 // Unknown IDs are rejected up front: nothing is marked down and no
 // repair runs, so callers can map the error to a 404 without partial
@@ -338,7 +347,7 @@ func (s *Sharded) HandleFailures(ctx context.Context, nodes []topology.NodeID, l
 		return nil, err
 	}
 	perShard := make([][]RepairReport, len(s.shards))
-	runPool(len(s.shards), 0, func(i int) {
+	s.core.pool.Run(len(s.shards), 0, func(i int) {
 		perShard[i] = s.shards[i].reconcileFailures(ctx, dead)
 	})
 	domain := s.core.failureDomain(dead)
@@ -419,15 +428,6 @@ func (s *Sharded) TopologyJSON() ([]byte, error) {
 // ControllerOf returns the SDN controller of the shard owning the
 // deployment ID — flow rules live in the owning shard's tables.
 func (s *Sharded) ControllerOf(id DeploymentID) *sdn.Controller { return s.owner(id).ctrl }
-
-// PathComputations sums shortest-path runs across shard controllers.
-func (s *Sharded) PathComputations() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.ctrl.PathComputations()
-	}
-	return n
-}
 
 // RuleCount sums installed flow rules across shard controllers.
 func (s *Sharded) RuleCount() int {
