@@ -1,7 +1,6 @@
 // Ablation benchmarks for the design choices the package docs call out:
 // the §III-C weight reading (marginal vs static), the O/E/O accounting
-// convention, exact-oracle cost (Kőnig vs branch-and-bound), and the
-// repair/WDM extensions.
+// convention, and the repair/WDM extensions.
 package alvc_test
 
 import (
@@ -10,7 +9,6 @@ import (
 
 	"github.com/alvc/alvc/internal/chain"
 	"github.com/alvc/alvc/internal/cluster"
-	"github.com/alvc/alvc/internal/graph"
 	"github.com/alvc/alvc/internal/optical"
 	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/placement"
@@ -55,33 +53,6 @@ func BenchmarkAblation_Accounting(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblation_ExactOracles compares the two exact bipartite
-// MIN-VCP oracles: polynomial Kőnig vs exponential branch-and-bound.
-func BenchmarkAblation_ExactOracles(b *testing.B) {
-	bp := graph.NewBipartite()
-	g := graph.New(false)
-	for l := 0; l < 12; l++ {
-		for r := 0; r < 8; r++ {
-			if (l+r)%3 == 0 {
-				bp.AddEdge(graph.VertexID(l), graph.VertexID(100+r))
-				_ = g.AddEdge(graph.VertexID(l), graph.VertexID(100+r), 1)
-			}
-		}
-	}
-	b.Run("koenig", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = graph.KoenigVertexCover(bp)
-		}
-	})
-	b.Run("branch-and-bound", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := graph.VertexCoverExact(g); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkE13_Repair times one full failure-repair cycle.

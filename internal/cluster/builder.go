@@ -138,8 +138,7 @@ func (p PaperBuilder) Name() string {
 }
 
 // Build implements Builder: allowOPS densified once into a mask by node
-// ID, the way Snapshot.Filter densifies a RestrictOPS set, then
-// buildMarginal. The Allocator keeps that mask itself and skips this.
+// ID, then buildMarginal. The Allocator keeps that mask itself and skips this.
 func (p PaperBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
 	if p.StaticWeight {
 		return buildStaticWeight(topo, vms, allowOPS)

@@ -112,7 +112,7 @@ func putAvoidScratch(s *avoidScratch) {
 // least, and returns the extended buffer. Every crossing costs more than
 // any simple path weighs, so one search answers both questions: with
 // nothing to avoid (nil or empty set) the path weighs what
-// ShortestPathMasked's does, and a path clear of the avoid set is found
+// ShortestPathIn's does, and a path clear of the avoid set is found
 // whenever one exists. src and dst themselves are never charged.
 //
 // r and m restrict the search as in ShortestPathIn. The search is

@@ -57,7 +57,7 @@ func randomAvoidCase(t *testing.T, rng *rand.Rand, n, extra int, pBlock, pDown, 
 			c.blocked[i] = true
 		}
 		if rng.Float64() < pDown {
-			c.mask.SetVertexDown(i, true)
+			c.mask.Patch(map[int32]bool{i: true}, nil, true)
 		}
 		if rng.Float64() < pAvoid {
 			c.avoid.AddVertex(i)
@@ -89,7 +89,7 @@ func randomAvoidCase(t *testing.T, rng *rand.Rand, n, extra int, pBlock, pDown, 
 			}
 		}
 		if down {
-			c.mask.SetArcsDown(arcs, true)
+			c.mask.Patch(nil, arcs, true)
 		}
 		if avoided {
 			c.avoid.AddArcs(arcs)
@@ -238,8 +238,8 @@ func TestShortestPathAvoidingExact(t *testing.T) {
 }
 
 // TestShortestPathAvoidingNothingMatchesMasked: with nothing to avoid
-// the path weighs what ShortestPathMasked's does, whatever the filter,
-// the mask and the spread, and both fail together.
+// the path weighs what the plain search's does, whatever the
+// restriction, the mask and the spread, and both fail together.
 func TestShortestPathAvoidingNothingMatchesMasked(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 600; trial++ {
@@ -248,11 +248,7 @@ func TestShortestPathAvoidingNothingMatchesMasked(t *testing.T) {
 		if trial%2 == 0 {
 			avoid = nil
 		}
-		filter := Filter(nil)
-		if c.blocked != nil {
-			filter = func(v VertexID) bool { return !c.blocked[c.f.index[v]] }
-		}
-		_, want, wantErr := c.f.ShortestPathMasked(c.src, c.dst, filter, c.mask)
+		_, want, wantErr := shortestPathDenseMask(c.f, c.src, c.dst, c.blocked, c.mask)
 		got, _, err := ShortestPathAvoiding[VertexID](c.f, nil, c.src, c.dst, c.restrict, c.mask, avoid, c.spread)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("trial %d: avoiding err %v, masked err %v", trial, err, wantErr)
@@ -373,7 +369,7 @@ func BenchmarkShortestPathAvoiding(b *testing.B) {
 	}
 	f := g.Frozen()
 	avoid := f.NewAvoidSet()
-	primary, _, _ := f.ShortestPath(pmIDs[0], pmIDs[len(pmIDs)-1])
+	primary, _, _ := f.ShortestPathIn(pmIDs[0], pmIDs[len(pmIDs)-1], nil, nil)
 	for _, v := range primary[1 : len(primary)-1] {
 		avoid.AddVertex(f.index[v])
 	}

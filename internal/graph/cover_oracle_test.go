@@ -208,42 +208,6 @@ func TestCoverMarginalAllocsDoNotGrowWithRounds(t *testing.T) {
 	}
 }
 
-// The flat set-cover formulation is the same rule on the inverted
-// family: its greedy equals the oracle's on the equivalent bipartite
-// graph, uncoverable universes included.
-func TestSetCoverGreedyEqualsOracle(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		sc, b := NewSetCoverInstance(), NewBipartite()
-		for e := 0; e < 20; e++ {
-			if rng.Intn(40) == 0 { // an element no set may hold
-				sc.AddElement(1000 + e)
-				b.AddLeft(VertexID(1000 + e))
-			}
-		}
-		for id, n := 0, 1+rng.Intn(10); id < n; id++ {
-			var members []int
-			for e := 0; e < 20; e++ {
-				if rng.Float64() < 0.25 {
-					members = append(members, e)
-					b.AddEdge(VertexID(e), VertexID(id))
-				}
-			}
-			sc.AddSet(SetID(id), members)
-		}
-		got, err := sc.Greedy()
-		want, wantErr := oracleCoverGreedy(b)
-		if (err != nil) != (wantErr != nil) || len(got) != len(want) {
-			t.Fatalf("seed %d: Greedy = %v, %v; oracle %v, %v", seed, got, err, want, wantErr)
-		}
-		for i := range got {
-			if VertexID(got[i]) != want[i] {
-				t.Fatalf("seed %d: Greedy = %v, oracle %v", seed, got, want)
-			}
-		}
-	}
-}
-
 // The pooled working arrays are each call's own for its duration: covers
 // computed by several goroutines at once, over instances of different
 // spans, equal the ones computed alone. Run under -race.

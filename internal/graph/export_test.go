@@ -1,0 +1,6 @@
+package graph
+
+// CSR returns f's arrays, for tests outside the package to compare.
+func (f *Frozen) CSR() (ids []VertexID, offsets, targets []int32, weights []float64, tags []int64) {
+	return f.ids, f.offsets, f.targets, f.weights, f.tags
+}

@@ -1,20 +1,22 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Frozen is an immutable compressed-sparse-row (CSR) view of a Graph,
-// built once and queried many times. Vertices are mapped onto dense
+// Frozen is an immutable compressed-sparse-row (CSR) graph, built once
+// by NewFrozen and queried many times. Vertices are mapped onto dense
 // int32 indices in ascending VertexID order; each vertex's out-edges
-// live in one contiguous, sorted-once region of the targets/weights
-// arrays. The VertexID → index map is a table as long as the largest
-// vertex ID, which suits the small dense IDs a topology hands out (IDs
-// must be non-negative). Searches run over slice-based
+// live in one contiguous region of the targets/weights arrays, sorted by
+// (target, weight, tag). The VertexID → index map is a table as long as
+// the largest vertex ID, which suits the small dense IDs a topology
+// hands out (IDs must be non-negative). Searches run over slice-based
 // distance/predecessor state with an index-keyed binary heap and pooled
 // scratch buffers, so a warm query allocates only its result.
 //
@@ -22,15 +24,15 @@ import (
 // same (lower vertex ID first) tie-breaking, the same relaxation order,
 // the same epsilon. The snapshot cache in internal/topology relies on
 // this equivalence to serve restricted (in-slice) searches from an
-// unrestricted snapshot via vertex filters.
+// unrestricted snapshot through a Restriction.
 type Frozen struct {
 	directed bool
 	ids      []VertexID // index -> VertexID, ascending
 	index    []int32    // VertexID -> index, -1 where no vertex
 	offsets  []int32    // per-vertex edge region, len(ids)+1
-	targets  []int32    // edge head indices, sorted by (id, weight)
+	targets  []int32    // edge head indices, sorted by (id, weight, tag)
 	weights  []float64
-	tags     []int64 // per-arc caller tags (nil when the source graph had none)
+	tags     []int64 // per-arc caller tags (nil when every tag is 0)
 	edges    int
 	// penalty exceeds the weight of every simple path (1 + the sum of all
 	// arc weights): what ShortestPathAvoiding charges per avoided crossing.
@@ -47,68 +49,117 @@ type Frozen struct {
 }
 
 // SearchResets returns how many dist/prev/done entries the plain search
-// (ShortestPath*, Distances*, KShortestPaths*) has restored after its
-// runs on f — one per vertex a run reached, not one per vertex of f.
+// (ShortestPathIn, KShortestPathsIn) has restored after its runs on f —
+// one per vertex a run reached, not one per vertex of f.
 func (f *Frozen) SearchResets() int64 { return f.resets.Load() }
 
-// Frozen returns an immutable CSR snapshot of the graph. Subsequent
-// mutations of g do not affect the returned value. It panics on a
-// negative vertex ID.
-func (g *Graph) Frozen() *Frozen {
-	ids := g.Vertices()
+// arc is one CSR entry while NewFrozen lays a vertex's region out.
+type arc struct {
+	to     int32
+	weight float64
+	tag    int64
+}
+
+// cmpArc orders a region by (target, weight, tag): the target order the
+// searches' tie-breaking reads, the lightest of parallel arcs first, and
+// the tag to settle the rest, so one edge set gives one CSR.
+func cmpArc(a, b arc) int {
+	if c := cmp.Compare(a.to, b.to); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.weight, b.weight); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.tag, b.tag)
+}
+
+// NewFrozen builds the CSR graph over the vertices ids, which must be
+// ascending and non-negative, and the edges between them: an undirected
+// edge becomes an arc from each end, each carrying the edge's weight
+// (non-negative) and tag. The CSR is laid out by counting sort — degrees
+// counted, arcs placed, each vertex's region sorted by (target, weight,
+// tag) — so it depends on the edge set alone, not on the edges' order.
+// f keeps ids. It panics on a negative ID or an endpoint not in ids.
+func NewFrozen(directed bool, ids []VertexID, edges []Edge) *Frozen {
+	n := len(ids)
 	var index []int32
-	if len(ids) > 0 {
+	if n > 0 {
 		if ids[0] < 0 {
-			panic(fmt.Sprintf("graph: Frozen: negative vertex ID %d", ids[0]))
+			panic(fmt.Sprintf("graph: NewFrozen: negative vertex ID %d", ids[0]))
 		}
-		index = make([]int32, ids[len(ids)-1]+1)
+		index = make([]int32, ids[n-1]+1)
 		for i := range index {
 			index[i] = -1
 		}
-	}
-	for i, id := range ids {
-		index[id] = int32(i)
-	}
-	total := 0
-	for _, id := range ids {
-		total += len(g.adj[id])
-	}
-	f := &Frozen{
-		directed: g.directed,
-		ids:      ids,
-		index:    index,
-		offsets:  make([]int32, len(ids)+1),
-		targets:  make([]int32, 0, total),
-		weights:  make([]float64, 0, total),
-		edges:    g.edges,
-	}
-	if g.tagged {
-		f.tags = make([]int64, 0, total)
-	}
-	var scratch []halfEdge
-	for i, id := range ids {
-		scratch = append(scratch[:0], g.adj[id]...)
-		// Sorted once here instead of on every Dijkstra pop; index order
-		// equals VertexID order, so (to, weight) and (index, weight)
-		// sorts agree.
-		sort.Slice(scratch, func(a, b int) bool {
-			if scratch[a].to != scratch[b].to {
-				return scratch[a].to < scratch[b].to
-			}
-			return scratch[a].weight < scratch[b].weight
-		})
-		for _, he := range scratch {
-			f.targets = append(f.targets, index[he.to])
-			f.weights = append(f.weights, he.weight)
-			f.penalty += he.weight
-			if f.tags != nil {
-				f.tags = append(f.tags, he.tag)
-			}
+		for i, id := range ids {
+			index[id] = int32(i)
 		}
-		f.offsets[i+1] = int32(len(f.targets))
+	}
+	f := &Frozen{directed: directed, ids: ids, index: index, offsets: make([]int32, n+1), edges: len(edges)}
+	at := func(v VertexID) int32 {
+		i, ok := f.IndexOf(v)
+		if !ok {
+			panic(fmt.Sprintf("graph: NewFrozen: edge endpoint %d is not a vertex", v))
+		}
+		return i
+	}
+	// Degrees land in offsets[u+1]; the prefix sum turns them into region
+	// starts, which placement advances to region ends, one slot down.
+	tagged := false
+	for _, e := range edges {
+		f.offsets[at(e.From)+1]++
+		if !directed {
+			f.offsets[at(e.To)+1]++
+		}
+		tagged = tagged || e.Tag != 0
+	}
+	for i := 0; i < n; i++ {
+		f.offsets[i+1] += f.offsets[i]
+	}
+	arcs := make([]arc, f.offsets[n])
+	for _, e := range edges {
+		u, v := at(e.From), at(e.To)
+		arcs[f.offsets[u]] = arc{v, e.Weight, e.Tag}
+		f.offsets[u]++
+		if !directed {
+			arcs[f.offsets[v]] = arc{u, e.Weight, e.Tag}
+			f.offsets[v]++
+		}
+	}
+	copy(f.offsets[1:], f.offsets[:n])
+	f.offsets[0] = 0
+	f.targets = make([]int32, len(arcs))
+	f.weights = make([]float64, len(arcs))
+	if tagged {
+		f.tags = make([]int64, len(arcs))
+	}
+	for u := 0; u < n; u++ {
+		slices.SortFunc(arcs[f.offsets[u]:f.offsets[u+1]], cmpArc)
+	}
+	for e, a := range arcs {
+		f.targets[e], f.weights[e] = a.to, a.weight
+		f.penalty += a.weight
+		if tagged {
+			f.tags[e] = a.tag
+		}
 	}
 	f.penalty++
 	return f
+}
+
+// Frozen returns an immutable CSR snapshot of the graph, built by
+// NewFrozen. Subsequent mutations of g do not affect the returned value.
+// It panics on a negative vertex ID.
+func (g *Graph) Frozen() *Frozen {
+	var edges []Edge
+	for u, hes := range g.adj {
+		for _, he := range hes {
+			if g.directed || u < he.to { // an undirected edge once
+				edges = append(edges, Edge{From: u, To: he.to, Weight: he.weight, Tag: he.tag})
+			}
+		}
+	}
+	return NewFrozen(g.directed, g.Vertices(), edges)
 }
 
 // IndexOf returns the dense index of v, used to address LiveMask vertex
@@ -137,9 +188,16 @@ func (f *Frozen) SoleArc(u, v int32) (int32, bool) {
 	return 0, false
 }
 
+// ArcsOf returns the arcs leaving the vertex with dense index u: their
+// targets' dense indices, and the CSR position of the first, the others
+// following it. The caller must not modify the returned slice.
+func (f *Frozen) ArcsOf(u int32) (first int32, targets []int32) {
+	return f.offsets[u], f.targets[f.offsets[u]:f.offsets[u+1]]
+}
+
 // ArcTags returns the caller tag of every CSR arc position (parallel to
-// the internal targets array), or nil if the source graph was untagged.
-// The caller must not modify the returned slice.
+// the internal targets array), or nil if every tag was 0. The caller
+// must not modify the returned slice.
 func (f *Frozen) ArcTags() []int64 { return f.tags }
 
 // Directed reports whether the source graph was directed.
@@ -193,12 +251,6 @@ func (f *Frozen) edgeWeightIdx(ui, vi int32, maskArc []bool) (float64, bool) {
 	return 0, false
 }
 
-// Filter restricts a search to a subset of vertices: a vertex is
-// traversable iff the predicate returns true (a nil Filter admits
-// every vertex). The source and destination must pass the filter for a
-// path to exist.
-type Filter func(VertexID) bool
-
 // frozenItem is one entry of the index-keyed search heap.
 type frozenItem struct {
 	dist float64
@@ -219,14 +271,8 @@ type frozenScratch struct {
 	heap    []frozenItem
 	touched []int32
 
-	// blocked marks, by dense index, the vertices the current search may
-	// not enter (nil = none): filterBuf, the Filter densified once per
-	// search instead of called once per relaxed edge — Yen's spur
-	// searches, many Dijkstras sharing one filter, reuse it.
-	blocked   []bool
-	filterBuf []bool
-	// restrict is ShortestPathIn's restriction (nil = none): it names the
-	// arcs to relax, where blocked is a test on every arc of the graph.
+	// restrict is the search's restriction (nil = none): it names the arcs
+	// to relax.
 	restrict *Restriction
 
 	// Yen's spur state: banned vertices (root-path prefix) and banned
@@ -259,32 +305,16 @@ func (f *Frozen) getScratch() *frozenScratch {
 		}
 		s.done = make([]bool, n)
 		s.banVertex = make([]bool, n)
-		s.filterBuf = make([]bool, n)
 	}
 	// The whole capacity stays clean, so a smaller graph may reslice.
 	s.dist = s.dist[:n]
 	s.prev = s.prev[:n]
 	s.done = s.done[:n]
 	s.banVertex = s.banVertex[:n]
-	s.filterBuf = s.filterBuf[:n]
-	s.blocked, s.restrict = nil, nil
+	s.restrict = nil
 	s.maskVertex, s.maskArc = nil, nil
 	s.heap = s.heap[:0]
 	return s
-}
-
-// densifyFilter evaluates filter once per vertex into s.filterBuf, so
-// the relaxation loop tests a slice index instead of calling a closure
-// per edge. A nil filter blocks nothing.
-func (f *Frozen) densifyFilter(filter Filter, s *frozenScratch) {
-	if filter == nil {
-		s.blocked = nil
-		return
-	}
-	for i, id := range f.ids {
-		s.filterBuf[i] = !filter(id)
-	}
-	s.blocked = s.filterBuf
 }
 
 func (f *Frozen) putScratch(s *frozenScratch) {
@@ -356,15 +386,14 @@ func frozenLess(a, b frozenItem) bool {
 }
 
 // dijkstra runs a single-source search from src, stopping early once
-// dst is settled (pass dst = -1 for a full sweep). The scratch's
-// blocked mask or restriction bars vertices; the ban sets mask Yen's
-// spur removals. Results land in s.dist / s.prev.
+// dst is settled. The scratch's restriction bars vertices; the ban sets
+// mask Yen's spur removals. Results land in s.dist / s.prev.
 func (f *Frozen) dijkstra(src, dst int32, useBans bool, s *frozenScratch) {
 	f.resetSearch(s)
 	s.dist[src] = 0
 	s.touched = append(s.touched, src)
 	heapPush(&s.heap, frozenItem{dist: 0, idx: src})
-	blocked, restrict := s.blocked, s.restrict
+	restrict := s.restrict
 	maskVertex, maskArc := s.maskVertex, s.maskArc
 	for len(s.heap) > 0 {
 		it := heapPop(&s.heap)
@@ -388,9 +417,6 @@ func (f *Frozen) dijkstra(src, dst int32, useBans bool, s *frozenScratch) {
 					continue
 				}
 				if maskVertex != nil && maskVertex[v] {
-					continue
-				}
-				if blocked != nil && blocked[v] {
 					continue
 				}
 				if useBans {
@@ -449,46 +475,15 @@ func (f *Frozen) extractPath(src, dst int32, s *frozenScratch) []VertexID {
 	return path
 }
 
-// ShortestPath returns the minimum-weight path from src to dst and its
-// total weight, with ties broken toward lower vertex IDs. It is
-// output-identical to Graph.ShortestPath.
-func (f *Frozen) ShortestPath(src, dst VertexID) ([]VertexID, float64, error) {
-	return f.ShortestPathFiltered(src, dst, nil)
-}
-
-// ShortestPathFiltered is ShortestPath restricted to vertices admitted
-// by filter. It is output-identical to rebuilding the subgraph induced
-// by the filter and searching it.
-func (f *Frozen) ShortestPathFiltered(src, dst VertexID, filter Filter) ([]VertexID, float64, error) {
-	return f.ShortestPathMasked(src, dst, filter, nil)
-}
-
-// ShortestPathMasked is ShortestPathFiltered with a durable liveness
-// mask applied on top of the filter (nil mask = no masking). It is
-// output-identical to rebuilding the graph without the masked vertices
-// and arcs and searching that.
-func (f *Frozen) ShortestPathMasked(src, dst VertexID, filter Filter, m *LiveMask) ([]VertexID, float64, error) {
-	s := f.getScratch()
-	defer f.putScratch(s)
-	f.densifyFilter(filter, s)
-	return f.shortestPath(src, dst, m, s)
-}
-
-// ShortestPathIn is ShortestPathMasked with the restriction given as a
-// Restriction instead of a predicate (nil restricts nothing). It returns
-// what a Filter barring the same vertices would, and relaxes only the
-// arcs the restriction leaves: a caller running many searches under one
-// restriction seals it once. The restriction is only read.
+// ShortestPathIn returns the minimum-weight path from src to dst and its
+// total weight, with ties broken toward lower vertex IDs, under the
+// restriction r (nil restricts nothing) and the durable liveness mask m
+// (nil masks nothing). It is output-identical to Graph.ShortestPath on
+// the graph rebuilt without the barred vertices and the masked vertices
+// and arcs, and relaxes only the arcs the restriction leaves: a caller
+// running many searches under one restriction seals it once. The
+// restriction is only read.
 func (f *Frozen) ShortestPathIn(src, dst VertexID, r *Restriction, m *LiveMask) ([]VertexID, float64, error) {
-	s := f.getScratch()
-	defer f.putScratch(s)
-	s.restrict = r
-	return f.shortestPath(src, dst, m, s)
-}
-
-// shortestPath is the search behind ShortestPathMasked and
-// ShortestPathIn; the scratch carries the filter or the restriction.
-func (f *Frozen) shortestPath(src, dst VertexID, m *LiveMask, s *frozenScratch) ([]VertexID, float64, error) {
 	si, ok := f.IndexOf(src)
 	if !ok {
 		return nil, 0, fmt.Errorf("graph: shortest path: unknown source %d", src)
@@ -497,9 +492,12 @@ func (f *Frozen) shortestPath(src, dst VertexID, m *LiveMask, s *frozenScratch) 
 	if !ok {
 		return nil, 0, fmt.Errorf("graph: shortest path: unknown destination %d", dst)
 	}
-	if s.restrict.bars(si) || s.restrict.bars(di) || (s.blocked != nil && (s.blocked[si] || s.blocked[di])) {
+	if r.bars(si) || r.bars(di) {
 		return nil, 0, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 	}
+	s := f.getScratch()
+	defer f.putScratch(s)
+	s.restrict = r
 	if m != nil {
 		m.mu.RLock()
 		defer m.mu.RUnlock()
@@ -515,127 +513,17 @@ func (f *Frozen) shortestPath(src, dst VertexID, m *LiveMask, s *frozenScratch) 
 	return f.extractPath(si, di, s), s.dist[di], nil
 }
 
-// Distances returns the shortest-path weight from src to every
-// reachable vertex admitted by filter (nil = all).
-func (f *Frozen) Distances(src VertexID, filter Filter) (map[VertexID]float64, error) {
-	return f.DistancesMasked(src, filter, nil)
-}
-
-// DistancesMasked is Distances with a durable liveness mask applied on
-// top of the filter (nil mask = no masking). A masked source yields an
-// empty map, mirroring a source excluded by the filter.
-func (f *Frozen) DistancesMasked(src VertexID, filter Filter, m *LiveMask) (map[VertexID]float64, error) {
-	si, ok := f.IndexOf(src)
-	if !ok {
-		return nil, fmt.Errorf("graph: distances: unknown source %d", src)
-	}
-	if filter != nil && !filter(src) {
-		return map[VertexID]float64{}, nil
-	}
-	s := f.getScratch()
-	defer f.putScratch(s)
-	if m != nil {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		s.maskVertex, s.maskArc = m.downVertex, m.downArc
-		if s.maskVertex[si] {
-			return map[VertexID]float64{}, nil
-		}
-	}
-	f.densifyFilter(filter, s)
-	f.dijkstra(si, -1, false, s)
-	out := make(map[VertexID]float64)
-	for i, d := range s.dist {
-		if !math.IsInf(d, 1) {
-			out[f.ids[i]] = d
-		}
-	}
-	return out, nil
-}
-
-// BFSOrder returns vertices reachable from src in breadth-first order
-// with sorted tie-breaking, honoring the filter (nil = all). It is
-// output-identical to Graph.BFSOrder on the filtered subgraph.
-func (f *Frozen) BFSOrder(src VertexID, filter Filter) []VertexID {
-	return f.BFSOrderMasked(src, filter, nil)
-}
-
-// BFSOrderMasked is BFSOrder with a durable liveness mask applied on
-// top of the filter (nil mask = no masking). A masked source yields nil,
-// mirroring a source excluded by the filter.
-func (f *Frozen) BFSOrderMasked(src VertexID, filter Filter, m *LiveMask) []VertexID {
-	si, ok := f.IndexOf(src)
-	if !ok {
-		return nil
-	}
-	if filter != nil && !filter(src) {
-		return nil
-	}
-	var maskVertex, maskArc []bool
-	if m != nil {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-		maskVertex, maskArc = m.downVertex, m.downArc
-		if maskVertex[si] {
-			return nil
-		}
-	}
-	seen := make([]bool, len(f.ids))
-	seen[si] = true
-	order := []VertexID{src}
-	frontier := []int32{si}
-	for len(frontier) > 0 {
-		var next []int32
-		for _, u := range frontier {
-			// The CSR region is sorted by target, so neighbors come out
-			// in ascending-ID order; consecutive duplicates (parallel
-			// edges) collapse via the seen check.
-			for e := f.offsets[u]; e < f.offsets[u+1]; e++ {
-				v := f.targets[e]
-				if maskArc != nil && maskArc[e] {
-					continue
-				}
-				if maskVertex != nil && maskVertex[v] {
-					continue
-				}
-				if seen[v] {
-					continue
-				}
-				if filter != nil && !filter(f.ids[v]) {
-					continue
-				}
-				seen[v] = true
-				order = append(order, f.ids[v])
-				next = append(next, v)
-			}
-		}
-		frontier = next
-	}
-	return order
-}
-
-// KShortestPaths returns up to k loopless paths from src to dst in
-// nondecreasing weight order (Yen's algorithm). It is output-identical
-// to Graph.KShortestPaths but masks spur removals with ban sets instead
-// of cloning and mutating a work graph per spur.
-func (f *Frozen) KShortestPaths(src, dst VertexID, k int) ([][]VertexID, []float64, error) {
-	return f.KShortestPathsFiltered(src, dst, k, nil)
-}
-
-// KShortestPathsFiltered is KShortestPaths restricted to vertices
-// admitted by filter.
-func (f *Frozen) KShortestPathsFiltered(src, dst VertexID, k int, filter Filter) ([][]VertexID, []float64, error) {
-	paths, weights, _, err := f.KShortestPathsMasked(src, dst, k, filter, nil)
-	return paths, weights, err
-}
-
-// KShortestPathsMasked is KShortestPathsFiltered with a durable
-// liveness mask applied on top of the filter (nil mask = no masking):
-// masked vertices and arcs are invisible to the first search, every
-// spur search, and candidate path weighing, exactly as if the graph had
-// been rebuilt without them. It also returns the mask's digest as the
-// run read it (0 without a mask): the live state the paths are exact for.
-func (f *Frozen) KShortestPathsMasked(src, dst VertexID, k int, filter Filter, m *LiveMask) ([][]VertexID, []float64, uint64, error) {
+// KShortestPathsIn returns up to k loopless paths from src to dst in
+// nondecreasing weight order (Yen's algorithm) under the restriction r
+// and the liveness mask m, as ShortestPathIn searches: barred and masked
+// vertices and arcs are invisible to the first search, every spur search
+// and candidate path weighing, exactly as if the graph had been rebuilt
+// without them. It is output-identical to Graph.KShortestPaths on that
+// graph but masks spur removals with ban sets instead of cloning and
+// mutating a work graph per spur. It also returns the mask's digest as
+// the run read it (0 without a mask): the live state the paths are exact
+// for.
+func (f *Frozen) KShortestPathsIn(src, dst VertexID, k int, r *Restriction, m *LiveMask) ([][]VertexID, []float64, uint64, error) {
 	if k <= 0 {
 		return nil, nil, 0, fmt.Errorf("graph: k-shortest paths: k must be positive, got %d", k)
 	}
@@ -647,11 +535,12 @@ func (f *Frozen) KShortestPathsMasked(src, dst VertexID, k int, filter Filter, m
 	if !ok {
 		return nil, nil, 0, fmt.Errorf("graph: shortest path: unknown destination %d", dst)
 	}
-	if filter != nil && (!filter(src) || !filter(dst)) {
+	if r.bars(si) || r.bars(di) {
 		return nil, nil, 0, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 	}
 	s := f.getScratch()
 	defer f.putScratch(s)
+	s.restrict = r
 	var digest uint64
 	if m != nil {
 		// One read-lock spans the whole Yen run: liveness patches wait
@@ -664,7 +553,6 @@ func (f *Frozen) KShortestPathsMasked(src, dst VertexID, k int, filter Filter, m
 			return nil, nil, digest, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 		}
 	}
-	f.densifyFilter(filter, s)
 	f.dijkstra(si, di, false, s)
 	if math.IsInf(s.dist[di], 1) {
 		return nil, nil, digest, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)

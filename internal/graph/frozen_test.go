@@ -60,7 +60,7 @@ func TestFrozenShortestPathGolden(t *testing.T) {
 			src := VertexID(1 + rng.Intn(40))
 			dst := VertexID(1 + rng.Intn(40))
 			wantPath, wantW, wantErr := g.ShortestPath(src, dst)
-			gotPath, gotW, gotErr := f.ShortestPath(src, dst)
+			gotPath, gotW, gotErr := f.ShortestPathIn(src, dst, nil, nil)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("seed %d %d->%d: error mismatch map=%v frozen=%v", seed, src, dst, wantErr, gotErr)
 			}
@@ -75,33 +75,41 @@ func TestFrozenShortestPathGolden(t *testing.T) {
 	}
 }
 
-// TestFrozenFilteredEqualsSubgraph asserts that a filtered frozen
-// search equals a cold search over the induced subgraph — the exact
-// contract the topology snapshot cache relies on for RestrictOPS.
+// TestFrozenFilteredEqualsSubgraph asserts that a search under a
+// Restriction equals a cold search over the induced subgraph — the exact
+// contract the topology snapshot cache relies on for in-slice searches.
 func TestFrozenFilteredEqualsSubgraph(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		g := randomWeightedGraph(t, seed, 30, 90)
 		f := g.Frozen()
+		all := make([]bool, f.VertexCount())
+		for i := range all {
+			all[i] = true
+		}
+		f.IndexRestrictable(all)
+		r := f.NewRestriction()
 		rng := rand.New(rand.NewSource(seed * 77))
 		for trial := 0; trial < 30; trial++ {
 			keep := make(map[VertexID]bool)
+			r.Reset()
 			for v := 1; v <= 30; v++ {
 				if rng.Float64() < 0.7 {
 					keep[VertexID(v)] = true
+					r.Admit(f.index[v])
 				}
 			}
+			r.Seal()
 			sub := g.Subgraph(keep)
-			filter := func(v VertexID) bool { return keep[v] }
 			src := VertexID(1 + rng.Intn(30))
 			dst := VertexID(1 + rng.Intn(30))
 			if !keep[src] || !keep[dst] {
-				if _, _, err := f.ShortestPathFiltered(src, dst, filter); !errors.Is(err, ErrNoPath) {
+				if _, _, err := f.ShortestPathIn(src, dst, r, nil); !errors.Is(err, ErrNoPath) {
 					t.Fatalf("seed %d: filtered-out endpoint should yield ErrNoPath, got %v", seed, err)
 				}
 				continue
 			}
 			wantPath, wantW, wantErr := sub.ShortestPath(src, dst)
-			gotPath, gotW, gotErr := f.ShortestPathFiltered(src, dst, filter)
+			gotPath, gotW, gotErr := f.ShortestPathIn(src, dst, r, nil)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("seed %d %d->%d: error mismatch sub=%v frozen=%v", seed, src, dst, wantErr, gotErr)
 			}
@@ -131,7 +139,7 @@ func TestFrozenKShortestGolden(t *testing.T) {
 			}
 			k := 1 + rng.Intn(5)
 			wantPaths, wantWs, wantErr := g.KShortestPaths(src, dst, k)
-			gotPaths, gotWs, gotErr := f.KShortestPaths(src, dst, k)
+			gotPaths, gotWs, _, gotErr := f.KShortestPathsIn(src, dst, k, nil, nil)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("seed %d %d->%d k=%d: error mismatch map=%v frozen=%v", seed, src, dst, k, wantErr, gotErr)
 			}
@@ -147,32 +155,6 @@ func TestFrozenKShortestGolden(t *testing.T) {
 						seed, src, dst, k, i, wantPaths[i], wantWs[i], gotPaths[i], gotWs[i])
 				}
 			}
-		}
-	}
-}
-
-// TestFrozenBFSOrderGolden asserts BFS order parity, unfiltered and
-// against the induced subgraph when filtered.
-func TestFrozenBFSOrderGolden(t *testing.T) {
-	g := randomWeightedGraph(t, 3, 25, 60)
-	f := g.Frozen()
-	for v := 1; v <= 25; v++ {
-		want := g.BFSOrder(VertexID(v))
-		got := f.BFSOrder(VertexID(v), nil)
-		if !pathsEqual(want, got) {
-			t.Fatalf("BFS from %d: map %v vs frozen %v", v, want, got)
-		}
-	}
-	keep := make(map[VertexID]bool)
-	for v := 1; v <= 25; v += 2 {
-		keep[VertexID(v)] = true
-	}
-	sub := g.Subgraph(keep)
-	for v := range keep {
-		want := sub.BFSOrder(v)
-		got := f.BFSOrder(v, func(u VertexID) bool { return keep[u] })
-		if !pathsEqual(want, got) {
-			t.Fatalf("filtered BFS from %d: sub %v vs frozen %v", v, want, got)
 		}
 	}
 }
@@ -205,15 +187,14 @@ func TestFrozenAccessors(t *testing.T) {
 	if _, ok := f.EdgeWeight(1, 3); ok {
 		t.Fatal("EdgeWeight(1,3) should not exist")
 	}
-	if _, _, err := f.ShortestPath(9, 1); err == nil {
+	if _, _, err := f.ShortestPathIn(9, 1, nil, nil); err == nil {
 		t.Fatal("unknown source should error")
 	}
-	if _, _, err := f.KShortestPaths(1, 3, 0); err == nil {
+	if _, _, _, err := f.KShortestPathsIn(1, 3, 0, nil, nil); err == nil {
 		t.Fatal("k=0 should error")
 	}
-	dists, err := f.Distances(1, nil)
-	if err != nil || dists[3] != 3 {
-		t.Fatalf("Distances: %v, %v", dists, err)
+	if _, w, err := f.ShortestPathIn(1, 3, nil, nil); err != nil || w != 3 {
+		t.Fatalf("ShortestPathIn(1, 3): weight %g, %v; want 3", w, err)
 	}
 }
 
@@ -257,7 +238,7 @@ func BenchmarkShortestPathFrozen(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.ShortestPath(src, dst); err != nil {
+		if _, _, err := f.ShortestPathIn(src, dst, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -282,7 +263,7 @@ func BenchmarkKShortestFrozen(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.KShortestPaths(src, dst, 4); err != nil {
+		if _, _, _, err := f.KShortestPathsIn(src, dst, 4, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

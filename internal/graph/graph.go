@@ -1,8 +1,11 @@
 // Package graph provides the graph substrate used throughout the AL-VC
-// architecture: weighted graphs with shortest-path search for SDN path
-// computation, bipartite cover structures for abstraction-layer (AL)
-// construction (paper §III-C), and generic set-cover solvers used when
-// selecting the optical packet switches (OPSs) that form an AL.
+// architecture: the frozen CSR graph (Frozen) with the shortest-path,
+// avoiding and Yen searches of SDN path computation under a Restriction
+// and a LiveMask, and the bipartite cover structures and solvers of
+// abstraction-layer (AL) construction (paper §III-C), which select the
+// optical packet switches (OPSs) that form an AL. The map-based Graph
+// and its searches are the reference the CSR searches are tested
+// against.
 //
 // All algorithms are deterministic: vertex iteration orders are sorted so
 // that repeated runs over the same input produce identical output, which
@@ -18,13 +21,15 @@ import (
 // directly onto VertexIDs, so conversions between the two are free.
 type VertexID int
 
-// Edge is a weighted connection between two vertices. For undirected
-// graphs an Edge is stored once per direction internally but reported
-// once by EdgeCount.
+// Edge is a weighted connection between two vertices, with an opaque
+// caller tag (0 = untagged; see AddEdgeTagged). For undirected graphs an
+// Edge is stored once per direction internally but reported once by
+// EdgeCount.
 type Edge struct {
 	From   VertexID
 	To     VertexID
 	Weight float64
+	Tag    int64
 }
 
 type halfEdge struct {
@@ -166,7 +171,7 @@ func (g *Graph) Edges() []Edge {
 			if !g.directed && he.to < u {
 				continue
 			}
-			es = append(es, Edge{From: u, To: he.to, Weight: he.weight})
+			es = append(es, Edge{From: u, To: he.to, Weight: he.weight, Tag: he.tag})
 		}
 	}
 	sort.Slice(es, func(i, j int) bool {

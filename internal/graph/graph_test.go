@@ -153,49 +153,6 @@ func TestShortestPathToSelf(t *testing.T) {
 	}
 }
 
-func TestDistances(t *testing.T) {
-	g := lineGraph(4)
-	dist, err := g.Distances(0)
-	if err != nil {
-		t.Fatalf("Distances: %v", err)
-	}
-	for v, want := range map[VertexID]float64{0: 0, 1: 1, 2: 2, 3: 3} {
-		if dist[v] != want {
-			t.Errorf("dist[%d] = %f, want %f", v, dist[v], want)
-		}
-	}
-}
-
-func TestConnectedAndComponents(t *testing.T) {
-	g := lineGraph(4)
-	if !g.Connected() {
-		t.Fatal("line graph should be connected")
-	}
-	g.AddVertex(100)
-	if g.Connected() {
-		t.Fatal("isolated vertex should break connectivity")
-	}
-	comps := g.Components()
-	if len(comps) != 2 {
-		t.Fatalf("Components = %d, want 2", len(comps))
-	}
-}
-
-func TestConnectedEmptyGraph(t *testing.T) {
-	if !New(false).Connected() {
-		t.Fatal("empty graph should be connected by convention")
-	}
-}
-
-func TestConnectedDirectedWeak(t *testing.T) {
-	g := New(true)
-	_ = g.AddEdge(1, 2, 1)
-	_ = g.AddEdge(3, 2, 1)
-	if !g.Connected() {
-		t.Fatal("weakly connected directed graph should report connected")
-	}
-}
-
 func TestSubgraph(t *testing.T) {
 	g := lineGraph(5)
 	sub := g.Subgraph(map[VertexID]bool{0: true, 1: true, 2: true})
@@ -266,19 +223,5 @@ func TestKShortestPathsBadK(t *testing.T) {
 	g := lineGraph(3)
 	if _, _, err := g.KShortestPaths(0, 2, 0); err == nil {
 		t.Fatal("k=0 accepted")
-	}
-}
-
-func TestBFSOrderDeterministic(t *testing.T) {
-	g := New(false)
-	_ = g.AddEdge(1, 3, 1)
-	_ = g.AddEdge(1, 2, 1)
-	_ = g.AddEdge(2, 4, 1)
-	order := g.BFSOrder(1)
-	want := []VertexID{1, 2, 3, 4}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("BFSOrder = %v, want %v", order, want)
-		}
 	}
 }

@@ -9,7 +9,8 @@ import (
 // the Yen ban-set masking promoted to a persistent layer. The frozen
 // CSR arrays stay immutable and shared; liveness changes flip bits here
 // instead of invalidating the snapshot, so a failure (or recovery)
-// costs O(affected arcs) while every Masked search sees it immediately.
+// costs O(affected arcs) while every search under the mask sees it
+// immediately.
 //
 // Writers take the write lock per patch; each search holds the read
 // lock for its whole run, so a search observes either all or none of a
@@ -37,25 +38,6 @@ func (f *Frozen) NewLiveMask() *LiveMask {
 	return &LiveMask{
 		downVertex: make([]bool, len(f.ids)),
 		downArc:    make([]bool, len(f.targets)),
-	}
-}
-
-// SetVertexDown marks a dense vertex index down (or back up). Indices
-// outside the mask are ignored.
-func (m *LiveMask) SetVertexDown(idx int32, down bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.setVertexLocked(idx, down)
-}
-
-// SetArcsDown marks a set of CSR arc positions down (or back up) under
-// one lock acquisition — one call per link, covering both directions
-// and any parallel arcs.
-func (m *LiveMask) SetArcsDown(pos []int32, down bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, p := range pos {
-		m.setArcLocked(p, down)
 	}
 }
 

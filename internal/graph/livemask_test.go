@@ -51,14 +51,15 @@ func applyMask(t *testing.T, g *Graph, f *Frozen, deadTags map[int64]bool, deadV
 			arcs = append(arcs, int32(pos))
 		}
 	}
-	m.SetArcsDown(arcs, true)
+	down := make(map[int32]bool)
 	for v := range deadVerts {
 		idx, ok := f.IndexOf(v)
 		if !ok {
 			t.Fatalf("IndexOf(%d): missing", v)
 		}
-		m.SetVertexDown(idx, true)
+		down[idx] = true
 	}
+	m.Patch(down, arcs, true)
 	// Rebuild without the dead elements: the ground truth the mask must
 	// reproduce byte-for-byte.
 	cold := New(g.directed)
@@ -108,35 +109,21 @@ func TestLiveMaskEqualsRebuild(t *testing.T) {
 			if deadVerts[src] || deadVerts[dst] || src == dst {
 				continue
 			}
-			gotP, gotW, gotErr := f.ShortestPathMasked(src, dst, nil, m)
-			wantP, wantW, wantErr := cold.ShortestPath(src, dst)
+			gotP, gotW, gotErr := f.ShortestPathIn(src, dst, nil, m)
+			wantP, wantW, wantErr := cold.ShortestPathIn(src, dst, nil, nil)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("round %d: masked err=%v cold err=%v (src=%d dst=%d)", round, gotErr, wantErr, src, dst)
 			}
 			if gotErr == nil && (!reflect.DeepEqual(gotP, wantP) || gotW != wantW) {
 				t.Fatalf("round %d: masked path %v/%v != cold %v/%v", round, gotP, gotW, wantP, wantW)
 			}
-			gotPs, gotWs, _, gotErr2 := f.KShortestPathsMasked(src, dst, 4, nil, m)
-			wantPs, wantWs, wantErr2 := cold.KShortestPaths(src, dst, 4)
+			gotPs, gotWs, _, gotErr2 := f.KShortestPathsIn(src, dst, 4, nil, m)
+			wantPs, wantWs, _, wantErr2 := cold.KShortestPathsIn(src, dst, 4, nil, nil)
 			if (gotErr2 == nil) != (wantErr2 == nil) {
 				t.Fatalf("round %d: masked yen err=%v cold err=%v", round, gotErr2, wantErr2)
 			}
 			if gotErr2 == nil && (!reflect.DeepEqual(gotPs, wantPs) || !reflect.DeepEqual(gotWs, wantWs)) {
 				t.Fatalf("round %d: masked yen %v/%v != cold %v/%v", round, gotPs, gotWs, wantPs, wantWs)
-			}
-			if got, want := f.BFSOrderMasked(src, nil, m), cold.BFSOrder(src, nil); !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d: masked bfs %v != cold %v", round, got, want)
-			}
-			gotD, err := f.DistancesMasked(src, nil, m)
-			if err != nil {
-				t.Fatalf("DistancesMasked: %v", err)
-			}
-			wantD, err := cold.Distances(src, nil)
-			if err != nil {
-				t.Fatalf("cold Distances: %v", err)
-			}
-			if !reflect.DeepEqual(gotD, wantD) {
-				t.Fatalf("round %d: masked distances %v != cold %v", round, gotD, wantD)
 			}
 		}
 	}
@@ -149,7 +136,7 @@ func TestLiveMaskRecoveryAndEmpty(t *testing.T) {
 	if !m.Empty() {
 		t.Fatal("fresh mask not empty")
 	}
-	basePath, baseW, err := f.ShortestPathMasked(1, 16, nil, m)
+	basePath, baseW, err := f.ShortestPathIn(1, 16, nil, m)
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -159,15 +146,15 @@ func TestLiveMaskRecoveryAndEmpty(t *testing.T) {
 	for pos := range f.ArcTags() {
 		arcs = append(arcs, int32(pos))
 	}
-	m.SetArcsDown(arcs, true)
-	if _, _, err := f.ShortestPathMasked(1, 16, nil, m); err == nil {
+	m.Patch(nil, arcs, true)
+	if _, _, err := f.ShortestPathIn(1, 16, nil, m); err == nil {
 		t.Fatal("all arcs masked but a path was found")
 	}
-	m.SetArcsDown(arcs, false)
+	m.Patch(nil, arcs, false)
 	if !m.Empty() {
 		t.Fatal("mask not empty after full recovery")
 	}
-	p, w, err := f.ShortestPathMasked(1, 16, nil, m)
+	p, w, err := f.ShortestPathIn(1, 16, nil, m)
 	if err != nil || !reflect.DeepEqual(p, basePath) || w != baseW {
 		t.Fatalf("post-recovery search %v/%v/%v != baseline %v/%v", p, w, err, basePath, baseW)
 	}
@@ -185,25 +172,25 @@ func TestLiveMaskDigestNamesTheState(t *testing.T) {
 	if a.Digest() != 0 {
 		t.Fatalf("all-up digest %#x, want 0", a.Digest())
 	}
-	a.SetVertexDown(3, true)
-	a.SetArcsDown([]int32{5, 6}, true)
+	a.Patch(map[int32]bool{3: true}, nil, true)
+	a.Patch(nil, []int32{5, 6}, true)
 	b.Patch(map[int32]bool{3: true}, []int32{6, 5}, true)
-	b.SetArcsDown([]int32{5}, true) // no transition: no change
+	b.Patch(nil, []int32{5}, true) // no transition: no change
 	if a.Digest() == 0 || a.Digest() != b.Digest() {
 		t.Fatalf("same state, digests %#x and %#x", a.Digest(), b.Digest())
 	}
 	down := a.Digest()
-	a.SetArcsDown([]int32{7}, true)
+	a.Patch(nil, []int32{7}, true)
 	if a.Digest() == down {
 		t.Fatal("one more arc down left the digest unchanged")
 	}
-	a.SetArcsDown([]int32{7}, false)
+	a.Patch(nil, []int32{7}, false)
 	if a.Digest() != down {
 		t.Fatalf("after the flap %#x, want %#x", a.Digest(), down)
 	}
 	v, arc := f.NewLiveMask(), f.NewLiveMask()
-	v.SetVertexDown(5, true)
-	arc.SetArcsDown([]int32{5}, true)
+	v.Patch(map[int32]bool{5: true}, nil, true)
+	arc.Patch(nil, []int32{5}, true)
 	if v.Digest() == arc.Digest() {
 		t.Fatal("vertex 5 and arc 5 share a digest")
 	}
@@ -211,11 +198,10 @@ func TestLiveMaskDigestNamesTheState(t *testing.T) {
 	if _, got, err := ShortestPathAvoiding[VertexID](f, nil, 1, 16, nil, a, nil, 0); err != nil || got != down {
 		t.Fatalf("avoiding search reported %#x, %v; want %#x", got, err, down)
 	}
-	if _, _, got, err := f.KShortestPathsMasked(1, 16, 2, nil, a); err != nil || got != down {
+	if _, _, got, err := f.KShortestPathsIn(1, 16, 2, nil, a); err != nil || got != down {
 		t.Fatalf("Yen reported %#x, %v; want %#x", got, err, down)
 	}
-	a.SetVertexDown(3, false)
-	a.SetArcsDown([]int32{5, 6}, false)
+	a.Patch(map[int32]bool{3: false}, []int32{5, 6}, false)
 	if a.Digest() != 0 || !a.Empty() {
 		t.Fatalf("all recovered: digest %#x, empty %v", a.Digest(), a.Empty())
 	}

@@ -15,22 +15,25 @@ func (f *Frozen) IndexRestrictable(restrictable []bool) {
 	f.restrictable = restrictable
 	f.coreOff = make([]int32, n+1)
 	f.rev = make([]int32, len(f.targets))
-	var core []int32
-	// Taken in CSR order, the arcs into v leave their sources in ascending
-	// (source, weight) order: the order of v's own region.
-	cursor := slices.Clone(f.offsets[:n])
 	for u := 0; u < n; u++ {
-		for e := f.offsets[u]; e < f.offsets[u+1]; e++ {
-			v := f.targets[e]
-			f.rev[e] = cursor[v]
-			cursor[v]++
+		f.coreOff[u+1] = f.coreOff[u]
+		for _, v := range f.targets[f.offsets[u]:f.offsets[u+1]] {
 			if !restrictable[v] {
-				core = append(core, e)
+				f.coreOff[u+1]++
 			}
 		}
-		f.coreOff[u+1] = int32(len(core))
 	}
-	f.coreArc = slices.Clone(core) // sized to fit: it lives as long as f
+	f.coreArc = make([]int32, 0, f.coreOff[n])
+	// Taken in CSR order, the arcs into v leave their sources in ascending
+	// (source, weight, tag) order: the order of v's own region.
+	cursor := slices.Clone(f.offsets[:n])
+	for e, v := range f.targets {
+		f.rev[e] = cursor[v]
+		cursor[v]++
+		if !restrictable[v] {
+			f.coreArc = append(f.coreArc, int32(e))
+		}
+	}
 }
 
 // Restriction admits some of a Frozen's restrictable vertices

@@ -7,26 +7,28 @@ import (
 	"testing"
 )
 
-// shortestPathDenseMask is the restricted search as it was before
-// Restriction: the full CSR scan with a test of blocked[v] on every arc.
-// Kept as the oracle ShortestPathIn must equal.
-func shortestPathDenseMask(f *Frozen, src, dst VertexID, blocked []bool, m *LiveMask) ([]VertexID, float64, error) {
-	s := f.getScratch()
-	defer f.putScratch(s)
-	s.blocked = blocked
-	return f.shortestPath(src, dst, m, s)
-}
-
-// avoidingDenseMask is the avoiding search's oracle: the unrestricted
-// CSR scan over a mask that also holds the blocked vertices down, which
-// the search skips exactly as it skipped blocked[v].
-func avoidingDenseMask(f *Frozen, src, dst VertexID, blocked []bool, m *LiveMask, avoid *AvoidSet, spread VertexID) ([]VertexID, error) {
+// maskBlocked returns a copy of m that also holds the blocked vertices
+// (by dense index, nil = none) down: a dense mask tested on every arc,
+// which a search under the equivalent Restriction must match.
+func maskBlocked(f *Frozen, m *LiveMask, blocked []bool) *LiveMask {
 	both := f.NewLiveMask()
 	copy(both.downArc, m.downArc)
 	for i := range both.downVertex {
 		both.downVertex[i] = m.downVertex[i] || (blocked != nil && blocked[i])
 	}
-	path, _, err := ShortestPathAvoiding[VertexID](f, nil, src, dst, nil, both, avoid, spread)
+	return both
+}
+
+// shortestPathDenseMask is the restricted search's oracle: the
+// unrestricted CSR scan under maskBlocked. Kept as what ShortestPathIn
+// must equal.
+func shortestPathDenseMask(f *Frozen, src, dst VertexID, blocked []bool, m *LiveMask) ([]VertexID, float64, error) {
+	return f.ShortestPathIn(src, dst, nil, maskBlocked(f, m, blocked))
+}
+
+// avoidingDenseMask is the avoiding search's oracle, the same way.
+func avoidingDenseMask(f *Frozen, src, dst VertexID, blocked []bool, m *LiveMask, avoid *AvoidSet, spread VertexID) ([]VertexID, error) {
+	path, _, err := ShortestPathAvoiding[VertexID](f, nil, src, dst, nil, maskBlocked(f, m, blocked), avoid, spread)
 	return path, err
 }
 
@@ -96,16 +98,19 @@ func randomFabric(t *testing.T, rng *rand.Rand) fabric {
 	for pos, tg := range f.ArcTags() {
 		fb.edgeArcs[tg] = append(fb.edgeArcs[tg], int32(pos))
 	}
+	down := make(map[int32]bool)
 	for i := range fb.vertices {
 		if rng.Float64() < 0.1 {
-			fb.mask.SetVertexDown(int32(i), true)
+			down[int32(i)] = true
 		}
 	}
-	for _, arcs := range fb.edgeArcs {
+	var arcs []int32
+	for _, edge := range fb.edgeArcs {
 		if rng.Float64() < 0.1 {
-			fb.mask.SetArcsDown(arcs, true)
+			arcs = append(arcs, edge...)
 		}
 	}
+	fb.mask.Patch(down, arcs, true)
 	return fb
 }
 

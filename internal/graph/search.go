@@ -70,16 +70,6 @@ func (g *Graph) ShortestPath(src, dst VertexID) ([]VertexID, float64, error) {
 	return path, d, nil
 }
 
-// Distances returns the shortest-path weight from src to every reachable
-// vertex.
-func (g *Graph) Distances(src VertexID) (map[VertexID]float64, error) {
-	if !g.HasVertex(src) {
-		return nil, fmt.Errorf("graph: distances: unknown source %d", src)
-	}
-	dist, _ := g.dijkstra(src)
-	return dist, nil
-}
-
 func (g *Graph) dijkstra(src VertexID) (map[VertexID]float64, map[VertexID]VertexID) {
 	dist := map[VertexID]float64{src: 0}
 	prev := make(map[VertexID]VertexID)
@@ -110,85 +100,6 @@ func (g *Graph) dijkstra(src VertexID) (map[VertexID]float64, map[VertexID]Verte
 		}
 	}
 	return dist, prev
-}
-
-// BFSOrder returns vertices reachable from src in breadth-first order
-// with sorted (deterministic) tie-breaking.
-func (g *Graph) BFSOrder(src VertexID) []VertexID {
-	if !g.HasVertex(src) {
-		return nil
-	}
-	seen := map[VertexID]bool{src: true}
-	order := []VertexID{src}
-	frontier := []VertexID{src}
-	for len(frontier) > 0 {
-		var next []VertexID
-		for _, v := range frontier {
-			for _, n := range g.Neighbors(v) {
-				if !seen[n] {
-					seen[n] = true
-					order = append(order, n)
-					next = append(next, n)
-				}
-			}
-		}
-		frontier = next
-	}
-	return order
-}
-
-// Connected reports whether every vertex is reachable from every other.
-// For directed graphs it checks weak connectivity (edges treated as
-// undirected). The empty graph is connected.
-func (g *Graph) Connected() bool {
-	if len(g.adj) == 0 {
-		return true
-	}
-	und := g
-	if g.directed {
-		und = New(false)
-		for v := range g.adj {
-			und.AddVertex(v)
-		}
-		for _, e := range g.Edges() {
-			if !und.HasEdge(e.From, e.To) {
-				_ = und.AddEdge(e.From, e.To, e.Weight)
-			}
-		}
-	}
-	start := und.Vertices()[0]
-	return len(und.BFSOrder(start)) == len(und.adj)
-}
-
-// Components returns the connected components (weak components for
-// directed graphs), each sorted, ordered by their smallest vertex.
-func (g *Graph) Components() [][]VertexID {
-	und := g
-	if g.directed {
-		und = New(false)
-		for v := range g.adj {
-			und.AddVertex(v)
-		}
-		for _, e := range g.Edges() {
-			if !und.HasEdge(e.From, e.To) {
-				_ = und.AddEdge(e.From, e.To, e.Weight)
-			}
-		}
-	}
-	seen := make(map[VertexID]bool)
-	var comps [][]VertexID
-	for _, v := range und.Vertices() {
-		if seen[v] {
-			continue
-		}
-		comp := und.BFSOrder(v)
-		for _, c := range comp {
-			seen[c] = true
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		comps = append(comps, comp)
-	}
-	return comps
 }
 
 // KShortestPaths returns up to k loopless paths from src to dst in

@@ -61,9 +61,9 @@ func NewFailureSet(nodes []topology.NodeID, links []topology.LinkID) FailureSet 
 // CollectSRLGs folds the shared-risk groups of every dead link into the
 // set, so classification can treat same-tray survivors as suspect, and
 // materializes SuspectLinks — the dead links plus every link sharing a
-// group with one — in a single topology walk. Pointer receiver: it
-// publishes SuspectLinks on the set; the maps themselves are shared by
-// any copies made afterwards.
+// group with one — from the topology's group index (SRLGLinks), never
+// walking the link table. Pointer receiver: it publishes SuspectLinks on
+// the set; the maps themselves are shared by any copies made afterwards.
 func (f *FailureSet) CollectSRLGs(topo *topology.Topology) {
 	for l := range f.Links {
 		link := topo.Link(l)
@@ -78,17 +78,9 @@ func (f *FailureSet) CollectSRLGs(topo *topology.Topology) {
 	for l := range f.Links {
 		suspect[l] = true
 	}
-	if len(f.SRLGs) > 0 {
-		for _, link := range topo.Links() {
-			if suspect[link.ID] {
-				continue
-			}
-			for _, g := range link.SRLG {
-				if f.SRLGs[g] {
-					suspect[link.ID] = true
-					break
-				}
-			}
+	for g := range f.SRLGs {
+		for _, l := range topo.SRLGLinks(g) {
+			suspect[l] = true
 		}
 	}
 	f.SuspectLinks = suspect

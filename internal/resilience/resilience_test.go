@@ -2,6 +2,8 @@ package resilience
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/alvc/alvc/internal/graph"
@@ -310,5 +312,68 @@ func TestFailureSetSRLG(t *testing.T) {
 	}
 	if f.HitsAnySRLG(nil) {
 		t.Fatal("empty group list hit")
+	}
+}
+
+// TestSuspectLinksEqualBruteForce: over random tray assignments and
+// failure sets — links with no group, several groups, a dead link or an
+// unknown ID among the failed — CollectSRLGs' groups and SuspectLinks,
+// read from the topology's group index, equal a walk of the link table.
+func TestSuspectLinksEqualBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		cfg := topology.DefaultGenConfig()
+		cfg.Seed = int64(trial)
+		topo, err := topology.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links := topo.Links()
+		for _, l := range links {
+			var groups []int
+			for g := 0; g < 6; g++ {
+				if rng.Intn(8) == 0 {
+					groups = append(groups, g)
+				}
+			}
+			if err := topo.SetLinkSRLG(l.ID, groups...); err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(20) == 0 {
+				if err := topo.SetLinkDown(l.ID, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var failed []topology.LinkID
+		for i := rng.Intn(5); i > 0; i-- {
+			failed = append(failed, links[rng.Intn(len(links))].ID)
+		}
+		if rng.Intn(4) == 0 {
+			failed = append(failed, topology.LinkID(len(links)+7))
+		}
+		f := NewFailureSet(nil, failed)
+		f.CollectSRLGs(topo)
+
+		wantGroups, wantSuspect := map[int]bool{}, map[topology.LinkID]bool{}
+		for _, id := range failed {
+			wantSuspect[id] = true
+			if l := topo.Link(id); l != nil {
+				for _, g := range l.SRLG {
+					wantGroups[g] = true
+				}
+			}
+		}
+		for _, l := range links {
+			for _, g := range l.SRLG {
+				if wantGroups[g] {
+					wantSuspect[l.ID] = true
+				}
+			}
+		}
+		if !reflect.DeepEqual(f.SRLGs, wantGroups) || !reflect.DeepEqual(f.SuspectLinks, wantSuspect) {
+			t.Fatalf("trial %d, failed %v: groups %v, suspect %v; link table walk %v, %v",
+				trial, failed, f.SRLGs, f.SuspectLinks, wantGroups, wantSuspect)
+		}
 	}
 }

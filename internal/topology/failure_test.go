@@ -14,7 +14,7 @@ func TestSetNodeDownHidesFromQueries(t *testing.T) {
 		}
 	}
 	// Routing graph excludes the down node.
-	g := topo.RoutingGraph(GraphOptions{})
+	g := routingGraph(topo, false, nil)
 	if g.HasVertex(gv(ids["ops1"])) {
 		t.Fatal("down OPS present in routing graph")
 	}
@@ -64,7 +64,7 @@ func TestSetLinkDownHidesEdge(t *testing.T) {
 		t.Fatal("LinkBetween returned down link")
 	}
 	// Routing graph drops the edge but keeps both endpoints.
-	g := topo.RoutingGraph(GraphOptions{})
+	g := routingGraph(topo, false, nil)
 	if g.HasEdge(gv(ids["tor1"]), gv(ids["ops1"])) {
 		t.Fatal("down link present in routing graph")
 	}
@@ -86,7 +86,7 @@ func TestDownVMExcludedFromRouting(t *testing.T) {
 	if err := topo.SetNodeDown(ids["vm1"], true); err != nil {
 		t.Fatalf("SetNodeDown: %v", err)
 	}
-	g := topo.RoutingGraph(GraphOptions{IncludeVMs: true})
+	g := routingGraph(topo, true, nil)
 	if g.HasVertex(gv(ids["vm1"])) {
 		t.Fatal("down VM present in routing graph")
 	}
@@ -100,7 +100,7 @@ func TestDownPMHidesItsVMs(t *testing.T) {
 	if err := topo.SetNodeDown(ids["pm1"], true); err != nil {
 		t.Fatalf("SetNodeDown: %v", err)
 	}
-	g := topo.RoutingGraph(GraphOptions{IncludeVMs: true})
+	g := routingGraph(topo, true, nil)
 	if g.HasVertex(gv(ids["vm1"])) || g.HasVertex(gv(ids["vm2"])) {
 		t.Fatal("VMs of down PM present in routing graph")
 	}

@@ -27,7 +27,7 @@ func restrictTestTopo(t *testing.T) (*Topology, *Snapshot) {
 }
 
 // searchBoth routes src→dst under restrict by both restricted kernels
-// and by Yen's first path, which reads the set as a Filter mask.
+// and by Yen's first path, which lays the set out on its own.
 func searchBoth(snap *Snapshot, src, dst NodeID, restrict map[NodeID]bool) (in, avoiding, filtered []NodeID) {
 	r := snap.Restrict(restrict)
 	defer snap.Release(r)
@@ -41,8 +41,8 @@ func searchBoth(snap *Snapshot, src, dst NodeID, restrict map[NodeID]bool) (in, 
 
 // TestRestrictReleaseRestrict: the snapshot's pooled Restriction, handed
 // back and laid out again for a different set — wide, then narrow, then
-// empty — routes as the Filter mask does: nothing of the set before
-// survives in it.
+// empty — routes as Yen's own layout of the set does: nothing of the
+// set before survives in it.
 func TestRestrictReleaseRestrict(t *testing.T) {
 	topo, snap := restrictTestTopo(t)
 	opss, pms := topo.NodeIDs(KindOPS), topo.NodeIDs(KindPhysicalMachine)
@@ -58,12 +58,12 @@ func TestRestrictReleaseRestrict(t *testing.T) {
 		src, dst := pms[rng.Intn(len(pms))], pms[rng.Intn(len(pms))]
 		in, avoiding, filtered := searchBoth(snap, src, dst, restrict)
 		if !reflect.DeepEqual(in, filtered) {
-			t.Fatalf("trial %d %d->%d under %v: ShortestPathIn %v, filter mask %v", trial, src, dst, restrict, in, filtered)
+			t.Fatalf("trial %d %d->%d under %v: ShortestPathIn %v, Yen %v", trial, src, dst, restrict, in, filtered)
 		}
 		// With nothing to avoid the two-ended search may take another of
 		// the equally short paths, but finds one exactly when there is one.
 		if (avoiding == nil) != (filtered == nil) {
-			t.Fatalf("trial %d %d->%d under %v: AppendPathAvoiding %v, filter mask %v", trial, src, dst, restrict, avoiding, filtered)
+			t.Fatalf("trial %d %d->%d under %v: AppendPathAvoiding %v, Yen %v", trial, src, dst, restrict, avoiding, filtered)
 		}
 		for _, n := range avoiding {
 			if topo.Node(n).Kind == KindOPS && !restrict[n] {

@@ -11,9 +11,9 @@ import (
 // Snapshot is an epoch-versioned routing view of the topology: a frozen
 // CSR graph plus the metadata needed to answer restricted (in-slice)
 // searches without rebuilding anything. Snapshots are cached per
-// (IncludeVMs, UseHops) key against the topology's *structural*
-// generation — RestrictOPS is applied as a search-time vertex filter,
-// so every restriction set shares the same cached graph.
+// IncludeVMs value against the topology's *structural* generation — an
+// OPS restriction is laid out per search (Restrict), so every
+// restriction set shares the same cached graph.
 //
 // Liveness is not a build-time dimension: the frozen graph contains
 // every node and link, up or down, and a durable graph.LiveMask overlay
@@ -28,22 +28,17 @@ import (
 // a batch liveness patch, and report the overlay's content digest as
 // they read it (LiveDigest): the live state their answer is exact for.
 type Snapshot struct {
-	structGen uint64
-	key       snapKey
-	frozen    *graph.Frozen
-	// opsMask marks the OPS vertices of the snapshot — the only kind a
-	// RestrictOPS filter may exclude — as a dense bitmap indexed by
-	// vertex ID. Filters test it once per relaxed edge, so a map here
-	// would put a hash lookup on every edge of every search. Down OPSs
-	// are included; the liveness overlay hides them.
-	opsMask []bool
+	structGen  uint64
+	includeVMs bool
+	frozen     *graph.Frozen
 	// mask is the durable liveness overlay: down vertices by dense index
 	// and down link arcs by CSR position.
 	mask *graph.LiveMask
-	// linkArcs lists each link's CSR arc positions (both directions), by
-	// link ID, resolved once at build time via edge tags so a liveness
-	// patch is O(affected arcs).
-	linkArcs [][]int32
+	// linkArcs holds each included link's two CSR arc positions, one per
+	// direction, at 2*ID and 2*ID+1 (-1 for a link the snapshot leaves
+	// out), resolved once at build time via edge tags so a liveness patch
+	// is O(affected arcs).
+	linkArcs []int32
 	// restrictions and avoidSets pool the per-search buffers (Restrict,
 	// AppendPathAvoiding), both sized to this snapshot's graph.
 	restrictions sync.Pool
@@ -64,31 +59,6 @@ func (s *Snapshot) LiveDigest() uint64 { return s.mask.Digest() }
 // every node and link regardless of liveness; direct searches on it
 // bypass the down-overlay — use the Snapshot search methods instead.
 func (s *Snapshot) Graph() *graph.Frozen { return s.frozen }
-
-// Filter translates a RestrictOPS set into a search-time vertex filter
-// over the snapshot: non-OPS vertices always pass; OPS vertices pass
-// iff present in restrict. A nil restrict yields a nil (admit-all)
-// filter.
-func (s *Snapshot) Filter(restrict map[NodeID]bool) graph.Filter {
-	if restrict == nil {
-		return nil
-	}
-	// Densify the restriction once per search: the filter runs on every
-	// relaxed edge, and a search from a ToR in a wide fabric relaxes one
-	// edge per core OPS, so a hash lookup per edge dominates Yen's
-	// profile. Two bitmap tests beat a map hit at any restrict size.
-	mask := s.opsMask
-	allowed := make([]bool, len(mask))
-	for id, ok := range restrict {
-		if ok && int(id) < len(allowed) {
-			allowed[id] = true
-		}
-	}
-	return func(v graph.VertexID) bool {
-		i := int(v)
-		return i >= len(mask) || !mask[i] || allowed[i]
-	}
-}
 
 // Pool is an OPS restriction set — the OPSs a search may cross, a nil
 // OPS meaning every one — carried with its content digest, which keys
@@ -121,13 +91,13 @@ func NewPool(ops map[NodeID]bool) Pool {
 // Digest returns the pool's content digest: 0 for the zero Pool.
 func (p Pool) Digest() uint64 { return p.digest }
 
-// Restriction is a RestrictOPS set laid out over one snapshot as the
+// Restriction is an OPS restriction set laid out over one snapshot as the
 // admitted OPSs' own arcs: built once from their arc lists, then read by
 // any number of searches, each of which walks the slice's arcs and never
 // the other OPSs' uplinks. A nil *Restriction restricts nothing.
 type Restriction = graph.Restriction
 
-// Restrict lays out a RestrictOPS set (nil = unrestricted, which yields
+// Restrict lays out an OPS restriction set (nil = unrestricted, which yields
 // nil) at the cost of the admitted OPSs' degrees. Hand the result back
 // with Release once the searches are done.
 func (s *Snapshot) Restrict(restrict map[NodeID]bool) *Restriction {
@@ -156,9 +126,9 @@ func (s *Snapshot) Release(r *Restriction) {
 }
 
 // ShortestPath returns the minimum-weight path between two nodes over
-// the snapshot, honoring a RestrictOPS set (nil = unrestricted) and the
-// liveness overlay. It is output-identical to searching
-// Topology.RoutingGraph built with the same options and restriction.
+// the snapshot, honoring an OPS restriction set (nil = unrestricted) and
+// the liveness overlay. It is output-identical to searching a graph
+// built cold from the live nodes and links and the admitted OPSs alone.
 func (s *Snapshot) ShortestPath(src, dst NodeID, restrict map[NodeID]bool) ([]NodeID, float64, error) {
 	r := s.Restrict(restrict)
 	defer s.Release(r)
@@ -205,9 +175,7 @@ func (s *Snapshot) AppendPathAvoiding(buf []NodeID, src, dst NodeID, r *Restrict
 			}
 		}
 		for _, l := range avoid.Links {
-			if uint(l) < uint(len(s.linkArcs)) {
-				set.AddArcs(s.linkArcs[l])
-			}
+			set.AddArcs(s.arcsOf(l))
 		}
 	}
 	return graph.ShortestPathAvoiding(s.frozen, buf, graph.VertexID(src), graph.VertexID(dst), r, s.mask, set, graph.VertexID(avoid.Spread))
@@ -239,11 +207,13 @@ func (s *Snapshot) hostEdge(vm, host int32) bool {
 }
 
 // KShortestPaths returns up to k loopless paths between two nodes in
-// nondecreasing weight order over the snapshot, honoring a RestrictOPS
-// set (nil = unrestricted) and the liveness overlay, and the overlay
-// digest the search ran under.
+// nondecreasing weight order over the snapshot, honoring an OPS
+// restriction set (nil = unrestricted) and the liveness overlay, and the
+// overlay digest the search ran under.
 func (s *Snapshot) KShortestPaths(src, dst NodeID, k int, restrict map[NodeID]bool) ([][]NodeID, []float64, uint64, error) {
-	vps, ws, digest, err := s.frozen.KShortestPathsMasked(graph.VertexID(src), graph.VertexID(dst), k, s.Filter(restrict), s.mask)
+	r := s.Restrict(restrict)
+	defer s.Release(r)
+	vps, ws, digest, err := s.frozen.KShortestPathsIn(graph.VertexID(src), graph.VertexID(dst), k, r, s.mask)
 	if err != nil {
 		return nil, nil, digest, err
 	}
@@ -252,27 +222,6 @@ func (s *Snapshot) KShortestPaths(src, dst NodeID, k int, restrict map[NodeID]bo
 		out[i] = toNodePath(vp)
 	}
 	return out, ws, digest, nil
-}
-
-// Distances returns the shortest-path weight from src to every node
-// reachable over the snapshot, honoring a RestrictOPS set and the
-// liveness overlay.
-func (s *Snapshot) Distances(src NodeID, restrict map[NodeID]bool) (map[NodeID]float64, error) {
-	vd, err := s.frozen.DistancesMasked(graph.VertexID(src), s.Filter(restrict), s.mask)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[NodeID]float64, len(vd))
-	for v, d := range vd {
-		out[NodeID(v)] = d
-	}
-	return out, nil
-}
-
-// BFSOrder returns nodes reachable from src in breadth-first order over
-// the snapshot, honoring a RestrictOPS set and the liveness overlay.
-func (s *Snapshot) BFSOrder(src NodeID, restrict map[NodeID]bool) []NodeID {
-	return toNodePath(s.frozen.BFSOrderMasked(graph.VertexID(src), s.Filter(restrict), s.mask))
 }
 
 func toNodePath(vp []graph.VertexID) []NodeID {
@@ -284,26 +233,6 @@ func toNodePath(vp []graph.VertexID) []NodeID {
 		path[i] = NodeID(v)
 	}
 	return path
-}
-
-// snapKey is the cache key of one snapshot: every GraphOptions field
-// except RestrictOPS (a search-time filter) and liveness (an overlay
-// patch).
-type snapKey struct {
-	includeVMs bool
-	useHops    bool
-}
-
-// slot is the key's place in Topology.snaps.
-func (k snapKey) slot() int {
-	i := 0
-	if k.includeVMs {
-		i |= 1
-	}
-	if k.useHops {
-		i |= 2
-	}
-	return i
 }
 
 // Generation returns the topology's total mutation epoch. Every
@@ -331,10 +260,10 @@ func (t *Topology) bumpStructural() {
 	atomic.AddUint64(&t.gen, 1)
 }
 
-// GraphBuilds returns how many times a routing graph has been built
-// from scratch (RoutingGraph calls and snapshot builds). The fast-path
-// contracts — zero rebuilds on unchanged topology, zero rebuilds during
-// a failure storm — are asserted against this counter's delta.
+// GraphBuilds returns how many times a routing snapshot has been built
+// from scratch. The fast-path contracts — zero rebuilds on unchanged
+// topology, zero rebuilds during a failure storm — are asserted against
+// this counter's delta.
 func (t *Topology) GraphBuilds() uint64 { return atomic.LoadUint64(&t.builds) }
 
 // SnapshotHits returns how many RoutingSnapshot calls were served from
@@ -350,14 +279,15 @@ func (t *Topology) LivenessPatches() uint64 { return atomic.LoadUint64(&t.livePa
 
 // RoutingSnapshot returns the cached routing snapshot for the options,
 // rebuilding only if the topology *structurally* mutated since the last
-// build with the same (IncludeVMs, UseHops) key; liveness transitions
-// are patched into the cached snapshot in place and never rebuild.
-// opts.RestrictOPS is ignored here — pass restriction sets to the
-// snapshot's search methods instead, so restricted searches share the
+// build with the same IncludeVMs value; liveness transitions are patched
+// into the cached snapshot in place and never rebuild. Restriction sets
+// go to the snapshot's search methods, so restricted searches share the
 // unrestricted cache entry. A warm fetch takes no lock.
 func (t *Topology) RoutingSnapshot(opts GraphOptions) *Snapshot {
-	key := snapKey{includeVMs: opts.IncludeVMs, useHops: opts.UseHops}
-	slot := &t.snaps[key.slot()]
+	slot := &t.snaps[0]
+	if opts.IncludeVMs {
+		slot = &t.snaps[1]
+	}
 	if s := slot.Load(); s != nil && s.structGen == t.StructuralGeneration() {
 		atomic.AddUint64(&t.snapHits, 1)
 		return s
@@ -369,91 +299,89 @@ func (t *Topology) RoutingSnapshot(opts GraphOptions) *Snapshot {
 		atomic.AddUint64(&t.snapHits, 1)
 		return s
 	}
-	s := t.buildSnapshot(key, sg)
+	s := t.buildSnapshot(opts.IncludeVMs, sg)
 	slot.Store(s)
 	return s
 }
 
-// buildSnapshot constructs a snapshot from scratch: the full graph —
-// down nodes and links included — plus a liveness overlay reflecting
-// the current down-state. Caller holds snapMu.
-func (t *Topology) buildSnapshot(key snapKey, structGen uint64) *Snapshot {
+// buildSnapshot constructs a snapshot from scratch straight from the
+// node and link tables: the full graph — down nodes and links included —
+// plus a liveness overlay reflecting the current down-state. Every node
+// but a VM is a vertex; with includeVMs so is each VM with a host, joined
+// to it by a 0.1 µs edge tagged 0. Every link between two such non-VM
+// nodes is an edge weighing its latency, tagged with its ID so the
+// overlay can address its arcs — parallel links included. Caller holds
+// snapMu.
+func (t *Topology) buildSnapshot(includeVMs bool, structGen uint64) *Snapshot {
 	atomic.AddUint64(&t.builds, 1)
-	g := graph.New(false)
-	for _, n := range t.Nodes() {
-		if n.Kind != KindVM {
-			g.AddVertex(graph.VertexID(n.ID))
+	routed := func(n *Node) bool { return n != nil && n.Kind != KindVM }
+	hosted := func(n *Node) bool { return includeVMs && n.Kind == KindVM && t.Node(n.Host) != nil }
+	ids := make([]graph.VertexID, 0, t.live)
+	for _, n := range t.nodes {
+		if routed(n) || n != nil && hosted(n) {
+			ids = append(ids, graph.VertexID(n.ID))
 		}
 	}
-	for _, l := range t.Links() {
-		nf, nt := t.Node(l.From), t.Node(l.To)
-		if nf == nil || nt == nil || nf.Kind == KindVM || nt.Kind == KindVM {
-			continue
-		}
-		w := l.LatencyMicros
-		if key.useHops {
-			w = 1
-		}
-		// The link ID rides along as the edge tag so the overlay can
-		// address this link's CSR arcs — parallel links included.
-		_ = g.AddEdgeTagged(graph.VertexID(l.From), graph.VertexID(l.To), w, int64(l.ID))
-	}
-	if key.includeVMs {
-		for _, n := range t.Nodes(KindVM) {
-			if t.Node(n.Host) == nil {
-				continue
-			}
-			w := 0.1
-			if key.useHops {
-				w = 1
-			}
-			_ = g.AddEdgeTagged(graph.VertexID(n.ID), graph.VertexID(n.Host), w, 0)
+	edges := make([]graph.Edge, 0, len(t.links)-1+len(ids))
+	for _, l := range t.links[1:] {
+		// A negative latency (Validate rejects it) is no edge: the searches
+		// need non-negative weights.
+		if routed(t.Node(l.From)) && routed(t.Node(l.To)) && l.LatencyMicros >= 0 {
+			edges = append(edges, graph.Edge{From: graph.VertexID(l.From), To: graph.VertexID(l.To), Weight: l.LatencyMicros, Tag: int64(l.ID)})
 		}
 	}
-	f := g.Frozen()
+	for _, n := range t.nodes {
+		if n != nil && hosted(n) {
+			edges = append(edges, graph.Edge{From: graph.VertexID(n.ID), To: graph.VertexID(n.Host), Weight: 0.1})
+		}
+	}
+	f := graph.NewFrozen(false, ids, edges)
 	s := &Snapshot{
-		structGen: structGen,
-		key:       key,
-		frozen:    f,
-		mask:      f.NewLiveMask(),
-		linkArcs:  make([][]int32, len(t.links)),
+		structGen:  structGen,
+		includeVMs: includeVMs,
+		frozen:     f,
+		mask:       f.NewLiveMask(),
+		linkArcs:   make([]int32, 2*len(t.links)),
+	}
+	for i := range s.linkArcs {
+		s.linkArcs[i] = -1
 	}
 	for pos, tag := range f.ArcTags() {
 		if tag != 0 {
-			s.linkArcs[LinkID(tag)] = append(s.linkArcs[LinkID(tag)], int32(pos))
+			i := 2 * tag
+			if s.linkArcs[i] >= 0 {
+				i++
+			}
+			s.linkArcs[i] = int32(pos)
 		}
 	}
 	// Seed the overlay with the current liveness state.
-	vertex := make(map[int32]bool)
+	var vertex map[int32]bool
 	var deadArcs []int32
-	for _, n := range t.Nodes() {
-		if t.effectiveDown(n) {
-			if i, ok := f.IndexOf(graph.VertexID(n.ID)); ok {
-				vertex[i] = true
+	for _, n := range t.nodes {
+		if n == nil || !t.effectiveDown(n) {
+			continue
+		}
+		if i, ok := f.IndexOf(graph.VertexID(n.ID)); ok {
+			if vertex == nil {
+				vertex = make(map[int32]bool)
 			}
+			vertex[i] = true
 		}
 	}
 	for _, l := range t.links[1:] {
 		if l.Down {
-			deadArcs = append(deadArcs, s.linkArcs[l.ID]...)
+			deadArcs = append(deadArcs, s.arcsOf(l.ID)...)
 		}
 	}
 	if len(vertex) > 0 || len(deadArcs) > 0 {
 		s.mask.Patch(vertex, deadArcs, true)
 	}
-	var maxID NodeID
-	for _, n := range t.Nodes(KindOPS) {
-		if n.ID > maxID {
-			maxID = n.ID
-		}
-	}
-	s.opsMask = make([]bool, maxID+1)
+	// The OPSs are what a Restriction may bar; down ones included, the
+	// overlay hides them.
 	opsVertex := make([]bool, f.VertexCount())
-	for _, n := range t.Nodes(KindOPS) {
-		s.opsMask[n.ID] = true
-		if i, ok := f.IndexOf(graph.VertexID(n.ID)); ok {
-			opsVertex[i] = true
-		}
+	for i, id := range f.Vertices() {
+		opsVertex[i] = t.nodes[id].Kind == KindOPS
 	}
 	f.IndexRestrictable(opsVertex)
 	s.restrictions.New = func() any { return f.NewRestriction() }
@@ -461,9 +389,17 @@ func (t *Topology) buildSnapshot(key snapKey, structGen uint64) *Snapshot {
 	return s
 }
 
+// arcsOf returns the CSR positions of link l's two arcs: none for a link
+// the snapshot leaves out or does not know.
+func (s *Snapshot) arcsOf(l LinkID) []int32 {
+	if i := 2 * int(l); i >= 0 && i+1 < len(s.linkArcs) && s.linkArcs[i] >= 0 {
+		return s.linkArcs[i : i+2]
+	}
+	return nil
+}
+
 // effectiveDown reports whether a node should be invisible to routing:
-// itself down, or (for a VM) hosted on a down or missing PM — matching
-// RoutingGraph's build-time exclusion rules.
+// itself down, or (for a VM) hosted on a down or missing PM.
 func (t *Topology) effectiveDown(n *Node) bool {
 	if n.Down {
 		return true
@@ -498,7 +434,7 @@ func (t *Topology) applyLiveness(nodes []*Node, links []*Link, down bool) {
 		}
 		var arcs []int32
 		for _, l := range links {
-			arcs = append(arcs, s.linkArcs[l.ID]...)
+			arcs = append(arcs, s.arcsOf(l.ID)...)
 		}
 		if len(vertex) > 0 || len(arcs) > 0 {
 			s.mask.Patch(vertex, arcs, down)
@@ -508,16 +444,22 @@ func (t *Topology) applyLiveness(nodes []*Node, links []*Link, down bool) {
 
 // collectNodePatch records the node's effective down-state (and, for a
 // PM in a VM-bearing snapshot, its hosted VMs' — a VM is reachable only
-// through its host, and cold builds exclude VMs on down hosts).
+// through its host, and cold builds exclude VMs on down hosts). The VMs
+// are the PM's host arcs in the CSR, the ones tagged 0.
 func (s *Snapshot) collectNodePatch(t *Topology, n *Node, vertex map[int32]bool) {
-	if i, ok := s.frozen.IndexOf(graph.VertexID(n.ID)); ok {
-		vertex[i] = t.effectiveDown(n)
+	i, ok := s.frozen.IndexOf(graph.VertexID(n.ID))
+	if !ok {
+		return
 	}
-	if n.Kind == KindPhysicalMachine && s.key.includeVMs {
-		for _, vm := range t.VMsOnPM(n.ID) {
-			if i, ok := s.frozen.IndexOf(graph.VertexID(vm)); ok {
-				vertex[i] = t.effectiveDown(t.Node(vm))
-			}
+	vertex[i] = t.effectiveDown(n)
+	if n.Kind != KindPhysicalMachine || !s.includeVMs {
+		return
+	}
+	first, targets := s.frozen.ArcsOf(i)
+	tags, ids := s.frozen.ArcTags(), s.frozen.Vertices()
+	for k, vm := range targets {
+		if tags == nil || tags[int(first)+k] == 0 {
+			vertex[vm] = t.effectiveDown(t.nodes[ids[vm]])
 		}
 	}
 }

@@ -30,7 +30,7 @@ type Topology struct {
 	// gen is the total mutation epoch (see Generation) and structGen
 	// the structural one (see StructuralGeneration) — liveness
 	// transitions bump only the former, so cached routing snapshots
-	// survive failure storms. builds counts from-scratch routing-graph
+	// survive failure storms. builds counts from-scratch routing-snapshot
 	// constructions (see GraphBuilds). All are accessed atomically so
 	// snapshot-cache reads never race with mutators even outside the
 	// orchestrator's topology lock.
@@ -47,12 +47,12 @@ type Topology struct {
 	livePatches uint64
 
 	// snaps is the epoch-keyed routing-snapshot cache, one slot per
-	// snapKey (snapKey.slot). A warm fetch is one atomic load; snapMu
+	// IncludeVMs value (false, true). A warm fetch is one atomic load; snapMu
 	// serializes what writes the slots or patches their overlays —
 	// builds and liveness batches. Snapshots themselves are immutable
 	// once published, but for their liveness overlay.
 	snapMu sync.Mutex
-	snaps  [4]atomic.Pointer[Snapshot]
+	snaps  [2]atomic.Pointer[Snapshot]
 
 	// derivedMu guards the per-generation derived adjacency caches:
 	// kind-filtered neighbor lists, a pure function of the topology at
@@ -594,17 +594,6 @@ func (t *Topology) opticalDegreesLocked() []int32 {
 	return t.optDeg
 }
 
-// VMsOnPM returns the VMs hosted on pm, sorted by ID.
-func (t *Topology) VMsOnPM(pm NodeID) []NodeID {
-	var out []NodeID
-	for _, n := range t.nodes {
-		if n != nil && n.Kind == KindVM && n.Host == pm {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
-
 // VMsByService groups all VM IDs by their service label. This is the
 // paper's service-based clustering input (§III-A).
 func (t *Topology) VMsByService() map[string][]NodeID {
@@ -656,73 +645,11 @@ func (t *Topology) ToROPSBipartite(tors []NodeID, allow map[NodeID]bool) (*graph
 }
 
 // GraphOptions selects which parts of the topology are projected into a
-// routing graph.
+// routing snapshot.
 type GraphOptions struct {
 	// IncludeVMs adds VM nodes linked to their host PM (zero-latency
 	// virtual edges). Off by default: routing usually starts at ToRs.
 	IncludeVMs bool
-	// RestrictOPS, when non-nil, keeps only these OPSs — used to route
-	// inside a slice (AL).
-	RestrictOPS map[NodeID]bool
-	// Weight selects the edge weight: latency (default) or hop count.
-	UseHops bool
-}
-
-// RoutingGraph projects the topology onto a weighted graph for path
-// computation. Edge weight is link latency in microseconds, or 1 per
-// hop when UseHops is set. Down nodes and links are excluded.
-func (t *Topology) RoutingGraph(opts GraphOptions) *graph.Graph {
-	atomic.AddUint64(&t.builds, 1)
-	g := graph.New(false)
-	include := func(n *Node) bool {
-		if n.Down {
-			return false
-		}
-		switch n.Kind {
-		case KindVM:
-			return opts.IncludeVMs
-		case KindOPS:
-			return opts.RestrictOPS == nil || opts.RestrictOPS[n.ID]
-		default:
-			return true
-		}
-	}
-	for _, n := range t.Nodes() {
-		if include(n) && n.Kind != KindVM {
-			g.AddVertex(graph.VertexID(n.ID))
-		}
-	}
-	for _, l := range t.Links() {
-		if l.Down {
-			continue
-		}
-		nf, nt := t.Node(l.From), t.Node(l.To)
-		if !include(nf) || !include(nt) {
-			continue
-		}
-		if nf.Kind == KindVM || nt.Kind == KindVM {
-			continue
-		}
-		w := l.LatencyMicros
-		if opts.UseHops {
-			w = 1
-		}
-		_ = g.AddEdge(graph.VertexID(l.From), graph.VertexID(l.To), w)
-	}
-	if opts.IncludeVMs {
-		for _, n := range t.Nodes(KindVM) {
-			if h := t.Node(n.Host); n.Down || h == nil || h.Down {
-				continue
-			}
-			g.AddVertex(graph.VertexID(n.ID))
-			w := 0.1
-			if opts.UseHops {
-				w = 1
-			}
-			_ = g.AddEdge(graph.VertexID(n.ID), graph.VertexID(n.Host), w)
-		}
-	}
-	return g
 }
 
 // Stats summarizes a topology.

@@ -2,6 +2,8 @@ package topology
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -108,10 +110,6 @@ func TestQueries(t *testing.T) {
 	if len(ops) != 2 {
 		t.Fatalf("tor1 OPSs = %v, want 2", ops)
 	}
-	vms := topo.VMsOnPM(ids["pm1"])
-	if len(vms) != 2 {
-		t.Fatalf("pm1 VMs = %v, want 2", vms)
-	}
 	byService := topo.VMsByService()
 	if len(byService["web"]) != 2 || len(byService["mapreduce"]) != 1 {
 		t.Fatalf("VMsByService = %v", byService)
@@ -152,7 +150,7 @@ func TestToROPSBipartiteRestriction(t *testing.T) {
 
 func TestRoutingGraph(t *testing.T) {
 	topo, ids := smallTopo(t)
-	g := topo.RoutingGraph(GraphOptions{})
+	g := routingGraph(topo, false, nil)
 	// VMs excluded by default.
 	if g.HasVertex(1000) {
 		t.Fatal("unexpected vertex")
@@ -166,12 +164,12 @@ func TestRoutingGraph(t *testing.T) {
 		t.Fatalf("path pm1->pm2 = %v, want at least pm-tor-pm", path)
 	}
 	// Restricting OPSs removes them from the graph.
-	g2 := topo.RoutingGraph(GraphOptions{RestrictOPS: map[NodeID]bool{ids["ops1"]: true}})
+	g2 := routingGraph(topo, false, map[NodeID]bool{ids["ops1"]: true})
 	if g2.HasVertex(gv(ids["ops2"])) {
 		t.Fatal("restricted OPS still present")
 	}
 	// IncludeVMs wires VMs to their host PM.
-	g3 := topo.RoutingGraph(GraphOptions{IncludeVMs: true})
+	g3 := routingGraph(topo, true, nil)
 	if !g3.HasVertex(gv(ids["vm1"])) {
 		t.Fatal("vm missing with IncludeVMs")
 	}
@@ -332,3 +330,93 @@ func TestKindAndDomainStrings(t *testing.T) {
 
 // gv converts a topology NodeID to a graph VertexID for path queries.
 func gv(id NodeID) graph.VertexID { return graph.VertexID(id) }
+
+// TestValidateCountsFabricComponents: on random fabrics of ToR and OPS
+// islands — some optical links down, a PM hung off an OPS by a boundary
+// link — Validate's union-find reports the components a breadth-first
+// walk over the ToRs, the OPSs and every boundary and optical link
+// finds, and passes exactly when there is at most one — an empty
+// topology has none.
+func TestValidateCountsFabricComponents(t *testing.T) {
+	if err := New().Validate(); err != nil {
+		t.Fatalf("empty topology: %v", err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	disconnected := 0
+	for trial := 0; trial < 300; trial++ {
+		topo := New()
+		var tors, opss []NodeID
+		for i := 1 + rng.Intn(8); i > 0; i-- {
+			opss = append(opss, topo.AddOPS(false, Resources{}))
+		}
+		link := func(a, b NodeID, kind LinkKind) LinkID {
+			id, err := topo.AddLink(a, b, kind, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return id
+		}
+		for i := rng.Intn(6); i > 0; i-- {
+			tor := topo.AddToR(0)
+			tors = append(tors, tor)
+			link(tor, opss[rng.Intn(len(opss))], LinkBoundary)
+		}
+		for i := rng.Intn(len(opss) + 1); i > 0; i-- {
+			a, b := opss[rng.Intn(len(opss))], opss[rng.Intn(len(opss))]
+			if a == b {
+				continue
+			}
+			if id := link(a, b, LinkOptical); rng.Intn(3) == 0 {
+				if err := topo.SetLinkDown(id, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if len(tors) > 0 && rng.Intn(3) == 0 {
+			pm := topo.AddPM(0, Resources{})
+			link(pm, tors[0], LinkElectronic)
+			link(pm, opss[rng.Intn(len(opss))], LinkBoundary)
+		}
+
+		adj := make(map[NodeID][]NodeID)
+		for _, id := range append(append([]NodeID{}, tors...), opss...) {
+			adj[id] = nil
+		}
+		for _, l := range topo.Links() {
+			if l.Kind != LinkElectronic {
+				adj[l.From] = append(adj[l.From], l.To)
+				adj[l.To] = append(adj[l.To], l.From)
+			}
+		}
+		components, seen := 0, make(map[NodeID]bool)
+		for v := range adj {
+			if seen[v] {
+				continue
+			}
+			components++
+			seen[v] = true
+			for queue := []NodeID{v}; len(queue) > 0; queue = queue[1:] {
+				for _, w := range adj[queue[0]] {
+					if !seen[w] {
+						seen[w] = true
+						queue = append(queue, w)
+					}
+				}
+			}
+		}
+		err := topo.Validate()
+		if components <= 1 {
+			if err != nil {
+				t.Fatalf("trial %d: one component, Validate: %v", trial, err)
+			}
+			continue
+		}
+		disconnected++
+		if want := fmt.Sprintf("topology: validate: switching fabric is disconnected (%d components)", components); err == nil || err.Error() != want {
+			t.Fatalf("trial %d: Validate = %v, want %q", trial, err, want)
+		}
+	}
+	if disconnected < 50 || disconnected > 250 {
+		t.Fatalf("%d of 300 fabrics were disconnected: the cases do not exercise both outcomes", disconnected)
+	}
+}
