@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/alvc/alvc/internal/ring"
 	"github.com/alvc/alvc/internal/topology"
 )
 
@@ -83,10 +84,7 @@ type Manager struct {
 	ledger    *Ledger
 	profiles  map[NFType]NFProfile
 	instances map[InstanceID]*Instance
-	// events grows by append to EventLogSize; from then on eventNext is
-	// the oldest entry and the slot the next event overwrites.
-	events    []Event
-	eventNext int
+	events    ring.Ring[Event] // the newest EventLogSize transitions
 	nextID    InstanceID
 	eventSeq  int
 }
@@ -103,6 +101,7 @@ func NewManager(topo *topology.Topology) (*Manager, error) {
 		ledger:    ledger,
 		profiles:  DefaultProfiles(),
 		instances: make(map[InstanceID]*Instance),
+		events:    ring.New[Event](EventLogSize),
 	}, nil
 }
 
@@ -112,12 +111,7 @@ func (m *Manager) Ledger() *Ledger { return m.ledger }
 func (m *Manager) recordLocked(id InstanceID, from, to State, note string) {
 	m.eventSeq++
 	ev := Event{Seq: m.eventSeq, Instance: id, From: from, To: to, Note: note}
-	if len(m.events) < EventLogSize {
-		m.events = append(m.events, ev)
-		return
-	}
-	m.events[m.eventNext] = ev
-	m.eventNext = (m.eventNext + 1) % EventLogSize
+	m.events.Push(ev)
 }
 
 // Create places a new VNF of type t on host, reserving one replica's
@@ -352,5 +346,5 @@ func (m *Manager) InstancesOn(host topology.NodeID) []*Instance {
 func (m *Manager) Events() []Event {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append(append([]Event(nil), m.events[m.eventNext:]...), m.events[:m.eventNext]...)
+	return m.events.AppendTo(nil)
 }

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"github.com/alvc/alvc/internal/orch"
+	"github.com/alvc/alvc/internal/ring"
 	"github.com/alvc/alvc/internal/trace"
 )
 
@@ -279,11 +280,8 @@ type Engine struct {
 	paused  bool
 	running int
 	stats   [numKinds]KindStats
-	// results is a ring of the last opts.ResultLog outcomes: it grows by
-	// append to that size, then resNext is the oldest entry and the slot
-	// the next result overwrites.
-	results   []TaskResult
-	resNext   int
+	// results holds the last opts.ResultLog outcomes.
+	results   ring.Ring[TaskResult]
 	storm     bool
 	stormStat StormStats
 	groupPlan GroupPlanStats
@@ -354,6 +352,7 @@ func New(o Target, opts Options) (*Engine, error) {
 		pool:      orch.NewPool(),
 		clock:     orch.WallClock,
 	}
+	e.results = ring.New[TaskResult](e.opts.ResultLog)
 	for i := range e.queues {
 		e.queues[i] = &shardQueue{queued: make(map[taskKey]bool)}
 	}
@@ -766,12 +765,7 @@ func (e *Engine) runTask(t task, slot *taskSlot) (res TaskResult, requeue bool) 
 			default:
 				e.stats[t.key.kind].Completed++
 			}
-			if len(e.results) < e.opts.ResultLog {
-				e.results = append(e.results, res)
-			} else {
-				e.results[e.resNext] = res
-				e.resNext = (e.resNext + 1) % len(e.results)
-			}
+			e.results.Push(res)
 		} else {
 			e.stats[t.key.kind].Requeued++
 		}
@@ -854,7 +848,7 @@ func (e *Engine) runTask(t task, slot *taskSlot) (res TaskResult, requeue bool) 
 		res.Error = err.Error()
 	}
 	if tr != nil {
-		sp := trace.Span{TraceID: sc.TraceID, SpanID: sc.SpanID, Parent: t.parent,
+		sp := trace.Span{Parent: t.parent,
 			Name: "optimizer." + t.key.kind.String(), Kind: trace.KindOptimizer,
 			Start: spanStart, End: time.Now(), Err: res.Error,
 			Attrs: []trace.Attr{{Key: "outcome", Value: res.Outcome}}}
@@ -863,7 +857,7 @@ func (e *Engine) runTask(t task, slot *taskSlot) (res TaskResult, requeue bool) 
 		if res.Outcome != "cancelled" {
 			sp.Dep = int(t.key.dep)
 		}
-		tr.Record(sp)
+		tr.Record(sc, sp)
 	}
 	return res, false
 }
@@ -937,7 +931,7 @@ func (e *Engine) runGroupTask(t task) TaskResult {
 		res.Outcome = "failed"
 	}
 	if tr != nil {
-		sp := trace.Span{TraceID: sc.TraceID, SpanID: sc.SpanID, Parent: parents[0].SpanID,
+		sp := trace.Span{Parent: parents[0].SpanID,
 			Name: "optimizer.storm-group", Kind: trace.KindOptimizer,
 			Start: spanStart, End: time.Now(),
 			Attrs: []trace.Attr{
@@ -955,7 +949,7 @@ func (e *Engine) runGroupTask(t task) TaskResult {
 		if failed > 0 {
 			sp.Err = fmt.Sprintf("%d member re-protects failed", failed)
 		}
-		tr.Record(sp)
+		tr.Record(sc, sp)
 	}
 	return res
 }
@@ -1083,7 +1077,7 @@ func (e *Engine) Status() Status {
 		Shed:           e.shedTotal,
 		Storm:          e.stormStat,
 		GroupPlans:     e.groupPlan,
-		LastResults:    append(append([]TaskResult(nil), e.results[e.resNext:]...), e.results[:e.resNext]...),
+		LastResults:    e.results.AppendTo(nil),
 	}
 	st.Storm.Active = e.storm
 	for kind := TaskKind(0); kind < numKinds; kind++ {

@@ -126,7 +126,7 @@ func (d *FailureDebouncer) Report(ctx context.Context, nodes []topology.NodeID, 
 	}
 	if sc, ok := trace.FromContext(ctx); ok && d.tracer != nil && len(d.parents) < maxBatchParents &&
 		!slices.ContainsFunc(d.parents, func(p trace.SpanContext) bool { return p.TraceID == sc.TraceID }) {
-		d.parents = append(d.parents, sc)
+		d.parents = append(d.parents, sc.Detached()) // the report's request ends before the flush
 	}
 	if d.window <= 0 {
 		d.mu.Unlock()
@@ -186,22 +186,25 @@ func (d *FailureDebouncer) flush(gen uint64) ([]RepairReport, error) {
 	// a failure report's trace contains the whole downstream repair —
 	// and links the other reports' traces (they merged into this batch
 	// too). With no traced parents the batch starts a fresh trace.
+	// The batch span and the repairs under it commit onto that trace as
+	// one insert.
 	ctx := context.Background()
-	var sc trace.SpanContext
+	var c *trace.Carrier
 	if tr != nil {
 		var first trace.SpanContext
 		if len(parents) > 0 {
 			first = parents[0]
 		}
-		sc = tr.Start(first)
-		ctx = trace.ContextWith(ctx, sc)
+		c = new(trace.Carrier)
+		tr.Begin(c, ctx, first)
+		ctx = c
 	}
 
 	start := time.Now()
 	reports, err := d.h.HandleFailures(ctx, nodes, links)
 	elapsed := time.Since(start)
 	if tr != nil {
-		sp := trace.Span{TraceID: sc.TraceID, SpanID: sc.SpanID,
+		sp := trace.Span{
 			Name: "debounce.flush", Kind: trace.KindBatch, Start: start, End: start.Add(elapsed),
 			Attrs: []trace.Attr{
 				{Key: "nodes", Value: strconv.Itoa(len(nodes))},
@@ -211,13 +214,13 @@ func (d *FailureDebouncer) flush(gen uint64) ([]RepairReport, error) {
 		if len(parents) > 0 {
 			sp.Parent = parents[0].SpanID
 			for _, p := range parents[1:] {
-				if p.TraceID != sc.TraceID {
+				if p.TraceID != c.SC.TraceID {
 					sp.Links = append(sp.Links, p.TraceID)
 				}
 			}
 		}
 		sp.SetError(err)
-		tr.Record(sp)
+		tr.End(c, sp)
 	}
 	if onFlush != nil {
 		onFlush(elapsed, len(reports))

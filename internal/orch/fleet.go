@@ -9,6 +9,8 @@ package orch
 import (
 	"slices"
 	"time"
+
+	"github.com/alvc/alvc/internal/ring"
 )
 
 // ChainHealth is what a fleet sweep needs to know about one active
@@ -113,26 +115,11 @@ type Tombstone struct {
 // ones answer as unknown.
 const TombstoneRing = 64
 
-// tombstoneRing holds the newest TombstoneRing tombstones. It grows by
-// append up to the bound and overwrites the oldest from then on.
-type tombstoneRing struct {
-	buf  []Tombstone
-	next int // slot the next push overwrites once buf is full
-}
-
-func (r *tombstoneRing) push(t Tombstone) {
-	if len(r.buf) < TombstoneRing {
-		r.buf = append(r.buf, t)
-		return
-	}
-	r.buf[r.next] = t
-	r.next = (r.next + 1) % TombstoneRing
-}
-
-func (r *tombstoneRing) find(id DeploymentID) (Tombstone, bool) {
-	for i := range r.buf {
-		if r.buf[i].ID == id {
-			return r.buf[i], true
+// findTombstone returns the ring's tombstone of id, if it holds one.
+func findTombstone(r *ring.Ring[Tombstone], id DeploymentID) (Tombstone, bool) {
+	for i := 0; i < r.Len(); i++ {
+		if t := r.At(i); t.ID == id {
+			return t, true
 		}
 	}
 	return Tombstone{}, false
@@ -143,13 +130,13 @@ func (r *tombstoneRing) find(id DeploymentID) (Tombstone, bool) {
 func (o *Orchestrator) Tombstone(id DeploymentID) (Tombstone, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.tombs.find(id)
+	return findTombstone(&o.tombs, id)
 }
 
 // Tombstones returns the shard's ring sorted by ID.
 func (o *Orchestrator) Tombstones() []Tombstone {
 	o.mu.Lock()
-	out := slices.Clone(o.tombs.buf)
+	out := o.tombs.AppendTo(nil)
 	o.mu.Unlock()
 	sortTombstones(out)
 	return out

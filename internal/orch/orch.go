@@ -38,6 +38,7 @@ import (
 	"github.com/alvc/alvc/internal/optical"
 	"github.com/alvc/alvc/internal/placement"
 	"github.com/alvc/alvc/internal/resilience"
+	"github.com/alvc/alvc/internal/ring"
 	"github.com/alvc/alvc/internal/sdn"
 	"github.com/alvc/alvc/internal/topology"
 	"github.com/alvc/alvc/internal/trace"
@@ -313,7 +314,7 @@ type Orchestrator struct {
 	// the record out and leaves a Tombstone in tombs, so every walk of
 	// the map is O(active).
 	deployments map[DeploymentID]*Deployment
-	tombs       tombstoneRing
+	tombs       ring.Ring[Tombstone] // the newest TombstoneRing deletes
 	// viewOrder is ViewDeployments' scratch: the records in ID order
 	// while a view runs, cleared between views. Guarded by mu.
 	viewOrder []*Deployment
@@ -406,6 +407,7 @@ func newShard(core *sharedCore, alloc *cluster.Allocator, ctrl *sdn.Controller, 
 		nodeIndex:   newPostings[topology.NodeID](),
 		linkIndex:   newPostings[topology.LinkID](),
 		owed:        make(map[DeploymentID]*Deployment),
+		tombs:       ring.New[Tombstone](TombstoneRing),
 	}
 }
 
@@ -538,25 +540,24 @@ func (o *Orchestrator) teardown(dep *Deployment) error {
 // pools. With a tracer attached it records a "provision" span — a child
 // of the span in ctx (the server's per-request root) when one is there,
 // the root of a fresh trace otherwise — with every executed pipeline
-// stage as a child span.
+// stage as a child span. The spans go up with the request's, or, with no
+// traced operation around the provision, to the store in one insert.
 func (o *Orchestrator) Provision(ctx context.Context, spec chain.Spec) (*Deployment, error) {
 	tr := o.hooks.Load().Tracer
 	if tr == nil {
 		return o.provision(ctx, spec)
 	}
 	parent, _ := trace.FromContext(ctx)
-	sc := tr.Start(parent)
+	c := new(trace.Carrier)
+	tr.Begin(c, ctx, parent)
 	start := time.Now()
-	dep, err := o.provision(trace.ContextWith(ctx, sc), spec)
-	sp := trace.Span{
-		TraceID: sc.TraceID, SpanID: sc.SpanID, Parent: parent.SpanID,
-		Name: "provision", Kind: trace.KindProvision, Start: start, End: time.Now(),
-	}
+	dep, err := o.provision(c, spec)
+	sp := trace.Span{Parent: parent.SpanID, Name: "provision", Kind: trace.KindProvision, Start: start, End: time.Now()}
 	sp.SetError(err)
 	if dep != nil {
 		sp.Dep = int(dep.ID)
 	}
-	tr.Record(sp)
+	tr.End(c, sp)
 	return dep, err
 }
 
@@ -870,17 +871,14 @@ func (o *Orchestrator) Delete(ctx context.Context, id DeploymentID) (*Deployment
 	sc := tr.Start(parent)
 	start := time.Now()
 	final, err := o.delete(id, sc.TraceID)
-	sp := trace.Span{
-		TraceID: sc.TraceID, SpanID: sc.SpanID, Parent: parent.SpanID,
-		Name: "delete", Kind: trace.KindDelete, Start: start, End: time.Now(),
-	}
+	sp := trace.Span{Parent: parent.SpanID, Name: "delete", Kind: trace.KindDelete, Start: start, End: time.Now()}
 	// A refused delete of a chain that is already gone must not give it
 	// a per-chain index entry in the trace store again.
 	if !errors.Is(err, ErrUnknownDeployment) && !errors.Is(err, ErrNotActive) {
 		sp.Dep = int(id)
 	}
 	sp.SetError(err)
-	tr.Record(sp)
+	tr.Record(sc, sp)
 	return final, err
 }
 
@@ -897,7 +895,7 @@ func (o *Orchestrator) delete(id DeploymentID, traceID string) (*Deployment, err
 	delete(o.deployments, id)
 	delete(o.owed, id)
 	o.deletedTotal++
-	o.tombs.push(Tombstone{
+	o.tombs.Push(Tombstone{
 		ID: id, Name: dep.Spec.Name, Tenant: dep.Spec.Tenant, Service: dep.Spec.Service,
 		DeletedAt: time.Now(), TraceID: traceID,
 	})
@@ -977,7 +975,7 @@ func (o *Orchestrator) ActiveCount() int {
 func (o *Orchestrator) activeLocked(id DeploymentID) (*Deployment, error) {
 	dep, ok := o.deployments[id]
 	if !ok {
-		if _, deleted := o.tombs.find(id); deleted {
+		if _, deleted := findTombstone(&o.tombs, id); deleted {
 			return nil, fmt.Errorf("%w: deployment %d is %s", ErrNotActive, id, StateDeleted)
 		}
 		return nil, fmt.Errorf("%w: %d", ErrUnknownDeployment, id)

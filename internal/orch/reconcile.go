@@ -161,11 +161,12 @@ func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.Fa
 		// operations — continuing the caller's trace (the failure
 		// report's HTTP span or the debouncer's batch span).
 		rctx := ctx
-		var sc trace.SpanContext
+		var c *trace.Carrier
 		var start time.Time
 		if tr != nil {
-			sc = tr.Start(parent)
-			rctx = trace.ContextWith(ctx, sc)
+			c = new(trace.Carrier)
+			tr.Begin(c, ctx, parent)
+			rctx = c
 			start = time.Now()
 		}
 		rep := o.repairAround(rctx, affected[i], dead)
@@ -175,13 +176,13 @@ func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.Fa
 			rep = o.repairAround(rctx, affected[i], dead)
 		}
 		if tr != nil {
-			sp := trace.Span{TraceID: sc.TraceID, SpanID: sc.SpanID, Parent: parent.SpanID,
+			sp := trace.Span{Parent: parent.SpanID,
 				Name: "repair", Kind: trace.KindRepair, Start: start, End: time.Now(),
 				Dep:   int(affected[i]),
 				Attrs: []trace.Attr{{Key: "action", Value: string(rep.Action)}}}
 			sp.SetError(rep.Err)
-			tr.Record(sp)
-			rep.TraceID, rep.SpanID = sc.TraceID, sc.SpanID
+			tr.End(c, sp)
+			rep.TraceID, rep.SpanID = c.SC.TraceID, c.SC.SpanID
 		}
 		reports[i] = rep
 	})

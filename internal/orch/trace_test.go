@@ -224,3 +224,62 @@ func TestSingleNodeFailureJoinsRequestTrace(t *testing.T) {
 		t.Fatalf("stage spans = %d, want the swap's 2", stages)
 	}
 }
+
+// TestTracedOperationsCommitOnce counts inserts into the trace store: a
+// traced provision's nine spans — its own and its eight stages' — reach
+// it in one; inside an operation that buffers (a server request), none
+// until that operation ends, and then the request's ten spans in one; a
+// delete, and a failure report's repair with its stages, in one each.
+func TestTracedOperationsCommitOnce(t *testing.T) {
+	var st *trace.Store
+	var last trace.Stats
+	step := func(what string, commits, spans uint64) {
+		t.Helper()
+		now := st.Stats()
+		if now.Commits-last.Commits != commits || now.SpansRecorded-last.SpansRecorded != spans {
+			t.Fatalf("%s: %d inserts of %d spans, want %d of %d", what,
+				now.Commits-last.Commits, now.SpansRecorded-last.SpansRecorded, commits, spans)
+		}
+		last = now
+	}
+
+	s, o := newOrch(t)
+	tr := newTestTracer()
+	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
+	st = tr.Store()
+	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	if err != nil {
+		t.Fatalf("Provision: %v", err)
+	}
+	step("provision", 1, 9)
+	if _, err := o.Delete(bg, dep.ID); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	step("delete", 1, 1)
+
+	var req trace.Carrier
+	tr.Begin(&req, bg, trace.SpanContext{})
+	if _, err := o.Provision(&req, webSpec(t, "chain-1")); err != nil {
+		t.Fatalf("Provision under a request: %v", err)
+	}
+	step("provision inside a request", 0, 0)
+	tr.End(&req, trace.Span{Name: "request", Kind: trace.KindHTTP, Start: time.Now(), End: time.Now()})
+	step("the request's end", 1, 10)
+	spans, _, _ := st.Trace(req.SC.TraceID)
+	if len(spans) != 10 || spans[9].Parent != 0 || spans[8].Kind != trace.KindProvision || spans[8].Parent != req.SC.SpanID {
+		t.Fatalf("request trace = %+v, want 8 stages, the provision under the request, the request last", spans)
+	}
+
+	s, o, ids := triOrch(t, Config{})
+	if _, err := o.Provision(bg, triSpec(t, "chain-1")); err != nil {
+		t.Fatalf("Provision: %v", err)
+	}
+	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
+	last = st.Stats()
+	root := tr.StartTrace("fail-1")
+	reports, err := s.HandleFailures(trace.ContextWith(bg, root), []topology.NodeID{ids.tors[0][0]}, nil)
+	if err != nil || len(reports) != 1 {
+		t.Fatalf("HandleFailures = %+v, %v", reports, err)
+	}
+	step("a repair under an unbuffered span", 1, 3) // a swap: wdm, rules, the repair
+}

@@ -31,9 +31,9 @@ type statusRecorder struct {
 }
 
 // frame is what a traced request allocates, once: the recorder its
-// handlers write through, the context that carries its span (handed out
-// by address, see trace.Carrier) and the one-value list its X-Trace-Id
-// header points at.
+// handlers write through, the context that carries its span and span
+// buffer (handed out by address, see trace.Carrier) and the one-value
+// list its X-Trace-Id header points at.
 type frame struct {
 	rec     statusRecorder
 	ctx     trace.Carrier
@@ -78,11 +78,13 @@ func init() {
 
 // untraced reports whether a path is excluded from request tracing:
 // scrape and streaming endpoints would flood the store with spans that
-// describe the observer, not the system, and the trace-query API must
-// not generate traffic in the store it reads.
+// describe the observer, not the system, and the trace-query API —
+// /v1/traces and a chain's /v1/chains/{id}/traces — must not generate
+// traffic in the store it reads.
 func untraced(path string) bool {
 	return path == "/metrics" || path == "/healthz" ||
-		path == "/v1/watch" || strings.HasPrefix(path, "/v1/traces")
+		path == "/v1/watch" || strings.HasPrefix(path, "/v1/traces") ||
+		strings.HasPrefix(path, "/v1/chains/") && strings.HasSuffix(path, "/traces")
 }
 
 // withTracing opens the root span of every traced request. A client
@@ -91,8 +93,10 @@ func untraced(path string) bool {
 // fresh ID is minted. The resolved ID is echoed in the X-Trace-Id
 // response header either way, and the span context rides the request
 // context into the handlers, where the orchestrator's provision and
-// repair spans attach as children. The recorder, the context and the
-// header's value are one allocation, the request's frame.
+// repair spans attach as children. The recorder, the context with the
+// request's span buffer and the header's value are one allocation, the
+// request's frame; the request's spans reach the store in one insert
+// when it ends.
 func withTracing(tr *trace.Tracer, next http.Handler) http.Handler {
 	if tr == nil {
 		return next
@@ -103,12 +107,11 @@ func withTracing(tr *trace.Tracer, next http.Handler) http.Handler {
 			return
 		}
 		f := &frame{rec: statusRecorder{ResponseWriter: w}}
-		f.ctx.Context = r.Context()
+		var pinned trace.SpanContext
 		if id := r.Header.Get("X-Trace-Id"); id != "" && trace.ValidTraceID(id) {
-			f.ctx.SC = tr.StartTrace(id)
-		} else {
-			f.ctx.SC = tr.Start(trace.SpanContext{})
+			pinned.TraceID = id
 		}
+		tr.Begin(&f.ctx, r.Context(), pinned)
 		f.traceID[0] = f.ctx.SC.TraceID
 		w.Header()["X-Trace-Id"] = f.traceID[:]
 		start := time.Now()
@@ -118,13 +121,11 @@ func withTracing(tr *trace.Tracer, next http.Handler) http.Handler {
 			status = http.StatusOK
 		}
 		sp := trace.Span{
-			TraceID: f.ctx.SC.TraceID,
-			SpanID:  f.ctx.SC.SpanID,
-			Name:    r.Method + " " + r.URL.Path,
-			Kind:    trace.KindHTTP,
-			Start:   start,
-			End:     time.Now(),
-			Attrs:   statusAttrs[status],
+			Name:  r.URL.Path,
+			Kind:  trace.KindHTTP,
+			Start: start,
+			End:   time.Now(),
+			Attrs: statusAttrs[status],
 		}
 		if sp.Attrs == nil {
 			sp.Attrs = []trace.Attr{{Key: "status", Value: strconv.Itoa(status)}}
@@ -132,7 +133,7 @@ func withTracing(tr *trace.Tracer, next http.Handler) http.Handler {
 		if status >= http.StatusInternalServerError {
 			sp.Err = http.StatusText(status)
 		}
-		tr.Record(sp)
+		tr.EndRequest(&f.ctx, r.Method, sp)
 	})
 }
 

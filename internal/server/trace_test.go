@@ -161,7 +161,7 @@ func TestTraceEndpointValidation(t *testing.T) {
 	}
 
 	before := arch.TraceStore().Stats().SpansRecorded
-	for _, path := range []string{"/healthz", "/metrics", "/v1/traces"} {
+	for _, path := range []string{"/healthz", "/metrics", "/v1/traces", "/v1/chains/1/traces"} {
 		if status, _, echoed := doTraced(t, "GET", ts.URL+path, "probe-1", nil); status != http.StatusOK || echoed != "" {
 			t.Fatalf("GET %s: status %d, echoed trace %q — want untraced 200", path, status, echoed)
 		}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -8,8 +9,8 @@ import (
 	"time"
 )
 
-// TestStoreRecyclesWithoutAliasing: a freed trace's entry and span array
-// serve the next new trace, and nothing handed out before the trace was
+// TestStoreRecyclesWithoutAliasing: a freed trace's entry and record
+// array serve the next new trace, and nothing handed out before the trace was
 // freed — a Trace copy, a summary — changes when they do.
 func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 	st := NewStore(StoreOptions{RecentPerKind: 2, SlowestN: 1, ChainDepth: 1})
@@ -46,7 +47,7 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 		t.Fatalf("copies taken before the eviction changed:\n%+v\n%+v", spans, sums)
 	}
 	for id, e := range st.traces {
-		if e.id != id || len(e.spans) != 1 || e.spans[0].TraceID != id || e.droppedSpans != 0 || e.errored {
+		if e.id != id || len(e.recs) != 1 || e.recs[0].span(id).TraceID != id || e.dropped != 0 || e.errored {
 			t.Errorf("trace %s is held as %+v", id, e)
 		}
 	}
@@ -54,20 +55,20 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 		t.Errorf("%d spare entries, bound %d", n, maxSpareEntries)
 	}
 	for _, e := range st.spare {
-		if e.id != "" || len(e.spans) != 0 || cap(e.spans) > maxSpareSpans || e.refs != 0 {
+		if e.id != "" || len(e.recs) != 0 || cap(e.recs) > maxSpareSpans || e.refs != 0 {
 			t.Errorf("a spare entry is not blank: %+v", e)
 		}
-		for _, sp := range e.spans[:cap(e.spans)] {
-			if sp.TraceID != "" || sp.Attrs != nil {
-				t.Errorf("a spare span array still holds %+v", sp)
+		for _, r := range e.recs[:cap(e.recs)] {
+			if r.name != "" || r.attrs != nil {
+				t.Errorf("a spare record array still holds %+v", r)
 			}
 		}
 	}
 }
 
 // BenchmarkStoreAddSteadyState records single-span traces into a full
-// store: each admits one trace and frees another, whose entry and span
-// array it takes over. 0 allocs/op.
+// store: each admits one trace and frees another, whose entry and
+// record array it takes over. 0 allocs/op.
 func BenchmarkStoreAddSteadyState(b *testing.B) {
 	st := NewStore(StoreOptions{})
 	ids := make([]string, 4096) // a repeat comes long after its first use was freed
@@ -86,5 +87,41 @@ func BenchmarkStoreAddSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		add(i)
+	}
+}
+
+// BenchmarkStoreCommit records churn-shaped cycles into a full store the
+// way the server and the orchestrator do: a provision request (the
+// request's span, the provision nested in it, eight stages under the
+// provision) and the chain's delete request (the request, the delete),
+// each request's spans in one insert. An op is one cycle: 12 spans, 2
+// inserts, 2 new traces, a chain indexed and dropped.
+func BenchmarkStoreCommit(b *testing.B) {
+	tr := NewTracer(NewStore(StoreOptions{}))
+	stages := []string{"cluster", "slice", "placement", "instantiate", "path", "standby", "wdm", "rules"}
+	attrs := []Attr{{Key: "status", Value: "201"}}
+	ctx := context.Background()
+	cycle := func(dep int) {
+		t0 := time.Now()
+		req, prov := new(Carrier), new(Carrier)
+		tr.Begin(req, ctx, SpanContext{})
+		tr.Begin(prov, req, req.SC)
+		for _, s := range stages {
+			tr.RecordChild(prov.SC, s, KindStage, t0, time.Microsecond, nil)
+		}
+		tr.End(prov, Span{Parent: req.SC.SpanID, Name: "provision", Kind: KindProvision, Start: t0, End: t0.Add(time.Millisecond), Dep: dep})
+		tr.EndRequest(req, "POST", Span{Name: "/v1/chains", Kind: KindHTTP, Start: t0, End: t0.Add(time.Millisecond), Attrs: attrs})
+		del := new(Carrier)
+		tr.Begin(del, ctx, SpanContext{})
+		tr.Record(tr.Start(del.SC), Span{Parent: del.SC.SpanID, Name: "delete", Kind: KindDelete, Start: t0, End: t0.Add(time.Microsecond), Dep: dep})
+		tr.EndRequest(del, "DELETE", Span{Name: "/v1/chains/1", Kind: KindHTTP, Start: t0, End: t0.Add(time.Millisecond), Attrs: attrs})
+	}
+	for i := 0; i < 4096; i++ { // fill the rings: from here each cycle frees what it admits
+		cycle(i + 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(i + 1)
 	}
 }

@@ -10,6 +10,13 @@ package trace
 // only when no retention set references it (refcounted), and a hard
 // MaxSpans budget force-evicts oldest-first so the store can never
 // grow past its configured size no matter the workload.
+//
+// Spans arrive one operation at a time (commit): a request's or a
+// repair's whole tree in one locked insert, each span admitted exactly
+// as if it had been added alone, in order. A trace is an exactly sized
+// array of compact records — one per insert, so usually one — and the
+// retention sets hold entries: a fixed ring per kind and for the
+// errored, a heap for the slowest.
 
 import (
 	"cmp"
@@ -17,6 +24,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/alvc/alvc/internal/ring"
 )
 
 // StoreOptions bound the store. Zero values take the defaults noted
@@ -54,6 +63,9 @@ func (o StoreOptions) withDefaults() StoreOptions {
 
 // Stats are the store's lifetime and live counters.
 type Stats struct {
+	// Commits counts inserts: one per outermost traced operation, and
+	// one per span recorded outside any.
+	Commits       uint64
 	SpansRecorded uint64
 	SpansDropped  uint64
 	TracesEvicted uint64
@@ -85,29 +97,37 @@ type Query struct {
 }
 
 type entry struct {
-	id           string
-	pos          int    // where order holds id
-	kind         string // root span's kind once seen, else first span's
-	ringKind     string // which recent ring holds this trace ("" = popped)
-	spans        []Span
-	refs         int
-	deps         []int // deployments whose chain index references this trace
-	inSlow       bool
-	inErr        bool
-	rootSeen     bool
-	rootDur      time.Duration
-	rootName     string
-	minStart     time.Time
-	maxEnd       time.Time
-	errored      bool
-	droppedSpans int
+	id string
+	// recs holds the spans of the insert that created the trace and more
+	// those of each later insert (a continuation), every array sized to
+	// its insert: a continuation appends an array rather than copying
+	// the trace into a longer one.
+	recs     []record
+	more     [][]record
+	n        int     // spans held
+	root     *record // the root span, once seen
+	deps     []int   // deployments whose chain index references this trace
+	kind     string  // root span's kind once seen, else first span's
+	name     string  // the summary's name, once built (named)
+	pos      int     // where order holds the entry
+	refs     int
+	minStart int64
+	maxEnd   int64
+	dropped  int
+	slowKey  uint64 // tie order among equally slow roots (see considerSlowest)
+	slowAt   int    // index in the slowest heap while inSlow
+	inRing   bool   // in the recent ring of its kind (false once popped)
+	inSlow   bool
+	inErr    bool
+	errored  bool
+	named    bool
 }
 
 func (e *entry) duration() time.Duration {
-	if e.rootSeen {
-		return e.rootDur
+	if e.root != nil {
+		return time.Duration(e.root.dur)
 	}
-	return e.maxEnd.Sub(e.minStart)
+	return time.Duration(e.maxEnd - e.minStart)
 }
 
 // Store is the bounded in-memory trace store. Safe for concurrent use.
@@ -115,18 +135,22 @@ type Store struct {
 	mu     sync.Mutex
 	opts   StoreOptions
 	traces map[string]*entry
-	recent map[string][]string // kind -> trace IDs, oldest first
-	slow   []string            // slowest-N pinned traces (unordered)
-	errs   []string            // errored pinned traces, oldest first
-	byDep  map[int][]string    // deployment -> trace IDs, oldest first
-	order  []string            // trace creation order from head on (may hold stale IDs)
-	head   int                 // order[:head] is consumed
-	total  int                 // live spans across all traces
-	// spare holds freed traces' entries, span arrays attached, for the
-	// next new trace: a full store frees one trace for every one it
-	// admits.
+	recent map[string]*ring.Ring[*entry] // kind -> traces, oldest first
+	errs   ring.Ring[*entry]             // errored pinned traces, oldest first
+	// slow is a min-heap of the slowest-N pinned roots by (root
+	// duration, slowKey).
+	slow    []*entry
+	slowSeq uint64
+	byDep   map[int]ring.Ring[*entry] // deployment -> traces, oldest first
+	order   []*entry                  // trace creation order from head on (nil = freed)
+	head    int                       // order[:head] is consumed
+	total   int                       // live spans across all traces
+	// spare holds freed traces' entries, small record arrays attached,
+	// for the next new trace: a full store frees one trace for every
+	// one it admits.
 	spare []*entry
 
+	commits  uint64
 	recorded uint64
 	dropped  uint64
 	evicted  uint64
@@ -134,128 +158,180 @@ type Store struct {
 
 // NewStore returns an empty store bounded by opts.
 func NewStore(opts StoreOptions) *Store {
+	opts = opts.withDefaults()
 	return &Store{
-		opts:   opts.withDefaults(),
+		opts:   opts,
 		traces: make(map[string]*entry),
-		recent: make(map[string][]string),
-		byDep:  make(map[int][]string),
+		recent: make(map[string]*ring.Ring[*entry]),
+		errs:   ring.New[*entry](opts.ErroredN),
+		byDep:  make(map[int]ring.Ring[*entry]),
 	}
 }
 
 // Options returns the store's effective (defaulted) bounds.
 func (s *Store) Options() StoreOptions { return s.opts }
 
-func (s *Store) add(sp Span) {
+// commit inserts the spans of one trace under one lock, in order. Each
+// is admitted exactly as if it had been added on its own: the per-trace
+// cap, the budget, retention and the chain index see the same sequence.
+func (s *Store) commit(traceID string, recs []record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.traces[sp.TraceID]
-	if ok && len(e.spans) >= s.opts.MaxSpansPerTrace {
-		e.droppedSpans++
-		s.dropped++
-		return
-	}
-	s.makeRoom(sp.TraceID)
-	if s.total >= s.opts.MaxSpans {
-		// Budget exhausted and nothing evictable besides this trace.
-		if ok {
-			e.droppedSpans++
+	s.commits++
+	e := s.traces[traceID]
+	for i := range recs {
+		if e != nil && e.n >= s.opts.MaxSpansPerTrace {
+			e.dropped++
+			s.dropped++
+			continue
 		}
-		s.dropped++
-		return
-	}
-	if !ok {
-		if n := len(s.spare); n > 0 {
-			e, s.spare = s.spare[n-1], s.spare[:n-1]
-		} else {
-			e = new(entry)
+		s.makeRoom(e)
+		if s.total >= s.opts.MaxSpans {
+			// Budget exhausted and nothing evictable besides this trace.
+			if e != nil {
+				e.dropped++
+			}
+			s.dropped++
+			continue
 		}
-		e.id, e.kind, e.minStart, e.maxEnd = sp.TraceID, sp.Kind, sp.Start, sp.End
-		s.traces[sp.TraceID] = e
-		e.pos = len(s.order)
-		s.order = append(s.order, sp.TraceID)
-		s.compactOrder()
-		s.pushRecent(e)
+		left := len(recs) - i
+		if e == nil {
+			e = s.newEntry(traceID, &recs[i], min(left, s.opts.MaxSpansPerTrace))
+		} else if t := e.tail(); len(*t) == cap(*t) {
+			// A continuation: an array sized to what the rest of this
+			// insert can add.
+			e.more = append(e.more, make([]record, 0, min(left, s.opts.MaxSpansPerTrace-e.n)))
+		}
+		if !s.admit(e, &recs[i]) {
+			e = nil // its own delete span freed the trace
+		}
 	}
-	e.spans = append(e.spans, sp)
+}
+
+// newEntry files a new trace whose first span is r, with room for n
+// spans.
+func (s *Store) newEntry(traceID string, r *record, n int) *entry {
+	var e *entry
+	if k := len(s.spare); k > 0 {
+		// Prefer a spare whose array fits exactly.
+		j := k - 1
+		for i, sp := range s.spare {
+			if cap(sp.recs) == n {
+				j = i
+				break
+			}
+		}
+		e = s.spare[j]
+		s.spare[j] = s.spare[k-1]
+		s.spare[k-1] = nil
+		s.spare = s.spare[:k-1]
+	} else {
+		e = new(entry)
+	}
+	if cap(e.recs) != n {
+		e.recs = make([]record, 0, n)
+	}
+	e.id, e.kind = traceID, r.kindName()
+	e.minStart, e.maxEnd = r.start, r.start+r.dur
+	s.traces[traceID] = e
+	e.pos = len(s.order)
+	s.order = append(s.order, e)
+	s.compactOrder()
+	s.pushRecent(e)
+	return e
+}
+
+// tail is the array e's next span goes to.
+func (e *entry) tail() *[]record {
+	if len(e.more) > 0 {
+		return &e.more[len(e.more)-1]
+	}
+	return &e.recs
+}
+
+// admit adds r to e and files e where r makes it belong. It reports
+// false when r, a delete, released the chain index that held the last
+// reference to e: e is freed.
+func (s *Store) admit(e *entry, r *record) bool {
+	t := e.tail()
+	*t = append(*t, *r)
+	e.n++
 	s.total++
 	s.recorded++
-	if e.minStart.IsZero() || sp.Start.Before(e.minStart) {
-		e.minStart = sp.Start
-	}
-	if sp.End.After(e.maxEnd) {
-		e.maxEnd = sp.End
-	}
-	if sp.Err != "" && !e.errored {
+	e.minStart = min(e.minStart, r.start)
+	e.maxEnd = max(e.maxEnd, r.start+r.dur)
+	if r.err() != "" && !e.errored {
 		e.errored = true
 		s.pushErrored(e)
 	}
-	switch {
-	case sp.Dep == 0:
-	case sp.Kind == KindDelete && sp.Err == "":
+	switch d := r.depID(); {
+	case d == 0:
+	case r.kind == kindDelete && r.err() == "":
 		// The chain is gone: its index entry goes with it, and this
 		// span does not start a new one. The delete's own trace stays
 		// reachable by ID (the orchestrator's tombstone carries it)
 		// while a ring or pinned set holds it.
-		s.dropDep(sp.Dep)
+		s.dropDep(d)
 		if e.refs <= 0 {
-			return // the index held the last reference to this trace too
+			return false // the index held the last reference to this trace too
 		}
 	default:
-		s.indexDep(e, sp.Dep)
+		s.indexDep(e, d)
 	}
-	if sp.Parent == 0 && !e.rootSeen {
-		e.rootSeen = true
-		e.rootDur = sp.End.Sub(sp.Start)
-		e.rootName = sp.Name
-		if sp.Kind != e.kind {
-			e.kind = sp.Kind
-			s.moveRing(e, sp.Kind)
+	if r.parent == 0 && e.root == nil {
+		e.root = &(*t)[len(*t)-1]
+		e.named = false
+		if k := r.kindName(); k != e.kind {
+			from := e.kind
+			e.kind = k
+			s.moveRing(e, from)
 		}
 		s.considerSlowest(e)
 	}
+	return true
 }
 
 // makeRoom force-evicts oldest traces (except exclude, the one being
 // written) until one more span fits under MaxSpans. The victim is found
-// from head, which moves past it and past every stale ID on the way, so
-// an eviction is amortized O(1).
-func (s *Store) makeRoom(exclude string) {
+// from head, which moves past it and past every freed slot on the way,
+// so an eviction is amortized O(1).
+func (s *Store) makeRoom(exclude *entry) {
 	for s.total+1 > s.opts.MaxSpans {
-		victim := -1
+		var victim *entry
 		for i := s.head; i < len(s.order); i++ {
-			id := s.order[i]
-			if _, ok := s.traces[id]; !ok {
+			v := s.order[i]
+			if v == nil {
 				if i == s.head {
 					s.head++
 				}
 				continue
 			}
-			if id != exclude {
-				victim = i
+			if v != exclude {
+				victim = v
 				break
 			}
 		}
-		if victim < 0 {
+		if victim == nil {
 			return
 		}
-		s.forceEvict(s.traces[s.order[victim]])
+		s.forceEvict(victim)
 	}
 }
 
-// compactOrder rewrites order to its live IDs once the consumed and
-// stale ones outnumber them — traces freed by refcount leave their IDs
-// behind, and nothing else collects those. Run on every new trace, it
-// keeps len(order) within a constant factor of the live traces at
-// amortized O(1).
+// compactOrder rewrites order to its live entries once the consumed and
+// freed slots outnumber them — traces freed by refcount leave their
+// slots behind, and nothing else collects those. Run on every new
+// trace, it keeps len(order) within a constant factor of the live
+// traces at amortized O(1).
 func (s *Store) compactOrder() {
 	if len(s.order) < 2*len(s.traces)+64 {
 		return
 	}
 	live := s.order[:0]
-	for _, id := range s.order[s.head:] {
-		if e, ok := s.traces[id]; ok {
+	for _, e := range s.order[s.head:] {
+		if e != nil {
 			e.pos = len(live)
-			live = append(live, id)
+			live = append(live, e)
 		}
 	}
 	clear(s.order[len(live):])
@@ -264,30 +340,44 @@ func (s *Store) compactOrder() {
 
 // forceEvict removes e from every retention set and frees it.
 func (s *Store) forceEvict(e *entry) {
-	if e.ringKind != "" {
-		s.recent[e.ringKind] = removeID(s.recent[e.ringKind], e.id)
-		e.ringKind = ""
+	if e.inRing {
+		removeEntry(s.recent[e.kind], e)
+		e.inRing = false
 	}
 	if e.inSlow {
-		s.slow = removeID(s.slow, e.id)
+		s.slowRemove(e.slowAt)
 		e.inSlow = false
 	}
 	if e.inErr {
-		s.errs = removeID(s.errs, e.id)
+		removeEntry(&s.errs, e)
 		e.inErr = false
 	}
 	for _, d := range e.deps {
-		s.byDep[d] = removeID(s.byDep[d], e.id)
-		if len(s.byDep[d]) == 0 {
+		r := s.byDep[d]
+		removeEntry(&r, e)
+		if r.Len() == 0 {
 			delete(s.byDep, d)
+		} else {
+			s.byDep[d] = r
 		}
 	}
-	e.deps = nil
+	e.deps = e.deps[:0]
 	s.free(e)
 }
 
+// removeEntry takes e out of r. An evicted trace is among the oldest of
+// its sets, so the scan runs from the front.
+func removeEntry(r *ring.Ring[*entry], e *entry) {
+	for i := 0; i < r.Len(); i++ {
+		if r.At(i) == e {
+			r.Remove(i)
+			return
+		}
+	}
+}
+
 // The bounds of the spare list: how many freed entries it keeps, and how
-// long a span array a kept entry may hold on to. Most traces are one
+// long a record array a kept entry may hold on to. Most traces are one
 // request's few spans; a storm batch's hundred go to the collector.
 const (
 	maxSpareEntries = 16
@@ -296,15 +386,19 @@ const (
 
 // free forgets the trace. Nothing may use e afterwards: it is reset and
 // kept for the next new trace. Readers were handed copies (Trace,
-// summaryLocked), so reusing the span array aliases nothing.
+// summaryLocked), so reusing the record array aliases nothing.
 func (s *Store) free(e *entry) {
 	delete(s.traces, e.id)
-	s.order[e.pos] = "" // stale from here on, and no longer holding the ID's bytes
-	s.total -= len(e.spans)
+	s.order[e.pos] = nil
+	s.total -= e.n
 	s.evicted++
-	if len(s.spare) < maxSpareEntries && cap(e.spans) <= maxSpareSpans {
-		clear(e.spans) // the spans' strings and attributes go now, not at reuse
-		*e = entry{spans: e.spans[:0], deps: e.deps[:0]}
+	if len(s.spare) < maxSpareEntries {
+		recs := e.recs[:0]
+		if cap(recs) > maxSpareSpans {
+			recs = nil
+		}
+		clear(e.recs) // the spans' strings and attributes go now, not at reuse
+		*e = entry{recs: recs, deps: e.deps[:0]}
 		s.spare = append(s.spare, e)
 	}
 }
@@ -317,83 +411,133 @@ func (s *Store) unref(e *entry) {
 }
 
 func (s *Store) pushRecent(e *entry) {
-	k := e.kind
-	e.ringKind = k
 	e.refs++
-	s.recent[k] = append(s.recent[k], e.id)
-	s.trimRecent(k)
+	s.fileRecent(e)
 }
 
-func (s *Store) trimRecent(k string) {
-	for len(s.recent[k]) > s.opts.RecentPerKind {
-		old := s.recent[k][0]
-		s.recent[k][0] = "" // the array outlives the slot: it must not keep the ID's bytes
-		s.recent[k] = s.recent[k][1:]
-		if v, ok := s.traces[old]; ok && v.ringKind == k {
-			v.ringKind = ""
-			s.unref(v)
-		}
+// fileRecent appends e to its kind's ring, releasing the reference the
+// ring held on the trace it pushes out. A trace sits in no ring but its
+// kind's: moveRing re-files it when its kind changes.
+func (s *Store) fileRecent(e *entry) {
+	e.inRing = true
+	r := s.recent[e.kind]
+	if r == nil {
+		nr := ring.New[*entry](s.opts.RecentPerKind)
+		r = &nr
+		s.recent[e.kind] = r
+	}
+	if old, ok := r.Push(e); ok && old.inRing {
+		old.inRing = false
+		s.unref(old)
 	}
 }
 
 // moveRing re-files a trace whose root span revealed its real kind
 // (e.g. a trace created by a child repair span whose root turns out
-// to be an http request).
-func (s *Store) moveRing(e *entry, k string) {
-	if e.ringKind == "" || e.ringKind == k {
-		// Already popped from its ring (don't resurrect) or already
-		// filed under k.
-		return
+// to be an http request) from the ring of kind from. A trace whose
+// root arrives in the insert that created it is its ring's newest, so
+// the scan runs from the back.
+func (s *Store) moveRing(e *entry, from string) {
+	if !e.inRing {
+		return // already popped from its ring: don't resurrect
 	}
-	s.recent[e.ringKind] = removeID(s.recent[e.ringKind], e.id)
-	e.ringKind = k
-	s.recent[k] = append(s.recent[k], e.id)
-	s.trimRecent(k)
+	r := s.recent[from]
+	for i := r.Len() - 1; i >= 0; i-- {
+		if r.At(i) == e {
+			r.Remove(i)
+			break
+		}
+	}
+	s.fileRecent(e)
 }
 
 func (s *Store) pushErrored(e *entry) {
 	e.inErr = true
 	e.refs++
-	s.errs = append(s.errs, e.id)
-	for len(s.errs) > s.opts.ErroredN {
-		old := s.errs[0]
-		s.errs = s.errs[1:]
-		if v, ok := s.traces[old]; ok && v.inErr {
-			v.inErr = false
-			s.unref(v)
-		}
+	if old, ok := s.errs.Push(e); ok && old.inErr {
+		old.inErr = false
+		s.unref(old)
 	}
 }
 
+// considerSlowest pins e among the slowest N roots if it is slower than
+// the fastest pinned one, which it replaces. Among equally fast pinned
+// roots the one pinned in the earliest slot goes: a newcomer takes its
+// victim's slowKey, a new slot a key above all, so the heap's
+// (root duration, slowKey) minimum is the first minimum of the slots in
+// order.
 func (s *Store) considerSlowest(e *entry) {
 	if len(s.slow) < s.opts.SlowestN {
-		s.slow = append(s.slow, e.id)
 		e.inSlow = true
 		e.refs++
+		e.slowKey = s.slowSeq
+		s.slowSeq++
+		e.slowAt = len(s.slow)
+		s.slow = append(s.slow, e)
+		s.slowUp(e.slowAt)
 		return
 	}
-	// Replace the current minimum if this root is slower.
-	minIdx, minDur := -1, time.Duration(-1)
-	for i, id := range s.slow {
-		v, ok := s.traces[id]
-		if !ok {
-			minIdx, minDur = i, -1
-			break
-		}
-		if minDur < 0 || v.rootDur < minDur {
-			minIdx, minDur = i, v.rootDur
-		}
-	}
-	if minIdx < 0 || e.rootDur <= minDur {
+	v := s.slow[0]
+	if e.root.dur <= v.root.dur {
 		return
 	}
-	if v, ok := s.traces[s.slow[minIdx]]; ok && v.inSlow {
-		v.inSlow = false
-		defer s.unref(v)
-	}
-	s.slow[minIdx] = e.id
+	v.inSlow = false
 	e.inSlow = true
 	e.refs++
+	e.slowKey, e.slowAt = v.slowKey, 0
+	s.slow[0] = e
+	s.slowDown(0)
+	s.unref(v)
+}
+
+func slowLess(a, b *entry) bool {
+	return a.root.dur < b.root.dur || a.root.dur == b.root.dur && a.slowKey < b.slowKey
+}
+
+func (s *Store) slowSwap(i, j int) {
+	s.slow[i], s.slow[j] = s.slow[j], s.slow[i]
+	s.slow[i].slowAt, s.slow[j].slowAt = i, j
+}
+
+func (s *Store) slowUp(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !slowLess(s.slow[i], s.slow[p]) {
+			return
+		}
+		s.slowSwap(i, p)
+		i = p
+	}
+}
+
+func (s *Store) slowDown(i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(s.slow) && slowLess(s.slow[l], s.slow[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(s.slow) && slowLess(s.slow[r], s.slow[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		s.slowSwap(i, m)
+		i = m
+	}
+}
+
+func (s *Store) slowRemove(i int) {
+	last := len(s.slow) - 1
+	if i != last {
+		s.slowSwap(i, last)
+	}
+	s.slow[last] = nil
+	s.slow = s.slow[:last]
+	if i < last {
+		s.slowDown(i)
+		s.slowUp(i)
+	}
 }
 
 func (s *Store) indexDep(e *entry, d int) {
@@ -404,36 +548,28 @@ func (s *Store) indexDep(e *entry, d int) {
 	}
 	e.deps = append(e.deps, d)
 	e.refs++
-	s.byDep[d] = append(s.byDep[d], e.id)
-	for len(s.byDep[d]) > s.opts.ChainDepth {
-		old := s.byDep[d][0]
-		s.byDep[d] = s.byDep[d][1:]
-		if v, ok := s.traces[old]; ok {
-			v.deps = removeDep(v.deps, d)
-			s.unref(v)
-		}
+	r, ok := s.byDep[d]
+	if !ok {
+		r = ring.New[*entry](s.opts.ChainDepth)
+	}
+	old, evicted := r.Push(e)
+	s.byDep[d] = r
+	if evicted {
+		old.deps = removeDep(old.deps, d)
+		s.unref(old)
 	}
 }
 
 // dropDep forgets deployment d's chain index, releasing the reference it
 // held on each indexed trace.
 func (s *Store) dropDep(d int) {
-	for _, id := range s.byDep[d] {
-		if v, ok := s.traces[id]; ok {
-			v.deps = removeDep(v.deps, d)
-			s.unref(v)
-		}
-	}
+	r := s.byDep[d]
 	delete(s.byDep, d)
-}
-
-func removeID(ids []string, id string) []string {
-	for i, have := range ids {
-		if have == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
+	for i := 0; i < r.Len(); i++ {
+		v := r.At(i)
+		v.deps = removeDep(v.deps, d)
+		s.unref(v)
 	}
-	return ids
 }
 
 func removeDep(deps []int, d int) []int {
@@ -446,18 +582,25 @@ func removeDep(deps []int, d int) []int {
 }
 
 func (s *Store) summaryLocked(e *entry) Summary {
-	name := e.rootName
-	if name == "" && len(e.spans) > 0 {
-		name = e.spans[0].Name
+	if !e.named {
+		// The root's name, else the first span's; a request's is built
+		// from its parts here, once per trace.
+		if e.root != nil {
+			e.name = e.root.fullName()
+		}
+		if e.name == "" && len(e.recs) > 0 {
+			e.name = e.recs[0].fullName()
+		}
+		e.named = true
 	}
 	return Summary{
 		ID:       e.id,
 		Kind:     e.kind,
-		Name:     name,
-		Start:    e.minStart,
+		Name:     e.name,
+		Start:    time.Unix(0, e.minStart),
 		Duration: e.duration(),
-		Spans:    len(e.spans),
-		Dropped:  e.droppedSpans,
+		Spans:    e.n,
+		Dropped:  e.dropped,
 		Errored:  e.errored,
 		Deps:     append([]int(nil), e.deps...),
 	}
@@ -510,8 +653,9 @@ func (s *Store) Traces(q Query) []Summary {
 	return out
 }
 
-// Trace returns all retained spans of one trace (copied), the number
-// of spans dropped by the per-trace cap, and whether the trace exists.
+// Trace returns all retained spans of one trace (expanded from the
+// store's records), the number of spans dropped by the per-trace cap,
+// and whether the trace exists.
 func (s *Store) Trace(id string) ([]Span, int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -519,7 +663,16 @@ func (s *Store) Trace(id string) ([]Span, int, bool) {
 	if !ok {
 		return nil, 0, false
 	}
-	return append([]Span(nil), e.spans...), e.droppedSpans, true
+	out := make([]Span, 0, e.n)
+	for i := range e.recs {
+		out = append(out, e.recs[i].span(e.id))
+	}
+	for _, recs := range e.more {
+		for i := range recs {
+			out = append(out, recs[i].span(e.id))
+		}
+	}
+	return out, e.dropped, true
 }
 
 // ChainTraces returns the retained lifecycle traces of one
@@ -527,12 +680,10 @@ func (s *Store) Trace(id string) ([]Span, int, bool) {
 func (s *Store) ChainTraces(dep int) []Summary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := s.byDep[dep]
-	out := make([]Summary, 0, len(ids))
-	for i := len(ids) - 1; i >= 0; i-- {
-		if e, ok := s.traces[ids[i]]; ok {
-			out = append(out, s.summaryLocked(e))
-		}
+	r := s.byDep[dep]
+	out := make([]Summary, 0, r.Len())
+	for i := r.Len() - 1; i >= 0; i-- {
+		out = append(out, s.summaryLocked(r.At(i)))
 	}
 	return out
 }
@@ -542,6 +693,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
+		Commits:       s.commits,
 		SpansRecorded: s.recorded,
 		SpansDropped:  s.dropped,
 		TracesEvicted: s.evicted,

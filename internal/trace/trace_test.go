@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -56,10 +57,14 @@ func TestTracerParenting(t *testing.T) {
 // path tracer call on a nil receiver is a no-op that allocates nothing.
 func TestNilTracerZeroAlloc(t *testing.T) {
 	var tr *Tracer
+	var c Carrier // a caller's, allocated by the caller
 	allocs := testing.AllocsPerRun(200, func() {
 		sc := tr.Start(SpanContext{})
 		tr.RecordChild(sc, "stage", KindStage, time.Time{}, time.Millisecond, nil)
-		tr.Record(Span{TraceID: "x"})
+		tr.Record(sc, Span{})
+		tr.Begin(&c, context.Background(), sc)
+		tr.End(&c, Span{})
+		tr.EndRequest(&c, "GET", Span{})
 		_ = tr.StartTrace("x")
 		_ = tr.NewTraceID()
 		_ = tr.Store()
