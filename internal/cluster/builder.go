@@ -3,12 +3,16 @@
 // packet switches (OPSs) that connects all machines of a service group —
 // and the Virtual Clusters (VCs) they form together with those machines.
 //
-// Four interchangeable AL builders are provided:
+// Five interchangeable AL builders are provided. Each covers adjacency
+// lists with a solver of internal/graph: the paper's on its own path
+// (buildMarginal), the two-phase baselines through one skeleton
+// (buildTwoPhase) that differs only in the cover rule it runs:
 //
 //   - PaperBuilder: the paper's two-phase max-weight vertex-cover
 //     algorithm (select ToRs by maximum in+out connections until all VMs
 //     are covered, then select OPSs the same way until all selected ToRs
-//     are covered).
+//     are covered); StaticWeight switches it to the skeleton with the
+//     static-weight cover, the E4 ablation.
 //   - GreedyBuilder: classic greedy set cover in both phases (quality
 //     baseline).
 //   - RandomBuilder: random selection, reproducing the authors' earlier
@@ -28,7 +32,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"github.com/alvc/alvc/internal/graph"
 	"github.com/alvc/alvc/internal/topology"
@@ -72,42 +75,6 @@ var ErrNoVMs = fmt.Errorf("cluster: no VMs in group")
 // the group (e.g. all uplink OPSs already belong to other ALs).
 var ErrInsufficientOPS = fmt.Errorf("cluster: available OPSs cannot cover the group")
 
-// phase1 builds the VM↔ToR bipartite projection.
-func phase1(topo *topology.Topology, vms []topology.NodeID) (*graph.Bipartite, error) {
-	if len(vms) == 0 {
-		return nil, ErrNoVMs
-	}
-	b, err := topo.VMToRBipartite(vms)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: phase 1: %w", err)
-	}
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("cluster: phase 1: %w", err)
-	}
-	return b, nil
-}
-
-// phase2 builds the ToR↔OPS bipartite projection restricted to the
-// allowed OPSs.
-func phase2(topo *topology.Topology, tors []topology.NodeID, allowOPS map[topology.NodeID]bool) (*graph.Bipartite, error) {
-	b, err := topo.ToROPSBipartite(tors, allowOPS)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: phase 2: %w", err)
-	}
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInsufficientOPS, err)
-	}
-	return b, nil
-}
-
-func toNodeIDs(vs []graph.VertexID) []topology.NodeID {
-	out := make([]topology.NodeID, len(vs))
-	for i, v := range vs {
-		out[i] = topology.NodeID(v)
-	}
-	return out
-}
-
 // PaperBuilder is the paper's §III-C construction. The walk-through
 // selects "ToR 1 as it has four incoming connections and two outgoing",
 // then skips ToR 2 because "machines against this switch are already
@@ -141,7 +108,7 @@ func (p PaperBuilder) Name() string {
 // ID, then buildMarginal. The Allocator keeps that mask itself and skips this.
 func (p PaperBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
 	if p.StaticWeight {
-		return buildStaticWeight(topo, vms, allowOPS)
+		return buildTwoPhase(topo, vms, allowOPS, graph.CoverStatic[topology.NodeID])
 	}
 	var admit []bool
 	if allowOPS != nil {
@@ -173,25 +140,13 @@ type CoverStats struct {
 // degrees — and no bipartite graph is materialized. admit masks the OPSs
 // by node ID (nil admits all, IDs beyond it are barred) and is only read.
 func buildMarginal(topo *topology.Topology, vms []topology.NodeID, admit []bool, stats *CoverStats) (AL, error) {
-	if len(vms) == 0 {
-		return AL{}, ErrNoVMs
-	}
 	// Phase 1: cover the (distinct) VMs by ToRs; a ToR's outgoing
 	// connections are its OPS uplinks.
-	group := slices.Clone(vms)
-	slices.Sort(group)
-	group = slices.Compact(group)
-	lefts := make([][]topology.NodeID, len(group))
-	for i, vm := range group {
-		n := topo.Node(vm)
-		if n == nil || n.Kind != topology.KindVM {
-			return AL{}, fmt.Errorf("cluster: phase 1: node %d is not a VM", vm)
-		}
-		lefts[i] = topo.ToRsOfPM(n.Host)
+	group, lefts, err := vmToRs(topo, vms)
+	if err != nil {
+		return AL{}, err
 	}
-	tors, err := graph.CoverMarginal(lefts, nil, func(tor topology.NodeID) float64 {
-		return float64(len(topo.OPSsOfToR(tor)))
-	})
+	tors, err := graph.CoverMarginal(lefts, nil, torUplinks(topo))
 	if err != nil {
 		return AL{}, fmt.Errorf("cluster: paper phase 1: VM %d: %w", group[uncoverable(err)], err)
 	}
@@ -201,6 +156,32 @@ func buildMarginal(topo *topology.Topology, vms []topology.NodeID, admit []bool,
 		return AL{}, fmt.Errorf("%w: ToR %d has no available OPS uplink", ErrInsufficientOPS, tors[uncoverable(err)])
 	}
 	return AL{ToRs: tors, OPSs: opss}, nil
+}
+
+// vmToRs is phase 1's instance: the group's distinct VMs in ascending
+// order and, for each, the ToRs of its host PM (cached lists, read-only).
+func vmToRs(topo *topology.Topology, vms []topology.NodeID) (group []topology.NodeID, lefts [][]topology.NodeID, err error) {
+	if len(vms) == 0 {
+		return nil, nil, ErrNoVMs
+	}
+	group = slices.Clone(vms)
+	slices.Sort(group)
+	group = slices.Compact(group)
+	lefts = make([][]topology.NodeID, len(group))
+	for i, vm := range group {
+		n := topo.Node(vm)
+		if n == nil || n.Kind != topology.KindVM {
+			return nil, nil, fmt.Errorf("cluster: phase 1: node %d is not a VM", vm)
+		}
+		lefts[i] = topo.ToRsOfPM(n.Host)
+	}
+	return group, lefts, nil
+}
+
+// torUplinks weighs a ToR by its outgoing connections, its OPS uplinks:
+// phase 1's tie-break.
+func torUplinks(topo *topology.Topology) func(topology.NodeID) float64 {
+	return func(tor topology.NodeID) float64 { return float64(len(topo.OPSsOfToR(tor))) }
 }
 
 // coverToRs is phase 2: cover the chosen ToRs by admitted OPSs, an OPS's
@@ -271,33 +252,34 @@ func uncoverable(err error) int {
 	return ue.Left
 }
 
-// buildStaticWeight is the StaticWeight reading: both phases order the
-// candidates once, by static in+out degree, over materialized bipartite
-// projections.
-func buildStaticWeight(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
-	b1, err := phase1(topo, vms)
+// coverRule is a baseline's cover, run on both phases of
+// buildTwoPhase: lefts are ascending lists of rights (a VM's ToRs, then a
+// chosen ToR's admitted OPS uplinks), and out weighs a right by its
+// outgoing connections (a ToR's uplinks, an OPS's optical degree) for
+// the rules that use it.
+type coverRule func(lefts [][]topology.NodeID, out func(topology.NodeID) float64) ([]topology.NodeID, error)
+
+// buildTwoPhase is the baselines' two-phase construction: cover the
+// group's VMs by ToRs, then the chosen ToRs by the OPSs allowOPS admits,
+// with the same rule.
+func buildTwoPhase(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool, cover coverRule) (AL, error) {
+	_, lefts, err := vmToRs(topo, vms)
 	if err != nil {
 		return AL{}, err
 	}
-	torsV, err := graph.CoverMaxWeight(b1, func(r graph.VertexID) float64 {
-		return float64(b1.RightDegree(r) + len(topo.OPSsOfToR(topology.NodeID(r))))
-	})
+	tors, err := cover(lefts, torUplinks(topo))
 	if err != nil {
-		return AL{}, fmt.Errorf("cluster: paper phase 1: %w", err)
+		return AL{}, fmt.Errorf("cluster: phase 1: %w", err)
 	}
-	tors := toNodeIDs(torsV)
-	b2, err := phase2(topo, tors, allowOPS)
-	if err != nil {
-		return AL{}, err
+	if lefts, err = topo.ToROPSBipartite(tors, allowOPS); err != nil {
+		return AL{}, fmt.Errorf("cluster: phase 2: %w", err)
 	}
 	degree := topo.OpticalDegrees()
-	opsV, err := graph.CoverMaxWeight(b2, func(r graph.VertexID) float64 {
-		return float64(b2.RightDegree(r) + int(degree[r]))
-	})
+	opss, err := cover(lefts, func(ops topology.NodeID) float64 { return float64(degree[ops]) })
 	if err != nil {
 		return AL{}, fmt.Errorf("%w: %v", ErrInsufficientOPS, err)
 	}
-	return AL{ToRs: tors, OPSs: toNodeIDs(opsV)}, nil
+	return AL{ToRs: tors, OPSs: opss}, nil
 }
 
 // GreedyBuilder runs classic greedy set cover in both phases.
@@ -308,24 +290,9 @@ func (GreedyBuilder) Name() string { return "greedy-setcover" }
 
 // Build implements Builder.
 func (GreedyBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
-	b1, err := phase1(topo, vms)
-	if err != nil {
-		return AL{}, err
-	}
-	torsV, err := graph.CoverGreedy(b1)
-	if err != nil {
-		return AL{}, fmt.Errorf("cluster: greedy phase 1: %w", err)
-	}
-	tors := toNodeIDs(torsV)
-	b2, err := phase2(topo, tors, allowOPS)
-	if err != nil {
-		return AL{}, err
-	}
-	opsV, err := graph.CoverGreedy(b2)
-	if err != nil {
-		return AL{}, fmt.Errorf("%w: %v", ErrInsufficientOPS, err)
-	}
-	return AL{ToRs: tors, OPSs: toNodeIDs(opsV)}, nil
+	return buildTwoPhase(topo, vms, allowOPS, func(lefts [][]topology.NodeID, _ func(topology.NodeID) float64) ([]topology.NodeID, error) {
+		return graph.CoverMarginal(lefts, nil, nil)
+	})
 }
 
 // RandomBuilder reproduces the random-selection construction of the
@@ -343,24 +310,9 @@ func (rb RandomBuilder) Build(topo *topology.Topology, vms []topology.NodeID, al
 	if rb.RNG == nil {
 		return AL{}, fmt.Errorf("cluster: random builder: nil RNG")
 	}
-	b1, err := phase1(topo, vms)
-	if err != nil {
-		return AL{}, err
-	}
-	torsV, err := graph.CoverRandom(b1, rb.RNG)
-	if err != nil {
-		return AL{}, fmt.Errorf("cluster: random phase 1: %w", err)
-	}
-	tors := toNodeIDs(torsV)
-	b2, err := phase2(topo, tors, allowOPS)
-	if err != nil {
-		return AL{}, err
-	}
-	opsV, err := graph.CoverRandom(b2, rb.RNG)
-	if err != nil {
-		return AL{}, fmt.Errorf("%w: %v", ErrInsufficientOPS, err)
-	}
-	return AL{ToRs: tors, OPSs: toNodeIDs(opsV)}, nil
+	return buildTwoPhase(topo, vms, allowOPS, func(lefts [][]topology.NodeID, _ func(topology.NodeID) float64) ([]topology.NodeID, error) {
+		return graph.CoverRandom(lefts, rb.RNG)
+	})
 }
 
 // ExactBuilder computes the per-phase optimum by branch and bound. It
@@ -373,24 +325,9 @@ func (ExactBuilder) Name() string { return "exact-per-phase" }
 
 // Build implements Builder.
 func (ExactBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
-	b1, err := phase1(topo, vms)
-	if err != nil {
-		return AL{}, err
-	}
-	torsV, err := graph.CoverExact(b1)
-	if err != nil {
-		return AL{}, fmt.Errorf("cluster: exact phase 1: %w", err)
-	}
-	tors := toNodeIDs(torsV)
-	b2, err := phase2(topo, tors, allowOPS)
-	if err != nil {
-		return AL{}, err
-	}
-	opsV, err := graph.CoverExact(b2)
-	if err != nil {
-		return AL{}, fmt.Errorf("%w: %v", ErrInsufficientOPS, err)
-	}
-	return AL{ToRs: tors, OPSs: toNodeIDs(opsV)}, nil
+	return buildTwoPhase(topo, vms, allowOPS, func(lefts [][]topology.NodeID, _ func(topology.NodeID) float64) ([]topology.NodeID, error) {
+		return graph.CoverExact(lefts)
+	})
 }
 
 // DirectBuilder covers VMs directly by OPSs in a single phase: an OPS
@@ -412,63 +349,43 @@ func (d DirectBuilder) Name() string {
 
 // Build implements Builder.
 func (d DirectBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
-	if len(vms) == 0 {
-		return AL{}, ErrNoVMs
+	_, torsOf, err := vmToRs(topo, vms)
+	if err != nil {
+		return AL{}, err
 	}
-	b := graph.NewBipartite()
-	for _, vm := range vms {
-		n := topo.Node(vm)
-		if n == nil || n.Kind != topology.KindVM {
-			return AL{}, fmt.Errorf("cluster: direct: node %d is not a VM", vm)
+	lefts := make([][]topology.NodeID, len(torsOf))
+	for i, tors := range torsOf {
+		uplinks, err := topo.ToROPSBipartite(tors, allowOPS)
+		if err != nil {
+			return AL{}, err
 		}
-		b.AddLeft(graph.VertexID(vm))
-		for _, tor := range topo.ToRsOfVM(vm) {
-			for _, ops := range topo.OPSsOfToR(tor) {
-				if allowOPS != nil && !allowOPS[ops] {
-					continue
-				}
-				b.AddEdge(graph.VertexID(vm), graph.VertexID(ops))
-			}
-		}
+		lefts[i] = slices.Concat(uplinks...)
+		slices.Sort(lefts[i])
+		lefts[i] = slices.Compact(lefts[i])
 	}
-	if err := b.Validate(); err != nil {
-		return AL{}, fmt.Errorf("%w: %v", ErrInsufficientOPS, err)
-	}
-	var opsV []graph.VertexID
-	var err error
+	var ops []topology.NodeID
 	if d.Exact {
-		opsV, err = graph.CoverExact(b)
+		ops, err = graph.CoverExact(lefts)
 	} else {
-		opsV, err = graph.CoverGreedy(b)
+		ops, err = graph.CoverMarginal(lefts, nil, nil)
 	}
 	if err != nil {
 		return AL{}, fmt.Errorf("%w: %v", ErrInsufficientOPS, err)
 	}
-	ops := toNodeIDs(opsV)
-	opsSet := make(map[topology.NodeID]bool, len(ops))
-	for _, o := range ops {
-		opsSet[o] = true
+	chosen := func(o topology.NodeID) bool {
+		_, ok := slices.BinarySearch(ops, o)
+		return ok
 	}
-	torSet := make(map[topology.NodeID]bool)
-	for _, vm := range vms {
-		for _, tor := range topo.ToRsOfVM(vm) {
-			for _, o := range topo.OPSsOfToR(tor) {
-				if opsSet[o] {
-					torSet[tor] = true
-				}
+	var tors []topology.NodeID
+	for _, ts := range torsOf {
+		for _, tor := range ts {
+			if slices.ContainsFunc(topo.OPSsOfToR(tor), chosen) {
+				tors = append(tors, tor)
 			}
 		}
 	}
-	tors := make([]topology.NodeID, 0, len(torSet))
-	for tor := range torSet {
-		tors = append(tors, tor)
-	}
-	sortNodeIDs(tors)
-	return AL{ToRs: tors, OPSs: ops}, nil
-}
-
-func sortNodeIDs(ids []topology.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(tors)
+	return AL{ToRs: slices.Compact(tors), OPSs: ops}, nil
 }
 
 // VerifyAL checks that al actually connects every VM of the group: for

@@ -7,106 +7,10 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
-	"github.com/alvc/alvc/internal/graph"
 	"github.com/alvc/alvc/internal/topology"
 )
-
-// The PaperBuilder of before the dense cover, frozen as the reference
-// the new one must equal: materialized bipartite projections, a
-// map-and-copy marginal cover, the optical degree counted from LinksOf.
-
-func oracleMarginal(b *graph.Bipartite, tieBreak graph.WeightFunc) ([]graph.VertexID, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	uncovered := make(map[graph.VertexID]bool, b.LeftCount())
-	for _, l := range b.Lefts() {
-		uncovered[l] = true
-	}
-	rights := b.Rights()
-	var cover []graph.VertexID
-	for len(uncovered) > 0 {
-		best := graph.VertexID(-1)
-		bestGain := 0
-		bestTie := 0.0
-		for _, r := range rights {
-			gain := 0
-			for _, l := range b.LeftNeighbors(r) {
-				if uncovered[l] {
-					gain++
-				}
-			}
-			if gain == 0 {
-				continue
-			}
-			tie := tieBreak(r)
-			if gain > bestGain ||
-				(gain == bestGain && tie > bestTie) ||
-				(gain == bestGain && tie == bestTie && r < best) {
-				best, bestGain, bestTie = r, gain, tie
-			}
-		}
-		if bestGain == 0 {
-			return nil, graph.ErrUncoverable
-		}
-		cover = append(cover, best)
-		for _, l := range b.LeftNeighbors(best) {
-			delete(uncovered, l)
-		}
-	}
-	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
-	return cover, nil
-}
-
-func oraclePaperBuild(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool, static bool) (AL, error) {
-	b1, err := phase1(topo, vms)
-	if err != nil {
-		return AL{}, err
-	}
-	torOut := func(r graph.VertexID) float64 {
-		return float64(len(topo.OPSsOfToR(topology.NodeID(r))))
-	}
-	var torsV []graph.VertexID
-	if static {
-		torsV, err = graph.CoverMaxWeight(b1, func(r graph.VertexID) float64 {
-			return float64(b1.RightDegree(r)) + torOut(r)
-		})
-	} else {
-		torsV, err = oracleMarginal(b1, torOut)
-	}
-	if err != nil {
-		return AL{}, fmt.Errorf("cluster: paper phase 1: %w", err)
-	}
-	tors := toNodeIDs(torsV)
-	b2, err := phase2(topo, tors, allowOPS)
-	if err != nil {
-		return AL{}, err
-	}
-	opsOut := func(r graph.VertexID) float64 {
-		deg := 0
-		for _, l := range topo.LinksOf(topology.NodeID(r)) {
-			if l.Kind == topology.LinkOptical {
-				deg++
-			}
-		}
-		return float64(deg)
-	}
-	var opsV []graph.VertexID
-	if static {
-		opsV, err = graph.CoverMaxWeight(b2, func(r graph.VertexID) float64 {
-			return float64(b2.RightDegree(r)) + opsOut(r)
-		})
-	} else {
-		opsV, err = oracleMarginal(b2, opsOut)
-	}
-	if err != nil {
-		return AL{}, fmt.Errorf("%w: %v", ErrInsufficientOPS, err)
-	}
-	return AL{ToRs: tors, OPSs: toNodeIDs(opsV)}, nil
-}
 
 // randomTopo generates a topology of seeded shape and fails a seeded
 // share of its switches, machines and links.
@@ -167,20 +71,12 @@ func randomAllow(rng *rand.Rand, topo *topology.Topology) map[topology.NodeID]bo
 	return allow
 }
 
-// sameOutcome reports whether two builds agree: the same AL, or failures
-// of the same kind.
-func sameOutcome(got AL, gotErr error, want AL, wantErr error) bool {
-	if gotErr != nil || wantErr != nil {
-		return gotErr != nil && wantErr != nil &&
-			errors.Is(gotErr, ErrNoVMs) == errors.Is(wantErr, ErrNoVMs) &&
-			errors.Is(gotErr, ErrInsufficientOPS) == errors.Is(wantErr, ErrInsufficientOPS)
-	}
-	return slices.Equal(got.ToRs, want.ToRs) && slices.Equal(got.OPSs, want.OPSs)
-}
-
-// Property: PaperBuilder equals the frozen oracle — AL for AL, failure
-// kind for failure kind — over random fabrics, failures, VM groups
-// (unsorted, with repeats) and allow sets, in both weight readings.
+// Property: every builder equals its frozen reference — AL for AL,
+// failure kind for failure kind — over random fabrics, failures, VM
+// groups (unsorted, with repeats) and allow sets: the paper's in both
+// weight readings, greedy, random (the same seed on both sides), exact
+// and direct. The exact builders are compared up to 64 distinct VMs,
+// where the reference's search is the one this exact search equals.
 func TestPaperBuilderEqualsOracle(t *testing.T) {
 	built, refused := 0, 0
 	for seed := int64(0); seed < 300; seed++ {
@@ -194,15 +90,43 @@ func TestPaperBuilderEqualsOracle(t *testing.T) {
 			}
 			allow := randomAllow(rng, topo)
 			before := maps.Clone(allow)
-			for _, static := range []bool{false, true} {
-				got, err := PaperBuilder{StaticWeight: static}.Build(topo, vms, allow)
-				want, wantErr := oraclePaperBuild(topo, vms, allow, static)
+			rngSeed := rng.Int63()
+			seeded := func() *rand.Rand { return rand.New(rand.NewSource(rngSeed)) }
+			type build struct {
+				name      string
+				got, want func() (AL, error)
+			}
+			builds := []build{
+				{"paper", func() (AL, error) { return PaperBuilder{}.Build(topo, vms, allow) },
+					func() (AL, error) { return oraclePaperBuild(topo, vms, allow, false) }},
+				{"static", func() (AL, error) { return PaperBuilder{StaticWeight: true}.Build(topo, vms, allow) },
+					func() (AL, error) { return oraclePaperBuild(topo, vms, allow, true) }},
+				{"greedy", func() (AL, error) { return GreedyBuilder{}.Build(topo, vms, allow) },
+					func() (AL, error) { return refBuildGreedy(topo, vms, allow) }},
+				{"random", func() (AL, error) { return RandomBuilder{RNG: seeded()}.Build(topo, vms, allow) },
+					func() (AL, error) { return refBuildRandom(topo, vms, allow, seeded()) }},
+				{"direct", func() (AL, error) { return DirectBuilder{}.Build(topo, vms, allow) },
+					func() (AL, error) { return refBuildDirect(topo, vms, allow, false) }},
+			}
+			group := slices.Clone(vms)
+			slices.Sort(group)
+			if len(slices.Compact(group)) <= 64 {
+				builds = append(builds, []build{
+					{"exact", func() (AL, error) { return ExactBuilder{}.Build(topo, vms, allow) },
+						func() (AL, error) { return refBuildExact(topo, vms, allow) }},
+					{"direct-exact", func() (AL, error) { return DirectBuilder{Exact: true}.Build(topo, vms, allow) },
+						func() (AL, error) { return refBuildDirect(topo, vms, allow, true) }},
+				}...)
+			}
+			for _, b := range builds {
+				got, err := b.got()
+				want, wantErr := b.want()
 				if !sameOutcome(got, err, want, wantErr) {
-					t.Fatalf("seed %d trial %d static=%v vms=%v allow=%v:\n got  %+v, %v\n want %+v, %v",
-						seed, trial, static, vms, allow, got, err, want, wantErr)
+					t.Fatalf("seed %d trial %d %s vms=%v allow=%v:\n got  %+v, %v\n want %+v, %v",
+						seed, trial, b.name, vms, allow, got, err, want, wantErr)
 				}
 				if err == nil && !VerifyAL(topo, vms, got) {
-					t.Fatalf("seed %d trial %d static=%v: AL %+v does not connect the group", seed, trial, static, got)
+					t.Fatalf("seed %d trial %d %s: AL %+v does not connect the group", seed, trial, b.name, got)
 				}
 				if err == nil {
 					built++
@@ -215,18 +139,22 @@ func TestPaperBuilderEqualsOracle(t *testing.T) {
 			}
 		}
 	}
-	if built < 500 || refused < 500 {
+	if built < 2000 || refused < 2000 {
 		t.Fatalf("instances too one-sided to mean anything: %d built, %d refused", built, refused)
 	}
 }
 
-// A node that is not a VM is rejected in either reading.
+// A node that is not a VM is rejected by every builder, the paper's in
+// either reading.
 func TestPaperBuilderRejectsNonVM(t *testing.T) {
 	topo, vms, ids := fig4Topo(t)
-	for _, static := range []bool{false, true} {
-		_, err := PaperBuilder{StaticWeight: static}.Build(topo, append(vms, ids["tor1"]), nil)
+	for _, b := range []Builder{
+		PaperBuilder{}, PaperBuilder{StaticWeight: true}, GreedyBuilder{},
+		RandomBuilder{RNG: rand.New(rand.NewSource(1))}, ExactBuilder{}, DirectBuilder{}, DirectBuilder{Exact: true},
+	} {
+		_, err := b.Build(topo, append(vms, ids["tor1"]), nil)
 		if err == nil || errors.Is(err, ErrInsufficientOPS) || errors.Is(err, ErrNoVMs) {
-			t.Fatalf("static=%v: ToR in the VM group: err = %v", static, err)
+			t.Fatalf("%s: ToR in the VM group: err = %v", b.Name(), err)
 		}
 	}
 }

@@ -1,80 +1,30 @@
 package graph
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 )
 
-// WeightFunc assigns a selection weight to a right vertex. The paper's
-// AL builder weighs a ToR by its incoming connections (attached VMs of
-// the cluster) plus outgoing connections (OPS uplinks); see §III-C:
-// "select the ToRs that cover all the VMs using maximum incoming and
-// outgoing connections".
-type WeightFunc func(right VertexID) float64
+// The covers of abstraction-layer construction (paper §III-C). An
+// instance is given as adjacency lists: lefts[i] is the ascending,
+// duplicate-free list of right vertices the i-th left vertex attaches to
+// — a VM's ToRs in phase 1, a chosen ToR's admitted OPS uplinks in
+// phase 2. A cover is a set of rights that every left lists at least one
+// of; the lists are only read, so callers pass cached adjacency as is.
+// Every solver fails on the first left with no right, with an
+// UncoverableError, and returns its cover sorted ascending.
 
 // ErrUncoverable is reported (wrapped) when some left vertex has no
 // available right neighbor, so no cover exists.
 var ErrUncoverable = fmt.Errorf("graph: cover: left vertex cannot be covered")
 
-// CoverMaxWeight selects right vertices in descending weight order until
-// every left vertex is covered, skipping right vertices none of whose
-// left neighbors remain uncovered. This is the paper's §III-C
-// "maximum-weighted algorithm": ToR 1 (weight 4 in + 2 out) is taken
-// first, ToR 2 is skipped because its machines are already covered by
-// ToR 1, then ToR 3 completes the cover.
-//
-// Ties are broken toward the lower vertex ID. The returned cover is
-// sorted ascending.
-func CoverMaxWeight(b *Bipartite, weight WeightFunc) ([]VertexID, error) {
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("cover max-weight: %w", err)
-	}
-	uncovered := make(map[VertexID]bool, b.LeftCount())
-	for _, l := range b.Lefts() {
-		uncovered[l] = true
-	}
-	// Rights sorted by descending weight, ascending ID on ties.
-	rights := b.Rights()
-	sort.SliceStable(rights, func(i, j int) bool {
-		wi, wj := weight(rights[i]), weight(rights[j])
-		if wi != wj {
-			return wi > wj
-		}
-		return rights[i] < rights[j]
-	})
-	var cover []VertexID
-	for _, r := range rights {
-		if len(uncovered) == 0 {
-			break
-		}
-		covers := false
-		for _, l := range b.LeftNeighbors(r) {
-			if uncovered[l] {
-				covers = true
-				break
-			}
-		}
-		if !covers {
-			continue // the paper's "already connected by ToR 1" skip
-		}
-		cover = append(cover, r)
-		for _, l := range b.LeftNeighbors(r) {
-			delete(uncovered, l)
-		}
-	}
-	if len(uncovered) > 0 {
-		return nil, fmt.Errorf("%w: %d left vertices remain", ErrUncoverable, len(uncovered))
-	}
-	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
-	return cover, nil
-}
-
-// UncoverableError is CoverMarginal's failure: the left at position Left
-// of its input has no admitted right neighbor, so no cover exists. It
-// unwraps to ErrUncoverable.
+// UncoverableError is every solver's failure on a left with no
+// (admitted) right: the left at position Left of its input. It unwraps
+// to ErrUncoverable.
 type UncoverableError struct{ Left int }
 
 func (e *UncoverableError) Error() string {
@@ -91,15 +41,12 @@ func (e *UncoverableError) Unwrap() error { return ErrUncoverable }
 // ties by the larger tie value (outgoing connections) and then by the
 // lower vertex ID. With a nil tie it is classic greedy set cover.
 //
-// The instance is given densely. lefts[i] is the ascending, duplicate-free
-// list of right neighbors of the i-th left vertex; the slices are only
-// read, so callers pass cached adjacency as is. admit, when non-nil,
-// masks the rights by vertex ID: r takes part iff admit[r] (IDs beyond
-// the mask do not). Gains live in one counter array over the span of
-// right IDs and are decremented as lefts become covered, so a round
-// costs one pass over the candidates and nothing is copied or hashed;
-// the working arrays are pooled, so a call allocates its result. The
-// returned cover is sorted ascending.
+// admit, when non-nil, masks the rights by vertex ID: r takes part iff
+// admit[r] (IDs beyond the mask do not). Gains live in one counter array
+// over the span of right IDs and are decremented as lefts become
+// covered, so a round costs one pass over the candidates and nothing is
+// copied or hashed; the working arrays are pooled, so a call allocates
+// its result.
 func CoverMarginal[V ~int](lefts [][]V, admit []bool, tie func(V) float64) ([]V, error) {
 	admitted := func(r V) bool {
 		return admit == nil || (r >= 0 && int(r) < len(admit) && admit[r])
@@ -193,275 +140,190 @@ type coverScratch struct {
 
 var coverScratchPool = sync.Pool{New: func() any { return new(coverScratch) }}
 
-// coverBipartite runs CoverMarginal over b's own adjacency.
-func coverBipartite(b *Bipartite, tie WeightFunc) ([]VertexID, error) {
-	if err := b.Validate(); err != nil {
+// CoverStatic is the static-weight reading of the paper's rule, kept for
+// the E4 ablation: the rights are ordered once by descending weight — a
+// right's in-degree (the lefts that list it) plus out(r), its outgoing
+// connections — ties toward the lower ID, and each is taken while it
+// still covers an uncovered left. On the paper's walk-through it agrees
+// with CoverMarginal (ToR 1 at 4 in + 2 out first, ToR 2 skipped because
+// its machines are covered, then ToR 3); on ring-structured uplink
+// windows it measurably loses to random selection.
+func CoverStatic[V ~int](lefts [][]V, out func(V) float64) ([]V, error) {
+	rights, adj, err := rightIndex(lefts)
+	if err != nil {
 		return nil, err
 	}
-	lefts := make([][]VertexID, 0, len(b.leftAdj))
-	for _, l := range b.Lefts() {
-		lefts = append(lefts, b.leftAdj[l])
+	weight := make([]float64, len(rights))
+	for j, r := range rights {
+		weight[j] = float64(len(adj[j])) + out(r)
 	}
-	return CoverMarginal(lefts, nil, tie)
+	order := identity(len(rights))
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(weight[b], weight[a]) })
+	return coverInOrder(len(lefts), rights, adj, order), nil
 }
 
-// CoverMaxWeightMarginal is CoverMarginal on a Bipartite: marginal gain
-// first, the supplied secondary weight (outgoing connections) on ties,
-// then the lower vertex ID. The static variant above is kept for the E4
-// ablation, where it measurably loses to random selection on
-// ring-structured uplink windows.
-func CoverMaxWeightMarginal(b *Bipartite, tieBreak WeightFunc) ([]VertexID, error) {
-	cover, err := coverBipartite(b, tieBreak)
+// CoverRandom takes the rights in a uniformly random order (a shuffle of
+// the ascending distinct rights) while each still covers an uncovered
+// left. It reproduces the random-selection AL construction of the
+// authors' earlier work [15], the baseline this paper improves on.
+func CoverRandom[V ~int](lefts [][]V, rng *rand.Rand) ([]V, error) {
+	rights, adj, err := rightIndex(lefts)
 	if err != nil {
-		return nil, fmt.Errorf("cover max-weight marginal: %w", err)
-	}
-	return cover, nil
-}
-
-// CoverGreedy is the classic greedy set-cover heuristic: repeatedly pick
-// the right vertex covering the most still-uncovered left vertices
-// (ln(n)-approximate) — CoverMarginal without a tie-break. It serves as
-// the quality baseline the paper's max-weight rule is compared against
-// in experiment E4.
-func CoverGreedy(b *Bipartite) ([]VertexID, error) {
-	cover, err := coverBipartite(b, nil)
-	if err != nil {
-		return nil, fmt.Errorf("cover greedy: %w", err)
-	}
-	return cover, nil
-}
-
-// CoverRandom selects right vertices uniformly at random (without
-// replacement) until all left vertices are covered. It reproduces the
-// random-selection AL construction of the authors' earlier work [15],
-// the baseline this paper's algorithm improves on.
-func CoverRandom(b *Bipartite, rng *rand.Rand) ([]VertexID, error) {
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("cover random: %w", err)
+		return nil, err
 	}
 	if rng == nil {
-		return nil, fmt.Errorf("cover random: nil rng")
+		return nil, errors.New("graph: cover random: nil rng")
 	}
-	uncovered := make(map[VertexID]bool, b.LeftCount())
-	for _, l := range b.Lefts() {
-		uncovered[l] = true
-	}
-	rights := b.Rights()
-	rng.Shuffle(len(rights), func(i, j int) { rights[i], rights[j] = rights[j], rights[i] })
-	var cover []VertexID
-	for _, r := range rights {
-		if len(uncovered) == 0 {
-			break
-		}
-		covers := false
-		for _, l := range b.LeftNeighbors(r) {
-			if uncovered[l] {
-				covers = true
-				break
-			}
-		}
-		if !covers {
-			continue
-		}
-		cover = append(cover, r)
-		for _, l := range b.LeftNeighbors(r) {
-			delete(uncovered, l)
-		}
-	}
-	if len(uncovered) > 0 {
-		return nil, fmt.Errorf("%w: %d left vertices remain", ErrUncoverable, len(uncovered))
-	}
-	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
-	return cover, nil
+	order := identity(len(rights))
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return coverInOrder(len(lefts), rights, adj, order), nil
 }
 
 // MaxExactCoverRights bounds the instance size accepted by CoverExact;
 // beyond it the branch-and-bound search space is too large.
 const MaxExactCoverRights = 30
 
-// CoverExact returns a minimum-cardinality cover by branch and bound.
-// It is exponential in the number of right vertices and refuses
-// instances with more than MaxExactCoverRights rights; it exists as
-// ground truth for tests and for the optimality-gap measurements of
-// experiment E4.
-func CoverExact(b *Bipartite) ([]VertexID, error) {
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("cover exact: %w", err)
+// CoverExact returns a minimum-cardinality cover by branch and bound over
+// bitsets of lefts. It is exponential in the number of distinct rights
+// and refuses instances with more than MaxExactCoverRights of them; it
+// exists as ground truth for tests and for the optimality-gap
+// measurements of experiment E4. The search tries the rights by
+// descending coverage (stable over ascending IDs) and starts from the
+// greedy cover as the incumbent; of equal-size optima it returns the
+// first it meets.
+func CoverExact[V ~int](lefts [][]V) ([]V, error) {
+	rights, adj, err := rightIndex(lefts)
+	if err != nil {
+		return nil, err
 	}
-	rights := b.Rights()
 	if len(rights) > MaxExactCoverRights {
-		return nil, fmt.Errorf("cover exact: %d right vertices exceeds limit %d", len(rights), MaxExactCoverRights)
+		return nil, fmt.Errorf("graph: cover exact: %d right vertices exceeds limit %d", len(rights), MaxExactCoverRights)
 	}
-	lefts := b.Lefts()
-	leftIdx := make(map[VertexID]int, len(lefts))
-	for i, l := range lefts {
-		leftIdx[l] = i
+	words := (len(lefts) + 63) / 64
+	full := make([]uint64, words)
+	for l := range lefts {
+		full[l/64] |= 1 << (l % 64)
 	}
-	if len(lefts) > 64 {
-		return coverExactBig(b, rights, lefts)
-	}
-	full := uint64(0)
-	if len(lefts) == 64 {
-		full = ^uint64(0)
-	} else {
-		full = (uint64(1) << uint(len(lefts))) - 1
-	}
-	masks := make([]uint64, len(rights))
-	for i, r := range rights {
-		for _, l := range b.LeftNeighbors(r) {
-			masks[i] |= uint64(1) << uint(leftIdx[l])
+	masks := make([][]uint64, len(rights))
+	for j := range rights {
+		masks[j] = make([]uint64, words)
+		for _, l := range adj[j] {
+			masks[j][l/64] |= 1 << (l % 64)
 		}
 	}
-	// Order rights by descending coverage for stronger pruning.
-	order := make([]int, len(rights))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return popcount(masks[order[i]]) > popcount(masks[order[j]])
-	})
-	// Greedy solution seeds the upper bound.
-	seed, err := CoverGreedy(b)
+	order := identity(len(rights))
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(len(adj[b]), len(adj[a])) })
+	seed, err := CoverMarginal(lefts, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	best := make([]int, 0, len(seed))
-	for _, r := range seed {
-		for i, rr := range rights {
-			if rr == r {
-				best = append(best, i)
-			}
-		}
+	best := make([]int, len(seed))
+	for i, r := range seed {
+		best[i], _ = slices.BinarySearch(rights, r)
 	}
-	bestLen := len(best)
+	// taken[k] holds the covered set after a take at depth k-1; a branch
+	// at depth pos reads a row below pos+1 and writes only row pos+1.
+	taken := make([][]uint64, len(order)+1)
+	for k := range taken {
+		taken[k] = make([]uint64, words)
+	}
+	rest := make([]uint64, words)
 	var cur []int
-	var search func(pos int, covered uint64)
-	search = func(pos int, covered uint64) {
-		if covered == full {
-			if len(cur) < bestLen {
-				bestLen = len(cur)
-				best = append(best[:0], cur...)
-			}
-			return
-		}
-		if len(cur)+1 >= bestLen && covered != full {
-			// Even one more pick cannot beat the incumbent unless it
-			// finishes the cover; check quickly below.
-			finished := false
-			for _, oi := range order[pos:] {
-				if covered|masks[oi] == full && len(cur)+1 < bestLen {
-					finished = true
-					break
-				}
-			}
-			if !finished {
-				return
-			}
-		}
-		if pos == len(order) {
-			return
-		}
-		// Bound: remaining rights must be able to cover what's missing.
-		rest := covered
-		for _, oi := range order[pos:] {
-			rest |= masks[oi]
-		}
-		if rest != full {
-			return
-		}
-		oi := order[pos]
-		if covered|masks[oi] != covered { // taking oi gains something
-			cur = append(cur, oi)
-			search(pos+1, covered|masks[oi])
-			cur = cur[:len(cur)-1]
-		}
-		search(pos+1, covered)
-	}
-	search(0, 0)
-	out := make([]VertexID, 0, len(best))
-	for _, i := range best {
-		out = append(out, rights[i])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// coverExactBig handles >64 left vertices with map-based sets. Slower,
-// but instances that large combined with ≤30 rights are rare.
-func coverExactBig(b *Bipartite, rights, lefts []VertexID) ([]VertexID, error) {
-	seed, err := CoverGreedy(b)
-	if err != nil {
-		return nil, err
-	}
-	best := append([]VertexID(nil), seed...)
-	var cur []VertexID
-	var search func(pos int, covered map[VertexID]bool)
-	search = func(pos int, covered map[VertexID]bool) {
-		if len(covered) == len(lefts) {
+	var search func(pos int, covered []uint64)
+	search = func(pos int, covered []uint64) {
+		if slices.Equal(covered, full) {
 			if len(cur) < len(best) {
 				best = append(best[:0], cur...)
 			}
 			return
 		}
-		if pos == len(rights) || len(cur)+1 >= len(best) {
+		// One more pick cannot beat the incumbent, nor can the remaining
+		// rights if together they leave a left uncovered.
+		if len(cur)+1 >= len(best) || pos == len(order) {
 			return
 		}
-		r := rights[pos]
-		gain := false
-		for _, l := range b.LeftNeighbors(r) {
-			if !covered[l] {
-				gain = true
-				break
-			}
+		copy(rest, covered)
+		for _, j := range order[pos:] {
+			orInto(rest, rest, masks[j])
 		}
-		if gain {
-			added := make([]VertexID, 0, 4)
-			for _, l := range b.LeftNeighbors(r) {
-				if !covered[l] {
-					covered[l] = true
-					added = append(added, l)
-				}
-			}
-			cur = append(cur, r)
-			search(pos+1, covered)
+		if !slices.Equal(rest, full) {
+			return
+		}
+		j := order[pos]
+		if next := taken[pos+1]; orInto(next, covered, masks[j]) {
+			cur = append(cur, j)
+			search(pos+1, next)
 			cur = cur[:len(cur)-1]
-			for _, l := range added {
-				delete(covered, l)
-			}
 		}
 		search(pos+1, covered)
 	}
-	search(0, make(map[VertexID]bool, len(lefts)))
-	sort.Slice(best, func(i, j int) bool { return best[i] < best[j] })
-	return best, nil
+	search(0, taken[0])
+	cover := make([]V, len(best))
+	for i, j := range best {
+		cover[i] = rights[j]
+	}
+	slices.Sort(cover)
+	return cover, nil
 }
 
-// VerifyCover reports whether rights covers every left vertex of b.
-func VerifyCover(b *Bipartite, rights []VertexID) bool {
-	chosen := make(map[VertexID]bool, len(rights))
-	for _, r := range rights {
-		chosen[r] = true
+// orInto sets dst to a|b and reports whether that differs from a.
+func orInto(dst, a, b []uint64) (grew bool) {
+	for w := range dst {
+		grew = grew || b[w]&^a[w] != 0
+		dst[w] = a[w] | b[w]
 	}
-	for _, l := range b.Lefts() {
-		ok := false
-		for _, r := range b.RightNeighbors(l) {
-			if chosen[r] {
-				ok = true
-				break
+	return grew
+}
+
+// rightIndex returns the distinct rights of lefts in ascending order and,
+// for each, the positions of the lefts that list it, or the
+// UncoverableError of the first left with an empty list.
+func rightIndex[V ~int](lefts [][]V) (rights []V, adj [][]int, err error) {
+	for i, ns := range lefts {
+		if len(ns) == 0 {
+			return nil, nil, &UncoverableError{Left: i}
+		}
+		rights = append(rights, ns...)
+	}
+	slices.Sort(rights)
+	rights = slices.Compact(rights)
+	adj = make([][]int, len(rights))
+	for i, ns := range lefts {
+		for _, r := range ns {
+			j, _ := slices.BinarySearch(rights, r)
+			adj[j] = append(adj[j], i)
+		}
+	}
+	return rights, adj, nil
+}
+
+// coverInOrder takes the rights in order while each still covers an
+// uncovered left: the selection of CoverStatic and CoverRandom. Every
+// left lists a right, so the walk covers them all.
+func coverInOrder[V ~int](nLefts int, rights []V, adj [][]int, order []int) []V {
+	covered := make([]bool, nLefts)
+	var cover []V
+	for remaining, k := nLefts, 0; remaining > 0; k++ {
+		j := order[k]
+		if !slices.ContainsFunc(adj[j], func(l int) bool { return !covered[l] }) {
+			continue // the paper's "already connected by ToR 1" skip
+		}
+		cover = append(cover, rights[j])
+		for _, l := range adj[j] {
+			if !covered[l] {
+				covered[l] = true
+				remaining--
 			}
 		}
-		if !ok {
-			return false
-		}
 	}
-	return true
+	slices.Sort(cover)
+	return cover
 }
 
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
+func identity(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	return n
+	return order
 }

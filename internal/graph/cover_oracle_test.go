@@ -10,13 +10,93 @@ import (
 	"testing"
 )
 
-// The map-and-copy marginal cover CoverMarginal replaced, frozen as the
-// reference the dense core must equal on every input.
+// The map-based cover solvers the list solvers replaced, frozen as the
+// reference they must equal on every input: a minimal map instance, the
+// marginal and greedy rules CoverMarginal replaced, and the static,
+// random and exact solvers as they ran on it.
+
+// refBipartite is the map instance: left → sorted rights, right → sorted
+// lefts.
+type refBipartite struct {
+	leftAdj, rightAdj map[VertexID][]VertexID
+}
+
+func newRefBipartite() *refBipartite {
+	return &refBipartite{leftAdj: map[VertexID][]VertexID{}, rightAdj: map[VertexID][]VertexID{}}
+}
+
+func (b *refBipartite) AddLeft(l VertexID) {
+	if _, ok := b.leftAdj[l]; !ok {
+		b.leftAdj[l] = nil
+	}
+}
+
+func (b *refBipartite) AddEdge(l, r VertexID) {
+	b.AddLeft(l)
+	if _, ok := slices.BinarySearch(b.leftAdj[l], r); ok {
+		return
+	}
+	i, _ := slices.BinarySearch(b.leftAdj[l], r)
+	b.leftAdj[l] = slices.Insert(b.leftAdj[l], i, r)
+	i, _ = slices.BinarySearch(b.rightAdj[r], l)
+	b.rightAdj[r] = slices.Insert(b.rightAdj[r], i, l)
+}
+
+func sortedKeys(m map[VertexID][]VertexID) []VertexID {
+	ks := make([]VertexID, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	return ks
+}
+
+func (b *refBipartite) Lefts() []VertexID          { return sortedKeys(b.leftAdj) }
+func (b *refBipartite) Rights() []VertexID         { return sortedKeys(b.rightAdj) }
+func (b *refBipartite) LeftCount() int             { return len(b.leftAdj) }
+func (b *refBipartite) RightDegree(r VertexID) int { return len(b.rightAdj[r]) }
+func (b *refBipartite) LeftNeighbors(r VertexID) []VertexID {
+	return slices.Clone(b.rightAdj[r])
+}
+
+func (b *refBipartite) Validate() error {
+	for _, l := range b.Lefts() {
+		if len(b.leftAdj[l]) == 0 {
+			return fmt.Errorf("graph: bipartite: left vertex %d has no right neighbors", l)
+		}
+	}
+	return nil
+}
+
+func (b *refBipartite) RestrictRights(allow map[VertexID]bool) *refBipartite {
+	nb := newRefBipartite()
+	for l := range b.leftAdj {
+		nb.AddLeft(l)
+	}
+	for r, ls := range b.rightAdj {
+		if allow[r] {
+			for _, l := range ls {
+				nb.AddEdge(l, r)
+			}
+		}
+	}
+	return nb
+}
+
+// lists returns the instance as the solvers take it: the lefts in
+// ascending order, each with its ascending rights.
+func (b *refBipartite) lists() [][]VertexID {
+	out := make([][]VertexID, 0, len(b.leftAdj))
+	for _, l := range b.Lefts() {
+		out = append(out, b.leftAdj[l])
+	}
+	return out
+}
 
 // oracleCoverMaxWeightMarginal selects, each round, the right vertex
 // with the most still-uncovered left neighbors, ties by the larger
 // tieBreak and then the lower vertex ID.
-func oracleCoverMaxWeightMarginal(b *Bipartite, tieBreak WeightFunc) ([]VertexID, error) {
+func oracleCoverMaxWeightMarginal(b *refBipartite, tieBreak func(VertexID) float64) ([]VertexID, error) {
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("cover max-weight marginal: %w", err)
 	}
@@ -60,7 +140,7 @@ func oracleCoverMaxWeightMarginal(b *Bipartite, tieBreak WeightFunc) ([]VertexID
 }
 
 // oracleCoverGreedy is the same rule without a tie-break.
-func oracleCoverGreedy(b *Bipartite) ([]VertexID, error) {
+func oracleCoverGreedy(b *refBipartite) ([]VertexID, error) {
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("cover greedy: %w", err)
 	}
@@ -96,12 +176,265 @@ func oracleCoverGreedy(b *Bipartite) ([]VertexID, error) {
 	return cover, nil
 }
 
+// refCoverMaxWeight is the static solver: rights in descending weight
+// order, each taken while it covers an uncovered left.
+func refCoverMaxWeight(b *refBipartite, weight func(VertexID) float64) ([]VertexID, error) {
+	if err := b.Validate(); err != nil {
+		return nil, fmt.Errorf("cover max-weight: %w", err)
+	}
+	uncovered := make(map[VertexID]bool, b.LeftCount())
+	for _, l := range b.Lefts() {
+		uncovered[l] = true
+	}
+	// Rights sorted by descending weight, ascending ID on ties.
+	rights := b.Rights()
+	sort.SliceStable(rights, func(i, j int) bool {
+		wi, wj := weight(rights[i]), weight(rights[j])
+		if wi != wj {
+			return wi > wj
+		}
+		return rights[i] < rights[j]
+	})
+	var cover []VertexID
+	for _, r := range rights {
+		if len(uncovered) == 0 {
+			break
+		}
+		covers := false
+		for _, l := range b.LeftNeighbors(r) {
+			if uncovered[l] {
+				covers = true
+				break
+			}
+		}
+		if !covers {
+			continue
+		}
+		cover = append(cover, r)
+		for _, l := range b.LeftNeighbors(r) {
+			delete(uncovered, l)
+		}
+	}
+	if len(uncovered) > 0 {
+		return nil, fmt.Errorf("%w: %d left vertices remain", ErrUncoverable, len(uncovered))
+	}
+	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
+	return cover, nil
+}
+
+// refCoverRandom takes the rights in shuffled order.
+func refCoverRandom(b *refBipartite, rng *rand.Rand) ([]VertexID, error) {
+	if err := b.Validate(); err != nil {
+		return nil, fmt.Errorf("cover random: %w", err)
+	}
+	if rng == nil {
+		return nil, fmt.Errorf("cover random: nil rng")
+	}
+	uncovered := make(map[VertexID]bool, b.LeftCount())
+	for _, l := range b.Lefts() {
+		uncovered[l] = true
+	}
+	rights := b.Rights()
+	rng.Shuffle(len(rights), func(i, j int) { rights[i], rights[j] = rights[j], rights[i] })
+	var cover []VertexID
+	for _, r := range rights {
+		if len(uncovered) == 0 {
+			break
+		}
+		covers := false
+		for _, l := range b.LeftNeighbors(r) {
+			if uncovered[l] {
+				covers = true
+				break
+			}
+		}
+		if !covers {
+			continue
+		}
+		cover = append(cover, r)
+		for _, l := range b.LeftNeighbors(r) {
+			delete(uncovered, l)
+		}
+	}
+	if len(uncovered) > 0 {
+		return nil, fmt.Errorf("%w: %d left vertices remain", ErrUncoverable, len(uncovered))
+	}
+	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
+	return cover, nil
+}
+
+// refCoverExact is the branch and bound over uint64 sets of at most 64
+// lefts, with refCoverExactBig beyond.
+func refCoverExact(b *refBipartite) ([]VertexID, error) {
+	if err := b.Validate(); err != nil {
+		return nil, fmt.Errorf("cover exact: %w", err)
+	}
+	rights := b.Rights()
+	if len(rights) > MaxExactCoverRights {
+		return nil, fmt.Errorf("cover exact: %d right vertices exceeds limit %d", len(rights), MaxExactCoverRights)
+	}
+	lefts := b.Lefts()
+	leftIdx := make(map[VertexID]int, len(lefts))
+	for i, l := range lefts {
+		leftIdx[l] = i
+	}
+	if len(lefts) > 64 {
+		return refCoverExactBig(b, rights, lefts)
+	}
+	full := uint64(0)
+	if len(lefts) == 64 {
+		full = ^uint64(0)
+	} else {
+		full = (uint64(1) << uint(len(lefts))) - 1
+	}
+	masks := make([]uint64, len(rights))
+	for i, r := range rights {
+		for _, l := range b.LeftNeighbors(r) {
+			masks[i] |= uint64(1) << uint(leftIdx[l])
+		}
+	}
+	// Order rights by descending coverage for stronger pruning.
+	order := make([]int, len(rights))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		return popcount(masks[order[i]]) > popcount(masks[order[j]])
+	})
+	// Greedy solution seeds the upper bound.
+	seed, err := oracleCoverGreedy(b)
+	if err != nil {
+		return nil, err
+	}
+	best := make([]int, 0, len(seed))
+	for _, r := range seed {
+		for i, rr := range rights {
+			if rr == r {
+				best = append(best, i)
+			}
+		}
+	}
+	bestLen := len(best)
+	var cur []int
+	var search func(pos int, covered uint64)
+	search = func(pos int, covered uint64) {
+		if covered == full {
+			if len(cur) < bestLen {
+				bestLen = len(cur)
+				best = append(best[:0], cur...)
+			}
+			return
+		}
+		if len(cur)+1 >= bestLen && covered != full {
+			// Even one more pick cannot beat the incumbent unless it
+			// finishes the cover; check quickly below.
+			finished := false
+			for _, oi := range order[pos:] {
+				if covered|masks[oi] == full && len(cur)+1 < bestLen {
+					finished = true
+					break
+				}
+			}
+			if !finished {
+				return
+			}
+		}
+		if pos == len(order) {
+			return
+		}
+		// Bound: remaining rights must be able to cover what's missing.
+		rest := covered
+		for _, oi := range order[pos:] {
+			rest |= masks[oi]
+		}
+		if rest != full {
+			return
+		}
+		oi := order[pos]
+		if covered|masks[oi] != covered { // taking oi gains something
+			cur = append(cur, oi)
+			search(pos+1, covered|masks[oi])
+			cur = cur[:len(cur)-1]
+		}
+		search(pos+1, covered)
+	}
+	search(0, 0)
+	out := make([]VertexID, 0, len(best))
+	for _, i := range best {
+		out = append(out, rights[i])
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out, nil
+}
+
+// refCoverExactBig handles >64 left vertices with map-based sets.
+func refCoverExactBig(b *refBipartite, rights, lefts []VertexID) ([]VertexID, error) {
+	seed, err := oracleCoverGreedy(b)
+	if err != nil {
+		return nil, err
+	}
+	best := append([]VertexID(nil), seed...)
+	var cur []VertexID
+	var search func(pos int, covered map[VertexID]bool)
+	search = func(pos int, covered map[VertexID]bool) {
+		if len(covered) == len(lefts) {
+			if len(cur) < len(best) {
+				best = append(best[:0], cur...)
+			}
+			return
+		}
+		if pos == len(rights) || len(cur)+1 >= len(best) {
+			return
+		}
+		r := rights[pos]
+		gain := false
+		for _, l := range b.LeftNeighbors(r) {
+			if !covered[l] {
+				gain = true
+				break
+			}
+		}
+		if gain {
+			added := make([]VertexID, 0, 4)
+			for _, l := range b.LeftNeighbors(r) {
+				if !covered[l] {
+					covered[l] = true
+					added = append(added, l)
+				}
+			}
+			cur = append(cur, r)
+			search(pos+1, covered)
+			cur = cur[:len(cur)-1]
+			for _, l := range added {
+				delete(covered, l)
+			}
+		}
+		search(pos+1, covered)
+	}
+	search(0, make(map[VertexID]bool, len(lefts)))
+	sort.Slice(best, func(i, j int) bool { return best[i] < best[j] })
+	return best, nil
+}
+
+func popcount(x uint64) int {
+	n := 0
+	for x != 0 {
+		x &= x - 1
+		n++
+	}
+	return n
+}
+
 // randomMaskedInstance draws a bipartite graph whose right IDs start at
 // base (negative bases included) and an admit mask that may leave lefts
-// uncoverable, be empty, or be nil.
-func randomMaskedInstance(rng *rand.Rand, base int) (*Bipartite, []bool, map[VertexID]bool) {
+// uncoverable, be empty, or be nil. One draw in four has 65 to 100
+// lefts, past one 64-bit word.
+func randomMaskedInstance(rng *rand.Rand, base int) (*refBipartite, []bool, map[VertexID]bool) {
 	nl, nr := 1+rng.Intn(24), 1+rng.Intn(14)
-	b := NewBipartite()
+	if rng.Intn(4) == 0 {
+		nl = 65 + rng.Intn(36)
+	}
+	b := newRefBipartite()
 	for l := 0; l < nl; l++ {
 		b.AddLeft(VertexID(l))
 		for r := 0; r < nr; r++ {
@@ -127,11 +460,16 @@ func randomMaskedInstance(rng *rand.Rand, base int) (*Bipartite, []bool, map[Ver
 	return b, admit, allow
 }
 
-// Property: CoverMarginal under a mask, and the two Bipartite adapters,
-// return exactly the oracle's cover — or fail exactly when it fails, on
-// the lowest uncoverable left.
+// Property: every solver returns exactly the reference's cover, or fails
+// exactly where it fails — an UncoverableError on the lowest left with no
+// admitted right. CoverMarginal is given the whole instance and the
+// mask; CoverStatic, CoverRandom and CoverExact the restricted lists.
+// The exact reference is compared only up to 64 lefts: beyond, it ran a
+// different search whose optimum may differ in its members (see
+// TestCoverExactBigUniverse).
 func TestCoverMarginalEqualsOracle(t *testing.T) {
-	for seed := int64(0); seed < 400; seed++ {
+	wide, failed := 0, 0
+	for seed := int64(0); seed < 600; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		b, admit, allow := randomMaskedInstance(rng, []int{0, 100, -5}[seed%3])
 		// Few distinct tie values, so ties on the tie-break happen too.
@@ -145,25 +483,18 @@ func TestCoverMarginalEqualsOracle(t *testing.T) {
 		if admit != nil {
 			restricted = b.RestrictRights(allow)
 		}
-		lefts := make([][]VertexID, 0, b.LeftCount())
-		firstBad := -1
-		for i, l := range b.Lefts() {
-			lefts = append(lefts, b.leftAdj[l])
-			if firstBad < 0 && restricted.LeftDegree(l) == 0 {
-				firstBad = i
-			}
+		lefts, admitted := b.lists(), restricted.lists()
+		firstBad := slices.IndexFunc(admitted, func(rs []VertexID) bool { return len(rs) == 0 })
+		if len(lefts) > 64 {
+			wide++
 		}
-		for name, tf := range map[string]WeightFunc{"tie": tie, "greedy": nil} {
-			var want []VertexID
-			var wantErr error
-			if tf != nil {
-				want, wantErr = oracleCoverMaxWeightMarginal(restricted, tf)
-			} else {
-				want, wantErr = oracleCoverGreedy(restricted)
-			}
-			got, err := CoverMarginal(lefts, admit, tf)
+		if firstBad >= 0 {
+			failed++
+		}
+		check := func(name string, got []VertexID, err error, want []VertexID, wantErr error) {
+			t.Helper()
 			if (err != nil) != (wantErr != nil) || !slices.Equal(got, want) {
-				t.Fatalf("seed %d %s: CoverMarginal = %v, %v; oracle %v, %v", seed, name, got, err, want, wantErr)
+				t.Fatalf("seed %d %s = %v, %v; reference %v, %v", seed, name, got, err, want, wantErr)
 			}
 			var ue *UncoverableError
 			if err != nil && (!errors.As(err, &ue) || ue.Left != firstBad || !errors.Is(err, ErrUncoverable)) {
@@ -171,16 +502,32 @@ func TestCoverMarginalEqualsOracle(t *testing.T) {
 			}
 		}
 
-		got, err := CoverMaxWeightMarginal(restricted, tie)
 		want, wantErr := oracleCoverMaxWeightMarginal(restricted, tie)
-		if !slices.Equal(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
-			t.Fatalf("seed %d: CoverMaxWeightMarginal = %v, %v; oracle %v, %v", seed, got, err, want, wantErr)
-		}
-		got, err = CoverGreedy(restricted)
+		got, err := CoverMarginal(lefts, admit, tie)
+		check("CoverMarginal", got, err, want, wantErr)
 		want, wantErr = oracleCoverGreedy(restricted)
-		if !slices.Equal(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
-			t.Fatalf("seed %d: CoverGreedy = %v, %v; oracle %v, %v", seed, got, err, want, wantErr)
+		got, err = CoverMarginal(lefts, admit, nil)
+		check("CoverMarginal greedy", got, err, want, wantErr)
+
+		want, wantErr = refCoverMaxWeight(restricted, func(r VertexID) float64 {
+			return float64(restricted.RightDegree(r)) + tie(r)
+		})
+		got, err = CoverStatic(admitted, tie)
+		check("CoverStatic", got, err, want, wantErr)
+
+		rngSeed := rng.Int63()
+		want, wantErr = refCoverRandom(restricted, rand.New(rand.NewSource(rngSeed)))
+		got, err = CoverRandom(admitted, rand.New(rand.NewSource(rngSeed)))
+		check("CoverRandom", got, err, want, wantErr)
+
+		if len(lefts) <= 64 {
+			want, wantErr = refCoverExact(restricted)
+			got, err = CoverExact(admitted)
+			check("CoverExact", got, err, want, wantErr)
 		}
+	}
+	if wide < 100 || failed < 100 {
+		t.Fatalf("instances too narrow to mean anything: %d past 64 lefts, %d uncoverable", wide, failed)
 	}
 }
 

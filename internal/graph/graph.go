@@ -1,11 +1,11 @@
 // Package graph provides the graph substrate used throughout the AL-VC
 // architecture: the frozen CSR graph (Frozen) with the shortest-path,
 // avoiding and Yen searches of SDN path computation under a Restriction
-// and a LiveMask, and the bipartite cover structures and solvers of
-// abstraction-layer (AL) construction (paper §III-C), which select the
-// optical packet switches (OPSs) that form an AL. The map-based Graph
-// and its searches are the reference the CSR searches are tested
-// against.
+// and a LiveMask, and the cover solvers of abstraction-layer (AL)
+// construction (paper §III-C), which run on adjacency lists and select
+// the ToRs, then the optical packet switches (OPSs), that form an AL.
+// The map-based Graph and its searches are the reference the CSR
+// searches are tested against.
 //
 // All algorithms are deterministic: vertex iteration orders are sorted so
 // that repeated runs over the same input produce identical output, which

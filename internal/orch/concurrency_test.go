@@ -58,7 +58,7 @@ func TestConcurrentProvisionDelete(t *testing.T) {
 
 // TestConcurrentReads exercises the snapshot paths while mutators run.
 func TestConcurrentReads(t *testing.T) {
-	_, o := newOrch(t)
+	s, o := newOrch(t)
 	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
@@ -76,7 +76,7 @@ func TestConcurrentReads(t *testing.T) {
 				default:
 				}
 				_ = o.Deployment(dep.ID)
-				_ = o.Deployments()
+				_ = s.Deployments()
 				_ = o.ActiveCount()
 				_ = o.Controller().RuleCount()
 			}

@@ -37,14 +37,8 @@ func healthOf(dep *Deployment) ChainHealth {
 	}
 }
 
-// AppendChainHealth appends one entry per active deployment to buf, in
-// ID order, and returns the extended slice. It allocates only when buf
-// has to grow.
-func (o *Orchestrator) AppendChainHealth(buf []ChainHealth) []ChainHealth {
-	return sortAppended(buf, o.appendChainHealth(buf))
-}
-
-// appendChainHealth is AppendChainHealth in map order.
+// appendChainHealth appends one entry per active deployment of the
+// shard to buf, in map order.
 func (o *Orchestrator) appendChainHealth(buf []ChainHealth) []ChainHealth {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -56,14 +50,9 @@ func (o *Orchestrator) appendChainHealth(buf []ChainHealth) []ChainHealth {
 	return buf
 }
 
-// AppendOwedHealth is AppendChainHealth over the maintenance-owed index
+// appendOwedHealth is appendChainHealth over the maintenance-owed index
 // alone: the active chains without a disjoint standby or Drifted. It
-// reads, copies and sorts what a recovery can help, not the fleet.
-func (o *Orchestrator) AppendOwedHealth(buf []ChainHealth) []ChainHealth {
-	return sortAppended(buf, o.appendOwedHealth(buf))
-}
-
-// appendOwedHealth is AppendOwedHealth in map order.
+// reads what a recovery can help, not the fleet.
 func (o *Orchestrator) appendOwedHealth(buf []ChainHealth) []ChainHealth {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -80,9 +69,10 @@ func sortAppended(buf, extended []ChainHealth) []ChainHealth {
 	return extended
 }
 
-// AppendChainHealth appends every shard's entries to buf and sorts the
-// appended part by ID, so a sweep sees the same order at any shard
-// count.
+// AppendChainHealth appends one entry per active deployment of every
+// shard to buf and sorts the appended part by ID, so a sweep sees the
+// same order at any shard count. It allocates only when buf has to
+// grow.
 func (s *Sharded) AppendChainHealth(buf []ChainHealth) []ChainHealth {
 	out := buf
 	for _, sh := range s.shards {
@@ -91,7 +81,9 @@ func (s *Sharded) AppendChainHealth(buf []ChainHealth) []ChainHealth {
 	return sortAppended(buf, out)
 }
 
-// AppendOwedHealth merges every shard's owed entries, sorted by ID.
+// AppendOwedHealth is AppendChainHealth over the shards'
+// maintenance-owed indexes: it reads, copies and sorts what a recovery
+// can help, not the fleet.
 func (s *Sharded) AppendOwedHealth(buf []ChainHealth) []ChainHealth {
 	out := buf
 	for _, sh := range s.shards {

@@ -950,15 +950,6 @@ func (o *Orchestrator) Deployment(id DeploymentID) (cp *Deployment) {
 	return cp
 }
 
-// Deployments returns snapshots of all deployments sorted by ID: a deep
-// copy per chain, for callers that keep the records. Readers that only
-// look use ViewDeployments; fleet sweeps that read a few fields use
-// AppendChainHealth or ShardStats.
-func (o *Orchestrator) Deployments() (out []*Deployment) {
-	o.ViewDeployments(func(dep *Deployment) { out = append(out, snapshot(dep)) })
-	return out
-}
-
 // ActiveCount returns the number of active deployments.
 func (o *Orchestrator) ActiveCount() int {
 	o.mu.Lock()

@@ -428,7 +428,7 @@ func TestConcurrentFailureAndProvision(t *testing.T) {
 	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
 		t.Fatal("disjointness violated under concurrent failure/provision")
 	}
-	for _, dep := range o.Deployments() {
+	for _, dep := range s.Deployments() {
 		if dep.State != StateActive {
 			continue
 		}

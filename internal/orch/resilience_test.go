@@ -351,7 +351,7 @@ func TestRackEventSingleBatchReconciliation(t *testing.T) {
 		deps = append(deps, dep)
 	}
 	repairsBefore := make(map[DeploymentID]int)
-	for _, dep := range o.Deployments() {
+	for _, dep := range s.Deployments() {
 		repairsBefore[dep.ID] = dep.Repairs
 	}
 
@@ -390,7 +390,7 @@ func TestRackEventSingleBatchReconciliation(t *testing.T) {
 		seen[rep.ID] = true
 	}
 	// And at most one reconciliation landed per chain.
-	for _, dep := range o.Deployments() {
+	for _, dep := range s.Deployments() {
 		if delta := dep.Repairs - repairsBefore[dep.ID]; delta > 1 {
 			t.Fatalf("deployment %d repaired %d times in one batch event", dep.ID, delta)
 		}

@@ -307,8 +307,10 @@ func (s *Sharded) ViewDeployments(fn func(dep *Deployment)) {
 // Deployment returns a snapshot from the owning shard, or nil.
 func (s *Sharded) Deployment(id DeploymentID) *Deployment { return s.owner(id).Deployment(id) }
 
-// Deployments merges every shard's snapshots, sorted by ID (a deep copy
-// of the fleet; see Orchestrator.Deployments).
+// Deployments returns snapshots of every shard's deployments sorted by
+// ID: a deep copy per chain, for callers that keep the records. Readers
+// that only look use ViewDeployments; fleet sweeps that read a few
+// fields use AppendChainHealth or ShardStats.
 func (s *Sharded) Deployments() (out []*Deployment) {
 	s.ViewDeployments(func(dep *Deployment) { out = append(out, snapshot(dep)) })
 	slices.SortFunc(out, func(a, b *Deployment) int { return int(a.ID - b.ID) })

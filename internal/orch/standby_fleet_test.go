@@ -95,17 +95,17 @@ func checkStandbyFleet(t *testing.T, topo *topology.Topology, deps []*Deployment
 // through the primary's first ToR link.
 func TestStandbyFleetAllDisjoint(t *testing.T) {
 	topo := benchFleetTopo(t, 300)
-	_, o := newTestOrch(t, Config{Topo: topo})
+	s, o := newTestOrch(t, Config{Topo: topo})
 	for i := 0; i < 200; i++ {
 		if _, err := o.Provision(bg, residentSpec(t, i, fmt.Sprintf("t%d", i))); err != nil {
 			t.Fatalf("Provision %d: %v", i, err)
 		}
 	}
-	checkStandbyFleet(t, topo, o.Deployments(), 200)
+	checkStandbyFleet(t, topo, s.Deployments(), 200)
 	checkReverseIndexes(t, o)
 
 	// Same chain, same standby: planning is deterministic, memo or not.
-	dep := o.Deployments()[117]
+	dep := s.Deployments()[117]
 	for _, memo := range []bool{true, false, true} {
 		o.ctrl.SetAlternativesCache(memo)
 		p := o.pipelineFrom(context.Background(), o.deployments[dep.ID])
@@ -221,7 +221,7 @@ func TestAsyncRestandbyReindexesOnlyTheStandby(t *testing.T) {
 	// Links that carry a standby and no primary, in ID order.
 	primary := make(map[topology.LinkID]bool)
 	var cut []topology.LinkID
-	for _, dep := range o.Deployments() {
+	for _, dep := range s.Deployments() {
 		links, err := resilience.PathLinks(topo, dep.Path)
 		if err != nil {
 			t.Fatalf("PathLinks: %v", err)
@@ -230,7 +230,7 @@ func TestAsyncRestandbyReindexesOnlyTheStandby(t *testing.T) {
 			primary[l] = true
 		}
 	}
-	for _, dep := range o.Deployments() {
+	for _, dep := range s.Deployments() {
 		for _, l := range dep.Standby.Links {
 			if !primary[l] && !slices.Contains(cut, l) {
 				cut = append(cut, l)

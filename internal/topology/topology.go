@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"github.com/alvc/alvc/internal/graph"
 )
 
 // Topology is a mutable data-center network. It is not safe for
@@ -604,44 +602,25 @@ func (t *Topology) VMsByService() map[string][]NodeID {
 	return out
 }
 
-// VMToRBipartite projects the VM↔ToR connectivity of the given VMs onto
-// a bipartite graph (lefts = VMs, rights = ToRs) — the input to the
-// first phase of AL construction (§III-C).
-func (t *Topology) VMToRBipartite(vms []NodeID) (*graph.Bipartite, error) {
-	b := graph.NewBipartite()
-	for _, vm := range vms {
-		n := t.Node(vm)
-		if n == nil || n.Kind != KindVM {
-			return nil, fmt.Errorf("topology: VMToRBipartite: node %d is not a VM", vm)
-		}
-		b.AddLeft(graph.VertexID(vm))
-		for _, tor := range t.ToRsOfVM(vm) {
-			b.AddEdge(graph.VertexID(vm), graph.VertexID(tor))
-		}
-	}
-	return b, nil
-}
-
-// ToROPSBipartite projects the ToR↔OPS connectivity of the given ToRs
-// onto a bipartite graph (lefts = ToRs, rights = OPSs) — the input to
-// the second phase of AL construction. If allow is non-nil only OPSs in
-// allow appear, honoring the one-OPS-one-AL constraint.
-func (t *Topology) ToROPSBipartite(tors []NodeID, allow map[NodeID]bool) (*graph.Bipartite, error) {
-	b := graph.NewBipartite()
-	for _, tor := range tors {
+// ToROPSBipartite returns, for each of the given ToRs, its live OPS
+// uplinks in ascending order — the adjacency lists the second phase of AL
+// construction covers (§III-C). If allow is non-nil only OPSs in allow
+// appear, honoring the one-OPS-one-AL constraint; with a nil allow the
+// lists are the cached OPSsOfToR entries and must be treated as
+// read-only.
+func (t *Topology) ToROPSBipartite(tors []NodeID, allow map[NodeID]bool) ([][]NodeID, error) {
+	lefts := make([][]NodeID, len(tors))
+	for i, tor := range tors {
 		n := t.Node(tor)
 		if n == nil || n.Kind != KindToR {
 			return nil, fmt.Errorf("topology: ToROPSBipartite: node %d is not a ToR", tor)
 		}
-		b.AddLeft(graph.VertexID(tor))
-		for _, ops := range t.OPSsOfToR(tor) {
-			if allow != nil && !allow[ops] {
-				continue
-			}
-			b.AddEdge(graph.VertexID(tor), graph.VertexID(ops))
+		lefts[i] = t.OPSsOfToR(tor)
+		if allow != nil {
+			lefts[i] = slices.DeleteFunc(slices.Clone(lefts[i]), func(ops NodeID) bool { return !allow[ops] })
 		}
 	}
-	return b, nil
+	return lefts, nil
 }
 
 // GraphOptions selects which parts of the topology are projected into a

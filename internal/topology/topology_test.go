@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -116,32 +117,18 @@ func TestQueries(t *testing.T) {
 	}
 }
 
-func TestVMToRBipartite(t *testing.T) {
-	topo, ids := smallTopo(t)
-	b, err := topo.VMToRBipartite([]NodeID{ids["vm1"], ids["vm3"]})
-	if err != nil {
-		t.Fatalf("VMToRBipartite: %v", err)
-	}
-	if b.LeftCount() != 2 {
-		t.Fatalf("lefts = %d, want 2", b.LeftCount())
-	}
-	if err := b.Validate(); err != nil {
-		t.Fatalf("bipartite validate: %v", err)
-	}
-	// Non-VM input must error.
-	if _, err := topo.VMToRBipartite([]NodeID{ids["tor1"]}); err == nil {
-		t.Fatal("non-VM accepted")
-	}
-}
-
 func TestToROPSBipartiteRestriction(t *testing.T) {
 	topo, ids := smallTopo(t)
-	b, err := topo.ToROPSBipartite([]NodeID{ids["tor1"]}, map[NodeID]bool{ids["ops1"]: true})
+	lefts, err := topo.ToROPSBipartite([]NodeID{ids["tor1"]}, map[NodeID]bool{ids["ops1"]: true})
 	if err != nil {
 		t.Fatalf("ToROPSBipartite: %v", err)
 	}
-	if b.RightCount() != 1 {
-		t.Fatalf("allowed rights = %d, want 1", b.RightCount())
+	if len(lefts) != 1 || !slices.Equal(lefts[0], []NodeID{ids["ops1"]}) {
+		t.Fatalf("allowed uplinks = %v, want [[%d]]", lefts, ids["ops1"])
+	}
+	// A nil allow admits every live uplink.
+	if lefts, _ := topo.ToROPSBipartite([]NodeID{ids["tor1"]}, nil); !slices.Equal(lefts[0], topo.OPSsOfToR(ids["tor1"])) {
+		t.Fatalf("unrestricted uplinks = %v, want %v", lefts[0], topo.OPSsOfToR(ids["tor1"]))
 	}
 	if _, err := topo.ToROPSBipartite([]NodeID{ids["vm1"]}, nil); err == nil {
 		t.Fatal("non-ToR accepted")

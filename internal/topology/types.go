@@ -7,8 +7,8 @@
 //
 // The package provides the node/link data model, deterministic
 // generators for parameterized DCNs, structural validation, and the
-// bipartite projections (VM↔ToR, ToR↔OPS) consumed by the
-// abstraction-layer construction algorithms in internal/cluster.
+// cached adjacency (a VM's ToRs, a ToR's OPS uplinks, optical degrees)
+// the abstraction-layer covers of internal/cluster run on.
 package topology
 
 import "fmt"
