@@ -68,6 +68,9 @@ type (
 	NodeID = topology.NodeID
 	// LinkID identifies a link of the topology.
 	LinkID = topology.LinkID
+	// Failures is a set of nodes and links that fail or recover
+	// together, as one liveness transition (NewFailures).
+	Failures = topology.Failures
 	// Resources is a CPU/memory/storage vector.
 	Resources = topology.Resources
 	// Spec is a network-function-chain request.
@@ -313,7 +316,7 @@ func WithTracing(opts *TraceOptions) Option {
 
 // WithFailureDebounce attaches a failure debouncer: failure events
 // reported through ReportFailures coalesce for the given window and
-// dispatch as one union FailBatch, so a failure storm (a cut tray, a
+// dispatch as one union Fail, so a failure storm (a cut tray, a
 // rack PDU trip) repairs every affected chain exactly once instead of
 // once per event. A non-positive window installs the debouncer in
 // pass-through mode (useful to keep one code path and batch only via
@@ -534,62 +537,53 @@ func (a *Architecture) ScaleNF(id DeploymentID, nfIndex, replicas int) error {
 	return a.sh.ScaleNF(id, nfIndex, replicas)
 }
 
-// FailNode injects a node failure (OPS, ToR or PM) and reconciles
-// every chain that used it, preferring differential repairs (re-path,
-// single-VNF replacement, AL/slice patch) over full rebuilds. It
-// returns one RepairReport per affected chain; chains whose repair was
-// impossible transition to the Failed state and are also reported
-// through the error. Every repair records a span in ctx's trace.
-func (a *Architecture) FailNode(ctx context.Context, id NodeID) ([]RepairReport, error) {
-	return a.sh.HandleFailures(ctx, []NodeID{id}, nil)
+// NewFailures builds the failure set of the given nodes and links,
+// ascending and each ID once. A list already strictly ascending is kept,
+// not copied.
+func NewFailures(nodes []NodeID, links []LinkID) Failures {
+	return topology.NewFailures(nodes, links)
 }
 
-// RepairedIDs filters a FailNode report list down to the chains whose
+// Fail injects the failure of a set of nodes (OPS, ToR or PM) and
+// links as one event — one resource, or a rack-scale incident — and
+// reconciles each chain that used any of them exactly once against the
+// union, preferring differential repairs over full rebuilds: a dead
+// primary link swaps to the standby when one survives (zero
+// shortest-path runs) and re-paths cold otherwise; a dead host replaces
+// only its VNFs; a dead AL switch patches the AL; a dead standby link
+// merely replans the standby. It returns one RepairReport per affected
+// chain; chains whose repair was impossible transition to the Failed
+// state and are also reported through the error. An unknown ID rejects
+// the whole set before anything is marked down. Every repair records a
+// span in ctx's trace.
+func (a *Architecture) Fail(ctx context.Context, f Failures) ([]RepairReport, error) {
+	return a.sh.HandleFailures(ctx, f)
+}
+
+// RepairedIDs filters a Fail report list down to the chains whose
 // repair succeeded, preserving order.
 func RepairedIDs(reports []RepairReport) []DeploymentID {
 	return orch.RepairedIDs(reports)
 }
 
-// RecoverNode marks a failed node as live again. Existing deployments
-// are not rebalanced; new deployments may use it immediately.
-func (a *Architecture) RecoverNode(id NodeID) error {
-	return a.sh.RecoverNode(id)
-}
-
-// FailLink injects a link failure and reconciles every chain whose
-// primary or standby path crossed it: a dead primary link swaps to the
-// standby when one survives (zero shortest-path runs), re-paths cold
-// otherwise; a dead standby link merely replans the standby.
-func (a *Architecture) FailLink(ctx context.Context, id LinkID) ([]RepairReport, error) {
-	return a.sh.HandleFailures(ctx, nil, []LinkID{id})
-}
-
-// RecoverLink marks a failed link as live again. Existing deployments
-// are not rerouted back; new paths may use it immediately.
-func (a *Architecture) RecoverLink(id LinkID) error {
-	return a.sh.RecoverLink(id)
-}
-
-// FailBatch injects a set of node and link failures as one event — a
-// rack-scale incident — and reconciles each affected chain exactly
-// once against the union of dead resources.
-func (a *Architecture) FailBatch(ctx context.Context, nodes []NodeID, links []LinkID) ([]RepairReport, error) {
-	return a.sh.HandleFailures(ctx, nodes, links)
-}
+// Recover marks a set of failed nodes and links live again. Existing
+// deployments are not rebalanced or rerouted back; new deployments may
+// use the resources immediately.
+func (a *Architecture) Recover(f Failures) error { return a.sh.Recover(f) }
 
 // ReportFailures feeds a failure notification into the debouncer
 // (WithFailureDebounce): reports within one window coalesce into a
-// single FailBatch, and the debouncer remembers ctx's span as a parent
-// of the batch that eventually flushes the report, so the failure
-// report's trace reaches the coalesced repairs. Without a debouncer it
-// falls back to an immediate FailBatch, so callers can use one code
-// path either way.
-func (a *Architecture) ReportFailures(ctx context.Context, nodes []NodeID, links []LinkID) {
+// single Fail, and the debouncer remembers ctx's span as a parent of
+// the batch that eventually flushes the report, so the failure report's
+// trace reaches the coalesced repairs. Without a debouncer it falls
+// back to an immediate Fail, so callers can use one code path either
+// way.
+func (a *Architecture) ReportFailures(ctx context.Context, f Failures) {
 	if a.debounce == nil {
-		_, _ = a.sh.HandleFailures(ctx, nodes, links)
+		_, _ = a.sh.HandleFailures(ctx, f)
 		return
 	}
-	a.debounce.Report(ctx, nodes, links)
+	a.debounce.Report(ctx, f)
 }
 
 // FlushFailures dispatches the debouncer's pending failure union
@@ -615,18 +609,11 @@ func (a *Architecture) FailureDebounceStats() (DebounceStats, bool) {
 // architecture was built without WithFailureDebounce.
 func (a *Architecture) Debouncer() *FailureDebouncer { return a.debounce }
 
-// NodeImpact returns the blast radius of a node: every active chain
-// that would be affected if it died, with the roles the node plays
-// (slice / host / path / standby), from the reverse index.
-func (a *Architecture) NodeImpact(id NodeID) []ImpactEntry {
-	return a.sh.NodeImpact(id)
-}
-
-// LinkImpact returns the blast radius of a link (roles: path /
-// standby).
-func (a *Architecture) LinkImpact(id LinkID) []ImpactEntry {
-	return a.sh.LinkImpact(id)
-}
+// Impact returns the blast radius of a set of nodes and links: every
+// active chain that would be affected if they died, with the roles the
+// set plays for it (host / path / slice / standby; a link is only ever
+// path or standby), from the reverse indexes.
+func (a *Architecture) Impact(f Failures) []ImpactEntry { return a.sh.Impact(f) }
 
 // Repair rebuilds one deployment around the current topology state.
 func (a *Architecture) Repair(id DeploymentID) error { return a.sh.Repair(id) }

@@ -3,6 +3,7 @@ package alvc
 import (
 	"context"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -218,9 +219,9 @@ func TestFacadeFailureRecovery(t *testing.T) {
 		t.Fatalf("lambda = %d, want assigned with WithWavelengths", dep.Lambda)
 	}
 	victim := dep.Slice.OPSs[0]
-	reports, err := arch.FailNode(ctx, victim)
+	reports, err := arch.Fail(ctx, NewFailures([]NodeID{victim}, nil))
 	if err != nil {
-		t.Fatalf("FailNode: %v", err)
+		t.Fatalf("Fail: %v", err)
 	}
 	repaired := RepairedIDs(reports)
 	if len(repaired) != 1 || repaired[0] != dep.ID {
@@ -230,8 +231,8 @@ func TestFacadeFailureRecovery(t *testing.T) {
 	if after.Repairs != 1 || after.Slice.Contains(victim) {
 		t.Fatalf("repair did not move off the failed OPS: %+v", after.Slice.OPSs)
 	}
-	if err := arch.RecoverNode(victim); err != nil {
-		t.Fatalf("RecoverNode: %v", err)
+	if err := arch.Recover(NewFailures([]NodeID{victim}, nil)); err != nil {
+		t.Fatalf("Recover: %v", err)
 	}
 	if err := arch.Repair(dep.ID); err != nil {
 		t.Fatalf("manual Repair: %v", err)
@@ -239,7 +240,7 @@ func TestFacadeFailureRecovery(t *testing.T) {
 	if arch.Deployment(dep.ID).Repairs != 2 {
 		t.Fatal("manual repair not counted")
 	}
-	if _, err := arch.FailNode(ctx, 999999); err == nil {
+	if _, err := arch.Fail(ctx, NewFailures([]NodeID{999999}, nil)); err == nil {
 		t.Fatal("unknown node accepted")
 	}
 }
@@ -262,6 +263,21 @@ func TestOneFormPerVerb(t *testing.T) {
 			}
 			if strings.HasSuffix(name, "Ctx") {
 				t.Errorf("%v.%s: the context form goes under the plain name", typ, name)
+			}
+		}
+	}
+	// One failure set from the wire to the reconciler: no verb of the
+	// failure plane keeps a per-node or per-link twin.
+	twin := regexp.MustCompile(`^(Fail|Recover|Set)(Node|Link)s?(Down)?$|^(Node|Link)Impact$|^FailBatch$`)
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(&orch.Sharded{}),
+		reflect.TypeOf(&orch.Orchestrator{}),
+		reflect.TypeOf(&Architecture{}),
+		reflect.TypeOf(&Topology{}),
+	} {
+		for i := 0; i < typ.NumMethod(); i++ {
+			if name := typ.Method(i).Name; twin.MatchString(name) {
+				t.Errorf("%v.%s: failures, recoveries and blast radii take one Failures set", typ, name)
 			}
 		}
 	}

@@ -102,9 +102,9 @@ func TestContractRepairFollowsDamage(t *testing.T) {
 		arch := fleet(t, chains, false)
 		victim := arch.Deployments()[0]
 		before := countsOf(arch)
-		reports, err := arch.FailNode(ctx, victim.Slice.OPSs[0])
+		reports, err := arch.Fail(ctx, alvc.NewFailures([]alvc.NodeID{victim.Slice.OPSs[0]}, nil))
 		if err != nil {
-			t.Fatalf("%d chains: FailNode: %v", chains, err)
+			t.Fatalf("%d chains: Fail: %v", chains, err)
 		}
 		if len(reports) != 1 || reports[0].ID != victim.ID || !reports[0].Succeeded() {
 			t.Fatalf("%d chains: reports = %+v, want one successful repair of chain %d", chains, reports, victim.ID)
@@ -173,9 +173,9 @@ func TestContractShardingCost(t *testing.T) {
 				victims = append(victims, dep.Slice.OPSs[0])
 			}
 		}
-		reports, err := arch.FailBatch(ctx, victims, nil)
+		reports, err := arch.Fail(ctx, alvc.NewFailures(victims, nil))
 		if err != nil {
-			t.Fatalf("%d shards: FailBatch: %v", shards, err)
+			t.Fatalf("%d shards: Fail: %v", shards, err)
 		}
 		for _, rep := range reports {
 			if !rep.Succeeded() {
@@ -237,7 +237,7 @@ func TestContractProtectedRecovery(t *testing.T) {
 			t.Fatal("no transit ToR on the first chain's primary")
 		}
 		before := countsOf(arch)
-		reports, _ := arch.FailNode(ctx, victim) // failed chains are counted below
+		reports, _ := arch.Fail(ctx, alvc.NewFailures([]alvc.NodeID{victim}, nil)) // failed chains are counted below
 		s := sample{counts: countsOf(arch).minus(before), affected: len(reports)}
 		for _, rep := range reports {
 			switch rep.Action {
@@ -248,8 +248,8 @@ func TestContractProtectedRecovery(t *testing.T) {
 			}
 		}
 		s.churn = float64(s.ruleInstalls) / float64(s.affected)
-		if err := arch.RecoverNode(victim); err != nil {
-			t.Fatalf("RecoverNode: %v", err)
+		if err := arch.Recover(alvc.NewFailures([]alvc.NodeID{victim}, nil)); err != nil {
+			t.Fatalf("Recover: %v", err)
 		}
 		arch.Optimize()
 		s.gapAfterDrain = protectionGap(arch)
@@ -321,15 +321,15 @@ func TestContractAsyncReprotection(t *testing.T) {
 		inline := fleet(t, chains, true)
 		nodes, links := rackEvent(t, inline)
 		before := countsOf(inline)
-		if _, err := inline.FailBatch(ctx, nodes, links); err != nil {
-			t.Fatalf("%d chains: inline FailBatch: %v", chains, err)
+		if _, err := inline.Fail(ctx, alvc.NewFailures(nodes, links)); err != nil {
+			t.Fatalf("%d chains: inline Fail: %v", chains, err)
 		}
 		inlineCost := countsOf(inline).minus(before)
 
 		async := fleet(t, chains, true, alvc.WithOptimizer(alvc.OptimizerOptions{}))
 		nodes, links = rackEvent(t, async)
 		before = countsOf(async)
-		reports, _ := async.FailBatch(ctx, nodes, links) // failed chains are exempt below
+		reports, _ := async.Fail(ctx, alvc.NewFailures(nodes, links)) // failed chains are exempt below
 		asyncCost := countsOf(async).minus(before)
 		t.Logf("%d chains: inline %+v, async %+v", chains, inlineCost, asyncCost)
 		if asyncCost.standbySearches != 0 {
@@ -358,13 +358,13 @@ func TestContractAsyncReprotection(t *testing.T) {
 		async.Optimize()
 		protected(false)
 		for _, n := range nodes {
-			if err := async.RecoverNode(n); err != nil {
-				t.Fatalf("RecoverNode: %v", err)
+			if err := async.Recover(alvc.NewFailures([]alvc.NodeID{n}, nil)); err != nil {
+				t.Fatalf("Recover: %v", err)
 			}
 		}
 		for _, l := range links {
-			if err := async.RecoverLink(l); err != nil {
-				t.Fatalf("RecoverLink: %v", err)
+			if err := async.Recover(alvc.NewFailures(nil, []alvc.LinkID{l})); err != nil {
+				t.Fatalf("Recover: %v", err)
 			}
 		}
 		async.Optimize()
@@ -531,11 +531,11 @@ func stormFleet(t *testing.T, chains int, opts ...alvc.Option) (*alvc.Architectu
 		}
 	}
 	warm := transit(deps[0].Path)[0]
-	if _, err := arch.FailLink(ctx, warm); err != nil {
-		t.Fatalf("warm-up FailLink: %v", err)
+	if _, err := arch.Fail(ctx, alvc.NewFailures(nil, []alvc.LinkID{warm})); err != nil {
+		t.Fatalf("warm-up Fail: %v", err)
 	}
-	if err := arch.RecoverLink(warm); err != nil {
-		t.Fatalf("warm-up RecoverLink: %v", err)
+	if err := arch.Recover(alvc.NewFailures(nil, []alvc.LinkID{warm})); err != nil {
+		t.Fatalf("warm-up Recover: %v", err)
 	}
 	arch.Optimize()
 	return arch, victims
@@ -568,7 +568,7 @@ func TestContractLinkStorm(t *testing.T) {
 		func(v stormVictim) alvc.LinkID { return v.standby },
 	} {
 		for _, v := range victims {
-			reports, _ := base.FailLink(ctx, pick(v)) // outcomes are counted below
+			reports, _ := base.Fail(ctx, alvc.NewFailures(nil, []alvc.LinkID{pick(v)})) // outcomes are counted below
 			for _, rep := range reports {
 				repaired[rep.ID]++
 			}
@@ -586,8 +586,8 @@ func TestContractLinkStorm(t *testing.T) {
 	before, _ := batch.OptimizerStatus()
 	builds = batch.Topology().GraphBuilds()
 	for _, v := range batchVictims {
-		batch.ReportFailures(ctx, nil, []alvc.LinkID{v.primary})
-		batch.ReportFailures(ctx, nil, []alvc.LinkID{v.standby})
+		batch.ReportFailures(ctx, alvc.NewFailures(nil, []alvc.LinkID{v.primary}))
+		batch.ReportFailures(ctx, alvc.NewFailures(nil, []alvc.LinkID{v.standby}))
 	}
 	reports, err := batch.FlushFailures()
 	if err != nil {
@@ -704,7 +704,7 @@ func TestContractStormRevisit(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r := round{links: trayCut(arch, tray)}
 		for _, l := range r.links {
-			arch.ReportFailures(ctx, nil, []alvc.LinkID{l})
+			arch.ReportFailures(ctx, alvc.NewFailures(nil, []alvc.LinkID{l}))
 		}
 		if _, err := arch.FlushFailures(); err != nil {
 			t.Fatalf("round %d: flush: %v", i, err)
@@ -720,8 +720,8 @@ func TestContractStormRevisit(t *testing.T) {
 			r.standbys = append(r.standbys, dep.Standby.Path)
 		}
 		for _, l := range r.links {
-			if err := arch.RecoverLink(l); err != nil {
-				t.Fatalf("RecoverLink: %v", err)
+			if err := arch.Recover(alvc.NewFailures(nil, []alvc.LinkID{l})); err != nil {
+				t.Fatalf("Recover: %v", err)
 			}
 		}
 		arch.Optimize()

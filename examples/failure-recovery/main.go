@@ -54,7 +54,8 @@ func main() {
 	// Kill an OPS in tenant-a's slice.
 	victim := depA.Slice.OPSs[0]
 	fmt.Printf("\n*** OPS %d fails ***\n\n", victim)
-	reports, err := arch.FailNode(ctx, victim)
+	dead := alvc.NewFailures([]alvc.NodeID{victim}, nil)
+	reports, err := arch.Fail(ctx, dead)
 	if err != nil {
 		log.Fatalf("failure-recovery: repair failed: %v", err)
 	}
@@ -75,7 +76,7 @@ func main() {
 		untouched.Slice.OPSs, untouched.Repairs)
 
 	// The switch comes back; new chains may use it again.
-	if err := arch.RecoverNode(victim); err != nil {
+	if err := arch.Recover(dead); err != nil {
 		log.Fatalf("failure-recovery: recover: %v", err)
 	}
 	specC, err := alvc.LinearChain("chain-c", "tenant-c", "sns", 1.0, 1<<20, "firewall")

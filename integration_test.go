@@ -98,9 +98,9 @@ func TestFullPaperStory(t *testing.T) {
 	// Failure: kill an OPS in blue's slice; repair must succeed and
 	// green/black must stay active.
 	victim := blue.Slice.OPSs[0]
-	reports, err := arch.FailNode(ctx, victim)
+	reports, err := arch.Fail(ctx, NewFailures([]NodeID{victim}, nil))
 	if err != nil {
-		t.Fatalf("FailNode: %v", err)
+		t.Fatalf("Fail: %v", err)
 	}
 	if len(RepairedIDs(reports)) == 0 {
 		t.Fatal("no deployment repaired")

@@ -33,14 +33,14 @@ func randomTopo(t *testing.T, rng *rand.Rand) *topology.Topology {
 	if rng.Intn(3) > 0 {
 		for _, n := range topo.Nodes(topology.KindOPS, topology.KindToR, topology.KindPhysicalMachine) {
 			if rng.Float64() < 0.08 {
-				if err := topo.SetNodeDown(n.ID, true); err != nil {
+				if err := topo.SetDown(topology.NewFailures([]topology.NodeID{n.ID}, nil), true); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		for _, l := range topo.Links() {
 			if rng.Float64() < 0.08 {
-				if err := topo.SetLinkDown(l.ID, true); err != nil {
+				if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{l.ID}), true); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -253,7 +253,7 @@ func TestAllocatorFreeSetModel(t *testing.T) {
 				vc := alloc.VC(id)
 				// Patch around a member that just failed, or around nothing.
 				if rng.Intn(3) > 0 {
-					if err := topo.SetNodeDown(vc.AL.OPSs[rng.Intn(len(vc.AL.OPSs))], true); err != nil {
+					if err := topo.SetDown(topology.NewFailures([]topology.NodeID{vc.AL.OPSs[rng.Intn(len(vc.AL.OPSs))]}, nil), true); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -263,7 +263,7 @@ func TestAllocatorFreeSetModel(t *testing.T) {
 				}
 			default:
 				ops := opss[rng.Intn(len(opss))]
-				if err := topo.SetNodeDown(ops, !topo.Node(ops).Down && rng.Intn(2) == 0); err != nil {
+				if err := topo.SetDown(topology.NewFailures([]topology.NodeID{ops}, nil), !topo.Node(ops).Down && rng.Intn(2) == 0); err != nil {
 					t.Fatal(err)
 				}
 			}

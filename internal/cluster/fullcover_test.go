@@ -147,7 +147,7 @@ func TestFullCoverEqualsCoverMarginal(t *testing.T) {
 			case op < 6 && len(live) > 0:
 				vc := alloc.VC(live[rng.Intn(len(live))])
 				if rng.Intn(2) == 0 {
-					if err := topo.SetNodeDown(vc.AL.OPSs[rng.Intn(len(vc.AL.OPSs))], true); err != nil {
+					if err := topo.SetDown(topology.NewFailures([]topology.NodeID{vc.AL.OPSs[rng.Intn(len(vc.AL.OPSs))]}, nil), true); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -167,12 +167,12 @@ func TestFullCoverEqualsCoverMarginal(t *testing.T) {
 				live = slices.Delete(live, i, i+1)
 			case op < 9:
 				ops := opss[rng.Intn(len(opss))]
-				if err := topo.SetNodeDown(ops, !topo.Node(ops).Down); err != nil {
+				if err := topo.SetDown(topology.NewFailures([]topology.NodeID{ops}, nil), !topo.Node(ops).Down); err != nil {
 					t.Fatal(err)
 				}
 			default:
 				l := boundary[rng.Intn(len(boundary))]
-				if err := topo.SetLinkDown(l, !topo.Link(l).Down); err != nil {
+				if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{l}), !topo.Link(l).Down); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -219,21 +219,21 @@ func TestFullCoverCatchesStaleTieOrder(t *testing.T) {
 		t.Fatalf("tie order on a plain ring = %v, want the IDs %v", got, opss)
 	}
 	// Missed recovery: the list was taken while the first OPS was down.
-	if err := topo.SetNodeDown(opss[0], true); err != nil {
+	if err := topo.SetDown(topology.NewFailures([]topology.NodeID{opss[0]}, nil), true); err != nil {
 		t.Fatal(err)
 	}
 	stale := fresh()
-	if err := topo.SetNodeDown(opss[0], false); err != nil {
+	if err := topo.SetDown(topology.NewFailures([]topology.NodeID{opss[0]}, nil), false); err != nil {
 		t.Fatal(err)
 	}
 	expectStale("recovered OPS", stale)
 	// Missed recovery of one ToR–OPS link, not the whole OPS.
 	link := topo.LinkBetween(tors[0], opss[0])
-	if err := topo.SetLinkDown(link.ID, true); err != nil {
+	if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{link.ID}), true); err != nil {
 		t.Fatal(err)
 	}
 	stale = fresh()
-	if err := topo.SetLinkDown(link.ID, false); err != nil {
+	if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{link.ID}), false); err != nil {
 		t.Fatal(err)
 	}
 	expectStale("recovered uplink", stale)

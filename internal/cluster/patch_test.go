@@ -17,8 +17,8 @@ func TestPatchVCSwapsFailedOPS(t *testing.T) {
 		t.Fatalf("BuildVC: %v", err)
 	}
 	victim := vc.AL.OPSs[0]
-	if err := topo.SetNodeDown(victim, true); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(topology.NewFailures([]topology.NodeID{victim}, nil), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	patched, err := a.PatchVC(vc.ID, vms)
 	if err != nil {
@@ -74,8 +74,8 @@ func TestPatchVCReusesSurvivors(t *testing.T) {
 	for _, ops := range vc.AL.OPSs[1:] {
 		survivors[ops] = true
 	}
-	if err := topo.SetNodeDown(victim, true); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(topology.NewFailures([]topology.NodeID{victim}, nil), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	patched, err := a.PatchVC(vc.ID, vms)
 	if err != nil {
@@ -115,8 +115,8 @@ func TestPatchVCFailureLeavesAllocatorUnchanged(t *testing.T) {
 	}
 	// Down every OPS: no cover can exist.
 	for _, n := range topo.NodeIDs(topology.KindOPS) {
-		if err := topo.SetNodeDown(n, true); err != nil {
-			t.Fatalf("SetNodeDown: %v", err)
+		if err := topo.SetDown(topology.NewFailures([]topology.NodeID{n}, nil), true); err != nil {
+			t.Fatalf("SetDown: %v", err)
 		}
 	}
 	before := append([]topology.NodeID(nil), vc.AL.OPSs...)

@@ -45,7 +45,7 @@ func E13FailureRepair() (*Result, error) {
 	clean := true
 	for i := 1; i <= 3; i++ {
 		victim := o.Deployment(deps[0].ID).Slice.OPSs[0]
-		reports, err := o.HandleFailures(context.Background(), []topology.NodeID{victim}, nil)
+		reports, err := o.HandleFailures(context.Background(), topology.NewFailures([]topology.NodeID{victim}, nil))
 		if err != nil {
 			return nil, fmt.Errorf("E13: failure %d: %w", i, err)
 		}

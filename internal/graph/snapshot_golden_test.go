@@ -115,13 +115,13 @@ func goldenTopology(t *testing.T, seed int64) *topology.Topology {
 		case 1:
 			must(topo.MigrateVM(vm, pick(pms)))
 		case 2:
-			must(topo.SetNodeDown(vm, true))
+			must(topo.SetDown(topology.NewFailures([]topology.NodeID{vm}, nil), true))
 		}
 	}
-	must(topo.SetNodesDown([]topology.NodeID{pick(pms), pick(opss), pick(tors)}, true))
+	must(topo.SetDown(topology.NewFailures([]topology.NodeID{pick(pms), pick(opss), pick(tors)}, nil), true))
 	links := topo.Links()
 	for i := 0; i < 3; i++ {
-		must(topo.SetLinkDown(links[rng.Intn(len(links))].ID, true))
+		must(topo.SetDown(topology.NewFailures(nil, []topology.LinkID{links[rng.Intn(len(links))].ID}), true))
 	}
 	return topo
 }
@@ -159,7 +159,7 @@ func TestSnapshotCSREqualsMapFill(t *testing.T) {
 		// Liveness patches land on both cached snapshots in place.
 		pms := topo.NodeIDs(topology.KindPhysicalMachine)
 		for _, down := range []bool{true, false} {
-			if err := topo.SetNodesDown(pms[:2], down); err != nil {
+			if err := topo.SetDown(topology.NewFailures(pms[:2], nil), down); err != nil {
 				t.Fatal(err)
 			}
 			for _, vms := range []bool{false, true} {

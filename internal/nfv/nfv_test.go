@@ -388,8 +388,8 @@ func TestMigrateValidation(t *testing.T) {
 	if err := m.Migrate(9999, pm); err == nil {
 		t.Fatal("migration of unknown instance accepted")
 	}
-	if err := topo.SetNodeDown(oer, true); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(topology.NewFailures([]topology.NodeID{oer}, nil), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	if err := m.Migrate(inst.ID, oer); err == nil {
 		t.Fatal("migration to down node accepted")

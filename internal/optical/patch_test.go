@@ -71,8 +71,8 @@ func TestPatchMembershipValidation(t *testing.T) {
 		t.Fatal("failed patch moved ownership")
 	}
 	// Down OPS rejected.
-	if err := topo.SetNodeDown(ops[3], true); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(topology.NewFailures([]topology.NodeID{ops[3]}, nil), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	if _, err := m.PatchMembership(a.ID, ops[3:4]); err == nil {
 		t.Fatal("patch onto a down OPS accepted")

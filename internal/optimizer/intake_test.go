@@ -84,12 +84,12 @@ func cutPrimary(t testing.TB, s *orch.Sharded, topo *topology.Topology, id orch.
 	if !ok {
 		return
 	}
-	_, _ = s.HandleFailures(bg, nil, []topology.LinkID{l})
+	_, _ = s.HandleFailures(bg, topology.NewFailures(nil, []topology.LinkID{l}))
 	if whileDown != nil {
 		whileDown()
 	}
-	if err := s.RecoverLink(l); err != nil {
-		t.Fatalf("RecoverLink: %v", err)
+	if err := s.Recover(topology.NewFailures(nil, []topology.LinkID{l})); err != nil {
+		t.Fatalf("Recover: %v", err)
 	}
 }
 
@@ -119,17 +119,17 @@ func mixedFleet(t *testing.T, shards, n int, seed int64) *orch.Sharded {
 			continue
 		case 1:
 			victim := dep.Slice.OPSs[rng.Intn(len(dep.Slice.OPSs))]
-			_, _ = s.HandleFailures(bg, []topology.NodeID{victim}, nil)
-			if err := s.RecoverNode(victim); err != nil {
-				t.Fatalf("RecoverNode: %v", err)
+			_, _ = s.HandleFailures(bg, topology.NewFailures([]topology.NodeID{victim}, nil))
+			if err := s.Recover(topology.NewFailures([]topology.NodeID{victim}, nil)); err != nil {
+				t.Fatalf("Recover: %v", err)
 			}
 		case 2:
 			if err := s.MoveNF(dep.ID, rng.Intn(2), spare); err != nil {
 				t.Fatalf("MoveNF: %v", err)
 			}
-			_, _ = s.HandleFailures(bg, []topology.NodeID{spare}, nil)
-			if err := s.RecoverNode(spare); err != nil {
-				t.Fatalf("RecoverNode: %v", err)
+			_, _ = s.HandleFailures(bg, topology.NewFailures([]topology.NodeID{spare}, nil))
+			if err := s.Recover(topology.NewFailures([]topology.NodeID{spare}, nil)); err != nil {
+				t.Fatalf("Recover: %v", err)
 			}
 		default:
 			continue
@@ -236,7 +236,7 @@ func TestDriftLifecycle(t *testing.T) {
 	cut := func(want orch.RepairAction) topology.LinkID {
 		t.Helper()
 		l, ok := primaryTransit(topo, get())
-		reports, err := s.HandleFailures(bg, nil, []topology.LinkID{l})
+		reports, err := s.HandleFailures(bg, topology.NewFailures(nil, []topology.LinkID{l}))
 		if !ok || err != nil {
 			t.Fatalf("HandleFailures: %v", err)
 		}
@@ -254,8 +254,8 @@ func TestDriftLifecycle(t *testing.T) {
 	}
 	heal := func(l topology.LinkID) {
 		t.Helper()
-		if err := s.RecoverLink(l); err != nil {
-			t.Fatalf("RecoverLink: %v", err)
+		if err := s.Recover(topology.NewFailures(nil, []topology.LinkID{l})); err != nil {
+			t.Fatalf("Recover: %v", err)
 		}
 	}
 
@@ -291,7 +291,7 @@ func TestDriftLifecycle(t *testing.T) {
 	for inst, err := mgr.Create(nfv.Firewall, home); err == nil; inst, err = mgr.Create(nfv.Firewall, home) {
 		fillers = append(fillers, inst.ID)
 	}
-	if reports, err := s.HandleFailures(bg, []topology.NodeID{spare}, nil); err != nil || len(reports) != 1 || reports[0].Action != orch.ActionReplaced {
+	if reports, err := s.HandleFailures(bg, topology.NewFailures([]topology.NodeID{spare}, nil)); err != nil || len(reports) != 1 || reports[0].Action != orch.ActionReplaced {
 		t.Fatalf("server failure: reports %+v, %v; want the chain replaced", reports, err)
 	}
 	if dep := get(); !dep.Drifted || dep.Conversions != 1 {
@@ -312,8 +312,8 @@ func TestDriftLifecycle(t *testing.T) {
 			t.Fatalf("Terminate filler: %v", err)
 		}
 	}
-	if err := s.RecoverNode(spare); err != nil {
-		t.Fatalf("RecoverNode: %v", err)
+	if err := s.Recover(topology.NewFailures([]topology.NodeID{spare}, nil)); err != nil {
+		t.Fatalf("Recover: %v", err)
 	}
 	if got := queued(); !slices.Equal(got, []taskKey{{dep: id, kind: KindRehome}}) {
 		t.Fatalf("recovery over a protected, drifted chain queued %v, want exactly its re-home", got)

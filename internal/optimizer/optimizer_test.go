@@ -146,7 +146,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 	// classify as a slice patch): swap, no standby search inline.
 	victim := tors[0][0]
 	hits, misses := o.Shard(0).Controller().AlternativesCacheStats()
-	reports, err := o.HandleFailures(bg, []topology.NodeID{victim}, nil)
+	reports, err := o.HandleFailures(bg, topology.NewFailures([]topology.NodeID{victim}, nil))
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
@@ -176,8 +176,8 @@ func TestRefreshEndToEnd(t *testing.T) {
 
 	// Recovery: the node-recovered event queues a refresh; the drained
 	// refresh replans over the healed topology.
-	if err := o.RecoverNode(victim); err != nil {
-		t.Fatalf("RecoverNode: %v", err)
+	if err := o.Recover(topology.NewFailures([]topology.NodeID{victim}, nil)); err != nil {
+		t.Fatalf("Recover: %v", err)
 	}
 	if eng.Status().QueueDepth == 0 {
 		t.Fatal("recovery event queued no refresh")

@@ -191,13 +191,13 @@ func TestStatusSurfacesDebounceCounters(t *testing.T) {
 	if st := eng.Status(); st.Debounce == nil || st.Debounce.Events != 0 {
 		t.Fatalf("debounce stats = %+v, want zeroed", st.Debounce)
 	}
-	d.Report(bg, nil, nil) // empty: not counted
+	d.Report(bg, topology.NewFailures(nil, nil)) // empty: not counted
 	if st := eng.Status(); st.Debounce.Events != 0 {
 		t.Fatalf("empty report counted: %+v", st.Debounce)
 	}
 	// Two coalesced reports, one batch — the counters flow through.
-	d.Report(bg, []topology.NodeID{99990}, nil)
-	d.Report(bg, []topology.NodeID{99991}, nil)
+	d.Report(bg, topology.NewFailures([]topology.NodeID{99990}, nil))
+	d.Report(bg, topology.NewFailures([]topology.NodeID{99991}, nil))
 	if _, err := d.Flush(); err == nil {
 		t.Fatal("unknown-node batch should error")
 	}

@@ -143,9 +143,9 @@ func TestConcurrentDrainsProtectEveryChain(t *testing.T) {
 				if !ok {
 					continue
 				}
-				_, _ = s.HandleFailures(bg, nil, []topology.LinkID{l})
-				if err := s.RecoverLink(l); err != nil {
-					t.Errorf("RecoverLink: %v", err)
+				_, _ = s.HandleFailures(bg, topology.NewFailures(nil, []topology.LinkID{l}))
+				if err := s.Recover(topology.NewFailures(nil, []topology.LinkID{l})); err != nil {
+					t.Errorf("Recover: %v", err)
 					return
 				}
 			}

@@ -24,7 +24,7 @@ import (
 // drives: Sharded.HandleFailures. The context carries the batch span
 // the debouncer opens, so it reaches the repair spans.
 type FailureHandler interface {
-	HandleFailures(ctx context.Context, nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error)
+	HandleFailures(ctx context.Context, f topology.Failures) ([]RepairReport, error)
 }
 
 // maxBatchParents bounds how many distinct originating spans one batch
@@ -47,17 +47,18 @@ type DebounceStats struct {
 
 // FailureDebouncer coalesces failure reports into batched
 // HandleFailures calls. Reports arriving within one window merge into
-// a pending union of dead nodes and links; when the window expires (or
-// Flush is called) the union dispatches as one batch. Safe for
-// concurrent use.
+// a pending union of dead nodes and links — two ascending lists, so the
+// union dispatches as it stands — and when the window expires (or Flush
+// is called) the union dispatches as one batch. Safe for concurrent
+// use.
 type FailureDebouncer struct {
 	h      FailureHandler
 	window time.Duration
 	clock  Clock
 
 	mu    sync.Mutex
-	nodes map[topology.NodeID]struct{}
-	links map[topology.LinkID]struct{}
+	nodes []topology.NodeID
+	links []topology.LinkID
 	// stop cancels the armed window's expiry (nil when none is armed);
 	// gen numbers the windows, so a late expiry spares a newer one.
 	stop    func() bool
@@ -76,13 +77,7 @@ type FailureDebouncer struct {
 // A non-positive window disables coalescing: every Report dispatches
 // synchronously (still through the batch path, still counted).
 func NewFailureDebouncer(h FailureHandler, window time.Duration) *FailureDebouncer {
-	return &FailureDebouncer{
-		h:      h,
-		window: window,
-		clock:  WallClock,
-		nodes:  make(map[topology.NodeID]struct{}),
-		links:  make(map[topology.LinkID]struct{}),
-	}
+	return &FailureDebouncer{h: h, window: window, clock: WallClock}
 }
 
 // SetFlushObserver registers a telemetry hook receiving each dispatched
@@ -112,18 +107,14 @@ func (d *FailureDebouncer) SetTracer(tr *trace.Tracer) {
 // attached, the span is remembered as a parent of the batch that
 // eventually flushes this report, preserving causality across the
 // debounce window.
-func (d *FailureDebouncer) Report(ctx context.Context, nodes []topology.NodeID, links []topology.LinkID) {
-	if len(nodes) == 0 && len(links) == 0 {
+func (d *FailureDebouncer) Report(ctx context.Context, f topology.Failures) {
+	if f.Empty() {
 		return
 	}
 	d.mu.Lock()
 	d.stats.Events++
-	for _, n := range nodes {
-		d.nodes[n] = struct{}{}
-	}
-	for _, l := range links {
-		d.links[l] = struct{}{}
-	}
+	d.nodes = merge(d.nodes, f.Nodes())
+	d.links = merge(d.links, f.Links())
 	if sc, ok := trace.FromContext(ctx); ok && d.tracer != nil && len(d.parents) < maxBatchParents &&
 		!slices.ContainsFunc(d.parents, func(p trace.SpanContext) bool { return p.TraceID == sc.TraceID }) {
 		d.parents = append(d.parents, sc.Detached()) // the report's request ends before the flush
@@ -161,26 +152,14 @@ func (d *FailureDebouncer) flush(gen uint64) ([]RepairReport, error) {
 		d.mu.Unlock()
 		return nil, nil
 	}
-	nodes := make([]topology.NodeID, 0, len(d.nodes))
-	for n := range d.nodes {
-		nodes = append(nodes, n)
-	}
-	links := make([]topology.LinkID, 0, len(d.links))
-	for l := range d.links {
-		links = append(links, l)
-	}
-	d.nodes = make(map[topology.NodeID]struct{})
-	d.links = make(map[topology.LinkID]struct{})
+	f := topology.NewFailures(d.nodes, d.links)
+	d.nodes, d.links = nil, nil
 	d.stats.Batches++
 	onFlush := d.onFlush
 	tr := d.tracer
 	parents := d.parents
 	d.parents = nil
 	d.mu.Unlock()
-
-	// Deterministic dispatch order (map iteration is not).
-	slices.Sort(nodes)
-	slices.Sort(links)
 
 	// The batch span continues the first coalesced report's trace — so
 	// a failure report's trace contains the whole downstream repair —
@@ -201,14 +180,14 @@ func (d *FailureDebouncer) flush(gen uint64) ([]RepairReport, error) {
 	}
 
 	start := time.Now()
-	reports, err := d.h.HandleFailures(ctx, nodes, links)
+	reports, err := d.h.HandleFailures(ctx, f)
 	elapsed := time.Since(start)
 	if tr != nil {
 		sp := trace.Span{
 			Name: "debounce.flush", Kind: trace.KindBatch, Start: start, End: start.Add(elapsed),
 			Attrs: []trace.Attr{
-				{Key: "nodes", Value: strconv.Itoa(len(nodes))},
-				{Key: "links", Value: strconv.Itoa(len(links))},
+				{Key: "nodes", Value: strconv.Itoa(len(f.Nodes()))},
+				{Key: "links", Value: strconv.Itoa(len(f.Links()))},
 				{Key: "reports", Value: strconv.Itoa(len(reports))},
 			}}
 		if len(parents) > 0 {
@@ -240,4 +219,16 @@ func (d *FailureDebouncer) Stats() DebounceStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
+}
+
+// merge folds the ascending list ids into the ascending pending list,
+// each ID once: a report of one resource costs one binary search and at
+// most one insert.
+func merge[T ~int](pending, ids []T) []T {
+	for _, id := range ids {
+		if i, found := slices.BinarySearch(pending, id); !found {
+			pending = slices.Insert(pending, i, id)
+		}
+	}
+	return pending
 }

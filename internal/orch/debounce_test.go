@@ -16,14 +16,14 @@ type fakeHandler struct {
 	batches [][2][]int // [nodes, links] as ints for easy comparison
 }
 
-func (f *fakeHandler) HandleFailures(_ context.Context, nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error) {
+func (f *fakeHandler) HandleFailures(_ context.Context, dead topology.Failures) ([]RepairReport, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var ns, ls []int
-	for _, n := range nodes {
+	for _, n := range dead.Nodes() {
 		ns = append(ns, int(n))
 	}
-	for _, l := range links {
+	for _, l := range dead.Links() {
 		ls = append(ls, int(l))
 	}
 	f.batches = append(f.batches, [2][]int{ns, ls})
@@ -45,10 +45,10 @@ func TestDebouncerCoalescesWindow(t *testing.T) {
 	d := NewFailureDebouncer(h, 20*time.Millisecond)
 	d.clock = clock
 
-	d.Report(bg, []topology.NodeID{1}, nil)
-	d.Report(bg, []topology.NodeID{2}, []topology.LinkID{10})
-	d.Report(bg, nil, []topology.LinkID{10, 11}) // duplicate link 10
-	d.Report(bg, []topology.NodeID{1}, nil)      // duplicate node 1
+	d.Report(bg, topology.NewFailures([]topology.NodeID{1}, nil))
+	d.Report(bg, topology.NewFailures([]topology.NodeID{2}, []topology.LinkID{10}))
+	d.Report(bg, topology.NewFailures(nil, []topology.LinkID{10, 11})) // duplicate link 10
+	d.Report(bg, topology.NewFailures([]topology.NodeID{1}, nil))      // duplicate node 1
 
 	clock.advance(20*time.Millisecond - 1)
 	if got := h.batchCount(); got != 0 {
@@ -84,7 +84,7 @@ func TestDebouncerStaleExpiryKeepsNextWindow(t *testing.T) {
 	d := NewFailureDebouncer(h, 20*time.Millisecond)
 	d.clock = clock
 
-	d.Report(bg, []topology.NodeID{1}, nil)
+	d.Report(bg, topology.NewFailures([]topology.NodeID{1}, nil))
 	// The first window's timer fires, and an explicit Flush dispatches its
 	// union before the expiry runs; then the next window opens, and only
 	// then the first expiry runs.
@@ -92,7 +92,7 @@ func TestDebouncerStaleExpiryKeepsNextWindow(t *testing.T) {
 	if _, err := d.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	d.Report(bg, []topology.NodeID{2}, nil)
+	d.Report(bg, topology.NewFailures([]topology.NodeID{2}, nil))
 	stale()
 	if got := h.batchCount(); got != 1 {
 		t.Fatalf("batches = %d after the stale expiry, want the explicit flush's 1", got)
@@ -100,7 +100,7 @@ func TestDebouncerStaleExpiryKeepsNextWindow(t *testing.T) {
 	if n, l := d.Pending(); n != 1 || l != 0 {
 		t.Fatalf("pending = (%d,%d) after the stale expiry, want the new report's (1,0)", n, l)
 	}
-	d.Report(bg, nil, []topology.LinkID{7})
+	d.Report(bg, topology.NewFailures(nil, []topology.LinkID{7}))
 	if st := d.Stats(); st.Events != 3 || st.Batches != 1 || st.Coalesced != 1 {
 		t.Fatalf("stats = %+v, want Events=3 Batches=1 Coalesced=1", st)
 	}
@@ -122,8 +122,8 @@ func TestDebouncerStaleExpiryKeepsNextWindow(t *testing.T) {
 func TestDebouncerFlushSynchronous(t *testing.T) {
 	h := &fakeHandler{}
 	d := NewFailureDebouncer(h, time.Hour) // never expires on its own
-	d.Report(bg, []topology.NodeID{5}, []topology.LinkID{7})
-	d.Report(bg, []topology.NodeID{6}, nil)
+	d.Report(bg, topology.NewFailures([]topology.NodeID{5}, []topology.LinkID{7}))
+	d.Report(bg, topology.NewFailures([]topology.NodeID{6}, nil))
 	if n, l := d.Pending(); n != 2 || l != 1 {
 		t.Fatalf("pending = (%d,%d), want (2,1)", n, l)
 	}
@@ -150,8 +150,8 @@ func TestDebouncerFlushSynchronous(t *testing.T) {
 func TestDebouncerZeroWindowPassThrough(t *testing.T) {
 	h := &fakeHandler{}
 	d := NewFailureDebouncer(h, 0)
-	d.Report(bg, []topology.NodeID{1}, nil)
-	d.Report(bg, []topology.NodeID{2}, nil)
+	d.Report(bg, topology.NewFailures([]topology.NodeID{1}, nil))
+	d.Report(bg, topology.NewFailures([]topology.NodeID{2}, nil))
 	if got := h.batchCount(); got != 2 {
 		t.Fatalf("batches = %d, want 2 (pass-through)", got)
 	}
@@ -176,8 +176,8 @@ func TestDebouncedStormRepairsOnce(t *testing.T) {
 	}
 	d := NewFailureDebouncer(s, time.Hour)
 	// Event 1: the primary's transit link. Event 2: the standby's.
-	d.Report(bg, nil, []topology.LinkID{ids.torOpsLinks[0][0]})
-	d.Report(bg, nil, []topology.LinkID{ids.torOpsLinks[0][1]})
+	d.Report(bg, topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][0]}))
+	d.Report(bg, topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][1]}))
 	reports, err := d.Flush()
 	if err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -230,7 +230,7 @@ func TestRepairEventsCarryFailureDomain(t *testing.T) {
 	if err := o.topo.SetLinkSRLG(ids.torOpsLinks[1][0], 42); err != nil {
 		t.Fatalf("SetLinkSRLG: %v", err)
 	}
-	if _, err := s.HandleFailures(bg, nil, []topology.LinkID{ids.torOpsLinks[0][0], ids.torOpsLinks[1][0]}); err != nil {
+	if _, err := s.HandleFailures(bg, topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][0], ids.torOpsLinks[1][0]})); err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
 	sink.mu.Lock()
@@ -254,7 +254,7 @@ func TestRepairEventsCarryFailureDomain(t *testing.T) {
 	sink.mu.Lock()
 	sink.events = nil
 	sink.mu.Unlock()
-	if _, err := s.HandleFailures(bg, nil, []topology.LinkID{ids.torOpsLinks[0][1]}); err != nil {
+	if _, err := s.HandleFailures(bg, topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][1]})); err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
 	sink.mu.Lock()

@@ -3,6 +3,8 @@ package orch
 import (
 	"sync"
 	"testing"
+
+	"github.com/alvc/alvc/internal/topology"
 )
 
 type muxRecorder struct {
@@ -78,8 +80,8 @@ func TestEventMuxAsOrchestratorSink(t *testing.T) {
 	if _, err := failNode(s, mid); err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
-	if err := s.RecoverNode(mid); err != nil {
-		t.Fatalf("RecoverNode: %v", err)
+	if err := s.Recover(topology.NewFailures([]topology.NodeID{mid}, nil)); err != nil {
+		t.Fatalf("Recover: %v", err)
 	}
 	if metrics.count() == 0 || opt.count() == 0 {
 		t.Fatalf("subscribers missed orchestrator events: metrics=%d opt=%d", metrics.count(), opt.count())

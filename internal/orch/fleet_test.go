@@ -214,7 +214,7 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 					a, b := pick(), pick()
 					victim := a.Slice.OPSs[rng.Intn(len(a.Slice.OPSs))]
 					l := topo.LinkBetween(b.Path[1], b.Path[2])
-					_, _ = s.HandleFailures(bg, []topology.NodeID{victim}, []topology.LinkID{l.ID})
+					_, _ = s.HandleFailures(bg, topology.NewFailures([]topology.NodeID{victim}, []topology.LinkID{l.ID}))
 					downNodes = append(downNodes, victim)
 					downLinks = append(downLinks, l.ID)
 				case r < 17:
@@ -222,13 +222,13 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 					switch {
 					case len(downNodes) > 0 && (len(downLinks) == 0 || rng.Intn(2) == 0):
 						i := rng.Intn(len(downNodes))
-						if err := s.RecoverNode(downNodes[i]); err != nil {
+						if err := s.Recover(topology.NewFailures([]topology.NodeID{downNodes[i]}, nil)); err != nil {
 							t.Fatalf("step %d: recover node: %v", step, err)
 						}
 						downNodes = slices.Delete(downNodes, i, i+1)
 					case len(downLinks) > 0:
 						i := rng.Intn(len(downLinks))
-						if err := s.RecoverLink(downLinks[i]); err != nil {
+						if err := s.Recover(topology.NewFailures(nil, []topology.LinkID{downLinks[i]})); err != nil {
 							t.Fatalf("step %d: recover link: %v", step, err)
 						}
 						downLinks = slices.Delete(downLinks, i, i+1)
@@ -427,8 +427,8 @@ func TestDeletedChainsLeaveMemory(t *testing.T) {
 	if _, err := failLink(s, sb.Links[1]); err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
-	if err := s.RecoverLink(sb.Links[1]); err != nil {
-		t.Fatalf("RecoverLink: %v", err)
+	if err := s.Recover(topology.NewFailures(nil, []topology.LinkID{sb.Links[1]})); err != nil {
+		t.Fatalf("Recover: %v", err)
 	}
 	var first, last DeploymentID
 	cycle := func(n int) {

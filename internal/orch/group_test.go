@@ -46,7 +46,7 @@ func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
 			}
 		}
 	}
-	if _, err := s.HandleFailures(bg, nil, doomed); err != nil {
+	if _, err := s.HandleFailures(bg, topology.NewFailures(nil, doomed)); err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
 	var dropped []DeploymentID
@@ -59,8 +59,8 @@ func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
 		t.Fatalf("only %d chains lost protection; fixture too weak", len(dropped))
 	}
 	for _, l := range doomed {
-		if err := s.RecoverLink(l); err != nil {
-			t.Fatalf("RecoverLink: %v", err)
+		if err := s.Recover(topology.NewFailures(nil, []topology.LinkID{l})); err != nil {
+			t.Fatalf("Recover: %v", err)
 		}
 	}
 

@@ -33,11 +33,11 @@ func newTestOrch(t testing.TB, cfg Config) (s *Sharded, o *Orchestrator) {
 
 // failNode and failLink are the one-resource forms of HandleFailures.
 func failNode(s *Sharded, n topology.NodeID) ([]RepairReport, error) {
-	return s.HandleFailures(bg, []topology.NodeID{n}, nil)
+	return s.HandleFailures(bg, topology.NewFailures([]topology.NodeID{n}, nil))
 }
 
 func failLink(s *Sharded, l topology.LinkID) ([]RepairReport, error) {
-	return s.HandleFailures(bg, nil, []topology.LinkID{l})
+	return s.HandleFailures(bg, topology.NewFailures(nil, []topology.LinkID{l}))
 }
 
 // reProtect re-protects one chain as a group of one with no domain, the

@@ -123,7 +123,7 @@ func TestHooksSwapUnderTraffic(t *testing.T) {
 	traffic.Add(2)
 	go func() {
 		defer traffic.Done()
-		reports, _ := s.HandleFailures(bg, nil, tray) // a busy skip is an error and no stage
+		reports, _ := s.HandleFailures(bg, topology.NewFailures(nil, tray)) // a busy skip is an error and no stage
 		for _, rep := range reports {
 			n, ok := stagesOf(rep.Action)
 			if !ok {

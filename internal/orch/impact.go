@@ -2,79 +2,93 @@ package orch
 
 import (
 	"slices"
-	"sort"
 
 	"github.com/alvc/alvc/internal/topology"
 )
 
-// ImpactEntry is one deployment inside a resource's blast radius,
-// annotated with every role the resource plays for it. Roles are a
-// sorted subset of "slice", "host", "path", "standby": a chain whose
-// only exposure is "standby" would not lose traffic if the resource
-// died — the reconciler would merely replan its anticipation.
+// ImpactEntry is one deployment inside a failure set's blast radius,
+// annotated with every role the set plays for it. Roles are a sorted
+// subset of "host", "path", "slice", "standby": a chain whose only
+// exposure is "standby" would not lose traffic if the set died — the
+// reconciler would merely replan its anticipation.
 type ImpactEntry struct {
 	ID    DeploymentID
 	Roles []string
 }
 
-// NodeImpact answers the operator-planning question "what breaks if
-// this node dies": every active deployment whose footprint includes the
-// node, straight from the reverse index's posting list (no scan, and
-// already in ID order).
-func (o *Orchestrator) NodeImpact(node topology.NodeID) []ImpactEntry {
+// Impact answers the operator-planning question "what breaks if these
+// resources die": every active deployment whose footprint includes a
+// node or link of the set, with the roles the set plays for it, in ID
+// order — straight from the reverse indexes' posting lists, no scan.
+// A node can be any role; a link is "path" (a primary link) or
+// "standby".
+func (o *Orchestrator) Impact(f topology.Failures) []ImpactEntry {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	nodes, links := f.Nodes(), f.Links()
+	var ids []DeploymentID
+	for _, n := range nodes {
+		ids = union(ids, o.nodeIndex.of(n))
+	}
+	for _, l := range links {
+		ids = union(ids, o.linkIndex.of(l))
+	}
 	var out []ImpactEntry
-	for _, id := range o.nodeIndex.of(node) {
+	for _, id := range ids {
 		dep, ok := o.deployments[id]
 		if !ok || dep.State != StateActive {
 			continue
 		}
+		// Appended in sorted order.
 		var roles []string
-		if dep.Slice != nil && dep.Slice.Contains(node) {
-			roles = append(roles, "slice")
-		}
-		if slices.Contains(dep.Placement.Hosts, node) {
+		if anyIn(dep.Placement.Hosts, nodes) {
 			roles = append(roles, "host")
 		}
-		if slices.Contains(dep.Path, node) {
+		if anyIn(dep.Path, nodes) || anyIn(dep.primaryLinks, links) {
 			roles = append(roles, "path")
 		}
-		if dep.Standby != nil && slices.Contains(dep.Standby.Path, node) {
+		if dep.Slice != nil && anyIn(dep.Slice.OPSs, nodes) {
+			roles = append(roles, "slice")
+		}
+		if dep.Standby != nil && (anyIn(dep.Standby.Path, nodes) || anyIn(dep.Standby.Links, links)) {
 			roles = append(roles, "standby")
 		}
 		if len(roles) == 0 {
 			continue // stale index window; nothing to report
 		}
-		sort.Strings(roles)
 		out = append(out, ImpactEntry{ID: id, Roles: roles})
 	}
 	return out
 }
 
-// LinkImpact is the link variant of NodeImpact: every active deployment
-// whose primary or standby path crosses the link, from the reverse link
-// index and the per-deployment link caches, in ID order.
-func (o *Orchestrator) LinkImpact(link topology.LinkID) []ImpactEntry {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var out []ImpactEntry
-	for _, id := range o.linkIndex.of(link) {
-		dep, ok := o.deployments[id]
-		if !ok || dep.State != StateActive {
-			continue
-		}
-		var roles []string
-		if slices.Contains(dep.primaryLinks, link) {
-			roles = append(roles, "path")
-		}
-		if dep.Standby != nil && slices.Contains(dep.Standby.Links, link) {
-			roles = append(roles, "standby")
-		}
-		if len(roles) == 0 {
-			continue
-		}
-		out = append(out, ImpactEntry{ID: id, Roles: roles})
+// union merges two ascending ID lists, each ID once. With one list
+// empty it returns the other uncopied: a one-resource set reads its
+// posting list in place.
+func union(a, b []DeploymentID) []DeploymentID {
+	if len(a) == 0 {
+		return b
 	}
-	return out
+	if len(b) == 0 {
+		return a
+	}
+	out := append(slices.Clip(a), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// anyIn reports whether any of ids is in the ascending set. A set of
+// one, the common question, is a plain scan.
+func anyIn[T ~int](ids, set []T) bool {
+	switch len(set) {
+	case 0:
+		return false
+	case 1:
+		return slices.Contains(ids, set[0])
+	}
+	for _, id := range ids {
+		if _, ok := slices.BinarySearch(set, id); ok {
+			return true
+		}
+	}
+	return false
 }

@@ -187,10 +187,10 @@ func (x *indexScript) step() string {
 	case len(x.nodes)+len(x.links) >= 4 || op == 1:
 		// Something down comes back: the fabric must not drain away.
 		if n := len(x.nodes); n > 0 && (len(x.links) == 0 || x.rng.Intn(2) == 0) {
-			_ = x.s.RecoverNode(x.nodes[n-1])
+			_ = x.s.Recover(topology.NewFailures([]topology.NodeID{x.nodes[n-1]}, nil))
 			x.nodes = x.nodes[:n-1]
 		} else if n := len(x.links); n > 0 {
-			_ = x.s.RecoverLink(x.links[n-1])
+			_ = x.s.Recover(topology.NewFailures(nil, []topology.LinkID{x.links[n-1]}))
 			x.links = x.links[:n-1]
 		}
 		return "recover"
@@ -220,7 +220,7 @@ func (x *indexScript) step() string {
 		node, link := x.exposure(dep)
 		_, other := x.exposure(x.pick())
 		x.nodes, x.links = append(x.nodes, node), append(x.links, link, other)
-		_, _ = x.s.HandleFailures(bg, []topology.NodeID{node}, []topology.LinkID{link, other})
+		_, _ = x.s.HandleFailures(bg, topology.NewFailures([]topology.NodeID{node}, []topology.LinkID{link, other}))
 		return "fail batch"
 	case op == 10:
 		reProtect(x.s, dep.ID)
@@ -443,14 +443,14 @@ func BenchmarkStormRound(b *testing.B) {
 			})
 			victims = append(victims, id)
 		}
-		reports, err := s.HandleFailures(ctx, nil, tray)
+		reports, err := s.HandleFailures(ctx, topology.NewFailures(nil, tray))
 		if err != nil || len(reports) < len(victims) {
 			b.Fatalf("round %d: %d reports, %v", i, len(reports), err)
 		}
 		s.ReProtectGroup(nil, FailureDomain{Batch: 1}, RepairedIDs(reports))
 		for _, l := range tray {
-			if err := s.RecoverLink(l); err != nil {
-				b.Fatalf("RecoverLink: %v", err)
+			if err := s.Recover(topology.NewFailures(nil, []topology.LinkID{l})); err != nil {
+				b.Fatalf("Recover: %v", err)
 			}
 		}
 		for _, rep := range reports {

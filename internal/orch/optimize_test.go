@@ -135,7 +135,7 @@ func TestAsyncRepathDefersStandby(t *testing.T) {
 	// AL members and would classify as a slice patch): no swap
 	// possible, the repair must be a cold re-path via the spare route.
 	searchesBefore := standbySearches(o)
-	reports, err := s.HandleFailures(bg, []topology.NodeID{ids.tors[0][0], ids.tors[0][1]}, nil)
+	reports, err := s.HandleFailures(bg, topology.NewFailures([]topology.NodeID{ids.tors[0][0], ids.tors[0][1]}, nil))
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
@@ -308,9 +308,7 @@ func TestSRLGClassification(t *testing.T) {
 		// Primary transit dies together with the standby's tray-mate:
 		// the standby is alive but not survivable — must re-path, not
 		// swap.
-		reports, err := s.HandleFailures(bg,
-			[]topology.NodeID{ids.tors[0][0]},
-			[]topology.LinkID{ids.torOpsLinks[1][2]})
+		reports, err := s.HandleFailures(bg, topology.NewFailures([]topology.NodeID{ids.tors[0][0]}, []topology.LinkID{ids.torOpsLinks[1][2]}))
 		if err != nil {
 			t.Fatalf("HandleFailures: %v", err)
 		}
@@ -342,8 +340,8 @@ func TestEventEmission(t *testing.T) {
 	if sink.count(EventRepairCompleted) != 1 {
 		t.Fatalf("events after failure: %v", sink.kinds())
 	}
-	if err := s.RecoverNode(ids.opss[0]); err != nil {
-		t.Fatalf("RecoverNode: %v", err)
+	if err := s.Recover(topology.NewFailures([]topology.NodeID{ids.opss[0]}, nil)); err != nil {
+		t.Fatalf("Recover: %v", err)
 	}
 	if sink.count(EventNodeRecovered) != 1 {
 		t.Fatalf("events after recovery: %v", sink.kinds())

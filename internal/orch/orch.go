@@ -10,8 +10,9 @@
 // (WDM) on the optical segments.
 //
 // Beyond the paper's five verbs the orchestrator also repairs: when
-// nodes or links fail (Sharded.HandleFailures: one node, one link or a
-// rack-scale batch) a differential reconciliation
+// nodes or links fail (Sharded.HandleFailures, over one
+// topology.Failures set: one node, one link or a rack-scale batch, as
+// one liveness transition) a differential reconciliation
 // engine (reconcile.go) classifies the damage per affected chain
 // against the union of dead resources and re-runs only the
 // provisioning stages the failure invalidated — a make-before-break
@@ -202,7 +203,7 @@ type sharedCore struct {
 	// topoMu serializes topology mutations (node up/down transitions)
 	// against the provisioning pipeline, which reads liveness bits all
 	// over (VM filtering, path computation, VNF host checks). Readers —
-	// buildChain, MoveNF — hold RLock; SetNodeDown holds Lock. Kept
+	// buildChain, MoveNF — hold RLock; SetDown holds Lock. Kept
 	// separate from the per-shard mu so long builds never block
 	// deployment lookups, and shared across shards so one shard's
 	// failure handling is visible to every shard's pipeline.
@@ -381,7 +382,7 @@ func (o *Orchestrator) BusyOps() int {
 // vmIndex caches the liveness-filtered service → VM grouping so the
 // provisioning pipeline does not rebuild the full VM-by-service map (a
 // scan of every topology node) on every chain build. Node liveness
-// transitions (HandleFailures, RecoverNode) invalidate it wholesale;
+// transitions (HandleFailures, Recover) invalidate it wholesale;
 // the next build re-derives it once.
 type vmIndex struct {
 	mu        sync.Mutex
@@ -444,7 +445,7 @@ func (o *Orchestrator) liveVMs(service string) []topology.NodeID {
 
 // InvalidateVMCache drops the cached service → live-VM index. The
 // orchestrator invalidates it on its own liveness transitions
-// (HandleFailures, RecoverNode, RecoverLink); callers that mutate the
+// (HandleFailures, Recover); callers that mutate the
 // shared topology directly (VM churn) must call this themselves, on
 // any shard: the index is the core's.
 func (c *sharedCore) InvalidateVMCache() {

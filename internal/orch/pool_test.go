@@ -182,12 +182,12 @@ func TestFanOutsStartNoGoroutines(t *testing.T) {
 				tray = appendUnseen(tray, []topology.LinkID{prim[0], stby[len(stby)-1]})
 			})
 		}
-		if reports, err := s.HandleFailures(bg, nil, tray); err != nil || len(reports) < 2 {
+		if reports, err := s.HandleFailures(bg, topology.NewFailures(nil, tray)); err != nil || len(reports) < 2 {
 			t.Fatalf("round %d: %d reports, %v", round, len(reports), err)
 		}
 		for _, l := range tray {
-			if err := s.RecoverLink(l); err != nil {
-				t.Fatalf("RecoverLink: %v", err)
+			if err := s.Recover(topology.NewFailures(nil, []topology.LinkID{l})); err != nil {
+				t.Fatalf("Recover: %v", err)
 			}
 		}
 	}

@@ -104,42 +104,27 @@ const (
 	busyRetryDelay = 10 * time.Millisecond
 )
 
-// markFailuresDown is the topology half of HandleFailures: it validates
-// every ID, marks the nodes and links down in one write-lock
-// transaction, and returns the failure set with its shared-risk groups
-// collected. It touches only shared-core state, so it runs exactly once
-// regardless of how many shards reconcile afterwards.
-func (c *sharedCore) markFailuresDown(nodes []topology.NodeID, links []topology.LinkID) (resilience.FailureSet, error) {
+// markFailuresDown is the topology half of HandleFailures: it marks
+// the failed nodes and links down as one liveness transition under the
+// write lock — every ID validated first, one generation bump, one
+// overlay patch per cached snapshot, so a storm of dead links costs
+// O(affected arcs), not O(resources) graph invalidations — and returns
+// the classified failure set. It touches only shared-core state, so it
+// runs exactly once regardless of how many shards reconcile afterwards.
+func (c *sharedCore) markFailuresDown(f topology.Failures) (resilience.FailureSet, error) {
 	c.topoMu.Lock()
-	for _, n := range nodes {
-		if c.topo.Node(n) == nil {
-			c.topoMu.Unlock()
-			return resilience.FailureSet{}, fmt.Errorf("orch: node failure: topology: SetNodeDown: unknown node %d", n)
-		}
+	defer c.topoMu.Unlock()
+	if err := c.topo.SetDown(f, true); err != nil {
+		return resilience.FailureSet{}, fmt.Errorf("orch: failure: %w", err)
 	}
-	for _, l := range links {
-		if c.topo.Link(l) == nil {
-			c.topoMu.Unlock()
-			return resilience.FailureSet{}, fmt.Errorf("orch: link failure: topology: SetLinkDown: unknown link %d", l)
-		}
-	}
-	// Batch liveness mutators: the whole failure set lands as one
-	// topology generation bump and one overlay patch per cached
-	// snapshot, so a storm of dead links costs O(affected arcs), not
-	// O(resources) graph invalidations.
-	_ = c.topo.SetNodesDown(nodes, true)
-	_ = c.topo.SetLinksDown(links, true)
 	// Inside the write lock: a provision acquiring topoMu.RLock after
 	// this point must not see the stale live-VM cache. Link failures
 	// invalidate it too — a dead PM↔ToR link strands that PM's VMs.
 	c.InvalidateVMCache()
-	dead := resilience.NewFailureSet(nodes, links)
 	// Shared-risk groups of the dead links, collected while the
 	// topology is still quiescent: standbys crossing a same-group
 	// survivor are suspect and get replanned rather than swapped onto.
-	dead.CollectSRLGs(c.topo)
-	c.topoMu.Unlock()
-	return dead, nil
+	return resilience.Classify(c.topo, f), nil
 }
 
 // reconcileFailures is the deployment half of HandleFailures: it finds
@@ -207,14 +192,8 @@ func (c *sharedCore) emitRepairEvents(reports []RepairReport, domain FailureDoma
 // batch: the dead links' risk groups when any exist, otherwise the next
 // batch number — either way, every repair event of the batch shares it.
 func (c *sharedCore) failureDomain(dead resilience.FailureSet) FailureDomain {
-	var d FailureDomain
-	if len(dead.SRLGs) > 0 {
-		d.SRLGs = make([]int, 0, len(dead.SRLGs))
-		for g := range dead.SRLGs {
-			d.SRLGs = append(d.SRLGs, g)
-		}
-		slices.Sort(d.SRLGs)
-	} else {
+	d := FailureDomain{SRLGs: dead.SRLGs}
+	if len(d.SRLGs) == 0 {
 		d.Batch = atomic.AddUint64(&c.batchSeq, 1)
 	}
 	d.key = d.String()
@@ -240,46 +219,20 @@ func firstRepairError(reports []RepairReport) error {
 
 // affectedBy returns the active deployments whose footprint intersects
 // the failure set, each exactly once, sorted by ID — a union of
-// reverse-index lookups, not a scan: the dead resources' posting lists,
-// concatenated, sorted once and compacted.
+// reverse-index lookups, not a scan: the posting lists of the dead
+// nodes and the suspect links, concatenated, sorted once and compacted.
+// The suspect links are the dead ones plus the live links sharing a
+// risk group with one: chains crossing those must be visited too, since
+// their standbys may no longer be survivable.
 func (o *Orchestrator) affectedBy(dead resilience.FailureSet) []DeploymentID {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	var out []DeploymentID
-	for n := range dead.Nodes {
+	for _, n := range dead.Nodes() {
 		out = append(out, o.nodeIndex.of(n)...)
 	}
-	for l := range dead.Links {
+	for _, l := range dead.Suspect {
 		out = append(out, o.linkIndex.of(l)...)
-	}
-	// Shared-risk expansion: chains whose footprint crosses a live link
-	// in the same risk group as a dead one must be visited too — their
-	// standbys may no longer be survivable. When CollectSRLGs has
-	// materialized the batch's suspect-link set, probe the reverse index
-	// with it — the one topology walk already happened in
-	// markFailuresDown, and every shard's pass reuses it. The fallback
-	// scans the indexed links (links inside some footprint) probing SRLG
-	// membership per link, which keeps it O(footprint), not O(topology);
-	// SRLG membership is immutable after build, so reading it here
-	// without topoMu is safe.
-	switch {
-	case dead.SuspectLinks != nil:
-		for l := range dead.SuspectLinks {
-			if dead.Links[l] {
-				continue // dead links were collected above
-			}
-			out = append(out, o.linkIndex.of(l)...)
-		}
-	case len(dead.SRLGs) > 0:
-		for l, list := range o.linkIndex.lists {
-			if dead.Links[l] {
-				continue
-			}
-			link := o.topo.Link(l)
-			if link != nil && dead.HitsAnySRLG(link.SRLG) {
-				out = append(out, *list...)
-			}
-		}
 	}
 	slices.Sort(out)
 	return slices.DeleteFunc(slices.Compact(out), func(id DeploymentID) bool {
@@ -309,15 +262,16 @@ func (o *Orchestrator) repairAround(ctx context.Context, id DeploymentID, dead r
 	// must still find it — and every commit point swaps the index
 	// entries atomically with the fields.
 	o.mu.Lock()
-	sliceHit := dep.Slice != nil && dead.HitsAnyNode(dep.Slice.OPSs)
-	hostHit := dead.HitsAnyNode(dep.Placement.Hosts)
-	pathHit := dead.HitsAnyNode(dep.Path) || dead.HitsAnyLink(dep.primaryLinks)
+	nodes, links := dead.Nodes(), dead.Links()
+	sliceHit := dep.Slice != nil && anyIn(dep.Slice.OPSs, nodes)
+	hostHit := anyIn(dep.Placement.Hosts, nodes)
+	pathHit := anyIn(dep.Path, nodes) || anyIn(dep.primaryLinks, links)
 	// A standby sharing a risk group with a dead link is suspect even
 	// when its own resources survived: it is treated as hit (replanned)
 	// and never swapped onto — "disjoint" must mean survivable.
 	standbySuspect := dep.Standby != nil && dead.HitsAnySRLG(dep.Standby.SRLGs)
 	standbyHit := dep.Standby != nil &&
-		(standbySuspect || dead.HitsAnyNode(dep.Standby.Path) || dead.HitsAnyLink(dep.Standby.Links))
+		(standbySuspect || anyIn(dep.Standby.Path, nodes) || anyIn(dep.Standby.Links, links))
 	standbyAlive := dep.Standby != nil && !standbySuspect &&
 		resilience.PathAlive(o.topo, dep.Standby.Path)
 	o.mu.Unlock()
@@ -470,13 +424,13 @@ func (o *Orchestrator) migrateOff(p *pipeline, dep *Deployment, dead resilience.
 	cands = append(cands, o.pmsOf(o.liveVMs(dep.Spec.Service))...)
 	moved := false
 	for idx, h := range p.place.Hosts {
-		if !dead.Nodes[h] {
+		if !dead.HasNode(h) {
 			continue
 		}
 		instID := dep.Instances[idx]
 		hosted := false
 		for _, cand := range cands {
-			if dead.Nodes[cand] {
+			if dead.HasNode(cand) {
 				continue
 			}
 			if err := o.mgr.Migrate(instID, cand); err != nil {

@@ -268,8 +268,8 @@ func TestTransitNodeFailureRepathsOnly(t *testing.T) {
 				}
 			}
 		}
-		if err := s.RecoverNode(victim); err != nil {
-			t.Fatalf("RecoverNode: %v", err)
+		if err := s.Recover(topology.NewFailures([]topology.NodeID{victim}, nil)); err != nil {
+			t.Fatalf("Recover: %v", err)
 		}
 	}
 	if !sawRepath {
@@ -330,7 +330,7 @@ func TestReverseIndexMaintained(t *testing.T) {
 		t.Fatalf("Provision: %v", err)
 	}
 	for _, n := range o.Deployment(dep.ID).Path {
-		ids := o.affectedBy(resilience.NewFailureSet([]topology.NodeID{n}, nil))
+		ids := o.affectedBy(resilience.Classify(o.topo, topology.NewFailures([]topology.NodeID{n}, nil)))
 		if len(ids) != 1 || ids[0] != dep.ID {
 			t.Fatalf("affectedBy(%d) = %v, want [%d]", n, ids, dep.ID)
 		}
@@ -420,7 +420,7 @@ func TestConcurrentFailureAndProvision(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			victim := victims[i%len(victims)]
 			_, _ = failNode(s, victim)
-			_ = s.RecoverNode(victim)
+			_ = s.Recover(topology.NewFailures([]topology.NodeID{victim}, nil))
 		}
 	}()
 	wg.Wait()
@@ -477,8 +477,8 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 		t.Skip("no strandable PM off the path on this seed")
 	}
 	for _, tor := range tors {
-		if err := o.topo.SetNodeDown(tor, true); err != nil {
-			t.Fatalf("SetNodeDown: %v", err)
+		if err := o.topo.SetDown(topology.NewFailures([]topology.NodeID{tor}, nil), true); err != nil {
+			t.Fatalf("SetDown: %v", err)
 		}
 	}
 	o.InvalidateVMCache()
@@ -510,8 +510,8 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 	}
 	// The deployment still works: a valid move elsewhere succeeds.
 	for _, tor := range tors {
-		if err := o.topo.SetNodeDown(tor, false); err != nil {
-			t.Fatalf("SetNodeDown: %v", err)
+		if err := o.topo.SetDown(topology.NewFailures([]topology.NodeID{tor}, nil), false); err != nil {
+			t.Fatalf("SetDown: %v", err)
 		}
 	}
 	o.InvalidateVMCache()
@@ -547,8 +547,8 @@ func TestVMCacheInvalidation(t *testing.T) {
 	if webDuring >= webBefore {
 		t.Fatalf("cache not invalidated: %d live web VMs, want < %d", webDuring, webBefore)
 	}
-	if err := s.RecoverNode(pm); err != nil {
-		t.Fatalf("RecoverNode: %v", err)
+	if err := s.Recover(topology.NewFailures([]topology.NodeID{pm}, nil)); err != nil {
+		t.Fatalf("Recover: %v", err)
 	}
 	o.topoMu.RLock()
 	webAfter := len(o.liveVMs("web"))

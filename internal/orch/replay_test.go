@@ -60,15 +60,15 @@ func replaySeed(t *testing.T, seed int64) (string, [][]int) {
 				tray = appendUnseen(tray, stby[len(stby)-1:])
 			}
 		}
-		reports, err := s.HandleFailures(bg, nil, tray)
+		reports, err := s.HandleFailures(bg, topology.NewFailures(nil, tray))
 		fmt.Fprintf(&out, "cut %v: %v\n", tray, err)
 		for _, rep := range reports {
 			fmt.Fprintf(&out, "  chain %d %s %v\n", rep.ID, rep.Action, rep.Err)
 		}
 		audit(fmt.Sprintf("cut %d", round))
 		for _, l := range tray {
-			if err := s.RecoverLink(l); err != nil {
-				t.Fatalf("RecoverLink: %v", err)
+			if err := s.Recover(topology.NewFailures(nil, []topology.LinkID{l})); err != nil {
+				t.Fatalf("Recover: %v", err)
 			}
 		}
 		audit(fmt.Sprintf("recovery %d", round))

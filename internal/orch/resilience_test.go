@@ -278,8 +278,8 @@ func TestLinkFailureSwapsToStandby(t *testing.T) {
 		t.Fatalf("path %v still crosses the dead link's route", got.Path)
 	}
 	// Recovery of the link is accepted and idempotent for deployments.
-	if err := s.RecoverLink(victim); err != nil {
-		t.Fatalf("RecoverLink: %v", err)
+	if err := s.Recover(topology.NewFailures(nil, []topology.LinkID{victim})); err != nil {
+		t.Fatalf("Recover: %v", err)
 	}
 }
 
@@ -374,7 +374,7 @@ func TestRackEventSingleBatchReconciliation(t *testing.T) {
 		t.Fatalf("test setup: rack has no PMs under ToR %d", tor)
 	}
 
-	reports, err := s.HandleFailures(bg, rack, nil)
+	reports, err := s.HandleFailures(bg, topology.NewFailures(rack, nil))
 	if err != nil &&
 		!strings.Contains(err.Error(), "no live VMs") && !errors.Is(err, ErrBusy) {
 		// A rack event may legitimately kill a service's only VMs; any
@@ -430,7 +430,7 @@ func TestRackEventStrandedVMsExcludedFromRebuild(t *testing.T) {
 	}
 	// The rack event: the shared ToR plus the src endpoint's host.
 	srcHost := o.topo.Node(dep.Path[0]).Host
-	reports, err := s.HandleFailures(bg, []topology.NodeID{ids.tors[0][0], srcHost}, nil)
+	reports, err := s.HandleFailures(bg, topology.NewFailures([]topology.NodeID{ids.tors[0][0], srcHost}, nil))
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
@@ -462,16 +462,16 @@ func TestHandleFailuresUnknownResourceRejectedAtomically(t *testing.T) {
 	if _, err := o.Provision(bg, triSpec(t, "chain-1")); err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if _, err := s.HandleFailures(bg, []topology.NodeID{ids.tors[0][0], 99999}, nil); err == nil {
+	if _, err := s.HandleFailures(bg, topology.NewFailures([]topology.NodeID{ids.tors[0][0], 99999}, nil)); err == nil {
 		t.Fatal("unknown node accepted")
 	}
-	if _, err := s.HandleFailures(bg, nil, []topology.LinkID{99999}); err == nil {
+	if _, err := s.HandleFailures(bg, topology.NewFailures(nil, []topology.LinkID{99999})); err == nil {
 		t.Fatal("unknown link accepted")
 	}
 	if n := o.topo.Node(ids.tors[0][0]); n.Down {
 		t.Fatal("batch with unknown member still marked nodes down")
 	}
-	reports, err := s.HandleFailures(bg, nil, nil)
+	reports, err := s.HandleFailures(bg, topology.NewFailures(nil, nil))
 	if err != nil || len(reports) != 0 {
 		t.Fatalf("empty failure set: reports=%v err=%v", reports, err)
 	}
@@ -518,23 +518,23 @@ func TestNodeAndLinkImpact(t *testing.T) {
 		t.Fatalf("Provision: %v", err)
 	}
 	// Primary-route ToR: role path only.
-	entries := o.NodeImpact(ids.tors[0][0])
+	entries := o.Impact(topology.NewFailures([]topology.NodeID{ids.tors[0][0]}, nil))
 	if len(entries) != 1 || entries[0].ID != dep.ID {
-		t.Fatalf("NodeImpact(primary ToR) = %+v", entries)
+		t.Fatalf("Impact(primary ToR) = %+v", entries)
 	}
 	if len(entries[0].Roles) != 1 || entries[0].Roles[0] != "path" {
 		t.Fatalf("roles = %v, want [path]", entries[0].Roles)
 	}
 	// Standby-route OPS: on the standby only (the AL cover needs just
 	// the primary route's OPS).
-	entries = o.NodeImpact(ids.opss[1])
+	entries = o.Impact(topology.NewFailures([]topology.NodeID{ids.opss[1]}, nil))
 	if len(entries) != 1 || len(entries[0].Roles) != 1 || entries[0].Roles[0] != "standby" {
-		t.Fatalf("NodeImpact(standby OPS) = %+v, want roles [standby]", entries)
+		t.Fatalf("Impact(standby OPS) = %+v, want roles [standby]", entries)
 	}
 	// A slice OPS reports the slice role.
-	sliceEntries := o.NodeImpact(dep.Slice.OPSs[0])
+	sliceEntries := o.Impact(topology.NewFailures([]topology.NodeID{dep.Slice.OPSs[0]}, nil))
 	if len(sliceEntries) != 1 {
-		t.Fatalf("NodeImpact(slice OPS) = %+v", sliceEntries)
+		t.Fatalf("Impact(slice OPS) = %+v", sliceEntries)
 	}
 	hasSlice := false
 	for _, r := range sliceEntries[0].Roles {
@@ -546,9 +546,9 @@ func TestNodeAndLinkImpact(t *testing.T) {
 		t.Fatalf("slice OPS roles = %v, want slice included", sliceEntries[0].Roles)
 	}
 	// VNF host PM: host + path.
-	hostEntries := o.NodeImpact(dep.Placement.Hosts[0])
+	hostEntries := o.Impact(topology.NewFailures([]topology.NodeID{dep.Placement.Hosts[0]}, nil))
 	if len(hostEntries) != 1 {
-		t.Fatalf("NodeImpact(host) = %+v", hostEntries)
+		t.Fatalf("Impact(host) = %+v", hostEntries)
 	}
 	hasHost := false
 	for _, r := range hostEntries[0].Roles {
@@ -560,26 +560,26 @@ func TestNodeAndLinkImpact(t *testing.T) {
 		t.Fatalf("host roles = %v, want host included", hostEntries[0].Roles)
 	}
 	// Spare-route ToR: zero blast radius.
-	if entries := o.NodeImpact(ids.tors[0][2]); len(entries) != 0 {
-		t.Fatalf("NodeImpact(spare ToR) = %+v, want empty", entries)
+	if entries := o.Impact(topology.NewFailures([]topology.NodeID{ids.tors[0][2]}, nil)); len(entries) != 0 {
+		t.Fatalf("Impact(spare ToR) = %+v, want empty", entries)
 	}
 	// Link variants.
-	if entries := o.LinkImpact(ids.torOpsLinks[0][0]); len(entries) != 1 ||
+	if entries := o.Impact(topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][0]})); len(entries) != 1 ||
 		len(entries[0].Roles) != 1 || entries[0].Roles[0] != "path" {
-		t.Fatalf("LinkImpact(primary link) = %+v", entries)
+		t.Fatalf("Impact(primary link) = %+v", entries)
 	}
-	if entries := o.LinkImpact(ids.torOpsLinks[0][1]); len(entries) != 1 ||
+	if entries := o.Impact(topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][1]})); len(entries) != 1 ||
 		len(entries[0].Roles) != 1 || entries[0].Roles[0] != "standby" {
-		t.Fatalf("LinkImpact(standby link) = %+v", entries)
+		t.Fatalf("Impact(standby link) = %+v", entries)
 	}
-	if entries := o.LinkImpact(ids.torOpsLinks[0][2]); len(entries) != 0 {
-		t.Fatalf("LinkImpact(spare link) = %+v, want empty", entries)
+	if entries := o.Impact(topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][2]})); len(entries) != 0 {
+		t.Fatalf("Impact(spare link) = %+v, want empty", entries)
 	}
 	// After delete, every blast radius is empty.
 	if _, err := o.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if entries := o.NodeImpact(ids.tors[0][0]); len(entries) != 0 {
-		t.Fatalf("NodeImpact after delete = %+v", entries)
+	if entries := o.Impact(topology.NewFailures([]topology.NodeID{ids.tors[0][0]}, nil)); len(entries) != 0 {
+		t.Fatalf("Impact after delete = %+v", entries)
 	}
 }

@@ -327,7 +327,7 @@ func (s *Sharded) ActiveCount() int {
 }
 
 // HandleFailures is the one failure entry point — a node, a link or a
-// rack-scale batch. It marks the failed resources down once, in one
+// rack-scale set. It marks the failed resources down once, in one
 // topology transaction — the topology and its liveness bits are
 // shared-core state — then fans the reconciliation pass out over every
 // shard concurrently on the set's pool: each shard classifies and
@@ -340,11 +340,11 @@ func (s *Sharded) ActiveCount() int {
 // Unknown IDs are rejected up front: nothing is marked down and no
 // repair runs, so callers can map the error to a 404 without partial
 // state.
-func (s *Sharded) HandleFailures(ctx context.Context, nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error) {
-	if len(nodes) == 0 && len(links) == 0 {
+func (s *Sharded) HandleFailures(ctx context.Context, f topology.Failures) ([]RepairReport, error) {
+	if f.Empty() {
 		return nil, nil
 	}
-	dead, err := s.core.markFailuresDown(nodes, links)
+	dead, err := s.core.markFailuresDown(f)
 	if err != nil {
 		return nil, err
 	}
@@ -362,58 +362,38 @@ func (s *Sharded) HandleFailures(ctx context.Context, nodes []topology.NodeID, l
 	return reports, firstRepairError(reports)
 }
 
-// RecoverNode marks a failed node as live again. Existing deployments
-// are not rebalanced inline; the emitted recovery event lets an
-// attached background optimizer refresh degraded standbys and re-home
-// drifted placements, and new deployments may use the node
-// immediately.
-func (s *Sharded) RecoverNode(node topology.NodeID) error {
+// Recover marks the set's failed nodes and links live again, as one
+// liveness transition, and emits one recovery event per resource.
+// Existing deployments are not rebalanced or rerouted back inline: the
+// events let an attached background optimizer refresh standbys planned
+// around the outage and re-home drifted placements, and new
+// deployments may use the resources immediately. An unknown ID rejects
+// the whole set.
+func (s *Sharded) Recover(f topology.Failures) error {
 	c := s.core
 	c.topoMu.Lock()
-	if err := c.topo.SetNodeDown(node, false); err != nil {
+	if err := c.topo.SetDown(f, false); err != nil {
 		c.topoMu.Unlock()
-		return fmt.Errorf("orch: recover node: %w", err)
+		return fmt.Errorf("orch: recover: %w", err)
 	}
+	// A recovered PM, or PM↔ToR link, can bring stranded VMs back.
 	c.InvalidateVMCache()
 	c.topoMu.Unlock()
-	c.emit(Event{Kind: EventNodeRecovered, Node: node})
+	for _, n := range f.Nodes() {
+		c.emit(Event{Kind: EventNodeRecovered, Node: n})
+	}
+	for _, l := range f.Links() {
+		c.emit(Event{Kind: EventLinkRecovered, Link: l})
+	}
 	return nil
 }
 
-// RecoverLink marks a failed link as live again. Existing deployments
-// are not rerouted back inline; the emitted recovery event lets an
-// attached background optimizer refresh standbys planned around the
-// outage, and new paths may use the link immediately.
-func (s *Sharded) RecoverLink(link topology.LinkID) error {
-	c := s.core
-	c.topoMu.Lock()
-	if err := c.topo.SetLinkDown(link, false); err != nil {
-		c.topoMu.Unlock()
-		return fmt.Errorf("orch: recover link: %w", err)
-	}
-	// A recovered PM↔ToR link can bring stranded VMs back.
-	c.InvalidateVMCache()
-	c.topoMu.Unlock()
-	c.emit(Event{Kind: EventLinkRecovered, Link: link})
-	return nil
-}
-
-// NodeImpact merges every shard's blast-radius entries for the node,
-// sorted by ID (shard entry sets are disjoint by construction).
-func (s *Sharded) NodeImpact(node topology.NodeID) []ImpactEntry {
+// Impact merges every shard's blast-radius entries for the set, sorted
+// by ID (shard entry sets are disjoint by construction).
+func (s *Sharded) Impact(f topology.Failures) []ImpactEntry {
 	var out []ImpactEntry
 	for _, sh := range s.shards {
-		out = append(out, sh.NodeImpact(node)...)
-	}
-	slices.SortFunc(out, func(a, b ImpactEntry) int { return int(a.ID - b.ID) })
-	return out
-}
-
-// LinkImpact merges every shard's blast-radius entries for the link.
-func (s *Sharded) LinkImpact(link topology.LinkID) []ImpactEntry {
-	var out []ImpactEntry
-	for _, sh := range s.shards {
-		out = append(out, sh.LinkImpact(link)...)
+		out = append(out, sh.Impact(f)...)
 	}
 	slices.SortFunc(out, func(a, b ImpactEntry) int { return int(a.ID - b.ID) })
 	return out

@@ -114,7 +114,7 @@ func TestShardedCrossShardFailureRepairsEachChainOnce(t *testing.T) {
 		victims = append(victims, v)
 	}
 
-	reports, err := s.HandleFailures(bg, victims, nil)
+	reports, err := s.HandleFailures(bg, topology.NewFailures(victims, nil))
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestShardedDeleteVsRepairRaceAcrossShards(t *testing.T) {
 			}
 		}
 	}()
-	reports, repErr := s.HandleFailures(bg, victims, nil)
+	reports, repErr := s.HandleFailures(bg, topology.NewFailures(victims, nil))
 	wg.Wait()
 	if delErr != nil {
 		t.Fatal(delErr)

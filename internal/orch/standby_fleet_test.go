@@ -242,7 +242,7 @@ func TestAsyncRestandbyReindexesOnlyTheStandby(t *testing.T) {
 		t.Fatalf("only %d standby-only links in the fleet", len(cut))
 	}
 	cut = cut[:8]
-	reports, err := s.HandleFailures(bg, nil, cut)
+	reports, err := s.HandleFailures(bg, topology.NewFailures(nil, cut))
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}

@@ -103,8 +103,8 @@ func TestDebouncedStormBatchSpanLinksParents(t *testing.T) {
 	d.SetTracer(tr)
 	ctxA := trace.ContextWith(context.Background(), tr.StartTrace("report-a"))
 	ctxB := trace.ContextWith(context.Background(), tr.StartTrace("report-b"))
-	d.Report(ctxA, nil, []topology.LinkID{ids.torOpsLinks[0][0]})
-	d.Report(ctxB, nil, []topology.LinkID{ids.torOpsLinks[0][1]})
+	d.Report(ctxA, topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][0]}))
+	d.Report(ctxB, topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][1]}))
 
 	reports, err := d.Flush()
 	if err != nil {
@@ -161,7 +161,7 @@ func TestReportWithoutSpanStaysUnparented(t *testing.T) {
 	}
 	d := NewFailureDebouncer(s, time.Hour)
 	d.SetTracer(tr)
-	d.Report(bg, nil, []topology.LinkID{ids.torOpsLinks[0][0]})
+	d.Report(bg, topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][0]}))
 	if _, err := d.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestSingleNodeFailureJoinsRequestTrace(t *testing.T) {
 		t.Fatalf("Provision: %v", err)
 	}
 	root := tr.StartTrace("fail-1")
-	reports, err := s.HandleFailures(trace.ContextWith(bg, root), []topology.NodeID{ids.tors[0][0]}, nil)
+	reports, err := s.HandleFailures(trace.ContextWith(bg, root), topology.NewFailures([]topology.NodeID{ids.tors[0][0]}, nil))
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
@@ -277,7 +277,7 @@ func TestTracedOperationsCommitOnce(t *testing.T) {
 	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
 	last = st.Stats()
 	root := tr.StartTrace("fail-1")
-	reports, err := s.HandleFailures(trace.ContextWith(bg, root), []topology.NodeID{ids.tors[0][0]}, nil)
+	reports, err := s.HandleFailures(trace.ContextWith(bg, root), topology.NewFailures([]topology.NodeID{ids.tors[0][0]}, nil))
 	if err != nil || len(reports) != 1 {
 		t.Fatalf("HandleFailures = %+v, %v", reports, err)
 	}

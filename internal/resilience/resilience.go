@@ -21,69 +21,53 @@ import (
 	"github.com/alvc/alvc/internal/topology"
 )
 
-// FailureSet is the union of dead resources of one failure event — a
-// rack-scale incident (ToR plus its PMs, or a bundle of links) is
-// classified against the whole set at once, so each affected chain is
-// reconciled exactly once instead of once per dead resource.
+// FailureSet is one failure event classified against the topology. A
+// rack-scale incident (a ToR plus its PMs, or a bundle of links) is
+// classified as a whole, so each affected chain is reconciled exactly
+// once instead of once per dead resource. Every list is ascending.
 type FailureSet struct {
-	Nodes map[topology.NodeID]bool
-	Links map[topology.LinkID]bool
-	// SRLGs is the union of shared-risk groups of the dead links
-	// (CollectSRLGs). A live link sharing a group with a dead one is
-	// suspect: standbys crossing it are not trusted for a swap and get
-	// replanned instead.
-	SRLGs map[int]bool
-	// SuspectLinks is every link implicated by the event — the dead
-	// links plus every live link sharing a shared-risk group with one —
-	// computed once per batch by CollectSRLGs. Classifiers iterate this
-	// set instead of re-probing SRLG membership per indexed link, so a
-	// batch's topology walk happens once, not once per shard. nil until
-	// CollectSRLGs runs (callers fall back to probing).
-	SuspectLinks map[topology.LinkID]bool
+	// Failures are the dead nodes and links.
+	topology.Failures
+	// SRLGs is the union of shared-risk groups of the dead links. A live
+	// link sharing a group with a dead one is suspect: standbys crossing
+	// it are not trusted for a swap and get replanned instead.
+	SRLGs []int
+	// Suspect is every link implicated by the event: the dead links plus
+	// every link sharing a shared-risk group with one. Classifiers probe
+	// the reverse index with it, so a batch's topology walk happens once,
+	// not once per shard.
+	Suspect []topology.LinkID
 }
 
-// NewFailureSet builds the union set of the given dead nodes and links.
-func NewFailureSet(nodes []topology.NodeID, links []topology.LinkID) FailureSet {
-	f := FailureSet{
-		Nodes: make(map[topology.NodeID]bool, len(nodes)),
-		Links: make(map[topology.LinkID]bool, len(links)),
-		SRLGs: make(map[int]bool),
-	}
-	for _, n := range nodes {
-		f.Nodes[n] = true
-	}
+// Classify builds the failure set of f: the dead links' shared-risk
+// groups and the suspect links, read from the topology's group index
+// (SRLGLinks), never walking the link table. It copies f's lists — the
+// set outlives the call on the reconciler's pool workers — so the
+// caller's may live in its own frame.
+func Classify(topo *topology.Topology, f topology.Failures) FailureSet {
+	links := slices.Clone(f.Links())
+	var groups []int
 	for _, l := range links {
-		f.Links[l] = true
-	}
-	return f
-}
-
-// CollectSRLGs folds the shared-risk groups of every dead link into the
-// set, so classification can treat same-tray survivors as suspect, and
-// materializes SuspectLinks — the dead links plus every link sharing a
-// group with one — from the topology's group index (SRLGLinks), never
-// walking the link table. Pointer receiver: it publishes SuspectLinks on
-// the set; the maps themselves are shared by any copies made afterwards.
-func (f *FailureSet) CollectSRLGs(topo *topology.Topology) {
-	for l := range f.Links {
-		link := topo.Link(l)
-		if link == nil {
-			continue
-		}
-		for _, g := range link.SRLG {
-			f.SRLGs[g] = true
+		if link := topo.Link(l); link != nil {
+			groups = append(groups, link.SRLG...)
 		}
 	}
-	suspect := make(map[topology.LinkID]bool, len(f.Links))
-	for l := range f.Links {
-		suspect[l] = true
-	}
-	for g := range f.SRLGs {
-		for _, l := range topo.SRLGLinks(g) {
-			suspect[l] = true
+	suspect := links
+	if len(groups) > 0 {
+		slices.Sort(groups)
+		groups = slices.Compact(groups)
+		suspect = slices.Clone(links)
+		for _, g := range groups {
+			suspect = append(suspect, topo.SRLGLinks(g)...)
 		}
+		slices.Sort(suspect)
+		suspect = slices.Compact(suspect)
 	}
-	f.SuspectLinks = suspect
+	return FailureSet{
+		Failures: topology.NewFailures(slices.Clone(f.Nodes()), links),
+		SRLGs:    groups,
+		Suspect:  suspect,
+	}
 }
 
 // HitsAnySRLG reports whether any of the given groups is in the failure
@@ -93,27 +77,7 @@ func (f FailureSet) HitsAnySRLG(groups []int) bool {
 		return false
 	}
 	for _, g := range groups {
-		if f.SRLGs[g] {
-			return true
-		}
-	}
-	return false
-}
-
-// HitsAnyNode reports whether any of the given nodes is dead.
-func (f FailureSet) HitsAnyNode(nodes []topology.NodeID) bool {
-	for _, n := range nodes {
-		if f.Nodes[n] {
-			return true
-		}
-	}
-	return false
-}
-
-// HitsAnyLink reports whether any of the given links is dead.
-func (f FailureSet) HitsAnyLink(links []topology.LinkID) bool {
-	for _, l := range links {
-		if f.Links[l] {
+		if _, ok := slices.BinarySearch(f.SRLGs, g); ok {
 			return true
 		}
 	}

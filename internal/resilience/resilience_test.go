@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/alvc/alvc/internal/graph"
@@ -40,18 +41,22 @@ func twoRouteTopo(t *testing.T) (topo *topology.Topology, pm1, pm2 topology.Node
 }
 
 func TestFailureSetUnion(t *testing.T) {
-	f := NewFailureSet([]topology.NodeID{3, 5}, []topology.LinkID{7})
-	if !f.HitsAnyNode([]topology.NodeID{1, 5}) {
+	topo, _, _, _, _ := twoRouteTopo(t)
+	f := Classify(topo, topology.NewFailures([]topology.NodeID{5, 3, 5}, []topology.LinkID{7}))
+	if !slices.Equal(f.Nodes(), []topology.NodeID{3, 5}) || !slices.Equal(f.Links(), []topology.LinkID{7}) {
+		t.Fatalf("set = %v %v, want [3 5] [7]", f.Nodes(), f.Links())
+	}
+	if !f.HasNode(5) || !f.HasNode(3) {
 		t.Fatal("missed node 5")
 	}
-	if f.HitsAnyNode([]topology.NodeID{1, 2}) {
+	if f.HasNode(1) || f.HasNode(2) {
 		t.Fatal("phantom node hit")
 	}
-	if !f.HitsAnyLink([]topology.LinkID{7}) || f.HitsAnyLink([]topology.LinkID{8}) {
+	if !f.HasLink(7) || f.HasLink(8) {
 		t.Fatal("link hit detection wrong")
 	}
-	empty := NewFailureSet(nil, nil)
-	if empty.HitsAnyNode([]topology.NodeID{3}) || empty.HitsAnyLink([]topology.LinkID{7}) {
+	empty := Classify(topo, topology.NewFailures(nil, nil))
+	if !empty.Empty() || empty.HasNode(3) || empty.HasLink(7) || empty.Suspect != nil || empty.SRLGs != nil {
 		t.Fatal("empty set hits resources")
 	}
 }
@@ -75,8 +80,8 @@ func TestPathLinksSkipsVirtualHopsAndSeesDownLinks(t *testing.T) {
 	}
 	// A down link must still be enumerated — classification happens
 	// after the failure is marked.
-	if err := topo.SetLinkDown(links[0][0], true); err != nil {
-		t.Fatalf("SetLinkDown: %v", err)
+	if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{links[0][0]}), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	again, err := PathLinks(topo, path)
 	if err != nil {
@@ -97,17 +102,17 @@ func TestPathAlive(t *testing.T) {
 	if !PathAlive(topo, path) {
 		t.Fatal("fresh path not alive")
 	}
-	if err := topo.SetLinkDown(links[0][1], true); err != nil {
-		t.Fatalf("SetLinkDown: %v", err)
+	if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{links[0][1]}), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	if PathAlive(topo, path) {
 		t.Fatal("path alive over a dead link")
 	}
-	if err := topo.SetLinkDown(links[0][1], false); err != nil {
+	if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{links[0][1]}), false); err != nil {
 		t.Fatalf("SetLinkUp: %v", err)
 	}
-	if err := topo.SetNodeDown(tors[0][0], true); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(topology.NewFailures([]topology.NodeID{tors[0][0]}, nil), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	if PathAlive(topo, path) {
 		t.Fatal("path alive over a dead node")
@@ -156,8 +161,8 @@ func TestPlanStandbyBestEffortWhenOnlyOverlappingAltExists(t *testing.T) {
 	topo, pm1, pm2, tors, links := twoRouteTopo(t)
 	primary := []topology.NodeID{pm1, tors[0][0], tors[0][1], pm2}
 	// The second route is cut: the only way left is the primary's own.
-	if err := topo.SetLinkDown(links[1][0], true); err != nil {
-		t.Fatalf("SetLinkDown: %v", err)
+	if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{links[1][0]}), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	sb, err := PlanStandby(finderOver(t, topo), topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, topology.Pool{})
 	if err != nil {
@@ -182,8 +187,8 @@ func TestPlanStandbyErrors(t *testing.T) {
 		t.Fatal("empty primary accepted")
 	}
 	for r := range links {
-		if err := topo.SetLinkDown(links[r][1], true); err != nil {
-			t.Fatalf("SetLinkDown: %v", err)
+		if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{links[r][1]}), true); err != nil {
+			t.Fatalf("SetDown: %v", err)
 		}
 	}
 	if _, err := PlanStandby(good, topo, primary, []topology.NodeID{pm1, pm2}, nil, 4, topology.Pool{}); !errors.Is(err, graph.ErrNoPath) {
@@ -292,18 +297,21 @@ func TestPlanStandbySRLGCountsAsOverlap(t *testing.T) {
 	}
 }
 
-// TestFailureSetSRLG: CollectSRLGs folds the dead links' groups into
-// the set and HitsAnySRLG probes them.
+// TestFailureSetSRLG: Classify folds the dead links' groups into the
+// set and HitsAnySRLG probes them.
 func TestFailureSetSRLG(t *testing.T) {
 	topo, _, _, _, links := twoRouteTopo(t)
 	if err := topo.SetLinkSRLG(links[0][0], 3, 4); err != nil {
 		t.Fatalf("SetLinkSRLG: %v", err)
 	}
-	f := NewFailureSet(nil, []topology.LinkID{links[0][0]})
-	if f.HitsAnySRLG([]int{3}) {
-		t.Fatal("SRLG hit before CollectSRLGs")
+	unclassified := FailureSet{Failures: topology.NewFailures(nil, []topology.LinkID{links[0][0]})}
+	if unclassified.HitsAnySRLG([]int{3}) {
+		t.Fatal("SRLG hit before Classify")
 	}
-	f.CollectSRLGs(topo)
+	f := Classify(topo, unclassified.Failures)
+	if !slices.Equal(f.SRLGs, []int{3, 4}) {
+		t.Fatalf("SRLGs = %v, want [3 4]", f.SRLGs)
+	}
 	if !f.HitsAnySRLG([]int{3}) || !f.HitsAnySRLG([]int{9, 4}) {
 		t.Fatal("missed collected groups")
 	}
@@ -317,8 +325,9 @@ func TestFailureSetSRLG(t *testing.T) {
 
 // TestSuspectLinksEqualBruteForce: over random tray assignments and
 // failure sets — links with no group, several groups, a dead link or an
-// unknown ID among the failed — CollectSRLGs' groups and SuspectLinks,
-// read from the topology's group index, equal a walk of the link table.
+// unknown ID among the failed — Classify's groups and suspect links,
+// read from the topology's group index, equal a walk of the link table
+// and come out ascending.
 func TestSuspectLinksEqualBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
@@ -340,7 +349,7 @@ func TestSuspectLinksEqualBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			if rng.Intn(20) == 0 {
-				if err := topo.SetLinkDown(l.ID, true); err != nil {
+				if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{l.ID}), true); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -352,8 +361,7 @@ func TestSuspectLinksEqualBruteForce(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			failed = append(failed, topology.LinkID(len(links)+7))
 		}
-		f := NewFailureSet(nil, failed)
-		f.CollectSRLGs(topo)
+		f := Classify(topo, topology.NewFailures(nil, failed))
 
 		wantGroups, wantSuspect := map[int]bool{}, map[topology.LinkID]bool{}
 		for _, id := range failed {
@@ -371,9 +379,18 @@ func TestSuspectLinksEqualBruteForce(t *testing.T) {
 				}
 			}
 		}
-		if !reflect.DeepEqual(f.SRLGs, wantGroups) || !reflect.DeepEqual(f.SuspectLinks, wantSuspect) {
+		gotGroups, gotSuspect := map[int]bool{}, map[topology.LinkID]bool{}
+		for _, g := range f.SRLGs {
+			gotGroups[g] = true
+		}
+		for _, l := range f.Suspect {
+			gotSuspect[l] = true
+		}
+		if !reflect.DeepEqual(gotGroups, wantGroups) || !reflect.DeepEqual(gotSuspect, wantSuspect) ||
+			len(f.SRLGs) != len(gotGroups) || len(f.Suspect) != len(gotSuspect) ||
+			!slices.IsSorted(f.SRLGs) || !slices.IsSorted(f.Suspect) {
 			t.Fatalf("trial %d, failed %v: groups %v, suspect %v; link table walk %v, %v",
-				trial, failed, f.SRLGs, f.SuspectLinks, wantGroups, wantSuspect)
+				trial, failed, f.SRLGs, f.Suspect, wantGroups, wantSuspect)
 		}
 	}
 }

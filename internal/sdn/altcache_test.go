@@ -105,8 +105,8 @@ func TestPathAlternativesCacheLivenessInvalidation(t *testing.T) {
 	if core == nil {
 		t.Fatal("no core link")
 	}
-	if err := topo.SetLinkDown(core.ID, true); err != nil {
-		t.Fatalf("SetLinkDown: %v", err)
+	if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{core.ID}), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	after, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 4, topology.Pool{})
 	if err != nil {
@@ -121,8 +121,8 @@ func TestPathAlternativesCacheLivenessInvalidation(t *testing.T) {
 		}
 	}
 	// Recovery is a liveness change too — the cheap route must return.
-	if err := topo.SetLinkDown(core.ID, false); err != nil {
-		t.Fatalf("SetLinkDown(false): %v", err)
+	if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{core.ID}), false); err != nil {
+		t.Fatalf("SetDown(false): %v", err)
 	}
 	restored, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 4, topology.Pool{})
 	if err != nil {

@@ -162,8 +162,8 @@ func TestPathAlternativesFewerThanK(t *testing.T) {
 	}
 	// Strand pm2: all its ToR links die.
 	for _, l := range topo.LinksOf(pm2) {
-		if err := topo.SetLinkDown(l.ID, true); err != nil {
-			t.Fatalf("SetLinkDown: %v", err)
+		if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{l.ID}), true); err != nil {
+			t.Fatalf("SetDown: %v", err)
 		}
 	}
 	if _, err := c.PathAlternatives(pm1, pm2, 3, topology.Pool{}); err == nil {

@@ -116,12 +116,12 @@ func TestAppendRouteAvoidingMemoGenerations(t *testing.T) {
 	}
 	ask(opss[1], "at first")
 	// Liveness: route 1 dies, the memo must not route over the corpse.
-	if err := topo.SetNodeDown(opss[1], true); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(topology.NewFailures([]topology.NodeID{opss[1]}, nil), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	ask(opss[2], "route 1 down")
-	if err := topo.SetNodeDown(opss[1], false); err != nil {
-		t.Fatalf("SetNodeDown(false): %v", err)
+	if err := topo.SetDown(topology.NewFailures([]topology.NodeID{opss[1]}, nil), false); err != nil {
+		t.Fatalf("SetDown(false): %v", err)
 	}
 	ask(opss[1], "route 1 back")
 	// Structure: a new route cheaper than route 1 appears.
@@ -333,8 +333,8 @@ func TestAppendRouteAvoidingLegs(t *testing.T) {
 	if out, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm1}, topology.Pool{}, avoid); err != nil || len(out) != 0 {
 		t.Fatalf("route with no leg: %v, %v; want nothing", out, err)
 	}
-	if err := topo.SetNodeDown(pm2, true); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(topology.NewFailures([]topology.NodeID{pm2}, nil), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	if _, err := c.AppendRouteAvoiding(nil, stops, topology.Pool{}, avoid); err == nil {
 		t.Fatal("route through a dead stop succeeded")
@@ -357,10 +357,10 @@ func TestAppendRouteAvoidingConcurrent(t *testing.T) {
 		for down := true; ; down = !down {
 			select {
 			case <-stop:
-				_ = topo.SetNodeDown(opss[2], false)
+				_ = topo.SetDown(topology.NewFailures([]topology.NodeID{opss[2]}, nil), false)
 				return
 			default:
-				_ = topo.SetNodeDown(opss[2], down)
+				_ = topo.SetDown(topology.NewFailures([]topology.NodeID{opss[2]}, nil), down)
 			}
 		}
 	}()

@@ -101,8 +101,8 @@ func TestMemoAuditFires(t *testing.T) {
 		snap := c.snapshot()
 		q := newAltQuestion(0, topology.Pool{}, topology.Avoid{})
 		before := snap.LiveDigest()
-		if err := topo.SetNodeDown(opss[0], true); err != nil { // the concurrent patch
-			t.Fatalf("SetNodeDown: %v", err)
+		if err := topo.SetDown(topology.NewFailures([]topology.NodeID{opss[0]}, nil), true); err != nil { // the concurrent patch
+			t.Fatalf("SetDown: %v", err)
 		}
 		path, ran, err := snap.AppendPathAvoiding(nil, pm1, pm2, nil, topology.Avoid{})
 		if err != nil {
@@ -113,8 +113,8 @@ func TestMemoAuditFires(t *testing.T) {
 			under = ran
 		}
 		c.alts.put(snap.Generation(), &q, pm1, pm2, under, path)
-		if err := topo.SetNodeDown(opss[0], false); err != nil {
-			t.Fatalf("SetNodeDown: %v", err)
+		if err := topo.SetDown(topology.NewFailures([]topology.NodeID{opss[0]}, nil), false); err != nil {
+			t.Fatalf("SetDown: %v", err)
 		}
 	}
 	plant(false)
@@ -155,7 +155,7 @@ func TestMemoUnderFlaps(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = topo.SetLinkDown(flapped[i%2], i/2%2 == 0)
+				_ = topo.SetDown(topology.NewFailures(nil, []topology.LinkID{flapped[i%2]}), i/2%2 == 0)
 			}
 		}
 	}()
@@ -187,8 +187,8 @@ func TestMemoUnderFlaps(t *testing.T) {
 	total := 0
 	for state := 0; state < 4; state++ {
 		for i, l := range flapped {
-			if err := topo.SetLinkDown(l, state>>i&1 == 1); err != nil {
-				t.Fatalf("SetLinkDown: %v", err)
+			if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{l}), state>>i&1 == 1); err != nil {
+				t.Fatalf("SetDown: %v", err)
 			}
 		}
 		checked, bad := c.auditMemo()
@@ -264,11 +264,11 @@ func TestMemoFlapCostsNoMiss(t *testing.T) {
 	if idle == 0 {
 		t.Fatal("every link carries a primary or a standby")
 	}
-	if err := topo.SetLinkDown(idle, true); err != nil {
-		t.Fatalf("SetLinkDown: %v", err)
+	if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{idle}), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
-	if err := topo.SetLinkDown(idle, false); err != nil {
-		t.Fatalf("SetLinkDown: %v", err)
+	if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{idle}), false); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	hits, misses := c.AlternativesCacheStats() // every leg the first plans asked
 	searched := c.PathComputations()
@@ -313,14 +313,14 @@ func TestRouteSkipsVMLegs(t *testing.T) {
 		t.Fatalf("asked again: %d hits, %d misses, %d entries; want 2, 2, 2", hits, misses, len(c.alts.entries))
 	}
 	for _, end := range []topology.NodeID{stops[0][0], stops[0][1], stops[0][3], stops[0][4]} {
-		if err := topo.SetNodeDown(end, true); err != nil {
-			t.Fatalf("SetNodeDown: %v", err)
+		if err := topo.SetDown(topology.NewFailures([]topology.NodeID{end}, nil), true); err != nil {
+			t.Fatalf("SetDown: %v", err)
 		}
 		if _, err := c.AppendRouteAvoiding(nil, stops[0], topology.Pool{}, avoid); err == nil {
 			t.Fatalf("node %d down, the plan still succeeded", end)
 		}
-		if err := topo.SetNodeDown(end, false); err != nil {
-			t.Fatalf("SetNodeDown: %v", err)
+		if err := topo.SetDown(topology.NewFailures([]topology.NodeID{end}, nil), false); err != nil {
+			t.Fatalf("SetDown: %v", err)
 		}
 	}
 }

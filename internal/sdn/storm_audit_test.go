@@ -109,7 +109,7 @@ func TestMemoAuditAfterStormDrains(t *testing.T) {
 	for round := 1; round <= 3; round++ {
 		links := trayLinks(t, arch, tray)
 		for _, l := range links {
-			arch.ReportFailures(context.Background(), nil, []alvc.LinkID{l})
+			arch.ReportFailures(context.Background(), topology.NewFailures(nil, []alvc.LinkID{l}))
 		}
 		if _, err := arch.FlushFailures(); err != nil {
 			t.Fatalf("round %d: flush: %v", round, err)
@@ -117,8 +117,8 @@ func TestMemoAuditAfterStormDrains(t *testing.T) {
 		arch.Optimize()
 		checked += audit(t, arch, fmt.Sprintf("round %d, tray cut", round))
 		for _, l := range links {
-			if err := arch.RecoverLink(l); err != nil {
-				t.Fatalf("RecoverLink: %v", err)
+			if err := arch.Recover(topology.NewFailures(nil, []topology.LinkID{l})); err != nil {
+				t.Fatalf("Recover: %v", err)
 			}
 		}
 		arch.Optimize()

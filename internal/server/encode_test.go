@@ -414,7 +414,7 @@ func TestOptimizerBodiesEqualEncodingJSON(t *testing.T) {
 		}
 		hosts = append(hosts, dep.Placement.Hosts[0])
 	}
-	arch.ReportFailures(context.Background(), hosts, nil)
+	arch.ReportFailures(context.Background(), topology.NewFailures(hosts, nil))
 	if _, err := arch.FlushFailures(); err != nil {
 		t.Fatalf("FlushFailures: %v", err)
 	}

@@ -183,7 +183,7 @@ func TestStormAndDebounceObservabilityOverHTTP(t *testing.T) {
 	// Three per-host notifications in one window: one union batch, one
 	// shared failure domain, every chain repaired exactly once.
 	for _, h := range hosts {
-		arch.ReportFailures(context.Background(), []alvc.NodeID{h}, nil)
+		arch.ReportFailures(context.Background(), alvc.NewFailures([]alvc.NodeID{h}, nil))
 	}
 	reports, err := arch.FlushFailures()
 	if err != nil {

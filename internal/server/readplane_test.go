@@ -254,7 +254,8 @@ func allocsOf(t *testing.T, srv *Server, target string) float64 {
 // in the comments — and holds the list's count flat in the fleet size:
 // five times the chains may not cost it more than two allocations.
 func TestReadPlaneAllocationCeilings(t *testing.T) {
-	srv, _, ids := bootFleet(t, 200, 1)
+	srv, arch, ids := bootFleet(t, 200, 1)
+	dep := arch.Deployment(ids[100])
 	counts := make(map[string]float64)
 	for _, read := range []struct {
 		name, target string
@@ -265,6 +266,10 @@ func TestReadPlaneAllocationCeilings(t *testing.T) {
 		{"scrape", "/metrics", 2},                                    // 1 904
 		{"traces", "/v1/traces", 100},                                // 309
 		{"chain traces", fmt.Sprintf("/v1/chains/%d/traces", 7), 24}, // one summary
+		// A ToR most of the fleet crosses, and a standby link: each at
+		// the count it had when impact took one resource.
+		{"node impact", fmt.Sprintf("/v1/nodes/%d/impact", dep.Path[2]), 218},
+		{"link impact", fmt.Sprintf("/v1/links/%d/impact", dep.Standby.Links[1]), 11},
 	} {
 		counts[read.name] = allocsOf(t, srv, read.target)
 		t.Logf("%-12s %4.0f allocations a request (ceiling %.0f)", read.name, counts[read.name], read.ceiling)

@@ -126,8 +126,8 @@ func TestBatchFailureEndpoint(t *testing.T) {
 		t.Fatalf("empty batch: got %d, want 400", status)
 	}
 	for _, n := range nodes {
-		if err := arch.RecoverNode(n); err != nil {
-			t.Fatalf("RecoverNode: %v", err)
+		if err := arch.Recover(topology.NewFailures([]topology.NodeID{n}, nil)); err != nil {
+			t.Fatalf("Recover: %v", err)
 		}
 	}
 	bad, _ := json.Marshal(BatchFailureRequest{Nodes: []topology.NodeID{nodes[0], 99999}})

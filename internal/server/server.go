@@ -92,13 +92,13 @@ func New(arch *alvc.Architecture, opts ...Option) (*Server, error) {
 	mux.HandleFunc("POST /v1/chains/{id}/upgrade", s.handleUpgrade)
 	mux.HandleFunc("POST /v1/chains/{id}/scale", s.handleScale)
 	mux.HandleFunc("POST /v1/chains/{id}/move", s.handleMove)
-	mux.HandleFunc("POST /v1/failures/{node}", s.handleFailNode)
-	mux.HandleFunc("DELETE /v1/failures/{node}", s.handleRecoverNode)
-	mux.HandleFunc("POST /v1/failures/links/{link}", s.handleFailLink)
-	mux.HandleFunc("DELETE /v1/failures/links/{link}", s.handleRecoverLink)
-	mux.HandleFunc("POST /v1/failures:batch", s.handleFailBatch)
-	mux.HandleFunc("GET /v1/nodes/{node}/impact", s.handleNodeImpact)
-	mux.HandleFunc("GET /v1/links/{link}/impact", s.handleLinkImpact)
+	mux.HandleFunc("POST /v1/failures/{node}", s.handleFail)
+	mux.HandleFunc("DELETE /v1/failures/{node}", s.handleRecover)
+	mux.HandleFunc("POST /v1/failures/links/{link}", s.handleFail)
+	mux.HandleFunc("DELETE /v1/failures/links/{link}", s.handleRecover)
+	mux.HandleFunc("POST /v1/failures:batch", s.handleFail)
+	mux.HandleFunc("GET /v1/nodes/{node}/impact", s.handleImpact)
+	mux.HandleFunc("GET /v1/links/{link}/impact", s.handleImpact)
 	mux.HandleFunc("GET /v1/topology", s.handleTopology)
 	mux.HandleFunc("GET /v1/optimizer/status", s.handleOptimizerStatus)
 	mux.HandleFunc("POST /v1/optimizer:run", s.handleOptimizerRun)
@@ -321,15 +321,6 @@ func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
 	s.writeChain(w, id)
 }
 
-func (s *Server) pathNode(w http.ResponseWriter, r *http.Request) (topology.NodeID, bool) {
-	n, err := strconv.Atoi(r.PathValue("node"))
-	if err != nil || n <= 0 {
-		writeError(w, http.StatusBadRequest, "invalid node id %q", r.PathValue("node"))
-		return 0, false
-	}
-	return topology.NodeID(n), true
-}
-
 // fillReports folds the reconciler's reports into the wire response.
 func fillReports(resp *FailureResponse, reports []orch.RepairReport, err error) {
 	resp.Reports = make([]RepairReportJSON, 0, len(reports))
@@ -354,19 +345,6 @@ func fillReports(resp *FailureResponse, reports []orch.RepairReport, err error) 
 	}
 }
 
-// acceptFailures routes a validated failure report through the
-// debouncer and answers 202 Accepted: repairs run when the window
-// flushes, so there are no per-chain reports to return yet.
-func (s *Server) acceptFailures(w http.ResponseWriter, r *http.Request, resp FailureAcceptedResponse, nodes []topology.NodeID, links []topology.LinkID) {
-	s.arch.ReportFailures(r.Context(), nodes, links)
-	resp.Accepted = true
-	resp.PendingNodes, resp.PendingLinks = s.arch.Debouncer().Pending()
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.body = append(appendAccepted(sc.body, &resp), '\n')
-	sendJSON(w, http.StatusAccepted, sc.body)
-}
-
 // writeRecovered answers a recovery: RecoverResponse's encoding.
 func writeRecovered(w http.ResponseWriter, resource string, id int) {
 	sc := getScratch()
@@ -376,148 +354,129 @@ func writeRecovered(w http.ResponseWriter, resource string, id int) {
 	sendJSON(w, http.StatusOK, sc.body)
 }
 
-func (s *Server) handleFailNode(w http.ResponseWriter, r *http.Request) {
-	node, ok := s.pathNode(w, r)
-	if !ok {
-		return
-	}
-	if s.arch.Topology().Node(node) == nil {
-		writeError(w, http.StatusNotFound, "unknown node %d", node)
-		return
-	}
-	if s.arch.Debouncer() != nil {
-		s.acceptFailures(w, r, FailureAcceptedResponse{Node: node}, []topology.NodeID{node}, nil)
-		return
-	}
-	// The node exists, so FailNode's error can only report repairs that
-	// did not succeed — the injection itself has landed. Report those
-	// in-band: the client asked for a failure and got one.
-	reports, err := s.arch.FailNode(r.Context(), node)
-	resp := FailureResponse{Node: node}
-	fillReports(&resp, reports, err)
-	writeJSON(w, http.StatusOK, resp)
+// failureTarget is what a failure, recover or impact route names: the
+// {node} or the {link} path value, or a batch body's lists as sent —
+// the echo keeps the request's order and duplicates.
+type failureTarget struct {
+	node  [1]topology.NodeID
+	link  [1]topology.LinkID
+	batch BatchFailureRequest
 }
 
-func (s *Server) handleRecoverNode(w http.ResponseWriter, r *http.Request) {
-	node, ok := s.pathNode(w, r)
-	if !ok {
-		return
+// parseTarget reads the route's target into t and checks that every ID
+// exists, answering 400 for a malformed target and 404 for an unknown
+// ID; it returns false once it has answered.
+func (s *Server) parseTarget(w http.ResponseWriter, r *http.Request, t *failureTarget) bool {
+	for _, what := range [2]string{"node", "link"} {
+		v := r.PathValue(what)
+		if v == "" {
+			continue
+		}
+		n, err := strconv.Atoi(v)
+		if err != nil || n <= 0 {
+			writeError(w, http.StatusBadRequest, "invalid %s id %q", what, v)
+			return false
+		}
+		if what == "node" {
+			t.node[0] = topology.NodeID(n)
+		} else {
+			t.link[0] = topology.LinkID(n)
+		}
 	}
-	if s.arch.Topology().Node(node) == nil {
-		writeError(w, http.StatusNotFound, "unknown node %d", node)
-		return
-	}
-	if err := s.arch.RecoverNode(node); err != nil {
-		writeError(w, statusOf(err), "recover node: %v", err)
-		return
-	}
-	writeRecovered(w, "node", int(node))
-}
-
-func (s *Server) pathLink(w http.ResponseWriter, r *http.Request) (topology.LinkID, bool) {
-	n, err := strconv.Atoi(r.PathValue("link"))
-	if err != nil || n <= 0 {
-		writeError(w, http.StatusBadRequest, "invalid link id %q", r.PathValue("link"))
-		return 0, false
-	}
-	return topology.LinkID(n), true
-}
-
-func (s *Server) handleFailLink(w http.ResponseWriter, r *http.Request) {
-	link, ok := s.pathLink(w, r)
-	if !ok {
-		return
-	}
-	if s.arch.Topology().Link(link) == nil {
-		writeError(w, http.StatusNotFound, "unknown link %d", link)
-		return
-	}
-	if s.arch.Debouncer() != nil {
-		s.acceptFailures(w, r, FailureAcceptedResponse{Link: link}, nil, []topology.LinkID{link})
-		return
-	}
-	// Mirrors handleFailNode: the injection has landed, so per-chain
-	// repair outcomes are reported in-band.
-	reports, err := s.arch.FailLink(r.Context(), link)
-	resp := FailureResponse{Link: link}
-	fillReports(&resp, reports, err)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleRecoverLink(w http.ResponseWriter, r *http.Request) {
-	link, ok := s.pathLink(w, r)
-	if !ok {
-		return
-	}
-	if s.arch.Topology().Link(link) == nil {
-		writeError(w, http.StatusNotFound, "unknown link %d", link)
-		return
-	}
-	if err := s.arch.RecoverLink(link); err != nil {
-		writeError(w, statusOf(err), "recover link: %v", err)
-		return
-	}
-	writeRecovered(w, "link", int(link))
-}
-
-func (s *Server) handleFailBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchFailureRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "parse batch failure request: %v", err)
-		return
-	}
-	if len(req.Nodes) == 0 && len(req.Links) == 0 {
-		writeError(w, http.StatusBadRequest, "batch failure names no nodes or links")
-		return
+	if t.node[0] == 0 && t.link[0] == 0 {
+		var req BatchFailureRequest
+		if err := decodeBody(w, r, &req); err != nil {
+			writeError(w, http.StatusBadRequest, "parse batch failure request: %v", err)
+			return false
+		}
+		if len(req.Nodes) == 0 && len(req.Links) == 0 {
+			writeError(w, http.StatusBadRequest, "batch failure names no nodes or links")
+			return false
+		}
+		t.batch = req
 	}
 	topo := s.arch.Topology()
-	for _, n := range req.Nodes {
+	nodes, links := t.lists()
+	for _, n := range nodes {
 		if topo.Node(n) == nil {
 			writeError(w, http.StatusNotFound, "unknown node %d", n)
-			return
+			return false
 		}
 	}
-	for _, l := range req.Links {
+	for _, l := range links {
 		if topo.Link(l) == nil {
 			writeError(w, http.StatusNotFound, "unknown link %d", l)
-			return
+			return false
 		}
 	}
-	if s.arch.Debouncer() != nil {
-		s.acceptFailures(w, r, FailureAcceptedResponse{Nodes: req.Nodes, Links: req.Links}, req.Nodes, req.Links)
+	return true
+}
+
+// lists returns the target's IDs: a path value sliced from t itself,
+// so the failure set built on it stays in the handler's frame, or the
+// batch body's lists.
+func (t *failureTarget) lists() ([]topology.NodeID, []topology.LinkID) {
+	nodes, links := t.batch.Nodes, t.batch.Links
+	if t.node[0] != 0 {
+		nodes = t.node[:]
+	}
+	if t.link[0] != 0 {
+		links = t.link[:]
+	}
+	return nodes, links
+}
+
+// handleFail injects the target's failure. With a debouncer the report
+// joins the pending union and the answer is 202 Accepted: repairs run
+// when the window flushes, so there are no per-chain reports yet.
+func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
+	var t failureTarget
+	if !s.parseTarget(w, r, &t) {
 		return
 	}
-	reports, err := s.arch.FailBatch(r.Context(), req.Nodes, req.Links)
-	resp := FailureResponse{Nodes: req.Nodes, Links: req.Links}
+	f := alvc.NewFailures(t.lists())
+	if d := s.arch.Debouncer(); d != nil {
+		s.arch.ReportFailures(r.Context(), f)
+		resp := FailureAcceptedResponse{Node: t.node[0], Link: t.link[0], Nodes: t.batch.Nodes, Links: t.batch.Links, Accepted: true}
+		resp.PendingNodes, resp.PendingLinks = d.Pending()
+		sc := getScratch()
+		defer putScratch(sc)
+		sc.body = append(appendAccepted(sc.body, &resp), '\n')
+		sendJSON(w, http.StatusAccepted, sc.body)
+		return
+	}
+	// Every ID exists, so Fail's error can only report repairs that did
+	// not succeed — the injection itself has landed. Report those
+	// in-band: the client asked for a failure and got one.
+	reports, err := s.arch.Fail(r.Context(), f)
+	resp := FailureResponse{Node: t.node[0], Link: t.link[0], Nodes: t.batch.Nodes, Links: t.batch.Links}
 	fillReports(&resp, reports, err)
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleNodeImpact(w http.ResponseWriter, r *http.Request) {
-	node, ok := s.pathNode(w, r)
-	if !ok {
+func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
+	var t failureTarget
+	if !s.parseTarget(w, r, &t) {
 		return
 	}
-	if s.arch.Topology().Node(node) == nil {
-		writeError(w, http.StatusNotFound, "unknown node %d", node)
+	what, id := "node", int(t.node[0])
+	if id == 0 {
+		what, id = "link", int(t.link[0])
+	}
+	if err := s.arch.Recover(alvc.NewFailures(t.lists())); err != nil {
+		writeError(w, statusOf(err), "recover %s: %v", what, err)
 		return
 	}
-	entries := s.arch.NodeImpact(node)
-	resp := ImpactResponse{Node: node, Chains: toImpactJSON(entries), Count: len(entries)}
-	writeJSON(w, http.StatusOK, resp)
+	writeRecovered(w, what, id)
 }
 
-func (s *Server) handleLinkImpact(w http.ResponseWriter, r *http.Request) {
-	link, ok := s.pathLink(w, r)
-	if !ok {
+func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
+	var t failureTarget
+	if !s.parseTarget(w, r, &t) {
 		return
 	}
-	if s.arch.Topology().Link(link) == nil {
-		writeError(w, http.StatusNotFound, "unknown link %d", link)
-		return
-	}
-	entries := s.arch.LinkImpact(link)
-	resp := ImpactResponse{Link: link, Chains: toImpactJSON(entries), Count: len(entries)}
+	entries := s.arch.Impact(alvc.NewFailures(t.lists()))
+	resp := ImpactResponse{Node: t.node[0], Link: t.link[0], Chains: toImpactJSON(entries), Count: len(entries)}
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -13,6 +13,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -50,9 +51,9 @@ func TestWritePlaneAllocationCeilings(t *testing.T) {
 		ceiling              float64
 	}{
 		{"get", "GET", fmt.Sprintf("/v1/chains/%d", ids[100]), http.StatusOK, 10},                        // 16
-		{"recover link", "DELETE", fmt.Sprintf("/v1/failures/links/%d", link), http.StatusOK, 12},        // 24
-		{"recover node", "DELETE", fmt.Sprintf("/v1/failures/%d", dep.Path[2]), http.StatusOK, 12},       // 23
-		{"report link", "POST", fmt.Sprintf("/v1/failures/links/%d", link), http.StatusAccepted, 12},     // 15
+		{"recover link", "DELETE", fmt.Sprintf("/v1/failures/links/%d", link), http.StatusOK, 8},         // 24
+		{"recover node", "DELETE", fmt.Sprintf("/v1/failures/%d", dep.Path[2]), http.StatusOK, 7},        // 23
+		{"report link", "POST", fmt.Sprintf("/v1/failures/links/%d", link), http.StatusAccepted, 6},      // 15
 		{"unknown link", "DELETE", fmt.Sprintf("/v1/failures/links/%d", 1<<30), http.StatusNotFound, 11}, // 17
 		{"unknown chain", "GET", fmt.Sprintf("/v1/chains/%d", 1<<30), http.StatusNotFound, 11},           // 17
 		{"healthz", "GET", "/healthz", http.StatusOK, 2},                                                 // 6
@@ -69,10 +70,14 @@ func TestWritePlaneAllocationCeilings(t *testing.T) {
 }
 
 // TestFailureBodiesEqualEncodingJSON: every body the failure plane
-// appends — a recovery, a 202 with a node, a link, a batch's nodes and
-// links and the pending counts growing under them, the constant answers,
-// an error whose text JSON and HTML both escape — is byte for byte
-// encoding/json's rendering of the response struct clients decode into.
+// answers — a recovery, a 202 with a node, a link, a batch's nodes and
+// links (echoed in the request's order, duplicates and all) and the
+// pending counts growing under them, a node's and a link's blast
+// radius, the synchronous reports of a node, a link and a batch, the
+// constant answers, an error whose text JSON and HTML both escape — is
+// byte for byte encoding/json's rendering of the response struct
+// clients decode into; and a batch body naming a single node or link
+// is rejected, as any unknown field is.
 func TestFailureBodiesEqualEncodingJSON(t *testing.T) {
 	srv, arch, ids := bootFleet(t, 8, 1, alvc.WithFailureDebounce(time.Hour), alvc.WithOptimizer(alvc.OptimizerOptions{}))
 	dep := arch.Deployment(ids[3])
@@ -99,6 +104,22 @@ func TestFailureBodiesEqualEncodingJSON(t *testing.T) {
 		FailureAcceptedResponse{Nodes: batch.Nodes, Links: batch.Links, Accepted: true, PendingNodes: 2, PendingLinks: 2})
 	check("report links only", serve(t, srv, "POST", "/v1/failures:batch", []byte(`{"links":[`+fmt.Sprint(link)+`]}`)), http.StatusAccepted,
 		FailureAcceptedResponse{Links: []topology.LinkID{link}, Accepted: true, PendingNodes: 2, PendingLinks: 2})
+	unsorted := BatchFailureRequest{Nodes: []topology.NodeID{dep.Path[3], node, dep.Path[3]}, Links: []topology.LinkID{other, link, other}}
+	check("report unsorted batch", serve(t, srv, "POST", "/v1/failures:batch", mustOracleBody(t, unsorted)), http.StatusAccepted,
+		FailureAcceptedResponse{Nodes: unsorted.Nodes, Links: unsorted.Links, Accepted: true, PendingNodes: 3, PendingLinks: 2})
+	for _, field := range []string{"node", "link"} {
+		check("batch naming a "+field, serve(t, srv, "POST", "/v1/failures:batch", []byte(`{"`+field+`":`+fmt.Sprint(link)+`}`)),
+			http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("parse batch failure request: json: unknown field %q", field)})
+	}
+	nodeImpact := arch.Impact(alvc.NewFailures([]topology.NodeID{node}, nil))
+	check("node impact", serve(t, srv, "GET", fmt.Sprintf("/v1/nodes/%d/impact", node), nil), http.StatusOK,
+		ImpactResponse{Node: node, Chains: toImpactJSON(nodeImpact), Count: len(nodeImpact)})
+	linkImpact := arch.Impact(alvc.NewFailures(nil, []topology.LinkID{link}))
+	check("link impact", serve(t, srv, "GET", fmt.Sprintf("/v1/links/%d/impact", link), nil), http.StatusOK,
+		ImpactResponse{Link: link, Chains: toImpactJSON(linkImpact), Count: len(linkImpact)})
+	if len(nodeImpact) == 0 || len(linkImpact) == 0 {
+		t.Errorf("blast radii %v and %v: the chain's path node and standby link serve no chain", nodeImpact, linkImpact)
+	}
 	check("healthz", serve(t, srv, "GET", "/healthz", nil), http.StatusOK, map[string]string{"status": "ok"})
 	check("pause", serve(t, srv, "POST", "/v1/optimizer/pause", nil), http.StatusOK, map[string]bool{"paused": true})
 	check("resume", serve(t, srv, "POST", "/v1/optimizer/resume", nil), http.StatusOK, map[string]bool{"paused": false})
@@ -110,6 +131,39 @@ func TestFailureBodiesEqualEncodingJSON(t *testing.T) {
 	rec := httptest.NewRecorder()
 	writeError(rec, http.StatusConflict, "%s: %d%%", hostile, 100)
 	check("hostile text", rec, http.StatusConflict, ErrorResponse{Error: hostile + ": 100%"})
+
+	// Without a debouncer a failure answers 200 with the repair reports;
+	// the echo is the request's, as sent.
+	syncSrv, syncArch, syncIDs := bootFleet(t, 8, 1)
+	sdep := syncArch.Deployment(syncIDs[3])
+	for _, f := range []struct {
+		what, method, target string
+		body                 []byte
+		echo                 FailureResponse
+	}{
+		{"fail link", "POST", fmt.Sprintf("/v1/failures/links/%d", sdep.Standby.Links[1]), nil,
+			FailureResponse{Link: sdep.Standby.Links[1]}},
+		{"fail node", "POST", fmt.Sprintf("/v1/failures/%d", sdep.Path[2]), nil, FailureResponse{Node: sdep.Path[2]}},
+		{"fail unsorted batch", "POST", "/v1/failures:batch",
+			mustOracleBody(t, BatchFailureRequest{Nodes: []topology.NodeID{sdep.Slice.OPSs[0], sdep.Placement.Hosts[0], sdep.Slice.OPSs[0]}}),
+			FailureResponse{Nodes: []topology.NodeID{sdep.Slice.OPSs[0], sdep.Placement.Hosts[0], sdep.Slice.OPSs[0]}}},
+	} {
+		rec := serve(t, syncSrv, f.method, f.target, f.body)
+		var got FailureResponse
+		dec := json.NewDecoder(bytes.NewReader(rec.Body.Bytes()))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&got); err != nil {
+			t.Fatalf("%s: %d %q: %v", f.what, rec.Code, rec.Body, err)
+		}
+		if got.Node != f.echo.Node || got.Link != f.echo.Link || !slices.Equal(got.Nodes, f.echo.Nodes) || !slices.Equal(got.Links, f.echo.Links) {
+			t.Errorf("%s: echo %v %v %v %v, want %v %v %v %v", f.what, got.Node, got.Link, got.Nodes, got.Links,
+				f.echo.Node, f.echo.Link, f.echo.Nodes, f.echo.Links)
+		}
+		if !slices.ContainsFunc(got.Reports, func(r RepairReportJSON) bool { return r.ID == int(sdep.ID) }) {
+			t.Errorf("%s: no report for chain %d in %+v", f.what, sdep.ID, got.Reports)
+		}
+		check(f.what, rec, http.StatusOK, got)
+	}
 }
 
 // TestTraceContextBothForms: the span context reads back the same from

@@ -215,7 +215,7 @@ func fleetPlane(t *testing.T, shards int) (*alvc.Architecture, *Plane) {
 	for _, dep := range deps[1:] {
 		victims = append(victims, dep.Slice.OPSs[0])
 	}
-	arch.ReportFailures(context.Background(), victims, nil)
+	arch.ReportFailures(context.Background(), alvc.NewFailures(victims, nil))
 	if reports, err := arch.FlushFailures(); err != nil || len(reports) < len(victims) {
 		t.Fatalf("flush: %d reports for %d failed slices, %v", len(reports), len(victims), err)
 	}

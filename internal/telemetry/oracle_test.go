@@ -265,12 +265,12 @@ func TestPlaneExpositionEqualsOracle(t *testing.T) {
 		deps = append(deps, dep)
 	}
 	victim := deps[3].Slice.OPSs[0]
-	arch.ReportFailures(context.Background(), []alvc.NodeID{victim, deps[5].Slice.OPSs[0]}, nil)
+	arch.ReportFailures(context.Background(), alvc.NewFailures([]alvc.NodeID{victim, deps[5].Slice.OPSs[0]}, nil))
 	if reports, err := arch.FlushFailures(); err != nil || len(reports) == 0 {
 		t.Fatalf("flush: %d reports, %v", len(reports), err)
 	}
 	arch.Optimize()
-	if err := arch.RecoverNode(victim); err != nil {
+	if err := arch.Recover(alvc.NewFailures([]alvc.NodeID{victim}, nil)); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	arch.Optimize()

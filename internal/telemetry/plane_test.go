@@ -113,8 +113,8 @@ func TestPlaneObservesLifecycle(t *testing.T) {
 
 	// Failure goes through the debounced one-code-path entry point and
 	// is flushed explicitly (the test window is an hour).
-	arch.ReportFailures(context.Background(), nil, nil) // no-op report must not flush anything
-	arch.ReportFailures(context.Background(), []alvc.NodeID{dep.Slice.OPSs[0]}, nil)
+	arch.ReportFailures(context.Background(), alvc.NewFailures(nil, nil)) // no-op report must not flush anything
+	arch.ReportFailures(context.Background(), alvc.NewFailures([]alvc.NodeID{dep.Slice.OPSs[0]}, nil))
 	if reports, err := arch.FlushFailures(); err != nil || len(reports) == 0 {
 		t.Fatalf("flush: reports=%d err=%v", len(reports), err)
 	}
@@ -185,7 +185,7 @@ func TestClosedPlaneStopsObserving(t *testing.T) {
 	p.Close()
 
 	mustDeploy(t, arch, "c2")
-	arch.ReportFailures(context.Background(), []alvc.NodeID{dep.Slice.OPSs[0]}, nil)
+	arch.ReportFailures(context.Background(), alvc.NewFailures([]alvc.NodeID{dep.Slice.OPSs[0]}, nil))
 	if reports, err := arch.FlushFailures(); err != nil || len(reports) == 0 {
 		t.Fatalf("flush: reports=%d err=%v", len(reports), err)
 	}

@@ -164,7 +164,7 @@ func TestDenseTablesEqualBruteForce(t *testing.T) {
 			case 0, 1: // fail or recover a switch or machine
 				kinds := []topology.NodeKind{topology.KindOPS, topology.KindToR, topology.KindPhysicalMachine}
 				id := pick(s.ofKind(kinds[rng.Intn(len(kinds))]))
-				if err := topo.SetNodeDown(id, op == 0); err != nil {
+				if err := topo.SetDown(topology.NewFailures([]topology.NodeID{id}, nil), op == 0); err != nil {
 					t.Fatal(err)
 				}
 				s.nodes[id].down = op == 0
@@ -175,7 +175,7 @@ func TestDenseTablesEqualBruteForce(t *testing.T) {
 					ids = append(ids, s.links[i].id)
 					s.links[i].down = op == 2
 				}
-				if err := topo.SetLinksDown(ids, op == 2); err != nil {
+				if err := topo.SetDown(topology.NewFailures(nil, ids), op == 2); err != nil {
 					t.Fatal(err)
 				}
 			case 4: // a VM departs, leaving a hole in the table

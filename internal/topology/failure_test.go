@@ -1,11 +1,75 @@
 package topology
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
+
+// TestNewFailures: a set is ascending and free of duplicates whatever
+// order its lists came in; an ascending list is kept, not copied; any
+// other is copied, so the caller's stays as it was; and the queries
+// answer for exactly the set's members.
+func TestNewFailures(t *testing.T) {
+	sorted := []NodeID{2, 5, 9}
+	unsorted := []LinkID{7, 3, 7, 1}
+	f := NewFailures(sorted, unsorted)
+	if !slices.Equal(f.Nodes(), []NodeID{2, 5, 9}) || !slices.Equal(f.Links(), []LinkID{1, 3, 7}) {
+		t.Fatalf("set = %v %v, want [2 5 9] [1 3 7]", f.Nodes(), f.Links())
+	}
+	if &f.Nodes()[0] != &sorted[0] {
+		t.Fatal("an ascending list was copied")
+	}
+	if !slices.Equal(unsorted, []LinkID{7, 3, 7, 1}) {
+		t.Fatalf("the caller's unsorted list changed: %v", unsorted)
+	}
+	for _, id := range []NodeID{2, 5, 9} {
+		if !f.HasNode(id) {
+			t.Fatalf("HasNode(%d) = false", id)
+		}
+	}
+	for _, id := range []NodeID{0, 1, 3, 10} {
+		if f.HasNode(id) {
+			t.Fatalf("HasNode(%d) = true", id)
+		}
+	}
+	if !f.HasLink(3) || f.HasLink(2) || f.HasLink(8) {
+		t.Fatal("HasLink disagrees with the set")
+	}
+	if f.Empty() || !NewFailures(nil, []LinkID{}).Empty() || NewFailures(nil, []LinkID{4}).Empty() {
+		t.Fatal("Empty disagrees with the set")
+	}
+	if got := NewFailures([]NodeID{4, 4}, nil).Nodes(); !slices.Equal(got, []NodeID{4}) {
+		t.Fatalf("a repeated ID gave %v, want [4]", got)
+	}
+}
+
+// TestSetDownAllocatesNothing: marking a set down and up again walks
+// the set's own lists; with no snapshot cached, there is nothing to
+// patch and nothing to allocate.
+func TestSetDownAllocatesNothing(t *testing.T) {
+	topo, ids := smallTopo(t)
+	var link LinkID
+	for _, l := range topo.LinksOf(ids["tor1"]) {
+		link = l.ID
+	}
+	f := NewFailures([]NodeID{ids["ops1"], ids["pm1"]}, []LinkID{link})
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := topo.SetDown(f, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := topo.SetDown(f, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SetDown allocates %.0f times a down-and-up, want 0", allocs)
+	}
+}
 
 func TestSetNodeDownHidesFromQueries(t *testing.T) {
 	topo, ids := smallTopo(t)
-	if err := topo.SetNodeDown(ids["ops1"], true); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(NewFailures([]NodeID{ids["ops1"]}, nil), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	ops := topo.OPSsOfToR(ids["tor1"])
 	for _, o := range ops {
@@ -19,8 +83,8 @@ func TestSetNodeDownHidesFromQueries(t *testing.T) {
 		t.Fatal("down OPS present in routing graph")
 	}
 	// Recovery restores it.
-	if err := topo.SetNodeDown(ids["ops1"], false); err != nil {
-		t.Fatalf("SetNodeDown(false): %v", err)
+	if err := topo.SetDown(NewFailures([]NodeID{ids["ops1"]}, nil), false); err != nil {
+		t.Fatalf("SetDown(false): %v", err)
 	}
 	found := false
 	for _, o := range topo.OPSsOfToR(ids["tor1"]) {
@@ -35,10 +99,10 @@ func TestSetNodeDownHidesFromQueries(t *testing.T) {
 
 func TestSetNodeDownUnknown(t *testing.T) {
 	topo, _ := smallTopo(t)
-	if err := topo.SetNodeDown(9999, true); err == nil {
+	if err := topo.SetDown(NewFailures([]NodeID{9999}, nil), true); err == nil {
 		t.Fatal("unknown node accepted")
 	}
-	if err := topo.SetLinkDown(9999, true); err == nil {
+	if err := topo.SetDown(NewFailures(nil, []LinkID{9999}), true); err == nil {
 		t.Fatal("unknown link accepted")
 	}
 }
@@ -51,8 +115,8 @@ func TestSetLinkDownHidesEdge(t *testing.T) {
 			boundary = l.ID
 		}
 	}
-	if err := topo.SetLinkDown(boundary, true); err != nil {
-		t.Fatalf("SetLinkDown: %v", err)
+	if err := topo.SetDown(NewFailures(nil, []LinkID{boundary}), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	for _, o := range topo.OPSsOfToR(ids["tor1"]) {
 		if o == ids["ops1"] {
@@ -83,8 +147,8 @@ func TestLinkBetween(t *testing.T) {
 
 func TestDownVMExcludedFromRouting(t *testing.T) {
 	topo, ids := smallTopo(t)
-	if err := topo.SetNodeDown(ids["vm1"], true); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(NewFailures([]NodeID{ids["vm1"]}, nil), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	g := routingGraph(topo, true, nil)
 	if g.HasVertex(gv(ids["vm1"])) {
@@ -97,8 +161,8 @@ func TestDownVMExcludedFromRouting(t *testing.T) {
 
 func TestDownPMHidesItsVMs(t *testing.T) {
 	topo, ids := smallTopo(t)
-	if err := topo.SetNodeDown(ids["pm1"], true); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(NewFailures([]NodeID{ids["pm1"]}, nil), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	g := routingGraph(topo, true, nil)
 	if g.HasVertex(gv(ids["vm1"])) || g.HasVertex(gv(ids["vm2"])) {

@@ -113,14 +113,14 @@ func TestLivenessOverlayEqualsColdRebuild(t *testing.T) {
 		case 0: // single node flip
 			id := churnNodes[rng.Intn(len(churnNodes))]
 			down := !downNodes[id]
-			if err := topo.SetNodeDown(id, down); err != nil {
+			if err := topo.SetDown(NewFailures([]NodeID{id}, nil), down); err != nil {
 				t.Fatal(err)
 			}
 			downNodes[id] = down
 		case 1: // single link flip
 			id := linkIDs[rng.Intn(len(linkIDs))]
 			down := !downLinks[id]
-			if err := topo.SetLinkDown(id, down); err != nil {
+			if err := topo.SetDown(NewFailures(nil, []LinkID{id}), down); err != nil {
 				t.Fatal(err)
 			}
 			downLinks[id] = down
@@ -130,7 +130,7 @@ func TestLivenessOverlayEqualsColdRebuild(t *testing.T) {
 				batch = append(batch, churnNodes[rng.Intn(len(churnNodes))])
 			}
 			down := rng.Intn(2) == 0
-			if err := topo.SetNodesDown(batch, down); err != nil {
+			if err := topo.SetDown(NewFailures(batch, nil), down); err != nil {
 				t.Fatal(err)
 			}
 			for _, id := range batch {
@@ -142,7 +142,7 @@ func TestLivenessOverlayEqualsColdRebuild(t *testing.T) {
 				batch = append(batch, linkIDs[rng.Intn(len(linkIDs))])
 			}
 			down := rng.Intn(2) == 0
-			if err := topo.SetLinksDown(batch, down); err != nil {
+			if err := topo.SetDown(NewFailures(nil, batch), down); err != nil {
 				t.Fatal(err)
 			}
 			for _, id := range batch {
@@ -168,10 +168,10 @@ func TestLivenessOverlayEqualsColdRebuild(t *testing.T) {
 			deadL = append(deadL, id)
 		}
 	}
-	if err := topo.SetNodesDown(deadN, false); err != nil {
+	if err := topo.SetDown(NewFailures(deadN, nil), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := topo.SetLinksDown(deadL, false); err != nil {
+	if err := topo.SetDown(NewFailures(nil, deadL), false); err != nil {
 		t.Fatal(err)
 	}
 	compare(40)

@@ -20,7 +20,7 @@ func restrictTestTopo(t *testing.T) (*Topology, *Snapshot) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := topo.SetNodeDown(topo.NodeIDs(KindOPS)[1], true); err != nil {
+	if err := topo.SetDown(NewFailures([]NodeID{topo.NodeIDs(KindOPS)[1]}, nil), true); err != nil {
 		t.Fatal(err)
 	}
 	return topo, topo.RoutingSnapshot(GraphOptions{IncludeVMs: true})
@@ -109,7 +109,7 @@ func TestRestrictConcurrent(t *testing.T) {
 	}
 	link := topo.LinksOf(opss[0])[0].ID
 	for i := 0; i < 50; i++ {
-		if err := topo.SetLinkDown(link, i%2 == 0); err != nil {
+		if err := topo.SetDown(NewFailures(nil, []LinkID{link}), i%2 == 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +134,7 @@ func TestHopResolutionAllocatesNothing(t *testing.T) {
 		t.Fatalf("AnyLinkBetween: tor0-ops0 = %v, tor1-ops2 = %v; want a link and none", l, topo.AnyLinkBetween(tors[1], opss[2]))
 	}
 	for _, down := range []bool{true, false, true} {
-		if err := topo.SetLinkDown(l.ID, down); err != nil {
+		if err := topo.SetDown(NewFailures(nil, []LinkID{l.ID}), down); err != nil {
 			t.Fatal(err)
 		}
 		var anyGot, liveGot *Link
@@ -143,13 +143,13 @@ func TestHopResolutionAllocatesNothing(t *testing.T) {
 			liveGot = topo.LinkBetween(opss[0], tors[0])
 		})
 		if allocs != 0 {
-			t.Fatalf("after SetLinkDown(%v): a hop resolution allocates %.1f times, want 0", down, allocs)
+			t.Fatalf("after SetDown(%v): a hop resolution allocates %.1f times, want 0", down, allocs)
 		}
 		if anyGot != l || anyGot.Down != down {
-			t.Fatalf("after SetLinkDown(%v): AnyLinkBetween = %+v, want link %d itself", down, anyGot, l.ID)
+			t.Fatalf("after SetDown(%v): AnyLinkBetween = %+v, want link %d itself", down, anyGot, l.ID)
 		}
 		if (liveGot == nil) != down {
-			t.Fatalf("after SetLinkDown(%v): LinkBetween = %v does not follow liveness", down, liveGot)
+			t.Fatalf("after SetDown(%v): LinkBetween = %v does not follow liveness", down, liveGot)
 		}
 	}
 	added, err := topo.AddLink(tors[1], opss[2], LinkBoundary, 40, 2)

@@ -17,9 +17,8 @@ import (
 //
 // Liveness is not a build-time dimension: the frozen graph contains
 // every node and link, up or down, and a durable graph.LiveMask overlay
-// hides the dead ones from every search. SetNodeDown/SetLinkDown (and
-// the batch variants) patch the overlay of each cached snapshot in
-// place, so a failure storm costs zero graph rebuilds; only structural
+// hides the dead ones from every search. SetDown patches the overlay of
+// each cached snapshot in place, so a failure storm costs zero graph rebuilds; only structural
 // mutations (add node/link, VM churn, latency, SRLG) invalidate the
 // cache.
 //
@@ -411,11 +410,11 @@ func (t *Topology) effectiveDown(n *Node) bool {
 	return false
 }
 
-// applyLiveness patches the down-state of the given nodes and links
-// into every current cached snapshot in place — O(affected arcs) per
+// applyLiveness patches the down-state of f's nodes and links into
+// every current cached snapshot in place — O(affected arcs) per
 // snapshot, zero graph rebuilds. Stale-generation entries are skipped
 // (their next fetch rebuilds from current state anyway).
-func (t *Topology) applyLiveness(nodes []*Node, links []*Link, down bool) {
+func (t *Topology) applyLiveness(f Failures, down bool) {
 	t.snapMu.Lock()
 	defer t.snapMu.Unlock()
 	atomic.AddUint64(&t.livePatches, 1)
@@ -426,15 +425,15 @@ func (t *Topology) applyLiveness(nodes []*Node, links []*Link, down bool) {
 			continue
 		}
 		var vertex map[int32]bool
-		if len(nodes) > 0 {
-			vertex = make(map[int32]bool, len(nodes))
-			for _, n := range nodes {
-				s.collectNodePatch(t, n, vertex)
+		if len(f.nodes) > 0 {
+			vertex = make(map[int32]bool, len(f.nodes))
+			for _, id := range f.nodes {
+				s.collectNodePatch(t, t.nodes[id], vertex)
 			}
 		}
 		var arcs []int32
-		for _, l := range links {
-			arcs = append(arcs, s.arcsOf(l.ID)...)
+		for _, l := range f.links {
+			arcs = append(arcs, s.arcsOf(l)...)
 		}
 		if len(vertex) > 0 || len(arcs) > 0 {
 			s.mask.Patch(vertex, arcs, down)

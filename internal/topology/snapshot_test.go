@@ -76,14 +76,16 @@ func TestSnapshotCacheHitAndInvalidation(t *testing.T) {
 		name string
 		fn   func() error
 	}{
-		{"SetLinkDown", func() error { return topo.SetLinkDown(1, true) }},
-		{"SetLinkUp", func() error { return topo.SetLinkDown(1, false) }},
-		{"SetNodeDown", func() error { return topo.SetNodeDown(opss[3], true) }},
-		{"SetNodeUp", func() error { return topo.SetNodeDown(opss[3], false) }},
-		{"SetNodesDown", func() error { return topo.SetNodesDown([]NodeID{opss[2], opss[3]}, true) }},
-		{"SetNodesUp", func() error { return topo.SetNodesDown([]NodeID{opss[2], opss[3]}, false) }},
-		{"SetLinksDown", func() error { return topo.SetLinksDown([]LinkID{1, 2}, true) }},
-		{"SetLinksUp", func() error { return topo.SetLinksDown([]LinkID{1, 2}, false) }},
+		{"link down", func() error { return topo.SetDown(NewFailures(nil, []LinkID{1}), true) }},
+		{"link up", func() error { return topo.SetDown(NewFailures(nil, []LinkID{1}), false) }},
+		{"node down", func() error { return topo.SetDown(NewFailures([]NodeID{opss[3]}, nil), true) }},
+		{"node up", func() error { return topo.SetDown(NewFailures([]NodeID{opss[3]}, nil), false) }},
+		{"nodes down", func() error { return topo.SetDown(NewFailures([]NodeID{opss[2], opss[3]}, nil), true) }},
+		{"nodes up", func() error { return topo.SetDown(NewFailures([]NodeID{opss[2], opss[3]}, nil), false) }},
+		{"links down", func() error { return topo.SetDown(NewFailures(nil, []LinkID{1, 2}), true) }},
+		{"links up", func() error { return topo.SetDown(NewFailures(nil, []LinkID{1, 2}), false) }},
+		{"node and link down", func() error { return topo.SetDown(NewFailures([]NodeID{opss[3]}, []LinkID{1}), true) }},
+		{"node and link up", func() error { return topo.SetDown(NewFailures([]NodeID{opss[3]}, []LinkID{1}), false) }},
 	}
 	for _, m := range liveness {
 		gen := topo.Generation()
@@ -143,7 +145,7 @@ func TestBatchLivenessMutators(t *testing.T) {
 	topo, tors, opss := snapTestTopo(t)
 
 	gen := topo.Generation()
-	if err := topo.SetNodesDown([]NodeID{opss[0], opss[1], tors[0]}, true); err != nil {
+	if err := topo.SetDown(NewFailures([]NodeID{opss[0], opss[1], tors[0]}, nil), true); err != nil {
 		t.Fatal(err)
 	}
 	if got := topo.Generation() - gen; got != 1 {
@@ -154,12 +156,12 @@ func TestBatchLivenessMutators(t *testing.T) {
 			t.Fatalf("node %d not down after batch", id)
 		}
 	}
-	if err := topo.SetNodesDown([]NodeID{opss[0], opss[1], tors[0]}, false); err != nil {
+	if err := topo.SetDown(NewFailures([]NodeID{opss[0], opss[1], tors[0]}, nil), false); err != nil {
 		t.Fatal(err)
 	}
 
 	gen = topo.Generation()
-	if err := topo.SetLinksDown([]LinkID{1, 2, 3}, true); err != nil {
+	if err := topo.SetDown(NewFailures(nil, []LinkID{1, 2, 3}), true); err != nil {
 		t.Fatal(err)
 	}
 	if got := topo.Generation() - gen; got != 1 {
@@ -173,13 +175,13 @@ func TestBatchLivenessMutators(t *testing.T) {
 
 	// Atomic reject: an unknown ID anywhere in the set mutates nothing.
 	gen = topo.Generation()
-	if err := topo.SetNodesDown([]NodeID{opss[2], 9999}, true); err == nil {
+	if err := topo.SetDown(NewFailures([]NodeID{opss[2], 9999}, nil), true); err == nil {
 		t.Fatal("unknown node in batch must fail")
 	}
 	if topo.Node(opss[2]).Down {
 		t.Fatal("rejected batch mutated a node")
 	}
-	if err := topo.SetLinksDown([]LinkID{4, 9999}, true); err == nil {
+	if err := topo.SetDown(NewFailures(nil, []LinkID{4, 9999}), true); err == nil {
 		t.Fatal("unknown link in batch must fail")
 	}
 	if topo.Link(4).Down {
@@ -189,15 +191,36 @@ func TestBatchLivenessMutators(t *testing.T) {
 		t.Fatal("rejected batch bumped the generation")
 	}
 
+	// A mixed set is rejected as a whole too: the valid node stays up.
+	if err := topo.SetDown(NewFailures([]NodeID{opss[2]}, []LinkID{9999}), true); err == nil {
+		t.Fatal("unknown link in a mixed batch must fail")
+	}
+	if topo.Node(opss[2]).Down {
+		t.Fatal("rejected mixed batch mutated a node")
+	}
+
 	// Empty sets are no-ops.
-	if err := topo.SetNodesDown(nil, true); err != nil {
+	if err := topo.SetDown(NewFailures(nil, nil), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := topo.SetLinksDown(nil, true); err != nil {
+	if err := topo.SetDown(NewFailures([]NodeID{}, []LinkID{}), false); err != nil {
 		t.Fatal(err)
 	}
 	if topo.Generation() != gen {
 		t.Fatal("empty batch bumped the generation")
+	}
+
+	// A node and a link are one transition: one bump, one patch.
+	topo.RoutingSnapshot(GraphOptions{})
+	gen, patches := topo.Generation(), topo.LivenessPatches()
+	if err := topo.SetDown(NewFailures([]NodeID{opss[2]}, []LinkID{4}), true); err != nil {
+		t.Fatal(err)
+	}
+	if g, p := topo.Generation()-gen, topo.LivenessPatches()-patches; g != 1 || p != 1 {
+		t.Fatalf("a node and a link bumped the generation %d times and patched %d times, want 1 and 1", g, p)
+	}
+	if !topo.Node(opss[2]).Down || !topo.Link(4).Down {
+		t.Fatal("mixed batch left a resource up")
 	}
 }
 
@@ -217,7 +240,7 @@ func TestSnapshotReflectsLinkFailure(t *testing.T) {
 	if l == nil {
 		t.Fatalf("no link between %d and %d", before[0], before[1])
 	}
-	if err := topo.SetLinkDown(l.ID, true); err != nil {
+	if err := topo.SetDown(NewFailures(nil, []LinkID{l.ID}), true); err != nil {
 		t.Fatal(err)
 	}
 	after, _, err := topo.RoutingSnapshot(GraphOptions{}).ShortestPath(src, dst, nil)
@@ -229,7 +252,7 @@ func TestSnapshotReflectsLinkFailure(t *testing.T) {
 			t.Fatalf("path %v still crosses failed link %d", after, l.ID)
 		}
 	}
-	if err := topo.SetLinkDown(l.ID, false); err != nil {
+	if err := topo.SetDown(NewFailures(nil, []LinkID{l.ID}), false); err != nil {
 		t.Fatal(err)
 	}
 	recovered, _, err := topo.RoutingSnapshot(GraphOptions{}).ShortestPath(src, dst, nil)
@@ -378,15 +401,15 @@ func TestAppendHostHopEqualsSearch(t *testing.T) {
 		}
 	}
 	check("all up")
-	if err := topo.SetNodeDown(ids["pm1"], true); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(NewFailures([]NodeID{ids["pm1"]}, nil), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	check("pm1 down")
-	if err := topo.SetNodeDown(ids["pm1"], false); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(NewFailures([]NodeID{ids["pm1"]}, nil), false); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
-	if err := topo.SetNodeDown(ids["vm3"], true); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(NewFailures([]NodeID{ids["vm3"]}, nil), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	check("vm3 down")
 }
@@ -401,8 +424,8 @@ func TestLiveDigestNamesTheFabricState(t *testing.T) {
 		t.Fatalf("all-up digest %#x, want 0", snap.LiveDigest())
 	}
 	core := topo.LinkBetween(ids["ops1"], ids["ops2"]).ID
-	if err := topo.SetLinkDown(core, true); err != nil {
-		t.Fatalf("SetLinkDown: %v", err)
+	if err := topo.SetDown(NewFailures(nil, []LinkID{core}), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	cut := snap.LiveDigest()
 	if cut == 0 {
@@ -411,20 +434,20 @@ func TestLiveDigestNamesTheFabricState(t *testing.T) {
 	if _, ran, err := snap.AppendPathAvoiding(nil, ids["pm1"], ids["pm2"], nil, Avoid{}); err != nil || ran != cut {
 		t.Fatalf("search ran under %#x, %v; want %#x", ran, err, cut)
 	}
-	if err := topo.SetNodeDown(ids["pm2"], true); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(NewFailures([]NodeID{ids["pm2"]}, nil), true); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	if snap.LiveDigest() == cut {
 		t.Fatal("a node down left the digest unchanged")
 	}
-	if err := topo.SetNodeDown(ids["pm2"], false); err != nil {
-		t.Fatalf("SetNodeDown: %v", err)
+	if err := topo.SetDown(NewFailures([]NodeID{ids["pm2"]}, nil), false); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	if snap.LiveDigest() != cut {
 		t.Fatalf("node back up: %#x, want %#x", snap.LiveDigest(), cut)
 	}
-	if err := topo.SetLinkDown(core, false); err != nil {
-		t.Fatalf("SetLinkDown: %v", err)
+	if err := topo.SetDown(NewFailures(nil, []LinkID{core}), false); err != nil {
+		t.Fatalf("SetDown: %v", err)
 	}
 	if snap.LiveDigest() != 0 {
 		t.Fatalf("all recovered: %#x, want 0", snap.LiveDigest())

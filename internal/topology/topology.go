@@ -358,78 +358,35 @@ func (t *Topology) neighborsOfKindLocked(id NodeID, kind NodeKind) []NodeID {
 	return out
 }
 
-// SetNodeDown marks a switch or machine as failed (or repaired).
-// Down nodes disappear from connectivity queries and routing searches.
-// This is a liveness transition: cached routing snapshots are patched
-// in place (zero graph rebuilds), only the derived caches invalidate.
-func (t *Topology) SetNodeDown(id NodeID, down bool) error {
-	n := t.Node(id)
-	if n == nil {
-		return fmt.Errorf("topology: SetNodeDown: unknown node %d", id)
-	}
-	n.Down = down
-	t.bumpGeneration()
-	t.applyLiveness([]*Node{n}, nil, down)
-	return nil
-}
-
-// SetLinkDown marks a link as failed (or repaired). Like SetNodeDown
-// this patches cached routing snapshots in place instead of rebuilding.
-func (t *Topology) SetLinkDown(id LinkID, down bool) error {
-	l := t.Link(id)
-	if l == nil {
-		return fmt.Errorf("topology: SetLinkDown: unknown link %d", id)
-	}
-	l.Down = down
-	t.bumpGeneration()
-	t.applyLiveness(nil, []*Link{l}, down)
-	return nil
-}
-
-// SetNodesDown marks a whole set of nodes failed (or recovered) as one
-// liveness transition: every ID is validated before anything mutates
-// (atomic reject), the generation bumps once instead of once per node,
-// and all cached snapshots absorb the batch under a single overlay
-// patch — the fast path for rack events and failure storms.
-func (t *Topology) SetNodesDown(ids []NodeID, down bool) error {
-	if len(ids) == 0 {
+// SetDown marks every node and link of f failed (down) or live again
+// as one liveness transition: every ID is validated before anything
+// mutates (an unknown one rejects the whole set), the generation bumps
+// once, and every cached routing snapshot absorbs the set in one
+// in-place patch — zero graph rebuilds, only the derived caches
+// invalidate. Down nodes and links disappear from connectivity queries
+// and routing searches. An empty set is a no-op.
+func (t *Topology) SetDown(f Failures, down bool) error {
+	if f.Empty() {
 		return nil
 	}
-	nodes := make([]*Node, len(ids))
-	for i, id := range ids {
-		n := t.Node(id)
-		if n == nil {
-			return fmt.Errorf("topology: SetNodesDown: unknown node %d", id)
+	for _, id := range f.nodes {
+		if t.Node(id) == nil {
+			return fmt.Errorf("topology: SetDown: unknown node %d", id)
 		}
-		nodes[i] = n
 	}
-	for _, n := range nodes {
-		n.Down = down
+	for _, id := range f.links {
+		if t.Link(id) == nil {
+			return fmt.Errorf("topology: SetDown: unknown link %d", id)
+		}
+	}
+	for _, id := range f.nodes {
+		t.nodes[id].Down = down
+	}
+	for _, id := range f.links {
+		t.links[id].Down = down
 	}
 	t.bumpGeneration()
-	t.applyLiveness(nodes, nil, down)
-	return nil
-}
-
-// SetLinksDown is SetNodesDown for links: one validation pass, one
-// generation bump, one overlay patch for the whole set.
-func (t *Topology) SetLinksDown(ids []LinkID, down bool) error {
-	if len(ids) == 0 {
-		return nil
-	}
-	links := make([]*Link, len(ids))
-	for i, id := range ids {
-		l := t.Link(id)
-		if l == nil {
-			return fmt.Errorf("topology: SetLinksDown: unknown link %d", id)
-		}
-		links[i] = l
-	}
-	for _, l := range links {
-		l.Down = down
-	}
-	t.bumpGeneration()
-	t.applyLiveness(nil, links, down)
+	t.applyLiveness(f, down)
 	return nil
 }
 

@@ -354,7 +354,7 @@ func TestValidateCountsFabricComponents(t *testing.T) {
 				continue
 			}
 			if id := link(a, b, LinkOptical); rng.Intn(3) == 0 {
-				if err := topo.SetLinkDown(id, true); err != nil {
+				if err := topo.SetDown(NewFailures(nil, []LinkID{id}), true); err != nil {
 					t.Fatal(err)
 				}
 			}
