@@ -69,6 +69,30 @@ func FuzzSpecDecode(f *testing.F) {
 		`{"name":"c1","nfs":[{"name":"nat"}],"bandwidth_gbps":1,"flow_bytes":1} {}`,
 		`null`, `[]`, `{}`, `{"nfs":null}`, `{"nfs":[null]}`, `{"name":1}`, ` {"name":"c1","nfs":[{"name":"nat"}],"bandwidth_gbps":1,"flow_bytes":1} `,
 		`{"name":"c1","nfs":[{"name":"nat"}],"bandwidth_gbps":1,"flow_bytes":1}x`, `{"name":"c1","nfs":[{"name":"nat"}],"bandwidth_gbps":1,"flow_bytes":1`, ``,
+		// Trailers the old server decoder let through: a closing brace or
+		// bracket after the value, and a second document.
+		`{"name":"c1","nfs":[{"name":"nat"}],"bandwidth_gbps":1,"flow_bytes":1}}`,
+		`{"name":"c1","nfs":[{"name":"nat"}],"bandwidth_gbps":1,"flow_bytes":1}]`,
+		`{"name":"c1","nfs":[{"name":"nat"}],"bandwidth_gbps":1,"flow_bytes":1}} {}`,
+		// Escapes in values and keys: \u, surrogate pairs, a lone
+		// surrogate, \" and the one-letter escapes, invalid UTF-8.
+		`{"name":"c\u0031\"q\\/\b\f\n\r\t\/","n\u0061me":"c2","nfs":[{"name":"n\u0061t"}],"bandwidth_gbps":1,"flow_bytes":1}`,
+		`{"name":"\ud83d\ude00\ud83d\u0041\ude00","nfs":[{"name":"nat"}],"bandwidth_gbps":1,"flow_bytes":1}`,
+		"{\"name\":\"c\xff\xc3\",\"nfs\":[{\"name\":\"nat\"}],\"bandwidth_gbps\":1,\"flow_bytes\":1}",
+		`{"name":"c1","nfs":[{"name":"nat"}],"bandwidth_gbps":1,"flow_bytes":1,"bad\u0000":1}`,
+		// Keys encoding/json matches case-insensitively: U+017F folds to
+		// 's', U+212A (Kelvin) to 'k', which no spec field has.
+		`{"Name":"c1","ſervice":"web","NFS":[{"nAmE":"nat","ſtorage_gb":1}],"bandwidth_gbpſ":1,"flow_bytes":1}`,
+		`{"name":"c1","nfs":[{"name":"nat"}],"bandwidth_gbps":1,"flow_bytes":1,"K":1}`,
+		// Duplicate keys: the later value reads over the earlier one, an
+		// array into the earlier one's elements.
+		`{"name":"a","name":"b","nfs":[{"name":"nat","cpu":2,"memory_gb":3}],"nfs":[{"name":"lb","cpu":1}],"bandwidth_gbps":1,"flow_bytes":1}`,
+		`{"name":"c1","nfs":[{"name":"nat"},{"name":"lb","cpu":4}],"nfs":[{"name":"dpi"}],"nfs":[{"name":"ids"},{}],"bandwidth_gbps":1,"flow_bytes":1}`,
+		// 1e3 is a number but not an int64; nulls leave fields as they were.
+		`{"name":"c1","nfs":[{"name":"nat"}],"bandwidth_gbps":1,"flow_bytes":1e3}`,
+		`{"name":"c1","nfs":[{"name":"nat"}],"bandwidth_gbps":1e3,"flow_bytes":1000}`,
+		`{"name":"c1","tenant":null,"service":null,"nfs":[{"name":"nat","cpu":null}],"bandwidth_gbps":1,"bandwidth_gbps":null,"flow_bytes":1}`,
+		`{"name":"c1","nfs":[{"name":"nat"}],"nfs":null,"bandwidth_gbps":1,"flow_bytes":1}`,
 	} {
 		f.Add([]byte(seed))
 	}

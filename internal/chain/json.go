@@ -1,12 +1,11 @@
 package chain
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"sync"
 
-	"github.com/alvc/alvc/internal/topology"
+	"github.com/alvc/alvc/internal/jsonread"
 )
 
 // jsonSpec is the on-disk form of a chain request, the format
@@ -52,84 +51,98 @@ func (s Spec) MarshalJSON() ([]byte, error) {
 // an explicit tenant; only the JSON surface treats it as optional.
 const DefaultTenant = "default"
 
-// UnmarshalJSON parses and validates a spec. Decoding is strict: a
-// field the spec or an NF does not have is an error, not ignored, so a
-// typo ("cpuu") cannot silently provision a chain without the demand it
-// meant. The tenant field is optional on the wire: an absent or empty
-// tenant resolves to DefaultTenant before validation, so single-tenant
-// API clients don't need to invent one (flow keys and shard routing
-// still see a concrete tenant).
+// The wire form's objects, read straight into Spec and NFRef; the Go
+// names are the wire types' above, which the errors name.
+var (
+	specObject = jsonread.Struct{Type: "chain.jsonSpec",
+		Fields: []string{"name", "tenant", "service", "nfs", "bandwidth_gbps", "flow_bytes"}}
+	nfObject = jsonread.Struct{Type: "chain.jsonNF",
+		Fields: []string{"name", "cpu", "memory_gb", "storage_gb"}}
+)
+
+// UnmarshalJSON parses and validates a spec: data is one JSON value and
+// nothing after it but white space. See ReadJSON.
 func (s *Spec) UnmarshalJSON(data []byte) error {
-	var in jsonSpec
-	if err := decodeStrict(data, &in); err != nil {
+	err := jsonread.Decode(data, s)
+	if se := (*jsonread.SyntaxError)(nil); errors.As(err, &se) {
 		return fmt.Errorf("chain: parse spec: %w", err)
 	}
-	if in.Tenant == "" {
-		in.Tenant = DefaultTenant
-	}
-	out := Spec{
-		Name:          in.Name,
-		Tenant:        in.Tenant,
-		Service:       in.Service,
-		BandwidthGbps: in.BandwidthGbps,
-		FlowBytes:     in.FlowBytes,
-	}
-	for _, nf := range in.NFs {
-		out.NFs = append(out.NFs, NFRef{
-			Name: nf.Name,
-			Demand: topology.Resources{
-				CPUCores:  nf.CPU,
-				MemoryGB:  nf.Memory,
-				StorageGB: nf.Disk,
-			},
-		})
-	}
-	if err := out.Validate(); err != nil {
-		return err
-	}
-	*s = out
-	return nil
-}
-
-// strictDecoder is a json.Decoder that rejects unknown fields, reading
-// from a reader it owns. Decoders are pooled: a fresh one costs a
-// handful of allocations and its buffer, and every provision decodes a
-// spec.
-type strictDecoder struct {
-	r   bytes.Reader
-	dec *json.Decoder
-}
-
-var strictDecoders = sync.Pool{New: func() any {
-	d := new(strictDecoder)
-	d.dec = json.NewDecoder(&d.r)
-	d.dec.DisallowUnknownFields()
-	return d
-}}
-
-// decodeStrict decodes data, one JSON value and nothing after it but
-// white space, into v, rejecting fields v does not have at any depth.
-func decodeStrict(data []byte, v any) error {
-	d := strictDecoders.Get().(*strictDecoder)
-	d.r.Reset(data)
-	start := d.dec.InputOffset()
-	err := d.dec.Decode(v)
-	n := d.dec.InputOffset() - start
-	if err == nil && len(bytes.TrimLeft(data[n:], " \t\r\n")) > 0 {
-		err = fmt.Errorf("invalid character after top-level value")
-	}
-	// A decoder goes back only when it read data exactly: after an error
-	// it may be stuck, and bytes it left unread would lead the next input.
-	if err == nil && n == int64(len(data)) {
-		strictDecoders.Put(d)
-	}
 	return err
+}
+
+// ReadJSON reads and validates a spec, the one way every spec is
+// decoded. Decoding is strict: a field the spec or an NF does not have
+// is an error, not ignored, so a typo ("cpuu") cannot silently provision
+// a chain without the demand it meant. The tenant field is optional on
+// the wire: an absent or empty tenant resolves to DefaultTenant before
+// validation, so single-tenant API clients don't need to invent one
+// (flow keys and shard routing still see a concrete tenant). The spec is
+// read as a value of its own, as encoding/json hands one to an
+// Unmarshaler: its error ends the enclosing decode, and *s is left as it
+// was.
+func (s *Spec) ReadJSON(r *jsonread.Reader) {
+	var in Spec
+	err := r.Nested(func() { readSpec(r, &in) })
+	if err != nil {
+		err = fmt.Errorf("chain: parse spec: %w", err)
+	} else {
+		if in.Tenant == "" {
+			in.Tenant = DefaultTenant
+		}
+		err = in.Validate()
+	}
+	if err != nil {
+		r.Abort(err)
+		return
+	}
+	*s = in
+}
+
+func readSpec(r *jsonread.Reader, s *Spec) {
+	r.Object(&specObject, func(i int) {
+		switch i {
+		case 0:
+			r.String(&s.Name)
+		case 1:
+			r.String(&s.Tenant)
+		case 2:
+			r.String(&s.Service)
+		case 3:
+			jsonread.Slice(r, "[]chain.jsonNF", &s.NFs, func(nf *NFRef) { readNF(r, nf) })
+		case 4:
+			r.Float(&s.BandwidthGbps)
+		case 5:
+			jsonread.Int(r, "int64", &s.FlowBytes)
+		}
+	})
+}
+
+func readNF(r *jsonread.Reader, nf *NFRef) {
+	r.Object(&nfObject, func(i int) {
+		switch i {
+		case 0:
+			r.String(&nf.Name)
+		case 1:
+			r.Float(&nf.Demand.CPUCores)
+		case 2:
+			r.Float(&nf.Demand.MemoryGB)
+		case 3:
+			r.Float(&nf.Demand.StorageGB)
+		}
+	})
+}
+
+// specList is a JSON array of specs.
+type specList []Spec
+
+func (l *specList) ReadJSON(r *jsonread.Reader) {
+	jsonread.Slice(r, "[]chain.Spec", (*[]Spec)(l), func(s *Spec) { s.ReadJSON(r) })
 }
 
 // ParseSpecs decodes a JSON array of chain specs, validating each.
 func ParseSpecs(data []byte) ([]Spec, error) {
 	var specs []Spec
-	if err := json.Unmarshal(data, &specs); err != nil {
+	if err := jsonread.Decode(data, (*specList)(&specs)); err != nil {
 		return nil, fmt.Errorf("chain: parse specs: %w", err)
 	}
 	if len(specs) == 0 {

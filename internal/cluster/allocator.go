@@ -46,6 +46,8 @@ type Allocator struct {
 	free []bool
 	// cover counts how the paper builder's phase 2 was answered.
 	cover CoverStats
+	// phase1 is the paper builder's phase-1 scratch.
+	phase1 phase1Scratch
 }
 
 // NewAllocator returns an allocator building ALs with the given
@@ -152,7 +154,7 @@ func (a *Allocator) setALLocked(vc *VC, al AL) {
 // a set.
 func (a *Allocator) buildLocked(vms []topology.NodeID) (AL, error) {
 	if p, ok := a.builder.(PaperBuilder); ok && !p.StaticWeight {
-		return buildMarginal(a.topo, vms, a.free, &a.cover)
+		return buildMarginal(a.topo, vms, a.free, &a.cover, &a.phase1)
 	}
 	return a.builder.Build(a.topo, vms, a.freeSetLocked())
 }

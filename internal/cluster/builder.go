@@ -120,7 +120,7 @@ func (p PaperBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allo
 		}
 	}
 	var stats CoverStats
-	return buildMarginal(topo, vms, admit, &stats)
+	return buildMarginal(topo, vms, admit, &stats, nil)
 }
 
 // CoverStats counts how the paper builder answered phase 2 (chosen ToRs
@@ -139,10 +139,14 @@ type CoverStats struct {
 // VMs' ToR lists, the chosen ToRs' OPS lists, the per-node optical
 // degrees — and no bipartite graph is materialized. admit masks the OPSs
 // by node ID (nil admits all, IDs beyond it are barred) and is only read.
-func buildMarginal(topo *topology.Topology, vms []topology.NodeID, admit []bool, stats *CoverStats) (AL, error) {
+// sc, when not nil, lends phase 1 its lists.
+func buildMarginal(topo *topology.Topology, vms []topology.NodeID, admit []bool, stats *CoverStats, sc *phase1Scratch) (AL, error) {
 	// Phase 1: cover the (distinct) VMs by ToRs; a ToR's outgoing
 	// connections are its OPS uplinks.
-	group, lefts, err := vmToRs(topo, vms)
+	group, lefts, err := vmToRs(topo, vms, sc)
+	if sc != nil {
+		defer clear(sc.lefts) // the scratch keeps no topology list past the build
+	}
 	if err != nil {
 		return AL{}, err
 	}
@@ -158,16 +162,28 @@ func buildMarginal(topo *topology.Topology, vms []topology.NodeID, admit []bool,
 	return AL{ToRs: tors, OPSs: opss}, nil
 }
 
+// phase1Scratch is what vmToRs fills, kept by an Allocator from one
+// build to the next (it builds under its lock, one at a time).
+type phase1Scratch struct {
+	group []topology.NodeID
+	lefts [][]topology.NodeID
+}
+
 // vmToRs is phase 1's instance: the group's distinct VMs in ascending
 // order and, for each, the ToRs of its host PM (cached lists, read-only).
-func vmToRs(topo *topology.Topology, vms []topology.NodeID) (group []topology.NodeID, lefts [][]topology.NodeID, err error) {
+// With sc the two lists are sc's, reused; without, fresh.
+func vmToRs(topo *topology.Topology, vms []topology.NodeID, sc *phase1Scratch) (group []topology.NodeID, lefts [][]topology.NodeID, err error) {
 	if len(vms) == 0 {
 		return nil, nil, ErrNoVMs
 	}
-	group = slices.Clone(vms)
+	if sc == nil {
+		sc = new(phase1Scratch)
+	}
+	group = append(sc.group[:0], vms...)
 	slices.Sort(group)
 	group = slices.Compact(group)
-	lefts = make([][]topology.NodeID, len(group))
+	lefts = slices.Grow(sc.lefts[:0], len(group))[:len(group)]
+	sc.group, sc.lefts = group, lefts
 	for i, vm := range group {
 		n := topo.Node(vm)
 		if n == nil || n.Kind != topology.KindVM {
@@ -263,7 +279,7 @@ type coverRule func(lefts [][]topology.NodeID, out func(topology.NodeID) float64
 // group's VMs by ToRs, then the chosen ToRs by the OPSs allowOPS admits,
 // with the same rule.
 func buildTwoPhase(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool, cover coverRule) (AL, error) {
-	_, lefts, err := vmToRs(topo, vms)
+	_, lefts, err := vmToRs(topo, vms, nil)
 	if err != nil {
 		return AL{}, err
 	}
@@ -349,7 +365,7 @@ func (d DirectBuilder) Name() string {
 
 // Build implements Builder.
 func (d DirectBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
-	_, torsOf, err := vmToRs(topo, vms)
+	_, torsOf, err := vmToRs(topo, vms, nil)
 	if err != nil {
 		return AL{}, err
 	}

@@ -462,38 +462,45 @@ func packArc(u, v int32) int64 { return int64(u)<<32 | int64(uint32(v)) }
 // extractPath rebuilds the dst path from scratch state into a fresh
 // slice (the only allocation of a warm search).
 func (f *Frozen) extractPath(src, dst int32, s *frozenScratch) []VertexID {
+	return appendPath[VertexID](f, nil, src, dst, s)
+}
+
+// appendPath appends the dst path from scratch state to buf.
+func appendPath[V ~int](f *Frozen, buf []V, src, dst int32, s *frozenScratch) []V {
 	n := 1
 	for at := dst; at != src; at = s.prev[at] {
 		n++
 	}
-	path := make([]VertexID, n)
+	buf = slices.Grow(buf, n)
+	path := buf[len(buf) : len(buf)+n]
 	at := dst
 	for i := n - 1; i >= 0; i-- {
-		path[i] = f.ids[at]
+		path[i] = V(f.ids[at])
 		at = s.prev[at]
 	}
-	return path
+	return buf[:len(buf)+n]
 }
 
-// ShortestPathIn returns the minimum-weight path from src to dst and its
-// total weight, with ties broken toward lower vertex IDs, under the
-// restriction r (nil restricts nothing) and the durable liveness mask m
-// (nil masks nothing). It is output-identical to Graph.ShortestPath on
-// the graph rebuilt without the barred vertices and the masked vertices
-// and arcs, and relaxes only the arcs the restriction leaves: a caller
-// running many searches under one restriction seals it once. The
-// restriction is only read.
-func (f *Frozen) ShortestPathIn(src, dst VertexID, r *Restriction, m *LiveMask) ([]VertexID, float64, error) {
+// ShortestPathIn appends to buf, in the caller's vertex type, the
+// minimum-weight path from src to dst, and returns its total weight,
+// with ties broken toward lower vertex IDs, under the restriction r (nil
+// restricts nothing) and the durable liveness mask m (nil masks
+// nothing); on error buf comes back as it was. It is output-identical
+// to Graph.ShortestPath on the graph rebuilt without the barred vertices
+// and the masked vertices and arcs, and relaxes only the arcs the
+// restriction leaves: a caller running many searches under one
+// restriction seals it once. The restriction is only read.
+func ShortestPathIn[V ~int](f *Frozen, buf []V, src, dst VertexID, r *Restriction, m *LiveMask) ([]V, float64, error) {
 	si, ok := f.IndexOf(src)
 	if !ok {
-		return nil, 0, fmt.Errorf("graph: shortest path: unknown source %d", src)
+		return buf, 0, fmt.Errorf("graph: shortest path: unknown source %d", src)
 	}
 	di, ok := f.IndexOf(dst)
 	if !ok {
-		return nil, 0, fmt.Errorf("graph: shortest path: unknown destination %d", dst)
+		return buf, 0, fmt.Errorf("graph: shortest path: unknown destination %d", dst)
 	}
 	if r.bars(si) || r.bars(di) {
-		return nil, 0, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
+		return buf, 0, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 	}
 	s := f.getScratch()
 	defer f.putScratch(s)
@@ -503,14 +510,14 @@ func (f *Frozen) ShortestPathIn(src, dst VertexID, r *Restriction, m *LiveMask) 
 		defer m.mu.RUnlock()
 		s.maskVertex, s.maskArc = m.downVertex, m.downArc
 		if s.maskVertex[si] || s.maskVertex[di] {
-			return nil, 0, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
+			return buf, 0, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 		}
 	}
 	f.dijkstra(si, di, false, s)
 	if math.IsInf(s.dist[di], 1) {
-		return nil, 0, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
+		return buf, 0, fmt.Errorf("%w from %d to %d", ErrNoPath, src, dst)
 	}
-	return f.extractPath(si, di, s), s.dist[di], nil
+	return appendPath(f, buf, si, di, s), s.dist[di], nil
 }
 
 // KShortestPathsIn returns up to k loopless paths from src to dst in

@@ -115,25 +115,26 @@ func (m *Manager) recordLocked(id InstanceID, from, to State, note string) {
 }
 
 // Create places a new VNF of type t on host, reserving one replica's
-// resources. The instance starts Pending; call Activate to bring it up.
-func (m *Manager) Create(t NFType, host topology.NodeID) (*Instance, error) {
+// resources, and returns the instance as created. The instance starts
+// Pending; call Activate to bring it up.
+func (m *Manager) Create(t NFType, host topology.NodeID) (Instance, error) {
 	profile, ok := m.profiles[t]
 	if !ok {
-		return nil, fmt.Errorf("nfv: create: unknown NF type %q", t)
+		return Instance{}, fmt.Errorf("nfv: create: unknown NF type %q", t)
 	}
 	node := m.topo.Node(host)
 	if node == nil {
-		return nil, fmt.Errorf("nfv: create: unknown host %d", host)
+		return Instance{}, fmt.Errorf("nfv: create: unknown host %d", host)
 	}
 	if node.Down {
-		return nil, fmt.Errorf("nfv: create: host %d is down", host)
+		return Instance{}, fmt.Errorf("nfv: create: host %d is down", host)
 	}
 	domain, ok := m.ledger.Domain(host)
 	if !ok {
-		return nil, fmt.Errorf("nfv: create: node %d (%s) cannot host VNFs", host, node.Kind)
+		return Instance{}, fmt.Errorf("nfv: create: node %d (%s) cannot host VNFs", host, node.Kind)
 	}
 	if err := m.ledger.Alloc(host, profile.Demand); err != nil {
-		return nil, fmt.Errorf("nfv: create %s on %d: %w", t, host, err)
+		return Instance{}, fmt.Errorf("nfv: create %s on %d: %w", t, host, err)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -150,7 +151,7 @@ func (m *Manager) Create(t NFType, host topology.NodeID) (*Instance, error) {
 	}
 	m.instances[inst.ID] = inst
 	m.recordLocked(inst.ID, 0, StatePending, fmt.Sprintf("created %s on node %d (%s)", t, host, domain))
-	return m.copyLocked(inst), nil
+	return *inst, nil
 }
 
 // Activate brings a Pending instance to Active.

@@ -1,6 +1,9 @@
 package orch
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // EventMux fans orchestrator events out to any number of sinks.
 // Hooks.Events is exactly one sink; the mux lets metrics exporters,
@@ -12,7 +15,9 @@ import "sync"
 // held and must return quickly (enqueue, don't execute). A sink added
 // or removed during a delivery takes effect from the next event.
 type EventMux struct {
-	mu   sync.RWMutex
+	mu sync.RWMutex
+	// subs is replaced, never edited in place, so a delivery walks the
+	// list it read without copying it.
 	subs []muxSub
 	next int
 }
@@ -36,14 +41,14 @@ func (m *EventMux) Subscribe(s EventSink) (cancel func()) {
 	m.mu.Lock()
 	id := m.next
 	m.next++
-	m.subs = append(m.subs, muxSub{id: id, sink: s})
+	m.subs = append(slices.Clip(m.subs), muxSub{id: id, sink: s})
 	m.mu.Unlock()
 	return func() {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		for i, sub := range m.subs {
 			if sub.id == id {
-				m.subs = append(m.subs[:i], m.subs[i+1:]...)
+				m.subs = slices.Concat(m.subs[:i], m.subs[i+1:])
 				return
 			}
 		}
@@ -55,8 +60,7 @@ func (m *EventMux) Subscribe(s EventSink) (cancel func()) {
 // Hooks.Events.
 func (m *EventMux) OrchEvent(ev Event) {
 	m.mu.RLock()
-	subs := make([]muxSub, len(m.subs))
-	copy(subs, m.subs)
+	subs := m.subs
 	m.mu.RUnlock()
 	for _, sub := range subs {
 		sub.sink.OrchEvent(ev)

@@ -99,3 +99,53 @@ func TestEventMuxAsOrchestratorSink(t *testing.T) {
 		t.Fatalf("metrics subscriber missed node-recovered for %d: %+v", mid, metrics.events)
 	}
 }
+
+// TestEventMuxDeliversWhileSubscribersChange: deliveries walk the
+// subscriber list they read while other goroutines subscribe and cancel,
+// so a sink subscribed throughout sees every event, and one cancelled
+// mid-stream sees no more than were sent. Run with -race.
+func TestEventMuxDeliversWhileSubscribersChange(t *testing.T) {
+	m := NewEventMux()
+	steady := &muxRecorder{}
+	m.Subscribe(steady)
+	const senders, events = 4, 500
+	var churned []*muxRecorder
+	var wg, churn sync.WaitGroup
+	stop := make(chan struct{})
+	for range 2 {
+		rec := &muxRecorder{}
+		churned = append(churned, rec)
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					m.Subscribe(rec)()
+				}
+			}
+		}()
+	}
+	for range senders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range events {
+				m.OrchEvent(Event{Kind: EventRepairCompleted})
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	churn.Wait()
+	if got := steady.count(); got != senders*events {
+		t.Fatalf("steady sink saw %d events, want %d", got, senders*events)
+	}
+	for i, rec := range churned {
+		if got := rec.count(); got > senders*events {
+			t.Fatalf("churned sink %d saw %d events, more than the %d sent", i, got, senders*events)
+		}
+	}
+}

@@ -102,6 +102,7 @@ func (o *Orchestrator) reProtectDep(dep *Deployment, srlgs []int) GroupOutcome {
 		return out
 	}
 	p := o.pipelineFrom(context.Background(), dep)
+	defer p.release()
 	var planErr error
 	out.Fallback, planErr = p.planStandby(srlgs)
 	if planErr != nil && alive {

@@ -288,7 +288,7 @@ func TestReProtectGroupOfOneEqualsPlanStandby(t *testing.T) {
 				o.mu.Lock()
 				live := o.deployments[dep.ID]
 				o.mu.Unlock()
-				stops, slice, pool := o.pipelineFrom(bg, live).standbyStops(), live.Slice.OPSSet(), o.alloc.Pool()
+				stops, slice, pool := o.pipelineFrom(bg, live).appendStandbyStops(nil), live.Slice.OPSSet(), o.alloc.Pool()
 				want, wantErr := resilience.PlanStandby(o.ctrl, o.topo, live.Path, stops, slice, 1, pool)
 				wantFallback := pool.OPS != nil && (wantErr != nil || !want.Disjoint)
 				if wantFallback {

@@ -82,14 +82,9 @@ func (o *Orchestrator) rehome(id DeploymentID, margin int) (moved, rebuilt bool,
 // passes margin >= 1.
 func (o *Orchestrator) rehomeClaimed(dep *Deployment, margin int) (moved, rebuilt bool, err error) {
 	id := dep.ID
-	profiles, err := nfv.ResolveChain(dep.Spec.NFNames())
+	profiles, err := appendProfiles(nil, dep.Spec.NFs)
 	if err != nil {
 		return false, false, fmt.Errorf("orch: rehome %d: %w", id, err)
-	}
-	for i, ref := range dep.Spec.NFs {
-		if !ref.Demand.IsZero() {
-			profiles[i].Demand = ref.Demand
-		}
 	}
 
 	o.mu.Lock()
@@ -98,8 +93,8 @@ func (o *Orchestrator) rehomeClaimed(dep *Deployment, margin int) (moved, rebuil
 	instances := append([]nfv.InstanceID(nil), dep.Instances...)
 	o.mu.Unlock()
 
-	opticalHosts := o.optoelectronicOf(dep.VC.AL.OPSs)
-	electronicHosts := o.pmsOf(o.liveVMs(dep.Spec.Service))
+	opticalHosts := o.appendOptoelectronic(nil, dep.VC.AL.OPSs)
+	electronicHosts := o.appendPMs(nil, o.liveVMs(dep.Spec.Service))
 	ctx, err := placement.NewContext(o.topo, o.mgr.Ledger(), opticalHosts, electronicHosts, profiles, o.mode)
 	if err != nil {
 		return false, false, fmt.Errorf("orch: rehome %d: %w", id, err)
@@ -172,6 +167,7 @@ func (o *Orchestrator) rehomeClaimed(dep *Deployment, margin int) (moved, rebuil
 	// rules, make-before-break). Domains come from the migrated
 	// instances so the record never disagrees with the manager.
 	p := o.pipelineFrom(context.Background(), dep)
+	defer p.release()
 	p.place = cand
 	for idx := range p.place.Hosts {
 		if inst := o.mgr.Instance(instances[idx]); inst != nil {

@@ -503,6 +503,7 @@ func (o *Orchestrator) buildChain(ctx context.Context, spec chain.Spec, flowKey 
 	}
 	p.attachTrace(ctx)
 	if err := p.runFrom(stageCluster); err != nil {
+		p.release()
 		return nil, err
 	}
 	return p, nil
@@ -592,6 +593,7 @@ func (o *Orchestrator) provision(ctx context.Context, spec chain.Spec) (*Deploym
 		atomic.AddUint64(&o.provisionFail, 1)
 		return nil, fmt.Errorf("orch: provision %q: %w", spec.Name, err)
 	}
+	defer b.release()
 	atomic.AddUint64(&o.provisionOK, 1)
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -646,6 +648,7 @@ func (o *Orchestrator) rebuild(ctx context.Context, dep *Deployment) error {
 	}
 	b, err := o.newPipeline(dep.Spec, dep.FlowKey())
 	if err == nil {
+		defer b.release()
 		b.attachTrace(ctx)
 		// With a background optimizer attached, even a full rebuild
 		// leaves standby planning to the async re-protect task — no
@@ -734,6 +737,7 @@ func (o *Orchestrator) moveNF(id DeploymentID, idx int, to topology.NodeID) (reb
 	// Stage the new placement and re-run only the connectivity stages
 	// of the pipeline (path → WDM → rules).
 	p := o.pipelineFrom(context.Background(), dep)
+	defer p.release()
 	p.ownPlacement()
 	p.place.Hosts[idx] = to
 	p.place.Domains[idx] = migrated.Domain
@@ -987,29 +991,28 @@ func snapshot(dep *Deployment) *Deployment {
 	return &cp
 }
 
-func (o *Orchestrator) optoelectronicOf(opss []topology.NodeID) []topology.NodeID {
-	var out []topology.NodeID
+// appendOptoelectronic appends to buf the live optoelectronic routers
+// among opss, in their order.
+func (o *Orchestrator) appendOptoelectronic(buf, opss []topology.NodeID) []topology.NodeID {
 	for _, id := range opss {
 		if n := o.topo.Node(id); n != nil && n.Optoelectronic && !n.Down {
-			out = append(out, id)
+			buf = append(buf, id)
 		}
 	}
-	return out
+	return buf
 }
 
-func (o *Orchestrator) pmsOf(vms []topology.NodeID) []topology.NodeID {
-	seen := make(map[topology.NodeID]bool)
-	var out []topology.NodeID
+// appendPMs appends to buf the live PMs hosting vms, ascending, each
+// once.
+func (o *Orchestrator) appendPMs(buf, vms []topology.NodeID) []topology.NodeID {
+	start := len(buf)
 	for _, vm := range vms {
-		n := o.topo.Node(vm)
-		if n == nil || seen[n.Host] {
-			continue
-		}
-		seen[n.Host] = true
-		if host := o.topo.Node(n.Host); host != nil && !host.Down {
-			out = append(out, n.Host)
+		if n := o.topo.Node(vm); n != nil {
+			if host := o.topo.Node(n.Host); host != nil && !host.Down {
+				buf = append(buf, n.Host)
+			}
 		}
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(buf[start:])
+	return buf[:start+len(slices.Compact(buf[start:]))]
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/alvc/alvc/internal/chain"
@@ -82,6 +83,8 @@ func (s stageID) String() string {
 // empty and runs every stage; a seeded pipeline (pipelineFrom) starts
 // from a live deployment's surviving state so repair can re-run only
 // the invalidated suffix. Callers must hold topoMu (read side).
+// Pipelines are pooled with their scratch: whoever gets one releases it
+// once the outcome is committed or rolled back.
 type pipeline struct {
 	o       *Orchestrator
 	spec    chain.Spec
@@ -123,7 +126,68 @@ type pipeline struct {
 	tr   *trace.Tracer
 	sctx trace.SpanContext
 
-	undo []func()
+	undo []undoEntry
+	// scratch is the stages' working space, kept with the pooled
+	// pipeline from one build to the next: nothing in it reaches the
+	// deployment record.
+	scratch pipelineScratch
+}
+
+// pipelineScratch holds what a build works in and throws away: the
+// placement's candidate hosts and capacity maps, the standby's stops,
+// the path before the record's own copy is cut from it.
+type pipelineScratch struct {
+	opticals, pms, stops, path []topology.NodeID
+	place                      placement.Scratch
+}
+
+// maxScratchLen bounds the lists a pooled pipeline keeps.
+const maxScratchLen = 1 << 10
+
+// pipelines pools pipelines with their scratch (getPipeline, release).
+var pipelines = sync.Pool{New: func() any { return new(pipeline) }}
+
+// getPipeline returns an empty pipeline for o.
+func (o *Orchestrator) getPipeline() *pipeline {
+	p := pipelines.Get().(*pipeline)
+	p.o, p.lambda = o, -1
+	return p
+}
+
+// release resets the pipeline and returns it to the pool. Every field
+// the deployment record took (commitLocked) was built for the record
+// alone; the pipeline only drops its references to them. The caller
+// must not touch p again.
+func (p *pipeline) release() {
+	sc := &p.scratch
+	for _, l := range []*[]topology.NodeID{&sc.opticals, &sc.pms, &sc.stops, &sc.path} {
+		if cap(*l) > maxScratchLen {
+			*l = nil
+		}
+		*l = (*l)[:0]
+	}
+	clear(p.profiles)
+	*p = pipeline{undo: p.undo[:0], profiles: p.profiles[:0], scratch: *sc}
+	pipelines.Put(p)
+}
+
+// undoKind names what an undo entry takes back.
+type undoKind uint8
+
+const (
+	undoCluster    undoKind = iota // release the VC
+	undoSlice                      // release the slice
+	undoInstance                   // terminate the VNF instance
+	undoRetune                     // abort the two-λ wavelength move
+	undoWavelength                 // release the flow's wavelength
+	undoRules                      // remove the flow's rules
+)
+
+// undoEntry is one registered undo: its kind and the ID it acts on
+// (the flow's undos act on the pipeline's flow key).
+type undoEntry struct {
+	kind undoKind
+	id   int
 }
 
 // attachTrace arms the pipeline to emit stage spans under the span
@@ -145,25 +209,31 @@ func (o *Orchestrator) newPipeline(spec chain.Spec, flowKey string) (*pipeline, 
 	if len(vms) == 0 {
 		return nil, fmt.Errorf("no live VMs offer service %q", spec.Service)
 	}
-	profiles, err := nfv.ResolveChain(spec.NFNames())
-	if err != nil {
+	p := o.getPipeline()
+	var err error
+	if p.profiles, err = appendProfiles(p.profiles, spec.NFs); err != nil {
+		p.release()
 		return nil, err
 	}
-	for i, ref := range spec.NFs {
-		if !ref.Demand.IsZero() {
-			profiles[i].Demand = ref.Demand
+	p.spec, p.flowKey = spec, flowKey
+	p.vms, p.src, p.dst = vms, vms[0], vms[len(vms)-1]
+	return p, nil
+}
+
+// appendProfiles appends to buf the catalog profile of every NF, in
+// order, with the NF's demand override when it has one.
+func appendProfiles(buf []nfv.NFProfile, nfs []chain.NFRef) ([]nfv.NFProfile, error) {
+	for _, ref := range nfs {
+		prof, err := nfv.ProfileByName(ref.Name)
+		if err != nil {
+			return buf, fmt.Errorf("nfv: resolve chain: %w", err)
 		}
+		if !ref.Demand.IsZero() {
+			prof.Demand = ref.Demand
+		}
+		buf = append(buf, prof)
 	}
-	return &pipeline{
-		o:        o,
-		spec:     spec,
-		flowKey:  flowKey,
-		vms:      vms,
-		profiles: profiles,
-		src:      vms[0],
-		dst:      vms[len(vms)-1],
-		lambda:   -1,
-	}, nil
+	return buf, nil
 }
 
 // pipelineFrom seeds a pipeline with a deployment's surviving state
@@ -174,23 +244,13 @@ func (o *Orchestrator) newPipeline(spec chain.Spec, flowKey string) (*pipeline, 
 // own copy first (ownPlacement). The caller must hold the deployment's
 // exclusive-operation claim.
 func (o *Orchestrator) pipelineFrom(ctx context.Context, dep *Deployment) *pipeline {
-	p := &pipeline{
-		o:         o,
-		spec:      dep.Spec,
-		flowKey:   dep.FlowKey(),
-		src:       dep.Path[0],
-		dst:       dep.Path[len(dep.Path)-1],
-		vc:        dep.VC,
-		slice:     dep.Slice,
-		place:     dep.Placement,
-		instances: dep.Instances,
-		path:      dep.Path,
-		confined:  dep.SliceConfined,
-		lambda:    dep.Lambda,
-		standby:   dep.Standby,
-		drifted:   dep.Drifted,
-		reentry:   true,
-	}
+	p := o.getPipeline()
+	p.spec, p.flowKey = dep.Spec, dep.FlowKey()
+	p.src, p.dst = dep.Path[0], dep.Path[len(dep.Path)-1]
+	p.vc, p.slice, p.place = dep.VC, dep.Slice, dep.Placement
+	p.instances, p.path, p.confined = dep.Instances, dep.Path, dep.SliceConfined
+	p.lambda, p.standby, p.drifted = dep.Lambda, dep.Standby, dep.Drifted
+	p.reentry = true
 	p.attachTrace(ctx)
 	return p
 }
@@ -202,15 +262,31 @@ func (p *pipeline) ownPlacement() {
 	p.place.Domains = slices.Clone(p.place.Domains)
 }
 
-func (p *pipeline) pushUndo(f func()) { p.undo = append(p.undo, f) }
+func (p *pipeline) pushUndo(kind undoKind, id int) {
+	p.undo = append(p.undo, undoEntry{kind: kind, id: id})
+}
 
 // rollback unwinds, in reverse order, everything the stages run so far
 // created.
 func (p *pipeline) rollback() {
 	for i := len(p.undo) - 1; i >= 0; i-- {
-		p.undo[i]()
+		switch u := p.undo[i]; u.kind {
+		case undoCluster:
+			_ = p.o.alloc.Release(cluster.VCID(u.id))
+		case undoSlice:
+			_ = p.o.slices.Release(optical.SliceID(u.id))
+		case undoInstance:
+			_ = p.o.mgr.Terminate(nfv.InstanceID(u.id))
+		case undoRetune:
+			_ = p.o.wdm.RetuneAbort(p.flowKey)
+			p.graced = false
+		case undoWavelength:
+			_ = p.o.wdm.Release(p.flowKey)
+		case undoRules:
+			p.o.ctrl.RemoveFlow(p.flowKey)
+		}
 	}
-	p.undo = nil
+	p.undo = p.undo[:0]
 }
 
 // runFrom executes the pipeline from the given stage to the end. On
@@ -270,7 +346,7 @@ func (p *pipeline) runCluster() error {
 		return err
 	}
 	p.vc = vc
-	p.pushUndo(func() { _ = p.o.alloc.Release(vc.ID) })
+	p.pushUndo(undoCluster, int(vc.ID))
 	return nil
 }
 
@@ -280,16 +356,17 @@ func (p *pipeline) runSlice() error {
 		return fmt.Errorf("slice: %w", err)
 	}
 	p.slice = slice
-	p.pushUndo(func() { _ = p.o.slices.Release(slice.ID) })
+	p.pushUndo(undoSlice, int(slice.ID))
 	return nil
 }
 
 func (p *pipeline) runPlacement() error {
 	// Optical candidates are the AL's optoelectronic routers;
 	// electronic candidates the PMs hosting the service VMs.
-	opticalHosts := p.o.optoelectronicOf(p.vc.AL.OPSs)
-	electronicHosts := p.o.pmsOf(p.vms)
-	ctx, err := placement.NewContext(p.o.topo, p.o.mgr.Ledger(), opticalHosts, electronicHosts, p.profiles, p.o.mode)
+	sc := &p.scratch
+	sc.opticals = p.o.appendOptoelectronic(sc.opticals[:0], p.vc.AL.OPSs)
+	sc.pms = p.o.appendPMs(sc.pms[:0], p.vms)
+	ctx, err := sc.place.Context(p.o.topo, p.o.mgr.Ledger(), sc.opticals, sc.pms, p.profiles, p.o.mode)
 	if err != nil {
 		return err
 	}
@@ -302,33 +379,35 @@ func (p *pipeline) runPlacement() error {
 }
 
 func (p *pipeline) runInstantiate() error {
-	p.instances = nil
+	p.instances = make([]nfv.InstanceID, 0, len(p.profiles))
 	for i, prof := range p.profiles {
 		inst, err := p.o.mgr.Create(prof.Type, p.place.Hosts[i])
 		if err != nil {
 			return fmt.Errorf("create VNF %d: %w", i, err)
 		}
-		id := inst.ID
-		p.pushUndo(func() { _ = p.o.mgr.Terminate(id) })
-		if err := p.o.mgr.Activate(id); err != nil {
+		p.pushUndo(undoInstance, int(inst.ID))
+		if err := p.o.mgr.Activate(inst.ID); err != nil {
 			return fmt.Errorf("activate VNF %d: %w", i, err)
 		}
-		p.instances = append(p.instances, id)
+		p.instances = append(p.instances, inst.ID)
 	}
 	return nil
 }
 
+// runPath routes the chain in the scratch list and gives the record a
+// copy of its own.
 func (p *pipeline) runPath() error {
 	p.confined = true
-	path, err := p.o.ctrl.ComputePathVia(p.src, p.place.Hosts, p.dst, p.slice.OPSSet())
+	path, err := p.o.ctrl.AppendPathVia(p.scratch.path[:0], p.src, p.place.Hosts, p.dst, p.slice.OPSSet())
 	if err != nil {
 		p.confined = false
-		path, err = p.o.ctrl.ComputePathVia(p.src, p.place.Hosts, p.dst, nil)
+		path, err = p.o.ctrl.AppendPathVia(path, p.src, p.place.Hosts, p.dst, nil)
 	}
+	p.scratch.path = path
 	if err != nil {
 		return fmt.Errorf("path: %w", err)
 	}
-	p.path = path
+	p.path = slices.Clone(path)
 	return nil
 }
 
@@ -352,7 +431,8 @@ func (p *pipeline) planStandby(srlgs []int) (fellBack bool, err error) {
 	if p.o.noStandby {
 		return false, nil
 	}
-	stops, slice := p.standbyStops(), p.slice.OPSSet()
+	p.scratch.stops = p.appendStandbyStops(p.scratch.stops[:0])
+	stops, slice := p.scratch.stops, p.slice.OPSSet()
 	allow := p.o.alloc.Pool()
 	sb, err := resilience.PlanStandbyAvoiding(p.o.ctrl, p.o.topo, p.path, stops, slice, allow, srlgs)
 	if allow.OPS != nil && (err != nil || !sb.Disjoint) {
@@ -370,23 +450,21 @@ func (p *pipeline) planStandby(srlgs []int) (fellBack bool, err error) {
 	return fellBack, nil
 }
 
-// standbyStops lists the chain's mandatory standby waypoints: the
-// endpoint VMs' host PMs are waypoints of any route (a VM is reachable
-// only through its host), so they join the VNF hosts as stops —
-// otherwise no standby could ever count as disjoint.
-func (p *pipeline) standbyStops() []topology.NodeID {
+// appendStandbyStops appends to buf the chain's mandatory standby
+// waypoints: the endpoint VMs' host PMs are waypoints of any route (a VM
+// is reachable only through its host), so they join the VNF hosts as
+// stops — otherwise no standby could ever count as disjoint.
+func (p *pipeline) appendStandbyStops(buf []topology.NodeID) []topology.NodeID {
 	src, dst := p.path[0], p.path[len(p.path)-1]
-	stops := make([]topology.NodeID, 0, len(p.place.Hosts)+4)
-	stops = append(stops, src)
+	buf = append(buf, src)
 	if n := p.o.topo.Node(src); n != nil && n.Kind == topology.KindVM {
-		stops = append(stops, n.Host)
+		buf = append(buf, n.Host)
 	}
-	stops = append(stops, p.place.Hosts...)
+	buf = append(buf, p.place.Hosts...)
 	if n := p.o.topo.Node(dst); n != nil && n.Kind == topology.KindVM {
-		stops = append(stops, n.Host)
+		buf = append(buf, n.Host)
 	}
-	stops = append(stops, dst)
-	return stops
+	return append(buf, dst)
 }
 
 // runStandby is planStandby as a pipeline stage: best-effort by
@@ -428,10 +506,7 @@ func (p *pipeline) runWDM() error {
 				if lambda, err := p.o.wdm.RetuneBegin(p.flowKey, links); err == nil {
 					p.lambda = lambda
 					p.graced = true
-					p.pushUndo(func() {
-						_ = p.o.wdm.RetuneAbort(p.flowKey)
-						p.graced = false
-					})
+					p.pushUndo(undoRetune, 0)
 					return nil
 				}
 			}
@@ -448,7 +523,7 @@ func (p *pipeline) runWDM() error {
 		return fmt.Errorf("wdm: %w", err)
 	}
 	p.lambda = lambda
-	p.pushUndo(func() { _ = p.o.wdm.Release(p.flowKey) })
+	p.pushUndo(undoWavelength, 0)
 	return nil
 }
 
@@ -472,7 +547,7 @@ func (p *pipeline) runRules() error {
 	if _, err := p.o.ctrl.Reroute(m, p.path, 100); err != nil {
 		return fmt.Errorf("install: %w", err)
 	}
-	p.pushUndo(func() { p.o.ctrl.RemoveFlow(p.flowKey) })
+	p.pushUndo(undoRules, 0)
 	return nil
 }
 

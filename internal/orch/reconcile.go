@@ -347,7 +347,9 @@ func (o *Orchestrator) finishRepairFrom(p *pipeline, dep *Deployment, first stag
 // standby → wdm → rules) around the deployment's unchanged placement —
 // the cold data-path repair, which also replans the standby.
 func (o *Orchestrator) repath(ctx context.Context, dep *Deployment) error {
-	return o.finishRepairFrom(o.pipelineFrom(ctx, dep), dep, stagePath)
+	p := o.pipelineFrom(ctx, dep)
+	defer p.release()
+	return o.finishRepairFrom(p, dep, stagePath)
 }
 
 // swapToStandby promotes the precomputed standby to primary: the
@@ -358,6 +360,7 @@ func (o *Orchestrator) repath(ctx context.Context, dep *Deployment) error {
 // cold repair replans it.
 func (o *Orchestrator) swapToStandby(ctx context.Context, dep *Deployment) error {
 	p := o.pipelineFrom(ctx, dep)
+	defer p.release()
 	sb := dep.Standby
 	p.path = append([]topology.NodeID(nil), sb.Path...)
 	p.confined = sb.Confined
@@ -370,6 +373,7 @@ func (o *Orchestrator) swapToStandby(ctx context.Context, dep *Deployment) error
 // are untouched.
 func (o *Orchestrator) replaceAndRepath(ctx context.Context, dep *Deployment, dead resilience.FailureSet) error {
 	p := o.pipelineFrom(ctx, dep)
+	defer p.release()
 	if err := o.migrateOff(p, dep, dead); err != nil {
 		return err
 	}
@@ -406,6 +410,7 @@ func (o *Orchestrator) patchSlice(ctx context.Context, dep *Deployment, dead res
 	o.indexLocked(dep)
 	o.mu.Unlock()
 	p := o.pipelineFrom(ctx, dep) // picks up the patched VC and slice
+	defer p.release()
 	if err := o.migrateOff(p, dep, dead); err != nil {
 		return err
 	}
@@ -419,9 +424,8 @@ func (o *Orchestrator) patchSlice(ctx context.Context, dep *Deployment, dead res
 // hosting the service's live VMs — updating the staged placement and
 // its O/E/O accounting. Instances on surviving hosts are never touched.
 func (o *Orchestrator) migrateOff(p *pipeline, dep *Deployment, dead resilience.FailureSet) error {
-	var cands []topology.NodeID
-	cands = append(cands, o.optoelectronicOf(p.vc.AL.OPSs)...)
-	cands = append(cands, o.pmsOf(o.liveVMs(dep.Spec.Service))...)
+	cands := o.appendOptoelectronic(nil, p.vc.AL.OPSs)
+	cands = o.appendPMs(cands, o.liveVMs(dep.Spec.Service))
 	moved := false
 	for idx, h := range p.place.Hosts {
 		if !dead.HasNode(h) {

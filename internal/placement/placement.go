@@ -17,8 +17,11 @@
 package placement
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"github.com/alvc/alvc/internal/nfv"
@@ -108,10 +111,57 @@ type Context struct {
 	NFs []nfv.NFProfile
 	// Mode is the O/E/O accounting convention.
 	Mode Mode
+
+	// scratch, when set, lends the packer its map (Scratch.Context).
+	scratch *Scratch
 }
 
-// NewContext snapshots free capacities from the ledger.
+// NewContext snapshots free capacities from the ledger into a context
+// of its own.
 func NewContext(topo *topology.Topology, ledger *nfv.Ledger, opticalHosts, electronicHosts []topology.NodeID, nfs []nfv.NFProfile, mode Mode) (Context, error) {
+	ctx, err := newContext(topo, ledger, opticalHosts, electronicHosts, nfs, mode, make(map[topology.NodeID]topology.Resources))
+	if err != nil {
+		return Context{}, err
+	}
+	ctx.OpticalHosts = slices.Clone(opticalHosts)
+	ctx.ElectronicHosts = slices.Clone(electronicHosts)
+	ctx.NFs = slices.Clone(nfs)
+	return ctx, nil
+}
+
+// Scratch is what placing one chain after another reuses: the capacity
+// snapshot and the packer's working copy of it. The zero Scratch is
+// ready; a Scratch serves one placement at a time.
+type Scratch struct {
+	free, packed map[topology.NodeID]topology.Resources
+}
+
+// maxScratchHosts bounds the maps a Scratch keeps between placements.
+const maxScratchHosts = 256
+
+// Context is NewContext over the scratch's maps: the context shares the
+// host and NF lists it is given instead of copying them, and is good
+// until the scratch builds the next one.
+func (s *Scratch) Context(topo *topology.Topology, ledger *nfv.Ledger, opticalHosts, electronicHosts []topology.NodeID, nfs []nfv.NFProfile, mode Mode) (Context, error) {
+	s.free = reuse(s.free)
+	ctx, err := newContext(topo, ledger, opticalHosts, electronicHosts, nfs, mode, s.free)
+	ctx.scratch = s
+	return ctx, err
+}
+
+// reuse empties m for the next placement, or starts a fresh map when m
+// grew past what a scratch keeps.
+func reuse(m map[topology.NodeID]topology.Resources) map[topology.NodeID]topology.Resources {
+	if m == nil || len(m) > maxScratchHosts {
+		return make(map[topology.NodeID]topology.Resources)
+	}
+	clear(m)
+	return m
+}
+
+// newContext checks the input and snapshots the candidates' free
+// capacities into free.
+func newContext(topo *topology.Topology, ledger *nfv.Ledger, opticalHosts, electronicHosts []topology.NodeID, nfs []nfv.NFProfile, mode Mode, free map[topology.NodeID]topology.Resources) (Context, error) {
 	if topo == nil || ledger == nil {
 		return Context{}, fmt.Errorf("placement: context: nil topology or ledger")
 	}
@@ -121,7 +171,6 @@ func NewContext(topo *topology.Topology, ledger *nfv.Ledger, opticalHosts, elect
 	if mode != AccountPerVNF && mode != AccountPerRun {
 		return Context{}, fmt.Errorf("placement: context: invalid mode %d", mode)
 	}
-	free := make(map[topology.NodeID]topology.Resources)
 	for _, h := range opticalHosts {
 		n := topo.Node(h)
 		if n == nil || n.Kind != topology.KindOPS || !n.Optoelectronic {
@@ -138,10 +187,10 @@ func NewContext(topo *topology.Topology, ledger *nfv.Ledger, opticalHosts, elect
 	}
 	return Context{
 		Topo:            topo,
-		OpticalHosts:    append([]topology.NodeID(nil), opticalHosts...),
-		ElectronicHosts: append([]topology.NodeID(nil), electronicHosts...),
+		OpticalHosts:    opticalHosts,
+		ElectronicHosts: electronicHosts,
 		Free:            free,
-		NFs:             append([]nfv.NFProfile(nil), nfs...),
+		NFs:             nfs,
 		Mode:            mode,
 	}, nil
 }
@@ -189,10 +238,14 @@ type packer struct {
 }
 
 func newPacker(ctx Context) *packer {
-	free := make(map[topology.NodeID]topology.Resources, len(ctx.Free))
-	for k, v := range ctx.Free {
-		free[k] = v
+	var free map[topology.NodeID]topology.Resources
+	if ctx.scratch != nil {
+		ctx.scratch.packed = reuse(ctx.scratch.packed)
+		free = ctx.scratch.packed
+	} else {
+		free = make(map[topology.NodeID]topology.Resources, len(ctx.Free))
 	}
+	maps.Copy(free, ctx.Free)
 	return &packer{free: free}
 }
 
@@ -251,19 +304,20 @@ func (OpticalFirst) Place(ctx Context) (Result, error) {
 	domains := make([]topology.Domain, len(ctx.NFs))
 	// Ascending demand order (CPU, then memory, then position for
 	// determinism): lightest VNFs get the scarce optical capacity.
-	order := make([]int, len(ctx.NFs))
-	for i := range order {
-		order[i] = i
+	var buf [8]int
+	order := buf[:0]
+	for i := range ctx.NFs {
+		order = append(order, i)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		da, db := ctx.NFs[order[a]].Demand, ctx.NFs[order[b]].Demand
-		if da.CPUCores != db.CPUCores {
-			return da.CPUCores < db.CPUCores
+	slices.SortStableFunc(order, func(a, b int) int {
+		da, db := ctx.NFs[a].Demand, ctx.NFs[b].Demand
+		if c := cmp.Compare(da.CPUCores, db.CPUCores); c != 0 {
+			return c
 		}
-		if da.MemoryGB != db.MemoryGB {
-			return da.MemoryGB < db.MemoryGB
+		if c := cmp.Compare(da.MemoryGB, db.MemoryGB); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	for _, i := range order {
 		nf := ctx.NFs[i]

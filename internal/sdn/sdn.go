@@ -153,41 +153,54 @@ func (c *Controller) ComputePath(src, dst topology.NodeID, restrictOPS map[topol
 }
 
 // ComputePathVia returns a path from src to dst that visits every
-// waypoint in order (the chain's VNF hosts). Segments are shortest
-// paths over one snapshot fetched once per call; consecutive
-// duplicates are merged.
+// waypoint in order (the chain's VNF hosts): AppendPathVia into a slice
+// of its own.
 func (c *Controller) ComputePathVia(src topology.NodeID, via []topology.NodeID, dst topology.NodeID, restrictOPS map[topology.NodeID]bool) ([]topology.NodeID, error) {
-	stops := make([]topology.NodeID, 0, len(via)+2)
-	stops = append(stops, src)
-	stops = append(stops, via...)
-	stops = append(stops, dst)
+	path, err := c.AppendPathVia(nil, src, via, dst, restrictOPS)
+	if err != nil {
+		return nil, err
+	}
+	return path, nil
+}
+
+// AppendPathVia appends to buf a path from src to dst that visits every
+// waypoint in order. Segments are shortest paths over one snapshot
+// fetched once per call, each written over the joint the last one ended
+// on; consecutive duplicate stops are merged. On error buf comes back as
+// it was.
+func (c *Controller) AppendPathVia(buf []topology.NodeID, src topology.NodeID, via []topology.NodeID, dst topology.NodeID, restrictOPS map[topology.NodeID]bool) ([]topology.NodeID, error) {
 	snap := c.snapshot()
 	// One dense restriction for all segments: densifying per segment cost
 	// more than the searches on a wide fabric.
 	restriction := snap.Restrict(restrictOPS)
 	defer snap.Release(restriction)
-	var full []topology.NodeID
-	segments := 0
-	for i := 0; i+1 < len(stops); i++ {
-		if stops[i] == stops[i+1] {
+	start, segments := len(buf), 0
+	from := src
+	for i := 0; i <= len(via); i++ {
+		to := dst
+		if i < len(via) {
+			to = via[i]
+		}
+		if from == to {
 			continue
 		}
 		segments++
-		seg, _, err := snap.ShortestPathIn(stops[i], stops[i+1], restriction)
-		if err != nil {
+		joint := len(buf)
+		if joint > start {
+			joint-- // the segment starts where the last one ended
+		}
+		var err error
+		if buf, _, err = snap.AppendShortestPathIn(buf[:joint], from, to, restriction); err != nil {
 			c.countPathComputations(segments)
-			return nil, fmt.Errorf("sdn: via segment %d: sdn: compute path %d->%d: %w", i, stops[i], stops[i+1], err)
+			return buf[:start], fmt.Errorf("sdn: via segment %d: sdn: compute path %d->%d: %w", i, from, to, err)
 		}
-		if len(full) > 0 {
-			seg = seg[1:] // drop duplicated joint
-		}
-		full = append(full, seg...)
+		from = to
 	}
 	c.countPathComputations(segments)
-	if len(full) == 0 {
-		full = []topology.NodeID{src}
+	if len(buf) == start {
+		buf = append(buf, src)
 	}
-	return full, nil
+	return buf, nil
 }
 
 // AppendRouteAvoiding appends to buf the route that visits stops in

@@ -153,20 +153,6 @@ func statusOf(err error) int {
 	}
 }
 
-// decodeBody strictly decodes a JSON request body into v.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	// A trailing second document is as malformed as a syntax error.
-	if dec.More() {
-		return fmt.Errorf("unexpected data after JSON body")
-	}
-	return nil
-}
-
 func (s *Server) pathID(w http.ResponseWriter, r *http.Request) (alvc.DeploymentID, bool) {
 	n, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil || n <= 0 {

@@ -31,7 +31,7 @@ func restrictTestTopo(t *testing.T) (*Topology, *Snapshot) {
 func searchBoth(snap *Snapshot, src, dst NodeID, restrict map[NodeID]bool) (in, avoiding, filtered []NodeID) {
 	r := snap.Restrict(restrict)
 	defer snap.Release(r)
-	in, _, _ = snap.ShortestPathIn(src, dst, r)
+	in, _, _ = snap.AppendShortestPathIn(nil, src, dst, r)
 	avoiding, _, _ = snap.AppendPathAvoiding(nil, src, dst, r, Avoid{})
 	if paths, _, _, err := snap.KShortestPaths(src, dst, 1, restrict); err == nil {
 		filtered = paths[0]
@@ -58,7 +58,7 @@ func TestRestrictReleaseRestrict(t *testing.T) {
 		src, dst := pms[rng.Intn(len(pms))], pms[rng.Intn(len(pms))]
 		in, avoiding, filtered := searchBoth(snap, src, dst, restrict)
 		if !reflect.DeepEqual(in, filtered) {
-			t.Fatalf("trial %d %d->%d under %v: ShortestPathIn %v, Yen %v", trial, src, dst, restrict, in, filtered)
+			t.Fatalf("trial %d %d->%d under %v: AppendShortestPathIn %v, Yen %v", trial, src, dst, restrict, in, filtered)
 		}
 		// With nothing to avoid the two-ended search may take another of
 		// the equally short paths, but finds one exactly when there is one.

@@ -131,17 +131,18 @@ func (s *Snapshot) Release(r *Restriction) {
 func (s *Snapshot) ShortestPath(src, dst NodeID, restrict map[NodeID]bool) ([]NodeID, float64, error) {
 	r := s.Restrict(restrict)
 	defer s.Release(r)
-	return s.ShortestPathIn(src, dst, r)
-}
-
-// ShortestPathIn is ShortestPath under a restriction already laid out
-// by Restrict, for callers that search several times under one set.
-func (s *Snapshot) ShortestPathIn(src, dst NodeID, r *Restriction) ([]NodeID, float64, error) {
-	vp, w, err := s.frozen.ShortestPathIn(graph.VertexID(src), graph.VertexID(dst), r, s.mask)
+	path, w, err := s.AppendShortestPathIn(nil, src, dst, r)
 	if err != nil {
 		return nil, 0, err
 	}
-	return toNodePath(vp), w, nil
+	return path, w, nil
+}
+
+// AppendShortestPathIn is ShortestPath under a restriction already laid
+// out by Restrict, for callers that search several times under one set,
+// appending the path to buf; on error buf comes back as it was.
+func (s *Snapshot) AppendShortestPathIn(buf []NodeID, src, dst NodeID, r *Restriction) ([]NodeID, float64, error) {
+	return graph.ShortestPathIn(s.frozen, buf, graph.VertexID(src), graph.VertexID(dst), r, s.mask)
 }
 
 // Avoid is what a standby search should stay off: the transit nodes and
