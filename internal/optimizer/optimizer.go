@@ -32,10 +32,13 @@ package optimizer
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
+	"github.com/alvc/alvc/internal/jsonwrite"
 	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/ring"
 	"github.com/alvc/alvc/internal/trace"
@@ -280,8 +283,11 @@ type Engine struct {
 	paused  bool
 	running int
 	stats   [numKinds]KindStats
-	// results holds the last opts.ResultLog outcomes.
-	results   ring.Ring[TaskResult]
+	// results holds the last opts.ResultLog outcomes, each with its wire
+	// encoding; kindsView and logView are ViewStatus's, reused under mu.
+	results   ring.Ring[loggedResult]
+	kindsView map[string]KindStats
+	logView   [][]byte
 	storm     bool
 	stormStat StormStats
 	groupPlan GroupPlanStats
@@ -352,7 +358,7 @@ func New(o Target, opts Options) (*Engine, error) {
 		pool:      orch.NewPool(),
 		clock:     orch.WallClock,
 	}
-	e.results = ring.New[TaskResult](e.opts.ResultLog)
+	e.results = ring.New[loggedResult](e.opts.ResultLog)
 	for i := range e.queues {
 		e.queues[i] = &shardQueue{queued: make(map[taskKey]bool)}
 	}
@@ -765,7 +771,8 @@ func (e *Engine) runTask(t task, slot *taskSlot) (res TaskResult, requeue bool) 
 			default:
 				e.stats[t.key.kind].Completed++
 			}
-			e.results.Push(res)
+			slot := e.results.Next()
+			slot.res, slot.json = res, res.AppendJSON(slot.json[:0])
 		} else {
 			e.stats[t.key.kind].Requeued++
 		}
@@ -1060,6 +1067,28 @@ func (e *Engine) Stop() {
 
 // Status snapshots the engine's observable state.
 func (e *Engine) Status() Status {
+	var st Status
+	e.ViewStatus(func(view *Status, _ [][]byte) {
+		st = *view
+		st.ShardHighWater = slices.Clone(view.ShardHighWater)
+		st.Kinds = maps.Clone(view.Kinds)
+		if n := e.results.Len(); n > 0 {
+			st.LastResults = make([]TaskResult, n)
+			for i := range st.LastResults {
+				st.LastResults[i] = e.results.At(i).res
+			}
+		}
+	})
+	return st
+}
+
+// ViewStatus calls fn with the engine's state under the engine's lock:
+// st is what Status returns but for LastResults, which it leaves nil,
+// and results is the result log, oldest first, each result as its
+// TaskResult.AppendJSON made it when it entered the log (nil for an empty
+// log). fn must not call into the engine, nor keep st's lists or maps,
+// results or the arrays results holds.
+func (e *Engine) ViewStatus(fn func(st *Status, results [][]byte)) {
 	shardDepths := make([]int, len(e.queues))
 	for i, q := range e.queues {
 		q.mu.Lock()
@@ -1067,27 +1096,65 @@ func (e *Engine) Status() Status {
 		q.mu.Unlock()
 	}
 	e.mu.Lock()
+	src := e.debounceSrc
+	e.mu.Unlock()
+	var debounce *orch.DebounceStats
+	if src != nil {
+		ds := src.Stats()
+		debounce = &ds
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.kindsView == nil {
+		e.kindsView = make(map[string]KindStats, numKinds)
+	}
+	for kind := TaskKind(0); kind < numKinds; kind++ {
+		e.kindsView[kind.String()] = e.stats[kind]
+	}
 	st := Status{
 		Paused:         e.paused,
 		QueueDepth:     e.depth,
 		ShardDepths:    shardDepths,
-		ShardHighWater: append([]int(nil), e.highWater...),
+		ShardHighWater: e.highWater,
 		Running:        e.running,
-		Kinds:          make(map[string]KindStats, numKinds),
+		Kinds:          e.kindsView,
 		Shed:           e.shedTotal,
 		Storm:          e.stormStat,
 		GroupPlans:     e.groupPlan,
-		LastResults:    e.results.AppendTo(nil),
+		Debounce:       debounce,
 	}
 	st.Storm.Active = e.storm
-	for kind := TaskKind(0); kind < numKinds; kind++ {
-		st.Kinds[kind.String()] = e.stats[kind]
+	results := e.logView[:0]
+	for i := range e.results.Len() {
+		results = append(results, e.results.At(i).json)
 	}
-	src := e.debounceSrc
-	e.mu.Unlock()
-	if src != nil {
-		ds := src.Stats()
-		st.Debounce = &ds
+	if len(results) == 0 {
+		results = nil
 	}
-	return st
+	fn(&st, results)
+	clear(results)
+	e.logView = results
+}
+
+// loggedResult is one result in the engine's log with its wire
+// encoding, made once, when it entered.
+type loggedResult struct {
+	res  TaskResult
+	json []byte
+}
+
+// AppendJSON appends the result's wire form: byte for byte what
+// encoding/json makes of it.
+func (r *TaskResult) AppendJSON(b []byte) []byte {
+	b = strconv.AppendInt(append(b, `{"deployment":`...), int64(r.Deployment), 10)
+	b = jsonwrite.String(append(b, `,"kind":`...), r.Kind)
+	b = jsonwrite.String(append(b, `,"outcome":`...), r.Outcome)
+	if r.Detail != "" {
+		b = jsonwrite.String(append(b, `,"detail":`...), r.Detail)
+	}
+	if r.Error != "" {
+		b = jsonwrite.String(append(b, `,"error":`...), r.Error)
+	}
+	b = jsonwrite.Time(append(b, `,"when":`...), r.When)
+	return append(b, '}')
 }

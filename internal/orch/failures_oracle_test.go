@@ -110,8 +110,9 @@ func refAffectedBy(o *Orchestrator, dead refFailureSet) []DeploymentID {
 			out = append(out, o.linkIndex.of(l)...)
 		}
 	case len(dead.SRLGs) > 0:
-		for l, list := range o.linkIndex.lists {
-			if dead.Links[l] {
+		for i, list := range o.linkIndex.lists {
+			l := topology.LinkID(i)
+			if list == nil || dead.Links[l] {
 				continue
 			}
 			link := o.topo.Link(l)

@@ -360,7 +360,8 @@ func TestReProtectGroupAvoidsDomainSRLGs(t *testing.T) {
 
 // TestReProtectGroupOfOneAllocations: the one re-protection path costs
 // a per-chain re-protect no allocation but its outcome — at most 1 when
-// the standby is alive and disjoint, at most 8 when it is re-planned
+// the standby is alive and disjoint, at most 4 when it is re-planned:
+// the outcome and the Standby, its record and its path and link arrays
 // (the per-chain call it replaced: 0 and 7). Allocation counts under
 // the race detector are not exact.
 func TestReProtectGroupOfOneAllocations(t *testing.T) {
@@ -388,7 +389,131 @@ func TestReProtectGroupOfOneAllocations(t *testing.T) {
 		}
 	})
 	t.Logf("group of one: %.0f allocations as a no-op, %.0f re-planning", noop, replan)
-	if noop > 1 || replan > 8 {
-		t.Fatalf("group of one allocates %.0f times as a no-op (want ≤ 1) and %.0f re-planning (want ≤ 8)", noop, replan)
+	if noop > 1 || replan > 4 {
+		t.Fatalf("group of one allocates %.0f times as a no-op (want ≤ 1) and %.0f re-planning (want ≤ 4)", noop, replan)
+	}
+}
+
+// TestStormRoundReplansAreMemoHits: failure_storm's rounds in process on
+// stormFleet over one tray — cut eight chains' primary entry and standby
+// exit links, reconcile, re-protect the repaired chains as one storm
+// group, recover, re-protect. A repaired chain settles on its other route
+// and the next cut moves it back, so the third round meets the first
+// one's states (TestContractStormRevisit): its group re-plans are memo
+// hits, run no graph search, and each plan allocates its Standby (the
+// record and its path and link arrays) and nothing else. On every round
+// each chosen standby equals what resilience.PlanStandbyAvoiding gives
+// that chain alone on the same state, under the pool-then-fabric rule:
+// TestReProtectGroupOfOneEqualsPlanStandby extended to storm rounds.
+func TestStormRoundReplansAreMemoHits(t *testing.T) {
+	s, topo := stormFleet(t)
+	domain := FailureDomain{Batch: 1}
+	searches := func() (n int) {
+		for i := range s.Shards() {
+			n += s.Shard(i).Controller().PathComputations()
+		}
+		return n
+	}
+	for round := 0; round < 3; round++ {
+		var cut []topology.LinkID
+		for id := DeploymentID(1); id <= 8; id++ {
+			s.ViewDeployment(id, func(dep *Deployment) {
+				prim, stby := transitLinks(t, topo, dep.Path), transitLinks(t, topo, dep.Standby.Path)
+				cut = appendUnseen(cut, []topology.LinkID{prim[0], stby[len(stby)-1]})
+			})
+		}
+		reports, err := s.HandleFailures(bg, topology.NewFailures(nil, cut))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		ids := RepairedIDs(reports)
+		before := searches()
+		outs := s.ReProtectGroup(nil, domain, slices.Clone(ids))
+		if round == 2 {
+			if n := searches() - before; n != 0 {
+				t.Fatalf("the third round's group re-plan ran %d graph searches, want memo hits only", n)
+			}
+			if !raceEnabled {
+				checkReplanAllocations(t, s, domain, ids)
+			}
+		}
+		for _, out := range outs {
+			if out.Err != nil || !out.Replanned {
+				t.Fatalf("round %d: chain %d: %+v", round, out.ID, out)
+			}
+			checkPlannedAlone(t, s, out, domain)
+		}
+		if err := s.Recover(topology.NewFailures(nil, cut)); err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		for _, id := range ids {
+			if out := reProtect(s, id); out.Err != nil || out.Standby == nil {
+				t.Fatalf("round %d: chain %d left unprotected after the recovery: %v", round, id, out.Err)
+			}
+		}
+	}
+}
+
+// checkReplanAllocations drops the members' standbys and re-plans them
+// as the storm group did, on the state it did: every leg a memo hit, so
+// each plan — a member's, and a fabric retry's — allocates its Standby
+// and its two arrays, and the group nothing else.
+func checkReplanAllocations(t *testing.T, s *Sharded, domain FailureDomain, ids []DeploymentID) {
+	t.Helper()
+	members := slices.Clone(ids)
+	outs := make([]GroupOutcome, 0, len(members))
+	drop := func() {
+		for _, id := range members {
+			o := s.owner(id)
+			o.mu.Lock()
+			o.setStandbyLocked(o.deployments[id], nil)
+			o.mu.Unlock()
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		drop()
+		outs = s.ReProtectGroup(outs[:0], domain, members)
+	})
+	plans := 0
+	for _, out := range outs {
+		plans++
+		if out.Fallback {
+			plans++
+		}
+	}
+	if allocs != float64(3*plans) {
+		t.Fatalf("re-planning %d members (%d plans) allocates %.1f times, want 3 a plan: its Standby alone", len(members), plans, allocs)
+	}
+}
+
+// checkPlannedAlone holds a member's chosen standby to what
+// resilience.PlanStandbyAvoiding plans for the chain alone, its primary's
+// links enumerated afresh, under the pool-then-fabric rule and the
+// domain's risk groups.
+func checkPlannedAlone(t *testing.T, s *Sharded, out GroupOutcome, domain FailureDomain) {
+	t.Helper()
+	o := s.owner(out.ID)
+	o.mu.Lock()
+	dep := o.deployments[out.ID]
+	o.mu.Unlock()
+	p := o.pipelineFrom(bg, dep)
+	primary := resilience.Primary{Path: dep.Path, Stops: p.appendStandbyStops(nil), Slice: dep.Slice.OPSs}
+	p.release()
+	pool := o.alloc.Pool()
+	want, err := resilience.PlanStandbyAvoiding(o.ctrl, o.topo, primary, pool, domain.SRLGs)
+	fellBack := pool.OPS != nil && (err != nil || !want.Disjoint)
+	if fellBack {
+		wide, wideErr := resilience.PlanStandbyAvoiding(o.ctrl, o.topo, primary, topology.Pool{}, domain.SRLGs)
+		if err != nil || (wideErr == nil && wide.Disjoint) {
+			want, err = wide, wideErr
+		}
+	}
+	if err != nil {
+		t.Fatalf("chain %d: planned alone: %v", out.ID, err)
+	}
+	got := out.Standby
+	if out.Fallback != fellBack || !slices.Equal(got.Path, want.Path) || !slices.Equal(got.Links, want.Links) ||
+		got.Disjoint != want.Disjoint || got.Confined != want.Confined || !slices.Equal(got.SRLGs, want.SRLGs) {
+		t.Fatalf("chain %d: the storm group planned %+v (fallback %v), alone %+v (fallback %v)", out.ID, got, out.Fallback, want, fellBack)
 	}
 }

@@ -2,10 +2,19 @@ package orch
 
 // The reverse indexes: node → deployments and link → deployments whose
 // footprint holds the resource, so failure impact is a lookup and not a
-// scan of the fleet. Each is a map of posting lists — the deployment IDs
-// in ascending order — and every commit is a delta: a repair that moves a
-// chain off three links onto three others touches six lists and recycles
-// the three it emptied, whatever else the chain's footprint holds.
+// scan of the fleet. Each is a table of posting lists by resource ID —
+// the deployment IDs in ascending order — and every commit is a delta: a
+// repair that moves a chain off three links onto three others touches six
+// lists and recycles the three it emptied, whatever else the chain's
+// footprint holds.
+//
+// What a commit costs: a posting operation finds its list by indexing the
+// table (node and link IDs are dense, topology's tables make them so), so
+// it hashes nothing, and inserts or deletes one ID in a list as long as
+// the chains sharing the resource. A re-protect commit is a handful of
+// them: the old standby's own nodes and links out, the new one's in
+// (setStandbyLocked), each found against the deployment's few dozen
+// registered keys by a linear scan.
 
 import (
 	"slices"
@@ -30,12 +39,13 @@ const (
 )
 
 // postings is one reverse index. Guarded by the shard's mu.
-type postings[K comparable] struct {
-	// lists holds a non-empty, ascending, duplicate-free ID list per
-	// resource some footprint holds. By pointer: the map keeps the size
-	// of its fullest hour for good, and a slot of it is then a word, not
-	// a slice header.
-	lists map[K]*[]DeploymentID
+type postings[K ~int] struct {
+	// lists holds, by resource ID, a non-empty, ascending,
+	// duplicate-free ID list per resource some footprint holds, and nil
+	// for the rest. By pointer, so a slot is a word and not a slice
+	// header: the table spans every ID a footprint has held, a few
+	// kilobytes a shard on the benchmark fabrics.
+	lists []*[]DeploymentID
 	// free holds emptied lists, arrays attached, for the next new key.
 	free []*[]DeploymentID
 	// ops counts insertions and removals since construction: what the
@@ -43,19 +53,20 @@ type postings[K comparable] struct {
 	ops int
 }
 
-func newPostings[K comparable]() postings[K] {
-	return postings[K]{lists: make(map[K]*[]DeploymentID)}
-}
-
 // of returns the resource's list, nil when no footprint holds it.
 func (p *postings[K]) of(key K) []DeploymentID {
-	if list := p.lists[key]; list != nil {
-		return *list
+	if int(key) < len(p.lists) {
+		if list := p.lists[key]; list != nil {
+			return *list
+		}
 	}
 	return nil
 }
 
 func (p *postings[K]) add(key K, id DeploymentID) {
+	if n := int(key) + 1; n > len(p.lists) {
+		p.lists = append(p.lists, make([]*[]DeploymentID, n-len(p.lists))...)
+	}
 	list := p.lists[key]
 	if list == nil {
 		if n := len(p.free); n > 0 {
@@ -72,6 +83,9 @@ func (p *postings[K]) add(key K, id DeploymentID) {
 }
 
 func (p *postings[K]) remove(key K, id DeploymentID) {
+	if int(key) >= len(p.lists) {
+		return
+	}
 	list := p.lists[key]
 	if list == nil {
 		return
@@ -84,7 +98,7 @@ func (p *postings[K]) remove(key K, id DeploymentID) {
 	if *list = slices.Delete(*list, i, i+1); len(*list) > 0 {
 		return
 	}
-	delete(p.lists, key)
+	p.lists[key] = nil
 	if len(p.free) < maxFreeLists && cap(*list) <= maxFreeCap {
 		p.free = append(p.free, list)
 	}
@@ -118,7 +132,7 @@ func (o *Orchestrator) indexLocked(dep *Deployment) {
 	// The primary link enumeration can only fail on a path whose hops
 	// are no longer adjacent — impossible at a commit point, where the
 	// path was just computed or verified alive.
-	dep.primaryLinks, _ = resilience.AppendPathLinks(dep.primaryLinks[:0], o.topo, dep.Path)
+	dep.primaryLinks, _ = o.topo.AppendPathLinks(dep.primaryLinks[:0], dep.Path)
 	var nodes [64]topology.NodeID // a footprint is a few dozen entries: built on the stack
 	var links [64]topology.LinkID
 	dep.idxNodes = o.nodeIndex.retarget(dep.ID, dep.idxNodes, dep.appendFootprint(nodes[:0]))

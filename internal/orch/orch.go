@@ -405,8 +405,6 @@ func newShard(core *sharedCore, alloc *cluster.Allocator, ctrl *sdn.Controller, 
 		deployments: make(map[DeploymentID]*Deployment),
 		flowKeys:    make(map[string]DeploymentID),
 		busy:        make(map[DeploymentID]bool),
-		nodeIndex:   newPostings[topology.NodeID](),
-		linkIndex:   newPostings[topology.LinkID](),
 		owed:        make(map[DeploymentID]*Deployment),
 		tombs:       ring.New[Tombstone](TombstoneRing),
 	}

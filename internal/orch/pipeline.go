@@ -101,9 +101,13 @@ type pipeline struct {
 	place     placement.Result
 	instances []nfv.InstanceID
 	path      []topology.NodeID
-	confined  bool
-	lambda    int
-	standby   *resilience.Standby
+	// primaryLinks are path's links when the record holds them (a seeded
+	// pipeline whose path stage has not re-run); nil has the standby
+	// planner enumerate them.
+	primaryLinks []topology.LinkID
+	confined     bool
+	lambda       int
+	standby      *resilience.Standby
 	// drifted is the deployment's Drifted flag as the commit will leave it.
 	drifted bool
 
@@ -249,6 +253,7 @@ func (o *Orchestrator) pipelineFrom(ctx context.Context, dep *Deployment) *pipel
 	p.src, p.dst = dep.Path[0], dep.Path[len(dep.Path)-1]
 	p.vc, p.slice, p.place = dep.VC, dep.Slice, dep.Placement
 	p.instances, p.path, p.confined = dep.Instances, dep.Path, dep.SliceConfined
+	p.primaryLinks = dep.primaryLinks
 	p.lambda, p.standby, p.drifted = dep.Lambda, dep.Standby, dep.Drifted
 	p.reentry = true
 	p.attachTrace(ctx)
@@ -407,7 +412,7 @@ func (p *pipeline) runPath() error {
 	if err != nil {
 		return fmt.Errorf("path: %w", err)
 	}
-	p.path = slices.Clone(path)
+	p.path, p.primaryLinks = slices.Clone(path), nil
 	return nil
 }
 
@@ -432,13 +437,13 @@ func (p *pipeline) planStandby(srlgs []int) (fellBack bool, err error) {
 		return false, nil
 	}
 	p.scratch.stops = p.appendStandbyStops(p.scratch.stops[:0])
-	stops, slice := p.scratch.stops, p.slice.OPSSet()
+	primary := resilience.Primary{Path: p.path, Links: p.primaryLinks, Stops: p.scratch.stops, Slice: p.slice.OPSs}
 	allow := p.o.alloc.Pool()
-	sb, err := resilience.PlanStandbyAvoiding(p.o.ctrl, p.o.topo, p.path, stops, slice, allow, srlgs)
+	sb, err := resilience.PlanStandbyAvoiding(p.o.ctrl, p.o.topo, primary, allow, srlgs)
 	if allow.OPS != nil && (err != nil || !sb.Disjoint) {
 		fellBack = true
 		p.o.standbyFallbacks.Add(1)
-		wide, wideErr := resilience.PlanStandbyAvoiding(p.o.ctrl, p.o.topo, p.path, stops, slice, topology.Pool{}, srlgs)
+		wide, wideErr := resilience.PlanStandbyAvoiding(p.o.ctrl, p.o.topo, primary, topology.Pool{}, srlgs)
 		if err != nil || (wideErr == nil && wide.Disjoint) {
 			sb, err = wide, wideErr
 		}

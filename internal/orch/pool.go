@@ -37,18 +37,47 @@ type Pool struct {
 }
 
 // batch is one Run's items, taken index by index by the caller and the
-// workers that joined it.
+// helpers that joined it.
 type batch struct {
-	n      int
-	fn     func(int)
-	next   atomic.Int64
-	joined sync.WaitGroup
+	n    int
+	fn   func(int)
+	next atomic.Int64
+	// mu guards joined and closed: a claimed helper joins only while the
+	// Run still has items to take (join), and the Run closes the batch
+	// once it took the last (close).
+	mu     sync.Mutex
+	joined int
+	closed bool
+	// running counts the joined helpers still inside run.
+	running sync.WaitGroup
 }
 
 func (b *batch) run() {
 	for i := int(b.next.Add(1) - 1); i < b.n; i = int(b.next.Add(1) - 1) {
 		b.fn(i)
 	}
+}
+
+// join lets a claimed helper in, reporting false once the Run closed
+// the batch.
+func (b *batch) join() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return false
+	}
+	b.joined++
+	b.running.Add(1)
+	return true
+}
+
+// close shuts the batch to helpers that have not joined yet and returns
+// how many did.
+func (b *batch) close() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed = true
+	return b.joined
 }
 
 // NewPool returns a pool with no workers yet.
@@ -59,6 +88,10 @@ func NewPool() *Pool { return &Pool{jobs: make(chan *batch)} }
 // caller runs items too, hands the batch to idle workers it claims and
 // starts workers on it while the pool has fewer than width-1: it never
 // waits for a busy worker, so concurrent and nested Runs cannot deadlock.
+// Run returns once every item is done: it waits for the helpers running
+// items, not for a claimed helper that has yet to join — that one finds
+// the batch closed, and Run hands its idle mark back, so the next Run can
+// claim it again.
 func (p *Pool) Run(n, width int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -67,15 +100,19 @@ func (p *Pool) Run(n, width int, fn func(i int)) {
 		width = DefaultBatchWorkers()
 	}
 	b := &batch{n: n, fn: fn}
+	helpers := 0
 	if width > 1 {
 		for want := min(width, n) - 1; want > 0 && p.claim(); want-- {
-			b.joined.Add(1)
+			helpers++
 			p.jobs <- b
 		}
-		p.grow(b, width-1)
+		helpers += p.grow(b, width-1)
 	}
 	b.run()
-	b.joined.Wait()
+	if helpers > 0 {
+		p.idle.Add(int64(helpers - b.close()))
+		b.running.Wait()
+	}
 }
 
 // claim takes one idle worker, reporting false when none is idle.
@@ -88,30 +125,37 @@ func (p *Pool) claim() bool {
 	return false
 }
 
-// grow starts workers, each beginning on b, until the pool has size.
-func (p *Pool) grow(b *batch, size int) {
+// grow starts workers, each beginning on b, until the pool has size,
+// and returns how many it started.
+func (p *Pool) grow(b *batch, size int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	started := 0
 	for ; p.size.Load() < int64(size); p.size.Add(1) {
 		if p.quit == nil {
 			p.quit, p.wg = make(chan struct{}), new(sync.WaitGroup)
 		}
-		b.joined.Add(1)
+		started++
 		p.wg.Add(1)
 		go p.work(b, p.quit, p.wg)
 	}
+	return started
 }
 
-// work runs b, then each batch a Run hands it. It marks itself idle
-// before leaving a batch, so the Run returns to a pool whose workers can
-// all be claimed. On quit it leaves once it can take an idle mark back:
-// while every mark is claimed, a Run is about to send to it.
+// work helps with b, then with each batch a Run hands it. It marks itself
+// idle before leaving a batch it joined, so the Run returns to a pool
+// whose workers can all be claimed; a batch closed before it joined is
+// left alone, its mark already handed back. On quit it leaves once it can
+// take an idle mark back: while every mark is claimed, a Run is about to
+// send to it.
 func (p *Pool) work(b *batch, quit chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
-		b.run()
-		p.idle.Add(1)
-		b.joined.Done()
+		if b.join() {
+			b.run()
+			p.idle.Add(1)
+			b.running.Done()
+		}
 		for b = nil; b == nil; {
 			select {
 			case b = <-p.jobs:

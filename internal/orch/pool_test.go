@@ -121,6 +121,56 @@ func TestPoolRunsEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestRunReturnsBeforeALateHelper: when the caller finishes every item
+// before a claimed helper joins, Run returns without waiting for it, with
+// the helper's idle mark handed back, and the helper, once it gets to the
+// batch, leaves it alone. The test plays that helper, held at a channel
+// until Run has returned — a Run that waited for it would never return.
+// On a real warm pool every Run, of any width and size, returns with
+// every worker claimable.
+func TestRunReturnsBeforeALateHelper(t *testing.T) {
+	p := NewPool()
+	p.size.Add(1) // one idle worker: the goroutine below
+	p.idle.Add(1)
+	gate, joined := make(chan struct{}), make(chan bool)
+	go func() {
+		b := <-p.jobs
+		<-gate
+		joined <- b.join()
+	}()
+	var runs atomic.Int32
+	p.Run(4, 2, func(int) { runs.Add(1) })
+	if n := runs.Load(); n != 4 {
+		t.Fatalf("%d items ran, want 4", n)
+	}
+	if n := p.idle.Load(); n != 1 {
+		t.Fatalf("%d idle marks after Run, want the late helper's 1", n)
+	}
+	close(gate)
+	if <-joined {
+		t.Fatal("the late helper joined a batch its Run had closed")
+	}
+	if n := p.idle.Load(); n != 1 {
+		t.Fatalf("%d idle marks after the late helper left, want 1", n)
+	}
+	p.idle.Add(-1)
+	p.size.Add(-1)
+
+	warm := NewPool()
+	defer warm.Close()
+	for round := 0; round < 1000; round++ {
+		n, width := 1+round%5, 2+round%3
+		runs := make([]atomic.Int32, n)
+		warm.Run(n, width, func(i int) { runs[i].Add(1) })
+		if i := notOnce(runs); i >= 0 {
+			t.Fatalf("round %d: index %d did not run exactly once", round, i)
+		}
+		if idle, size := warm.idle.Load(), warm.size.Load(); idle != size {
+			t.Fatalf("round %d: Run returned with %d of %d workers claimable", round, idle, size)
+		}
+	}
+}
+
 // TestFanOutsStartNoGoroutines: on a four-shard fleet the first batch
 // starts the set's pool workers, and 100 more batches and 100 tray cuts
 // — each a fan-out over shards with a reconcile fan-out inside — run

@@ -362,7 +362,7 @@ func (o *Orchestrator) swapToStandby(ctx context.Context, dep *Deployment) error
 	p := o.pipelineFrom(ctx, dep)
 	defer p.release()
 	sb := dep.Standby
-	p.path = append([]topology.NodeID(nil), sb.Path...)
+	p.path, p.primaryLinks = append([]topology.NodeID(nil), sb.Path...), nil
 	p.confined = sb.Confined
 	p.standby = nil
 	return o.finishRepairFrom(p, dep, stageWDM)

@@ -55,9 +55,10 @@ func (c fleetChain) plan(tb testing.TB, f PathFinder) *Standby {
 
 // TestPlanStandbyAllocCeiling: a plan whose segments are all memo hits
 // — what a provision into a quiet fabric pays — allocates the standby
-// and little else (measured: 5). Maps for the avoid sets or a slice per
-// segment took this to 30–40 and showed in the benchmark's
-// allocs_per_op.
+// and little else (measured: 4, the Standby's record, path and links and
+// the slice list PlanStandby makes of its map). Maps for the avoid sets
+// or a slice per segment took this to 30–40 and showed in the
+// benchmark's allocs_per_op.
 func TestPlanStandbyAllocCeiling(t *testing.T) {
 	c := newFleetChain(t, 300)
 	ctrl, err := sdn.NewController(c.topo)

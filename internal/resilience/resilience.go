@@ -16,6 +16,7 @@ package resilience
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/alvc/alvc/internal/topology"
@@ -84,36 +85,17 @@ func (f FailureSet) HitsAnySRLG(groups []int) bool {
 	return false
 }
 
-// PathLinks returns, in order, the physical link IDs along a node path.
-// Virtual VM↔host hops have no Link record and are skipped; down links
-// are still reported (unlike Topology.LinkBetween), because the caller
-// is usually asking "did the dead link sit on this path", after the
-// link was already marked down.
+// PathLinks returns, in order, the physical link IDs along a node path
+// (topology.AppendPathLinks). Virtual VM↔host hops have no Link record
+// and are skipped; down links are still reported (unlike
+// Topology.LinkBetween), because the caller is usually asking "did the
+// dead link sit on this path", after the link was already marked down.
 func PathLinks(topo *topology.Topology, path []topology.NodeID) ([]topology.LinkID, error) {
-	return AppendPathLinks(nil, topo, path)
-}
-
-// AppendPathLinks is PathLinks appending to out, for a caller that keeps
-// the list's array from one path to the next.
-func AppendPathLinks(out []topology.LinkID, topo *topology.Topology, path []topology.NodeID) ([]topology.LinkID, error) {
-	for i := 0; i+1 < len(path); i++ {
-		a, b := topo.Node(path[i]), topo.Node(path[i+1])
-		if a == nil || b == nil {
-			return nil, fmt.Errorf("resilience: path links: unknown node in path")
-		}
-		if virtualHop(a, b) {
-			continue
-		}
-		l := topo.AnyLinkBetween(path[i], path[i+1])
-		if l == nil {
-			return nil, fmt.Errorf("resilience: path links: no link %d-%d", path[i], path[i+1])
-		}
-		if out == nil {
-			out = make([]topology.LinkID, 0, len(path)-1-i)
-		}
-		out = append(out, l.ID)
+	links, ok := topo.AppendPathLinks(nil, path)
+	if !ok {
+		return nil, fmt.Errorf("resilience: path links: a hop of %v joins no link", path)
 	}
-	return out, nil
+	return links, nil
 }
 
 // virtualHop reports whether the hop is a VM↔hosting-PM edge, which has
@@ -189,17 +171,9 @@ func (s *Standby) Clone() *Standby {
 	return &cp
 }
 
-// LinkSRLGs returns the deduplicated shared-risk groups of the given
-// links, in first-seen order; nil on a topology that models none. The
-// lists are a handful of entries, so a linear scan dedupes them.
-func LinkSRLGs(topo *topology.Topology, links []topology.LinkID) []int {
-	if !topo.HasSRLGs() {
-		return nil
-	}
-	return appendLinkSRLGs(nil, topo, links)
-}
-
-// appendLinkSRLGs appends the links' groups not yet in out.
+// appendLinkSRLGs appends the links' shared-risk groups not yet in out,
+// in first-seen order. The lists are a handful of entries, so a linear
+// scan dedupes them.
 func appendLinkSRLGs(out []int, topo *topology.Topology, links []topology.LinkID) []int {
 	for _, l := range links {
 		link := topo.Link(l)
@@ -221,15 +195,32 @@ func appendLinkSRLGs(out []int, topo *topology.Topology, links []topology.LinkID
 type PathFinder interface {
 	// AppendRouteAvoiding appends to buf the route through stops in
 	// order, each leg crossing the fewest of avoid's nodes and links and
-	// the cheapest among those, inside pool when that restricts.
-	AppendRouteAvoiding(buf []topology.NodeID, stops []topology.NodeID, pool topology.Pool, avoid topology.Avoid) ([]topology.NodeID, error)
+	// the cheapest among those, inside pool when that restricts, and to
+	// links the links the route crosses (PathLinks of the route).
+	AppendRouteAvoiding(buf []topology.NodeID, links []topology.LinkID, stops []topology.NodeID, pool topology.Pool, avoid topology.Avoid) ([]topology.NodeID, []topology.LinkID, error)
+}
+
+// Primary is the route a standby protects, as the chain's record holds
+// it.
+type Primary struct {
+	// Path is the primary route src VM → VNF hosts → dst VM.
+	Path []topology.NodeID
+	// Links are Path's physical links (PathLinks), which the record keeps
+	// from its last commit; nil has the planner enumerate them.
+	Links []topology.LinkID
+	// Stops are the waypoints every route of the chain visits, in order:
+	// the src VM, its host, the VNF hosts, the dst VM's host, the dst VM.
+	Stops []topology.NodeID
+	// Slice holds the chain's slice OPSs.
+	Slice []topology.NodeID
 }
 
 // PlanStandby computes a standby route for a chain whose primary path
 // visits the given stops (src, VNF hosts, dst) in order: it is
-// PlanStandbyAvoiding with no failure domain, after checking its
-// arguments. k is vestigial: it was the width of the k-shortest search
-// this planner used to run and is only checked to be positive.
+// PlanStandbyAvoiding with no failure domain, for a chain whose slice is
+// the OPSs sliceOPS maps to true, after checking its arguments. k is
+// vestigial: it was the width of the k-shortest search this planner used
+// to run and is only checked to be positive.
 func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, k int, allow topology.Pool) (*Standby, error) {
 	if f == nil || topo == nil {
 		return nil, fmt.Errorf("resilience: plan standby: nil finder or topology")
@@ -237,16 +228,22 @@ func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeI
 	if k <= 0 {
 		return nil, fmt.Errorf("resilience: plan standby: k must be positive, got %d", k)
 	}
-	return PlanStandbyAvoiding(f, topo, primary, stops, sliceOPS, allow, nil)
+	var slice []topology.NodeID
+	for id, ok := range sliceOPS {
+		if ok {
+			slice = append(slice, id)
+		}
+	}
+	return PlanStandbyAvoiding(f, topo, Primary{Path: primary, Stops: stops, Slice: slice}, allow, nil)
 }
 
 // PlanStandbyAvoiding computes a standby route for a chain whose primary
-// path visits the given stops (src, VNF hosts, dst) in order. Per segment
-// the finder answers one question: the cheapest route to the next stop
-// that crosses the fewest of the primary's transit nodes, the primary's
-// links, and the links sharing a risk group with them. Stops themselves
-// are shared by construction — the standby must still visit every VNF.
-// Equal-cost choices are rotated by the chain's first slice OPS
+// path visits p.Stops in order. Per segment the finder answers one
+// question: the cheapest route to the next stop that crosses the fewest
+// of the primary's transit nodes, the primary's links, and the links
+// sharing a risk group with them. Stops themselves are shared by
+// construction — the standby must still visit every VNF. Equal-cost
+// choices are rotated by the chain's first slice OPS
 // (topology.Avoid.Spread), so the standbys of a fleet spread over the
 // spare fabric instead of piling onto its lowest-ID links, and the same
 // chain always gets the same standby.
@@ -268,93 +265,154 @@ func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeI
 // inside the shard's partition. The zero Pool searches the whole
 // topology.
 //
-// The warm path (every segment a memo hit) is a few microseconds, so
-// the sets are small slices scanned linearly, the route lands in one
-// pre-sized buffer, and risk groups cost nothing on a topology without
-// any.
-func PlanStandbyAvoiding(f PathFinder, topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, allow topology.Pool, domainSRLGs []int) (*Standby, error) {
-	if len(primary) == 0 || len(stops) < 2 {
+// A re-plan whose segments are all memo hits is a few microseconds, so
+// it derives each fact once: the primary's links come from the record,
+// the standby's with the route, the sets to avoid are built in pooled
+// scratch and tested against marks, and the Standby is all it allocates
+// (its record and its two arrays; its risk groups too, on a topology
+// that models any).
+func PlanStandbyAvoiding(f PathFinder, topo *topology.Topology, p Primary, allow topology.Pool, domainSRLGs []int) (*Standby, error) {
+	if len(p.Path) == 0 || len(p.Stops) < 2 {
 		return nil, fmt.Errorf("resilience: plan standby: primary and stops required")
 	}
+	sc := scratches.Get().(*planScratch)
+	defer sc.release()
 	// Primary transit nodes (everything that is not a mandatory stop)
 	// and primary links are what the standby tries to avoid.
-	avoid := topology.Avoid{Nodes: make([]topology.NodeID, 0, len(primary)), Spread: spreadKey(sliceOPS, stops)}
-	for _, n := range primary {
-		if !slices.Contains(stops, n) {
+	avoid := topology.Avoid{Nodes: sc.nodes[:0], Links: p.Links, Spread: spreadKey(p.Slice, p.Stops)}
+	for _, n := range p.Path {
+		if !slices.Contains(p.Stops, n) {
 			avoid.Nodes = append(avoid.Nodes, n)
+			sc.marks.set(int(n))
 		}
 	}
-	var err error
-	if avoid.Links, err = PathLinks(topo, primary); err != nil {
-		return nil, err
+	sc.nodes = avoid.Nodes
+	if avoid.Links == nil {
+		var ok bool
+		if avoid.Links, ok = topo.AppendPathLinks(sc.links[:0], p.Path); !ok {
+			return nil, fmt.Errorf("resilience: plan standby: a hop of the primary joins no link")
+		}
+		sc.links = avoid.Links
+	}
+	for _, l := range avoid.Links {
+		sc.linkMarks.set(int(l))
 	}
 	// Shared-risk groups of the primary and of the failure domain: a
 	// link in the same group (same cable tray, same power feed) would die
 	// with the primary, so it is avoided, and counts as overlap, even
 	// though the link itself is distinct.
-	if topo.HasSRLGs() {
-		for _, g := range appendLinkSRLGs(slices.Clone(domainSRLGs), topo, avoid.Links) {
+	srlgs := topo.HasSRLGs()
+	if srlgs {
+		sc.groups = appendLinkSRLGs(append(sc.groups[:0], domainSRLGs...), topo, avoid.Links)
+		grown := append(sc.grown[:0], avoid.Links...)
+		for _, g := range sc.groups {
 			for _, l := range topo.SRLGLinks(g) {
-				if !slices.Contains(avoid.Links, l) {
-					avoid.Links = append(avoid.Links, l)
+				if !sc.linkMarks.has(int(l)) {
+					grown = append(grown, l)
+					sc.linkMarks.set(int(l))
 				}
 			}
 		}
+		avoid.Links, sc.grown = grown, grown
 	}
+	sc.marked = avoid.Links
 
-	full, err := f.AppendRouteAvoiding(make([]topology.NodeID, 0, len(primary)+len(stops)), stops, allow, avoid)
+	route, links, err := f.AppendRouteAvoiding(sc.route[:0], sc.routeLinks[:0], p.Stops, allow, avoid)
+	sc.route, sc.routeLinks = route, links
 	if err != nil {
 		return nil, fmt.Errorf("resilience: plan standby: %w", err)
 	}
-	if len(full) == 0 {
+	if len(route) == 0 {
 		return nil, fmt.Errorf("resilience: plan standby: degenerate stop list")
-	}
-	links, err := PathLinks(topo, full)
-	if err != nil {
-		return nil, err
 	}
 	// The acceptance test, independent of how the route was found: what
 	// does it still share with the primary?
 	overlap := 0
-	for _, n := range full {
-		if slices.Contains(avoid.Nodes, n) {
+	confined := true
+	for _, id := range route {
+		if sc.marks.has(int(id)) {
 			overlap++
+		}
+		if confined && !slices.Contains(p.Slice, id) {
+			if n := topo.Node(id); n != nil && n.Kind == topology.KindOPS {
+				confined = false
+			}
 		}
 	}
 	for _, l := range links {
-		if slices.Contains(avoid.Links, l) {
+		if sc.linkMarks.has(int(l)) {
 			overlap++
 		}
 	}
-	confined := true
-	for _, id := range full {
-		if n := topo.Node(id); n != nil && n.Kind == topology.KindOPS && !sliceOPS[id] {
-			confined = false
-			break
-		}
-	}
-	return &Standby{
-		Path:      full,
-		Links:     links,
+	sb := &Standby{
+		Path:      slices.Clone(route),
 		Disjoint:  overlap == 0,
 		Confined:  confined,
-		SRLGs:     LinkSRLGs(topo, links),
 		PlannedAt: time.Now(),
-	}, nil
+	}
+	if len(links) > 0 {
+		sb.Links = slices.Clone(links)
+	}
+	if srlgs {
+		sb.SRLGs = appendLinkSRLGs(nil, topo, links)
+	}
+	return sb, nil
 }
 
 // spreadKey is what rotates a chain's equal-cost choices: its first
 // slice OPS — a node no other chain owns — or, for a chain without a
 // slice, its source.
-func spreadKey(sliceOPS map[topology.NodeID]bool, stops []topology.NodeID) topology.NodeID {
-	first := topology.NodeID(0)
-	for id, ok := range sliceOPS {
-		if ok && (first == 0 || id < first) {
-			first = id
-		}
-	}
-	if first == 0 {
+func spreadKey(slice, stops []topology.NodeID) topology.NodeID {
+	if len(slice) == 0 {
 		return stops[0]
 	}
-	return first
+	return slices.Min(slice)
+}
+
+// planScratch is what one plan works in and throws away: the avoided
+// nodes, the primary's links when the record has none, the avoided links
+// grown by risk group, the route and its links before the standby's own
+// copies are cut from them, and the marks the overlap test reads — of
+// nodes, and of marked, the avoided links.
+type planScratch struct {
+	nodes, route             []topology.NodeID
+	links, grown, routeLinks []topology.LinkID
+	groups                   []int
+	marks, linkMarks         bitset
+	marked                   []topology.LinkID
+}
+
+var scratches = sync.Pool{New: func() any { return new(planScratch) }}
+
+// release clears the marks the plan set and pools the scratch.
+func (sc *planScratch) release() {
+	for _, n := range sc.nodes {
+		sc.marks.clear(int(n))
+	}
+	for _, l := range sc.marked {
+		sc.linkMarks.clear(int(l))
+	}
+	sc.nodes, sc.marked = sc.nodes[:0], nil
+	scratches.Put(sc)
+}
+
+// bitset is a set of small non-negative integers: dense IDs.
+type bitset []uint64
+
+func (b *bitset) set(i int) {
+	if w := i >> 6; w >= len(*b) {
+		*b = append(*b, make([]uint64, w+1-len(*b))...)
+	}
+	(*b)[i>>6] |= 1 << (i & 63)
+}
+
+func (b bitset) has(i int) bool {
+	w := i >> 6
+	return w < len(b) && b[w]&(1<<(i&63)) != 0
+}
+
+func (b bitset) clear(i int) {
+	if w := i >> 6; w < len(b) {
+		b[w] &^= 1 << (i & 63)
+	}
 }

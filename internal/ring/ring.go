@@ -36,23 +36,33 @@ func (r *Ring[T]) slot(i int) int {
 // Push appends v as the newest value. When the ring was full the oldest
 // value leaves it and is returned with true.
 func (r *Ring[T]) Push(v T) (old T, evicted bool) {
+	if r.max == 0 {
+		return v, true
+	}
+	evicted = r.n == r.max
+	slot := r.Next()
+	old, *slot = *slot, v
+	return old, evicted
+}
+
+// Next makes room for one more value as the newest, as Push does, and
+// returns its slot for the caller to fill in place. The slot holds the
+// zero value or, when the ring was full, the oldest value, which has just
+// left the ring: a caller that reuses the arrays that value holds
+// allocates nothing once the ring is full. The capacity must be positive.
+func (r *Ring[T]) Next() *T {
 	if r.n < r.max {
 		if r.n == len(r.buf) {
 			r.grow()
 		}
-		r.buf[r.slot(r.n)] = v
 		r.n++
-		return old, false
+		return &r.buf[r.slot(r.n-1)]
 	}
-	if r.max == 0 {
-		return v, true
-	}
-	old = r.buf[r.head]
-	r.buf[r.head] = v
+	slot := &r.buf[r.head]
 	if r.head++; r.head == len(r.buf) {
 		r.head = 0
 	}
-	return old, true
+	return slot
 }
 
 // grow doubles the backing array (at least 4, at most the capacity),

@@ -35,7 +35,10 @@ import (
 // Entries are compact and pointer-free, so the collector never scans
 // them: a 64-bit hash of the whole question in a small open-addressed
 // index, the endpoints checked on a hit, and the answer in a shared
-// int32 arena. When the memo is full it first evicts the entries of
+// int32 arena, one word a hop — the link it crosses, from which a hit
+// reads the next node and hands the link to a caller that wants the
+// route's links (a standby records them), or the node a VM's linkless
+// hop reaches. When the memo is full it first evicts the entries of
 // other live states, then stops storing until the state moves — a
 // one-state workload never churns.
 //
@@ -52,8 +55,9 @@ type altCache struct {
 	// twice cap(entries).
 	slots []int32
 	// arena holds the answers back to back in entry order: entry i's is
-	// arena[entries[i-1].end:entries[i].end]. A PathAlternatives answer
-	// is its paths joined by pathSep.
+	// arena[entries[i-1].end:entries[i].end]. An answer is its path's
+	// hops from src (appendHops); a PathAlternatives answer is its paths'
+	// joined by pathSep.
 	arena []int32
 	// fullAt is the live state (altEntry.live) at which the memo last
 	// filled with nothing of another state to evict; stores stop until
@@ -78,8 +82,53 @@ type altEntry struct {
 }
 
 // pathSep separates the paths of a PathAlternatives answer in the arena;
-// node IDs are positive.
-const pathSep = -1
+// a hop is never 0 (appendHops).
+const pathSep = 0
+
+// appendHops appends to arena the hops of path, a route from path[0]:
+// per hop the ID of the link it crosses (topology.HopLink), or the
+// negated node ID a VM's hop to or from its host reaches — link and node
+// IDs are positive. ok is false, and arena comes back as it was, when a
+// hop joins no link.
+func appendHops(arena []int32, topo *topology.Topology, path []topology.NodeID) (_ []int32, ok bool) {
+	start := len(arena)
+	for i := 1; i < len(path); i++ {
+		switch l, ok := topo.HopLink(path[i-1], path[i]); {
+		case !ok:
+			return arena[:start], false
+		case l == 0:
+			arena = append(arena, -int32(path[i]))
+		default:
+			arena = append(arena, int32(l))
+		}
+	}
+	return arena, true
+}
+
+// decodeHops appends to buf the nodes that hops reach from src and, when
+// links is not nil, to *links the links they cross. The hops were stored
+// at the topology's current structural generation, so every link still
+// joins the nodes it joined then.
+func decodeHops(buf []topology.NodeID, links *[]topology.LinkID, topo *topology.Topology, src topology.NodeID, hops []int32) []topology.NodeID {
+	at := src
+	for _, h := range hops {
+		if h < 0 {
+			at = topology.NodeID(-h)
+		} else {
+			l := topo.Link(topology.LinkID(h))
+			if at == l.From {
+				at = l.To
+			} else {
+				at = l.From
+			}
+			if links != nil {
+				*links = append(*links, l.ID)
+			}
+		}
+		buf = append(buf, at)
+	}
+	return buf
+}
 
 // altCacheMaxEntries bounds the per-controller memo.
 const altCacheMaxEntries = 4096
@@ -168,26 +217,25 @@ func (ac *altCache) answer(i int) []int32 {
 	return ac.arena[start:ac.entries[i].end]
 }
 
-// appendLeg appends the memoized answer to one leg, if the memo holds
-// one for this structural generation and live state.
-func (ac *altCache) appendLeg(buf []topology.NodeID, gen uint64, q *altQuestion, src, dst topology.NodeID, live uint64) ([]topology.NodeID, bool) {
+// appendLeg appends the memoized answer to one leg — its nodes from src
+// to buf, the links it crosses to links — if the memo holds one for this
+// structural generation and live state.
+func (ac *altCache) appendLeg(buf []topology.NodeID, links []topology.LinkID, topo *topology.Topology, gen uint64, q *altQuestion, src, dst topology.NodeID, live uint64) ([]topology.NodeID, []topology.LinkID, bool) {
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
 	if !ac.at(gen) {
-		return buf, false
+		return buf, links, false
 	}
 	i := ac.find(q.hash(src, dst, live), int32(src), int32(dst))
 	if i < 0 {
-		return buf, false
+		return buf, links, false
 	}
-	for _, n := range ac.answer(i) {
-		buf = append(buf, topology.NodeID(n))
-	}
-	return buf, true
+	buf = decodeHops(append(buf, src), &links, topo, src, ac.answer(i))
+	return buf, links, true
 }
 
 // paths returns a memoized PathAlternatives answer as fresh slices.
-func (ac *altCache) paths(gen uint64, q *altQuestion, src, dst topology.NodeID, live uint64) ([][]topology.NodeID, bool) {
+func (ac *altCache) paths(topo *topology.Topology, gen uint64, q *altQuestion, src, dst topology.NodeID, live uint64) ([][]topology.NodeID, bool) {
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
 	if !ac.at(gen) {
@@ -198,29 +246,30 @@ func (ac *altCache) paths(gen uint64, q *altQuestion, src, dst topology.NodeID, 
 		return nil, false
 	}
 	answer := ac.answer(i)
-	seps := 0
-	for _, n := range answer {
-		if n == pathSep {
-			seps++
+	paths := 1
+	for _, h := range answer {
+		if h == pathSep {
+			paths++
 		}
 	}
 	// One array for every path's nodes, one for the paths.
-	flat := make([]topology.NodeID, 0, len(answer)-seps)
-	out := make([][]topology.NodeID, 0, seps+1)
-	start := 0
-	for _, n := range answer {
-		if n == pathSep {
-			out, start = append(out, flat[start:len(flat):len(flat)]), len(flat)
-			continue
+	flat := make([]topology.NodeID, 0, len(answer)+1)
+	out := make([][]topology.NodeID, 0, paths)
+	for range paths {
+		hops := answer
+		if j := slices.Index(answer, pathSep); j >= 0 {
+			hops, answer = answer[:j], answer[j+1:]
 		}
-		flat = append(flat, topology.NodeID(n))
+		start := len(flat)
+		flat = decodeHops(append(flat, src), nil, topo, src, hops)
+		out = append(out, flat[start:len(flat):len(flat)])
 	}
-	return append(out, flat[start:]), true
+	return out, true
 }
 
 // put stores an answer searched at structural generation gen under live
 // state live — the digest the search itself read.
-func (ac *altCache) put(gen uint64, q *altQuestion, src, dst topology.NodeID, live uint64, paths ...[]topology.NodeID) {
+func (ac *altCache) put(topo *topology.Topology, gen uint64, q *altQuestion, src, dst topology.NodeID, live uint64, paths ...[]topology.NodeID) {
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
 	if !ac.at(gen) {
@@ -233,12 +282,15 @@ func (ac *altCache) put(gen uint64, q *altQuestion, src, dst topology.NodeID, li
 	if !ac.room(uint32(live)) {
 		return
 	}
+	start := len(ac.arena)
 	for i, p := range paths {
 		if i > 0 {
 			ac.arena = append(ac.arena, pathSep)
 		}
-		for _, n := range p {
-			ac.arena = append(ac.arena, int32(n))
+		var ok bool
+		if ac.arena, ok = appendHops(ac.arena, topo, p); !ok {
+			ac.arena = ac.arena[:start]
+			return
 		}
 	}
 	ac.entries = append(ac.entries, altEntry{hash: h, src: int32(src), dst: int32(dst), end: int32(len(ac.arena)), live: uint32(live)})

@@ -10,6 +10,45 @@ import (
 	"github.com/alvc/alvc/internal/topology"
 )
 
+// routeAvoiding is AppendRouteAvoiding for the tests that read only the
+// route's nodes.
+func (c *Controller) routeAvoiding(buf, stops []topology.NodeID, pool topology.Pool, avoid topology.Avoid) ([]topology.NodeID, error) {
+	buf, _, err := c.AppendRouteAvoiding(buf, nil, stops, pool, avoid)
+	return buf, err
+}
+
+// TestAppendRouteAvoidingLinks: the links a route comes back with are
+// topology.AppendPathLinks of its nodes — VM legs crossing none, the legs
+// joined once — whether each leg was searched, served by the memo from
+// its stored hops, or searched with the memo off; and they are appended
+// after what the caller's buffer held.
+func TestAppendRouteAvoidingLinks(t *testing.T) {
+	f := newFabric(t)
+	warm, cold := f.controller(t), f.controller(t)
+	cold.SetAlternativesCache(false)
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < 24; i++ {
+			src, dst := f.vms[i%len(f.vms)], f.vms[len(f.vms)-1-i%len(f.vms)]
+			stops := []topology.NodeID{src, f.topo.Node(src).Host, f.pms[(7*i+3)%len(f.pms)], f.topo.Node(dst).Host, dst}
+			avoid := topology.Avoid{Spread: f.opss[i%len(f.opss)]}
+			for _, c := range []*Controller{warm, cold} {
+				prefix := []topology.LinkID{99}
+				route, links, err := c.AppendRouteAvoiding(nil, prefix, stops, topology.Pool{}, avoid)
+				if err != nil {
+					t.Fatalf("pass %d chain %d: %v", pass, i, err)
+				}
+				want, ok := f.topo.AppendPathLinks(prefix[:1:1], route)
+				if !ok || !slices.Equal(links, want) {
+					t.Fatalf("pass %d chain %d: route %v came with links %v, want %v", pass, i, route, links, want)
+				}
+			}
+		}
+	}
+	if hits, _ := warm.AlternativesCacheStats(); hits == 0 {
+		t.Fatal("the second pass hit nothing: the memo's links went untested")
+	}
+}
+
 // routeAvoid is the avoid set of a chain whose primary is the given
 // pm1→pm2 route: its transit nodes and its links.
 func routeAvoid(t *testing.T, topo *topology.Topology, route []topology.NodeID) topology.Avoid {
@@ -41,7 +80,7 @@ func TestAppendRouteAvoidingMemo(t *testing.T) {
 	}
 	avoid := routeAvoid(t, topo, primary)
 
-	first, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
+	first, err := c.routeAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
 	if err != nil {
 		t.Fatalf("AppendRouteAvoiding: %v", err)
 	}
@@ -50,7 +89,7 @@ func TestAppendRouteAvoidingMemo(t *testing.T) {
 	}
 	computed := c.PathComputations()
 	prefix := []topology.NodeID{7, 7}
-	again, err := c.AppendRouteAvoiding(prefix, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
+	again, err := c.routeAvoiding(prefix, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
 	if err != nil {
 		t.Fatalf("AppendRouteAvoiding (memo): %v", err)
 	}
@@ -63,7 +102,7 @@ func TestAppendRouteAvoidingMemo(t *testing.T) {
 	if c.PathComputations() != computed {
 		t.Fatal("memo hit ran a search")
 	}
-	fresh, err := cold.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
+	fresh, err := cold.routeAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
 	if err != nil || !slices.Equal(fresh, first) {
 		t.Fatalf("fresh search = %v, %v; memo served %v", fresh, err, first)
 	}
@@ -72,7 +111,7 @@ func TestAppendRouteAvoidingMemo(t *testing.T) {
 	}
 	// Scribbling on either answer must not reach the stored one.
 	first[1], again[3] = 0, 0
-	third, _ := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
+	third, _ := c.routeAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
 	if !slices.Equal(third, fresh) {
 		t.Fatalf("stored answer was aliased: %v, want %v", third, fresh)
 	}
@@ -89,7 +128,7 @@ func TestAppendRouteAvoidingMemo(t *testing.T) {
 		{nil, topology.Avoid{Nodes: avoid.Nodes, Links: avoid.Links, Spread: opss[2]}},
 	}
 	for i, v := range variants {
-		if _, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.NewPool(v.restrict), v.avoid); err != nil {
+		if _, err := c.routeAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.NewPool(v.restrict), v.avoid); err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
 	}
@@ -108,7 +147,7 @@ func TestAppendRouteAvoidingMemoGenerations(t *testing.T) {
 	ask := func(want topology.NodeID, when string) {
 		t.Helper()
 		for i := 0; i < 2; i++ { // the search, then its memo entry
-			got, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
+			got, err := c.routeAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.Pool{}, avoid)
 			if err != nil || !slices.Contains(got, want) {
 				t.Fatalf("%s (ask %d): %v, %v; want the route over node %d", when, i, got, err, want)
 			}
@@ -145,7 +184,7 @@ func TestAppendRouteAvoidingErrorsNotCached(t *testing.T) {
 	c, _ := NewController(topo)
 	none := map[topology.NodeID]bool{}
 	for i := 0; i < 2; i++ {
-		if _, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.NewPool(none), topology.Avoid{}); err == nil {
+		if _, err := c.routeAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.NewPool(none), topology.Avoid{}); err == nil {
 			t.Fatal("route found through an empty OPS pool")
 		}
 	}
@@ -224,7 +263,7 @@ func TestAvoidingNeverWorseThanYen(t *testing.T) {
 			}
 			avoid := routeAvoid(t, topo, primary)
 			avoid.Spread = opss[rng.Intn(len(opss))]
-			ours, err := c.AppendRouteAvoiding(nil, []topology.NodeID{src, dst}, topology.NewPool(pool), avoid)
+			ours, err := c.routeAvoiding(nil, []topology.NodeID{src, dst}, topology.NewPool(pool), avoid)
 			if err != nil {
 				t.Fatalf("seed %d %d->%d: %v, but the primary %v exists", seed, src, dst, err, primary)
 			}
@@ -309,13 +348,13 @@ func TestAppendRouteAvoidingLegs(t *testing.T) {
 	primary, _ := c.ComputePath(pm1, pm2, nil)
 	avoid := routeAvoid(t, topo, primary)
 	stops := []topology.NodeID{pm1, opss[1], opss[1], pm2, pm1}
-	got, err := c.AppendRouteAvoiding([]topology.NodeID{9}, stops, topology.Pool{}, avoid)
+	got, err := c.routeAvoiding([]topology.NodeID{9}, stops, topology.Pool{}, avoid)
 	if err != nil {
 		t.Fatalf("AppendRouteAvoiding: %v", err)
 	}
 	want := []topology.NodeID{9}
 	for i, leg := range [][2]topology.NodeID{{pm1, opss[1]}, {opss[1], pm2}, {pm2, pm1}} {
-		path, err := c.AppendRouteAvoiding(nil, leg[:], topology.Pool{}, avoid)
+		path, err := c.routeAvoiding(nil, leg[:], topology.Pool{}, avoid)
 		if err != nil {
 			t.Fatalf("leg %d: %v", i, err)
 		}
@@ -330,13 +369,13 @@ func TestAppendRouteAvoidingLegs(t *testing.T) {
 	if hits, misses := c.AlternativesCacheStats(); hits != 3 || misses != 3 {
 		t.Fatalf("stats = %d hits / %d misses, want 3/3 (three legs searched, then each asked alone)", hits, misses)
 	}
-	if out, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm1}, topology.Pool{}, avoid); err != nil || len(out) != 0 {
+	if out, err := c.routeAvoiding(nil, []topology.NodeID{pm1, pm1}, topology.Pool{}, avoid); err != nil || len(out) != 0 {
 		t.Fatalf("route with no leg: %v, %v; want nothing", out, err)
 	}
 	if err := topo.SetDown(topology.NewFailures([]topology.NodeID{pm2}, nil), true); err != nil {
 		t.Fatalf("SetDown: %v", err)
 	}
-	if _, err := c.AppendRouteAvoiding(nil, stops, topology.Pool{}, avoid); err == nil {
+	if _, err := c.routeAvoiding(nil, stops, topology.Pool{}, avoid); err == nil {
 		t.Fatal("route through a dead stop succeeded")
 	}
 }
@@ -372,7 +411,7 @@ func TestAppendRouteAvoidingConcurrent(t *testing.T) {
 			a := avoid
 			a.Spread = opss[g%len(opss)]
 			for i := 0; i < 300; i++ {
-				got, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2, pm1}, topology.Pool{}, a)
+				got, err := c.routeAvoiding(nil, []topology.NodeID{pm1, pm2, pm1}, topology.Pool{}, a)
 				if err != nil || got[0] != pm1 || got[len(got)-1] != pm1 || !slices.Contains(got, pm2) {
 					t.Errorf("goroutine %d: route %v, %v", g, got, err)
 					return

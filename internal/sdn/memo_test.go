@@ -49,9 +49,12 @@ func (c *Controller) auditMemo() (checked int, bad []string) {
 			continue // another state sharing the digest's low half
 		}
 		checked++
-		stored := make([]topology.NodeID, 0, len(ac.answer(i)))
-		for _, n := range ac.answer(i) {
-			stored = append(stored, topology.NodeID(n))
+		var stored []topology.NodeID
+		for j, hops := range answerPaths(ac.answer(i)) {
+			if j > 0 {
+				stored = append(stored, pathSep)
+			}
+			stored = decodeHops(append(stored, src), nil, c.topo, src, hops)
 		}
 		var fresh []topology.NodeID
 		var ran uint64
@@ -77,6 +80,18 @@ func (c *Controller) auditMemo() (checked int, bad []string) {
 	return checked, bad
 }
 
+// answerPaths splits a stored answer into its paths' hops.
+func answerPaths(answer []int32) [][]int32 {
+	var out [][]int32
+	for {
+		j := slices.Index(answer, pathSep)
+		if j < 0 {
+			return append(out, answer)
+		}
+		out, answer = append(out, answer[:j]), answer[j+1:]
+	}
+}
+
 // TestMemoAuditFires plants the bug the memo's protocol rules out: a
 // planner reads the live digest, a patch lands, the search runs under
 // the new state and its answer is stored under the digest read before.
@@ -88,7 +103,7 @@ func TestMemoAuditFires(t *testing.T) {
 	c, _ := NewController(topo)
 	c.recordMemoQuestions()
 	stops := []topology.NodeID{pm1, pm2}
-	if route, err := c.AppendRouteAvoiding(nil, stops, topology.Pool{}, topology.Avoid{}); err != nil || !slices.Contains(route, opss[0]) {
+	if route, err := c.routeAvoiding(nil, stops, topology.Pool{}, topology.Avoid{}); err != nil || !slices.Contains(route, opss[0]) {
 		t.Fatalf("route %v, %v; want the cheapest, over %d", route, err, opss[0])
 	}
 	if checked, bad := c.auditMemo(); checked != 1 || len(bad) != 0 {
@@ -112,7 +127,7 @@ func TestMemoAuditFires(t *testing.T) {
 		if storeUnderSearchDigest {
 			under = ran
 		}
-		c.alts.put(snap.Generation(), &q, pm1, pm2, under, path)
+		c.alts.put(topo, snap.Generation(), &q, pm1, pm2, under, path)
 		if err := topo.SetDown(topology.NewFailures([]topology.NodeID{opss[0]}, nil), false); err != nil {
 			t.Fatalf("SetDown: %v", err)
 		}
@@ -121,14 +136,14 @@ func TestMemoAuditFires(t *testing.T) {
 	if _, bad := c.auditMemo(); len(bad) != 1 {
 		t.Fatalf("planted stale entry: violations %v, want 1", bad)
 	}
-	if route, _ := c.AppendRouteAvoiding(nil, stops, topology.Pool{}, topology.Avoid{}); slices.Contains(route, opss[0]) {
+	if route, _ := c.routeAvoiding(nil, stops, topology.Pool{}, topology.Avoid{}); slices.Contains(route, opss[0]) {
 		t.Fatalf("the planted entry was not served (%v): the plant tests nothing", route)
 	}
 	plant(true)
 	if checked, bad := c.auditMemo(); checked != 0 || len(bad) != 0 {
 		t.Fatalf("entry under the search's own digest: %d checked now, violations %v", checked, bad)
 	}
-	if route, _ := c.AppendRouteAvoiding(nil, stops, topology.Pool{}, topology.Avoid{}); !slices.Contains(route, opss[0]) {
+	if route, _ := c.routeAvoiding(nil, stops, topology.Pool{}, topology.Avoid{}); !slices.Contains(route, opss[0]) {
 		t.Fatalf("all up again: route %v, want the one over %d", route, opss[0])
 	}
 }
@@ -168,7 +183,7 @@ func TestMemoUnderFlaps(t *testing.T) {
 				if i%3 == 0 {
 					avoid.Nodes = opss[:1]
 				}
-				if _, err := c.AppendRouteAvoiding(nil, []topology.NodeID{pm1, pm2, pm1}, topology.Pool{}, avoid); err != nil {
+				if _, err := c.routeAvoiding(nil, []topology.NodeID{pm1, pm2, pm1}, topology.Pool{}, avoid); err != nil {
 					t.Errorf("planner %d: %v", g, err)
 					return
 				}
@@ -299,14 +314,14 @@ func TestRouteSkipsVMLegs(t *testing.T) {
 		want = append(want, leg[1:]...)
 	}
 	searched := c.PathComputations()
-	got, err := c.AppendRouteAvoiding(nil, stops[0], topology.Pool{}, avoid)
+	got, err := c.routeAvoiding(nil, stops[0], topology.Pool{}, avoid)
 	if err != nil || !slices.Equal(got, want) {
 		t.Fatalf("route %v, %v; every leg searched gives %v", got, err, want)
 	}
 	if hits, misses := c.AlternativesCacheStats(); hits != 0 || misses != 2 || c.PathComputations()-searched != 2 {
 		t.Fatalf("%d hits, %d misses, %d searches; want the 2 host-to-host legs searched", hits, misses, c.PathComputations()-searched)
 	}
-	if _, err := c.AppendRouteAvoiding(nil, stops[0], topology.Pool{}, avoid); err != nil {
+	if _, err := c.routeAvoiding(nil, stops[0], topology.Pool{}, avoid); err != nil {
 		t.Fatalf("again: %v", err)
 	}
 	if hits, misses := c.AlternativesCacheStats(); hits != 2 || misses != 2 || len(c.alts.entries) != 2 {
@@ -316,7 +331,7 @@ func TestRouteSkipsVMLegs(t *testing.T) {
 		if err := topo.SetDown(topology.NewFailures([]topology.NodeID{end}, nil), true); err != nil {
 			t.Fatalf("SetDown: %v", err)
 		}
-		if _, err := c.AppendRouteAvoiding(nil, stops[0], topology.Pool{}, avoid); err == nil {
+		if _, err := c.routeAvoiding(nil, stops[0], topology.Pool{}, avoid); err == nil {
 			t.Fatalf("node %d down, the plan still succeeded", end)
 		}
 		if err := topo.SetDown(topology.NewFailures([]topology.NodeID{end}, nil), false); err != nil {
@@ -330,32 +345,52 @@ func TestRouteSkipsVMLegs(t *testing.T) {
 // one-state workload never churns — and a new state makes room by
 // evicting the entries of the others.
 func TestMemoFullEvictsOtherStatesOnly(t *testing.T) {
+	topo, pm1, pm2, opss := multiRouteTopo(t)
+	path := []topology.NodeID{pm1}
+	for _, n := range topo.Neighbors(opss[0]) {
+		if slices.Contains(topo.Neighbors(pm1), n) {
+			path = append(path, n, opss[0])
+		}
+	}
+	for _, n := range topo.Neighbors(opss[0]) {
+		if slices.Contains(topo.Neighbors(pm2), n) {
+			path = append(path, n, pm2)
+		}
+	}
+	if len(path) != 5 {
+		t.Fatalf("no route pm1 → ToR → OPS → ToR → pm2: %v", path)
+	}
+	// One question per entry: the same leg, spread apart.
+	question := func(i int) *altQuestion {
+		q := newAltQuestion(0, topology.Pool{}, topology.Avoid{Spread: topology.NodeID(i + 1)})
+		return &q
+	}
 	var ac altCache
-	q := newAltQuestion(0, topology.Pool{}, topology.Avoid{})
 	const a, b = 0xa, 0xb
 	for i := 0; i < altCacheMaxEntries+10; i++ {
-		ac.put(1, &q, topology.NodeID(i+1), topology.NodeID(i+2), a, []topology.NodeID{topology.NodeID(i + 1), 9, topology.NodeID(i + 2)})
+		ac.put(topo, 1, question(i), pm1, pm2, a, path)
 	}
 	if len(ac.entries) != altCacheMaxEntries || !ac.full {
 		t.Fatalf("%d entries, full %v; want the cap, full", len(ac.entries), ac.full)
 	}
 	for _, i := range []int{0, altCacheMaxEntries - 1} {
-		got, ok := ac.appendLeg(nil, 1, &q, topology.NodeID(i+1), topology.NodeID(i+2), a)
-		if want := []topology.NodeID{topology.NodeID(i + 1), 9, topology.NodeID(i + 2)}; !ok || !slices.Equal(got, want) {
-			t.Fatalf("entry %d: %v, %v; want %v", i, got, ok, want)
+		got, links, ok := ac.appendLeg(nil, nil, topo, 1, question(i), pm1, pm2, a)
+		want, _ := topo.AppendPathLinks(nil, path)
+		if !ok || !slices.Equal(got, path) || !slices.Equal(links, want) {
+			t.Fatalf("entry %d: %v %v, %v; want %v %v", i, got, links, ok, path, want)
 		}
 	}
-	if _, ok := ac.appendLeg(nil, 1, &q, altCacheMaxEntries+1, altCacheMaxEntries+2, a); ok {
+	if _, _, ok := ac.appendLeg(nil, nil, topo, 1, question(altCacheMaxEntries), pm1, pm2, a); ok {
 		t.Fatal("an entry past the cap was stored")
 	}
-	ac.put(1, &q, 7, 8, b, []topology.NodeID{7, 8})
+	ac.put(topo, 1, question(0), pm1, pm2, b, path)
 	if len(ac.entries) != 1 || ac.full {
 		t.Fatalf("a new state's store left %d entries, full %v; want its own one", len(ac.entries), ac.full)
 	}
-	if got, ok := ac.appendLeg(nil, 1, &q, 7, 8, b); !ok || !slices.Equal(got, []topology.NodeID{7, 8}) {
+	if got, _, ok := ac.appendLeg(nil, nil, topo, 1, question(0), pm1, pm2, b); !ok || !slices.Equal(got, path) {
 		t.Fatalf("the new state's entry: %v, %v", got, ok)
 	}
-	if _, ok := ac.appendLeg(nil, 1, &q, 1, 2, a); ok {
+	if _, _, ok := ac.appendLeg(nil, nil, topo, 1, question(1), pm1, pm2, a); ok {
 		t.Fatal("an evicted state's entry is still served")
 	}
 }
@@ -409,7 +444,7 @@ fill:
 				if src == dst {
 					continue
 				}
-				route, err := c.AppendRouteAvoiding(nil, []topology.NodeID{src, dst}, topology.Pool{}, topology.Avoid{Spread: spread})
+				route, err := c.routeAvoiding(nil, []topology.NodeID{src, dst}, topology.Pool{}, topology.Avoid{Spread: spread})
 				if err != nil {
 					t.Fatalf("AppendRouteAvoiding: %v", err)
 				}

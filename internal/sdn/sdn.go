@@ -207,22 +207,24 @@ func (c *Controller) AppendPathVia(buf []topology.NodeID, src topology.NodeID, v
 // order, each leg the path to the next stop that crosses the fewest of
 // avoid's nodes and links and, among those, has the lowest latency —
 // the standby planner's question, asked once per leg
-// (topology.Snapshot.AppendPathAvoiding). Consecutive equal stops make
-// no leg, and a leg between a VM and its host needs no search: it is the
-// VM's one edge (topology.Snapshot.AppendHostHop), errors included.
-// Every other leg's answer is memoized under the fabric state it was
-// searched in — (structural generation, live digest, src, dst,
-// pool digest, avoided nodes, avoided links, spread), see altcache.go —
-// so the same question asked again in that state, now or when the state
-// recurs, is a lookup. A hit is copied into buf, so what comes back is
-// always the caller's own.
+// (topology.Snapshot.AppendPathAvoiding) — and to links the links the
+// route crosses, as topology.AppendPathLinks lists them. Consecutive
+// equal stops make no leg, and a leg between a VM and its host needs no
+// search: it is the VM's one edge (topology.Snapshot.AppendHostHop),
+// errors included, and crosses no link. Every other leg's answer is
+// memoized under the fabric state it was searched in — (structural
+// generation, live digest, src, dst, pool digest, avoided nodes, avoided
+// links, spread), see altcache.go — so the same question asked again in
+// that state, now or when the state recurs, is a lookup, which reads the
+// leg's nodes and links off the same stored hops. A hit is copied into
+// buf and links, so what comes back is always the caller's own.
 //
 // Everything that is the same for every leg is worked out once per
 // route — the snapshot (one atomic load when warm), the question's
 // digests, and, when some leg has to be searched, the dense form of the
 // pool. The pool's digest came with it (topology.NewPool), so a route
 // answered from the memo never walks the pool.
-func (c *Controller) AppendRouteAvoiding(buf []topology.NodeID, stops []topology.NodeID, pool topology.Pool, avoid topology.Avoid) ([]topology.NodeID, error) {
+func (c *Controller) AppendRouteAvoiding(buf []topology.NodeID, links []topology.LinkID, stops []topology.NodeID, pool topology.Pool, avoid topology.Avoid) ([]topology.NodeID, []topology.LinkID, error) {
 	snap := c.snapshot()
 	var q *altQuestion // nil: memo off
 	if !c.altCacheOff.Load() {
@@ -247,16 +249,16 @@ func (c *Controller) AppendRouteAvoiding(buf []topology.NodeID, stops []topology
 		}
 		out, hop, err := snap.AppendHostHop(buf, src, dst)
 		if err != nil {
-			return buf, fmt.Errorf("sdn: route avoiding: leg %d->%d: %w", src, dst, err)
+			return buf, links, fmt.Errorf("sdn: route avoiding: leg %d->%d: %w", src, dst, err)
 		}
 		if hop {
 			buf = out
 			continue
 		}
 		if q != nil {
-			if out, ok := c.alts.appendLeg(buf, snap.Generation(), q, src, dst, snap.LiveDigest()); ok {
+			if out, outLinks, ok := c.alts.appendLeg(buf, links, c.topo, snap.Generation(), q, src, dst, snap.LiveDigest()); ok {
 				c.alts.hits.Add(1)
-				buf = out
+				buf, links = out, outLinks
 				continue
 			}
 			c.alts.misses.Add(1)
@@ -268,13 +270,18 @@ func (c *Controller) AppendRouteAvoiding(buf []topology.NodeID, stops []topology
 		start := len(buf)
 		var live uint64
 		if buf, live, err = snap.AppendPathAvoiding(buf, src, dst, restriction, avoid); err != nil {
-			return buf, fmt.Errorf("sdn: route avoiding: leg %d->%d: %w", src, dst, err)
+			return buf, links, fmt.Errorf("sdn: route avoiding: leg %d->%d: %w", src, dst, err)
+		}
+		leg := buf[start:]
+		var ok bool
+		if links, ok = c.topo.AppendPathLinks(links, leg); !ok {
+			return buf, links, fmt.Errorf("sdn: route avoiding: leg %d->%d: a hop joins no link", src, dst)
 		}
 		if q != nil {
-			c.alts.put(snap.Generation(), q, src, dst, live, buf[start:])
+			c.alts.put(c.topo, snap.Generation(), q, src, dst, live, leg)
 		}
 	}
-	return buf, nil
+	return buf, links, nil
 }
 
 // PathAlternatives returns up to k loopless paths between two nodes in
@@ -294,7 +301,7 @@ func (c *Controller) PathAlternatives(src, dst topology.NodeID, k int, pool topo
 	var q altQuestion
 	if cached {
 		q = newAltQuestion(k, pool, topology.Avoid{})
-		if out, ok := c.alts.paths(snap.Generation(), &q, src, dst, snap.LiveDigest()); ok {
+		if out, ok := c.alts.paths(c.topo, snap.Generation(), &q, src, dst, snap.LiveDigest()); ok {
 			c.alts.hits.Add(1)
 			return out, nil
 		}
@@ -307,7 +314,7 @@ func (c *Controller) PathAlternatives(src, dst topology.NodeID, k int, pool topo
 		return nil, fmt.Errorf("sdn: path alternatives %d->%d: %w", src, dst, err)
 	}
 	if cached {
-		c.alts.put(snap.Generation(), &q, src, dst, live, out...)
+		c.alts.put(c.topo, snap.Generation(), &q, src, dst, live, out...)
 	}
 	return out, nil
 }

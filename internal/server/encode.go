@@ -12,8 +12,6 @@ package server
 // stay as the types clients decode into; the tests hold the two equal.
 
 import (
-	"encoding/json"
-	"math"
 	"net/http"
 	"slices"
 	"sort"
@@ -22,6 +20,7 @@ import (
 	"time"
 
 	"github.com/alvc/alvc"
+	"github.com/alvc/alvc/internal/jsonwrite"
 	"github.com/alvc/alvc/internal/orch"
 )
 
@@ -172,7 +171,7 @@ func writeBatch(w http.ResponseWriter, results []orch.BatchResult) {
 		case res.Err == nil:
 			b = appendDeployment(append(b, `,"deployment":`...), res.Deployment)
 		case res.Err.Error() != "":
-			b = appendString(append(b, `,"error":`...), res.Err.Error())
+			b = jsonwrite.String(append(b, `,"error":`...), res.Err.Error())
 		}
 		b = append(b, '}')
 	}
@@ -195,38 +194,55 @@ func writeTraceSummaries(w http.ResponseWriter, sums []alvc.TraceSummary) {
 	writeBody(w, http.StatusOK, sc.body)
 }
 
+// statusView is what the optimizer bodies read the engine's state
+// through: optimizer.Engine.ViewStatus.
+type statusView interface {
+	ViewStatus(fn func(st *alvc.OptimizerStatus, results [][]byte))
+}
+
 // writeOptimizerRun answers a drain: OptimizerRunResponse's encoding of
 // the tasks it ran and the engine's state after.
-func writeOptimizerRun(w http.ResponseWriter, results []alvc.OptimizerTaskResult, st *alvc.OptimizerStatus) {
+func writeOptimizerRun(w http.ResponseWriter, results []alvc.OptimizerTaskResult, eng statusView) {
 	if results == nil {
 		results = []alvc.OptimizerTaskResult{} // a drain that ran nothing lists nothing
 	}
 	sc := getScratch()
 	defer putScratch(sc)
 	b := strconv.AppendInt(append(sc.body, `{"drained":`...), int64(len(results)), 10)
-	b = appendTaskResults(append(b, `,"results":`...), results)
-	b = appendOptimizerStatus(append(b, `,"status":`...), st)
+	b = append(b, `,"results":[`...)
+	for i := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = results[i].AppendJSON(b)
+	}
+	eng.ViewStatus(func(st *alvc.OptimizerStatus, last [][]byte) {
+		b = appendOptimizerStatus(append(b, `],"status":`...), st, last)
+	})
 	sc.body = append(b, "}\n"...)
 	writeBody(w, http.StatusOK, sc.body)
 }
 
 // writeOptimizerStatus answers GET /v1/optimizer/status.
-func writeOptimizerStatus(w http.ResponseWriter, st *alvc.OptimizerStatus) {
+func writeOptimizerStatus(w http.ResponseWriter, eng statusView) {
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.body = append(appendOptimizerStatus(sc.body, st), '\n')
+	eng.ViewStatus(func(st *alvc.OptimizerStatus, last [][]byte) {
+		sc.body = append(appendOptimizerStatus(sc.body, st, last), '\n')
+	})
 	writeBody(w, http.StatusOK, sc.body)
 }
 
-// appendOptimizerStatus appends optimizer.Status's encoding.
-func appendOptimizerStatus(b []byte, st *alvc.OptimizerStatus) []byte {
+// appendOptimizerStatus appends optimizer.Status's encoding, its
+// last_results from results (see optimizer.Engine.ViewStatus).
+func appendOptimizerStatus(b []byte, st *alvc.OptimizerStatus, results [][]byte) []byte {
 	b = strconv.AppendBool(append(b, `{"paused":`...), st.Paused)
 	b = strconv.AppendInt(append(b, `,"queue_depth":`...), int64(st.QueueDepth), 10)
 	if len(st.ShardDepths) > 0 {
-		b = appendInts(append(b, `,"shard_depths":`...), st.ShardDepths)
+		b = jsonwrite.Ints(append(b, `,"shard_depths":`...), st.ShardDepths)
 	}
 	if len(st.ShardHighWater) > 0 {
-		b = appendInts(append(b, `,"shard_high_water":`...), st.ShardHighWater)
+		b = jsonwrite.Ints(append(b, `,"shard_high_water":`...), st.ShardHighWater)
 	}
 	b = strconv.AppendInt(append(b, `,"running":`...), int64(st.Running), 10)
 	b = append(b, `,"kinds":`...)
@@ -244,7 +260,7 @@ func appendOptimizerStatus(b []byte, st *alvc.OptimizerStatus) []byte {
 				b = append(b, ',')
 			}
 			ks := st.Kinds[k]
-			b = append(appendString(b, k), ':')
+			b = append(jsonwrite.String(b, k), ':')
 			b = strconv.AppendInt(append(b, `{"enqueued":`...), int64(ks.Enqueued), 10)
 			b = strconv.AppendInt(append(b, `,"deduped":`...), int64(ks.Deduped), 10)
 			b = strconv.AppendInt(append(b, `,"completed":`...), int64(ks.Completed), 10)
@@ -270,45 +286,28 @@ func appendOptimizerStatus(b []byte, st *alvc.OptimizerStatus) []byte {
 		b = strconv.AppendUint(append(b, `,"coalesced":`...), d.Coalesced, 10)
 		b = append(b, '}')
 	}
-	b = appendTaskResults(append(b, `,"last_results":`...), st.LastResults)
-	return append(b, '}')
-}
-
-// appendTaskResults appends a list of optimizer.TaskResult, null for a
-// nil one.
-func appendTaskResults(b []byte, results []alvc.OptimizerTaskResult) []byte {
+	b = append(b, `,"last_results":`...)
 	if results == nil {
-		return append(b, "null"...)
+		return append(b, "null}"...)
 	}
 	b = append(b, '[')
-	for i := range results {
+	for i, r := range results {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		r := &results[i]
-		b = strconv.AppendInt(append(b, `{"deployment":`...), int64(r.Deployment), 10)
-		b = appendString(append(b, `,"kind":`...), r.Kind)
-		b = appendString(append(b, `,"outcome":`...), r.Outcome)
-		if r.Detail != "" {
-			b = appendString(append(b, `,"detail":`...), r.Detail)
-		}
-		if r.Error != "" {
-			b = appendString(append(b, `,"error":`...), r.Error)
-		}
-		b = appendTime(append(b, `,"when":`...), r.When)
-		b = append(b, '}')
+		b = append(b, r...)
 	}
-	return append(b, ']')
+	return append(b, "]}"...)
 }
 
 // appendDeployment appends the chain's wire form: byte for byte what
 // encoding/json makes of DeploymentJSON filled from the same record.
 func appendDeployment(b []byte, d *orch.Deployment) []byte {
 	b = strconv.AppendInt(append(b, `{"id":`...), int64(d.ID), 10)
-	b = appendString(append(b, `,"name":`...), d.Spec.Name)
-	b = appendString(append(b, `,"tenant":`...), d.Spec.Tenant)
-	b = appendString(append(b, `,"service":`...), d.Spec.Service)
-	b = appendString(append(b, `,"state":`...), d.State.String())
+	b = jsonwrite.String(append(b, `,"name":`...), d.Spec.Name)
+	b = jsonwrite.String(append(b, `,"tenant":`...), d.Spec.Tenant)
+	b = jsonwrite.String(append(b, `,"service":`...), d.Spec.Service)
+	b = jsonwrite.String(append(b, `,"state":`...), d.State.String())
 	b = strconv.AppendInt(append(b, `,"version":`...), int64(d.Version), 10)
 	b = strconv.AppendInt(append(b, `,"repairs":`...), int64(d.Repairs), 10)
 	b = append(b, `,"nfs":[`...)
@@ -316,17 +315,17 @@ func appendDeployment(b []byte, d *orch.Deployment) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendString(b, d.Spec.NFs[i].Name)
+		b = jsonwrite.String(b, d.Spec.NFs[i].Name)
 	}
-	b = appendFloat(append(b, `],"bandwidth_gbps":`...), d.Spec.BandwidthGbps)
+	b = jsonwrite.Float(append(b, `],"bandwidth_gbps":`...), d.Spec.BandwidthGbps)
 	b = strconv.AppendInt(append(b, `,"flow_bytes":`...), d.Spec.FlowBytes, 10)
 	b = append(b, `,"slice_opss":`...)
 	if d.Slice != nil {
-		b = appendInts(b, d.Slice.OPSs)
+		b = jsonwrite.Ints(b, d.Slice.OPSs)
 	} else {
 		b = append(b, "null"...)
 	}
-	b = appendInts(append(b, `,"hosts":`...), d.Placement.Hosts)
+	b = jsonwrite.Ints(append(b, `,"hosts":`...), d.Placement.Hosts)
 	b = append(b, `,"domains":`...)
 	if len(d.Placement.Domains) == 0 {
 		b = append(b, "null"...)
@@ -336,21 +335,21 @@ func appendDeployment(b []byte, d *orch.Deployment) []byte {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendString(b, dom.String())
+			b = jsonwrite.String(b, dom.String())
 		}
 		b = append(b, ']')
 	}
-	b = appendInts(append(b, `,"path":`...), d.Path)
+	b = jsonwrite.Ints(append(b, `,"path":`...), d.Path)
 	b = strconv.AppendBool(append(b, `,"slice_confined":`...), d.SliceConfined)
 	b = strconv.AppendInt(append(b, `,"lambda":`...), int64(d.Lambda), 10)
 	b = strconv.AppendInt(append(b, `,"conversions":`...), int64(d.Conversions), 10)
-	b = appendFloat(append(b, `,"energy_joules":`...), d.EnergyJoules)
+	b = jsonwrite.Float(append(b, `,"energy_joules":`...), d.EnergyJoules)
 	sb := d.Standby
 	pathFrom, pathTo := 0, 0 // where the standby path's digits lie in b once written
 	if sb != nil && len(sb.Path) > 0 {
 		b = append(b, `,"standby_path":`...)
 		pathFrom = len(b)
-		b = appendInts(b, sb.Path)
+		b = jsonwrite.Ints(b, sb.Path)
 		pathTo = len(b)
 	}
 	if sb != nil && sb.Disjoint {
@@ -364,10 +363,10 @@ func appendDeployment(b []byte, d *orch.Deployment) []byte {
 		if pathTo > pathFrom {
 			b = append(b, b[pathFrom:pathTo]...) // the same path again: copied, not formatted twice
 		} else {
-			b = appendInts(b, sb.Path)
+			b = jsonwrite.Ints(b, sb.Path)
 		}
 		b = strconv.AppendBool(append(b, `,"disjoint":`...), sb.Disjoint)
-		b = appendTime(append(b, `,"lastReplanned":`...), sb.PlannedAt)
+		b = jsonwrite.Time(append(b, `,"lastReplanned":`...), sb.PlannedAt)
 		b = append(b, '}')
 	}
 	return append(b, '}')
@@ -383,10 +382,10 @@ func appendAccepted(b []byte, resp *FailureAcceptedResponse) []byte {
 		b = append(strconv.AppendInt(append(b, `"link":`...), int64(resp.Link), 10), ',')
 	}
 	if len(resp.Nodes) > 0 {
-		b = append(appendInts(append(b, `"nodes":`...), resp.Nodes), ',')
+		b = append(jsonwrite.Ints(append(b, `"nodes":`...), resp.Nodes), ',')
 	}
 	if len(resp.Links) > 0 {
-		b = append(appendInts(append(b, `"links":`...), resp.Links), ',')
+		b = append(jsonwrite.Ints(append(b, `"links":`...), resp.Links), ',')
 	}
 	b = strconv.AppendBool(append(b, `"accepted":`...), resp.Accepted)
 	b = strconv.AppendInt(append(b, `,"pending_nodes":`...), int64(resp.PendingNodes), 10)
@@ -396,11 +395,11 @@ func appendAccepted(b []byte, resp *FailureAcceptedResponse) []byte {
 
 // appendTraceSummary appends TraceSummaryJSON's encoding of the summary.
 func appendTraceSummary(b []byte, sum *alvc.TraceSummary) []byte {
-	b = appendString(append(b, `{"id":`...), sum.ID)
-	b = appendString(append(b, `,"kind":`...), sum.Kind)
-	b = appendString(append(b, `,"name":`...), sum.Name)
-	b = appendTime(append(b, `,"start":`...), sum.Start.UTC())
-	b = appendFloat(append(b, `,"duration_ms":`...), float64(sum.Duration)/float64(time.Millisecond))
+	b = jsonwrite.String(append(b, `{"id":`...), sum.ID)
+	b = jsonwrite.String(append(b, `,"kind":`...), sum.Kind)
+	b = jsonwrite.String(append(b, `,"name":`...), sum.Name)
+	b = jsonwrite.Time(append(b, `,"start":`...), sum.Start.UTC())
+	b = jsonwrite.Float(append(b, `,"duration_ms":`...), float64(sum.Duration)/float64(time.Millisecond))
 	b = strconv.AppendInt(append(b, `,"spans":`...), int64(sum.Spans), 10)
 	if sum.Dropped != 0 {
 		b = strconv.AppendInt(append(b, `,"dropped":`...), int64(sum.Dropped), 10)
@@ -409,61 +408,7 @@ func appendTraceSummary(b []byte, sum *alvc.TraceSummary) []byte {
 		b = append(b, `,"errored":true`...)
 	}
 	if len(sum.Deps) > 0 {
-		b = appendInts(append(b, `,"chains":`...), sum.Deps)
+		b = jsonwrite.Ints(append(b, `,"chains":`...), sum.Deps)
 	}
 	return append(b, '}')
-}
-
-// appendInts appends a JSON array of integers, null for a nil slice.
-func appendInts[T ~int](b []byte, ids []T) []byte {
-	if ids == nil {
-		return append(b, "null"...)
-	}
-	b = append(b, '[')
-	for i, id := range ids {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(id), 10)
-	}
-	return append(b, ']')
-}
-
-// appendString appends s as a JSON string. Printable ASCII that neither
-// JSON nor encoding/json's HTML-safe default escapes is copied; a string
-// with anything else in it is encoding/json's to quote.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// appendFloat appends a finite f as encoding/json does: shortest
-// round-trip digits, exponent form only below 1e-6 or from 1e21, and
-// then with a one-digit exponent unpadded (1e-7, not 1e-07).
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
-}
-
-// appendTime appends t as time.Time marshals: quoted RFC 3339 with
-// nanoseconds, trailing zeros dropped.
-func appendTime(b []byte, t time.Time) []byte {
-	b = append(b, '"')
-	b = t.AppendFormat(b, time.RFC3339Nano)
-	return append(b, '"')
 }

@@ -384,11 +384,39 @@ func checkDrain(t *testing.T, what string, results []alvc.OptimizerTaskResult, s
 		t.Skip("encoding/json refuses this drain")
 	}
 	rec := httptest.NewRecorder()
-	writeOptimizerRun(rec, results, &st)
+	writeOptimizerRun(rec, results, (*craftedStatus)(&st))
 	checkBody(t, what+": optimizer:run", rec, http.StatusOK, want)
 	rec = httptest.NewRecorder()
-	writeOptimizerStatus(rec, &st)
+	writeOptimizerStatus(rec, (*craftedStatus)(&st))
 	checkBody(t, what+": optimizer/status", rec, http.StatusOK, mustOracleBody(t, st))
+}
+
+// craftedStatus serves a crafted engine state as the engine's own
+// ViewStatus does: LastResults as the result log holds them, each
+// result's AppendJSON.
+type craftedStatus alvc.OptimizerStatus
+
+func (c *craftedStatus) ViewStatus(fn func(st *alvc.OptimizerStatus, results [][]byte)) {
+	st := alvc.OptimizerStatus(*c)
+	var results [][]byte
+	if st.LastResults != nil {
+		results = [][]byte{}
+		for i := range st.LastResults {
+			results = append(results, st.LastResults[i].AppendJSON(nil))
+		}
+	}
+	st.LastResults = nil
+	fn(&st, results)
+}
+
+// checkEngineView holds the status body a paused engine's own view
+// encodes, the result log's encodings included, to encoding/json's of
+// its Status.
+func checkEngineView(t *testing.T, what string, eng *alvc.Optimizer) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	writeOptimizerStatus(rec, eng)
+	checkBody(t, what+": engine view", rec, http.StatusOK, mustOracleBody(t, eng.Status()))
 }
 
 // TestOptimizerBodiesEqualEncodingJSON: an engine's empty drain and its
@@ -402,6 +430,7 @@ func TestOptimizerBodiesEqualEncodingJSON(t *testing.T) {
 	eng.Pause()
 	results := eng.Drain()
 	checkDrain(t, "empty drain", results, eng.Status())
+	checkEngineView(t, "empty drain", eng)
 	var hosts []alvc.NodeID
 	for i := 0; i < 3; i++ {
 		spec, err := alvc.LinearChain(fmt.Sprintf("storm-%d", i), "t-storm", "web", 1, 1<<20, "firewall", "nat")
@@ -427,6 +456,7 @@ func TestOptimizerBodiesEqualEncodingJSON(t *testing.T) {
 		t.Fatalf("drain %+v ran no storm group", results)
 	}
 	checkDrain(t, "storm-group drain", results, eng.Status())
+	checkEngineView(t, "storm-group drain", eng)
 
 	rng := rand.New(rand.NewSource(28))
 	for i, s := range hardStrings {

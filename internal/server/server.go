@@ -20,6 +20,7 @@ import (
 	"github.com/alvc/alvc"
 	"github.com/alvc/alvc/internal/chain"
 	"github.com/alvc/alvc/internal/cluster"
+	"github.com/alvc/alvc/internal/jsonwrite"
 	"github.com/alvc/alvc/internal/nfv"
 	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/placement"
@@ -129,7 +130,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.body = append(appendString(append(sc.body, `{"error":`...), fmt.Sprintf(format, args...)), "}\n"...)
+	sc.body = append(jsonwrite.String(append(sc.body, `{"error":`...), fmt.Sprintf(format, args...)), "}\n"...)
 	sendJSON(w, status, sc.body)
 }
 
@@ -490,8 +491,7 @@ func (s *Server) handleOptimizerStatus(w http.ResponseWriter, r *http.Request) {
 	if eng == nil {
 		return
 	}
-	st := eng.Status()
-	writeOptimizerStatus(w, &st)
+	writeOptimizerStatus(w, eng)
 }
 
 func (s *Server) handleOptimizerRun(w http.ResponseWriter, r *http.Request) {
@@ -499,9 +499,7 @@ func (s *Server) handleOptimizerRun(w http.ResponseWriter, r *http.Request) {
 	if eng == nil {
 		return
 	}
-	results := eng.Drain()
-	st := eng.Status()
-	writeOptimizerRun(w, results, &st)
+	writeOptimizerRun(w, eng.Drain(), eng)
 }
 
 func (s *Server) handleOptimizerPause(w http.ResponseWriter, r *http.Request) {

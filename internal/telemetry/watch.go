@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"github.com/alvc/alvc/internal/orch"
+	"github.com/alvc/alvc/internal/ring"
 	"github.com/alvc/alvc/internal/topology"
 )
 
@@ -52,11 +53,11 @@ type StreamEvent struct {
 // numbers, keeps the replay ring, and forwards to subscribers without
 // ever blocking the emitting orchestrator. Safe for concurrent use.
 type Hub struct {
-	horizon int // the replay ring's size in events
+	horizon int // the replay window's size in events: the ring's capacity
 
 	mu   sync.Mutex
 	seq  uint64
-	ring []StreamEvent // at most horizon, oldest first
+	ring ring.Ring[StreamEvent] // the replay window, oldest first
 	subs map[*subscriber]struct{}
 
 	events  uint64 // events ingested
@@ -67,14 +68,14 @@ type subscriber struct {
 	ch chan StreamEvent
 }
 
-// NewHub returns an empty hub retaining the newest ring events for
-// Last-Event-ID replay (256 when ring ≤ 0). Larger rings let clients
+// NewHub returns an empty hub retaining the newest size events for
+// Last-Event-ID replay (256 when size ≤ 0). Larger rings let clients
 // reconnect across longer gaps at the cost of retained memory.
-func NewHub(ring int) *Hub {
-	if ring <= 0 {
-		ring = defaultRingSize
+func NewHub(size int) *Hub {
+	if size <= 0 {
+		size = defaultRingSize
 	}
-	return &Hub{horizon: ring, subs: make(map[*subscriber]struct{})}
+	return &Hub{horizon: size, ring: ring.New[StreamEvent](size), subs: make(map[*subscriber]struct{})}
 }
 
 // OrchEvent implements orch.EventSink: stamp, ring, fan out. A
@@ -95,10 +96,7 @@ func (h *Hub) OrchEvent(ev orch.Event) {
 		Domain:     ev.Domain.String(),
 		TraceID:    ev.TraceID,
 	}
-	h.ring = append(h.ring, se)
-	if len(h.ring) > h.horizon {
-		h.ring = h.ring[len(h.ring)-h.horizon:]
-	}
+	h.ring.Push(se)
 	for sub := range h.subs {
 		select {
 		case sub.ch <- se:
@@ -125,8 +123,8 @@ func (h *Hub) Subscribe(afterSeq uint64, buf int) (<-chan StreamEvent, func()) {
 	}
 	h.mu.Lock()
 	var replay []StreamEvent
-	for _, se := range h.ring {
-		if se.Seq > afterSeq {
+	for i := range h.ring.Len() {
+		if se := h.ring.At(i); se.Seq > afterSeq {
 			replay = append(replay, se)
 		}
 	}

@@ -3,8 +3,10 @@ package telemetry
 import (
 	"bufio"
 	"context"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -274,4 +276,57 @@ func TestHubStreamEventCarriesTraceID(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("timed out waiting for replayed event")
 	}
+}
+
+// FuzzLastEventID: a /v1/watch request is answered 400 exactly when its
+// Last-Event-ID header is neither absent nor a decimal number of at most
+// 64 bits, and otherwise streams, resuming after the number it names.
+// The oracle is the header's digits read as a big integer.
+func FuzzLastEventID(f *testing.F) {
+	for _, s := range []string{"", "0", "2", "007", "18446744073709551615", "18446744073709551616", "-1", "+1",
+		" 1", "1 ", "1_000", "0x10", "1e3", "not-a-number", "٣", "1\x00"} {
+		f.Add(s)
+	}
+	h := NewHub(4)
+	for i := 1; i <= 4; i++ {
+		h.OrchEvent(repairEvent(i))
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		want, ok := uint64(0), true
+		if v != "" {
+			n, isInt := new(big.Int).SetString(v, 10)
+			ok = isInt && strings.Trim(v, "0123456789") == "" && n.IsUint64()
+			if ok {
+				want = n.Uint64()
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // the stream ends once it has started
+		req := httptest.NewRequest("GET", "/v1/watch", nil).WithContext(ctx)
+		req.Header.Set("Last-Event-ID", v)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch {
+		case !ok && rec.Code != http.StatusBadRequest:
+			t.Fatalf("Last-Event-ID %q answered %d, want 400", v, rec.Code)
+		case ok && (rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "text/event-stream"):
+			t.Fatalf("Last-Event-ID %q answered %d %q, want a 200 stream", v, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		if !ok {
+			return
+		}
+		// The stream may end before it writes its replay; what it writes
+		// is the ring's tail after the number, in order.
+		next := want + 1
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			id, isID := strings.CutPrefix(line, "id: ")
+			if !isID {
+				continue
+			}
+			if id != strconv.FormatUint(next, 10) {
+				t.Fatalf("Last-Event-ID %q replayed id %s, want %d", v, id, next)
+			}
+			next++
+		}
+	})
 }

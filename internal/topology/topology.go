@@ -465,6 +465,47 @@ func (t *Topology) LinkBetween(a, b NodeID) *Link { return t.linkBetween(a, b, t
 // link was already marked down, so it needs the dead ones too.
 func (t *Topology) AnyLinkBetween(a, b NodeID) *Link { return t.linkBetween(a, b, false) }
 
+// HopLink returns the link a route's hop from a to b crosses, as a
+// route's links are counted: none (0) for the hop between a VM and its
+// host, which has no Link record, else the lowest-ID link joining them,
+// up or down. ok is false when a or b is unknown or no link joins them.
+func (t *Topology) HopLink(a, b NodeID) (id LinkID, ok bool) {
+	na, nb := t.Node(a), t.Node(b)
+	switch {
+	case na == nil || nb == nil:
+		return 0, false
+	case na.Kind == KindVM && na.Host == b || nb.Kind == KindVM && nb.Host == a:
+		return 0, true
+	}
+	if l := t.linkBetween(a, b, false); l != nil {
+		return l.ID, true
+	}
+	return 0, false
+}
+
+// AppendPathLinks appends to out, in order, the links a node path
+// crosses (HopLink: a VM's hop to its host crosses none; a dead link is
+// still reported, because the caller is usually asking whether it sat on
+// the path). ok is false, and out comes back as it was, at the first hop
+// HopLink cannot resolve. A nil out gets an array sized for the path.
+func (t *Topology) AppendPathLinks(out []LinkID, path []NodeID) (_ []LinkID, ok bool) {
+	start := len(out)
+	for i := 0; i+1 < len(path); i++ {
+		l, ok := t.HopLink(path[i], path[i+1])
+		if !ok {
+			return out[:start], false
+		}
+		if l == 0 {
+			continue
+		}
+		if out == nil {
+			out = make([]LinkID, 0, len(path)-1-i)
+		}
+		out = append(out, l)
+	}
+	return out, true
+}
+
 // linkBetween is the lowest-ID link joining a and b, live ones only if
 // live is set. The scanned list is ascending, so the first match wins.
 func (t *Topology) linkBetween(a, b NodeID, live bool) *Link {
