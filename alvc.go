@@ -143,10 +143,9 @@ type (
 	FailureDebouncer = orch.FailureDebouncer
 	// DebounceStats counts the failure debouncer's coalescing work.
 	DebounceStats = orch.DebounceStats
-	// StormStats counts the optimizer's storm-mode coalescing.
-	StormStats = optimizer.StormStats
-	// GroupPlanStats counts storm-group planning outcomes (chains
-	// planned, whole-fabric fallbacks).
+	// GroupPlanStats counts the optimizer's failure-domain groups
+	// (groups opened, members coalesced into open ones) and their
+	// members' plans (standbys re-planned, whole-fabric fallbacks).
 	GroupPlanStats = optimizer.GroupPlanStats
 	// Tracer issues request-scoped spans into the trace store; nil-safe
 	// (every method on a nil Tracer is a no-op).

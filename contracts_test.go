@@ -547,9 +547,9 @@ func stormFleet(t *testing.T, chains int, opts ...alvc.Option) (*alvc.Architectu
 // re-path off the dead standby); through the debouncer the 2 links per
 // victim arrive as one batch and each victim is repaired exactly once.
 // Neither storm rebuilds the routing graph. Draining the batched
-// fleet's backlog engages storm mode and group planning, holds the
-// queue bound, runs no Yen search, asks at most one standby search per
-// segment per plan and leaves no chain unprotected.
+// fleet's backlog coalesces its re-protects into failure-domain groups,
+// holds the queue bound, runs no Yen search, asks at most one standby
+// search per segment per plan and leaves no chain unprotected.
 func TestContractLinkStorm(t *testing.T) {
 	const chains, queueBound, segments = 64, 64, 5
 	base, victims := stormFleet(t, chains,
@@ -616,12 +616,12 @@ func TestContractLinkStorm(t *testing.T) {
 	drain := countsOf(batch).minus(drainBefore)
 	fallbacks := int(batch.Sharded().StandbyFallbacks() - fallbacksBefore)
 	after, _ := batch.OptimizerStatus()
-	t.Logf("drain: %d tasks, %+v, storm %+v, group plans %+v, fabric retries %d, queue high-water %v", len(results), drain, after.Storm, after.GroupPlans, fallbacks, after.ShardHighWater)
-	if after.Storm.Activations == before.Storm.Activations || after.Storm.CoalescedTasks == before.Storm.CoalescedTasks {
-		t.Errorf("storm mode never coalesced: %+v -> %+v", before.Storm, after.Storm)
+	t.Logf("drain: %d results, %+v, group plans %+v, fabric retries %d, queue high-water %v", len(results), drain, after.GroupPlans, fallbacks, after.ShardHighWater)
+	if after.GroupPlans.Coalesced == before.GroupPlans.Coalesced {
+		t.Errorf("no re-protect coalesced into a failure-domain group: %+v -> %+v", before.GroupPlans, after.GroupPlans)
 	}
-	if after.Storm.Active {
-		t.Error("storm mode still active after the drain")
+	if after.QueueDepth != 0 {
+		t.Errorf("%d tasks still queued after the drain", after.QueueDepth)
 	}
 	for shard, hw := range after.ShardHighWater {
 		if hw > queueBound {
@@ -635,15 +635,10 @@ func TestContractLinkStorm(t *testing.T) {
 	if drain.yenRuns != 0 {
 		t.Errorf("drain ran %d Yen searches, want 0", drain.yenRuns)
 	}
-	// Every plan is counted: the group members planned, the tasks queued
-	// per chain before the threshold crossed that re-planned beside the
-	// groups, and every fabric retry of either.
+	// Every plan is counted once: each group member planned, and every
+	// fabric retry.
 	plans := planned + fallbacks
-	for _, res := range results {
-		if res.Outcome == "protected" || res.Outcome == "unprotected" {
-			plans++
-		}
-	}
+	t.Logf("plans %d, standby searches %d", plans, drain.standbySearches)
 	if drain.standbySearches > segments*plans {
 		t.Errorf("drain asked %d standby searches for %d plans, want at most %d per plan", drain.standbySearches, plans, segments)
 	}

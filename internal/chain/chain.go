@@ -1,8 +1,8 @@
 // Package chain models Network Function Chains (§IV-A): "an NFC is
 // defined as a set of Network Functions, packet processing order
 // (simple or complex), network resource requirements (node and links),
-// and network forwarding graph". Simple (linear) orders are the common
-// case; complex orders are expressed as a forwarding-graph DAG.
+// and network forwarding graph". Only simple (linear) orders are
+// modelled: a chain's forwarding graph is its NF sequence.
 package chain
 
 import (
@@ -28,8 +28,8 @@ type Spec struct {
 	Name    string
 	Tenant  string
 	Service string
-	// NFs is the simple (linear) processing order. For complex orders
-	// build a ForwardingGraph from the spec and add branch edges.
+	// NFs is the processing order. Chains are linear: the paper's
+	// complex (branching) orders are not modelled.
 	NFs []NFRef
 	// BandwidthGbps is the chain's link resource requirement.
 	BandwidthGbps float64

@@ -73,121 +73,6 @@ func TestNFRefDemandOverride(t *testing.T) {
 		t.Fatal("demand override lost")
 	}
 }
-
-func TestForwardingGraphLinear(t *testing.T) {
-	s := validSpec(t)
-	fg, err := NewForwardingGraph(s)
-	if err != nil {
-		t.Fatalf("NewForwardingGraph: %v", err)
-	}
-	if fg.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", fg.Len())
-	}
-	if err := fg.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	order, err := fg.TopoOrder()
-	if err != nil {
-		t.Fatalf("TopoOrder: %v", err)
-	}
-	for i, want := range []int{0, 1, 2} {
-		if order[i] != want {
-			t.Fatalf("order = %v", order)
-		}
-	}
-	paths := fg.Paths()
-	if len(paths) != 1 || len(paths[0]) != 3 {
-		t.Fatalf("paths = %v", paths)
-	}
-	if nf, err := fg.NF(1); err != nil || nf.Name != "lb" {
-		t.Fatalf("NF(1) = %v, %v", nf, err)
-	}
-	if _, err := fg.NF(5); err == nil {
-		t.Fatal("out-of-range NF accepted")
-	}
-}
-
-func TestForwardingGraphBranch(t *testing.T) {
-	s, err := Linear("branchy", "t", "web", 1, 1<<20, "lb", "dpi", "ids", "firewall")
-	if err != nil {
-		t.Fatalf("Linear: %v", err)
-	}
-	fg, err := NewForwardingGraph(s)
-	if err != nil {
-		t.Fatalf("NewForwardingGraph: %v", err)
-	}
-	// Add branch: lb(0) also fans to ids(2) directly.
-	if err := fg.AddEdge(0, 2); err != nil {
-		t.Fatalf("AddEdge: %v", err)
-	}
-	if err := fg.Validate(); err != nil {
-		t.Fatalf("Validate branched: %v", err)
-	}
-	paths := fg.Paths()
-	if len(paths) != 2 {
-		t.Fatalf("paths = %v, want 2 source->sink paths", paths)
-	}
-	// Duplicate edge is a no-op.
-	if err := fg.AddEdge(0, 2); err != nil {
-		t.Fatalf("duplicate AddEdge: %v", err)
-	}
-	succ := fg.Successors(0)
-	if len(succ) != 2 {
-		t.Fatalf("successors of 0 = %v", succ)
-	}
-}
-
-func TestForwardingGraphRejectsBadEdges(t *testing.T) {
-	fg, err := NewForwardingGraph(validSpec(t))
-	if err != nil {
-		t.Fatalf("NewForwardingGraph: %v", err)
-	}
-	if err := fg.AddEdge(0, 0); err == nil {
-		t.Fatal("self edge accepted")
-	}
-	if err := fg.AddEdge(-1, 1); err == nil {
-		t.Fatal("negative index accepted")
-	}
-	if err := fg.AddEdge(0, 99); err == nil {
-		t.Fatal("out-of-range accepted")
-	}
-}
-
-func TestForwardingGraphCycleDetected(t *testing.T) {
-	fg, err := NewForwardingGraph(validSpec(t))
-	if err != nil {
-		t.Fatalf("NewForwardingGraph: %v", err)
-	}
-	if err := fg.AddEdge(2, 1); err != nil { // creates 1->2->1
-		t.Fatalf("AddEdge: %v", err)
-	}
-	if _, err := fg.TopoOrder(); err == nil {
-		t.Fatal("cycle not detected by TopoOrder")
-	}
-	if err := fg.Validate(); err == nil {
-		t.Fatal("cycle not detected by Validate")
-	}
-}
-
-func TestForwardingGraphSourceWithIncoming(t *testing.T) {
-	fg, err := NewForwardingGraph(validSpec(t))
-	if err != nil {
-		t.Fatalf("NewForwardingGraph: %v", err)
-	}
-	if err := fg.AddEdge(1, 0); err != nil {
-		t.Fatalf("AddEdge: %v", err)
-	}
-	if err := fg.Validate(); err == nil {
-		t.Fatal("source with incoming edge passed validation")
-	}
-}
-
-func TestForwardingGraphFromInvalidSpec(t *testing.T) {
-	if _, err := NewForwardingGraph(Spec{}); err == nil {
-		t.Fatal("invalid spec accepted")
-	}
-}
-
 func TestSpecJSONRoundTrip(t *testing.T) {
 	orig := validSpec(t)
 	orig.NFs[0].Demand = topology.Resources{CPUCores: 4, MemoryGB: 8, StorageGB: 2}

@@ -60,19 +60,15 @@ func healthyFleet(t testing.TB, shards, n int, seed int64) (*orch.Sharded, *topo
 // primaryTransit returns the link on which the chain's primary path
 // enters its first OPS: a link of the chain's own slice, so cutting it
 // repairs this chain and at most the standbys of a few others. A path
-// that stays under one ToR has none.
+// that stays under one ToR has none. The link may already be down — a
+// concurrent cut took it after the deployment was read — because its
+// liveness is the orchestrator's to read, under its topology lock.
 func primaryTransit(topo *topology.Topology, dep *orch.Deployment) (topology.LinkID, bool) {
 	i := slices.IndexFunc(dep.Path, func(n topology.NodeID) bool { return topo.Node(n).Kind == topology.KindOPS })
 	if i < 1 {
 		return 0, false
 	}
-	// Nil when the link is down: a concurrent cut took it after the
-	// deployment was read.
-	l := topo.LinkBetween(dep.Path[i-1], dep.Path[i])
-	if l == nil {
-		return 0, false
-	}
-	return l.ID, true
+	return topo.HopLink(dep.Path[i-1], dep.Path[i])
 }
 
 // cutPrimary cuts the chain's primaryTransit link and recovers it: with a
@@ -140,13 +136,16 @@ func mixedFleet(t *testing.T, shards, n int, seed int64) *orch.Sharded {
 }
 
 // queuedKeys drains the engine's queues without running anything and
-// returns the task keys in dispatch order (kind, shard, FIFO).
+// returns the task keys in dispatch order (kind, shard, FIFO); the
+// popped groups are claimed and dropped, as a drain would claim them.
 func queuedKeys(e *Engine) []taskKey {
-	var out []taskKey
-	for _, t := range e.popBatch() {
-		out = append(out, t.key)
+	keys := e.popBatch()
+	for _, k := range keys {
+		if g := e.claim(k); g != nil {
+			g.free()
+		}
 	}
-	return out
+	return keys
 }
 
 // TestIntakeEqualsDeploymentsRule: the tasks a recovery event queues from

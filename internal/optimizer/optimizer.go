@@ -21,12 +21,13 @@
 //	λ-defrag    consolidate fragmented wavelength assignments during
 //	            quiet periods with the make-before-break retune
 //
-// — behind a deduplicating work queue keyed by (deployment, kind): a
-// chain hit by ten events is optimized once. Tasks take the
-// orchestrator's per-deployment exclusive guard; a busy deployment is
-// skipped and requeued, a deleted one cancels its pending work. The
-// engine is fully observable (Status) and drainable synchronously
-// (Drain) for tests, benches and the POST /v1/optimizer:run endpoint.
+// — behind a deduplicating work queue of member groups: a chain hit by
+// ten events is optimized once, and the re-protects of one failure
+// domain run as one group planned off the domain's risk groups. Tasks
+// take the orchestrator's per-deployment exclusive guard; a busy
+// deployment is skipped and requeued, a deleted one cancels its pending
+// work. The engine is fully observable (Status) and drainable
+// synchronously (Drain) for tests, benches and POST /v1/optimizer:run.
 package optimizer
 
 import (
@@ -53,9 +54,9 @@ import (
 // chain, a recovery event only the chains the orchestrator's
 // maintenance-owed index holds, so it costs the chains it can help and
 // not a pass over the fleet. ReProtectGroup is the one re-protection
-// call: a storm-group task hands it a whole failure domain, steering
-// every chain of the domain off the domain's risk groups, and a
-// per-chain task a group of one with no domain.
+// call: every re-protect and refresh task hands it one failure-domain
+// group, steering each member off the domain's risk groups; a group with
+// no domain is one chain.
 type Target interface {
 	Shards() int
 	ShardOf(id orch.DeploymentID) int
@@ -106,26 +107,21 @@ type Options struct {
 	// current one by at least this many O/E/O conversions before a
 	// re-home migrates anything (default 1; values below 1 are clamped).
 	RehomeMargin int
-	// BusyRetries is how many times a task that finds its deployment
+	// BusyRetries is how many times a member that finds its deployment
 	// busy is requeued before it is dropped as skipped (default 20).
 	BusyRetries int
 	// ResultLog is how many recent task results Status retains
 	// (default 32).
 	ResultLog int
-	// StormThreshold is the queue depth at which storm mode engages
-	// (default 64; negative disables). During a storm, repair events
-	// carrying a failure domain coalesce their re-protect work into one
-	// group task per domain — an SRLG tray cut over a large fleet
-	// queues a handful of domain tasks instead of thousands of
-	// per-deployment ones. Storm mode disengages when the queue drains.
+	// Deprecated: ignored; every re-protect joins its failure domain's group.
 	StormThreshold int
 	// MaxQueueDepth bounds each shard queue's task count (default 4096;
 	// negative disables the bound). An enqueue that would push a shard
-	// queue past the bound sheds the lowest-priority queued task instead
-	// of growing — protection work survives a storm at the expense of
-	// cosmetic re-home/defrag passes, and queue memory stays bounded no
-	// matter how long the event burst runs. Shed tasks are counted
-	// (Status.Shed) and regenerate on the next idle tick.
+	// queue past the bound sheds the lowest-priority queued task, newest
+	// first, and its members instead of growing — protection work survives
+	// a burst at the expense of cosmetic re-home/defrag passes, and queue
+	// memory stays bounded however long the burst runs. Shed tasks are
+	// counted (Status.Shed) and regenerate on the next idle tick.
 	MaxQueueDepth int
 }
 
@@ -142,16 +138,13 @@ func (o Options) withDefaults() Options {
 	if o.ResultLog <= 0 {
 		o.ResultLog = 32
 	}
-	if o.StormThreshold == 0 {
-		o.StormThreshold = 64
-	}
 	if o.MaxQueueDepth == 0 {
 		o.MaxQueueDepth = 4096
 	}
 	return o
 }
 
-// KindStats counts one task kind's lifecycle outcomes.
+// KindStats counts one task kind's lifecycle outcomes, per member chain.
 type KindStats struct {
 	// Enqueued counts accepted enqueues (dedup hits excluded).
 	Enqueued int `json:"enqueued"`
@@ -169,7 +162,7 @@ type KindStats struct {
 	Failed int `json:"failed"`
 }
 
-// TaskResult is one executed task's outcome, kept in the status ring.
+// TaskResult is one member chain's outcome of a task, kept in the ring.
 type TaskResult struct {
 	Deployment orch.DeploymentID `json:"deployment"`
 	Kind       string            `json:"kind"`
@@ -182,31 +175,21 @@ type TaskResult struct {
 	When    time.Time `json:"when"`
 }
 
-// StormStats counts storm-mode activity.
-type StormStats struct {
-	// Active reports whether storm mode is currently engaged.
-	Active bool `json:"active"`
-	// Activations counts quiet→storm transitions.
-	Activations int `json:"activations"`
-	// Domains counts group tasks created (one per failure domain per
-	// storm round).
-	Domains int `json:"domains"`
-	// CoalescedTasks counts re-protects folded into an existing domain
-	// group instead of queueing individually — the queue entries the
-	// storm saved.
-	CoalescedTasks int `json:"coalesced_tasks"`
-}
-
-// GroupPlanStats accumulates storm-group planning outcomes across the
-// engine's lifetime — the operator's evidence that domain-level
-// planning is actually happening in production storms. Per-chain tasks
-// are not counted here.
+// GroupPlanStats accumulates the re-protect lane's outcomes across the
+// engine's lifetime: how its work coalesced by failure domain, and how
+// the members' standbys were planned.
 type GroupPlanStats struct {
-	// Planned counts storm-group members whose standby was re-planned.
+	// Groups counts groups opened: a domain's (or a domainless chain's)
+	// first member since its last group ran.
+	Groups int `json:"groups"`
+	// Coalesced counts members that joined an already open group — the
+	// queue entries the grouping saved.
+	Coalesced int `json:"coalesced"`
+	// Planned counts members whose standby was re-planned.
 	Planned int `json:"planned"`
-	// Fallbacks counts storm-group members whose plan retried on the
-	// whole fabric after the shard's pool offered no route, or none that
-	// was disjoint.
+	// Fallbacks counts members whose plan retried on the whole fabric
+	// after the shard's pool offered no route, or none that was
+	// disjoint.
 	Fallbacks int `json:"fallbacks"`
 }
 
@@ -225,9 +208,8 @@ type Status struct {
 	// Shed counts tasks dropped by the queue-depth bound
 	// (Options.MaxQueueDepth) since the engine started.
 	Shed int `json:"queue_shed"`
-	// Storm reports the storm-mode coalescing counters.
-	Storm StormStats `json:"storm"`
-	// GroupPlans reports the storm-group planning counters.
+	// GroupPlans reports the re-protect lane's grouping and planning
+	// counters.
 	GroupPlans GroupPlanStats `json:"group_plans"`
 	// Debounce mirrors the upstream failure debouncer's counters when
 	// one is attached (SetDebounceSource).
@@ -236,26 +218,15 @@ type Status struct {
 	LastResults []TaskResult `json:"last_results"`
 }
 
+// taskKey names one queued task, a group of member chains kept in
+// Engine.groups. A re-protect or refresh groups by failure domain:
+// domain is the domain's key (FailureDomain.String) and dep is 0. Any
+// other task, and a re-protect or refresh with no domain, is a group of
+// one keyed by its chain, dep.
 type taskKey struct {
-	dep  orch.DeploymentID
-	kind TaskKind
-	// domain is the failure domain's key (FailureDomain.String) for
-	// storm-mode group tasks: one queue entry re-protects every chain the
-	// domain hit (dep is 0; the members live in Engine.groups until the
-	// task runs).
+	dep    orch.DeploymentID
+	kind   TaskKind
 	domain string
-}
-
-type task struct {
-	key      taskKey
-	attempts int
-	// traceID/parent carry the causal chain of the event that queued
-	// the task (the repair span) across the queue: the task's span, if
-	// any, continues that trace. Empty for tick/sweep work — untraced
-	// tasks record no spans. Dedup is first-wins; busy requeues keep
-	// the fields.
-	traceID string
-	parent  trace.SpanID
 }
 
 // shardQueue is one shard's deduplicating priority queue. Each queue
@@ -265,7 +236,54 @@ type task struct {
 type shardQueue struct {
 	mu     sync.Mutex
 	queued map[taskKey]bool
-	order  [numKinds][]task
+	order  [numKinds][]taskKey
+}
+
+// group is one queued task's record: the failure domain its members
+// share, the members, and the spans of the events that queued them, one
+// per distinct trace (untraced tick and sweep work has none and records
+// no span) — the task's span continues the first and links the rest.
+// The other fields are the scratch of the run that claims it; records
+// are pooled, so a steady queue allocates none.
+type group struct {
+	domain  orch.FailureDomain
+	members []orch.DeploymentID
+	parents []trace.SpanContext
+
+	tries   []int // the members' busy retries, members sorted by ID
+	outs    []orch.GroupOutcome
+	results []TaskResult
+	busy    []retry
+}
+
+// retry is a busy member on its way back into its group.
+type retry struct {
+	id       orch.DeploymentID
+	attempts int
+}
+
+var groupPool = sync.Pool{New: func() any { return new(group) }}
+
+// free returns a group's record to the pool, keeping its buffers.
+func (g *group) free() {
+	clear(g.parents)
+	clear(g.outs)
+	clear(g.results)
+	*g = group{members: g.members[:0], parents: g.parents[:0], tries: g.tries[:0],
+		outs: g.outs[:0], results: g.results[:0], busy: g.busy[:0]}
+	groupPool.Put(g)
+}
+
+// memberKey names a chain's place in its kind's lane, and membership
+// is that place: the group the chain waits in and its busy retries.
+type memberKey struct {
+	dep  orch.DeploymentID
+	kind TaskKind
+}
+
+type membership struct {
+	key      taskKey
+	attempts int
 }
 
 // Engine is the background optimization engine over the orchestrator,
@@ -288,20 +306,17 @@ type Engine struct {
 	results   ring.Ring[loggedResult]
 	kindsView map[string]KindStats
 	logView   [][]byte
-	storm     bool
-	stormStat StormStats
 	groupPlan GroupPlanStats
 	highWater []int // per-shard queued-task high-water marks
 	shedTotal int   // tasks dropped by the MaxQueueDepth bound
 	drainObs  func(d time.Duration, tasks int)
 
-	// grpMu guards the storm-mode group membership: the groups by domain
-	// key, and each grouped member's key. Never held while enqueueing
-	// (which takes q.mu then e.mu), so there is no ordering cycle with
-	// the queue locks.
+	// grpMu guards the membership of the queued tasks: their groups by
+	// key, and each queued member's place. Taken before a queue lock,
+	// never under one or under mu.
 	grpMu  sync.Mutex
-	groups map[string]*stormGroup
-	member map[orch.DeploymentID]string
+	groups map[taskKey]*group
+	member map[memberKey]membership
 
 	// tracer, when set, makes event-driven tasks record optimizer
 	// spans continuing the originating repair's trace. Guarded by mu.
@@ -331,16 +346,6 @@ type Engine struct {
 	clock orch.Clock
 }
 
-// stormGroup is one failure domain's storm-mode record: the domain, the
-// members whose re-protects coalesced under it, and the repair spans of
-// their events (one per distinct trace) — the group task's span
-// continues the first and links the rest.
-type stormGroup struct {
-	domain  orch.FailureDomain
-	members []orch.DeploymentID
-	parents []trace.SpanContext
-}
-
 // New builds an engine over the target. The caller wires it as the
 // orchestrator's event sink and, for daemon use, calls Start.
 func New(o Target, opts Options) (*Engine, error) {
@@ -353,8 +358,8 @@ func New(o Target, opts Options) (*Engine, error) {
 		opts:      opts.withDefaults(),
 		queues:    make([]*shardQueue, shards),
 		highWater: make([]int, shards),
-		groups:    make(map[string]*stormGroup),
-		member:    make(map[orch.DeploymentID]string),
+		groups:    make(map[taskKey]*group),
+		member:    make(map[memberKey]membership),
 		pool:      orch.NewPool(),
 		clock:     orch.WallClock,
 	}
@@ -367,7 +372,7 @@ func New(o Target, opts Options) (*Engine, error) {
 }
 
 // SetDrainObserver registers a telemetry hook receiving each Drain
-// pass's wall time and executed task count (busy requeues excluded).
+// pass's wall time and result count (one per member; busy retries out).
 // Record-only: the observer must not call back into the engine.
 func (e *Engine) SetDrainObserver(fn func(d time.Duration, tasks int)) {
 	e.mu.Lock()
@@ -376,7 +381,7 @@ func (e *Engine) SetDrainObserver(fn func(d time.Duration, tasks int)) {
 }
 
 // SetDebounceSource attaches the upstream failure debouncer's counters
-// so Status reports the whole storm pipeline — events coalesced into
+// so Status reports the whole failure pipeline — events coalesced into
 // batches upstream, re-protects coalesced into domain groups here.
 func (e *Engine) SetDebounceSource(src interface{ Stats() orch.DebounceStats }) {
 	e.mu.Lock()
@@ -404,26 +409,22 @@ func (e *Engine) traceFor() *trace.Tracer {
 // in Drain or the Start loop — so it is safe to call from inside
 // orchestrator operations.
 func (e *Engine) OrchEvent(ev orch.Event) {
+	parent := trace.SpanContext{TraceID: ev.TraceID, SpanID: ev.SpanID}
 	switch ev.Kind {
 	case orch.EventRepairCompleted:
 		// Any successful repair may have consumed or dropped the
-		// standby; the re-protect task is a cheap no-op when not.
-		// Under a storm, domain-stamped events coalesce per shared
-		// cause instead of queueing per deployment.
-		if !e.stormEnqueue(ev) {
-			e.enqueue(task{key: taskKey{dep: ev.Deployment, kind: KindReProtect},
-				traceID: ev.TraceID, parent: ev.SpanID})
-		}
+		// standby; the re-protect is a cheap no-op when not. The chain
+		// joins the group of what failed, so it is planned off the
+		// failure's risk groups beside every other chain it hit.
+		e.join(KindReProtect, ev.Deployment, ev.Domain, 0, parent)
 		switch ev.Action {
 		case orch.ActionReplaced, orch.ActionPatched, orch.ActionRebuilt:
 			// Instances moved under duress: placement may have drifted.
-			e.enqueue(task{key: taskKey{dep: ev.Deployment, kind: KindRehome},
-				traceID: ev.TraceID, parent: ev.SpanID})
+			e.join(KindRehome, ev.Deployment, orch.FailureDomain{}, 0, parent)
 		}
 	case orch.EventPlacementChanged:
 		// MoveNF / re-home dropped the standby while re-provisioning.
-		e.enqueue(task{key: taskKey{dep: ev.Deployment, kind: KindReProtect},
-			traceID: ev.TraceID, parent: ev.SpanID})
+		e.join(KindReProtect, ev.Deployment, orch.FailureDomain{}, 0, parent)
 	case orch.EventNodeRecovered, orch.EventLinkRecovered:
 		// Capacity came back: refresh standbys planned around the
 		// outage and pull drifted chains home. Only the chains the
@@ -444,189 +445,191 @@ func (e *Engine) OrchEvent(ev orch.Event) {
 	}
 }
 
-// Enqueue queues one task, coalescing with an identical queued task (a
+// Enqueue queues one task for the chain, with no failure domain: a
+// group of one, coalescing with the chain's queued task of the kind (a
 // deployment hit by a burst of events is optimized once). Returns
 // whether the task was newly queued.
 func (e *Engine) Enqueue(dep orch.DeploymentID, kind TaskKind) bool {
-	return e.enqueue(task{key: taskKey{dep: dep, kind: kind}})
+	return e.join(kind, dep, orch.FailureDomain{}, 0)
 }
 
-// stormEnqueue is the storm-mode intake for repair events. It reports
-// whether the event's re-protect was absorbed: false means the caller
-// should enqueue per-deployment as usual — no failure domain on the
-// event, storm mode disabled, or the queue still below the spike
-// threshold. Once the depth crosses the threshold, storm mode engages
-// and each domain's chains share one group task until the queue drains.
-func (e *Engine) stormEnqueue(ev orch.Event) bool {
-	key := ev.Domain.String()
-	if key == "" || e.opts.StormThreshold < 0 {
+// join files dep's task of the kind under its failure domain's group —
+// the chain's own group when there is no domain, or the kind does not
+// group — opening the group and queueing its task when dep is the first
+// member. A chain already queued for the kind is deduped. attempts is the
+// member's busy retries so far; parents are the spans of the events
+// behind it. It reports whether dep was newly queued.
+func (e *Engine) join(kind TaskKind, dep orch.DeploymentID, domain orch.FailureDomain, attempts int, parents ...trace.SpanContext) bool {
+	if kind < 0 || kind >= numKinds {
 		return false
 	}
-	e.mu.Lock()
-	if !e.storm && e.depth >= e.opts.StormThreshold {
-		e.storm = true
-		e.stormStat.Activations++
+	key := taskKey{kind: kind, domain: domain.String()}
+	if key.domain == "" {
+		key.dep = dep
 	}
-	active := e.storm
-	e.mu.Unlock()
-	if !active {
-		return false
-	}
-	// A chain already grouped, or joining a domain's group, coalesces;
-	// the first chain of a domain opens its group task.
+	mk := memberKey{dep: dep, kind: kind}
 	e.grpMu.Lock()
-	_, member := e.member[ev.Deployment]
-	g, grouped := e.groups[key]
-	if !member {
-		e.member[ev.Deployment] = key
-		if !grouped {
-			g = &stormGroup{domain: ev.Domain}
+	_, dup := e.member[mk]
+	g, open := e.groups[key]
+	if !dup {
+		if !open {
+			g = groupPool.Get().(*group)
+			g.domain = domain
 			e.groups[key] = g
 		}
-		g.members = append(g.members, ev.Deployment)
-		if ev.TraceID != "" && !slices.ContainsFunc(g.parents, func(p trace.SpanContext) bool { return p.TraceID == ev.TraceID }) {
-			g.parents = append(g.parents, trace.SpanContext{TraceID: ev.TraceID, SpanID: ev.SpanID})
-		}
-	}
-	e.grpMu.Unlock()
-	opened := !member && !grouped
-	if opened {
-		e.enqueue(task{key: taskKey{kind: KindReProtect, domain: key}})
-	}
-	e.mu.Lock()
-	if opened {
-		e.stormStat.Domains++
-	} else {
-		e.stormStat.CoalescedTasks++
-	}
-	e.mu.Unlock()
-	return true
-}
-
-func (e *Engine) enqueue(t task) bool {
-	if t.key.kind < 0 || t.key.kind >= numKinds {
-		return false
-	}
-	idx := e.o.ShardOf(t.key.dep)
-	q := e.queues[idx]
-	maxDepth := e.opts.MaxQueueDepth
-	q.mu.Lock()
-	dup := q.queued[t.key]
-	var shed []taskKey
-	if !dup {
-		q.queued[t.key] = true
-		q.order[t.key.kind] = append(q.order[t.key.kind], t)
-		// Shed back under the bound before qlen is read, so the recorded
-		// high-water mark can never exceed MaxQueueDepth. The victim may
-		// be the task just inserted — a full queue of higher-priority
-		// work rejects new cosmetic tasks outright.
-		if maxDepth > 0 {
-			for len(q.queued) > maxDepth {
-				victim, ok := q.shedLowestLocked()
-				if !ok {
-					break
-				}
-				shed = append(shed, victim)
+		g.members = append(g.members, dep)
+		e.member[mk] = membership{key: key, attempts: attempts}
+		for _, p := range parents {
+			if p.TraceID != "" && !slices.ContainsFunc(g.parents, func(q trace.SpanContext) bool { return q.TraceID == p.TraceID }) {
+				g.parents = append(g.parents, p)
 			}
 		}
 	}
-	qlen := len(q.queued)
-	q.mu.Unlock()
-	// Stats, the global depth and the dispatcher wake-up live under the
-	// engine lock, taken after the queue lock is released — the two are
-	// never nested in this direction, so no ordering cycle with the
-	// dispatcher (which nests e.mu → q.mu via queue drains).
+	e.grpMu.Unlock()
+	if !dup && !open && !e.push(key) {
+		return false // the bound released the group on arrival
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if dup {
-		e.stats[t.key.kind].Deduped++
+		e.stats[kind].Deduped++
 		return false
 	}
-	e.depth += 1 - len(shed)
-	e.shedTotal += len(shed)
-	if qlen > e.highWater[idx] {
-		e.highWater[idx] = qlen
+	if attempts == 0 {
+		e.stats[kind].Enqueued++
 	}
-	selfShed := false
-	for _, k := range shed {
-		if k == t.key {
-			selfShed = true
+	switch {
+	case kind > KindRefresh: // a re-home or defrag is always a group of one
+	case open:
+		e.groupPlan.Coalesced++
+	default:
+		e.groupPlan.Groups++
+	}
+	return true
+}
+
+// claim takes a group out of the lane: its record leaves the table and
+// its members leave theirs, so an event arriving from here on opens the
+// domain's next group. The members are sorted by ID and their busy
+// retries read into tries, in that order. Nil when every member left
+// while the task was queued.
+func (e *Engine) claim(key taskKey) *group {
+	e.grpMu.Lock()
+	defer e.grpMu.Unlock()
+	g := e.groups[key]
+	if g == nil {
+		return nil
+	}
+	delete(e.groups, key)
+	slices.Sort(g.members)
+	for _, id := range g.members {
+		mk := memberKey{dep: id, kind: key.kind}
+		g.tries = append(g.tries, e.member[mk].attempts)
+		delete(e.member, mk)
+	}
+	return g
+}
+
+// push queues a newly opened group's task, shedding back under
+// MaxQueueDepth; false means the bound evicted the task itself.
+func (e *Engine) push(key taskKey) bool {
+	idx := e.o.ShardOf(key.dep)
+	q := e.queues[idx]
+	q.mu.Lock()
+	if q.queued[key] {
+		// A task whose group emptied while it was being queued: it runs
+		// the group just opened.
+		q.mu.Unlock()
+		return true
+	}
+	q.queued[key] = true
+	q.order[key.kind] = append(q.order[key.kind], key)
+	// Shed back under the bound before qlen is read, so the recorded
+	// high-water mark can never exceed MaxQueueDepth. The victim may be
+	// the task just inserted — a full queue of higher-priority work
+	// rejects new cosmetic tasks outright.
+	var victims []taskKey
+	for e.opts.MaxQueueDepth > 0 && len(q.queued) > e.opts.MaxQueueDepth {
+		victims = append(victims, q.shedLowestLocked())
+	}
+	qlen := len(q.queued)
+	q.mu.Unlock()
+	kept := true
+	for _, k := range victims {
+		kept = kept && k != key
+		if g := e.claim(k); g != nil {
+			g.free()
 		}
 	}
-	if selfShed {
-		return false
-	}
-	if t.attempts == 0 {
-		e.stats[t.key.kind].Enqueued++
-	}
+	// The global depth, the high-water marks and the dispatcher wake-up
+	// live under the engine lock, taken after the queue lock is released
+	// — the two are never nested.
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.depth += 1 - len(victims)
+	e.shedTotal += len(victims)
+	e.highWater[idx] = max(e.highWater[idx], qlen)
 	e.cond.Broadcast()
-	return true
+	return kept
 }
 
 // shedLowestLocked evicts the newest task of the lowest-priority
 // (highest-kind) non-empty lane — the work whose loss costs least: a
-// shed defrag or re-home regenerates on the next idle tick, while
-// re-protect lanes are only touched when nothing lower remains.
-// Storm-mode group tasks are never shed (their membership lives outside
-// the queue and would orphan). Caller holds q.mu.
-func (q *shardQueue) shedLowestLocked() (taskKey, bool) {
-	for kind := numKinds - 1; kind >= 0; kind-- {
-		lane := q.order[kind]
-		for i := len(lane) - 1; i >= 0; i-- {
-			if lane[i].key.domain != "" {
-				continue
-			}
-			victim := lane[i].key
-			q.order[kind] = append(lane[:i], lane[i+1:]...)
-			delete(q.queued, victim)
-			return victim, true
-		}
+// shed defrag or re-home regenerates on the next idle tick, and so does
+// a shed group's members, through the tick's refresh sweep. The caller
+// holds q.mu and has queued more tasks than the bound.
+func (q *shardQueue) shedLowestLocked() taskKey {
+	kind := numKinds - 1
+	for len(q.order[kind]) == 0 {
+		kind--
 	}
-	return taskKey{}, false
+	lane := q.order[kind]
+	victim := lane[len(lane)-1]
+	q.order[kind] = lane[:len(lane)-1]
+	delete(q.queued, victim)
+	return victim
 }
 
-// Cancel drops every queued task for the deployment (it was deleted;
-// the work is moot). Tasks already executing observe the deletion
+// Cancel drops the deployment's queued work (it was deleted; the work
+// is moot): it leaves every group it waits in, and a group it leaves
+// empty leaves the queue. Tasks already executing observe the deletion
 // themselves through the orchestrator's state errors.
-func (e *Engine) Cancel(dep orch.DeploymentID) int {
-	q := e.queues[e.o.ShardOf(dep)]
+func (e *Engine) Cancel(dep orch.DeploymentID) {
 	var dropped [numKinds]int
-	n := 0
-	q.mu.Lock()
-	for kind := TaskKind(0); kind < numKinds; kind++ {
-		kept := q.order[kind][:0]
-		for _, t := range q.order[kind] {
-			if t.key.dep == dep {
-				delete(q.queued, t.key)
-				dropped[kind]++
-				n++
-				continue
-			}
-			kept = append(kept, t)
-		}
-		q.order[kind] = kept
-	}
-	q.mu.Unlock()
-	// A deleted deployment also leaves its storm group: the group task
-	// stays queued for the surviving members.
+	tasks := 0
 	e.grpMu.Lock()
-	if key, ok := e.member[dep]; ok {
-		delete(e.member, dep)
-		g := e.groups[key]
-		if g.members = slices.DeleteFunc(g.members, func(id orch.DeploymentID) bool { return id == dep }); len(g.members) == 0 {
-			delete(e.groups, key)
+	for kind := TaskKind(0); kind < numKinds; kind++ {
+		mk := memberKey{dep: dep, kind: kind}
+		m, ok := e.member[mk]
+		if !ok {
+			continue
 		}
+		delete(e.member, mk)
+		dropped[kind]++
+		g := e.groups[m.key]
+		if g.members = slices.DeleteFunc(g.members, func(id orch.DeploymentID) bool { return id == dep }); len(g.members) > 0 {
+			continue
+		}
+		delete(e.groups, m.key)
+		g.free()
+		// Under grpMu, so no join opens the key's next group between the
+		// record leaving and its task leaving.
+		q := e.queues[e.o.ShardOf(m.key.dep)]
+		q.mu.Lock()
+		if q.queued[m.key] {
+			delete(q.queued, m.key)
+			q.order[kind] = slices.DeleteFunc(q.order[kind], func(k taskKey) bool { return k == m.key })
+			tasks++
+		}
+		q.mu.Unlock()
 	}
 	e.grpMu.Unlock()
-	if n > 0 {
-		e.mu.Lock()
-		e.depth -= n
-		for kind := TaskKind(0); kind < numKinds; kind++ {
-			e.stats[kind].Cancelled += dropped[kind]
-		}
-		e.mu.Unlock()
+	e.mu.Lock()
+	e.depth -= tasks
+	for kind, n := range dropped {
+		e.stats[kind].Cancelled += n
 	}
-	return n
+	e.mu.Unlock()
 }
 
 // Pause stops the background loop from dispatching further tasks;
@@ -648,14 +651,14 @@ func (e *Engine) Resume() {
 
 // popBatch removes every queued task, highest priority first (kind
 // order dominates; within a kind, shard order then FIFO).
-func (e *Engine) popBatch() []task {
-	var out []task
+func (e *Engine) popBatch() []taskKey {
+	var out []taskKey
 	for kind := TaskKind(0); kind < numKinds; kind++ {
 		for _, q := range e.queues {
 			q.mu.Lock()
-			for _, t := range q.order[kind] {
-				delete(q.queued, t.key)
-				out = append(out, t)
+			for _, k := range q.order[kind] {
+				delete(q.queued, k)
+				out = append(out, k)
 			}
 			q.order[kind] = nil
 			q.mu.Unlock()
@@ -709,28 +712,26 @@ func (e *Engine) Drain() []TaskResult {
 	for {
 		batch := e.popBatch()
 		if len(batch) == 0 {
-			e.endStormIfDrained()
 			if obs != nil {
 				obs(time.Since(start), len(out))
 			}
 			return out
 		}
-		slots := make([]taskSlot, len(batch))
-		e.pool.Run(len(batch), e.opts.Workers, func(i int) {
-			slots[i].res, slots[i].requeue = e.runTask(batch[i], &slots[i])
-		})
+		groups := make([]*group, len(batch))
+		e.pool.Run(len(batch), e.opts.Workers, func(i int) { groups[i] = e.run(batch[i]) })
 		busyOnly := true
-		for i := range batch {
-			if slots[i].requeue {
-				// Requeue the whole task, trace fields included — the
-				// retry is the same causal operation.
-				rt := batch[i]
-				rt.attempts++
-				e.enqueue(rt)
+		for i, g := range groups {
+			busyOnly = busyOnly && g != nil && len(g.results) == 0
+			if g == nil {
 				continue
 			}
-			busyOnly = false
-			out = append(out, slots[i].res)
+			// Busy members rejoin their domain's group, the group's
+			// parents with them: the retry is the same causal operation.
+			for _, r := range g.busy {
+				e.join(batch[i].kind, r.id, g.domain, r.attempts, g.parents...)
+			}
+			out = append(out, g.results...)
+			g.free()
 		}
 		if busyOnly {
 			// Everything still queued is waiting on in-flight exclusive
@@ -740,239 +741,158 @@ func (e *Engine) Drain() []TaskResult {
 	}
 }
 
-// taskSlot is one task's place in a drain round: its result, whether it
-// goes back on the queue, and the member and outcome a per-chain
-// re-protect hands ReProtectGroup, so a group of one allocates neither.
-type taskSlot struct {
-	res     TaskResult
-	requeue bool
-	ids     [1]orch.DeploymentID
-	outs    [1]orch.GroupOutcome
-}
-
-// runTask executes one task and classifies its outcome. requeue=true
-// means the deployment was busy and the task should go back on the
-// queue (unless its retry budget is spent).
-func (e *Engine) runTask(t task, slot *taskSlot) (res TaskResult, requeue bool) {
+// run executes one task: it claims the group and runs its kind on every
+// member — a re-protect or refresh in one ReProtectGroup call, each
+// member steered off the group's domain — and files one result per
+// member. A busy member goes into g.busy for Drain to rejoin, until its
+// retries run out. Nil when the group emptied while queued.
+func (e *Engine) run(key taskKey) *group {
+	g := e.claim(key)
+	if g == nil {
+		return nil
+	}
 	e.mu.Lock()
 	e.running++
 	e.mu.Unlock()
-	defer func() {
-		e.mu.Lock()
-		e.running--
-		if !requeue {
-			switch res.Outcome {
-			case "cancelled":
-				e.stats[t.key.kind].Cancelled++
-			case "skipped":
-				e.stats[t.key.kind].Skipped++
-			case "failed":
-				e.stats[t.key.kind].Failed++
-			default:
-				e.stats[t.key.kind].Completed++
-			}
-			slot := e.results.Next()
-			slot.res, slot.json = res, res.AppendJSON(slot.json[:0])
-		} else {
-			e.stats[t.key.kind].Requeued++
-		}
-		e.mu.Unlock()
-	}()
-
-	res = TaskResult{Deployment: t.key.dep, Kind: t.key.kind.String(), When: time.Now()}
-	if t.key.domain != "" {
-		return e.runGroupTask(t), false
-	}
-	// Event-queued tasks continue the originating repair's trace; a
-	// busy requeue records nothing (the retry is the same operation).
 	var tr *trace.Tracer
 	var sc trace.SpanContext
 	var spanStart time.Time
-	if t.traceID != "" {
+	if len(g.parents) > 0 {
 		if tr = e.traceFor(); tr != nil {
-			sc = tr.Start(trace.SpanContext{TraceID: t.traceID, SpanID: t.parent})
+			sc = tr.Start(g.parents[0])
 			spanStart = time.Now()
 		}
 	}
-	var err error
-	switch t.key.kind {
+	kind, now := key.kind.String(), time.Now()
+	planned, fallbacks := 0, 0
+	switch key.kind {
 	case KindReProtect, KindRefresh:
-		slot.ids[0] = t.key.dep
-		out := e.o.ReProtectGroup(slot.outs[:0], orch.FailureDomain{}, slot.ids[:])[0]
-		err = out.Err
-		switch {
-		case out.Err != nil:
-		case !out.Replanned:
-			res.Outcome = "already-protected"
-		case out.Standby == nil:
-			res.Outcome = "unprotected"
-			res.Detail = "standby planning disabled or no alternate route"
-		case out.Standby.Disjoint:
-			res.Outcome = "protected"
-			res.Detail = "disjoint standby planned"
-		default:
-			res.Outcome = "protected"
-			res.Detail = "non-disjoint standby planned (best the topology allows)"
+		// ReProtectGroup answers in ascending ID order, the order claim
+		// sorted the members and their tries in.
+		g.outs = e.o.ReProtectGroup(g.outs[:0], g.domain, g.members)
+		for i, out := range g.outs {
+			if out.Replanned {
+				planned++
+			}
+			if out.Fallback {
+				fallbacks++
+			}
+			res := TaskResult{Deployment: out.ID, Kind: kind, When: now}
+			switch {
+			case !out.Replanned:
+				res.Outcome = "already-protected"
+			case out.Standby == nil:
+				res.Outcome = "unprotected"
+				res.Detail = "standby planning disabled or no alternate route"
+			case out.Standby.Disjoint:
+				res.Outcome = "protected"
+				res.Detail = "disjoint standby planned"
+			default:
+				res.Outcome = "protected"
+				res.Detail = "non-disjoint standby planned (best the topology allows)"
+			}
+			e.settle(g, i, res, out.Err)
 		}
 	case KindRehome:
-		moved, rErr := e.o.Rehome(t.key.dep, e.opts.RehomeMargin)
-		err = rErr
-		if rErr == nil {
+		for i, id := range g.members {
+			moved, err := e.o.Rehome(id, e.opts.RehomeMargin)
+			res := TaskResult{Deployment: id, Kind: kind, When: now, Outcome: "no-improvement"}
 			if moved {
 				res.Outcome = "rehomed"
-			} else {
-				res.Outcome = "no-improvement"
 			}
+			e.settle(g, i, res, err)
 		}
 	case KindDefrag:
-		from, to, retuned, rErr := e.o.DefragLambda(t.key.dep)
-		err = rErr
-		if rErr == nil {
+		for i, id := range g.members {
+			from, to, retuned, err := e.o.DefragLambda(id)
+			res := TaskResult{Deployment: id, Kind: kind, When: now, Outcome: "no-op"}
 			if retuned {
 				res.Outcome = "retuned"
 				res.Detail = fmt.Sprintf("lambda %d -> %d", from, to)
-			} else {
-				res.Outcome = "no-op"
+			}
+			e.settle(g, i, res, err)
+		}
+	}
+	failed := 0
+	e.mu.Lock()
+	e.running--
+	e.groupPlan.Planned += planned
+	e.groupPlan.Fallbacks += fallbacks
+	ks := &e.stats[key.kind]
+	ks.Requeued += len(g.busy)
+	for i := range g.results {
+		res := &g.results[i]
+		switch res.Outcome {
+		case "cancelled":
+			ks.Cancelled++
+		case "skipped":
+			ks.Skipped++
+		case "failed":
+			ks.Failed++
+			failed++
+		default:
+			ks.Completed++
+		}
+		slot := e.results.Next()
+		slot.res, slot.json = *res, res.AppendJSON(slot.json[:0])
+	}
+	e.mu.Unlock()
+	// The span continues the first event's trace and links every other
+	// member's, so each originating failure trace reaches the task that
+	// closed it out; a busy retry records nothing (it is the same
+	// operation).
+	if tr != nil && len(g.results) > 0 {
+		sp := trace.Span{Parent: g.parents[0].SpanID,
+			Name: "optimizer." + kind, Kind: trace.KindOptimizer,
+			Start: spanStart, End: time.Now()}
+		if len(g.members) == 1 {
+			// A group of one is filed under its chain — unless the chain is
+			// gone, when filing it would give the chain a trace-index entry
+			// again.
+			res := &g.results[0]
+			sp.Err = res.Error
+			sp.Attrs = []trace.Attr{{Key: "outcome", Value: res.Outcome}}
+			if res.Outcome != "cancelled" {
+				sp.Dep = int(res.Deployment)
+			}
+		} else {
+			sp.Attrs = []trace.Attr{
+				{Key: "domain", Value: key.domain},
+				{Key: "chains", Value: strconv.Itoa(len(g.members))},
+				{Key: "planned", Value: strconv.Itoa(planned)},
+				{Key: "fallbacks", Value: strconv.Itoa(fallbacks)},
+			}
+			if failed > 0 {
+				sp.Err = fmt.Sprintf("%d member tasks failed", failed)
 			}
 		}
-	default:
-		err = fmt.Errorf("optimizer: unknown task kind %d", int(t.key.kind))
+		for _, p := range g.parents[1:] {
+			sp.Links = append(sp.Links, p.TraceID)
+		}
+		tr.Record(sc, sp)
 	}
+	return g
+}
 
+// settle files member i's result, classifying its error: a busy member
+// goes into g.busy while its retries last, and is skipped after.
+func (e *Engine) settle(g *group, i int, res TaskResult, err error) {
 	switch {
 	case err == nil:
+	case errors.Is(err, orch.ErrBusy) && g.tries[i] < e.opts.BusyRetries:
+		g.busy = append(g.busy, retry{id: res.Deployment, attempts: g.tries[i] + 1})
+		return
 	case errors.Is(err, orch.ErrBusy):
-		if t.attempts < e.opts.BusyRetries {
-			return res, true
-		}
-		res.Outcome = "skipped"
-		res.Error = err.Error()
+		res.Outcome, res.Detail = "skipped", ""
 	case errors.Is(err, orch.ErrUnknownDeployment), errors.Is(err, orch.ErrNotActive):
-		res.Outcome = "cancelled"
-		res.Error = err.Error()
+		res.Outcome, res.Detail = "cancelled", ""
 	default:
-		res.Outcome = "failed"
+		res.Outcome, res.Detail = "failed", ""
+	}
+	if err != nil {
 		res.Error = err.Error()
 	}
-	if tr != nil {
-		sp := trace.Span{Parent: t.parent,
-			Name: "optimizer." + t.key.kind.String(), Kind: trace.KindOptimizer,
-			Start: spanStart, End: time.Now(), Err: res.Error,
-			Attrs: []trace.Attr{{Key: "outcome", Value: res.Outcome}}}
-		// A cancelled task's chain is gone; filing the span under it
-		// would give the chain a trace-index entry again.
-		if res.Outcome != "cancelled" {
-			sp.Dep = int(t.key.dep)
-		}
-		tr.Record(sc, sp)
-	}
-	return res, false
-}
-
-// runGroupTask executes one storm-mode group task: it claims the
-// domain's accumulated members and re-protects each exactly once — the
-// whole domain goes down in one ReProtectGroup call, one avoidance set
-// for every member. Busy members requeue as ordinary per-deployment
-// tasks (the storm may be over by then); deleted ones are moot. Members
-// reported after the claim re-accumulate under the domain and re-create
-// the group task.
-func (e *Engine) runGroupTask(t task) TaskResult {
-	e.grpMu.Lock()
-	g := e.groups[t.key.domain]
-	if g == nil {
-		// Every member was deleted while the task was queued.
-		g = &stormGroup{}
-	}
-	delete(e.groups, t.key.domain)
-	for _, id := range g.members {
-		delete(e.member, id)
-	}
-	e.grpMu.Unlock()
-	parents := g.parents
-	// The group span continues the first coalesced repair's trace and
-	// links every other member's, so each originating failure trace
-	// reaches the storm-coalesced re-protect that closed it out.
-	var tr *trace.Tracer
-	var sc trace.SpanContext
-	var spanStart time.Time
-	if len(parents) > 0 {
-		if tr = e.traceFor(); tr != nil {
-			sc = tr.Start(parents[0])
-			spanStart = time.Now()
-		}
-	}
-	// ReProtectGroup sorts the members, so execution order, traces and
-	// bench action counts are stable whatever order the repairs
-	// coalesced in.
-	var gstats GroupPlanStats
-	protected, already, busy, failed := 0, 0, 0, 0
-	for _, out := range e.o.ReProtectGroup(nil, g.domain, g.members) {
-		if out.Replanned {
-			gstats.Planned++
-		}
-		if out.Fallback {
-			gstats.Fallbacks++
-		}
-		switch {
-		case out.Err == nil && out.Replanned:
-			protected++
-		case out.Err == nil:
-			already++
-		case errors.Is(out.Err, orch.ErrBusy):
-			busy++
-			e.enqueue(task{key: taskKey{dep: out.ID, kind: KindReProtect}})
-		case errors.Is(out.Err, orch.ErrUnknownDeployment), errors.Is(out.Err, orch.ErrNotActive):
-			// Deleted mid-storm: nothing to protect.
-		default:
-			failed++
-		}
-	}
-	e.mu.Lock()
-	e.groupPlan.Planned += gstats.Planned
-	e.groupPlan.Fallbacks += gstats.Fallbacks
-	e.mu.Unlock()
-	res := TaskResult{Kind: t.key.kind.String(), Outcome: "storm-group", When: time.Now()}
-	res.Detail = fmt.Sprintf("domain %s: %d chains (%d protected, %d already, %d busy requeued, %d failed); %d group-planned, %d fabric fallbacks",
-		t.key.domain, len(g.members), protected, already, busy, failed, gstats.Planned, gstats.Fallbacks)
-	if failed > 0 {
-		res.Outcome = "failed"
-	}
-	if tr != nil {
-		sp := trace.Span{Parent: parents[0].SpanID,
-			Name: "optimizer.storm-group", Kind: trace.KindOptimizer,
-			Start: spanStart, End: time.Now(),
-			Attrs: []trace.Attr{
-				{Key: "domain", Value: t.key.domain},
-				{Key: "chains", Value: fmt.Sprintf("%d", len(g.members))},
-				{Key: "outcome", Value: res.Outcome},
-				{Key: "planned", Value: fmt.Sprintf("%d", gstats.Planned)},
-				{Key: "fallbacks", Value: fmt.Sprintf("%d", gstats.Fallbacks)},
-			}}
-		for _, p := range parents[1:] {
-			if p.TraceID != sc.TraceID {
-				sp.Links = append(sp.Links, p.TraceID)
-			}
-		}
-		if failed > 0 {
-			sp.Err = fmt.Sprintf("%d member re-protects failed", failed)
-		}
-		tr.Record(sc, sp)
-	}
-	return res
-}
-
-// endStormIfDrained disengages storm mode once the queues and group
-// membership are both empty — the spike is over; the next one
-// re-activates.
-func (e *Engine) endStormIfDrained() {
-	e.grpMu.Lock()
-	pending := len(e.groups)
-	e.grpMu.Unlock()
-	e.mu.Lock()
-	if e.storm && e.depth == 0 && pending == 0 {
-		e.storm = false
-	}
-	e.mu.Unlock()
+	g.results = append(g.results, res)
 }
 
 // Start launches the background dispatcher: queued tasks execute as
@@ -1119,11 +1039,9 @@ func (e *Engine) ViewStatus(fn func(st *Status, results [][]byte)) {
 		Running:        e.running,
 		Kinds:          e.kindsView,
 		Shed:           e.shedTotal,
-		Storm:          e.stormStat,
 		GroupPlans:     e.groupPlan,
 		Debounce:       debounce,
 	}
-	st.Storm.Active = e.storm
 	results := e.logView[:0]
 	for i := range e.results.Len() {
 		results = append(results, e.results.At(i).json)

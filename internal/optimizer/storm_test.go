@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,16 +12,14 @@ import (
 )
 
 // countingTarget wraps an orchestrator and counts re-protects per
-// deployment — the exactly-once witness for storm-mode grouping.
+// deployment — the exactly-once witness for failure-domain grouping.
 type countingTarget struct {
 	*orch.Sharded
 	mu         sync.Mutex
 	reprotects map[orch.DeploymentID]int
 }
 
-// ReProtectGroup counts each member once — storm-group tasks and
-// per-chain tasks (groups of one) both call it, so exactly-once must
-// hold across both combined.
+// ReProtectGroup counts each member once, whatever group it ran in.
 func (c *countingTarget) ReProtectGroup(buf []orch.GroupOutcome, domain orch.FailureDomain, ids []orch.DeploymentID) []orch.GroupOutcome {
 	c.mu.Lock()
 	for _, id := range ids {
@@ -32,17 +29,17 @@ func (c *countingTarget) ReProtectGroup(buf []orch.GroupOutcome, domain orch.Fai
 	return c.Sharded.ReProtectGroup(buf, domain, ids)
 }
 
-// TestStormModeCoalescesByDomain: once the queue depth crosses the
-// threshold, repair events sharing a failure domain fold into one
-// group task; draining re-protects every member exactly once and
-// disengages the storm.
+// TestStormModeCoalescesByDomain: repair events sharing a failure
+// domain fold into one group task whatever the queue depth; draining
+// re-protects every member exactly once, leaves one result per member
+// and no group behind.
 func TestStormModeCoalescesByDomain(t *testing.T) {
 	o, err := orch.New(orch.Config{Topo: wideTopo(t, 10), Policy: placement.AllElectronic{}, DeferReprotect: true}, 1, orch.ShardByTenant)
 	if err != nil {
 		t.Fatalf("orch.New: %v", err)
 	}
 	target := &countingTarget{Sharded: o, reprotects: make(map[orch.DeploymentID]int)}
-	eng, err := New(target, Options{StormThreshold: 2})
+	eng, err := New(target, Options{})
 	if err != nil {
 		t.Fatalf("optimizer.New: %v", err)
 	}
@@ -54,9 +51,7 @@ func TestStormModeCoalescesByDomain(t *testing.T) {
 	}
 
 	// A domain-stamped repair burst, as one HandleFailures batch emits
-	// it. The first two events queue per-deployment (depth below the
-	// threshold); the third crosses it, engages storm mode and opens
-	// the domain group; the rest coalesce into it.
+	// it: the first event opens the domain's group, the rest join it.
 	for _, dep := range deps {
 		eng.OrchEvent(orch.Event{
 			Kind:       orch.EventRepairCompleted,
@@ -66,15 +61,11 @@ func TestStormModeCoalescesByDomain(t *testing.T) {
 		})
 	}
 	st := eng.Status()
-	if !st.Storm.Active || st.Storm.Activations != 1 {
-		t.Fatalf("storm = %+v, want active after the burst", st.Storm)
+	if st.GroupPlans.Groups != 1 || st.GroupPlans.Coalesced != 5 {
+		t.Fatalf("group plans = %+v, want Groups=1 Coalesced=5", st.GroupPlans)
 	}
-	if st.Storm.Domains != 1 || st.Storm.CoalescedTasks != 3 {
-		t.Fatalf("storm = %+v, want Domains=1 CoalescedTasks=3", st.Storm)
-	}
-	// 2 per-deployment re-protects + 1 group task.
-	if st.QueueDepth != 3 {
-		t.Fatalf("queue depth = %d, want 3 (2 individual + 1 group)", st.QueueDepth)
+	if st.QueueDepth != 1 || st.Kinds[KindReProtect.String()].Enqueued != 6 {
+		t.Fatalf("queue depth %d, kinds %+v: want one group task holding 6 members", st.QueueDepth, st.Kinds)
 	}
 
 	results := eng.Drain()
@@ -85,71 +76,47 @@ func TestStormModeCoalescesByDomain(t *testing.T) {
 		}
 	}
 	target.mu.Unlock()
-	var groupSeen bool
-	for _, res := range results {
-		if res.Outcome == "storm-group" {
-			groupSeen = true
-			if !strings.Contains(res.Detail, "srlg:7") || !strings.Contains(res.Detail, "4 chains") {
-				t.Fatalf("group result detail = %q", res.Detail)
-			}
+	if len(results) != len(deps) {
+		t.Fatalf("drain left %d results, want one per member: %+v", len(results), results)
+	}
+	for i, res := range results {
+		if res.Deployment != deps[i].ID || res.Kind != "re-protect" || res.Outcome != "protected" {
+			t.Fatalf("result %d = %+v, want chain %d protected", i, res, deps[i].ID)
 		}
 	}
-	if !groupSeen {
-		t.Fatalf("no storm-group result in %+v", results)
-	}
-	if st = eng.Status(); st.Storm.Active {
-		t.Fatalf("storm still active after drain: %+v", st.Storm)
-	}
-	if st.Storm.Activations != 1 {
-		t.Fatalf("activations = %d, want 1", st.Storm.Activations)
+	if groups, members := laneSize(eng); groups != 0 || members != 0 {
+		t.Fatalf("%d groups and %d members left after the drain", groups, members)
 	}
 }
 
-// TestStormDisabledAndThresholdGate: a negative threshold disables
-// grouping entirely, and below the threshold domain-stamped events
-// still queue per deployment.
+// TestStormDisabledAndThresholdGate: StormThreshold is ignored — a
+// domain-stamped burst joins its domain's group below the old default
+// threshold and with the old "disabled" value alike.
 func TestStormDisabledAndThresholdGate(t *testing.T) {
-	o, eng := engineOver(t, wideTopo(t, 8), Options{StormThreshold: -1})
-	var deps []*orch.Deployment
-	for i := 0; i < 4; i++ {
-		deps = append(deps, provision(t, o, fmt.Sprintf("chain-%d", i)))
+	for _, threshold := range []int{-1, 64} {
+		o, eng := engineOver(t, wideTopo(t, 8), Options{StormThreshold: threshold})
+		for i := 0; i < 4; i++ {
+			dep := provision(t, o, fmt.Sprintf("chain-%d", i))
+			eng.OrchEvent(orch.Event{
+				Kind: orch.EventRepairCompleted, Deployment: dep.ID,
+				Action: orch.ActionSwapped, Domain: orch.FailureDomain{SRLGs: []int{1}},
+			})
+		}
+		if st := eng.Status(); st.QueueDepth != 1 || st.GroupPlans.Coalesced != 3 {
+			t.Fatalf("threshold %d: queue depth %d, group plans %+v; want the burst in one group", threshold, st.QueueDepth, st.GroupPlans)
+		}
+		if n := len(eng.Drain()); n != 4 {
+			t.Fatalf("threshold %d: drain left %d results, want 4", threshold, n)
+		}
 	}
-	for _, dep := range deps {
-		eng.OrchEvent(orch.Event{
-			Kind: orch.EventRepairCompleted, Deployment: dep.ID,
-			Action: orch.ActionSwapped, Domain: orch.FailureDomain{SRLGs: []int{1}},
-		})
-	}
-	st := eng.Status()
-	if st.Storm.Active || st.Storm.Domains != 0 {
-		t.Fatalf("storm engaged with a negative threshold: %+v", st.Storm)
-	}
-	if st.QueueDepth != 4 {
-		t.Fatalf("queue depth = %d, want 4 (all individual)", st.QueueDepth)
-	}
-	eng.Drain()
-
-	// Threshold high enough that the burst stays under it: no storm.
-	o2, eng2 := engineOver(t, wideTopo(t, 8), Options{StormThreshold: 64})
-	for i := 0; i < 4; i++ {
-		dep := provision(t, o2, fmt.Sprintf("chain-%d", i))
-		eng2.OrchEvent(orch.Event{
-			Kind: orch.EventRepairCompleted, Deployment: dep.ID,
-			Action: orch.ActionSwapped, Domain: orch.FailureDomain{SRLGs: []int{1}},
-		})
-	}
-	if st := eng2.Status(); st.Storm.Active || st.QueueDepth != 4 {
-		t.Fatalf("sub-threshold burst engaged storm: %+v", st)
-	}
-	eng2.Drain()
 }
 
 // TestStormGroupMemberDeleteAndHighWater: a deployment deleted while
 // grouped leaves the group (no cancelled-chain re-protect attempts
 // counted as failures), and the per-shard high-water mark records the
-// spike.
+// burst as the one queue entry it is.
 func TestStormGroupMemberDeleteAndHighWater(t *testing.T) {
-	o, eng := engineOver(t, wideTopo(t, 10), Options{StormThreshold: 1})
+	o, eng := engineOver(t, wideTopo(t, 10), Options{})
 	var deps []*orch.Deployment
 	for i := 0; i < 5; i++ {
 		deps = append(deps, provision(t, o, fmt.Sprintf("chain-%d", i)))
@@ -160,25 +127,23 @@ func TestStormGroupMemberDeleteAndHighWater(t *testing.T) {
 			Action: orch.ActionSwapped, Domain: orch.FailureDomain{SRLGs: []int{3}},
 		})
 	}
-	if st := eng.Status(); !st.Storm.Active {
-		t.Fatalf("storm not active: %+v", st.Storm)
-	}
 	// Delete a grouped member; its deployment-deleted event must pull
 	// it out of the group before the group task runs.
 	if _, err := o.Delete(bg, deps[2].ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	for _, res := range eng.Drain() {
-		if res.Outcome == "failed" {
-			t.Fatalf("storm drain failed: %+v", res)
-		}
-		if res.Outcome == "storm-group" && !strings.Contains(res.Detail, "0 failed") {
-			t.Fatalf("group ran against a deleted member: %q", res.Detail)
+	results := eng.Drain()
+	for _, res := range results {
+		if res.Outcome == "failed" || res.Deployment == deps[2].ID {
+			t.Fatalf("group ran against a deleted member: %+v", res)
 		}
 	}
 	st := eng.Status()
-	if len(st.ShardHighWater) != 1 || st.ShardHighWater[0] < 2 {
-		t.Fatalf("shard high-water = %v, want a recorded spike", st.ShardHighWater)
+	if len(results) != 4 || st.Kinds[KindReProtect.String()].Cancelled != 1 {
+		t.Fatalf("%d results, kinds %+v: want 4 members run and 1 cancelled", len(results), st.Kinds)
+	}
+	if len(st.ShardHighWater) != 1 || st.ShardHighWater[0] != 1 {
+		t.Fatalf("shard high-water = %v, want the burst as one queued task", st.ShardHighWater)
 	}
 }
 
@@ -208,7 +173,7 @@ func TestStatusSurfacesDebounceCounters(t *testing.T) {
 	_ = provision(t, o, "chain-1")
 }
 
-// TestStormGroupFallbackMovesBothFamilies: a storm-group member whose
+// TestStormGroupFallbackMovesBothFamilies: a group member whose
 // shard pool offers no disjoint standby retries on the whole fabric, and
 // that one retry counts as a group-plan fallback
 // (alvc_groupplan_fallbacks_total) and as a standby fallback
@@ -220,7 +185,7 @@ func TestStormGroupFallbackMovesBothFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("orch.New: %v", err)
 	}
-	eng, err := New(s, Options{StormThreshold: 1})
+	eng, err := New(s, Options{})
 	if err != nil {
 		t.Fatalf("optimizer.New: %v", err)
 	}
@@ -228,15 +193,12 @@ func TestStormGroupFallbackMovesBothFamilies(t *testing.T) {
 	if dep.Standby == nil || dep.Standby.Disjoint {
 		t.Fatalf("standby at provision = %+v, want a non-disjoint one", dep.Standby)
 	}
-	// A queued task holds the depth at the threshold, so the repair event
-	// coalesces into a storm group instead of queueing per chain.
-	eng.Enqueue(dep.ID, KindDefrag)
 	before := s.StandbyFallbacks()
 	eng.OrchEvent(orch.Event{Kind: orch.EventRepairCompleted, Deployment: dep.ID,
 		Action: orch.ActionSwapped, Domain: orch.FailureDomain{SRLGs: []int{7}}})
 	eng.Drain()
-	if st := eng.Status(); st.Storm.Domains != 1 || st.GroupPlans != (GroupPlanStats{Planned: 1, Fallbacks: 1}) {
-		t.Fatalf("storm %+v, group plans %+v: want one group, one member planned, one fallback", st.Storm, st.GroupPlans)
+	if st := eng.Status(); st.GroupPlans != (GroupPlanStats{Groups: 1, Planned: 1, Fallbacks: 1}) {
+		t.Fatalf("group plans %+v: want one group, one member planned, one fallback", st.GroupPlans)
 	}
 	if got := s.StandbyFallbacks() - before; got != 1 {
 		t.Fatalf("standby fallbacks moved by %d, want the group member's 1", got)

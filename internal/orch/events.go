@@ -63,7 +63,7 @@ type Event struct {
 	Link       topology.LinkID
 	// Domain is the shared failure domain of repair-completed events.
 	// Every repair of one HandleFailures batch carries the same domain —
-	// the optimizer's storm mode groups re-protect work by it.
+	// the optimizer groups re-protect work by it.
 	Domain FailureDomain
 	// TraceID/SpanID identify the span that emitted the event (the
 	// repair span for repair-completed) when tracing is enabled, so

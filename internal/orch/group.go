@@ -1,10 +1,10 @@
 package orch
 
 // Re-protection: the one way a chain's standby is re-planned after it
-// was consumed, dropped or planned around an outage. A storm-group task
-// hands the optimizer's whole failure domain over at once; a per-chain
-// task is a group of one with no domain; the reconciler's inline
-// restandby runs the same member body.
+// was consumed, dropped or planned around an outage. The optimizer hands
+// each failure domain's group over at once, a chain with no domain as a
+// group of one; the reconciler's inline restandby runs the same member
+// body.
 
 import (
 	"cmp"

@@ -177,8 +177,8 @@ func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.Fa
 // emitRepairEvents wakes the background optimizer (no locks held):
 // every successful repair may have left a consumed standby or a drifted
 // placement behind. All events of one HandleFailures batch carry the
-// same failure domain, letting the optimizer's storm mode coalesce
-// their follow-up work per shared cause instead of per deployment.
+// same failure domain, letting the optimizer group their follow-up
+// re-protects per shared cause instead of per deployment.
 func (c *sharedCore) emitRepairEvents(reports []RepairReport, domain FailureDomain) {
 	for _, rep := range reports {
 		if rep.Succeeded() {

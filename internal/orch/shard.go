@@ -422,8 +422,8 @@ func (s *Sharded) RuleCount() int {
 
 // StandbyFallbacks sums, across shards, the standby plans that tried the
 // whole fabric after the shard's own pool offered no disjoint route —
-// provisions, repairs and re-protects alike, storm-group members
-// included.
+// provisions, repairs and re-protects alike, the optimizer's group
+// members included.
 func (s *Sharded) StandbyFallbacks() int64 {
 	var n int64
 	for _, sh := range s.shards {

@@ -249,7 +249,7 @@ func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeI
 // chain always gets the same standby.
 //
 // domainSRLGs — a failure domain's shared-risk groups, nil outside a
-// storm group — are added to the primary's own: links in any of them are
+// domain's group — are added to the primary's own: links in any of them are
 // avoided like the primary's links, and a standby forced onto one reports
 // Disjoint=false. With nil the plan depends on the chain alone.
 //

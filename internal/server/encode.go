@@ -273,11 +273,9 @@ func appendOptimizerStatus(b []byte, st *alvc.OptimizerStatus, results [][]byte)
 		b = append(b, '}')
 	}
 	b = strconv.AppendInt(append(b, `,"queue_shed":`...), int64(st.Shed), 10)
-	b = strconv.AppendBool(append(b, `,"storm":{"active":`...), st.Storm.Active)
-	b = strconv.AppendInt(append(b, `,"activations":`...), int64(st.Storm.Activations), 10)
-	b = strconv.AppendInt(append(b, `,"domains":`...), int64(st.Storm.Domains), 10)
-	b = strconv.AppendInt(append(b, `,"coalesced_tasks":`...), int64(st.Storm.CoalescedTasks), 10)
-	b = strconv.AppendInt(append(b, `},"group_plans":{"planned":`...), int64(st.GroupPlans.Planned), 10)
+	b = strconv.AppendInt(append(b, `,"group_plans":{"groups":`...), int64(st.GroupPlans.Groups), 10)
+	b = strconv.AppendInt(append(b, `,"coalesced":`...), int64(st.GroupPlans.Coalesced), 10)
+	b = strconv.AppendInt(append(b, `,"planned":`...), int64(st.GroupPlans.Planned), 10)
 	b = strconv.AppendInt(append(b, `,"fallbacks":`...), int64(st.GroupPlans.Fallbacks), 10)
 	b = append(b, '}')
 	if d := st.Debounce; d != nil {

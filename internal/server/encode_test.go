@@ -314,7 +314,7 @@ func TestTraceSummariesEqualEncodingJSON(t *testing.T) {
 
 // craftDrain builds a drain no engine would report: shape picks, two bits
 // a field, the results' count and outcomes — busy skips, failures with
-// and without a message, cancellations, storm groups — and which of the
+// and without a message, cancellations, unknown outcomes — and which of the
 // status's optional parts are nil, empty or filled.
 func craftDrain(detail, errMsg string, shape uint32, at time.Time) ([]alvc.OptimizerTaskResult, alvc.OptimizerStatus) {
 	pick := func() uint32 { // the next two bits of shape
@@ -327,23 +327,22 @@ func craftDrain(detail, errMsg string, shape uint32, at time.Time) ([]alvc.Optim
 	case 1:
 		results = []alvc.OptimizerTaskResult{}
 	case 2, 3:
-		for i, outcome := range []string{"skipped", "failed", "cancelled", "storm-group", "protected"} {
+		for i, outcome := range []string{"skipped", "failed", "cancelled", "odd<&>", "protected"} {
 			r := alvc.OptimizerTaskResult{Deployment: orch.DeploymentID(i*7 - 1), Kind: "re-protect", Outcome: outcome, When: at}
 			switch outcome {
 			case "skipped":
 				r.Detail = "busy: " + detail
 			case "failed":
 				r.Error = errMsg
-			case "storm-group":
-				r.Kind, r.Detail = "storm-group<&>", detail
+			case "odd<&>":
+				r.Kind, r.Detail = "kind<&>", detail
 			}
 			results = append(results, r)
 		}
 	}
 	st := alvc.OptimizerStatus{
 		Paused: shape&1 == 1, QueueDepth: int(shape >> 3 & 31), Running: int(shape >> 8 & 3), Shed: int(shape >> 10 & 63),
-		Storm:      alvc.StormStats{Active: shape>>16&1 == 1, Activations: int(shape >> 17 & 7), Domains: 3, CoalescedTasks: 54},
-		GroupPlans: alvc.GroupPlanStats{Planned: 55, Fallbacks: int(shape >> 20 & 31)},
+		GroupPlans: alvc.GroupPlanStats{Groups: int(shape >> 16 & 15), Coalesced: 54, Planned: 55, Fallbacks: int(shape >> 20 & 31)},
 	}
 	switch pick() {
 	case 1:
@@ -420,7 +419,7 @@ func checkEngineView(t *testing.T, what string, eng *alvc.Optimizer) {
 }
 
 // TestOptimizerBodiesEqualEncodingJSON: an engine's empty drain and its
-// storm-group drain, then crafted drains crossing busy, failed and
+// failure-domain group drain, then crafted drains crossing busy, failed and
 // cancelled outcomes with every string and timestamp the encoders treat
 // specially.
 func TestOptimizerBodiesEqualEncodingJSON(t *testing.T) {
@@ -448,15 +447,11 @@ func TestOptimizerBodiesEqualEncodingJSON(t *testing.T) {
 		t.Fatalf("FlushFailures: %v", err)
 	}
 	results = eng.Drain()
-	storm := false
-	for _, r := range results {
-		storm = storm || r.Outcome == "storm-group"
+	if st := eng.Status(); st.GroupPlans.Coalesced == 0 || len(results) < 3 {
+		t.Fatalf("drain %+v, group plans %+v: want the three chains in one group", results, st.GroupPlans)
 	}
-	if !storm {
-		t.Fatalf("drain %+v ran no storm group", results)
-	}
-	checkDrain(t, "storm-group drain", results, eng.Status())
-	checkEngineView(t, "storm-group drain", eng)
+	checkDrain(t, "group drain", results, eng.Status())
+	checkEngineView(t, "group drain", eng)
 
 	rng := rand.New(rand.NewSource(28))
 	for i, s := range hardStrings {

@@ -167,7 +167,7 @@ func TestOptimizerRunReprotectsOverHTTP(t *testing.T) {
 }
 
 // TestStormAndDebounceObservabilityOverHTTP: a debounced failure burst
-// engages optimizer storm mode, and both the coalescing counters and
+// queues one failure-domain group, and both the coalescing counters and
 // the per-shard queue high-water marks are visible over the wire.
 func TestStormAndDebounceObservabilityOverHTTP(t *testing.T) {
 	ts, arch := newTestServerWith(t, wideConfig(24),
@@ -198,11 +198,8 @@ func TestStormAndDebounceObservabilityOverHTTP(t *testing.T) {
 	if st.Debounce == nil || st.Debounce.Events != 3 || st.Debounce.Batches != 1 || st.Debounce.Coalesced != 2 {
 		t.Fatalf("debounce over HTTP = %+v, want Events=3 Batches=1 Coalesced=2", st.Debounce)
 	}
-	if !st.Storm.Active || st.Storm.Activations != 1 || st.Storm.Domains != 1 {
-		t.Fatalf("storm over HTTP = %+v, want one active domain", st.Storm)
-	}
-	if st.Storm.CoalescedTasks == 0 || st.QueueDepth == 0 {
-		t.Fatalf("storm queue state = %+v, want coalesced backlog", st)
+	if st.GroupPlans.Groups != 1 || st.GroupPlans.Coalesced != 2 || st.QueueDepth == 0 {
+		t.Fatalf("group plans over HTTP = %+v, queue depth %d; want one queued group of three", st.GroupPlans, st.QueueDepth)
 	}
 
 	peak := 0.0
@@ -215,19 +212,19 @@ func TestStormAndDebounceObservabilityOverHTTP(t *testing.T) {
 		t.Fatalf("optimizer queue high-water on /metrics = %v, want a recorded spike", peak)
 	}
 
-	// Draining over HTTP disengages the storm.
+	// Draining over HTTP runs the group: one result per member.
 	status, body := do(t, "POST", ts.URL+"/v1/optimizer:run", nil)
 	if status != http.StatusOK {
 		t.Fatalf("run: %d (%s)", status, body)
 	}
 	run := mustUnmarshal[OptimizerRunResponse](t, body)
-	if run.Drained == 0 {
-		t.Fatalf("drained no tasks: %s", body)
+	reprotects := 0
+	for _, res := range run.Results {
+		if res.Kind == "re-protect" {
+			reprotects++
+		}
 	}
-	if run.Status.Storm.Active {
-		t.Fatalf("storm still active after drain: %+v", run.Status.Storm)
-	}
-	if run.Status.Storm.Activations != 1 {
-		t.Fatalf("activations = %d, want 1", run.Status.Storm.Activations)
+	if reprotects != 3 || run.Status.QueueDepth != 0 {
+		t.Fatalf("drain ran %d re-protects, left %d queued; want one per chain and none: %s", reprotects, run.Status.QueueDepth, body)
 	}
 }

@@ -306,28 +306,17 @@ func (p *Plane) registerOptimizer() {
 	p.reg.GaugeSink("alvc_optimizer_running",
 		"Optimizer tasks executing right now.",
 		nil, one(func() float64 { return float64(sc.optimizer.Running) }))
-	p.reg.GaugeSink("alvc_optimizer_storm_active",
-		"1 while storm-mode coalescing is engaged.",
-		nil, one(func() float64 {
-			if sc.optimizer.Storm.Active {
-				return 1
-			}
-			return 0
-		}))
-	p.reg.CounterSink("alvc_optimizer_storm_activations_total",
-		"Quiet-to-storm transitions of the optimizer queue.",
-		nil, one(func() float64 { return float64(sc.optimizer.Storm.Activations) }))
-	p.reg.CounterSink("alvc_optimizer_storm_coalesced_total",
-		"Re-protect tasks folded into storm-mode domain groups.",
-		nil, one(func() float64 { return float64(sc.optimizer.Storm.CoalescedTasks) }))
 	p.reg.CounterSink("alvc_optimizer_queue_shed_total",
 		"Tasks dropped by the optimizer queue-depth bound.",
 		nil, one(func() float64 { return float64(sc.optimizer.Shed) }))
+	p.reg.CounterSink("alvc_groupplan_coalesced_total",
+		"Re-protect and refresh members that joined an open failure-domain group.",
+		nil, one(func() float64 { return float64(sc.optimizer.GroupPlans.Coalesced) }))
 	p.reg.CounterSink("alvc_groupplan_plans_total",
-		"Storm-group members whose standby was re-planned.",
+		"Re-protect and refresh group members whose standby was re-planned.",
 		nil, one(func() float64 { return float64(sc.optimizer.GroupPlans.Planned) }))
 	p.reg.CounterSink("alvc_groupplan_fallbacks_total",
-		"Storm-group members whose standby plan fell back from the shard's OPS pool to the whole fabric.",
+		"Re-protect and refresh group members whose standby plan fell back from the shard's OPS pool to the whole fabric.",
 		nil, one(func() float64 { return float64(sc.optimizer.GroupPlans.Fallbacks) }))
 	p.drainSeconds = p.reg.NewHistogramVec("alvc_optimizer_drain_seconds",
 		"Wall time of optimizer drain passes.", batchBounds)
@@ -392,7 +381,7 @@ func (p *Plane) registerResilience() {
 			return float64(nd + u)
 		}))
 	p.reg.CounterSink("alvc_resilience_standby_fallbacks_total",
-		"Standby plans that tried the whole fabric after the shard's OPS pool offered no disjoint route, storm-group members included.",
+		"Standby plans that tried the whole fabric after the shard's OPS pool offered no disjoint route, provisions, repairs and group re-protects alike.",
 		nil, one(func() float64 { return float64(p.arch.Sharded().StandbyFallbacks()) }))
 	p.rehomeChurn = p.reg.NewCounterVec("alvc_capacity_rehome_churn_total",
 		"VNF re-home migrations by rack and direction (from = vacated, to = filled).",

@@ -16,7 +16,7 @@
 // Causality across async boundaries (the debouncer's flush timer, the
 // optimizer's task queue) is carried two ways: a child span continues
 // its parent's trace ID, and a span that merges several upstream
-// traces (a coalesced failure batch, a storm-group task) records the
+// traces (a coalesced failure batch, an optimizer group task) records the
 // other trace IDs in Links.
 package trace
 
