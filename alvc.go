@@ -653,9 +653,16 @@ func (a *Architecture) Optimize() []OptimizerTaskResult {
 	return a.opt.Drain()
 }
 
-// Close stops the background optimizer, if attached, and ends the
-// orchestrator's fan-out workers; queued optimizer tasks stay queued.
+// Close flushes the failure debouncer, if attached, so the failures its
+// window still holds are repaired rather than dropped; then it stops the
+// background optimizer, if attached, and ends the orchestrator's fan-out
+// workers. Queued optimizer tasks stay queued.
 func (a *Architecture) Close() {
+	if a.debounce != nil {
+		// Its outcome goes where a window expiry's goes: the batch span,
+		// the flush observer and the chains' records.
+		_, _ = a.debounce.Flush()
+	}
 	if a.opt != nil {
 		a.opt.Stop()
 	}

@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/alvc/alvc/internal/orch"
 )
@@ -242,6 +243,49 @@ func TestFacadeFailureRecovery(t *testing.T) {
 	}
 	if _, err := arch.Fail(ctx, NewFailures([]NodeID{999999}, nil)); err == nil {
 		t.Fatal("unknown node accepted")
+	}
+}
+
+// TestCloseFlushesPendingFailures: a failure report still held by the
+// debouncer when the architecture closes is repaired by Close, once —
+// not dropped with the window. Counts only: the hour-long window never
+// expires in the test.
+func TestCloseFlushesPendingFailures(t *testing.T) {
+	arch, err := New(archConfig(), WithFailureDebounce(time.Hour))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	spec, err := LinearChain("c1", "tenant-a", "web", 2, 1<<20, "firewall", "lb")
+	if err != nil {
+		t.Fatalf("LinearChain: %v", err)
+	}
+	dep, err := arch.Deploy(ctx, spec)
+	if err != nil {
+		t.Fatalf("Deploy: %v", err)
+	}
+	victim := NodeID(-1)
+	for _, n := range dep.Path {
+		if dep.Slice.Contains(n) {
+			victim = n
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatalf("no slice OPS on the path %v", dep.Path)
+	}
+	arch.ReportFailures(ctx, NewFailures([]NodeID{victim}, nil))
+	if nodes, links := arch.Debouncer().Pending(); nodes != 1 || links != 0 {
+		t.Fatalf("before Close: pending (%d, %d), want (1, 0)", nodes, links)
+	}
+	arch.Close()
+	if nodes, links := arch.Debouncer().Pending(); nodes != 0 || links != 0 {
+		t.Fatalf("after Close: pending (%d, %d), want (0, 0)", nodes, links)
+	}
+	if st, _ := arch.FailureDebounceStats(); st.Batches != 1 {
+		t.Fatalf("after Close: %d batches flushed, want 1", st.Batches)
+	}
+	if got := arch.Deployment(dep.ID).Repairs; got != 1 {
+		t.Fatalf("after Close: the chain was repaired %d times, want once", got)
 	}
 }
 

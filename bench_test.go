@@ -241,8 +241,8 @@ func BenchmarkE8_OEOPlacement(b *testing.B) {
 	}
 }
 
-// BenchmarkE9_UpdateCost times the per-event AL-VC update path vs the
-// flat whole-network baseline (experiment E9, claim [14]).
+// BenchmarkE9_UpdateCost times the per-event AL-VC update path
+// (experiment E9, claim [14]).
 func BenchmarkE9_UpdateCost(b *testing.B) {
 	b.Run("alvc", func(b *testing.B) {
 		topo := genTopo(b, 16, 10, 4)
@@ -265,22 +265,6 @@ func BenchmarkE9_UpdateCost(b *testing.B) {
 				b.Fatal(err)
 			}
 			al = newAL
-		}
-	})
-	b.Run("flat", func(b *testing.B) {
-		topo := genTopo(b, 16, 10, 4)
-		m, err := update.NewModel(topo, cluster.PaperBuilder{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pms := topo.NodeIDs(topology.KindPhysicalMachine)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.FlatCost(update.Event{
-				Kind: update.VMJoin, Service: "web", PM: pms[i%len(pms)],
-			}); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

@@ -122,7 +122,10 @@ func TestFullPaperStory(t *testing.T) {
 	if res.Flows != 200 || res.MeanHops == 0 {
 		t.Fatalf("flow result = %+v", res)
 	}
-	hits := arch.Sharded().Shard(0).Controller().FlowHits(arch.Deployment(blue.ID).FlowKey())
+	var hits int64
+	for _, r := range arch.Sharded().Shard(0).Controller().RulesForFlow(arch.Deployment(blue.ID).FlowKey()) {
+		hits += r.Hits
+	}
 	if hits == 0 {
 		t.Fatal("flow-table counters did not move")
 	}

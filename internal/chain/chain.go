@@ -11,9 +11,6 @@ import (
 	"github.com/alvc/alvc/internal/topology"
 )
 
-// ChainID identifies a chain within an orchestrator.
-type ChainID int
-
 // NFRef names one network function position in a chain. Demand, when
 // non-zero, overrides the catalog profile's default demand (chains may
 // request bigger firewalls, etc.).

@@ -50,12 +50,6 @@ type Allocator struct {
 	phase1 phase1Scratch
 }
 
-// NewAllocator returns an allocator building ALs with the given
-// builder over the given topology.
-func NewAllocator(topo *topology.Topology, builder Builder) (*Allocator, error) {
-	return NewRestrictedAllocator(topo, builder, nil)
-}
-
 // NewRestrictedAllocator returns an allocator that only claims OPSs
 // from the given pool. A nil pool means every OPS in the topology; an
 // empty (non-nil) pool is rejected since no AL could ever be built.
@@ -261,13 +255,6 @@ func (a *Allocator) Release(id VCID) error {
 	return nil
 }
 
-// VC returns the cluster with the given ID, or nil.
-func (a *Allocator) VC(id VCID) *VC {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.vcs[id]
-}
-
 // VCs returns all clusters sorted by ID.
 func (a *Allocator) VCs() []*VC {
 	a.mu.Lock()
@@ -285,14 +272,6 @@ func (a *Allocator) VCCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.vcs)
-}
-
-// OwnerOf returns the VC owning the given OPS, if any.
-func (a *Allocator) OwnerOf(ops topology.NodeID) (VCID, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	id, ok := a.opsOwner[ops]
-	return id, ok
 }
 
 // Disjoint reports whether all current ALs are pairwise disjoint — the

@@ -187,9 +187,9 @@ func TestAllocatorDisjointALs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	alloc, err := NewAllocator(topo, PaperBuilder{})
+	alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
 	if err != nil {
-		t.Fatalf("NewAllocator: %v", err)
+		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
 	vcs, err := alloc.BuildAllByService()
 	if err != nil {
@@ -217,9 +217,9 @@ func TestAllocatorDisjointALs(t *testing.T) {
 
 func TestAllocatorReleaseFreesOPS(t *testing.T) {
 	topo, vms, _ := fig4Topo(t)
-	alloc, err := NewAllocator(topo, PaperBuilder{})
+	alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
 	if err != nil {
-		t.Fatalf("NewAllocator: %v", err)
+		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
 	vc, err := alloc.BuildVC("web", vms)
 	if err != nil {
@@ -243,9 +243,9 @@ func TestAllocatorReleaseFreesOPS(t *testing.T) {
 
 func TestAllocatorExhaustsOPS(t *testing.T) {
 	topo, vms, _ := fig4Topo(t)
-	alloc, err := NewAllocator(topo, PaperBuilder{})
+	alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
 	if err != nil {
-		t.Fatalf("NewAllocator: %v", err)
+		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
 	if _, err := alloc.BuildVC("web", vms); err != nil {
 		t.Fatalf("first BuildVC: %v", err)
@@ -274,9 +274,9 @@ func TestBuildAllByServiceRollsBackOnFailure(t *testing.T) {
 	if _, err := topo.AddVM(pm, "zzz-backup"); err != nil {
 		t.Fatalf("AddVM: %v", err)
 	}
-	alloc, err := NewAllocator(topo, PaperBuilder{})
+	alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
 	if err != nil {
-		t.Fatalf("NewAllocator: %v", err)
+		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
 	if _, err := alloc.BuildAllByService(); err == nil {
 		t.Fatal("expected failure: second service cannot get a disjoint AL")
@@ -291,10 +291,10 @@ func TestBuildAllByServiceRollsBackOnFailure(t *testing.T) {
 
 func TestNewAllocatorNilArgs(t *testing.T) {
 	topo, _, _ := fig4Topo(t)
-	if _, err := NewAllocator(nil, PaperBuilder{}); err == nil {
+	if _, err := NewRestrictedAllocator(nil, PaperBuilder{}, nil); err == nil {
 		t.Fatal("nil topology accepted")
 	}
-	if _, err := NewAllocator(topo, nil); err == nil {
+	if _, err := NewRestrictedAllocator(topo, nil, nil); err == nil {
 		t.Fatal("nil builder accepted")
 	}
 }

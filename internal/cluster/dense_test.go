@@ -202,7 +202,7 @@ func TestAllocatorFreeSetModel(t *testing.T) {
 		var alloc *Allocator
 		var err error
 		if seed%2 == 0 {
-			alloc, err = NewAllocator(topo, PaperBuilder{})
+			alloc, err = NewRestrictedAllocator(topo, PaperBuilder{}, nil)
 		} else {
 			pool = nil
 			for _, ops := range opss {
@@ -328,7 +328,7 @@ func BenchmarkBuildVC(b *testing.B) {
 	for _, ops := range []int{300, 1200, 4800} {
 		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
 			topo, vms := wideFabric(b, ops)
-			alloc, err := NewAllocator(topo, PaperBuilder{})
+			alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,11 +6,26 @@ import (
 	"github.com/alvc/alvc/internal/topology"
 )
 
+// VC returns the cluster with the given ID, or nil.
+func (a *Allocator) VC(id VCID) *VC {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.vcs[id]
+}
+
+// OwnerOf returns the VC owning the given OPS, if any.
+func (a *Allocator) OwnerOf(ops topology.NodeID) (VCID, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	id, ok := a.opsOwner[ops]
+	return id, ok
+}
+
 func TestPatchVCSwapsFailedOPS(t *testing.T) {
 	topo, vms, ids := fig4Topo(t)
-	a, err := NewAllocator(topo, PaperBuilder{})
+	a, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
 	if err != nil {
-		t.Fatalf("NewAllocator: %v", err)
+		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
 	vc, err := a.BuildVC("web", vms)
 	if err != nil {
@@ -58,9 +73,9 @@ func TestPatchVCSwapsFailedOPS(t *testing.T) {
 
 func TestPatchVCReusesSurvivors(t *testing.T) {
 	topo, vms, _ := fig4Topo(t)
-	a, err := NewAllocator(topo, PaperBuilder{})
+	a, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
 	if err != nil {
-		t.Fatalf("NewAllocator: %v", err)
+		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
 	vc, err := a.BuildVC("web", vms)
 	if err != nil {
@@ -94,9 +109,9 @@ func TestPatchVCReusesSurvivors(t *testing.T) {
 
 func TestPatchVCUnknownID(t *testing.T) {
 	topo, _, _ := fig4Topo(t)
-	a, err := NewAllocator(topo, PaperBuilder{})
+	a, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
 	if err != nil {
-		t.Fatalf("NewAllocator: %v", err)
+		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
 	if _, err := a.PatchVC(42, nil); err == nil {
 		t.Fatal("patch of unknown VC accepted")
@@ -105,9 +120,9 @@ func TestPatchVCUnknownID(t *testing.T) {
 
 func TestPatchVCFailureLeavesAllocatorUnchanged(t *testing.T) {
 	topo, vms, _ := fig4Topo(t)
-	a, err := NewAllocator(topo, PaperBuilder{})
+	a, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
 	if err != nil {
-		t.Fatalf("NewAllocator: %v", err)
+		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
 	vc, err := a.BuildVC("web", vms)
 	if err != nil {

@@ -32,18 +32,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns a copy of the accumulated rows.
-func (t *Table) Rows() [][]string {
-	out := make([][]string, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = append([]string(nil), r...)
-	}
-	return out
-}
-
-// RowCount returns the number of rows.
-func (t *Table) RowCount() int { return len(t.rows) }
-
 // Render writes the aligned table to w.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))

@@ -52,3 +52,15 @@ func TestFmt(t *testing.T) {
 		}
 	}
 }
+
+// Rows returns a copy of the accumulated rows.
+func (t *Table) Rows() [][]string {
+	out := make([][]string, len(t.rows))
+	for i, r := range t.rows {
+		out[i] = append([]string(nil), r...)
+	}
+	return out
+}
+
+// RowCount returns the number of rows.
+func (t *Table) RowCount() int { return len(t.rows) }

@@ -163,46 +163,6 @@ func (s *Simulator) RunBatch(specs []Spec) (Result, error) {
 	return res, nil
 }
 
-// LinkLoads returns the bytes each physical link carries when the
-// given flows are replayed — the per-link utilization an operator
-// watches for hot spots. Virtual VM↔host hops have no link object and
-// are not tracked.
-func (s *Simulator) LinkLoads(specs []Spec) (map[topology.LinkID]int64, error) {
-	loads := make(map[topology.LinkID]int64)
-	for i, spec := range specs {
-		if len(spec.Path) == 0 {
-			return nil, fmt.Errorf("flow: link loads: flow %d has empty path", i)
-		}
-		if spec.Bytes <= 0 {
-			return nil, fmt.Errorf("flow: link loads: flow %d has non-positive size", i)
-		}
-		for h := 0; h+1 < len(spec.Path); h++ {
-			if s.topo.Node(spec.Path[h]) == nil || s.topo.Node(spec.Path[h+1]) == nil {
-				return nil, fmt.Errorf("flow: link loads: flow %d references unknown node", i)
-			}
-			l := s.topo.LinkBetween(spec.Path[h], spec.Path[h+1])
-			if l == nil {
-				continue // virtual VM-host hop
-			}
-			loads[l.ID] += spec.Bytes
-		}
-	}
-	return loads, nil
-}
-
-// HottestLink returns the link carrying the most bytes and its load
-// (zero values when loads is empty).
-func HottestLink(loads map[topology.LinkID]int64) (topology.LinkID, int64) {
-	var best topology.LinkID
-	var max int64
-	for id, b := range loads {
-		if b > max || (b == max && id < best) {
-			best, max = id, b
-		}
-	}
-	return best, max
-}
-
 // RunEventDriven replays the flows on the discrete-event engine with
 // exponential inter-arrival times of the given mean (seeded), walking
 // one hop per event. Per-flow measurements equal RunBatch's; the result

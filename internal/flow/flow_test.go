@@ -200,51 +200,6 @@ func TestEventDrivenMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestLinkLoads(t *testing.T) {
-	topo, path := pathTopo(t)
-	s, _ := NewSimulator(topo, DefaultConfig())
-	specs := []Spec{
-		{Path: path, Bytes: 1000},
-		{Path: path, Bytes: 500},
-	}
-	loads, err := s.LinkLoads(specs)
-	if err != nil {
-		t.Fatalf("LinkLoads: %v", err)
-	}
-	// The path crosses 5 physical links (vm hops are virtual): each
-	// carries 1500 bytes.
-	if len(loads) != 5 {
-		t.Fatalf("loads cover %d links, want 5: %v", len(loads), loads)
-	}
-	for id, b := range loads {
-		if b != 1500 {
-			t.Fatalf("link %d load = %d, want 1500", id, b)
-		}
-	}
-	id, max := HottestLink(loads)
-	if max != 1500 || id == 0 {
-		t.Fatalf("hottest = %d/%d", id, max)
-	}
-	// Validation.
-	if _, err := s.LinkLoads([]Spec{{Path: nil, Bytes: 1}}); err == nil {
-		t.Fatal("empty path accepted")
-	}
-	if _, err := s.LinkLoads([]Spec{{Path: path, Bytes: 0}}); err == nil {
-		t.Fatal("zero bytes accepted")
-	}
-	if _, err := s.LinkLoads([]Spec{{Path: []topology.NodeID{9999, 9998}, Bytes: 1}}); err == nil {
-		t.Fatal("unknown nodes accepted")
-	}
-	// Empty input: empty map, no error.
-	empty, err := s.LinkLoads(nil)
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty input: %v %v", empty, err)
-	}
-	if id, max := HottestLink(empty); id != 0 || max != 0 {
-		t.Fatal("hottest of empty should be zero values")
-	}
-}
-
 func TestEventDrivenDeterministic(t *testing.T) {
 	topo, path := pathTopo(t)
 	s, _ := NewSimulator(topo, DefaultConfig())

@@ -9,3 +9,6 @@ func (f *Frozen) CSR() (ids []VertexID, offsets, targets []int32, weights []floa
 func (f *Frozen) ShortestPathIn(src, dst VertexID, r *Restriction, m *LiveMask) ([]VertexID, float64, error) {
 	return ShortestPathIn[VertexID](f, nil, src, dst, r, m)
 }
+
+// EdgeCount returns the number of edges of the source graph.
+func (f *Frozen) EdgeCount() int { return f.edges }

@@ -200,38 +200,12 @@ func (f *Frozen) ArcsOf(u int32) (first int32, targets []int32) {
 // must not modify the returned slice.
 func (f *Frozen) ArcTags() []int64 { return f.tags }
 
-// Directed reports whether the source graph was directed.
-func (f *Frozen) Directed() bool { return f.directed }
-
 // VertexCount returns the number of vertices.
 func (f *Frozen) VertexCount() int { return len(f.ids) }
-
-// EdgeCount returns the number of edges of the source graph.
-func (f *Frozen) EdgeCount() int { return f.edges }
-
-// HasVertex reports whether v is in the snapshot.
-func (f *Frozen) HasVertex(v VertexID) bool {
-	_, ok := f.IndexOf(v)
-	return ok
-}
 
 // Vertices returns all vertices in ascending order. The caller must not
 // modify the returned slice.
 func (f *Frozen) Vertices() []VertexID { return f.ids }
-
-// EdgeWeight returns the minimum weight among parallel u->v edges, and
-// whether any such edge exists.
-func (f *Frozen) EdgeWeight(u, v VertexID) (float64, bool) {
-	ui, ok := f.IndexOf(u)
-	if !ok {
-		return 0, false
-	}
-	vi, ok := f.IndexOf(v)
-	if !ok {
-		return 0, false
-	}
-	return f.edgeWeightIdx(ui, vi, nil)
-}
 
 // edgeWeightIdx returns the minimum weight among unmasked parallel
 // ui->vi arcs. The region is sorted by (target, weight): the first

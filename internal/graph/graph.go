@@ -4,8 +4,10 @@
 // and a LiveMask, and the cover solvers of abstraction-layer (AL)
 // construction (paper §III-C), which run on adjacency lists and select
 // the ToRs, then the optical packet switches (OPSs), that form an AL.
-// The map-based Graph and its searches are the reference the CSR
-// searches are tested against.
+// The map-based Graph and its searches are no program's code: they are
+// the reference the CSR searches are tested against, in non-test files
+// because topology's oracle tests import them too, and the module's
+// reachability gate allowlists them as that reference.
 //
 // All algorithms are deterministic: vertex iteration orders are sorted so
 // that repeated runs over the same input produce identical output, which

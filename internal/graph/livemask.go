@@ -27,7 +27,6 @@ type LiveMask struct {
 	mu         sync.RWMutex
 	downVertex []bool // by dense vertex index (Frozen.IndexOf)
 	downArc    []bool // by CSR arc position (Frozen.ArcTags order)
-	downCount  int    // total down entries, for the Empty fast path
 	// digest changes under mu's write lock, one flip at a time; it is
 	// atomic so that Digest needs no lock.
 	digest atomic.Uint64
@@ -60,7 +59,7 @@ func (m *LiveMask) setVertexLocked(idx int32, down bool) {
 		return
 	}
 	m.downVertex[idx] = down
-	m.flipLocked(down, uint64(idx)<<1)
+	m.flipLocked(uint64(idx) << 1)
 }
 
 func (m *LiveMask) setArcLocked(p int32, down bool) {
@@ -68,26 +67,14 @@ func (m *LiveMask) setArcLocked(p int32, down bool) {
 		return
 	}
 	m.downArc[p] = down
-	m.flipLocked(down, uint64(p)<<1|1)
+	m.flipLocked(uint64(p)<<1 | 1)
 }
 
-// flipLocked counts one transition and folds it into the digest; the
-// element is a vertex index or an arc position shifted left, tagged by
-// its low bit, so the two kinds never mix to the same value.
-func (m *LiveMask) flipLocked(down bool, element uint64) {
-	if down {
-		m.downCount++
-	} else {
-		m.downCount--
-	}
+// flipLocked folds one transition into the digest; the element is a
+// vertex index or an arc position shifted left, tagged by its low bit,
+// so the two kinds never mix to the same value.
+func (m *LiveMask) flipLocked(element uint64) {
 	m.digest.Store(m.digest.Load() ^ Mix64(element))
-}
-
-// Empty reports whether nothing is masked (everything up).
-func (m *LiveMask) Empty() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.downCount == 0
 }
 
 // VertexDown reports whether the dense vertex index is masked.

@@ -54,17 +54,6 @@ func NewLedger(topo *topology.Topology) (*Ledger, error) {
 	return l, nil
 }
 
-// CanHost reports whether node id has enough free capacity for demand.
-func (l *Ledger) CanHost(id topology.NodeID, demand topology.Resources) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	cap, ok := l.capacity[id]
-	if !ok {
-		return false
-	}
-	return cap.Sub(l.used[id]).Fits(demand)
-}
-
 // Alloc reserves demand on node id.
 func (l *Ledger) Alloc(id topology.NodeID, demand topology.Resources) error {
 	l.mu.Lock()
@@ -111,14 +100,6 @@ func (l *Ledger) Available(id topology.NodeID) topology.Resources {
 		return topology.Resources{}
 	}
 	return cap.Sub(l.used[id])
-}
-
-// Capacity returns the total capacity of node id.
-func (l *Ledger) Capacity(id topology.NodeID) (topology.Resources, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	cap, ok := l.capacity[id]
-	return cap, ok
 }
 
 // Used returns the allocated resources on node id.

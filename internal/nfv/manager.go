@@ -327,21 +327,6 @@ func (m *Manager) Instances() []*Instance {
 	return out
 }
 
-// InstancesOn returns copies of the instances hosted on the given node,
-// sorted by ID.
-func (m *Manager) InstancesOn(host topology.NodeID) []*Instance {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []*Instance
-	for _, inst := range m.instances {
-		if inst.Host == host {
-			out = append(out, m.copyLocked(inst))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // Events returns a copy of the lifecycle audit log: the newest
 // EventLogSize transitions, oldest first.
 func (m *Manager) Events() []Event {

@@ -109,10 +109,10 @@ func TestLedgerAllocFree(t *testing.T) {
 		t.Fatalf("NewLedger: %v", err)
 	}
 	demand := topology.Resources{CPUCores: 2, MemoryGB: 4, StorageGB: 8}
-	if !l.CanHost(oer, demand) {
+	if !l.Available(oer).Fits(demand) {
 		t.Fatal("OER should host small demand")
 	}
-	if l.CanHost(plain, demand) {
+	if l.Available(plain).Fits(demand) {
 		t.Fatal("plain OPS must not host")
 	}
 	if err := l.Alloc(oer, demand); err != nil {
@@ -271,18 +271,14 @@ func TestManagerQueries(t *testing.T) {
 	if len(all) != 2 || all[0].ID != i1.ID || all[1].ID != i2.ID {
 		t.Fatalf("Instances = %+v", all)
 	}
-	on := m.InstancesOn(pm)
-	if len(on) != 1 || on[0].ID != i1.ID {
-		t.Fatalf("InstancesOn(pm) = %+v", on)
-	}
 	if err := m.Activate(i1.ID); err != nil {
 		t.Fatalf("Activate: %v", err)
 	}
 	if err := m.Terminate(i1.ID); err != nil {
 		t.Fatalf("Terminate: %v", err)
 	}
-	if got := m.InstancesOn(pm); len(got) != 0 {
-		t.Fatalf("terminated instance still listed on host: %+v", got)
+	if got := m.Instances(); len(got) != 1 || got[0].ID != i2.ID {
+		t.Fatalf("terminated instance still listed: %+v", got)
 	}
 	if m.Instance(9999) != nil {
 		t.Fatal("unknown instance returned non-nil")
@@ -438,9 +434,6 @@ func TestManagerHoldsNoHistory(t *testing.T) {
 	}
 	if all := m.Instances(); len(all) != 1 || all[0].ID != keep.ID {
 		t.Fatalf("Instances = %+v, want only the live one", all)
-	}
-	if on := m.InstancesOn(pm); len(on) != 1 {
-		t.Fatalf("InstancesOn = %+v, want only the live one", on)
 	}
 	events := m.Events()
 	if len(events) != EventLogSize {

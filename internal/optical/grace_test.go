@@ -28,8 +28,8 @@ func TestRetuneMakeBeforeBreak(t *testing.T) {
 	}
 	// Both generations hold channels.
 	for _, l := range append(append([]topology.LinkID(nil), oldLinks...), newLinks...) {
-		if w.Utilization(l) != 1 {
-			t.Fatalf("link %d utilization = %d, want 1 (both generations lit)", l, w.Utilization(l))
+		if w.Utilizations()[l] != 1 {
+			t.Fatalf("link %d utilization = %d, want 1 (both generations lit)", l, w.Utilizations()[l])
 		}
 	}
 	if a, ok := w.AssignmentOf("t/a"); !ok || a.Lambda != lambda || a.Links[0] != newLinks[0] {
@@ -42,12 +42,12 @@ func TestRetuneMakeBeforeBreak(t *testing.T) {
 		t.Fatal("grace window open after commit")
 	}
 	for _, l := range oldLinks {
-		if w.Utilization(l) != 0 {
+		if w.Utilizations()[l] != 0 {
 			t.Fatalf("old link %d still lit after commit", l)
 		}
 	}
 	for _, l := range newLinks {
-		if w.Utilization(l) != 1 {
+		if w.Utilizations()[l] != 1 {
 			t.Fatalf("new link %d not lit after commit", l)
 		}
 	}
@@ -75,7 +75,7 @@ func TestRetuneAbortRestoresOldGeneration(t *testing.T) {
 	if !ok || a.Lambda != oldLambda || len(a.Links) != 2 {
 		t.Fatalf("assignment after abort = %+v, want old generation", a)
 	}
-	if w.Utilization(3) != 0 {
+	if w.Utilizations()[3] != 0 {
 		t.Fatal("aborted new link still lit")
 	}
 	if w.InGrace("t/a") {
@@ -102,14 +102,14 @@ func TestRetuneSharedLinkNeedsSecondWavelength(t *testing.T) {
 	if newLambda == oldLambda {
 		t.Fatalf("retune reused λ%d on a shared lit link", oldLambda)
 	}
-	if w.Utilization(2) != 2 {
-		t.Fatalf("shared link utilization = %d, want 2 (two-λ grace)", w.Utilization(2))
+	if w.Utilizations()[2] != 2 {
+		t.Fatalf("shared link utilization = %d, want 2 (two-λ grace)", w.Utilizations()[2])
 	}
 	if err := w.RetuneCommit("t/a"); err != nil {
 		t.Fatalf("RetuneCommit: %v", err)
 	}
-	if w.Utilization(2) != 1 || w.Utilization(1) != 0 {
-		t.Fatalf("post-commit utilization: link1=%d link2=%d", w.Utilization(1), w.Utilization(2))
+	if w.Utilizations()[2] != 1 || w.Utilizations()[1] != 0 {
+		t.Fatalf("post-commit utilization: link1=%d link2=%d", w.Utilizations()[1], w.Utilizations()[2])
 	}
 }
 
@@ -134,7 +134,7 @@ func TestRetuneBlocksWithoutSecondWavelength(t *testing.T) {
 	if a, ok := w.AssignmentOf("t/a"); !ok || a.Lambda != oldLambda {
 		t.Fatalf("assignment disturbed by failed retune: %+v ok=%v", a, ok)
 	}
-	if w.InGrace("t/a") || w.Utilization(3) != 0 {
+	if w.InGrace("t/a") || w.Utilizations()[3] != 0 {
 		t.Fatal("failed retune left side effects")
 	}
 }
@@ -174,8 +174,8 @@ func TestReleaseClearsGrace(t *testing.T) {
 	if err := w.Release("t/a"); err != nil {
 		t.Fatalf("Release: %v", err)
 	}
-	if w.Utilization(1) != 0 || w.Utilization(2) != 0 {
-		t.Fatalf("release leaked channels: link1=%d link2=%d", w.Utilization(1), w.Utilization(2))
+	if w.Utilizations()[1] != 0 || w.Utilizations()[2] != 0 {
+		t.Fatalf("release leaked channels: link1=%d link2=%d", w.Utilizations()[1], w.Utilizations()[2])
 	}
 	if w.InGrace("t/a") {
 		t.Fatal("grace survived release")

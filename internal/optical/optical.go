@@ -221,21 +221,6 @@ func (m *SliceManager) UpdateBandwidth(id SliceID, bandwidthGbps float64) error 
 	return nil
 }
 
-// SliceOf returns the slice owning the given OPS, if any.
-func (m *SliceManager) SliceOf(ops topology.NodeID) (SliceID, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	id, ok := m.owner[ops]
-	return id, ok
-}
-
-// Slice returns the slice with the given ID, or nil.
-func (m *SliceManager) Slice(id SliceID) *Slice {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.slices[id]
-}
-
 // Slices returns all slices sorted by ID.
 func (m *SliceManager) Slices() []*Slice {
 	m.mu.Lock()

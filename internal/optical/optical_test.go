@@ -8,6 +8,14 @@ import (
 	"github.com/alvc/alvc/internal/topology"
 )
 
+// SliceOf returns the slice owning the given OPS, if any.
+func (m *SliceManager) SliceOf(ops topology.NodeID) (SliceID, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	id, ok := m.owner[ops]
+	return id, ok
+}
+
 func testTopo(t *testing.T) (*topology.Topology, []topology.NodeID) {
 	t.Helper()
 	topo := topology.New()

@@ -2,7 +2,6 @@ package optical
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/alvc/alvc/internal/topology"
@@ -220,13 +219,6 @@ func (w *WDM) AssignmentOf(flowKey string) (Assignment, bool) {
 	return a, true
 }
 
-// Utilization returns the number of wavelengths in use on the link.
-func (w *WDM) Utilization(link topology.LinkID) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.used[link])
-}
-
 // Utilizations returns wavelengths-in-use per link for every link with
 // at least one lit channel — the congestion early-warning feed: each
 // entry over Capacity gives a link's λ occupancy ratio. The map is a
@@ -237,33 +229,6 @@ func (w *WDM) Utilizations() map[topology.LinkID]int {
 	out := make(map[topology.LinkID]int, len(w.used))
 	for l, lambdas := range w.used {
 		out[l] = len(lambdas)
-	}
-	return out
-}
-
-// Flows returns the assigned flow keys, sorted.
-func (w *WDM) Flows() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	keys := make([]string, 0, len(w.flows))
-	for k := range w.flows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// LambdaHistogram returns λ → number of flows currently assigned it
-// (current generation only; parked grace channels are not counted).
-// The λ-defragmentation bench derives its fragmentation metrics — the
-// highest channel in use and the channel-index sum — from this map: a
-// compacted assignment uses the lowest channels available.
-func (w *WDM) LambdaHistogram() map[int]int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make(map[int]int)
-	for _, a := range w.flows {
-		out[a.Lambda]++
 	}
 	return out
 }

@@ -59,11 +59,13 @@ func TestWDMFirstFitContinuity(t *testing.T) {
 	if l != 0 {
 		t.Fatalf("lambda c = %d, want 0", l)
 	}
-	if w.Utilization(links[1]) != 2 {
-		t.Fatalf("link1 utilization = %d, want 2", w.Utilization(links[1]))
+	if w.Utilizations()[links[1]] != 2 {
+		t.Fatalf("link1 utilization = %d, want 2", w.Utilizations()[links[1]])
 	}
-	if got := w.Flows(); len(got) != 3 {
-		t.Fatalf("flows = %v", got)
+	for _, key := range []string{"a", "b", "c"} {
+		if _, ok := w.AssignmentOf(key); !ok {
+			t.Fatalf("flow %s has no assignment", key)
+		}
 	}
 }
 
@@ -123,7 +125,7 @@ func TestWDMBlockedAssignHasNoSideEffects(t *testing.T) {
 	if _, err := w.AssignPath("b", links[:2]); err == nil {
 		t.Fatal("expected blocking")
 	}
-	if w.Utilization(links[0]) != 0 {
+	if w.Utilizations()[links[0]] != 0 {
 		t.Fatal("blocked assignment leaked onto link 0")
 	}
 	if _, ok := w.AssignmentOf("b"); ok {
@@ -183,7 +185,7 @@ func TestWDMPropertyCapacityRespected(t *testing.T) {
 			_, _ = w.AssignPath(flowName(i), subset)
 		}
 		for _, l := range links {
-			if w.Utilization(l) > 3 {
+			if w.Utilizations()[l] > 3 {
 				return false
 			}
 		}

@@ -151,8 +151,10 @@ func TestConcurrentDeleteVsRepairExclusive(t *testing.T) {
 			if _, ok := o.Tombstone(dep.ID); !ok {
 				t.Fatal("deleted deployment left no tombstone")
 			}
-			if o.Allocator().VC(dep.VC.ID) != nil {
-				t.Fatalf("deleted deployment still owns VC %d", dep.VC.ID)
+			for _, vc := range o.Allocator().VCs() {
+				if vc.ID == dep.VC.ID {
+					t.Fatalf("deleted deployment still owns VC %d", dep.VC.ID)
+				}
 			}
 		case got.State == StateActive:
 			// Repair won and Delete was rejected as busy — fine.

@@ -119,9 +119,9 @@ func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
 // hops.
 func pathLinkIDs(t *testing.T, o *Orchestrator, path []topology.NodeID) []topology.LinkID {
 	t.Helper()
-	links, err := resilience.PathLinks(o.topo, path)
-	if err != nil {
-		t.Fatalf("PathLinks(%v): %v", path, err)
+	links, ok := o.topo.AppendPathLinks(nil, path)
+	if !ok {
+		t.Fatalf("a hop of %v joins no link", path)
 	}
 	return links
 }

@@ -94,9 +94,9 @@ func auditIndexes(o *Orchestrator) (out []string) {
 			}
 			continue
 		}
-		primary, err := resilience.PathLinks(o.topo, dep.Path)
-		if err != nil {
-			out = append(out, fmt.Sprintf("deployment %d: %v", id, err))
+		primary, ok := o.topo.AppendPathLinks(nil, dep.Path)
+		if !ok {
+			out = append(out, fmt.Sprintf("deployment %d: a hop of %v joins no link", id, dep.Path))
 			continue
 		}
 		nodes, links := dep.footprint(), dep.linkFootprint(primary)
@@ -163,9 +163,9 @@ func (x *indexScript) exposure(dep *Deployment) (topology.NodeID, topology.LinkI
 	if x.rng.Intn(4) == 0 {
 		node = dep.Slice.OPSs[x.rng.Intn(len(dep.Slice.OPSs))]
 	}
-	links, err := resilience.PathLinks(x.topo, path)
-	if err != nil {
-		x.t.Fatalf("PathLinks: %v", err)
+	links, ok := x.topo.AppendPathLinks(nil, path)
+	if !ok {
+		x.t.Fatalf("a hop of %v joins no link", path)
 	}
 	return node, links[x.rng.Intn(len(links))]
 }
@@ -421,9 +421,9 @@ func stormFleet(tb testing.TB) (*Sharded, *topology.Topology) {
 
 // transitLinks returns the path's ToR↔OPS links: what a tray cut takes.
 func transitLinks(tb testing.TB, topo *topology.Topology, path []topology.NodeID) (out []topology.LinkID) {
-	links, err := resilience.PathLinks(topo, path)
-	if err != nil {
-		tb.Fatalf("PathLinks: %v", err)
+	links, ok := topo.AppendPathLinks(nil, path)
+	if !ok {
+		tb.Fatalf("a hop of %v joins no link", path)
 	}
 	for _, l := range links {
 		if topo.Link(l).Kind == topology.LinkBoundary {

@@ -191,8 +191,10 @@ func TestModifyUpgradeScale(t *testing.T) {
 	if got.Spec.BandwidthGbps != 8 {
 		t.Fatalf("bandwidth = %f, want 8", got.Spec.BandwidthGbps)
 	}
-	if o.Slices().Slice(dep.Slice.ID).BandwidthGbps != 8 {
-		t.Fatal("slice bandwidth not updated")
+	for _, sl := range o.Slices().Slices() {
+		if sl.ID == dep.Slice.ID && sl.BandwidthGbps != 8 {
+			t.Fatal("slice bandwidth not updated")
+		}
 	}
 	if err := o.Modify(dep.ID, -1); err == nil {
 		t.Fatal("negative bandwidth accepted")

@@ -85,8 +85,10 @@ func replaySeed(t *testing.T, seed int64) (string, [][]int) {
 		out.WriteByte('\n')
 	}
 	for i := 0; i < s.Shards(); i++ {
-		for _, sw := range topo.NodeIDs() {
-			for _, r := range s.Shard(i).Controller().RulesAt(sw) {
+		ctrl := s.Shard(i).Controller()
+		fmt.Fprintf(&out, "shard %d rules %d\n", i, ctrl.RuleCount())
+		for _, dep := range s.Deployments() {
+			for _, r := range ctrl.RulesForFlow(dep.FlowKey()) {
 				fmt.Fprintf(&out, "shard %d rule %+v\n", i, r)
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/alvc/alvc/internal/chain"
-	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/topology"
 )
 
@@ -157,9 +156,9 @@ func checkReverseIndexes(t *testing.T, o *Orchestrator) {
 			continue
 		}
 		nodes := dep.footprint()
-		primary, err := resilience.PathLinks(o.topo, dep.Path)
-		if err != nil {
-			t.Fatalf("deployment %d: %v", id, err)
+		primary, ok := o.topo.AppendPathLinks(nil, dep.Path)
+		if !ok {
+			t.Fatalf("deployment %d: a hop of %v joins no link", id, dep.Path)
 		}
 		links := dep.linkFootprint(primary)
 		if !sameSet(dep.idxNodes, nodes) {
@@ -222,9 +221,9 @@ func TestAsyncRestandbyReindexesOnlyTheStandby(t *testing.T) {
 	primary := make(map[topology.LinkID]bool)
 	var cut []topology.LinkID
 	for _, dep := range s.Deployments() {
-		links, err := resilience.PathLinks(topo, dep.Path)
-		if err != nil {
-			t.Fatalf("PathLinks: %v", err)
+		links, ok := topo.AppendPathLinks(nil, dep.Path)
+		if !ok {
+			t.Fatalf("a hop of %v joins no link", dep.Path)
 		}
 		for _, l := range links {
 			primary[l] = true

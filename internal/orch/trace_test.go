@@ -13,6 +13,11 @@ func newTestTracer() *trace.Tracer {
 	return trace.NewTracer(trace.NewStore(trace.StoreOptions{}))
 }
 
+// carrier returns ctx carrying sc.
+func carrier(ctx context.Context, sc trace.SpanContext) context.Context {
+	return &trace.Carrier{Context: ctx, SC: sc}
+}
+
 // TestProvisionTraceStageSpans: a traced provision records one
 // "provision" span under the caller's span, with one child span per
 // executed pipeline stage.
@@ -21,8 +26,8 @@ func TestProvisionTraceStageSpans(t *testing.T) {
 	tr := newTestTracer()
 	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
 
-	root := tr.StartTrace("prov-1")
-	dep, err := o.Provision(trace.ContextWith(context.Background(), root), webSpec(t, "chain-1"))
+	root := tr.Start(trace.SpanContext{TraceID: "prov-1"})
+	dep, err := o.Provision(carrier(context.Background(), root), webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -101,8 +106,8 @@ func TestDebouncedStormBatchSpanLinksParents(t *testing.T) {
 
 	d := NewFailureDebouncer(s, time.Hour)
 	d.SetTracer(tr)
-	ctxA := trace.ContextWith(context.Background(), tr.StartTrace("report-a"))
-	ctxB := trace.ContextWith(context.Background(), tr.StartTrace("report-b"))
+	ctxA := carrier(context.Background(), tr.Start(trace.SpanContext{TraceID: "report-a"}))
+	ctxB := carrier(context.Background(), tr.Start(trace.SpanContext{TraceID: "report-b"}))
 	d.Report(ctxA, topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][0]}))
 	d.Report(ctxB, topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][1]}))
 
@@ -189,8 +194,8 @@ func TestSingleNodeFailureJoinsRequestTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	root := tr.StartTrace("fail-1")
-	reports, err := s.HandleFailures(trace.ContextWith(bg, root), topology.NewFailures([]topology.NodeID{ids.tors[0][0]}, nil))
+	root := tr.Start(trace.SpanContext{TraceID: "fail-1"})
+	reports, err := s.HandleFailures(carrier(bg, root), topology.NewFailures([]topology.NodeID{ids.tors[0][0]}, nil))
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
@@ -276,8 +281,8 @@ func TestTracedOperationsCommitOnce(t *testing.T) {
 	}
 	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
 	last = st.Stats()
-	root := tr.StartTrace("fail-1")
-	reports, err := s.HandleFailures(trace.ContextWith(bg, root), topology.NewFailures([]topology.NodeID{ids.tors[0][0]}, nil))
+	root := tr.Start(trace.SpanContext{TraceID: "fail-1"})
+	reports, err := s.HandleFailures(carrier(bg, root), topology.NewFailures([]topology.NodeID{ids.tors[0][0]}, nil))
 	if err != nil || len(reports) != 1 {
 		t.Fatalf("HandleFailures = %+v, %v", reports, err)
 	}

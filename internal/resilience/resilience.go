@@ -85,19 +85,6 @@ func (f FailureSet) HitsAnySRLG(groups []int) bool {
 	return false
 }
 
-// PathLinks returns, in order, the physical link IDs along a node path
-// (topology.AppendPathLinks). Virtual VM↔host hops have no Link record
-// and are skipped; down links are still reported (unlike
-// Topology.LinkBetween), because the caller is usually asking "did the
-// dead link sit on this path", after the link was already marked down.
-func PathLinks(topo *topology.Topology, path []topology.NodeID) ([]topology.LinkID, error) {
-	links, ok := topo.AppendPathLinks(nil, path)
-	if !ok {
-		return nil, fmt.Errorf("resilience: path links: a hop of %v joins no link", path)
-	}
-	return links, nil
-}
-
 // virtualHop reports whether the hop is a VM↔hosting-PM edge, which has
 // no Link record (the routing graph synthesizes it).
 func virtualHop(a, b *topology.Node) bool {

@@ -52,11 +52,11 @@ func TestFailureSetUnion(t *testing.T) {
 	if f.HasNode(1) || f.HasNode(2) {
 		t.Fatal("phantom node hit")
 	}
-	if !f.HasLink(7) || f.HasLink(8) {
+	if !slices.Contains(f.Links(), 7) || slices.Contains(f.Links(), 8) {
 		t.Fatal("link hit detection wrong")
 	}
 	empty := Classify(topo, topology.NewFailures(nil, nil))
-	if !empty.Empty() || empty.HasNode(3) || empty.HasLink(7) || empty.Suspect != nil || empty.SRLGs != nil {
+	if !empty.Empty() || empty.HasNode(3) || len(empty.Links()) != 0 || empty.Suspect != nil || empty.SRLGs != nil {
 		t.Fatal("empty set hits resources")
 	}
 }
@@ -68,9 +68,9 @@ func TestPathLinksSkipsVirtualHopsAndSeesDownLinks(t *testing.T) {
 		t.Fatalf("AddVM: %v", err)
 	}
 	path := []topology.NodeID{vm, pm1, tors[0][0], tors[0][1], pm2}
-	got, err := PathLinks(topo, path)
-	if err != nil {
-		t.Fatalf("PathLinks: %v", err)
+	got, ok := topo.AppendPathLinks(nil, path)
+	if !ok {
+		t.Fatal("AppendPathLinks: a hop joins no link")
 	}
 	if len(got) != 3 {
 		t.Fatalf("PathLinks = %v, want 3 physical links (virtual VM hop skipped)", got)
@@ -83,16 +83,16 @@ func TestPathLinksSkipsVirtualHopsAndSeesDownLinks(t *testing.T) {
 	if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{links[0][0]}), true); err != nil {
 		t.Fatalf("SetDown: %v", err)
 	}
-	again, err := PathLinks(topo, path)
-	if err != nil {
-		t.Fatalf("PathLinks after down: %v", err)
+	again, ok := topo.AppendPathLinks(nil, path)
+	if !ok {
+		t.Fatal("AppendPathLinks after down: a hop joins no link")
 	}
 	if len(again) != 3 || again[0] != links[0][0] {
 		t.Fatalf("PathLinks after down = %v, want the dead link reported", again)
 	}
 	// Disconnected hops are an error.
-	if _, err := PathLinks(topo, []topology.NodeID{pm1, pm2}); err == nil {
-		t.Fatal("PathLinks accepted a non-adjacent hop")
+	if _, ok := topo.AppendPathLinks(nil, []topology.NodeID{pm1, pm2}); ok {
+		t.Fatal("AppendPathLinks accepted a non-adjacent hop")
 	}
 }
 

@@ -377,12 +377,6 @@ func (c *Controller) SetAlternativesCache(enabled bool) {
 	}
 }
 
-// InvalidateAlternatives drops every memoized answer. The memo already
-// keys every answer by the fabric state it was searched under; this is
-// the explicit escape hatch for callers that mutated state the
-// controller cannot see.
-func (c *Controller) InvalidateAlternatives() { c.alts.invalidate() }
-
 // AlternativesCacheStats returns the memo's hit and miss counts since
 // construction. With Yen off the production path, their sum is the
 // number of standby segment searches asked of this controller — the legs

@@ -141,7 +141,7 @@ func TestPathAlternativesCacheDisableAndInvalidate(t *testing.T) {
 	if _, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 3, topology.Pool{}); err != nil {
 		t.Fatalf("PathAlternatives: %v", err)
 	}
-	c.InvalidateAlternatives()
+	c.alts.invalidate()
 	if _, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 3, topology.Pool{}); err != nil {
 		t.Fatalf("PathAlternatives: %v", err)
 	}

@@ -1,8 +1,70 @@
 package sdn
 
+import (
+	"fmt"
+	"sort"
+
+	"github.com/alvc/alvc/internal/topology"
+)
+
 // The memo's audit predicate and its recorder, for the external tests
 // that drive whole fleets.
 
 func RecordMemoQuestions(c *Controller) { c.recordMemoQuestions() }
 
 func AuditMemo(c *Controller) (checked int, bad []string) { return c.auditMemo() }
+
+// ComputePath returns the lowest-latency path between two nodes. When
+// restrictOPS is non-nil only those OPSs may be traversed (routing
+// inside a slice). VMs are routed via their host PM.
+func (c *Controller) ComputePath(src, dst topology.NodeID, restrictOPS map[topology.NodeID]bool) ([]topology.NodeID, error) {
+	c.countPathComputations(1)
+	snap := c.snapshot()
+	r := snap.Restrict(restrictOPS)
+	defer snap.Release(r)
+	path, _, err := snap.AppendShortestPathIn(nil, src, dst, r)
+	if err != nil {
+		return nil, fmt.Errorf("sdn: compute path %d->%d: %w", src, dst, err)
+	}
+	return path, nil
+}
+
+// InstallPath installs one rule per hop of the path: each switch
+// forwards matching packets to the next hop; boundary crossings get
+// explicit conversion actions; the final node delivers. It returns the
+// installed rule IDs in path order. Rules already installed under the
+// flow key stay, as an older generation beside the new one.
+func (c *Controller) InstallPath(m Match, path []topology.NodeID, priority int) ([]RuleID, error) {
+	if err := c.validatePath(m, path); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.installPathLocked(m, path, priority, c.flows[m.FlowKey]), nil
+}
+
+// RulesAt returns copies of the rules installed on the given switch,
+// sorted by rule ID.
+func (c *Controller) RulesAt(sw topology.NodeID) []FlowRule {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rules := c.tables[sw]
+	out := make([]FlowRule, 0, len(rules))
+	for _, r := range rules {
+		out = append(out, copyRule(r))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// FlowHits returns the total hits across the flow's rules.
+func (c *Controller) FlowHits(flowKey string) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var total int64
+	rules := c.flows[flowKey]
+	for i := range rules {
+		total += rules[i].Hits
+	}
+	return total
+}

@@ -112,7 +112,7 @@ func TestMemoAuditFires(t *testing.T) {
 
 	plant := func(storeUnderSearchDigest bool) {
 		t.Helper()
-		c.InvalidateAlternatives()
+		c.alts.invalidate()
 		snap := c.snapshot()
 		q := newAltQuestion(0, topology.Pool{}, topology.Avoid{})
 		before := snap.LiveDigest()
@@ -261,9 +261,9 @@ func TestMemoFlapCostsNoMiss(t *testing.T) {
 	first := planAll(t, c, topo, stops, primaries)
 	used := make(map[topology.LinkID]bool)
 	for _, path := range append(slices.Clone(first), primaries...) {
-		links, err := resilience.PathLinks(topo, path)
-		if err != nil {
-			t.Fatalf("PathLinks: %v", err)
+		links, ok := topo.AppendPathLinks(nil, path)
+		if !ok {
+			t.Fatalf("a hop of %v joins no link", path)
 		}
 		for _, l := range links {
 			used[l] = true
@@ -340,6 +340,15 @@ func TestRouteSkipsVMLegs(t *testing.T) {
 	}
 }
 
+// neighbors returns the nodes one link away from id.
+func neighbors(topo *topology.Topology, id topology.NodeID) []topology.NodeID {
+	var out []topology.NodeID
+	for _, l := range topo.LinksOf(id) {
+		out = append(out, l.From+l.To-id)
+	}
+	return out
+}
+
 // TestMemoFullEvictsOtherStatesOnly: a memo full of one live state keeps
 // what it has and stores nothing more while that state lasts — a
 // one-state workload never churns — and a new state makes room by
@@ -347,13 +356,13 @@ func TestRouteSkipsVMLegs(t *testing.T) {
 func TestMemoFullEvictsOtherStatesOnly(t *testing.T) {
 	topo, pm1, pm2, opss := multiRouteTopo(t)
 	path := []topology.NodeID{pm1}
-	for _, n := range topo.Neighbors(opss[0]) {
-		if slices.Contains(topo.Neighbors(pm1), n) {
+	for _, n := range neighbors(topo, opss[0]) {
+		if slices.Contains(neighbors(topo, pm1), n) {
 			path = append(path, n, opss[0])
 		}
 	}
-	for _, n := range topo.Neighbors(opss[0]) {
-		if slices.Contains(topo.Neighbors(pm2), n) {
+	for _, n := range neighbors(topo, opss[0]) {
+		if slices.Contains(neighbors(topo, pm2), n) {
 			path = append(path, n, pm2)
 		}
 	}

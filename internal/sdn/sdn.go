@@ -10,7 +10,6 @@ package sdn
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -138,18 +137,6 @@ func NewController(topo *topology.Topology) (*Controller, error) {
 // cache entry.
 func (c *Controller) snapshot() *topology.Snapshot {
 	return c.topo.RoutingSnapshot(topology.GraphOptions{IncludeVMs: true})
-}
-
-// ComputePath returns the lowest-latency path between two nodes. When
-// restrictOPS is non-nil only those OPSs may be traversed (routing
-// inside a slice). VMs are routed via their host PM.
-func (c *Controller) ComputePath(src, dst topology.NodeID, restrictOPS map[topology.NodeID]bool) ([]topology.NodeID, error) {
-	c.countPathComputations(1)
-	path, _, err := c.snapshot().ShortestPath(src, dst, restrictOPS)
-	if err != nil {
-		return nil, fmt.Errorf("sdn: compute path %d->%d: %w", src, dst, err)
-	}
-	return path, nil
 }
 
 // ComputePathVia returns a path from src to dst that visits every
@@ -336,20 +323,6 @@ func (c *Controller) validatePath(m Match, path []topology.NodeID) error {
 	return nil
 }
 
-// InstallPath installs one rule per hop of the path: each switch
-// forwards matching packets to the next hop; boundary crossings get
-// explicit conversion actions; the final node delivers. It returns the
-// installed rule IDs in path order. Rules already installed under the
-// flow key stay, as an older generation beside the new one.
-func (c *Controller) InstallPath(m Match, path []topology.NodeID, priority int) ([]RuleID, error) {
-	if err := c.validatePath(m, path); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.installPathLocked(m, path, priority, c.flows[m.FlowKey]), nil
-}
-
 // installPathLocked installs the path's rules as one block — one
 // []FlowRule, one []Action backing array shared by its rules, one
 // []RuleID — and makes the block, behind the rules of keep (the flow's
@@ -457,20 +430,6 @@ func copyRule(r *FlowRule) FlowRule {
 	return cp
 }
 
-// RulesAt returns copies of the rules installed on the given switch,
-// sorted by rule ID.
-func (c *Controller) RulesAt(sw topology.NodeID) []FlowRule {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rules := c.tables[sw]
-	out := make([]FlowRule, 0, len(rules))
-	for _, r := range rules {
-		out = append(out, copyRule(r))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // RulesForFlow returns copies of every rule matching the flow key,
 // sorted by rule ID — the order c.flows keeps them in: path order within
 // a generation, older generations first.
@@ -502,18 +461,6 @@ func (c *Controller) RecordHits(flowKey string, n int64) int {
 		rules[i].Hits += n
 	}
 	return len(rules)
-}
-
-// FlowHits returns the total hits across the flow's rules.
-func (c *Controller) FlowHits(flowKey string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total int64
-	rules := c.flows[flowKey]
-	for i := range rules {
-		total += rules[i].Hits
-	}
-	return total
 }
 
 // RuleCount returns the number of installed rules.

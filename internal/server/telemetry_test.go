@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/alvc/alvc"
+	"github.com/alvc/alvc/internal/telemetry"
 	"github.com/alvc/alvc/internal/topology"
 )
 
@@ -113,7 +114,7 @@ func TestWatchStreamsRepairDuringFailure(t *testing.T) {
 	}
 
 	// Wait for the stream's hub subscription, then inject the failure.
-	hub := srv.Telemetry().Hub()
+	hub := srv.Telemetry().WatchHandler().(*telemetry.Hub)
 	deadline := time.Now().Add(5 * time.Second)
 	for hub.Subscribers() == 0 {
 		if time.Now().After(deadline) {

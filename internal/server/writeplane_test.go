@@ -167,7 +167,7 @@ func TestFailureBodiesEqualEncodingJSON(t *testing.T) {
 }
 
 // TestTraceContextBothForms: the span context reads back the same from
-// trace.ContextWith's context and from the server's request frame, from
+// a trace.Carrier and from the server's request frame, from
 // either directly, through a context.WithValue child, and through a
 // cancelled child; the parent's own values and its cancellation pass
 // through both.
@@ -178,7 +178,7 @@ func TestTraceContextBothForms(t *testing.T) {
 	sc := trace.SpanContext{TraceID: "t-1", SpanID: 7}
 	f := &frame{}
 	f.ctx.Context, f.ctx.SC = parent, sc
-	forms := map[string]context.Context{"ContextWith": trace.ContextWith(parent, sc), "frame": &f.ctx}
+	forms := map[string]context.Context{"carrier": &trace.Carrier{Context: parent, SC: sc}, "frame": &f.ctx}
 	for name, ctx := range forms {
 		cancelled, cancel := context.WithCancel(ctx)
 		cancel()
@@ -196,7 +196,7 @@ func TestTraceContextBothForms(t *testing.T) {
 			t.Errorf("%s: cancelling a child: child %v, carrier %v", name, cancelled.Err(), ctx.Err())
 		}
 	}
-	if _, ok := trace.FromContext(trace.ContextWith(parent, trace.SpanContext{})); ok {
+	if _, ok := trace.FromContext(&trace.Carrier{Context: parent}); ok {
 		t.Error("an empty span context reads back as valid")
 	}
 	if _, ok := trace.FromContext(parent); ok {

@@ -46,12 +46,9 @@ func (q *eventQueue) Pop() interface{} {
 // Engine is a single-threaded discrete-event scheduler. Not safe for
 // concurrent use; all scheduling happens from handlers or between runs.
 type Engine struct {
-	now     time.Duration
-	queue   eventQueue
-	seq     uint64
-	stopped bool
-	// processed counts events executed since construction.
-	processed int
+	now   time.Duration
+	queue eventQueue
+	seq   uint64
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -59,12 +56,6 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Processed returns the number of events executed.
-func (e *Engine) Processed() int { return e.processed }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // At schedules h at absolute time at. Scheduling in the past is an
 // error.
@@ -80,46 +71,14 @@ func (e *Engine) At(at time.Duration, h Handler) error {
 	return nil
 }
 
-// After schedules h at now+d.
-func (e *Engine) After(d time.Duration, h Handler) error {
-	if d < 0 {
-		return fmt.Errorf("sim: After: negative delay %v", d)
-	}
-	return e.At(e.now+d, h)
-}
-
-// Stop aborts the current Run after the in-flight handler returns.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called.
-// It returns the number of events processed by this call.
+// Run executes events until the queue is empty. It returns the number
+// of events processed by this call.
 func (e *Engine) Run() int {
-	return e.run(-1)
-}
-
-// RunUntil executes events with time ≤ horizon, advancing the clock to
-// horizon if the queue drains earlier. It returns the number of events
-// processed by this call.
-func (e *Engine) RunUntil(horizon time.Duration) int {
-	n := e.run(horizon)
-	if !e.stopped && e.now < horizon {
-		e.now = horizon
-	}
-	return n
-}
-
-func (e *Engine) run(horizon time.Duration) int {
-	e.stopped = false
 	n := 0
-	for len(e.queue) > 0 && !e.stopped {
-		next := e.queue[0]
-		if horizon >= 0 && next.at > horizon {
-			break
-		}
-		heap.Pop(&e.queue)
+	for len(e.queue) > 0 {
+		next := heap.Pop(&e.queue).(*event)
 		e.now = next.at
 		next.handler(e.now)
-		e.processed++
 		n++
 	}
 	return n

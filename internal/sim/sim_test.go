@@ -55,13 +55,13 @@ func TestEngineHandlersScheduleMore(t *testing.T) {
 	chain = func(now time.Duration) {
 		count++
 		if count < 10 {
-			if err := e.After(time.Millisecond, chain); err != nil {
-				t.Errorf("After: %v", err)
+			if err := e.At(now+time.Millisecond, chain); err != nil {
+				t.Errorf("At: %v", err)
 			}
 		}
 	}
-	if err := e.After(0, chain); err != nil {
-		t.Fatalf("After: %v", err)
+	if err := e.At(0, chain); err != nil {
+		t.Fatalf("At: %v", err)
 	}
 	e.Run()
 	if count != 10 {
@@ -83,60 +83,5 @@ func TestEngineRejectsPastAndNil(t *testing.T) {
 	}
 	if err := e.At(2*time.Second, nil); err == nil {
 		t.Fatal("nil handler accepted")
-	}
-	if err := e.After(-time.Second, func(time.Duration) {}); err == nil {
-		t.Fatal("negative delay accepted")
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	for _, d := range []time.Duration{1, 2, 3, 4} {
-		if err := e.At(d*time.Second, func(time.Duration) { fired++ }); err != nil {
-			t.Fatalf("At: %v", err)
-		}
-	}
-	n := e.RunUntil(2 * time.Second)
-	if n != 2 || fired != 2 {
-		t.Fatalf("RunUntil processed %d fired %d, want 2/2", n, fired)
-	}
-	if e.Now() != 2*time.Second {
-		t.Fatalf("Now = %v, want 2s", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
-	// Horizon beyond the last event drains and advances the clock.
-	e.RunUntil(10 * time.Second)
-	if e.Now() != 10*time.Second || fired != 4 {
-		t.Fatalf("Now = %v fired = %d", e.Now(), fired)
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	for i := 1; i <= 5; i++ {
-		if err := e.At(time.Duration(i)*time.Second, func(time.Duration) {
-			fired++
-			if fired == 2 {
-				e.Stop()
-			}
-		}); err != nil {
-			t.Fatalf("At: %v", err)
-		}
-	}
-	e.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2 (stopped)", fired)
-	}
-	// A subsequent Run resumes.
-	e.Run()
-	if fired != 5 {
-		t.Fatalf("fired = %d after resume, want 5", fired)
-	}
-	if e.Processed() != 5 {
-		t.Fatalf("Processed = %d, want 5", e.Processed())
 	}
 }

@@ -108,30 +108,11 @@ func NewPlane(arch *alvc.Architecture, watchRing int) *Plane {
 // Registry returns the plane's metric registry.
 func (p *Plane) Registry() *Registry { return p.reg }
 
-// Hub returns the plane's watch hub.
-func (p *Plane) Hub() *Hub { return p.hub }
-
 // MetricsHandler returns the GET /metrics handler.
 func (p *Plane) MetricsHandler() http.Handler { return p.reg.Handler() }
 
 // WatchHandler returns the GET /v1/watch SSE handler.
 func (p *Plane) WatchHandler() http.Handler { return p.hub }
-
-// Close detaches everything NewPlane attached — the event-mux
-// subscriptions and the four observers — so a closed plane's registry
-// is written no more. A plane opened after this one must be closed
-// after it, or it loses its observers to this call.
-func (p *Plane) Close() {
-	p.cancelEvents()
-	p.cancelHub()
-	p.arch.Sharded().UpdateHooks(func(h *orch.Hooks) { h.Stage, h.Rehome = nil, nil })
-	if d := p.arch.Debouncer(); d != nil {
-		d.SetFlushObserver(nil)
-	}
-	if opt := p.arch.Optimizer(); opt != nil {
-		opt.SetDrainObserver(nil)
-	}
-}
 
 // eventCounterSink feeds the push counters from the event mux. A named
 // type (rather than subscribing the Plane itself) keeps the Plane from

@@ -9,6 +9,7 @@ import (
 
 	"github.com/alvc/alvc"
 	"github.com/alvc/alvc/internal/chain"
+	"github.com/alvc/alvc/internal/orch"
 )
 
 // newTestArch stands up a small architecture with every optional
@@ -106,7 +107,7 @@ func TestPlaneObservesLifecycle(t *testing.T) {
 	p := NewPlane(arch, 0)
 	defer p.Close()
 
-	ch, cancel := p.Hub().Subscribe(0, 64)
+	ch, cancel := p.hub.Subscribe(0, 64)
 	defer cancel()
 
 	dep := mustDeploy(t, arch, "c1")
@@ -168,6 +169,22 @@ func pushedSeries(t *testing.T, p *Plane) (out []string) {
 		}
 	}
 	return out
+}
+
+// Close detaches everything NewPlane attached — the event-mux
+// subscriptions and the four observers — so a closed plane's registry
+// is written no more. A plane opened after this one must be closed
+// after it, or it loses its observers to this call.
+func (p *Plane) Close() {
+	p.cancelEvents()
+	p.cancelHub()
+	p.arch.Sharded().UpdateHooks(func(h *orch.Hooks) { h.Stage, h.Rehome = nil, nil })
+	if d := p.arch.Debouncer(); d != nil {
+		d.SetFlushObserver(nil)
+	}
+	if opt := p.arch.Optimizer(); opt != nil {
+		opt.SetDrainObserver(nil)
+	}
 }
 
 // TestClosedPlaneStopsObserving: Close detaches every hook NewPlane

@@ -4,7 +4,7 @@
 // and a ring-buffered event hub streaming orchestrator lifecycle events
 // over SSE (GET /v1/watch).
 //
-// A family is push-updated (CounterVec, GaugeVec, HistogramVec: lock-free
+// A family is push-updated (CounterVec, HistogramVec: lock-free
 // children a hot path bumps) or read at scrape time (CounterSink,
 // GaugeSink, HistogramFunc: closures that report live architecture state
 // instead of duplicating it into push-updated shadows). Output is
@@ -140,17 +140,6 @@ func (r *Registry) register(c collector, mtype MetricType, help string) {
 	r.fams = slices.Insert(r.fams, i, c)
 }
 
-// FamilyNames returns the registered family names, sorted.
-func (r *Registry) FamilyNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.fams))
-	for i, c := range r.fams {
-		out[i] = c.meta().name
-	}
-	return out
-}
-
 var expositionPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // WritePrometheus renders every family in text exposition format,
@@ -280,14 +269,6 @@ type Counter struct {
 	n atomic.Int64
 }
 
-// Add increments the counter by delta; a negative delta is ignored, a
-// counter never goes down.
-func (c *Counter) Add(delta int64) {
-	if delta > 0 {
-		c.n.Add(delta)
-	}
-}
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.n.Add(1) }
 
@@ -320,65 +301,6 @@ func (v *CounterVec) appendSeries(b []byte) []byte {
 	defer v.mu.Unlock()
 	for _, c := range v.kids {
 		b = append(strconv.AppendInt(append(b, c.head...), c.Value(), 10), '\n')
-	}
-	return b
-}
-
-// GaugeVec is a labeled gauge family; children hold float64 values in
-// atomic bit form so Set/Add stay lock-free on hot paths.
-type GaugeVec struct {
-	family
-	mu   sync.Mutex
-	kids []*Gauge // sorted by key
-}
-
-// Gauge is one settable series of a GaugeVec.
-type Gauge struct {
-	series
-	bits atomic.Uint64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta to the gauge (CAS loop over the float bits).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// NewGaugeVec registers a gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	v := &GaugeVec{family: family{name: name, labelNames: labelNames}}
-	r.register(v, TypeGauge, help)
-	return v
-}
-
-// WithLabelValues returns (creating if needed) the child gauge.
-func (v *GaugeVec) WithLabelValues(values ...string) *Gauge {
-	v.checkArity(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	i, ok := findSeries(v.kids, values)
-	if !ok {
-		v.kids = slices.Insert(v.kids, i, &Gauge{series: v.newSeries(values)})
-	}
-	return v.kids[i]
-}
-
-func (v *GaugeVec) appendSeries(b []byte) []byte {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, g := range v.kids {
-		b = append(appendValue(append(b, g.head...), g.Value()), '\n')
 	}
 	return b
 }

@@ -25,9 +25,10 @@ func goldenRegistry() *Registry {
 	reqs.WithLabelValues("GET", "500").Inc()
 	reqs.WithLabelValues("GET", "200").Add(3)
 
-	depth := r.NewGaugeVec("test_queue_depth",
-		`Depth; help with a \ backslash and a`+"\n"+`newline.`, "path")
-	depth.WithLabelValues("C:\\tmp\\\"x\"\nrest").Set(4.5)
+	r.GaugeSink("test_queue_depth",
+		`Depth; help with a \ backslash and a`+"\n"+`newline.`, []string{"path"}, func(s Sink) {
+			s.Add(4.5, "C:\\tmp\\\"x\"\nrest")
+		})
 
 	lat := r.NewHistogramVec("test_latency_seconds",
 		"Latency distribution.", []float64{0.1, 1, 10})
@@ -101,8 +102,7 @@ func TestLabelArityPanics(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	g := r.NewGaugeVec("esc_value", "escaping", "p")
-	g.WithLabelValues("a\\b\"c\nd").Set(1)
+	r.GaugeSink("esc_value", "escaping", []string{"p"}, func(s Sink) { s.Add(1, "a\\b\"c\nd") })
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -147,7 +147,6 @@ func TestHistogramCumulative(t *testing.T) {
 func TestConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	cv := r.NewCounterVec("conc_total", "c", "k")
-	gv := r.NewGaugeVec("conc_depth", "g", "k")
 	hv := r.NewHistogramVec("conc_seconds", "h", []float64{0.1, 1}, "k")
 	r.GaugeSink("conc_live", "f", nil, func(s Sink) { s.Add(1) })
 
@@ -166,7 +165,6 @@ func TestConcurrentScrape(t *testing.T) {
 				default:
 				}
 				cv.WithLabelValues(k).Inc()
-				gv.WithLabelValues(k).Add(0.5)
 				hv.WithLabelValues(k).Observe(float64(i%3) / 2)
 			}
 		}(w)
@@ -179,6 +177,25 @@ func TestConcurrentScrape(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// Add increments the counter by delta; a negative delta is ignored, a
+// counter never goes down.
+func (c *Counter) Add(delta int64) {
+	if delta > 0 {
+		c.n.Add(delta)
+	}
+}
+
+// FamilyNames returns the registered family names, sorted.
+func (r *Registry) FamilyNames() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]string, len(r.fams))
+	for i, c := range r.fams {
+		out[i] = c.meta().name
+	}
+	return out
 }
 
 func TestCounter(t *testing.T) {

@@ -32,9 +32,6 @@ func TestNewFailures(t *testing.T) {
 			t.Fatalf("HasNode(%d) = true", id)
 		}
 	}
-	if !f.HasLink(3) || f.HasLink(2) || f.HasLink(8) {
-		t.Fatal("HasLink disagrees with the set")
-	}
 	if f.Empty() || !NewFailures(nil, []LinkID{}).Empty() || NewFailures(nil, []LinkID{4}).Empty() {
 		t.Fatal("Empty disagrees with the set")
 	}

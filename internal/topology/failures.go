@@ -48,9 +48,3 @@ func (f Failures) HasNode(id NodeID) bool {
 	_, ok := slices.BinarySearch(f.nodes, id)
 	return ok
 }
-
-// HasLink reports whether the link is in the set.
-func (f Failures) HasLink(id LinkID) bool {
-	_, ok := slices.BinarySearch(f.links, id)
-	return ok
-}

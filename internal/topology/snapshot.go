@@ -124,20 +124,6 @@ func (s *Snapshot) Release(r *Restriction) {
 	}
 }
 
-// ShortestPath returns the minimum-weight path between two nodes over
-// the snapshot, honoring an OPS restriction set (nil = unrestricted) and
-// the liveness overlay. It is output-identical to searching a graph
-// built cold from the live nodes and links and the admitted OPSs alone.
-func (s *Snapshot) ShortestPath(src, dst NodeID, restrict map[NodeID]bool) ([]NodeID, float64, error) {
-	r := s.Restrict(restrict)
-	defer s.Release(r)
-	path, w, err := s.AppendShortestPathIn(nil, src, dst, r)
-	if err != nil {
-		return nil, 0, err
-	}
-	return path, w, nil
-}
-
 // AppendShortestPathIn is ShortestPath under a restriction already laid
 // out by Restrict, for callers that search several times under one set,
 // appending the path to buf; on error buf comes back as it was.

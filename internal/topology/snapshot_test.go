@@ -8,8 +8,22 @@ import (
 	"github.com/alvc/alvc/internal/graph"
 )
 
+// ShortestPath returns the minimum-weight path between two nodes over
+// the snapshot, honoring an OPS restriction set (nil = unrestricted) and
+// the liveness overlay.
+func (s *Snapshot) ShortestPath(src, dst NodeID, restrict map[NodeID]bool) ([]NodeID, float64, error) {
+	r := s.Restrict(restrict)
+	defer s.Release(r)
+	path, w, err := s.AppendShortestPathIn(nil, src, dst, r)
+	if err != nil {
+		return nil, 0, err
+	}
+	return path, w, nil
+}
+
 // snapTestTopo builds a small two-rack topology with a 4-OPS core ring
 // so there are meaningful alternate paths and restrictable OPSs.
+
 func snapTestTopo(t *testing.T) (*Topology, []NodeID, []NodeID) {
 	t.Helper()
 	topo := New()

@@ -241,12 +241,6 @@ func (t *Topology) Link(id LinkID) *Link {
 	return nil
 }
 
-// NodeCount returns the total number of nodes.
-func (t *Topology) NodeCount() int { return t.live }
-
-// LinkCount returns the total number of links.
-func (t *Topology) LinkCount() int { return len(t.links) - 1 }
-
 // Nodes returns all nodes of the given kinds (all nodes if none given),
 // sorted by ID.
 func (t *Topology) Nodes(kinds ...NodeKind) []*Node {
@@ -289,25 +283,6 @@ func (t *Topology) linkIDsOf(id NodeID) []LinkID {
 		return t.adj[id]
 	}
 	return nil
-}
-
-// Neighbors returns the IDs of nodes adjacent to id, deduplicated and
-// sorted.
-func (t *Topology) Neighbors(id NodeID) []NodeID {
-	seen := make(map[NodeID]bool)
-	var out []NodeID
-	for _, l := range t.LinksOf(id) {
-		other := l.From
-		if other == id {
-			other = l.To
-		}
-		if !seen[other] {
-			seen[other] = true
-			out = append(out, other)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // neighborsOfKind returns sorted adjacent live nodes of the given kind,

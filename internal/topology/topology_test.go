@@ -236,11 +236,11 @@ func TestJSONRoundTripShape(t *testing.T) {
 	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if len(decoded.Nodes) != topo.NodeCount() {
-		t.Fatalf("json nodes = %d, want %d", len(decoded.Nodes), topo.NodeCount())
+	if len(decoded.Nodes) != len(topo.Nodes()) {
+		t.Fatalf("json nodes = %d, want %d", len(decoded.Nodes), len(topo.Nodes()))
 	}
-	if len(decoded.Links) != topo.LinkCount() {
-		t.Fatalf("json links = %d, want %d", len(decoded.Links), topo.LinkCount())
+	if len(decoded.Links) != len(topo.Links()) {
+		t.Fatalf("json links = %d, want %d", len(decoded.Links), len(topo.Links()))
 	}
 }
 

@@ -168,9 +168,6 @@ func NewStore(opts StoreOptions) *Store {
 	}
 }
 
-// Options returns the store's effective (defaulted) bounds.
-func (s *Store) Options() StoreOptions { return s.opts }
-
 // commit inserts the spans of one trace under one lock, in order. Each
 // is admitted exactly as if it had been added on its own: the per-trace
 // cap, the budget, retention and the chain index see the same sequence.

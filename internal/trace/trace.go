@@ -124,11 +124,6 @@ func (c *Carrier) Value(key any) any {
 	return c.Context.Value(key)
 }
 
-// ContextWith returns ctx carrying sc.
-func ContextWith(ctx context.Context, sc SpanContext) context.Context {
-	return &Carrier{Context: ctx, SC: sc}
-}
-
 // FromContext extracts the span context threaded through ctx, if any:
 // the nearest Carrier's, whatever contexts were derived from it since.
 func FromContext(ctx context.Context) (SpanContext, bool) {
@@ -211,19 +206,6 @@ func (t *Tracer) Start(parent SpanContext) SpanContext {
 }
 
 func (t *Tracer) newSpanID() SpanID { return SpanID(t.spanN.Add(1)) }
-
-// StartTrace opens a root span identity on an explicit trace ID —
-// the inbound X-Trace-Id case. An empty or malformed id gets a fresh
-// one instead.
-func (t *Tracer) StartTrace(traceID string) SpanContext {
-	if t == nil {
-		return SpanContext{}
-	}
-	if !ValidTraceID(traceID) {
-		traceID = t.NewTraceID()
-	}
-	return SpanContext{TraceID: traceID, SpanID: t.newSpanID()}
-}
 
 // Begin opens an operation on c under parent: c carries ctx and the
 // operation's span identity from Start(parent). Spans recorded under the

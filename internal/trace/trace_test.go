@@ -44,13 +44,6 @@ func TestTracerParenting(t *testing.T) {
 	if child.TraceID != root.TraceID || child.SpanID == root.SpanID {
 		t.Fatalf("child = %+v under %+v, want same trace, new span", child, root)
 	}
-	pinned := tr.StartTrace("my-id")
-	if pinned.TraceID != "my-id" {
-		t.Fatalf("StartTrace kept %q, want my-id", pinned.TraceID)
-	}
-	if sc := tr.StartTrace("bad id!"); sc.TraceID == "bad id!" {
-		t.Fatal("StartTrace accepted a malformed external ID")
-	}
 }
 
 // TestNilTracerZeroAlloc is the WithTracing(nil) contract: every hot-
@@ -65,7 +58,6 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 		tr.Begin(&c, context.Background(), sc)
 		tr.End(&c, Span{})
 		tr.EndRequest(&c, "GET", Span{})
-		_ = tr.StartTrace("x")
 		_ = tr.NewTraceID()
 		_ = tr.Store()
 	})

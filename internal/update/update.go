@@ -123,23 +123,6 @@ func (m *Model) ALVCCost(oldAL cluster.AL, ev Event) (Cost, cluster.AL, error) {
 	return cost, newAL, nil
 }
 
-// FlatCost returns the cost the same event incurs on a flat
-// (non-clustered) virtual network: every switch in the fabric must be
-// reconsidered because any of them may carry state for the changed VM
-// — the whole-network update AL-VC's clustering avoids.
-func (m *Model) FlatCost(ev Event) (Cost, error) {
-	if err := m.apply(ev); err != nil {
-		return Cost{}, err
-	}
-	tors := len(m.topo.NodeIDs(topology.KindToR))
-	opss := len(m.topo.NodeIDs(topology.KindOPS))
-	return Cost{
-		SwitchesTouched: tors + opss,
-		RulesChanged:    tors + opss,
-		ALRebuilt:       false,
-	}, nil
-}
-
 func (m *Model) apply(ev Event) error {
 	switch ev.Kind {
 	case VMJoin:

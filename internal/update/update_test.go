@@ -101,20 +101,6 @@ func TestALVCCostMigrate(t *testing.T) {
 	}
 }
 
-func TestFlatCostTouchesWholeFabric(t *testing.T) {
-	topo := churnTopo(t)
-	m, _ := NewModel(topo, cluster.PaperBuilder{})
-	pm := topo.NodeIDs(topology.KindPhysicalMachine)[0]
-	cost, err := m.FlatCost(Event{Kind: VMJoin, Service: "web", PM: pm})
-	if err != nil {
-		t.Fatalf("FlatCost: %v", err)
-	}
-	want := len(topo.NodeIDs(topology.KindToR)) + len(topo.NodeIDs(topology.KindOPS))
-	if cost.SwitchesTouched != want {
-		t.Fatalf("flat switches = %d, want %d (whole fabric)", cost.SwitchesTouched, want)
-	}
-}
-
 func TestApplyValidation(t *testing.T) {
 	topo := churnTopo(t)
 	m, _ := NewModel(topo, cluster.PaperBuilder{})

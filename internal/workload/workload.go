@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/alvc/alvc/internal/topology"
 )
@@ -274,28 +273,4 @@ func GenerateRequests(cfg RequestConfig) ([]ChainRequest, error) {
 		}
 	}
 	return reqs, nil
-}
-
-// GroupVMsByService returns the topology's VMs grouped by service with
-// groups and members sorted — the canonical clustering input.
-func GroupVMsByService(topo *topology.Topology) []ServiceGroup {
-	byService := topo.VMsByService()
-	names := make([]string, 0, len(byService))
-	for name := range byService {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	groups := make([]ServiceGroup, 0, len(names))
-	for _, name := range names {
-		vms := append([]topology.NodeID(nil), byService[name]...)
-		sort.Slice(vms, func(i, j int) bool { return vms[i] < vms[j] })
-		groups = append(groups, ServiceGroup{Service: name, VMs: vms})
-	}
-	return groups
-}
-
-// ServiceGroup is a named set of VMs offering the same service.
-type ServiceGroup struct {
-	Service string
-	VMs     []topology.NodeID
 }

@@ -171,34 +171,6 @@ func TestGenerateRequestsRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestGroupVMsByService(t *testing.T) {
-	topo := genTopo(t)
-	groups := GroupVMsByService(topo)
-	if len(groups) != len(DefaultCatalog()) {
-		t.Fatalf("groups = %d, want %d", len(groups), len(DefaultCatalog()))
-	}
-	total := 0
-	for i, g := range groups {
-		total += len(g.VMs)
-		if i > 0 && groups[i-1].Service >= g.Service {
-			t.Fatal("groups not sorted by service name")
-		}
-		for j := 1; j < len(g.VMs); j++ {
-			if g.VMs[j-1] >= g.VMs[j] {
-				t.Fatal("VMs within group not sorted")
-			}
-		}
-		for _, vm := range g.VMs {
-			if topo.Node(vm).Service != g.Service {
-				t.Fatal("VM grouped under wrong service")
-			}
-		}
-	}
-	if total != topo.ComputeStats().VMs {
-		t.Fatalf("grouped VMs = %d, want %d", total, topo.ComputeStats().VMs)
-	}
-}
-
 func TestDefaultCatalogSane(t *testing.T) {
 	for _, p := range DefaultCatalog() {
 		if p.Name == "" || p.Popularity <= 0 || p.MeanFlowBytes <= 0 {
