@@ -670,11 +670,14 @@ func (a *Architecture) Close() {
 }
 
 // Deployments lists the deployments the orchestrator holds records of
-// (active and failed), each a deep copy. Deleted chains are not among
-// them; see Tombstones.
+// (active and failed); deleted chains are not among them (see
+// Tombstones). Each copies the record, its Instances, Path and Standby,
+// and shares Spec.NFs, Placement's lists, VC and Slice with the live
+// record: read those only (see orch.Sharded.Deployments).
 func (a *Architecture) Deployments() []*Deployment { return a.sh.Deployments() }
 
-// Deployment returns one deployment, or nil (unknown or deleted).
+// Deployment returns one deployment, copied as Deployments copies, or
+// nil (unknown or deleted).
 func (a *Architecture) Deployment(id DeploymentID) *Deployment { return a.sh.Deployment(id) }
 
 // Tombstone returns what is remembered of a deleted deployment; ok is

@@ -42,7 +42,8 @@ func (f *Frozen) NewLiveMask() *LiveMask {
 
 // Patch applies a whole batch of vertex and arc transitions under one
 // lock acquisition — the batch-mutator fast path: in-flight searches
-// finish first, then the entire storm lands atomically.
+// finish first, then the entire storm lands atomically. It keeps neither
+// argument, so a caller may patch from scratch it reuses.
 func (m *LiveMask) Patch(vertexDown map[int32]bool, arcs []int32, arcDown bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -302,14 +302,16 @@ type Engine struct {
 	running int
 	stats   [numKinds]KindStats
 	// results holds the last opts.ResultLog outcomes, each with its wire
-	// encoding; kindsView and logView are ViewStatus's, reused under mu.
+	// encoding; logView, statusView and debounceView are ViewStatus's.
 	results   ring.Ring[loggedResult]
-	kindsView map[string]KindStats
 	logView   [][]byte
 	groupPlan GroupPlanStats
 	highWater []int // per-shard queued-task high-water marks
 	shedTotal int   // tasks dropped by the MaxQueueDepth bound
 	drainObs  func(d time.Duration, tasks int)
+
+	statusView   Status
+	debounceView orch.DebounceStats
 
 	// grpMu guards the membership of the queued tasks: their groups by
 	// key, and each queued member's place. Taken before a queue lock,
@@ -990,8 +992,13 @@ func (e *Engine) Status() Status {
 	var st Status
 	e.ViewStatus(func(view *Status, _ [][]byte) {
 		st = *view
+		st.ShardDepths = slices.Clone(view.ShardDepths)
 		st.ShardHighWater = slices.Clone(view.ShardHighWater)
 		st.Kinds = maps.Clone(view.Kinds)
+		if view.Debounce != nil {
+			ds := *view.Debounce
+			st.Debounce = &ds
+		}
 		if n := e.results.Len(); n > 0 {
 			st.LastResults = make([]TaskResult, n)
 			for i := range st.LastResults {
@@ -1006,38 +1013,49 @@ func (e *Engine) Status() Status {
 // st is what Status returns but for LastResults, which it leaves nil,
 // and results is the result log, oldest first, each result as its
 // TaskResult.AppendJSON made it when it entered the log (nil for an empty
-// log). fn must not call into the engine, nor keep st's lists or maps,
-// results or the arrays results holds.
+// log). st and everything it points at are the engine's scratch, reused
+// by the next call: fn must not call into the engine, nor keep st, its
+// lists, maps or Debounce, results or the arrays results holds.
 func (e *Engine) ViewStatus(fn func(st *Status, results [][]byte)) {
-	shardDepths := make([]int, len(e.queues))
-	for i, q := range e.queues {
-		q.mu.Lock()
-		shardDepths[i] = len(q.queued)
-		q.mu.Unlock()
-	}
+	// The depths' array leaves the view while the queue locks are held.
 	e.mu.Lock()
 	src := e.debounceSrc
+	depths := e.statusView.ShardDepths
+	e.statusView.ShardDepths = nil
 	e.mu.Unlock()
-	var debounce *orch.DebounceStats
+	if len(depths) != len(e.queues) {
+		depths = make([]int, len(e.queues))
+	}
+	for i, q := range e.queues {
+		q.mu.Lock()
+		depths[i] = len(q.queued)
+		q.mu.Unlock()
+	}
+	var ds orch.DebounceStats
 	if src != nil {
-		ds := src.Stats()
-		debounce = &ds
+		ds = src.Stats()
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.kindsView == nil {
-		e.kindsView = make(map[string]KindStats, numKinds)
+	kinds := e.statusView.Kinds
+	if kinds == nil {
+		kinds = make(map[string]KindStats, numKinds)
 	}
 	for kind := TaskKind(0); kind < numKinds; kind++ {
-		e.kindsView[kind.String()] = e.stats[kind]
+		kinds[kind.String()] = e.stats[kind]
 	}
-	st := Status{
+	var debounce *orch.DebounceStats
+	if src != nil {
+		e.debounceView = ds
+		debounce = &e.debounceView
+	}
+	e.statusView = Status{
 		Paused:         e.paused,
 		QueueDepth:     e.depth,
-		ShardDepths:    shardDepths,
+		ShardDepths:    depths,
 		ShardHighWater: e.highWater,
 		Running:        e.running,
-		Kinds:          e.kindsView,
+		Kinds:          kinds,
 		Shed:           e.shedTotal,
 		GroupPlans:     e.groupPlan,
 		Debounce:       debounce,
@@ -1049,7 +1067,7 @@ func (e *Engine) ViewStatus(fn func(st *Status, results [][]byte)) {
 	if len(results) == 0 {
 		results = nil
 	}
-	fn(&st, results)
+	fn(&e.statusView, results)
 	clear(results)
 	e.logView = results
 }

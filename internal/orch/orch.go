@@ -980,13 +980,31 @@ func (o *Orchestrator) activeLocked(id DeploymentID) (*Deployment, error) {
 	return dep, nil
 }
 
+// snapshotBlock is a snapshot of a two-NF chain in one allocation.
+type snapshotBlock struct {
+	dep       Deployment
+	instances [2]nfv.InstanceID
+	path      [7]topology.NodeID
+	standby   resilience.StandbyBlock
+}
+
+// snapshot copies the record, its Instances, Path and Standby: into one
+// block when every list fits, else into the record and an array per list
+// (Standby.Clone). Sharded.Deployments says what it shares with the record.
 func snapshot(dep *Deployment) *Deployment {
-	cp := *dep
-	cp.Instances = append([]nfv.InstanceID(nil), dep.Instances...)
-	cp.Path = append([]topology.NodeID(nil), dep.Path...)
-	cp.Standby = dep.Standby.Clone()
+	var cp *Deployment
+	if len(dep.Instances) <= len(snapshotBlock{}.instances) && len(dep.Path) <= len(snapshotBlock{}.path) && dep.Standby.Fits() {
+		b := &snapshotBlock{dep: *dep}
+		cp = &b.dep
+		cp.Instances, cp.Path = resilience.CopyInto(b.instances[:], dep.Instances), resilience.CopyInto(b.path[:], dep.Path)
+		cp.Standby = b.standby.Copy(dep.Standby)
+	} else {
+		d := *dep
+		cp = &d
+		cp.Instances, cp.Path, cp.Standby = resilience.CopyInto(nil, dep.Instances), resilience.CopyInto(nil, dep.Path), dep.Standby.Clone()
+	}
 	cp.idxNodes, cp.idxLinks, cp.primaryLinks = nil, nil, nil
-	return &cp
+	return cp
 }
 
 // appendOptoelectronic appends to buf the live optoelectronic routers

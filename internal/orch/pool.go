@@ -18,6 +18,7 @@ func DefaultBatchWorkers() int {
 // tests a serial runner that orders items from a seed.
 type executor interface {
 	Run(n, width int, fn func(i int))
+	Items() (caller, helper uint64)
 	Close()
 }
 
@@ -34,6 +35,8 @@ type Pool struct {
 	mu   sync.Mutex
 	quit chan struct{}   // closed by the next Close; nil when none runs
 	wg   *sync.WaitGroup // the workers started since the last Close
+
+	callerItems, helperItems atomic.Uint64 // items run by Runs' callers, and by workers
 }
 
 // batch is one Run's items, taken index by index by the caller and the
@@ -52,10 +55,13 @@ type batch struct {
 	running sync.WaitGroup
 }
 
-func (b *batch) run() {
+// run takes and runs items until none is left, and counts them.
+func (b *batch) run() (ran uint64) {
 	for i := int(b.next.Add(1) - 1); i < b.n; i = int(b.next.Add(1) - 1) {
 		b.fn(i)
+		ran++
 	}
+	return ran
 }
 
 // join lets a claimed helper in, reporting false once the Run closed
@@ -108,7 +114,7 @@ func (p *Pool) Run(n, width int, fn func(i int)) {
 		}
 		helpers += p.grow(b, width-1)
 	}
-	b.run()
+	p.callerItems.Add(b.run())
 	if helpers > 0 {
 		p.idle.Add(int64(helpers - b.close()))
 		b.running.Wait()
@@ -152,7 +158,7 @@ func (p *Pool) work(b *batch, quit chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
 		if b.join() {
-			b.run()
+			p.helperItems.Add(b.run())
 			p.idle.Add(1)
 			b.running.Done()
 		}
@@ -168,6 +174,11 @@ func (p *Pool) work(b *batch, quit chan struct{}, wg *sync.WaitGroup) {
 			}
 		}
 	}
+}
+
+// Items returns how many items Runs' callers ran, and how many workers.
+func (p *Pool) Items() (caller, helper uint64) {
+	return p.callerItems.Load(), p.helperItems.Load()
 }
 
 // Close ends the running workers once each has finished its batch.

@@ -140,6 +140,10 @@ func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.Fa
 	reports := make([]RepairReport, len(affected))
 	tr := o.hooks.Load().Tracer
 	parent, _ := trace.FromContext(ctx)
+	var carriers []trace.Carrier // one per repair, each used inside its repair only
+	if tr != nil {
+		carriers = make([]trace.Carrier, len(affected))
+	}
 	o.pool.Run(len(affected), 0, func(i int) {
 		// One repair span per deployment wraps the whole busy-retry
 		// loop — retries are attempts at the same repair, not separate
@@ -149,7 +153,7 @@ func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.Fa
 		var c *trace.Carrier
 		var start time.Time
 		if tr != nil {
-			c = new(trace.Carrier)
+			c = &carriers[i]
 			tr.Begin(c, ctx, parent)
 			rctx = c
 			start = time.Now()
@@ -164,7 +168,7 @@ func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.Fa
 			sp := trace.Span{Parent: parent.SpanID,
 				Name: "repair", Kind: trace.KindRepair, Start: start, End: time.Now(),
 				Dep:   int(affected[i]),
-				Attrs: []trace.Attr{{Key: "action", Value: string(rep.Action)}}}
+				Attrs: actionAttrs[rep.Action]}
 			sp.SetError(rep.Err)
 			tr.End(c, sp)
 			rep.TraceID, rep.SpanID = c.SC.TraceID, c.SC.SpanID
@@ -172,6 +176,17 @@ func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.Fa
 		reports[i] = rep
 	})
 	return reports
+}
+
+// actionAttrs is a repair span's attribute list per action, shared: a
+// recorded span is never edited.
+var actionAttrs = make(map[RepairAction][]trace.Attr)
+
+func init() {
+	for _, a := range []RepairAction{ActionSwapped, ActionRepathed, ActionRestandby, ActionReplaced,
+		ActionPatched, ActionRebuilt, ActionFailed, ActionSkipped} {
+		actionAttrs[a] = []trace.Attr{{Key: "action", Value: string(a)}}
+	}
 }
 
 // emitRepairEvents wakes the background optimizer (no locks held):
@@ -227,9 +242,16 @@ func firstRepairError(reports []RepairReport) error {
 func (o *Orchestrator) affectedBy(dead resilience.FailureSet) []DeploymentID {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	var out []DeploymentID
-	for _, n := range dead.Nodes() {
-		out = append(out, o.nodeIndex.of(n)...)
+	n := 0
+	for _, node := range dead.Nodes() {
+		n += len(o.nodeIndex.of(node))
+	}
+	for _, l := range dead.Suspect {
+		n += len(o.linkIndex.of(l))
+	}
+	out := make([]DeploymentID, 0, n)
+	for _, node := range dead.Nodes() {
+		out = append(out, o.nodeIndex.of(node)...)
 	}
 	for _, l := range dead.Suspect {
 		out = append(out, o.linkIndex.of(l)...)

@@ -107,4 +107,6 @@ func (r *seededRunner) Run(n, _ int, fn func(int)) {
 	}
 }
 
+func (r *seededRunner) Items() (caller, helper uint64) { return 0, 0 }
+
 func (r *seededRunner) Close() {}

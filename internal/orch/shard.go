@@ -308,9 +308,13 @@ func (s *Sharded) ViewDeployments(fn func(dep *Deployment)) {
 func (s *Sharded) Deployment(id DeploymentID) *Deployment { return s.owner(id).Deployment(id) }
 
 // Deployments returns snapshots of every shard's deployments sorted by
-// ID: a deep copy per chain, for callers that keep the records. Readers
-// that only look use ViewDeployments; fleet sweeps that read a few
-// fields use AppendChainHealth or ShardStats.
+// ID, for callers that keep the records: each copies the record, its
+// Instances, Path and Standby, and shares Spec.NFs, Placement's lists, VC
+// and Slice with the live record, which a caller only reads. Verbs
+// replace those, or clone them first (ownPlacement), rather than edit
+// them — but for the slice's bandwidth, which a modify sets in place.
+// Readers that only look use ViewDeployments; fleet sweeps that read a
+// few fields use AppendChainHealth or ShardStats.
 func (s *Sharded) Deployments() (out []*Deployment) {
 	s.ViewDeployments(func(dep *Deployment) { out = append(out, snapshot(dep)) })
 	slices.SortFunc(out, func(a, b *Deployment) int { return int(a.ID - b.ID) })
@@ -353,11 +357,10 @@ func (s *Sharded) HandleFailures(ctx context.Context, f topology.Failures) ([]Re
 		perShard[i] = s.shards[i].reconcileFailures(ctx, dead)
 	})
 	domain := s.core.failureDomain(dead)
-	var reports []RepairReport
 	for _, reps := range perShard {
 		s.core.emitRepairEvents(reps, domain)
-		reports = append(reports, reps...)
 	}
+	reports := slices.Concat(perShard...)
 	slices.SortFunc(reports, func(a, b RepairReport) int { return int(a.ID - b.ID) })
 	return reports, firstRepairError(reports)
 }
@@ -431,6 +434,10 @@ func (s *Sharded) StandbyFallbacks() int64 {
 	}
 	return n
 }
+
+// PoolItems is the set's pool's Items: fan-out items (batch provisions,
+// shard passes, repairs) run by the Run's caller, and by a pool worker.
+func (s *Sharded) PoolItems() (caller, helper uint64) { return s.core.pool.Items() }
 
 // ShardStat is one shard's slice of the fleet, exactly as GET /metrics
 // serves it: each field is one series labeled with the shard's index,

@@ -1,0 +1,138 @@
+package orch
+
+import (
+	"slices"
+	"testing"
+
+	"github.com/alvc/alvc/internal/resilience"
+	"github.com/alvc/alvc/internal/topology"
+)
+
+// scribble writes into every element of list, then appends to it and
+// writes into what the append returned. It reports whether the append
+// wrote into list's own array: it must not, or a caller's append runs
+// into the room a block keeps past the list.
+func scribble[T ~int](list []T) (shared bool) {
+	for i := range list {
+		list[i] = -1
+	}
+	grown := append(list, -2)
+	grown[0] = -3
+	return len(list) > 0 && list[0] == -3
+}
+
+// depLists is a snapshot's four lists, as plain ints.
+func depLists(d *Deployment) [][]int {
+	return [][]int{asInts(d.Instances), asInts(d.Path), asInts(d.Standby.Path), asInts(d.Standby.Links)}
+}
+
+func asInts[T ~int](list []T) []int {
+	out := make([]int, len(list))
+	for i, v := range list {
+		out[i] = int(v)
+	}
+	return out
+}
+
+// TestSnapshotListsAreDeep: the lists of a snapshot — Instances, Path,
+// Standby.Path, Standby.Links — and of a freshly planned Standby are the
+// caller's own. Writing into one, and appending to it and writing into
+// what the append returned, leaves the live record (read again), a
+// second snapshot and the other lists as they were. The chain is one NF,
+// so its instance list leaves room in the snapshot's block: each list is
+// clipped to its length, and an append must reallocate. Such a snapshot
+// is one allocation, and a warm plan of its standby is one too.
+func TestSnapshotListsAreDeep(t *testing.T) {
+	_, o, _ := triOrch(t, Config{})
+	prov, err := o.Provision(bg, triSpec(t, "chain-1"))
+	if err != nil {
+		t.Fatalf("Provision: %v", err)
+	}
+	id := prov.ID
+	want := o.Deployment(id)
+	if want.Standby == nil || !want.Standby.Fits() || len(want.Instances) >= len(snapshotBlock{}.instances) ||
+		len(want.Path) > len(snapshotBlock{}.path) {
+		t.Fatalf("the chain must fit a snapshot block with room to spare: %d instances, path %v, standby %+v",
+			len(want.Instances), want.Path, want.Standby)
+	}
+	wantLists := depLists(want)
+
+	for i, name := range []string{"Instances", "Path", "Standby.Path", "Standby.Links"} {
+		snap, second := o.Deployment(id), o.Deployment(id)
+		lists := depLists(snap)
+		for j, l := range [...]int{cap(snap.Instances), cap(snap.Path), cap(snap.Standby.Path), cap(snap.Standby.Links)} {
+			if l != len(lists[j]) {
+				t.Fatalf("list %d of a snapshot has capacity %d for %d elements", j, l, len(lists[j]))
+			}
+		}
+		var shared bool
+		switch i {
+		case 0:
+			shared = scribble(snap.Instances)
+		case 1:
+			shared = scribble(snap.Path)
+		case 2:
+			shared = scribble(snap.Standby.Path)
+		case 3:
+			shared = scribble(snap.Standby.Links)
+		}
+		if shared {
+			t.Errorf("%s: an append to the snapshot's list wrote into its array", name)
+		}
+		got := depLists(snap)
+		for j := range got {
+			if j != i && !slices.Equal(got[j], wantLists[j]) {
+				t.Errorf("%s: writing it changed the snapshot's list %d: %v, want %v", name, j, got[j], wantLists[j])
+			}
+		}
+		for who, d := range map[string]*Deployment{"the live record": o.Deployment(id), "a second snapshot": second} {
+			if got := depLists(d); !slices.EqualFunc(got, wantLists, slices.Equal) {
+				t.Errorf("%s: writing the snapshot's list changed %s: %v, want %v", name, who, got, wantLists)
+			}
+		}
+	}
+
+	o.mu.Lock()
+	live := o.deployments[id]
+	p := o.pipelineFrom(bg, live)
+	primary := resilience.Primary{Path: live.Path, Stops: p.appendStandbyStops(nil), Slice: live.Slice.OPSs}
+	p.release()
+	o.mu.Unlock()
+	plan := func() *resilience.Standby {
+		sb, err := resilience.PlanStandbyAvoiding(o.ctrl, o.topo, primary, topology.Pool{}, nil)
+		if err != nil {
+			t.Fatalf("PlanStandbyAvoiding: %v", err)
+		}
+		return sb
+	}
+	wantPlan := plan()
+	for i, name := range []string{"Path", "Links"} {
+		fresh := plan()
+		if cap(fresh.Path) != len(fresh.Path) || cap(fresh.Links) != len(fresh.Links) {
+			t.Fatalf("a planned standby's lists have capacities %d and %d for %d and %d elements",
+				cap(fresh.Path), cap(fresh.Links), len(fresh.Path), len(fresh.Links))
+		}
+		var shared, otherSame bool
+		if i == 0 {
+			shared, otherSame = scribble(fresh.Path), slices.Equal(fresh.Links, wantPlan.Links)
+		} else {
+			shared, otherSame = scribble(fresh.Links), slices.Equal(fresh.Path, wantPlan.Path)
+		}
+		if shared || !otherSame {
+			t.Errorf("planned standby's %s: the append shared its array (%v), or writing it changed the other list (%v)", name, shared, !otherSame)
+		}
+		if got := depLists(o.Deployment(id)); !slices.EqualFunc(got, wantLists, slices.Equal) {
+			t.Errorf("planned standby's %s: writing it changed the live record: %v, want %v", name, got, wantLists)
+		}
+	}
+
+	if raceEnabled {
+		return
+	}
+	snapshots := testing.AllocsPerRun(100, func() { o.Deployment(id) })
+	plans := testing.AllocsPerRun(100, func() { plan() })
+	t.Logf("a snapshot allocates %.0f times, a warm standby plan %.0f", snapshots, plans)
+	if snapshots != 1 || plans != 1 {
+		t.Errorf("a snapshot allocates %.0f times and a warm standby plan %.0f, want 1 each: one block", snapshots, plans)
+	}
+}

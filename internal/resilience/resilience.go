@@ -146,16 +146,54 @@ type Standby struct {
 	PlannedAt time.Time
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy: one block when its lists fit a StandbyBlock,
+// else the record and an array per list (unused arrays cost more bytes).
 func (s *Standby) Clone() *Standby {
+	switch {
+	case s == nil:
+		return nil
+	case s.Fits():
+		return new(StandbyBlock).Copy(s)
+	}
+	cp := *s
+	cp.Path, cp.Links, cp.SRLGs = CopyInto(nil, s.Path), CopyInto(nil, s.Links), CopyInto(nil, s.SRLGs)
+	return &cp
+}
+
+// Fits reports whether s is nil or its lists fit a StandbyBlock.
+func (s *Standby) Fits() bool {
+	return s == nil || len(s.Path) <= len(StandbyBlock{}.path) && len(s.Links) <= len(StandbyBlock{}.links)
+}
+
+// StandbyBlock is a Standby with the arrays a two-NF chain's standby
+// fills (seven nodes over four links): such a standby is one allocation.
+type StandbyBlock struct {
+	sb    Standby
+	path  [7]topology.NodeID
+	links [4]topology.LinkID
+}
+
+// Copy fills b with a deep copy of s and returns it (nil for nil); SRLGs,
+// nil on most topologies, and a list b cannot hold get arrays of their own.
+func (b *StandbyBlock) Copy(s *Standby) *Standby {
 	if s == nil {
 		return nil
 	}
-	cp := *s
-	cp.Path = append([]topology.NodeID(nil), s.Path...)
-	cp.Links = append([]topology.LinkID(nil), s.Links...)
-	cp.SRLGs = append([]int(nil), s.SRLGs...)
-	return &cp
+	b.sb = *s
+	b.sb.Path, b.sb.Links, b.sb.SRLGs = CopyInto(b.path[:], s.Path), CopyInto(b.links[:], s.Links), CopyInto(nil, s.SRLGs)
+	return &b.sb
+}
+
+// CopyInto copies src into arr if it fits, else into its own array, and
+// clips the copy so an append reallocates; an empty src copies to nil.
+func CopyInto[T any](arr, src []T) []T {
+	switch {
+	case len(src) == 0:
+		return nil
+	case len(src) <= len(arr):
+		return arr[:copy(arr, src):len(src)]
+	}
+	return slices.Clip(slices.Clone(src))
 }
 
 // appendLinkSRLGs appends the links' shared-risk groups not yet in out,
@@ -256,8 +294,8 @@ func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeI
 // it derives each fact once: the primary's links come from the record,
 // the standby's with the route, the sets to avoid are built in pooled
 // scratch and tested against marks, and the Standby is all it allocates
-// (its record and its two arrays; its risk groups too, on a topology
-// that models any).
+// (one block, Clone's; its risk groups too, on a topology that models
+// any).
 func PlanStandbyAvoiding(f PathFinder, topo *topology.Topology, p Primary, allow topology.Pool, domainSRLGs []int) (*Standby, error) {
 	if len(p.Path) == 0 || len(p.Stops) < 2 {
 		return nil, fmt.Errorf("resilience: plan standby: primary and stops required")
@@ -331,15 +369,8 @@ func PlanStandbyAvoiding(f PathFinder, topo *topology.Topology, p Primary, allow
 			overlap++
 		}
 	}
-	sb := &Standby{
-		Path:      slices.Clone(route),
-		Disjoint:  overlap == 0,
-		Confined:  confined,
-		PlannedAt: time.Now(),
-	}
-	if len(links) > 0 {
-		sb.Links = slices.Clone(links)
-	}
+	plan := Standby{Path: route, Links: links, Disjoint: overlap == 0, Confined: confined, PlannedAt: time.Now()}
+	sb := plan.Clone()
 	if srlgs {
 		sb.SRLGs = appendLinkSRLGs(nil, topo, links)
 	}

@@ -342,27 +342,11 @@ func appendDeployment(b []byte, d *orch.Deployment) []byte {
 	b = strconv.AppendInt(append(b, `,"lambda":`...), int64(d.Lambda), 10)
 	b = strconv.AppendInt(append(b, `,"conversions":`...), int64(d.Conversions), 10)
 	b = jsonwrite.Float(append(b, `,"energy_joules":`...), d.EnergyJoules)
-	sb := d.Standby
-	pathFrom, pathTo := 0, 0 // where the standby path's digits lie in b once written
-	if sb != nil && len(sb.Path) > 0 {
-		b = append(b, `,"standby_path":`...)
-		pathFrom = len(b)
-		b = jsonwrite.Ints(b, sb.Path)
-		pathTo = len(b)
-	}
-	if sb != nil && sb.Disjoint {
-		b = append(b, `,"standby_disjoint":true`...)
-	}
 	if d.Drifted {
 		b = append(b, `,"drifted":true`...)
 	}
-	if sb != nil {
-		b = append(b, `,"standby":{"path":`...)
-		if pathTo > pathFrom {
-			b = append(b, b[pathFrom:pathTo]...) // the same path again: copied, not formatted twice
-		} else {
-			b = jsonwrite.Ints(b, sb.Path)
-		}
+	if sb := d.Standby; sb != nil {
+		b = jsonwrite.Ints(append(b, `,"standby":{"path":`...), sb.Path)
 		b = strconv.AppendBool(append(b, `,"disjoint":`...), sb.Disjoint)
 		b = jsonwrite.Time(append(b, `,"lastReplanned":`...), sb.PlannedAt)
 		b = append(b, '}')

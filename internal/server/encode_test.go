@@ -54,8 +54,6 @@ func toDeploymentJSON(d *orch.Deployment) DeploymentJSON {
 		out.SliceOPSs = d.Slice.OPSs
 	}
 	if d.Standby != nil {
-		out.StandbyPath = d.Standby.Path
-		out.StandbyDisjoint = d.Standby.Disjoint
 		out.Standby = &StandbyJSON{
 			Path:          d.Standby.Path,
 			Disjoint:      d.Standby.Disjoint,

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"testing"
 
 	"github.com/alvc/alvc"
@@ -229,7 +231,8 @@ func TestImpactEndpoints(t *testing.T) {
 }
 
 // TestDeploymentJSONCarriesStandby: the wire form must expose the
-// standby path so operators can see a chain's protection state.
+// standby path so operators can see a chain's protection state, once:
+// in the standby block, with no top-level standby_path beside it.
 func TestDeploymentJSONCarriesStandby(t *testing.T) {
 	ts, arch := newTestServerWith(t, wideConfig(24))
 	dep := provisionChain(t, ts.URL, "a", "t-a")
@@ -237,7 +240,11 @@ func TestDeploymentJSONCarriesStandby(t *testing.T) {
 	if full.Standby == nil {
 		t.Skip("no standby planned on this seed")
 	}
-	if len(dep.StandbyPath) != len(full.Standby.Path) {
-		t.Fatalf("wire standby path = %v, want %v", dep.StandbyPath, full.Standby.Path)
+	if dep.Standby == nil || !slices.Equal(dep.Standby.Path, full.Standby.Path) || dep.Standby.Disjoint != full.Standby.Disjoint {
+		t.Fatalf("wire standby = %+v, want path %v, disjoint %v", dep.Standby, full.Standby.Path, full.Standby.Disjoint)
+	}
+	_, body := do(t, "GET", fmt.Sprintf("%s/v1/chains/%d", ts.URL, dep.ID), nil)
+	if bytes.Contains(body, []byte(`"standby_path"`)) || bytes.Contains(body, []byte(`"standby_disjoint"`)) {
+		t.Fatalf("the standby is sent twice: %s", body)
 	}
 }

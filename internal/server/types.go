@@ -32,12 +32,6 @@ type DeploymentJSON struct {
 	Lambda        int               `json:"lambda"`
 	Conversions   int               `json:"conversions"`
 	EnergyJoules  float64           `json:"energy_joules"`
-	// StandbyPath is the precomputed alternate route (absent when no
-	// standby is currently planned); StandbyDisjoint reports full
-	// transit-node/link disjointness from the primary. Kept for
-	// backward compatibility; Standby carries the full health record.
-	StandbyPath     []topology.NodeID `json:"standby_path,omitempty"`
-	StandbyDisjoint bool              `json:"standby_disjoint,omitempty"`
 	// Drifted reports instances moved under duress (a replaced, patched
 	// or rebuilt repair) and not since re-homed: why the chain is on the
 	// optimizer's re-home list after a recovery. Absent when false.

@@ -63,6 +63,47 @@ func TestSetDownAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestLivenessPatchAllocatesNothing: with routing snapshots cached, a
+// set going down and up is patched into each snapshot's live mask in
+// place — a link set and a node set (a PM, whose VMs go with it) alike
+// — and allocates nothing once the patch scratch has grown. The masks'
+// digests return to their starting values.
+func TestLivenessPatchAllocatesNothing(t *testing.T) {
+	topo, ids := smallTopo(t)
+	snaps := []*Snapshot{topo.RoutingSnapshot(GraphOptions{}), topo.RoutingSnapshot(GraphOptions{IncludeVMs: true})}
+	start := []uint64{snaps[0].LiveDigest(), snaps[1].LiveDigest()}
+	core := topo.LinkBetween(ids["ops1"], ids["ops2"]).ID
+	uplink := topo.LinkBetween(ids["pm1"], ids["tor1"]).ID
+	for name, f := range map[string]Failures{
+		"links": NewFailures(nil, []LinkID{core, uplink}),
+		"nodes": NewFailures([]NodeID{ids["ops1"], ids["pm1"]}, nil),
+	} {
+		patches := topo.LivenessPatches()
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := topo.SetDown(f, true); err != nil {
+				t.Fatal(err)
+			}
+			if err := topo.SetDown(f, false); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if topo.LivenessPatches() == patches {
+			t.Fatalf("%s: no liveness patch ran", name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a down-and-up with snapshots cached allocates %.0f times, want 0", name, allocs)
+		}
+		for i, s := range snaps {
+			if s != topo.RoutingSnapshot(GraphOptions{IncludeVMs: i == 1}) {
+				t.Fatalf("%s: the snapshot was rebuilt, not patched", name)
+			}
+			if s.LiveDigest() != start[i] {
+				t.Errorf("%s: snapshot %d's digest is %#x after down and up, want %#x", name, i, s.LiveDigest(), start[i])
+			}
+		}
+	}
+}
+
 func TestSetNodeDownHidesFromQueries(t *testing.T) {
 	topo, ids := smallTopo(t)
 	if err := topo.SetDown(NewFailures([]NodeID{ids["ops1"]}, nil), true); err != nil {

@@ -399,8 +399,8 @@ func (t *Topology) effectiveDown(n *Node) bool {
 
 // applyLiveness patches the down-state of f's nodes and links into
 // every current cached snapshot in place — O(affected arcs) per
-// snapshot, zero graph rebuilds. Stale-generation entries are skipped
-// (their next fetch rebuilds from current state anyway).
+// snapshot, zero graph rebuilds, no allocation. Stale-generation entries
+// are skipped (their next fetch rebuilds from current state anyway).
 func (t *Topology) applyLiveness(f Failures, down bool) {
 	t.snapMu.Lock()
 	defer t.snapMu.Unlock()
@@ -411,19 +411,17 @@ func (t *Topology) applyLiveness(f Failures, down bool) {
 		if s == nil || s.structGen != sg {
 			continue
 		}
-		var vertex map[int32]bool
-		if len(f.nodes) > 0 {
-			vertex = make(map[int32]bool, len(f.nodes))
-			for _, id := range f.nodes {
-				s.collectNodePatch(t, t.nodes[id], vertex)
-			}
+		clear(t.patchVertex)
+		for _, id := range f.nodes {
+			s.collectNodePatch(t, t.nodes[id], t.patchVertex)
 		}
-		var arcs []int32
+		arcs := t.patchArcs[:0]
 		for _, l := range f.links {
 			arcs = append(arcs, s.arcsOf(l)...)
 		}
-		if len(vertex) > 0 || len(arcs) > 0 {
-			s.mask.Patch(vertex, arcs, down)
+		t.patchArcs = arcs
+		if len(t.patchVertex) > 0 || len(arcs) > 0 {
+			s.mask.Patch(t.patchVertex, arcs, down)
 		}
 	}
 }

@@ -51,6 +51,9 @@ type Topology struct {
 	// once published, but for their liveness overlay.
 	snapMu sync.Mutex
 	snaps  [2]atomic.Pointer[Snapshot]
+	// applyLiveness's scratch, under snapMu.
+	patchVertex map[int32]bool
+	patchArcs   []int32
 
 	// derivedMu guards the per-generation derived adjacency caches:
 	// kind-filtered neighbor lists, a pure function of the topology at
@@ -100,7 +103,7 @@ func (t *Topology) resetDerivedLocked() {
 // New returns an empty topology.
 func New() *Topology {
 	// Entry 0 of each table stands for no ID.
-	return &Topology{nodes: []*Node{nil}, links: []*Link{nil}, adj: [][]LinkID{nil}}
+	return &Topology{nodes: []*Node{nil}, links: []*Link{nil}, adj: [][]LinkID{nil}, patchVertex: make(map[int32]bool)}
 }
 
 func (t *Topology) addNode(n Node) NodeID {

@@ -1,0 +1,105 @@
+package alvc_test
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"github.com/alvc/alvc"
+	"github.com/alvc/alvc/internal/orch"
+)
+
+// stormRoundAllocCeiling bounds TestStormRoundAllocations' allocations a
+// round: 160 measured (GOMAXPROCS 1, 2 and 4), against 270 before snapshots
+// and standby records became one block each, repair spans took their
+// carriers from one array and their attributes from a shared list, and
+// liveness patches reused their scratch.
+const stormRoundAllocCeiling = 170
+
+// TestStormRoundAllocations runs failure_storm's rounds in process on
+// the benchmark's storm fleet — 168 OPSs, 160 two-NF residents over 4
+// shards, the optimizer attached and drained by hand, an hour-long
+// debounce window only the flush ends, tracing as shipped — and counts
+// the allocations of a round: each tray link reported, the flush, a
+// drain, each link recovered, a drain, and each victim read back. The
+// count covers the control plane alone; the benchmark's HTTP shell and
+// harness allocate the rest of its allocs_per_op.
+func TestStormRoundAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of what it is handed under the race detector")
+	}
+	const chains, shards, trayChains = 160, 4, 8
+	arch, err := alvc.New(wideTopology(chains, true),
+		alvc.WithBatchWorkers(2), alvc.WithShards(shards),
+		alvc.WithOptimizer(alvc.OptimizerOptions{}),
+		alvc.WithFailureDebounce(time.Hour))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer arch.Close()
+	// The residents alternate shards the way the benchmark's script
+	// places them: resident i lands on shard i % 4.
+	router := orch.NewShardRouter(shards, orch.ShardByTenant)
+	specs := fleetSpecs(t, 4*chains)
+	var residents []alvc.Spec
+	for i := 0; len(residents) < chains; i++ {
+		if router.ShardForSpec(specs[i]) == len(residents)%shards {
+			residents = append(residents, specs[i])
+		}
+	}
+	var trays [][]alvc.DeploymentID
+	for i, res := range arch.DeployBatch(residents) {
+		if res.Err != nil {
+			t.Fatalf("provision %d: %v", i, res.Err)
+		}
+		if i%trayChains == 0 {
+			trays = append(trays, nil)
+		}
+		trays[len(trays)-1] = append(trays[len(trays)-1], res.Deployment.ID)
+	}
+
+	var ms runtime.MemStats
+	round := func(tray []alvc.DeploymentID) uint64 {
+		links := trayCut(arch, tray)
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for _, l := range links {
+			arch.ReportFailures(ctx, alvc.NewFailures(nil, []alvc.LinkID{l}))
+		}
+		reports, err := arch.FlushFailures()
+		if err != nil || len(reports) < len(tray) {
+			t.Fatalf("flush: %d reports for %d victims, %v", len(reports), len(tray), err)
+		}
+		arch.Optimize()
+		for _, l := range links {
+			if err := arch.Recover(alvc.NewFailures(nil, []alvc.LinkID{l})); err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+		}
+		arch.Optimize()
+		for _, id := range tray {
+			if dep := arch.Deployment(id); dep == nil || dep.Standby == nil {
+				t.Fatalf("chain %d left the round unprotected", id)
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs - before
+	}
+	// Two passes over the trays warm the pools, the memo and the trace
+	// store's rings (the benchmark's warm-up is 80 rounds); the third is
+	// measured, and revisits the fabric states of the first.
+	for pass := 0; pass < 2; pass++ {
+		for _, tray := range trays {
+			round(tray)
+		}
+	}
+	var total uint64
+	for _, tray := range trays {
+		total += round(tray)
+	}
+	perRound := float64(total) / float64(len(trays))
+	t.Logf("%.1f allocations a round over %d rounds (ceiling %d)", perRound, len(trays), stormRoundAllocCeiling)
+	if perRound > stormRoundAllocCeiling {
+		t.Errorf("a storm round allocates %.1f times, above the ceiling of %d", perRound, stormRoundAllocCeiling)
+	}
+}
