@@ -44,7 +44,6 @@ import (
 	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/topology"
 	"github.com/alvc/alvc/internal/trace"
-	"github.com/alvc/alvc/internal/workload"
 )
 
 // Compile-time interface checks for the re-exported policy and builder
@@ -75,6 +74,9 @@ type (
 	Resources = topology.Resources
 	// Spec is a network-function-chain request.
 	Spec = chain.Spec
+	// Change is one edit of a deployed chain (Architecture.Apply):
+	// ChangeBandwidth, ChangeVersion, ChangeReplicas or ChangeHost.
+	Change = orch.Change
 	// NFRef is one NF position within a Spec.
 	NFRef = chain.NFRef
 	// Deployment is an orchestrated chain with its cluster, slice,
@@ -90,11 +92,10 @@ type (
 	ALBuilder = cluster.Builder
 	// PlacementPolicy decides VNF domains (optical vs electronic).
 	PlacementPolicy = placement.Policy
-	// ChainRequest is a workload-generated chain request.
-	ChainRequest = workload.ChainRequest
 	// FlowResult aggregates measured flow costs.
 	FlowResult = flow.Result
-	// BatchResult is the per-spec outcome of a DeployBatch call.
+	// BatchResult is the per-spec outcome of a batch provision
+	// (Sharded().ProvisionBatch).
 	BatchResult = orch.BatchResult
 	// RepairReport is one chain's reconciliation outcome after a
 	// failure (action taken: swapped / repathed / restandby / replaced /
@@ -206,6 +207,24 @@ func LinearChain(name, tenant, service string, bandwidthGbps float64, flowBytes 
 	return chain.Linear(name, tenant, service, bandwidthGbps, flowBytes, nfs...)
 }
 
+// ChangeBandwidth is the Change that sets a chain's bandwidth
+// reservation.
+func ChangeBandwidth(gbps float64) Change { return orch.ChangeBandwidth(gbps) }
+
+// ChangeVersion is the Change that rolls every VNF of a chain to the
+// next version.
+func ChangeVersion() Change { return orch.ChangeVersion() }
+
+// ChangeReplicas is the Change that scales a chain's NF at position nf
+// to the given replica count.
+func ChangeReplicas(nf, replicas int) Change { return orch.ChangeReplicas(nf, replicas) }
+
+// ChangeHost is the Change that migrates a chain's NF at position nf to
+// another hosting-capable node and re-provisions connectivity — the
+// "deploy VNFs when and where required" operation (§I), and the online
+// form of Fig. 8's move-into-the-optical-domain optimization.
+func ChangeHost(nf int, to NodeID) Change { return orch.ChangeHost(nf, to) }
+
 // NFCatalog returns the names of the built-in network function types.
 func NFCatalog() []string { return nfv.ProfileNames() }
 
@@ -260,9 +279,10 @@ func WithWavelengths(n int) Option {
 	return func(s *settings) { s.wavelengths = n }
 }
 
-// WithBatchWorkers sets the worker-pool size DeployBatch uses by
-// default (0 means one worker per CPU). Servers tune this to bound how
-// much parallel provisioning a single batch request may claim.
+// WithBatchWorkers sets the worker-pool size a batch provision uses by
+// default (0 means one worker per CPU; see BatchWorkers). Servers tune
+// this to bound how much parallel provisioning a single batch request
+// may claim.
 func WithBatchWorkers(n int) Option {
 	return func(s *settings) { s.batchWorkers = n }
 }
@@ -451,9 +471,6 @@ func (a *Architecture) Sharded() *orch.Sharded { return a.sh }
 // WithShards).
 func (a *Architecture) ShardCount() int { return a.sh.Shards() }
 
-// ShardStats returns one statistics entry per shard, in shard order.
-func (a *Architecture) ShardStats() []ShardStat { return a.sh.ShardStats() }
-
 // BuildServiceClusters constructs one virtual cluster per service
 // (paper §III, Fig. 1/3) — the pure clustering use of AL-VC, without
 // chains. The clusters claim OPSs from the same pool chain deployments
@@ -490,31 +507,9 @@ func (a *Architecture) Deploy(ctx context.Context, spec Spec) (*Deployment, erro
 	return a.sh.Provision(ctx, spec)
 }
 
-// DeployBatch provisions independent chain specs concurrently over a
-// bounded worker pool (the WithBatchWorkers size, or one worker per
-// CPU) and returns one result per spec, in input order. Individual
-// failures are rolled back and reported per item; they do not abort
-// the batch.
-func (a *Architecture) DeployBatch(specs []Spec) []BatchResult {
-	return a.sh.ProvisionBatch(specs, a.batchWorkers)
-}
-
 // BatchWorkers returns the configured batch worker-pool size (0 means
 // one worker per CPU).
 func (a *Architecture) BatchWorkers() int { return a.batchWorkers }
-
-// TopologyJSON serializes the topology consistently with respect to
-// concurrent failure injection and repair.
-func (a *Architecture) TopologyJSON() ([]byte, error) { return a.sh.TopologyJSON() }
-
-// DeployRequest deploys a workload-generated chain request.
-func (a *Architecture) DeployRequest(req ChainRequest) (*Deployment, error) {
-	spec, err := LinearChain(req.Name, req.Tenant, req.Service, req.BandwidthGbps, req.FlowBytes, req.NFNames...)
-	if err != nil {
-		return nil, fmt.Errorf("alvc: deploy request: %w", err)
-	}
-	return a.Deploy(context.Background(), spec)
-}
 
 // Delete tears a deployment down, releases its resources and returns
 // its final record (state deleted); its span joins the trace ctx
@@ -523,18 +518,10 @@ func (a *Architecture) Delete(ctx context.Context, id DeploymentID) (*Deployment
 	return a.sh.Delete(ctx, id)
 }
 
-// Upgrade rolls every VNF of the chain to the next version.
-func (a *Architecture) Upgrade(id DeploymentID) error { return a.sh.Upgrade(id) }
-
-// Modify changes a deployment's bandwidth reservation.
-func (a *Architecture) Modify(id DeploymentID, bandwidthGbps float64) error {
-	return a.sh.Modify(id, bandwidthGbps)
-}
-
-// ScaleNF scales one NF of the chain to the given replica count.
-func (a *Architecture) ScaleNF(id DeploymentID, nfIndex, replicas int) error {
-	return a.sh.ScaleNF(id, nfIndex, replicas)
-}
+// Apply makes one edit to a deployed chain (§IV-B: modification,
+// upgradation, scaling, and a VNF's move) under the chain's exclusive
+// claim; see orch.Orchestrator.Apply.
+func (a *Architecture) Apply(id DeploymentID, c Change) error { return a.sh.Apply(id, c) }
 
 // NewFailures builds the failure set of the given nodes and links,
 // ascending and each ID once. A list already strictly ascending is kept,
@@ -671,21 +658,14 @@ func (a *Architecture) Close() {
 
 // Deployments lists the deployments the orchestrator holds records of
 // (active and failed); deleted chains are not among them (see
-// Tombstones). Each copies the record, its Instances, Path and Standby,
-// and shares Spec.NFs, Placement's lists, VC and Slice with the live
-// record: read those only (see orch.Sharded.Deployments).
+// Sharded().Tombstones). Each copies the record, its Instances, Path
+// and Standby, and shares Spec.NFs, Placement's lists, VC and Slice with
+// the live record: read those only (see orch.Sharded.Deployments).
 func (a *Architecture) Deployments() []*Deployment { return a.sh.Deployments() }
 
 // Deployment returns one deployment, copied as Deployments copies, or
 // nil (unknown or deleted).
 func (a *Architecture) Deployment(id DeploymentID) *Deployment { return a.sh.Deployment(id) }
-
-// Tombstone returns what is remembered of a deleted deployment; ok is
-// false for IDs never deleted or already pushed out of the ring.
-func (a *Architecture) Tombstone(id DeploymentID) (Tombstone, bool) { return a.sh.Tombstone(id) }
-
-// Tombstones lists the remembered deleted deployments, sorted by ID.
-func (a *Architecture) Tombstones() []Tombstone { return a.sh.Tombstones() }
 
 // MeasureDeployment replays n representative flows of the deployment
 // through the flow simulator and returns the measured aggregate
@@ -727,14 +707,6 @@ func (a *Architecture) MeasureDeployment(id DeploymentID, n int) (FlowResult, er
 	// statistics): each replayed flow hits every rule on its path once.
 	a.sh.ControllerOf(dep.ID).RecordHits(dep.FlowKey(), int64(n))
 	return res, nil
-}
-
-// MoveNF migrates one NF of a deployed chain to another hosting-capable
-// node and re-provisions connectivity — the "deploy VNFs when and where
-// required" operation (§I), and the online form of Fig. 8's
-// move-into-the-optical-domain optimization.
-func (a *Architecture) MoveNF(id DeploymentID, nfIndex int, to NodeID) error {
-	return a.sh.MoveNF(id, nfIndex, to)
 }
 
 // Summary condenses the architecture's state.

@@ -69,11 +69,11 @@ func TestDeployLifecycleThroughFacade(t *testing.T) {
 	if s.ActiveDeployments != 1 || s.Clusters != 1 || s.InstalledRules == 0 {
 		t.Fatalf("summary after deploy = %+v", s)
 	}
-	if err := arch.Modify(dep.ID, 5); err != nil {
-		t.Fatalf("Modify: %v", err)
+	if err := arch.Apply(dep.ID, ChangeBandwidth(5)); err != nil {
+		t.Fatalf("modify: %v", err)
 	}
-	if err := arch.Upgrade(dep.ID); err != nil {
-		t.Fatalf("Upgrade: %v", err)
+	if err := arch.Apply(dep.ID, ChangeVersion()); err != nil {
+		t.Fatalf("upgrade: %v", err)
 	}
 	res, err := arch.MeasureDeployment(dep.ID, 10)
 	if err != nil {
@@ -174,25 +174,6 @@ func TestWithOptions(t *testing.T) {
 	}
 	if dep.Placement.Policy != "optimal" {
 		t.Fatalf("policy = %s", dep.Placement.Policy)
-	}
-}
-
-func TestDeployRequest(t *testing.T) {
-	arch, err := New(archConfig())
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	req := ChainRequest{
-		Tenant: "t1", Name: "r1", Service: "web",
-		NFNames: []string{"firewall"}, BandwidthGbps: 1, FlowBytes: 1 << 20,
-	}
-	if _, err := arch.DeployRequest(req); err != nil {
-		t.Fatalf("DeployRequest: %v", err)
-	}
-	bad := req
-	bad.NFNames = nil
-	if _, err := arch.DeployRequest(bad); err == nil {
-		t.Fatal("invalid request accepted")
 	}
 }
 
@@ -323,6 +304,21 @@ func TestOneFormPerVerb(t *testing.T) {
 			if name := typ.Method(i).Name; twin.MatchString(name) {
 				t.Errorf("%v.%s: failures, recoveries and blast radii take one Failures set", typ, name)
 			}
+		}
+	}
+	// One edit verb: Apply(id, Change) on every layer, no per-edit twin.
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(&orch.Sharded{}),
+		reflect.TypeOf(&orch.Orchestrator{}),
+		reflect.TypeOf(&Architecture{}),
+	} {
+		for _, name := range []string{"Modify", "Upgrade", "ScaleNF", "MoveNF"} {
+			if _, twin := typ.MethodByName(name); twin {
+				t.Errorf("%v.%s: an edit is Apply(id, Change)", typ, name)
+			}
+		}
+		if _, ok := typ.MethodByName("Apply"); !ok {
+			t.Errorf("%v has no Apply", typ)
 		}
 	}
 	shard := reflect.TypeOf(&orch.Orchestrator{})

@@ -26,7 +26,7 @@ type counts struct {
 
 func countsOf(arch *alvc.Architecture) counts {
 	var c counts
-	for _, st := range arch.ShardStats() {
+	for _, st := range arch.Sharded().ShardStats() {
 		c.pathComps += st.PathComputations
 		c.yenRuns += st.YenRuns
 		c.standbySearches += int(st.CandidateCacheHits + st.CandidateCacheMisses)
@@ -72,7 +72,7 @@ func fleetSpecs(t *testing.T, chains int) []alvc.Spec {
 
 func deployAll(t *testing.T, arch *alvc.Architecture, specs []alvc.Spec) {
 	t.Helper()
-	for _, res := range arch.DeployBatch(specs) {
+	for _, res := range arch.Sharded().ProvisionBatch(specs, arch.BatchWorkers()) {
 		if res.Err != nil {
 			t.Fatalf("provision %d: %v", res.Index, res.Err)
 		}
@@ -209,7 +209,7 @@ func swapVictim(arch *alvc.Architecture, dep *alvc.Deployment) alvc.NodeID {
 // protectionGap counts active chains without a standby.
 func protectionGap(arch *alvc.Architecture) int {
 	gap := 0
-	for _, st := range arch.ShardStats() {
+	for _, st := range arch.Sharded().ShardStats() {
 		gap += st.Unprotected
 	}
 	return gap

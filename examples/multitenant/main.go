@@ -52,10 +52,10 @@ func main() {
 
 	// Tenant "acme" upgrades to more bandwidth and a new VNF version.
 	acme := deps[0]
-	if err := arch.Modify(acme.ID, 5.0); err != nil {
+	if err := arch.Apply(acme.ID, alvc.ChangeBandwidth(5.0)); err != nil {
 		log.Fatalf("multitenant: modify: %v", err)
 	}
-	if err := arch.Upgrade(acme.ID); err != nil {
+	if err := arch.Apply(acme.ID, alvc.ChangeVersion()); err != nil {
 		log.Fatalf("multitenant: upgrade: %v", err)
 	}
 	upgraded := arch.Deployment(acme.ID)

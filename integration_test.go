@@ -80,16 +80,16 @@ func TestFullPaperStory(t *testing.T) {
 
 	// Lifecycle: modify + upgrade + scale the blue chain.
 	blue := deps[0]
-	if err := arch.Modify(blue.ID, 8); err != nil {
-		t.Fatalf("Modify: %v", err)
+	if err := arch.Apply(blue.ID, ChangeBandwidth(8)); err != nil {
+		t.Fatalf("modify: %v", err)
 	}
-	if err := arch.Upgrade(blue.ID); err != nil {
-		t.Fatalf("Upgrade: %v", err)
+	if err := arch.Apply(blue.ID, ChangeVersion()); err != nil {
+		t.Fatalf("upgrade: %v", err)
 	}
 	for i, d := range blue.Placement.Domains {
 		if d == topology.DomainElectronic {
-			if err := arch.ScaleNF(blue.ID, i, 2); err != nil {
-				t.Fatalf("ScaleNF: %v", err)
+			if err := arch.Apply(blue.ID, ChangeReplicas(i, 2)); err != nil {
+				t.Fatalf("scale: %v", err)
 			}
 			break
 		}
@@ -171,8 +171,8 @@ func TestMoveNFThroughFacade(t *testing.T) {
 	if oer == 0 {
 		t.Skip("no optoelectronic router in this AL")
 	}
-	if err := arch.MoveNF(dep.ID, 0, oer); err != nil {
-		t.Fatalf("MoveNF: %v", err)
+	if err := arch.Apply(dep.ID, ChangeHost(0, oer)); err != nil {
+		t.Fatalf("move: %v", err)
 	}
 	after := arch.Deployment(dep.ID)
 	if after.Conversions != before-1 {

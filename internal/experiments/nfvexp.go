@@ -123,10 +123,10 @@ func E6Lifecycle() (*Result, error) {
 			ids = append(ids, dep.ID)
 		}
 		for _, id := range ids {
-			if err := o.Modify(id, 4); err != nil {
+			if err := o.Apply(id, orch.ChangeBandwidth(4)); err != nil {
 				return nil, fmt.Errorf("E6 round %d: modify: %w", round, err)
 			}
-			if err := o.Upgrade(id); err != nil {
+			if err := o.Apply(id, orch.ChangeVersion()); err != nil {
 				return nil, fmt.Errorf("E6 round %d: upgrade: %w", round, err)
 			}
 			// Scale an electronic-hosted NF: servers have headroom,
@@ -141,7 +141,7 @@ func E6Lifecycle() (*Result, error) {
 				}
 			}
 			if scaleIdx >= 0 {
-				if err := o.ScaleNF(id, scaleIdx, 2); err != nil {
+				if err := o.Apply(id, orch.ChangeReplicas(scaleIdx, 2)); err != nil {
 					return nil, fmt.Errorf("E6 round %d: scale: %w", round, err)
 				}
 			}

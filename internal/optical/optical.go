@@ -205,20 +205,21 @@ func (m *SliceManager) PatchMembership(id SliceID, opss []topology.NodeID) (*Sli
 	return patched, nil
 }
 
-// UpdateBandwidth changes a slice's bandwidth reservation in place —
-// the slice-level effect of an NFC modification (§IV-B).
-func (m *SliceManager) UpdateBandwidth(id SliceID, bandwidthGbps float64) error {
-	if bandwidthGbps <= 0 {
-		return fmt.Errorf("optical: update bandwidth: must be positive, got %f", bandwidthGbps)
-	}
+// UpdateBandwidth changes a slice's bandwidth reservation — the
+// slice-level effect of an NFC modification (§IV-B); the caller checks
+// the bandwidth is positive. Like PatchMembership it stores and returns
+// a fresh Slice record, so snapshots handed out before stay immutable.
+func (m *SliceManager) UpdateBandwidth(id SliceID, bandwidthGbps float64) (*Slice, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s, ok := m.slices[id]
 	if !ok {
-		return fmt.Errorf("optical: update bandwidth: unknown slice %d", id)
+		return nil, fmt.Errorf("optical: update bandwidth: unknown slice %d", id)
 	}
-	s.BandwidthGbps = bandwidthGbps
-	return nil
+	updated := *s
+	updated.BandwidthGbps = bandwidthGbps
+	m.slices[id] = &updated
+	return &updated, nil
 }
 
 // Slices returns all slices sorted by ID.

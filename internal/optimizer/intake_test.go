@@ -120,8 +120,8 @@ func mixedFleet(t *testing.T, shards, n int, seed int64) *orch.Sharded {
 				t.Fatalf("Recover: %v", err)
 			}
 		case 2:
-			if err := s.MoveNF(dep.ID, rng.Intn(2), spare); err != nil {
-				t.Fatalf("MoveNF: %v", err)
+			if err := s.Apply(dep.ID, orch.ChangeHost(rng.Intn(2), spare)); err != nil {
+				t.Fatalf("move: %v", err)
 			}
 			_, _ = s.HandleFailures(bg, topology.NewFailures([]topology.NodeID{spare}, nil))
 			if err := s.Recover(topology.NewFailures([]topology.NodeID{spare}, nil)); err != nil {
@@ -279,8 +279,8 @@ func TestDriftLifecycle(t *testing.T) {
 	// server, one conversion from home.
 	pms := topo.NodeIDs(topology.KindPhysicalMachine)
 	spare := pms[len(pms)/2] // hosts neither endpoint VM
-	if err := s.MoveNF(id, 0, spare); err != nil {
-		t.Fatalf("MoveNF: %v", err)
+	if err := s.Apply(id, orch.ChangeHost(0, spare)); err != nil {
+		t.Fatalf("move: %v", err)
 	}
 	if get().Drifted {
 		t.Fatal("an operator move set the drifted flag")

@@ -425,7 +425,7 @@ func (e *Engine) OrchEvent(ev orch.Event) {
 			e.join(KindRehome, ev.Deployment, orch.FailureDomain{}, 0, parent)
 		}
 	case orch.EventPlacementChanged:
-		// MoveNF / re-home dropped the standby while re-provisioning.
+		// A move / re-home dropped the standby while re-provisioning.
 		e.join(KindReProtect, ev.Deployment, orch.FailureDomain{}, 0, parent)
 	case orch.EventNodeRecovered, orch.EventLinkRecovered:
 		// Capacity came back: refresh standbys planned around the

@@ -1,6 +1,7 @@
 package orch
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -35,7 +36,7 @@ func TestConcurrentProvisionDelete(t *testing.T) {
 				if err != nil {
 					continue // pool exhaustion under contention is fine
 				}
-				if err := o.Upgrade(dep.ID); err != nil {
+				if err := o.Apply(dep.ID, ChangeVersion()); err != nil {
 					t.Errorf("Upgrade: %v", err)
 				}
 				if _, err := o.Delete(bg, dep.ID); err != nil {
@@ -56,7 +57,12 @@ func TestConcurrentProvisionDelete(t *testing.T) {
 	}
 }
 
-// TestConcurrentReads exercises the snapshot paths while mutators run.
+// TestConcurrentReads exercises the snapshot paths while mutators run:
+// readers keep snapshots and read their bandwidth, in the spec and in
+// the shared slice record, while the loop modifies and upgrades the
+// chain and a goroutine repairs it. An edit that meets the repair's
+// claim is refused with ErrBusy. Run with -race: an edit that wrote the
+// live record outside the claim, or the slice a snapshot shares, races.
 func TestConcurrentReads(t *testing.T) {
 	s, o := newOrch(t)
 	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
@@ -75,19 +81,42 @@ func TestConcurrentReads(t *testing.T) {
 					return
 				default:
 				}
-				_ = o.Deployment(dep.ID)
-				_ = s.Deployments()
+				if d := o.Deployment(dep.ID); d == nil || d.Slice.BandwidthGbps <= 0 || d.Spec.BandwidthGbps <= 0 {
+					t.Errorf("snapshot without a bandwidth: %+v", d)
+					return
+				}
+				for _, d := range s.Deployments() {
+					if d.Slice.BandwidthGbps <= 0 {
+						t.Errorf("listed snapshot's slice has bandwidth %v", d.Slice.BandwidthGbps)
+						return
+					}
+				}
 				_ = o.ActiveCount()
 				_ = o.Controller().RuleCount()
 			}
 		}()
 	}
-	for i := 0; i < 20; i++ {
-		if err := o.Modify(dep.ID, float64(i+1)); err != nil {
-			t.Fatalf("Modify: %v", err)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := o.Repair(dep.ID); err != nil && !errors.Is(err, ErrBusy) {
+				t.Errorf("Repair: %v", err)
+				return
+			}
 		}
-		if err := o.Upgrade(dep.ID); err != nil {
-			t.Fatalf("Upgrade: %v", err)
+	}()
+	for i := 0; i < 20; i++ {
+		if err := o.Apply(dep.ID, ChangeBandwidth(float64(i+1))); err != nil && !errors.Is(err, ErrBusy) {
+			t.Fatalf("modify: %v", err)
+		}
+		if err := o.Apply(dep.ID, ChangeVersion()); err != nil && !errors.Is(err, ErrBusy) {
+			t.Fatalf("upgrade: %v", err)
 		}
 	}
 	close(stop)

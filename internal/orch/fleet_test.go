@@ -184,15 +184,15 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 					live = slices.Delete(live, i, i+1)
 				case r < 7:
 					op = "modify"
-					if err := s.Modify(pick().ID, float64(1+rng.Intn(4))); err != nil {
+					if err := s.Apply(pick().ID, ChangeBandwidth(float64(1+rng.Intn(4)))); err != nil {
 						t.Fatalf("step %d: modify: %v", step, err)
 					}
 				case r < 8:
 					op = "scale" // refused when the host is full
-					_ = s.ScaleNF(pick().ID, rng.Intn(2), 1+rng.Intn(2))
+					_ = s.Apply(pick().ID, ChangeReplicas(rng.Intn(2), 1+rng.Intn(2)))
 				case r < 10:
 					op = "move" // refused when the target is down or unreachable
-					_ = s.MoveNF(pick().ID, rng.Intn(2), pms[rng.Intn(len(pms))])
+					_ = s.Apply(pick().ID, ChangeHost(rng.Intn(2), pms[rng.Intn(len(pms))]))
 				case r < 12 && len(downNodes) < 2:
 					op = "node failure"
 					dep := pick()
@@ -344,7 +344,7 @@ func TestRehomeFloorEqualsFullEvaluation(t *testing.T) {
 			}
 			// Drift some chains: an NF pushed onto a random server.
 			if rng.Intn(2) == 0 {
-				_ = o.MoveNF(dep.ID, rng.Intn(len(nfs)), pms[rng.Intn(len(pms))])
+				_ = o.Apply(dep.ID, ChangeHost(rng.Intn(len(nfs)), pms[rng.Intn(len(pms))]))
 			}
 			ids = append(ids, dep.ID)
 		}

@@ -66,8 +66,8 @@ func TestHooksSwapUnderTraffic(t *testing.T) {
 	// The last resident drifts onto a server, so the re-home below has
 	// something to undo: a move re-runs path → rules and emits once.
 	drifted := residents[len(residents)-1]
-	if err := s.MoveNF(drifted.ID, 0, topo.NodeIDs(topology.KindPhysicalMachine)[0]); err != nil {
-		t.Fatalf("MoveNF: %v", err)
+	if err := s.Apply(drifted.ID, ChangeHost(0, topo.NodeIDs(topology.KindPhysicalMachine)[0])); err != nil {
+		t.Fatalf("move: %v", err)
 	}
 	wantStages += int64(numStages - stagePath)
 	wantEvents++

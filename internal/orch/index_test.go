@@ -208,13 +208,13 @@ func (x *indexScript) step() string {
 		_, _ = x.s.Delete(bg, dep.ID)
 		return "delete"
 	case op == 3:
-		_ = x.s.Modify(dep.ID, 1+x.rng.Float64())
+		_ = x.s.Apply(dep.ID, ChangeBandwidth(1+x.rng.Float64()))
 		return "modify"
 	case op == 4:
-		_ = x.s.MoveNF(dep.ID, x.rng.Intn(len(dep.Instances)), x.pms[x.rng.Intn(len(x.pms))])
+		_ = x.s.Apply(dep.ID, ChangeHost(x.rng.Intn(len(dep.Instances)), x.pms[x.rng.Intn(len(x.pms))]))
 		return "move"
 	case op == 5:
-		_ = x.s.ScaleNF(dep.ID, x.rng.Intn(len(dep.Instances)), 1+x.rng.Intn(2))
+		_ = x.s.Apply(dep.ID, ChangeReplicas(x.rng.Intn(len(dep.Instances)), 1+x.rng.Intn(2)))
 		return "scale"
 	case op == 6:
 		node, _ := x.exposure(dep)

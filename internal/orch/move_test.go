@@ -32,8 +32,8 @@ func TestMoveNFIntoOpticalSavesConversions(t *testing.T) {
 		t.Skip("AL has no optoelectronic router on this seed")
 	}
 	// Move the firewall (index 0, light) into the optical domain.
-	if err := o.MoveNF(dep.ID, 0, oer); err != nil {
-		t.Fatalf("MoveNF: %v", err)
+	if err := o.Apply(dep.ID, ChangeHost(0, oer)); err != nil {
+		t.Fatalf("move: %v", err)
 	}
 	after := o.Deployment(dep.ID)
 	if after.Conversions != 2 {
@@ -72,13 +72,13 @@ func TestMoveNFValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if err := o.MoveNF(dep.ID, 99, 1); err == nil {
+	if err := o.Apply(dep.ID, ChangeHost(99, 1)); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
-	if err := o.MoveNF(999, 0, 1); err == nil {
+	if err := o.Apply(999, ChangeHost(0, 1)); err == nil {
 		t.Fatal("unknown deployment accepted")
 	}
-	if err := o.MoveNF(dep.ID, 0, 99999); err == nil {
+	if err := o.Apply(dep.ID, ChangeHost(0, 99999)); err == nil {
 		t.Fatal("unknown destination accepted")
 	}
 }

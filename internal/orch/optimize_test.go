@@ -169,8 +169,8 @@ func TestRehomeMovesBackAndHysteresis(t *testing.T) {
 	opticalHost := dep.Placement.Hosts[0]
 
 	// Drift: the operator (or a past repair) moved the NF onto a server.
-	if err := o.MoveNF(dep.ID, 0, ids.pm1); err != nil {
-		t.Fatalf("MoveNF: %v", err)
+	if err := o.Apply(dep.ID, ChangeHost(0, ids.pm1)); err != nil {
+		t.Fatalf("move: %v", err)
 	}
 	drifted := o.Deployment(dep.ID)
 	if drifted.Placement.Domains[0] != topology.DomainElectronic || drifted.Conversions != 1 {
@@ -346,8 +346,8 @@ func TestEventEmission(t *testing.T) {
 	if sink.count(EventNodeRecovered) != 1 {
 		t.Fatalf("events after recovery: %v", sink.kinds())
 	}
-	if err := o.MoveNF(dep.ID, 0, ids.pm2); err != nil {
-		t.Fatalf("MoveNF: %v", err)
+	if err := o.Apply(dep.ID, ChangeHost(0, ids.pm2)); err != nil {
+		t.Fatalf("move: %v", err)
 	}
 	if sink.count(EventPlacementChanged) != 1 {
 		t.Fatalf("events after move: %v", sink.kinds())

@@ -54,7 +54,7 @@ var (
 	// deployment but the deployment is deleted or failed.
 	ErrNotActive = errors.New("deployment is not active")
 	// ErrBusy is wrapped when a deployment already has an exclusive
-	// operation (repair, move, delete) in flight.
+	// operation (repair, edit, delete) in flight.
 	ErrBusy = errors.New("deployment operation in progress")
 	// ErrDuplicateChain is wrapped when a spec's flow key (tenant/name)
 	// collides with an existing active deployment.
@@ -96,7 +96,7 @@ type Deployment struct {
 	ID    DeploymentID
 	Spec  chain.Spec
 	State DeploymentState
-	// Version counts upgrades (Upgrade bumps it).
+	// Version counts upgrades (ChangeVersion bumps it).
 	Version int
 	// Repairs counts successful failure repairs.
 	Repairs int
@@ -203,7 +203,7 @@ type sharedCore struct {
 	// topoMu serializes topology mutations (node up/down transitions)
 	// against the provisioning pipeline, which reads liveness bits all
 	// over (VM filtering, path computation, VNF host checks). Readers —
-	// buildChain, MoveNF — hold RLock; SetDown holds Lock. Kept
+	// buildChain, a move — hold RLock; SetDown holds Lock. Kept
 	// separate from the per-shard mu so long builds never block
 	// deployment lookups, and shared across shards so one shard's
 	// failure handling is visible to every shard's pipeline.
@@ -332,9 +332,8 @@ type Orchestrator struct {
 	// the same flow key to the same shard, so a per-shard map is a
 	// global uniqueness check.
 	flowKeys map[string]DeploymentID
-	// busy marks deployments with an exclusive operation (repair, move,
-	// delete, upgrade, scale) in flight, so those verbs cannot
-	// interleave teardowns.
+	// busy marks deployments with an exclusive operation (repair, edit,
+	// delete) in flight, so those verbs cannot interleave teardowns.
 	busy   map[DeploymentID]bool
 	nextID DeploymentID
 
@@ -362,21 +361,6 @@ type Orchestrator struct {
 	// whole fabric because the shard's pool offered no disjoint route
 	// (pipeline.planStandby); group plans count theirs on the planner.
 	standbyFallbacks atomic.Int64
-}
-
-// ProvisionOutcomes returns how many Provision calls succeeded and
-// failed since construction.
-func (o *Orchestrator) ProvisionOutcomes() (ok, failed uint64) {
-	return atomic.LoadUint64(&o.provisionOK), atomic.LoadUint64(&o.provisionFail)
-}
-
-// BusyOps returns how many deployments currently hold an exclusive
-// operation (repair, move, delete, upgrade, scale) — the shard's
-// in-flight mutation gauge.
-func (o *Orchestrator) BusyOps() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.busy)
 }
 
 // vmIndex caches the liveness-filtered service → VM grouping so the
@@ -678,20 +662,69 @@ func (o *Orchestrator) failLocked(dep *Deployment) {
 	o.mu.Unlock()
 }
 
-// MoveNF migrates the chain's NF at position idx to another hosting-
-// capable node (NFV's "deploy VNFs when and where required", §I) and
-// re-provisions the path and wavelength around the new location. The
-// O/E/O accounting is updated: moving a VNF between domains changes the
-// conversion count exactly as §IV-D describes.
+// Change is one edit of a live chain, the runtime management of §IV-B:
+// exactly one of a bandwidth reservation (ChangeBandwidth), the next
+// VNF version (ChangeVersion), a replica count (ChangeReplicas) or a
+// host (ChangeHost) at an NF index. Apply makes it.
+type Change struct {
+	kind     changeKind
+	nf       int
+	replicas int
+	gbps     float64
+	host     topology.NodeID
+}
+
+type changeKind uint8
+
+const (
+	changeBandwidth changeKind = iota
+	changeVersion
+	changeReplicas
+	changeHost
+)
+
+// changeVerbs names each kind in Apply's errors, as the server's routes
+// do.
+var changeVerbs = [...]string{"modify", "upgrade", "scale", "move"}
+
+// ChangeBandwidth sets the chain's bandwidth reservation, in its spec
+// and its optical slice (modification).
+func ChangeBandwidth(gbps float64) Change { return Change{kind: changeBandwidth, gbps: gbps} }
+
+// ChangeVersion rolls every VNF of the chain to the next version
+// (upgradation).
+func ChangeVersion() Change { return Change{kind: changeVersion} }
+
+// ChangeReplicas scales the chain's NF at position nf to the given
+// replica count (scaling during the VNF life cycle).
+func ChangeReplicas(nf, replicas int) Change {
+	return Change{kind: changeReplicas, nf: nf, replicas: replicas}
+}
+
+// ChangeHost migrates the chain's NF at position nf to another
+// hosting-capable node — NFV's "deploy VNFs when and where required"
+// (§I) — and re-provisions the path and wavelength around the new
+// location; the O/E/O accounting follows, as §IV-D describes.
+func ChangeHost(nf int, to topology.NodeID) Change {
+	return Change{kind: changeHost, nf: nf, host: to}
+}
+
+// Apply makes the change to the chain under its exclusive claim, so a
+// concurrent Delete, Repair or edit surfaces as ErrBusy instead of
+// meeting a half-made edit. No edit writes what a snapshot shares: a
+// new bandwidth stores a fresh slice record.
 //
-// The operation is transactional: the deployment record is not touched
-// until the new path, wavelength and rules are all in place (rules
-// swap make-before-break), and a failure after the migration moves the
+// A move is transactional: the record is not touched until the new
+// path, wavelength and rules are all in place (rules swap
+// make-before-break), and a failure after the migration moves the
 // instance back to its original host, so an error never leaves the
-// placement and the installed rules disagreeing.
-func (o *Orchestrator) MoveNF(id DeploymentID, idx int, to topology.NodeID) error {
-	rebuilt, err := o.moveNF(id, idx, to)
-	// Emit only after moveNF released its locks — the sink contract
+// placement and the installed rules disagreeing. It emits
+// EventPlacementChanged, or EventRepairCompleted (rebuilt) when the
+// move-back was impossible and the chain was rebuilt in place; the
+// other edits emit nothing.
+func (o *Orchestrator) Apply(id DeploymentID, c Change) error {
+	rebuilt, err := o.apply(id, c)
+	// Emit only after apply released its locks — the sink contract
 	// allows callbacks into the orchestrator's read API.
 	switch {
 	case rebuilt:
@@ -699,30 +732,69 @@ func (o *Orchestrator) MoveNF(id DeploymentID, idx int, to topology.NodeID) erro
 		// with the optimizer attached that rebuild deferred its standby,
 		// so the re-protection must be enqueued like any other repair.
 		o.emit(Event{Kind: EventRepairCompleted, Deployment: id, Action: ActionRebuilt})
-	case err == nil:
+	case err == nil && c.kind == changeHost:
 		o.emit(Event{Kind: EventPlacementChanged, Deployment: id})
 	}
 	return err
 }
 
-// moveNF is MoveNF without the event emission; rebuilt reports that
-// the rebuild-in-place fallback ran and left the chain active.
-func (o *Orchestrator) moveNF(id DeploymentID, idx int, to topology.NodeID) (rebuilt bool, err error) {
+// apply is Apply without the event emission; rebuilt reports that a
+// move's rebuild-in-place fallback ran and left the chain active.
+func (o *Orchestrator) apply(id DeploymentID, c Change) (rebuilt bool, err error) {
+	verb := changeVerbs[c.kind]
+	if c.kind == changeBandwidth && c.gbps <= 0 {
+		return false, fmt.Errorf("orch: modify: bandwidth must be positive, got %f", c.gbps)
+	}
 	dep, err := o.beginExclusive(id)
 	if err != nil {
-		return false, fmt.Errorf("orch: move: %w", err)
+		return false, fmt.Errorf("orch: %s: %w", verb, err)
 	}
 	defer o.endExclusive(id)
-	o.topoMu.RLock()
-	defer o.topoMu.RUnlock()
 	o.mu.Lock()
-	if idx < 0 || idx >= len(dep.Instances) {
+	sliceID, instances := dep.Slice.ID, dep.Instances
+	if (c.kind == changeReplicas || c.kind == changeHost) && (c.nf < 0 || c.nf >= len(instances)) {
 		o.mu.Unlock()
-		return false, fmt.Errorf("orch: move: NF index %d out of range [0,%d)", idx, len(dep.Instances))
+		return false, fmt.Errorf("orch: %s: NF index %d out of range [0,%d)", verb, c.nf, len(instances))
 	}
-	inst := dep.Instances[idx]
+	if c.kind == changeVersion {
+		instances = append([]nfv.InstanceID(nil), instances...)
+	}
 	o.mu.Unlock()
 
+	switch c.kind {
+	case changeBandwidth:
+		slice, err := o.slices.UpdateBandwidth(sliceID, c.gbps)
+		if err != nil {
+			return false, fmt.Errorf("orch: modify: %w", err)
+		}
+		o.mu.Lock()
+		dep.Slice, dep.Spec.BandwidthGbps = slice, c.gbps
+		o.mu.Unlock()
+	case changeVersion:
+		for _, inst := range instances {
+			if err := o.mgr.Update(inst); err != nil {
+				return false, fmt.Errorf("orch: upgrade deployment %d: %w", id, err)
+			}
+		}
+		o.mu.Lock()
+		dep.Version++
+		o.mu.Unlock()
+	case changeReplicas:
+		if err := o.mgr.ScaleTo(instances[c.nf], c.replicas); err != nil {
+			return false, fmt.Errorf("orch: scale deployment %d NF %d: %w", id, c.nf, err)
+		}
+	case changeHost:
+		return o.move(dep, c.nf, instances[c.nf], c.host)
+	}
+	return false, nil
+}
+
+// move is ChangeHost's body: the caller holds the chain's claim, and
+// inst is the instance at NF index idx.
+func (o *Orchestrator) move(dep *Deployment, idx int, inst nfv.InstanceID, to topology.NodeID) (rebuilt bool, err error) {
+	id := dep.ID
+	o.topoMu.RLock()
+	defer o.topoMu.RUnlock()
 	before := o.mgr.Instance(inst)
 	if before == nil {
 		return false, fmt.Errorf("orch: move: unknown instance %d", inst)
@@ -792,72 +864,6 @@ func (o *Orchestrator) restoreWavelength(dep *Deployment) {
 	o.mu.Lock()
 	dep.Lambda = lambda
 	o.mu.Unlock()
-}
-
-// Modify changes a deployment's bandwidth reservation (§IV-B:
-// modification of NFCs).
-func (o *Orchestrator) Modify(id DeploymentID, bandwidthGbps float64) error {
-	if bandwidthGbps <= 0 {
-		return fmt.Errorf("orch: modify: bandwidth must be positive, got %f", bandwidthGbps)
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	dep, err := o.activeLocked(id)
-	if err != nil {
-		return fmt.Errorf("orch: modify: %w", err)
-	}
-	if err := o.slices.UpdateBandwidth(dep.Slice.ID, bandwidthGbps); err != nil {
-		return fmt.Errorf("orch: modify: %w", err)
-	}
-	dep.Spec.BandwidthGbps = bandwidthGbps
-	return nil
-}
-
-// Upgrade performs a rolling version upgrade of every VNF in the chain
-// (§IV-B: upgradation). It claims the deployment's exclusive-operation
-// guard, so a concurrent Delete or Repair surfaces as ErrBusy instead
-// of terminating instances mid-upgrade.
-func (o *Orchestrator) Upgrade(id DeploymentID) error {
-	dep, err := o.beginExclusive(id)
-	if err != nil {
-		return fmt.Errorf("orch: upgrade: %w", err)
-	}
-	defer o.endExclusive(id)
-	o.mu.Lock()
-	instances := append([]nfv.InstanceID(nil), dep.Instances...)
-	o.mu.Unlock()
-	for _, inst := range instances {
-		if err := o.mgr.Update(inst); err != nil {
-			return fmt.Errorf("orch: upgrade deployment %d: %w", id, err)
-		}
-	}
-	o.mu.Lock()
-	dep.Version++
-	o.mu.Unlock()
-	return nil
-}
-
-// ScaleNF scales the chain's NF at position idx to the given replica
-// count (§IV-B: scaling during the VNF life cycle). Like Upgrade it
-// holds the exclusive-operation guard so the instance cannot be torn
-// down mid-scale by a concurrent Delete.
-func (o *Orchestrator) ScaleNF(id DeploymentID, idx, replicas int) error {
-	dep, err := o.beginExclusive(id)
-	if err != nil {
-		return fmt.Errorf("orch: scale: %w", err)
-	}
-	defer o.endExclusive(id)
-	o.mu.Lock()
-	if idx < 0 || idx >= len(dep.Instances) {
-		o.mu.Unlock()
-		return fmt.Errorf("orch: scale: NF index %d out of range [0,%d)", idx, len(dep.Instances))
-	}
-	inst := dep.Instances[idx]
-	o.mu.Unlock()
-	if err := o.mgr.ScaleTo(inst, replicas); err != nil {
-		return fmt.Errorf("orch: scale deployment %d NF %d: %w", id, idx, err)
-	}
-	return nil
 }
 
 // Delete tears a deployment down: flow rules removed, VNFs terminated,

@@ -184,8 +184,8 @@ func TestModifyUpgradeScale(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if err := o.Modify(dep.ID, 8); err != nil {
-		t.Fatalf("Modify: %v", err)
+	if err := o.Apply(dep.ID, ChangeBandwidth(8)); err != nil {
+		t.Fatalf("modify: %v", err)
 	}
 	got := o.Deployment(dep.ID)
 	if got.Spec.BandwidthGbps != 8 {
@@ -196,12 +196,12 @@ func TestModifyUpgradeScale(t *testing.T) {
 			t.Fatal("slice bandwidth not updated")
 		}
 	}
-	if err := o.Modify(dep.ID, -1); err == nil {
+	if err := o.Apply(dep.ID, ChangeBandwidth(-1)); err == nil {
 		t.Fatal("negative bandwidth accepted")
 	}
 
-	if err := o.Upgrade(dep.ID); err != nil {
-		t.Fatalf("Upgrade: %v", err)
+	if err := o.Apply(dep.ID, ChangeVersion()); err != nil {
+		t.Fatalf("upgrade: %v", err)
 	}
 	if got := o.Deployment(dep.ID); got.Version != 2 {
 		t.Fatalf("version = %d, want 2", got.Version)
@@ -215,16 +215,16 @@ func TestModifyUpgradeScale(t *testing.T) {
 	// Scale the DPI stage (index 2): it lives on a PM with headroom.
 	// Scaling an OER-hosted VNF beyond the router's limited capacity
 	// must fail — that limit is the §IV-D constraint.
-	if err := o.ScaleNF(dep.ID, 2, 3); err != nil {
-		t.Fatalf("ScaleNF: %v", err)
+	if err := o.Apply(dep.ID, ChangeReplicas(2, 3)); err != nil {
+		t.Fatalf("scale: %v", err)
 	}
 	if inst := o.Manager().Instance(dep.Instances[2]); inst.Replicas != 3 {
 		t.Fatalf("replicas = %d, want 3", inst.Replicas)
 	}
-	if err := o.ScaleNF(dep.ID, 0, 50); err == nil {
+	if err := o.Apply(dep.ID, ChangeReplicas(0, 50)); err == nil {
 		t.Fatal("scaling an OER-hosted VNF past router capacity accepted")
 	}
-	if err := o.ScaleNF(dep.ID, 99, 2); err == nil {
+	if err := o.Apply(dep.ID, ChangeReplicas(99, 2)); err == nil {
 		t.Fatal("out-of-range NF index accepted")
 	}
 }
@@ -260,10 +260,10 @@ func TestDeleteReleasesEverything(t *testing.T) {
 	if _, err := o.Delete(bg, dep.ID); err == nil {
 		t.Fatal("double delete accepted")
 	}
-	if err := o.Upgrade(dep.ID); err == nil {
+	if err := o.Apply(dep.ID, ChangeVersion()); err == nil {
 		t.Fatal("upgrade of deleted deployment accepted")
 	}
-	if err := o.Modify(dep.ID, 4); err == nil {
+	if err := o.Apply(dep.ID, ChangeBandwidth(4)); err == nil {
 		t.Fatal("modify of deleted deployment accepted")
 	}
 	// Resources are reusable: provision again.
@@ -309,7 +309,7 @@ func TestProvisionLifecycleStorm(t *testing.T) {
 			t.Fatalf("round %d: disjointness violated", round)
 		}
 		for _, id := range ids {
-			if err := o.Upgrade(id); err != nil {
+			if err := o.Apply(id, ChangeVersion()); err != nil {
 				t.Fatalf("round %d upgrade: %v", round, err)
 			}
 			if _, err := o.Delete(bg, id); err != nil {

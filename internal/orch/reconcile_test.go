@@ -3,10 +3,12 @@ package orch
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"github.com/alvc/alvc/internal/chain"
+	"github.com/alvc/alvc/internal/nfv"
 	"github.com/alvc/alvc/internal/placement"
 	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/topology"
@@ -99,7 +101,7 @@ func TestSliceOPSFailurePatchesWithoutTouchingVNFs(t *testing.T) {
 
 // TestPMFailureReplacesOnlyAffectedVNF: a PM hosting one electronic
 // VNF fails; only that instance migrates, the VC and slice stay put.
-// The VNF is first staged (MoveNF) onto a PM hosting no web VM, so the
+// The VNF is first staged (a move) onto a PM hosting no web VM, so the
 // failure cannot also kill an endpoint and force a rebuild.
 func TestPMFailureReplacesOnlyAffectedVNF(t *testing.T) {
 	s, o := newOrch(t)
@@ -132,7 +134,7 @@ func TestPMFailureReplacesOnlyAffectedVNF(t *testing.T) {
 	if pmHost == 0 {
 		t.Skip("no PM free of endpoint VMs on this seed")
 	}
-	if err := o.MoveNF(dep.ID, pmIdx, pmHost); err != nil {
+	if err := o.Apply(dep.ID, ChangeHost(pmIdx, pmHost)); err != nil {
 		t.Fatalf("MoveNF staging: %v", err)
 	}
 	dep = o.Deployment(dep.ID)
@@ -349,35 +351,52 @@ func TestReverseIndexMaintained(t *testing.T) {
 	}
 }
 
-// TestUpgradeScaleRespectBusyGuard: the exclusive-operation guard must
-// cover Upgrade and ScaleNF so a concurrent Delete cannot terminate
-// instances mid-operation; callers see ErrBusy (HTTP 409).
-func TestUpgradeScaleRespectBusyGuard(t *testing.T) {
+// TestApplyRespectsBusyGuard: every edit claims the chain, so while an
+// exclusive operation holds it each of the four kinds answers ErrBusy
+// (HTTP 409) and leaves the record, its slice and its instances as they
+// were; a concurrent Delete cannot terminate instances mid-edit.
+func TestApplyRespectsBusyGuard(t *testing.T) {
 	_, o := newOrch(t)
 	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	o.mu.Lock()
-	o.busy[dep.ID] = true
-	o.mu.Unlock()
-	if err := o.Upgrade(dep.ID); !errors.Is(err, ErrBusy) {
-		t.Fatalf("Upgrade under busy = %v, want ErrBusy", err)
+	pms := o.topo.NodeIDs(topology.KindPhysicalMachine)
+	edits := []Change{ChangeBandwidth(8), ChangeVersion(), ChangeReplicas(2, 2), ChangeHost(2, pms[len(pms)-1])}
+	instances := func() (out []nfv.Instance) {
+		for _, id := range dep.Instances {
+			out = append(out, *o.Manager().Instance(id))
+		}
+		return out
 	}
-	if err := o.ScaleNF(dep.ID, 0, 2); !errors.Is(err, ErrBusy) {
-		t.Fatalf("ScaleNF under busy = %v, want ErrBusy", err)
+	before, beforeInsts := o.Deployment(dep.ID), instances()
+	if _, err := o.beginExclusive(dep.ID); err != nil {
+		t.Fatalf("beginExclusive: %v", err)
+	}
+	for _, c := range edits {
+		if err := o.Apply(dep.ID, c); !errors.Is(err, ErrBusy) {
+			t.Fatalf("%s under a held claim = %v, want ErrBusy", changeVerbs[c.kind], err)
+		}
 	}
 	if _, err := o.Delete(bg, dep.ID); !errors.Is(err, ErrBusy) {
-		t.Fatalf("Delete under busy = %v, want ErrBusy", err)
+		t.Fatalf("Delete under a held claim = %v, want ErrBusy", err)
 	}
-	o.mu.Lock()
-	delete(o.busy, dep.ID)
-	o.mu.Unlock()
-	if err := o.Upgrade(dep.ID); err != nil {
-		t.Fatalf("Upgrade after release: %v", err)
+	if after := o.Deployment(dep.ID); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused edits changed the record:\n%+v\nwant\n%+v", after, before)
 	}
-	if err := o.ScaleNF(dep.ID, 2, 2); err != nil {
-		t.Fatalf("ScaleNF after release: %v", err)
+	if got := instances(); !reflect.DeepEqual(got, beforeInsts) {
+		t.Fatalf("refused edits changed the instances:\n%+v\nwant\n%+v", got, beforeInsts)
+	}
+	for _, sl := range o.Slices().Slices() {
+		if sl.ID == dep.Slice.ID && sl.BandwidthGbps != dep.Spec.BandwidthGbps {
+			t.Fatalf("refused modify set the slice's bandwidth to %v", sl.BandwidthGbps)
+		}
+	}
+	o.endExclusive(dep.ID)
+	for _, c := range edits {
+		if err := o.Apply(dep.ID, c); errors.Is(err, ErrBusy) || (err != nil && c.kind != changeHost) {
+			t.Fatalf("%s after release: %v", changeVerbs[c.kind], err)
+		}
 	}
 }
 
@@ -487,7 +506,7 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 	instBefore := o.Manager().Instance(before.Instances[0])
 	rulesBefore := len(o.Controller().RulesForFlow(before.FlowKey()))
 
-	if err := o.MoveNF(dep.ID, 0, target); err == nil {
+	if err := o.Apply(dep.ID, ChangeHost(0, target)); err == nil {
 		t.Fatal("MoveNF to a stranded PM succeeded, want re-path failure")
 	}
 
@@ -515,7 +534,7 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 		}
 	}
 	o.InvalidateVMCache()
-	if err := o.MoveNF(dep.ID, 0, target); err != nil {
+	if err := o.Apply(dep.ID, ChangeHost(0, target)); err != nil {
 		t.Fatalf("MoveNF after recovery: %v", err)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"sync/atomic"
 
 	"github.com/alvc/alvc/internal/chain"
 	"github.com/alvc/alvc/internal/cluster"
@@ -261,23 +262,8 @@ func (s *Sharded) Delete(ctx context.Context, id DeploymentID) (*Deployment, err
 // Repair routes to the owning shard.
 func (s *Sharded) Repair(id DeploymentID) error { return s.owner(id).Repair(id) }
 
-// Upgrade routes to the owning shard.
-func (s *Sharded) Upgrade(id DeploymentID) error { return s.owner(id).Upgrade(id) }
-
-// Modify routes to the owning shard.
-func (s *Sharded) Modify(id DeploymentID, bandwidthGbps float64) error {
-	return s.owner(id).Modify(id, bandwidthGbps)
-}
-
-// ScaleNF routes to the owning shard.
-func (s *Sharded) ScaleNF(id DeploymentID, idx, replicas int) error {
-	return s.owner(id).ScaleNF(id, idx, replicas)
-}
-
-// MoveNF routes to the owning shard.
-func (s *Sharded) MoveNF(id DeploymentID, idx int, to topology.NodeID) error {
-	return s.owner(id).MoveNF(id, idx, to)
-}
+// Apply routes to the owning shard; see Orchestrator.Apply.
+func (s *Sharded) Apply(id DeploymentID, c Change) error { return s.owner(id).Apply(id, c) }
 
 // Rehome routes to the owning shard.
 func (s *Sharded) Rehome(id DeploymentID, margin int) (bool, error) {
@@ -312,9 +298,8 @@ func (s *Sharded) Deployment(id DeploymentID) *Deployment { return s.owner(id).D
 // Instances, Path and Standby, and shares Spec.NFs, Placement's lists, VC
 // and Slice with the live record, which a caller only reads. Verbs
 // replace those, or clone them first (ownPlacement), rather than edit
-// them — but for the slice's bandwidth, which a modify sets in place.
-// Readers that only look use ViewDeployments; fleet sweeps that read a
-// few fields use AppendChainHealth or ShardStats.
+// them. Readers that only look use ViewDeployments; fleet sweeps that
+// read a few fields use AppendChainHealth or ShardStats.
 func (s *Sharded) Deployments() (out []*Deployment) {
 	s.ViewDeployments(func(dep *Deployment) { out = append(out, snapshot(dep)) })
 	slices.SortFunc(out, func(a, b *Deployment) int { return int(a.ID - b.ID) })
@@ -491,14 +476,14 @@ func (o *Orchestrator) shardStat() ShardStat {
 		PathComputations: o.ctrl.PathComputations(),
 		YenRuns:          o.ctrl.YenRuns(),
 		InstalledRules:   o.ctrl.RuleCount(),
-		BusyOps:          o.BusyOps(),
+		ProvisionOK:      atomic.LoadUint64(&o.provisionOK),
+		ProvisionFailed:  atomic.LoadUint64(&o.provisionFail),
 	}
 	_, st.RuleInstalls = o.ctrl.Stats()
 	st.CandidateCacheHits, st.CandidateCacheMisses = o.ctrl.AlternativesCacheStats()
-	st.ProvisionOK, st.ProvisionFailed = o.ProvisionOutcomes()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	st.Deleted, st.Repairs = o.deletedTotal, o.repairsTotal
+	st.Deleted, st.Repairs, st.BusyOps = o.deletedTotal, o.repairsTotal, len(o.busy)
 	for _, dep := range o.deployments {
 		if dep.State != StateActive {
 			st.Failed++

@@ -37,7 +37,7 @@ func stormArch(t *testing.T, chains int) *alvc.Architecture {
 			t.Fatalf("LinearChain: %v", err)
 		}
 	}
-	for _, res := range arch.DeployBatch(specs) {
+	for _, res := range arch.Sharded().ProvisionBatch(specs, arch.BatchWorkers()) {
 		if res.Err != nil {
 			t.Fatalf("provision %d: %v", res.Index, res.Err)
 		}

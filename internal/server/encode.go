@@ -104,7 +104,7 @@ func (s *Server) writeChain(w http.ResponseWriter, id alvc.DeploymentID) {
 		writeBody(w, http.StatusOK, sc.body)
 		return
 	}
-	if t, ok := s.arch.Tombstone(id); ok {
+	if t, ok := s.arch.Sharded().Tombstone(id); ok {
 		writeJSON(w, http.StatusOK, tombstoneJSON(t))
 		return
 	}

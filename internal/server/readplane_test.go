@@ -61,7 +61,7 @@ func oracleList(t *testing.T, arch *alvc.Architecture, state string) []byte {
 	t.Helper()
 	out := []DeploymentJSON{}
 	if state == orch.StateDeleted.String() {
-		for _, tomb := range arch.Tombstones() {
+		for _, tomb := range arch.Sharded().Tombstones() {
 			out = append(out, tombstoneJSON(tomb))
 		}
 		return mustOracleBody(t, out)
@@ -186,7 +186,7 @@ func TestWriteChainLiveTombstoneUnknown(t *testing.T) {
 	if _, err := arch.Delete(context.Background(), ids[1]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	tomb, ok := arch.Tombstone(ids[1])
+	tomb, ok := arch.Sharded().Tombstone(ids[1])
 	if !ok {
 		t.Fatal("no tombstone for the deleted chain")
 	}

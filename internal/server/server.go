@@ -89,10 +89,9 @@ func New(arch *alvc.Architecture, opts ...Option) (*Server, error) {
 	mux.HandleFunc("GET /v1/chains", s.handleListChains)
 	mux.HandleFunc("GET /v1/chains/{id}", s.handleGetChain)
 	mux.HandleFunc("DELETE /v1/chains/{id}", s.handleDeleteChain)
-	mux.HandleFunc("POST /v1/chains/{id}/modify", s.handleModify)
-	mux.HandleFunc("POST /v1/chains/{id}/upgrade", s.handleUpgrade)
-	mux.HandleFunc("POST /v1/chains/{id}/scale", s.handleScale)
-	mux.HandleFunc("POST /v1/chains/{id}/move", s.handleMove)
+	for _, verb := range [...]string{"modify", "upgrade", "scale", "move"} {
+		mux.HandleFunc("POST /v1/chains/{id}/"+verb, s.handleEdit(verb))
+	}
 	mux.HandleFunc("POST /v1/failures/{node}", s.handleFail)
 	mux.HandleFunc("DELETE /v1/failures/{node}", s.handleRecover)
 	mux.HandleFunc("POST /v1/failures/links/{link}", s.handleFail)
@@ -209,7 +208,7 @@ func (s *Server) handleProvisionBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleListChains(w http.ResponseWriter, r *http.Request) {
 	stateFilter := r.URL.Query().Get("state")
 	if stateFilter == orch.StateDeleted.String() {
-		tombs := s.arch.Tombstones()
+		tombs := s.arch.Sharded().Tombstones()
 		out := make([]DeploymentJSON, 0, len(tombs))
 		for _, t := range tombs {
 			out = append(out, tombstoneJSON(t))
@@ -241,71 +240,46 @@ func (s *Server) handleDeleteChain(w http.ResponseWriter, r *http.Request) {
 	writeDeployment(w, http.StatusOK, final)
 }
 
-func (s *Server) handleModify(w http.ResponseWriter, r *http.Request) {
-	id, ok := s.pathID(w, r)
-	if !ok {
-		return
+// handleEdit answers the edit route of the verb: it reads the route's
+// body, if it has one, into the Change it asks for, applies it, and
+// answers the chain.
+func (s *Server) handleEdit(verb string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id, ok := s.pathID(w, r)
+		if !ok {
+			return
+		}
+		var c alvc.Change
+		var err error
+		switch verb {
+		case "modify":
+			var req ModifyRequest
+			if err = decodeBody(w, r, &req); err == nil && req.BandwidthGbps <= 0 {
+				writeError(w, http.StatusBadRequest, "bandwidth_gbps must be positive, got %f", req.BandwidthGbps)
+				return
+			}
+			c = alvc.ChangeBandwidth(req.BandwidthGbps)
+		case "upgrade":
+			c = alvc.ChangeVersion()
+		case "scale":
+			var req ScaleRequest
+			err = decodeBody(w, r, &req)
+			c = alvc.ChangeReplicas(req.NFIndex, req.Replicas)
+		case "move":
+			var req MoveRequest
+			err = decodeBody(w, r, &req)
+			c = alvc.ChangeHost(req.NFIndex, req.To)
+		}
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "parse %s request: %v", verb, err)
+			return
+		}
+		if err := s.arch.Apply(id, c); err != nil {
+			writeError(w, statusOf(err), "%s: %v", verb, err)
+			return
+		}
+		s.writeChain(w, id)
 	}
-	var req ModifyRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "parse modify request: %v", err)
-		return
-	}
-	if req.BandwidthGbps <= 0 {
-		writeError(w, http.StatusBadRequest, "bandwidth_gbps must be positive, got %f", req.BandwidthGbps)
-		return
-	}
-	if err := s.arch.Modify(id, req.BandwidthGbps); err != nil {
-		writeError(w, statusOf(err), "modify: %v", err)
-		return
-	}
-	s.writeChain(w, id)
-}
-
-func (s *Server) handleUpgrade(w http.ResponseWriter, r *http.Request) {
-	id, ok := s.pathID(w, r)
-	if !ok {
-		return
-	}
-	if err := s.arch.Upgrade(id); err != nil {
-		writeError(w, statusOf(err), "upgrade: %v", err)
-		return
-	}
-	s.writeChain(w, id)
-}
-
-func (s *Server) handleScale(w http.ResponseWriter, r *http.Request) {
-	id, ok := s.pathID(w, r)
-	if !ok {
-		return
-	}
-	var req ScaleRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "parse scale request: %v", err)
-		return
-	}
-	if err := s.arch.ScaleNF(id, req.NFIndex, req.Replicas); err != nil {
-		writeError(w, statusOf(err), "scale: %v", err)
-		return
-	}
-	s.writeChain(w, id)
-}
-
-func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
-	id, ok := s.pathID(w, r)
-	if !ok {
-		return
-	}
-	var req MoveRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "parse move request: %v", err)
-		return
-	}
-	if err := s.arch.MoveNF(id, req.NFIndex, req.To); err != nil {
-		writeError(w, statusOf(err), "move: %v", err)
-		return
-	}
-	s.writeChain(w, id)
 }
 
 // fillReports folds the reconciler's reports into the wire response.
@@ -521,7 +495,7 @@ func (s *Server) handleOptimizerResume(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
-	data, err := s.arch.TopologyJSON()
+	data, err := s.arch.Sharded().TopologyJSON()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "marshal topology: %v", err)
 		return

@@ -270,24 +270,24 @@ func TestMalformedRequests400(t *testing.T) {
 
 func TestUnknownDeployment404(t *testing.T) {
 	ts, _ := newTestServer(t)
-	cases := []struct{ method, path string }{
-		{"GET", "/v1/chains/999"},
-		{"DELETE", "/v1/chains/999"},
-		{"POST", "/v1/chains/999/upgrade"},
+	cases := []struct{ method, path, body, want string }{
+		{"GET", "/v1/chains/999", "", `{"error":"unknown deployment 999"}`},
+		{"DELETE", "/v1/chains/999", "", `{"error":"delete: orch: delete: unknown deployment: 999"}`},
+		{"POST", "/v1/chains/999/modify", `{"bandwidth_gbps": 1}`, `{"error":"modify: orch: modify: unknown deployment: 999"}`},
+		{"POST", "/v1/chains/999/upgrade", "", `{"error":"upgrade: orch: upgrade: unknown deployment: 999"}`},
+		{"POST", "/v1/chains/999/scale", `{"nf_index": 0, "replicas": 2}`, `{"error":"scale: orch: scale: unknown deployment: 999"}`},
+		{"POST", "/v1/chains/999/move", `{"nf_index": 0, "to": 1}`, `{"error":"move: orch: move: unknown deployment: 999"}`},
+		{"POST", "/v1/failures/99999", "", `{"error":"unknown node 99999"}`},
 	}
 	for _, tc := range cases {
-		status, body := do(t, tc.method, ts.URL+tc.path, nil)
-		if status != http.StatusNotFound {
-			t.Fatalf("%s %s: got %d, want 404 (%s)", tc.method, tc.path, status, body)
+		var body []byte
+		if tc.body != "" {
+			body = []byte(tc.body)
 		}
-	}
-	status, body := do(t, "POST", ts.URL+"/v1/chains/999/modify", []byte(`{"bandwidth_gbps": 1}`))
-	if status != http.StatusNotFound {
-		t.Fatalf("modify unknown: got %d (%s)", status, body)
-	}
-	status, body = do(t, "POST", ts.URL+"/v1/failures/99999", nil)
-	if status != http.StatusNotFound {
-		t.Fatalf("fail unknown node: got %d (%s)", status, body)
+		status, resp := do(t, tc.method, ts.URL+tc.path, body)
+		if status != http.StatusNotFound || string(resp) != tc.want+"\n" {
+			t.Errorf("%s %s: got %d %s, want 404 %s", tc.method, tc.path, status, resp, tc.want)
+		}
 	}
 }
 
@@ -364,6 +364,10 @@ func TestDuplicateChain409(t *testing.T) {
 	}
 }
 
+// TestDeleteTwice409: a deleted chain answers 409 on every route that
+// needs it live — a second delete and each edit. Before the delete, the
+// edit routes refuse a malformed body with 400 and an NF index out of
+// range with 422. Every answer carries the error text whole.
 func TestDeleteTwice409(t *testing.T) {
 	ts, _ := newTestServer(t)
 	status, body := do(t, "POST", ts.URL+"/v1/chains", specBody("c1", "t1", "web", "nat"))
@@ -372,6 +376,33 @@ func TestDeleteTwice409(t *testing.T) {
 	}
 	dep := mustUnmarshal[DeploymentJSON](t, body)
 	url := fmt.Sprintf("%s/v1/chains/%d", ts.URL, dep.ID)
+	type edit struct {
+		route, body string
+		status      int
+		want        string
+	}
+	check := func(cases []edit) {
+		t.Helper()
+		for _, tc := range cases {
+			var body []byte
+			if tc.body != "" {
+				body = []byte(tc.body)
+			}
+			status, resp := do(t, "POST", url+"/"+tc.route, body)
+			if status != tc.status || string(resp) != tc.want+"\n" {
+				t.Errorf("%s %s: got %d %s, want %d %s", tc.route, tc.body, status, resp, tc.status, tc.want)
+			}
+		}
+	}
+	check([]edit{
+		{"modify", `{`, http.StatusBadRequest, `{"error":"parse modify request: unexpected EOF"}`},
+		{"modify", `{"bandwidth_gbps": 0}`, http.StatusBadRequest, `{"error":"bandwidth_gbps must be positive, got 0.000000"}`},
+		{"scale", `"nope"`, http.StatusBadRequest, `{"error":"parse scale request: json: cannot unmarshal string into Go value of type server.ScaleRequest"}`},
+		{"move", `{]`, http.StatusBadRequest, `{"error":"parse move request: invalid character ']' looking for beginning of object key string"}`},
+		{"scale", `{"nf_index": 9, "replicas": 2}`, http.StatusUnprocessableEntity, `{"error":"scale: orch: scale: NF index 9 out of range [0,1)"}`},
+		{"move", `{"nf_index": -1, "to": 1}`, http.StatusUnprocessableEntity, `{"error":"move: orch: move: NF index -1 out of range [0,1)"}`},
+		{"move", `{"nf_index": 0, "to": 99999}`, http.StatusUnprocessableEntity, `{"error":"move: orch: move deployment 1 NF 0: nfv: migrate: unknown host 99999"}`},
+	})
 	if status, _ = do(t, "DELETE", url, nil); status != http.StatusOK {
 		t.Fatalf("first delete: %d", status)
 	}
@@ -379,6 +410,12 @@ func TestDeleteTwice409(t *testing.T) {
 	if status != http.StatusConflict {
 		t.Fatalf("second delete: got %d, want 409 (%s)", status, body)
 	}
+	check([]edit{
+		{"modify", `{"bandwidth_gbps": 1}`, http.StatusConflict, `{"error":"modify: orch: modify: deployment is not active: deployment 1 is deleted"}`},
+		{"upgrade", "", http.StatusConflict, `{"error":"upgrade: orch: upgrade: deployment is not active: deployment 1 is deleted"}`},
+		{"scale", `{"nf_index": 9, "replicas": 2}`, http.StatusConflict, `{"error":"scale: orch: scale: deployment is not active: deployment 1 is deleted"}`},
+		{"move", `{"nf_index": 0, "to": 1}`, http.StatusConflict, `{"error":"move: orch: move: deployment is not active: deployment 1 is deleted"}`},
+	})
 }
 
 func TestBatchProvision(t *testing.T) {

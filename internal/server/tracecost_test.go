@@ -97,7 +97,7 @@ func TestTraceCommitsUnderConcurrentReaders(t *testing.T) {
 	writers.Add(2)
 	go func() {
 		defer writers.Done()
-		results = arch.DeployBatch(specs)
+		results = arch.Sharded().ProvisionBatch(specs, arch.BatchWorkers())
 	}()
 	go func() {
 		defer writers.Done()

@@ -232,7 +232,7 @@ func fleetPlane(t *testing.T, shards int) (*alvc.Architecture, *Plane) {
 func TestShardStatIsServed(t *testing.T) {
 	arch, p := fleetPlane(t, 4)
 	samples, _ := parseExposition(t, scrape(t, p))
-	stats := arch.ShardStats() // nothing runs between the scrape and this read
+	stats := arch.Sharded().ShardStats() // nothing runs between the scrape and this read
 	served := make(map[string]float64, len(samples))
 	for _, s := range samples {
 		served[s.key] = s.value

@@ -145,7 +145,7 @@ type scrapeState struct {
 
 func (p *Plane) refresh() {
 	s, arch := &p.scrape, p.arch
-	s.shards = arch.ShardStats()
+	s.shards = arch.Sharded().ShardStats()
 	s.optimizer, s.optimized = arch.OptimizerStatus()
 	s.debounce, _ = arch.FailureDebounceStats()
 	s.trace = trace.Stats{}

@@ -59,16 +59,18 @@ type sourceCount struct {
 var (
 	shardedMethod      = regexp.MustCompile(`func \(s \*Sharded\)`)
 	exportedOrchMethod = regexp.MustCompile(`(?m)^func \([a-z]* \*Orchestrator\) [A-Z]`)
+	exportedArchMethod = regexp.MustCompile(`(?m)^func \([a-z]* \*Architecture\) [A-Z]`)
 	exportedFunc       = regexp.MustCompile(`(?m)^func (\([^)]*\) )?[A-Z]`)
 )
 
 // sourceSizes counts the Go files under root, skipping testdata and
 // hidden directories: lines of non-test code outside and inside
 // benchmark/, lines of tests, methods on the shard set over
-// internal/orch's files (tests included), exported methods on a shard,
-// and exported functions and methods in internal/graph's non-test files.
+// internal/orch's files (tests included), exported methods on a shard
+// and on the facade's Architecture, and exported functions and methods
+// in internal/graph's non-test files.
 func sourceSizes(root string) ([]sourceCount, error) {
-	var prod, bench, tests, sharded, orchMethods, graphFuncs int
+	var prod, bench, tests, sharded, orchMethods, archMethods, graphFuncs int
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -103,6 +105,9 @@ func sourceSizes(root string) ([]sourceCount, error) {
 				orchMethods += len(exportedOrchMethod.FindAll(data, -1))
 			}
 		}
+		if dir == "." && !isTest {
+			archMethods += len(exportedArchMethod.FindAll(data, -1))
+		}
 		if dir == "internal/graph" && !isTest {
 			graphFuncs += len(exportedFunc.FindAll(data, -1))
 		}
@@ -114,6 +119,7 @@ func sourceSizes(root string) ([]sourceCount, error) {
 		{testLinesName, tests},
 		{"func (s *Sharded) methods", sharded},
 		{"exported Orchestrator methods", orchMethods},
+		{"exported Architecture methods", archMethods},
 		{"exported funcs in internal/graph", graphFuncs},
 	}, err
 }

@@ -48,7 +48,7 @@ func TestStormRoundAllocations(t *testing.T) {
 		}
 	}
 	var trays [][]alvc.DeploymentID
-	for i, res := range arch.DeployBatch(residents) {
+	for i, res := range arch.Sharded().ProvisionBatch(residents, arch.BatchWorkers()) {
 		if res.Err != nil {
 			t.Fatalf("provision %d: %v", i, res.Err)
 		}
