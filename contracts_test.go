@@ -554,9 +554,9 @@ func stormFleet(t *testing.T, chains int, opts ...alvc.Option) (*alvc.Architectu
 func TestContractLinkStorm(t *testing.T) {
 	const chains, queueBound, segments = 64, 64, 5
 	base, victims := stormFleet(t, chains,
-		alvc.WithOptimizer(alvc.OptimizerOptions{StormThreshold: -1, MaxQueueDepth: queueBound}))
+		alvc.WithOptimizer(alvc.OptimizerOptions{MaxQueueDepth: queueBound}))
 	batch, batchVictims := stormFleet(t, chains,
-		alvc.WithOptimizer(alvc.OptimizerOptions{StormThreshold: 8, MaxQueueDepth: queueBound}),
+		alvc.WithOptimizer(alvc.OptimizerOptions{MaxQueueDepth: queueBound}),
 		alvc.WithFailureDebounce(time.Hour)) // flushed explicitly below
 	if len(victims) < 8 || len(victims) != len(batchVictims) {
 		t.Fatalf("victims = %d and %d, want the same 8 or more on both fleets", len(victims), len(batchVictims))
@@ -617,17 +617,15 @@ func TestContractLinkStorm(t *testing.T) {
 	drain := countsOf(batch).minus(drainBefore)
 	fallbacks := int(batch.Sharded().StandbyFallbacks() - fallbacksBefore)
 	after, _ := batch.OptimizerStatus()
-	t.Logf("drain: %d results, %+v, group plans %+v, fabric retries %d, queue high-water %v", len(results), drain, after.GroupPlans, fallbacks, after.ShardHighWater)
+	t.Logf("drain: %d results, %+v, group plans %+v, fabric retries %d, queue high-water %d", len(results), drain, after.GroupPlans, fallbacks, after.HighWater)
 	if after.GroupPlans.Coalesced == before.GroupPlans.Coalesced {
 		t.Errorf("no re-protect coalesced into a failure-domain group: %+v -> %+v", before.GroupPlans, after.GroupPlans)
 	}
 	if after.QueueDepth != 0 {
 		t.Errorf("%d tasks still queued after the drain", after.QueueDepth)
 	}
-	for shard, hw := range after.ShardHighWater {
-		if hw > queueBound {
-			t.Errorf("shard %d queue high-water %d, want at most %d", shard, hw, queueBound)
-		}
+	if after.HighWater > queueBound {
+		t.Errorf("queue high-water %d, want at most %d", after.HighWater, queueBound)
 	}
 	planned := after.GroupPlans.Planned - before.GroupPlans.Planned
 	if planned == 0 {
@@ -686,7 +684,7 @@ func trayCut(arch *alvc.Architecture, tray []alvc.DeploymentID) []alvc.LinkID {
 // answers every re-protect leg from it: no search, and the same
 // standbys the first drain planned.
 func TestContractStormRevisit(t *testing.T) {
-	arch, _ := stormFleet(t, 64, alvc.WithOptimizer(alvc.OptimizerOptions{StormThreshold: 4}), alvc.WithFailureDebounce(time.Hour))
+	arch, _ := stormFleet(t, 64, alvc.WithOptimizer(alvc.OptimizerOptions{}), alvc.WithFailureDebounce(time.Hour))
 	var tray []alvc.DeploymentID
 	for _, dep := range arch.Deployments()[1:9] {
 		tray = append(tray, dep.ID)

@@ -135,15 +135,14 @@ func mixedFleet(t *testing.T, shards, n int, seed int64) *orch.Sharded {
 	return s
 }
 
-// queuedKeys drains the engine's queues without running anything and
-// returns the task keys in dispatch order (kind, shard, FIFO); the
-// popped groups are claimed and dropped, as a drain would claim them.
+// queuedKeys drains the engine's queue without running anything and
+// returns the task keys in dispatch order (kind, FIFO); the claimed
+// groups are dropped.
 func queuedKeys(e *Engine) []taskKey {
-	keys := e.popBatch()
-	for _, k := range keys {
-		if g := e.claim(k); g != nil {
-			g.free()
-		}
+	var keys []taskKey
+	for _, g := range e.popBatch() {
+		keys = append(keys, g.key)
+		g.free()
 	}
 	return keys
 }

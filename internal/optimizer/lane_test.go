@@ -15,8 +15,8 @@ import (
 // laneSize reads the membership tables: the queued groups and the
 // queued members.
 func laneSize(e *Engine) (groups, members int) {
-	e.grpMu.Lock()
-	defer e.grpMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return len(e.groups), len(e.member)
 }
 
@@ -86,9 +86,9 @@ func TestLaneStateIsBounded(t *testing.T) {
 	eng.Drain()
 	check("after the drain", 0, 0)
 	eng.Tick()
-	eng.grpMu.Lock()
+	eng.mu.Lock()
 	m, ok := eng.member[memberKey{dep: deps[0].ID, kind: KindRefresh}]
-	eng.grpMu.Unlock()
+	eng.mu.Unlock()
 	if !ok || m.key != (taskKey{dep: deps[0].ID, kind: KindRefresh}) {
 		t.Fatalf("the shed member is not back as a refresh after Tick (%+v, %v)", m, ok)
 	}

@@ -21,8 +21,9 @@
 //	λ-defrag    consolidate fragmented wavelength assignments during
 //	            quiet periods with the make-before-break retune
 //
-// — behind a deduplicating work queue of member groups: a chain hit by
-// ten events is optimized once, and the re-protects of one failure
+// — behind one deduplicating work queue of member groups, whatever the
+// orchestrator's shard count, bounded by Options.MaxQueueDepth: a chain
+// hit by ten events is optimized once, and the re-protects of one failure
 // domain run as one group planned off the domain's risk groups. Tasks
 // take the orchestrator's per-deployment exclusive guard; a busy
 // deployment is skipped and requeued, a deleted one cancels its pending
@@ -46,20 +47,15 @@ import (
 )
 
 // Target is the orchestration surface the engine optimizes against —
-// *orch.Sharded; tests that need a fake embed one. Shards and ShardOf
-// give the engine one work queue per shard, so enqueues from different
-// shards' repair fan-outs never contend on a single queue lock. Both
-// sweeps are by value — one orch.ChainHealth per chain, ID-sorted,
-// appended to the engine's buffer: the idle tick reads every active
-// chain, a recovery event only the chains the orchestrator's
-// maintenance-owed index holds, so it costs the chains it can help and
-// not a pass over the fleet. ReProtectGroup is the one re-protection
+// *orch.Sharded; tests that need a fake embed one. Both sweeps are by
+// value — one orch.ChainHealth per chain, ID-sorted, appended to the
+// engine's buffer: the idle tick reads every active chain, a recovery
+// event only the chains the orchestrator's maintenance-owed index holds,
+// so it costs the chains it can help and not a pass over the fleet. ReProtectGroup is the one re-protection
 // call: every re-protect and refresh task hands it one failure-domain
 // group, steering each member off the domain's risk groups; a group with
 // no domain is one chain.
 type Target interface {
-	Shards() int
-	ShardOf(id orch.DeploymentID) int
 	AppendChainHealth(buf []orch.ChainHealth) []orch.ChainHealth
 	AppendOwedHealth(buf []orch.ChainHealth) []orch.ChainHealth
 	ReProtectGroup(buf []orch.GroupOutcome, domain orch.FailureDomain, ids []orch.DeploymentID) []orch.GroupOutcome
@@ -115,13 +111,14 @@ type Options struct {
 	ResultLog int
 	// Deprecated: ignored; every re-protect joins its failure domain's group.
 	StormThreshold int
-	// MaxQueueDepth bounds each shard queue's task count (default 4096;
-	// negative disables the bound). An enqueue that would push a shard
-	// queue past the bound sheds the lowest-priority queued task, newest
-	// first, and its members instead of growing — protection work survives
-	// a burst at the expense of cosmetic re-home/defrag passes, and queue
-	// memory stays bounded however long the burst runs. Shed tasks are
-	// counted (Status.Shed) and regenerate on the next idle tick.
+	// MaxQueueDepth bounds the engine's queued task count (default 4096;
+	// negative disables the bound), whatever the orchestrator's shard
+	// count. An enqueue that would push the queue past the bound sheds the
+	// lowest-priority queued task, newest first, and its members instead
+	// of growing — protection work survives a burst at the expense of
+	// cosmetic re-home/defrag passes, and queue memory stays bounded
+	// however long the burst runs. Shed tasks are counted (Status.Shed)
+	// and regenerate on the next idle tick.
 	MaxQueueDepth int
 }
 
@@ -193,18 +190,17 @@ type GroupPlanStats struct {
 	Fallbacks int `json:"fallbacks"`
 }
 
-// Status is the engine's observable state.
+// Status is the engine's observable state. QueueDepth and HighWater
+// count the engine's one queue's tasks (groups), not member chains.
 type Status struct {
 	Paused     bool `json:"paused"`
 	QueueDepth int  `json:"queue_depth"`
-	// ShardDepths is the queued task count per shard queue, in shard
-	// order.
-	ShardDepths []int `json:"shard_depths,omitempty"`
-	// ShardHighWater is the per-shard queued-task high-water mark since
-	// the engine started — the spike detector's evidence trail.
-	ShardHighWater []int                `json:"shard_high_water,omitempty"`
-	Running        int                  `json:"running"`
-	Kinds          map[string]KindStats `json:"kinds"`
+	// HighWater is the queued-task high-water mark since the engine
+	// started — the spike detector's evidence trail. The bound holds it
+	// at or under Options.MaxQueueDepth.
+	HighWater int                  `json:"queue_high_water"`
+	Running   int                  `json:"running"`
+	Kinds     map[string]KindStats `json:"kinds"`
 	// Shed counts tasks dropped by the queue-depth bound
 	// (Options.MaxQueueDepth) since the engine started.
 	Shed int `json:"queue_shed"`
@@ -229,23 +225,14 @@ type taskKey struct {
 	domain string
 }
 
-// shardQueue is one shard's deduplicating priority queue. Each queue
-// has its own lock so concurrent repair fan-outs on different shards
-// enqueue without contending; the engine-wide mutex only covers stats,
-// the depth counter and the dispatcher's condition variable.
-type shardQueue struct {
-	mu     sync.Mutex
-	queued map[taskKey]bool
-	order  [numKinds][]taskKey
-}
-
-// group is one queued task's record: the failure domain its members
-// share, the members, and the spans of the events that queued them, one
-// per distinct trace (untraced tick and sweep work has none and records
-// no span) — the task's span continues the first and links the rest.
-// The other fields are the scratch of the run that claims it; records
-// are pooled, so a steady queue allocates none.
+// group is one queued task's record: its key, the failure domain its
+// members share, the members, and the spans of the events that queued
+// them, one per distinct trace (untraced tick and sweep work has none and
+// records no span) — the task's span continues the first and links the
+// rest. The other fields are the scratch of the run that claims it;
+// records are pooled, so a steady queue allocates none.
 type group struct {
+	key     taskKey
 	domain  orch.FailureDomain
 	members []orch.DeploymentID
 	parents []trace.SpanContext
@@ -286,18 +273,23 @@ type membership struct {
 	attempts int
 }
 
-// Engine is the background optimization engine over the orchestrator,
-// with one queue per shard. It implements orch.EventSink; attach it as
-// (or behind) orch.Hooks.Events (the alvc facade's WithOptimizer does
-// this). Safe for concurrent use.
+// Engine is the background optimization engine over the orchestrator.
+// It implements orch.EventSink; attach it as (or behind)
+// orch.Hooks.Events (the alvc facade's WithOptimizer does this). Safe
+// for concurrent use.
 type Engine struct {
-	o      Target
-	opts   Options
-	queues []*shardQueue
+	o    Target
+	opts Options
 
+	// mu guards the queue and the engine's counters. The queue is one
+	// table: a FIFO lane of task keys per kind, the queued tasks' groups
+	// by key (one per lane entry, so len(groups) is the queue depth), and
+	// each queued member's place.
 	mu      sync.Mutex
 	cond    *sync.Cond
-	depth   int // queued tasks across all shard queues
+	lanes   [numKinds][]taskKey
+	groups  map[taskKey]*group
+	member  map[memberKey]membership
 	paused  bool
 	running int
 	stats   [numKinds]KindStats
@@ -306,27 +298,19 @@ type Engine struct {
 	results   ring.Ring[loggedResult]
 	logView   [][]byte
 	groupPlan GroupPlanStats
-	highWater []int // per-shard queued-task high-water marks
-	shedTotal int   // tasks dropped by the MaxQueueDepth bound
+	highWater int // queued-task high-water mark
+	shedTotal int // tasks dropped by the MaxQueueDepth bound
 	drainObs  func(d time.Duration, tasks int)
 
 	statusView   Status
 	debounceView orch.DebounceStats
-
-	// grpMu guards the membership of the queued tasks: their groups by
-	// key, and each queued member's place. Taken before a queue lock,
-	// never under one or under mu.
-	grpMu  sync.Mutex
-	groups map[taskKey]*group
-	member map[memberKey]membership
 
 	// tracer, when set, makes event-driven tasks record optimizer
 	// spans continuing the originating repair's trace. Guarded by mu.
 	tracer *trace.Tracer
 
 	// sweepMu serializes fleet sweeps (recovery intake, Tick) over the
-	// one reused summary buffer. Taken before the queue and engine locks,
-	// never under them.
+	// one reused summary buffer. Taken before mu, never under it.
 	sweepMu  sync.Mutex
 	sweepBuf []orch.ChainHealth
 
@@ -354,21 +338,15 @@ func New(o Target, opts Options) (*Engine, error) {
 	if o == nil {
 		return nil, fmt.Errorf("optimizer: nil orchestrator")
 	}
-	shards := o.Shards()
 	e := &Engine{
-		o:         o,
-		opts:      opts.withDefaults(),
-		queues:    make([]*shardQueue, shards),
-		highWater: make([]int, shards),
-		groups:    make(map[taskKey]*group),
-		member:    make(map[memberKey]membership),
-		pool:      orch.NewPool(),
-		clock:     orch.WallClock,
+		o:      o,
+		opts:   opts.withDefaults(),
+		groups: make(map[taskKey]*group),
+		member: make(map[memberKey]membership),
+		pool:   orch.NewPool(),
+		clock:  orch.WallClock,
 	}
 	e.results = ring.New[loggedResult](e.opts.ResultLog)
-	for i := range e.queues {
-		e.queues[i] = &shardQueue{queued: make(map[taskKey]bool)}
-	}
 	e.cond = sync.NewCond(&e.mu)
 	return e, nil
 }
@@ -470,32 +448,34 @@ func (e *Engine) join(kind TaskKind, dep orch.DeploymentID, domain orch.FailureD
 		key.dep = dep
 	}
 	mk := memberKey{dep: dep, kind: kind}
-	e.grpMu.Lock()
-	_, dup := e.member[mk]
-	g, open := e.groups[key]
-	if !dup {
-		if !open {
-			g = groupPool.Get().(*group)
-			g.domain = domain
-			e.groups[key] = g
-		}
-		g.members = append(g.members, dep)
-		e.member[mk] = membership{key: key, attempts: attempts}
-		for _, p := range parents {
-			if p.TraceID != "" && !slices.ContainsFunc(g.parents, func(q trace.SpanContext) bool { return q.TraceID == p.TraceID }) {
-				g.parents = append(g.parents, p)
-			}
-		}
-	}
-	e.grpMu.Unlock()
-	if !dup && !open && !e.push(key) {
-		return false // the bound released the group on arrival
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if dup {
+	if _, dup := e.member[mk]; dup {
 		e.stats[kind].Deduped++
 		return false
+	}
+	g, open := e.groups[key]
+	if !open {
+		g = groupPool.Get().(*group)
+		g.key, g.domain = key, domain
+		e.groups[key] = g
+		e.lanes[kind] = append(e.lanes[kind], key)
+		// Shed back under the bound before the high-water mark is read,
+		// so it never exceeds MaxQueueDepth. The victim may be the task
+		// just queued — a full queue of higher-priority work rejects new
+		// cosmetic tasks outright.
+		if e.opts.MaxQueueDepth > 0 && len(e.groups) > e.opts.MaxQueueDepth && e.shedLowest() == key {
+			return false
+		}
+		e.highWater = max(e.highWater, len(e.groups))
+		e.cond.Broadcast()
+	}
+	g.members = append(g.members, dep)
+	e.member[mk] = membership{key: key, attempts: attempts}
+	for _, p := range parents {
+		if p.TraceID != "" && !slices.ContainsFunc(g.parents, func(q trace.SpanContext) bool { return q.TraceID == p.TraceID }) {
+			g.parents = append(g.parents, p)
+		}
 	}
 	if attempts == 0 {
 		e.stats[kind].Enqueued++
@@ -510,18 +490,13 @@ func (e *Engine) join(kind TaskKind, dep orch.DeploymentID, domain orch.FailureD
 	return true
 }
 
-// claim takes a group out of the lane: its record leaves the table and
+// claim takes a queued group out of the table: its record leaves, and
 // its members leave theirs, so an event arriving from here on opens the
 // domain's next group. The members are sorted by ID and their busy
-// retries read into tries, in that order. Nil when every member left
-// while the task was queued.
+// retries read into tries, in that order. The caller holds mu and takes
+// the key out of its lane.
 func (e *Engine) claim(key taskKey) *group {
-	e.grpMu.Lock()
-	defer e.grpMu.Unlock()
 	g := e.groups[key]
-	if g == nil {
-		return nil
-	}
 	delete(e.groups, key)
 	slices.Sort(g.members)
 	for _, id := range g.members {
@@ -532,74 +507,33 @@ func (e *Engine) claim(key taskKey) *group {
 	return g
 }
 
-// push queues a newly opened group's task, shedding back under
-// MaxQueueDepth; false means the bound evicted the task itself.
-func (e *Engine) push(key taskKey) bool {
-	idx := e.o.ShardOf(key.dep)
-	q := e.queues[idx]
-	q.mu.Lock()
-	if q.queued[key] {
-		// A task whose group emptied while it was being queued: it runs
-		// the group just opened.
-		q.mu.Unlock()
-		return true
-	}
-	q.queued[key] = true
-	q.order[key.kind] = append(q.order[key.kind], key)
-	// Shed back under the bound before qlen is read, so the recorded
-	// high-water mark can never exceed MaxQueueDepth. The victim may be
-	// the task just inserted — a full queue of higher-priority work
-	// rejects new cosmetic tasks outright.
-	var victims []taskKey
-	for e.opts.MaxQueueDepth > 0 && len(q.queued) > e.opts.MaxQueueDepth {
-		victims = append(victims, q.shedLowestLocked())
-	}
-	qlen := len(q.queued)
-	q.mu.Unlock()
-	kept := true
-	for _, k := range victims {
-		kept = kept && k != key
-		if g := e.claim(k); g != nil {
-			g.free()
-		}
-	}
-	// The global depth, the high-water marks and the dispatcher wake-up
-	// live under the engine lock, taken after the queue lock is released
-	// — the two are never nested.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.depth += 1 - len(victims)
-	e.shedTotal += len(victims)
-	e.highWater[idx] = max(e.highWater[idx], qlen)
-	e.cond.Broadcast()
-	return kept
-}
-
-// shedLowestLocked evicts the newest task of the lowest-priority
+// shedLowest evicts the newest task of the lowest-priority
 // (highest-kind) non-empty lane — the work whose loss costs least: a
 // shed defrag or re-home regenerates on the next idle tick, and so does
-// a shed group's members, through the tick's refresh sweep. The caller
-// holds q.mu and has queued more tasks than the bound.
-func (q *shardQueue) shedLowestLocked() taskKey {
+// a shed group's members, through the tick's refresh sweep — and
+// returns its key. The caller holds mu and has queued more tasks than
+// the bound.
+func (e *Engine) shedLowest() taskKey {
 	kind := numKinds - 1
-	for len(q.order[kind]) == 0 {
+	for len(e.lanes[kind]) == 0 {
 		kind--
 	}
-	lane := q.order[kind]
+	lane := e.lanes[kind]
 	victim := lane[len(lane)-1]
-	q.order[kind] = lane[:len(lane)-1]
-	delete(q.queued, victim)
+	lane[len(lane)-1] = taskKey{}
+	e.lanes[kind] = lane[:len(lane)-1]
+	e.claim(victim).free()
+	e.shedTotal++
 	return victim
 }
 
 // Cancel drops the deployment's queued work (it was deleted; the work
 // is moot): it leaves every group it waits in, and a group it leaves
-// empty leaves the queue. Tasks already executing observe the deletion
+// empty leaves the queue. Tasks already claimed observe the deletion
 // themselves through the orchestrator's state errors.
 func (e *Engine) Cancel(dep orch.DeploymentID) {
-	var dropped [numKinds]int
-	tasks := 0
-	e.grpMu.Lock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for kind := TaskKind(0); kind < numKinds; kind++ {
 		mk := memberKey{dep: dep, kind: kind}
 		m, ok := e.member[mk]
@@ -607,31 +541,15 @@ func (e *Engine) Cancel(dep orch.DeploymentID) {
 			continue
 		}
 		delete(e.member, mk)
-		dropped[kind]++
+		e.stats[kind].Cancelled++
 		g := e.groups[m.key]
 		if g.members = slices.DeleteFunc(g.members, func(id orch.DeploymentID) bool { return id == dep }); len(g.members) > 0 {
 			continue
 		}
 		delete(e.groups, m.key)
 		g.free()
-		// Under grpMu, so no join opens the key's next group between the
-		// record leaving and its task leaving.
-		q := e.queues[e.o.ShardOf(m.key.dep)]
-		q.mu.Lock()
-		if q.queued[m.key] {
-			delete(q.queued, m.key)
-			q.order[kind] = slices.DeleteFunc(q.order[kind], func(k taskKey) bool { return k == m.key })
-			tasks++
-		}
-		q.mu.Unlock()
+		e.lanes[kind] = slices.DeleteFunc(e.lanes[kind], func(k taskKey) bool { return k == m.key })
 	}
-	e.grpMu.Unlock()
-	e.mu.Lock()
-	e.depth -= tasks
-	for kind, n := range dropped {
-		e.stats[kind].Cancelled += n
-	}
-	e.mu.Unlock()
 }
 
 // Pause stops the background loop from dispatching further tasks;
@@ -651,25 +569,21 @@ func (e *Engine) Resume() {
 	e.cond.Broadcast()
 }
 
-// popBatch removes every queued task, highest priority first (kind
-// order dominates; within a kind, shard order then FIFO).
-func (e *Engine) popBatch() []taskKey {
-	var out []taskKey
-	for kind := TaskKind(0); kind < numKinds; kind++ {
-		for _, q := range e.queues {
-			q.mu.Lock()
-			for _, k := range q.order[kind] {
-				delete(q.queued, k)
-				out = append(out, k)
-			}
-			q.order[kind] = nil
-			q.mu.Unlock()
-		}
+// popBatch claims every queued task, highest priority first (kind
+// order dominates; within a kind, FIFO), and empties the lanes.
+func (e *Engine) popBatch() []*group {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.groups) == 0 {
+		return nil
 	}
-	if len(out) > 0 {
-		e.mu.Lock()
-		e.depth -= len(out)
-		e.mu.Unlock()
+	out := make([]*group, 0, len(e.groups))
+	for kind, lane := range e.lanes {
+		for _, key := range lane {
+			out = append(out, e.claim(key))
+		}
+		clear(lane)
+		e.lanes[kind] = lane[:0]
 	}
 	return out
 }
@@ -719,18 +633,14 @@ func (e *Engine) Drain() []TaskResult {
 			}
 			return out
 		}
-		groups := make([]*group, len(batch))
-		e.pool.Run(len(batch), e.opts.Workers, func(i int) { groups[i] = e.run(batch[i]) })
+		e.pool.Run(len(batch), e.opts.Workers, func(i int) { e.run(batch[i]) })
 		busyOnly := true
-		for i, g := range groups {
-			busyOnly = busyOnly && g != nil && len(g.results) == 0
-			if g == nil {
-				continue
-			}
+		for _, g := range batch {
+			busyOnly = busyOnly && len(g.results) == 0
 			// Busy members rejoin their domain's group, the group's
 			// parents with them: the retry is the same causal operation.
 			for _, r := range g.busy {
-				e.join(batch[i].kind, r.id, g.domain, r.attempts, g.parents...)
+				e.join(g.key.kind, r.id, g.domain, r.attempts, g.parents...)
 			}
 			out = append(out, g.results...)
 			g.free()
@@ -743,16 +653,12 @@ func (e *Engine) Drain() []TaskResult {
 	}
 }
 
-// run executes one task: it claims the group and runs its kind on every
-// member — a re-protect or refresh in one ReProtectGroup call, each
-// member steered off the group's domain — and files one result per
-// member. A busy member goes into g.busy for Drain to rejoin, until its
-// retries run out. Nil when the group emptied while queued.
-func (e *Engine) run(key taskKey) *group {
-	g := e.claim(key)
-	if g == nil {
-		return nil
-	}
+// run executes one claimed task: it runs its kind on every member — a
+// re-protect or refresh in one ReProtectGroup call, each member steered
+// off the group's domain — and files one result per member. A busy
+// member goes into g.busy for Drain to rejoin, until its retries run out.
+func (e *Engine) run(g *group) {
+	key := g.key
 	e.mu.Lock()
 	e.running++
 	e.mu.Unlock()
@@ -873,7 +779,6 @@ func (e *Engine) run(key taskKey) *group {
 		}
 		tr.Record(sc, sp)
 	}
-	return g
 }
 
 // settle files member i's result, classifying its error: a busy member
@@ -914,7 +819,7 @@ func (e *Engine) Start(tickEvery time.Duration) error {
 		defer e.loopWG.Done()
 		for {
 			e.mu.Lock()
-			for (e.paused || e.depth == 0) && !stopped(stop) {
+			for (e.paused || len(e.groups) == 0) && !stopped(stop) {
 				e.cond.Wait()
 			}
 			e.mu.Unlock()
@@ -992,8 +897,6 @@ func (e *Engine) Status() Status {
 	var st Status
 	e.ViewStatus(func(view *Status, _ [][]byte) {
 		st = *view
-		st.ShardDepths = slices.Clone(view.ShardDepths)
-		st.ShardHighWater = slices.Clone(view.ShardHighWater)
 		st.Kinds = maps.Clone(view.Kinds)
 		if view.Debounce != nil {
 			ds := *view.Debounce
@@ -1017,20 +920,9 @@ func (e *Engine) Status() Status {
 // by the next call: fn must not call into the engine, nor keep st, its
 // lists, maps or Debounce, results or the arrays results holds.
 func (e *Engine) ViewStatus(fn func(st *Status, results [][]byte)) {
-	// The depths' array leaves the view while the queue locks are held.
 	e.mu.Lock()
 	src := e.debounceSrc
-	depths := e.statusView.ShardDepths
-	e.statusView.ShardDepths = nil
 	e.mu.Unlock()
-	if len(depths) != len(e.queues) {
-		depths = make([]int, len(e.queues))
-	}
-	for i, q := range e.queues {
-		q.mu.Lock()
-		depths[i] = len(q.queued)
-		q.mu.Unlock()
-	}
 	var ds orch.DebounceStats
 	if src != nil {
 		ds = src.Stats()
@@ -1050,15 +942,14 @@ func (e *Engine) ViewStatus(fn func(st *Status, results [][]byte)) {
 		debounce = &e.debounceView
 	}
 	e.statusView = Status{
-		Paused:         e.paused,
-		QueueDepth:     e.depth,
-		ShardDepths:    depths,
-		ShardHighWater: e.highWater,
-		Running:        e.running,
-		Kinds:          kinds,
-		Shed:           e.shedTotal,
-		GroupPlans:     e.groupPlan,
-		Debounce:       debounce,
+		Paused:     e.paused,
+		QueueDepth: len(e.groups),
+		HighWater:  e.highWater,
+		Running:    e.running,
+		Kinds:      kinds,
+		Shed:       e.shedTotal,
+		GroupPlans: e.groupPlan,
+		Debounce:   debounce,
 	}
 	results := e.logView[:0]
 	for i := range e.results.Len() {

@@ -89,31 +89,28 @@ func TestStormModeCoalescesByDomain(t *testing.T) {
 	}
 }
 
-// TestStormDisabledAndThresholdGate: StormThreshold is ignored — a
-// domain-stamped burst joins its domain's group below the old default
-// threshold and with the old "disabled" value alike.
+// TestStormDisabledAndThresholdGate: no threshold gates grouping — a
+// domain-stamped burst of four joins its domain's group.
 func TestStormDisabledAndThresholdGate(t *testing.T) {
-	for _, threshold := range []int{-1, 64} {
-		o, eng := engineOver(t, wideTopo(t, 8), Options{StormThreshold: threshold})
-		for i := 0; i < 4; i++ {
-			dep := provision(t, o, fmt.Sprintf("chain-%d", i))
-			eng.OrchEvent(orch.Event{
-				Kind: orch.EventRepairCompleted, Deployment: dep.ID,
-				Action: orch.ActionSwapped, Domain: orch.FailureDomain{SRLGs: []int{1}},
-			})
-		}
-		if st := eng.Status(); st.QueueDepth != 1 || st.GroupPlans.Coalesced != 3 {
-			t.Fatalf("threshold %d: queue depth %d, group plans %+v; want the burst in one group", threshold, st.QueueDepth, st.GroupPlans)
-		}
-		if n := len(eng.Drain()); n != 4 {
-			t.Fatalf("threshold %d: drain left %d results, want 4", threshold, n)
-		}
+	o, eng := engineOver(t, wideTopo(t, 8), Options{})
+	for i := 0; i < 4; i++ {
+		dep := provision(t, o, fmt.Sprintf("chain-%d", i))
+		eng.OrchEvent(orch.Event{
+			Kind: orch.EventRepairCompleted, Deployment: dep.ID,
+			Action: orch.ActionSwapped, Domain: orch.FailureDomain{SRLGs: []int{1}},
+		})
+	}
+	if st := eng.Status(); st.QueueDepth != 1 || st.GroupPlans.Coalesced != 3 {
+		t.Fatalf("queue depth %d, group plans %+v; want the burst in one group", st.QueueDepth, st.GroupPlans)
+	}
+	if n := len(eng.Drain()); n != 4 {
+		t.Fatalf("drain left %d results, want 4", n)
 	}
 }
 
 // TestStormGroupMemberDeleteAndHighWater: a deployment deleted while
 // grouped leaves the group (no cancelled-chain re-protect attempts
-// counted as failures), and the per-shard high-water mark records the
+// counted as failures), and the queue's high-water mark records the
 // burst as the one queue entry it is.
 func TestStormGroupMemberDeleteAndHighWater(t *testing.T) {
 	o, eng := engineOver(t, wideTopo(t, 10), Options{})
@@ -142,8 +139,8 @@ func TestStormGroupMemberDeleteAndHighWater(t *testing.T) {
 	if len(results) != 4 || st.Kinds[KindReProtect.String()].Cancelled != 1 {
 		t.Fatalf("%d results, kinds %+v: want 4 members run and 1 cancelled", len(results), st.Kinds)
 	}
-	if len(st.ShardHighWater) != 1 || st.ShardHighWater[0] != 1 {
-		t.Fatalf("shard high-water = %v, want the burst as one queued task", st.ShardHighWater)
+	if st.HighWater != 1 {
+		t.Fatalf("queue high-water = %d, want the burst as one queued task", st.HighWater)
 	}
 }
 

@@ -57,7 +57,7 @@ func TestWarmWorkersStartNoGoroutines(t *testing.T) {
 	s, _, deps := healthyFleet(t, 2, 12, 3)
 	before := runtime.NumGoroutine()
 	target := &goroutineSampler{Sharded: s}
-	eng, err := New(target, Options{Workers: 4, StormThreshold: 1})
+	eng, err := New(target, Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -120,7 +120,7 @@ func (n *nestingTarget) ReProtectGroup(buf []orch.GroupOutcome, domain orch.Fail
 func TestConcurrentDrainsProtectEveryChain(t *testing.T) {
 	s, topo, deps := healthyFleet(t, 2, 12, 4)
 	target := &nestingTarget{Sharded: s}
-	eng, err := New(target, Options{Workers: 4, StormThreshold: 1})
+	eng, err := New(target, Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

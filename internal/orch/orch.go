@@ -159,12 +159,7 @@ func (d *Deployment) FlowKey() string {
 // Config wires an orchestrator.
 type Config struct {
 	Topo *topology.Topology
-	// Allocator, when non-nil, is shared with the caller so cluster
-	// construction outside the orchestrator and chain provisioning see
-	// the same OPS ownership (the one-OPS-one-AL rule spans both).
-	Allocator *cluster.Allocator
 	// Builder constructs ALs (defaults to the paper's algorithm).
-	// Ignored when Allocator is set.
 	Builder cluster.Builder
 	// Policy places VNFs (defaults to the paper's optical-first).
 	Policy placement.Policy

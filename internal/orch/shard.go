@@ -126,17 +126,12 @@ type Sharded struct {
 // New builds the orchestrator: n shards (n < 1 is treated as 1) over
 // one shared core, partitioning the topology's OPSs round-robin (in ID
 // order) into n disjoint allocator pools; one shard owns the whole pool.
-// Config.Allocator cannot be combined with n > 1 — a caller-shared
-// allocator would reintroduce exactly the global lock sharding removes.
 func New(cfg Config, n int, mode ShardMode) (*Sharded, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("orch: nil topology")
 	}
 	if n < 1 {
 		n = 1
-	}
-	if cfg.Allocator != nil && n > 1 {
-		return nil, fmt.Errorf("orch: a shared Allocator requires shards=1")
 	}
 	opss := cfg.Topo.NodeIDs(topology.KindOPS)
 	if n > 1 && len(opss) < n {
@@ -157,21 +152,17 @@ func New(cfg Config, n int, mode ShardMode) (*Sharded, error) {
 		shards: make([]*Orchestrator, n),
 	}
 	for i := 0; i < n; i++ {
-		alloc := cfg.Allocator
-		if alloc == nil {
-			var pool []topology.NodeID
-			if n > 1 {
-				// Round-robin over the ID-sorted OPS list: pool sizes
-				// differ by at most one and stay deterministic across
-				// runs.
-				for j := i; j < len(opss); j += n {
-					pool = append(pool, opss[j])
-				}
+		var pool []topology.NodeID
+		if n > 1 {
+			// Round-robin over the ID-sorted OPS list: pool sizes differ
+			// by at most one and stay deterministic across runs.
+			for j := i; j < len(opss); j += n {
+				pool = append(pool, opss[j])
 			}
-			alloc, err = cluster.NewRestrictedAllocator(cfg.Topo, builder, pool)
-			if err != nil {
-				return nil, fmt.Errorf("orch: shard %d: %w", i, err)
-			}
+		}
+		alloc, err := cluster.NewRestrictedAllocator(cfg.Topo, builder, pool)
+		if err != nil {
+			return nil, fmt.Errorf("orch: shard %d: %w", i, err)
 		}
 		ctrl, err := sdn.NewController(cfg.Topo)
 		if err != nil {

@@ -24,7 +24,7 @@ func stormArch(t *testing.T, chains int) *alvc.Architecture {
 	cfg.Services = []string{"web"}
 	cfg.PMCapacity = topology.Resources{CPUCores: 1 << 20, MemoryGB: 1 << 20, StorageGB: 1 << 20}
 	arch, err := alvc.New(cfg, alvc.WithShards(4), alvc.WithBatchWorkers(1),
-		alvc.WithOptimizer(alvc.OptimizerOptions{StormThreshold: 4}), alvc.WithFailureDebounce(time.Hour))
+		alvc.WithOptimizer(alvc.OptimizerOptions{}), alvc.WithFailureDebounce(time.Hour))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -238,12 +238,7 @@ func writeOptimizerStatus(w http.ResponseWriter, eng statusView) {
 func appendOptimizerStatus(b []byte, st *alvc.OptimizerStatus, results [][]byte) []byte {
 	b = strconv.AppendBool(append(b, `{"paused":`...), st.Paused)
 	b = strconv.AppendInt(append(b, `,"queue_depth":`...), int64(st.QueueDepth), 10)
-	if len(st.ShardDepths) > 0 {
-		b = jsonwrite.Ints(append(b, `,"shard_depths":`...), st.ShardDepths)
-	}
-	if len(st.ShardHighWater) > 0 {
-		b = jsonwrite.Ints(append(b, `,"shard_high_water":`...), st.ShardHighWater)
-	}
+	b = strconv.AppendInt(append(b, `,"queue_high_water":`...), int64(st.HighWater), 10)
 	b = strconv.AppendInt(append(b, `,"running":`...), int64(st.Running), 10)
 	b = append(b, `,"kinds":`...)
 	if st.Kinds == nil {

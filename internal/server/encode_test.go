@@ -342,12 +342,7 @@ func craftDrain(detail, errMsg string, shape uint32, at time.Time) ([]alvc.Optim
 		Paused: shape&1 == 1, QueueDepth: int(shape >> 3 & 31), Running: int(shape >> 8 & 3), Shed: int(shape >> 10 & 63),
 		GroupPlans: alvc.GroupPlanStats{Groups: int(shape >> 16 & 15), Coalesced: 54, Planned: 55, Fallbacks: int(shape >> 20 & 31)},
 	}
-	switch pick() {
-	case 1:
-		st.ShardDepths, st.ShardHighWater = []int{}, []int{}
-	case 2, 3:
-		st.ShardDepths, st.ShardHighWater = []int{0, 3, 1, 0}, []int{9, 64, 2, 0}
-	}
+	st.HighWater = int(pick()) * 32
 	switch pick() {
 	case 1:
 		st.Kinds = map[string]optimizer.KindStats{}
@@ -422,7 +417,7 @@ func checkEngineView(t *testing.T, what string, eng *alvc.Optimizer) {
 // specially.
 func TestOptimizerBodiesEqualEncodingJSON(t *testing.T) {
 	_, arch := newTestServerWith(t, wideConfig(24),
-		alvc.WithOptimizer(alvc.OptimizerOptions{StormThreshold: 1}), alvc.WithFailureDebounce(time.Hour))
+		alvc.WithOptimizer(alvc.OptimizerOptions{}), alvc.WithFailureDebounce(time.Hour))
 	eng := arch.Optimizer()
 	eng.Pause()
 	results := eng.Drain()

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 
@@ -171,7 +170,7 @@ func TestOptimizerRunReprotectsOverHTTP(t *testing.T) {
 // the per-shard queue high-water marks are visible over the wire.
 func TestStormAndDebounceObservabilityOverHTTP(t *testing.T) {
 	ts, arch := newTestServerWith(t, wideConfig(24),
-		alvc.WithOptimizer(alvc.OptimizerOptions{StormThreshold: 1}),
+		alvc.WithOptimizer(alvc.OptimizerOptions{}),
 		alvc.WithFailureDebounce(time.Hour))
 
 	var hosts []alvc.NodeID
@@ -202,13 +201,7 @@ func TestStormAndDebounceObservabilityOverHTTP(t *testing.T) {
 		t.Fatalf("group plans over HTTP = %+v, queue depth %d; want one queued group of three", st.GroupPlans, st.QueueDepth)
 	}
 
-	peak := 0.0
-	for series, hw := range scrapeSeries(t, ts.URL) {
-		if strings.HasPrefix(series, "alvc_optimizer_queue_high_water{") {
-			peak = max(peak, hw)
-		}
-	}
-	if peak < 2 {
+	if peak := scrapeSeries(t, ts.URL)["alvc_optimizer_queue_high_water"]; peak < 2 {
 		t.Fatalf("optimizer queue high-water on /metrics = %v, want a recorded spike", peak)
 	}
 

@@ -281,7 +281,7 @@ func TestShardStatIsServed(t *testing.T) {
 		}
 	}
 	for _, s := range samples {
-		if _, perShard := s.labels["shard"]; perShard && readBy[s.key] == "" && !strings.HasPrefix(s.name, "alvc_optimizer_queue_") {
+		if _, perShard := s.labels["shard"]; perShard && readBy[s.key] == "" {
 			t.Errorf("per-shard series %s reads no ShardStat field", s.key)
 		}
 	}
@@ -361,6 +361,12 @@ func TestCardinalityBudget(t *testing.T) {
 			t.Errorf("%s has %d series, budget %d", family, len(sets), budget)
 		}
 		total += len(sets)
+	}
+	// The optimizer has one queue, whatever the shard count.
+	for _, family := range []string{"alvc_optimizer_queue_depth", "alvc_optimizer_queue_high_water"} {
+		if n := len(series[family]); n != 1 {
+			t.Errorf("%s has %d series, want the engine's one", family, n)
+		}
 	}
 	t.Logf("%d series in %d families; budget %d per-shard × %d + %d fixed = %d", total, len(series), perShard, shards, fixed, perShard*shards+fixed)
 	if total > perShard*shards+fixed {

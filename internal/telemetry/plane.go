@@ -132,7 +132,6 @@ func (s eventCounterSink) OrchEvent(ev orch.Event) {
 type scrapeState struct {
 	shards    []alvc.ShardStat
 	optimizer alvc.OptimizerStatus // zero without an optimizer
-	optimized bool                 // an optimizer is attached
 	debounce  alvc.DebounceStats   // zero without a debouncer
 	trace     trace.Stats          // zero with tracing disabled
 	occupancy []float64            // λ occupancy ratio per lit optical link
@@ -146,7 +145,7 @@ type scrapeState struct {
 func (p *Plane) refresh() {
 	s, arch := &p.scrape, p.arch
 	s.shards = arch.Sharded().ShardStats()
-	s.optimizer, s.optimized = arch.OptimizerStatus()
+	s.optimizer, _ = arch.OptimizerStatus()
 	s.debounce, _ = arch.FailureDebounceStats()
 	s.trace = trace.Stats{}
 	if st := arch.TraceStore(); st != nil {
@@ -259,25 +258,12 @@ func (p *Plane) registerOrch() {
 // zeros when no optimizer is attached.
 func (p *Plane) registerOptimizer() {
 	sc := &p.scrape
-	// perQueue reports one value per optimizer shard queue, and a zero
-	// for shard 0 without an optimizer.
-	perQueue := func(values func() []int) func(Sink) {
-		return func(s Sink) {
-			if !sc.optimized {
-				s.Add(0, "0")
-				return
-			}
-			for i, d := range values() {
-				s.Add(float64(d), strconv.Itoa(i))
-			}
-		}
-	}
 	p.reg.GaugeSink("alvc_optimizer_queue_depth",
-		"Queued maintenance tasks per optimizer shard queue.",
-		[]string{"shard"}, perQueue(func() []int { return sc.optimizer.ShardDepths }))
+		"Queued optimizer maintenance tasks.",
+		nil, one(func() float64 { return float64(sc.optimizer.QueueDepth) }))
 	p.reg.GaugeSink("alvc_optimizer_queue_high_water",
-		"Per-shard optimizer queue high-water mark since start.",
-		[]string{"shard"}, perQueue(func() []int { return sc.optimizer.ShardHighWater }))
+		"Optimizer queue high-water mark since start.",
+		nil, one(func() float64 { return float64(sc.optimizer.HighWater) }))
 	p.reg.CounterSink("alvc_optimizer_tasks_total",
 		"Optimizer task lifecycle counts by kind and outcome.",
 		[]string{"kind", "outcome"}, func(s Sink) {
