@@ -736,3 +736,64 @@ func TestContractStormRevisit(t *testing.T) {
 		t.Errorf("standbys differ on the revisit:\n%v\n%v", first.standbys, third.standbys)
 	}
 }
+
+// TestContractVMChurnRebuildsNoRoute: a VM is no vertex of the routing
+// graph, so VM churn — a VM added, migrated and another removed,
+// straight on the topology — rebuilds no route. The next provision and a
+// re-plan of an unchanged chain's standby both run on the snapshot the
+// fleet was provisioned on (0 graph builds), and the re-plan answers
+// every leg from the memo the fleet warmed (0 misses). The VM added for
+// the service is offered to the service's next provision: the live-VM
+// index follows the topology's generation, and nothing invalidates it by
+// hand.
+func TestContractVMChurnRebuildsNoRoute(t *testing.T) {
+	const chains = 12
+	arch := fleet(t, chains, false)
+	topo := arch.Topology()
+	misses := func() (n int64) {
+		for _, st := range arch.Sharded().ShardStats() {
+			n += st.CandidateCacheMisses
+		}
+		return n
+	}
+	unchanged := arch.Deployments()[0]
+	if unchanged.Standby == nil {
+		t.Fatalf("chain %d is unprotected: nothing to re-plan", unchanged.ID)
+	}
+	pms, vms := topo.NodeIDs(topology.KindPhysicalMachine), topo.NodeIDs(topology.KindVM)
+	builds := topo.GraphBuilds()
+
+	added, err := topo.AddVM(pms[0], "web")
+	if err != nil {
+		t.Fatalf("AddVM: %v", err)
+	}
+	if err := topo.MigrateVM(added, pms[len(pms)-1]); err != nil {
+		t.Fatalf("MigrateVM: %v", err)
+	}
+	// vms[1] ends no chain: every chain runs from the first web VM to the last.
+	if err := topo.RemoveVM(vms[1]); err != nil {
+		t.Fatalf("RemoveVM: %v", err)
+	}
+
+	dep, err := arch.Deploy(ctx, fleetSpecs(t, chains+1)[chains])
+	if err != nil {
+		t.Fatalf("provision after churn: %v", err)
+	}
+	if n := len(dep.Path); dep.Path[n-1] != added || dep.Path[n-2] != pms[len(pms)-1] {
+		t.Errorf("the provision after churn runs %v; want it to end at the added VM %d via its new host %d", dep.Path, added, pms[len(pms)-1])
+	}
+	before := misses()
+	out := arch.Sharded().ReProtectGroup(nil, orch.FailureDomain{}, []alvc.DeploymentID{unchanged.ID})
+	if len(out) != 1 || out[0].Err != nil || !out[0].Replanned {
+		t.Fatalf("re-plan of chain %d: %+v; want one re-planned outcome", unchanged.ID, out)
+	}
+	if got := misses() - before; got != 0 {
+		t.Errorf("the re-plan after churn missed the memo %d times, want 0", got)
+	}
+	if got := out[0].Standby.Path; fmt.Sprint(got) != fmt.Sprint(unchanged.Standby.Path) {
+		t.Errorf("the re-planned standby %v differs from the chain's %v", got, unchanged.Standby.Path)
+	}
+	if got := topo.GraphBuilds() - builds; got != 0 {
+		t.Errorf("VM churn, a provision and a re-plan built the routing graph %d times, want 0", got)
+	}
+}

@@ -179,22 +179,6 @@ func (f *Frozen) at(v VertexID) int32 {
 	return i
 }
 
-// SoleArc returns the position of u's arc to v (dense indices) when
-// that is u's only arc: the one path between the two is then that arc.
-func (f *Frozen) SoleArc(u, v int32) (int32, bool) {
-	if lo := f.offsets[u]; f.offsets[u+1]-lo == 1 && f.targets[lo] == v {
-		return lo, true
-	}
-	return 0, false
-}
-
-// ArcsOf returns the arcs leaving the vertex with dense index u: their
-// targets' dense indices, and the CSR position of the first, the others
-// following it. The caller must not modify the returned slice.
-func (f *Frozen) ArcsOf(u int32) (first int32, targets []int32) {
-	return f.offsets[u], f.targets[f.offsets[u]:f.offsets[u+1]]
-}
-
 // ArcTags returns the caller tag of every CSR arc position (parallel to
 // the internal targets array), or nil if every tag was 0. The caller
 // must not modify the returned slice.

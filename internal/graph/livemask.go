@@ -78,13 +78,6 @@ func (m *LiveMask) flipLocked(element uint64) {
 	m.digest.Store(m.digest.Load() ^ Mix64(element))
 }
 
-// VertexDown reports whether the dense vertex index is masked.
-func (m *LiveMask) VertexDown(idx int32) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return int(idx) < len(m.downVertex) && m.downVertex[idx]
-}
-
 // Digest returns the content digest of what the mask holds down, read
 // without a lock. A search reports the digest it read under its read
 // lock — the state it actually ran under — while a caller looking up an

@@ -12,10 +12,9 @@ import (
 
 // mapFill is the routing snapshot's graph as it was built before the
 // snapshot read the topology tables directly: a map graph of every
-// non-VM node, every link between two of them weighing its latency and
-// tagged with its ID, and, with VMs, each VM that has a host tied to it
-// by a 0.1 edge tagged 0 — frozen by Graph.Frozen.
-func mapFill(topo *topology.Topology, includeVMs bool) *graph.Frozen {
+// non-VM node and every link between two of them weighing its latency
+// and tagged with its ID — frozen by Graph.Frozen.
+func mapFill(topo *topology.Topology) *graph.Frozen {
 	g := graph.New(false)
 	for _, n := range topo.Nodes() {
 		if n.Kind != topology.KindVM {
@@ -29,29 +28,16 @@ func mapFill(topo *topology.Topology, includeVMs bool) *graph.Frozen {
 		}
 		_ = g.AddEdgeTagged(graph.VertexID(l.From), graph.VertexID(l.To), l.LatencyMicros, int64(l.ID))
 	}
-	if includeVMs {
-		for _, n := range topo.Nodes(topology.KindVM) {
-			if topo.Node(n.Host) != nil {
-				_ = g.AddEdgeTagged(graph.VertexID(n.ID), graph.VertexID(n.Host), 0.1, 0)
-			}
-		}
-	}
 	return g.Frozen()
 }
 
 // liveDigest is the digest a liveness overlay over f must hold for the
-// topology's state: every vertex that is down, or a VM whose host is,
-// and both arcs of every down link (graph.LiveMask's element encoding).
+// topology's state: every vertex that is down, and both arcs of every
+// down link (graph.LiveMask's element encoding).
 func liveDigest(topo *topology.Topology, f *graph.Frozen) uint64 {
 	var d uint64
 	for i, id := range f.Vertices() {
-		n := topo.Node(topology.NodeID(id))
-		down := n.Down
-		if n.Kind == topology.KindVM {
-			h := topo.Node(n.Host)
-			down = down || h == nil || h.Down
-		}
-		if down {
+		if topo.Node(topology.NodeID(id)).Down {
 			d ^= graph.Mix64(uint64(i) << 1)
 		}
 	}
@@ -129,44 +115,38 @@ func goldenTopology(t *testing.T, seed int64) *topology.Topology {
 // TestSnapshotCSREqualsMapFill: on seeded topologies, a cold routing
 // snapshot built from the tables holds exactly the CSR — ids, offsets,
 // targets, weights and tags — of the map graph the snapshot used to
-// fill and freeze, with and without VMs, and its liveness overlay holds
-// the topology's down state, as built and after PMs — whose VMs follow
-// them — go down and come back.
+// fill and freeze, and its liveness overlay holds the topology's down
+// state, as built and after PMs go down and come back.
 func TestSnapshotCSREqualsMapFill(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		topo := goldenTopology(t, seed)
-		for _, vms := range []bool{false, true} {
-			name := fmt.Sprintf("seed %d IncludeVMs %v", seed, vms)
-			snap := topo.RoutingSnapshot(topology.GraphOptions{IncludeVMs: vms})
-			got, want := snap.Graph(), mapFill(topo, vms)
-			gIDs, gOff, gTgt, gW, gTags := got.CSR()
-			wIDs, wOff, wTgt, wW, wTags := want.CSR()
-			for _, c := range []struct {
-				what      string
-				got, want any
-			}{{"ids", gIDs, wIDs}, {"offsets", gOff, wOff}, {"targets", gTgt, wTgt}, {"weights", gW, wW}, {"tags", gTags, wTags}} {
-				if !reflect.DeepEqual(c.got, c.want) {
-					t.Fatalf("%s: %s\n got %v\nwant %v", name, c.what, c.got, c.want)
-				}
-			}
-			if got.EdgeCount() != want.EdgeCount() {
-				t.Fatalf("%s: %d edges, map fill %d", name, got.EdgeCount(), want.EdgeCount())
-			}
-			if d, w := snap.LiveDigest(), liveDigest(topo, want); d != w {
-				t.Fatalf("%s: LiveDigest %#x, topology's down state %#x", name, d, w)
+		name := fmt.Sprintf("seed %d", seed)
+		snap := topo.RoutingSnapshot()
+		got, want := snap.Graph(), mapFill(topo)
+		gIDs, gOff, gTgt, gW, gTags := got.CSR()
+		wIDs, wOff, wTgt, wW, wTags := want.CSR()
+		for _, c := range []struct {
+			what      string
+			got, want any
+		}{{"ids", gIDs, wIDs}, {"offsets", gOff, wOff}, {"targets", gTgt, wTgt}, {"weights", gW, wW}, {"tags", gTags, wTags}} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Fatalf("%s: %s\n got %v\nwant %v", name, c.what, c.got, c.want)
 			}
 		}
-		// Liveness patches land on both cached snapshots in place.
+		if got.EdgeCount() != want.EdgeCount() {
+			t.Fatalf("%s: %d edges, map fill %d", name, got.EdgeCount(), want.EdgeCount())
+		}
+		if d, w := snap.LiveDigest(), liveDigest(topo, want); d != w {
+			t.Fatalf("%s: LiveDigest %#x, topology's down state %#x", name, d, w)
+		}
+		// Liveness patches land on the cached snapshot in place.
 		pms := topo.NodeIDs(topology.KindPhysicalMachine)
 		for _, down := range []bool{true, false} {
 			if err := topo.SetDown(topology.NewFailures(pms[:2], nil), down); err != nil {
 				t.Fatal(err)
 			}
-			for _, vms := range []bool{false, true} {
-				snap := topo.RoutingSnapshot(topology.GraphOptions{IncludeVMs: vms})
-				if d, w := snap.LiveDigest(), liveDigest(topo, snap.Graph()); d != w {
-					t.Fatalf("seed %d IncludeVMs %v, PMs down %v: LiveDigest %#x, topology's down state %#x", seed, vms, down, d, w)
-				}
+			if d, w := snap.LiveDigest(), liveDigest(topo, snap.Graph()); d != w {
+				t.Fatalf("%s, PMs down %v: LiveDigest %#x, topology's down state %#x", name, down, d, w)
 			}
 		}
 	}

@@ -92,6 +92,10 @@ func (k TaskKind) String() string {
 	}
 }
 
+// busyRetries is how many times a member that finds its deployment busy
+// is requeued before it is dropped as skipped.
+const busyRetries = 20
+
 // Options tunes an Engine.
 type Options struct {
 	// Workers bounds how many tasks execute concurrently (default 4):
@@ -103,9 +107,6 @@ type Options struct {
 	// current one by at least this many O/E/O conversions before a
 	// re-home migrates anything (default 1; values below 1 are clamped).
 	RehomeMargin int
-	// BusyRetries is how many times a member that finds its deployment
-	// busy is requeued before it is dropped as skipped (default 20).
-	BusyRetries int
 	// ResultLog is how many recent task results Status retains
 	// (default 32).
 	ResultLog int
@@ -128,9 +129,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RehomeMargin < 1 {
 		o.RehomeMargin = 1
-	}
-	if o.BusyRetries <= 0 {
-		o.BusyRetries = 20
 	}
 	if o.ResultLog <= 0 {
 		o.ResultLog = 32
@@ -786,7 +784,7 @@ func (e *Engine) run(g *group) {
 func (e *Engine) settle(g *group, i int, res TaskResult, err error) {
 	switch {
 	case err == nil:
-	case errors.Is(err, orch.ErrBusy) && g.tries[i] < e.opts.BusyRetries:
+	case errors.Is(err, orch.ErrBusy) && g.tries[i] < busyRetries:
 		g.busy = append(g.busy, retry{id: res.Deployment, attempts: g.tries[i] + 1})
 		return
 	case errors.Is(err, orch.ErrBusy):

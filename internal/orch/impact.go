@@ -39,18 +39,19 @@ func (o *Orchestrator) Impact(f topology.Failures) []ImpactEntry {
 		if !ok || dep.State != StateActive {
 			continue
 		}
+		h := hitsOf(dep, f)
 		// Appended in sorted order.
 		var roles []string
-		if anyIn(dep.Placement.Hosts, nodes) {
+		if h.host {
 			roles = append(roles, "host")
 		}
-		if anyIn(dep.Path, nodes) || anyIn(dep.primaryLinks, links) {
+		if h.path {
 			roles = append(roles, "path")
 		}
-		if dep.Slice != nil && anyIn(dep.Slice.OPSs, nodes) {
+		if h.slice {
 			roles = append(roles, "slice")
 		}
-		if dep.Standby != nil && (anyIn(dep.Standby.Path, nodes) || anyIn(dep.Standby.Links, links)) {
+		if h.standby {
 			roles = append(roles, "standby")
 		}
 		if len(roles) == 0 {
@@ -59,6 +60,25 @@ func (o *Orchestrator) Impact(f topology.Failures) []ImpactEntry {
 		out = append(out, ImpactEntry{ID: id, Roles: roles})
 	}
 	return out
+}
+
+// footprintHits says which parts of a deployment's footprint a failure
+// set touches: its VNF hosts, its primary path (nodes or links), its
+// slice's OPSs, its standby (nodes or links). Impact renders it as
+// roles; the reconciler picks its repair by it.
+type footprintHits struct {
+	host, path, slice, standby bool
+}
+
+// hitsOf classifies f against dep's footprint. Caller holds o.mu.
+func hitsOf(dep *Deployment, f topology.Failures) footprintHits {
+	nodes, links := f.Nodes(), f.Links()
+	return footprintHits{
+		host:    anyIn(dep.Placement.Hosts, nodes),
+		path:    anyIn(dep.Path, nodes) || anyIn(dep.primaryLinks, links),
+		slice:   dep.Slice != nil && anyIn(dep.Slice.OPSs, nodes),
+		standby: dep.Standby != nil && (anyIn(dep.Standby.Path, nodes) || anyIn(dep.Standby.Links, links)),
+	}
 }
 
 // union merges two ascending ID lists, each ID once. With one list

@@ -94,7 +94,7 @@ func (o *Orchestrator) rehomeClaimed(dep *Deployment, margin int) (moved, rebuil
 	o.mu.Unlock()
 
 	opticalHosts := o.appendOptoelectronic(nil, dep.VC.AL.OPSs)
-	electronicHosts := o.appendPMs(nil, o.liveVMs(dep.Spec.Service))
+	electronicHosts := o.appendPMs(nil, o.topo.LiveVMs(dep.Spec.Service))
 	ctx, err := placement.NewContext(o.topo, o.mgr.Ledger(), opticalHosts, electronicHosts, profiles, o.mode)
 	if err != nil {
 		return false, false, fmt.Errorf("orch: rehome %d: %w", id, err)

@@ -221,11 +221,6 @@ type sharedCore struct {
 	// load it once per operation, Sharded.UpdateHooks replaces it.
 	hooks atomic.Pointer[Hooks]
 
-	// vmIdx caches the live VMs offering each service (see liveVMs).
-	// Shared: liveness transitions invalidate it for every shard at
-	// once.
-	vmIdx vmIndex
-
 	// batchSeq numbers HandleFailures batches that hit no shared-risk
 	// group, giving their repair events a unique failure domain
 	// (failureDomain). Shared so sharded fleets number globally.
@@ -358,17 +353,6 @@ type Orchestrator struct {
 	standbyFallbacks atomic.Int64
 }
 
-// vmIndex caches the liveness-filtered service → VM grouping so the
-// provisioning pipeline does not rebuild the full VM-by-service map (a
-// scan of every topology node) on every chain build. Node liveness
-// transitions (HandleFailures, Recover) invalidate it wholesale;
-// the next build re-derives it once.
-type vmIndex struct {
-	mu        sync.Mutex
-	valid     bool
-	byService map[string][]topology.NodeID
-}
-
 // newShard assembles one orchestrator shard over an existing core.
 // shard is 0-based; stride is the total shard count. The first ID a
 // shard issues is shard+1, then it advances by stride, so shard ID
@@ -387,48 +371,6 @@ func newShard(core *sharedCore, alloc *cluster.Allocator, ctrl *sdn.Controller, 
 		owed:        make(map[DeploymentID]*Deployment),
 		tombs:       ring.New[Tombstone](TombstoneRing),
 	}
-}
-
-// liveVMs returns the live VMs (VM up, host PM up, and at least one
-// live ToR uplink — a rack event that strands a machine makes its VMs
-// unusable for clustering and routing alike) offering the given
-// service, sorted by node ID, from the cached service index. Callers
-// must hold topoMu (either side) and must not mutate the returned
-// slice.
-func (o *Orchestrator) liveVMs(service string) []topology.NodeID {
-	o.vmIdx.mu.Lock()
-	defer o.vmIdx.mu.Unlock()
-	if !o.vmIdx.valid {
-		idx := make(map[string][]topology.NodeID)
-		// VMsByService iterates nodes in ID order, so each cached group
-		// is already sorted.
-		for svc, vms := range o.topo.VMsByService() {
-			live := make([]topology.NodeID, 0, len(vms))
-			for _, vm := range vms {
-				n := o.topo.Node(vm)
-				host := o.topo.Node(n.Host)
-				if !n.Down && host != nil && !host.Down &&
-					len(o.topo.ToRsOfPM(n.Host)) > 0 {
-					live = append(live, vm)
-				}
-			}
-			idx[svc] = live
-		}
-		o.vmIdx.byService = idx
-		o.vmIdx.valid = true
-	}
-	return o.vmIdx.byService[service]
-}
-
-// InvalidateVMCache drops the cached service → live-VM index. The
-// orchestrator invalidates it on its own liveness transitions
-// (HandleFailures, Recover); callers that mutate the
-// shared topology directly (VM churn) must call this themselves, on
-// any shard: the index is the core's.
-func (c *sharedCore) InvalidateVMCache() {
-	c.vmIdx.mu.Lock()
-	c.vmIdx.valid = false
-	c.vmIdx.mu.Unlock()
 }
 
 // beginExclusive claims the deployment for an exclusive operation. The
@@ -627,10 +569,10 @@ func (o *Orchestrator) rebuild(ctx context.Context, dep *Deployment) error {
 	if err == nil {
 		defer b.release()
 		b.attachTrace(ctx)
-		// With a background optimizer attached, even a full rebuild
-		// leaves standby planning to the async re-protect task — no
-		// standby search on the recovery path.
-		b.deferStandby = o.deferReprotect
+		// A rebuilt chain is drifted, and with a background optimizer
+		// attached a drifted pipeline leaves standby planning to the
+		// async re-protect task (runStandby) — no standby search on the
+		// recovery path.
 		b.drifted = true
 		err = b.runFrom(stageCluster)
 	}

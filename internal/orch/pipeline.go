@@ -115,10 +115,6 @@ type pipeline struct {
 	// connectivity stages must swap the previous generation of
 	// wavelength and rules instead of plainly installing.
 	reentry bool
-	// deferStandby forces the standby stage to skip planning even on a
-	// fresh (non-reentrant) pipeline — set by rebuild when a background
-	// optimizer owns re-protection, so no repair path plans inline.
-	deferStandby bool
 	// graced marks an in-flight two-λ wavelength move; the old channel
 	// is released by commitWDM after the caller commits the pipeline
 	// outcome, or restored by the undo chain on rollback.
@@ -209,7 +205,7 @@ func (p *pipeline) attachTrace(ctx context.Context) {
 // newPipeline resolves the spec (live VMs, NF profiles with demand
 // overrides) and returns a pipeline ready to run from stageCluster.
 func (o *Orchestrator) newPipeline(spec chain.Spec, flowKey string) (*pipeline, error) {
-	vms := o.liveVMs(spec.Service)
+	vms := o.topo.LiveVMs(spec.Service)
 	if len(vms) == 0 {
 		return nil, fmt.Errorf("no live VMs offer service %q", spec.Service)
 	}
@@ -477,13 +473,14 @@ func (p *pipeline) appendStandbyStops(buf []topology.NodeID) []topology.NodeID {
 // planning failure never fails the build, and the stage registers no
 // undo (the record is pure data).
 //
-// With a background optimizer attached, repair re-runs (and rebuilds,
-// via deferStandby) skip planning entirely: the chain is reported
-// repaired-but-unprotected and the optimizer's re-protect task plans
-// off the recovery hot path. Provision-time planning is
-// unaffected — a fresh chain is still born protected.
+// With a background optimizer attached, only a provision plans its
+// standby inline: repair re-runs (reentry) and rebuilds (a fresh
+// pipeline that is drifted, which a provision never is) skip planning
+// entirely, so the chain is reported repaired-but-unprotected and the
+// optimizer's re-protect task plans off the recovery hot path. A fresh
+// chain is still born protected.
 func (p *pipeline) runStandby() error {
-	if p.deferStandby || (p.reentry && p.o.deferReprotect) {
+	if p.o.deferReprotect && (p.reentry || p.drifted) {
 		p.standby = nil
 		return nil
 	}

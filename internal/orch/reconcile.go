@@ -117,10 +117,6 @@ func (c *sharedCore) markFailuresDown(f topology.Failures) (resilience.FailureSe
 	if err := c.topo.SetDown(f, true); err != nil {
 		return resilience.FailureSet{}, fmt.Errorf("orch: failure: %w", err)
 	}
-	// Inside the write lock: a provision acquiring topoMu.RLock after
-	// this point must not see the stale live-VM cache. Link failures
-	// invalidate it too — a dead PM↔ToR link strands that PM's VMs.
-	c.InvalidateVMCache()
 	// Shared-risk groups of the dead links, collected while the
 	// topology is still quiescent: standbys crossing a same-group
 	// survivor are suspect and get replanned rather than swapped onto.
@@ -284,16 +280,12 @@ func (o *Orchestrator) repairAround(ctx context.Context, id DeploymentID, dead r
 	// must still find it — and every commit point swaps the index
 	// entries atomically with the fields.
 	o.mu.Lock()
-	nodes, links := dead.Nodes(), dead.Links()
-	sliceHit := dep.Slice != nil && anyIn(dep.Slice.OPSs, nodes)
-	hostHit := anyIn(dep.Placement.Hosts, nodes)
-	pathHit := anyIn(dep.Path, nodes) || anyIn(dep.primaryLinks, links)
+	hit := hitsOf(dep, dead.Failures)
 	// A standby sharing a risk group with a dead link is suspect even
 	// when its own resources survived: it is treated as hit (replanned)
 	// and never swapped onto — "disjoint" must mean survivable.
 	standbySuspect := dep.Standby != nil && dead.HitsAnySRLG(dep.Standby.SRLGs)
-	standbyHit := dep.Standby != nil &&
-		(standbySuspect || anyIn(dep.Standby.Path, nodes) || anyIn(dep.Standby.Links, links))
+	hit.standby = hit.standby || standbySuspect
 	standbyAlive := dep.Standby != nil && !standbySuspect &&
 		resilience.PathAlive(o.topo, dep.Standby.Path)
 	o.mu.Unlock()
@@ -301,13 +293,13 @@ func (o *Orchestrator) repairAround(ctx context.Context, id DeploymentID, dead r
 	var action RepairAction
 	var patchErr error
 	switch {
-	case sliceHit:
+	case hit.slice:
 		action = ActionPatched
 		patchErr = o.patchSlice(ctx, dep, dead)
-	case hostHit:
+	case hit.host:
 		action = ActionReplaced
 		patchErr = o.replaceAndRepath(ctx, dep, dead)
-	case pathHit:
+	case hit.path:
 		if standbyAlive {
 			action = ActionSwapped
 			patchErr = o.swapToStandby(ctx, dep)
@@ -315,7 +307,7 @@ func (o *Orchestrator) repairAround(ctx context.Context, id DeploymentID, dead r
 			action = ActionRepathed
 			patchErr = o.repath(ctx, dep)
 		}
-	case standbyHit:
+	case hit.standby:
 		// The primary is intact; only the anticipation was consumed, and
 		// the dead standby is dropped. With a background optimizer
 		// attached that is all — the repair-completed event enqueues the
@@ -410,7 +402,7 @@ func (o *Orchestrator) replaceAndRepath(ctx context.Context, dep *Deployment, de
 // connectivity stages re-run against the patched slice. The VC ID,
 // slice ID and bandwidth reservation all survive.
 func (o *Orchestrator) patchSlice(ctx context.Context, dep *Deployment, dead resilience.FailureSet) error {
-	vms := o.liveVMs(dep.Spec.Service)
+	vms := o.topo.LiveVMs(dep.Spec.Service)
 	if len(vms) == 0 {
 		return fmt.Errorf("no live VMs offer service %q", dep.Spec.Service)
 	}
@@ -447,7 +439,7 @@ func (o *Orchestrator) patchSlice(ctx context.Context, dep *Deployment, dead res
 // its O/E/O accounting. Instances on surviving hosts are never touched.
 func (o *Orchestrator) migrateOff(p *pipeline, dep *Deployment, dead resilience.FailureSet) error {
 	cands := o.appendOptoelectronic(nil, p.vc.AL.OPSs)
-	cands = o.appendPMs(cands, o.liveVMs(dep.Spec.Service))
+	cands = o.appendPMs(cands, o.topo.LiveVMs(dep.Spec.Service))
 	moved := false
 	for idx, h := range p.place.Hosts {
 		if !dead.HasNode(h) {

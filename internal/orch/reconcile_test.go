@@ -500,7 +500,6 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 			t.Fatalf("SetDown: %v", err)
 		}
 	}
-	o.InvalidateVMCache()
 
 	before := o.Deployment(dep.ID)
 	instBefore := o.Manager().Instance(before.Instances[0])
@@ -533,7 +532,6 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 			t.Fatalf("SetDown: %v", err)
 		}
 	}
-	o.InvalidateVMCache()
 	if err := o.Apply(dep.ID, ChangeHost(0, target)); err != nil {
 		t.Fatalf("MoveNF after recovery: %v", err)
 	}
@@ -544,7 +542,7 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 func TestVMCacheInvalidation(t *testing.T) {
 	s, o := newOrch(t)
 	o.topoMu.RLock()
-	webBefore := len(o.liveVMs("web"))
+	webBefore := len(o.topo.LiveVMs("web"))
 	o.topoMu.RUnlock()
 	if webBefore == 0 {
 		t.Fatal("no web VMs on seed topology")
@@ -561,7 +559,7 @@ func TestVMCacheInvalidation(t *testing.T) {
 		t.Fatalf("HandleFailures: %v", err)
 	}
 	o.topoMu.RLock()
-	webDuring := len(o.liveVMs("web"))
+	webDuring := len(o.topo.LiveVMs("web"))
 	o.topoMu.RUnlock()
 	if webDuring >= webBefore {
 		t.Fatalf("cache not invalidated: %d live web VMs, want < %d", webDuring, webBefore)
@@ -570,7 +568,7 @@ func TestVMCacheInvalidation(t *testing.T) {
 		t.Fatalf("Recover: %v", err)
 	}
 	o.topoMu.RLock()
-	webAfter := len(o.liveVMs("web"))
+	webAfter := len(o.topo.LiveVMs("web"))
 	o.topoMu.RUnlock()
 	if webAfter != webBefore {
 		t.Fatalf("cache not refreshed on recovery: %d, want %d", webAfter, webBefore)

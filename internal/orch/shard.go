@@ -355,8 +355,6 @@ func (s *Sharded) Recover(f topology.Failures) error {
 		c.topoMu.Unlock()
 		return fmt.Errorf("orch: recover: %w", err)
 	}
-	// A recovered PM, or PM↔ToR link, can bring stranded VMs back.
-	c.InvalidateVMCache()
 	c.topoMu.Unlock()
 	for _, n := range f.Nodes() {
 		c.emit(Event{Kind: EventNodeRecovered, Node: n})

@@ -37,10 +37,12 @@ import (
 // index, the endpoints checked on a hit, and the answer in a shared
 // int32 arena, one word a hop — the link it crosses, from which a hit
 // reads the next node and hands the link to a caller that wants the
-// route's links (a standby records them), or the node a VM's linkless
-// hop reaches. When the memo is full it first evicts the entries of
-// other live states, then stops storing until the state moves — a
-// one-state workload never churns.
+// route's links (a standby records them). A route with a VM's linkless
+// hop to its host is not stored: VM churn moves neither the structural
+// generation nor the live digest, so the key could not tell where the
+// VM sits. When the memo is full it first evicts the entries of other
+// live states, then stops storing until the state moves — a one-state
+// workload never churns.
 //
 // Errors are never cached: a failed search is cheap relative to its
 // retry policy, and its cause (a partitioned pair, an empty pool) may
@@ -86,21 +88,17 @@ type altEntry struct {
 const pathSep = 0
 
 // appendHops appends to arena the hops of path, a route from path[0]:
-// per hop the ID of the link it crosses (topology.HopLink), or the
-// negated node ID a VM's hop to or from its host reaches — link and node
-// IDs are positive. ok is false, and arena comes back as it was, when a
-// hop joins no link.
+// per hop the ID of the link it crosses (topology.HopLink), which is
+// positive. ok is false, and arena comes back as it was, when a hop
+// crosses no link.
 func appendHops(arena []int32, topo *topology.Topology, path []topology.NodeID) (_ []int32, ok bool) {
 	start := len(arena)
 	for i := 1; i < len(path); i++ {
-		switch l, ok := topo.HopLink(path[i-1], path[i]); {
-		case !ok:
+		l, ok := topo.HopLink(path[i-1], path[i])
+		if !ok || l == 0 {
 			return arena[:start], false
-		case l == 0:
-			arena = append(arena, -int32(path[i]))
-		default:
-			arena = append(arena, int32(l))
 		}
+		arena = append(arena, int32(l))
 	}
 	return arena, true
 }
@@ -112,18 +110,14 @@ func appendHops(arena []int32, topo *topology.Topology, path []topology.NodeID) 
 func decodeHops(buf []topology.NodeID, links *[]topology.LinkID, topo *topology.Topology, src topology.NodeID, hops []int32) []topology.NodeID {
 	at := src
 	for _, h := range hops {
-		if h < 0 {
-			at = topology.NodeID(-h)
+		l := topo.Link(topology.LinkID(h))
+		if at == l.From {
+			at = l.To
 		} else {
-			l := topo.Link(topology.LinkID(h))
-			if at == l.From {
-				at = l.To
-			} else {
-				at = l.From
-			}
-			if links != nil {
-				*links = append(*links, l.ID)
-			}
+			at = l.From
+		}
+		if links != nil {
+			*links = append(*links, l.ID)
 		}
 		buf = append(buf, at)
 	}

@@ -12,12 +12,12 @@ import (
 func TestPathAlternativesCacheHitsAndYenSavings(t *testing.T) {
 	topo, ids := chainTopo(t)
 	c, _ := NewController(topo)
-	first, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 3, topology.Pool{})
+	first, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 3, topology.Pool{})
 	if err != nil {
 		t.Fatalf("PathAlternatives: %v", err)
 	}
 	yenAfterFirst := c.YenRuns()
-	again, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 3, topology.Pool{})
+	again, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 3, topology.Pool{})
 	if err != nil {
 		t.Fatalf("PathAlternatives (cached): %v", err)
 	}
@@ -32,11 +32,11 @@ func TestPathAlternativesCacheHitsAndYenSavings(t *testing.T) {
 		t.Fatalf("cache stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
 	// A different k or restriction is a different question.
-	if _, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 2, topology.Pool{}); err != nil {
+	if _, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 2, topology.Pool{}); err != nil {
 		t.Fatalf("PathAlternatives k=2: %v", err)
 	}
 	restrict := map[topology.NodeID]bool{ids["ops1"]: true, ids["ops2"]: true}
-	if _, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 3, topology.NewPool(restrict)); err != nil {
+	if _, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 3, topology.NewPool(restrict)); err != nil {
 		t.Fatalf("PathAlternatives restricted: %v", err)
 	}
 	if _, misses = c.AlternativesCacheStats(); misses != 3 {
@@ -49,7 +49,7 @@ func TestPathAlternativesCacheHitsAndYenSavings(t *testing.T) {
 func TestPathAlternativesCacheStructuralInvalidation(t *testing.T) {
 	topo, ids := chainTopo(t)
 	c, _ := NewController(topo)
-	before, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 4, topology.Pool{})
+	before, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 4, topology.Pool{})
 	if err != nil {
 		t.Fatalf("PathAlternatives: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestPathAlternativesCacheStructuralInvalidation(t *testing.T) {
 			t.Fatalf("AddLink: %v", err)
 		}
 	}
-	after, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 4, topology.Pool{})
+	after, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 4, topology.Pool{})
 	if err != nil {
 		t.Fatalf("PathAlternatives after graft: %v", err)
 	}
@@ -138,11 +138,11 @@ func TestPathAlternativesCacheLivenessInvalidation(t *testing.T) {
 func TestPathAlternativesCacheDisableAndInvalidate(t *testing.T) {
 	topo, ids := chainTopo(t)
 	c, _ := NewController(topo)
-	if _, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 3, topology.Pool{}); err != nil {
+	if _, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 3, topology.Pool{}); err != nil {
 		t.Fatalf("PathAlternatives: %v", err)
 	}
 	c.alts.invalidate()
-	if _, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 3, topology.Pool{}); err != nil {
+	if _, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 3, topology.Pool{}); err != nil {
 		t.Fatalf("PathAlternatives: %v", err)
 	}
 	hits, misses := c.AlternativesCacheStats()
@@ -152,7 +152,7 @@ func TestPathAlternativesCacheDisableAndInvalidate(t *testing.T) {
 	c.SetAlternativesCache(false)
 	yenBefore := c.YenRuns()
 	for i := 0; i < 3; i++ {
-		if _, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 3, topology.Pool{}); err != nil {
+		if _, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 3, topology.Pool{}); err != nil {
 			t.Fatalf("PathAlternatives (disabled): %v", err)
 		}
 	}

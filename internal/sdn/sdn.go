@@ -131,12 +131,12 @@ func NewController(topo *topology.Topology) (*Controller, error) {
 }
 
 // snapshot returns the epoch-cached routing view the controller
-// computes over. Rebuilds happen only when the topology mutated since
-// the last fetch, and a warm fetch takes no lock; slice restrictions
-// are applied at search time, so every restriction set shares the same
-// cache entry.
+// computes over. Rebuilds happen only when the topology structurally
+// mutated since the last fetch, and a warm fetch takes no lock; slice
+// restrictions are applied at search time, so every restriction set
+// shares the same cache entry.
 func (c *Controller) snapshot() *topology.Snapshot {
-	return c.topo.RoutingSnapshot(topology.GraphOptions{IncludeVMs: true})
+	return c.topo.RoutingSnapshot()
 }
 
 // ComputePathVia returns a path from src to dst that visits every
@@ -197,14 +197,16 @@ func (c *Controller) AppendPathVia(buf []topology.NodeID, src topology.NodeID, v
 // (topology.Snapshot.AppendPathAvoiding) — and to links the links the
 // route crosses, as topology.AppendPathLinks lists them. Consecutive
 // equal stops make no leg, and a leg between a VM and its host needs no
-// search: it is the VM's one edge (topology.Snapshot.AppendHostHop),
+// search: it is the VM's local hop (topology.Snapshot.AppendHostHop),
 // errors included, and crosses no link. Every other leg's answer is
 // memoized under the fabric state it was searched in — (structural
 // generation, live digest, src, dst, pool digest, avoided nodes, avoided
 // links, spread), see altcache.go — so the same question asked again in
 // that state, now or when the state recurs, is a lookup, which reads the
 // leg's nodes and links off the same stored hops. A hit is copied into
-// buf and links, so what comes back is always the caller's own.
+// buf and links, so what comes back is always the caller's own. A leg
+// with a VM end is never stored: where a VM sits is not part of that
+// state.
 //
 // Everything that is the same for every leg is worked out once per
 // route — the snapshot (one atomic load when warm), the question's

@@ -213,10 +213,12 @@ func TestCountConversionsOnPath(t *testing.T) {
 	}
 }
 
+// TestPathAlternatives: Yen runs between vertices of the routing graph
+// (a VM is none, so its host stands in for it).
 func TestPathAlternatives(t *testing.T) {
 	topo, ids := chainTopo(t)
 	c, _ := NewController(topo)
-	paths, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 3, topology.Pool{})
+	paths, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 3, topology.Pool{})
 	if err != nil {
 		t.Fatalf("PathAlternatives: %v", err)
 	}
@@ -227,13 +229,13 @@ func TestPathAlternatives(t *testing.T) {
 	if len(paths) != 1 {
 		t.Fatalf("alternatives = %d, want 1 on a line", len(paths))
 	}
-	if paths[0][0] != ids["vm1"] || paths[0][len(paths[0])-1] != ids["vm2"] {
+	if paths[0][0] != ids["pm1"] || paths[0][len(paths[0])-1] != ids["pm2"] {
 		t.Fatalf("endpoints wrong: %v", paths[0])
 	}
-	if _, err := c.PathAlternatives(ids["vm1"], ids["vm2"], 0, topology.Pool{}); err == nil {
+	if _, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 0, topology.Pool{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := c.PathAlternatives(9999, ids["vm2"], 1, topology.Pool{}); err == nil {
+	if _, err := c.PathAlternatives(9999, ids["pm2"], 1, topology.Pool{}); err == nil {
 		t.Fatal("unknown source accepted")
 	}
 }

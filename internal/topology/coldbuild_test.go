@@ -30,7 +30,7 @@ func fleetTopo(tb testing.TB, ops int) *Topology {
 func TestColdSnapshotAllocs(t *testing.T) {
 	for _, ops := range []int{300, 1200} {
 		topo := fleetTopo(t, ops)
-		build := testing.AllocsPerRun(5, func() { topo.buildSnapshot(true, topo.StructuralGeneration()) })
+		build := testing.AllocsPerRun(5, func() { topo.buildSnapshot(topo.StructuralGeneration()) })
 		validate := testing.AllocsPerRun(5, func() {
 			if err := topo.Validate(); err != nil {
 				t.Fatal(err)
@@ -46,9 +46,9 @@ func TestColdSnapshotAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkColdSnapshot is one cold routing-snapshot build, VMs
-// included, on the benchmark fleet's fabric: what every structural edit
-// costs the next search.
+// BenchmarkColdSnapshot is one cold routing-snapshot build on the
+// benchmark fleet's fabric: what every structural edit costs the next
+// search.
 func BenchmarkColdSnapshot(b *testing.B) {
 	for _, ops := range []int{300, 1200} {
 		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
@@ -56,7 +56,7 @@ func BenchmarkColdSnapshot(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				topo.buildSnapshot(true, topo.StructuralGeneration())
+				topo.buildSnapshot(topo.StructuralGeneration())
 			}
 		})
 	}

@@ -339,12 +339,12 @@ func checkDense(t *testing.T, seed int64, step int, topo *topology.Topology, s *
 			fail("PathAlive(%v) = %v, model %v", path, got, w)
 		}
 	}
-	// The routing snapshot's vertex index: every vertex at its position,
-	// and nothing else indexed.
-	f := topo.RoutingSnapshot(topology.GraphOptions{IncludeVMs: true}).Graph()
+	// The routing snapshot's vertex index: every vertex — every node but
+	// a VM — at its position, and nothing else indexed.
+	f := topo.RoutingSnapshot().Graph()
 	var vertices []graph.VertexID
 	for _, id := range ids {
-		if n := s.nodes[id]; n.kind != topology.KindVM || s.nodes[n.host] != nil {
+		if s.nodes[id].kind != topology.KindVM {
 			vertices = append(vertices, graph.VertexID(id))
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -126,7 +127,8 @@ func TestRestrictConcurrent(t *testing.T) {
 // AnyLinkBetween answers the failed link itself, LinkBetween follows
 // liveness, and a structural change is seen at once: a new link between
 // a pair that had none is found. Readers share the tables; run under
-// -race.
+// -race. A search with VM ends resolves each VM to its host off the node
+// table and allocates nothing either.
 func TestHopResolutionAllocatesNothing(t *testing.T) {
 	topo, tors, opss := snapTestTopo(t)
 	l := topo.AnyLinkBetween(tors[0], opss[0])
@@ -172,4 +174,44 @@ func TestHopResolutionAllocatesNothing(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+
+	// VM ends: the route is its hosts' with each VM one 0.1 µs hop beyond.
+	pms := []NodeID{topo.AddPM(0, Resources{}), topo.AddPM(1, Resources{})}
+	var vms []NodeID
+	for i, pm := range pms {
+		if _, err := topo.AddLink(pm, tors[i], LinkElectronic, 10, 1); err != nil {
+			t.Fatal(err)
+		}
+		vm, err := topo.AddVM(pm, "web")
+		if err != nil {
+			t.Fatal(err)
+		}
+		vms = append(vms, vm)
+	}
+	snap := topo.RoutingSnapshot()
+	hosts, hostsW, err := snap.AppendShortestPathIn(nil, pms[0], pms[1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]NodeID{vms[0]}, hosts...), vms[1])
+	buf, avoidBuf := make([]NodeID, 0, 16), make([]NodeID, 0, 16)
+	var route, avoiding []NodeID
+	var w float64
+	var searchErr, avoidErr error
+	allocs := testing.AllocsPerRun(100, func() {
+		route, w, searchErr = snap.AppendShortestPathIn(buf, vms[0], vms[1], nil)
+		avoiding, _, avoidErr = snap.AppendPathAvoiding(avoidBuf, vms[0], vms[1], nil, Avoid{Nodes: opss[:1], Spread: opss[2]})
+	})
+	if searchErr != nil || avoidErr != nil {
+		t.Fatalf("VM to VM: %v, %v", searchErr, avoidErr)
+	}
+	if !slices.Equal(route, want) || w != hostsW+0.2 {
+		t.Fatalf("VM to VM: %v (%g), want %v (%g)", route, w, want, hostsW+0.2)
+	}
+	if avoiding[0] != vms[0] || avoiding[len(avoiding)-1] != vms[1] {
+		t.Fatalf("VM to VM avoiding: %v does not run between the VMs", avoiding)
+	}
+	if !raceEnabled && allocs != 0 {
+		t.Fatalf("a search with VM ends allocates %.1f times, want 0", allocs)
+	}
 }

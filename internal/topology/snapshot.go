@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,26 +11,32 @@ import (
 
 // Snapshot is an epoch-versioned routing view of the topology: a frozen
 // CSR graph plus the metadata needed to answer restricted (in-slice)
-// searches without rebuilding anything. Snapshots are cached per
-// IncludeVMs value against the topology's *structural* generation — an
-// OPS restriction is laid out per search (Restrict), so every
-// restriction set shares the same cached graph.
+// searches without rebuilding anything. One snapshot is cached against
+// the topology's *structural* generation — an OPS restriction is laid
+// out per search (Restrict), so every restriction set shares it.
 //
-// Liveness is not a build-time dimension: the frozen graph contains
-// every node and link, up or down, and a durable graph.LiveMask overlay
-// hides the dead ones from every search. SetDown patches the overlay of
-// each cached snapshot in place, so a failure storm costs zero graph rebuilds; only structural
-// mutations (add node/link, VM churn, latency, SRLG) invalidate the
-// cache.
+// The graph's vertices are the switches and the physical machines: a VM
+// is never one. The fabric routes host to host, and a search with a VM
+// end runs from (or to) the VM's host and writes the VM one 0.1 µs hop
+// beyond it, so VM churn touches no routing state at all.
+//
+// Liveness is not a build-time dimension either: the frozen graph
+// contains every switch, machine and link, up or down, and a durable
+// graph.LiveMask overlay hides the dead ones from every search. SetDown
+// patches the overlay in place, so a failure storm costs zero graph
+// rebuilds; only structural mutations (add switch/PM/link, latency,
+// SRLG) invalidate the cache.
 //
 // A Snapshot is safe for concurrent use. Searches hold the overlay's
 // read lock for their whole run, so each observes either all or none of
 // a batch liveness patch, and report the overlay's content digest as
 // they read it (LiveDigest): the live state their answer is exact for.
+// Where a VM sits is read from the topology at search time, under the
+// caller's lock that orders searches with VM churn.
 type Snapshot struct {
-	structGen  uint64
-	includeVMs bool
-	frozen     *graph.Frozen
+	structGen uint64
+	topo      *Topology
+	frozen    *graph.Frozen
 	// mask is the durable liveness overlay: down vertices by dense index
 	// and down link arcs by CSR position.
 	mask *graph.LiveMask
@@ -126,9 +133,19 @@ func (s *Snapshot) Release(r *Restriction) {
 
 // AppendShortestPathIn is ShortestPath under a restriction already laid
 // out by Restrict, for callers that search several times under one set,
-// appending the path to buf; on error buf comes back as it was.
+// appending the path to buf; on error buf comes back as it was. A VM end
+// is searched at its host (hostOf) and written beyond it (hostRoute).
 func (s *Snapshot) AppendShortestPathIn(buf []NodeID, src, dst NodeID, r *Restriction) ([]NodeID, float64, error) {
-	return graph.ShortestPathIn(s.frozen, buf, graph.VertexID(src), graph.VertexID(dst), r, s.mask)
+	from, to, err := s.ends(src, dst)
+	if err != nil {
+		return buf, 0, err
+	}
+	out, w, err := graph.ShortestPathIn(s.frozen, buf, graph.VertexID(from), graph.VertexID(to), r, s.mask)
+	if err != nil {
+		return buf, 0, err
+	}
+	out, hops := hostRoute(out, len(buf), src, dst)
+	return out, w + hops, nil
 }
 
 // Avoid is what a standby search should stay off: the transit nodes and
@@ -146,8 +163,14 @@ type Avoid struct {
 // fewest of avoid's nodes and links and, among those, has the least
 // weight (graph.ShortestPathAvoiding), honoring the restriction and the
 // liveness overlay, and returns the overlay digest the search ran under.
-// Unknown nodes and links in avoid are ignored.
+// A VM end is searched at its host and written beyond it, as in
+// AppendShortestPathIn. Unknown nodes and links in avoid, VMs included,
+// are ignored.
 func (s *Snapshot) AppendPathAvoiding(buf []NodeID, src, dst NodeID, r *Restriction, avoid Avoid) ([]NodeID, uint64, error) {
+	from, to, err := s.ends(src, dst)
+	if err != nil {
+		return buf, 0, err
+	}
 	var set *graph.AvoidSet
 	if len(avoid.Nodes)+len(avoid.Links) > 0 {
 		set = s.avoidSets.Get().(*graph.AvoidSet)
@@ -164,32 +187,77 @@ func (s *Snapshot) AppendPathAvoiding(buf []NodeID, src, dst NodeID, r *Restrict
 			set.AddArcs(s.arcsOf(l))
 		}
 	}
-	return graph.ShortestPathAvoiding(s.frozen, buf, graph.VertexID(src), graph.VertexID(dst), r, s.mask, set, graph.VertexID(avoid.Spread))
+	out, live, err := graph.ShortestPathAvoiding(s.frozen, buf, graph.VertexID(from), graph.VertexID(to), r, s.mask, set, graph.VertexID(avoid.Spread))
+	if err != nil {
+		return buf, live, err
+	}
+	out, _ = hostRoute(out, len(buf), src, dst)
+	return out, live, nil
+}
+
+// vmHopMicros is the weight of a VM's hop to its host.
+const vmHopMicros = 0.1
+
+// hostOf resolves a route end to the vertex the fabric routes to: a VM
+// is reached by its host's local hop, so a VM end is its host, and any
+// other node is itself. up is false for a VM that is down or whose host
+// is down or missing.
+func (s *Snapshot) hostOf(id NodeID) (vertex NodeID, up bool) {
+	n := s.topo.Node(id)
+	if n == nil || n.Kind != KindVM {
+		return id, true
+	}
+	host := s.topo.Node(n.Host)
+	return n.Host, !n.Down && host != nil && !host.Down
+}
+
+// ends resolves both ends of a route (hostOf): the vertices to search
+// between, or ErrNoPath when a VM end is not up.
+func (s *Snapshot) ends(src, dst NodeID) (from, to NodeID, err error) {
+	from, upS := s.hostOf(src)
+	to, upD := s.hostOf(dst)
+	if !upS || !upD {
+		return 0, 0, fmt.Errorf("%w from %d to %d", graph.ErrNoPath, src, dst)
+	}
+	return from, to, nil
+}
+
+// hostRoute turns the route between src's and dst's vertices (ends),
+// written to buf from start, into the route between src and dst: a VM
+// end sits one hop beyond its host, and hops is those hops' weight. A
+// route from a node to itself is that node.
+func hostRoute(buf []NodeID, start int, src, dst NodeID) (_ []NodeID, hops float64) {
+	if src == dst {
+		return append(buf[:start], src), 0
+	}
+	if buf[start] != src {
+		buf = slices.Insert(buf, start, src)
+		hops += vmHopMicros
+	}
+	if buf[len(buf)-1] != dst {
+		buf = append(buf, dst)
+		hops += vmHopMicros
+	}
+	return buf, hops
 }
 
 // AppendHostHop answers, without a search, a leg between a VM and the PM
-// hosting it: the VM hangs off its host by its one edge, so [src, dst]
-// is the only route there is. ok reports whether src and dst are such a
-// pair; when they are and either is down, err is the search's ErrNoPath.
+// hosting it: [src, dst] is the only route there is, read off the node
+// table. ok reports whether src and dst are such a pair; when they are
+// and the VM is not up (hostOf), err is the search's ErrNoPath.
 func (s *Snapshot) AppendHostHop(buf []NodeID, src, dst NodeID) (out []NodeID, ok bool, err error) {
-	si, okS := s.frozen.IndexOf(graph.VertexID(src))
-	di, okD := s.frozen.IndexOf(graph.VertexID(dst))
-	if !okS || !okD || !s.hostEdge(si, di) && !s.hostEdge(di, si) {
+	vm, host := src, dst
+	if at, _ := s.hostOf(vm); at == vm {
+		vm, host = dst, src
+	}
+	at, up := s.hostOf(vm)
+	if at == vm || at != host {
 		return buf, false, nil
 	}
-	if s.mask.VertexDown(si) || s.mask.VertexDown(di) {
+	if !up {
 		return buf, true, fmt.Errorf("%w from %d to %d", graph.ErrNoPath, src, dst)
 	}
 	return append(buf, src, dst), true, nil
-}
-
-// hostEdge reports whether vm's only arc is a VM edge to host: the
-// untagged kind buildSnapshot adds, every link's arcs carrying its ID
-// (a graph with no link at all has no tags).
-func (s *Snapshot) hostEdge(vm, host int32) bool {
-	arc, ok := s.frozen.SoleArc(vm, host)
-	tags := s.frozen.ArcTags()
-	return ok && (tags == nil || tags[arc] == 0)
 }
 
 // KShortestPaths returns up to k loopless paths between two nodes in
@@ -222,25 +290,28 @@ func toNodePath(vp []graph.VertexID) []NodeID {
 }
 
 // Generation returns the topology's total mutation epoch. Every
-// mutation — structural or liveness — bumps it; the derived adjacency
-// caches (which filter on Down flags) are valid iff their generation
-// matches.
+// mutation — structural, liveness or VM churn — bumps it; the derived
+// caches (adjacency filtered on Down flags, LiveVMs) are valid iff their
+// generation matches.
 func (t *Topology) Generation() uint64 { return atomic.LoadUint64(&t.gen) }
 
-// StructuralGeneration returns the structural mutation epoch: node/link
-// adds, VM churn, latency and SRLG edits bump it; liveness transitions
-// do not. Cached routing snapshots are valid iff their structural
-// generation matches — liveness lands on them as an overlay patch.
+// StructuralGeneration returns the structural mutation epoch: switch,
+// PM and link adds, latency and SRLG edits bump it; liveness transitions
+// and VM churn do not, because neither changes the routing graph. The
+// cached routing snapshot is valid iff its structural generation matches
+// — liveness lands on it as an overlay patch, and a VM is reached by its
+// host at search time.
 func (t *Topology) StructuralGeneration() uint64 { return atomic.LoadUint64(&t.structGen) }
 
-// bumpGeneration records a liveness-only mutation: derived caches
-// invalidate, cached routing snapshots survive (the caller patches
-// their overlays). Atomic so concurrent readers of Generation never
-// race even outside the orchestrator's topology lock.
+// bumpGeneration records a mutation the routing graph does not see —
+// liveness, VM churn: the derived caches invalidate, the cached routing
+// snapshot survives (a liveness caller patches its overlay). Atomic so
+// concurrent readers of Generation never race even outside the
+// orchestrator's topology lock.
 func (t *Topology) bumpGeneration() { atomic.AddUint64(&t.gen, 1) }
 
 // bumpStructural records a structural mutation, invalidating both the
-// derived caches and all cached routing snapshots.
+// derived caches and the cached routing snapshot.
 func (t *Topology) bumpStructural() {
 	atomic.AddUint64(&t.structGen, 1)
 	atomic.AddUint64(&t.gen, 1)
@@ -263,52 +334,45 @@ func (t *Topology) SnapshotHits() uint64 { return atomic.LoadUint64(&t.snapHits)
 // the storm fast path's "no rebuild happened here" counter.
 func (t *Topology) LivenessPatches() uint64 { return atomic.LoadUint64(&t.livePatches) }
 
-// RoutingSnapshot returns the cached routing snapshot for the options,
-// rebuilding only if the topology *structurally* mutated since the last
-// build with the same IncludeVMs value; liveness transitions are patched
-// into the cached snapshot in place and never rebuild. Restriction sets
-// go to the snapshot's search methods, so restricted searches share the
-// unrestricted cache entry. A warm fetch takes no lock.
-func (t *Topology) RoutingSnapshot(opts GraphOptions) *Snapshot {
-	slot := &t.snaps[0]
-	if opts.IncludeVMs {
-		slot = &t.snaps[1]
-	}
-	if s := slot.Load(); s != nil && s.structGen == t.StructuralGeneration() {
+// RoutingSnapshot returns the cached routing snapshot, rebuilding it
+// only if the topology *structurally* mutated since the last build;
+// liveness transitions are patched into the cached snapshot in place and
+// never rebuild, and VM churn does not touch it. Restriction sets go to
+// the snapshot's search methods, so restricted searches share the one
+// cache entry. A warm fetch takes no lock. GraphOptions are ignored.
+func (t *Topology) RoutingSnapshot(...GraphOptions) *Snapshot {
+	if s := t.snap.Load(); s != nil && s.structGen == t.StructuralGeneration() {
 		atomic.AddUint64(&t.snapHits, 1)
 		return s
 	}
 	t.snapMu.Lock()
 	defer t.snapMu.Unlock()
 	sg := t.StructuralGeneration()
-	if s := slot.Load(); s != nil && s.structGen == sg { // built while this caller waited
+	if s := t.snap.Load(); s != nil && s.structGen == sg { // built while this caller waited
 		atomic.AddUint64(&t.snapHits, 1)
 		return s
 	}
-	s := t.buildSnapshot(opts.IncludeVMs, sg)
-	slot.Store(s)
+	s := t.buildSnapshot(sg)
+	t.snap.Store(s)
 	return s
 }
 
 // buildSnapshot constructs a snapshot from scratch straight from the
 // node and link tables: the full graph — down nodes and links included —
 // plus a liveness overlay reflecting the current down-state. Every node
-// but a VM is a vertex; with includeVMs so is each VM with a host, joined
-// to it by a 0.1 µs edge tagged 0. Every link between two such non-VM
-// nodes is an edge weighing its latency, tagged with its ID so the
-// overlay can address its arcs — parallel links included. Caller holds
-// snapMu.
-func (t *Topology) buildSnapshot(includeVMs bool, structGen uint64) *Snapshot {
+// but a VM is a vertex. Every link between two vertices is an edge
+// weighing its latency, tagged with its ID so the overlay can address
+// its arcs — parallel links included. Caller holds snapMu.
+func (t *Topology) buildSnapshot(structGen uint64) *Snapshot {
 	atomic.AddUint64(&t.builds, 1)
 	routed := func(n *Node) bool { return n != nil && n.Kind != KindVM }
-	hosted := func(n *Node) bool { return includeVMs && n.Kind == KindVM && t.Node(n.Host) != nil }
 	ids := make([]graph.VertexID, 0, t.live)
 	for _, n := range t.nodes {
-		if routed(n) || n != nil && hosted(n) {
+		if routed(n) {
 			ids = append(ids, graph.VertexID(n.ID))
 		}
 	}
-	edges := make([]graph.Edge, 0, len(t.links)-1+len(ids))
+	edges := make([]graph.Edge, 0, len(t.links)-1)
 	for _, l := range t.links[1:] {
 		// A negative latency (Validate rejects it) is no edge: the searches
 		// need non-negative weights.
@@ -316,18 +380,13 @@ func (t *Topology) buildSnapshot(includeVMs bool, structGen uint64) *Snapshot {
 			edges = append(edges, graph.Edge{From: graph.VertexID(l.From), To: graph.VertexID(l.To), Weight: l.LatencyMicros, Tag: int64(l.ID)})
 		}
 	}
-	for _, n := range t.nodes {
-		if n != nil && hosted(n) {
-			edges = append(edges, graph.Edge{From: graph.VertexID(n.ID), To: graph.VertexID(n.Host), Weight: 0.1})
-		}
-	}
 	f := graph.NewFrozen(false, ids, edges)
 	s := &Snapshot{
-		structGen:  structGen,
-		includeVMs: includeVMs,
-		frozen:     f,
-		mask:       f.NewLiveMask(),
-		linkArcs:   make([]int32, 2*len(t.links)),
+		structGen: structGen,
+		topo:      t,
+		frozen:    f,
+		mask:      f.NewLiveMask(),
+		linkArcs:  make([]int32, 2*len(t.links)),
 	}
 	for i := range s.linkArcs {
 		s.linkArcs[i] = -1
@@ -342,26 +401,21 @@ func (t *Topology) buildSnapshot(includeVMs bool, structGen uint64) *Snapshot {
 		}
 	}
 	// Seed the overlay with the current liveness state.
-	var vertex map[int32]bool
-	var deadArcs []int32
-	for _, n := range t.nodes {
-		if n == nil || !t.effectiveDown(n) {
-			continue
-		}
-		if i, ok := f.IndexOf(graph.VertexID(n.ID)); ok {
-			if vertex == nil {
-				vertex = make(map[int32]bool)
-			}
-			vertex[i] = true
+	clear(t.patchVertex)
+	arcs := t.patchArcs[:0]
+	for i, id := range f.Vertices() {
+		if t.nodes[id].Down {
+			t.patchVertex[int32(i)] = true
 		}
 	}
 	for _, l := range t.links[1:] {
 		if l.Down {
-			deadArcs = append(deadArcs, s.arcsOf(l.ID)...)
+			arcs = append(arcs, s.arcsOf(l.ID)...)
 		}
 	}
-	if len(vertex) > 0 || len(deadArcs) > 0 {
-		s.mask.Patch(vertex, deadArcs, true)
+	t.patchArcs = arcs
+	if len(t.patchVertex) > 0 || len(arcs) > 0 {
+		s.mask.Patch(t.patchVertex, arcs, true)
 	}
 	// The OPSs are what a Restriction may bar; down ones included, the
 	// overlay hides them.
@@ -384,66 +438,31 @@ func (s *Snapshot) arcsOf(l LinkID) []int32 {
 	return nil
 }
 
-// effectiveDown reports whether a node should be invisible to routing:
-// itself down, or (for a VM) hosted on a down or missing PM.
-func (t *Topology) effectiveDown(n *Node) bool {
-	if n.Down {
-		return true
-	}
-	if n.Kind == KindVM {
-		h := t.Node(n.Host)
-		return h == nil || h.Down
-	}
-	return false
-}
-
-// applyLiveness patches the down-state of f's nodes and links into
-// every current cached snapshot in place — O(affected arcs) per
-// snapshot, zero graph rebuilds, no allocation. Stale-generation entries
-// are skipped (their next fetch rebuilds from current state anyway).
+// applyLiveness patches the down-state of f's nodes and links into the
+// cached snapshot in place — O(affected arcs), zero graph rebuilds, no
+// allocation. A stale-generation snapshot is skipped (its next fetch
+// rebuilds from current state anyway), and so are VMs, which are no
+// vertices: a search reads their state off the node table.
 func (t *Topology) applyLiveness(f Failures, down bool) {
 	t.snapMu.Lock()
 	defer t.snapMu.Unlock()
 	atomic.AddUint64(&t.livePatches, 1)
-	sg := t.StructuralGeneration()
-	for i := range t.snaps {
-		s := t.snaps[i].Load()
-		if s == nil || s.structGen != sg {
-			continue
-		}
-		clear(t.patchVertex)
-		for _, id := range f.nodes {
-			s.collectNodePatch(t, t.nodes[id], t.patchVertex)
-		}
-		arcs := t.patchArcs[:0]
-		for _, l := range f.links {
-			arcs = append(arcs, s.arcsOf(l)...)
-		}
-		t.patchArcs = arcs
-		if len(t.patchVertex) > 0 || len(arcs) > 0 {
-			s.mask.Patch(t.patchVertex, arcs, down)
-		}
-	}
-}
-
-// collectNodePatch records the node's effective down-state (and, for a
-// PM in a VM-bearing snapshot, its hosted VMs' — a VM is reachable only
-// through its host, and cold builds exclude VMs on down hosts). The VMs
-// are the PM's host arcs in the CSR, the ones tagged 0.
-func (s *Snapshot) collectNodePatch(t *Topology, n *Node, vertex map[int32]bool) {
-	i, ok := s.frozen.IndexOf(graph.VertexID(n.ID))
-	if !ok {
+	s := t.snap.Load()
+	if s == nil || s.structGen != t.StructuralGeneration() {
 		return
 	}
-	vertex[i] = t.effectiveDown(n)
-	if n.Kind != KindPhysicalMachine || !s.includeVMs {
-		return
-	}
-	first, targets := s.frozen.ArcsOf(i)
-	tags, ids := s.frozen.ArcTags(), s.frozen.Vertices()
-	for k, vm := range targets {
-		if tags == nil || tags[int(first)+k] == 0 {
-			vertex[vm] = t.effectiveDown(t.nodes[ids[vm]])
+	clear(t.patchVertex)
+	for _, id := range f.nodes {
+		if i, ok := s.frozen.IndexOf(graph.VertexID(id)); ok {
+			t.patchVertex[i] = down
 		}
+	}
+	arcs := t.patchArcs[:0]
+	for _, l := range f.links {
+		arcs = append(arcs, s.arcsOf(l)...)
+	}
+	t.patchArcs = arcs
+	if len(t.patchVertex) > 0 || len(arcs) > 0 {
+		s.mask.Patch(t.patchVertex, arcs, down)
 	}
 }

@@ -27,8 +27,8 @@ type Topology struct {
 
 	// gen is the total mutation epoch (see Generation) and structGen
 	// the structural one (see StructuralGeneration) — liveness
-	// transitions bump only the former, so cached routing snapshots
-	// survive failure storms. builds counts from-scratch routing-snapshot
+	// transitions and VM churn bump only the former, so the cached
+	// routing snapshot survives failure storms and VM churn. builds counts from-scratch routing-snapshot
 	// constructions (see GraphBuilds). All are accessed atomically so
 	// snapshot-cache reads never race with mutators even outside the
 	// orchestrator's topology lock.
@@ -44,14 +44,15 @@ type Topology struct {
 	snapHits    uint64
 	livePatches uint64
 
-	// snaps is the epoch-keyed routing-snapshot cache, one slot per
-	// IncludeVMs value (false, true). A warm fetch is one atomic load; snapMu
-	// serializes what writes the slots or patches their overlays —
-	// builds and liveness batches. Snapshots themselves are immutable
-	// once published, but for their liveness overlay.
+	// snap is the epoch-keyed routing-snapshot cache: one snapshot, at
+	// the structural generation it was built for. A warm fetch is one
+	// atomic load; snapMu serializes what writes the slot or patches the
+	// overlay — builds and liveness batches. A snapshot is immutable once
+	// published, but for its liveness overlay.
 	snapMu sync.Mutex
-	snaps  [2]atomic.Pointer[Snapshot]
-	// applyLiveness's scratch, under snapMu.
+	snap   atomic.Pointer[Snapshot]
+	// The overlay patches' scratch (buildSnapshot, applyLiveness), under
+	// snapMu.
 	patchVertex map[int32]bool
 	patchArcs   []int32
 
@@ -67,6 +68,10 @@ type Topology struct {
 	// opsByDegree holds OPSsOfToRByDegree's answers: each an OPSsOfToR
 	// list re-sorted, so it is refilled from that cache per generation.
 	opsByDegree map[NodeID][]NodeID
+	// liveVMs is LiveVMs' index, service → live VMs, filled once per
+	// generation: VM churn and liveness transitions move the generation,
+	// so nothing invalidates it by hand.
+	liveVMs map[string][]NodeID
 
 	// optDeg is the optical-mesh degree of every node, by node ID (see
 	// OpticalDegrees). It counts links up or down, so it is keyed on the
@@ -96,6 +101,7 @@ func (t *Topology) resetDerivedLocked() {
 		// Cleared, not remade: a liveness batch that builds no AL must not
 		// pay for it.
 		clear(t.opsByDegree)
+		t.liveVMs = nil
 		t.derivedGen = gen
 	}
 }
@@ -115,7 +121,11 @@ func (t *Topology) addNode(n Node) NodeID {
 	t.nodes = append(t.nodes, &n)
 	t.adj = append(t.adj, nil)
 	t.live++
-	t.bumpStructural()
+	if n.Kind == KindVM {
+		t.bumpGeneration() // a VM is no vertex of the routing graph
+	} else {
+		t.bumpStructural()
+	}
 	return n.ID
 }
 
@@ -207,7 +217,7 @@ func (t *Topology) RemoveVM(vm NodeID) error {
 	}
 	t.nodes[vm] = nil
 	t.live--
-	t.bumpStructural()
+	t.bumpGeneration()
 	return nil
 }
 
@@ -224,7 +234,7 @@ func (t *Topology) MigrateVM(vm, toPM NodeID) error {
 	}
 	n.Host = toPM
 	n.Rack = host.Rack
-	t.bumpStructural()
+	t.bumpGeneration()
 	return nil
 }
 
@@ -524,7 +534,9 @@ func (t *Topology) OPSsOfToR(tor NodeID) []NodeID {
 // indexed by node ID: an OPS's "outgoing connections", the tie-break of
 // the AL cover's second phase (§III-C). Failed links count, as they do
 // in LinksOf. The slice is built once per structural generation and
-// shared with the cache; callers must treat it as read-only.
+// shared with the cache; callers must treat it as read-only. It covers
+// every switch and PM, but VM churn moves no structural generation, so a
+// VM added since may lie past its end: index it by switch ID.
 func (t *Topology) OpticalDegrees() []int32 {
 	t.derivedMu.Lock()
 	defer t.derivedMu.Unlock()
@@ -568,6 +580,30 @@ func (t *Topology) opticalDegreesLocked() []int32 {
 	return t.optDeg
 }
 
+// LiveVMs returns the live VMs offering service, in ID order: VM up,
+// host PM up, and at least one live ToR uplink — a rack event that
+// strands a machine makes its VMs unusable for clustering and routing
+// alike. The index behind it is a derived cache of the current
+// generation, so VM churn and liveness transitions refresh it; callers
+// must treat the slice as read-only.
+func (t *Topology) LiveVMs(service string) []NodeID {
+	t.derivedMu.Lock()
+	defer t.derivedMu.Unlock()
+	t.resetDerivedLocked()
+	if t.liveVMs == nil {
+		t.liveVMs = make(map[string][]NodeID)
+		for _, n := range t.nodes {
+			if n == nil || n.Kind != KindVM || n.Down {
+				continue
+			}
+			if host := t.Node(n.Host); host != nil && !host.Down && len(t.neighborsOfKindLocked(n.Host, KindToR)) > 0 {
+				t.liveVMs[n.Service] = append(t.liveVMs[n.Service], n.ID)
+			}
+		}
+	}
+	return t.liveVMs[service]
+}
+
 // VMsByService groups all VM IDs by their service label. This is the
 // paper's service-based clustering input (§III-A).
 func (t *Topology) VMsByService() map[string][]NodeID {
@@ -599,11 +635,10 @@ func (t *Topology) ToROPSBipartite(tors []NodeID, allow map[NodeID]bool) ([][]No
 	return lefts, nil
 }
 
-// GraphOptions selects which parts of the topology are projected into a
-// routing snapshot.
+// GraphOptions is ignored by RoutingSnapshot: there is one routing
+// graph, without VMs. The type remains so existing callers compile.
 type GraphOptions struct {
-	// IncludeVMs adds VM nodes linked to their host PM (zero-latency
-	// virtual edges). Off by default: routing usually starts at ToRs.
+	// Deprecated: ignored; a route reaches a VM by its host's local hop.
 	IncludeVMs bool
 }
 
