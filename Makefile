@@ -41,9 +41,9 @@ vet:
 
 # The size the north star tracks (ROADMAP aim 2): Go lines outside
 # tests, outside and inside benchmark/, and in tests; the interface
-# counts of ROADMAP item 4 — methods on the shard set (over
-# internal/orch's files, tests included), exported methods on a shard
-# and on the facade's Architecture — and the exported functions and
+# counts of ROADMAP item 11 — methods on the shard set (over
+# internal/orch's files, tests included), exported methods on the
+# unexported shard and on the facade's Architecture — and the exported functions and
 # methods of internal/graph's non-test files. TestSourceSizeRatchet computes them and fails when one
 # rises above testdata/size_ratchet.txt; this runs it verbosely, so it
 # prints them and fails with it.

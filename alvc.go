@@ -225,6 +225,10 @@ func ChangeReplicas(nf, replicas int) Change { return orch.ChangeReplicas(nf, re
 // form of Fig. 8's move-into-the-optical-domain optimization.
 func ChangeHost(nf int, to NodeID) Change { return orch.ChangeHost(nf, to) }
 
+// ChangeRebuild is the Change that rebuilds a chain from scratch around
+// the current topology state.
+func ChangeRebuild() Change { return orch.ChangeRebuild() }
+
 // NFCatalog returns the names of the built-in network function types.
 func NFCatalog() []string { return nfv.ProfileNames() }
 
@@ -462,42 +466,26 @@ func (a *Architecture) SubscribeEvents(s orch.EventSink) (cancel func()) {
 func (a *Architecture) Topology() *Topology { return a.topo }
 
 // Sharded returns the orchestrator — a set of shards, one unless
-// WithShards raised the count: routed per-deployment verbs, fleet
-// merges, per-shard statistics, and through Shard(i) each shard's
-// allocator, SDN controller, NFV manager, slices and wavelengths.
+// WithShards raised the count: every verb and fleet read, per-shard
+// statistics, a chain's SDN controller by its ID (ControllerOf), and the
+// NFV manager, slices and wavelengths every shard shares.
 func (a *Architecture) Sharded() *orch.Sharded { return a.sh }
-
-// ShardCount returns the number of orchestrator shards (1 without
-// WithShards).
-func (a *Architecture) ShardCount() int { return a.sh.Shards() }
 
 // BuildServiceClusters constructs one virtual cluster per service
 // (paper §III, Fig. 1/3) — the pure clustering use of AL-VC, without
 // chains. The clusters claim OPSs from the same pool chain deployments
 // use (shard 0's partition when WithShards splits the pool).
-func (a *Architecture) BuildServiceClusters() ([]*VC, error) {
-	vcs, err := a.sh.Shard(0).Allocator().BuildAllByService()
-	if err != nil {
-		return nil, fmt.Errorf("alvc: %w", err)
-	}
-	return vcs, nil
-}
+func (a *Architecture) BuildServiceClusters() ([]*VC, error) { return a.sh.BuildServiceClusters() }
 
-// ReleaseCluster dissolves a cluster built by BuildServiceClusters.
-func (a *Architecture) ReleaseCluster(id cluster.VCID) error {
-	return a.sh.Shard(0).Allocator().Release(id)
-}
+// ReleaseCluster dissolves a cluster built by BuildServiceClusters. It
+// refuses, changing nothing, the cluster of a deployed chain: that one
+// is the chain's abstraction layer, and leaves with the chain.
+func (a *Architecture) ReleaseCluster(id cluster.VCID) error { return a.sh.ReleaseCluster(id) }
 
 // Clusters returns all current virtual clusters (service clusters and
-// chain-backing clusters alike) across every shard's allocator. VC IDs
-// are per-allocator, so entries from different shards may share an ID.
-func (a *Architecture) Clusters() []*VC {
-	var out []*VC
-	for i := 0; i < a.sh.Shards(); i++ {
-		out = append(out, a.sh.Shard(i).Allocator().VCs()...)
-	}
-	return out
-}
+// chain-backing clusters alike) across every shard, sorted by ID; an ID
+// names one cluster in the whole fleet.
+func (a *Architecture) Clusters() []*VC { return a.sh.Clusters() }
 
 // Deploy provisions a chain end to end (paper §IV): virtual cluster,
 // optical slice, VNF placement and instantiation, SDN path. When ctx
@@ -519,8 +507,8 @@ func (a *Architecture) Delete(ctx context.Context, id DeploymentID) (*Deployment
 }
 
 // Apply makes one edit to a deployed chain (§IV-B: modification,
-// upgradation, scaling, and a VNF's move) under the chain's exclusive
-// claim; see orch.Orchestrator.Apply.
+// upgradation, scaling, a VNF's move, and a rebuild) under the chain's
+// exclusive claim; see orch.Sharded.Apply.
 func (a *Architecture) Apply(id DeploymentID, c Change) error { return a.sh.Apply(id, c) }
 
 // NewFailures builds the failure set of the given nodes and links,
@@ -582,15 +570,6 @@ func (a *Architecture) FlushFailures() ([]RepairReport, error) {
 	return a.debounce.Flush()
 }
 
-// FailureDebounceStats returns the debouncer's coalescing counters; ok
-// is false when the architecture was built without WithFailureDebounce.
-func (a *Architecture) FailureDebounceStats() (DebounceStats, bool) {
-	if a.debounce == nil {
-		return DebounceStats{}, false
-	}
-	return a.debounce.Stats(), true
-}
-
 // Debouncer returns the failure debouncer, or nil when the
 // architecture was built without WithFailureDebounce.
 func (a *Architecture) Debouncer() *FailureDebouncer { return a.debounce }
@@ -600,9 +579,6 @@ func (a *Architecture) Debouncer() *FailureDebouncer { return a.debounce }
 // set plays for it (host / path / slice / standby; a link is only ever
 // path or standby), from the reverse indexes.
 func (a *Architecture) Impact(f Failures) []ImpactEntry { return a.sh.Impact(f) }
-
-// Repair rebuilds one deployment around the current topology state.
-func (a *Architecture) Repair(id DeploymentID) error { return a.sh.Repair(id) }
 
 // Tracer returns the request-scoped tracer, or nil when tracing was
 // disabled with WithTracing(nil). A nil Tracer is safe to call.
@@ -683,7 +659,7 @@ func (a *Architecture) MeasureDeployment(id DeploymentID, n int) (FlowResult, er
 	cfg := flow.DefaultConfig()
 	cfg.VNFDelayUs = make(map[NodeID]float64)
 	for _, instID := range dep.Instances {
-		inst := a.sh.Shard(0).Manager().Instance(instID)
+		inst := a.sh.Manager().Instance(instID)
 		if inst == nil {
 			continue
 		}
@@ -731,10 +707,10 @@ func (a *Architecture) Summarize() Summary {
 		OPSs:               stats.OPSs,
 		OptoelectronicOPSs: stats.OptoelectronicOPSs,
 		Services:           stats.Services,
-		Clusters:           len(a.Clusters()),
-		InstalledRules:     a.sh.RuleCount(),
 	}
 	for _, st := range a.sh.ShardStats() {
+		s.Clusters += st.VCs
+		s.InstalledRules += st.InstalledRules
 		s.ActiveDeployments += st.Active
 		s.TotalConversions += st.Conversions
 		s.TotalEnergyJoules += st.EnergyJoules

@@ -2,12 +2,15 @@ package alvc
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/alvc/alvc/internal/cluster"
 	"github.com/alvc/alvc/internal/orch"
 )
 
@@ -154,6 +157,67 @@ func TestClusterAndChainShareOPSPool(t *testing.T) {
 	}
 }
 
+// TestReleaseClusterRefusesAChainsLayer: a deployed chain's cluster is
+// its abstraction layer, so ReleaseCluster refuses its ID and changes
+// nothing — the chain keeps its layer and Clusters() its entries, and no
+// OPS goes back to the pool while the chain holds it (one OPS serves one
+// AL, §III) — while a service cluster still releases. Every ID Clusters()
+// lists names one cluster, at one shard and at four.
+func TestReleaseClusterRefusesAChainsLayer(t *testing.T) {
+	cfg := DefaultTopology()
+	cfg.Racks, cfg.OPSCount, cfg.ToRUplinks, cfg.OPSChords = 4, 16, 16, 0
+	cfg.Services = []string{"web"}
+	cfg.PMCapacity = Resources{CPUCores: 1 << 20, MemoryGB: 1 << 20, StorageGB: 1 << 20}
+	for _, shards := range []int{1, 4} {
+		arch, err := New(cfg, WithShards(shards))
+		if err != nil {
+			t.Fatalf("%d shards: New: %v", shards, err)
+		}
+		service, err := arch.BuildServiceClusters()
+		if err != nil {
+			t.Fatalf("%d shards: BuildServiceClusters: %v", shards, err)
+		}
+		var deps []*Deployment
+		for i := 0; i < 8; i++ {
+			spec, err := LinearChain(fmt.Sprintf("c%d", i), fmt.Sprintf("tenant-%d", i), "web", 1, 1<<20, "firewall")
+			if err != nil {
+				t.Fatalf("LinearChain: %v", err)
+			}
+			dep, err := arch.Deploy(ctx, spec)
+			if err != nil {
+				t.Fatalf("%d shards: Deploy %d: %v", shards, i, err)
+			}
+			deps = append(deps, dep)
+		}
+		before := arch.Clusters()
+		seen := make(map[cluster.VCID]bool)
+		for _, vc := range before {
+			if seen[vc.ID] {
+				t.Errorf("%d shards: VC ID %d names two clusters", shards, vc.ID)
+			}
+			seen[vc.ID] = true
+		}
+		for _, dep := range deps {
+			if err := arch.ReleaseCluster(dep.VC.ID); err == nil {
+				t.Errorf("%d shards: ReleaseCluster(%d) dissolved chain %d's layer", shards, dep.VC.ID, dep.ID)
+			}
+			if now := arch.Deployment(dep.ID); now.State != orch.StateActive || !slices.Equal(now.VC.AL.OPSs, dep.VC.AL.OPSs) {
+				t.Errorf("%d shards: chain %d changed: %v over %v, was over %v", shards, dep.ID, now.State, now.VC.AL.OPSs, dep.VC.AL.OPSs)
+			}
+		}
+		if after := arch.Clusters(); !slices.EqualFunc(after, before, func(a, b *VC) bool { return a.ID == b.ID }) {
+			t.Errorf("%d shards: refused releases moved Clusters() from %d to %d entries", shards, len(before), len(after))
+		}
+		if err := arch.ReleaseCluster(service[0].ID); err != nil {
+			t.Errorf("%d shards: ReleaseCluster of a service cluster: %v", shards, err)
+		}
+		if got := len(arch.Clusters()); got != len(before)-1 {
+			t.Errorf("%d shards: %d clusters after releasing the service one, want %d", shards, got, len(before)-1)
+		}
+		arch.Close()
+	}
+}
+
 func TestWithOptions(t *testing.T) {
 	arch, err := New(archConfig(),
 		WithBuilder(GreedyBuilder{}),
@@ -216,8 +280,8 @@ func TestFacadeFailureRecovery(t *testing.T) {
 	if err := arch.Recover(NewFailures([]NodeID{victim}, nil)); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if err := arch.Repair(dep.ID); err != nil {
-		t.Fatalf("manual Repair: %v", err)
+	if err := arch.Apply(dep.ID, ChangeRebuild()); err != nil {
+		t.Fatalf("manual rebuild: %v", err)
 	}
 	if arch.Deployment(dep.ID).Repairs != 2 {
 		t.Fatal("manual repair not counted")
@@ -262,7 +326,7 @@ func TestCloseFlushesPendingFailures(t *testing.T) {
 	if nodes, links := arch.Debouncer().Pending(); nodes != 0 || links != 0 {
 		t.Fatalf("after Close: pending (%d, %d), want (0, 0)", nodes, links)
 	}
-	if st, _ := arch.FailureDebounceStats(); st.Batches != 1 {
+	if st := arch.Debouncer().Stats(); st.Batches != 1 {
 		t.Fatalf("after Close: %d batches flushed, want 1", st.Batches)
 	}
 	if got := arch.Deployment(dep.ID).Repairs; got != 1 {
@@ -271,13 +335,12 @@ func TestCloseFlushesPendingFailures(t *testing.T) {
 }
 
 // TestOneFormPerVerb pins the shape of the orchestration surface: no
-// type offers a verb twice (X beside XCtx), and a shard offers none of
-// the fleet-level entry points — failures, batches and hooks are the
-// shard set's.
+// type offers a verb twice (X beside XCtx), a failure twin per node or
+// link, or an edit beside Apply. The shard, internal to orch, is held
+// to the same rows by orch's TestShardSurface.
 func TestOneFormPerVerb(t *testing.T) {
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(&orch.Sharded{}),
-		reflect.TypeOf(&orch.Orchestrator{}),
 		reflect.TypeOf(&orch.FailureDebouncer{}),
 		reflect.TypeOf(&Architecture{}),
 	} {
@@ -296,7 +359,6 @@ func TestOneFormPerVerb(t *testing.T) {
 	twin := regexp.MustCompile(`^(Fail|Recover|Set)(Node|Link)s?(Down)?$|^(Node|Link)Impact$|^FailBatch$`)
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(&orch.Sharded{}),
-		reflect.TypeOf(&orch.Orchestrator{}),
 		reflect.TypeOf(&Architecture{}),
 		reflect.TypeOf(&Topology{}),
 	} {
@@ -309,23 +371,15 @@ func TestOneFormPerVerb(t *testing.T) {
 	// One edit verb: Apply(id, Change) on every layer, no per-edit twin.
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(&orch.Sharded{}),
-		reflect.TypeOf(&orch.Orchestrator{}),
 		reflect.TypeOf(&Architecture{}),
 	} {
-		for _, name := range []string{"Modify", "Upgrade", "ScaleNF", "MoveNF"} {
+		for _, name := range []string{"Modify", "Upgrade", "ScaleNF", "MoveNF", "Repair"} {
 			if _, twin := typ.MethodByName(name); twin {
 				t.Errorf("%v.%s: an edit is Apply(id, Change)", typ, name)
 			}
 		}
 		if _, ok := typ.MethodByName("Apply"); !ok {
 			t.Errorf("%v has no Apply", typ)
-		}
-	}
-	shard := reflect.TypeOf(&orch.Orchestrator{})
-	for i := 0; i < shard.NumMethod(); i++ {
-		name := shard.Method(i).Name
-		if strings.HasPrefix(name, "Handle") || strings.HasPrefix(name, "Set") || name == "ProvisionBatch" {
-			t.Errorf("shard method %s belongs to the shard set", name)
 		}
 	}
 }

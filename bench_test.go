@@ -191,7 +191,7 @@ func BenchmarkE7_Slicing(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	slices := arch.Sharded().Shard(0).Slices()
+	slices := arch.Sharded().Slices()
 	opss := arch.Topology().NodeIDs(topology.KindOPS)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

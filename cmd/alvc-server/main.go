@@ -171,7 +171,7 @@ func run() int {
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	sum := arch.Summarize()
 	fmt.Printf("alvc-server listening on %s (%d PMs, %d VMs, %d OPSs, %d services, %d shards)\n",
-		*addr, sum.PMs, sum.VMs, sum.OPSs, sum.Services, arch.ShardCount())
+		*addr, sum.PMs, sum.VMs, sum.OPSs, sum.Services, arch.Sharded().Shards())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

@@ -21,7 +21,7 @@ import (
 
 // counts sums the per-shard counters the contracts read.
 type counts struct {
-	pathComps, yenRuns, standbySearches, ruleInstalls int
+	pathComps, yenRuns, standbySearches, ruleInstalls, fallbacks int
 }
 
 func countsOf(arch *alvc.Architecture) counts {
@@ -31,12 +31,13 @@ func countsOf(arch *alvc.Architecture) counts {
 		c.yenRuns += st.YenRuns
 		c.standbySearches += int(st.CandidateCacheHits + st.CandidateCacheMisses)
 		c.ruleInstalls += st.RuleInstalls
+		c.fallbacks += int(st.StandbyFallbacks)
 	}
 	return c
 }
 
 func (c counts) minus(d counts) counts {
-	return counts{c.pathComps - d.pathComps, c.yenRuns - d.yenRuns, c.standbySearches - d.standbySearches, c.ruleInstalls - d.ruleInstalls}
+	return counts{c.pathComps - d.pathComps, c.yenRuns - d.yenRuns, c.standbySearches - d.standbySearches, c.ruleInstalls - d.ruleInstalls, c.fallbacks - d.fallbacks}
 }
 
 // wideTopology fits `chains` disjoint ALs: every ToR sees every OPS, so
@@ -459,7 +460,7 @@ func TestContractWarmComputePath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		ctrl := arch.Sharded().Shard(0).Controller()
+		ctrl := arch.Sharded().ControllerOf(1) // the one shard's: it issues ID 1
 		tors := arch.Topology().NodeIDs(topology.KindToR)
 		src, dst := tors[0], tors[len(tors)-1]
 		var buf []alvc.NodeID
@@ -608,14 +609,14 @@ func TestContractLinkStorm(t *testing.T) {
 			t.Errorf("batched storm repaired victim %d %d times, want 1", v.dep, repaired[v.dep])
 		}
 	}
-	if st, _ := batch.FailureDebounceStats(); st.Batches != 1 || int(st.Events) != 2*len(batchVictims) {
+	if st := batch.Debouncer().Stats(); st.Batches != 1 || int(st.Events) != 2*len(batchVictims) {
 		t.Errorf("debouncer: %d batches from %d reports, want 1 from %d", st.Batches, st.Events, 2*len(batchVictims))
 	}
 
-	drainBefore, fallbacksBefore := countsOf(batch), batch.Sharded().StandbyFallbacks()
+	drainBefore := countsOf(batch)
 	results := batch.Optimize()
 	drain := countsOf(batch).minus(drainBefore)
-	fallbacks := int(batch.Sharded().StandbyFallbacks() - fallbacksBefore)
+	fallbacks := drain.fallbacks
 	after, _ := batch.OptimizerStatus()
 	t.Logf("drain: %d results, %+v, group plans %+v, fabric retries %d, queue high-water %d", len(results), drain, after.GroupPlans, fallbacks, after.HighWater)
 	if after.GroupPlans.Coalesced == before.GroupPlans.Coalesced {

@@ -67,9 +67,8 @@ func main() {
 	fmt.Printf("\n%d OPSs allocated across 3 chains — all abstraction layers disjoint ✓\n", len(owned))
 
 	// Flow rules are isolated per chain: inspect the controller.
-	ctrl := arch.Sharded().Shard(0).Controller()
 	for i, dep := range deps {
-		rules := ctrl.RulesForFlow(dep.FlowKey())
+		rules := arch.Sharded().ControllerOf(dep.ID).RulesForFlow(dep.FlowKey())
 		fmt.Printf("%-6s flow rules installed: %d (one per hop)\n", chains[i].name, len(rules))
 	}
 }

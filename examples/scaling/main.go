@@ -48,7 +48,7 @@ func main() {
 	if dpiIdx < 0 {
 		log.Fatal("scaling: no electronic stage found")
 	}
-	mgr := arch.Sharded().Shard(0).Manager()
+	mgr := arch.Sharded().Manager()
 	instID := dep.Instances[dpiIdx]
 	host := mgr.Instance(instID).Host
 

@@ -3,6 +3,7 @@ package alvc
 import (
 	"testing"
 
+	"github.com/alvc/alvc/internal/cluster"
 	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/topology"
 )
@@ -123,7 +124,7 @@ func TestFullPaperStory(t *testing.T) {
 		t.Fatalf("flow result = %+v", res)
 	}
 	var hits int64
-	for _, r := range arch.Sharded().Shard(0).Controller().RulesForFlow(arch.Deployment(blue.ID).FlowKey()) {
+	for _, r := range arch.Sharded().ControllerOf(blue.ID).RulesForFlow(arch.Deployment(blue.ID).FlowKey()) {
 		hits += r.Hits
 	}
 	if hits == 0 {
@@ -140,7 +141,7 @@ func TestFullPaperStory(t *testing.T) {
 	if final.ActiveDeployments != 0 || final.Clusters != 0 {
 		t.Fatalf("leaks after teardown: %+v", final)
 	}
-	if !arch.Sharded().Shard(0).Allocator().Disjoint() || !arch.Sharded().Shard(0).Slices().Disjoint() {
+	if !cluster.Disjoint(arch.Clusters()) || !arch.Sharded().Slices().Disjoint() {
 		t.Fatal("disjointness violated at the end")
 	}
 }

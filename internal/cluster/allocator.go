@@ -31,7 +31,10 @@ type Allocator struct {
 	builder  Builder
 	vcs      map[VCID]*VC
 	opsOwner map[topology.NodeID]VCID
-	nextID   VCID
+	// nextID and idStride number the clusters: allocator i of n issues
+	// i+1, i+1+n, i+1+2n, …, so allocators over disjoint pools never issue
+	// one ID twice.
+	nextID, idStride VCID
 	// pool, when its set is non-nil, restricts this allocator to a subset
 	// of the topology's OPSs, so AL construction (the cover under mu) works
 	// on a smaller candidate set and two allocators with disjoint pools
@@ -52,8 +55,10 @@ type Allocator struct {
 
 // NewRestrictedAllocator returns an allocator that only claims OPSs
 // from the given pool. A nil pool means every OPS in the topology; an
-// empty (non-nil) pool is rejected since no AL could ever be built.
-func NewRestrictedAllocator(topo *topology.Topology, builder Builder, pool []topology.NodeID) (*Allocator, error) {
+// empty (non-nil) pool is rejected since no AL could ever be built. It
+// is allocator i of n (0 of 1 when alone): it issues VC IDs i+1,
+// i+1+n, …, so an ID names one cluster among all n.
+func NewRestrictedAllocator(topo *topology.Topology, builder Builder, pool []topology.NodeID, i, n int) (*Allocator, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("cluster: allocator: nil topology")
 	}
@@ -65,6 +70,8 @@ func NewRestrictedAllocator(topo *topology.Topology, builder Builder, pool []top
 		builder:  builder,
 		vcs:      make(map[VCID]*VC),
 		opsOwner: make(map[topology.NodeID]VCID),
+		nextID:   VCID(i + 1 - n),
+		idStride: VCID(n),
 	}
 	a.free = make([]bool, len(topo.OpticalDegrees())) // one entry per node ID
 	if pool != nil {
@@ -171,7 +178,7 @@ func (a *Allocator) BuildVC(service string, vms []topology.NodeID) (*VC, error) 
 	if err != nil {
 		return nil, fmt.Errorf("cluster: build VC for %q: %w", service, err)
 	}
-	a.nextID++
+	a.nextID += a.idStride
 	vc := &VC{ID: a.nextID, Service: service, VMs: slices.Clone(vms)}
 	a.setALLocked(vc, al)
 	return vc, nil
@@ -274,19 +281,17 @@ func (a *Allocator) VCCount() int {
 	return len(a.vcs)
 }
 
-// Disjoint reports whether all current ALs are pairwise disjoint — the
+// Disjoint reports whether the clusters' ALs are pairwise disjoint — the
 // invariant property tests assert after arbitrary build/release
-// sequences.
-func (a *Allocator) Disjoint() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	seen := make(map[topology.NodeID]VCID)
-	for id, vc := range a.vcs {
+// sequences, over one allocator's VCs or a whole fleet's.
+func Disjoint(vcs []*VC) bool {
+	owner := make(map[topology.NodeID]VCID)
+	for _, vc := range vcs {
 		for _, ops := range vc.AL.OPSs {
-			if prev, dup := seen[ops]; dup && prev != id {
+			if prev, dup := owner[ops]; dup && prev != vc.ID {
 				return false
 			}
-			seen[ops] = id
+			owner[ops] = vc.ID
 		}
 	}
 	return true

@@ -187,7 +187,7 @@ func TestAllocatorDisjointALs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
+	alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil, 0, 1)
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
@@ -198,7 +198,7 @@ func TestAllocatorDisjointALs(t *testing.T) {
 	if len(vcs) != len(cfg.Services) {
 		t.Fatalf("VCs = %d, want %d", len(vcs), len(cfg.Services))
 	}
-	if !alloc.Disjoint() {
+	if !Disjoint(alloc.VCs()) {
 		t.Fatal("ALs are not disjoint")
 	}
 	// Every OPS in an AL is owned by exactly that VC.
@@ -217,7 +217,7 @@ func TestAllocatorDisjointALs(t *testing.T) {
 
 func TestAllocatorReleaseFreesOPS(t *testing.T) {
 	topo, vms, _ := fig4Topo(t)
-	alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
+	alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil, 0, 1)
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
@@ -243,7 +243,7 @@ func TestAllocatorReleaseFreesOPS(t *testing.T) {
 
 func TestAllocatorExhaustsOPS(t *testing.T) {
 	topo, vms, _ := fig4Topo(t)
-	alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
+	alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil, 0, 1)
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
@@ -255,7 +255,7 @@ func TestAllocatorExhaustsOPS(t *testing.T) {
 	if _, err := alloc.BuildVC("web2", vms); !errors.Is(err, ErrInsufficientOPS) {
 		t.Fatalf("second BuildVC error = %v, want ErrInsufficientOPS", err)
 	}
-	if !alloc.Disjoint() {
+	if !Disjoint(alloc.VCs()) {
 		t.Fatal("failed build corrupted disjointness")
 	}
 }
@@ -274,7 +274,7 @@ func TestBuildAllByServiceRollsBackOnFailure(t *testing.T) {
 	if _, err := topo.AddVM(pm, "zzz-backup"); err != nil {
 		t.Fatalf("AddVM: %v", err)
 	}
-	alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
+	alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil, 0, 1)
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
@@ -291,10 +291,10 @@ func TestBuildAllByServiceRollsBackOnFailure(t *testing.T) {
 
 func TestNewAllocatorNilArgs(t *testing.T) {
 	topo, _, _ := fig4Topo(t)
-	if _, err := NewRestrictedAllocator(nil, PaperBuilder{}, nil); err == nil {
+	if _, err := NewRestrictedAllocator(nil, PaperBuilder{}, nil, 0, 1); err == nil {
 		t.Fatal("nil topology accepted")
 	}
-	if _, err := NewRestrictedAllocator(topo, nil, nil); err == nil {
+	if _, err := NewRestrictedAllocator(topo, nil, nil, 0, 1); err == nil {
 		t.Fatal("nil builder accepted")
 	}
 }
@@ -344,4 +344,26 @@ func abs64(x int64) int64 {
 		return -x
 	}
 	return x
+}
+
+// TestAllocatorStridesVCIDs: allocator i of n issues i+1, i+1+n, …, so
+// allocators over disjoint pools never issue one ID twice.
+func TestAllocatorStridesVCIDs(t *testing.T) {
+	topo, err := topology.Generate(topology.DefaultGenConfig())
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil, 1, 3)
+	if err != nil {
+		t.Fatalf("NewRestrictedAllocator: %v", err)
+	}
+	vcs, err := alloc.BuildAllByService()
+	if err != nil || len(vcs) < 2 {
+		t.Fatalf("BuildAllByService: %d VCs, %v", len(vcs), err)
+	}
+	for i, vc := range vcs {
+		if want := VCID(2 + 3*i); vc.ID != want {
+			t.Errorf("VC %d has ID %d, want %d", i, vc.ID, want)
+		}
+	}
 }

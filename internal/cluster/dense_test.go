@@ -182,7 +182,7 @@ func checkAllocator(t *testing.T, alloc *Allocator, pool []topology.NodeID, step
 	if got := alloc.AvailableOPS(); !maps.Equal(got, want) {
 		t.Fatalf("%s: AvailableOPS = %v, want pool minus owned = %v", step, got, want)
 	}
-	if !alloc.Disjoint() {
+	if !Disjoint(alloc.VCs()) {
 		t.Fatalf("%s: ALs overlap", step)
 	}
 }
@@ -202,7 +202,7 @@ func TestAllocatorFreeSetModel(t *testing.T) {
 		var alloc *Allocator
 		var err error
 		if seed%2 == 0 {
-			alloc, err = NewRestrictedAllocator(topo, PaperBuilder{}, nil)
+			alloc, err = NewRestrictedAllocator(topo, PaperBuilder{}, nil, 0, 1)
 		} else {
 			pool = nil
 			for _, ops := range opss {
@@ -213,7 +213,7 @@ func TestAllocatorFreeSetModel(t *testing.T) {
 			if len(pool) == 0 {
 				pool = opss[:1]
 			}
-			alloc, err = NewRestrictedAllocator(topo, PaperBuilder{}, pool)
+			alloc, err = NewRestrictedAllocator(topo, PaperBuilder{}, pool, 0, 1)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -328,7 +328,7 @@ func BenchmarkBuildVC(b *testing.B) {
 	for _, ops := range []int{300, 1200, 4800} {
 		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
 			topo, vms := wideFabric(b, ops)
-			alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
+			alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil, 0, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -105,7 +105,7 @@ func TestFullCoverEqualsCoverMarginal(t *testing.T) {
 	for seed := int64(0); seed < 90; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		topo := shortcutFabric(t, rng, int(seed%3))
-		alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
+		alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func (a *Allocator) OwnerOf(ops topology.NodeID) (VCID, bool) {
 
 func TestPatchVCSwapsFailedOPS(t *testing.T) {
 	topo, vms, ids := fig4Topo(t)
-	a, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
+	a, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil, 0, 1)
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestPatchVCSwapsFailedOPS(t *testing.T) {
 			t.Fatalf("patched OPS %d owner = %d/%v, want %d", ops, owner, owned, vc.ID)
 		}
 	}
-	if !a.Disjoint() {
+	if !Disjoint(a.VCs()) {
 		t.Fatal("disjointness violated after patch")
 	}
 	// The old record handed to the caller is untouched (snapshots stay
@@ -73,7 +73,7 @@ func TestPatchVCSwapsFailedOPS(t *testing.T) {
 
 func TestPatchVCReusesSurvivors(t *testing.T) {
 	topo, vms, _ := fig4Topo(t)
-	a, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
+	a, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil, 0, 1)
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestPatchVCReusesSurvivors(t *testing.T) {
 
 func TestPatchVCUnknownID(t *testing.T) {
 	topo, _, _ := fig4Topo(t)
-	a, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
+	a, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil, 0, 1)
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestPatchVCUnknownID(t *testing.T) {
 
 func TestPatchVCFailureLeavesAllocatorUnchanged(t *testing.T) {
 	topo, vms, _ := fig4Topo(t)
-	a, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil)
+	a, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil, 0, 1)
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}

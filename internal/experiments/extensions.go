@@ -80,7 +80,7 @@ func E13FailureRepair() (*Result, error) {
 	} else {
 		res.Violations = append(res.Violations, "a failure left a chain down or still using the failed OPS")
 	}
-	if !o.Shard(0).Allocator().Disjoint() || !o.Shard(0).Slices().Disjoint() {
+	if !cluster.Disjoint(o.Clusters()) || !o.Slices().Disjoint() {
 		res.Violations = append(res.Violations, "disjointness violated during repairs")
 	} else {
 		res.Findings = append(res.Findings, "AL/slice disjointness held through every repair")
@@ -188,7 +188,7 @@ func E14WDMBlocking() (*Result, error) {
 		}
 		// After blocking, no partial state may remain beyond the
 		// admitted chains.
-		leaks := len(o.Shard(0).Slices().Slices()) - admitted
+		leaks := len(o.Slices().Slices()) - admitted
 		tbl.AddRow(fmt.Sprint(wl), fmt.Sprint(admitted), fmt.Sprint(blocked), fmt.Sprint(leaks))
 		if admitted < prevAdmitted {
 			monotone = false

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/alvc/alvc/internal/chain"
+	"github.com/alvc/alvc/internal/cluster"
 	"github.com/alvc/alvc/internal/nfv"
 	"github.com/alvc/alvc/internal/optical"
 	"github.com/alvc/alvc/internal/orch"
@@ -74,13 +75,13 @@ func E5ChainDeploy() (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E5: provision %s: %w", spec.Name, err)
 		}
-		rules := o.Shard(0).Controller().RulesForFlow(dep.FlowKey())
+		rules := o.ControllerOf(dep.ID).RulesForFlow(dep.FlowKey())
 		tbl.AddRow(spec.Name, fmt.Sprint(len(spec.NFs)), fmt.Sprint(dep.VC.AL.Size()),
 			fmt.Sprint(len(dep.Path)-1), fmt.Sprint(len(rules)),
 			fmt.Sprint(dep.Conversions), fmt.Sprint(dep.SliceConfined))
 	}
 	res.Tables = append(res.Tables, tbl)
-	if o.ActiveCount() == 3 && o.Shard(0).Allocator().Disjoint() && o.Shard(0).Slices().Disjoint() {
+	if len(o.Deployments()) == 3 && cluster.Disjoint(o.Clusters()) && o.Slices().Disjoint() {
 		res.Findings = append(res.Findings,
 			"all three Fig. 5 chains route over disjoint ALs with per-chain flow rules")
 	} else {
@@ -149,7 +150,7 @@ func E6Lifecycle() (*Result, error) {
 				return nil, fmt.Errorf("E6 round %d: delete: %w", round, err)
 			}
 		}
-		leaks := o.ActiveCount() + len(o.Shard(0).Slices().Slices()) + len(o.Shard(0).Allocator().VCs())
+		leaks := len(o.Deployments()) + len(o.Slices().Slices()) + len(o.Clusters())
 		tbl.AddRow(fmt.Sprint(round), "3", "3", "3", "3", "3", fmt.Sprint(leaks))
 		totalOps += 15
 		if leaks != 0 {
@@ -200,7 +201,7 @@ func E7Slicing() (*Result, error) {
 		}
 	}
 	res.Tables = append(res.Tables, tbl)
-	if !o.Shard(0).Slices().Disjoint() {
+	if !o.Slices().Disjoint() {
 		res.Violations = append(res.Violations, "slices overlap")
 	} else {
 		res.Findings = append(res.Findings, "slices are pairwise disjoint (one OPS never serves two NFCs)")

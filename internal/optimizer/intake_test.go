@@ -41,7 +41,7 @@ func healthyFleet(t testing.TB, shards, n int, seed int64) (*orch.Sharded, *topo
 			blocked = append(blocked, l.ID)
 		}
 	}
-	if _, err := s.Shard(0).WDM().AssignPath("blocker", blocked); err != nil {
+	if _, err := s.WDM().AssignPath("blocker", blocked); err != nil {
 		t.Fatalf("AssignPath blocker: %v", err)
 	}
 	deps := make([]*orch.Deployment, n)
@@ -284,7 +284,7 @@ func TestDriftLifecycle(t *testing.T) {
 	if get().Drifted {
 		t.Fatal("an operator move set the drifted flag")
 	}
-	mgr := s.Shard(0).Manager()
+	mgr := s.Manager()
 	var fillers []nfv.InstanceID
 	for inst, err := mgr.Create(nfv.Firewall, home); err == nil; inst, err = mgr.Create(nfv.Firewall, home) {
 		fillers = append(fillers, inst.ID)
@@ -434,7 +434,7 @@ func TestRecoveryStormVsDrainAndDeletes(t *testing.T) {
 	}
 	s.UpdateHooks(func(h *orch.Hooks) { h.Events = eng })
 	deps := s.Deployments()
-	active := s.ActiveCount()
+	active := activeCount(s)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(3)
@@ -492,10 +492,10 @@ func TestRecoveryStormVsDrainAndDeletes(t *testing.T) {
 	for _, res := range failed {
 		t.Errorf("task failed during the storm: %+v", res)
 	}
-	if got := s.ActiveCount(); deleted == 0 || got != active-deleted {
+	if got := activeCount(s); deleted == 0 || got != active-deleted {
 		t.Fatalf("%d chains active after %d deletes of %d", got, deleted, active)
 	}
-	if got := len(s.AppendChainHealth(nil)); got != s.ActiveCount() {
-		t.Fatalf("sweep sees %d chains, %d active", got, s.ActiveCount())
+	if got := len(s.AppendChainHealth(nil)); got != activeCount(s) {
+		t.Fatalf("sweep sees %d chains, %d active", got, activeCount(s))
 	}
 }

@@ -148,6 +148,20 @@ func (r *domainRecorder) OrchEvent(ev orch.Event) {
 	r.eng.OrchEvent(ev)
 }
 
+// shardPool is the OPS partition of the shard owning id, as orch.New
+// deals it: the ID-sorted OPSs round-robin over the shards, the zero
+// Pool (the fabric) when one shard owns them all.
+func shardPool(s *orch.Sharded, topo *topology.Topology, id orch.DeploymentID) topology.Pool {
+	if s.Shards() == 1 {
+		return topology.Pool{}
+	}
+	opss, set := topo.NodeIDs(topology.KindOPS), make(map[topology.NodeID]bool)
+	for i := s.ShardOf(id); i < len(opss); i += s.Shards() {
+		set[opss[i]] = true
+	}
+	return topology.NewPool(set)
+}
+
 // planAlone is what resilience.PlanStandbyAvoiding gives the chain alone
 // on the current state, avoiding srlgs, under the pool-then-fabric rule.
 func planAlone(s *orch.Sharded, topo *topology.Topology, dep *orch.Deployment, srlgs []int) (*resilience.Standby, error) {
@@ -161,7 +175,7 @@ func planAlone(s *orch.Sharded, topo *topology.Topology, dep *orch.Deployment, s
 		stops = append(stops, n.Host)
 	}
 	primary := resilience.Primary{Path: dep.Path, Stops: append(stops, dst), Slice: dep.Slice.OPSs}
-	ctrl, pool := s.ControllerOf(dep.ID), s.Shard(s.ShardOf(dep.ID)).Allocator().Pool()
+	ctrl, pool := s.ControllerOf(dep.ID), shardPool(s, topo, dep.ID)
 	want, err := resilience.PlanStandbyAvoiding(ctrl, topo, primary, pool, srlgs)
 	if pool.OPS != nil && (err != nil || !want.Disjoint) {
 		wide, wideErr := resilience.PlanStandbyAvoiding(ctrl, topo, primary, topology.Pool{}, srlgs)

@@ -122,6 +122,22 @@ func provision(t *testing.T, o *orch.Sharded, name string) *orch.Deployment {
 	return dep
 }
 
+// activeCount sums the shards' active chains.
+func activeCount(o *orch.Sharded) (n int) {
+	for _, st := range o.ShardStats() {
+		n += st.Active
+	}
+	return n
+}
+
+// standbyFallbacks sums the shards' whole-fabric standby fallbacks.
+func standbyFallbacks(o *orch.Sharded) (n int64) {
+	for _, st := range o.ShardStats() {
+		n += st.StandbyFallbacks
+	}
+	return n
+}
+
 func pathHas(path []topology.NodeID, n topology.NodeID) bool {
 	for _, p := range path {
 		if p == n {
@@ -145,7 +161,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 	// Primary transit ToR dies (the OPSs are AL members and would
 	// classify as a slice patch): swap, no standby search inline.
 	victim := tors[0][0]
-	hits, misses := o.Shard(0).Controller().AlternativesCacheStats()
+	hits, misses := o.ControllerOf(dep.ID).AlternativesCacheStats()
 	reports, err := o.HandleFailures(bg, topology.NewFailures([]topology.NodeID{victim}, nil))
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
@@ -153,7 +169,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 	if len(reports) != 1 || reports[0].Action != orch.ActionSwapped {
 		t.Fatalf("reports = %+v, want swapped", reports)
 	}
-	if h, m := o.Shard(0).Controller().AlternativesCacheStats(); h+m != hits+misses {
+	if h, m := o.ControllerOf(dep.ID).AlternativesCacheStats(); h+m != hits+misses {
 		t.Fatalf("swap asked %d standby searches", h+m-hits-misses)
 	}
 	if cur := o.Deployment(dep.ID); cur.Standby != nil {

@@ -190,14 +190,14 @@ func TestStormGroupFallbackMovesBothFamilies(t *testing.T) {
 	if dep.Standby == nil || dep.Standby.Disjoint {
 		t.Fatalf("standby at provision = %+v, want a non-disjoint one", dep.Standby)
 	}
-	before := s.StandbyFallbacks()
+	before := standbyFallbacks(s)
 	eng.OrchEvent(orch.Event{Kind: orch.EventRepairCompleted, Deployment: dep.ID,
 		Action: orch.ActionSwapped, Domain: orch.FailureDomain{SRLGs: []int{7}}})
 	eng.Drain()
 	if st := eng.Status(); st.GroupPlans != (GroupPlanStats{Groups: 1, Planned: 1, Fallbacks: 1}) {
 		t.Fatalf("group plans %+v: want one group, one member planned, one fallback", st.GroupPlans)
 	}
-	if got := s.StandbyFallbacks() - before; got != 1 {
+	if got := standbyFallbacks(s) - before; got != 1 {
 		t.Fatalf("standby fallbacks moved by %d, want the group member's 1", got)
 	}
 }

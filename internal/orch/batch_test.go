@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/alvc/alvc/internal/chain"
+	"github.com/alvc/alvc/internal/cluster"
 	"github.com/alvc/alvc/internal/topology"
 )
 
@@ -47,7 +48,7 @@ func batchSpecs(t testing.TB, n int) []chain.Spec {
 	return specs
 }
 
-func newWideOrch(t testing.TB, opsCount int) (*Sharded, *Orchestrator) {
+func newWideOrch(t testing.TB, opsCount int) (*Sharded, *shard) {
 	t.Helper()
 	return newTestOrch(t, Config{Topo: wideTopology(t, opsCount)})
 }
@@ -74,15 +75,15 @@ func TestProvisionBatch100(t *testing.T) {
 			t.Fatalf("result %d is deployment %q, want %q", i, res.Deployment.Spec.Name, specs[i].Name)
 		}
 	}
-	if n := o.ActiveCount(); n != 100 {
+	if n := activeCount(s); n != 100 {
 		t.Fatalf("active count %d, want 100", n)
 	}
-	if !o.Allocator().Disjoint() {
+	if !cluster.Disjoint(o.alloc.VCs()) {
 		t.Fatal("ALs not disjoint after batch")
 	}
 	// Every deployment got its own flow rules.
 	for _, res := range results {
-		if len(o.Controller().RulesForFlow(res.Deployment.FlowKey())) == 0 {
+		if len(o.ctrl.RulesForFlow(res.Deployment.FlowKey())) == 0 {
 			t.Fatalf("no flow rules for %s", res.Deployment.FlowKey())
 		}
 	}
@@ -104,16 +105,16 @@ func TestProvisionBatchPartialFailure(t *testing.T) {
 	if ok == 0 || failed == 0 {
 		t.Fatalf("expected a mix of outcomes over a tight pool, got %d ok / %d failed", ok, failed)
 	}
-	if got := o.ActiveCount(); got != ok {
+	if got := activeCount(s); got != ok {
 		t.Fatalf("active count %d != successful results %d", got, ok)
 	}
-	if !o.Allocator().Disjoint() {
+	if !cluster.Disjoint(o.alloc.VCs()) {
 		t.Fatal("ALs not disjoint after partial failure")
 	}
 }
 
 func TestProvisionBatchDuplicateFlowKeys(t *testing.T) {
-	s, o := newWideOrch(t, 16)
+	s, _ := newWideOrch(t, 16)
 	specs := batchSpecs(t, 3)
 	specs[2].Name = specs[0].Name
 	specs[2].Tenant = specs[0].Tenant
@@ -124,8 +125,8 @@ func TestProvisionBatchDuplicateFlowKeys(t *testing.T) {
 	if results[2].Err == nil {
 		t.Fatal("duplicate flow key accepted")
 	}
-	if o.ActiveCount() != 2 {
-		t.Fatalf("active count %d, want 2", o.ActiveCount())
+	if activeCount(s) != 2 {
+		t.Fatalf("active count %d, want 2", activeCount(s))
 	}
 }
 
@@ -135,23 +136,23 @@ func TestProvisionBatchDuplicateFlowKeys(t *testing.T) {
 // exactly one of deleted (with resources released) or active.
 func TestConcurrentDeleteVsRepairExclusive(t *testing.T) {
 	for round := 0; round < 5; round++ {
-		_, o := newWideOrch(t, 16)
-		dep, err := o.Provision(bg, batchSpecs(t, 1)[0])
+		s, o := newWideOrch(t, 16)
+		dep, err := s.Provision(bg, batchSpecs(t, 1)[0])
 		if err != nil {
 			t.Fatalf("provision: %v", err)
 		}
 		done := make(chan error, 2)
-		go func() { _, err := o.Delete(bg, dep.ID); done <- err }()
-		go func() { done <- o.Repair(dep.ID) }()
+		go func() { _, err := s.Delete(bg, dep.ID); done <- err }()
+		go func() { done <- s.Apply(dep.ID, ChangeRebuild()) }()
 		<-done
 		<-done
-		switch got := o.Deployment(dep.ID); {
+		switch got := s.Deployment(dep.ID); {
 		case got == nil:
 			// Delete won: the record is gone, a tombstone answers for it.
-			if _, ok := o.Tombstone(dep.ID); !ok {
+			if _, ok := s.Tombstone(dep.ID); !ok {
 				t.Fatal("deleted deployment left no tombstone")
 			}
-			for _, vc := range o.Allocator().VCs() {
+			for _, vc := range o.alloc.VCs() {
 				if vc.ID == dep.VC.ID {
 					t.Fatalf("deleted deployment still owns VC %d", dep.VC.ID)
 				}
@@ -161,7 +162,7 @@ func TestConcurrentDeleteVsRepairExclusive(t *testing.T) {
 		default:
 			t.Fatalf("unexpected terminal state %s", got.State)
 		}
-		if !o.Allocator().Disjoint() {
+		if !cluster.Disjoint(o.alloc.VCs()) {
 			t.Fatal("ALs not disjoint after delete/repair race")
 		}
 	}
@@ -170,19 +171,19 @@ func TestConcurrentDeleteVsRepairExclusive(t *testing.T) {
 // TestDuplicateFlowKeyAcrossCalls ensures the flow-key reservation
 // spans separate Provision calls, not just one batch.
 func TestDuplicateFlowKeyAcrossCalls(t *testing.T) {
-	_, o := newWideOrch(t, 16)
+	s, _ := newWideOrch(t, 16)
 	spec := batchSpecs(t, 1)[0]
-	first, err := o.Provision(bg, spec)
+	first, err := s.Provision(bg, spec)
 	if err != nil {
 		t.Fatalf("first provision: %v", err)
 	}
-	if _, err := o.Provision(bg, spec); !errors.Is(err, ErrDuplicateChain) {
+	if _, err := s.Provision(bg, spec); !errors.Is(err, ErrDuplicateChain) {
 		t.Fatalf("second provision: got %v, want ErrDuplicateChain", err)
 	}
-	if _, err := o.Delete(bg, first.ID); err != nil {
+	if _, err := s.Delete(bg, first.ID); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if _, err := o.Provision(bg, spec); err != nil {
+	if _, err := s.Provision(bg, spec); err != nil {
 		t.Fatalf("re-provision after delete: %v", err)
 	}
 }
@@ -251,10 +252,10 @@ func BenchmarkProvisionSequential100(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		_, o := newWideOrch(b, 128)
+		s, _ := newWideOrch(b, 128)
 		b.StartTimer()
 		for _, spec := range specs {
-			if _, err := o.Provision(bg, spec); err != nil {
+			if _, err := s.Provision(bg, spec); err != nil {
 				b.Fatalf("provision: %v", err)
 			}
 		}

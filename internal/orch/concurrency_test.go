@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/alvc/alvc/internal/chain"
+	"github.com/alvc/alvc/internal/cluster"
 )
 
 // TestConcurrentProvisionDelete hammers the orchestrator from multiple
@@ -14,7 +15,7 @@ import (
 // dry; the invariants are no panics, no double allocation, and a clean
 // final state. Run with -race.
 func TestConcurrentProvisionDelete(t *testing.T) {
-	_, o := newOrch(t)
+	s, o := newOrch(t)
 	services := []string{"web", "mapreduce", "sns"}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -32,27 +33,27 @@ func TestConcurrentProvisionDelete(t *testing.T) {
 					t.Errorf("Linear: %v", err)
 					return
 				}
-				dep, err := o.Provision(bg, spec)
+				dep, err := s.Provision(bg, spec)
 				if err != nil {
 					continue // pool exhaustion under contention is fine
 				}
-				if err := o.Apply(dep.ID, ChangeVersion()); err != nil {
+				if err := s.Apply(dep.ID, ChangeVersion()); err != nil {
 					t.Errorf("Upgrade: %v", err)
 				}
-				if _, err := o.Delete(bg, dep.ID); err != nil {
+				if _, err := s.Delete(bg, dep.ID); err != nil {
 					t.Errorf("Delete: %v", err)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if o.ActiveCount() != 0 {
-		t.Fatalf("active deployments leaked: %d", o.ActiveCount())
+	if activeCount(s) != 0 {
+		t.Fatalf("active deployments leaked: %d", activeCount(s))
 	}
-	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+	if !cluster.Disjoint(o.alloc.VCs()) || !o.slices.Disjoint() {
 		t.Fatal("disjointness violated under concurrency")
 	}
-	if len(o.Slices().Slices()) != 0 {
+	if len(o.slices.Slices()) != 0 {
 		t.Fatal("slices leaked")
 	}
 }
@@ -65,7 +66,7 @@ func TestConcurrentProvisionDelete(t *testing.T) {
 // live record outside the claim, or the slice a snapshot shares, races.
 func TestConcurrentReads(t *testing.T) {
 	s, o := newOrch(t)
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -81,7 +82,7 @@ func TestConcurrentReads(t *testing.T) {
 					return
 				default:
 				}
-				if d := o.Deployment(dep.ID); d == nil || d.Slice.BandwidthGbps <= 0 || d.Spec.BandwidthGbps <= 0 {
+				if d := s.Deployment(dep.ID); d == nil || d.Slice.BandwidthGbps <= 0 || d.Spec.BandwidthGbps <= 0 {
 					t.Errorf("snapshot without a bandwidth: %+v", d)
 					return
 				}
@@ -91,8 +92,8 @@ func TestConcurrentReads(t *testing.T) {
 						return
 					}
 				}
-				_ = o.ActiveCount()
-				_ = o.Controller().RuleCount()
+				_ = activeCount(s)
+				_ = o.ctrl.RuleCount()
 			}
 		}()
 	}
@@ -105,17 +106,17 @@ func TestConcurrentReads(t *testing.T) {
 				return
 			default:
 			}
-			if err := o.Repair(dep.ID); err != nil && !errors.Is(err, ErrBusy) {
+			if err := s.Apply(dep.ID, ChangeRebuild()); err != nil && !errors.Is(err, ErrBusy) {
 				t.Errorf("Repair: %v", err)
 				return
 			}
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		if err := o.Apply(dep.ID, ChangeBandwidth(float64(i+1))); err != nil && !errors.Is(err, ErrBusy) {
+		if err := s.Apply(dep.ID, ChangeBandwidth(float64(i+1))); err != nil && !errors.Is(err, ErrBusy) {
 			t.Fatalf("modify: %v", err)
 		}
-		if err := o.Apply(dep.ID, ChangeVersion()); err != nil && !errors.Is(err, ErrBusy) {
+		if err := s.Apply(dep.ID, ChangeVersion()); err != nil && !errors.Is(err, ErrBusy) {
 			t.Fatalf("upgrade: %v", err)
 		}
 	}

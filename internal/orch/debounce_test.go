@@ -166,8 +166,8 @@ func TestDebouncerZeroWindowPassThrough(t *testing.T) {
 // second fleet) — coalesce into one batch that classifies the chain
 // against the union and repairs it exactly once.
 func TestDebouncedStormRepairsOnce(t *testing.T) {
-	s, o, ids := triOrch(t, Config{})
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	s, _, ids := triOrch(t, Config{})
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestDebouncedStormRepairsOnce(t *testing.T) {
 	if reports[0].Action != ActionRepathed {
 		t.Fatalf("action = %s, want %s", reports[0].Action, ActionRepathed)
 	}
-	got := o.Deployment(dep.ID)
+	got := s.Deployment(dep.ID)
 	if !pathContains(got.Path, ids.opss[2]) {
 		t.Fatalf("repaired path %v does not use the spare route", got.Path)
 	}
@@ -217,7 +217,7 @@ func TestDebouncedStormRepairsOnce(t *testing.T) {
 // grouped, a unique batch tag otherwise.
 func TestRepairEventsCarryFailureDomain(t *testing.T) {
 	s, o, ids := triOrch(t, Config{})
-	if _, err := o.Provision(bg, triSpec(t, "chain-1")); err != nil {
+	if _, err := s.Provision(bg, triSpec(t, "chain-1")); err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	sink := &recordingSink{}

@@ -65,14 +65,14 @@ func TestEventMuxFanOutAndCancel(t *testing.T) {
 // and two independent subscribers (a metrics exporter and an optimizer
 // stand-in) and asserts both see live lifecycle events.
 func TestEventMuxAsOrchestratorSink(t *testing.T) {
-	s, o := newOrch(t)
+	s, _ := newOrch(t)
 	m := NewEventMux()
 	metrics, opt := &muxRecorder{}, &muxRecorder{}
 	m.Subscribe(metrics)
 	m.Subscribe(opt)
 	s.UpdateHooks(func(h *Hooks) { h.Events = m })
 
-	dep, err := o.Provision(bg, webSpec(t, "mux-chain"))
+	dep, err := s.Provision(bg, webSpec(t, "mux-chain"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}

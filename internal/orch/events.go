@@ -22,7 +22,7 @@ const (
 	// consumed or missing standby (swap/re-path) or a drifted placement
 	// (replace/patch/rebuild).
 	EventRepairCompleted EventKind = iota + 1
-	// EventPlacementChanged: a VNF migration (MoveNF, re-home)
+	// EventPlacementChanged: a VNF migration (ChangeHost, re-home)
 	// re-provisioned the chain's connectivity; the standby was dropped
 	// and must be replanned around the new primary.
 	EventPlacementChanged

@@ -4,20 +4,21 @@ import (
 	"testing"
 
 	"github.com/alvc/alvc/internal/chain"
+	"github.com/alvc/alvc/internal/cluster"
 	"github.com/alvc/alvc/internal/nfv"
 	"github.com/alvc/alvc/internal/topology"
 )
 
 func TestRepairRebuildsChain(t *testing.T) {
-	_, o := newOrch(t)
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, o := newOrch(t)
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if err := o.Repair(dep.ID); err != nil {
+	if err := s.Apply(dep.ID, ChangeRebuild()); err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
-	got := o.Deployment(dep.ID)
+	got := s.Deployment(dep.ID)
 	if got.State != StateActive {
 		t.Fatalf("state = %s, want active", got.State)
 	}
@@ -25,23 +26,23 @@ func TestRepairRebuildsChain(t *testing.T) {
 		t.Fatalf("repairs = %d, want 1", got.Repairs)
 	}
 	// Rebuilt resources are live: rules installed, instances active.
-	rules := o.Controller().RulesForFlow(got.FlowKey())
+	rules := o.ctrl.RulesForFlow(got.FlowKey())
 	if len(rules) != len(got.Path) {
 		t.Fatalf("rules = %d, want %d", len(rules), len(got.Path))
 	}
 	for _, id := range got.Instances {
-		if inst := o.Manager().Instance(id); inst.State != nfv.StateActive {
+		if inst := o.mgr.Instance(id); inst.State != nfv.StateActive {
 			t.Fatalf("instance %d state = %s", id, inst.State)
 		}
 	}
-	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+	if !cluster.Disjoint(o.alloc.VCs()) || !o.slices.Disjoint() {
 		t.Fatal("disjointness violated after repair")
 	}
 }
 
 func TestHandleNodeFailureOPS(t *testing.T) {
-	s, o := newOrch(t)
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, _ := newOrch(t)
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -55,7 +56,7 @@ func TestHandleNodeFailureOPS(t *testing.T) {
 	if len(repaired) != 1 || repaired[0] != dep.ID {
 		t.Fatalf("repaired = %v, want [%d]", repaired, dep.ID)
 	}
-	got := o.Deployment(dep.ID)
+	got := s.Deployment(dep.ID)
 	if got.State != StateActive || got.Repairs != 1 {
 		t.Fatalf("after failure: state=%s repairs=%d", got.State, got.Repairs)
 	}
@@ -76,8 +77,8 @@ func TestHandleNodeFailureOPS(t *testing.T) {
 }
 
 func TestHandleNodeFailureVNFHostPM(t *testing.T) {
-	s, o := newOrch(t)
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, _ := newOrch(t)
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -99,7 +100,7 @@ func TestHandleNodeFailureVNFHostPM(t *testing.T) {
 	if repaired := RepairedIDs(reports); len(repaired) != 1 {
 		t.Fatalf("repaired = %v", repaired)
 	}
-	got := o.Deployment(dep.ID)
+	got := s.Deployment(dep.ID)
 	for _, h := range got.Placement.Hosts {
 		if h == pmHost {
 			t.Fatalf("failed PM %d still hosts a VNF", pmHost)
@@ -108,8 +109,8 @@ func TestHandleNodeFailureVNFHostPM(t *testing.T) {
 }
 
 func TestHandleNodeFailureUntouchedDeploymentsUnaffected(t *testing.T) {
-	s, o := newOrch(t)
-	d1, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, _ := newOrch(t)
+	d1, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision 1: %v", err)
 	}
@@ -117,7 +118,7 @@ func TestHandleNodeFailureUntouchedDeploymentsUnaffected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Linear: %v", err)
 	}
-	d2, err := o.Provision(bg, spec2)
+	d2, err := s.Provision(bg, spec2)
 	if err != nil {
 		t.Fatalf("Provision 2: %v", err)
 	}
@@ -145,7 +146,7 @@ func TestHandleNodeFailureUntouchedDeploymentsUnaffected(t *testing.T) {
 			t.Fatal("unaffected deployment was repaired")
 		}
 	}
-	if got := o.Deployment(d2.ID); got.Repairs != 0 {
+	if got := s.Deployment(d2.ID); got.Repairs != 0 {
 		t.Fatal("unaffected deployment gained repairs")
 	}
 }
@@ -158,50 +159,50 @@ func TestHandleNodeFailureUnknownNode(t *testing.T) {
 }
 
 func TestRepairNonActive(t *testing.T) {
-	_, o := newOrch(t)
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, _ := newOrch(t)
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if _, err := o.Delete(bg, dep.ID); err != nil {
+	if _, err := s.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if err := o.Repair(dep.ID); err == nil {
+	if err := s.Apply(dep.ID, ChangeRebuild()); err == nil {
 		t.Fatal("repair of deleted deployment accepted")
 	}
 }
 
 func TestProvisionWithWDM(t *testing.T) {
-	_, o := newTestOrch(t, Config{Topo: orchTopo(t), Wavelengths: 8})
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, o := newTestOrch(t, Config{Topo: orchTopo(t), Wavelengths: 8})
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	if dep.Lambda < 0 {
 		t.Fatalf("lambda = %d, want assigned", dep.Lambda)
 	}
-	if a, ok := o.WDM().AssignmentOf(dep.FlowKey()); !ok || a.Lambda != dep.Lambda {
+	if a, ok := o.wdm.AssignmentOf(dep.FlowKey()); !ok || a.Lambda != dep.Lambda {
 		t.Fatalf("WDM assignment missing or mismatched: %+v %v", a, ok)
 	}
 	// Delete releases the wavelength.
-	if _, err := o.Delete(bg, dep.ID); err != nil {
+	if _, err := s.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if _, ok := o.WDM().AssignmentOf(dep.FlowKey()); ok {
+	if _, ok := o.wdm.AssignmentOf(dep.FlowKey()); ok {
 		t.Fatal("wavelength not released on delete")
 	}
 }
 
 func TestWDMDisabledLambdaMinusOne(t *testing.T) {
-	_, o := newOrch(t)
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, o := newOrch(t)
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	if dep.Lambda != -1 {
 		t.Fatalf("lambda = %d, want -1 with WDM disabled", dep.Lambda)
 	}
-	if o.WDM() != nil {
+	if o.wdm != nil {
 		t.Fatal("WDM should be nil when disabled")
 	}
 }
@@ -209,22 +210,22 @@ func TestWDMDisabledLambdaMinusOne(t *testing.T) {
 func TestWDMBlockingRollsBack(t *testing.T) {
 	// Capacity 1: two chains of the same service share boundary links
 	// (same ToRs), so the second must block and roll back cleanly.
-	_, o := newTestOrch(t, Config{Topo: orchTopo(t), Wavelengths: 1})
-	d1, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, o := newTestOrch(t, Config{Topo: orchTopo(t), Wavelengths: 1})
+	d1, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision 1: %v", err)
 	}
-	availBefore := len(o.Allocator().AvailableOPS())
-	rulesBefore := o.Controller().RuleCount()
-	_, err = o.Provision(bg, webSpec(t, "chain-2"))
+	availBefore := len(o.alloc.AvailableOPS())
+	rulesBefore := o.ctrl.RuleCount()
+	_, err = s.Provision(bg, webSpec(t, "chain-2"))
 	if err == nil {
 		// Paths may be disjoint on this topology; nothing to assert.
 		t.Skip("second chain found disjoint optical links")
 	}
-	if got := len(o.Allocator().AvailableOPS()); got != availBefore {
+	if got := len(o.alloc.AvailableOPS()); got != availBefore {
 		t.Fatalf("OPS leaked on WDM block: %d -> %d", availBefore, got)
 	}
-	if got := o.Controller().RuleCount(); got != rulesBefore {
+	if got := o.ctrl.RuleCount(); got != rulesBefore {
 		t.Fatalf("rules leaked on WDM block: %d -> %d", rulesBefore, got)
 	}
 	_ = d1

@@ -91,7 +91,7 @@ func (f refFailureSet) HitsAnyLink(links []topology.LinkID) bool {
 	return false
 }
 
-func refAffectedBy(o *Orchestrator, dead refFailureSet) []DeploymentID {
+func refAffectedBy(o *shard, dead refFailureSet) []DeploymentID {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	var out []DeploymentID
@@ -128,7 +128,7 @@ func refAffectedBy(o *Orchestrator, dead refFailureSet) []DeploymentID {
 	})
 }
 
-func refNodeImpact(o *Orchestrator, node topology.NodeID) []ImpactEntry {
+func refNodeImpact(o *shard, node topology.NodeID) []ImpactEntry {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	var out []ImpactEntry
@@ -159,7 +159,7 @@ func refNodeImpact(o *Orchestrator, node topology.NodeID) []ImpactEntry {
 	return out
 }
 
-func refLinkImpact(o *Orchestrator, link topology.LinkID) []ImpactEntry {
+func refLinkImpact(o *shard, link topology.LinkID) []ImpactEntry {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	var out []ImpactEntry
@@ -447,7 +447,7 @@ func TestDebouncerPendingEqualsMapUnion(t *testing.T) {
 // snapshot patch — and so is its recovery.
 func TestMixedBatchIsOneLivenessTransition(t *testing.T) {
 	s, o := newOrch(t)
-	if _, err := o.Provision(bg, webSpec(t, "chain-1")); err != nil {
+	if _, err := s.Provision(bg, webSpec(t, "chain-1")); err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	topo := o.topo

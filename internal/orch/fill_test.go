@@ -142,7 +142,7 @@ func TestFullCoverReplaysBigpoolFill(t *testing.T) {
 			}
 		}
 	}
-	st := got.Shard(0).Allocator().CoverStats()
+	st := got.shards[0].alloc.CoverStats()
 	if st.FullCovers != n || st.Fallbacks != 0 {
 		t.Fatalf("%d provisions answered as %+v, want every one by the full cover", n, st)
 	}
@@ -153,13 +153,13 @@ func TestFullCoverReplaysBigpoolFill(t *testing.T) {
 // pool grows and nothing else does: resident chains would also grow the
 // fleet, and at 4800 OPSs their standby legs alone overflow the SDN
 // controller's 4096-entry memo.
-func halfClaimedFleet(tb testing.TB, ops int) (*Sharded, *Orchestrator, *topology.Topology) {
+func halfClaimedFleet(tb testing.TB, ops int) (*Sharded, *shard, *topology.Topology) {
 	tb.Helper()
 	topo := fillTopology(tb, ops)
 	s, o := newTestOrch(tb, Config{Topo: topo})
 	vms := topo.NodeIDs(topology.KindVM)
 	for i := 0; i < ops/2; i++ {
-		if _, err := o.Allocator().BuildVC("resident", vms); err != nil {
+		if _, err := o.alloc.BuildVC("resident", vms); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func provisionCosts(t *testing.T, ops, k int) (evaluated, resets int64, allocs u
 	var ms runtime.MemStats
 	for i := -2; i < k; i++ { // two unmeasured: caches and pools fill
 		spec := fillSpec(t, i+2, fillShapes[(i+2)%len(fillShapes)])
-		evalBefore, resetsBefore := o.Allocator().CoverStats().Evaluated, frozen.SearchResets()
+		evalBefore, resetsBefore := o.alloc.CoverStats().Evaluated, frozen.SearchResets()
 		runtime.ReadMemStats(&ms)
 		mallocs := ms.Mallocs
 		dep, err := s.Provision(bg, spec)
@@ -187,7 +187,7 @@ func provisionCosts(t *testing.T, ops, k int) (evaluated, resets int64, allocs u
 		}
 		if i >= 0 {
 			allocs = min(allocs, ms.Mallocs-mallocs)
-			evaluated += int64(o.Allocator().CoverStats().Evaluated - evalBefore)
+			evaluated += int64(o.alloc.CoverStats().Evaluated - evalBefore)
 			resets += frozen.SearchResets() - resetsBefore
 		}
 		if _, err := s.Delete(bg, dep.ID); err != nil {

@@ -1,10 +1,10 @@
 package orch
 
-// The two bounded, copy-free views a shard gives of its fleet besides
-// the whole-record reads (Deployment, Deployments): ChainHealth, the
-// by-value per-chain summary the background optimizer's sweeps read,
-// and Tombstone, what is left of a chain once Delete has taken its
-// record out of the deployment map.
+// The two bounded, copy-free views the orchestrator gives of its fleet
+// besides the whole-record reads (Deployment, Deployments):
+// ChainHealth, the by-value per-chain summary the background
+// optimizer's sweeps read, and Tombstone, what is left of a chain once
+// Delete has taken its record out of the deployment map.
 
 import (
 	"slices"
@@ -37,31 +37,6 @@ func healthOf(dep *Deployment) ChainHealth {
 	}
 }
 
-// appendChainHealth appends one entry per active deployment of the
-// shard to buf, in map order.
-func (o *Orchestrator) appendChainHealth(buf []ChainHealth) []ChainHealth {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for _, dep := range o.deployments {
-		if dep.State == StateActive {
-			buf = append(buf, healthOf(dep))
-		}
-	}
-	return buf
-}
-
-// appendOwedHealth is appendChainHealth over the maintenance-owed index
-// alone: the active chains without a disjoint standby or Drifted. It
-// reads what a recovery can help, not the fleet.
-func (o *Orchestrator) appendOwedHealth(buf []ChainHealth) []ChainHealth {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for _, dep := range o.owed {
-		buf = append(buf, healthOf(dep))
-	}
-	return buf
-}
-
 // sortAppended sorts by ID what a sweep appended to buf, and returns the
 // extended slice.
 func sortAppended(buf, extended []ChainHealth) []ChainHealth {
@@ -75,19 +50,30 @@ func sortAppended(buf, extended []ChainHealth) []ChainHealth {
 // grow.
 func (s *Sharded) AppendChainHealth(buf []ChainHealth) []ChainHealth {
 	out := buf
-	for _, sh := range s.shards {
-		out = sh.appendChainHealth(out)
+	for _, o := range s.shards {
+		o.mu.Lock()
+		for _, dep := range o.deployments {
+			if dep.State == StateActive {
+				out = append(out, healthOf(dep))
+			}
+		}
+		o.mu.Unlock()
 	}
 	return sortAppended(buf, out)
 }
 
 // AppendOwedHealth is AppendChainHealth over the shards'
-// maintenance-owed indexes: it reads, copies and sorts what a recovery
-// can help, not the fleet.
+// maintenance-owed indexes — the active chains without a disjoint
+// standby or Drifted: it reads, copies and sorts what a recovery can
+// help, not the fleet.
 func (s *Sharded) AppendOwedHealth(buf []ChainHealth) []ChainHealth {
 	out := buf
-	for _, sh := range s.shards {
-		out = sh.appendOwedHealth(out)
+	for _, o := range s.shards {
+		o.mu.Lock()
+		for _, dep := range o.owed {
+			out = append(out, healthOf(dep))
+		}
+		o.mu.Unlock()
 	}
 	return sortAppended(buf, out)
 }
@@ -117,36 +103,23 @@ func findTombstone(r *ring.Ring[Tombstone], id DeploymentID) (Tombstone, bool) {
 	return Tombstone{}, false
 }
 
-// Tombstone returns the tombstone of a deleted deployment while the
+// Tombstone returns the tombstone of a deleted deployment while its
 // shard's ring still holds it.
-func (o *Orchestrator) Tombstone(id DeploymentID) (Tombstone, bool) {
+func (s *Sharded) Tombstone(id DeploymentID) (Tombstone, bool) {
+	o := s.owner(id)
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return findTombstone(&o.tombs, id)
 }
 
-// Tombstones returns the shard's ring sorted by ID.
-func (o *Orchestrator) Tombstones() []Tombstone {
-	o.mu.Lock()
-	out := o.tombs.AppendTo(nil)
-	o.mu.Unlock()
-	sortTombstones(out)
-	return out
-}
-
-func sortTombstones(ts []Tombstone) {
-	slices.SortFunc(ts, func(a, b Tombstone) int { return int(a.ID - b.ID) })
-}
-
-// Tombstone routes to the owning shard.
-func (s *Sharded) Tombstone(id DeploymentID) (Tombstone, bool) { return s.owner(id).Tombstone(id) }
-
 // Tombstones merges every shard's ring, sorted by ID.
 func (s *Sharded) Tombstones() []Tombstone {
 	var out []Tombstone
-	for _, sh := range s.shards {
-		out = append(out, sh.Tombstones()...)
+	for _, o := range s.shards {
+		o.mu.Lock()
+		out = o.tombs.AppendTo(out)
+		o.mu.Unlock()
 	}
-	sortTombstones(out)
+	slices.SortFunc(out, func(a, b Tombstone) int { return int(a.ID - b.ID) })
 	return out
 }

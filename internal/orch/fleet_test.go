@@ -71,7 +71,7 @@ func owedSize(t *testing.T, s *Sharded) int {
 		sh.mu.Lock()
 		for id, dep := range sh.owed {
 			if sh.deployments[id] != dep || dep.State != StateActive {
-				t.Errorf("shard %d: owed entry %d is not the shard's active record", sh.shard, id)
+				t.Errorf("shard %d: owed entry %d is not the shard's active record", sh.index, id)
 			}
 		}
 		n += len(sh.owed)
@@ -268,15 +268,15 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 // a tombstone) while it is among the shard's newest TombstoneRing
 // deletes, and as unknown after.
 func TestTombstoneRing(t *testing.T) {
-	_, o := newWideOrch(t, 8)
+	s, _ := newWideOrch(t, 8)
 	spec := batchSpecs(t, 1)[0]
 	var ids []DeploymentID
 	for i := 0; i < TombstoneRing+3; i++ {
-		dep, err := o.Provision(bg, spec)
+		dep, err := s.Provision(bg, spec)
 		if err != nil {
 			t.Fatalf("Provision %d: %v", i, err)
 		}
-		final, err := o.Delete(context.Background(), dep.ID)
+		final, err := s.Delete(context.Background(), dep.ID)
 		if err != nil {
 			t.Fatalf("Delete %d: %v", i, err)
 		}
@@ -285,13 +285,13 @@ func TestTombstoneRing(t *testing.T) {
 		}
 		ids = append(ids, dep.ID)
 	}
-	if got := o.Tombstones(); len(got) != TombstoneRing || got[0].ID != ids[3] || got[len(got)-1].ID != ids[len(ids)-1] {
+	if got := s.Tombstones(); len(got) != TombstoneRing || got[0].ID != ids[3] || got[len(got)-1].ID != ids[len(ids)-1] {
 		t.Fatalf("ring holds %d tombstones [%d..], want the newest %d from %d", len(got), got[0].ID, TombstoneRing, ids[3])
 	}
 	for i, id := range ids {
-		ts, ok := o.Tombstone(id)
-		_, err := o.Delete(bg, id)
-		if o.Deployment(id) != nil {
+		ts, ok := s.Tombstone(id)
+		_, err := s.Delete(bg, id)
+		if s.Deployment(id) != nil {
 			t.Fatalf("deleted deployment %d still has a record", id)
 		}
 		if i < 3 {
@@ -325,7 +325,7 @@ func TestRehomeFloorEqualsFullEvaluation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Generate: %v", err)
 		}
-		_, o := newTestOrch(t, Config{Topo: topo, Policy: placement.OpticalFirst{}})
+		s, o := newTestOrch(t, Config{Topo: topo, Policy: placement.OpticalFirst{}})
 		rng := rand.New(rand.NewSource(seed))
 		pms := topo.NodeIDs(topology.KindPhysicalMachine)
 		var ids []DeploymentID
@@ -338,19 +338,19 @@ func TestRehomeFloorEqualsFullEvaluation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Linear: %v", err)
 			}
-			dep, err := o.Provision(bg, spec)
+			dep, err := s.Provision(bg, spec)
 			if err != nil {
 				continue // pool or capacity exhausted on this fabric
 			}
 			// Drift some chains: an NF pushed onto a random server.
 			if rng.Intn(2) == 0 {
-				_ = o.Apply(dep.ID, ChangeHost(rng.Intn(len(nfs)), pms[rng.Intn(len(pms))]))
+				_ = s.Apply(dep.ID, ChangeHost(rng.Intn(len(nfs)), pms[rng.Intn(len(pms))]))
 			}
 			ids = append(ids, dep.ID)
 		}
 		for _, id := range ids {
 			for margin := 1; margin <= 4; margin++ {
-				before := o.Deployment(id)
+				before := s.Deployment(id)
 				if before.State != StateActive || placement.Score(before.Placement) >= margin {
 					continue
 				}
@@ -368,7 +368,7 @@ func TestRehomeFloorEqualsFullEvaluation(t *testing.T) {
 					t.Fatalf("seed %d chain %d score %d margin %d: floor (%v,%v,%v), full evaluation (%v,%v,%v)",
 						seed, id, placement.Score(before.Placement), margin, moved, rebuilt, err, fMoved, fRebuilt, fErr)
 				}
-				if after := o.Deployment(id); !slices.Equal(after.Placement.Hosts, before.Placement.Hosts) {
+				if after := s.Deployment(id); !slices.Equal(after.Placement.Hosts, before.Placement.Hosts) {
 					t.Fatalf("seed %d chain %d: hosts moved %v -> %v below the margin", seed, id, before.Placement.Hosts, after.Placement.Hosts)
 				}
 			}
@@ -386,7 +386,7 @@ type storeSizes struct {
 	tracedChains                                            int
 }
 
-func sizesOf(o *Orchestrator, st *trace.Store) storeSizes {
+func sizesOf(o *shard, st *trace.Store) storeSizes {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	nodeIndex, linkIndex := o.indexSizes()
@@ -417,13 +417,13 @@ func TestDeletedChainsLeaveMemory(t *testing.T) {
 	s.UpdateHooks(func(h *Hooks) { h.Tracer = trace.NewTracer(store) })
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		if _, err := o.Provision(ctx, residentSpec(t, i, "resident")); err != nil {
+		if _, err := s.Provision(ctx, residentSpec(t, i, "resident")); err != nil {
 			t.Fatalf("Provision resident %d: %v", i, err)
 		}
 	}
 	// One resident loses its standby and is not re-protected: the owed
 	// index holds it, and only it, however many chains come and go.
-	sb := o.Deployment(1).Standby
+	sb := s.Deployment(1).Standby
 	if _, err := failLink(s, sb.Links[1]); err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
@@ -433,11 +433,11 @@ func TestDeletedChainsLeaveMemory(t *testing.T) {
 	var first, last DeploymentID
 	cycle := func(n int) {
 		for i := 0; i < n; i++ {
-			dep, err := o.Provision(ctx, residentSpec(t, 1000, "churn"))
+			dep, err := s.Provision(ctx, residentSpec(t, 1000, "churn"))
 			if err != nil {
 				t.Fatalf("Provision: %v", err)
 			}
-			if _, err := o.Delete(ctx, dep.ID); err != nil {
+			if _, err := s.Delete(ctx, dep.ID); err != nil {
 				t.Fatalf("Delete %d: %v", dep.ID, err)
 			}
 			if first == 0 {
@@ -458,10 +458,10 @@ func TestDeletedChainsLeaveMemory(t *testing.T) {
 	if got := heapObjects(); float64(got) > 1.1*float64(objects) {
 		t.Fatalf("heap objects grew %d -> %d between 200 and 5000 cycles", objects, got)
 	}
-	if _, ok := o.Tombstone(first); ok {
+	if _, ok := s.Tombstone(first); ok {
 		t.Fatalf("first deleted chain %d still has a tombstone", first)
 	}
-	if ts, ok := o.Tombstone(last); !ok || ts.TraceID == "" {
+	if ts, ok := s.Tombstone(last); !ok || ts.TraceID == "" {
 		t.Fatalf("last deleted chain %d: tombstone %+v, %v", last, ts, ok)
 	} else if _, _, held := store.Trace(ts.TraceID); !held {
 		t.Fatalf("delete trace %s of chain %d not reachable through its tombstone", ts.TraceID, last)
@@ -494,10 +494,10 @@ func TestViewsShowLiveRecords(t *testing.T) {
 		if sh.deployments[dep.ID] != dep { // under sh.mu: the view holds it
 			t.Errorf("view of %d is not the shard's record", dep.ID)
 		}
-		if seen[dep.ID] || dep.ID <= lastOf[sh.shard] {
-			t.Errorf("shard %d showed %d after %d", sh.shard, dep.ID, lastOf[sh.shard])
+		if seen[dep.ID] || dep.ID <= lastOf[sh.index] {
+			t.Errorf("shard %d showed %d after %d", sh.index, dep.ID, lastOf[sh.index])
 		}
-		seen[dep.ID], lastOf[sh.shard] = true, dep.ID
+		seen[dep.ID], lastOf[sh.index] = true, dep.ID
 	})
 	if len(seen) != len(ids)-1 || seen[ids[5]] {
 		t.Fatalf("view showed %d records (deleted one: %v), want %d", len(seen), seen[ids[5]], len(ids)-1)
@@ -505,7 +505,7 @@ func TestViewsShowLiveRecords(t *testing.T) {
 	for _, sh := range s.shards {
 		for i, dep := range sh.viewOrder[:cap(sh.viewOrder)] {
 			if dep != nil {
-				t.Fatalf("shard %d: scratch slot %d still holds record %d", sh.shard, i, dep.ID)
+				t.Fatalf("shard %d: scratch slot %d still holds record %d", sh.index, i, dep.ID)
 			}
 		}
 	}

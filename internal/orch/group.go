@@ -73,7 +73,7 @@ func (s *Sharded) ReProtectGroup(buf []GroupOutcome, domain FailureDomain, ids [
 // reProtectGroup is ReProtectGroup on one shard's members, in the order
 // given. The topology read lock is held once across them, so a
 // structural mutation waits for the pass rather than splitting it.
-func (o *Orchestrator) reProtectGroup(buf []GroupOutcome, srlgs []int, ids []DeploymentID) []GroupOutcome {
+func (o *shard) reProtectGroup(buf []GroupOutcome, srlgs []int, ids []DeploymentID) []GroupOutcome {
 	o.topoMu.RLock()
 	defer o.topoMu.RUnlock()
 	for _, id := range ids {
@@ -91,7 +91,7 @@ func (o *Orchestrator) reProtectGroup(buf []GroupOutcome, srlgs []int, ids []Dep
 // reProtectDep re-protects one member, avoiding srlgs on top of its
 // primary. The caller holds the deployment's exclusive claim and
 // topoMu.RLock.
-func (o *Orchestrator) reProtectDep(dep *Deployment, srlgs []int) GroupOutcome {
+func (o *shard) reProtectDep(dep *Deployment, srlgs []int) GroupOutcome {
 	out := GroupOutcome{ID: dep.ID}
 	o.mu.Lock()
 	cur := dep.Standby

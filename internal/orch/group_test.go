@@ -18,7 +18,7 @@ func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
 	s, o := newTestOrch(t, Config{Topo: wideTopology(t, 16), DeferReprotect: true})
 	var deps []*Deployment
 	for _, spec := range batchSpecs(t, 6) {
-		dep, err := o.Provision(bg, spec)
+		dep, err := s.Provision(bg, spec)
 		if err != nil {
 			t.Fatalf("Provision %q: %v", spec.Name, err)
 		}
@@ -51,7 +51,7 @@ func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
 	}
 	var dropped []DeploymentID
 	for _, dep := range deps {
-		if o.Deployment(dep.ID).Standby == nil {
+		if s.Deployment(dep.ID).Standby == nil {
 			dropped = append(dropped, dep.ID)
 		}
 	}
@@ -88,7 +88,7 @@ func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
 		if out.Replanned {
 			replanned++
 		}
-		if got := o.Deployment(out.ID).Standby; got == nil {
+		if got := s.Deployment(out.ID).Standby; got == nil {
 			t.Fatalf("member %d left unindexed after group pass", out.ID)
 		}
 	}
@@ -117,7 +117,7 @@ func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
 
 // pathLinkIDs resolves a path's physical links, skipping virtual VM
 // hops.
-func pathLinkIDs(t *testing.T, o *Orchestrator, path []topology.NodeID) []topology.LinkID {
+func pathLinkIDs(t *testing.T, o *shard, path []topology.NodeID) []topology.LinkID {
 	t.Helper()
 	links, ok := o.topo.AppendPathLinks(nil, path)
 	if !ok {
@@ -133,7 +133,7 @@ func TestReProtectGroupBusyMemberSkipped(t *testing.T) {
 	s, o := newWideOrch(t, 16)
 	var members []DeploymentID
 	for _, spec := range batchSpecs(t, 3) {
-		dep, err := o.Provision(bg, spec)
+		dep, err := s.Provision(bg, spec)
 		if err != nil {
 			t.Fatalf("Provision %q: %v", spec.Name, err)
 		}
@@ -166,8 +166,8 @@ func TestReProtectGroupBusyMemberSkipped(t *testing.T) {
 // TestReProtectGroupUnknownMember: a deleted or never-existing ID gets
 // an error outcome; the rest of the group still completes.
 func TestReProtectGroupUnknownMember(t *testing.T) {
-	s, o, _ := triOrch(t, Config{})
-	dep, err := o.Provision(bg, triSpec(t, "chain-0"))
+	s, _, _ := triOrch(t, Config{})
+	dep, err := s.Provision(bg, triSpec(t, "chain-0"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -217,7 +217,7 @@ func TestShardedReProtectGroupMergesShards(t *testing.T) {
 		}
 		members = append(members, dep.ID)
 	}
-	fallbacksBefore := s.StandbyFallbacks()
+	fallbacksBefore := standbyFallbacks(s)
 	outs := s.ReProtectGroup([]GroupOutcome{{ID: -1}}, FailureDomain{SRLGs: []int{5}}, members)
 	if len(outs) != 1+len(members) || outs[0].ID != -1 {
 		t.Fatalf("outcomes = %+v, want buf's entry then %d", outs, len(members))
@@ -235,7 +235,7 @@ func TestShardedReProtectGroupMergesShards(t *testing.T) {
 			fallbacks++
 		}
 	}
-	if got := s.StandbyFallbacks() - fallbacksBefore; got != int64(fallbacks) {
+	if got := standbyFallbacks(s) - fallbacksBefore; got != int64(fallbacks) {
 		t.Fatalf("shards counted %d fallbacks, the outcomes report %d", got, fallbacks)
 	}
 }
@@ -334,7 +334,7 @@ func TestReProtectGroupAvoidsDomainSRLGs(t *testing.T) {
 			t.Fatalf("SetLinkSRLG: %v", err)
 		}
 	}
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -369,7 +369,7 @@ func TestReProtectGroupOfOneAllocations(t *testing.T) {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
 	s, o, _ := triOrch(t, Config{})
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -410,7 +410,7 @@ func TestStormRoundReplansAreMemoHits(t *testing.T) {
 	domain := FailureDomain{Batch: 1}
 	searches := func() (n int) {
 		for i := range s.Shards() {
-			n += s.Shard(i).Controller().PathComputations()
+			n += s.shards[i].ctrl.PathComputations()
 		}
 		return n
 	}

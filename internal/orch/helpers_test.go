@@ -23,12 +23,27 @@ func newTestSet(t testing.TB, cfg Config, n int) *Sharded {
 }
 
 // newTestOrch builds a one-shard orchestrator over cfg and returns it
-// with its only shard: s takes the fleet-level verbs (failures,
-// recoveries, batches, hooks), o is what a test inspects.
-func newTestOrch(t testing.TB, cfg Config) (s *Sharded, o *Orchestrator) {
+// with its only shard: s takes every verb, o is what a test inspects.
+func newTestOrch(t testing.TB, cfg Config) (s *Sharded, o *shard) {
 	t.Helper()
 	s = newTestSet(t, cfg, 1)
-	return s, s.Shard(0)
+	return s, s.shards[0]
+}
+
+// activeCount sums the shards' active chains.
+func activeCount(s *Sharded) (n int) {
+	for _, st := range s.ShardStats() {
+		n += st.Active
+	}
+	return n
+}
+
+// standbyFallbacks sums the shards' whole-fabric standby fallbacks.
+func standbyFallbacks(s *Sharded) (n int64) {
+	for _, st := range s.ShardStats() {
+		n += st.StandbyFallbacks
+	}
+	return n
 }
 
 // failNode and failLink are the one-resource forms of HandleFailures.

@@ -16,13 +16,8 @@ type ImpactEntry struct {
 	Roles []string
 }
 
-// Impact answers the operator-planning question "what breaks if these
-// resources die": every active deployment whose footprint includes a
-// node or link of the set, with the roles the set plays for it, in ID
-// order — straight from the reverse indexes' posting lists, no scan.
-// A node can be any role; a link is "path" (a primary link) or
-// "standby".
-func (o *Orchestrator) Impact(f topology.Failures) []ImpactEntry {
+// impact is Sharded.Impact over the shard's chains, in ID order.
+func (o *shard) impact(f topology.Failures) []ImpactEntry {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	nodes, links := f.Nodes(), f.Links()

@@ -128,7 +128,7 @@ func (p *postings[K]) retarget(id DeploymentID, old, now []K) []K {
 // — idxNodes, idxLinks, and the primary path's links — in the arrays it
 // already has. Caller holds o.mu; the topology must be readable (topoMu
 // either side or a quiescent deployment).
-func (o *Orchestrator) indexLocked(dep *Deployment) {
+func (o *shard) indexLocked(dep *Deployment) {
 	// The primary link enumeration can only fail on a path whose hops
 	// are no longer adjacent — impossible at a commit point, where the
 	// path was just computed or verified alive.
@@ -142,7 +142,7 @@ func (o *Orchestrator) indexLocked(dep *Deployment) {
 
 // noteOwedLocked files the deployment in the maintenance-owed index, or
 // takes it out, as its standby and Drifted flag stand. Caller holds o.mu.
-func (o *Orchestrator) noteOwedLocked(dep *Deployment) {
+func (o *shard) noteOwedLocked(dep *Deployment) {
 	if dep.Standby == nil || !dep.Standby.Disjoint || dep.Drifted {
 		o.owed[dep.ID] = dep
 	} else {
@@ -152,7 +152,7 @@ func (o *Orchestrator) noteOwedLocked(dep *Deployment) {
 
 // unindexLocked takes a deployment that is leaving the active fleet out
 // of the reverse indexes. Caller holds o.mu.
-func (o *Orchestrator) unindexLocked(dep *Deployment) {
+func (o *shard) unindexLocked(dep *Deployment) {
 	dep.idxNodes = o.nodeIndex.retarget(dep.ID, dep.idxNodes, nil)
 	dep.idxLinks = o.linkIndex.retarget(dep.ID, dep.idxLinks, nil)
 }
@@ -167,7 +167,7 @@ var noStandby resilience.Standby
 // on the primary path. Everything else the deployment registered stays
 // as it is, so gaining or losing a standby costs a walk of the standby,
 // not a recomputation of the whole footprint. Caller holds o.mu.
-func (o *Orchestrator) setStandbyLocked(dep *Deployment, sb *resilience.Standby) {
+func (o *shard) setStandbyLocked(dep *Deployment, sb *resilience.Standby) {
 	old, now := dep.Standby, sb
 	if old == nil {
 		old = &noStandby

@@ -20,7 +20,7 @@ import (
 
 // indexed returns what the shard's reverse index files under a node or a
 // link. Caller holds o.mu.
-func (o *Orchestrator) indexed(key any) []DeploymentID {
+func (o *shard) indexed(key any) []DeploymentID {
 	switch k := key.(type) {
 	case topology.NodeID:
 		return o.nodeIndex.of(k)
@@ -32,7 +32,7 @@ func (o *Orchestrator) indexed(key any) []DeploymentID {
 
 // indexSizes returns how many nodes and links the shard's reverse
 // indexes hold a list for. Caller holds o.mu.
-func (o *Orchestrator) indexSizes() (nodes, links int) {
+func (o *shard) indexSizes() (nodes, links int) {
 	return o.nodeIndex.keys(), o.linkIndex.keys()
 }
 
@@ -81,7 +81,7 @@ func auditPostings[K ~int](name string, p *postings[K], want map[K][]DeploymentI
 // auditIndexes recomputes, from the shard's deployment records alone,
 // everything its reverse indexes, owed set and per-deployment index
 // records should hold, and lists every difference.
-func auditIndexes(o *Orchestrator) (out []string) {
+func auditIndexes(o *shard) (out []string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	wantNodes := make(map[topology.NodeID][]DeploymentID)
@@ -190,7 +190,7 @@ func (x *indexScript) step() string {
 	dep := x.pick()
 	op := x.rng.Intn(16)
 	switch {
-	case dep == nil || (op == 0 && x.s.ActiveCount() < 24):
+	case dep == nil || (op == 0 && activeCount(x.s) < 24):
 		x.next++
 		_, _ = x.s.Provision(bg, residentSpec(x.t, x.next, fmt.Sprintf("t%d", x.next)))
 		return "provision"
@@ -270,7 +270,7 @@ func TestReverseIndexesEqualRecomputation(t *testing.T) {
 				verb := x.step()
 				verbs[verb]++
 				for i := 0; i < shards; i++ {
-					if bad := auditIndexes(s.Shard(i)); len(bad) > 0 {
+					if bad := auditIndexes(s.shards[i]); len(bad) > 0 {
 						t.Fatalf("step %d (%s), shard %d: %d differences, first: %s", step, verb, i, len(bad), bad[0])
 					}
 				}
@@ -283,7 +283,7 @@ func TestReverseIndexesEqualRecomputation(t *testing.T) {
 			}
 			ops := 0
 			for i := 0; i < shards; i++ {
-				ops += s.Shard(i).nodeIndex.ops + s.Shard(i).linkIndex.ops
+				ops += s.shards[i].nodeIndex.ops + s.shards[i].linkIndex.ops
 			}
 			t.Logf("%d chains provisioned, %d posting insertions and removals, verbs %v", x.next, ops, verbs)
 		})
@@ -295,36 +295,36 @@ func TestReverseIndexesEqualRecomputation(t *testing.T) {
 // empty list left behind, a chain missing from the owed set, a stale
 // per-deployment record, a free list past its bound — is reported.
 func TestIndexAuditFires(t *testing.T) {
-	for name, corrupt := range map[string]func(o *Orchestrator, dep *Deployment){
-		"posting removed": func(o *Orchestrator, dep *Deployment) {
+	for name, corrupt := range map[string]func(o *shard, dep *Deployment){
+		"posting removed": func(o *shard, dep *Deployment) {
 			o.nodeIndex.remove(dep.Path[2], dep.ID)
 		},
-		"stray posting": func(o *Orchestrator, dep *Deployment) {
+		"stray posting": func(o *shard, dep *Deployment) {
 			o.linkIndex.add(dep.primaryLinks[0], dep.ID+100)
 		},
-		"list out of order": func(o *Orchestrator, dep *Deployment) {
+		"list out of order": func(o *shard, dep *Deployment) {
 			shared := dep.Path[1] // the PM both chains' endpoints live on
 			slices.Reverse(o.nodeIndex.of(shared))
 		},
-		"empty list kept": func(o *Orchestrator, dep *Deployment) {
+		"empty list kept": func(o *shard, dep *Deployment) {
 			o.linkIndex.lists = append(o.linkIndex.lists, new([]DeploymentID))
 		},
-		"owed chain unfiled": func(o *Orchestrator, dep *Deployment) {
+		"owed chain unfiled": func(o *shard, dep *Deployment) {
 			dep.Drifted = true
 		},
-		"stale index record": func(o *Orchestrator, dep *Deployment) {
+		"stale index record": func(o *shard, dep *Deployment) {
 			dep.idxLinks = dep.idxLinks[1:]
 		},
-		"free list past its bound": func(o *Orchestrator, dep *Deployment) {
+		"free list past its bound": func(o *shard, dep *Deployment) {
 			for len(o.nodeIndex.free) <= maxFreeLists {
 				o.nodeIndex.free = append(o.nodeIndex.free, new([]DeploymentID))
 			}
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, o := newTestOrch(t, Config{Topo: benchFleetTopo(t, 8)})
+			s, o := newTestOrch(t, Config{Topo: benchFleetTopo(t, 8)})
 			for i := 0; i < 3; i++ {
-				if _, err := o.Provision(bg, residentSpec(t, i, "t")); err != nil {
+				if _, err := s.Provision(bg, residentSpec(t, i, "t")); err != nil {
 					t.Fatalf("Provision: %v", err)
 				}
 			}

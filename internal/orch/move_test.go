@@ -12,8 +12,8 @@ import (
 // conversion each time a light VNF is moved into an optoelectronic
 // router.
 func TestMoveNFIntoOpticalSavesConversions(t *testing.T) {
-	_, o := newTestOrch(t, Config{Topo: orchTopo(t), Policy: placement.AllElectronic{}})
-	dep, err := o.Provision(bg, webSpec(t, "chain-1")) // firewall, lb, dpi
+	s, o := newTestOrch(t, Config{Topo: orchTopo(t), Policy: placement.AllElectronic{}})
+	dep, err := s.Provision(bg, webSpec(t, "chain-1")) // firewall, lb, dpi
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -32,10 +32,10 @@ func TestMoveNFIntoOpticalSavesConversions(t *testing.T) {
 		t.Skip("AL has no optoelectronic router on this seed")
 	}
 	// Move the firewall (index 0, light) into the optical domain.
-	if err := o.Apply(dep.ID, ChangeHost(0, oer)); err != nil {
+	if err := s.Apply(dep.ID, ChangeHost(0, oer)); err != nil {
 		t.Fatalf("move: %v", err)
 	}
-	after := o.Deployment(dep.ID)
+	after := s.Deployment(dep.ID)
 	if after.Conversions != 2 {
 		t.Fatalf("conversions after move = %d, want 2", after.Conversions)
 	}
@@ -46,7 +46,7 @@ func TestMoveNFIntoOpticalSavesConversions(t *testing.T) {
 		t.Fatalf("host after move = %d, want %d", after.Placement.Hosts[0], oer)
 	}
 	// Rules were re-provisioned along the new path.
-	rules := o.Controller().RulesForFlow(after.FlowKey())
+	rules := o.ctrl.RulesForFlow(after.FlowKey())
 	if len(rules) != len(after.Path) {
 		t.Fatalf("rules = %d, want %d", len(rules), len(after.Path))
 	}
@@ -60,25 +60,25 @@ func TestMoveNFIntoOpticalSavesConversions(t *testing.T) {
 		t.Fatalf("new path %v does not visit the new host %d", after.Path, oer)
 	}
 	// Instance accounting followed.
-	inst := o.Manager().Instance(after.Instances[0])
+	inst := o.mgr.Instance(after.Instances[0])
 	if inst.Host != oer || inst.Domain != topology.DomainOptical {
 		t.Fatalf("instance after move: %+v", inst)
 	}
 }
 
 func TestMoveNFValidation(t *testing.T) {
-	_, o := newOrch(t)
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, _ := newOrch(t)
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if err := o.Apply(dep.ID, ChangeHost(99, 1)); err == nil {
+	if err := s.Apply(dep.ID, ChangeHost(99, 1)); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
-	if err := o.Apply(999, ChangeHost(0, 1)); err == nil {
+	if err := s.Apply(999, ChangeHost(0, 1)); err == nil {
 		t.Fatal("unknown deployment accepted")
 	}
-	if err := o.Apply(dep.ID, ChangeHost(0, 99999)); err == nil {
+	if err := s.Apply(dep.ID, ChangeHost(0, 99999)); err == nil {
 		t.Fatal("unknown destination accepted")
 	}
 }

@@ -27,11 +27,11 @@ import (
 // keeps repeated re-home passes from oscillating. margin is clamped to
 // at least 1 (a move must strictly improve the score).
 //
-// The operation is transactional like MoveNF: a failure after any
+// The operation is transactional like a ChangeHost move: a failure after any
 // migration moves the instances back, and only an impossible restore
 // falls back to an in-place rebuild.
-func (o *Orchestrator) Rehome(id DeploymentID, margin int) (moved bool, err error) {
-	moved, rebuilt, err := o.rehome(id, margin)
+func (s *Sharded) Rehome(id DeploymentID, margin int) (moved bool, err error) {
+	moved, rebuilt, err := s.owner(id).rehome(id, margin)
 	// Emit only after rehome released its locks — the sink contract
 	// allows callbacks into the orchestrator's read API.
 	switch {
@@ -39,16 +39,16 @@ func (o *Orchestrator) Rehome(id DeploymentID, margin int) (moved bool, err erro
 		// The restore-impossible fallback rebuilt the chain in place;
 		// that rebuild deferred its standby, so the re-protection must
 		// be enqueued like any other repair.
-		o.emit(Event{Kind: EventRepairCompleted, Deployment: id, Action: ActionRebuilt})
+		s.core.emit(Event{Kind: EventRepairCompleted, Deployment: id, Action: ActionRebuilt})
 	case moved && err == nil:
-		o.emit(Event{Kind: EventPlacementChanged, Deployment: id})
+		s.core.emit(Event{Kind: EventPlacementChanged, Deployment: id})
 	}
 	return moved, err
 }
 
 // rehome is Rehome without the event emission; rebuilt reports that
 // the rebuild-in-place fallback ran and left the chain active.
-func (o *Orchestrator) rehome(id DeploymentID, margin int) (moved, rebuilt bool, err error) {
+func (o *shard) rehome(id DeploymentID, margin int) (moved, rebuilt bool, err error) {
 	if margin < 1 {
 		margin = 1
 	}
@@ -80,7 +80,7 @@ func (o *Orchestrator) rehome(id DeploymentID, margin int) (moved, rebuilt bool,
 // rehomeClaimed is the evaluate-and-migrate body of rehome. The caller
 // holds the deployment's exclusive claim and topoMu (read side), and
 // passes margin >= 1.
-func (o *Orchestrator) rehomeClaimed(dep *Deployment, margin int) (moved, rebuilt bool, err error) {
+func (o *shard) rehomeClaimed(dep *Deployment, margin int) (moved, rebuilt bool, err error) {
 	id := dep.ID
 	profiles, err := appendProfiles(nil, dep.Spec.NFs)
 	if err != nil {
@@ -195,7 +195,7 @@ func (o *Orchestrator) rehomeClaimed(dep *Deployment, margin int) (moved, rebuil
 
 // rackOf resolves a host's rack for the re-home churn observer (-1
 // when the node is unknown or rackless, e.g. an optoelectronic OPS).
-func (o *Orchestrator) rackOf(host topology.NodeID) int {
+func (o *shard) rackOf(host topology.NodeID) int {
 	if n := o.topo.Node(host); n != nil {
 		return n.Rack
 	}
@@ -211,7 +211,8 @@ func (o *Orchestrator) rackOf(host topology.NodeID) int {
 // happened; a flow already on the lowest common channel, a chain
 // without optical segments, or a moment with no spare channel are all
 // quiet no-ops.
-func (o *Orchestrator) DefragLambda(id DeploymentID) (from, to int, retuned bool, err error) {
+func (s *Sharded) DefragLambda(id DeploymentID) (from, to int, retuned bool, err error) {
+	o := s.owner(id)
 	dep, err := o.beginExclusive(id)
 	if err != nil {
 		return 0, 0, false, fmt.Errorf("orch: defrag: %w", err)

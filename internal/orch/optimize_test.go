@@ -44,8 +44,8 @@ func (s *recordingSink) count(kind EventKind) int {
 
 // standbySearches counts the standby segment searches asked of the
 // orchestrator's controller so far, answered from its memo or not.
-func standbySearches(o *Orchestrator) int64 {
-	hits, misses := o.Controller().AlternativesCacheStats()
+func standbySearches(o *shard) int64 {
+	hits, misses := o.ctrl.AlternativesCacheStats()
 	return hits + misses
 }
 
@@ -53,7 +53,7 @@ func standbySearches(o *Orchestrator) int64 {
 // and disjoint must not be replanned.
 func TestReProtectAlreadyProtectedIsNoOp(t *testing.T) {
 	s, o, _ := triOrch(t, Config{})
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 	s, o, ids := triOrch(t, Config{DeferReprotect: true})
 	sink := &recordingSink{}
 	s.UpdateHooks(func(h *Hooks) { h.Events = sink })
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 	if got := standbySearches(o); got != searchesBefore {
 		t.Fatalf("async restandby asked %d standby searches inline", got-searchesBefore)
 	}
-	if cur := o.Deployment(dep.ID); cur.Standby != nil {
+	if cur := s.Deployment(dep.ID); cur.Standby != nil {
 		t.Fatalf("standby not dropped: %+v", cur.Standby)
 	}
 	checkReverseIndexes(t, o)
@@ -127,7 +127,7 @@ func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 func TestAsyncRepathDefersStandby(t *testing.T) {
 	s, o, ids := triOrch(t, Config{DeferReprotect: true})
 	s.UpdateHooks(func(h *Hooks) { h.Events = &recordingSink{} })
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestAsyncRepathDefersStandby(t *testing.T) {
 	if got := standbySearches(o); got != searchesBefore {
 		t.Fatalf("async repath asked %d standby searches inline", got-searchesBefore)
 	}
-	cur := o.Deployment(dep.ID)
+	cur := s.Deployment(dep.ID)
 	if cur.Standby != nil {
 		t.Fatalf("deferred standby still planned: %+v", cur.Standby)
 	}
@@ -158,8 +158,8 @@ func TestAsyncRepathDefersStandby(t *testing.T) {
 // off its optical host) is undone by Rehome when the conversion win
 // meets the margin, and left alone (no oscillation) when within it.
 func TestRehomeMovesBackAndHysteresis(t *testing.T) {
-	_, o, ids := triOrch(t, Config{Policy: placement.OpticalFirst{}})
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	s, _, ids := triOrch(t, Config{Policy: placement.OpticalFirst{}})
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -169,16 +169,16 @@ func TestRehomeMovesBackAndHysteresis(t *testing.T) {
 	opticalHost := dep.Placement.Hosts[0]
 
 	// Drift: the operator (or a past repair) moved the NF onto a server.
-	if err := o.Apply(dep.ID, ChangeHost(0, ids.pm1)); err != nil {
+	if err := s.Apply(dep.ID, ChangeHost(0, ids.pm1)); err != nil {
 		t.Fatalf("move: %v", err)
 	}
-	drifted := o.Deployment(dep.ID)
+	drifted := s.Deployment(dep.ID)
 	if drifted.Placement.Domains[0] != topology.DomainElectronic || drifted.Conversions != 1 {
 		t.Fatalf("drifted placement = %+v conversions=%d", drifted.Placement, drifted.Conversions)
 	}
 
 	// Within the margin: a 1-conversion win < margin 2 must not move.
-	moved, err := o.Rehome(dep.ID, 2)
+	moved, err := s.Rehome(dep.ID, 2)
 	if err != nil {
 		t.Fatalf("Rehome(margin 2): %v", err)
 	}
@@ -187,21 +187,21 @@ func TestRehomeMovesBackAndHysteresis(t *testing.T) {
 	}
 
 	// Meeting the margin: the NF returns to the optical domain.
-	moved, err = o.Rehome(dep.ID, 1)
+	moved, err = s.Rehome(dep.ID, 1)
 	if err != nil {
 		t.Fatalf("Rehome(margin 1): %v", err)
 	}
 	if !moved {
 		t.Fatal("re-home did not undo the drift")
 	}
-	homed := o.Deployment(dep.ID)
+	homed := s.Deployment(dep.ID)
 	if homed.Placement.Hosts[0] != opticalHost || homed.Conversions != 0 {
 		t.Fatalf("re-homed placement = %+v conversions=%d, want host %d / 0",
 			homed.Placement, homed.Conversions, opticalHost)
 	}
 
 	// Stability: an immediate second pass finds nothing to improve.
-	moved, err = o.Rehome(dep.ID, 1)
+	moved, err = s.Rehome(dep.ID, 1)
 	if err != nil {
 		t.Fatalf("Rehome (second): %v", err)
 	}
@@ -214,40 +214,40 @@ func TestRehomeMovesBackAndHysteresis(t *testing.T) {
 // moves to the lowest free channel make-before-break; a flow already
 // on the lowest is a no-op.
 func TestDefragLambdaRetunesDown(t *testing.T) {
-	_, o, ids := triOrch(t, Config{Wavelengths: 4})
+	s, o, ids := triOrch(t, Config{Wavelengths: 4})
 	// Occupy λ0 on the primary route's optical links so the chain is
 	// born on λ1, then free it — classic fragmentation.
 	blockers := []topology.LinkID{ids.torOpsLinks[0][0], ids.torOpsLinks[1][0]}
-	if _, err := o.WDM().AssignPath("blocker", blockers); err != nil {
+	if _, err := o.wdm.AssignPath("blocker", blockers); err != nil {
 		t.Fatalf("AssignPath blocker: %v", err)
 	}
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	if dep.Lambda != 1 {
 		t.Fatalf("lambda = %d, want 1 (λ0 occupied)", dep.Lambda)
 	}
-	if err := o.WDM().Release("blocker"); err != nil {
+	if err := o.wdm.Release("blocker"); err != nil {
 		t.Fatalf("Release blocker: %v", err)
 	}
 
-	from, to, retuned, err := o.DefragLambda(dep.ID)
+	from, to, retuned, err := s.DefragLambda(dep.ID)
 	if err != nil {
 		t.Fatalf("DefragLambda: %v", err)
 	}
 	if !retuned || from != 1 || to != 0 {
 		t.Fatalf("DefragLambda = (%d, %d, %v), want retune 1 -> 0", from, to, retuned)
 	}
-	if cur := o.Deployment(dep.ID); cur.Lambda != 0 {
+	if cur := s.Deployment(dep.ID); cur.Lambda != 0 {
 		t.Fatalf("deployment lambda = %d, want 0", cur.Lambda)
 	}
-	if o.WDM().InGrace(dep.FlowKey()) {
+	if o.wdm.InGrace(dep.FlowKey()) {
 		t.Fatal("grace window left open after defrag commit")
 	}
 
 	// Already on the floor: nothing to do.
-	from, to, retuned, err = o.DefragLambda(dep.ID)
+	from, to, retuned, err = s.DefragLambda(dep.ID)
 	if err != nil || retuned || from != 0 || to != 0 {
 		t.Fatalf("second DefragLambda = (%d, %d, %v, %v), want no-op", from, to, retuned, err)
 	}
@@ -268,8 +268,8 @@ func TestSRLGClassification(t *testing.T) {
 		if err := topo.SetLinkSRLG(ids.torOpsLinks[0][2], 5); err != nil {
 			t.Fatalf("SetLinkSRLG: %v", err)
 		}
-		s, o := newTestOrch(t, Config{Topo: topo, Policy: placement.AllElectronic{}})
-		dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+		s, _ := newTestOrch(t, Config{Topo: topo, Policy: placement.AllElectronic{}})
+		dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 		if err != nil {
 			t.Fatalf("Provision: %v", err)
 		}
@@ -297,8 +297,8 @@ func TestSRLGClassification(t *testing.T) {
 		if err := topo.SetLinkSRLG(ids.torOpsLinks[1][2], 6); err != nil {
 			t.Fatalf("SetLinkSRLG: %v", err)
 		}
-		s, o := newTestOrch(t, Config{Topo: topo, Policy: placement.AllElectronic{}})
-		dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+		s, _ := newTestOrch(t, Config{Topo: topo, Policy: placement.AllElectronic{}})
+		dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 		if err != nil {
 			t.Fatalf("Provision: %v", err)
 		}
@@ -327,10 +327,10 @@ func TestSRLGClassification(t *testing.T) {
 // TestEventEmission: each lifecycle verb emits its event with no
 // orchestrator locks held.
 func TestEventEmission(t *testing.T) {
-	s, o, ids := triOrch(t, Config{})
+	s, _, ids := triOrch(t, Config{})
 	sink := &recordingSink{}
 	s.UpdateHooks(func(h *Hooks) { h.Events = sink })
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -346,13 +346,13 @@ func TestEventEmission(t *testing.T) {
 	if sink.count(EventNodeRecovered) != 1 {
 		t.Fatalf("events after recovery: %v", sink.kinds())
 	}
-	if err := o.Apply(dep.ID, ChangeHost(0, ids.pm2)); err != nil {
+	if err := s.Apply(dep.ID, ChangeHost(0, ids.pm2)); err != nil {
 		t.Fatalf("move: %v", err)
 	}
 	if sink.count(EventPlacementChanged) != 1 {
 		t.Fatalf("events after move: %v", sink.kinds())
 	}
-	if _, err := o.Delete(bg, dep.ID); err != nil {
+	if _, err := s.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if sink.count(EventDeploymentDeleted) != 1 {
@@ -364,12 +364,12 @@ func TestEventEmission(t *testing.T) {
 // occupied on the flow's links, defrag cannot make-before-break and
 // must leave the assignment untouched.
 func TestDefragNoSpareChannelIsQuietNoOp(t *testing.T) {
-	_, o, ids := triOrch(t, Config{Wavelengths: 2})
+	s, o, ids := triOrch(t, Config{Wavelengths: 2})
 	blockers := []topology.LinkID{ids.torOpsLinks[0][0], ids.torOpsLinks[1][0]}
-	if _, err := o.WDM().AssignPath("blocker", blockers); err != nil {
+	if _, err := o.wdm.AssignPath("blocker", blockers); err != nil {
 		t.Fatalf("AssignPath blocker: %v", err)
 	}
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -377,11 +377,11 @@ func TestDefragNoSpareChannelIsQuietNoOp(t *testing.T) {
 		t.Fatalf("lambda = %d, want 1", dep.Lambda)
 	}
 	// λ0 stays occupied: RetuneBegin has no second channel.
-	from, to, retuned, err := o.DefragLambda(dep.ID)
+	from, to, retuned, err := s.DefragLambda(dep.ID)
 	if err != nil || retuned {
 		t.Fatalf("DefragLambda = (%d, %d, %v, %v), want quiet no-op", from, to, retuned, err)
 	}
-	if cur := o.Deployment(dep.ID); cur.Lambda != 1 {
+	if cur := s.Deployment(dep.ID); cur.Lambda != 1 {
 		t.Fatalf("lambda changed to %d on a failed defrag", cur.Lambda)
 	}
 }

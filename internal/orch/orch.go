@@ -1,7 +1,10 @@
 // Package orch implements the network orchestrator of Fig. 6: the
 // multi-tenant control point that "is responsible for managing
 // (provisioning, creation, modification, upgradation, and deletion) of
-// multiple NFCs" over the AL-VC architecture. For each chain it builds
+// multiple NFCs" over the AL-VC architecture. Its one orchestrator type
+// is Sharded: every verb and fleet read is its method, and its shards
+// (shard.go) are the package's own partition of the control plane,
+// reached by chain ID, never by index. For each chain it builds
 // a virtual cluster (one VC hosts one NFC, §IV-C), hands the cluster's
 // abstraction layer to the tenant as its optical slice, places the
 // chain's VNFs across the optical/electronic domains, instantiates them
@@ -42,7 +45,6 @@ import (
 	"github.com/alvc/alvc/internal/ring"
 	"github.com/alvc/alvc/internal/sdn"
 	"github.com/alvc/alvc/internal/topology"
-	"github.com/alvc/alvc/internal/trace"
 )
 
 // Sentinel errors callers (notably the HTTP control plane) classify on.
@@ -192,13 +194,12 @@ type Config struct {
 // and the configuration knobs. Per-shard state — deployment maps,
 // reverse indexes, flow-key reservations, busy guards, the OPS-pool-
 // restricted cluster allocator and the SDN flow tables — lives on each
-// Orchestrator; a one-shard set is simply one shard owning the whole
-// pool.
+// shard; a one-shard set is simply one shard owning the whole pool.
 type sharedCore struct {
 	// topoMu serializes topology mutations (node up/down transitions)
 	// against the provisioning pipeline, which reads liveness bits all
 	// over (VM filtering, path computation, VNF host checks). Readers —
-	// buildChain, a move — hold RLock; SetDown holds Lock. Kept
+	// a provision, a move — hold RLock; SetDown holds Lock. Kept
 	// separate from the per-shard mu so long builds never block
 	// deployment lookups, and shared across shards so one shard's
 	// failure handling is visible to every shard's pipeline.
@@ -278,23 +279,22 @@ func newSharedCore(cfg Config) (*sharedCore, error) {
 	return core, nil
 }
 
-// Orchestrator is one shard of the orchestrator (Sharded): it
-// coordinates the cluster allocator, slice manager, Cloud/NFV manager
+// shard is one shard of the orchestrator (Sharded), the package's own:
+// it coordinates the cluster allocator, slice manager, Cloud/NFV manager
 // and SDN controller for the deployments it owns. Safe for concurrent
 // use. New stands up N of them over one sharedCore with partitioned OPS
-// pools and strided deployment IDs; fleet-level work — failure batches,
-// recoveries, batch provisioning, hooks — is the set's, not a shard's.
-type Orchestrator struct {
+// pools and strided deployment and VC IDs; every verb is the set's,
+// which routes a chain's to the shard that issued its ID.
+type shard struct {
 	*sharedCore
 
 	mu sync.Mutex
 
-	// shard/idStride identify this orchestrator inside a Sharded router:
-	// shard s of n issues deployment IDs s+1, s+1+n, s+1+2n, … so the
-	// owning shard of any ID is (id-1) mod n — no shared ID allocator,
-	// no cross-shard lookup. A one-shard set is shard 0 with stride 1
-	// (IDs 1,2,3,…).
-	shard    int
+	// index/idStride place this shard in its set: shard s of n issues
+	// deployment IDs s+1, s+1+n, s+1+2n, … so the owning shard of any ID
+	// is (id-1) mod n — no shared ID allocator, no cross-shard lookup. A
+	// one-shard set is shard 0 with stride 1 (IDs 1,2,3,…).
+	index    int
 	idStride DeploymentID
 
 	alloc *cluster.Allocator
@@ -326,6 +326,10 @@ type Orchestrator struct {
 	// delete) in flight, so those verbs cannot interleave teardowns.
 	busy   map[DeploymentID]bool
 	nextID DeploymentID
+	// serviceVCs are the service clusters Sharded.BuildServiceClusters
+	// built on this shard's allocator, the only clusters ReleaseCluster
+	// dissolves: every other one is a chain's. Guarded by mu.
+	serviceVCs map[cluster.VCID]bool
 
 	// nodeIndex is the reverse index node → deployments whose footprint
 	// (slice OPSs, VNF hosts, path nodes, standby nodes) includes it,
@@ -354,21 +358,22 @@ type Orchestrator struct {
 }
 
 // newShard assembles one orchestrator shard over an existing core.
-// shard is 0-based; stride is the total shard count. The first ID a
-// shard issues is shard+1, then it advances by stride, so shard ID
+// index is 0-based; stride is the total shard count. The first ID a
+// shard issues is index+1, then it advances by stride, so shard ID
 // spaces never overlap and ShardRouter.ShardOf is pure arithmetic.
-func newShard(core *sharedCore, alloc *cluster.Allocator, ctrl *sdn.Controller, shard, stride int) *Orchestrator {
-	return &Orchestrator{
+func newShard(core *sharedCore, alloc *cluster.Allocator, ctrl *sdn.Controller, index, stride int) *shard {
+	return &shard{
 		sharedCore:  core,
-		shard:       shard,
+		index:       index,
 		idStride:    DeploymentID(stride),
 		alloc:       alloc,
 		ctrl:        ctrl,
-		nextID:      DeploymentID(shard + 1 - stride),
+		nextID:      DeploymentID(index + 1 - stride),
 		deployments: make(map[DeploymentID]*Deployment),
 		flowKeys:    make(map[string]DeploymentID),
 		busy:        make(map[DeploymentID]bool),
 		owed:        make(map[DeploymentID]*Deployment),
+		serviceVCs:  make(map[cluster.VCID]bool),
 		tombs:       ring.New[Tombstone](TombstoneRing),
 	}
 }
@@ -376,7 +381,7 @@ func newShard(core *sharedCore, alloc *cluster.Allocator, ctrl *sdn.Controller, 
 // beginExclusive claims the deployment for an exclusive operation. The
 // caller must endExclusive when done. The returned Deployment is the
 // live record; fields may only be touched under o.mu.
-func (o *Orchestrator) beginExclusive(id DeploymentID) (*Deployment, error) {
+func (o *shard) beginExclusive(id DeploymentID) (*Deployment, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	dep, err := o.activeLocked(id)
@@ -390,47 +395,25 @@ func (o *Orchestrator) beginExclusive(id DeploymentID) (*Deployment, error) {
 	return dep, nil
 }
 
-func (o *Orchestrator) endExclusive(id DeploymentID) {
+func (o *shard) endExclusive(id DeploymentID) {
 	o.mu.Lock()
 	delete(o.busy, id)
 	o.mu.Unlock()
 }
 
-// Controller exposes the SDN controller (read-mostly: inspecting flow
-// tables in tests and experiments).
-func (o *Orchestrator) Controller() *sdn.Controller { return o.ctrl }
+// Manager exposes the Cloud/NFV manager every shard shares
+// (Sharded.Manager). It stays exported, with Allocator, for the
+// repository benchmark's tracer (benchmark/tracer.go), which reaches
+// both through Sharded.Shard.
+func (o *shard) Manager() *nfv.Manager { return o.mgr }
 
-// Manager exposes the Cloud/NFV manager.
-func (o *Orchestrator) Manager() *nfv.Manager { return o.mgr }
-
-// Allocator exposes the cluster allocator.
-func (o *Orchestrator) Allocator() *cluster.Allocator { return o.alloc }
-
-// Slices exposes the optical slice manager.
-func (o *Orchestrator) Slices() *optical.SliceManager { return o.slices }
-
-// WDM exposes the wavelength allocator (nil when disabled).
-func (o *Orchestrator) WDM() *optical.WDM { return o.wdm }
-
-// buildChain runs the full provisioning pipeline (pipeline.go) for a
-// spec. On error all partial state created by this call is rolled
-// back. Caller holds topoMu (read side).
-func (o *Orchestrator) buildChain(ctx context.Context, spec chain.Spec, flowKey string) (*pipeline, error) {
-	p, err := o.newPipeline(spec, flowKey)
-	if err != nil {
-		return nil, err
-	}
-	p.attachTrace(ctx)
-	if err := p.runFrom(stageCluster); err != nil {
-		p.release()
-		return nil, err
-	}
-	return p, nil
-}
+// Allocator exposes the shard's cluster allocator, for the repository
+// benchmark's tracer (benchmark/tracer.go) alone.
+func (o *shard) Allocator() *cluster.Allocator { return o.alloc }
 
 // teardown releases everything a build holds. Errors are collected into
 // the first non-nil one; teardown keeps going regardless.
-func (o *Orchestrator) teardown(dep *Deployment) error {
+func (o *shard) teardown(dep *Deployment) error {
 	var firstErr error
 	o.ctrl.RemoveFlow(dep.FlowKey())
 	if o.wdm != nil {
@@ -454,35 +437,7 @@ func (o *Orchestrator) teardown(dep *Deployment) error {
 	return firstErr
 }
 
-// Provision deploys a chain end to end. On any failure all partial
-// state is rolled back and the orchestrator is unchanged. Safe for
-// concurrent use: independent specs provision in parallel (see also
-// Sharded.ProvisionBatch), serialized only at the shared resource
-// pools. With a tracer attached it records a "provision" span — a child
-// of the span in ctx (the server's per-request root) when one is there,
-// the root of a fresh trace otherwise — with every executed pipeline
-// stage as a child span. The spans go up with the request's, or, with no
-// traced operation around the provision, to the store in one insert.
-func (o *Orchestrator) Provision(ctx context.Context, spec chain.Spec) (*Deployment, error) {
-	tr := o.hooks.Load().Tracer
-	if tr == nil {
-		return o.provision(ctx, spec)
-	}
-	parent, _ := trace.FromContext(ctx)
-	c := new(trace.Carrier)
-	tr.Begin(c, ctx, parent)
-	start := time.Now()
-	dep, err := o.provision(c, spec)
-	sp := trace.Span{Parent: parent.SpanID, Name: "provision", Kind: trace.KindProvision, Start: start, End: time.Now()}
-	sp.SetError(err)
-	if dep != nil {
-		sp.Dep = int(dep.ID)
-	}
-	tr.End(c, sp)
-	return dep, err
-}
-
-func (o *Orchestrator) provision(ctx context.Context, spec chain.Spec) (*Deployment, error) {
+func (o *shard) provision(ctx context.Context, spec chain.Spec) (*Deployment, error) {
 	if err := spec.Validate(); err != nil {
 		atomic.AddUint64(&o.provisionFail, 1)
 		return nil, fmt.Errorf("orch: provision: %w", err)
@@ -502,9 +457,16 @@ func (o *Orchestrator) provision(ctx context.Context, spec chain.Spec) (*Deploym
 	o.flowKeys[flowKey] = 0 // reserved, no ID yet
 	o.mu.Unlock()
 
+	// The full provisioning pipeline (pipeline.go): on error it rolls
+	// back all partial state it created.
 	o.topoMu.RLock()
 	defer o.topoMu.RUnlock()
-	b, err := o.buildChain(ctx, spec, flowKey)
+	b, err := o.newPipeline(spec, flowKey)
+	if err == nil {
+		defer b.release()
+		b.attachTrace(ctx)
+		err = b.runFrom(stageCluster)
+	}
 	if err != nil {
 		o.mu.Lock()
 		delete(o.flowKeys, flowKey)
@@ -512,7 +474,6 @@ func (o *Orchestrator) provision(ctx context.Context, spec chain.Spec) (*Deploym
 		atomic.AddUint64(&o.provisionFail, 1)
 		return nil, fmt.Errorf("orch: provision %q: %w", spec.Name, err)
 	}
-	defer b.release()
 	atomic.AddUint64(&o.provisionOK, 1)
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -530,35 +491,12 @@ func (o *Orchestrator) provision(ctx context.Context, spec chain.Spec) (*Deploym
 	return snapshot(dep), nil
 }
 
-// Repair tears an active deployment's resources down and rebuilds the
-// chain from scratch around the current topology state. This is the
-// heavyweight path; HandleFailures prefers the differential repairs
-// in reconcile.go and only falls back to this. On success the
-// deployment stays Active with Repairs incremented; on failure its
-// resources are released and it transitions to Failed.
-func (o *Orchestrator) Repair(id DeploymentID) error {
-	dep, err := o.beginExclusive(id)
-	if err != nil {
-		return fmt.Errorf("orch: repair: %w", err)
-	}
-	defer o.endExclusive(id)
-
-	o.topoMu.RLock()
-	err = o.rebuild(context.Background(), dep)
-	o.topoMu.RUnlock()
-	if err != nil {
-		return fmt.Errorf("orch: repair %d: %w", id, err)
-	}
-	o.emit(Event{Kind: EventRepairCompleted, Deployment: id, Action: ActionRebuilt})
-	return nil
-}
-
 // rebuild is the teardown-and-rebuild-everything repair. The caller
 // holds the deployment's exclusive claim and topoMu (read side). The
 // deployment stays in the reverse index throughout; the commit moves
 // the index entries atomically with the fields, and the failure paths
 // unindex via failLocked.
-func (o *Orchestrator) rebuild(ctx context.Context, dep *Deployment) error {
+func (o *shard) rebuild(ctx context.Context, dep *Deployment) error {
 	// Tear down outside the lock (manager/controller have their own).
 	if err := o.teardown(dep); err != nil {
 		// Resource release failed irrecoverably; mark failed.
@@ -590,7 +528,7 @@ func (o *Orchestrator) rebuild(ctx context.Context, dep *Deployment) error {
 
 // failLocked transitions a deployment to Failed and frees its flow-key
 // reservation and index entries (its resources are already released).
-func (o *Orchestrator) failLocked(dep *Deployment) {
+func (o *shard) failLocked(dep *Deployment) {
 	o.mu.Lock()
 	o.unindexLocked(dep)
 	delete(o.owed, dep.ID)
@@ -601,8 +539,9 @@ func (o *Orchestrator) failLocked(dep *Deployment) {
 
 // Change is one edit of a live chain, the runtime management of §IV-B:
 // exactly one of a bandwidth reservation (ChangeBandwidth), the next
-// VNF version (ChangeVersion), a replica count (ChangeReplicas) or a
-// host (ChangeHost) at an NF index. Apply makes it.
+// VNF version (ChangeVersion), a replica count (ChangeReplicas), a host
+// (ChangeHost) at an NF index, or a rebuild from scratch
+// (ChangeRebuild). Sharded.Apply makes it.
 type Change struct {
 	kind     changeKind
 	nf       int
@@ -618,11 +557,12 @@ const (
 	changeVersion
 	changeReplicas
 	changeHost
+	changeRebuild
 )
 
 // changeVerbs names each kind in Apply's errors, as the server's routes
 // do.
-var changeVerbs = [...]string{"modify", "upgrade", "scale", "move"}
+var changeVerbs = [...]string{"modify", "upgrade", "scale", "move", "repair"}
 
 // ChangeBandwidth sets the chain's bandwidth reservation, in its spec
 // and its optical slice (modification).
@@ -646,38 +586,17 @@ func ChangeHost(nf int, to topology.NodeID) Change {
 	return Change{kind: changeHost, nf: nf, host: to}
 }
 
-// Apply makes the change to the chain under its exclusive claim, so a
-// concurrent Delete, Repair or edit surfaces as ErrBusy instead of
-// meeting a half-made edit. No edit writes what a snapshot shares: a
-// new bandwidth stores a fresh slice record.
-//
-// A move is transactional: the record is not touched until the new
-// path, wavelength and rules are all in place (rules swap
-// make-before-break), and a failure after the migration moves the
-// instance back to its original host, so an error never leaves the
-// placement and the installed rules disagreeing. It emits
-// EventPlacementChanged, or EventRepairCompleted (rebuilt) when the
-// move-back was impossible and the chain was rebuilt in place; the
-// other edits emit nothing.
-func (o *Orchestrator) Apply(id DeploymentID, c Change) error {
-	rebuilt, err := o.apply(id, c)
-	// Emit only after apply released its locks — the sink contract
-	// allows callbacks into the orchestrator's read API.
-	switch {
-	case rebuilt:
-		// The restore-impossible fallback rebuilt the chain in place;
-		// with the optimizer attached that rebuild deferred its standby,
-		// so the re-protection must be enqueued like any other repair.
-		o.emit(Event{Kind: EventRepairCompleted, Deployment: id, Action: ActionRebuilt})
-	case err == nil && c.kind == changeHost:
-		o.emit(Event{Kind: EventPlacementChanged, Deployment: id})
-	}
-	return err
-}
+// ChangeRebuild tears the chain's resources down and rebuilds it from
+// scratch around the current topology state: the heavyweight repair the
+// reconciler falls back to when no differential one applies. On success
+// the chain stays active with Repairs incremented; on failure its
+// resources are released and it transitions to Failed.
+func ChangeRebuild() Change { return Change{kind: changeRebuild} }
 
-// apply is Apply without the event emission; rebuilt reports that a
-// move's rebuild-in-place fallback ran and left the chain active.
-func (o *Orchestrator) apply(id DeploymentID, c Change) (rebuilt bool, err error) {
+// apply is Sharded.Apply without the event emission; rebuilt reports
+// that the chain was rebuilt in place and left active: by a rebuild, or
+// by a move's fallback.
+func (o *shard) apply(id DeploymentID, c Change) (rebuilt bool, err error) {
 	verb := changeVerbs[c.kind]
 	if c.kind == changeBandwidth && c.gbps <= 0 {
 		return false, fmt.Errorf("orch: modify: bandwidth must be positive, got %f", c.gbps)
@@ -722,13 +641,21 @@ func (o *Orchestrator) apply(id DeploymentID, c Change) (rebuilt bool, err error
 		}
 	case changeHost:
 		return o.move(dep, c.nf, instances[c.nf], c.host)
+	case changeRebuild:
+		o.topoMu.RLock()
+		err := o.rebuild(context.Background(), dep)
+		o.topoMu.RUnlock()
+		if err != nil {
+			return false, fmt.Errorf("orch: repair %d: %w", id, err)
+		}
+		return true, nil
 	}
 	return false, nil
 }
 
 // move is ChangeHost's body: the caller holds the chain's claim, and
 // inst is the instance at NF index idx.
-func (o *Orchestrator) move(dep *Deployment, idx int, inst nfv.InstanceID, to topology.NodeID) (rebuilt bool, err error) {
+func (o *shard) move(dep *Deployment, idx int, inst nfv.InstanceID, to topology.NodeID) (rebuilt bool, err error) {
 	id := dep.ID
 	o.topoMu.RLock()
 	defer o.topoMu.RUnlock()
@@ -778,7 +705,7 @@ func (o *Orchestrator) move(dep *Deployment, idx int, inst nfv.InstanceID, to to
 // current path after an aborted connectivity re-run released it. The
 // continuity constraint still holds; the λ value may differ from the
 // original, and exhaustion leaves the flow unassigned (best-effort).
-func (o *Orchestrator) restoreWavelength(dep *Deployment) {
+func (o *shard) restoreWavelength(dep *Deployment) {
 	if o.wdm == nil {
 		return
 	}
@@ -803,32 +730,7 @@ func (o *Orchestrator) restoreWavelength(dep *Deployment) {
 	o.mu.Unlock()
 }
 
-// Delete tears a deployment down: flow rules removed, VNFs terminated,
-// slice and cluster released. The record leaves the shard — a Tombstone
-// in a fixed ring is what the shard remembers of it — and is returned as
-// the deployment's final record (state deleted). With a tracer attached
-// it records a "delete" span under the span in ctx.
-func (o *Orchestrator) Delete(ctx context.Context, id DeploymentID) (*Deployment, error) {
-	tr := o.hooks.Load().Tracer
-	if tr == nil {
-		return o.delete(id, "")
-	}
-	parent, _ := trace.FromContext(ctx)
-	sc := tr.Start(parent)
-	start := time.Now()
-	final, err := o.delete(id, sc.TraceID)
-	sp := trace.Span{Parent: parent.SpanID, Name: "delete", Kind: trace.KindDelete, Start: start, End: time.Now()}
-	// A refused delete of a chain that is already gone must not give it
-	// a per-chain index entry in the trace store again.
-	if !errors.Is(err, ErrUnknownDeployment) && !errors.Is(err, ErrNotActive) {
-		sp.Dep = int(id)
-	}
-	sp.SetError(err)
-	tr.Record(sc, sp)
-	return final, err
-}
-
-func (o *Orchestrator) delete(id DeploymentID, traceID string) (*Deployment, error) {
+func (o *shard) delete(id DeploymentID, traceID string) (*Deployment, error) {
 	dep, err := o.beginExclusive(id)
 	if err != nil {
 		return nil, fmt.Errorf("orch: delete: %w", err)
@@ -856,25 +758,10 @@ func (o *Orchestrator) delete(id DeploymentID, traceID string) (*Deployment, err
 	return dep, nil
 }
 
-// ViewDeployment calls fn with the shard's live record of the deployment,
-// under the shard lock, and reports whether there is one — false for an
-// ID never issued or deleted (see Tombstone). fn reads the record where
-// it lies: it must not keep dep or anything dep points to, call back into
-// the shard, or block.
-func (o *Orchestrator) ViewDeployment(id DeploymentID, fn func(dep *Deployment)) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	dep, ok := o.deployments[id]
-	if ok {
-		fn(dep)
-	}
-	return ok
-}
-
-// ViewDeployments calls fn with every record the shard holds, in ID
+// viewDeployments calls fn with every record the shard holds, in ID
 // order, in one hold of the shard lock: the package's one walk of whole
-// records. ViewDeployment's rules for fn apply.
-func (o *Orchestrator) ViewDeployments(fn func(dep *Deployment)) {
+// records. Sharded.ViewDeployment's rules for fn apply.
+func (o *shard) viewDeployments(fn func(dep *Deployment)) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	order := o.viewOrder[:0]
@@ -889,27 +776,7 @@ func (o *Orchestrator) ViewDeployments(fn func(dep *Deployment)) {
 	o.viewOrder = order
 }
 
-// Deployment returns a snapshot of the deployment, or nil when the shard
-// holds no record of it — never issued, or deleted (see Tombstone).
-func (o *Orchestrator) Deployment(id DeploymentID) (cp *Deployment) {
-	o.ViewDeployment(id, func(dep *Deployment) { cp = snapshot(dep) })
-	return cp
-}
-
-// ActiveCount returns the number of active deployments.
-func (o *Orchestrator) ActiveCount() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	n := 0
-	for _, dep := range o.deployments {
-		if dep.State == StateActive {
-			n++
-		}
-	}
-	return n
-}
-
-func (o *Orchestrator) activeLocked(id DeploymentID) (*Deployment, error) {
+func (o *shard) activeLocked(id DeploymentID) (*Deployment, error) {
 	dep, ok := o.deployments[id]
 	if !ok {
 		if _, deleted := findTombstone(&o.tombs, id); deleted {
@@ -952,7 +819,7 @@ func snapshot(dep *Deployment) *Deployment {
 
 // appendOptoelectronic appends to buf the live optoelectronic routers
 // among opss, in their order.
-func (o *Orchestrator) appendOptoelectronic(buf, opss []topology.NodeID) []topology.NodeID {
+func (o *shard) appendOptoelectronic(buf, opss []topology.NodeID) []topology.NodeID {
 	for _, id := range opss {
 		if n := o.topo.Node(id); n != nil && n.Optoelectronic && !n.Down {
 			buf = append(buf, id)
@@ -963,7 +830,7 @@ func (o *Orchestrator) appendOptoelectronic(buf, opss []topology.NodeID) []topol
 
 // appendPMs appends to buf the live PMs hosting vms, ascending, each
 // once.
-func (o *Orchestrator) appendPMs(buf, vms []topology.NodeID) []topology.NodeID {
+func (o *shard) appendPMs(buf, vms []topology.NodeID) []topology.NodeID {
 	start := len(buf)
 	for _, vm := range vms {
 		if n := o.topo.Node(vm); n != nil {

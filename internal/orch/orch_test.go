@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/alvc/alvc/internal/chain"
+	"github.com/alvc/alvc/internal/cluster"
 	"github.com/alvc/alvc/internal/nfv"
 	"github.com/alvc/alvc/internal/placement"
 	"github.com/alvc/alvc/internal/topology"
@@ -28,7 +29,7 @@ func orchTopo(t *testing.T) *topology.Topology {
 	return topo
 }
 
-func newOrch(t *testing.T) (*Sharded, *Orchestrator) {
+func newOrch(t *testing.T) (*Sharded, *shard) {
 	t.Helper()
 	return newTestOrch(t, Config{Topo: orchTopo(t)})
 }
@@ -43,8 +44,8 @@ func webSpec(t *testing.T, name string) chain.Spec {
 }
 
 func TestProvisionEndToEnd(t *testing.T) {
-	_, o := newOrch(t)
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, o := newOrch(t)
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -59,7 +60,7 @@ func TestProvisionEndToEnd(t *testing.T) {
 		t.Fatalf("instances = %d, want 3", len(dep.Instances))
 	}
 	for _, id := range dep.Instances {
-		inst := o.Manager().Instance(id)
+		inst := o.mgr.Instance(id)
 		if inst == nil || inst.State != nfv.StateActive {
 			t.Fatalf("instance %d not active: %+v", id, inst)
 		}
@@ -67,7 +68,7 @@ func TestProvisionEndToEnd(t *testing.T) {
 	if len(dep.Path) < 2 {
 		t.Fatalf("path too short: %v", dep.Path)
 	}
-	rules := o.Controller().RulesForFlow(dep.FlowKey())
+	rules := o.ctrl.RulesForFlow(dep.FlowKey())
 	if len(rules) != len(dep.Path) {
 		t.Fatalf("rules = %d, want %d (one per hop)", len(rules), len(dep.Path))
 	}
@@ -98,8 +99,8 @@ func TestProvisionEndToEnd(t *testing.T) {
 }
 
 func TestProvisionOneVCPerNFC(t *testing.T) {
-	_, o := newOrch(t)
-	d1, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, o := newOrch(t)
+	d1, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision 1: %v", err)
 	}
@@ -107,7 +108,7 @@ func TestProvisionOneVCPerNFC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Linear: %v", err)
 	}
-	d2, err := o.Provision(bg, spec2)
+	d2, err := s.Provision(bg, spec2)
 	if err != nil {
 		t.Fatalf("Provision 2: %v", err)
 	}
@@ -124,90 +125,90 @@ func TestProvisionOneVCPerNFC(t *testing.T) {
 			t.Fatalf("OPS %d in both ALs", ops)
 		}
 	}
-	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+	if !cluster.Disjoint(o.alloc.VCs()) || !o.slices.Disjoint() {
 		t.Fatal("disjointness invariants violated")
 	}
-	if o.ActiveCount() != 2 {
-		t.Fatalf("active = %d, want 2", o.ActiveCount())
+	if activeCount(s) != 2 {
+		t.Fatalf("active = %d, want 2", activeCount(s))
 	}
 }
 
 func TestProvisionValidation(t *testing.T) {
-	_, o := newOrch(t)
-	if _, err := o.Provision(bg, chain.Spec{}); err == nil {
+	s, _ := newOrch(t)
+	if _, err := s.Provision(bg, chain.Spec{}); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
-	s := webSpec(t, "x")
-	s.Service = "nonexistent"
-	if _, err := o.Provision(bg, s); err == nil || !strings.Contains(err.Error(), "no live VMs") {
+	spec := webSpec(t, "x")
+	spec.Service = "nonexistent"
+	if _, err := s.Provision(bg, spec); err == nil || !strings.Contains(err.Error(), "no live VMs") {
 		t.Fatalf("unknown service error = %v", err)
 	}
-	s = webSpec(t, "y")
-	s.NFs = []chain.NFRef{{Name: "bogus"}}
-	if _, err := o.Provision(bg, s); err == nil {
+	spec = webSpec(t, "y")
+	spec.NFs = []chain.NFRef{{Name: "bogus"}}
+	if _, err := s.Provision(bg, spec); err == nil {
 		t.Fatal("unknown NF accepted")
 	}
 }
 
 func TestProvisionRollbackLeavesNoState(t *testing.T) {
-	_, o := newOrch(t)
-	availBefore := len(o.Allocator().AvailableOPS())
-	rulesBefore := o.Controller().RuleCount()
+	s, o := newOrch(t)
+	availBefore := len(o.alloc.AvailableOPS())
+	rulesBefore := o.ctrl.RuleCount()
 	// Unknown NF fails after the VC and slice are allocated — rollback
 	// must free everything.
-	s := webSpec(t, "doomed")
-	s.NFs = append(s.NFs, chain.NFRef{Name: "bogus"})
-	if _, err := o.Provision(bg, s); err == nil {
+	spec := webSpec(t, "doomed")
+	spec.NFs = append(spec.NFs, chain.NFRef{Name: "bogus"})
+	if _, err := s.Provision(bg, spec); err == nil {
 		t.Fatal("expected failure")
 	}
-	if got := len(o.Allocator().AvailableOPS()); got != availBefore {
+	if got := len(o.alloc.AvailableOPS()); got != availBefore {
 		t.Fatalf("OPS leaked: %d -> %d", availBefore, got)
 	}
-	if got := o.Controller().RuleCount(); got != rulesBefore {
+	if got := o.ctrl.RuleCount(); got != rulesBefore {
 		t.Fatalf("rules leaked: %d -> %d", rulesBefore, got)
 	}
-	if len(o.Slices().Slices()) != 0 {
+	if len(o.slices.Slices()) != 0 {
 		t.Fatal("slices leaked")
 	}
-	if o.ActiveCount() != 0 {
+	if activeCount(s) != 0 {
 		t.Fatal("deployments leaked")
 	}
 	// Instance resources all freed, and the manager forgot them.
-	if left := o.Manager().Instances(); len(left) != 0 {
+	if left := o.mgr.Instances(); len(left) != 0 {
 		t.Fatalf("%d instances leaked, first %+v", len(left), left[0])
 	}
 }
 
 func TestModifyUpgradeScale(t *testing.T) {
-	_, o := newOrch(t)
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, o := newOrch(t)
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if err := o.Apply(dep.ID, ChangeBandwidth(8)); err != nil {
+	if err := s.Apply(dep.ID, ChangeBandwidth(8)); err != nil {
 		t.Fatalf("modify: %v", err)
 	}
-	got := o.Deployment(dep.ID)
+	got := s.Deployment(dep.ID)
 	if got.Spec.BandwidthGbps != 8 {
 		t.Fatalf("bandwidth = %f, want 8", got.Spec.BandwidthGbps)
 	}
-	for _, sl := range o.Slices().Slices() {
+	for _, sl := range o.slices.Slices() {
 		if sl.ID == dep.Slice.ID && sl.BandwidthGbps != 8 {
 			t.Fatal("slice bandwidth not updated")
 		}
 	}
-	if err := o.Apply(dep.ID, ChangeBandwidth(-1)); err == nil {
+	if err := s.Apply(dep.ID, ChangeBandwidth(-1)); err == nil {
 		t.Fatal("negative bandwidth accepted")
 	}
 
-	if err := o.Apply(dep.ID, ChangeVersion()); err != nil {
+	if err := s.Apply(dep.ID, ChangeVersion()); err != nil {
 		t.Fatalf("upgrade: %v", err)
 	}
-	if got := o.Deployment(dep.ID); got.Version != 2 {
+	if got := s.Deployment(dep.ID); got.Version != 2 {
 		t.Fatalf("version = %d, want 2", got.Version)
 	}
 	for _, id := range dep.Instances {
-		if inst := o.Manager().Instance(id); inst.Version != 2 {
+		if inst := o.mgr.Instance(id); inst.Version != 2 {
 			t.Fatalf("instance %d version = %d, want 2", id, inst.Version)
 		}
 	}
@@ -215,69 +216,69 @@ func TestModifyUpgradeScale(t *testing.T) {
 	// Scale the DPI stage (index 2): it lives on a PM with headroom.
 	// Scaling an OER-hosted VNF beyond the router's limited capacity
 	// must fail — that limit is the §IV-D constraint.
-	if err := o.Apply(dep.ID, ChangeReplicas(2, 3)); err != nil {
+	if err := s.Apply(dep.ID, ChangeReplicas(2, 3)); err != nil {
 		t.Fatalf("scale: %v", err)
 	}
-	if inst := o.Manager().Instance(dep.Instances[2]); inst.Replicas != 3 {
+	if inst := o.mgr.Instance(dep.Instances[2]); inst.Replicas != 3 {
 		t.Fatalf("replicas = %d, want 3", inst.Replicas)
 	}
-	if err := o.Apply(dep.ID, ChangeReplicas(0, 50)); err == nil {
+	if err := s.Apply(dep.ID, ChangeReplicas(0, 50)); err == nil {
 		t.Fatal("scaling an OER-hosted VNF past router capacity accepted")
 	}
-	if err := o.Apply(dep.ID, ChangeReplicas(99, 2)); err == nil {
+	if err := s.Apply(dep.ID, ChangeReplicas(99, 2)); err == nil {
 		t.Fatal("out-of-range NF index accepted")
 	}
 }
 
 func TestDeleteReleasesEverything(t *testing.T) {
-	_, o := newOrch(t)
-	availBefore := len(o.Allocator().AvailableOPS())
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, o := newOrch(t)
+	availBefore := len(o.alloc.AvailableOPS())
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if _, err := o.Delete(bg, dep.ID); err != nil {
+	if _, err := s.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if got := o.Deployment(dep.ID); got != nil {
+	if got := s.Deployment(dep.ID); got != nil {
 		t.Fatalf("deleted deployment still has a record in state %s", got.State)
 	}
-	if ts, ok := o.Tombstone(dep.ID); !ok || ts.Name != dep.Spec.Name || ts.Tenant != dep.Spec.Tenant {
+	if ts, ok := s.Tombstone(dep.ID); !ok || ts.Name != dep.Spec.Name || ts.Tenant != dep.Spec.Tenant {
 		t.Fatalf("tombstone = %+v, %v", ts, ok)
 	}
-	if got := len(o.Allocator().AvailableOPS()); got != availBefore {
+	if got := len(o.alloc.AvailableOPS()); got != availBefore {
 		t.Fatalf("OPSs not released: %d -> %d", availBefore, got)
 	}
-	if got := len(o.Controller().RulesForFlow(dep.FlowKey())); got != 0 {
+	if got := len(o.ctrl.RulesForFlow(dep.FlowKey())); got != 0 {
 		t.Fatalf("rules remain: %d", got)
 	}
 	for _, id := range dep.Instances {
-		if inst := o.Manager().Instance(id); inst != nil {
+		if inst := o.mgr.Instance(id); inst != nil {
 			t.Fatalf("instance %d not terminated: %+v", id, inst)
 		}
 	}
 	// Operations on a deleted deployment fail.
-	if _, err := o.Delete(bg, dep.ID); err == nil {
+	if _, err := s.Delete(bg, dep.ID); err == nil {
 		t.Fatal("double delete accepted")
 	}
-	if err := o.Apply(dep.ID, ChangeVersion()); err == nil {
+	if err := s.Apply(dep.ID, ChangeVersion()); err == nil {
 		t.Fatal("upgrade of deleted deployment accepted")
 	}
-	if err := o.Apply(dep.ID, ChangeBandwidth(4)); err == nil {
+	if err := s.Apply(dep.ID, ChangeBandwidth(4)); err == nil {
 		t.Fatal("modify of deleted deployment accepted")
 	}
 	// Resources are reusable: provision again.
-	if _, err := o.Provision(bg, webSpec(t, "chain-2")); err != nil {
+	if _, err := s.Provision(bg, webSpec(t, "chain-2")); err != nil {
 		t.Fatalf("re-provision after delete: %v", err)
 	}
 }
 
 func TestUnknownDeploymentOps(t *testing.T) {
-	_, o := newOrch(t)
-	if _, err := o.Delete(bg, 42); err == nil {
+	s, _ := newOrch(t)
+	if _, err := s.Delete(bg, 42); err == nil {
 		t.Fatal("delete unknown accepted")
 	}
-	if o.Deployment(42) != nil {
+	if s.Deployment(42) != nil {
 		t.Fatal("unknown deployment returned")
 	}
 }
@@ -285,7 +286,7 @@ func TestUnknownDeploymentOps(t *testing.T) {
 func TestProvisionLifecycleStorm(t *testing.T) {
 	// E6-style storm: repeated provision/modify/upgrade/delete cycles
 	// must leave the orchestrator consistent.
-	_, o := newOrch(t)
+	s, o := newOrch(t)
 	for round := 0; round < 5; round++ {
 		var ids []DeploymentID
 		for i, svc := range []string{"web", "mapreduce", "sns"} {
@@ -294,37 +295,37 @@ func TestProvisionLifecycleStorm(t *testing.T) {
 				{"secgw", "wanopt"},
 				{"firewall", "dpi"},
 			}[i]
-			s, err := chain.Linear("storm", "tenant", svc, 1, 1<<20, nfs...)
+			spec, err := chain.Linear("storm", "tenant", svc, 1, 1<<20, nfs...)
 			if err != nil {
 				t.Fatalf("Linear: %v", err)
 			}
-			s.Name = s.Name + "-" + svc
-			dep, err := o.Provision(bg, s)
+			spec.Name = spec.Name + "-" + svc
+			dep, err := s.Provision(bg, spec)
 			if err != nil {
 				t.Fatalf("round %d provision %s: %v", round, svc, err)
 			}
 			ids = append(ids, dep.ID)
 		}
-		if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+		if !cluster.Disjoint(o.alloc.VCs()) || !o.slices.Disjoint() {
 			t.Fatalf("round %d: disjointness violated", round)
 		}
 		for _, id := range ids {
-			if err := o.Apply(id, ChangeVersion()); err != nil {
+			if err := s.Apply(id, ChangeVersion()); err != nil {
 				t.Fatalf("round %d upgrade: %v", round, err)
 			}
-			if _, err := o.Delete(bg, id); err != nil {
+			if _, err := s.Delete(bg, id); err != nil {
 				t.Fatalf("round %d delete: %v", round, err)
 			}
 		}
-		if o.ActiveCount() != 0 {
-			t.Fatalf("round %d: %d deployments leak", round, o.ActiveCount())
+		if activeCount(s) != 0 {
+			t.Fatalf("round %d: %d deployments leak", round, activeCount(s))
 		}
 	}
 }
 
 func TestOrchestratorWithOptimalPolicy(t *testing.T) {
-	_, o := newTestOrch(t, Config{Topo: orchTopo(t), Policy: placement.Optimal{}})
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, _ := newTestOrch(t, Config{Topo: orchTopo(t), Policy: placement.Optimal{}})
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -340,14 +341,14 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestDeploymentSnapshotIsolation(t *testing.T) {
-	_, o := newOrch(t)
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, _ := newOrch(t)
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	dep.Path[0] = 9999
 	dep.State = StateDeleted
-	fresh := o.Deployment(dep.ID)
+	fresh := s.Deployment(dep.ID)
 	if fresh.Path[0] == 9999 || fresh.State != StateActive {
 		t.Fatal("mutating snapshot affected orchestrator state")
 	}

@@ -86,7 +86,7 @@ func (s stageID) String() string {
 // Pipelines are pooled with their scratch: whoever gets one releases it
 // once the outcome is committed or rolled back.
 type pipeline struct {
-	o       *Orchestrator
+	o       *shard
 	spec    chain.Spec
 	flowKey string
 
@@ -148,7 +148,7 @@ const maxScratchLen = 1 << 10
 var pipelines = sync.Pool{New: func() any { return new(pipeline) }}
 
 // getPipeline returns an empty pipeline for o.
-func (o *Orchestrator) getPipeline() *pipeline {
+func (o *shard) getPipeline() *pipeline {
 	p := pipelines.Get().(*pipeline)
 	p.o, p.lambda = o, -1
 	return p
@@ -204,7 +204,7 @@ func (p *pipeline) attachTrace(ctx context.Context) {
 
 // newPipeline resolves the spec (live VMs, NF profiles with demand
 // overrides) and returns a pipeline ready to run from stageCluster.
-func (o *Orchestrator) newPipeline(spec chain.Spec, flowKey string) (*pipeline, error) {
+func (o *shard) newPipeline(spec chain.Spec, flowKey string) (*pipeline, error) {
 	vms := o.topo.LiveVMs(spec.Service)
 	if len(vms) == 0 {
 		return nil, fmt.Errorf("no live VMs offer service %q", spec.Service)
@@ -243,7 +243,7 @@ func appendProfiles(buf []nfv.NFProfile, nfs []chain.NFRef) ([]nfv.NFProfile, er
 // snapshot readers share: a caller that migrates an instance takes its
 // own copy first (ownPlacement). The caller must hold the deployment's
 // exclusive-operation claim.
-func (o *Orchestrator) pipelineFrom(ctx context.Context, dep *Deployment) *pipeline {
+func (o *shard) pipelineFrom(ctx context.Context, dep *Deployment) *pipeline {
 	p := o.getPipeline()
 	p.spec, p.flowKey = dep.Spec, dep.FlowKey()
 	p.src, p.dst = dep.Path[0], dep.Path[len(dep.Path)-1]

@@ -131,7 +131,7 @@ func (c *sharedCore) markFailuresDown(f topology.Failures) (resilience.FailureSe
 // When tracing is enabled every repair records a span — a child of the
 // span in ctx (the HTTP request's root span, or a debouncer batch span)
 // when one is there.
-func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.FailureSet) []RepairReport {
+func (o *shard) reconcileFailures(ctx context.Context, dead resilience.FailureSet) []RepairReport {
 	affected := o.affectedBy(dead)
 	reports := make([]RepairReport, len(affected))
 	tr := o.hooks.Load().Tracer
@@ -235,7 +235,7 @@ func firstRepairError(reports []RepairReport) error {
 // The suspect links are the dead ones plus the live links sharing a
 // risk group with one: chains crossing those must be visited too, since
 // their standbys may no longer be survivable.
-func (o *Orchestrator) affectedBy(dead resilience.FailureSet) []DeploymentID {
+func (o *shard) affectedBy(dead resilience.FailureSet) []DeploymentID {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	n := 0
@@ -263,7 +263,7 @@ func (o *Orchestrator) affectedBy(dead resilience.FailureSet) []DeploymentID {
 // failure set intersects the deployment's footprint, applies the
 // cheapest repair that covers the whole damage, and falls back to a
 // full rebuild when the differential repair is impossible.
-func (o *Orchestrator) repairAround(ctx context.Context, id DeploymentID, dead resilience.FailureSet) RepairReport {
+func (o *shard) repairAround(ctx context.Context, id DeploymentID, dead resilience.FailureSet) RepairReport {
 	dep, err := o.beginExclusive(id)
 	if err != nil {
 		// A concurrent delete/repair/move claimed the deployment; its
@@ -344,7 +344,7 @@ func (o *Orchestrator) repairAround(ctx context.Context, id DeploymentID, dead r
 // success, commits the outcome: the reverse indexes move from the old
 // to the new footprint atomically with the field update, and any two-λ
 // grace window closes only after the new rules are live.
-func (o *Orchestrator) finishRepairFrom(p *pipeline, dep *Deployment, first stageID) error {
+func (o *shard) finishRepairFrom(p *pipeline, dep *Deployment, first stageID) error {
 	if err := p.runFrom(first); err != nil {
 		return err
 	}
@@ -360,7 +360,7 @@ func (o *Orchestrator) finishRepairFrom(p *pipeline, dep *Deployment, first stag
 // repath re-runs the connectivity stages of the pipeline (path →
 // standby → wdm → rules) around the deployment's unchanged placement —
 // the cold data-path repair, which also replans the standby.
-func (o *Orchestrator) repath(ctx context.Context, dep *Deployment) error {
+func (o *shard) repath(ctx context.Context, dep *Deployment) error {
 	p := o.pipelineFrom(ctx, dep)
 	defer p.release()
 	return o.finishRepairFrom(p, dep, stagePath)
@@ -372,7 +372,7 @@ func (o *Orchestrator) repath(ctx context.Context, dep *Deployment) error {
 // only a wavelength retune (two-λ grace) and a make-before-break rule
 // swap. The consumed standby is cleared; a later ActionRestandby or any
 // cold repair replans it.
-func (o *Orchestrator) swapToStandby(ctx context.Context, dep *Deployment) error {
+func (o *shard) swapToStandby(ctx context.Context, dep *Deployment) error {
 	p := o.pipelineFrom(ctx, dep)
 	defer p.release()
 	sb := dep.Standby
@@ -385,7 +385,7 @@ func (o *Orchestrator) swapToStandby(ctx context.Context, dep *Deployment) error
 // replaceAndRepath migrates the VNF instances hosted on dead nodes to
 // surviving hosts and re-runs the connectivity stages. The VC and slice
 // are untouched.
-func (o *Orchestrator) replaceAndRepath(ctx context.Context, dep *Deployment, dead resilience.FailureSet) error {
+func (o *shard) replaceAndRepath(ctx context.Context, dep *Deployment, dead resilience.FailureSet) error {
 	p := o.pipelineFrom(ctx, dep)
 	defer p.release()
 	if err := o.migrateOff(p, dep, dead); err != nil {
@@ -401,7 +401,7 @@ func (o *Orchestrator) replaceAndRepath(ctx context.Context, dep *Deployment, de
 // on failed OPSs (they may be optoelectronic) migrate, and the
 // connectivity stages re-run against the patched slice. The VC ID,
 // slice ID and bandwidth reservation all survive.
-func (o *Orchestrator) patchSlice(ctx context.Context, dep *Deployment, dead resilience.FailureSet) error {
+func (o *shard) patchSlice(ctx context.Context, dep *Deployment, dead resilience.FailureSet) error {
 	vms := o.topo.LiveVMs(dep.Spec.Service)
 	if len(vms) == 0 {
 		return fmt.Errorf("no live VMs offer service %q", dep.Spec.Service)
@@ -437,7 +437,7 @@ func (o *Orchestrator) patchSlice(ctx context.Context, dep *Deployment, dead res
 // first (placement stays optical when capacity allows), then the PMs
 // hosting the service's live VMs — updating the staged placement and
 // its O/E/O accounting. Instances on surviving hosts are never touched.
-func (o *Orchestrator) migrateOff(p *pipeline, dep *Deployment, dead resilience.FailureSet) error {
+func (o *shard) migrateOff(p *pipeline, dep *Deployment, dead resilience.FailureSet) error {
 	cands := o.appendOptoelectronic(nil, p.vc.AL.OPSs)
 	cands = o.appendPMs(cands, o.topo.LiveVMs(dep.Spec.Service))
 	moved := false

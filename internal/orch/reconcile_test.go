@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/alvc/alvc/internal/chain"
+	"github.com/alvc/alvc/internal/cluster"
 	"github.com/alvc/alvc/internal/nfv"
 	"github.com/alvc/alvc/internal/placement"
 	"github.com/alvc/alvc/internal/resilience"
@@ -37,7 +38,7 @@ func sliceOPSNotHosting(dep *Deployment) topology.NodeID {
 // failed OPS hosts no VNF, so the patch must not touch any instance.
 func TestSliceOPSFailurePatchesWithoutTouchingVNFs(t *testing.T) {
 	s, o := newTestOrch(t, Config{Topo: orchTopo(t), Policy: placement.AllElectronic{}})
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -60,7 +61,7 @@ func TestSliceOPSFailurePatchesWithoutTouchingVNFs(t *testing.T) {
 		t.Fatalf("action = %s, want patched", reports[0].Action)
 	}
 
-	after := o.Deployment(dep.ID)
+	after := s.Deployment(dep.ID)
 	if after.State != StateActive || after.Repairs != 1 {
 		t.Fatalf("after patch: state=%s repairs=%d", after.State, after.Repairs)
 	}
@@ -85,16 +86,16 @@ func TestSliceOPSFailurePatchesWithoutTouchingVNFs(t *testing.T) {
 		if id != dep.Instances[i] {
 			t.Fatalf("instance %d replaced: %d -> %d", i, dep.Instances[i], id)
 		}
-		inst := o.Manager().Instance(id)
+		inst := o.mgr.Instance(id)
 		if inst.Host != hostsBefore[i] {
 			t.Fatalf("instance %d moved: %d -> %d", i, hostsBefore[i], inst.Host)
 		}
 	}
 	// Rules follow the (possibly new) path; invariants hold.
-	if got := len(o.Controller().RulesForFlow(after.FlowKey())); got != len(after.Path) {
+	if got := len(o.ctrl.RulesForFlow(after.FlowKey())); got != len(after.Path) {
 		t.Fatalf("rules = %d, want %d", got, len(after.Path))
 	}
-	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+	if !cluster.Disjoint(o.alloc.VCs()) || !o.slices.Disjoint() {
 		t.Fatal("disjointness violated after patch")
 	}
 }
@@ -105,7 +106,7 @@ func TestSliceOPSFailurePatchesWithoutTouchingVNFs(t *testing.T) {
 // failure cannot also kill an endpoint and force a rebuild.
 func TestPMFailureReplacesOnlyAffectedVNF(t *testing.T) {
 	s, o := newOrch(t)
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -134,10 +135,10 @@ func TestPMFailureReplacesOnlyAffectedVNF(t *testing.T) {
 	if pmHost == 0 {
 		t.Skip("no PM free of endpoint VMs on this seed")
 	}
-	if err := o.Apply(dep.ID, ChangeHost(pmIdx, pmHost)); err != nil {
+	if err := s.Apply(dep.ID, ChangeHost(pmIdx, pmHost)); err != nil {
 		t.Fatalf("MoveNF staging: %v", err)
 	}
-	dep = o.Deployment(dep.ID)
+	dep = s.Deployment(dep.ID)
 
 	vcID, sliceID := dep.VC.ID, dep.Slice.ID
 	reports, err := failNode(s, pmHost)
@@ -153,7 +154,7 @@ func TestPMFailureReplacesOnlyAffectedVNF(t *testing.T) {
 	if rep == nil || rep.Action != ActionReplaced {
 		t.Fatalf("reports = %+v, want replaced for %d", reports, dep.ID)
 	}
-	after := o.Deployment(dep.ID)
+	after := s.Deployment(dep.ID)
 	if after.VC.ID != vcID || after.Slice.ID != sliceID {
 		t.Fatalf("cluster/slice identity changed: VC %d->%d slice %d->%d",
 			vcID, after.VC.ID, sliceID, after.Slice.ID)
@@ -176,7 +177,7 @@ func TestPMFailureReplacesOnlyAffectedVNF(t *testing.T) {
 			t.Fatalf("untouched VNF %d moved: %d -> %d", i, dep.Placement.Hosts[i], h)
 		}
 	}
-	if got := len(o.Controller().RulesForFlow(after.FlowKey())); got != len(after.Path) {
+	if got := len(o.ctrl.RulesForFlow(after.FlowKey())); got != len(after.Path) {
 		t.Fatalf("rules = %d, want %d", got, len(after.Path))
 	}
 }
@@ -188,13 +189,13 @@ func TestPMFailureReplacesOnlyAffectedVNF(t *testing.T) {
 // alternative route must yield a pure re-path.
 func TestTransitNodeFailureRepathsOnly(t *testing.T) {
 	s, o := newOrch(t)
-	first, err := o.Provision(bg, webSpec(t, "chain-1"))
+	first, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	sawRepath := false
 	for attempt := 0; attempt < 8 && !sawRepath; attempt++ {
-		dep := o.Deployment(first.ID)
+		dep := s.Deployment(first.ID)
 		hosts := make(map[topology.NodeID]bool)
 		for _, h := range dep.Placement.Hosts {
 			hosts[h] = true
@@ -248,7 +249,7 @@ func TestTransitNodeFailureRepathsOnly(t *testing.T) {
 		if rep == nil {
 			t.Fatalf("no report for deployment %d: %+v", dep.ID, reports)
 		}
-		after := o.Deployment(dep.ID)
+		after := s.Deployment(dep.ID)
 		if after.State != StateActive {
 			t.Fatalf("deployment not active after transit failure: %s", after.State)
 		}
@@ -285,7 +286,7 @@ func TestTransitNodeFailureRepathsOnly(t *testing.T) {
 // down nodes), so both chains end patched, not rebuilt or failed.
 func TestSequentialOPSFailuresKeepPatching(t *testing.T) {
 	s, o := newTestOrch(t, Config{Topo: orchTopo(t), Policy: placement.AllElectronic{}})
-	d1, err := o.Provision(bg, webSpec(t, "chain-1"))
+	d1, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision 1: %v", err)
 	}
@@ -293,7 +294,7 @@ func TestSequentialOPSFailuresKeepPatching(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Linear: %v", err)
 	}
-	d2, err := o.Provision(bg, spec2)
+	d2, err := s.Provision(bg, spec2)
 	if err != nil {
 		t.Fatalf("Provision 2: %v", err)
 	}
@@ -308,7 +309,7 @@ func TestSequentialOPSFailuresKeepPatching(t *testing.T) {
 				t.Fatalf("deployment %d action = %s, want patched (reports %+v)", dep.ID, rep.Action, reports)
 			}
 		}
-		after := o.Deployment(dep.ID)
+		after := s.Deployment(dep.ID)
 		if after.State != StateActive || after.Slice.Contains(victim) {
 			t.Fatalf("deployment %d after failure of %d: state=%s slice=%v",
 				dep.ID, victim, after.State, after.Slice.OPSs)
@@ -318,7 +319,7 @@ func TestSequentialOPSFailuresKeepPatching(t *testing.T) {
 	// unowned in the pool; the second patch must route around it.
 	assertPatched(d1, d1.Slice.OPSs[0])
 	assertPatched(d2, d2.Slice.OPSs[0])
-	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+	if !cluster.Disjoint(o.alloc.VCs()) || !o.slices.Disjoint() {
 		t.Fatal("disjointness violated after sequential patches")
 	}
 }
@@ -326,18 +327,18 @@ func TestSequentialOPSFailuresKeepPatching(t *testing.T) {
 // TestReverseIndexMaintained: the node → deployments index must track
 // provision, repair and delete, keeping affectedBy an exact lookup.
 func TestReverseIndexMaintained(t *testing.T) {
-	_, o := newOrch(t)
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, o := newOrch(t)
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	for _, n := range o.Deployment(dep.ID).Path {
+	for _, n := range s.Deployment(dep.ID).Path {
 		ids := o.affectedBy(resilience.Classify(o.topo, topology.NewFailures([]topology.NodeID{n}, nil)))
 		if len(ids) != 1 || ids[0] != dep.ID {
 			t.Fatalf("affectedBy(%d) = %v, want [%d]", n, ids, dep.ID)
 		}
 	}
-	if _, err := o.Delete(bg, dep.ID); err != nil {
+	if _, err := s.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	o.mu.Lock()
@@ -356,8 +357,8 @@ func TestReverseIndexMaintained(t *testing.T) {
 // (HTTP 409) and leaves the record, its slice and its instances as they
 // were; a concurrent Delete cannot terminate instances mid-edit.
 func TestApplyRespectsBusyGuard(t *testing.T) {
-	_, o := newOrch(t)
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, o := newOrch(t)
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -365,36 +366,36 @@ func TestApplyRespectsBusyGuard(t *testing.T) {
 	edits := []Change{ChangeBandwidth(8), ChangeVersion(), ChangeReplicas(2, 2), ChangeHost(2, pms[len(pms)-1])}
 	instances := func() (out []nfv.Instance) {
 		for _, id := range dep.Instances {
-			out = append(out, *o.Manager().Instance(id))
+			out = append(out, *o.mgr.Instance(id))
 		}
 		return out
 	}
-	before, beforeInsts := o.Deployment(dep.ID), instances()
+	before, beforeInsts := s.Deployment(dep.ID), instances()
 	if _, err := o.beginExclusive(dep.ID); err != nil {
 		t.Fatalf("beginExclusive: %v", err)
 	}
 	for _, c := range edits {
-		if err := o.Apply(dep.ID, c); !errors.Is(err, ErrBusy) {
+		if err := s.Apply(dep.ID, c); !errors.Is(err, ErrBusy) {
 			t.Fatalf("%s under a held claim = %v, want ErrBusy", changeVerbs[c.kind], err)
 		}
 	}
-	if _, err := o.Delete(bg, dep.ID); !errors.Is(err, ErrBusy) {
+	if _, err := s.Delete(bg, dep.ID); !errors.Is(err, ErrBusy) {
 		t.Fatalf("Delete under a held claim = %v, want ErrBusy", err)
 	}
-	if after := o.Deployment(dep.ID); !reflect.DeepEqual(after, before) {
+	if after := s.Deployment(dep.ID); !reflect.DeepEqual(after, before) {
 		t.Fatalf("refused edits changed the record:\n%+v\nwant\n%+v", after, before)
 	}
 	if got := instances(); !reflect.DeepEqual(got, beforeInsts) {
 		t.Fatalf("refused edits changed the instances:\n%+v\nwant\n%+v", got, beforeInsts)
 	}
-	for _, sl := range o.Slices().Slices() {
+	for _, sl := range o.slices.Slices() {
 		if sl.ID == dep.Slice.ID && sl.BandwidthGbps != dep.Spec.BandwidthGbps {
 			t.Fatalf("refused modify set the slice's bandwidth to %v", sl.BandwidthGbps)
 		}
 	}
 	o.endExclusive(dep.ID)
 	for _, c := range edits {
-		if err := o.Apply(dep.ID, c); errors.Is(err, ErrBusy) || (err != nil && c.kind != changeHost) {
+		if err := s.Apply(dep.ID, c); errors.Is(err, ErrBusy) || (err != nil && c.kind != changeHost) {
 			t.Fatalf("%s after release: %v", changeVerbs[c.kind], err)
 		}
 	}
@@ -406,7 +407,7 @@ func TestApplyRespectsBusyGuard(t *testing.T) {
 // state.
 func TestConcurrentFailureAndProvision(t *testing.T) {
 	s, o := newOrch(t)
-	seedDep, err := o.Provision(bg, webSpec(t, "seed"))
+	seedDep, err := s.Provision(bg, webSpec(t, "seed"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -425,12 +426,12 @@ func TestConcurrentFailureAndProvision(t *testing.T) {
 				t.Errorf("Linear: %v", err)
 				return
 			}
-			dep, err := o.Provision(bg, spec)
+			dep, err := s.Provision(bg, spec)
 			if err != nil {
 				continue // exhaustion or mid-failure churn is fine
 			}
 			if i%2 == 0 {
-				_, _ = o.Delete(bg, dep.ID)
+				_, _ = s.Delete(bg, dep.ID)
 			}
 		}
 	}()
@@ -444,14 +445,14 @@ func TestConcurrentFailureAndProvision(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+	if !cluster.Disjoint(o.alloc.VCs()) || !o.slices.Disjoint() {
 		t.Fatal("disjointness violated under concurrent failure/provision")
 	}
 	for _, dep := range s.Deployments() {
 		if dep.State != StateActive {
 			continue
 		}
-		if got := len(o.Controller().RulesForFlow(dep.FlowKey())); got != len(dep.Path) {
+		if got := len(o.ctrl.RulesForFlow(dep.FlowKey())); got != len(dep.Path) {
 			t.Fatalf("deployment %d: rules %d != path %d", dep.ID, got, len(dep.Path))
 		}
 	}
@@ -461,8 +462,8 @@ func TestConcurrentFailureAndProvision(t *testing.T) {
 // migration fails, the instance must move back and the deployment
 // record (placement, path, rules, λ) must be exactly as before.
 func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
-	_, o := newOrch(t)
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	s, o := newOrch(t)
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -501,16 +502,16 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 		}
 	}
 
-	before := o.Deployment(dep.ID)
-	instBefore := o.Manager().Instance(before.Instances[0])
-	rulesBefore := len(o.Controller().RulesForFlow(before.FlowKey()))
+	before := s.Deployment(dep.ID)
+	instBefore := o.mgr.Instance(before.Instances[0])
+	rulesBefore := len(o.ctrl.RulesForFlow(before.FlowKey()))
 
-	if err := o.Apply(dep.ID, ChangeHost(0, target)); err == nil {
+	if err := s.Apply(dep.ID, ChangeHost(0, target)); err == nil {
 		t.Fatal("MoveNF to a stranded PM succeeded, want re-path failure")
 	}
 
-	after := o.Deployment(dep.ID)
-	instAfter := o.Manager().Instance(after.Instances[0])
+	after := s.Deployment(dep.ID)
+	instAfter := o.mgr.Instance(after.Instances[0])
 	if instAfter.Host != instBefore.Host {
 		t.Fatalf("instance not restored: host %d -> %d", instBefore.Host, instAfter.Host)
 	}
@@ -520,7 +521,7 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 	if len(after.Path) != len(before.Path) {
 		t.Fatalf("path mutated: %v -> %v", before.Path, after.Path)
 	}
-	if got := len(o.Controller().RulesForFlow(after.FlowKey())); got != rulesBefore {
+	if got := len(o.ctrl.RulesForFlow(after.FlowKey())); got != rulesBefore {
 		t.Fatalf("rules changed: %d -> %d", rulesBefore, got)
 	}
 	if after.Conversions != before.Conversions {
@@ -532,7 +533,7 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 			t.Fatalf("SetDown: %v", err)
 		}
 	}
-	if err := o.Apply(dep.ID, ChangeHost(0, target)); err != nil {
+	if err := s.Apply(dep.ID, ChangeHost(0, target)); err != nil {
 		t.Fatalf("MoveNF after recovery: %v", err)
 	}
 }

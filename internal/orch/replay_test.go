@@ -27,7 +27,7 @@ func replaySeed(t *testing.T, seed int64) (string, [][]int) {
 	var out strings.Builder
 	audit := func(step string) {
 		for i := 0; i < s.Shards(); i++ {
-			if bad := auditIndexes(s.Shard(i)); len(bad) > 0 {
+			if bad := auditIndexes(s.shards[i]); len(bad) > 0 {
 				t.Fatalf("seed %d, %s: shard %d: %d differences, first: %s", seed, step, i, len(bad), bad[0])
 			}
 		}
@@ -85,7 +85,7 @@ func replaySeed(t *testing.T, seed int64) (string, [][]int) {
 		out.WriteByte('\n')
 	}
 	for i := 0; i < s.Shards(); i++ {
-		ctrl := s.Shard(i).Controller()
+		ctrl := s.shards[i].ctrl
 		fmt.Fprintf(&out, "shard %d rules %d\n", i, ctrl.RuleCount())
 		for _, dep := range s.Deployments() {
 			for _, r := range ctrl.RulesForFlow(dep.FlowKey()) {

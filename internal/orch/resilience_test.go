@@ -62,7 +62,7 @@ func triTopo(t *testing.T) (*topology.Topology, *triIDs) {
 	return topo, ids
 }
 
-func triOrch(t *testing.T, cfg Config) (*Sharded, *Orchestrator, *triIDs) {
+func triOrch(t *testing.T, cfg Config) (*Sharded, *shard, *triIDs) {
 	t.Helper()
 	topo, ids := triTopo(t)
 	cfg.Topo = topo
@@ -98,8 +98,8 @@ func pathContains(path []topology.NodeID, n topology.NodeID) bool {
 // time, and both primary and standby must be registered in the reverse
 // indexes.
 func TestProvisionPlansDisjointStandby(t *testing.T) {
-	_, o, ids := triOrch(t, Config{})
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	s, o, ids := triOrch(t, Config{})
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestProvisionPlansDisjointStandby(t *testing.T) {
 // the standby.
 func TestStandbySwapZeroPathComputations(t *testing.T) {
 	s, o, ids := triOrch(t, Config{Wavelengths: 2})
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -166,24 +166,24 @@ func TestStandbySwapZeroPathComputations(t *testing.T) {
 		t.Fatalf("test setup: victim %d not on primary %v", victim, dep.Path)
 	}
 
-	before := o.Controller().PathComputations()
-	hits, misses := o.Controller().AlternativesCacheStats()
+	before := o.ctrl.PathComputations()
+	hits, misses := o.ctrl.AlternativesCacheStats()
 	reports, err := failNode(s, victim)
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
-	after := o.Controller().PathComputations()
+	after := o.ctrl.PathComputations()
 	if after != before {
 		t.Fatalf("standby swap ran %d shortest-path computations, want 0", after-before)
 	}
-	if h, m := o.Controller().AlternativesCacheStats(); h+m != hits+misses {
+	if h, m := o.ctrl.AlternativesCacheStats(); h+m != hits+misses {
 		t.Fatalf("standby swap asked %d standby searches, want 0", h+m-hits-misses)
 	}
 	if len(reports) != 1 || reports[0].ID != dep.ID || reports[0].Action != ActionSwapped {
 		t.Fatalf("reports = %+v, want one swapped for %d", reports, dep.ID)
 	}
 
-	got := o.Deployment(dep.ID)
+	got := s.Deployment(dep.ID)
 	if got.State != StateActive || got.Repairs != 1 {
 		t.Fatalf("after swap: state=%s repairs=%d", got.State, got.Repairs)
 	}
@@ -209,13 +209,13 @@ func TestStandbySwapZeroPathComputations(t *testing.T) {
 	}
 	// Rules follow the standby; wavelength retuned onto its links with
 	// the grace window closed.
-	if n := len(o.Controller().RulesForFlow(got.FlowKey())); n != len(got.Path) {
+	if n := len(o.ctrl.RulesForFlow(got.FlowKey())); n != len(got.Path) {
 		t.Fatalf("rules = %d, want %d", n, len(got.Path))
 	}
-	if o.WDM().InGrace(got.FlowKey()) {
+	if o.wdm.InGrace(got.FlowKey()) {
 		t.Fatal("two-λ grace window left open after swap")
 	}
-	if a, ok := o.WDM().AssignmentOf(got.FlowKey()); !ok || len(a.Links) == 0 {
+	if a, ok := o.wdm.AssignmentOf(got.FlowKey()); !ok || len(a.Links) == 0 {
 		t.Fatalf("no wavelength on promoted path: %+v ok=%v", a, ok)
 	}
 }
@@ -225,14 +225,14 @@ func TestStandbySwapZeroPathComputations(t *testing.T) {
 // re-path — shortest-path computations happen at recovery time.
 func TestColdRepathWhenStandbyDisabled(t *testing.T) {
 	s, o, ids := triOrch(t, Config{NoStandby: true})
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	if dep.Standby != nil {
 		t.Fatalf("standby planned despite NoStandby: %+v", dep.Standby)
 	}
-	before := o.Controller().PathComputations()
+	before := o.ctrl.PathComputations()
 	reports, err := failNode(s, ids.tors[0][0])
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
@@ -240,10 +240,10 @@ func TestColdRepathWhenStandbyDisabled(t *testing.T) {
 	if len(reports) != 1 || reports[0].Action != ActionRepathed {
 		t.Fatalf("reports = %+v, want repathed", reports)
 	}
-	if o.Controller().PathComputations() == before {
+	if o.ctrl.PathComputations() == before {
 		t.Fatal("cold repath ran no shortest-path computation — counting hook broken?")
 	}
-	got := o.Deployment(dep.ID)
+	got := s.Deployment(dep.ID)
 	if pathContains(got.Path, ids.tors[0][0]) {
 		t.Fatalf("failed ToR still on path %v", got.Path)
 	}
@@ -254,23 +254,23 @@ func TestColdRepathWhenStandbyDisabled(t *testing.T) {
 // a live standby the repair is a swap with zero shortest-path runs.
 func TestLinkFailureSwapsToStandby(t *testing.T) {
 	s, o, ids := triOrch(t, Config{})
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	victim := ids.torOpsLinks[0][0] // primary boundary link
-	before := o.Controller().PathComputations()
+	before := o.ctrl.PathComputations()
 	reports, err := failLink(s, victim)
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
 	}
-	if o.Controller().PathComputations() != before {
+	if o.ctrl.PathComputations() != before {
 		t.Fatal("link-failure standby swap ran shortest-path computations")
 	}
 	if len(reports) != 1 || reports[0].ID != dep.ID || reports[0].Action != ActionSwapped {
 		t.Fatalf("reports = %+v, want one swapped for %d", reports, dep.ID)
 	}
-	got := o.Deployment(dep.ID)
+	got := s.Deployment(dep.ID)
 	if got.State != StateActive || got.Repairs != 1 {
 		t.Fatalf("after link swap: state=%s repairs=%d", got.State, got.Repairs)
 	}
@@ -287,8 +287,8 @@ func TestLinkFailureSwapsToStandby(t *testing.T) {
 // the standby (primary untouched) must replan the anticipation without
 // counting as a repair, and the new standby must avoid the dead node.
 func TestStandbyOnlyFailureReplansStandby(t *testing.T) {
-	s, o, ids := triOrch(t, Config{})
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	s, _, ids := triOrch(t, Config{})
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -311,7 +311,7 @@ func TestStandbyOnlyFailureReplansStandby(t *testing.T) {
 	if len(reports) != 1 || reports[0].ID != dep.ID || reports[0].Action != ActionRestandby {
 		t.Fatalf("reports = %+v, want one restandby for %d", reports, dep.ID)
 	}
-	got := o.Deployment(dep.ID)
+	got := s.Deployment(dep.ID)
 	if got.Repairs != 0 {
 		t.Fatalf("restandby counted as a repair: %d", got.Repairs)
 	}
@@ -344,7 +344,7 @@ func TestRackEventSingleBatchReconciliation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Linear: %v", err)
 		}
-		dep, err := o.Provision(bg, spec)
+		dep, err := s.Provision(bg, spec)
 		if err != nil {
 			t.Fatalf("Provision %s: %v", svc, err)
 		}
@@ -400,7 +400,7 @@ func TestRackEventSingleBatchReconciliation(t *testing.T) {
 		if seen[dep.ID] {
 			continue
 		}
-		got := o.Deployment(dep.ID)
+		got := s.Deployment(dep.ID)
 		if got.Repairs != repairsBefore[dep.ID] {
 			t.Fatalf("unreported deployment %d gained repairs", dep.ID)
 		}
@@ -424,7 +424,7 @@ func TestRackEventStrandedVMsExcludedFromRebuild(t *testing.T) {
 		t.Fatalf("AddLink: %v", err)
 	}
 	s, o := newTestOrch(t, Config{Topo: topo, Policy: placement.AllElectronic{}})
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -443,7 +443,7 @@ func TestRackEventStrandedVMsExcludedFromRebuild(t *testing.T) {
 	if rep == nil || !rep.Succeeded() {
 		t.Fatalf("reports = %+v, want a successful repair for %d", reports, dep.ID)
 	}
-	got := o.Deployment(dep.ID)
+	got := s.Deployment(dep.ID)
 	if got.State != StateActive {
 		t.Fatalf("state = %s, want active", got.State)
 	}
@@ -459,7 +459,7 @@ func TestRackEventStrandedVMsExcludedFromRebuild(t *testing.T) {
 // resource is marked down.
 func TestHandleFailuresUnknownResourceRejectedAtomically(t *testing.T) {
 	s, o, ids := triOrch(t, Config{})
-	if _, err := o.Provision(bg, triSpec(t, "chain-1")); err != nil {
+	if _, err := s.Provision(bg, triSpec(t, "chain-1")); err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	if _, err := s.HandleFailures(bg, topology.NewFailures([]topology.NodeID{ids.tors[0][0], 99999}, nil)); err == nil {
@@ -481,8 +481,8 @@ func TestHandleFailuresUnknownResourceRejectedAtomically(t *testing.T) {
 // standby, a second primary failure must fall back to the cold re-path
 // (which replans a fresh standby as part of its pipeline suffix).
 func TestSwapThenColdRepathAfterStandbyConsumed(t *testing.T) {
-	s, o, ids := triOrch(t, Config{})
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	s, _, ids := triOrch(t, Config{})
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -499,7 +499,7 @@ func TestSwapThenColdRepathAfterStandbyConsumed(t *testing.T) {
 	if len(reports) != 1 || reports[0].Action != ActionRepathed {
 		t.Fatalf("second failure reports = %+v, want repathed", reports)
 	}
-	got := o.Deployment(dep.ID)
+	got := s.Deployment(dep.ID)
 	if got.State != StateActive || got.Repairs != 2 {
 		t.Fatalf("after two failures: state=%s repairs=%d", got.State, got.Repairs)
 	}
@@ -512,13 +512,13 @@ func TestSwapThenColdRepathAfterStandbyConsumed(t *testing.T) {
 // chain with the exact roles a resource plays, and nothing for
 // untouched resources.
 func TestNodeAndLinkImpact(t *testing.T) {
-	_, o, ids := triOrch(t, Config{})
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	s, _, ids := triOrch(t, Config{})
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	// Primary-route ToR: role path only.
-	entries := o.Impact(topology.NewFailures([]topology.NodeID{ids.tors[0][0]}, nil))
+	entries := s.Impact(topology.NewFailures([]topology.NodeID{ids.tors[0][0]}, nil))
 	if len(entries) != 1 || entries[0].ID != dep.ID {
 		t.Fatalf("Impact(primary ToR) = %+v", entries)
 	}
@@ -527,12 +527,12 @@ func TestNodeAndLinkImpact(t *testing.T) {
 	}
 	// Standby-route OPS: on the standby only (the AL cover needs just
 	// the primary route's OPS).
-	entries = o.Impact(topology.NewFailures([]topology.NodeID{ids.opss[1]}, nil))
+	entries = s.Impact(topology.NewFailures([]topology.NodeID{ids.opss[1]}, nil))
 	if len(entries) != 1 || len(entries[0].Roles) != 1 || entries[0].Roles[0] != "standby" {
 		t.Fatalf("Impact(standby OPS) = %+v, want roles [standby]", entries)
 	}
 	// A slice OPS reports the slice role.
-	sliceEntries := o.Impact(topology.NewFailures([]topology.NodeID{dep.Slice.OPSs[0]}, nil))
+	sliceEntries := s.Impact(topology.NewFailures([]topology.NodeID{dep.Slice.OPSs[0]}, nil))
 	if len(sliceEntries) != 1 {
 		t.Fatalf("Impact(slice OPS) = %+v", sliceEntries)
 	}
@@ -546,7 +546,7 @@ func TestNodeAndLinkImpact(t *testing.T) {
 		t.Fatalf("slice OPS roles = %v, want slice included", sliceEntries[0].Roles)
 	}
 	// VNF host PM: host + path.
-	hostEntries := o.Impact(topology.NewFailures([]topology.NodeID{dep.Placement.Hosts[0]}, nil))
+	hostEntries := s.Impact(topology.NewFailures([]topology.NodeID{dep.Placement.Hosts[0]}, nil))
 	if len(hostEntries) != 1 {
 		t.Fatalf("Impact(host) = %+v", hostEntries)
 	}
@@ -560,26 +560,26 @@ func TestNodeAndLinkImpact(t *testing.T) {
 		t.Fatalf("host roles = %v, want host included", hostEntries[0].Roles)
 	}
 	// Spare-route ToR: zero blast radius.
-	if entries := o.Impact(topology.NewFailures([]topology.NodeID{ids.tors[0][2]}, nil)); len(entries) != 0 {
+	if entries := s.Impact(topology.NewFailures([]topology.NodeID{ids.tors[0][2]}, nil)); len(entries) != 0 {
 		t.Fatalf("Impact(spare ToR) = %+v, want empty", entries)
 	}
 	// Link variants.
-	if entries := o.Impact(topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][0]})); len(entries) != 1 ||
+	if entries := s.Impact(topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][0]})); len(entries) != 1 ||
 		len(entries[0].Roles) != 1 || entries[0].Roles[0] != "path" {
 		t.Fatalf("Impact(primary link) = %+v", entries)
 	}
-	if entries := o.Impact(topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][1]})); len(entries) != 1 ||
+	if entries := s.Impact(topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][1]})); len(entries) != 1 ||
 		len(entries[0].Roles) != 1 || entries[0].Roles[0] != "standby" {
 		t.Fatalf("Impact(standby link) = %+v", entries)
 	}
-	if entries := o.Impact(topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][2]})); len(entries) != 0 {
+	if entries := s.Impact(topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][2]})); len(entries) != 0 {
 		t.Fatalf("Impact(spare link) = %+v, want empty", entries)
 	}
 	// After delete, every blast radius is empty.
-	if _, err := o.Delete(bg, dep.ID); err != nil {
+	if _, err := s.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if entries := o.Impact(topology.NewFailures([]topology.NodeID{ids.tors[0][0]}, nil)); len(entries) != 0 {
+	if entries := s.Impact(topology.NewFailures([]topology.NodeID{ids.tors[0][0]}, nil)); len(entries) != 0 {
 		t.Fatalf("Impact after delete = %+v", entries)
 	}
 }

@@ -1,12 +1,14 @@
-// The orchestrator is a shard set: N orchestrator shards over one
-// shared physical substrate (N = 1 is the degenerate case, one shard
-// owning the whole pool). Each shard owns its own deployment map,
-// reverse node/link→deployment indexes, flow-key reservations, busy
-// guards, SDN flow tables and — critically for throughput — its own
-// cluster allocator over a disjoint partition of the OPS pool, so the
-// vertex-cover search that dominates provisioning (the single global
-// allocator mutex was the measured lock convoy under concurrent load) runs on
-// an n-times smaller candidate set with zero cross-shard contention.
+// The orchestrator is a shard set: N shards over one shared physical
+// substrate (N = 1 is the degenerate case, one shard owning the whole
+// pool). A shard is this package's own: callers see the set, Sharded,
+// whose verbs route a chain to the shard that issued its ID. Each shard
+// owns its own deployment map, reverse node/link→deployment indexes,
+// flow-key reservations, busy guards, SDN flow tables and — critically
+// for throughput — its own cluster allocator over a disjoint partition
+// of the OPS pool, so the vertex-cover search that dominates
+// provisioning (the single global allocator mutex was the measured lock
+// convoy under concurrent load) runs on an n-times smaller candidate set
+// with zero cross-shard contention.
 // The topology, its epoch-keyed routing snapshots, the capacity ledger
 // and the wavelength allocator stay shared: they are physical truth and
 // must be globally consistent.
@@ -21,15 +23,20 @@ package orch
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"github.com/alvc/alvc/internal/chain"
 	"github.com/alvc/alvc/internal/cluster"
+	"github.com/alvc/alvc/internal/nfv"
+	"github.com/alvc/alvc/internal/optical"
 	"github.com/alvc/alvc/internal/sdn"
 	"github.com/alvc/alvc/internal/topology"
+	"github.com/alvc/alvc/internal/trace"
 )
 
 // ShardMode selects what the router hashes to pick a shard.
@@ -80,26 +87,21 @@ func NewShardRouter(n int, mode ShardMode) ShardRouter {
 // Shards returns the shard count.
 func (r ShardRouter) Shards() int { return r.n }
 
-// ShardForKey returns the shard owning the given tenant/name flow key.
-// Both modes derive the shard from the flow key alone, so two specs
+// ShardForSpec returns the shard owning the spec's tenant/name flow
+// key. Both modes derive the shard from the flow key alone, so two specs
 // with the same flow key always land on the same shard — which is what
 // makes each shard's local flow-key map a global uniqueness check.
-func (r ShardRouter) ShardForKey(tenant, name string) int {
+func (r ShardRouter) ShardForSpec(spec chain.Spec) int {
 	if r.n == 1 {
 		return 0
 	}
 	h := fnv.New32a()
-	_, _ = h.Write([]byte(tenant))
+	_, _ = h.Write([]byte(spec.Tenant))
 	if r.mode == ShardByChain {
 		_, _ = h.Write([]byte{'/'})
-		_, _ = h.Write([]byte(name))
+		_, _ = h.Write([]byte(spec.Name))
 	}
 	return int(h.Sum32() % uint32(r.n))
-}
-
-// ShardForSpec routes a chain spec.
-func (r ShardRouter) ShardForSpec(spec chain.Spec) int {
-	return r.ShardForKey(spec.Tenant, spec.Name)
 }
 
 // ShardOf returns the shard that issued the given deployment ID
@@ -120,12 +122,13 @@ func (r ShardRouter) ShardOf(id DeploymentID) int {
 type Sharded struct {
 	core   *sharedCore
 	router ShardRouter
-	shards []*Orchestrator
+	shards []*shard
 }
 
 // New builds the orchestrator: n shards (n < 1 is treated as 1) over
 // one shared core, partitioning the topology's OPSs round-robin (in ID
 // order) into n disjoint allocator pools; one shard owns the whole pool.
+// Shard s issues deployment and VC IDs s+1, s+1+n, …
 func New(cfg Config, n int, mode ShardMode) (*Sharded, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("orch: nil topology")
@@ -149,7 +152,7 @@ func New(cfg Config, n int, mode ShardMode) (*Sharded, error) {
 	s := &Sharded{
 		core:   core,
 		router: NewShardRouter(n, mode),
-		shards: make([]*Orchestrator, n),
+		shards: make([]*shard, n),
 	}
 	for i := 0; i < n; i++ {
 		var pool []topology.NodeID
@@ -160,7 +163,7 @@ func New(cfg Config, n int, mode ShardMode) (*Sharded, error) {
 				pool = append(pool, opss[j])
 			}
 		}
-		alloc, err := cluster.NewRestrictedAllocator(cfg.Topo, builder, pool)
+		alloc, err := cluster.NewRestrictedAllocator(cfg.Topo, builder, pool, i, n)
 		if err != nil {
 			return nil, fmt.Errorf("orch: shard %d: %w", i, err)
 		}
@@ -180,21 +183,105 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // holds; a later fan-out starts them again.
 func (s *Sharded) Close() { s.core.pool.Close() }
 
-// Shard returns the i-th shard, for what only a shard has: its
-// Allocator, Controller, and the shared Manager, Slices and WDM.
-func (s *Sharded) Shard(i int) *Orchestrator { return s.shards[i] }
+// Shard returns the i-th shard. Only the repository benchmark's tracer
+// (benchmark/tracer.go) calls it, for a shard's Allocator and the
+// shared Manager: a caller reaches a chain's shard by its ID
+// (ControllerOf) and what every shard shares through the set (Manager,
+// Slices, WDM).
+func (s *Sharded) Shard(i int) *shard { return s.shards[i] }
 
 // ShardOf returns the shard index owning the deployment ID.
 func (s *Sharded) ShardOf(id DeploymentID) int { return s.router.ShardOf(id) }
 
-func (s *Sharded) owner(id DeploymentID) *Orchestrator {
+func (s *Sharded) owner(id DeploymentID) *shard {
 	return s.shards[s.router.ShardOf(id)]
 }
 
-// Provision routes the spec to its shard and deploys it there; see
-// Orchestrator.Provision.
+// Manager exposes the Cloud/NFV manager every shard shares.
+func (s *Sharded) Manager() *nfv.Manager { return s.core.mgr }
+
+// Slices exposes the optical slice manager every shard shares.
+func (s *Sharded) Slices() *optical.SliceManager { return s.core.slices }
+
+// WDM exposes the wavelength allocator every shard shares (nil when
+// disabled).
+func (s *Sharded) WDM() *optical.WDM { return s.core.wdm }
+
+// BuildServiceClusters constructs one virtual cluster per service
+// (paper §III, Fig. 1/3) — the pure clustering use of AL-VC, without
+// chains — out of shard 0's OPS partition, which chains provisioned
+// there claim from too. On failure nothing stays built.
+func (s *Sharded) BuildServiceClusters() ([]*cluster.VC, error) {
+	o := s.shards[0]
+	vcs, err := o.alloc.BuildAllByService()
+	if err != nil {
+		return nil, fmt.Errorf("orch: %w", err)
+	}
+	o.mu.Lock()
+	for _, vc := range vcs {
+		o.serviceVCs[vc.ID] = true
+	}
+	o.mu.Unlock()
+	return vcs, nil
+}
+
+// ReleaseCluster dissolves a cluster BuildServiceClusters built, routed
+// by its ID (allocators stride VC IDs as shards stride deployment IDs).
+// It refuses any other ID and changes nothing: a chain's cluster is its
+// abstraction layer, whose OPSs must not go back to the free pool while
+// the chain holds them (one OPS serves one AL, §III).
+func (s *Sharded) ReleaseCluster(id cluster.VCID) error {
+	o := s.owner(DeploymentID(id))
+	o.mu.Lock()
+	built := o.serviceVCs[id]
+	delete(o.serviceVCs, id)
+	o.mu.Unlock()
+	if !built {
+		return fmt.Errorf("orch: release cluster %d: not a service cluster (a chain's leaves with the chain)", id)
+	}
+	return o.alloc.Release(id)
+}
+
+// Clusters returns every shard's virtual clusters — service clusters
+// and chain-backing ones alike — sorted by ID. The IDs are fleet-unique:
+// allocator s of n issues s+1, s+1+n, ….
+func (s *Sharded) Clusters() []*cluster.VC {
+	var out []*cluster.VC
+	for _, o := range s.shards {
+		out = append(out, o.alloc.VCs()...)
+	}
+	slices.SortFunc(out, func(a, b *cluster.VC) int { return int(a.ID - b.ID) })
+	return out
+}
+
+// Provision routes the spec to its shard and deploys the chain there,
+// end to end. On any failure all partial state is rolled back and the
+// orchestrator is unchanged. Safe for concurrent use: independent specs
+// provision in parallel (see also ProvisionBatch), serialized only at
+// the shared resource pools. With a tracer attached it records a
+// "provision" span — a child of the span in ctx (the server's
+// per-request root) when one is there, the root of a fresh trace
+// otherwise — with every executed pipeline stage as a child span. The
+// spans go up with the request's, or, with no traced operation around
+// the provision, to the store in one insert.
 func (s *Sharded) Provision(ctx context.Context, spec chain.Spec) (*Deployment, error) {
-	return s.shards[s.router.ShardForSpec(spec)].Provision(ctx, spec)
+	o := s.shards[s.router.ShardForSpec(spec)]
+	tr := s.core.hooks.Load().Tracer
+	if tr == nil {
+		return o.provision(ctx, spec)
+	}
+	parent, _ := trace.FromContext(ctx)
+	c := new(trace.Carrier)
+	tr.Begin(c, ctx, parent)
+	start := time.Now()
+	dep, err := o.provision(c, spec)
+	sp := trace.Span{Parent: parent.SpanID, Name: "provision", Kind: trace.KindProvision, Start: start, End: time.Now()}
+	sp.SetError(err)
+	if dep != nil {
+		sp.Dep = int(dep.ID)
+	}
+	tr.End(c, sp)
+	return dep, err
 }
 
 // BatchResult is the outcome of one spec in a ProvisionBatch call.
@@ -245,44 +332,94 @@ func (s *Sharded) ProvisionBatch(specs []chain.Spec, workers int) []BatchResult 
 	return results
 }
 
-// Delete routes to the owning shard; see Orchestrator.Delete.
+// Delete tears a deployment down: flow rules removed, VNFs terminated,
+// slice and cluster released. The record leaves its shard — a Tombstone
+// in a fixed ring is what the shard remembers of it — and is returned as
+// the deployment's final record (state deleted). With a tracer attached
+// it records a "delete" span under the span in ctx.
 func (s *Sharded) Delete(ctx context.Context, id DeploymentID) (*Deployment, error) {
-	return s.owner(id).Delete(ctx, id)
+	o := s.owner(id)
+	tr := s.core.hooks.Load().Tracer
+	if tr == nil {
+		return o.delete(id, "")
+	}
+	parent, _ := trace.FromContext(ctx)
+	sc := tr.Start(parent)
+	start := time.Now()
+	final, err := o.delete(id, sc.TraceID)
+	sp := trace.Span{Parent: parent.SpanID, Name: "delete", Kind: trace.KindDelete, Start: start, End: time.Now()}
+	// A refused delete of a chain that is already gone must not give it
+	// a per-chain index entry in the trace store again.
+	if !errors.Is(err, ErrUnknownDeployment) && !errors.Is(err, ErrNotActive) {
+		sp.Dep = int(id)
+	}
+	sp.SetError(err)
+	tr.Record(sc, sp)
+	return final, err
 }
 
-// Repair routes to the owning shard.
-func (s *Sharded) Repair(id DeploymentID) error { return s.owner(id).Repair(id) }
-
-// Apply routes to the owning shard; see Orchestrator.Apply.
-func (s *Sharded) Apply(id DeploymentID, c Change) error { return s.owner(id).Apply(id, c) }
-
-// Rehome routes to the owning shard.
-func (s *Sharded) Rehome(id DeploymentID, margin int) (bool, error) {
-	return s.owner(id).Rehome(id, margin)
+// Apply makes the change to the chain under its exclusive claim, so a
+// concurrent Delete, repair or edit surfaces as ErrBusy instead of
+// meeting a half-made edit. No edit writes what a snapshot shares: a
+// new bandwidth stores a fresh slice record.
+//
+// A move is transactional: the record is not touched until the new
+// path, wavelength and rules are all in place (rules swap
+// make-before-break), and a failure after the migration moves the
+// instance back to its original host, so an error never leaves the
+// placement and the installed rules disagreeing. It emits
+// EventPlacementChanged, or EventRepairCompleted (rebuilt) when the
+// move-back was impossible and the chain was rebuilt in place. A
+// rebuild emits EventRepairCompleted (rebuilt) when it succeeds; the
+// other edits emit nothing.
+func (s *Sharded) Apply(id DeploymentID, c Change) error {
+	rebuilt, err := s.owner(id).apply(id, c)
+	// Emit only after apply released its locks — the sink contract
+	// allows callbacks into the orchestrator's read API.
+	switch {
+	case rebuilt:
+		// The chain was rebuilt in place; with the optimizer attached that
+		// rebuild deferred its standby, so the re-protection must be
+		// enqueued like any other repair.
+		s.core.emit(Event{Kind: EventRepairCompleted, Deployment: id, Action: ActionRebuilt})
+	case err == nil && c.kind == changeHost:
+		s.core.emit(Event{Kind: EventPlacementChanged, Deployment: id})
+	}
+	return err
 }
 
-// DefragLambda routes to the owning shard.
-func (s *Sharded) DefragLambda(id DeploymentID) (from, to int, retuned bool, err error) {
-	return s.owner(id).DefragLambda(id)
-}
-
-// ViewDeployment shows fn the owning shard's live record; see
-// Orchestrator.ViewDeployment.
+// ViewDeployment calls fn with the owning shard's live record of the
+// deployment, under the shard lock, and reports whether there is one —
+// false for an ID never issued or deleted (see Tombstone). fn reads the
+// record where it lies: it must not keep dep or anything dep points to,
+// call back into the orchestrator, or block.
 func (s *Sharded) ViewDeployment(id DeploymentID, fn func(dep *Deployment)) bool {
-	return s.owner(id).ViewDeployment(id, fn)
+	o := s.owner(id)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	dep, ok := o.deployments[id]
+	if ok {
+		fn(dep)
+	}
+	return ok
 }
 
 // ViewDeployments shows fn every shard's records, shard by shard and in
 // ID order within each: one shard lock at a time, so the view is
-// point-in-time per shard, not across them.
+// point-in-time per shard, not across them. ViewDeployment's rules for
+// fn apply.
 func (s *Sharded) ViewDeployments(fn func(dep *Deployment)) {
 	for _, sh := range s.shards {
-		sh.ViewDeployments(fn)
+		sh.viewDeployments(fn)
 	}
 }
 
-// Deployment returns a snapshot from the owning shard, or nil.
-func (s *Sharded) Deployment(id DeploymentID) *Deployment { return s.owner(id).Deployment(id) }
+// Deployment returns a snapshot of the deployment, or nil when no shard
+// holds a record of it — never issued, or deleted (see Tombstone).
+func (s *Sharded) Deployment(id DeploymentID) (cp *Deployment) {
+	s.ViewDeployment(id, func(dep *Deployment) { cp = snapshot(dep) })
+	return cp
+}
 
 // Deployments returns snapshots of every shard's deployments sorted by
 // ID, for callers that keep the records: each copies the record, its
@@ -295,15 +432,6 @@ func (s *Sharded) Deployments() (out []*Deployment) {
 	s.ViewDeployments(func(dep *Deployment) { out = append(out, snapshot(dep)) })
 	slices.SortFunc(out, func(a, b *Deployment) int { return int(a.ID - b.ID) })
 	return out
-}
-
-// ActiveCount sums active deployments across shards.
-func (s *Sharded) ActiveCount() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.ActiveCount()
-	}
-	return n
 }
 
 // HandleFailures is the one failure entry point — a node, a link or a
@@ -365,12 +493,16 @@ func (s *Sharded) Recover(f topology.Failures) error {
 	return nil
 }
 
-// Impact merges every shard's blast-radius entries for the set, sorted
-// by ID (shard entry sets are disjoint by construction).
+// Impact answers the operator-planning question "what breaks if these
+// resources die": every active deployment whose footprint includes a
+// node or link of the set, with the roles the set plays for it, in ID
+// order — straight from each shard's reverse indexes' posting lists, no
+// scan, merged (shard entry sets are disjoint by construction). A node
+// can be any role; a link is "path" (a primary link) or "standby".
 func (s *Sharded) Impact(f topology.Failures) []ImpactEntry {
 	var out []ImpactEntry
 	for _, sh := range s.shards {
-		out = append(out, sh.Impact(f)...)
+		out = append(out, sh.impact(f)...)
 	}
 	slices.SortFunc(out, func(a, b ImpactEntry) int { return int(a.ID - b.ID) })
 	return out
@@ -388,27 +520,6 @@ func (s *Sharded) TopologyJSON() ([]byte, error) {
 // deployment ID — flow rules live in the owning shard's tables.
 func (s *Sharded) ControllerOf(id DeploymentID) *sdn.Controller { return s.owner(id).ctrl }
 
-// RuleCount sums installed flow rules across shard controllers.
-func (s *Sharded) RuleCount() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.ctrl.RuleCount()
-	}
-	return n
-}
-
-// StandbyFallbacks sums, across shards, the standby plans that tried the
-// whole fabric after the shard's own pool offered no disjoint route —
-// provisions, repairs and re-protects alike, the optimizer's group
-// members included.
-func (s *Sharded) StandbyFallbacks() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		n += sh.standbyFallbacks.Load()
-	}
-	return n
-}
-
 // PoolItems is the set's pool's Items: fan-out items (batch provisions,
 // shard passes, repairs) run by the Run's caller, and by a pool worker.
 func (s *Sharded) PoolItems() (caller, helper uint64) { return s.core.pool.Items() }
@@ -416,8 +527,10 @@ func (s *Sharded) PoolItems() (caller, helper uint64) { return s.core.pool.Items
 // ShardStat is one shard's slice of the fleet, exactly as GET /metrics
 // serves it: each field is one series labeled with the shard's index,
 // read in one walk a scrape (TestShardStatIsServed, internal/telemetry,
-// holds the field-to-series map). The protection split alone is served
-// summed over shards, as alvc_resilience_standby_chains{status}.
+// holds the field-to-series map). The protection split and the standby
+// fallbacks alone are served summed over shards, as
+// alvc_resilience_standby_chains{status} and
+// alvc_resilience_standby_fallbacks_total.
 type ShardStat struct {
 	Shard int
 	// Active and Failed count the shard's records; Deleted and Repairs
@@ -445,6 +558,11 @@ type ShardStat struct {
 	// BusyOps is the exclusive operations in flight.
 	ProvisionOK, ProvisionFailed uint64
 	BusyOps                      int
+	// StandbyFallbacks counts the standby plans that tried the whole
+	// fabric after the shard's own pool offered no disjoint route —
+	// provisions, repairs and re-protects alike, the optimizer's group
+	// members included. Served summed over shards.
+	StandbyFallbacks int64
 }
 
 // ShardStats returns one entry per shard, in shard order.
@@ -457,9 +575,9 @@ func (s *Sharded) ShardStats() []ShardStat {
 }
 
 // shardStat summarizes this shard's deployments and controller load.
-func (o *Orchestrator) shardStat() ShardStat {
+func (o *shard) shardStat() ShardStat {
 	st := ShardStat{
-		Shard:            o.shard,
+		Shard:            o.index,
 		OPSPool:          o.alloc.PoolSize(),
 		VCs:              o.alloc.VCCount(),
 		PathComputations: o.ctrl.PathComputations(),
@@ -467,6 +585,7 @@ func (o *Orchestrator) shardStat() ShardStat {
 		InstalledRules:   o.ctrl.RuleCount(),
 		ProvisionOK:      atomic.LoadUint64(&o.provisionOK),
 		ProvisionFailed:  atomic.LoadUint64(&o.provisionFail),
+		StandbyFallbacks: o.standbyFallbacks.Load(),
 	}
 	_, st.RuleInstalls = o.ctrl.Stats()
 	st.CandidateCacheHits, st.CandidateCacheMisses = o.ctrl.AlternativesCacheStats()

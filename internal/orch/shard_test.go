@@ -3,6 +3,10 @@ package orch
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"regexp"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -52,20 +56,23 @@ func tenantSpec(t *testing.T, i int) chain.Spec {
 }
 
 func TestShardRouterDeterministicAndStride(t *testing.T) {
+	forKey := func(r ShardRouter, tenant, name string) int {
+		return r.ShardForSpec(chain.Spec{Tenant: tenant, Name: name})
+	}
 	r := NewShardRouter(4, ShardByTenant)
-	if got := r.ShardForKey("t-7", "a"); got != r.ShardForKey("t-7", "b") {
-		t.Fatalf("tenant mode hashed the name: %d vs %d", got, r.ShardForKey("t-7", "b"))
+	if got := forKey(r, "t-7", "a"); got != forKey(r, "t-7", "b") {
+		t.Fatalf("tenant mode hashed the name: %d vs %d", got, forKey(r, "t-7", "b"))
 	}
 	for i := 0; i < 100; i++ {
 		tn := fmt.Sprintf("t-%d", i)
-		if a, b := r.ShardForKey(tn, "x"), r.ShardForKey(tn, "x"); a != b {
+		if a, b := forKey(r, tn, "x"), forKey(r, tn, "x"); a != b {
 			t.Fatalf("routing not deterministic for %s: %d vs %d", tn, a, b)
 		}
 	}
 	rc := NewShardRouter(4, ShardByChain)
 	spread := map[int]bool{}
 	for i := 0; i < 64; i++ {
-		spread[rc.ShardForKey("one-tenant", fmt.Sprintf("c-%d", i))] = true
+		spread[forKey(rc, "one-tenant", fmt.Sprintf("c-%d", i))] = true
 	}
 	if len(spread) < 2 {
 		t.Fatalf("chain mode kept one tenant on %d shard(s)", len(spread))
@@ -257,5 +264,35 @@ func TestShardedDeleteVsRepairRaceAcrossShards(t *testing.T) {
 	stats := s.ShardStats()
 	if stats[0].Deleted != len(byShard[0]) || stats[1].Active != len(byShard[1]) {
 		t.Fatalf("shard stats inconsistent: %+v", stats)
+	}
+}
+
+// TestShardSurface holds the shard to the two methods the repository
+// benchmark's tracer reaches through Sharded.Shard, Allocator and
+// Manager: every verb and fleet read is the set's. The checks above the
+// last are the ones the root package's TestOneFormPerVerb ran on the
+// shard while it was exported, as strict as they were.
+func TestShardSurface(t *testing.T) {
+	typ := reflect.TypeOf(&shard{})
+	failureTwin := regexp.MustCompile(`^(Fail|Recover|Set)(Node|Link)s?(Down)?$|^(Node|Link)Impact$|^FailBatch$`)
+	var names []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		name := typ.Method(i).Name
+		names = append(names, name)
+		if _, twin := typ.MethodByName(name + "Ctx"); twin || strings.HasSuffix(name, "Ctx") {
+			t.Errorf("shard.%s: the context form goes under the plain name, once", name)
+		}
+		if failureTwin.MatchString(name) {
+			t.Errorf("shard.%s: failures, recoveries and blast radii take one Failures set", name)
+		}
+		if slices.Contains([]string{"Modify", "Upgrade", "ScaleNF", "MoveNF", "Repair"}, name) {
+			t.Errorf("shard.%s: an edit is Sharded.Apply(id, Change)", name)
+		}
+		if strings.HasPrefix(name, "Handle") || strings.HasPrefix(name, "Set") || name == "ProvisionBatch" {
+			t.Errorf("shard method %s belongs to the shard set", name)
+		}
+	}
+	if want := []string{"Allocator", "Manager"}; !slices.Equal(names, want) {
+		t.Errorf("shard exports %v, want exactly %v", names, want)
 	}
 }

@@ -43,13 +43,13 @@ func asInts[T ~int](list []T) []int {
 // clipped to its length, and an append must reallocate. Such a snapshot
 // is one allocation, and a warm plan of its standby is one too.
 func TestSnapshotListsAreDeep(t *testing.T) {
-	_, o, _ := triOrch(t, Config{})
-	prov, err := o.Provision(bg, triSpec(t, "chain-1"))
+	s, o, _ := triOrch(t, Config{})
+	prov, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	id := prov.ID
-	want := o.Deployment(id)
+	want := s.Deployment(id)
 	if want.Standby == nil || !want.Standby.Fits() || len(want.Instances) >= len(snapshotBlock{}.instances) ||
 		len(want.Path) > len(snapshotBlock{}.path) {
 		t.Fatalf("the chain must fit a snapshot block with room to spare: %d instances, path %v, standby %+v",
@@ -58,7 +58,7 @@ func TestSnapshotListsAreDeep(t *testing.T) {
 	wantLists := depLists(want)
 
 	for i, name := range []string{"Instances", "Path", "Standby.Path", "Standby.Links"} {
-		snap, second := o.Deployment(id), o.Deployment(id)
+		snap, second := s.Deployment(id), s.Deployment(id)
 		lists := depLists(snap)
 		for j, l := range [...]int{cap(snap.Instances), cap(snap.Path), cap(snap.Standby.Path), cap(snap.Standby.Links)} {
 			if l != len(lists[j]) {
@@ -85,7 +85,7 @@ func TestSnapshotListsAreDeep(t *testing.T) {
 				t.Errorf("%s: writing it changed the snapshot's list %d: %v, want %v", name, j, got[j], wantLists[j])
 			}
 		}
-		for who, d := range map[string]*Deployment{"the live record": o.Deployment(id), "a second snapshot": second} {
+		for who, d := range map[string]*Deployment{"the live record": s.Deployment(id), "a second snapshot": second} {
 			if got := depLists(d); !slices.EqualFunc(got, wantLists, slices.Equal) {
 				t.Errorf("%s: writing the snapshot's list changed %s: %v, want %v", name, who, got, wantLists)
 			}
@@ -121,7 +121,7 @@ func TestSnapshotListsAreDeep(t *testing.T) {
 		if shared || !otherSame {
 			t.Errorf("planned standby's %s: the append shared its array (%v), or writing it changed the other list (%v)", name, shared, !otherSame)
 		}
-		if got := depLists(o.Deployment(id)); !slices.EqualFunc(got, wantLists, slices.Equal) {
+		if got := depLists(s.Deployment(id)); !slices.EqualFunc(got, wantLists, slices.Equal) {
 			t.Errorf("planned standby's %s: writing it changed the live record: %v, want %v", name, got, wantLists)
 		}
 	}
@@ -129,7 +129,7 @@ func TestSnapshotListsAreDeep(t *testing.T) {
 	if raceEnabled {
 		return
 	}
-	snapshots := testing.AllocsPerRun(100, func() { o.Deployment(id) })
+	snapshots := testing.AllocsPerRun(100, func() { s.Deployment(id) })
 	plans := testing.AllocsPerRun(100, func() { plan() })
 	t.Logf("a snapshot allocates %.0f times, a warm standby plan %.0f", snapshots, plans)
 	if snapshots != 1 || plans != 1 {

@@ -96,7 +96,7 @@ func TestStandbyFleetAllDisjoint(t *testing.T) {
 	topo := benchFleetTopo(t, 300)
 	s, o := newTestOrch(t, Config{Topo: topo})
 	for i := 0; i < 200; i++ {
-		if _, err := o.Provision(bg, residentSpec(t, i, fmt.Sprintf("t%d", i))); err != nil {
+		if _, err := s.Provision(bg, residentSpec(t, i, fmt.Sprintf("t%d", i))); err != nil {
 			t.Fatalf("Provision %d: %v", i, err)
 		}
 	}
@@ -138,14 +138,14 @@ func TestShardedStandbyFleetAllDisjoint(t *testing.T) {
 	}
 	checkStandbyFleet(t, topo, s.Deployments(), 160)
 	for i := 0; i < 4; i++ {
-		checkReverseIndexes(t, s.Shard(i))
+		checkReverseIndexes(t, s.shards[i])
 	}
 }
 
 // checkReverseIndexes asserts the node and link reverse indexes hold
 // exactly what the deployments' footprints, recomputed from scratch,
 // say they should.
-func checkReverseIndexes(t *testing.T, o *Orchestrator) {
+func checkReverseIndexes(t *testing.T, o *shard) {
 	t.Helper()
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -185,7 +185,7 @@ func checkReverseIndexes(t *testing.T, o *Orchestrator) {
 
 // indexHolds reports whether every key's deployments in want are, as a
 // set, what the shard's reverse index files under the key.
-func indexHolds[K comparable](o *Orchestrator, want map[K][]DeploymentID) bool {
+func indexHolds[K comparable](o *shard, want map[K][]DeploymentID) bool {
 	for key, ids := range want {
 		if !sameSet(o.indexed(key), ids) {
 			return false
@@ -213,7 +213,7 @@ func TestAsyncRestandbyReindexesOnlyTheStandby(t *testing.T) {
 	topo := benchFleetTopo(t, 60)
 	s, o := newTestOrch(t, Config{Topo: topo, DeferReprotect: true})
 	for i := 0; i < 40; i++ {
-		if _, err := o.Provision(bg, residentSpec(t, i, fmt.Sprintf("t%d", i))); err != nil {
+		if _, err := s.Provision(bg, residentSpec(t, i, fmt.Sprintf("t%d", i))); err != nil {
 			t.Fatalf("Provision %d: %v", i, err)
 		}
 	}
@@ -252,7 +252,7 @@ func TestAsyncRestandbyReindexesOnlyTheStandby(t *testing.T) {
 		if r.Action != ActionRestandby || r.Err != nil {
 			t.Fatalf("report %+v, want a clean restandby", r)
 		}
-		if dep := o.Deployment(r.ID); dep.Standby != nil {
+		if dep := s.Deployment(r.ID); dep.Standby != nil {
 			t.Fatalf("deployment %d kept its cut standby %v", r.ID, dep.Standby.Path)
 		}
 	}

@@ -22,12 +22,12 @@ func carrier(ctx context.Context, sc trace.SpanContext) context.Context {
 // "provision" span under the caller's span, with one child span per
 // executed pipeline stage.
 func TestProvisionTraceStageSpans(t *testing.T) {
-	s, o := newOrch(t)
+	s, _ := newOrch(t)
 	tr := newTestTracer()
 	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
 
 	root := tr.Start(trace.SpanContext{TraceID: "prov-1"})
-	dep, err := o.Provision(carrier(context.Background(), root), webSpec(t, "chain-1"))
+	dep, err := s.Provision(carrier(context.Background(), root), webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -77,8 +77,8 @@ func TestProvisionTraceStageSpans(t *testing.T) {
 // same entry points leave the store untouched (and there is no store
 // to touch — the orchestrator's tracer is nil).
 func TestUntracedProvisionRecordsNothing(t *testing.T) {
-	s, o := newOrch(t)
-	if _, err := o.Provision(context.Background(), webSpec(t, "chain-1")); err != nil {
+	s, _ := newOrch(t)
+	if _, err := s.Provision(context.Background(), webSpec(t, "chain-1")); err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	// Attach a tracer after the fact: the earlier provision must not
@@ -96,10 +96,10 @@ func TestUntracedProvisionRecordsNothing(t *testing.T) {
 // report's trace and links the second, and the single repair it
 // triggers records exactly one repair span inside that same trace.
 func TestDebouncedStormBatchSpanLinksParents(t *testing.T) {
-	s, o, ids := triOrch(t, Config{})
+	s, _, ids := triOrch(t, Config{})
 	tr := newTestTracer()
 	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -158,10 +158,10 @@ func TestDebouncedStormBatchSpanLinksParents(t *testing.T) {
 // TestReportWithoutSpanStaysUnparented: reports arriving without a
 // span in their context flush under a fresh trace with no links.
 func TestReportWithoutSpanStaysUnparented(t *testing.T) {
-	s, o, ids := triOrch(t, Config{})
+	s, _, ids := triOrch(t, Config{})
 	tr := newTestTracer()
 	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
-	if _, err := o.Provision(bg, triSpec(t, "chain-1")); err != nil {
+	if _, err := s.Provision(bg, triSpec(t, "chain-1")); err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	d := NewFailureDebouncer(s, time.Hour)
@@ -187,10 +187,10 @@ func TestReportWithoutSpanStaysUnparented(t *testing.T) {
 // as that span's child and stamps the report with the repair span's
 // identity — what the per-resource context forms used to promise.
 func TestSingleNodeFailureJoinsRequestTrace(t *testing.T) {
-	s, o, ids := triOrch(t, Config{})
+	s, _, ids := triOrch(t, Config{})
 	tr := newTestTracer()
 	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
-	dep, err := o.Provision(bg, triSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
@@ -248,23 +248,23 @@ func TestTracedOperationsCommitOnce(t *testing.T) {
 		last = now
 	}
 
-	s, o := newOrch(t)
+	s, _ := newOrch(t)
 	tr := newTestTracer()
 	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })
 	st = tr.Store()
-	dep, err := o.Provision(bg, webSpec(t, "chain-1"))
+	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	step("provision", 1, 9)
-	if _, err := o.Delete(bg, dep.ID); err != nil {
+	if _, err := s.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	step("delete", 1, 1)
 
 	var req trace.Carrier
 	tr.Begin(&req, bg, trace.SpanContext{})
-	if _, err := o.Provision(&req, webSpec(t, "chain-1")); err != nil {
+	if _, err := s.Provision(&req, webSpec(t, "chain-1")); err != nil {
 		t.Fatalf("Provision under a request: %v", err)
 	}
 	step("provision inside a request", 0, 0)
@@ -275,8 +275,8 @@ func TestTracedOperationsCommitOnce(t *testing.T) {
 		t.Fatalf("request trace = %+v, want 8 stages, the provision under the request, the request last", spans)
 	}
 
-	s, o, ids := triOrch(t, Config{})
-	if _, err := o.Provision(bg, triSpec(t, "chain-1")); err != nil {
+	s, _, ids := triOrch(t, Config{})
+	if _, err := s.Provision(bg, triSpec(t, "chain-1")); err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	s.UpdateHooks(func(h *Hooks) { h.Tracer = tr })

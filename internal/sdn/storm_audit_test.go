@@ -28,8 +28,8 @@ func stormArch(t *testing.T, chains int) *alvc.Architecture {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	for i := 0; i < arch.ShardCount(); i++ {
-		sdn.RecordMemoQuestions(arch.Sharded().Shard(i).Controller())
+	for i := 0; i < arch.Sharded().Shards(); i++ {
+		sdn.RecordMemoQuestions(shardController(arch, i))
 	}
 	specs := make([]alvc.Spec, chains)
 	for i := range specs {
@@ -79,13 +79,19 @@ func trayLinks(t *testing.T, arch *alvc.Architecture, tray []alvc.DeploymentID) 
 	return links
 }
 
+// shardController is shard i's SDN controller: the one deployment ID
+// i+1 routes to, as shard i issues it.
+func shardController(arch *alvc.Architecture, i int) *sdn.Controller {
+	return arch.Sharded().ControllerOf(alvc.DeploymentID(i + 1))
+}
+
 // audit runs the memo audit on every shard's controller and returns how
 // many entries it checked.
 func audit(t *testing.T, arch *alvc.Architecture, when string) int {
 	t.Helper()
 	total := 0
-	for i := 0; i < arch.ShardCount(); i++ {
-		checked, bad := sdn.AuditMemo(arch.Sharded().Shard(i).Controller())
+	for i := 0; i < arch.Sharded().Shards(); i++ {
+		checked, bad := sdn.AuditMemo(shardController(arch, i))
 		for _, b := range bad {
 			t.Errorf("%s, shard %d: %s", when, i, b)
 		}

@@ -15,6 +15,7 @@ import (
 
 	"github.com/alvc/alvc"
 	"github.com/alvc/alvc/internal/chain"
+	"github.com/alvc/alvc/internal/cluster"
 	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/topology"
 )
@@ -334,7 +335,7 @@ func TestProvisionRejectsUnknownFields(t *testing.T) {
 			t.Errorf("%s: got %d (%s), want 400 naming the unknown field", tc.name, status, resp)
 		}
 	}
-	if n := arch.Sharded().ActiveCount(); n != 0 {
+	if n := arch.Summarize().ActiveDeployments; n != 0 {
 		t.Fatalf("%d chains provisioned by rejected requests", n)
 	}
 	if status, resp := do(t, "POST", ts.URL+"/v1/chains", []byte(spec("", ""))); status != http.StatusCreated {
@@ -521,7 +522,7 @@ func TestConcurrentTraffic(t *testing.T) {
 	wg.Wait()
 
 	// Invariants survived the storm: ALs disjoint, state readable.
-	if !arch.Sharded().Shard(0).Allocator().Disjoint() {
+	if !cluster.Disjoint(arch.Clusters()) {
 		t.Fatal("ALs are not disjoint after concurrent traffic")
 	}
 	status, _ := do(t, "GET", ts.URL+"/metrics", nil)

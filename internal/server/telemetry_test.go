@@ -184,8 +184,8 @@ func TestDebouncedFailuresReturn202(t *testing.T) {
 	if err != nil || len(reports) == 0 {
 		t.Fatalf("flush: reports=%d err=%v", len(reports), err)
 	}
-	if stats, ok := arch.FailureDebounceStats(); !ok || stats.Batches != 1 || stats.Events != 2 {
-		t.Fatalf("debounce stats: %+v ok=%v", stats, ok)
+	if stats := arch.Debouncer().Stats(); stats.Batches != 1 || stats.Events != 2 {
+		t.Fatalf("debounce stats: %+v", stats)
 	}
 
 	_, metrics := do(t, "GET", ts.URL+"/metrics", nil)

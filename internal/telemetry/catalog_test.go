@@ -134,7 +134,8 @@ func parseExposition(t *testing.T, text string) (samples []sample, types map[str
 
 // servedAs says where GET /metrics serves a ShardStat field: the family
 // and the labels beside shard. The protection split is summed over the
-// shards, on the fleet-wide family the benchmark ledger reads.
+// shards, on the fleet-wide family the benchmark ledger reads, and so are
+// the standby fallbacks.
 var servedAs = map[string]struct {
 	family, labels string
 	summed         bool
@@ -160,6 +161,7 @@ var servedAs = map[string]struct {
 	"ProvisionOK":          {"alvc_orch_provisions_total", `outcome="ok"`, false},
 	"ProvisionFailed":      {"alvc_orch_provisions_total", `outcome="failed"`, false},
 	"BusyOps":              {"alvc_orch_shard_busy_ops", "", false},
+	"StandbyFallbacks":     {"alvc_resilience_standby_fallbacks_total", "", true},
 }
 
 // seriesKey renders a series name as the exposition writes it.

@@ -146,18 +146,20 @@ func (p *Plane) refresh() {
 	s, arch := &p.scrape, p.arch
 	s.shards = arch.Sharded().ShardStats()
 	s.optimizer, _ = arch.OptimizerStatus()
-	s.debounce, _ = arch.FailureDebounceStats()
+	if d := arch.Debouncer(); d != nil {
+		s.debounce = d.Stats()
+	}
 	s.trace = trace.Stats{}
 	if st := arch.TraceStore(); st != nil {
 		s.trace = st.Stats()
 	}
-	ledger := arch.Sharded().Shard(0).Manager().Ledger()
+	ledger := arch.Sharded().Manager().Ledger()
 	for i, d := range hostingDomains {
 		used, capacity := ledger.DomainTotals(d)
 		s.cpuUsed[i], s.cpuTotal[i] = used.CPUCores, capacity.CPUCores
 	}
 	s.occupancy = s.occupancy[:0]
-	if wdm := arch.Sharded().Shard(0).WDM(); wdm != nil {
+	if wdm := arch.Sharded().WDM(); wdm != nil {
 		capacity := float64(wdm.Capacity())
 		for _, used := range wdm.Utilizations() {
 			s.occupancy = append(s.occupancy, float64(used)/capacity)
@@ -356,7 +358,13 @@ func (p *Plane) registerResilience() {
 		}))
 	p.reg.CounterSink("alvc_resilience_standby_fallbacks_total",
 		"Standby plans that tried the whole fabric after the shard's OPS pool offered no disjoint route, provisions, repairs and group re-protects alike.",
-		nil, one(func() float64 { return float64(p.arch.Sharded().StandbyFallbacks()) }))
+		nil, one(func() float64 {
+			var n int64
+			for _, st := range sc.shards {
+				n += st.StandbyFallbacks
+			}
+			return float64(n)
+		}))
 	p.rehomeChurn = p.reg.NewCounterVec("alvc_capacity_rehome_churn_total",
 		"VNF re-home migrations by rack and direction (from = vacated, to = filled).",
 		"rack", "direction")
