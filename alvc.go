@@ -127,12 +127,9 @@ type (
 	// OrchEvent is one orchestrator lifecycle notification (repair
 	// completed, node/link recovered, placement changed, delete).
 	OrchEvent = orch.Event
-	// EventSink receives orchestrator lifecycle events.
+	// EventSink receives orchestrator lifecycle events: attach one to
+	// Hooks.Events through Sharded().UpdateHooks.
 	EventSink = orch.EventSink
-	// EventMux fans orchestrator events out to independent sinks; the
-	// facade installs one automatically with WithOptimizer (see
-	// Architecture.SubscribeEvents).
-	EventMux = orch.EventMux
 	// ShardMode selects what the shard router hashes (tenant or flow
 	// key) to pick a chain's owning shard.
 	ShardMode = orch.ShardMode
@@ -343,8 +340,8 @@ func WithTracing(opts *TraceOptions) Option {
 // rack PDU trip) repairs every affected chain exactly once instead of
 // once per event. A non-positive window installs the debouncer in
 // pass-through mode (useful to keep one code path and batch only via
-// FlushFailures). When an optimizer is also attached, its status
-// reports the debouncer's coalescing counters.
+// FlushFailures). GET /v1/optimizer/status reports the debouncer's
+// coalescing counters beside the optimizer's.
 func WithFailureDebounce(window time.Duration) Option {
 	return func(s *settings) { s.debounceWindow = &window }
 }
@@ -359,7 +356,6 @@ type Architecture struct {
 	// one unless WithShards raised the count.
 	sh           *orch.Sharded
 	opt          *optimizer.Engine
-	events       *orch.EventMux
 	debounce     *orch.FailureDebouncer
 	tracer       *trace.Tracer
 	batchWorkers int
@@ -406,13 +402,13 @@ func FromTopology(topo *topology.Topology, opts ...Option) (*Architecture, error
 	arch := &Architecture{
 		topo:         topo,
 		sh:           sh,
-		events:       orch.NewEventMux(),
 		batchWorkers: s.batchWorkers,
 	}
 	// Tracing is on by default (bounded store, default sizes); only an
-	// explicit WithTracing(nil) turns it off. The one tracer is shared
-	// by every shard, the debouncer and the optimizer, so spans from
-	// all of them land in one store and one causal chain.
+	// explicit WithTracing(nil) turns it off. The one tracer, on the
+	// orchestrator's Hooks, is read by every shard, the debouncer and the
+	// optimizer, so spans from all of them land in one store and one
+	// causal chain.
 	traceOpts := &trace.StoreOptions{}
 	if s.traceSet {
 		traceOpts = s.traceOpts
@@ -420,46 +416,25 @@ func FromTopology(topo *topology.Topology, opts ...Option) (*Architecture, error
 	if traceOpts != nil {
 		arch.tracer = trace.NewTracer(trace.NewStore(*traceOpts))
 	}
-	// The orchestrator emits into one multiplexer, so the optimizer,
-	// telemetry bridges and other observers subscribe independently
-	// (SubscribeEvents). The mux is always installed: event streaming
-	// works with or without an optimizer.
-	sh.UpdateHooks(func(h *orch.Hooks) {
-		h.Tracer = arch.tracer
-		h.Events = arch.events
-	})
 	if s.optimizer != nil {
-		eng, err := optimizer.New(sh, *s.optimizer)
-		if err != nil {
+		if arch.opt, err = optimizer.New(sh, *s.optimizer); err != nil {
 			return nil, fmt.Errorf("alvc: %w", err)
 		}
-		arch.events.Subscribe(eng)
-		if arch.tracer != nil {
-			eng.SetTracer(arch.tracer)
-		}
-		arch.opt = eng
 	}
+	// Every observer reaches the stack through the orchestrator's one
+	// Hooks value: the tracer, and the engine as the first event sink.
+	// Other observers (the telemetry plane's counters and watch hub)
+	// append their sinks after it through Sharded().UpdateHooks.
+	sh.UpdateHooks(func(h *orch.Hooks) {
+		h.Tracer = arch.tracer
+		if arch.opt != nil {
+			h.Events = []orch.EventSink{arch.opt}
+		}
+	})
 	if s.debounceWindow != nil {
 		arch.debounce = orch.NewFailureDebouncer(sh, *s.debounceWindow)
-		if arch.tracer != nil {
-			arch.debounce.SetTracer(arch.tracer)
-		}
-		if arch.opt != nil {
-			arch.opt.SetDebounceSource(arch.debounce)
-		}
 	}
 	return arch, nil
-}
-
-// SubscribeEvents registers an additional orchestrator-event subscriber
-// (a metrics exporter, an audit log) alongside the background
-// optimizer, returning its cancel function. Subscribing is purely
-// observational — it never changes repair semantics (deferred standby
-// replanning is tied to WithOptimizer, not to subscription).
-// Subscribers run synchronously per event and must return quickly
-// (enqueue, don't execute).
-func (a *Architecture) SubscribeEvents(s orch.EventSink) (cancel func()) {
-	return a.events.Subscribe(s)
 }
 
 // Topology returns the underlying network.
@@ -596,25 +571,6 @@ func (a *Architecture) TraceStore() *TraceStore {
 // Optimizer returns the background optimization engine, or nil when
 // the architecture was built without WithOptimizer.
 func (a *Architecture) Optimizer() *Optimizer { return a.opt }
-
-// OptimizerStatus snapshots the background optimizer's state; ok is
-// false when no optimizer is attached.
-func (a *Architecture) OptimizerStatus() (OptimizerStatus, bool) {
-	if a.opt == nil {
-		return OptimizerStatus{}, false
-	}
-	return a.opt.Status(), true
-}
-
-// Optimize drains the background optimizer's queue synchronously and
-// returns the executed task results (nil when no optimizer is
-// attached) — the in-process form of POST /v1/optimizer:run.
-func (a *Architecture) Optimize() []OptimizerTaskResult {
-	if a.opt == nil {
-		return nil
-	}
-	return a.opt.Drain()
-}
 
 // Close flushes the failure debouncer, if attached, so the failures its
 // window still holds are repaired rather than dropped; then it stops the

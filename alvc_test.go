@@ -3,6 +3,10 @@ package alvc
 import (
 	"context"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"slices"
@@ -11,6 +15,7 @@ import (
 	"time"
 
 	"github.com/alvc/alvc/internal/cluster"
+	"github.com/alvc/alvc/internal/optimizer"
 	"github.com/alvc/alvc/internal/orch"
 )
 
@@ -336,8 +341,9 @@ func TestCloseFlushesPendingFailures(t *testing.T) {
 
 // TestOneFormPerVerb pins the shape of the orchestration surface: no
 // type offers a verb twice (X beside XCtx), a failure twin per node or
-// link, or an edit beside Apply. The shard, internal to orch, is held
-// to the same rows by orch's TestShardSurface.
+// link, an edit beside Apply, or a second way to observe the control
+// plane beside orch.Hooks. The shard, internal to orch, is held to the
+// same rows by orch's TestShardSurface.
 func TestOneFormPerVerb(t *testing.T) {
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(&orch.Sharded{}),
@@ -380,6 +386,52 @@ func TestOneFormPerVerb(t *testing.T) {
 		}
 		if _, ok := typ.MethodByName("Apply"); !ok {
 			t.Errorf("%v has no Apply", typ)
+		}
+	}
+	// One observer seam: every event sink, observer and the tracer is an
+	// orch.Hooks field. No setter on the debouncer or the optimizer, no
+	// subscription on the facade, and no type in orch that takes
+	// subscriptions or passes events on (a multiplexer).
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(&orch.FailureDebouncer{}),
+		reflect.TypeOf(&optimizer.Engine{}),
+	} {
+		for i := 0; i < typ.NumMethod(); i++ {
+			if name := typ.Method(i).Name; strings.HasPrefix(name, "Set") {
+				t.Errorf("%v.%s: observers attach through orch.Hooks", typ, name)
+			}
+		}
+	}
+	if _, ok := reflect.TypeOf(&Architecture{}).MethodByName("SubscribeEvents"); ok {
+		t.Error("Architecture.SubscribeEvents: event sinks attach to orch.Hooks.Events")
+	}
+	files, err := filepath.Glob("internal/orch/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("internal/orch sources: %v (%d files)", err, len(files))
+	}
+	mux := regexp.MustCompile(`(?i)mux|multiplex|fanout|broadcast`)
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parse %s: %v", name, err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.IsExported() && mux.MatchString(ts.Name.Name) {
+						t.Errorf("%s: orch.%s: events fan out through orch.Hooks.Events", fset.Position(ts.Pos()), ts.Name.Name)
+					}
+				}
+			case *ast.FuncDecl:
+				if d.Recv != nil && (d.Name.Name == "OrchEvent" || d.Name.Name == "Subscribe") {
+					t.Errorf("%s: a type in orch with %s is a second event seam beside orch.Hooks.Events", fset.Position(d.Pos()), d.Name.Name)
+				}
+			}
 		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -137,10 +138,16 @@ func run() int {
 		return 1
 	}
 
+	// Every request's context derives from base, cancelled just before
+	// Shutdown: a /v1/watch stream never goes idle on its own, so its
+	// handler must see its context end for Shutdown to finish.
+	base, cancelBase := context.WithCancel(context.Background())
+	defer cancelBase()
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           ctrl.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
+		BaseContext:       func(net.Listener) context.Context { return base },
 	}
 
 	// Profiling stays off the service port: a dedicated mux on a side
@@ -171,7 +178,7 @@ func run() int {
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	sum := arch.Summarize()
 	fmt.Printf("alvc-server listening on %s (%d PMs, %d VMs, %d OPSs, %d services, %d shards)\n",
-		*addr, sum.PMs, sum.VMs, sum.OPSs, sum.Services, arch.Sharded().Shards())
+		*addr, sum.PMs, sum.VMs, sum.OPSs, sum.Services, len(arch.Sharded().ShardStats()))
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
@@ -180,6 +187,7 @@ func run() int {
 		logger.Info("shutting down", "signal", sig.String())
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
+		cancelBase()
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			logger.Error("shutdown failed", "error", err)
 			return 1

@@ -252,7 +252,9 @@ func TestContractProtectedRecovery(t *testing.T) {
 		if err := arch.Recover(alvc.NewFailures([]alvc.NodeID{victim}, nil)); err != nil {
 			t.Fatalf("Recover: %v", err)
 		}
-		arch.Optimize()
+		if eng := arch.Optimizer(); eng != nil { // the cold run has none
+			eng.Drain()
+		}
 		s.gapAfterDrain = protectionGap(arch)
 		return s
 	}
@@ -356,7 +358,7 @@ func TestContractAsyncReprotection(t *testing.T) {
 				}
 			}
 		}
-		async.Optimize()
+		async.Optimizer().Drain()
 		protected(false)
 		for _, n := range nodes {
 			if err := async.Recover(alvc.NewFailures([]alvc.NodeID{n}, nil)); err != nil {
@@ -368,7 +370,7 @@ func TestContractAsyncReprotection(t *testing.T) {
 				t.Fatalf("Recover: %v", err)
 			}
 		}
-		async.Optimize()
+		async.Optimizer().Drain()
 		protected(true)
 	}
 }
@@ -539,7 +541,7 @@ func stormFleet(t *testing.T, chains int, opts ...alvc.Option) (*alvc.Architectu
 	if err := arch.Recover(alvc.NewFailures(nil, []alvc.LinkID{warm})); err != nil {
 		t.Fatalf("warm-up Recover: %v", err)
 	}
-	arch.Optimize()
+	arch.Optimizer().Drain()
 	return arch, victims
 }
 
@@ -585,7 +587,7 @@ func TestContractLinkStorm(t *testing.T) {
 		}
 	}
 
-	before, _ := batch.OptimizerStatus()
+	before := batch.Optimizer().Status()
 	builds = batch.Topology().GraphBuilds()
 	for _, v := range batchVictims {
 		batch.ReportFailures(ctx, alvc.NewFailures(nil, []alvc.LinkID{v.primary}))
@@ -614,10 +616,10 @@ func TestContractLinkStorm(t *testing.T) {
 	}
 
 	drainBefore := countsOf(batch)
-	results := batch.Optimize()
+	results := batch.Optimizer().Drain()
 	drain := countsOf(batch).minus(drainBefore)
 	fallbacks := drain.fallbacks
-	after, _ := batch.OptimizerStatus()
+	after := batch.Optimizer().Status()
 	t.Logf("drain: %d results, %+v, group plans %+v, fabric retries %d, queue high-water %d", len(results), drain, after.GroupPlans, fallbacks, after.HighWater)
 	if after.GroupPlans.Coalesced == before.GroupPlans.Coalesced {
 		t.Errorf("no re-protect coalesced into a failure-domain group: %+v -> %+v", before.GroupPlans, after.GroupPlans)
@@ -705,7 +707,7 @@ func TestContractStormRevisit(t *testing.T) {
 			t.Fatalf("round %d: flush: %v", i, err)
 		}
 		before := countsOf(arch)
-		arch.Optimize()
+		arch.Optimizer().Drain()
 		r.drain = countsOf(arch).minus(before)
 		for _, id := range tray {
 			dep := arch.Deployment(id)
@@ -719,7 +721,7 @@ func TestContractStormRevisit(t *testing.T) {
 				t.Fatalf("Recover: %v", err)
 			}
 		}
-		arch.Optimize()
+		arch.Optimizer().Drain()
 		rounds = append(rounds, r)
 		t.Logf("round %d: %d links cut, drain %+v", i, len(r.links), r.drain)
 	}

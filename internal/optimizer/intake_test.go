@@ -222,7 +222,7 @@ func TestDriftLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("optimizer.New: %v", err)
 	}
-	s.UpdateHooks(func(h *orch.Hooks) { h.Events = eng })
+	s.UpdateHooks(func(h *orch.Hooks) { h.Events = []orch.EventSink{eng} })
 	i := slices.IndexFunc(deps, func(d *orch.Deployment) bool { return d.Conversions == 0 })
 	if i < 0 {
 		t.Fatal("no chain of the fleet was born all-optical")
@@ -432,7 +432,7 @@ func TestRecoveryStormVsDrainAndDeletes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	s.UpdateHooks(func(h *orch.Hooks) { h.Events = eng })
+	s.UpdateHooks(func(h *orch.Hooks) { h.Events = []orch.EventSink{eng} })
 	deps := s.Deployments()
 	active := activeCount(s)
 	var wg sync.WaitGroup
@@ -495,7 +495,7 @@ func TestRecoveryStormVsDrainAndDeletes(t *testing.T) {
 	if got := activeCount(s); deleted == 0 || got != active-deleted {
 		t.Fatalf("%d chains active after %d deletes of %d", got, deleted, active)
 	}
-	if got := len(s.AppendChainHealth(nil)); got != activeCount(s) {
+	if got := len(s.AppendChainHealth(nil, false)); got != activeCount(s) {
 		t.Fatalf("sweep sees %d chains, %d active", got, activeCount(s))
 	}
 }

@@ -152,11 +152,11 @@ func (r *domainRecorder) OrchEvent(ev orch.Event) {
 // deals it: the ID-sorted OPSs round-robin over the shards, the zero
 // Pool (the fabric) when one shard owns them all.
 func shardPool(s *orch.Sharded, topo *topology.Topology, id orch.DeploymentID) topology.Pool {
-	if s.Shards() == 1 {
+	if len(s.ShardStats()) == 1 {
 		return topology.Pool{}
 	}
 	opss, set := topo.NodeIDs(topology.KindOPS), make(map[topology.NodeID]bool)
-	for i := s.ShardOf(id); i < len(opss); i += s.Shards() {
+	for i := s.ShardOf(id); i < len(opss); i += len(s.ShardStats()) {
 		set[opss[i]] = true
 	}
 	return topology.NewPool(set)
@@ -218,7 +218,7 @@ func TestLaneReplansEqualPlanningAlone(t *testing.T) {
 			}
 			eng.clock = &manualClock{}
 			rec := &domainRecorder{eng: eng, joined: make(map[orch.DeploymentID]orch.FailureDomain)}
-			s.UpdateHooks(func(h *orch.Hooks) { h.Events = rec })
+			s.UpdateHooks(func(h *orch.Hooks) { h.Events = []orch.EventSink{rec} })
 			live := slices.Clone(deps)
 
 			// drain runs the queue and holds its re-protects or refreshes to
@@ -341,7 +341,7 @@ func TestLaneReplansEqualPlanningAlone(t *testing.T) {
 				// The recovery queues refreshes for the owed chains only:
 				// the witness is held to what the recovery queued.
 				owed := make(map[orch.DeploymentID]orch.FailureDomain)
-				for _, h := range s.AppendOwedHealth(nil) {
+				for _, h := range s.AppendChainHealth(nil, true) {
 					if !h.Disjoint {
 						owed[h.ID] = orch.FailureDomain{}
 					}

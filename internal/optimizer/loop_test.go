@@ -86,13 +86,13 @@ type loopTarget struct {
 	protected chan orch.DeploymentID
 }
 
-func (l *loopTarget) AppendChainHealth(buf []orch.ChainHealth) []orch.ChainHealth {
+func (l *loopTarget) AppendChainHealth(buf []orch.ChainHealth, owed bool) []orch.ChainHealth {
 	l.sweeps.Add(1)
 	if l.hold != nil {
 		l.inSweep <- struct{}{}
 		<-l.hold
 	}
-	return l.Sharded.AppendChainHealth(buf)
+	return l.Sharded.AppendChainHealth(buf, owed)
 }
 
 func (l *loopTarget) ReProtectGroup(buf []orch.GroupOutcome, domain orch.FailureDomain, ids []orch.DeploymentID) []orch.GroupOutcome {

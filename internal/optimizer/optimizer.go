@@ -51,16 +51,18 @@ import (
 // value — one orch.ChainHealth per chain, ID-sorted, appended to the
 // engine's buffer: the idle tick reads every active chain, a recovery
 // event only the chains the orchestrator's maintenance-owed index holds,
-// so it costs the chains it can help and not a pass over the fleet. ReProtectGroup is the one re-protection
-// call: every re-protect and refresh task hands it one failure-domain
-// group, steering each member off the domain's risk groups; a group with
-// no domain is one chain.
+// so it costs the chains it can help and not a pass over the fleet.
+// ReProtectGroup is the one re-protection call: every re-protect and
+// refresh task hands it one failure-domain group, steering each member
+// off the domain's risk groups; a group with no domain is one chain.
+// Hooks are the engine's observers too: its tasks trace through
+// Hooks.Tracer and each Drain reports to Hooks.Drain.
 type Target interface {
-	AppendChainHealth(buf []orch.ChainHealth) []orch.ChainHealth
-	AppendOwedHealth(buf []orch.ChainHealth) []orch.ChainHealth
+	AppendChainHealth(buf []orch.ChainHealth, owed bool) []orch.ChainHealth
 	ReProtectGroup(buf []orch.GroupOutcome, domain orch.FailureDomain, ids []orch.DeploymentID) []orch.GroupOutcome
 	Rehome(id orch.DeploymentID, margin int) (bool, error)
 	DefragLambda(id orch.DeploymentID) (from, to int, retuned bool, err error)
+	Hooks() *orch.Hooks
 }
 
 // TaskKind names one maintenance task type. Smaller is higher
@@ -205,9 +207,6 @@ type Status struct {
 	// GroupPlans reports the re-protect lane's grouping and planning
 	// counters.
 	GroupPlans GroupPlanStats `json:"group_plans"`
-	// Debounce mirrors the upstream failure debouncer's counters when
-	// one is attached (SetDebounceSource).
-	Debounce *orch.DebounceStats `json:"debounce,omitempty"`
 	// LastResults lists the most recent task outcomes, oldest first.
 	LastResults []TaskResult `json:"last_results"`
 }
@@ -272,9 +271,8 @@ type membership struct {
 }
 
 // Engine is the background optimization engine over the orchestrator.
-// It implements orch.EventSink; attach it as (or behind)
-// orch.Hooks.Events (the alvc facade's WithOptimizer does this). Safe
-// for concurrent use.
+// It implements orch.EventSink; attach it to orch.Hooks.Events (the
+// alvc facade's WithOptimizer does this). Safe for concurrent use.
 type Engine struct {
 	o    Target
 	opts Options
@@ -292,29 +290,18 @@ type Engine struct {
 	running int
 	stats   [numKinds]KindStats
 	// results holds the last opts.ResultLog outcomes, each with its wire
-	// encoding; logView, statusView and debounceView are ViewStatus's.
-	results   ring.Ring[loggedResult]
-	logView   [][]byte
-	groupPlan GroupPlanStats
-	highWater int // queued-task high-water mark
-	shedTotal int // tasks dropped by the MaxQueueDepth bound
-	drainObs  func(d time.Duration, tasks int)
-
-	statusView   Status
-	debounceView orch.DebounceStats
-
-	// tracer, when set, makes event-driven tasks record optimizer
-	// spans continuing the originating repair's trace. Guarded by mu.
-	tracer *trace.Tracer
+	// encoding; logView and statusView are ViewStatus's.
+	results    ring.Ring[loggedResult]
+	logView    [][]byte
+	statusView Status
+	groupPlan  GroupPlanStats
+	highWater  int // queued-task high-water mark
+	shedTotal  int // tasks dropped by the MaxQueueDepth bound
 
 	// sweepMu serializes fleet sweeps (recovery intake, Tick) over the
 	// one reused summary buffer. Taken before mu, never under it.
 	sweepMu  sync.Mutex
 	sweepBuf []orch.ChainHealth
-
-	// debounceSrc, when set, lets Status surface the upstream failure
-	// debouncer's coalescing counters next to the engine's own.
-	debounceSrc interface{ Stats() orch.DebounceStats }
 
 	// loopMu guards the background loop: stopCh is nil when stopped,
 	// stopTick cancels the armed tick, and loopWG counts the dispatcher
@@ -349,39 +336,6 @@ func New(o Target, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// SetDrainObserver registers a telemetry hook receiving each Drain
-// pass's wall time and result count (one per member; busy retries out).
-// Record-only: the observer must not call back into the engine.
-func (e *Engine) SetDrainObserver(fn func(d time.Duration, tasks int)) {
-	e.mu.Lock()
-	e.drainObs = fn
-	e.mu.Unlock()
-}
-
-// SetDebounceSource attaches the upstream failure debouncer's counters
-// so Status reports the whole failure pipeline — events coalesced into
-// batches upstream, re-protects coalesced into domain groups here.
-func (e *Engine) SetDebounceSource(src interface{ Stats() orch.DebounceStats }) {
-	e.mu.Lock()
-	e.debounceSrc = src
-	e.mu.Unlock()
-}
-
-// SetTracer attaches (or, with nil, detaches) the tracer. With a
-// tracer set, tasks queued by traced events record optimizer spans in
-// the originating trace; tick/sweep tasks stay span-free.
-func (e *Engine) SetTracer(tr *trace.Tracer) {
-	e.mu.Lock()
-	e.tracer = tr
-	e.mu.Unlock()
-}
-
-func (e *Engine) traceFor() *trace.Tracer {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tracer
-}
-
 // OrchEvent implements orch.EventSink: it translates lifecycle events
 // into queued maintenance work. It only enqueues — execution happens
 // in Drain or the Start loop — so it is safe to call from inside
@@ -408,7 +362,7 @@ func (e *Engine) OrchEvent(ev orch.Event) {
 		// outage and pull drifted chains home. Only the chains the
 		// orchestrator holds as owed are read; Tick covers the rest.
 		e.sweepMu.Lock()
-		e.sweepBuf = e.o.AppendOwedHealth(e.sweepBuf[:0])
+		e.sweepBuf = e.o.AppendChainHealth(e.sweepBuf[:0], true)
 		for _, h := range e.sweepBuf {
 			if !h.Disjoint {
 				e.Enqueue(h.ID, KindRefresh)
@@ -595,7 +549,7 @@ func (e *Engine) popBatch() []*group {
 func (e *Engine) Tick() {
 	e.sweepMu.Lock()
 	defer e.sweepMu.Unlock()
-	e.sweepBuf = e.o.AppendChainHealth(e.sweepBuf[:0])
+	e.sweepBuf = e.o.AppendChainHealth(e.sweepBuf[:0], false)
 	for _, h := range e.sweepBuf {
 		if !h.Disjoint {
 			e.Enqueue(h.ID, KindRefresh)
@@ -613,11 +567,10 @@ func (e *Engine) Tick() {
 // the configured retry budget. Drain ignores Pause — it is the
 // explicit "run the optimizer now" operation behind
 // POST /v1/optimizer:run — and may run concurrently with the
-// background loop; both feed from the same queue.
+// background loop; both feed from the same queue. The pass reports to
+// the target's Hooks.Drain when one is attached.
 func (e *Engine) Drain() []TaskResult {
-	e.mu.Lock()
-	obs := e.drainObs
-	e.mu.Unlock()
+	obs := e.o.Hooks().Drain
 	var start time.Time
 	if obs != nil {
 		start = time.Now()
@@ -655,6 +608,9 @@ func (e *Engine) Drain() []TaskResult {
 // re-protect or refresh in one ReProtectGroup call, each member steered
 // off the group's domain — and files one result per member. A busy
 // member goes into g.busy for Drain to rejoin, until its retries run out.
+// A task queued by traced events records a span in the first event's
+// trace, linking the others', through the target's Hooks.Tracer;
+// tick and sweep tasks stay span-free.
 func (e *Engine) run(g *group) {
 	key := g.key
 	e.mu.Lock()
@@ -664,7 +620,7 @@ func (e *Engine) run(g *group) {
 	var sc trace.SpanContext
 	var spanStart time.Time
 	if len(g.parents) > 0 {
-		if tr = e.traceFor(); tr != nil {
+		if tr = e.o.Hooks().Tracer; tr != nil {
 			sc = tr.Start(g.parents[0])
 			spanStart = time.Now()
 		}
@@ -896,10 +852,6 @@ func (e *Engine) Status() Status {
 	e.ViewStatus(func(view *Status, _ [][]byte) {
 		st = *view
 		st.Kinds = maps.Clone(view.Kinds)
-		if view.Debounce != nil {
-			ds := *view.Debounce
-			st.Debounce = &ds
-		}
 		if n := e.results.Len(); n > 0 {
 			st.LastResults = make([]TaskResult, n)
 			for i := range st.LastResults {
@@ -916,15 +868,8 @@ func (e *Engine) Status() Status {
 // TaskResult.AppendJSON made it when it entered the log (nil for an empty
 // log). st and everything it points at are the engine's scratch, reused
 // by the next call: fn must not call into the engine, nor keep st, its
-// lists, maps or Debounce, results or the arrays results holds.
+// lists or maps, results or the arrays results holds.
 func (e *Engine) ViewStatus(fn func(st *Status, results [][]byte)) {
-	e.mu.Lock()
-	src := e.debounceSrc
-	e.mu.Unlock()
-	var ds orch.DebounceStats
-	if src != nil {
-		ds = src.Stats()
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	kinds := e.statusView.Kinds
@@ -934,11 +879,6 @@ func (e *Engine) ViewStatus(fn func(st *Status, results [][]byte)) {
 	for kind := TaskKind(0); kind < numKinds; kind++ {
 		kinds[kind.String()] = e.stats[kind]
 	}
-	var debounce *orch.DebounceStats
-	if src != nil {
-		e.debounceView = ds
-		debounce = &e.debounceView
-	}
 	e.statusView = Status{
 		Paused:     e.paused,
 		QueueDepth: len(e.groups),
@@ -947,7 +887,6 @@ func (e *Engine) ViewStatus(fn func(st *Status, results [][]byte)) {
 		Kinds:      kinds,
 		Shed:       e.shedTotal,
 		GroupPlans: e.groupPlan,
-		Debounce:   debounce,
 	}
 	results := e.logView[:0]
 	for i := range e.results.Len() {

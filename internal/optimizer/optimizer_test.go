@@ -96,7 +96,7 @@ func engineOver(t *testing.T, topo *topology.Topology, opts Options) (*orch.Shar
 	if err != nil {
 		t.Fatalf("optimizer.New: %v", err)
 	}
-	o.UpdateHooks(func(h *orch.Hooks) { h.Events = eng })
+	o.UpdateHooks(func(h *orch.Hooks) { h.Events = []orch.EventSink{eng} })
 	return o, eng
 }
 

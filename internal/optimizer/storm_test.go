@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/placement"
-	"github.com/alvc/alvc/internal/topology"
 )
 
 // countingTarget wraps an orchestrator and counts re-protects per
@@ -43,7 +41,7 @@ func TestStormModeCoalescesByDomain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("optimizer.New: %v", err)
 	}
-	o.UpdateHooks(func(h *orch.Hooks) { h.Events = eng })
+	o.UpdateHooks(func(h *orch.Hooks) { h.Events = []orch.EventSink{eng} })
 
 	var deps []*orch.Deployment
 	for i := 0; i < 6; i++ {
@@ -142,32 +140,6 @@ func TestStormGroupMemberDeleteAndHighWater(t *testing.T) {
 	if st.HighWater != 1 {
 		t.Fatalf("queue high-water = %d, want the burst as one queued task", st.HighWater)
 	}
-}
-
-// TestStatusSurfacesDebounceCounters: an attached debounce source's
-// coalescing stats ride along in Status.
-func TestStatusSurfacesDebounceCounters(t *testing.T) {
-	o, eng := engineOver(t, wideTopo(t, 6), Options{})
-	d := orch.NewFailureDebouncer(o, time.Hour)
-	eng.SetDebounceSource(d)
-	if st := eng.Status(); st.Debounce == nil || st.Debounce.Events != 0 {
-		t.Fatalf("debounce stats = %+v, want zeroed", st.Debounce)
-	}
-	d.Report(bg, topology.NewFailures(nil, nil)) // empty: not counted
-	if st := eng.Status(); st.Debounce.Events != 0 {
-		t.Fatalf("empty report counted: %+v", st.Debounce)
-	}
-	// Two coalesced reports, one batch — the counters flow through.
-	d.Report(bg, topology.NewFailures([]topology.NodeID{99990}, nil))
-	d.Report(bg, topology.NewFailures([]topology.NodeID{99991}, nil))
-	if _, err := d.Flush(); err == nil {
-		t.Fatal("unknown-node batch should error")
-	}
-	st := eng.Status()
-	if st.Debounce == nil || st.Debounce.Events != 2 || st.Debounce.Batches != 1 || st.Debounce.Coalesced != 1 {
-		t.Fatalf("debounce stats = %+v, want Events=2 Batches=1 Coalesced=1", st.Debounce)
-	}
-	_ = provision(t, o, "chain-1")
 }
 
 // TestStormGroupFallbackMovesBothFamilies: a group member whose

@@ -16,7 +16,7 @@ import (
 func TestStormGroupSpanLinksParents(t *testing.T) {
 	o, eng := engineOver(t, wideTopo(t, 10), Options{})
 	tr := trace.NewTracer(trace.NewStore(trace.StoreOptions{}))
-	eng.SetTracer(tr)
+	o.UpdateHooks(func(h *orch.Hooks) { h.Tracer = tr })
 
 	var deps []*orch.Deployment
 	for i := 0; i < 6; i++ {
@@ -99,8 +99,8 @@ func TestStormGroupSpanLinksParents(t *testing.T) {
 func TestUntracedTasksRecordNoSpans(t *testing.T) {
 	o, eng := engineOver(t, wideTopo(t, 6), Options{})
 	tr := trace.NewTracer(trace.NewStore(trace.StoreOptions{}))
-	eng.SetTracer(tr)
 	dep := provision(t, o, "chain-1")
+	o.UpdateHooks(func(h *orch.Hooks) { h.Tracer = tr })
 	eng.Enqueue(dep.ID, KindReProtect)
 	eng.Drain()
 	if stats := tr.Store().Stats(); stats.SpansRecorded != 0 {

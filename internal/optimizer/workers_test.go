@@ -126,7 +126,7 @@ func TestConcurrentDrainsProtectEveryChain(t *testing.T) {
 	}
 	defer eng.Stop()
 	target.eng = eng
-	s.UpdateHooks(func(h *orch.Hooks) { h.Events = eng })
+	s.UpdateHooks(func(h *orch.Hooks) { h.Events = []orch.EventSink{eng} })
 	ids := make([]orch.DeploymentID, len(deps))
 	for i, dep := range deps {
 		ids[i] = dep.ID

@@ -20,11 +20,14 @@ import (
 	"github.com/alvc/alvc/internal/trace"
 )
 
-// FailureHandler is the reconciliation entry point the debouncer
-// drives: Sharded.HandleFailures. The context carries the batch span
-// the debouncer opens, so it reaches the repair spans.
+// FailureHandler is the set the debouncer drives, *Sharded: its one
+// reconciliation entry point, HandleFailures, whose context carries the
+// batch span the debouncer opens, so it reaches the repair spans; and its
+// Hooks, whose Tracer and Flush are the debouncer's tracer and flush
+// observer.
 type FailureHandler interface {
 	HandleFailures(ctx context.Context, f topology.Failures) ([]RepairReport, error)
+	Hooks() *Hooks
 }
 
 // maxBatchParents bounds how many distinct originating spans one batch
@@ -61,11 +64,9 @@ type FailureDebouncer struct {
 	links []topology.LinkID
 	// stop cancels the armed window's expiry (nil when none is armed);
 	// gen numbers the windows, so a late expiry spares a newer one.
-	stop    func() bool
-	gen     uint64
-	stats   DebounceStats
-	onFlush func(d time.Duration, reports int)
-	tracer  *trace.Tracer
+	stop  func() bool
+	gen   uint64
+	stats DebounceStats
 	// parents are the spans of the coalesced reports (one per distinct
 	// trace), accumulated by Report and drained at flush: the batch
 	// span continues the first parent's trace and links the others, so
@@ -80,25 +81,6 @@ func NewFailureDebouncer(h FailureHandler, window time.Duration) *FailureDebounc
 	return &FailureDebouncer{h: h, window: window, clock: WallClock}
 }
 
-// SetFlushObserver registers a telemetry hook receiving each dispatched
-// batch's reconciliation latency (the HandleFailures wall time) and
-// report count. Record-only: the observer must not call back into the
-// debouncer.
-func (d *FailureDebouncer) SetFlushObserver(fn func(d time.Duration, reports int)) {
-	d.mu.Lock()
-	d.onFlush = fn
-	d.mu.Unlock()
-}
-
-// SetTracer attaches (or, with nil, detaches) the tracer. With a tracer
-// set, every flush records a batch span whose trace continues the first
-// coalesced report's trace and links the others'.
-func (d *FailureDebouncer) SetTracer(tr *trace.Tracer) {
-	d.mu.Lock()
-	d.tracer = tr
-	d.mu.Unlock()
-}
-
 // Report merges a failure notification into the pending window. The
 // first report of a quiet period arms the window timer; later reports
 // within the window coalesce into it. With a non-positive window the
@@ -106,7 +88,9 @@ func (d *FailureDebouncer) SetTracer(tr *trace.Tracer) {
 // holds a span (the failure report's HTTP request) and a tracer is
 // attached, the span is remembered as a parent of the batch that
 // eventually flushes this report, preserving causality across the
-// debounce window.
+// debounce window. With a tracer attached, every flush records a batch
+// span whose trace continues the first coalesced report's trace and
+// links the others'.
 func (d *FailureDebouncer) Report(ctx context.Context, f topology.Failures) {
 	if f.Empty() {
 		return
@@ -115,7 +99,7 @@ func (d *FailureDebouncer) Report(ctx context.Context, f topology.Failures) {
 	d.stats.Events++
 	d.nodes = merge(d.nodes, f.Nodes())
 	d.links = merge(d.links, f.Links())
-	if sc, ok := trace.FromContext(ctx); ok && d.tracer != nil && len(d.parents) < maxBatchParents &&
+	if sc, ok := trace.FromContext(ctx); ok && d.h.Hooks().Tracer != nil && len(d.parents) < maxBatchParents &&
 		!slices.ContainsFunc(d.parents, func(p trace.SpanContext) bool { return p.TraceID == sc.TraceID }) {
 		d.parents = append(d.parents, sc.Detached()) // the report's request ends before the flush
 	}
@@ -155,8 +139,6 @@ func (d *FailureDebouncer) flush(gen uint64) ([]RepairReport, error) {
 	f := topology.NewFailures(d.nodes, d.links)
 	d.nodes, d.links = nil, nil
 	d.stats.Batches++
-	onFlush := d.onFlush
-	tr := d.tracer
 	parents := d.parents
 	d.parents = nil
 	d.mu.Unlock()
@@ -167,6 +149,8 @@ func (d *FailureDebouncer) flush(gen uint64) ([]RepairReport, error) {
 	// too). With no traced parents the batch starts a fresh trace.
 	// The batch span and the repairs under it commit onto that trace as
 	// one insert.
+	hk := d.h.Hooks()
+	tr := hk.Tracer
 	ctx := context.Background()
 	var c *trace.Carrier
 	if tr != nil {
@@ -201,8 +185,8 @@ func (d *FailureDebouncer) flush(gen uint64) ([]RepairReport, error) {
 		sp.SetError(err)
 		tr.End(c, sp)
 	}
-	if onFlush != nil {
-		onFlush(elapsed, len(reports))
+	if hk.Flush != nil {
+		hk.Flush(elapsed, len(reports))
 	}
 	return reports, err
 }

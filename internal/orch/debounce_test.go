@@ -30,6 +30,8 @@ func (f *fakeHandler) HandleFailures(_ context.Context, dead topology.Failures) 
 	return nil, nil
 }
 
+func (f *fakeHandler) Hooks() *Hooks { return &Hooks{} }
+
 func (f *fakeHandler) batchCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -221,7 +223,7 @@ func TestRepairEventsCarryFailureDomain(t *testing.T) {
 		t.Fatalf("Provision: %v", err)
 	}
 	sink := &recordingSink{}
-	s.UpdateHooks(func(h *Hooks) { h.Events = sink })
+	s.UpdateHooks(func(h *Hooks) { h.Events = []EventSink{sink} })
 
 	// Both route-0 transit links ride tray 42.
 	if err := o.topo.SetLinkSRLG(ids.torOpsLinks[0][0], 42); err != nil {

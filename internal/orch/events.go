@@ -66,10 +66,10 @@ type Event struct {
 	// the optimizer groups re-protect work by it.
 	Domain FailureDomain
 	// TraceID/SpanID identify the span that emitted the event (the
-	// repair span for repair-completed) when tracing is enabled, so
-	// consumers on the far side of the event mux — the optimizer's
-	// task queue, the /v1/watch stream — continue the causal chain
-	// instead of starting orphan traces. Empty/0 when tracing is off.
+	// repair span for repair-completed) when tracing is enabled, so the
+	// sinks of Hooks.Events — the optimizer's task queue, the /v1/watch
+	// stream — continue the causal chain instead of starting orphan
+	// traces. Empty/0 when tracing is off.
 	TraceID string
 	SpanID  trace.SpanID
 }
@@ -115,16 +115,23 @@ type EventSink interface {
 	OrchEvent(Event)
 }
 
-// Hooks is everything that observes the orchestrator, as one value on
-// the shared core: every shard reads the same one, with one atomic load
-// per operation, and Sharded.UpdateHooks is the one way to change it. A
-// zero field is "not attached". Every hook is record-only: it runs
-// synchronously on the calling path and must not block.
+// Hooks is everything that observes the control plane — the
+// orchestrator, the failure debouncer wrapped around it and the
+// optimizer draining its events — as one value on the shared core: every
+// reader loads the same one, with one atomic load per operation, and
+// Sharded.UpdateHooks is the one way to change it. A zero field is "not
+// attached". Every hook is record-only: it runs synchronously on the
+// calling path and must not block.
 type Hooks struct {
-	// Events receives lifecycle events. Attaching a sink is purely
-	// observational — whether repairs defer standby replanning to a
-	// background optimizer is Config.DeferReprotect, not implied by it.
-	Events EventSink
+	// Events receives lifecycle events, each sink in turn in list order.
+	// Attaching a sink is purely observational — whether repairs defer
+	// standby replanning to a background optimizer is
+	// Config.DeferReprotect, not implied by it. The list is shared by
+	// every copy of the value: an UpdateHooks edit replaces it (append
+	// to slices.Clip of it, or build a new one), never writes into it,
+	// so a delivery under way finishes on the list it loaded and a sink
+	// added or removed takes effect from the next event.
+	Events []EventSink
 	// Stage is called once per executed pipeline stage with the stage
 	// name and its wall-clock duration, inside the provisioning/repair
 	// pipeline: it must never call back into the orchestrator.
@@ -133,11 +140,21 @@ type Hooks struct {
 	// the source and destination racks (-1 when a host has no rack).
 	// Same contract as Stage.
 	Rehome func(fromRack, toRack int)
+	// Flush is called once per failure-debouncer batch with its
+	// reconciliation latency (the HandleFailures wall time) and report
+	// count; it must not call back into the debouncer.
+	Flush func(d time.Duration, reports int)
+	// Drain is called once per optimizer Drain pass with its wall time
+	// and result count (one per member; busy retries out); it must not
+	// call back into the optimizer.
+	Drain func(d time.Duration, tasks int)
 	// Tracer records spans: Provision/Delete and every reconciliation
 	// repair record one, each executed pipeline stage becomes a child
-	// span, and repair-completed events carry their repair span's
-	// identity so downstream consumers (debouncer, optimizer) continue
-	// the trace. Nil leaves the hot paths with zero span allocations.
+	// span, repair-completed events carry their repair span's identity
+	// so downstream consumers continue the trace, each debouncer flush
+	// records a batch span, and each optimizer task queued by a traced
+	// event records a span in that event's trace. Nil leaves the hot
+	// paths with zero span allocations.
 	Tracer *trace.Tracer
 }
 
@@ -157,11 +174,16 @@ func (s *Sharded) UpdateHooks(fn func(h *Hooks)) {
 	}
 }
 
-// emit delivers the event to the attached sink, if any. Callers must
-// not hold a shard's mu or topoMu (the sink may read orchestrator
-// state).
+// Hooks returns the current hooks value, for the components layered over
+// the set (the failure debouncer, the optimizer) to read. It is shared:
+// read it, never write it.
+func (s *Sharded) Hooks() *Hooks { return s.core.hooks.Load() }
+
+// emit delivers the event to every attached sink, in list order.
+// Callers must not hold a shard's mu or topoMu (a sink may read
+// orchestrator state).
 func (c *sharedCore) emit(ev Event) {
-	if s := c.hooks.Load().Events; s != nil {
+	for _, s := range c.hooks.Load().Events {
 		s.OrchEvent(ev)
 	}
 }

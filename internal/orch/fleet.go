@@ -37,45 +37,30 @@ func healthOf(dep *Deployment) ChainHealth {
 	}
 }
 
-// sortAppended sorts by ID what a sweep appended to buf, and returns the
-// extended slice.
-func sortAppended(buf, extended []ChainHealth) []ChainHealth {
-	slices.SortFunc(extended[len(buf):], func(a, b ChainHealth) int { return int(a.ID - b.ID) })
-	return extended
-}
-
 // AppendChainHealth appends one entry per active deployment of every
-// shard to buf and sorts the appended part by ID, so a sweep sees the
-// same order at any shard count. It allocates only when buf has to
-// grow.
-func (s *Sharded) AppendChainHealth(buf []ChainHealth) []ChainHealth {
+// shard to buf — with owed, per active chain in the shards'
+// maintenance-owed indexes only: the chains without a disjoint standby
+// or Drifted, what a recovery can help, so it reads, copies and sorts
+// those and not the fleet. It sorts the appended part by ID, so a sweep
+// sees the same order at any shard count, and allocates only when buf
+// has to grow.
+func (s *Sharded) AppendChainHealth(buf []ChainHealth, owed bool) []ChainHealth {
 	out := buf
 	for _, o := range s.shards {
 		o.mu.Lock()
-		for _, dep := range o.deployments {
+		deps := o.deployments
+		if owed {
+			deps = o.owed
+		}
+		for _, dep := range deps {
 			if dep.State == StateActive {
 				out = append(out, healthOf(dep))
 			}
 		}
 		o.mu.Unlock()
 	}
-	return sortAppended(buf, out)
-}
-
-// AppendOwedHealth is AppendChainHealth over the shards'
-// maintenance-owed indexes — the active chains without a disjoint
-// standby or Drifted: it reads, copies and sorts what a recovery can
-// help, not the fleet.
-func (s *Sharded) AppendOwedHealth(buf []ChainHealth) []ChainHealth {
-	out := buf
-	for _, o := range s.shards {
-		o.mu.Lock()
-		for _, dep := range o.owed {
-			out = append(out, healthOf(dep))
-		}
-		o.mu.Unlock()
-	}
-	return sortAppended(buf, out)
+	slices.SortFunc(out[len(buf):], func(a, b ChainHealth) int { return int(a.ID - b.ID) })
+	return out
 }
 
 // Tombstone is what a shard remembers of a deleted chain: enough to

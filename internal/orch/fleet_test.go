@@ -84,8 +84,8 @@ func owedSize(t *testing.T, s *Sharded) int {
 // can change a chain's record — provision / modify / scale / move / node,
 // link and batch failure / recovery / re-protect / re-home / delete, with
 // outages that last across steps — and checks after every step that the
-// in-place reads (ShardStats, AppendChainHealth, and the owed index behind
-// AppendOwedHealth) agree with a recount over Deployments(), that the
+// in-place reads (ShardStats, AppendChainHealth over the fleet and over
+// the owed index) agree with a recount over Deployments(), that the
 // repair counter never goes down — not when a repaired chain is deleted
 // either — and that the deleted counter is the number of deletes.
 func TestFleetStatsEqualRecount(t *testing.T) {
@@ -139,10 +139,10 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 						step, op, sum.Repairs, rc.repairs, repairedDeleted)
 				}
 				lastRepairs = sum.Repairs
-				if got := s.AppendChainHealth(nil); !slices.Equal(got, rc.health) {
+				if got := s.AppendChainHealth(nil, false); !slices.Equal(got, rc.health) {
 					t.Fatalf("step %d (%s): health %+v, recount %+v", step, op, got, rc.health)
 				}
-				if got := s.AppendOwedHealth(nil); !slices.Equal(got, rc.owed) {
+				if got := s.AppendChainHealth(nil, true); !slices.Equal(got, rc.owed) {
 					t.Fatalf("step %d (%s): owed %+v, recount %+v", step, op, got, rc.owed)
 				}
 				if got := owedSize(t, s); got != len(rc.owed) {

@@ -26,7 +26,7 @@ func TestReProtectGroupExactlyOnceAndSorted(t *testing.T) {
 	}
 	// Kill every standby-only link in one deferred batch: each hit
 	// chain drops protection and waits for background re-protection.
-	s.UpdateHooks(func(h *Hooks) { h.Events = &recordingSink{} })
+	s.UpdateHooks(func(h *Hooks) { h.Events = []EventSink{&recordingSink{}} })
 	onPrimary := make(map[topology.LinkID]bool)
 	for _, dep := range deps {
 		for _, l := range pathLinkIDs(t, o, dep.Path) {
@@ -409,7 +409,7 @@ func TestStormRoundReplansAreMemoHits(t *testing.T) {
 	s, topo := stormFleet(t)
 	domain := FailureDomain{Batch: 1}
 	searches := func() (n int) {
-		for i := range s.Shards() {
+		for i := range len(s.shards) {
 			n += s.shards[i].ctrl.PathComputations()
 		}
 		return n

@@ -2,6 +2,7 @@ package orch
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,7 +21,7 @@ type hookSide struct {
 
 func (x *hookSide) hooks() Hooks {
 	return Hooks{
-		Events: &x.sink,
+		Events: []EventSink{&x.sink},
 		Stage:  func(string, time.Duration) { x.stages.Add(1) },
 		Rehome: func(int, int) { x.rehomes.Add(1) },
 	}
@@ -179,5 +180,174 @@ func TestHooksSwapUnderTraffic(t *testing.T) {
 	}
 	if total != wantEvents {
 		t.Fatalf("sinks received %d events, %d were emitted", total, wantEvents)
+	}
+}
+
+// eventLog is shared by several logSinks: its entries show the order
+// deliveries happened in across them.
+type eventLog struct {
+	mu      sync.Mutex
+	entries []string
+}
+
+func (l *eventLog) get() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.entries)
+}
+
+// logSink logs "name:node" for each event it receives.
+type logSink struct {
+	name string
+	log  *eventLog
+}
+
+func (s logSink) OrchEvent(ev Event) {
+	s.log.mu.Lock()
+	s.log.entries = append(s.log.entries, fmt.Sprintf("%s:%d", s.name, ev.Node))
+	s.log.mu.Unlock()
+}
+
+// attach appends sinks to the Hooks' event list; detach removes one.
+// Neither writes into the list an earlier value holds.
+func attach(s *Sharded, sinks ...EventSink) {
+	s.UpdateHooks(func(h *Hooks) { h.Events = append(slices.Clip(h.Events), sinks...) })
+}
+
+func detach(s *Sharded, sink EventSink) {
+	s.UpdateHooks(func(h *Hooks) {
+		h.Events = slices.DeleteFunc(slices.Clone(h.Events), func(x EventSink) bool { return x == sink })
+	})
+}
+
+// TestHookSinksDeliverInOrder: every sink on Hooks.Events receives each
+// event, in list order, a detached sink receives no more, and an empty
+// list delivers nothing.
+func TestHookSinksDeliverInOrder(t *testing.T) {
+	s, _ := newOrch(t)
+	log := &eventLog{}
+	a, b := logSink{"a", log}, logSink{"b", log}
+	attach(s, a, b)
+	s.core.emit(Event{Kind: EventNodeRecovered, Node: 1})
+	s.core.emit(Event{Kind: EventNodeRecovered, Node: 2})
+	detach(s, a)
+	s.core.emit(Event{Kind: EventNodeRecovered, Node: 3})
+	detach(s, b)
+	s.core.emit(Event{Kind: EventDeploymentDeleted, Node: 4}) // no sinks
+	if got, want := log.get(), []string{"a:1", "b:1", "a:2", "b:2", "b:3"}; !slices.Equal(got, want) {
+		t.Fatalf("deliveries %v, want %v", got, want)
+	}
+}
+
+// editSink makes one Hooks edit from inside its first delivery.
+type editSink struct {
+	s    *Sharded
+	once sync.Once
+	edit func(h *Hooks)
+}
+
+func (e *editSink) OrchEvent(Event) { e.once.Do(func() { e.s.UpdateHooks(e.edit) }) }
+
+// TestHookSinksChangeMidDelivery: a sink added or removed while an event
+// is being delivered takes effect from the next event. The delivery
+// under way finishes on the list it loaded: the removed sink had it
+// already, the sink after the edit still gets it, the added one does
+// not.
+func TestHookSinksChangeMidDelivery(t *testing.T) {
+	s, _ := newOrch(t)
+	log := &eventLog{}
+	a, b, c := logSink{"a", log}, logSink{"b", log}, logSink{"c", log}
+	editor := &editSink{s: s, edit: func(h *Hooks) {
+		h.Events = append(slices.DeleteFunc(slices.Clone(h.Events), func(x EventSink) bool { return x == a }), c)
+	}}
+	attach(s, a, editor, b)
+	s.core.emit(Event{Kind: EventNodeRecovered, Node: 1})
+	s.core.emit(Event{Kind: EventNodeRecovered, Node: 2})
+	if got, want := log.get(), []string{"a:1", "b:1", "b:2", "c:2"}; !slices.Equal(got, want) {
+		t.Fatalf("deliveries %v, want %v", got, want)
+	}
+}
+
+// TestHookSinksSeeLifecycleEvents: two independent sinks on Hooks.Events
+// (a metrics exporter and an optimizer stand-in) both see the
+// orchestrator's live lifecycle events, the same ones.
+func TestHookSinksSeeLifecycleEvents(t *testing.T) {
+	s, _ := newOrch(t)
+	metrics, opt := &recordingSink{}, &recordingSink{}
+	attach(s, metrics, opt)
+
+	dep, err := s.Provision(bg, webSpec(t, "sink-chain"))
+	if err != nil {
+		t.Fatalf("Provision: %v", err)
+	}
+	mid := dep.Path[len(dep.Path)/2]
+	if _, err := failNode(s, mid); err != nil {
+		t.Fatalf("HandleFailures: %v", err)
+	}
+	if err := s.Recover(topology.NewFailures([]topology.NodeID{mid}, nil)); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if len(metrics.kinds()) == 0 || !slices.Equal(metrics.kinds(), opt.kinds()) {
+		t.Fatalf("sinks diverged: metrics=%v opt=%v", metrics.kinds(), opt.kinds())
+	}
+	recovered := false
+	for _, ev := range metrics.events {
+		if ev.Kind == EventNodeRecovered && ev.Node == mid {
+			recovered = true
+		}
+	}
+	if !recovered {
+		t.Fatalf("metrics sink missed node-recovered for %d: %+v", mid, metrics.events)
+	}
+}
+
+// TestHookSinksDeliverWhileSinksChange: deliveries walk the list they
+// loaded while other goroutines attach and detach sinks, so a sink
+// attached throughout sees every event, and one attached and detached
+// over and over sees no more than were sent. Run with -race.
+func TestHookSinksDeliverWhileSinksChange(t *testing.T) {
+	s, _ := newOrch(t)
+	steady := &recordingSink{}
+	attach(s, steady)
+	const senders, events = 4, 500
+	var churned []*recordingSink
+	var wg, churn sync.WaitGroup
+	stop := make(chan struct{})
+	for range 2 {
+		rec := &recordingSink{}
+		churned = append(churned, rec)
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					attach(s, rec)
+					detach(s, rec)
+				}
+			}
+		}()
+	}
+	for range senders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range events {
+				s.core.emit(Event{Kind: EventRepairCompleted})
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	churn.Wait()
+	if got := len(steady.kinds()); got != senders*events {
+		t.Fatalf("steady sink saw %d events, want %d", got, senders*events)
+	}
+	for i, rec := range churned {
+		if got := len(rec.kinds()); got > senders*events {
+			t.Fatalf("churned sink %d saw %d events, more than the %d sent", i, got, senders*events)
+		}
 	}
 }

@@ -173,7 +173,7 @@ func (x *indexScript) exposure(dep *Deployment) (topology.NodeID, topology.LinkI
 // drain is what a background optimizer's drain does for the chains a
 // shard says it owes: re-protect the unprotected, re-home the drifted.
 func (x *indexScript) drain() {
-	for _, h := range x.s.AppendOwedHealth(nil) {
+	for _, h := range x.s.AppendChainHealth(nil, true) {
 		if !h.Disjoint {
 			reProtect(x.s, h.ID)
 		}

@@ -80,7 +80,7 @@ func TestReProtectAlreadyProtectedIsNoOp(t *testing.T) {
 func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 	s, o, ids := triOrch(t, Config{DeferReprotect: true})
 	sink := &recordingSink{}
-	s.UpdateHooks(func(h *Hooks) { h.Events = sink })
+	s.UpdateHooks(func(h *Hooks) { h.Events = []EventSink{sink} })
 	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
@@ -126,7 +126,7 @@ func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 // repaired but unprotected until a re-protect runs.
 func TestAsyncRepathDefersStandby(t *testing.T) {
 	s, o, ids := triOrch(t, Config{DeferReprotect: true})
-	s.UpdateHooks(func(h *Hooks) { h.Events = &recordingSink{} })
+	s.UpdateHooks(func(h *Hooks) { h.Events = []EventSink{&recordingSink{}} })
 	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
@@ -329,7 +329,7 @@ func TestSRLGClassification(t *testing.T) {
 func TestEventEmission(t *testing.T) {
 	s, _, ids := triOrch(t, Config{})
 	sink := &recordingSink{}
-	s.UpdateHooks(func(h *Hooks) { h.Events = sink })
+	s.UpdateHooks(func(h *Hooks) { h.Events = []EventSink{sink} })
 	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)

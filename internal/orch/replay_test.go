@@ -26,7 +26,7 @@ func replaySeed(t *testing.T, seed int64) (string, [][]int) {
 	s.core.pool = runner // the set's own pool never started a worker
 	var out strings.Builder
 	audit := func(step string) {
-		for i := 0; i < s.Shards(); i++ {
+		for i := 0; i < len(s.shards); i++ {
 			if bad := auditIndexes(s.shards[i]); len(bad) > 0 {
 				t.Fatalf("seed %d, %s: shard %d: %d differences, first: %s", seed, step, i, len(bad), bad[0])
 			}
@@ -84,7 +84,7 @@ func replaySeed(t *testing.T, seed int64) (string, [][]int) {
 		}
 		out.WriteByte('\n')
 	}
-	for i := 0; i < s.Shards(); i++ {
+	for i := 0; i < len(s.shards); i++ {
 		ctrl := s.shards[i].ctrl
 		fmt.Fprintf(&out, "shard %d rules %d\n", i, ctrl.RuleCount())
 		for _, dep := range s.Deployments() {

@@ -176,9 +176,6 @@ func New(cfg Config, n int, mode ShardMode) (*Sharded, error) {
 	return s, nil
 }
 
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
 // Close ends the set's fan-out workers once each has finished what it
 // holds; a later fan-out starts them again.
 func (s *Sharded) Close() { s.core.pool.Close() }

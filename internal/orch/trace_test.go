@@ -105,7 +105,6 @@ func TestDebouncedStormBatchSpanLinksParents(t *testing.T) {
 	}
 
 	d := NewFailureDebouncer(s, time.Hour)
-	d.SetTracer(tr)
 	ctxA := carrier(context.Background(), tr.Start(trace.SpanContext{TraceID: "report-a"}))
 	ctxB := carrier(context.Background(), tr.Start(trace.SpanContext{TraceID: "report-b"}))
 	d.Report(ctxA, topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][0]}))
@@ -165,7 +164,6 @@ func TestReportWithoutSpanStaysUnparented(t *testing.T) {
 		t.Fatalf("Provision: %v", err)
 	}
 	d := NewFailureDebouncer(s, time.Hour)
-	d.SetTracer(tr)
 	d.Report(bg, topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][0]}))
 	if _, err := d.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)

@@ -28,7 +28,7 @@ func stormArch(t *testing.T, chains int) *alvc.Architecture {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	for i := 0; i < arch.Sharded().Shards(); i++ {
+	for i := 0; i < len(arch.Sharded().ShardStats()); i++ {
 		sdn.RecordMemoQuestions(shardController(arch, i))
 	}
 	specs := make([]alvc.Spec, chains)
@@ -90,7 +90,7 @@ func shardController(arch *alvc.Architecture, i int) *sdn.Controller {
 func audit(t *testing.T, arch *alvc.Architecture, when string) int {
 	t.Helper()
 	total := 0
-	for i := 0; i < arch.Sharded().Shards(); i++ {
+	for i := 0; i < len(arch.Sharded().ShardStats()); i++ {
 		checked, bad := sdn.AuditMemo(shardController(arch, i))
 		for _, b := range bad {
 			t.Errorf("%s, shard %d: %s", when, i, b)
@@ -120,14 +120,14 @@ func TestMemoAuditAfterStormDrains(t *testing.T) {
 		if _, err := arch.FlushFailures(); err != nil {
 			t.Fatalf("round %d: flush: %v", round, err)
 		}
-		arch.Optimize()
+		arch.Optimizer().Drain()
 		checked += audit(t, arch, fmt.Sprintf("round %d, tray cut", round))
 		for _, l := range links {
 			if err := arch.Recover(topology.NewFailures(nil, []topology.LinkID{l})); err != nil {
 				t.Fatalf("Recover: %v", err)
 			}
 		}
-		arch.Optimize()
+		arch.Optimizer().Drain()
 		checked += audit(t, arch, fmt.Sprintf("round %d, recovered", round))
 	}
 	if checked == 0 {

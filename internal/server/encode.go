@@ -201,8 +201,9 @@ type statusView interface {
 }
 
 // writeOptimizerRun answers a drain: OptimizerRunResponse's encoding of
-// the tasks it ran and the engine's state after.
-func writeOptimizerRun(w http.ResponseWriter, results []alvc.OptimizerTaskResult, eng statusView) {
+// the tasks it ran and the engine's state after, with the failure
+// debouncer's counters (nil without a debouncer).
+func writeOptimizerRun(w http.ResponseWriter, results []alvc.OptimizerTaskResult, eng statusView, debounce *alvc.DebounceStats) {
 	if results == nil {
 		results = []alvc.OptimizerTaskResult{} // a drain that ran nothing lists nothing
 	}
@@ -217,25 +218,27 @@ func writeOptimizerRun(w http.ResponseWriter, results []alvc.OptimizerTaskResult
 		b = results[i].AppendJSON(b)
 	}
 	eng.ViewStatus(func(st *alvc.OptimizerStatus, last [][]byte) {
-		b = appendOptimizerStatus(append(b, `],"status":`...), st, last)
+		b = appendOptimizerStatus(append(b, `],"status":`...), st, debounce, last)
 	})
 	sc.body = append(b, "}\n"...)
 	writeBody(w, http.StatusOK, sc.body)
 }
 
-// writeOptimizerStatus answers GET /v1/optimizer/status.
-func writeOptimizerStatus(w http.ResponseWriter, eng statusView) {
+// writeOptimizerStatus answers GET /v1/optimizer/status: the engine's
+// state and the failure debouncer's counters (nil without a debouncer).
+func writeOptimizerStatus(w http.ResponseWriter, eng statusView, debounce *alvc.DebounceStats) {
 	sc := getScratch()
 	defer putScratch(sc)
 	eng.ViewStatus(func(st *alvc.OptimizerStatus, last [][]byte) {
-		sc.body = append(appendOptimizerStatus(sc.body, st, last), '\n')
+		sc.body = append(appendOptimizerStatus(sc.body, st, debounce, last), '\n')
 	})
 	writeBody(w, http.StatusOK, sc.body)
 }
 
-// appendOptimizerStatus appends optimizer.Status's encoding, its
-// last_results from results (see optimizer.Engine.ViewStatus).
-func appendOptimizerStatus(b []byte, st *alvc.OptimizerStatus, results [][]byte) []byte {
+// appendOptimizerStatus appends OptimizerStatusJSON's encoding: st's
+// fields, then debounce's unless it is nil, then last_results from
+// results (see optimizer.Engine.ViewStatus).
+func appendOptimizerStatus(b []byte, st *alvc.OptimizerStatus, debounce *alvc.DebounceStats, results [][]byte) []byte {
 	b = strconv.AppendBool(append(b, `{"paused":`...), st.Paused)
 	b = strconv.AppendInt(append(b, `,"queue_depth":`...), int64(st.QueueDepth), 10)
 	b = strconv.AppendInt(append(b, `,"queue_high_water":`...), int64(st.HighWater), 10)
@@ -273,7 +276,7 @@ func appendOptimizerStatus(b []byte, st *alvc.OptimizerStatus, results [][]byte)
 	b = strconv.AppendInt(append(b, `,"planned":`...), int64(st.GroupPlans.Planned), 10)
 	b = strconv.AppendInt(append(b, `,"fallbacks":`...), int64(st.GroupPlans.Fallbacks), 10)
 	b = append(b, '}')
-	if d := st.Debounce; d != nil {
+	if d := debounce; d != nil {
 		b = strconv.AppendUint(append(b, `,"debounce":{"events":`...), d.Events, 10)
 		b = strconv.AppendUint(append(b, `,"batches":`...), d.Batches, 10)
 		b = strconv.AppendUint(append(b, `,"coalesced":`...), d.Coalesced, 10)

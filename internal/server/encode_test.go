@@ -313,8 +313,9 @@ func TestTraceSummariesEqualEncodingJSON(t *testing.T) {
 // craftDrain builds a drain no engine would report: shape picks, two bits
 // a field, the results' count and outcomes — busy skips, failures with
 // and without a message, cancellations, unknown outcomes — and which of the
-// status's optional parts are nil, empty or filled.
-func craftDrain(detail, errMsg string, shape uint32, at time.Time) ([]alvc.OptimizerTaskResult, alvc.OptimizerStatus) {
+// status's optional parts, the debouncer's counters among them, are nil,
+// empty or filled.
+func craftDrain(detail, errMsg string, shape uint32, at time.Time) ([]alvc.OptimizerTaskResult, alvc.OptimizerStatus, *alvc.DebounceStats) {
 	pick := func() uint32 { // the next two bits of shape
 		v := shape & 3
 		shape >>= 2
@@ -352,8 +353,9 @@ func craftDrain(detail, errMsg string, shape uint32, at time.Time) ([]alvc.Optim
 			"defrag": {}, detail: {Failed: 7},
 		}
 	}
+	var debounce *alvc.DebounceStats
 	if pick() != 0 {
-		st.Debounce = &alvc.DebounceStats{Events: 32, Batches: 1, Coalesced: 1<<64 - 1}
+		debounce = &alvc.DebounceStats{Events: 32, Batches: 1, Coalesced: 1<<64 - 1}
 	}
 	switch pick() {
 	case 1:
@@ -361,26 +363,33 @@ func craftDrain(detail, errMsg string, shape uint32, at time.Time) ([]alvc.Optim
 	case 2, 3:
 		st.LastResults = results
 	}
-	return results, st
+	return results, st, debounce
 }
 
-// checkDrain holds both optimizer bodies to encoding/json for one drain.
-func checkDrain(t *testing.T, what string, results []alvc.OptimizerTaskResult, st alvc.OptimizerStatus) {
+// statusWire is the status body's wire form: the engine's state and the
+// debouncer's counters (nil without a debouncer).
+func statusWire(st alvc.OptimizerStatus, debounce *alvc.DebounceStats) OptimizerStatusJSON {
+	return OptimizerStatusJSON{OptimizerStatus: st, Debounce: debounce, LastResults: st.LastResults}
+}
+
+// checkDrain holds both optimizer bodies to encoding/json for one drain
+// and the debouncer's counters beside it.
+func checkDrain(t *testing.T, what string, results []alvc.OptimizerTaskResult, st alvc.OptimizerStatus, debounce *alvc.DebounceStats) {
 	t.Helper()
 	oracleResults := results
 	if oracleResults == nil {
 		oracleResults = []alvc.OptimizerTaskResult{} // what the handler always sent
 	}
-	want, ok := oracleBody(OptimizerRunResponse{Drained: len(results), Results: oracleResults, Status: st})
+	want, ok := oracleBody(OptimizerRunResponse{Drained: len(results), Results: oracleResults, Status: statusWire(st, debounce)})
 	if !ok {
 		t.Skip("encoding/json refuses this drain")
 	}
 	rec := httptest.NewRecorder()
-	writeOptimizerRun(rec, results, (*craftedStatus)(&st))
+	writeOptimizerRun(rec, results, (*craftedStatus)(&st), debounce)
 	checkBody(t, what+": optimizer:run", rec, http.StatusOK, want)
 	rec = httptest.NewRecorder()
-	writeOptimizerStatus(rec, (*craftedStatus)(&st))
-	checkBody(t, what+": optimizer/status", rec, http.StatusOK, mustOracleBody(t, st))
+	writeOptimizerStatus(rec, (*craftedStatus)(&st), debounce)
+	checkBody(t, what+": optimizer/status", rec, http.StatusOK, mustOracleBody(t, statusWire(st, debounce)))
 }
 
 // craftedStatus serves a crafted engine state as the engine's own
@@ -403,12 +412,12 @@ func (c *craftedStatus) ViewStatus(fn func(st *alvc.OptimizerStatus, results [][
 
 // checkEngineView holds the status body a paused engine's own view
 // encodes, the result log's encodings included, to encoding/json's of
-// its Status.
-func checkEngineView(t *testing.T, what string, eng *alvc.Optimizer) {
+// its Status and the debouncer's counters.
+func checkEngineView(t *testing.T, what string, eng *alvc.Optimizer, debounce *alvc.DebounceStats) {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	writeOptimizerStatus(rec, eng)
-	checkBody(t, what+": engine view", rec, http.StatusOK, mustOracleBody(t, eng.Status()))
+	writeOptimizerStatus(rec, eng, debounce)
+	checkBody(t, what+": engine view", rec, http.StatusOK, mustOracleBody(t, statusWire(eng.Status(), debounce)))
 }
 
 // TestOptimizerBodiesEqualEncodingJSON: an engine's empty drain and its
@@ -421,8 +430,9 @@ func TestOptimizerBodiesEqualEncodingJSON(t *testing.T) {
 	eng := arch.Optimizer()
 	eng.Pause()
 	results := eng.Drain()
-	checkDrain(t, "empty drain", results, eng.Status())
-	checkEngineView(t, "empty drain", eng)
+	ds := arch.Debouncer().Stats()
+	checkDrain(t, "empty drain", results, eng.Status(), &ds)
+	checkEngineView(t, "empty drain", eng, &ds)
 	var hosts []alvc.NodeID
 	for i := 0; i < 3; i++ {
 		spec, err := alvc.LinearChain(fmt.Sprintf("storm-%d", i), "t-storm", "web", 1, 1<<20, "firewall", "nat")
@@ -443,14 +453,15 @@ func TestOptimizerBodiesEqualEncodingJSON(t *testing.T) {
 	if st := eng.Status(); st.GroupPlans.Coalesced == 0 || len(results) < 3 {
 		t.Fatalf("drain %+v, group plans %+v: want the three chains in one group", results, st.GroupPlans)
 	}
-	checkDrain(t, "group drain", results, eng.Status())
-	checkEngineView(t, "group drain", eng)
+	ds = arch.Debouncer().Stats()
+	checkDrain(t, "group drain", results, eng.Status(), &ds)
+	checkEngineView(t, "group drain", eng, &ds)
 
 	rng := rand.New(rand.NewSource(28))
 	for i, s := range hardStrings {
 		for k, at := range hardTimes {
-			results, st := craftDrain(s, hardStrings[(i+k)%len(hardStrings)], rng.Uint32(), at)
-			checkDrain(t, fmt.Sprintf("crafted %d/%d", i, k), results, st)
+			results, st, debounce := craftDrain(s, hardStrings[(i+k)%len(hardStrings)], rng.Uint32(), at)
+			checkDrain(t, fmt.Sprintf("crafted %d/%d", i, k), results, st, debounce)
 		}
 	}
 }
@@ -463,7 +474,7 @@ func FuzzAppendOptimizerRun(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, detail, errMsg string, shape uint32, nanos int64, zoneMinutes int16) {
 		at := time.Unix(0, nanos).In(time.FixedZone("", int(zoneMinutes)%(24*60)*60))
-		results, st := craftDrain(detail, errMsg, shape, at)
-		checkDrain(t, "fuzzed", results, st)
+		results, st, debounce := craftDrain(detail, errMsg, shape, at)
+		checkDrain(t, "fuzzed", results, st, debounce)
 	})
 }

@@ -193,7 +193,7 @@ func TestStormAndDebounceObservabilityOverHTTP(t *testing.T) {
 	}
 
 	_, body := do(t, "GET", ts.URL+"/v1/optimizer/status", nil)
-	st := mustUnmarshal[alvc.OptimizerStatus](t, body)
+	st := mustUnmarshal[OptimizerStatusJSON](t, body)
 	if st.Debounce == nil || st.Debounce.Events != 3 || st.Debounce.Batches != 1 || st.Debounce.Coalesced != 2 {
 		t.Fatalf("debounce over HTTP = %+v, want Events=3 Batches=1 Coalesced=2", st.Debounce)
 	}
@@ -219,5 +219,44 @@ func TestStormAndDebounceObservabilityOverHTTP(t *testing.T) {
 	}
 	if reprotects != 3 || run.Status.QueueDepth != 0 {
 		t.Fatalf("drain ran %d re-protects, left %d queued; want one per chain and none: %s", reprotects, run.Status.QueueDepth, body)
+	}
+}
+
+// TestOptimizerStatusBytesWithAndWithoutDebouncer: GET
+// /v1/optimizer/status carries the failure debouncer's counters, read
+// from the debouncer itself, between group_plans and last_results — an
+// empty report uncounted, two reports in one window one batch with one
+// coalesced — and no debounce object without a debouncer. Byte for byte.
+func TestOptimizerStatusBytesWithAndWithoutDebouncer(t *testing.T) {
+	const engine = `{"paused":false,"queue_depth":0,"queue_high_water":0,"running":0,"kinds":{` +
+		`"lambda-defrag":{"enqueued":0,"deduped":0,"completed":0,"requeued":0,"skipped":0,"cancelled":0,"failed":0},` +
+		`"re-home":{"enqueued":0,"deduped":0,"completed":0,"requeued":0,"skipped":0,"cancelled":0,"failed":0},` +
+		`"re-protect":{"enqueued":0,"deduped":0,"completed":0,"requeued":0,"skipped":0,"cancelled":0,"failed":0},` +
+		`"refresh":{"enqueued":0,"deduped":0,"completed":0,"requeued":0,"skipped":0,"cancelled":0,"failed":0}},` +
+		`"queue_shed":0,"group_plans":{"groups":0,"coalesced":0,"planned":0,"fallbacks":0}`
+	for _, tc := range []struct {
+		name string
+		opts []alvc.Option
+		want string
+	}{
+		{"no debouncer", nil, engine + `,"last_results":null}` + "\n"},
+		{"debouncer", []alvc.Option{alvc.WithFailureDebounce(time.Hour)},
+			engine + `,"debounce":{"events":2,"batches":1,"coalesced":1},"last_results":null}` + "\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, arch := newTestServerWith(t, wideConfig(24), append(tc.opts, alvc.WithOptimizer(alvc.OptimizerOptions{}))...)
+			if arch.Debouncer() != nil {
+				arch.ReportFailures(context.Background(), alvc.NewFailures(nil, nil)) // empty: not counted
+				arch.ReportFailures(context.Background(), alvc.NewFailures([]alvc.NodeID{99990}, nil))
+				arch.ReportFailures(context.Background(), alvc.NewFailures([]alvc.NodeID{99991}, nil))
+				if _, err := arch.FlushFailures(); err == nil {
+					t.Fatal("unknown-node batch should error")
+				}
+			}
+			status, body := do(t, "GET", ts.URL+"/v1/optimizer/status", nil)
+			if status != http.StatusOK || string(body) != tc.want {
+				t.Fatalf("status %d body\n%s\nwant\n%s", status, body, tc.want)
+			}
+		})
 	}
 }

@@ -72,9 +72,9 @@ func New(arch *alvc.Architecture, opts ...Option) (*Server, error) {
 	for _, opt := range opts {
 		opt(s)
 	}
-	// The telemetry plane wires its observer hooks and event-mux
-	// subscriptions at construction; the server just mounts its two
-	// handlers.
+	// The telemetry plane attaches its observers and event sinks to the
+	// orchestrator's Hooks at construction; the server just mounts its
+	// two handlers.
 	s.tele = telemetry.NewPlane(arch, s.watchRing)
 
 	mux := http.NewServeMux()
@@ -465,7 +465,7 @@ func (s *Server) handleOptimizerStatus(w http.ResponseWriter, r *http.Request) {
 	if eng == nil {
 		return
 	}
-	writeOptimizerStatus(w, eng)
+	writeOptimizerStatus(w, eng, s.debounceStats())
 }
 
 func (s *Server) handleOptimizerRun(w http.ResponseWriter, r *http.Request) {
@@ -473,7 +473,18 @@ func (s *Server) handleOptimizerRun(w http.ResponseWriter, r *http.Request) {
 	if eng == nil {
 		return
 	}
-	writeOptimizerRun(w, eng.Drain(), eng)
+	writeOptimizerRun(w, eng.Drain(), eng, s.debounceStats())
+}
+
+// debounceStats reads the failure debouncer's counters for the optimizer
+// bodies: nil when the architecture has no debouncer.
+func (s *Server) debounceStats() *alvc.DebounceStats {
+	d := s.arch.Debouncer()
+	if d == nil {
+		return nil
+	}
+	st := d.Stats()
+	return &st
 }
 
 func (s *Server) handleOptimizerPause(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -197,5 +199,50 @@ func TestDebouncedFailuresReturn202(t *testing.T) {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("missing %q in exposition", want)
 		}
+	}
+}
+
+// TestWatchStreamEndsWithTheBaseContext: an open /v1/watch stream on a
+// server whose base context is cancelled ends — its body reaches EOF —
+// and Shutdown then returns without waiting on it, as alvc-server's
+// signal path does (cancel the base context, then Shutdown). No clock:
+// Shutdown gets a context that never expires.
+func TestWatchStreamEndsWithTheBaseContext(t *testing.T) {
+	arch, err := alvc.New(wideConfig(4))
+	if err != nil {
+		t.Fatalf("alvc.New: %v", err)
+	}
+	srv, err := New(arch)
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	base, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.BaseContext = func(net.Listener) context.Context { return base }
+	ts.Start()
+	defer ts.Close()
+
+	resp, err := ts.Client().Get(ts.URL + "/v1/watch")
+	if err != nil {
+		t.Fatalf("GET /v1/watch: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/watch = %d", resp.StatusCode)
+	}
+	hub := srv.Telemetry().WatchHandler().(*telemetry.Hub)
+	if n := hub.Subscribers(); n != 1 {
+		t.Fatalf("watch subscribers = %d, want the open stream", n)
+	}
+	cancel()
+	if body, err := io.ReadAll(resp.Body); err != nil || len(body) != 0 {
+		t.Fatalf("stream after cancel: %q, %v; want EOF with no event", body, err)
+	}
+	if n := hub.Subscribers(); n != 0 {
+		t.Fatalf("watch subscribers = %d after the stream ended, want 0", n)
+	}
+	if err := ts.Config.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 }

@@ -193,7 +193,18 @@ type ImpactResponse struct {
 type OptimizerRunResponse struct {
 	Drained int                        `json:"drained"`
 	Results []alvc.OptimizerTaskResult `json:"results"`
-	Status  alvc.OptimizerStatus       `json:"status"`
+	Status  OptimizerStatusJSON        `json:"status"`
+}
+
+// OptimizerStatusJSON is the body of GET /v1/optimizer/status: the
+// engine's Status with the failure debouncer's counters, when one is
+// attached, between group_plans and last_results. The outer LastResults
+// hides the embedded one, so encoding/json writes the fields in that
+// order.
+type OptimizerStatusJSON struct {
+	alvc.OptimizerStatus
+	Debounce    *alvc.DebounceStats        `json:"debounce,omitempty"`
+	LastResults []alvc.OptimizerTaskResult `json:"last_results"`
 }
 
 // ErrorResponse is the body of every non-2xx response.

@@ -298,7 +298,7 @@ func TestShardStatIsServed(t *testing.T) {
 func TestCardinalityBudget(t *testing.T) {
 	const shards = 16
 	arch, p := fleetPlane(t, shards)
-	arch.Optimize()
+	arch.Optimizer().Drain()
 	samples, types := parseExposition(t, scrape(t, p))
 
 	bound := map[string]int{

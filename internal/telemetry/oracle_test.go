@@ -264,11 +264,11 @@ func TestPlaneExpositionEqualsOracle(t *testing.T) {
 	if reports, err := arch.FlushFailures(); err != nil || len(reports) == 0 {
 		t.Fatalf("flush: %d reports, %v", len(reports), err)
 	}
-	arch.Optimize()
+	arch.Optimizer().Drain()
 	if err := arch.Recover(alvc.NewFailures([]alvc.NodeID{victim}, nil)); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	arch.Optimize()
+	arch.Optimizer().Drain()
 	if _, err := arch.Delete(context.Background(), deps[0].ID); err != nil {
 		t.Fatalf("delete: %v", err)
 	}

@@ -7,12 +7,13 @@ package telemetry
 // scrape-time reads of state the architecture already tracks; the push
 // side is limited to what only exists as it happens (per-stage
 // latencies, event counts, re-home churn, flush/drain latencies),
-// delivered through record-only observer hooks and an event-mux
-// subscription.
+// delivered through the orchestrator's record-only hooks and event
+// sinks (orch.Hooks).
 
 import (
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"time"
 
@@ -57,17 +58,13 @@ type Plane struct {
 	rehomeChurn  *CounterVec // by rack, direction
 
 	scrape scrapeState
-
-	cancelEvents func()
-	cancelHub    func()
 }
 
 // NewPlane builds the telemetry plane over the architecture and wires
-// every hook: the stage and re-home observers on all shards, the
-// debouncer's flush observer and the optimizer's drain observer when
-// attached, and two event-mux subscriptions (the counter sink and the
-// watch hub, whose Last-Event-ID replay ring holds watchRing events; 256
-// when watchRing ≤ 0).
+// every hook in one orch.Hooks edit: the stage, re-home, flush and drain
+// observers, and two event sinks after those already attached (the
+// counter sink and the watch hub, whose Last-Event-ID replay ring holds
+// watchRing events; 256 when watchRing ≤ 0).
 func NewPlane(arch *alvc.Architecture, watchRing int) *Plane {
 	p := &Plane{arch: arch, reg: NewRegistry(), hub: NewHub(watchRing)}
 	p.reg.BeforeScrape(p.refresh)
@@ -89,19 +86,14 @@ func NewPlane(arch *alvc.Architecture, watchRing int) *Plane {
 			p.rehomeChurn.WithLabelValues(strconv.Itoa(fromRack), "from").Inc()
 			p.rehomeChurn.WithLabelValues(strconv.Itoa(toRack), "to").Inc()
 		}
-	})
-	if d := arch.Debouncer(); d != nil {
-		d.SetFlushObserver(func(d time.Duration, reports int) {
+		h.Flush = func(d time.Duration, reports int) {
 			p.flushSeconds.WithLabelValues().Observe(d.Seconds())
-		})
-	}
-	if opt := arch.Optimizer(); opt != nil {
-		opt.SetDrainObserver(func(d time.Duration, tasks int) {
+		}
+		h.Drain = func(d time.Duration, tasks int) {
 			p.drainSeconds.WithLabelValues().Observe(d.Seconds())
-		})
-	}
-	p.cancelEvents = arch.SubscribeEvents(eventCounterSink{p})
-	p.cancelHub = arch.SubscribeEvents(p.hub)
+		}
+		h.Events = append(slices.Clip(h.Events), eventCounterSink{p}, p.hub)
+	})
 	return p
 }
 
@@ -114,9 +106,8 @@ func (p *Plane) MetricsHandler() http.Handler { return p.reg.Handler() }
 // WatchHandler returns the GET /v1/watch SSE handler.
 func (p *Plane) WatchHandler() http.Handler { return p.hub }
 
-// eventCounterSink feeds the push counters from the event mux. A named
-// type (rather than subscribing the Plane itself) keeps the Plane from
-// double-subscribing with the hub.
+// eventCounterSink feeds the push counters from the orchestrator's
+// events; the plane attaches it beside the hub, its other sink.
 type eventCounterSink struct{ p *Plane }
 
 func (s eventCounterSink) OrchEvent(ev orch.Event) {
@@ -145,7 +136,9 @@ type scrapeState struct {
 func (p *Plane) refresh() {
 	s, arch := &p.scrape, p.arch
 	s.shards = arch.Sharded().ShardStats()
-	s.optimizer, _ = arch.OptimizerStatus()
+	if opt := arch.Optimizer(); opt != nil {
+		s.optimizer = opt.Status()
+	}
 	if d := arch.Debouncer(); d != nil {
 		s.debounce = d.Stats()
 	}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -171,20 +172,17 @@ func pushedSeries(t *testing.T, p *Plane) (out []string) {
 	return out
 }
 
-// Close detaches everything NewPlane attached — the event-mux
-// subscriptions and the four observers — so a closed plane's registry
-// is written no more. A plane opened after this one must be closed
-// after it, or it loses its observers to this call.
+// Close detaches everything NewPlane attached — its two event sinks and
+// the four observers — in one UpdateHooks edit, so a closed plane's
+// registry is written no more. A plane opened after this one must be
+// closed after it, or it loses its observers to this call.
 func (p *Plane) Close() {
-	p.cancelEvents()
-	p.cancelHub()
-	p.arch.Sharded().UpdateHooks(func(h *orch.Hooks) { h.Stage, h.Rehome = nil, nil })
-	if d := p.arch.Debouncer(); d != nil {
-		d.SetFlushObserver(nil)
-	}
-	if opt := p.arch.Optimizer(); opt != nil {
-		opt.SetDrainObserver(nil)
-	}
+	p.arch.Sharded().UpdateHooks(func(h *orch.Hooks) {
+		h.Stage, h.Rehome, h.Flush, h.Drain = nil, nil, nil, nil
+		h.Events = slices.DeleteFunc(slices.Clone(h.Events), func(s orch.EventSink) bool {
+			return s == eventCounterSink{p} || s == p.hub
+		})
+	})
 }
 
 // TestClosedPlaneStopsObserving: Close detaches every hook NewPlane
@@ -206,7 +204,7 @@ func TestClosedPlaneStopsObserving(t *testing.T) {
 	if reports, err := arch.FlushFailures(); err != nil || len(reports) == 0 {
 		t.Fatalf("flush: reports=%d err=%v", len(reports), err)
 	}
-	arch.Optimize()
+	arch.Optimizer().Drain()
 	if after := pushedSeries(t, p); strings.Join(after, "\n") != strings.Join(before, "\n") {
 		t.Fatalf("closed plane kept observing:\nbefore %v\nafter  %v", before, after)
 	}

@@ -70,13 +70,13 @@ func TestStormRoundAllocations(t *testing.T) {
 		if err != nil || len(reports) < len(tray) {
 			t.Fatalf("flush: %d reports for %d victims, %v", len(reports), len(tray), err)
 		}
-		arch.Optimize()
+		arch.Optimizer().Drain()
 		for _, l := range links {
 			if err := arch.Recover(alvc.NewFailures(nil, []alvc.LinkID{l})); err != nil {
 				t.Fatalf("Recover: %v", err)
 			}
 		}
-		arch.Optimize()
+		arch.Optimizer().Drain()
 		for _, id := range tray {
 			if dep := arch.Deployment(id); dep == nil || dep.Standby == nil {
 				t.Fatalf("chain %d left the round unprotected", id)
