@@ -17,7 +17,9 @@ import (
 // healthyFleet provisions n chains over the benchmark's fabric shape
 // (every machine dual-homed, every ToR wired to every OPS) with λ0 taken
 // on every other boundary link, so chains hold wavelengths 0 and 1. Every
-// chain is born with a disjoint standby; re-protection is deferred.
+// chain is born with a standby, disjoint where the fabric allows (three
+// chains' fabric allows none on seeds 9, 12, 13 and 19); re-protection is
+// deferred.
 func healthyFleet(t testing.TB, shards, n int, seed int64) (*orch.Sharded, *topology.Topology, []*orch.Deployment) {
 	t.Helper()
 	cfg := topology.DefaultGenConfig()
@@ -136,13 +138,15 @@ func mixedFleet(t *testing.T, shards, n int, seed int64) *orch.Sharded {
 }
 
 // queuedKeys drains the engine's queue without running anything and
-// returns the task keys in dispatch order (kind, FIFO); the claimed
-// groups are dropped.
+// returns the task keys in dispatch order (round by round, each in kind
+// then FIFO order); the claimed groups are dropped.
 func queuedKeys(e *Engine) []taskKey {
 	var keys []taskKey
-	for _, g := range e.popBatch() {
-		keys = append(keys, g.key)
-		g.free()
+	for batch := e.popBatch(); len(batch) > 0; batch = e.popBatch() {
+		for _, g := range batch {
+			keys = append(keys, g.key)
+			g.free()
+		}
 	}
 	return keys
 }

@@ -94,6 +94,105 @@ func TestLaneStateIsBounded(t *testing.T) {
 	}
 }
 
+// TestChainRunsInOneTaskARound: a chain queued for a re-protect, a
+// refresh and a re-home runs in one of them per drain round, the rest
+// keeping their turn, and a task that shares no chain with the round's
+// earlier ones runs in it whatever its kind.
+func TestChainRunsInOneTaskARound(t *testing.T) {
+	s, _, deps := healthyFleet(t, 1, 3, 1)
+	eng, err := New(s, Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	a, b, c := deps[0].ID, deps[1].ID, deps[2].ID
+	domain := orch.FailureDomain{SRLGs: []int{7}}
+	for _, id := range []orch.DeploymentID{a, b} {
+		eng.OrchEvent(orch.Event{Kind: orch.EventRepairCompleted, Deployment: id, Action: orch.ActionSwapped, Domain: domain})
+	}
+	eng.Enqueue(a, KindRefresh)
+	eng.Enqueue(a, KindRehome)
+	eng.Enqueue(b, KindDefrag)
+	eng.Enqueue(c, KindRehome)
+	reProtect := taskKey{kind: KindReProtect, domain: domain.String()}
+	for i, want := range [][]taskKey{
+		{reProtect, {dep: c, kind: KindRehome}},
+		{{dep: a, kind: KindRefresh}, {dep: b, kind: KindDefrag}},
+		{{dep: a, kind: KindRehome}},
+		nil,
+	} {
+		var got []taskKey
+		runs := map[orch.DeploymentID]int{}
+		for _, g := range eng.popBatch() {
+			got = append(got, g.key)
+			for _, id := range g.members {
+				runs[id]++
+			}
+			g.free()
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d claimed %v, want %v", i, got, want)
+		}
+		for id, n := range runs {
+			if n != 1 {
+				t.Fatalf("round %d runs chain %d in %d tasks", i, id, n)
+			}
+		}
+	}
+}
+
+// TestSliceFailureAndRecoveryDrainWithoutBusy: a slice OPS dies under a
+// chain (patched, so it owes a re-protect in the failure's group and a
+// re-home), comes back (the chain, still unprotected, owes a refresh), and
+// a two-worker drain runs it all: the chain's tasks take a round each,
+// none finds it busy, and the re-protect's and the refreshes' are the only
+// groups opened — two, when the victim is the only chain owed a refresh.
+// Twenty seeded fleets, run under -race too, where the two workers
+// interleave most.
+func TestSliceFailureAndRecoveryDrainWithoutBusy(t *testing.T) {
+	alone := 0 // fleets where the victim's are the only two groups
+	for seed := int64(1); seed <= 20; seed++ {
+		s, _, deps := healthyFleet(t, 1, 3, seed)
+		eng, err := New(s, Options{Workers: 2})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		s.UpdateHooks(func(h *orch.Hooks) { h.Events = []orch.EventSink{eng} })
+		dep := deps[seed%3]
+		victim := topology.NewFailures([]topology.NodeID{dep.Slice.OPSs[0]}, nil)
+		reports, err := s.HandleFailures(bg, victim)
+		patched := slices.ContainsFunc(reports, func(r orch.RepairReport) bool { return r.ID == dep.ID && r.Action == orch.ActionPatched })
+		if err != nil || !patched {
+			t.Fatalf("seed %d: failure of a slice OPS: reports %+v, %v; want the chain patched", seed, reports, err)
+		}
+		if err := s.Recover(victim); err != nil {
+			t.Fatalf("seed %d: Recover: %v", seed, err)
+		}
+		results := eng.Drain()
+		eng.Stop()
+		st, requeued, refreshes := eng.Status(), 0, 0
+		for _, ks := range st.Kinds {
+			requeued += ks.Requeued
+		}
+		for _, res := range results {
+			if res.Kind == KindRefresh.String() {
+				refreshes++
+			}
+		}
+		// Every refresh is a group of one: the victim's, and one per other
+		// chain the recovery found owed.
+		if requeued != 0 || st.GroupPlans.Groups != 1+refreshes {
+			t.Fatalf("seed %d: the drain requeued %d and opened %d groups, want 0 and %d: %+v",
+				seed, requeued, st.GroupPlans.Groups, 1+refreshes, results)
+		}
+		if refreshes == 1 {
+			alone++
+		}
+	}
+	if alone < 10 {
+		t.Fatalf("the victim was the only chain owed a refresh on %d of 20 fleets, want >= 10", alone)
+	}
+}
+
 // heldTarget counts the members it forwards to the orchestrator — the
 // exactly-once witness — and answers ErrBusy for the held chain, without
 // forwarding it, while holds last.

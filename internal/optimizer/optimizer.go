@@ -286,6 +286,7 @@ type Engine struct {
 	lanes   [numKinds][]taskKey
 	groups  map[taskKey]*group
 	member  map[memberKey]membership
+	round   map[orch.DeploymentID]bool // popBatch's scratch: the round's chains
 	paused  bool
 	running int
 	stats   [numKinds]KindStats
@@ -328,6 +329,7 @@ func New(o Target, opts Options) (*Engine, error) {
 		opts:   opts.withDefaults(),
 		groups: make(map[taskKey]*group),
 		member: make(map[memberKey]membership),
+		round:  make(map[orch.DeploymentID]bool),
 		pool:   orch.NewPool(),
 		clock:  orch.WallClock,
 	}
@@ -521,8 +523,12 @@ func (e *Engine) Resume() {
 	e.cond.Broadcast()
 }
 
-// popBatch claims every queued task, highest priority first (kind
-// order dominates; within a kind, FIFO), and empties the lanes.
+// popBatch claims one drain round's tasks, highest priority first (kind
+// order dominates; within a kind, FIFO): every queued task none of whose
+// members an earlier task of the round holds. So a chain runs in at most
+// one task a round — two on two workers would race for its exclusive
+// claim, and the loser would come back as busy — and a task left out
+// keeps its place in its lane for the next round.
 func (e *Engine) popBatch() []*group {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -530,13 +536,24 @@ func (e *Engine) popBatch() []*group {
 		return nil
 	}
 	out := make([]*group, 0, len(e.groups))
+	inRound := func(id orch.DeploymentID) bool { return e.round[id] }
 	for kind, lane := range e.lanes {
+		left := lane[:0]
 		for _, key := range lane {
-			out = append(out, e.claim(key))
+			if slices.ContainsFunc(e.groups[key].members, inRound) {
+				left = append(left, key)
+				continue
+			}
+			g := e.claim(key)
+			for _, id := range g.members {
+				e.round[id] = true
+			}
+			out = append(out, g)
 		}
-		clear(lane)
-		e.lanes[kind] = lane[:0]
+		clear(lane[len(left):])
+		e.lanes[kind] = left
 	}
+	clear(e.round)
 	return out
 }
 

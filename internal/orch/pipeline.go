@@ -542,11 +542,12 @@ func (p *pipeline) commitWDM() {
 }
 
 func (p *pipeline) runRules() error {
-	// Make-before-break: a repair re-run installs the new generation of
-	// rules before the previous generation disappears. A fresh build has
+	// Make-before-break: a repair re-run writes the new generation of
+	// rules before the previous generation disappears, over the previous
+	// one's block when the path's length is unchanged. A fresh build has
 	// no previous generation, which costs Reroute one map miss.
 	m := sdn.Match{FlowKey: p.flowKey, Src: p.src, Dst: p.dst}
-	if _, err := p.o.ctrl.Reroute(m, p.path, 100); err != nil {
+	if err := p.o.ctrl.Reroute(m, p.path, 100); err != nil {
 		return fmt.Errorf("install: %w", err)
 	}
 	p.pushUndo(undoRules, 0)

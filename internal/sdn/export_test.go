@@ -29,18 +29,13 @@ func (c *Controller) ComputePath(src, dst topology.NodeID, restrictOPS map[topol
 	return path, nil
 }
 
-// InstallPath installs one rule per hop of the path: each switch
-// forwards matching packets to the next hop; boundary crossings get
-// explicit conversion actions; the final node delivers. It returns the
-// installed rule IDs in path order. Rules already installed under the
-// flow key stay, as an older generation beside the new one.
-func (c *Controller) InstallPath(m Match, path []topology.NodeID, priority int) ([]RuleID, error) {
-	if err := c.validatePath(m, path); err != nil {
-		return nil, err
+// ruleIDs returns the IDs of the flow's rules in path order.
+func ruleIDs(c *Controller, flowKey string) []RuleID {
+	var ids []RuleID
+	for _, r := range c.RulesForFlow(flowKey) {
+		ids = append(ids, r.ID)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.installPathLocked(m, path, priority, c.flows[m.FlowKey]), nil
+	return ids
 }
 
 // RulesAt returns copies of the rules installed on the given switch,

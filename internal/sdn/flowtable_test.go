@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -28,8 +29,7 @@ func newScanTables(topo *topology.Topology) *scanTables {
 	return &scanTables{topo: topo, tables: make(map[topology.NodeID][]*FlowRule)}
 }
 
-func (c *scanTables) installPath(m Match, path []topology.NodeID, priority int) []RuleID {
-	var ids []RuleID
+func (c *scanTables) installPath(m Match, path []topology.NodeID, priority int) {
 	for i, node := range path {
 		var actions []Action
 		if i+1 < len(path) {
@@ -49,13 +49,13 @@ func (c *scanTables) installPath(m Match, path []topology.NodeID, priority int) 
 		rule := &FlowRule{ID: c.nextRule, Switch: node, Priority: priority, Match: m, Actions: actions}
 		c.tables[node] = append(c.tables[node], rule)
 		c.rulesInstalled++
-		ids = append(ids, rule.ID)
 	}
 	c.pathsProvisioned++
-	return ids
 }
 
-func (c *scanTables) reroute(m Match, path []topology.NodeID, priority int) []RuleID {
+// reroute installs the new generation, then removes every older rule of
+// the flow: the make-before-break order, with no block to reuse.
+func (c *scanTables) reroute(m Match, path []topology.NodeID, priority int) {
 	old := make(map[RuleID]bool)
 	for _, rules := range c.tables {
 		for _, r := range rules {
@@ -64,11 +64,10 @@ func (c *scanTables) reroute(m Match, path []topology.NodeID, priority int) []Ru
 			}
 		}
 	}
-	ids := c.installPath(m, path, priority)
+	c.installPath(m, path, priority)
 	if len(old) > 0 {
 		c.remove(func(r *FlowRule) bool { return old[r.ID] })
 	}
-	return ids
 }
 
 func (c *scanTables) removeFlow(flowKey string) int {
@@ -160,7 +159,7 @@ func (c *scanTables) ruleCount() int {
 }
 
 // fabric is a generated topology with its nodes by kind: the tests only
-// need nodes that exist (InstallPath does not ask for adjacency) and sit
+// need nodes that exist (Reroute does not ask for adjacency) and sit
 // in both domains.
 type fabric struct {
 	topo                 *topology.Topology
@@ -205,7 +204,9 @@ func (f fabric) path(i int) []topology.NodeID {
 // checkIndexes asserts the controller's two indexes and its counter
 // agree: every table entry sits at the slot it remembers, on the switch
 // it names, and is the rule its flow's entry holds; nothing is in one
-// index and not the other; no table or flow entry is left empty.
+// index and not the other; no table or flow entry is left empty; and a
+// flow's rules, in path order, hold their actions end to end in the
+// front of the action array its first rule's capacity spans.
 func checkIndexes(t *testing.T, c *Controller) {
 	t.Helper()
 	c.mu.Lock()
@@ -228,8 +229,13 @@ func checkIndexes(t *testing.T, c *Controller) {
 			t.Fatalf("flow %q keeps an empty entry", key)
 		}
 		inFlows += len(rules)
+		array, next := rules[0].Actions[:cap(rules[0].Actions)], 0
 		for i := range rules {
 			r := &rules[i]
+			if len(r.Actions) == 0 || next+len(r.Actions) > len(array) || &r.Actions[0] != &array[next] {
+				t.Fatalf("flow %q rule %d: its actions are not the block's actions %d..", key, r.ID, next)
+			}
+			next += len(r.Actions)
 			if r.Match.FlowKey != key {
 				t.Fatalf("flow %q holds rule %d of flow %q", key, r.ID, r.Match.FlowKey)
 			}
@@ -247,8 +253,13 @@ func checkIndexes(t *testing.T, c *Controller) {
 }
 
 // TestFlowIndexMatchesScanningOracle drives the indexed controller and
-// the scanning one through the same seeded random history and compares
-// everything observable after every step.
+// the scanning one through the same seeded random history of reroutes,
+// removals and hit records, and compares everything observable after
+// every step. Half the reroutes of a live flow keep its path's length
+// and move one to three of its hops — the ones the controller rewrites
+// in place — so the history covers kept and moved switches and domain
+// crossings that appear and disappear, beside new blocks for fresh
+// installs and paths of another length.
 func TestFlowIndexMatchesScanningOracle(t *testing.T) {
 	f := newFabric(t)
 	c, oracle := f.controller(t), newScanTables(f.topo)
@@ -267,6 +278,13 @@ func TestFlowIndexMatchesScanningOracle(t *testing.T) {
 			p[i] = switches[rng.Intn(len(switches))]
 		}
 		return p
+	}
+	crossings := func(path []topology.NodeID) int {
+		oe, eo, err := c.CountConversionsOnPath(path)
+		if err != nil {
+			t.Fatalf("CountConversionsOnPath: %v", err)
+		}
+		return oe + eo
 	}
 	compare := func(step int, op string) {
 		t.Helper()
@@ -295,42 +313,59 @@ func TestFlowIndexMatchesScanningOracle(t *testing.T) {
 	seen := map[string]int{}
 	for step := 0; step < 3000; step++ {
 		key := keys[rng.Intn(len(keys))]
-		live := len(oracle.rulesForFlow(key)) > 0
+		var cur []topology.NodeID // the flow's path, in rule-ID order
+		for _, r := range oracle.rulesForFlow(key) {
+			cur = append(cur, r.Switch)
+		}
 		m := Match{FlowKey: key, Src: switches[0], Dst: switches[1]}
 		var op string
 		switch k := rng.Intn(10); {
-		case k < 3:
-			op = "install"
-			if live {
-				op = "install-under-live-key"
+		case k < 6:
+			op = "reroute-unknown-flow"
+			path := randomPath()
+			if cur != nil && rng.Intn(2) == 0 {
+				path = slices.Clone(cur)
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					path[rng.Intn(len(path))] = switches[rng.Intn(len(switches))]
+				}
 			}
-			path, prio := randomPath(), rng.Intn(200)
-			got, err := c.InstallPath(m, path, prio)
-			if err != nil {
-				t.Fatalf("step %d: InstallPath: %v", step, err)
-			}
-			if want := oracle.installPath(m, path, prio); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: InstallPath IDs %v, oracle %v", step, got, want)
+			block := c.flows[key]
+			if cur != nil {
+				op = "reroute-other-length"
+				if len(path) == len(cur) {
+					op = "reroute-same-length"
+					for i := range path {
+						if path[i] == cur[i] {
+							seen["keeps-switch"]++
+						} else {
+							seen["moves-switch"]++
+						}
+					}
+					switch before, after := crossings(cur), crossings(path); {
+					case after > before:
+						seen["crossing-appears"]++
+					case after < before:
+						seen["crossing-disappears"]++
+					}
+				}
 			}
 			if hasRepeat(path) {
 				seen["path-revisits-switch"]++
 			}
-		case k < 6:
-			op = "reroute"
-			if !live {
-				op = "reroute-unknown-flow"
-			}
-			path, prio := randomPath(), rng.Intn(200)
-			got, err := c.Reroute(m, path, prio)
-			if err != nil {
+			prio := rng.Intn(200)
+			if err := c.Reroute(m, path, prio); err != nil {
 				t.Fatalf("step %d: Reroute: %v", step, err)
 			}
-			if want := oracle.reroute(m, path, prio); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: Reroute IDs %v, oracle %v", step, got, want)
+			oracle.reroute(m, path, prio)
+			fits := len(path) == len(cur) && cap(block[0].Actions) >= len(path)+crossings(path)
+			if inPlace := fits && &c.flows[key][0] == &block[0]; inPlace != fits {
+				t.Fatalf("step %d: a reroute from %v to %v rewrote the block in place: %v, want %v", step, cur, path, inPlace, fits)
+			} else if inPlace {
+				seen["reroute-in-place"]++
 			}
 		case k < 8:
 			op = "remove"
-			if !live {
+			if cur == nil {
 				op = "remove-unknown-flow"
 			}
 			if got, want := c.RemoveFlow(key), oracle.removeFlow(key); got != want {
@@ -346,8 +381,9 @@ func TestFlowIndexMatchesScanningOracle(t *testing.T) {
 		seen[op]++
 		compare(step, op)
 	}
-	for _, op := range []string{"install", "install-under-live-key", "path-revisits-switch", "reroute",
-		"reroute-unknown-flow", "remove", "remove-unknown-flow", "hits"} {
+	for _, op := range []string{"reroute-unknown-flow", "reroute-other-length", "reroute-same-length", "reroute-in-place",
+		"keeps-switch", "moves-switch", "crossing-appears", "crossing-disappears", "path-revisits-switch",
+		"remove", "remove-unknown-flow", "hits"} {
 		if seen[op] < 10 {
 			t.Errorf("the history exercised %q %d times, want >= 10", op, seen[op])
 		}
@@ -387,9 +423,9 @@ func TestFlowIndexConcurrent(t *testing.T) {
 				var err error
 				switch rng.Intn(4) {
 				case 0:
-					_, err = c.InstallPath(m, f.path(n), 100)
+					err = c.Reroute(m, f.path(n), 100)
 				case 1:
-					_, err = c.Reroute(m, f.path(n + i)[:1+rng.Intn(8)], 100)
+					err = c.Reroute(m, f.path(n + i)[:1+rng.Intn(8)], 100)
 				case 2:
 					c.RemoveFlow(m.FlowKey)
 				default:
@@ -437,8 +473,8 @@ func TestFlowIndexConcurrent(t *testing.T) {
 func installFlows(tb testing.TB, c *Controller, f fabric, n int) {
 	tb.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := c.InstallPath(Match{FlowKey: fmt.Sprintf("bg/%d", i)}, f.path(i), 100); err != nil {
-			tb.Fatalf("InstallPath: %v", err)
+		if err := c.Reroute(Match{FlowKey: fmt.Sprintf("bg/%d", i)}, f.path(i), 100); err != nil {
+			tb.Fatalf("Reroute: %v", err)
 		}
 	}
 }
@@ -452,8 +488,8 @@ func churnAllocs(t *testing.T, others int) float64 {
 	installFlows(t, c, f, others)
 	m, path := Match{FlowKey: "t/churn"}, f.path(0) // bg/0's switches
 	return testing.AllocsPerRun(200, func() {
-		if _, err := c.InstallPath(m, path, 100); err != nil {
-			t.Fatalf("InstallPath: %v", err)
+		if err := c.Reroute(m, path, 100); err != nil {
+			t.Fatalf("Reroute: %v", err)
 		}
 		if c.RemoveFlow(m.FlowKey) != len(path) {
 			t.Fatal("RemoveFlow removed the wrong number of rules")
@@ -461,19 +497,49 @@ func churnAllocs(t *testing.T, others int) float64 {
 	})
 }
 
-// TestFlowChurnAllocations pins the block allocation: a path's rules,
-// their actions and the returned IDs are three allocations however long
-// the path (per-rule allocation made an 8-hop install 30), the flow
-// index adds at most its map's amortised growth, and none of it depends
-// on how many other flows are installed.
+// TestFlowChurnAllocations pins the block allocation: a fresh install's
+// rules and their actions are two allocations however long the path
+// (per-rule allocation made an 8-hop install 30), the flow index adds at
+// most its map's amortised growth, and none of it depends on how many
+// other flows are installed.
 func TestFlowChurnAllocations(t *testing.T) {
 	few, many := churnAllocs(t, 10), churnAllocs(t, 2000)
-	if few > 6 {
-		t.Errorf("install+remove of an 8-hop flow allocates %.0f times, want <= 6", few)
+	if few > 5 {
+		t.Errorf("install+remove of an 8-hop flow allocates %.0f times, want <= 5", few)
 	}
 	if few != many {
 		t.Errorf("install+remove allocates %.0f times beside 10 flows, %.0f beside 2000", few, many)
 	}
+}
+
+// TestRerouteInPlaceAllocatesNothing reroutes one flow among 2 000, all
+// on the same core switches, back and forth between two 8-hop paths with
+// a switch in common and two domain crossings each, as a swap to a
+// standby of the primary's length does: the flow's block is rewritten in
+// place, so the reroute allocates nothing.
+func TestRerouteInPlaceAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	f := newFabric(t)
+	c := f.controller(t)
+	installFlows(t, c, f, 2000)
+	m := Match{FlowKey: "t/reroute"}
+	paths := [2][]topology.NodeID{f.path(0), f.path(1)}
+	if err := c.Reroute(m, paths[1], 100); err != nil {
+		t.Fatalf("Reroute: %v", err)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := c.Reroute(m, paths[next%2], 100); err != nil {
+			t.Fatalf("Reroute: %v", err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("a same-length reroute allocates %.1f times, want 0", allocs)
+	}
+	checkIndexes(t, c)
 }
 
 func TestRemoveFlowDoesNotAllocate(t *testing.T) {
@@ -565,8 +631,6 @@ func TestRemoveFlowTouchesOnlyItsOwnRules(t *testing.T) {
 	checkIndexes(t, c)
 }
 
-var churnSink []RuleID
-
 // BenchmarkFlowChurn installs, reroutes and removes one flow among N
 // installed ones whose rules sit on the same core switches: ns/op must
 // not grow with N.
@@ -581,11 +645,10 @@ func BenchmarkFlowChurn(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var err error
-				if churnSink, err = c.InstallPath(m, path, 100); err != nil {
+				if err := c.Reroute(m, path, 100); err != nil {
 					b.Fatal(err)
 				}
-				if churnSink, err = c.Reroute(m, detour, 100); err != nil {
+				if err := c.Reroute(m, detour, 100); err != nil {
 					b.Fatal(err)
 				}
 				c.RemoveFlow(m.FlowKey)

@@ -1,11 +1,17 @@
 package sdn
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/alvc/alvc/internal/topology"
 )
 
+// TestRerouteSwapsRuleGenerations reroutes a flow to a shorter path (as
+// after a repair that moved a VNF), which takes a new rule block, and then
+// to a path of the same length over other switches (as a swap to the
+// standby), which rewrites the block in place: either way exactly the new
+// generation remains, and its IDs are strictly newer than the old's.
 func TestRerouteSwapsRuleGenerations(t *testing.T) {
 	topo, ids := chainTopo(t)
 	c, err := NewController(topo)
@@ -14,39 +20,38 @@ func TestRerouteSwapsRuleGenerations(t *testing.T) {
 	}
 	m := Match{FlowKey: "t/chain", Src: ids["vm1"], Dst: ids["vm2"]}
 	oldPath := []topology.NodeID{ids["vm1"], ids["pm1"], ids["tor1"], ids["ops1"], ids["ops2"], ids["tor2"], ids["pm2"], ids["vm2"]}
-	oldIDs, err := c.InstallPath(m, oldPath, 100)
-	if err != nil {
-		t.Fatalf("InstallPath: %v", err)
+	if err := c.Reroute(m, oldPath, 100); err != nil {
+		t.Fatalf("Reroute (install): %v", err)
 	}
-	// Reroute to a shorter path (as after a repair that moved a VNF).
-	newPath := []topology.NodeID{ids["vm1"], ids["pm1"], ids["tor1"], ids["ops1"], ids["ops2"], ids["tor2"], ids["vm2"]}
-	newIDs, err := c.Reroute(m, newPath, 100)
-	if err != nil {
-		t.Fatalf("Reroute: %v", err)
-	}
-	if len(newIDs) != len(newPath) {
-		t.Fatalf("new rules = %d, want %d", len(newIDs), len(newPath))
-	}
-	// Exactly the new generation remains.
-	rules := c.RulesForFlow("t/chain")
-	if len(rules) != len(newPath) {
-		t.Fatalf("rules after reroute = %d, want %d", len(rules), len(newPath))
-	}
-	oldSet := make(map[RuleID]bool, len(oldIDs))
-	for _, id := range oldIDs {
-		oldSet[id] = true
-	}
-	for _, r := range rules {
-		if oldSet[r.ID] {
-			t.Fatalf("old-generation rule %d survived the reroute", r.ID)
+	for _, newPath := range [][]topology.NodeID{
+		{ids["vm1"], ids["pm1"], ids["tor1"], ids["ops1"], ids["ops2"], ids["tor2"], ids["vm2"]},
+		{ids["vm1"], ids["pm1"], ids["tor1"], ids["ops2"], ids["ops1"], ids["tor2"], ids["vm2"]},
+	} {
+		oldIDs := ruleIDs(c, m.FlowKey)
+		if err := c.Reroute(m, newPath, 100); err != nil {
+			t.Fatalf("Reroute: %v", err)
 		}
-	}
-	// New rule IDs are strictly newer than the old generation — the
-	// make-before-break order (install first, then remove).
-	for _, id := range newIDs {
-		for _, old := range oldIDs {
-			if id <= old {
-				t.Fatalf("new rule %d not newer than old rule %d", id, old)
+		newIDs := ruleIDs(c, m.FlowKey)
+		// Exactly the new generation remains.
+		if len(newIDs) != len(newPath) {
+			t.Fatalf("rules after reroute = %d, want %d", len(newIDs), len(newPath))
+		}
+		oldSet := make(map[RuleID]bool, len(oldIDs))
+		for _, id := range oldIDs {
+			oldSet[id] = true
+		}
+		for _, id := range newIDs {
+			if oldSet[id] {
+				t.Fatalf("old-generation rule %d survived the reroute", id)
+			}
+		}
+		// New rule IDs are strictly newer than the old generation — the
+		// make-before-break order (install first, then remove).
+		for _, id := range newIDs {
+			for _, old := range oldIDs {
+				if id <= old {
+					t.Fatalf("new rule %d not newer than old rule %d", id, old)
+				}
 			}
 		}
 	}
@@ -60,7 +65,7 @@ func TestRerouteWithoutPriorRulesIsInstall(t *testing.T) {
 	}
 	m := Match{FlowKey: "t/fresh", Src: ids["vm1"], Dst: ids["vm2"]}
 	path := []topology.NodeID{ids["vm1"], ids["pm1"], ids["tor1"], ids["ops1"], ids["ops2"], ids["tor2"], ids["pm2"], ids["vm2"]}
-	if _, err := c.Reroute(m, path, 100); err != nil {
+	if err := c.Reroute(m, path, 100); err != nil {
 		t.Fatalf("Reroute: %v", err)
 	}
 	if got := len(c.RulesForFlow("t/fresh")); got != len(path) {
@@ -76,18 +81,23 @@ func TestRerouteLeavesOtherFlowsAlone(t *testing.T) {
 	}
 	path := []topology.NodeID{ids["vm1"], ids["pm1"], ids["tor1"], ids["ops1"], ids["ops2"], ids["tor2"], ids["pm2"], ids["vm2"]}
 	other := Match{FlowKey: "t/other", Src: ids["vm1"], Dst: ids["vm2"]}
-	if _, err := c.InstallPath(other, path, 100); err != nil {
-		t.Fatalf("InstallPath other: %v", err)
+	if err := c.Reroute(other, path, 100); err != nil {
+		t.Fatalf("Reroute other: %v", err)
 	}
 	m := Match{FlowKey: "t/chain", Src: ids["vm1"], Dst: ids["vm2"]}
-	if _, err := c.InstallPath(m, path, 100); err != nil {
-		t.Fatalf("InstallPath: %v", err)
-	}
-	if _, err := c.Reroute(m, path[:4], 100); err != nil {
+	if err := c.Reroute(m, path, 100); err != nil {
 		t.Fatalf("Reroute: %v", err)
 	}
-	if got := len(c.RulesForFlow("t/other")); got != len(path) {
-		t.Fatalf("other flow's rules = %d, want %d", got, len(path))
+	want := c.RulesForFlow("t/other")
+	// A shorter path (a new block), then one of its length over other
+	// switches (in place): the other flow's rules stay as they were.
+	for _, p := range [][]topology.NodeID{path[:4], path[4:]} {
+		if err := c.Reroute(m, p, 100); err != nil {
+			t.Fatalf("Reroute: %v", err)
+		}
+		if got := c.RulesForFlow("t/other"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("other flow's rules = %+v, want %+v", got, want)
+		}
 	}
 }
 
@@ -97,13 +107,13 @@ func TestRerouteValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
-	if _, err := c.Reroute(Match{FlowKey: "k"}, nil, 100); err == nil {
+	if err := c.Reroute(Match{FlowKey: "k"}, nil, 100); err == nil {
 		t.Fatal("empty path accepted")
 	}
-	if _, err := c.Reroute(Match{}, []topology.NodeID{ids["vm1"]}, 100); err == nil {
+	if err := c.Reroute(Match{}, []topology.NodeID{ids["vm1"]}, 100); err == nil {
 		t.Fatal("empty flow key accepted")
 	}
-	if _, err := c.Reroute(Match{FlowKey: "k"}, []topology.NodeID{99999}, 100); err == nil {
+	if err := c.Reroute(Match{FlowKey: "k"}, []topology.NodeID{99999}, 100); err == nil {
 		t.Fatal("unknown node accepted")
 	}
 }

@@ -88,9 +88,12 @@ type Controller struct {
 	// The rule plane is indexed twice, and c.mu keeps the two in step:
 	// tables is what a switch holds (in no particular order — a removal
 	// moves the table's last rule into the gap), flows is what a flow
-	// owns, in rule-ID order, and what tables' pointers point into. Every
-	// verb but RulesAt goes through flows and costs O(the flow's rules),
-	// whatever else the controller holds.
+	// owns, its rules in path order, and what tables' pointers point
+	// into. A flow's rules share one action array, each rule's Actions a
+	// window of it; the first rule's window keeps the whole array as its
+	// capacity, which is how a reroute finds it. Every verb but RulesAt
+	// goes through flows and costs O(the flow's rules), whatever else the
+	// controller holds.
 	tables    map[topology.NodeID][]*FlowRule
 	flows     map[string][]FlowRule
 	ruleCount int
@@ -325,20 +328,27 @@ func (c *Controller) validatePath(m Match, path []topology.NodeID) error {
 	return nil
 }
 
-// installPathLocked installs the path's rules as one block — one
-// []FlowRule, one []Action backing array shared by its rules, one
-// []RuleID — and makes the block, behind the rules of keep (the flow's
-// older generations the caller wants to stay installed, moved into the
-// new block), the flow's entry in c.flows.
-func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority int, keep []FlowRule) []RuleID {
-	block := make([]FlowRule, len(keep)+len(path))
-	for i := range keep {
-		block[i] = keep[i]
-		c.tables[keep[i].Switch][keep[i].slot] = &block[i]
+// installPathLocked makes path the flow's one generation of rules: one
+// rule per hop, each with a fresh ID (ascending in path order), its hop's
+// actions and no hits. When the flow's block has the path's length and
+// its action array room for the path's actions, the block is rewritten
+// in place, allocating nothing: a rule moves tables only if its switch
+// changed. Otherwise (a fresh install, another length, more domain
+// crossings) the path does not fit, and a new block — one []FlowRule, one
+// []Action of exactly hops + crossings — replaces the old, which leaves
+// its tables. Either way each hop counts as one rule installed and the
+// old rules as removed. The caller holds c.mu and validated the path.
+func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority int) {
+	oe, eo, _ := c.CountConversionsOnPath(path)
+	block := c.flows[m.FlowKey]
+	old := block
+	var actions []Action
+	fits := len(old) == len(path) && cap(old[0].Actions) >= len(path)+oe+eo
+	if fits {
+		actions = old[0].Actions[:0]
+	} else {
+		block, actions = make([]FlowRule, len(path)), make([]Action, 0, len(path)+oe+eo)
 	}
-	oe, eo, _ := c.CountConversionsOnPath(path) // nodes validated by the caller
-	actions := make([]Action, 0, len(path)+oe+eo)
-	ids := make([]RuleID, len(path))
 	for i, node := range path {
 		first := len(actions)
 		if i+1 < len(path) {
@@ -354,29 +364,41 @@ func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority
 		} else {
 			actions = append(actions, Action{Type: ActionDeliver})
 		}
+		window := actions[first:len(actions):len(actions)]
+		if i == 0 {
+			window = actions // the whole array, as capacity
+		}
+		rule := &block[i]
+		moved := !fits || rule.Switch != node
+		if fits && moved {
+			c.uninstallLocked(block[i : i+1])
+		}
 		c.nextRule++
-		rule := &block[len(keep)+i]
 		*rule = FlowRule{
 			ID:       c.nextRule,
 			Switch:   node,
 			Priority: priority,
 			Match:    m,
-			Actions:  actions[first:len(actions):len(actions)],
-			slot:     len(c.tables[node]),
+			Actions:  window,
+			slot:     rule.slot,
 		}
-		c.tables[node] = append(c.tables[node], rule)
-		ids[i] = rule.ID
+		if moved {
+			rule.slot = len(c.tables[node])
+			c.tables[node] = append(c.tables[node], rule)
+			c.ruleCount++
+		}
 	}
-	c.flows[m.FlowKey] = block
-	c.ruleCount += len(path)
 	c.rulesInstalled += len(path)
 	c.pathsProvisioned++
-	return ids
+	if !fits {
+		c.flows[m.FlowKey] = block
+		c.uninstallLocked(old)
+	}
 }
 
 // uninstallLocked takes the rules out of their switches' tables, each by
 // moving the table's last rule into the freed slot. The caller has
-// already taken them out of c.flows.
+// already taken them out of c.flows, or is about to rewrite them.
 func (c *Controller) uninstallLocked(rules []FlowRule) {
 	for i := range rules {
 		r := &rules[i]
@@ -394,22 +416,18 @@ func (c *Controller) uninstallLocked(rules []FlowRule) {
 	c.ruleCount -= len(rules)
 }
 
-// Reroute replaces the flow's rules with rules along the new path in
-// make-before-break order: the new generation is installed before the
-// old one is removed, and both steps happen under one controller lock,
-// so a concurrent reader never observes the flow without rules. It
-// returns the new rule IDs in path order. With no pre-existing rules it
-// is InstallPath plus one map miss.
-func (c *Controller) Reroute(m Match, path []topology.NodeID, priority int) ([]RuleID, error) {
+// Reroute makes path the flow's rules, make-before-break: the new rules
+// and the old ones' removal land in one controller lock hold, so no
+// reader sees the flow without rules. With no rules under the flow key it
+// is a fresh install; a path of the old one's length allocates nothing.
+func (c *Controller) Reroute(m Match, path []topology.NodeID, priority int) error {
 	if err := c.validatePath(m, path); err != nil {
-		return nil, err
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := c.flows[m.FlowKey]
-	ids := c.installPathLocked(m, path, priority, nil)
-	c.uninstallLocked(old)
-	return ids, nil
+	c.installPathLocked(m, path, priority)
+	return nil
 }
 
 // RemoveFlow deletes every rule matching the flow key and returns the
@@ -432,9 +450,9 @@ func copyRule(r *FlowRule) FlowRule {
 	return cp
 }
 
-// RulesForFlow returns copies of every rule matching the flow key,
-// sorted by rule ID — the order c.flows keeps them in: path order within
-// a generation, older generations first.
+// RulesForFlow returns copies of the flow's rules in path order, which
+// is rule-ID order: a flow holds one generation, its IDs handed out
+// ascending along the path.
 func (c *Controller) RulesForFlow(flowKey string) []FlowRule {
 	c.mu.Lock()
 	defer c.mu.Unlock()

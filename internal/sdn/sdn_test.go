@@ -1,6 +1,7 @@
 package sdn
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/alvc/alvc/internal/topology"
@@ -109,11 +110,10 @@ func TestInstallPathRules(t *testing.T) {
 		t.Fatalf("ComputePath: %v", err)
 	}
 	m := Match{FlowKey: "tenant-a/chain-1", Src: ids["vm1"], Dst: ids["vm2"]}
-	rules, err := c.InstallPath(m, path, 10)
-	if err != nil {
-		t.Fatalf("InstallPath: %v", err)
+	if err := c.Reroute(m, path, 10); err != nil {
+		t.Fatalf("Reroute: %v", err)
 	}
-	if len(rules) != len(path) {
+	if rules := ruleIDs(c, m.FlowKey); len(rules) != len(path) {
 		t.Fatalf("rules = %d, want one per hop %d", len(rules), len(path))
 	}
 	if c.RuleCount() != len(path) {
@@ -158,14 +158,30 @@ func TestInstallPathRules(t *testing.T) {
 func TestInstallPathValidation(t *testing.T) {
 	topo, ids := chainTopo(t)
 	c, _ := NewController(topo)
-	if _, err := c.InstallPath(Match{FlowKey: "k"}, nil, 1); err == nil {
+	if err := c.Reroute(Match{FlowKey: "k"}, nil, 1); err == nil {
 		t.Fatal("empty path accepted")
 	}
-	if _, err := c.InstallPath(Match{}, []topology.NodeID{ids["vm1"]}, 1); err == nil {
+	if err := c.Reroute(Match{}, []topology.NodeID{ids["vm1"]}, 1); err == nil {
 		t.Fatal("empty flow key accepted")
 	}
-	if _, err := c.InstallPath(Match{FlowKey: "k"}, []topology.NodeID{9999}, 1); err == nil {
+	if err := c.Reroute(Match{FlowKey: "k"}, []topology.NodeID{9999}, 1); err == nil {
 		t.Fatal("unknown node accepted")
+	}
+	// A rejected path touches nothing: the flow installed under the key
+	// keeps its rules and the counters stay where they were.
+	path := []topology.NodeID{ids["vm1"], ids["pm1"], ids["tor1"]}
+	if err := c.Reroute(Match{FlowKey: "k"}, path, 1); err != nil {
+		t.Fatalf("Reroute: %v", err)
+	}
+	before := c.RulesForFlow("k")
+	if err := c.Reroute(Match{FlowKey: "k"}, []topology.NodeID{ids["vm1"], 9999, ids["tor1"]}, 1); err == nil {
+		t.Fatal("unknown node accepted under a live key")
+	}
+	if got := c.RulesForFlow("k"); !reflect.DeepEqual(got, before) {
+		t.Fatalf("a rejected reroute changed the flow's rules: %+v, was %+v", got, before)
+	}
+	if paths, rules := c.Stats(); paths != 1 || rules != len(path) {
+		t.Fatalf("Stats = %d, %d after one install and a rejected reroute", paths, rules)
 	}
 }
 
@@ -175,11 +191,11 @@ func TestRemoveFlow(t *testing.T) {
 	path, _ := c.ComputePath(ids["vm1"], ids["vm2"], nil)
 	m1 := Match{FlowKey: "a", Src: ids["vm1"], Dst: ids["vm2"]}
 	m2 := Match{FlowKey: "b", Src: ids["vm1"], Dst: ids["vm2"]}
-	if _, err := c.InstallPath(m1, path, 1); err != nil {
-		t.Fatalf("InstallPath: %v", err)
+	if err := c.Reroute(m1, path, 1); err != nil {
+		t.Fatalf("Reroute: %v", err)
 	}
-	if _, err := c.InstallPath(m2, path, 1); err != nil {
-		t.Fatalf("InstallPath: %v", err)
+	if err := c.Reroute(m2, path, 1); err != nil {
+		t.Fatalf("Reroute: %v", err)
 	}
 	removed := c.RemoveFlow("a")
 	if removed != len(path) {
@@ -245,8 +261,8 @@ func TestRecordHits(t *testing.T) {
 	c, _ := NewController(topo)
 	path, _ := c.ComputePath(ids["vm1"], ids["vm2"], nil)
 	m := Match{FlowKey: "k", Src: ids["vm1"], Dst: ids["vm2"]}
-	if _, err := c.InstallPath(m, path, 1); err != nil {
-		t.Fatalf("InstallPath: %v", err)
+	if err := c.Reroute(m, path, 1); err != nil {
+		t.Fatalf("Reroute: %v", err)
 	}
 	credited := c.RecordHits("k", 5)
 	if credited != len(path) {
@@ -295,8 +311,8 @@ func TestRulesAtReturnsCopies(t *testing.T) {
 	topo, ids := chainTopo(t)
 	c, _ := NewController(topo)
 	path, _ := c.ComputePath(ids["vm1"], ids["vm2"], nil)
-	if _, err := c.InstallPath(Match{FlowKey: "k", Src: ids["vm1"], Dst: ids["vm2"]}, path, 1); err != nil {
-		t.Fatalf("InstallPath: %v", err)
+	if err := c.Reroute(Match{FlowKey: "k", Src: ids["vm1"], Dst: ids["vm2"]}, path, 1); err != nil {
+		t.Fatalf("Reroute: %v", err)
 	}
 	rules := c.RulesAt(ids["vm1"])
 	rules[0].Actions[0].Type = ActionDeliver
