@@ -72,7 +72,7 @@ func BenchmarkE13_Repair(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := o.Apply(dep.ID, orch.ChangeRebuild()); err != nil {
+		if _, err := o.Apply(dep.ID, orch.ChangeRebuild()); err != nil {
 			b.Fatal(err)
 		}
 	}

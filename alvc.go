@@ -484,7 +484,10 @@ func (a *Architecture) Delete(ctx context.Context, id DeploymentID) (*Deployment
 // Apply makes one edit to a deployed chain (§IV-B: modification,
 // upgradation, scaling, a VNF's move, and a rebuild) under the chain's
 // exclusive claim; see orch.Sharded.Apply.
-func (a *Architecture) Apply(id DeploymentID, c Change) error { return a.sh.Apply(id, c) }
+func (a *Architecture) Apply(id DeploymentID, c Change) error {
+	_, err := a.sh.Apply(id, c)
+	return err
+}
 
 // NewFailures builds the failure set of the given nodes and links,
 // ascending and each ID once. A list already strictly ascending is kept,

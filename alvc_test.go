@@ -341,9 +341,10 @@ func TestCloseFlushesPendingFailures(t *testing.T) {
 
 // TestOneFormPerVerb pins the shape of the orchestration surface: no
 // type offers a verb twice (X beside XCtx), a failure twin per node or
-// link, an edit beside Apply, or a second way to observe the control
-// plane beside orch.Hooks. The shard, internal to orch, is held to the
-// same rows by orch's TestShardSurface.
+// link, an edit beside Apply (a re-home and a λ-defrag are Changes too,
+// on the optimizer's Target as well), or a second way to observe the
+// control plane beside orch.Hooks. The shard, internal to orch, is held
+// to the same rows by orch's TestShardSurface.
 func TestOneFormPerVerb(t *testing.T) {
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(&orch.Sharded{}),
@@ -374,12 +375,14 @@ func TestOneFormPerVerb(t *testing.T) {
 			}
 		}
 	}
-	// One edit verb: Apply(id, Change) on every layer, no per-edit twin.
+	// One edit verb: Apply(id, Change) on every layer, no per-edit twin —
+	// the optimizer's re-home and λ-defrag included.
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(&orch.Sharded{}),
 		reflect.TypeOf(&Architecture{}),
+		reflect.TypeOf((*optimizer.Target)(nil)).Elem(),
 	} {
-		for _, name := range []string{"Modify", "Upgrade", "ScaleNF", "MoveNF", "Repair"} {
+		for _, name := range []string{"Modify", "Upgrade", "ScaleNF", "MoveNF", "Repair", "Rehome", "DefragLambda"} {
 			if _, twin := typ.MethodByName(name); twin {
 				t.Errorf("%v.%s: an edit is Apply(id, Change)", typ, name)
 			}

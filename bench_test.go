@@ -166,10 +166,10 @@ func BenchmarkE6_Lifecycle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := o.Apply(dep.ID, orch.ChangeBandwidth(4)); err != nil {
+		if _, err := o.Apply(dep.ID, orch.ChangeBandwidth(4)); err != nil {
 			b.Fatal(err)
 		}
-		if err := o.Apply(dep.ID, orch.ChangeVersion()); err != nil {
+		if _, err := o.Apply(dep.ID, orch.ChangeVersion()); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := o.Delete(ctx, dep.ID); err != nil {

@@ -124,10 +124,10 @@ func E6Lifecycle() (*Result, error) {
 			ids = append(ids, dep.ID)
 		}
 		for _, id := range ids {
-			if err := o.Apply(id, orch.ChangeBandwidth(4)); err != nil {
+			if _, err := o.Apply(id, orch.ChangeBandwidth(4)); err != nil {
 				return nil, fmt.Errorf("E6 round %d: modify: %w", round, err)
 			}
-			if err := o.Apply(id, orch.ChangeVersion()); err != nil {
+			if _, err := o.Apply(id, orch.ChangeVersion()); err != nil {
 				return nil, fmt.Errorf("E6 round %d: upgrade: %w", round, err)
 			}
 			// Scale an electronic-hosted NF: servers have headroom,
@@ -142,7 +142,7 @@ func E6Lifecycle() (*Result, error) {
 				}
 			}
 			if scaleIdx >= 0 {
-				if err := o.Apply(id, orch.ChangeReplicas(scaleIdx, 2)); err != nil {
+				if _, err := o.Apply(id, orch.ChangeReplicas(scaleIdx, 2)); err != nil {
 					return nil, fmt.Errorf("E6 round %d: scale: %w", round, err)
 				}
 			}

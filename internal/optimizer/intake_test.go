@@ -122,7 +122,7 @@ func mixedFleet(t *testing.T, shards, n int, seed int64) *orch.Sharded {
 				t.Fatalf("Recover: %v", err)
 			}
 		case 2:
-			if err := s.Apply(dep.ID, orch.ChangeHost(rng.Intn(2), spare)); err != nil {
+			if _, err := s.Apply(dep.ID, orch.ChangeHost(rng.Intn(2), spare)); err != nil {
 				t.Fatalf("move: %v", err)
 			}
 			_, _ = s.HandleFailures(bg, topology.NewFailures([]topology.NodeID{spare}, nil))
@@ -282,7 +282,7 @@ func TestDriftLifecycle(t *testing.T) {
 	// server, one conversion from home.
 	pms := topo.NodeIDs(topology.KindPhysicalMachine)
 	spare := pms[len(pms)/2] // hosts neither endpoint VM
-	if err := s.Apply(id, orch.ChangeHost(0, spare)); err != nil {
+	if _, err := s.Apply(id, orch.ChangeHost(0, spare)); err != nil {
 		t.Fatalf("move: %v", err)
 	}
 	if get().Drifted {

@@ -146,8 +146,10 @@ func TestChainRunsInOneTaskARound(t *testing.T) {
 // a two-worker drain runs it all: the chain's tasks take a round each,
 // none finds it busy, and the re-protect's and the refreshes' are the only
 // groups opened — two, when the victim is the only chain owed a refresh.
-// Twenty seeded fleets, run under -race too, where the two workers
-// interleave most.
+// The victim's re-protect runs after the recovery and plans a disjoint
+// standby, so its refresh never runs to answer already-protected: it is
+// dropped as a dedup, its group opened and never run. Twenty seeded
+// fleets, run under -race too, where the two workers interleave most.
 func TestSliceFailureAndRecoveryDrainWithoutBusy(t *testing.T) {
 	alone := 0 // fleets where the victim's are the only two groups
 	for seed := int64(1); seed <= 20; seed++ {
@@ -174,17 +176,22 @@ func TestSliceFailureAndRecoveryDrainWithoutBusy(t *testing.T) {
 			requeued += ks.Requeued
 		}
 		for _, res := range results {
-			if res.Kind == KindRefresh.String() {
-				refreshes++
+			if res.Kind != KindRefresh.String() {
+				continue
+			}
+			refreshes++
+			if res.Deployment == dep.ID && res.Outcome == "already-protected" {
+				t.Fatalf("seed %d: the victim's refresh ran after its re-protect protected it: %+v", seed, results)
 			}
 		}
-		// Every refresh is a group of one: the victim's, and one per other
-		// chain the recovery found owed.
-		if requeued != 0 || st.GroupPlans.Groups != 1+refreshes {
-			t.Fatalf("seed %d: the drain requeued %d and opened %d groups, want 0 and %d: %+v",
-				seed, requeued, st.GroupPlans.Groups, 1+refreshes, results)
+		// Every refresh is a group of one: the victim's, dropped, and one
+		// per other chain the recovery found owed, run.
+		dropped := st.Kinds[KindRefresh.String()].Deduped
+		if requeued != 0 || dropped != 1 || st.GroupPlans.Groups != 1+dropped+refreshes {
+			t.Fatalf("seed %d: the drain requeued %d, dropped %d refreshes and opened %d groups, want 0, 1 and %d: %+v",
+				seed, requeued, dropped, st.GroupPlans.Groups, 2+refreshes, results)
 		}
-		if refreshes == 1 {
+		if refreshes == 0 {
 			alone++
 		}
 	}

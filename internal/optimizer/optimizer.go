@@ -54,14 +54,15 @@ import (
 // so it costs the chains it can help and not a pass over the fleet.
 // ReProtectGroup is the one re-protection call: every re-protect and
 // refresh task hands it one failure-domain group, steering each member
-// off the domain's risk groups; a group with no domain is one chain.
-// Hooks are the engine's observers too: its tasks trace through
-// Hooks.Tracer and each Drain reports to Hooks.Drain.
+// off the domain's risk groups; a group with no domain is one chain. A
+// re-home or λ-defrag task is one chain's Apply (orch.ChangeRehome,
+// orch.ChangeDefrag), read back from its orch.Applied. Hooks are the
+// engine's observers too: its tasks trace through Hooks.Tracer and each
+// Drain reports to Hooks.Drain.
 type Target interface {
 	AppendChainHealth(buf []orch.ChainHealth, owed bool) []orch.ChainHealth
 	ReProtectGroup(buf []orch.GroupOutcome, domain orch.FailureDomain, ids []orch.DeploymentID) []orch.GroupOutcome
-	Rehome(id orch.DeploymentID, margin int) (bool, error)
-	DefragLambda(id orch.DeploymentID) (from, to int, retuned bool, err error)
+	Apply(id orch.DeploymentID, c orch.Change) (orch.Applied, error)
 	Hooks() *orch.Hooks
 }
 
@@ -107,7 +108,8 @@ type Options struct {
 	Workers int
 	// RehomeMargin is the hysteresis: a fresh placement must beat the
 	// current one by at least this many O/E/O conversions before a
-	// re-home migrates anything (default 1; values below 1 are clamped).
+	// re-home migrates anything (orch.ChangeRehome raises a value below 1
+	// to 1).
 	RehomeMargin int
 	// ResultLog is how many recent task results Status retains
 	// (default 32).
@@ -129,9 +131,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 4
 	}
-	if o.RehomeMargin < 1 {
-		o.RehomeMargin = 1
-	}
 	if o.ResultLog <= 0 {
 		o.ResultLog = 32
 	}
@@ -145,7 +144,9 @@ func (o Options) withDefaults() Options {
 type KindStats struct {
 	// Enqueued counts accepted enqueues (dedup hits excluded).
 	Enqueued int `json:"enqueued"`
-	// Deduped counts enqueues coalesced into an already-queued task.
+	// Deduped counts enqueues coalesced into an already-queued task, and
+	// refreshes dropped because the chain's re-protect planned a disjoint
+	// standby before they ran.
 	Deduped int `json:"deduped"`
 	// Completed counts tasks that ran to completion (including no-ops).
 	Completed int `json:"completed"`
@@ -489,21 +490,30 @@ func (e *Engine) Cancel(dep orch.DeploymentID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for kind := TaskKind(0); kind < numKinds; kind++ {
-		mk := memberKey{dep: dep, kind: kind}
-		m, ok := e.member[mk]
-		if !ok {
-			continue
+		if e.leaveLocked(dep, kind) {
+			e.stats[kind].Cancelled++
 		}
-		delete(e.member, mk)
-		e.stats[kind].Cancelled++
-		g := e.groups[m.key]
-		if g.members = slices.DeleteFunc(g.members, func(id orch.DeploymentID) bool { return id == dep }); len(g.members) > 0 {
-			continue
-		}
-		delete(e.groups, m.key)
-		g.free()
-		e.lanes[kind] = slices.DeleteFunc(e.lanes[kind], func(k taskKey) bool { return k == m.key })
 	}
+}
+
+// leaveLocked takes dep out of the group it waits in for the kind, and a
+// group it leaves empty out of the queue. It reports whether dep was
+// queued for the kind. The caller holds mu.
+func (e *Engine) leaveLocked(dep orch.DeploymentID, kind TaskKind) bool {
+	mk := memberKey{dep: dep, kind: kind}
+	m, ok := e.member[mk]
+	if !ok {
+		return false
+	}
+	delete(e.member, mk)
+	g := e.groups[m.key]
+	if g.members = slices.DeleteFunc(g.members, func(id orch.DeploymentID) bool { return id == dep }); len(g.members) > 0 {
+		return true
+	}
+	delete(e.groups, m.key)
+	g.free()
+	e.lanes[kind] = slices.DeleteFunc(e.lanes[kind], func(k taskKey) bool { return k == m.key })
+	return true
 }
 
 // Pause stops the background loop from dispatching further tasks;
@@ -672,22 +682,23 @@ func (e *Engine) run(g *group) {
 			}
 			e.settle(g, i, res, out.Err)
 		}
-	case KindRehome:
-		for i, id := range g.members {
-			moved, err := e.o.Rehome(id, e.opts.RehomeMargin)
-			res := TaskResult{Deployment: id, Kind: kind, When: now, Outcome: "no-improvement"}
-			if moved {
-				res.Outcome = "rehomed"
-			}
-			e.settle(g, i, res, err)
+	default: // a re-home or a λ-defrag is one chain's Apply
+		c := orch.ChangeDefrag()
+		if key.kind == KindRehome {
+			c = orch.ChangeRehome(e.opts.RehomeMargin)
 		}
-	case KindDefrag:
 		for i, id := range g.members {
-			from, to, retuned, err := e.o.DefragLambda(id)
-			res := TaskResult{Deployment: id, Kind: kind, When: now, Outcome: "no-op"}
-			if retuned {
-				res.Outcome = "retuned"
-				res.Detail = fmt.Sprintf("lambda %d -> %d", from, to)
+			a, err := e.o.Apply(id, c)
+			res := TaskResult{Deployment: id, Kind: kind, When: now}
+			switch {
+			case a.Moved:
+				res.Outcome = "rehomed"
+			case a.LambdaTo != a.LambdaFrom:
+				res.Outcome, res.Detail = "retuned", fmt.Sprintf("lambda %d -> %d", a.LambdaFrom, a.LambdaTo)
+			case key.kind == KindRehome:
+				res.Outcome = "no-improvement"
+			default:
+				res.Outcome = "no-op"
 			}
 			e.settle(g, i, res, err)
 		}
@@ -699,6 +710,16 @@ func (e *Engine) run(g *group) {
 	e.groupPlan.Fallbacks += fallbacks
 	ks := &e.stats[key.kind]
 	ks.Requeued += len(g.busy)
+	if key.kind == KindReProtect {
+		// A refresh queued behind a re-protect that has just planned a
+		// disjoint standby could only answer already-protected: it leaves
+		// the queue as an enqueue that met its work done.
+		for _, out := range g.outs {
+			if out.Replanned && out.Standby != nil && out.Standby.Disjoint && e.leaveLocked(out.ID, KindRefresh) {
+				e.stats[KindRefresh].Deduped++
+			}
+		}
+	}
 	for i := range g.results {
 		res := &g.results[i]
 		switch res.Outcome {

@@ -143,7 +143,7 @@ func TestConcurrentDeleteVsRepairExclusive(t *testing.T) {
 		}
 		done := make(chan error, 2)
 		go func() { _, err := s.Delete(bg, dep.ID); done <- err }()
-		go func() { done <- s.Apply(dep.ID, ChangeRebuild()) }()
+		go func() { _, err := s.Apply(dep.ID, ChangeRebuild()); done <- err }()
 		<-done
 		<-done
 		switch got := s.Deployment(dep.ID); {

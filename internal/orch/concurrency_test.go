@@ -37,7 +37,7 @@ func TestConcurrentProvisionDelete(t *testing.T) {
 				if err != nil {
 					continue // pool exhaustion under contention is fine
 				}
-				if err := s.Apply(dep.ID, ChangeVersion()); err != nil {
+				if _, err := s.Apply(dep.ID, ChangeVersion()); err != nil {
 					t.Errorf("Upgrade: %v", err)
 				}
 				if _, err := s.Delete(bg, dep.ID); err != nil {
@@ -106,17 +106,17 @@ func TestConcurrentReads(t *testing.T) {
 				return
 			default:
 			}
-			if err := s.Apply(dep.ID, ChangeRebuild()); err != nil && !errors.Is(err, ErrBusy) {
+			if _, err := s.Apply(dep.ID, ChangeRebuild()); err != nil && !errors.Is(err, ErrBusy) {
 				t.Errorf("Repair: %v", err)
 				return
 			}
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		if err := s.Apply(dep.ID, ChangeBandwidth(float64(i+1))); err != nil && !errors.Is(err, ErrBusy) {
+		if _, err := s.Apply(dep.ID, ChangeBandwidth(float64(i+1))); err != nil && !errors.Is(err, ErrBusy) {
 			t.Fatalf("modify: %v", err)
 		}
-		if err := s.Apply(dep.ID, ChangeVersion()); err != nil && !errors.Is(err, ErrBusy) {
+		if _, err := s.Apply(dep.ID, ChangeVersion()); err != nil && !errors.Is(err, ErrBusy) {
 			t.Fatalf("upgrade: %v", err)
 		}
 	}

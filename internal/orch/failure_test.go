@@ -15,7 +15,7 @@ func TestRepairRebuildsChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if err := s.Apply(dep.ID, ChangeRebuild()); err != nil {
+	if _, err := s.Apply(dep.ID, ChangeRebuild()); err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
 	got := s.Deployment(dep.ID)
@@ -167,7 +167,7 @@ func TestRepairNonActive(t *testing.T) {
 	if _, err := s.Delete(bg, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if err := s.Apply(dep.ID, ChangeRebuild()); err == nil {
+	if _, err := s.Apply(dep.ID, ChangeRebuild()); err == nil {
 		t.Fatal("repair of deleted deployment accepted")
 	}
 }

@@ -184,15 +184,15 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 					live = slices.Delete(live, i, i+1)
 				case r < 7:
 					op = "modify"
-					if err := s.Apply(pick().ID, ChangeBandwidth(float64(1+rng.Intn(4)))); err != nil {
+					if _, err := s.Apply(pick().ID, ChangeBandwidth(float64(1+rng.Intn(4)))); err != nil {
 						t.Fatalf("step %d: modify: %v", step, err)
 					}
 				case r < 8:
 					op = "scale" // refused when the host is full
-					_ = s.Apply(pick().ID, ChangeReplicas(rng.Intn(2), 1+rng.Intn(2)))
+					_, _ = s.Apply(pick().ID, ChangeReplicas(rng.Intn(2), 1+rng.Intn(2)))
 				case r < 10:
 					op = "move" // refused when the target is down or unreachable
-					_ = s.Apply(pick().ID, ChangeHost(rng.Intn(2), pms[rng.Intn(len(pms))]))
+					_, _ = s.Apply(pick().ID, ChangeHost(rng.Intn(2), pms[rng.Intn(len(pms))]))
 				case r < 12 && len(downNodes) < 2:
 					op = "node failure"
 					dep := pick()
@@ -236,7 +236,7 @@ func TestFleetStatsEqualRecount(t *testing.T) {
 				case r < 18:
 					op = "re-home"
 					for i := 0; i < 6; i++ {
-						if moved, _ := s.Rehome(pick().ID, 1); moved {
+						if a, _ := s.Apply(pick().ID, ChangeRehome(1)); a.Moved {
 							migrated++
 						}
 					}
@@ -344,7 +344,7 @@ func TestRehomeFloorEqualsFullEvaluation(t *testing.T) {
 			}
 			// Drift some chains: an NF pushed onto a random server.
 			if rng.Intn(2) == 0 {
-				_ = s.Apply(dep.ID, ChangeHost(rng.Intn(len(nfs)), pms[rng.Intn(len(pms))]))
+				_, _ = s.Apply(dep.ID, ChangeHost(rng.Intn(len(nfs)), pms[rng.Intn(len(pms))]))
 			}
 			ids = append(ids, dep.ID)
 		}
@@ -363,7 +363,8 @@ func TestRehomeFloorEqualsFullEvaluation(t *testing.T) {
 				fMoved, fRebuilt, fErr := o.rehomeClaimed(dep, margin)
 				o.topoMu.RUnlock()
 				o.endExclusive(id)
-				moved, rebuilt, err := o.rehome(id, margin)
+				a, err := o.apply(id, ChangeRehome(margin))
+				moved, rebuilt := a.Moved, a.Rebuilt
 				if moved != fMoved || rebuilt != fRebuilt || (err == nil) != (fErr == nil) || moved || rebuilt || err != nil {
 					t.Fatalf("seed %d chain %d score %d margin %d: floor (%v,%v,%v), full evaluation (%v,%v,%v)",
 						seed, id, placement.Score(before.Placement), margin, moved, rebuilt, err, fMoved, fRebuilt, fErr)

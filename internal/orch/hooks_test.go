@@ -67,7 +67,7 @@ func TestHooksSwapUnderTraffic(t *testing.T) {
 	// The last resident drifts onto a server, so the re-home below has
 	// something to undo: a move re-runs path → rules and emits once.
 	drifted := residents[len(residents)-1]
-	if err := s.Apply(drifted.ID, ChangeHost(0, topo.NodeIDs(topology.KindPhysicalMachine)[0])); err != nil {
+	if _, err := s.Apply(drifted.ID, ChangeHost(0, topo.NodeIDs(topology.KindPhysicalMachine)[0])); err != nil {
 		t.Fatalf("move: %v", err)
 	}
 	wantStages += int64(numStages - stagePath)
@@ -139,10 +139,11 @@ func TestHooksSwapUnderTraffic(t *testing.T) {
 	var moved bool
 	go func() {
 		defer traffic.Done()
-		var err error
-		if moved, err = s.Rehome(drifted.ID, 1); err != nil {
-			t.Errorf("Rehome: %v", err)
+		a, err := s.Apply(drifted.ID, ChangeRehome(1))
+		if err != nil {
+			t.Errorf("re-home: %v", err)
 		}
+		moved = a.Moved
 		if moved {
 			stages.Add(int64(numStages - stagePath))
 			events.Add(1)

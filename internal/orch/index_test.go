@@ -178,7 +178,7 @@ func (x *indexScript) drain() {
 			reProtect(x.s, h.ID)
 		}
 		if h.Drifted {
-			_, _ = x.s.Rehome(h.ID, 1)
+			_, _ = x.s.Apply(h.ID, ChangeRehome(1))
 		}
 	}
 }
@@ -208,13 +208,13 @@ func (x *indexScript) step() string {
 		_, _ = x.s.Delete(bg, dep.ID)
 		return "delete"
 	case op == 3:
-		_ = x.s.Apply(dep.ID, ChangeBandwidth(1+x.rng.Float64()))
+		_, _ = x.s.Apply(dep.ID, ChangeBandwidth(1+x.rng.Float64()))
 		return "modify"
 	case op == 4:
-		_ = x.s.Apply(dep.ID, ChangeHost(x.rng.Intn(len(dep.Instances)), x.pms[x.rng.Intn(len(x.pms))]))
+		_, _ = x.s.Apply(dep.ID, ChangeHost(x.rng.Intn(len(dep.Instances)), x.pms[x.rng.Intn(len(x.pms))]))
 		return "move"
 	case op == 5:
-		_ = x.s.Apply(dep.ID, ChangeReplicas(x.rng.Intn(len(dep.Instances)), 1+x.rng.Intn(2)))
+		_, _ = x.s.Apply(dep.ID, ChangeReplicas(x.rng.Intn(len(dep.Instances)), 1+x.rng.Intn(2)))
 		return "scale"
 	case op == 6:
 		node, _ := x.exposure(dep)
@@ -240,7 +240,7 @@ func (x *indexScript) step() string {
 		x.s.ReProtectGroup(nil, FailureDomain{SRLGs: []int{1 + x.rng.Intn(3)}}, ids)
 		return "re-protect group"
 	case op == 12:
-		_, _ = x.s.Rehome(dep.ID, 1)
+		_, _ = x.s.Apply(dep.ID, ChangeRehome(1))
 		return "re-home"
 	case op == 13:
 		// Config fixes the switch at construction; the script, with no

@@ -1,6 +1,7 @@
 package orch
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/alvc/alvc/internal/placement"
@@ -32,7 +33,7 @@ func TestMoveNFIntoOpticalSavesConversions(t *testing.T) {
 		t.Skip("AL has no optoelectronic router on this seed")
 	}
 	// Move the firewall (index 0, light) into the optical domain.
-	if err := s.Apply(dep.ID, ChangeHost(0, oer)); err != nil {
+	if _, err := s.Apply(dep.ID, ChangeHost(0, oer)); err != nil {
 		t.Fatalf("move: %v", err)
 	}
 	after := s.Deployment(dep.ID)
@@ -72,13 +73,53 @@ func TestMoveNFValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if err := s.Apply(dep.ID, ChangeHost(99, 1)); err == nil {
+	if _, err := s.Apply(dep.ID, ChangeHost(99, 1)); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
-	if err := s.Apply(999, ChangeHost(0, 1)); err == nil {
+	if _, err := s.Apply(999, ChangeHost(0, 1)); err == nil {
 		t.Fatal("unknown deployment accepted")
 	}
-	if err := s.Apply(dep.ID, ChangeHost(0, 99999)); err == nil {
+	if _, err := s.Apply(dep.ID, ChangeHost(0, 99999)); err == nil {
 		t.Fatal("unknown destination accepted")
+	}
+}
+
+// TestMoveAllocations holds a ChangeHost move — operate_mix's primary
+// operation below the HTTP layer — to an allocation ceiling, with and
+// without WDM: NF 0 ping-pongs between the first server and one homed to
+// the same ToRs, as the benchmark's move hosts do; -v logs the counts.
+func TestMoveAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts of pooled code are not exact under the race detector")
+	}
+	for _, tc := range []struct {
+		wavelengths int
+		ceiling     float64
+	}{{0, 9.5}, {8, 14.5}} {
+		s, o := newTestOrch(t, Config{Topo: orchTopo(t), Wavelengths: tc.wavelengths})
+		dep, err := s.Provision(bg, webSpec(t, "chain-1"))
+		if err != nil {
+			t.Fatalf("Provision: %v", err)
+		}
+		pms := o.topo.NodeIDs(topology.KindPhysicalMachine)
+		hosts := [2]topology.NodeID{pms[0], pms[len(pms)-1]}
+		for _, pm := range pms[1:] {
+			if fmt.Sprint(o.topo.ToRsOfPM(pm)) == fmt.Sprint(o.topo.ToRsOfPM(pms[0])) {
+				hosts[1] = pm
+				break
+			}
+		}
+		move := func(to topology.NodeID) {
+			if _, err := s.Apply(dep.ID, ChangeHost(0, to)); err != nil {
+				t.Fatalf("move to %d: %v", to, err)
+			}
+		}
+		move(hosts[0])
+		move(hosts[1])
+		allocs := testing.AllocsPerRun(100, func() { move(hosts[0]); move(hosts[1]) }) / 2
+		t.Logf("wavelengths %d: %.1f allocations a move (ceiling %.1f)", tc.wavelengths, allocs, tc.ceiling)
+		if allocs > tc.ceiling {
+			t.Errorf("wavelengths %d: a move allocates %.1f times, above the ceiling %.1f", tc.wavelengths, allocs, tc.ceiling)
+		}
 	}
 }

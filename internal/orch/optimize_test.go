@@ -1,6 +1,9 @@
 package orch
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -155,7 +158,7 @@ func TestAsyncRepathDefersStandby(t *testing.T) {
 }
 
 // TestRehomeMovesBackAndHysteresis: placement drift (an NF forced
-// off its optical host) is undone by Rehome when the conversion win
+// off its optical host) is undone by a re-home when the conversion win
 // meets the margin, and left alone (no oscillation) when within it.
 func TestRehomeMovesBackAndHysteresis(t *testing.T) {
 	s, _, ids := triOrch(t, Config{Policy: placement.OpticalFirst{}})
@@ -169,7 +172,7 @@ func TestRehomeMovesBackAndHysteresis(t *testing.T) {
 	opticalHost := dep.Placement.Hosts[0]
 
 	// Drift: the operator (or a past repair) moved the NF onto a server.
-	if err := s.Apply(dep.ID, ChangeHost(0, ids.pm1)); err != nil {
+	if _, err := s.Apply(dep.ID, ChangeHost(0, ids.pm1)); err != nil {
 		t.Fatalf("move: %v", err)
 	}
 	drifted := s.Deployment(dep.ID)
@@ -178,20 +181,20 @@ func TestRehomeMovesBackAndHysteresis(t *testing.T) {
 	}
 
 	// Within the margin: a 1-conversion win < margin 2 must not move.
-	moved, err := s.Rehome(dep.ID, 2)
+	a, err := s.Apply(dep.ID, ChangeRehome(2))
 	if err != nil {
-		t.Fatalf("Rehome(margin 2): %v", err)
+		t.Fatalf("re-home (margin 2): %v", err)
 	}
-	if moved {
+	if a.Moved {
 		t.Fatal("re-home moved within the hysteresis margin")
 	}
 
 	// Meeting the margin: the NF returns to the optical domain.
-	moved, err = s.Rehome(dep.ID, 1)
+	a, err = s.Apply(dep.ID, ChangeRehome(1))
 	if err != nil {
-		t.Fatalf("Rehome(margin 1): %v", err)
+		t.Fatalf("re-home (margin 1): %v", err)
 	}
-	if !moved {
+	if !a.Moved {
 		t.Fatal("re-home did not undo the drift")
 	}
 	homed := s.Deployment(dep.ID)
@@ -201,12 +204,89 @@ func TestRehomeMovesBackAndHysteresis(t *testing.T) {
 	}
 
 	// Stability: an immediate second pass finds nothing to improve.
-	moved, err = s.Rehome(dep.ID, 1)
+	a, err = s.Apply(dep.ID, ChangeRehome(1))
 	if err != nil {
-		t.Fatalf("Rehome (second): %v", err)
+		t.Fatalf("re-home (second): %v", err)
 	}
-	if moved {
+	if a.Moved {
 		t.Fatal("re-home oscillated on an already-optimal placement")
+	}
+}
+
+// TestRehomeRestoresStateOnRepathFailure is the re-home's twin of
+// TestMoveNFRestoresStateOnRepathFailure: the fresh placement wins, the
+// NF migrates, and the connectivity re-run fails — the one wavelength of
+// the route home is held by another flow. The relocation moves the
+// instance back, re-reserves the chain's wavelength on its current path
+// and leaves the record and the rules as they were, and the churn
+// observer, which counts committed migrations, stays silent.
+func TestRehomeRestoresStateOnRepathFailure(t *testing.T) {
+	s, o, ids := triOrch(t, Config{Policy: placement.OpticalFirst{}, Wavelengths: 1})
+	var churn int
+	s.UpdateHooks(func(h *Hooks) { h.Rehome = func(int, int) { churn++ } })
+	dep, err := s.Provision(bg, triSpec(t, "chain-1"))
+	if err != nil {
+		t.Fatalf("Provision: %v", err)
+	}
+	if dep.Placement.Hosts[0] != ids.opss[0] || !pathContains(dep.Path, ids.opss[0]) {
+		t.Fatalf("provisioned %+v on %v, want the NF on route 0's OPS", dep.Placement, dep.Path)
+	}
+	// Drift the NF onto a server while route 0 is cut, so the drifted path
+	// takes route 1; then heal route 0 and hold its one wavelength on the
+	// OPS's far link, so only the route home lacks a channel.
+	cut := topology.NewFailures(nil, []topology.LinkID{ids.torOpsLinks[0][0]})
+	if err := o.topo.SetDown(cut, true); err != nil {
+		t.Fatalf("SetDown: %v", err)
+	}
+	if _, err := s.Apply(dep.ID, ChangeHost(0, ids.pm1)); err != nil {
+		t.Fatalf("move: %v", err)
+	}
+	if err := o.topo.SetDown(cut, false); err != nil {
+		t.Fatalf("SetDown: %v", err)
+	}
+	if _, err := o.wdm.AssignPath("blocker", []topology.LinkID{ids.torOpsLinks[1][0]}); err != nil {
+		t.Fatalf("AssignPath blocker: %v", err)
+	}
+	before := s.Deployment(dep.ID)
+	if !pathContains(before.Path, ids.opss[1]) || before.Lambda != 0 {
+		t.Fatalf("drifted path %v on lambda %d, want route 1 on lambda 0", before.Path, before.Lambda)
+	}
+	lambdaBefore, _ := o.wdm.AssignmentOf(before.FlowKey())
+	rulesBefore := o.ctrl.RulesForFlow(before.FlowKey())
+
+	a, err := s.Apply(dep.ID, ChangeRehome(1))
+	if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("orch: rehome %d: ", dep.ID)) {
+		t.Fatalf("re-home over a route without a wavelength = %+v, %v, want its re-path error", a, err)
+	}
+	if a.Moved || a.Rebuilt {
+		t.Fatalf("failed re-home reported %+v", a)
+	}
+	after := s.Deployment(dep.ID)
+	if inst := o.mgr.Instance(after.Instances[0]); inst.Host != ids.pm1 || inst.Domain != topology.DomainElectronic {
+		t.Fatalf("instance not moved back: %+v", inst)
+	}
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("record changed:\n%+v\nwant\n%+v", after, before)
+	}
+	if got, ok := o.wdm.AssignmentOf(after.FlowKey()); !ok || !reflect.DeepEqual(got, lambdaBefore) {
+		t.Fatalf("wavelength not re-reserved: %+v, %v, want %+v", got, ok, lambdaBefore)
+	}
+	if got := o.ctrl.RulesForFlow(after.FlowKey()); !reflect.DeepEqual(got, rulesBefore) {
+		t.Fatalf("rules changed:\n%+v\nwant\n%+v", got, rulesBefore)
+	}
+	if churn != 0 {
+		t.Fatalf("the churn observer counted %d migrations of a re-home that did not commit", churn)
+	}
+
+	// With the wavelength free the same re-home commits.
+	if err := o.wdm.Release("blocker"); err != nil {
+		t.Fatalf("Release blocker: %v", err)
+	}
+	if a, err := s.Apply(dep.ID, ChangeRehome(1)); err != nil || !a.Moved {
+		t.Fatalf("re-home after the release = %+v, %v, want moved", a, err)
+	}
+	if homed := s.Deployment(dep.ID); homed.Placement.Hosts[0] != ids.opss[0] || churn != 1 {
+		t.Fatalf("re-homed to %v with %d migrations observed, want %d and 1", homed.Placement.Hosts, churn, ids.opss[0])
 	}
 }
 
@@ -232,12 +312,12 @@ func TestDefragLambdaRetunesDown(t *testing.T) {
 		t.Fatalf("Release blocker: %v", err)
 	}
 
-	from, to, retuned, err := s.DefragLambda(dep.ID)
+	a, err := s.Apply(dep.ID, ChangeDefrag())
 	if err != nil {
-		t.Fatalf("DefragLambda: %v", err)
+		t.Fatalf("defrag: %v", err)
 	}
-	if !retuned || from != 1 || to != 0 {
-		t.Fatalf("DefragLambda = (%d, %d, %v), want retune 1 -> 0", from, to, retuned)
+	if a.LambdaFrom != 1 || a.LambdaTo != 0 {
+		t.Fatalf("defrag = %+v, want retune 1 -> 0", a)
 	}
 	if cur := s.Deployment(dep.ID); cur.Lambda != 0 {
 		t.Fatalf("deployment lambda = %d, want 0", cur.Lambda)
@@ -247,9 +327,9 @@ func TestDefragLambdaRetunesDown(t *testing.T) {
 	}
 
 	// Already on the floor: nothing to do.
-	from, to, retuned, err = s.DefragLambda(dep.ID)
-	if err != nil || retuned || from != 0 || to != 0 {
-		t.Fatalf("second DefragLambda = (%d, %d, %v, %v), want no-op", from, to, retuned, err)
+	a, err = s.Apply(dep.ID, ChangeDefrag())
+	if err != nil || a.LambdaFrom != 0 || a.LambdaTo != 0 {
+		t.Fatalf("second defrag = %+v, %v, want no-op", a, err)
 	}
 }
 
@@ -346,7 +426,7 @@ func TestEventEmission(t *testing.T) {
 	if sink.count(EventNodeRecovered) != 1 {
 		t.Fatalf("events after recovery: %v", sink.kinds())
 	}
-	if err := s.Apply(dep.ID, ChangeHost(0, ids.pm2)); err != nil {
+	if _, err := s.Apply(dep.ID, ChangeHost(0, ids.pm2)); err != nil {
 		t.Fatalf("move: %v", err)
 	}
 	if sink.count(EventPlacementChanged) != 1 {
@@ -377,9 +457,9 @@ func TestDefragNoSpareChannelIsQuietNoOp(t *testing.T) {
 		t.Fatalf("lambda = %d, want 1", dep.Lambda)
 	}
 	// λ0 stays occupied: RetuneBegin has no second channel.
-	from, to, retuned, err := s.DefragLambda(dep.ID)
-	if err != nil || retuned {
-		t.Fatalf("DefragLambda = (%d, %d, %v, %v), want quiet no-op", from, to, retuned, err)
+	a, err := s.Apply(dep.ID, ChangeDefrag())
+	if err != nil || a.LambdaFrom != a.LambdaTo {
+		t.Fatalf("defrag = %+v, %v, want quiet no-op", a, err)
 	}
 	if cur := s.Deployment(dep.ID); cur.Lambda != 1 {
 		t.Fatalf("lambda changed to %d on a failed defrag", cur.Lambda)

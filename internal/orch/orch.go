@@ -122,7 +122,7 @@ type Deployment struct {
 	SliceConfined bool
 	// Drifted marks instances moved under duress — a replaced, patched or
 	// rebuilt repair — and not since brought home: set when such a repair
-	// commits, cleared when Rehome migrates the chain or finds it at
+	// commits, cleared when a re-home migrates the chain or finds it at
 	// conversion score 0, which no placement can beat. Kept beside the
 	// other bool, in its padding: the record is copied per chain per list.
 	Drifted bool
@@ -540,14 +540,15 @@ func (o *shard) failLocked(dep *Deployment) {
 // Change is one edit of a live chain, the runtime management of §IV-B:
 // exactly one of a bandwidth reservation (ChangeBandwidth), the next
 // VNF version (ChangeVersion), a replica count (ChangeReplicas), a host
-// (ChangeHost) at an NF index, or a rebuild from scratch
-// (ChangeRebuild). Sharded.Apply makes it.
+// (ChangeHost) at an NF index, a rebuild from scratch (ChangeRebuild),
+// or the optimizer's two maintenance edits, a re-home (ChangeRehome) and
+// a wavelength defragmentation (ChangeDefrag). Sharded.Apply makes it.
 type Change struct {
-	kind     changeKind
-	nf       int
-	replicas int
-	gbps     float64
-	host     topology.NodeID
+	kind             changeKind
+	nf               int
+	replicas, margin int
+	gbps             float64
+	host             topology.NodeID
 }
 
 type changeKind uint8
@@ -558,11 +559,13 @@ const (
 	changeReplicas
 	changeHost
 	changeRebuild
+	changeRehome
+	changeDefrag
 )
 
 // changeVerbs names each kind in Apply's errors, as the server's routes
-// do.
-var changeVerbs = [...]string{"modify", "upgrade", "scale", "move", "repair"}
+// and the optimizer's tasks do.
+var changeVerbs = [...]string{"modify", "upgrade", "scale", "move", "repair", "rehome", "defrag"}
 
 // ChangeBandwidth sets the chain's bandwidth reservation, in its spec
 // and its optical slice (modification).
@@ -593,35 +596,60 @@ func ChangeHost(nf int, to topology.NodeID) Change {
 // resources are released and it transitions to Failed.
 func ChangeRebuild() Change { return Change{kind: changeRebuild} }
 
-// apply is Sharded.Apply without the event emission; rebuilt reports
-// that the chain was rebuilt in place and left active: by a rebuild, or
-// by a move's fallback.
-func (o *shard) apply(id DeploymentID, c Change) (rebuilt bool, err error) {
+// ChangeRehome undoes placement drift: it places the chain afresh under
+// the current topology (its own instances' capacity counting as free)
+// and, when that placement beats the current one by at least margin
+// O/E/O conversions, moves the differing VNFs there as a ChangeHost move
+// does. Within the margin — the hysteresis that keeps re-homes from
+// oscillating — or when a host fills up before its VNF reaches it, the
+// chain stays; at conversion score 0 it is home and loses its Drifted
+// flag. margin is clamped to at least 1: a move must strictly improve.
+func ChangeRehome(margin int) Change { return Change{kind: changeRehome, margin: max(margin, 1)} }
+
+// ChangeDefrag moves the chain's flow to the lowest wavelength free on
+// every optical-segment link of its path, make-before-break with the
+// retune repairs use (the old channel stays lit until the move commits).
+// A flow already on the lowest common channel, a chain without optical
+// segments or WDM, and a moment with no spare channel are quiet no-ops.
+func ChangeDefrag() Change { return Change{kind: changeDefrag} }
+
+// Applied is what an Apply did beside its error.
+type Applied struct {
+	// Moved: VNFs changed hosts and the chain was re-provisioned around
+	// them (a ChangeHost move, a re-home that migrated).
+	Moved bool
+	// Rebuilt: the chain was rebuilt in place and left active (a
+	// ChangeRebuild, a move or re-home whose move-back was impossible).
+	Rebuilt bool
+	// LambdaFrom and LambdaTo are a ChangeDefrag's wavelength before and
+	// after; they differ only when the flow was retuned.
+	LambdaFrom, LambdaTo int
+}
+
+// apply is Sharded.Apply without the event emission: every kind runs
+// under the chain's claim and topoMu (read side).
+func (o *shard) apply(id DeploymentID, c Change) (res Applied, err error) {
 	verb := changeVerbs[c.kind]
 	if c.kind == changeBandwidth && c.gbps <= 0 {
-		return false, fmt.Errorf("orch: modify: bandwidth must be positive, got %f", c.gbps)
+		return res, fmt.Errorf("orch: modify: bandwidth must be positive, got %f", c.gbps)
 	}
 	dep, err := o.beginExclusive(id)
 	if err != nil {
-		return false, fmt.Errorf("orch: %s: %w", verb, err)
+		return res, fmt.Errorf("orch: %s: %w", verb, err)
 	}
 	defer o.endExclusive(id)
-	o.mu.Lock()
-	sliceID, instances := dep.Slice.ID, dep.Instances
+	o.topoMu.RLock()
+	defer o.topoMu.RUnlock()
+	sliceID, instances := dep.Slice.ID, dep.Instances // the claim keeps both
 	if (c.kind == changeReplicas || c.kind == changeHost) && (c.nf < 0 || c.nf >= len(instances)) {
-		o.mu.Unlock()
-		return false, fmt.Errorf("orch: %s: NF index %d out of range [0,%d)", verb, c.nf, len(instances))
+		return res, fmt.Errorf("orch: %s: NF index %d out of range [0,%d)", verb, c.nf, len(instances))
 	}
-	if c.kind == changeVersion {
-		instances = append([]nfv.InstanceID(nil), instances...)
-	}
-	o.mu.Unlock()
 
 	switch c.kind {
 	case changeBandwidth:
 		slice, err := o.slices.UpdateBandwidth(sliceID, c.gbps)
 		if err != nil {
-			return false, fmt.Errorf("orch: modify: %w", err)
+			return res, fmt.Errorf("orch: modify: %w", err)
 		}
 		o.mu.Lock()
 		dep.Slice, dep.Spec.BandwidthGbps = slice, c.gbps
@@ -629,7 +657,7 @@ func (o *shard) apply(id DeploymentID, c Change) (rebuilt bool, err error) {
 	case changeVersion:
 		for _, inst := range instances {
 			if err := o.mgr.Update(inst); err != nil {
-				return false, fmt.Errorf("orch: upgrade deployment %d: %w", id, err)
+				return res, fmt.Errorf("orch: upgrade deployment %d: %w", id, err)
 			}
 		}
 		o.mu.Lock()
@@ -637,63 +665,77 @@ func (o *shard) apply(id DeploymentID, c Change) (rebuilt bool, err error) {
 		o.mu.Unlock()
 	case changeReplicas:
 		if err := o.mgr.ScaleTo(instances[c.nf], c.replicas); err != nil {
-			return false, fmt.Errorf("orch: scale deployment %d NF %d: %w", id, c.nf, err)
+			return res, fmt.Errorf("orch: scale deployment %d NF %d: %w", id, c.nf, err)
 		}
 	case changeHost:
-		return o.move(dep, c.nf, instances[c.nf], c.host)
+		res.Moved, res.Rebuilt, err = o.move(dep, c.nf, c.host)
 	case changeRebuild:
-		o.topoMu.RLock()
-		err := o.rebuild(context.Background(), dep)
-		o.topoMu.RUnlock()
-		if err != nil {
-			return false, fmt.Errorf("orch: repair %d: %w", id, err)
+		if err := o.rebuild(context.Background(), dep); err != nil {
+			return res, fmt.Errorf("orch: repair %d: %w", id, err)
 		}
-		return true, nil
+		res.Rebuilt = true
+	case changeRehome:
+		res.Moved, res.Rebuilt, err = o.rehome(dep, c.margin)
+	case changeDefrag:
+		res.LambdaFrom, res.LambdaTo, err = o.defrag(dep)
 	}
-	return false, nil
+	return res, err
 }
 
-// move is ChangeHost's body: the caller holds the chain's claim, and
-// inst is the instance at NF index idx.
-func (o *shard) move(dep *Deployment, idx int, inst nfv.InstanceID, to topology.NodeID) (rebuilt bool, err error) {
-	id := dep.ID
-	o.topoMu.RLock()
-	defer o.topoMu.RUnlock()
-	before := o.mgr.Instance(inst)
-	if before == nil {
-		return false, fmt.Errorf("orch: move: unknown instance %d", inst)
+// move is ChangeHost's body: the NF at index idx goes to host to.
+func (o *shard) move(dep *Deployment, idx int, to topology.NodeID) (moved, rebuilt bool, err error) {
+	var buf [8]topology.NodeID
+	hosts := append(buf[:0], dep.Placement.Hosts...)
+	hosts[idx] = to
+	rebuilt, err = o.relocate(dep, hosts, dep.Drifted)
+	if me, ok := err.(migrateError); ok {
+		return false, false, fmt.Errorf("orch: move deployment %d NF %d: %w", dep.ID, idx, me.error)
 	}
-	if err := o.mgr.Migrate(inst, to); err != nil {
-		return false, fmt.Errorf("orch: move deployment %d NF %d: %w", id, idx, err)
+	if err != nil {
+		return false, rebuilt, fmt.Errorf("orch: move deployment %d: %w", dep.ID, err)
 	}
-	migrated := o.mgr.Instance(inst)
+	return true, false, nil
+}
 
-	// Stage the new placement and re-run only the connectivity stages
-	// of the pipeline (path → WDM → rules).
+// migrateError is a migration relocate refused and fully undid: the
+// chain stands as it was.
+type migrateError struct{ error }
+
+// relocate is the one relocation transaction, a ChangeHost move's and a
+// re-home's: it migrates every instance whose host differs from hosts,
+// re-runs path → WDM → rules around the new hosts (the rules swap
+// make-before-break) and commits the record, drifted its Drifted flag.
+// A failure moves every migrated instance back and re-reserves the
+// wavelength, so an error never leaves the placement and the installed
+// rules disagreeing; only when a move-back is impossible is the chain
+// rebuilt in place (rebuilt). A refused migration that was fully undone
+// answers a migrateError. Errors carry no "orch:" prefix, the caller's.
+// The caller holds the chain's claim and topoMu (read side).
+func (o *shard) relocate(dep *Deployment, hosts []topology.NodeID, drifted bool) (rebuilt bool, err error) {
+	from := dep.Placement.Hosts
 	p := o.pipelineFrom(context.Background(), dep)
 	defer p.release()
 	p.ownPlacement()
-	p.place.Hosts[idx] = to
-	p.place.Domains[idx] = migrated.Domain
+	for idx, to := range hosts {
+		if to == from[idx] {
+			continue
+		}
+		if err := o.mgr.Migrate(dep.Instances[idx], to); err != nil {
+			return o.moveBack(dep, hosts, idx, migrateError{err})
+		}
+		// The domain the manager gave the instance, so the record never
+		// disagrees with it.
+		p.place.Hosts[idx] = to
+		p.place.Domains[idx], _ = o.mgr.Ledger().Domain(to)
+	}
 	p.place.Conversions = placement.CountOEO(p.place.Domains, o.mode)
+	p.drifted = drifted
 	if err := p.runFrom(stagePath); err != nil {
 		// Re-path (or λ assignment) failed: the old rules were never
-		// removed, so moving the instance back restores the previous
-		// state exactly; the wavelength is re-reserved best-effort.
-		if mErr := o.mgr.Migrate(inst, before.Host); mErr != nil {
-			// The original host's capacity was claimed in the meantime;
-			// a move-back cannot realign the record with reality, so
-			// reconcile by rebuilding the chain in place (the failure
-			// path transitions it to Failed).
-			if rErr := o.rebuild(context.Background(), dep); rErr != nil {
-				return false, fmt.Errorf("orch: move deployment %d: %v (restore: %v; %w)", id, err, mErr, rErr)
-			}
-			return true, fmt.Errorf("orch: move deployment %d: %v (restore failed: %v; chain rebuilt in place)", id, err, mErr)
-		}
-		o.restoreWavelength(dep)
-		return false, fmt.Errorf("orch: move deployment %d: %w", id, err)
+		// removed, so moving the instances back restores the previous
+		// state exactly.
+		return o.moveBack(dep, hosts, len(hosts), err)
 	}
-
 	o.mu.Lock()
 	p.commitLocked(dep)
 	o.mu.Unlock()
@@ -701,26 +743,44 @@ func (o *shard) move(dep *Deployment, idx int, inst nfv.InstanceID, to topology.
 	return false, nil
 }
 
-// restoreWavelength re-reserves a wavelength on the deployment's
-// current path after an aborted connectivity re-run released it. The
-// continuity constraint still holds; the λ value may differ from the
-// original, and exhaustion leaves the flow unassigned (best-effort).
+// moveBack undoes relocate's migrations at the positions below n and
+// re-reserves the wavelength, answering cause. When an instance cannot
+// move back — its host's capacity was claimed in the meantime — no
+// move-back can realign the record with reality: the chain is rebuilt in
+// place, and a failed rebuild leaves it Failed.
+func (o *shard) moveBack(dep *Deployment, hosts []topology.NodeID, n int, cause error) (rebuilt bool, err error) {
+	var mErr error
+	for idx := n - 1; idx >= 0; idx-- {
+		if from := dep.Placement.Hosts[idx]; hosts[idx] != from {
+			if err := o.mgr.Migrate(dep.Instances[idx], from); err != nil && mErr == nil {
+				mErr = err
+			}
+		}
+	}
+	if mErr == nil {
+		o.restoreWavelength(dep)
+		return false, cause
+	}
+	if rErr := o.rebuild(context.Background(), dep); rErr != nil {
+		return false, fmt.Errorf("%v (restore: %v; %w)", cause, mErr, rErr)
+	}
+	return true, fmt.Errorf("%v (restore failed: %v; chain rebuilt in place)", cause, mErr)
+}
+
+// restoreWavelength re-reserves a wavelength on the chain's current
+// path after an aborted connectivity re-run released it. The continuity
+// constraint still holds; the λ value may differ from the original, and
+// exhaustion leaves the flow unassigned (best-effort). The caller holds
+// the chain's claim.
 func (o *shard) restoreWavelength(dep *Deployment) {
-	if o.wdm == nil {
+	if o.wdm == nil || dep.Lambda < 0 {
 		return
 	}
 	if _, ok := o.wdm.AssignmentOf(dep.FlowKey()); ok {
 		return
 	}
-	o.mu.Lock()
-	path := dep.Path
-	hadLambda := dep.Lambda >= 0
-	o.mu.Unlock()
-	if !hadLambda {
-		return
-	}
 	lambda := -1
-	if links, err := optical.OpticalSegmentLinks(o.topo, path); err == nil && len(links) > 0 {
+	if links, err := optical.OpticalSegmentLinks(o.topo, dep.Path); err == nil && len(links) > 0 {
 		if l, err := o.wdm.AssignPath(dep.FlowKey(), links); err == nil {
 			lambda = l
 		}

@@ -185,7 +185,7 @@ func TestModifyUpgradeScale(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if err := s.Apply(dep.ID, ChangeBandwidth(8)); err != nil {
+	if _, err := s.Apply(dep.ID, ChangeBandwidth(8)); err != nil {
 		t.Fatalf("modify: %v", err)
 	}
 	got := s.Deployment(dep.ID)
@@ -197,11 +197,11 @@ func TestModifyUpgradeScale(t *testing.T) {
 			t.Fatal("slice bandwidth not updated")
 		}
 	}
-	if err := s.Apply(dep.ID, ChangeBandwidth(-1)); err == nil {
+	if _, err := s.Apply(dep.ID, ChangeBandwidth(-1)); err == nil {
 		t.Fatal("negative bandwidth accepted")
 	}
 
-	if err := s.Apply(dep.ID, ChangeVersion()); err != nil {
+	if _, err := s.Apply(dep.ID, ChangeVersion()); err != nil {
 		t.Fatalf("upgrade: %v", err)
 	}
 	if got := s.Deployment(dep.ID); got.Version != 2 {
@@ -216,16 +216,16 @@ func TestModifyUpgradeScale(t *testing.T) {
 	// Scale the DPI stage (index 2): it lives on a PM with headroom.
 	// Scaling an OER-hosted VNF beyond the router's limited capacity
 	// must fail — that limit is the §IV-D constraint.
-	if err := s.Apply(dep.ID, ChangeReplicas(2, 3)); err != nil {
+	if _, err := s.Apply(dep.ID, ChangeReplicas(2, 3)); err != nil {
 		t.Fatalf("scale: %v", err)
 	}
 	if inst := o.mgr.Instance(dep.Instances[2]); inst.Replicas != 3 {
 		t.Fatalf("replicas = %d, want 3", inst.Replicas)
 	}
-	if err := s.Apply(dep.ID, ChangeReplicas(0, 50)); err == nil {
+	if _, err := s.Apply(dep.ID, ChangeReplicas(0, 50)); err == nil {
 		t.Fatal("scaling an OER-hosted VNF past router capacity accepted")
 	}
-	if err := s.Apply(dep.ID, ChangeReplicas(99, 2)); err == nil {
+	if _, err := s.Apply(dep.ID, ChangeReplicas(99, 2)); err == nil {
 		t.Fatal("out-of-range NF index accepted")
 	}
 }
@@ -261,10 +261,10 @@ func TestDeleteReleasesEverything(t *testing.T) {
 	if _, err := s.Delete(bg, dep.ID); err == nil {
 		t.Fatal("double delete accepted")
 	}
-	if err := s.Apply(dep.ID, ChangeVersion()); err == nil {
+	if _, err := s.Apply(dep.ID, ChangeVersion()); err == nil {
 		t.Fatal("upgrade of deleted deployment accepted")
 	}
-	if err := s.Apply(dep.ID, ChangeBandwidth(4)); err == nil {
+	if _, err := s.Apply(dep.ID, ChangeBandwidth(4)); err == nil {
 		t.Fatal("modify of deleted deployment accepted")
 	}
 	// Resources are reusable: provision again.
@@ -310,7 +310,7 @@ func TestProvisionLifecycleStorm(t *testing.T) {
 			t.Fatalf("round %d: disjointness violated", round)
 		}
 		for _, id := range ids {
-			if err := s.Apply(id, ChangeVersion()); err != nil {
+			if _, err := s.Apply(id, ChangeVersion()); err != nil {
 				t.Fatalf("round %d upgrade: %v", round, err)
 			}
 			if _, err := s.Delete(bg, id); err != nil {

@@ -60,7 +60,7 @@ func TestRecordsOwnTheirArrays(t *testing.T) {
 		touched[rep.ID] = true
 	}
 	mover := s.Deployments()[1]
-	if err := s.Apply(mover.ID, ChangeHost(0, mover.Placement.Hosts[1])); err == nil {
+	if _, err := s.Apply(mover.ID, ChangeHost(0, mover.Placement.Hosts[1])); err == nil {
 		touched[mover.ID] = true
 	}
 

@@ -135,7 +135,7 @@ func TestPMFailureReplacesOnlyAffectedVNF(t *testing.T) {
 	if pmHost == 0 {
 		t.Skip("no PM free of endpoint VMs on this seed")
 	}
-	if err := s.Apply(dep.ID, ChangeHost(pmIdx, pmHost)); err != nil {
+	if _, err := s.Apply(dep.ID, ChangeHost(pmIdx, pmHost)); err != nil {
 		t.Fatalf("MoveNF staging: %v", err)
 	}
 	dep = s.Deployment(dep.ID)
@@ -353,17 +353,20 @@ func TestReverseIndexMaintained(t *testing.T) {
 }
 
 // TestApplyRespectsBusyGuard: every edit claims the chain, so while an
-// exclusive operation holds it each of the four kinds answers ErrBusy
-// (HTTP 409) and leaves the record, its slice and its instances as they
-// were; a concurrent Delete cannot terminate instances mid-edit.
+// exclusive operation holds it each of the seven kinds — the operator's
+// five and the optimizer's re-home and λ-defrag — answers ErrBusy (HTTP
+// 409) and leaves the record, its slice, its instances and its
+// wavelength as they were; a concurrent Delete cannot terminate
+// instances mid-edit.
 func TestApplyRespectsBusyGuard(t *testing.T) {
-	s, o := newOrch(t)
+	s, o := newTestOrch(t, Config{Topo: orchTopo(t), Wavelengths: 8})
 	dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
 	pms := o.topo.NodeIDs(topology.KindPhysicalMachine)
-	edits := []Change{ChangeBandwidth(8), ChangeVersion(), ChangeReplicas(2, 2), ChangeHost(2, pms[len(pms)-1])}
+	edits := []Change{ChangeBandwidth(8), ChangeVersion(), ChangeReplicas(2, 2), ChangeHost(2, pms[len(pms)-1]),
+		ChangeRehome(1), ChangeDefrag(), ChangeRebuild()}
 	instances := func() (out []nfv.Instance) {
 		for _, id := range dep.Instances {
 			out = append(out, *o.mgr.Instance(id))
@@ -371,12 +374,16 @@ func TestApplyRespectsBusyGuard(t *testing.T) {
 		return out
 	}
 	before, beforeInsts := s.Deployment(dep.ID), instances()
+	beforeLambda, assigned := o.wdm.AssignmentOf(dep.FlowKey())
+	if !assigned || before.Lambda < 0 {
+		t.Fatalf("the chain holds no wavelength: %+v, lambda %d", beforeLambda, before.Lambda)
+	}
 	if _, err := o.beginExclusive(dep.ID); err != nil {
 		t.Fatalf("beginExclusive: %v", err)
 	}
 	for _, c := range edits {
-		if err := s.Apply(dep.ID, c); !errors.Is(err, ErrBusy) {
-			t.Fatalf("%s under a held claim = %v, want ErrBusy", changeVerbs[c.kind], err)
+		if a, err := s.Apply(dep.ID, c); !errors.Is(err, ErrBusy) || a != (Applied{}) {
+			t.Fatalf("%s under a held claim = %+v, %v, want ErrBusy", changeVerbs[c.kind], a, err)
 		}
 	}
 	if _, err := s.Delete(bg, dep.ID); !errors.Is(err, ErrBusy) {
@@ -388,6 +395,9 @@ func TestApplyRespectsBusyGuard(t *testing.T) {
 	if got := instances(); !reflect.DeepEqual(got, beforeInsts) {
 		t.Fatalf("refused edits changed the instances:\n%+v\nwant\n%+v", got, beforeInsts)
 	}
+	if got, ok := o.wdm.AssignmentOf(dep.FlowKey()); !ok || !reflect.DeepEqual(got, beforeLambda) {
+		t.Fatalf("refused edits changed the wavelength: %+v, %v, want %+v", got, ok, beforeLambda)
+	}
 	for _, sl := range o.slices.Slices() {
 		if sl.ID == dep.Slice.ID && sl.BandwidthGbps != dep.Spec.BandwidthGbps {
 			t.Fatalf("refused modify set the slice's bandwidth to %v", sl.BandwidthGbps)
@@ -395,7 +405,7 @@ func TestApplyRespectsBusyGuard(t *testing.T) {
 	}
 	o.endExclusive(dep.ID)
 	for _, c := range edits {
-		if err := s.Apply(dep.ID, c); errors.Is(err, ErrBusy) || (err != nil && c.kind != changeHost) {
+		if _, err := s.Apply(dep.ID, c); errors.Is(err, ErrBusy) || (err != nil && c.kind != changeHost) {
 			t.Fatalf("%s after release: %v", changeVerbs[c.kind], err)
 		}
 	}
@@ -506,7 +516,7 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 	instBefore := o.mgr.Instance(before.Instances[0])
 	rulesBefore := len(o.ctrl.RulesForFlow(before.FlowKey()))
 
-	if err := s.Apply(dep.ID, ChangeHost(0, target)); err == nil {
+	if _, err := s.Apply(dep.ID, ChangeHost(0, target)); err == nil {
 		t.Fatal("MoveNF to a stranded PM succeeded, want re-path failure")
 	}
 
@@ -533,7 +543,7 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 			t.Fatalf("SetDown: %v", err)
 		}
 	}
-	if err := s.Apply(dep.ID, ChangeHost(0, target)); err != nil {
+	if _, err := s.Apply(dep.ID, ChangeHost(0, target)); err != nil {
 		t.Fatalf("MoveNF after recovery: %v", err)
 	}
 }

@@ -357,32 +357,28 @@ func (s *Sharded) Delete(ctx context.Context, id DeploymentID) (*Deployment, err
 
 // Apply makes the change to the chain under its exclusive claim, so a
 // concurrent Delete, repair or edit surfaces as ErrBusy instead of
-// meeting a half-made edit. No edit writes what a snapshot shares: a
-// new bandwidth stores a fresh slice record.
+// meeting a half-made edit, and answers what it did (Applied). No edit
+// writes what a snapshot shares: a new bandwidth stores a fresh slice
+// record. A move or a re-home is transactional: the record changes only
+// once the new path, wavelength and rules are in place, and a failure
+// moves the instances back, so an error never leaves the placement and
+// the installed rules disagreeing.
 //
-// A move is transactional: the record is not touched until the new
-// path, wavelength and rules are all in place (rules swap
-// make-before-break), and a failure after the migration moves the
-// instance back to its original host, so an error never leaves the
-// placement and the installed rules disagreeing. It emits
-// EventPlacementChanged, or EventRepairCompleted (rebuilt) when the
-// move-back was impossible and the chain was rebuilt in place. A
-// rebuild emits EventRepairCompleted (rebuilt) when it succeeds; the
-// other edits emit nothing.
-func (s *Sharded) Apply(id DeploymentID, c Change) error {
-	rebuilt, err := s.owner(id).apply(id, c)
-	// Emit only after apply released its locks — the sink contract
-	// allows callbacks into the orchestrator's read API.
+// Events follow one rule, emitted after the edit released its locks: a
+// chain rebuilt in place — by ChangeRebuild, or by a move-back that was
+// impossible — emits EventRepairCompleted (rebuilt), one whose VNFs
+// moved EventPlacementChanged, and the other edits nothing.
+func (s *Sharded) Apply(id DeploymentID, c Change) (Applied, error) {
+	res, err := s.owner(id).apply(id, c)
 	switch {
-	case rebuilt:
-		// The chain was rebuilt in place; with the optimizer attached that
-		// rebuild deferred its standby, so the re-protection must be
-		// enqueued like any other repair.
+	case res.Rebuilt:
+		// With the optimizer attached the rebuild deferred its standby, so
+		// the re-protection must be enqueued like any other repair's.
 		s.core.emit(Event{Kind: EventRepairCompleted, Deployment: id, Action: ActionRebuilt})
-	case err == nil && c.kind == changeHost:
+	case res.Moved:
 		s.core.emit(Event{Kind: EventPlacementChanged, Deployment: id})
 	}
-	return err
+	return res, err
 }
 
 // ViewDeployment calls fn with the owning shard's live record of the

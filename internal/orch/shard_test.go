@@ -285,7 +285,7 @@ func TestShardSurface(t *testing.T) {
 		if failureTwin.MatchString(name) {
 			t.Errorf("shard.%s: failures, recoveries and blast radii take one Failures set", name)
 		}
-		if slices.Contains([]string{"Modify", "Upgrade", "ScaleNF", "MoveNF", "Repair"}, name) {
+		if slices.Contains([]string{"Modify", "Upgrade", "ScaleNF", "MoveNF", "Repair", "Rehome", "DefragLambda"}, name) {
 			t.Errorf("shard.%s: an edit is Sharded.Apply(id, Change)", name)
 		}
 		if strings.HasPrefix(name, "Handle") || strings.HasPrefix(name, "Set") || name == "ProvisionBatch" {
