@@ -73,6 +73,12 @@ func (r *Ring[T]) grow() {
 	r.buf, r.head = nb, 0
 }
 
+// Clear empties r and keeps its buffer for the values pushed next.
+func (r *Ring[T]) Clear() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}
+
 // Remove takes the i-th oldest value out, keeping the others in order.
 // It moves the values on the shorter side of i, so removing near either
 // end is O(1).

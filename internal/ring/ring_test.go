@@ -7,7 +7,7 @@ import (
 )
 
 // TestRingEqualsSliceModel drives rings of several capacities through
-// seeded pushes and removals at random positions, checking every step
+// seeded pushes, removals at random positions and clears, checking every step
 // against a plain slice that appends and drops its head: the values in
 // order, what each push evicts, and that the backing array never
 // outgrows the capacity nor keeps a removed value reachable.
@@ -29,6 +29,9 @@ func TestRingEqualsSliceModel(t *testing.T) {
 				if evicted != (want != nil) || old != want {
 					t.Fatalf("cap %d step %d: Push evicted (%v, %v), want %v", capacity, step, old, evicted, want)
 				}
+			} else if rng.Intn(40) == 0 {
+				r.Clear()
+				model = model[:0]
 			} else {
 				i := rng.Intn(len(model))
 				r.Remove(i)

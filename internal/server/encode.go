@@ -179,18 +179,21 @@ func writeBatch(w http.ResponseWriter, results []orch.BatchResult) {
 	writeBody(w, status, sc.body)
 }
 
-// writeTraceSummaries answers a trace listing.
-func writeTraceSummaries(w http.ResponseWriter, sums []alvc.TraceSummary) {
+// writeTraceSummaries answers a trace listing: view shows add each
+// summary, under the store's lock (alvc.TraceStore.ViewTraces,
+// ViewChainTraces), and add encodes it straight from the store's entry.
+// Nothing is written until the lock is released.
+func writeTraceSummaries(w http.ResponseWriter, view func(add func(sum alvc.TraceSummary))) {
 	sc := getScratch()
 	defer putScratch(sc)
-	b := append(sc.body, '[')
-	for i := range sums {
-		if i > 0 {
-			b = append(b, ',')
+	sc.body = append(sc.body, '[')
+	view(func(sum alvc.TraceSummary) {
+		if len(sc.body) > 1 {
+			sc.body = append(sc.body, ',')
 		}
-		b = appendTraceSummary(b, &sums[i])
-	}
-	sc.body = append(b, ']', '\n')
+		sc.body = appendTraceSummary(sc.body, &sum)
+	})
+	sc.body = append(sc.body, ']', '\n')
 	writeBody(w, http.StatusOK, sc.body)
 }
 

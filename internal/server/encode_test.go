@@ -305,7 +305,11 @@ func TestTraceSummariesEqualEncodingJSON(t *testing.T) {
 			want = append(want, toTraceSummaryJSON(sum))
 		}
 		rec := httptest.NewRecorder()
-		writeTraceSummaries(rec, list)
+		writeTraceSummaries(rec, func(add func(alvc.TraceSummary)) {
+			for _, sum := range list {
+				add(sum)
+			}
+		})
 		checkBody(t, fmt.Sprintf("%d summaries", len(list)), rec, http.StatusOK, mustOracleBody(t, want))
 	}
 }

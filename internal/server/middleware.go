@@ -24,20 +24,33 @@ func (h quietHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
 func (h quietHandler) WithGroup(string) slog.Handler           { return h }
 
 // statusRecorder captures the status code a handler writes so the
-// logging and tracing middleware can report it.
+// logging and tracing middleware can report it. A traced request's
+// recorder points at its frame's carrier.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	ctx    *trace.Carrier // nil when the request is untraced
 }
 
 // frame is what a traced request allocates, once: the recorder its
 // handlers write through, the context that carries its span and span
 // buffer (handed out by address, see trace.Carrier) and the one-value
-// list its X-Trace-Id header points at.
+// list its X-Trace-Id header points at. The request is not copied to
+// carry the context: handlers read it through requestContext.
 type frame struct {
 	rec     statusRecorder
 	ctx     trace.Carrier
 	traceID [1]string
+}
+
+// requestContext is the context a handler passes on: the frame's carrier
+// when the request is traced, so the orchestrator's spans nest under the
+// request's, and r.Context() otherwise.
+func requestContext(w http.ResponseWriter, r *http.Request) context.Context {
+	if rec, ok := w.(*statusRecorder); ok && rec.ctx != nil {
+		return rec.ctx
+	}
+	return r.Context()
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -91,12 +104,12 @@ func untraced(path string) bool {
 // may pin the trace ID with an X-Trace-Id header (so CI and scripted
 // callers can query the trace back by the ID they chose); otherwise a
 // fresh ID is minted. The resolved ID is echoed in the X-Trace-Id
-// response header either way, and the span context rides the request
-// context into the handlers, where the orchestrator's provision and
-// repair spans attach as children. The recorder, the context with the
-// request's span buffer and the header's value are one allocation, the
-// request's frame; the request's spans reach the store in one insert
-// when it ends.
+// response header either way, and the span context rides the recorder
+// into the handlers, where requestContext finds it and the
+// orchestrator's provision and repair spans attach as children. The
+// recorder, the context with the request's span buffer and the header's
+// value are one allocation, the request's frame; the request's spans
+// reach the store in one insert when it ends.
 func withTracing(tr *trace.Tracer, next http.Handler) http.Handler {
 	if tr == nil {
 		return next
@@ -106,7 +119,8 @@ func withTracing(tr *trace.Tracer, next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		f := &frame{rec: statusRecorder{ResponseWriter: w}}
+		f := &frame{}
+		f.rec = statusRecorder{ResponseWriter: w, ctx: &f.ctx}
 		var pinned trace.SpanContext
 		if id := r.Header.Get("X-Trace-Id"); id != "" && trace.ValidTraceID(id) {
 			pinned.TraceID = id
@@ -115,7 +129,7 @@ func withTracing(tr *trace.Tracer, next http.Handler) http.Handler {
 		f.traceID[0] = f.ctx.SC.TraceID
 		w.Header()["X-Trace-Id"] = f.traceID[:]
 		start := time.Now()
-		next.ServeHTTP(&f.rec, r.WithContext(&f.ctx))
+		next.ServeHTTP(&f.rec, r)
 		status := f.rec.status
 		if status == 0 {
 			status = http.StatusOK
@@ -142,7 +156,8 @@ func withTracing(tr *trace.Tracer, next http.Handler) http.Handler {
 // line in the log can be pivoted straight into GET /v1/traces/{id}.
 func withLogging(logger *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !logger.Enabled(r.Context(), slog.LevelInfo) {
+		ctx := requestContext(w, r)
+		if !logger.Enabled(ctx, slog.LevelInfo) {
 			next.ServeHTTP(w, r) // nobody reads the line: no recorder, no clock, no attrs
 			return
 		}
@@ -161,10 +176,10 @@ func withLogging(logger *slog.Logger, next http.Handler) http.Handler {
 			slog.Int("status", rec.status),
 			slog.Duration("duration", time.Since(start).Round(time.Microsecond)),
 		}
-		if sc, ok := trace.FromContext(r.Context()); ok {
+		if sc, ok := trace.FromContext(ctx); ok {
 			attrs = append(attrs, slog.String("trace_id", sc.TraceID))
 		}
-		logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
+		logger.LogAttrs(ctx, slog.LevelInfo, "request", attrs...)
 	})
 }
 

@@ -57,7 +57,7 @@ func FuzzTraceIDHeader(f *testing.F) {
 	}
 	store := trace.NewStore(trace.StoreOptions{})
 	h := withTracing(trace.NewTracer(store), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if sc, ok := trace.FromContext(r.Context()); !ok || sc.TraceID != w.Header().Get("X-Trace-Id") {
+		if sc, ok := trace.FromContext(requestContext(w, r)); !ok || sc.TraceID != w.Header().Get("X-Trace-Id") {
 			http.Error(w, "the handler's span is not in the echoed trace: "+sc.TraceID, http.StatusInternalServerError)
 		}
 	}))

@@ -261,11 +261,11 @@ func TestReadPlaneAllocationCeilings(t *testing.T) {
 		name, target string
 		ceiling      float64
 	}{
-		{"list", "/v1/chains", 24},                                   // 2 224
-		{"get", fmt.Sprintf("/v1/chains/%d", ids[100]), 10},          // 28
-		{"scrape", "/metrics", 2},                                    // 1 904
-		{"traces", "/v1/traces", 100},                                // 309
-		{"chain traces", fmt.Sprintf("/v1/chains/%d/traces", 7), 24}, // one summary
+		{"list", "/v1/chains", 24},                                  // 2 224
+		{"get", fmt.Sprintf("/v1/chains/%d", ids[100]), 10},         // 28
+		{"scrape", "/metrics", 2},                                   // 1 904
+		{"traces", "/v1/traces", 4},                                 // 309
+		{"chain traces", fmt.Sprintf("/v1/chains/%d/traces", 7), 4}, // one summary
 		// A ToR most of the fleet crosses, and a standby link: each at
 		// the count it had when impact took one resource.
 		{"node impact", fmt.Sprintf("/v1/nodes/%d/impact", dep.Path[2]), 218},

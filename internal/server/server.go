@@ -172,7 +172,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse chain spec: %v", err)
 		return
 	}
-	dep, err := s.arch.Deploy(r.Context(), spec)
+	dep, err := s.arch.Deploy(requestContext(w, r), spec)
 	if err != nil {
 		writeError(w, statusOf(err), "provision: %v", err)
 		return
@@ -232,7 +232,7 @@ func (s *Server) handleDeleteChain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	final, err := s.arch.Delete(r.Context(), id)
+	final, err := s.arch.Delete(requestContext(w, r), id)
 	if err != nil {
 		writeError(w, statusOf(err), "delete: %v", err)
 		return
@@ -397,7 +397,7 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 	}
 	f := alvc.NewFailures(t.lists())
 	if d := s.arch.Debouncer(); d != nil {
-		s.arch.ReportFailures(r.Context(), f)
+		s.arch.ReportFailures(requestContext(w, r), f)
 		resp := FailureAcceptedResponse{Node: t.node[0], Link: t.link[0], Nodes: t.batch.Nodes, Links: t.batch.Links, Accepted: true}
 		resp.PendingNodes, resp.PendingLinks = d.Pending()
 		sc := getScratch()
@@ -409,7 +409,7 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 	// Every ID exists, so Fail's error can only report repairs that did
 	// not succeed — the injection itself has landed. Report those
 	// in-band: the client asked for a failure and got one.
-	reports, err := s.arch.Fail(r.Context(), f)
+	reports, err := s.arch.Fail(requestContext(w, r), f)
 	resp := FailureResponse{Node: t.node[0], Link: t.link[0], Nodes: t.batch.Nodes, Links: t.batch.Links}
 	fillReports(&resp, reports, err)
 	writeJSON(w, http.StatusOK, resp)

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/alvc/alvc"
 )
@@ -255,5 +256,116 @@ func TestTracingDisabled(t *testing.T) {
 	status, _, _ = doTraced(t, "GET", ts.URL+"/v1/traces", "", nil)
 	if status != http.StatusNotFound {
 		t.Fatalf("trace listing with tracing disabled: got %d, want 404", status)
+	}
+}
+
+// TestContextRoutesNestTheOrchestratorSpan covers every route whose
+// handler passes a context to the architecture — provision, delete, the
+// 202 failure report and the synchronous failure — behind a listening
+// logger. Each request is pinned to a trace ID; the orchestrator's span
+// must hang off the request's root span and reach the store in the same
+// insert as it (the report's in the flush's insert, which continues the
+// request's trace), and the request's log line must carry the trace ID.
+// A handler that hands the architecture r.Context() instead of the
+// frame's carrier fails here: its spans start a trace of their own.
+func TestContextRoutesNestTheOrchestratorSpan(t *testing.T) {
+	boot := func(opts ...alvc.Option) (http.Handler, *alvc.Architecture, *lockedBuffer) {
+		cfg := wideConfig(48)
+		cfg.DualHomeFrac = 1.0
+		arch, err := alvc.New(cfg, opts...)
+		if err != nil {
+			t.Fatalf("alvc.New: %v", err)
+		}
+		var logs lockedBuffer
+		srv, err := New(arch, WithLogger(slog.New(slog.NewJSONHandler(&logs, nil))))
+		if err != nil {
+			t.Fatalf("server.New: %v", err)
+		}
+		for i := 0; i < 4; i++ {
+			deployOne(t, arch, i)
+		}
+		return srv.Handler(), arch, &logs
+	}
+	sync, syncArch, syncLogs := boot()
+	debounced, debArch, debLogs := boot(alvc.WithFailureDebounce(time.Hour))
+	victim := syncArch.Deployments()[0].Slice.OPSs[0]
+	reported := debArch.Deployments()[0].Slice.OPSs[0]
+
+	var provisioned DeploymentJSON
+	for _, route := range []struct {
+		name, method string
+		target       func() string
+		body         []byte
+		h            http.Handler
+		arch         *alvc.Architecture
+		logs         *lockedBuffer
+		status       int
+		kind         string // the orchestrator span's
+		flush        bool   // the span comes with the debouncer's flush
+	}{
+		{"provision", "POST", func() string { return "/v1/chains" }, specBody("routed", "tenant-r", "web", "firewall", "lb"),
+			sync, syncArch, syncLogs, http.StatusCreated, "provision", false},
+		{"delete", "DELETE", func() string { return fmt.Sprintf("/v1/chains/%d", provisioned.ID) }, nil,
+			sync, syncArch, syncLogs, http.StatusOK, "delete", false},
+		{"failure", "POST", func() string { return fmt.Sprintf("/v1/failures/%d", victim) }, nil,
+			sync, syncArch, syncLogs, http.StatusOK, "repair", false},
+		{"report", "POST", func() string { return fmt.Sprintf("/v1/failures/%d", reported) }, nil,
+			debounced, debArch, debLogs, http.StatusAccepted, "batch", true},
+	} {
+		id := "route-" + route.name
+		st := route.arch.TraceStore()
+		before := st.Stats().Commits
+		req := httptest.NewRequest(route.method, route.target(), bytes.NewReader(route.body))
+		req.Header.Set("X-Trace-Id", id)
+		rec := httptest.NewRecorder()
+		route.h.ServeHTTP(rec, req)
+		if rec.Code != route.status || rec.Header().Get("X-Trace-Id") != id {
+			t.Fatalf("%s: %d, X-Trace-Id %q (%s)", route.name, rec.Code, rec.Header().Get("X-Trace-Id"), rec.Body)
+		}
+		if route.name == "provision" {
+			provisioned = mustUnmarshal[DeploymentJSON](t, rec.Body.Bytes())
+		}
+		inserts := uint64(1)
+		if route.flush {
+			if reports, err := route.arch.FlushFailures(); err != nil || len(reports) == 0 {
+				t.Fatalf("%s: the flush repaired %d chains, %v", route.name, len(reports), err)
+			}
+			inserts = 2
+		}
+		if got := st.Stats().Commits - before; got != inserts {
+			t.Errorf("%s: %d inserts, want %d", route.name, got, inserts)
+		}
+		spans, _, ok := st.Trace(id)
+		if !ok {
+			t.Fatalf("%s: no trace %s", route.name, id)
+		}
+		var root alvc.TraceSpan
+		for _, sp := range spans {
+			if sp.Parent == 0 {
+				root = sp
+			}
+		}
+		if root.Kind != "http" || !strings.HasPrefix(root.Name, route.method+" ") {
+			t.Fatalf("%s: trace %s has no request root: %+v", route.name, id, spans)
+		}
+		nested := false
+		for _, sp := range spans {
+			nested = nested || sp.Kind == route.kind && sp.Parent == root.SpanID
+		}
+		if !nested {
+			t.Errorf("%s: no %s span under the request's root in trace %s: %+v", route.name, route.kind, id, spans)
+		}
+		logged := false
+		for _, line := range strings.Split(strings.TrimSpace(route.logs.String()), "\n") {
+			var l struct {
+				TraceID string `json:"trace_id"`
+			}
+			if json.Unmarshal([]byte(line), &l) == nil && l.TraceID == id {
+				logged = true
+			}
+		}
+		if !logged {
+			t.Errorf("%s: no request log line carries trace_id %s:\n%s", route.name, id, route.logs.String())
+		}
 	}
 }

@@ -17,12 +17,13 @@ import (
 
 // tracedCycleExtra is what tracing may add to the allocations of a
 // provision and its delete through the full middleware, into a store
-// that is not yet full (no freed entry to reuse): two frames, two trace
-// IDs, the provision's carrier, two entries with their record arrays,
-// the chain index's ring and the trace's list of chains, and the
-// store's maps and order growing. 13 measured; a store committing each
-// span on its own added 20.
-const tracedCycleExtra = 14
+// that is not yet full (no freed entry or array to reuse): two frames,
+// two trace IDs, the provision's carrier, two entries with their record
+// arrays, the chain index's ring and the trace's list of chains, and the
+// store's maps and order growing. 10 measured; 13 when each handler got
+// a copy of its request to carry the span context, 20 when the store
+// committed each span on its own.
+const tracedCycleExtra = 10
 
 // TestTracedCycleAllocations: a provision and its delete through the
 // full middleware allocate at most tracedCycleExtra more with tracing on

@@ -133,7 +133,7 @@ func (s *Server) handleListTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		q.Limit = n
 	}
-	writeTraceSummaries(w, st.Traces(q))
+	writeTraceSummaries(w, func(add func(alvc.TraceSummary)) { st.ViewTraces(q, add) })
 }
 
 func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
@@ -159,5 +159,5 @@ func (s *Server) handleChainTraces(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeTraceSummaries(w, st.ChainTraces(int(id)))
+	writeTraceSummaries(w, func(add func(alvc.TraceSummary)) { st.ViewChainTraces(int(id), add) })
 }

@@ -50,13 +50,13 @@ func TestWritePlaneAllocationCeilings(t *testing.T) {
 		status               int
 		ceiling              float64
 	}{
-		{"get", "GET", fmt.Sprintf("/v1/chains/%d", ids[100]), http.StatusOK, 10},                        // 16
-		{"recover link", "DELETE", fmt.Sprintf("/v1/failures/links/%d", link), http.StatusOK, 8},         // 24
-		{"recover node", "DELETE", fmt.Sprintf("/v1/failures/%d", dep.Path[2]), http.StatusOK, 7},        // 23
-		{"report link", "POST", fmt.Sprintf("/v1/failures/links/%d", link), http.StatusAccepted, 6},      // 15
-		{"unknown link", "DELETE", fmt.Sprintf("/v1/failures/links/%d", 1<<30), http.StatusNotFound, 11}, // 17
-		{"unknown chain", "GET", fmt.Sprintf("/v1/chains/%d", 1<<30), http.StatusNotFound, 11},           // 17
-		{"healthz", "GET", "/healthz", http.StatusOK, 2},                                                 // 6
+		{"get", "GET", fmt.Sprintf("/v1/chains/%d", ids[100]), http.StatusOK, 10},                       // 16
+		{"recover link", "DELETE", fmt.Sprintf("/v1/failures/links/%d", link), http.StatusOK, 5},        // 24
+		{"recover node", "DELETE", fmt.Sprintf("/v1/failures/%d", dep.Path[2]), http.StatusOK, 5},       // 23
+		{"report link", "POST", fmt.Sprintf("/v1/failures/links/%d", link), http.StatusAccepted, 5},     // 15
+		{"unknown link", "DELETE", fmt.Sprintf("/v1/failures/links/%d", 1<<30), http.StatusNotFound, 7}, // 17
+		{"unknown chain", "GET", fmt.Sprintf("/v1/chains/%d", 1<<30), http.StatusNotFound, 6},           // 17
+		{"healthz", "GET", "/healthz", http.StatusOK, 2},                                                // 6
 	} {
 		do := doer(t, srv, verb.method, verb.target, verb.status)
 		do()

@@ -13,10 +13,10 @@ package trace
 //
 // Spans arrive one operation at a time (commit): a request's or a
 // repair's whole tree in one locked insert, each span admitted exactly
-// as if it had been added alone, in order. A trace is an exactly sized
-// array of compact records — one per insert, so usually one — and the
-// retention sets hold entries: a fixed ring per kind and for the
-// errored, a heap for the slowest.
+// as if it had been added alone, in order. A trace is one array of
+// compact records, drawn from the arrays freed traces gave back (see
+// spares), and the retention sets hold entries: a fixed ring per kind
+// and for the errored, a heap for the slowest.
 
 import (
 	"cmp"
@@ -98,18 +98,16 @@ type Query struct {
 
 type entry struct {
 	id string
-	// recs holds the spans of the insert that created the trace and more
-	// those of each later insert (a continuation), every array sized to
-	// its insert: a continuation appends an array rather than copying
-	// the trace into a longer one.
+	// recs holds the trace's spans, in an array from spanSpares sized
+	// to the insert that created the trace; a continuation that outgrows
+	// it moves them to one sized to what that insert adds.
 	recs     []record
-	more     [][]record
-	n        int     // spans held
-	root     *record // the root span, once seen
-	deps     []int   // deployments whose chain index references this trace
-	kind     string  // root span's kind once seen, else first span's
-	name     string  // the summary's name, once built (named)
-	pos      int     // where order holds the entry
+	root     int    // index in recs of the root span; -1 until it arrives
+	rootDur  int64  // the root span's duration, once it arrives
+	deps     []int  // deployments whose chain index references this trace
+	kind     string // root span's kind once seen, else first span's
+	name     string // the summary's name, once built (named)
+	pos      int    // where order holds the entry
 	refs     int
 	minStart int64
 	maxEnd   int64
@@ -124,8 +122,8 @@ type entry struct {
 }
 
 func (e *entry) duration() time.Duration {
-	if e.root != nil {
-		return time.Duration(e.root.dur)
+	if e.root >= 0 {
+		return time.Duration(e.rootDur)
 	}
 	return time.Duration(e.maxEnd - e.minStart)
 }
@@ -145,10 +143,12 @@ type Store struct {
 	order   []*entry                  // trace creation order from head on (nil = freed)
 	head    int                       // order[:head] is consumed
 	total   int                       // live spans across all traces
-	// spare holds freed traces' entries, small record arrays attached,
-	// for the next new trace: a full store frees one trace for every
-	// one it admits.
-	spare []*entry
+	// spare holds freed traces' entries and spareRings the emptied chain
+	// indexes' rings, for the next new trace and chain: a full store
+	// frees one trace for every one it admits.
+	spare      []*entry
+	spareRings []ring.Ring[*entry]
+	top        []*entry // matchLocked's scratch, cleared between queries
 
 	commits  uint64
 	recorded uint64
@@ -177,7 +177,7 @@ func (s *Store) commit(traceID string, recs []record) {
 	s.commits++
 	e := s.traces[traceID]
 	for i := range recs {
-		if e != nil && e.n >= s.opts.MaxSpansPerTrace {
+		if e != nil && len(e.recs) >= s.opts.MaxSpansPerTrace {
 			e.dropped++
 			s.dropped++
 			continue
@@ -194,10 +194,10 @@ func (s *Store) commit(traceID string, recs []record) {
 		left := len(recs) - i
 		if e == nil {
 			e = s.newEntry(traceID, &recs[i], min(left, s.opts.MaxSpansPerTrace))
-		} else if t := e.tail(); len(*t) == cap(*t) {
-			// A continuation: an array sized to what the rest of this
-			// insert can add.
-			e.more = append(e.more, make([]record, 0, min(left, s.opts.MaxSpansPerTrace-e.n)))
+		} else if len(e.recs) == cap(e.recs) {
+			// A continuation: the spans move to an array with room for
+			// what the rest of this insert can add.
+			e.recs = spanSpares.grow(e.recs, min(left, s.opts.MaxSpansPerTrace-len(e.recs)))
 		}
 		if !s.admit(e, &recs[i]) {
 			e = nil // its own delete span freed the trace
@@ -210,24 +210,14 @@ func (s *Store) commit(traceID string, recs []record) {
 func (s *Store) newEntry(traceID string, r *record, n int) *entry {
 	var e *entry
 	if k := len(s.spare); k > 0 {
-		// Prefer a spare whose array fits exactly.
-		j := k - 1
-		for i, sp := range s.spare {
-			if cap(sp.recs) == n {
-				j = i
-				break
-			}
-		}
-		e = s.spare[j]
-		s.spare[j] = s.spare[k-1]
+		e = s.spare[k-1]
 		s.spare[k-1] = nil
 		s.spare = s.spare[:k-1]
 	} else {
 		e = new(entry)
 	}
-	if cap(e.recs) != n {
-		e.recs = make([]record, 0, n)
-	}
+	e.recs = spanSpares.get(n)
+	e.root = -1
 	e.id, e.kind = traceID, r.kindName()
 	e.minStart, e.maxEnd = r.start, r.start+r.dur
 	s.traces[traceID] = e
@@ -238,21 +228,11 @@ func (s *Store) newEntry(traceID string, r *record, n int) *entry {
 	return e
 }
 
-// tail is the array e's next span goes to.
-func (e *entry) tail() *[]record {
-	if len(e.more) > 0 {
-		return &e.more[len(e.more)-1]
-	}
-	return &e.recs
-}
-
 // admit adds r to e and files e where r makes it belong. It reports
 // false when r, a delete, released the chain index that held the last
 // reference to e: e is freed.
 func (s *Store) admit(e *entry, r *record) bool {
-	t := e.tail()
-	*t = append(*t, *r)
-	e.n++
+	e.recs = append(e.recs, *r)
 	s.total++
 	s.recorded++
 	e.minStart = min(e.minStart, r.start)
@@ -275,8 +255,8 @@ func (s *Store) admit(e *entry, r *record) bool {
 	default:
 		s.indexDep(e, d)
 	}
-	if r.parent == 0 && e.root == nil {
-		e.root = &(*t)[len(*t)-1]
+	if r.parent == 0 && e.root < 0 {
+		e.root, e.rootDur = len(e.recs)-1, r.dur
 		e.named = false
 		if k := r.kindName(); k != e.kind {
 			from := e.kind
@@ -354,6 +334,7 @@ func (s *Store) forceEvict(e *entry) {
 		removeEntry(&r, e)
 		if r.Len() == 0 {
 			delete(s.byDep, d)
+			s.spareRing(r)
 		} else {
 			s.byDep[d] = r
 		}
@@ -373,31 +354,107 @@ func removeEntry(r *ring.Ring[*entry], e *entry) {
 	}
 }
 
-// The bounds of the spare list: how many freed entries it keeps, and how
-// long a record array a kept entry may hold on to. Most traces are one
-// request's few spans; a storm batch's hundred go to the collector.
-const (
-	maxSpareEntries = 16
-	maxSpareSpans   = 8
-)
+// maxSpareEntries bounds the freed entries and the emptied chain-index
+// rings the store keeps for reuse; their arrays go to spanSpares and
+// depSpares.
+const maxSpareEntries = 16
 
 // free forgets the trace. Nothing may use e afterwards: it is reset and
-// kept for the next new trace. Readers were handed copies (Trace,
-// summaryLocked), so reusing the record array aliases nothing.
+// kept for the next new trace, and its arrays are kept, cleared.
+// Readers were handed copies (Trace, Traces), or saw the trace only under
+// the lock (ViewTraces), so reusing the arrays aliases nothing.
 func (s *Store) free(e *entry) {
 	delete(s.traces, e.id)
 	s.order[e.pos] = nil
-	s.total -= e.n
+	s.total -= len(e.recs)
 	s.evicted++
+	spanSpares.put(e.recs)
+	depSpares.put(e.deps)
+	*e = entry{}
 	if len(s.spare) < maxSpareEntries {
-		recs := e.recs[:0]
-		if cap(recs) > maxSpareSpans {
-			recs = nil
-		}
-		clear(e.recs) // the spans' strings and attributes go now, not at reuse
-		*e = entry{recs: recs, deps: e.deps[:0]}
 		s.spare = append(s.spare, e)
 	}
+}
+
+// spareRing keeps r, an emptied chain-index ring, for the next chain.
+func (s *Store) spareRing(r ring.Ring[*entry]) {
+	if len(s.spareRings) < maxSpareEntries {
+		r.Clear()
+		s.spareRings = append(s.spareRings, r)
+	}
+}
+
+// spanSpares and depSpares keep the record and deployment arrays freed
+// traces gave back.
+var (
+	spanSpares spares[record]
+	depSpares  spares[int]
+)
+
+// spares keeps arrays of T for reuse, by capacity, in the allocator's own
+// size classes: an array drawn for n elements occupies what a make of n
+// would, so a trace holds no more than an exactly sized array did. Each
+// class is a sync.Pool, so the collector empties what goes unused and
+// nothing kept stays live; an array longer than maxPooledSpans is not
+// kept.
+type spares[T any] struct {
+	once    sync.Once
+	caps    []int       // the class capacities, ascending
+	pools   []sync.Pool // per class, *[]T holding an empty array
+	holders sync.Pool   // *[]T holding nothing, for put
+}
+
+// classes reads the allocator's size classes off the capacities it
+// rounds an array of T up to, from 1 element to the first class at or
+// past maxPooledSpans.
+func (p *spares[T]) classes() {
+	for n := 1; n <= maxPooledSpans; n = p.caps[len(p.caps)-1] + 1 {
+		p.caps = append(p.caps, cap(slices.Grow([]T(nil), n)))
+	}
+	p.pools = make([]sync.Pool, len(p.caps))
+}
+
+// get returns an empty array with room for n.
+func (p *spares[T]) get(n int) []T {
+	p.once.Do(p.classes)
+	i, _ := slices.BinarySearch(p.caps, n)
+	if i == len(p.caps) {
+		return make([]T, 0, n)
+	}
+	if h, ok := p.pools[i].Get().(*[]T); ok {
+		a := *h
+		*h = nil
+		p.holders.Put(h)
+		return a
+	}
+	return make([]T, 0, p.caps[i])
+}
+
+// put clears a and keeps it for a later get.
+func (p *spares[T]) put(a []T) {
+	p.once.Do(p.classes)
+	i, ok := slices.BinarySearch(p.caps, cap(a))
+	if !ok {
+		return // nil, or of no class: the collector's
+	}
+	clear(a[:cap(a)]) // what a trace held goes now, not at reuse
+	h, _ := p.holders.Get().(*[]T)
+	if h == nil {
+		h = new([]T)
+	}
+	*h = a[:0]
+	p.pools[i].Put(h)
+}
+
+// grow returns a with room for n more: a itself when it has it, else a
+// kept or new array holding a's elements, a being kept in its place.
+func (p *spares[T]) grow(a []T, n int) []T {
+	if cap(a)-len(a) >= n {
+		return a
+	}
+	b := append(p.get(len(a)+n), a...)
+	p.put(a)
+	return b
 }
 
 func (s *Store) unref(e *entry) {
@@ -475,7 +532,7 @@ func (s *Store) considerSlowest(e *entry) {
 		return
 	}
 	v := s.slow[0]
-	if e.root.dur <= v.root.dur {
+	if e.rootDur <= v.rootDur {
 		return
 	}
 	v.inSlow = false
@@ -488,7 +545,7 @@ func (s *Store) considerSlowest(e *entry) {
 }
 
 func slowLess(a, b *entry) bool {
-	return a.root.dur < b.root.dur || a.root.dur == b.root.dur && a.slowKey < b.slowKey
+	return a.rootDur < b.rootDur || a.rootDur == b.rootDur && a.slowKey < b.slowKey
 }
 
 func (s *Store) slowSwap(i, j int) {
@@ -543,11 +600,21 @@ func (s *Store) indexDep(e *entry, d int) {
 			return
 		}
 	}
+	if len(e.deps) == cap(e.deps) {
+		// Doubling: a list passes through few classes, each well reused.
+		e.deps = depSpares.grow(e.deps, max(len(e.deps), 1))
+	}
 	e.deps = append(e.deps, d)
 	e.refs++
 	r, ok := s.byDep[d]
 	if !ok {
-		r = ring.New[*entry](s.opts.ChainDepth)
+		if k := len(s.spareRings); k > 0 {
+			r = s.spareRings[k-1]
+			s.spareRings[k-1] = ring.Ring[*entry]{}
+			s.spareRings = s.spareRings[:k-1]
+		} else {
+			r = ring.New[*entry](s.opts.ChainDepth)
+		}
 	}
 	old, evicted := r.Push(e)
 	s.byDep[d] = r
@@ -560,13 +627,17 @@ func (s *Store) indexDep(e *entry, d int) {
 // dropDep forgets deployment d's chain index, releasing the reference it
 // held on each indexed trace.
 func (s *Store) dropDep(d int) {
-	r := s.byDep[d]
+	r, ok := s.byDep[d]
+	if !ok {
+		return
+	}
 	delete(s.byDep, d)
 	for i := 0; i < r.Len(); i++ {
 		v := r.At(i)
 		v.deps = removeDep(v.deps, d)
 		s.unref(v)
 	}
+	s.spareRing(r)
 }
 
 func removeDep(deps []int, d int) []int {
@@ -578,29 +649,34 @@ func removeDep(deps []int, d int) []int {
 	return deps
 }
 
+// summaryLocked is e's summary. Its Deps are e's own list: the summary
+// is the store's until the lock is released.
 func (s *Store) summaryLocked(e *entry) Summary {
 	if !e.named {
 		// The root's name, else the first span's; a request's is built
 		// from its parts here, once per trace.
-		if e.root != nil {
-			e.name = e.root.fullName()
+		if e.root >= 0 {
+			e.name = e.recs[e.root].fullName()
 		}
 		if e.name == "" && len(e.recs) > 0 {
 			e.name = e.recs[0].fullName()
 		}
 		e.named = true
 	}
-	return Summary{
+	sum := Summary{
 		ID:       e.id,
 		Kind:     e.kind,
 		Name:     e.name,
 		Start:    time.Unix(0, e.minStart),
 		Duration: e.duration(),
-		Spans:    e.n,
+		Spans:    len(e.recs),
 		Dropped:  e.dropped,
 		Errored:  e.errored,
-		Deps:     append([]int(nil), e.deps...),
 	}
+	if len(e.deps) > 0 {
+		sum.Deps = e.deps
+	}
+	return sum
 }
 
 // slowerFirst orders traces for a listing: by duration descending, ties
@@ -612,18 +688,44 @@ func slowerFirst(a, b *entry) int {
 	return strings.Compare(a.id, b.id)
 }
 
-// Traces lists retained traces matching q, slowest-first. The scan
-// keeps the limit slowest matches seen so far, in order, and only the
-// ones left at the end are summarised: a query costs the store's size in
-// comparisons and the limit in copies.
+// ViewTraces shows fn the summary of each retained trace matching q,
+// slowest-first, under the store's lock: the summary's Deps are the
+// store's, to be read during the call and not kept, and fn must not call
+// the store.
+func (s *Store) ViewTraces(q Query, fn func(sum Summary)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	top := s.matchLocked(q)
+	for _, e := range top {
+		fn(s.summaryLocked(e))
+	}
+	clear(top)
+}
+
+// Traces lists ViewTraces' summaries, each with a Deps of its own.
 func (s *Store) Traces(q Query) []Summary {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	top := s.matchLocked(q)
+	out := make([]Summary, len(top))
+	for i, e := range top {
+		out[i] = s.summaryLocked(e)
+		out[i].Deps = append([]int(nil), out[i].Deps...)
+	}
+	clear(top)
+	return out
+}
+
+// matchLocked returns the traces q matches, slowest-first, in the store's
+// scratch, which the caller clears. The scan keeps the limit slowest
+// matches seen so far, in order: a query costs the store's size in
+// comparisons and the limit in summaries.
+func (s *Store) matchLocked(q Query) []*entry {
 	limit := q.Limit
 	if limit <= 0 {
 		limit = 100
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	top := make([]*entry, 0, min(limit, len(s.traces)))
+	top := s.top[:0]
 	for _, e := range s.traces {
 		if q.Kind != "" && e.kind != q.Kind {
 			continue
@@ -643,10 +745,29 @@ func (s *Store) Traces(q Query) []Summary {
 		i, _ := slices.BinarySearchFunc(top, e, slowerFirst)
 		top = slices.Insert(top, i, e)
 	}
-	out := make([]Summary, len(top))
-	for i, e := range top {
-		out[i] = s.summaryLocked(e)
+	s.top = top
+	return top
+}
+
+// ViewChainTraces shows fn, as ViewTraces does, the summaries of the
+// retained lifecycle traces of one deployment, most recent first.
+func (s *Store) ViewChainTraces(dep int, fn func(sum Summary)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.byDep[dep]
+	for i := r.Len() - 1; i >= 0; i-- {
+		fn(s.summaryLocked(r.At(i)))
 	}
+}
+
+// ChainTraces lists ViewChainTraces' summaries, each with a Deps of its
+// own.
+func (s *Store) ChainTraces(dep int) []Summary {
+	var out []Summary
+	s.ViewChainTraces(dep, func(sum Summary) {
+		sum.Deps = append([]int(nil), sum.Deps...)
+		out = append(out, sum)
+	})
 	return out
 }
 
@@ -660,29 +781,11 @@ func (s *Store) Trace(id string) ([]Span, int, bool) {
 	if !ok {
 		return nil, 0, false
 	}
-	out := make([]Span, 0, e.n)
+	out := make([]Span, 0, len(e.recs))
 	for i := range e.recs {
 		out = append(out, e.recs[i].span(e.id))
 	}
-	for _, recs := range e.more {
-		for i := range recs {
-			out = append(out, recs[i].span(e.id))
-		}
-	}
 	return out, e.dropped, true
-}
-
-// ChainTraces returns the retained lifecycle traces of one
-// deployment, most recent first.
-func (s *Store) ChainTraces(dep int) []Summary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.byDep[dep]
-	out := make([]Summary, 0, r.Len())
-	for i := r.Len() - 1; i >= 0; i-- {
-		out = append(out, s.summaryLocked(r.At(i)))
-	}
-	return out
 }
 
 // Stats returns the store's counters.
