@@ -603,8 +603,11 @@ func (a *Architecture) Deployments() []*Deployment { return a.sh.Deployments() }
 func (a *Architecture) Deployment(id DeploymentID) *Deployment { return a.sh.Deployment(id) }
 
 // MeasureDeployment replays n representative flows of the deployment
-// through the flow simulator and returns the measured aggregate
-// (hops, O/E/O conversions, energy, latency).
+// along the walk its installed rules take (sdn.Controller.Walk) and
+// returns the measured aggregate (hops, O/E/O conversions, energy,
+// latency). A chain whose rules do not carry a packet to its egress — a
+// blackhole, an ambiguous match, a dead link — is an error, not a
+// number.
 func (a *Architecture) MeasureDeployment(id DeploymentID, n int) (FlowResult, error) {
 	dep := a.sh.Deployment(id)
 	if dep == nil {
@@ -630,9 +633,14 @@ func (a *Architecture) MeasureDeployment(id DeploymentID, n int) (FlowResult, er
 	if err != nil {
 		return FlowResult{}, fmt.Errorf("alvc: measure: %w", err)
 	}
+	ctrl := a.sh.ControllerOf(dep.ID)
+	walk, err := ctrl.Walk(dep.FlowKey())
+	if err != nil {
+		return FlowResult{}, fmt.Errorf("alvc: measure: %w", err)
+	}
 	specs := make([]flow.Spec, n)
 	for i := range specs {
-		specs[i] = flow.Spec{Path: dep.Path, Bytes: dep.Spec.FlowBytes}
+		specs[i] = flow.Spec{Walk: walk, Bytes: dep.Spec.FlowBytes}
 	}
 	res, err := sim.RunBatch(specs)
 	if err != nil {
@@ -640,7 +648,7 @@ func (a *Architecture) MeasureDeployment(id DeploymentID, n int) (FlowResult, er
 	}
 	// Credit the flow-table counters like a switch would (OpenFlow
 	// statistics): each replayed flow hits every rule on its path once.
-	a.sh.ControllerOf(dep.ID).RecordHits(dep.FlowKey(), int64(n))
+	ctrl.RecordHits(dep.FlowKey(), int64(n))
 	return res, nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/alvc/alvc"
 	"github.com/alvc/alvc/internal/chain"
@@ -327,8 +326,9 @@ func BenchmarkE11_CapacityGate(b *testing.B) {
 	}
 }
 
-// BenchmarkE12_FlowSteering times per-flow measurement and batch replay
-// through a deployed chain (experiment E12, §IV-A).
+// BenchmarkE12_FlowSteering times one flow's walk through a deployed
+// chain's rules and its measurement, and a batch replay of the walk
+// (experiment E12, §IV-A).
 func BenchmarkE12_FlowSteering(b *testing.B) {
 	topo := orchTopo(b)
 	o, err := orch.New(orch.Config{Topo: topo}, 1, orch.ShardByTenant)
@@ -347,33 +347,30 @@ func BenchmarkE12_FlowSteering(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctrl := o.ControllerOf(dep.ID)
 	b.Run("measure", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.Measure(flow.Spec{Path: dep.Path, Bytes: 1 << 20}); err != nil {
+			walk, err := ctrl.Walk(dep.FlowKey())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sim.Measure(flow.Spec{Walk: walk, Bytes: 1 << 20}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("batch1000", func(b *testing.B) {
+		walk, err := ctrl.Walk(dep.FlowKey())
+		if err != nil {
+			b.Fatal(err)
+		}
 		specs := make([]flow.Spec, 1000)
 		for i := range specs {
-			specs[i] = flow.Spec{Path: dep.Path, Bytes: 1 << 20}
+			specs[i] = flow.Spec{Walk: walk, Bytes: 1 << 20}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.RunBatch(specs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("event1000", func(b *testing.B) {
-		specs := make([]flow.Spec, 1000)
-		for i := range specs {
-			specs[i] = flow.Spec{Path: dep.Path, Bytes: 1 << 20}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunEventDriven(specs, time.Millisecond, 42); err != nil {
 				b.Fatal(err)
 			}
 		}

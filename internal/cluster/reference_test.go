@@ -374,8 +374,8 @@ func oraclePaperBuild(topo *topology.Topology, vms []topology.NodeID, allowOPS m
 	}
 	opsOut := func(r topology.NodeID) float64 {
 		deg := 0
-		for _, l := range topo.LinksOf(r) {
-			if l.Kind == topology.LinkOptical {
+		for _, l := range topo.Links() {
+			if (l.From == r || l.To == r) && l.Kind == topology.LinkOptical {
 				deg++
 			}
 		}

@@ -3,19 +3,22 @@ package flow
 import (
 	"math"
 	"testing"
-	"time"
 
+	"github.com/alvc/alvc/internal/sdn"
 	"github.com/alvc/alvc/internal/topology"
 )
 
-// pathTopo: vm1-pm1-tor1-ops1-ops2-tor2-pm2-vm2 plus an OER (ops1).
-func pathTopo(t *testing.T) (*topology.Topology, []topology.NodeID) {
+// pathTopo: vm1-pm1-tor1-ops1-ops2-tor2-pm2-vm2 plus an OER (ops1),
+// and a third ToR joined to both OPSs, where a path can leave the
+// optical core between them. It returns the transit path and the ToR.
+func pathTopo(t *testing.T) (*topology.Topology, []topology.NodeID, topology.NodeID) {
 	t.Helper()
 	topo := topology.New()
 	ops1 := topo.AddOPS(true, topology.Resources{CPUCores: 4, MemoryGB: 8, StorageGB: 16})
 	ops2 := topo.AddOPS(false, topology.Resources{})
 	tor1 := topo.AddToR(0)
 	tor2 := topo.AddToR(1)
+	tor3 := topo.AddToR(2)
 	pm1 := topo.AddPM(0, topology.Resources{CPUCores: 32, MemoryGB: 64, StorageGB: 256})
 	pm2 := topo.AddPM(1, topology.Resources{CPUCores: 32, MemoryGB: 64, StorageGB: 256})
 	link := func(a, b topology.NodeID, k topology.LinkKind, lat float64) {
@@ -27,6 +30,8 @@ func pathTopo(t *testing.T) (*topology.Topology, []topology.NodeID) {
 	link(ops1, ops2, topology.LinkOptical, 1)
 	link(tor1, ops1, topology.LinkBoundary, 2)
 	link(tor2, ops2, topology.LinkBoundary, 2)
+	link(tor3, ops1, topology.LinkBoundary, 2)
+	link(tor3, ops2, topology.LinkBoundary, 2)
 	link(pm1, tor1, topology.LinkElectronic, 5)
 	link(pm2, tor2, topology.LinkElectronic, 5)
 	vm1, err := topo.AddVM(pm1, "web")
@@ -37,16 +42,34 @@ func pathTopo(t *testing.T) (*topology.Topology, []topology.NodeID) {
 	if err != nil {
 		t.Fatalf("AddVM: %v", err)
 	}
-	return topo, []topology.NodeID{vm1, pm1, tor1, ops1, ops2, tor2, pm2, vm2}
+	return topo, []topology.NodeID{vm1, pm1, tor1, ops1, ops2, tor2, pm2, vm2}, tor3
+}
+
+// walk installs path as a flow's rules on a controller of its own and
+// returns the walk they take.
+func walk(t *testing.T, topo *topology.Topology, path []topology.NodeID) sdn.Walk {
+	t.Helper()
+	c, err := sdn.NewController(topo)
+	if err != nil {
+		t.Fatalf("NewController: %v", err)
+	}
+	if err := c.Reroute(sdn.Match{FlowKey: "t/flow", Src: path[0], Dst: path[len(path)-1]}, path, 1); err != nil {
+		t.Fatalf("Reroute: %v", err)
+	}
+	w, err := c.Walk("t/flow")
+	if err != nil {
+		t.Fatalf("Walk: %v", err)
+	}
+	return w
 }
 
 func TestMeasureSimpleTransit(t *testing.T) {
-	topo, path := pathTopo(t)
+	topo, path, _ := pathTopo(t)
 	s, err := NewSimulator(topo, DefaultConfig())
 	if err != nil {
 		t.Fatalf("NewSimulator: %v", err)
 	}
-	pf, err := s.Measure(Spec{Path: path, Bytes: 1 << 20})
+	pf, err := s.Measure(Spec{Walk: walk(t, topo, path), Bytes: 1 << 20})
 	if err != nil {
 		t.Fatalf("Measure: %v", err)
 	}
@@ -72,12 +95,12 @@ func TestMeasureSimpleTransit(t *testing.T) {
 }
 
 func TestMeasureElectronicExcursion(t *testing.T) {
-	topo, path := pathTopo(t)
+	topo, path, tor3 := pathTopo(t)
 	s, _ := NewSimulator(topo, DefaultConfig())
-	// Path dips back to tor1 (electronic VNF) mid-transit:
-	// vm1 pm1 tor1 ops1 tor1 ops1 ops2 tor2 pm2 vm2 — 4 crossings.
-	dip := []topology.NodeID{path[0], path[1], path[2], path[3], path[2], path[3], path[4], path[5], path[6], path[7]}
-	pf, err := s.Measure(Spec{Path: dip, Bytes: 1 << 20})
+	// The path leaves the core for tor3 (an electronic VNF) mid-transit:
+	// vm1 pm1 tor1 ops1 tor3 ops2 tor2 pm2 vm2 — 4 crossings.
+	dip := []topology.NodeID{path[0], path[1], path[2], path[3], tor3, path[4], path[5], path[6], path[7]}
+	pf, err := s.Measure(Spec{Walk: walk(t, topo, dip), Bytes: 1 << 20})
 	if err != nil {
 		t.Fatalf("Measure: %v", err)
 	}
@@ -93,10 +116,10 @@ func TestMeasureElectronicExcursion(t *testing.T) {
 }
 
 func TestMeasureAllElectronicPath(t *testing.T) {
-	topo, path := pathTopo(t)
+	topo, path, _ := pathTopo(t)
 	s, _ := NewSimulator(topo, DefaultConfig())
-	// vm1 pm1 tor1 pm1... an electronic-only walk never converts.
-	pf, err := s.Measure(Spec{Path: []topology.NodeID{path[0], path[1], path[2]}, Bytes: 100})
+	// vm1 pm1 tor1: an electronic-only walk never converts.
+	pf, err := s.Measure(Spec{Walk: walk(t, topo, path[:3]), Bytes: 100})
 	if err != nil {
 		t.Fatalf("Measure: %v", err)
 	}
@@ -106,16 +129,17 @@ func TestMeasureAllElectronicPath(t *testing.T) {
 }
 
 func TestMeasureVNFDelay(t *testing.T) {
-	topo, path := pathTopo(t)
+	topo, path, _ := pathTopo(t)
+	w := walk(t, topo, path)
 	cfg := DefaultConfig()
 	cfg.VNFDelayUs = map[topology.NodeID]float64{path[3]: 100} // VNF on ops1
 	s, _ := NewSimulator(topo, cfg)
 	base, _ := NewSimulator(topo, DefaultConfig())
-	withVNF, err := s.Measure(Spec{Path: path, Bytes: 100})
+	withVNF, err := s.Measure(Spec{Walk: w, Bytes: 100})
 	if err != nil {
 		t.Fatalf("Measure: %v", err)
 	}
-	plain, err := base.Measure(Spec{Path: path, Bytes: 100})
+	plain, err := base.Measure(Spec{Walk: w, Bytes: 100})
 	if err != nil {
 		t.Fatalf("Measure: %v", err)
 	}
@@ -125,21 +149,18 @@ func TestMeasureVNFDelay(t *testing.T) {
 }
 
 func TestMeasureValidation(t *testing.T) {
-	topo, path := pathTopo(t)
+	topo, path, _ := pathTopo(t)
 	s, _ := NewSimulator(topo, DefaultConfig())
-	if _, err := s.Measure(Spec{Path: nil, Bytes: 1}); err == nil {
-		t.Fatal("empty path accepted")
+	if _, err := s.Measure(Spec{Bytes: 1}); err == nil {
+		t.Fatal("empty walk accepted")
 	}
-	if _, err := s.Measure(Spec{Path: path, Bytes: 0}); err == nil {
+	if _, err := s.Measure(Spec{Walk: walk(t, topo, path), Bytes: 0}); err == nil {
 		t.Fatal("zero bytes accepted")
-	}
-	if _, err := s.Measure(Spec{Path: []topology.NodeID{9999}, Bytes: 1}); err == nil {
-		t.Fatal("unknown node accepted")
 	}
 }
 
 func TestNewSimulatorValidation(t *testing.T) {
-	topo, _ := pathTopo(t)
+	topo, _, _ := pathTopo(t)
 	if _, err := NewSimulator(nil, DefaultConfig()); err == nil {
 		t.Fatal("nil topology accepted")
 	}
@@ -151,12 +172,13 @@ func TestNewSimulatorValidation(t *testing.T) {
 }
 
 func TestRunBatchAggregates(t *testing.T) {
-	topo, path := pathTopo(t)
+	topo, path, _ := pathTopo(t)
 	s, _ := NewSimulator(topo, DefaultConfig())
+	w := walk(t, topo, path)
 	specs := []Spec{
-		{Path: path, Bytes: 1000},
-		{Path: path, Bytes: 2000},
-		{Path: path, Bytes: 3000},
+		{Walk: w, Bytes: 1000},
+		{Walk: w, Bytes: 2000},
+		{Walk: w, Bytes: 3000},
 	}
 	res, err := s.RunBatch(specs)
 	if err != nil {
@@ -168,54 +190,7 @@ func TestRunBatchAggregates(t *testing.T) {
 	if res.MeanHops != float64(len(path)-1) {
 		t.Fatalf("mean hops = %f", res.MeanHops)
 	}
-	if _, err := s.RunBatch([]Spec{{Path: path, Bytes: -1}}); err == nil {
+	if _, err := s.RunBatch([]Spec{{Walk: w, Bytes: -1}}); err == nil {
 		t.Fatal("bad flow accepted in batch")
-	}
-}
-
-func TestEventDrivenMatchesBatch(t *testing.T) {
-	topo, path := pathTopo(t)
-	s, _ := NewSimulator(topo, DefaultConfig())
-	specs := make([]Spec, 50)
-	for i := range specs {
-		specs[i] = Spec{Path: path, Bytes: int64(1000 * (i + 1))}
-	}
-	batch, err := s.RunBatch(specs)
-	if err != nil {
-		t.Fatalf("RunBatch: %v", err)
-	}
-	event, err := s.RunEventDriven(specs, time.Millisecond, 42)
-	if err != nil {
-		t.Fatalf("RunEventDriven: %v", err)
-	}
-	if event.Flows != batch.Flows ||
-		event.TotalBytes != batch.TotalBytes ||
-		event.TotalConversions != batch.TotalConversions ||
-		math.Abs(event.MeanLatencyUs-batch.MeanLatencyUs) > 1e-9 ||
-		math.Abs(event.TotalEnergyJoules-batch.TotalEnergyJoules) > 1e-9 {
-		t.Fatalf("event %+v != batch %+v", event, batch)
-	}
-	if event.SimulatedDuration <= 0 {
-		t.Fatal("event mode must advance simulated time")
-	}
-}
-
-func TestEventDrivenDeterministic(t *testing.T) {
-	topo, path := pathTopo(t)
-	s, _ := NewSimulator(topo, DefaultConfig())
-	specs := []Spec{{Path: path, Bytes: 1000}, {Path: path, Bytes: 2000}}
-	r1, err := s.RunEventDriven(specs, time.Millisecond, 7)
-	if err != nil {
-		t.Fatalf("RunEventDriven: %v", err)
-	}
-	r2, err := s.RunEventDriven(specs, time.Millisecond, 7)
-	if err != nil {
-		t.Fatalf("RunEventDriven: %v", err)
-	}
-	if r1.SimulatedDuration != r2.SimulatedDuration {
-		t.Fatal("same seed produced different makespans")
-	}
-	if _, err := s.RunEventDriven(specs, 0, 7); err == nil {
-		t.Fatal("zero inter-arrival accepted")
 	}
 }

@@ -161,7 +161,10 @@ func TestPathAlternativesFewerThanK(t *testing.T) {
 		t.Fatal("k=0 accepted")
 	}
 	// Strand pm2: all its ToR links die.
-	for _, l := range topo.LinksOf(pm2) {
+	for _, l := range topo.Links() {
+		if l.From != pm2 && l.To != pm2 {
+			continue
+		}
 		if err := topo.SetDown(topology.NewFailures(nil, []topology.LinkID{l.ID}), true); err != nil {
 			t.Fatalf("SetDown: %v", err)
 		}

@@ -1,6 +1,7 @@
 package sdn
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -46,7 +47,7 @@ func (c *scanTables) installPath(m Match, path []topology.NodeID, priority int) 
 			actions = append(actions, Action{Type: ActionDeliver})
 		}
 		c.nextRule++
-		rule := &FlowRule{ID: c.nextRule, Switch: node, Priority: priority, Match: m, Actions: actions}
+		rule := &FlowRule{ID: c.nextRule, Switch: node, Priority: priority, Match: m, Actions: actions, Hop: int32(i)}
 		c.tables[node] = append(c.tables[node], rule)
 		c.rulesInstalled++
 	}
@@ -218,7 +219,7 @@ func checkIndexes(t *testing.T, c *Controller) {
 		}
 		inTables += len(table)
 		for slot, r := range table {
-			if r.slot != slot || r.Switch != sw {
+			if int(r.slot) != slot || r.Switch != sw {
 				t.Fatalf("rule %d sits at switch %d slot %d, remembers switch %d slot %d", r.ID, sw, slot, r.Switch, r.slot)
 			}
 		}
@@ -242,7 +243,7 @@ func checkIndexes(t *testing.T, c *Controller) {
 			if i > 0 && rules[i-1].ID >= r.ID {
 				t.Fatalf("flow %q: rule %d after rule %d", key, r.ID, rules[i-1].ID)
 			}
-			if table := c.tables[r.Switch]; r.slot >= len(table) || table[r.slot] != r {
+			if table := c.tables[r.Switch]; int(r.slot) >= len(table) || table[r.slot] != r {
 				t.Fatalf("flow %q rule %d is not the rule at switch %d slot %d", key, r.ID, r.Switch, r.slot)
 			}
 		}
@@ -259,7 +260,12 @@ func checkIndexes(t *testing.T, c *Controller) {
 // and move one to three of its hops — the ones the controller rewrites
 // in place — so the history covers kept and moved switches and domain
 // crossings that appear and disappear, beside new blocks for fresh
-// installs and paths of another length.
+// installs and paths of another length. Each flow is installed for its
+// path's ends, and after every step each flow is walked through the
+// tables: the random paths revisit switches and skip links on purpose,
+// so the walk must answer the path exactly when its every hop is linked
+// (a revisited switch tells its visits apart by the packet's hop) and
+// walkOracle's error otherwise.
 func TestFlowIndexMatchesScanningOracle(t *testing.T) {
 	f := newFabric(t)
 	c, oracle := f.controller(t), newScanTables(f.topo)
@@ -280,12 +286,10 @@ func TestFlowIndexMatchesScanningOracle(t *testing.T) {
 		return p
 	}
 	crossings := func(path []topology.NodeID) int {
-		oe, eo, err := c.CountConversionsOnPath(path)
-		if err != nil {
-			t.Fatalf("CountConversionsOnPath: %v", err)
-		}
+		oe, eo := domainCrossings(f.topo, path)
 		return oe + eo
 	}
+	walks := map[string]int{} // Walk's answers, by outcome
 	compare := func(step int, op string) {
 		t.Helper()
 		for _, sw := range switches {
@@ -299,6 +303,19 @@ func TestFlowIndexMatchesScanningOracle(t *testing.T) {
 			}
 			if got, want := c.FlowHits(key), oracle.flowHits(key); got != want {
 				t.Fatalf("step %d (%s): FlowHits(%q) = %d, oracle %d", step, op, key, got, want)
+			}
+			got, err := c.Walk(key)
+			want, wantErr := walkOracle(f.topo, oracle.rulesForFlow(key))
+			if wantErr != nil && !errors.Is(err, wantErr) || wantErr == nil && (err != nil || !reflect.DeepEqual(got, want)) {
+				t.Fatalf("step %d (%s): Walk(%q) = %+v, %v; oracle %+v, %v", step, op, key, got, err, want, wantErr)
+			}
+			switch {
+			case wantErr != nil:
+				walks[wantErr.Error()]++
+			case hasRepeat(got.Route):
+				walks["delivered, revisiting a switch"]++
+			default:
+				walks["delivered"]++
 			}
 		}
 		if got, want := c.RuleCount(), oracle.ruleCount(); got != want {
@@ -317,7 +334,6 @@ func TestFlowIndexMatchesScanningOracle(t *testing.T) {
 		for _, r := range oracle.rulesForFlow(key) {
 			cur = append(cur, r.Switch)
 		}
-		m := Match{FlowKey: key, Src: switches[0], Dst: switches[1]}
 		var op string
 		switch k := rng.Intn(10); {
 		case k < 6:
@@ -353,6 +369,7 @@ func TestFlowIndexMatchesScanningOracle(t *testing.T) {
 				seen["path-revisits-switch"]++
 			}
 			prio := rng.Intn(200)
+			m := Match{FlowKey: key, Src: path[0], Dst: path[len(path)-1]}
 			if err := c.Reroute(m, path, prio); err != nil {
 				t.Fatalf("step %d: Reroute: %v", step, err)
 			}
@@ -388,6 +405,50 @@ func TestFlowIndexMatchesScanningOracle(t *testing.T) {
 			t.Errorf("the history exercised %q %d times, want >= 10", op, seen[op])
 		}
 	}
+	for _, outcome := range []string{"delivered", "delivered, revisiting a switch", ErrBlackhole.Error(), ErrNoLink.Error()} {
+		if walks[outcome] < 10 {
+			t.Errorf("the walks answered %q %d times, want >= 10", outcome, walks[outcome])
+		}
+	}
+}
+
+// walkOracle is what Walk must answer for a flow whose rules, in path
+// order, are rules: ErrBlackhole for a flow with none; the path, its
+// links and its domain crossings when HopLink resolves its every hop to
+// a live link, switches visited twice included; otherwise ErrNoLink.
+func walkOracle(topo *topology.Topology, rules []FlowRule) (Walk, error) {
+	if len(rules) == 0 {
+		return Walk{}, ErrBlackhole
+	}
+	var w Walk
+	for i, r := range rules {
+		w.Route, w.Rules = append(w.Route, r.Switch), append(w.Rules, r.ID)
+		if i+1 == len(rules) {
+			break
+		}
+		l, ok := topo.HopLink(r.Switch, rules[i+1].Switch)
+		if !ok || l != 0 && topo.Link(l).Down {
+			return Walk{}, ErrNoLink
+		}
+		w.Links = append(w.Links, l)
+	}
+	w.OE, w.EO = domainCrossings(topo, w.Route)
+	return w, nil
+}
+
+// domainCrossings counts a path's hops out of the optical domain (oe)
+// and into it (eo).
+func domainCrossings(topo *topology.Topology, path []topology.NodeID) (oe, eo int) {
+	for i := 0; i+1 < len(path); i++ {
+		switch a, b := topo.Node(path[i]).Domain(), topo.Node(path[i+1]).Domain(); {
+		case a == b:
+		case a == topology.DomainOptical:
+			oe++
+		default:
+			eo++
+		}
+	}
+	return oe, eo
 }
 
 func hasRepeat(path []topology.NodeID) bool {
@@ -586,7 +647,7 @@ func TestRemoveFlowTouchesOnlyItsOwnRules(t *testing.T) {
 		first *FlowRule
 		n     int
 	}
-	slotBefore := make(map[*FlowRule]int)
+	slotBefore := make(map[*FlowRule]int32)
 	shapeBefore := make(map[topology.NodeID]tableShape)
 	for sw, table := range c.tables {
 		shapeBefore[sw] = tableShape{table[0], len(table)}

@@ -9,6 +9,7 @@
 package sdn
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -76,9 +77,16 @@ type FlowRule struct {
 	// Hits counts packets/flows accounted against this rule via
 	// RecordHits (OpenFlow-style counters).
 	Hits int64
+	// Hop is the rule's position on the flow's path, the label a packet
+	// carries when it reaches the switch: the ingress rule matches hop 0
+	// and each forward moves the packet to the next, as a label-switched
+	// path swaps labels. It tells apart the visits of a chain that passes
+	// one switch more than once — out to a VNF host and back through its
+	// ToR — which the flow's Match alone cannot.
+	Hop int32
 	// slot is the rule's index in its switch's table, what lets one rule
 	// leave a table without a pass over it. Zero in every copy handed out.
-	slot int
+	slot int32
 }
 
 // Controller is the in-process SDN controller. Safe for concurrent use.
@@ -91,9 +99,10 @@ type Controller struct {
 	// owns, its rules in path order, and what tables' pointers point
 	// into. A flow's rules share one action array, each rule's Actions a
 	// window of it; the first rule's window keeps the whole array as its
-	// capacity, which is how a reroute finds it. Every verb but RulesAt
-	// goes through flows and costs O(the flow's rules), whatever else the
-	// controller holds.
+	// capacity, which is how a reroute finds it. Every verb goes through
+	// flows and costs O(the flow's rules), whatever else the controller
+	// holds — except Walk, the tables' one production reader, which asks
+	// each switch's table what to do with a packet, as the switch would.
 	tables    map[topology.NodeID][]*FlowRule
 	flows     map[string][]FlowRule
 	ruleCount int
@@ -337,28 +346,30 @@ func (c *Controller) validatePath(m Match, path []topology.NodeID) error {
 // crossings) the path does not fit, and a new block — one []FlowRule, one
 // []Action of exactly hops + crossings — replaces the old, which leaves
 // its tables. Either way each hop counts as one rule installed and the
-// old rules as removed. The caller holds c.mu and validated the path.
+// old rules as removed. It is the one place node domains become
+// conversion actions: a hop between domains converts before it
+// forwards. The caller holds c.mu and validated the path.
 func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority int) {
-	oe, eo, _ := c.CountConversionsOnPath(path)
+	crossings := 0
+	for i := 0; i+1 < len(path); i++ {
+		if c.conversion(path[i], path[i+1]) != 0 {
+			crossings++
+		}
+	}
 	block := c.flows[m.FlowKey]
 	old := block
 	var actions []Action
-	fits := len(old) == len(path) && cap(old[0].Actions) >= len(path)+oe+eo
+	fits := len(old) == len(path) && cap(old[0].Actions) >= len(path)+crossings
 	if fits {
 		actions = old[0].Actions[:0]
 	} else {
-		block, actions = make([]FlowRule, len(path)), make([]Action, 0, len(path)+oe+eo)
+		block, actions = make([]FlowRule, len(path)), make([]Action, 0, len(path)+crossings)
 	}
 	for i, node := range path {
 		first := len(actions)
 		if i+1 < len(path) {
-			cur, next := c.topo.Node(node), c.topo.Node(path[i+1])
-			if cur.Domain() != next.Domain() {
-				if cur.Domain() == topology.DomainOptical {
-					actions = append(actions, Action{Type: ActionConvertOE})
-				} else {
-					actions = append(actions, Action{Type: ActionConvertEO})
-				}
+			if conv := c.conversion(node, path[i+1]); conv != 0 {
+				actions = append(actions, Action{Type: conv})
 			}
 			actions = append(actions, Action{Type: ActionForward, NextHop: path[i+1]})
 		} else {
@@ -380,10 +391,11 @@ func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority
 			Priority: priority,
 			Match:    m,
 			Actions:  window,
+			Hop:      int32(i),
 			slot:     rule.slot,
 		}
 		if moved {
-			rule.slot = len(c.tables[node])
+			rule.slot = int32(len(c.tables[node]))
 			c.tables[node] = append(c.tables[node], rule)
 			c.ruleCount++
 		}
@@ -467,6 +479,95 @@ func (c *Controller) RulesForFlow(flowKey string) []FlowRule {
 	return out
 }
 
+// Walk errors: what a packet of the flow meets instead of its egress.
+var (
+	// ErrBlackhole: a switch on the way holds no rule for the packet's
+	// visit, or delivers it short of its egress.
+	ErrBlackhole = errors.New("sdn: walk: blackhole")
+	// ErrAmbiguous: two rules claim one visit at the top priority, so the
+	// tables do not say which way the packet goes.
+	ErrAmbiguous = errors.New("sdn: walk: ambiguous match")
+	// ErrNoLink: a rule forwards to a node no live link reaches.
+	ErrNoLink = errors.New("sdn: walk: no live link")
+)
+
+// Walk is what the switches do with one packet of a flow.
+type Walk struct {
+	// Route is the switches the packet visits, ingress to egress.
+	Route []topology.NodeID
+	// Links holds each hop's link, 0 for a VM's hop to its host
+	// (topology.HopLink).
+	Links []topology.LinkID
+	// OE and EO count the conversion actions the packet met.
+	OE, EO int
+	// Rules is the rule each switch applied, in route order.
+	Rules []RuleID
+}
+
+// Walk follows a packet of the flow through the switches' own tables,
+// not the flow index: from the ingress the flow was installed for
+// (Match.Src), each switch applies its highest-priority rule that matches
+// the flow and the packet's hop, counting the rule's conversions and
+// forwarding to its next hop, until a rule delivers at Match.Dst. A miss
+// or a delivery anywhere else is ErrBlackhole, a tie is ErrAmbiguous, and
+// a hop HopLink cannot resolve or whose link is down is ErrNoLink. Each
+// hop moves the packet's label on, so a walk ends within as many hops as
+// the flow has rules.
+func (c *Controller) Walk(flowKey string) (Walk, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var w Walk
+	block := c.flows[flowKey]
+	if len(block) == 0 {
+		return Walk{}, fmt.Errorf("%w: flow %q has no rules", ErrBlackhole, flowKey)
+	}
+	m := block[0].Match
+	for at := m.Src; ; {
+		hop := int32(len(w.Route))
+		w.Route = append(w.Route, at)
+		var rule *FlowRule
+		tied := false
+		for _, r := range c.tables[at] {
+			switch {
+			case r.Match != m || r.Hop != hop:
+			case rule == nil || r.Priority > rule.Priority:
+				rule, tied = r, false
+			case r.Priority == rule.Priority:
+				tied = true
+			}
+		}
+		if rule == nil {
+			return Walk{}, fmt.Errorf("%w: flow %q has no rule at switch %d for hop %d", ErrBlackhole, flowKey, at, hop)
+		}
+		if tied {
+			return Walk{}, fmt.Errorf("%w: flow %q has two rules at switch %d for hop %d", ErrAmbiguous, flowKey, at, hop)
+		}
+		w.Rules = append(w.Rules, rule.ID)
+		var next topology.NodeID
+		for _, a := range rule.Actions {
+			switch a.Type {
+			case ActionConvertOE:
+				w.OE++
+			case ActionConvertEO:
+				w.EO++
+			case ActionForward:
+				next = a.NextHop
+			case ActionDeliver:
+				if at != m.Dst {
+					return Walk{}, fmt.Errorf("%w: flow %q delivered at switch %d, not %d", ErrBlackhole, flowKey, at, m.Dst)
+				}
+				return w, nil
+			}
+		}
+		l, ok := c.topo.HopLink(at, next)
+		if !ok || l != 0 && c.topo.Link(l).Down {
+			return Walk{}, fmt.Errorf("%w: flow %q forwards %d->%d", ErrNoLink, flowKey, at, next)
+		}
+		w.Links = append(w.Links, l)
+		at = next
+	}
+}
+
 // RecordHits adds n to the hit counter of every rule matching the flow
 // key (a flow traversal touches each of its per-hop rules once) and
 // returns the number of rules credited.
@@ -521,23 +622,17 @@ func (c *Controller) YenRuns() int {
 	return int(c.yenRuns.Load())
 }
 
-// CountConversionsOnPath counts the domain boundary crossings along a
-// node path, in each direction. A full O/E/O conversion corresponds to
-// one OE followed by one EO while transiting the optical core.
-func (c *Controller) CountConversionsOnPath(path []topology.NodeID) (oe, eo int, err error) {
-	for i := 0; i+1 < len(path); i++ {
-		cur, next := c.topo.Node(path[i]), c.topo.Node(path[i+1])
-		if cur == nil || next == nil {
-			return 0, 0, fmt.Errorf("sdn: conversions: unknown node in path")
-		}
-		if cur.Domain() == next.Domain() {
-			continue
-		}
-		if cur.Domain() == topology.DomainOptical {
-			oe++
-		} else {
-			eo++
-		}
+// conversion is the action a hop from a to b takes on leaving a's
+// domain — optical→electronic or electronic→optical — or 0 when both
+// ends share one.
+func (c *Controller) conversion(a, b topology.NodeID) ActionType {
+	from, to := c.topo.Node(a).Domain(), c.topo.Node(b).Domain()
+	switch {
+	case from == to:
+		return 0
+	case from == topology.DomainOptical:
+		return ActionConvertOE
+	default:
+		return ActionConvertEO
 	}
-	return oe, eo, nil
 }

@@ -1,7 +1,9 @@
 package sdn
 
 import (
+	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/alvc/alvc/internal/topology"
@@ -212,20 +214,85 @@ func TestRemoveFlow(t *testing.T) {
 	}
 }
 
-func TestCountConversionsOnPath(t *testing.T) {
+// TestWalk holds Walk to what a packet would meet on each installed
+// route of chainTopo: delivery along the path (a VM's hop to its host
+// needs no link record, and a path may pass a switch twice), a miss, a
+// delivery short of the egress, a forward to a switch with no rule for
+// that hop, two rules tied for one visit, a hop no link joins and a dead
+// link.
+func TestWalk(t *testing.T) {
 	topo, ids := chainTopo(t)
-	c, _ := NewController(topo)
-	path, _ := c.ComputePath(ids["vm1"], ids["vm2"], nil)
-	oe, eo, err := c.CountConversionsOnPath(path)
-	if err != nil {
-		t.Fatalf("CountConversionsOnPath: %v", err)
-	}
-	// One E→O at tor1→ops1, one O→E at ops2→tor2.
-	if eo != 1 || oe != 1 {
-		t.Fatalf("oe=%d eo=%d, want 1/1", oe, eo)
-	}
-	if _, _, err := c.CountConversionsOnPath([]topology.NodeID{9999, ids["vm1"]}); err == nil {
-		t.Fatal("unknown node accepted")
+	vm1, pm1, tor1, ops1, ops2, tor2, pm2, vm2 := ids["vm1"], ids["pm1"], ids["tor1"], ids["ops1"], ids["ops2"], ids["tor2"], ids["pm2"], ids["vm2"]
+	full := []topology.NodeID{vm1, pm1, tor1, ops1, ops2, tor2, pm2, vm2}
+	for _, tc := range []struct {
+		name  string
+		path  []topology.NodeID
+		match Match // Src and Dst default to the path's ends
+		edit  func(t *testing.T, c *Controller)
+		want  error
+		oe    int
+		eo    int
+	}{
+		{name: "across the core", path: full, oe: 1, eo: 1},
+		{name: "vm to host, no link record", path: []topology.NodeID{vm1, pm1}},
+		{name: "one switch", path: []topology.NodeID{tor1}},
+		{name: "no rules", want: ErrBlackhole},
+		{name: "miss at the ingress", path: full[1:], match: Match{Src: vm1, Dst: vm2}, want: ErrBlackhole},
+		{name: "delivered short of the egress", path: full[:4], match: Match{Src: vm1, Dst: vm2}, want: ErrBlackhole},
+		{name: "out to a host and back", path: []topology.NodeID{vm1, pm1, tor1, pm1, tor1, ops1, ops2, tor2, pm2, vm2}, oe: 1, eo: 1},
+		{name: "forwarded back", path: full, want: ErrBlackhole, edit: func(_ *testing.T, c *Controller) {
+			back := c.flows["k"][4].Actions  // ops2's rule: convert, forward to tor2
+			back[len(back)-1].NextHop = ops1 // whose one rule is for hop 3
+		}},
+		{name: "two rules claim one visit", path: full, want: ErrAmbiguous, edit: func(_ *testing.T, c *Controller) {
+			twin := c.flows["k"][2]
+			c.tables[tor1] = append(c.tables[tor1], &twin)
+		}},
+		{name: "hop with no link", path: []topology.NodeID{vm1, pm1, ops1, ops2}, want: ErrNoLink},
+		{name: "dead link", path: full, want: ErrNoLink, edit: func(t *testing.T, _ *Controller) {
+			core := topology.NewFailures(nil, []topology.LinkID{topo.LinkBetween(ops1, ops2).ID})
+			if err := topo.SetDown(core, true); err != nil {
+				t.Fatalf("SetDown: %v", err)
+			}
+			t.Cleanup(func() { _ = topo.SetDown(core, false) })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := NewController(topo)
+			m := Match{FlowKey: "k", Src: tc.match.Src, Dst: tc.match.Dst}
+			if tc.path != nil {
+				if m.Src == 0 {
+					m.Src, m.Dst = tc.path[0], tc.path[len(tc.path)-1]
+				}
+				if err := c.Reroute(m, tc.path, 1); err != nil {
+					t.Fatalf("Reroute: %v", err)
+				}
+			}
+			if tc.edit != nil {
+				tc.edit(t, c)
+			}
+			w, err := c.Walk("k")
+			if tc.want != nil {
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("Walk = %+v, %v; want %v", w, err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Walk: %v", err)
+			}
+			links, _ := topo.AppendPathLinks(nil, tc.path)
+			var hops []topology.LinkID
+			for _, l := range w.Links {
+				if l != 0 {
+					hops = append(hops, l)
+				}
+			}
+			if !slices.Equal(w.Route, tc.path) || len(w.Links) != len(tc.path)-1 || !slices.Equal(hops, links) ||
+				!slices.Equal(w.Rules, ruleIDs(c, "k")) || w.OE != tc.oe || w.EO != tc.eo {
+				t.Fatalf("Walk = %+v; want route %v over links %v, rules %v, oe %d, eo %d", w, tc.path, links, ruleIDs(c, "k"), tc.oe, tc.eo)
+			}
+		})
 	}
 }
 

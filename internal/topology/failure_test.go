@@ -46,7 +46,7 @@ func TestNewFailures(t *testing.T) {
 func TestSetDownAllocatesNothing(t *testing.T) {
 	topo, ids := smallTopo(t)
 	var link LinkID
-	for _, l := range topo.LinksOf(ids["tor1"]) {
+	for _, l := range linksOf(topo, ids["tor1"]) {
 		link = l.ID
 	}
 	f := NewFailures([]NodeID{ids["ops1"], ids["pm1"]}, []LinkID{link})
@@ -148,7 +148,7 @@ func TestSetNodeDownUnknown(t *testing.T) {
 func TestSetLinkDownHidesEdge(t *testing.T) {
 	topo, ids := smallTopo(t)
 	var boundary LinkID
-	for _, l := range topo.LinksOf(ids["tor1"]) {
+	for _, l := range linksOf(topo, ids["tor1"]) {
 		if l.Kind == LinkBoundary && (l.From == ids["ops1"] || l.To == ids["ops1"]) {
 			boundary = l.ID
 		}
@@ -206,4 +206,13 @@ func TestDownPMHidesItsVMs(t *testing.T) {
 	if g.HasVertex(gv(ids["vm1"])) || g.HasVertex(gv(ids["vm2"])) {
 		t.Fatal("VMs of down PM present in routing graph")
 	}
+}
+
+// linksOf returns the links incident to id, ascending by ID.
+func linksOf(t *Topology, id NodeID) []*Link {
+	var out []*Link
+	for _, lid := range t.linkIDsOf(id) {
+		out = append(out, t.Link(lid))
+	}
+	return out
 }

@@ -108,7 +108,7 @@ func TestRestrictConcurrent(t *testing.T) {
 			}
 		}(w)
 	}
-	link := topo.LinksOf(opss[0])[0].ID
+	link := topo.linkIDsOf(opss[0])[0]
 	for i := 0; i < 50; i++ {
 		if err := topo.SetDown(NewFailures(nil, []LinkID{link}), i%2 == 0); err != nil {
 			t.Fatal(err)

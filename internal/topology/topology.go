@@ -279,16 +279,6 @@ func (t *Topology) NodeIDs(kinds ...NodeKind) []NodeID {
 // Links returns all links sorted by ID.
 func (t *Topology) Links() []*Link { return slices.Clone(t.links[1:]) }
 
-// LinksOf returns the links incident to id sorted by link ID.
-func (t *Topology) LinksOf(id NodeID) []*Link {
-	ids := t.linkIDsOf(id)
-	out := make([]*Link, 0, len(ids))
-	for _, lid := range ids {
-		out = append(out, t.links[lid])
-	}
-	return out
-}
-
 // linkIDsOf returns the IDs of the links incident to id, ascending; the
 // caller must not modify the slice.
 func (t *Topology) linkIDsOf(id NodeID) []LinkID {
