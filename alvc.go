@@ -75,7 +75,9 @@ type (
 	// Spec is a network-function-chain request.
 	Spec = chain.Spec
 	// Change is one edit of a deployed chain (Architecture.Apply):
-	// ChangeBandwidth, ChangeVersion, ChangeReplicas or ChangeHost.
+	// ChangeBandwidth, ChangeVersion, ChangeReplicas, ChangeHost or
+	// ChangeRebuild, or the optimizer's orch.ChangeRehome and
+	// orch.ChangeDefrag.
 	Change = orch.Change
 	// NFRef is one NF position within a Spec.
 	NFRef = chain.NFRef

@@ -20,7 +20,6 @@ import (
 	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/placement"
 	"github.com/alvc/alvc/internal/topology"
-	"github.com/alvc/alvc/internal/update"
 	"github.com/alvc/alvc/internal/workload"
 )
 
@@ -241,29 +240,28 @@ func BenchmarkE8_OEOPlacement(b *testing.B) {
 }
 
 // BenchmarkE9_UpdateCost times the per-event AL-VC update path
-// (experiment E9, claim [14]).
+// (experiment E9, claim [14]): a VM joins the service and the
+// allocator's PatchVC re-covers its AL.
 func BenchmarkE9_UpdateCost(b *testing.B) {
 	b.Run("alvc", func(b *testing.B) {
 		topo := genTopo(b, 16, 10, 4)
-		m, err := update.NewModel(topo, cluster.PaperBuilder{})
+		alloc, err := cluster.NewRestrictedAllocator(topo, cluster.PaperBuilder{}, nil, 0, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		group := topo.VMsByService()["web"]
-		al, err := (cluster.PaperBuilder{}).Build(topo, group, nil)
+		vc, err := alloc.BuildVC("web", topo.LiveVMs("web"))
 		if err != nil {
 			b.Fatal(err)
 		}
 		pms := topo.NodeIDs(topology.KindPhysicalMachine)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, newAL, err := m.ALVCCost(al, update.Event{
-				Kind: update.VMJoin, Service: "web", PM: pms[i%len(pms)],
-			})
-			if err != nil {
+			if _, err := topo.AddVM(pms[i%len(pms)], "web"); err != nil {
 				b.Fatal(err)
 			}
-			al = newAL
+			if _, err := alloc.PatchVC(vc.ID, topo.LiveVMs("web")); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -7,9 +7,12 @@
 //	alvc exp        run the paper's experiments (internal/experiments)
 //
 // Every subcommand but catalog and exp takes -racks/-ops/-uplinks/-seed
-// to shape the underlying generated data center. exp prints each
-// experiment's tables, then its shape findings as [ok] lines and any
-// that did not hold as [VIOLATION] lines, and exits 2 on a violation.
+// to shape the underlying generated data center, the same one for each.
+// churn runs experiment E9's loop (experiments.RunChurn) on it: each
+// event re-covers the service's AL with the allocator's PatchVC, as the
+// control plane's slice patch does. exp prints each experiment's
+// tables, then its shape findings as [ok] lines and any that did not
+// hold as [VIOLATION] lines, and exits 2 on a violation.
 package main
 
 import (
@@ -22,7 +25,6 @@ import (
 	"github.com/alvc/alvc/internal/chain"
 	"github.com/alvc/alvc/internal/experiments"
 	"github.com/alvc/alvc/internal/topology"
-	"github.com/alvc/alvc/internal/update"
 	"github.com/alvc/alvc/internal/workload"
 )
 
@@ -207,22 +209,12 @@ func runChurn(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	topoCfg := topology.DefaultGenConfig()
-	topoCfg.Racks = cfg.Racks
-	topoCfg.OPSCount = cfg.OPSCount
-	topoCfg.ToRUplinks = cfg.ToRUplinks
-	topoCfg.Seed = cfg.Seed
-	topo, err := topology.Generate(topoCfg)
+	topo, err := topology.Generate(*cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "alvc churn: %v\n", err)
 		return 1
 	}
-	model, err := update.NewModel(topo, nil)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "alvc churn: %v\n", err)
-		return 1
-	}
-	report, err := model.RunChurn(update.ChurnConfig{
+	report, err := experiments.RunChurn(topo, experiments.ChurnConfig{
 		Events:    *events,
 		Service:   *service,
 		JoinFrac:  *joins,
@@ -230,19 +222,18 @@ func runChurn(args []string) int {
 		Seed:      cfg.Seed,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "alvc churn: %v\n", err)
+		fmt.Fprintf(os.Stderr, "alvc %v\n", err) // RunChurn's errors begin "churn:"
 		return 1
 	}
-	tbl := experiments.NewTable(fmt.Sprintf("churn: %d events on service %q", report.Events, *service),
+	tbl := experiments.NewTable(fmt.Sprintf("churn: %d events on service %q", *events, *service),
 		"strategy", "switches touched", "rules changed")
-	tbl.AddRow("AL-VC (scoped)", fmt.Sprint(report.ALVC.SwitchesTouched), fmt.Sprint(report.ALVC.RulesChanged))
-	tbl.AddRow("flat (whole network)", fmt.Sprint(report.Flat.SwitchesTouched), fmt.Sprint(report.Flat.RulesChanged))
+	tbl.AddRow("AL-VC (scoped)", fmt.Sprint(report.Switches), fmt.Sprint(report.Rules))
+	tbl.AddRow("flat (whole network)", fmt.Sprint(report.Flat), fmt.Sprint(report.Flat))
 	if err := tbl.Render(os.Stdout); err != nil {
 		return 1
 	}
 	fmt.Printf("\nAL rebuilds: %d  final AL size: %d  advantage: %.1fx fewer switches\n",
-		report.Rebuilds, report.FinalSize,
-		float64(report.Flat.SwitchesTouched)/float64(report.ALVC.SwitchesTouched))
+		report.Rebuilds, report.FinalSize, float64(report.Flat)/float64(report.Switches))
 	return 0
 }
 

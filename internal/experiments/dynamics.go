@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"slices"
 	"time"
 
@@ -10,7 +11,6 @@ import (
 	"github.com/alvc/alvc/internal/flow"
 	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/topology"
-	"github.com/alvc/alvc/internal/update"
 )
 
 // E9UpdateCost (§I claim via [14]): AL-VC's scoped updates touch far
@@ -37,21 +37,17 @@ func E9UpdateCost() (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E9: %w", err)
 		}
-		m, err := update.NewModel(topo, cluster.PaperBuilder{})
-		if err != nil {
-			return nil, fmt.Errorf("E9: %w", err)
-		}
-		report, err := m.RunChurn(update.ChurnConfig{
+		report, err := RunChurn(topo, ChurnConfig{
 			Events: 50, Service: "web", JoinFrac: 0.35, LeaveFrac: 0.3, Seed: 17,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("E9: churn %d racks: %w", racks, err)
+			return nil, fmt.Errorf("E9: %d racks: %w", racks, err)
 		}
-		ratio := float64(report.Flat.SwitchesTouched) / float64(report.ALVC.SwitchesTouched)
+		ratio := float64(report.Flat) / float64(report.Switches)
 		tbl.AddRow(fmt.Sprint(racks),
-			fmt.Sprint(report.ALVC.SwitchesTouched), fmt.Sprint(report.Flat.SwitchesTouched),
+			fmt.Sprint(report.Switches), fmt.Sprint(report.Flat),
 			Fmt(ratio), fmt.Sprint(report.Rebuilds))
-		if report.ALVC.SwitchesTouched >= report.Flat.SwitchesTouched {
+		if report.Switches >= report.Flat {
 			alwaysWins = false
 		}
 		if ratio < prevRatio {
@@ -71,6 +67,106 @@ func E9UpdateCost() (*Result, error) {
 		res.Findings = append(res.Findings, "cost ratio fluctuates but AL-VC wins throughout")
 	}
 	return res, nil
+}
+
+// ChurnConfig is a seeded VM churn sequence on one service group. Each
+// event is a join with probability JoinFrac, a leave with LeaveFrac and
+// a migration otherwise; a group of one VM only grows.
+type ChurnConfig struct {
+	Events              int
+	Service             string
+	JoinFrac, LeaveFrac float64
+	Seed                int64
+}
+
+// ChurnReport prices a churn sequence in the units an operator pays in.
+type ChurnReport struct {
+	// Switches and Rules are AL-VC's cost: per event, the switches
+	// entering or leaving the AL, installed and removed, or the VM's ToR
+	// alone when the AL is unchanged.
+	Switches, Rules int
+	// Flat is a flat virtual network's cost: every event reprograms one
+	// rule on every ToR and OPS.
+	Flat int
+	// Rebuilds counts the events that changed the AL.
+	Rebuilds int
+	// FinalSize is the final AL's OPS count.
+	FinalSize int
+}
+
+// RunChurn applies cfg's events to topo and re-covers the service's AL
+// after each one the way the control plane does, with the allocator's
+// PatchVC: the layer may keep its own OPSs and claim free ones.
+func RunChurn(topo *topology.Topology, cfg ChurnConfig) (ChurnReport, error) {
+	if cfg.Events <= 0 {
+		return ChurnReport{}, fmt.Errorf("churn: events must be positive, got %d", cfg.Events)
+	}
+	if !(cfg.JoinFrac >= 0 && cfg.LeaveFrac >= 0 && cfg.JoinFrac+cfg.LeaveFrac <= 1) { // NaN too
+		return ChurnReport{}, fmt.Errorf("churn: bad join/leave fractions %g/%g", cfg.JoinFrac, cfg.LeaveFrac)
+	}
+	group := topo.LiveVMs(cfg.Service)
+	if len(group) == 0 {
+		return ChurnReport{}, fmt.Errorf("churn: no VMs for service %q", cfg.Service)
+	}
+	alloc, err := cluster.NewRestrictedAllocator(topo, cluster.PaperBuilder{}, nil, 0, 1)
+	if err != nil {
+		return ChurnReport{}, fmt.Errorf("churn: %w", err)
+	}
+	vc, err := alloc.BuildVC(cfg.Service, group)
+	if err != nil {
+		return ChurnReport{}, fmt.Errorf("churn: %w", err)
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	pms := topo.NodeIDs(topology.KindPhysicalMachine)
+	report := ChurnReport{
+		Flat: cfg.Events * (len(topo.NodeIDs(topology.KindToR)) + len(topo.NodeIDs(topology.KindOPS))),
+	}
+	for i := 0; i < cfg.Events; i++ {
+		group = topo.LiveVMs(cfg.Service)
+		switch r := rng.Float64(); {
+		case r < cfg.JoinFrac || len(group) <= 1:
+			_, err = topo.AddVM(pms[rng.Intn(len(pms))], cfg.Service)
+		case r < cfg.JoinFrac+cfg.LeaveFrac:
+			err = topo.RemoveVM(group[rng.Intn(len(group))])
+		default:
+			err = topo.MigrateVM(group[rng.Intn(len(group))], pms[rng.Intn(len(pms))])
+		}
+		if err != nil {
+			return ChurnReport{}, fmt.Errorf("churn: event %d: %w", i, err)
+		}
+		patched, err := alloc.PatchVC(vc.ID, topo.LiveVMs(cfg.Service))
+		if err != nil {
+			return ChurnReport{}, fmt.Errorf("churn: event %d: %w", i, err)
+		}
+		changed := symmetricDiffLen(vc.AL.OPSs, patched.AL.OPSs) + symmetricDiffLen(vc.AL.ToRs, patched.AL.ToRs)
+		if changed == 0 {
+			report.Switches++
+			report.Rules++
+		} else {
+			report.Switches += changed
+			report.Rules += 2 * changed
+			report.Rebuilds++
+		}
+		vc = patched
+	}
+	report.FinalSize = vc.AL.Size()
+	return report, nil
+}
+
+// symmetricDiffLen counts the nodes in exactly one of a and b.
+func symmetricDiffLen(a, b []topology.NodeID) int {
+	n := 0
+	for _, x := range a {
+		if !slices.Contains(b, x) {
+			n++
+		}
+	}
+	for _, x := range b {
+		if !slices.Contains(a, x) {
+			n++
+		}
+	}
+	return n
 }
 
 // E12FlowSteering (§IV-A per-user/per-application chaining at scale):

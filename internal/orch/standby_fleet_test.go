@@ -101,7 +101,9 @@ func TestStandbyFleetAllDisjoint(t *testing.T) {
 		}
 	}
 	checkStandbyFleet(t, topo, s.Deployments(), 200)
-	checkReverseIndexes(t, o)
+	if bad := auditIndexes(o); len(bad) > 0 {
+		t.Fatalf("%d index differences, first: %s", len(bad), bad[0])
+	}
 
 	// Same chain, same standby: planning is deterministic, memo or not.
 	dep := s.Deployments()[117]
@@ -138,60 +140,10 @@ func TestShardedStandbyFleetAllDisjoint(t *testing.T) {
 	}
 	checkStandbyFleet(t, topo, s.Deployments(), 160)
 	for i := 0; i < 4; i++ {
-		checkReverseIndexes(t, s.shards[i])
-	}
-}
-
-// checkReverseIndexes asserts the node and link reverse indexes hold
-// exactly what the deployments' footprints, recomputed from scratch,
-// say they should.
-func checkReverseIndexes(t *testing.T, o *shard) {
-	t.Helper()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	wantNodes := make(map[topology.NodeID][]DeploymentID)
-	wantLinks := make(map[topology.LinkID][]DeploymentID)
-	for id, dep := range o.deployments {
-		if dep.State != StateActive {
-			continue
-		}
-		nodes := dep.footprint()
-		primary, ok := o.topo.AppendPathLinks(nil, dep.Path)
-		if !ok {
-			t.Fatalf("deployment %d: a hop of %v joins no link", id, dep.Path)
-		}
-		links := dep.linkFootprint(primary)
-		if !sameSet(dep.idxNodes, nodes) {
-			t.Errorf("deployment %d: idxNodes %v, footprint %v", id, dep.idxNodes, nodes)
-		}
-		if !sameSet(dep.idxLinks, links) {
-			t.Errorf("deployment %d: idxLinks %v, link footprint %v", id, dep.idxLinks, links)
-		}
-		for _, n := range nodes {
-			wantNodes[n] = append(wantNodes[n], id)
-		}
-		for _, l := range links {
-			wantLinks[l] = append(wantLinks[l], id)
+		if bad := auditIndexes(s.shards[i]); len(bad) > 0 {
+			t.Fatalf("shard %d: %d index differences, first: %s", i, len(bad), bad[0])
 		}
 	}
-	gotNodes, gotLinks := o.indexSizes()
-	if gotNodes != len(wantNodes) || !indexHolds(o, wantNodes) {
-		t.Errorf("node index differs from the recomputed footprints")
-	}
-	if gotLinks != len(wantLinks) || !indexHolds(o, wantLinks) {
-		t.Errorf("link index differs from the recomputed footprints")
-	}
-}
-
-// indexHolds reports whether every key's deployments in want are, as a
-// set, what the shard's reverse index files under the key.
-func indexHolds[K comparable](o *shard, want map[K][]DeploymentID) bool {
-	for key, ids := range want {
-		if !sameSet(o.indexed(key), ids) {
-			return false
-		}
-	}
-	return true
 }
 
 // sameSet reports whether two duplicate-free lists hold the same
@@ -256,12 +208,16 @@ func TestAsyncRestandbyReindexesOnlyTheStandby(t *testing.T) {
 			t.Fatalf("deployment %d kept its cut standby %v", r.ID, dep.Standby.Path)
 		}
 	}
-	checkReverseIndexes(t, o)
+	if bad := auditIndexes(o); len(bad) > 0 {
+		t.Fatalf("after the restandbys: %d index differences, first: %s", len(bad), bad[0])
+	}
 	// The background pass restores them, and indexes them again.
 	for _, r := range reports {
 		if out := reProtect(s, r.ID); out.Err != nil || !out.Standby.Disjoint {
 			t.Fatalf("re-protect %d: %+v", r.ID, out)
 		}
 	}
-	checkReverseIndexes(t, o)
+	if bad := auditIndexes(o); len(bad) > 0 {
+		t.Fatalf("after the re-protects: %d index differences, first: %s", len(bad), bad[0])
+	}
 }
