@@ -331,13 +331,19 @@ func Int[T ~int | ~int64](r *Reader, typ string, p *T) {
 // Slice reads an array into *s, typ naming the slice type for type
 // errors: elem reads each element in place. The array is read into *s's
 // backing array from length zero, so an element within the old capacity
-// keeps what the array does not overwrite, as encoding/json does. A
-// null sets *s to nil; [] leaves it empty but not nil.
+// keeps what the array does not overwrite, as encoding/json does; a
+// longer array moves them to one array of its exact length. A null sets
+// *s to nil; [] leaves it empty but not nil.
 func Slice[T any](r *Reader, typ string, s *[]T, elem func(*T)) {
 	switch c := r.begin(); c {
 	case 0:
 	case '[':
 		a := (*s)[:0]
+		if n := r.count(); n > cap(a) {
+			a = make([]T, n)
+			copy(a, (*s)[:cap(*s)])
+			a = a[:0]
+		}
 		r.elements(func() {
 			if i := len(a); i < cap(a) {
 				a = a[:i+1]
@@ -357,6 +363,15 @@ func Slice[T any](r *Reader, typ string, s *[]T, elem func(*T)) {
 	default:
 		r.mismatch(c, typ)
 	}
+}
+
+// count returns the length of the array at the reader, left where it
+// was: a syntax error in the array is found again when it is read.
+func (r *Reader) count() (n int) {
+	off, depth := r.off, r.depth
+	r.elements(func() { n++; r.skip() })
+	r.off, r.depth, r.bad = off, depth, nil
+	return n
 }
 
 // begin skips white space and returns the first byte of the value

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -136,5 +138,47 @@ func TestStringsOwnTheirBytes(t *testing.T) {
 	}
 	if p.Name != "firewall" || p.Items[0].Key != "a-key-longer-than-the-intern-bound" {
 		t.Fatalf("decoded strings changed with the buffer: %+v", p)
+	}
+}
+
+// TestSliceIsExactLength: an array longer than the slice's capacity is
+// read into one array of its exact length, and one within it into the
+// slice's own array; either way an element the array does not overwrite
+// keeps what it held, as encoding/json leaves it.
+func TestSliceIsExactLength(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		ids := make([]string, n)
+		items := make([]string, n)
+		for i := range ids {
+			ids[i] = strconv.Itoa(i)
+			items[i] = `{"val":` + ids[i] + `}`
+		}
+		data := []byte(`{"ids":[` + strings.Join(ids, ",") + `],"items":[` + strings.Join(items, ",") + `]}`)
+		for _, old := range []int{0, 1, n / 2, n, n + 3} {
+			prior := probe{Items: make([]item, old, old+1), IDs: make([]idType, 0, old)}
+			for i := range prior.Items {
+				prior.Items[i].Key = "old"
+			}
+			got, want := prior, prior
+			got.Items, want.Items = slices.Clone(prior.Items), slices.Clone(prior.Items)
+			itemsCap := cap(got.Items)
+			if err := Decode(data, &got); err != nil {
+				t.Fatalf("%d elements over %d: %v", n, old, err)
+			}
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d elements over %d: got %+v, encoding/json %+v", n, old, got, want)
+			}
+			if fresh := n > cap(prior.IDs); fresh && cap(got.IDs) != n {
+				t.Errorf("%d ids over capacity %d: read into capacity %d", n, cap(prior.IDs), cap(got.IDs))
+			} else if !fresh && n > 0 && &got.IDs[:1][0] != &prior.IDs[:1][0] {
+				t.Errorf("%d ids within capacity %d: not read into the slice's own array", n, cap(prior.IDs))
+			}
+			if n > itemsCap && cap(got.Items) != n {
+				t.Errorf("%d items over capacity %d: read into capacity %d", n, itemsCap, cap(got.Items))
+			}
+		}
 	}
 }

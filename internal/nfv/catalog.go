@@ -79,6 +79,10 @@ func ProfileByName(name string) (NFProfile, error) {
 	return p, nil
 }
 
+// catalogTypes is ProfileNames: the event log keeps a created
+// instance's type as its index here.
+var catalogTypes = ProfileNames()
+
 // ProfileNames returns the catalog's names sorted.
 func ProfileNames() []string {
 	names := make([]string, 0, len(catalog))

@@ -2,6 +2,7 @@ package nfv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -74,6 +75,40 @@ type Event struct {
 // newest ones, oldest dropped first.
 const EventLogSize = 1024
 
+// logEntry is an Event as the log keeps it, 40 bytes against Event's
+// 48: the note's values, which Events formats. The transition says which
+// note it is; a and b are its numbers (a create's host, a scale's replica
+// counts, an update's version, a migration's hosts), nf is a create's
+// type as its index in catalogTypes.
+type logEntry struct {
+	seq                  int
+	instance             InstanceID
+	a, b                 int
+	from, to, domain, nf uint8
+}
+
+// event returns the entry as Events hands it out, its note formatted.
+func (e *logEntry) event() Event {
+	ev := Event{Seq: e.seq, Instance: e.instance, From: State(e.from), To: State(e.to)}
+	switch {
+	case ev.To == StatePending:
+		ev.Note = fmt.Sprintf("created %s on node %d (%s)", catalogTypes[e.nf], e.a, topology.Domain(e.domain))
+	case ev.To == StateTerminated:
+		ev.Note = "terminated"
+	case ev.From == StatePending:
+		ev.Note = "activated"
+	case ev.To == StateUpdating:
+		ev.Note = "update started"
+	case ev.From == StateUpdating:
+		ev.Note = fmt.Sprintf("update finished, version %d", e.a)
+	case e.domain != 0:
+		ev.Note = fmt.Sprintf("migrated node %d -> %d (%s)", e.a, e.b, topology.Domain(e.domain))
+	default:
+		ev.Note = fmt.Sprintf("scaled %d -> %d replicas", e.a, e.b)
+	}
+	return ev
+}
+
 // Manager is the Cloud/NFV manager of Fig. 6: it owns the live VNF
 // instances, their lifecycle and the host resource ledger. It holds no
 // history: a terminated instance is forgotten and the event log is a
@@ -84,7 +119,7 @@ type Manager struct {
 	ledger    *Ledger
 	profiles  map[NFType]NFProfile
 	instances map[InstanceID]*Instance
-	events    ring.Ring[Event] // the newest EventLogSize transitions
+	events    ring.Ring[logEntry] // the newest EventLogSize transitions
 	nextID    InstanceID
 	eventSeq  int
 }
@@ -101,17 +136,19 @@ func NewManager(topo *topology.Topology) (*Manager, error) {
 		ledger:    ledger,
 		profiles:  DefaultProfiles(),
 		instances: make(map[InstanceID]*Instance),
-		events:    ring.New[Event](EventLogSize),
+		events:    ring.New[logEntry](EventLogSize),
 	}, nil
 }
 
 // Ledger exposes the host resource ledger (shared with placement).
 func (m *Manager) Ledger() *Ledger { return m.ledger }
 
-func (m *Manager) recordLocked(id InstanceID, from, to State, note string) {
+// recordLocked logs a transition of instance id; e holds its note's
+// values.
+func (m *Manager) recordLocked(id InstanceID, from, to State, e logEntry) {
 	m.eventSeq++
-	ev := Event{Seq: m.eventSeq, Instance: id, From: from, To: to, Note: note}
-	m.events.Push(ev)
+	e.seq, e.instance, e.from, e.to = m.eventSeq, id, uint8(from), uint8(to)
+	m.events.Push(e)
 }
 
 // Create places a new VNF of type t on host, reserving one replica's
@@ -150,7 +187,7 @@ func (m *Manager) Create(t NFType, host topology.NodeID) (Instance, error) {
 		Demand:   profile.Demand,
 	}
 	m.instances[inst.ID] = inst
-	m.recordLocked(inst.ID, 0, StatePending, fmt.Sprintf("created %s on node %d (%s)", t, host, domain))
+	m.recordLocked(inst.ID, 0, StatePending, logEntry{a: int(host), domain: uint8(domain), nf: uint8(slices.Index(catalogTypes, string(t)))})
 	return *inst, nil
 }
 
@@ -166,7 +203,7 @@ func (m *Manager) Activate(id InstanceID) error {
 		return fmt.Errorf("nfv: activate: instance %d is %s, want pending", id, inst.State)
 	}
 	inst.State = StateActive
-	m.recordLocked(id, StatePending, StateActive, "activated")
+	m.recordLocked(id, StatePending, StateActive, logEntry{})
 	return nil
 }
 
@@ -200,7 +237,7 @@ func (m *Manager) ScaleTo(id InstanceID, replicas int) error {
 	}
 	from := inst.Replicas
 	inst.Replicas = replicas
-	m.recordLocked(id, StateActive, StateActive, fmt.Sprintf("scaled %d -> %d replicas", from, replicas))
+	m.recordLocked(id, StateActive, StateActive, logEntry{a: from, b: replicas})
 	return nil
 }
 
@@ -217,10 +254,10 @@ func (m *Manager) Update(id InstanceID) error {
 		return fmt.Errorf("nfv: update: instance %d is %s, want active", id, inst.State)
 	}
 	inst.State = StateUpdating
-	m.recordLocked(id, StateActive, StateUpdating, "update started")
+	m.recordLocked(id, StateActive, StateUpdating, logEntry{})
 	inst.Version++
 	inst.State = StateActive
-	m.recordLocked(id, StateUpdating, StateActive, fmt.Sprintf("update finished, version %d", inst.Version))
+	m.recordLocked(id, StateUpdating, StateActive, logEntry{a: inst.Version})
 	return nil
 }
 
@@ -267,8 +304,7 @@ func (m *Manager) Migrate(id InstanceID, to topology.NodeID) error {
 	from := inst.Host
 	inst.Host = to
 	inst.Domain = domain
-	m.recordLocked(id, StateActive, StateActive,
-		fmt.Sprintf("migrated node %d -> %d (%s)", from, to, domain))
+	m.recordLocked(id, StateActive, StateActive, logEntry{a: int(from), b: int(to), domain: uint8(domain)})
 	return nil
 }
 
@@ -286,7 +322,7 @@ func (m *Manager) Terminate(id InstanceID) error {
 		return fmt.Errorf("nfv: terminate instance %d: %w", id, err)
 	}
 	delete(m.instances, id)
-	m.recordLocked(id, inst.State, StateTerminated, "terminated")
+	m.recordLocked(id, inst.State, StateTerminated, logEntry{})
 	return nil
 }
 
@@ -328,9 +364,15 @@ func (m *Manager) Instances() []*Instance {
 }
 
 // Events returns a copy of the lifecycle audit log: the newest
-// EventLogSize transitions, oldest first.
+// EventLogSize transitions, oldest first. The notes are formatted here,
+// outside the lock, not when the transitions happen.
 func (m *Manager) Events() []Event {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.events.AppendTo(nil)
+	entries := m.events.AppendTo(nil)
+	m.mu.Unlock()
+	out := make([]Event, len(entries))
+	for i := range entries {
+		out[i] = entries[i].event()
+	}
+	return out
 }

@@ -1,8 +1,10 @@
 package nfv
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/alvc/alvc/internal/topology"
 )
@@ -450,5 +452,77 @@ func TestManagerHoldsNoHistory(t *testing.T) {
 	}
 	if last := events[len(events)-1]; last.To != StateTerminated {
 		t.Fatalf("last event = %+v, want a termination", last)
+	}
+}
+
+// TestEventNotesEqualEagerFormat drives every transition — created,
+// activated, scaled, update started and finished, migrated both ways,
+// terminated from active and from pending — for every catalog type past
+// the log's wrap, and holds Events to the log as it was formatted when
+// each transition happened, note for note, byte for byte.
+func TestEventNotesEqualEagerFormat(t *testing.T) {
+	if size := unsafe.Sizeof(logEntry{}); size > 48 {
+		t.Fatalf("a log entry is %d bytes, want at most 48", size)
+	}
+	topo, pm, oer, _ := hostTopo(t)
+	m, err := NewManager(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oerCap := topology.Resources{CPUCores: 4, MemoryGB: 8, StorageGB: 16} // hostTopo's
+	var want []Event
+	migrated := 0
+	log := func(id InstanceID, from, to State, note string) {
+		want = append(want, Event{Seq: len(want) + 1, Instance: id, From: from, To: to, Note: note})
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for len(want) <= EventLogSize+100 {
+		for _, nf := range ProfileNames() {
+			typ := NFType(nf)
+			inst, err := m.Create(typ, pm)
+			must(err)
+			log(inst.ID, 0, StatePending, fmt.Sprintf("created %s on node %d (%s)", typ, pm, topology.DomainElectronic))
+			must(m.Activate(inst.ID))
+			log(inst.ID, StatePending, StateActive, "activated")
+			must(m.ScaleTo(inst.ID, 2))
+			log(inst.ID, StateActive, StateActive, fmt.Sprintf("scaled %d -> %d replicas", 1, 2))
+			must(m.ScaleTo(inst.ID, 1))
+			log(inst.ID, StateActive, StateActive, fmt.Sprintf("scaled %d -> %d replicas", 2, 1))
+			must(m.Update(inst.ID))
+			log(inst.ID, StateActive, StateUpdating, "update started")
+			log(inst.ID, StateUpdating, StateActive, fmt.Sprintf("update finished, version %d", 2))
+			if oerCap.Fits(DefaultProfiles()[typ].Demand) {
+				migrated++
+				must(m.Migrate(inst.ID, oer))
+				log(inst.ID, StateActive, StateActive, fmt.Sprintf("migrated node %d -> %d (%s)", pm, oer, topology.DomainOptical))
+				must(m.Migrate(inst.ID, pm))
+				log(inst.ID, StateActive, StateActive, fmt.Sprintf("migrated node %d -> %d (%s)", oer, pm, topology.DomainElectronic))
+			}
+			must(m.Terminate(inst.ID))
+			log(inst.ID, StateActive, StateTerminated, "terminated")
+			pending, err := m.Create(typ, pm)
+			must(err)
+			log(pending.ID, 0, StatePending, fmt.Sprintf("created %s on node %d (%s)", typ, pm, topology.DomainElectronic))
+			must(m.Terminate(pending.ID))
+			log(pending.ID, StatePending, StateTerminated, "terminated")
+		}
+	}
+	if migrated == 0 {
+		t.Fatal("no NF type fits the optoelectronic router: nothing migrated")
+	}
+	got := m.Events()
+	want = want[len(want)-EventLogSize:]
+	if len(got) != len(want) {
+		t.Fatalf("Events holds %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -8,6 +8,7 @@ package optical
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -136,7 +137,7 @@ func (m *SliceManager) Allocate(tenant string, opss []topology.NodeID, bandwidth
 		OPSs:          append([]topology.NodeID(nil), opss...),
 		BandwidthGbps: bandwidthGbps,
 	}
-	sort.Slice(s.OPSs, func(i, j int) bool { return s.OPSs[i] < s.OPSs[j] })
+	slices.Sort(s.OPSs)
 	for _, ops := range s.OPSs {
 		m.owner[ops] = s.ID
 	}
@@ -197,7 +198,7 @@ func (m *SliceManager) PatchMembership(id SliceID, opss []topology.NodeID) (*Sli
 		OPSs:          append([]topology.NodeID(nil), opss...),
 		BandwidthGbps: s.BandwidthGbps,
 	}
-	sort.Slice(patched.OPSs, func(i, j int) bool { return patched.OPSs[i] < patched.OPSs[j] })
+	slices.Sort(patched.OPSs)
 	for _, ops := range patched.OPSs {
 		m.owner[ops] = id
 	}

@@ -456,10 +456,11 @@ func TestStormRoundReplansAreMemoHits(t *testing.T) {
 
 // checkReplanAllocations drops the members' standbys and re-plans them
 // as the storm group did, on the state it did: every leg a memo hit, so
-// each plan — a member's, and a fabric retry's — allocates its Standby
-// and its two arrays, and the group nothing else. (A route around the
-// cut tray is nine nodes over six links, longer than a StandbyBlock
-// holds, so its record and arrays stay apart.)
+// each plan — a member's, and a fabric retry's — allocates its Standby,
+// as Clone lays it out (one block when its lists fit one, else the
+// record and its two arrays; the routes around the cut tray run from
+// nine nodes over six links to fifteen over twelve), and the group
+// nothing else.
 func checkReplanAllocations(t *testing.T, s *Sharded, domain FailureDomain, ids []DeploymentID) {
 	t.Helper()
 	members := slices.Clone(ids)
@@ -476,46 +477,62 @@ func checkReplanAllocations(t *testing.T, s *Sharded, domain FailureDomain, ids 
 		drop()
 		outs = s.ReProtectGroup(outs[:0], domain, members)
 	})
-	plans := 0
+	plans, want := 0, 0.0
 	for _, out := range outs {
-		plans++
-		if out.Fallback {
+		_, alone, _ := planAlone(t, s, out.ID, domain)
+		for _, sb := range alone {
 			plans++
+			want += testing.AllocsPerRun(1, func() { sb.Clone() })
 		}
 	}
-	if allocs != float64(3*plans) {
-		t.Fatalf("re-planning %d members (%d plans) allocates %.1f times, want 3 a plan: its Standby alone", len(members), plans, allocs)
+	if allocs != want {
+		t.Fatalf("re-planning %d members (%d plans) allocates %.1f times, want %.0f: each plan its Standby alone", len(members), plans, allocs, want)
 	}
 }
 
 // checkPlannedAlone holds a member's chosen standby to what
-// resilience.PlanStandbyAvoiding plans for the chain alone, its primary's
-// links enumerated afresh, under the pool-then-fabric rule and the
-// domain's risk groups.
+// resilience.PlanStandbyAvoiding plans for the chain alone (planAlone).
 func checkPlannedAlone(t *testing.T, s *Sharded, out GroupOutcome, domain FailureDomain) {
 	t.Helper()
-	o := s.owner(out.ID)
+	want, _, fellBack := planAlone(t, s, out.ID, domain)
+	got := out.Standby
+	if out.Fallback != fellBack || !slices.Equal(got.Path, want.Path) || !slices.Equal(got.Links, want.Links) ||
+		got.Disjoint != want.Disjoint || got.Confined != want.Confined || !slices.Equal(got.SRLGs, want.SRLGs) {
+		t.Fatalf("chain %d: the storm group planned %+v (fallback %v), alone %+v (fallback %v)", out.ID, got, out.Fallback, want, fellBack)
+	}
+}
+
+// planAlone plans chain id's standby with resilience.PlanStandbyAvoiding,
+// its primary's links enumerated afresh, under the pool-then-fabric rule
+// and the domain's risk groups: the standby chosen, every plan made (the
+// pool's first), and whether it fell back to the fabric.
+func planAlone(t *testing.T, s *Sharded, id DeploymentID, domain FailureDomain) (*resilience.Standby, []*resilience.Standby, bool) {
+	t.Helper()
+	o := s.owner(id)
 	o.mu.Lock()
-	dep := o.deployments[out.ID]
+	dep := o.deployments[id]
 	o.mu.Unlock()
 	p := o.pipelineFrom(bg, dep)
 	primary := resilience.Primary{Path: dep.Path, Stops: p.appendStandbyStops(nil), Slice: dep.Slice.OPSs}
 	p.release()
 	pool := o.alloc.Pool()
 	want, err := resilience.PlanStandbyAvoiding(o.ctrl, o.topo, primary, pool, domain.SRLGs)
+	var plans []*resilience.Standby
+	if err == nil {
+		plans = append(plans, want)
+	}
 	fellBack := pool.OPS != nil && (err != nil || !want.Disjoint)
 	if fellBack {
 		wide, wideErr := resilience.PlanStandbyAvoiding(o.ctrl, o.topo, primary, topology.Pool{}, domain.SRLGs)
+		if wideErr == nil {
+			plans = append(plans, wide)
+		}
 		if err != nil || (wideErr == nil && wide.Disjoint) {
 			want, err = wide, wideErr
 		}
 	}
 	if err != nil {
-		t.Fatalf("chain %d: planned alone: %v", out.ID, err)
+		t.Fatalf("chain %d: planned alone: %v", id, err)
 	}
-	got := out.Standby
-	if out.Fallback != fellBack || !slices.Equal(got.Path, want.Path) || !slices.Equal(got.Links, want.Links) ||
-		got.Disjoint != want.Disjoint || got.Confined != want.Confined || !slices.Equal(got.SRLGs, want.SRLGs) {
-		t.Fatalf("chain %d: the storm group planned %+v (fallback %v), alone %+v (fallback %v)", out.ID, got, out.Fallback, want, fellBack)
-	}
+	return want, plans, fellBack
 }

@@ -850,29 +850,46 @@ func (o *shard) activeLocked(id DeploymentID) (*Deployment, error) {
 	return dep, nil
 }
 
-// snapshotBlock is a snapshot of a two-NF chain in one allocation.
-type snapshotBlock struct {
-	dep       Deployment
-	instances [2]nfv.InstanceID
-	path      [7]topology.NodeID
-	standby   resilience.StandbyBlock
-}
+// snapshotBlock is a two-NF chain's snapshot, snapshotBlock3 a three-NF one's.
+type (
+	snapshotBlock struct {
+		dep       Deployment
+		instances [2]nfv.InstanceID
+		path      [7]topology.NodeID
+		standby   resilience.StandbyBlock
+	}
+	snapshotBlock3 struct {
+		dep       Deployment
+		instances [3]nfv.InstanceID
+		path      [11]topology.NodeID
+		standby   resilience.StandbyBlock3
+	}
+)
 
 // snapshot copies the record, its Instances, Path and Standby: into one
-// block when every list fits, else into the record and an array per list
-// (Standby.Clone). Sharded.Deployments says what it shares with the record.
+// block when the lists fit a two-NF chain's or fill a three-NF chain's,
+// else into the record and an array per list (Standby.Clone).
+// Sharded.Deployments says what it shares with the record.
 func snapshot(dep *Deployment) *Deployment {
 	var cp *Deployment
-	if len(dep.Instances) <= len(snapshotBlock{}.instances) && len(dep.Path) <= len(snapshotBlock{}.path) && dep.Standby.Fits() {
+	var instances []nfv.InstanceID
+	var path []topology.NodeID
+	switch {
+	case len(dep.Instances) <= len(snapshotBlock{}.instances) && len(dep.Path) <= len(snapshotBlock{}.path) && dep.Standby.Fits():
 		b := &snapshotBlock{dep: *dep}
-		cp = &b.dep
-		cp.Instances, cp.Path = resilience.CopyInto(b.instances[:], dep.Instances), resilience.CopyInto(b.path[:], dep.Path)
+		cp, instances, path = &b.dep, b.instances[:], b.path[:]
 		cp.Standby = b.standby.Copy(dep.Standby)
-	} else {
+	case len(dep.Instances) <= len(snapshotBlock3{}.instances) && len(dep.Path) > len(snapshotBlock{}.path) &&
+		len(dep.Path) <= len(snapshotBlock3{}.path) && dep.Standby.Fills3():
+		b := &snapshotBlock3{dep: *dep}
+		cp, instances, path = &b.dep, b.instances[:], b.path[:]
+		cp.Standby = b.standby.Copy(dep.Standby)
+	default:
 		d := *dep
 		cp = &d
-		cp.Instances, cp.Path, cp.Standby = resilience.CopyInto(nil, dep.Instances), resilience.CopyInto(nil, dep.Path), dep.Standby.Clone()
+		cp.Standby = dep.Standby.Clone()
 	}
+	cp.Instances, cp.Path = resilience.CopyInto(instances, dep.Instances), resilience.CopyInto(path, dep.Path)
 	cp.idxNodes, cp.idxLinks, cp.primaryLinks = nil, nil, nil
 	return cp
 }

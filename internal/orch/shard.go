@@ -21,12 +21,14 @@
 package orch
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -268,7 +270,7 @@ func (s *Sharded) Provision(ctx context.Context, spec chain.Spec) (*Deployment, 
 		return o.provision(ctx, spec)
 	}
 	parent, _ := trace.FromContext(ctx)
-	c := new(trace.Carrier)
+	c := carriers.Get().(*trace.Carrier)
 	tr.Begin(c, ctx, parent)
 	start := time.Now()
 	dep, err := o.provision(c, spec)
@@ -278,8 +280,14 @@ func (s *Sharded) Provision(ctx context.Context, spec chain.Spec) (*Deployment, 
 		sp.Dep = int(dep.ID)
 	}
 	tr.End(c, sp)
+	*c = trace.Carrier{}
+	carriers.Put(c)
 	return dep, err
 }
+
+// carriers pools the carriers of traced provisions: none outlives its
+// End (events carry trace and span IDs, not the carrier).
+var carriers = sync.Pool{New: func() any { return new(trace.Carrier) }}
 
 // BatchResult is the outcome of one spec in a ProvisionBatch call.
 // Exactly one of Deployment and Err is set.
@@ -306,27 +314,41 @@ func (s *Sharded) ProvisionBatch(specs []chain.Spec, workers int) []BatchResult 
 	if len(specs) == 0 {
 		return results
 	}
-	seen := make(map[string]int, len(specs))
-	dup := make(map[int]int)
-	for i, spec := range specs {
-		key := spec.Tenant + "/" + spec.Name
-		if first, ok := seen[key]; ok {
-			dup[i] = first
+	// In flow-key order each key's first spec comes first, its duplicates after.
+	order := make([]int, 0, 32) // on the stack up to 32 specs
+	for i := range specs {
+		order = append(order, i)
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return compareFlowKeys(&specs[a], &specs[b]) })
+	first := order[0]
+	for _, i := range order[1:] {
+		if compareFlowKeys(&specs[i], &specs[first]) != 0 {
+			first = i
 			continue
 		}
-		seen[key] = i
+		results[i] = BatchResult{Index: i, Err: fmt.Errorf(
+			"orch: batch: spec %d duplicates flow key %q of spec %d",
+			i, specs[i].Tenant+"/"+specs[i].Name, first)}
 	}
 	s.core.pool.Run(len(specs), workers, func(i int) {
-		if first, ok := dup[i]; ok {
-			results[i] = BatchResult{Index: i, Err: fmt.Errorf(
-				"orch: batch: spec %d duplicates flow key %q of spec %d",
-				i, specs[i].Tenant+"/"+specs[i].Name, first)}
+		if results[i].Err != nil {
 			return
 		}
 		dep, err := s.Provision(context.Background(), specs[i])
 		results[i] = BatchResult{Index: i, Deployment: dep, Err: err}
 	})
 	return results
+}
+
+// compareFlowKeys orders specs as their flow keys, Tenant+"/"+Name,
+// order, joining the keys on the stack.
+func compareFlowKeys(a, b *chain.Spec) int {
+	var ka, kb [64]byte
+	return bytes.Compare(appendFlowKey(ka[:0], a), appendFlowKey(kb[:0], b))
+}
+
+func appendFlowKey(buf []byte, s *chain.Spec) []byte {
+	return append(append(append(buf, s.Tenant...), '/'), s.Name...)
 }
 
 // Delete tears a deployment down: flow rules removed, VNFs terminated,

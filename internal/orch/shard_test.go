@@ -197,6 +197,52 @@ func TestShardedDuplicateFlowKeyRejectedAcrossShards(t *testing.T) {
 	}
 }
 
+// TestBatchDuplicatesFollowJoinedFlowKeys: ProvisionBatch finds the
+// duplicates that joining each spec's flow key, Tenant+"/"+Name, and
+// looking it up would find — "a/b" + "c" duplicates "a" + "b/c" — and
+// words each as that lookup's first spec. The specs have no NF, so the
+// rest fail validation without provisioning.
+func TestBatchDuplicatesFollowJoinedFlowKeys(t *testing.T) {
+	parts := []string{"", "a", "/", "a/", "/a", "b", "a/b"}
+	for _, x := range parts {
+		for _, y := range parts {
+			for _, u := range parts {
+				for _, v := range parts {
+					a, b := chain.Spec{Tenant: x, Name: y}, chain.Spec{Tenant: u, Name: v}
+					if got, want := compareFlowKeys(&a, &b), strings.Compare(x+"/"+y, u+"/"+v); got != want {
+						t.Fatalf("compareFlowKeys(%q/%q, %q/%q) = %d, want %d", x, y, u, v, got, want)
+					}
+				}
+			}
+		}
+	}
+	s := newSharded(t, shardTopo(t, 8), 2, ShardByTenant)
+	var specs []chain.Spec
+	for i := 0; i < 2*len(parts)*len(parts); i++ { // every pair twice, interleaved
+		k := i * 10 % (len(parts) * len(parts))
+		specs = append(specs, chain.Spec{Tenant: parts[k%len(parts)], Name: parts[k/len(parts)]})
+	}
+	seen := map[string]int{}
+	for i, res := range s.ProvisionBatch(specs, 2) {
+		key := specs[i].Tenant + "/" + specs[i].Name
+		first, dup := seen[key]
+		if !dup {
+			seen[key] = i
+		}
+		switch {
+		case res.Index != i || res.Deployment != nil || res.Err == nil:
+			t.Fatalf("spec %d: %+v", i, res)
+		case dup && res.Err.Error() != fmt.Sprintf("orch: batch: spec %d duplicates flow key %q of spec %d", i, key, first):
+			t.Errorf("spec %d duplicates spec %d: %v", i, first, res.Err)
+		case !dup && strings.Contains(res.Err.Error(), "duplicates"):
+			t.Errorf("spec %d, the first of its key: %v", i, res.Err)
+		}
+	}
+	if len(seen) >= len(parts)*len(parts) {
+		t.Fatalf("%d keys: no two pairs of the batch join to one key", len(seen))
+	}
+}
+
 func TestShardedDeleteVsRepairRaceAcrossShards(t *testing.T) {
 	const chains = 16
 	s := newSharded(t, shardTopo(t, 2*chains), 2, ShardByTenant)

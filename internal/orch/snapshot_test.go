@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/alvc/alvc/internal/chain"
 	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/topology"
 )
@@ -38,23 +39,52 @@ func asInts[T ~int](list []T) []int {
 // Standby.Path, Standby.Links — and of a freshly planned Standby are the
 // caller's own. Writing into one, and appending to it and writing into
 // what the append returned, leaves the live record (read again), a
-// second snapshot and the other lists as they were. The chain is one NF,
-// so its instance list leaves room in the snapshot's block: each list is
-// clipped to its length, and an append must reallocate. Such a snapshot
-// is one allocation, and a warm plan of its standby is one too.
+// second snapshot and the other lists as they were. The first chain is
+// one NF, so its instance list leaves room in the snapshot's block: each
+// list is clipped to its length, and an append must reallocate. The
+// second is the benchmark fleet's three-NF chain, whose lists fill the
+// three-NF block. Either snapshot is one allocation, and a warm plan of
+// either standby is one too.
 func TestSnapshotListsAreDeep(t *testing.T) {
-	s, o, _ := triOrch(t, Config{})
-	prov, err := s.Provision(bg, triSpec(t, "chain-1"))
-	if err != nil {
-		t.Fatalf("Provision: %v", err)
-	}
-	id := prov.ID
+	t.Run("one NF", func(t *testing.T) {
+		s, o, _ := triOrch(t, Config{})
+		prov, err := s.Provision(bg, triSpec(t, "chain-1"))
+		if err != nil {
+			t.Fatalf("Provision: %v", err)
+		}
+		want := s.Deployment(prov.ID)
+		if want.Standby == nil || !want.Standby.Fits() || len(want.Instances) >= len(snapshotBlock{}.instances) ||
+			len(want.Path) > len(snapshotBlock{}.path) {
+			t.Fatalf("the chain must fit a snapshot block with room to spare: %d instances, path %v, standby %+v",
+				len(want.Instances), want.Path, want.Standby)
+		}
+		checkSnapshotLists(t, s, o, prov.ID)
+	})
+	t.Run("three NFs", func(t *testing.T) {
+		s, o := newTestOrch(t, Config{Topo: benchFleetTopo(t, 300)})
+		spec, err := chain.Linear("c1", "t1", "web", 1, 1<<20, "firewall", "lb", "dpi")
+		if err != nil {
+			t.Fatalf("Linear: %v", err)
+		}
+		prov, err := s.Provision(bg, spec)
+		if err != nil {
+			t.Fatalf("Provision: %v", err)
+		}
+		want := s.Deployment(prov.ID)
+		if !want.Standby.Fills3() || len(want.Instances) != len(snapshotBlock3{}.instances) ||
+			len(want.Path) != len(snapshotBlock3{}.path) {
+			t.Fatalf("the chain must fill a three-NF snapshot block: %d instances, path %v, standby %+v",
+				len(want.Instances), want.Path, want.Standby)
+		}
+		checkSnapshotLists(t, s, o, prov.ID)
+	})
+}
+
+// checkSnapshotLists holds chain id's snapshots and a fresh plan of its
+// standby to TestSnapshotListsAreDeep's rules.
+func checkSnapshotLists(t *testing.T, s *Sharded, o *shard, id DeploymentID) {
+	t.Helper()
 	want := s.Deployment(id)
-	if want.Standby == nil || !want.Standby.Fits() || len(want.Instances) >= len(snapshotBlock{}.instances) ||
-		len(want.Path) > len(snapshotBlock{}.path) {
-		t.Fatalf("the chain must fit a snapshot block with room to spare: %d instances, path %v, standby %+v",
-			len(want.Instances), want.Path, want.Standby)
-	}
 	wantLists := depLists(want)
 
 	for i, name := range []string{"Instances", "Path", "Standby.Path", "Standby.Links"} {

@@ -146,7 +146,7 @@ type Standby struct {
 	PlannedAt time.Time
 }
 
-// Clone returns a deep copy: one block when its lists fit a StandbyBlock,
+// Clone returns a deep copy: the smallest block that holds its lists,
 // else the record and an array per list (unused arrays cost more bytes).
 func (s *Standby) Clone() *Standby {
 	switch {
@@ -154,34 +154,70 @@ func (s *Standby) Clone() *Standby {
 		return nil
 	case s.Fits():
 		return new(StandbyBlock).Copy(s)
+	case s.fitsIn(len(detourBlock{}.path), len(detourBlock{}.links)):
+		b := new(detourBlock)
+		return copyBlock(&b.sb, b.path[:], b.links[:], s)
+	case s.fitsIn(len(StandbyBlock3{}.path), len(StandbyBlock3{}.links)):
+		return new(StandbyBlock3).Copy(s)
 	}
 	cp := *s
 	cp.Path, cp.Links, cp.SRLGs = CopyInto(nil, s.Path), CopyInto(nil, s.Links), CopyInto(nil, s.SRLGs)
 	return &cp
 }
 
-// Fits reports whether s is nil or its lists fit a StandbyBlock.
-func (s *Standby) Fits() bool {
-	return s == nil || len(s.Path) <= len(StandbyBlock{}.path) && len(s.Links) <= len(StandbyBlock{}.links)
+func (s *Standby) fitsIn(nodes, links int) bool {
+	return len(s.Path) <= nodes && len(s.Links) <= links
 }
 
-// StandbyBlock is a Standby with the arrays a two-NF chain's standby
-// fills (seven nodes over four links): such a standby is one allocation.
-type StandbyBlock struct {
-	sb    Standby
-	path  [7]topology.NodeID
-	links [4]topology.LinkID
+// Fits reports whether s is nil or its lists fit a StandbyBlock.
+func (s *Standby) Fits() bool {
+	return s == nil || s.fitsIn(len(StandbyBlock{}.path), len(StandbyBlock{}.links))
 }
+
+// Fills3 reports whether s's lists fit a StandbyBlock3 and no smaller
+// block: Clone gives s a StandbyBlock3 of its own.
+func (s *Standby) Fills3() bool {
+	return s != nil && s.fitsIn(len(StandbyBlock3{}.path), len(StandbyBlock3{}.links)) &&
+		!s.fitsIn(len(detourBlock{}.path), len(detourBlock{}.links))
+}
+
+// The standby blocks are a Standby and arrays for its lists in one
+// allocation of an allocator class (192, 224, 256 bytes), no more than a
+// record and an array per list take for the route each is sized for: a
+// two-NF chain's standby (seven nodes over four links), one routed around
+// a cut tray (nine over six), a three-NF chain's (eleven over eight).
+type (
+	StandbyBlock struct {
+		sb    Standby
+		path  [7]topology.NodeID
+		links [4]topology.LinkID
+	}
+	detourBlock struct {
+		sb    Standby
+		path  [9]topology.NodeID
+		links [6]topology.LinkID
+	}
+	StandbyBlock3 struct {
+		sb    Standby
+		path  [11]topology.NodeID
+		links [8]topology.LinkID
+	}
+)
 
 // Copy fills b with a deep copy of s and returns it (nil for nil); SRLGs,
 // nil on most topologies, and a list b cannot hold get arrays of their own.
-func (b *StandbyBlock) Copy(s *Standby) *Standby {
+func (b *StandbyBlock) Copy(s *Standby) *Standby { return copyBlock(&b.sb, b.path[:], b.links[:], s) }
+
+// Copy fills b as StandbyBlock.Copy does.
+func (b *StandbyBlock3) Copy(s *Standby) *Standby { return copyBlock(&b.sb, b.path[:], b.links[:], s) }
+
+func copyBlock(sb *Standby, path []topology.NodeID, links []topology.LinkID, s *Standby) *Standby {
 	if s == nil {
 		return nil
 	}
-	b.sb = *s
-	b.sb.Path, b.sb.Links, b.sb.SRLGs = CopyInto(b.path[:], s.Path), CopyInto(b.links[:], s.Links), CopyInto(nil, s.SRLGs)
-	return &b.sb
+	*sb = *s
+	sb.Path, sb.Links, sb.SRLGs = CopyInto(path, s.Path), CopyInto(links, s.Links), CopyInto(nil, s.SRLGs)
+	return sb
 }
 
 // CopyInto copies src into arr if it fits, else into its own array, and

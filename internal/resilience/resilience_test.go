@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -246,6 +247,77 @@ func TestStandbyClone(t *testing.T) {
 	if sb.Path[0] != 1 || sb.Links[0] != 9 {
 		t.Fatal("clone aliases the original")
 	}
+}
+
+// TestStandbyCloneBlocks: a clone is deep, equal and clipped whatever
+// its lists' lengths, and is one allocation while they fit a block —
+// up to eleven nodes over eight links — else the record and an array
+// per list.
+func TestStandbyCloneBlocks(t *testing.T) {
+	for nodes := 1; nodes <= 14; nodes++ {
+		for links := 0; links < nodes; links++ {
+			sb := &Standby{Disjoint: true}
+			for i := range nodes {
+				sb.Path = append(sb.Path, topology.NodeID(i+1))
+			}
+			for i := range links {
+				sb.Links = append(sb.Links, topology.LinkID(i+1))
+			}
+			cp := sb.Clone()
+			if !reflect.DeepEqual(cp, sb) || cap(cp.Path) != nodes || cap(cp.Links) != links {
+				t.Fatalf("%d nodes over %d links: clone %+v (capacities %d, %d) of %+v", nodes, links, cp, cap(cp.Path), cap(cp.Links), sb)
+			}
+			cp.Path[0] = -1
+			if links > 0 {
+				cp.Links[0] = -1
+			}
+			if sb.Path[0] != 1 || links > 0 && sb.Links[0] != 1 {
+				t.Fatalf("%d nodes over %d links: the clone shares the original's arrays", nodes, links)
+			}
+			if raceEnabled {
+				continue
+			}
+			want := 3.0
+			switch {
+			case nodes <= 11 && links <= 8:
+				want = 1
+			case links == 0:
+				want = 2
+			}
+			if got := testing.AllocsPerRun(10, func() { sb.Clone() }); got != want {
+				t.Errorf("%d nodes over %d links: a clone allocates %.0f times, want %.0f", nodes, links, got, want)
+			}
+			// For a route between two VMs (two virtual hops, so links =
+			// nodes - 3) past the two-NF block, a block is never more bytes
+			// than the record and an array per list.
+			if want != 1 || sb.Fits() || links != nodes-3 {
+				continue
+			}
+			perList := func() {
+				cp := *sb
+				cp.Path, cp.Links = slices.Clone(sb.Path), slices.Clone(sb.Links)
+				sink = &cp
+			}
+			if block, lists := bytesPerRun(func() { sink = sb.Clone() }), bytesPerRun(perList); block > lists {
+				t.Errorf("%d nodes over %d links: a clone's block is %d bytes, the per-list layout %d", nodes, links, block, lists)
+			}
+		}
+	}
+}
+
+var sink *Standby
+
+// bytesPerRun is what one call of f allocates, in bytes.
+func bytesPerRun(f func()) uint64 {
+	const runs = 100
+	var before, after runtime.MemStats
+	f()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
 // TestPlanStandbySRLGCountsAsOverlap: a route-disjoint alternative

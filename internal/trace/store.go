@@ -98,9 +98,9 @@ type Query struct {
 
 type entry struct {
 	id string
-	// recs holds the trace's spans, in an array from spanSpares sized
-	// to the insert that created the trace; a continuation that outgrows
-	// it moves them to one sized to what that insert adds.
+	// recs holds the trace's spans, in an array from ones or spanSpares
+	// sized to the insert that created the trace; a continuation that
+	// outgrows it moves them to one sized to what that insert adds.
 	recs     []record
 	root     int    // index in recs of the root span; -1 until it arrives
 	rootDur  int64  // the root span's duration, once it arrives
@@ -148,7 +148,10 @@ type Store struct {
 	// frees one trace for every one it admits.
 	spare      []*entry
 	spareRings []ring.Ring[*entry]
-	top        []*entry // matchLocked's scratch, cleared between queries
+	// ones holds freed one-record arrays, cleared, for the next one-span
+	// trace: the commonest trace skips the pools spanSpares keeps.
+	ones [][]record
+	top  []*entry // matchLocked's scratch, cleared between queries
 
 	commits  uint64
 	recorded uint64
@@ -216,7 +219,12 @@ func (s *Store) newEntry(traceID string, r *record, n int) *entry {
 	} else {
 		e = new(entry)
 	}
-	e.recs = spanSpares.get(n)
+	if k := len(s.ones); n == 1 && k > 0 {
+		e.recs, s.ones[k-1] = s.ones[k-1], nil
+		s.ones = s.ones[:k-1]
+	} else {
+		e.recs = spanSpares.get(n)
+	}
 	e.root = -1
 	e.id, e.kind = traceID, r.kindName()
 	e.minStart, e.maxEnd = r.start, r.start+r.dur
@@ -354,9 +362,9 @@ func removeEntry(r *ring.Ring[*entry], e *entry) {
 	}
 }
 
-// maxSpareEntries bounds the freed entries and the emptied chain-index
-// rings the store keeps for reuse; their arrays go to spanSpares and
-// depSpares.
+// maxSpareEntries bounds the freed entries, the emptied chain-index
+// rings and the one-record arrays the store keeps for reuse; the other
+// arrays go to spanSpares and depSpares.
 const maxSpareEntries = 16
 
 // free forgets the trace. Nothing may use e afterwards: it is reset and
@@ -368,7 +376,12 @@ func (s *Store) free(e *entry) {
 	s.order[e.pos] = nil
 	s.total -= len(e.recs)
 	s.evicted++
-	spanSpares.put(e.recs)
+	if cap(e.recs) == 1 && len(s.ones) < maxSpareEntries {
+		clear(e.recs[:1])
+		s.ones = append(s.ones, e.recs[:0])
+	} else {
+		spanSpares.put(e.recs)
+	}
 	depSpares.put(e.deps)
 	*e = entry{}
 	if len(s.spare) < maxSpareEntries {
