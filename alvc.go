@@ -19,7 +19,7 @@
 //	if err != nil { ... }
 //	spec, _ := alvc.LinearChain("my-chain", "tenant-a", "web", 2.0, 1<<20,
 //		"firewall", "lb", "dpi")
-//	dep, err := arch.Deploy(context.Background(), spec)
+//	dep, err := arch.Sharded().Provision(context.Background(), spec)
 //	fmt.Println(dep.Conversions, dep.EnergyJoules)
 //
 // The facade re-exports the concrete types of the internal packages as
@@ -29,7 +29,6 @@
 package alvc
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -74,7 +73,7 @@ type (
 	Resources = topology.Resources
 	// Spec is a network-function-chain request.
 	Spec = chain.Spec
-	// Change is one edit of a deployed chain (Architecture.Apply):
+	// Change is one edit of a deployed chain (Sharded().Apply):
 	// ChangeBandwidth, ChangeVersion, ChangeReplicas, ChangeHost or
 	// ChangeRebuild, or the optimizer's orch.ChangeRehome and
 	// orch.ChangeDefrag.
@@ -319,30 +318,31 @@ func WithShardMode(mode ShardMode) Option {
 // recoveries
 // trigger standby refresh and placement re-homing, and idle ticks
 // consolidate fragmented wavelength assignments. The engine is wired
-// as the orchestrator's event sink; drive it with
-// Architecture.Optimize (synchronous drain) or Optimizer().Start (a
-// daemon's background loop).
+// as the orchestrator's event sink; drive it with Optimizer().Drain
+// (synchronous drain) or Optimizer().Start (a daemon's background
+// loop).
 func WithOptimizer(opts OptimizerOptions) Option {
 	return func(s *settings) { s.optimizer = &opts }
 }
 
 // WithTracing tunes or disables request-scoped tracing. Tracing is ON
-// by default with default store bounds: every Deploy/Delete/repair
-// records a span tree into a bounded in-memory store, queryable via
-// Architecture.TraceStore (the server's GET /v1/traces). Pass non-nil
-// options to resize the store; pass nil to disable tracing entirely —
-// the hot paths then skip span bookkeeping with zero allocations.
+// by default with default store bounds: every provision, delete and
+// repair records a span tree into a bounded in-memory store, queryable
+// via Architecture.TraceStore (the server's GET /v1/traces). Pass
+// non-nil options to resize the store; pass nil to disable tracing
+// entirely — the hot paths then skip span bookkeeping with zero
+// allocations.
 func WithTracing(opts *TraceOptions) Option {
 	return func(s *settings) { s.traceSet = true; s.traceOpts = opts }
 }
 
 // WithFailureDebounce attaches a failure debouncer: failure events
-// reported through ReportFailures coalesce for the given window and
-// dispatch as one union Fail, so a failure storm (a cut tray, a
-// rack PDU trip) repairs every affected chain exactly once instead of
-// once per event. A non-positive window installs the debouncer in
-// pass-through mode (useful to keep one code path and batch only via
-// FlushFailures). GET /v1/optimizer/status reports the debouncer's
+// reported through Debouncer().Report coalesce for the given window and
+// dispatch as one union Sharded().HandleFailures, so a failure storm (a
+// cut tray, a rack PDU trip) repairs every affected chain exactly once
+// instead of once per event. A non-positive window installs the
+// debouncer in pass-through mode (useful to keep one code path and
+// batch only via FlushFailures). GET /v1/optimizer/status reports the debouncer's
 // coalescing counters beside the optimizer's.
 func WithFailureDebounce(window time.Duration) Option {
 	return func(s *settings) { s.debounceWindow = &window }
@@ -443,101 +443,22 @@ func FromTopology(topo *topology.Topology, opts ...Option) (*Architecture, error
 func (a *Architecture) Topology() *Topology { return a.topo }
 
 // Sharded returns the orchestrator — a set of shards, one unless
-// WithShards raised the count: every verb and fleet read, per-shard
-// statistics, a chain's SDN controller by its ID (ControllerOf), and the
-// NFV manager, slices and wavelengths every shard shares.
+// WithShards raised the count — the one home of every chain verb
+// (Provision, Delete, Apply, HandleFailures, Recover, Impact, the
+// service clusters) and fleet read: deployments, per-shard statistics,
+// a chain's SDN controller by its ID (ControllerOf), and the NFV
+// manager, slices and wavelengths every shard shares.
 func (a *Architecture) Sharded() *orch.Sharded { return a.sh }
-
-// BuildServiceClusters constructs one virtual cluster per service
-// (paper §III, Fig. 1/3) — the pure clustering use of AL-VC, without
-// chains. The clusters claim OPSs from the same pool chain deployments
-// use (shard 0's partition when WithShards splits the pool).
-func (a *Architecture) BuildServiceClusters() ([]*VC, error) { return a.sh.BuildServiceClusters() }
-
-// ReleaseCluster dissolves a cluster built by BuildServiceClusters. It
-// refuses, changing nothing, the cluster of a deployed chain: that one
-// is the chain's abstraction layer, and leaves with the chain.
-func (a *Architecture) ReleaseCluster(id cluster.VCID) error { return a.sh.ReleaseCluster(id) }
-
-// Clusters returns all current virtual clusters (service clusters and
-// chain-backing clusters alike) across every shard, sorted by ID; an ID
-// names one cluster in the whole fleet.
-func (a *Architecture) Clusters() []*VC { return a.sh.Clusters() }
-
-// Deploy provisions a chain end to end (paper §IV): virtual cluster,
-// optical slice, VNF placement and instantiation, SDN path. When ctx
-// holds a span (the server middleware's root HTTP span), the provision
-// span and its per-stage children join that trace.
-func (a *Architecture) Deploy(ctx context.Context, spec Spec) (*Deployment, error) {
-	return a.sh.Provision(ctx, spec)
-}
 
 // BatchWorkers returns the configured batch worker-pool size (0 means
 // one worker per CPU).
 func (a *Architecture) BatchWorkers() int { return a.batchWorkers }
-
-// Delete tears a deployment down, releases its resources and returns
-// its final record (state deleted); its span joins the trace ctx
-// carries.
-func (a *Architecture) Delete(ctx context.Context, id DeploymentID) (*Deployment, error) {
-	return a.sh.Delete(ctx, id)
-}
-
-// Apply makes one edit to a deployed chain (§IV-B: modification,
-// upgradation, scaling, a VNF's move, and a rebuild) under the chain's
-// exclusive claim; see orch.Sharded.Apply.
-func (a *Architecture) Apply(id DeploymentID, c Change) error {
-	_, err := a.sh.Apply(id, c)
-	return err
-}
 
 // NewFailures builds the failure set of the given nodes and links,
 // ascending and each ID once. A list already strictly ascending is kept,
 // not copied.
 func NewFailures(nodes []NodeID, links []LinkID) Failures {
 	return topology.NewFailures(nodes, links)
-}
-
-// Fail injects the failure of a set of nodes (OPS, ToR or PM) and
-// links as one event — one resource, or a rack-scale incident — and
-// reconciles each chain that used any of them exactly once against the
-// union, preferring differential repairs over full rebuilds: a dead
-// primary link swaps to the standby when one survives (zero
-// shortest-path runs) and re-paths cold otherwise; a dead host replaces
-// only its VNFs; a dead AL switch patches the AL; a dead standby link
-// merely replans the standby. It returns one RepairReport per affected
-// chain; chains whose repair was impossible transition to the Failed
-// state and are also reported through the error. An unknown ID rejects
-// the whole set before anything is marked down. Every repair records a
-// span in ctx's trace.
-func (a *Architecture) Fail(ctx context.Context, f Failures) ([]RepairReport, error) {
-	return a.sh.HandleFailures(ctx, f)
-}
-
-// RepairedIDs filters a Fail report list down to the chains whose
-// repair succeeded, preserving order.
-func RepairedIDs(reports []RepairReport) []DeploymentID {
-	return orch.RepairedIDs(reports)
-}
-
-// Recover marks a set of failed nodes and links live again. Existing
-// deployments are not rebalanced or rerouted back; new deployments may
-// use the resources immediately.
-func (a *Architecture) Recover(f Failures) error { return a.sh.Recover(f) }
-
-// ReportFailures feeds a failure notification into the debouncer
-// (WithFailureDebounce): reports within one window coalesce into a
-// single Fail, and the debouncer remembers ctx's span as a parent of
-// the batch that eventually flushes the report, so the failure report's
-// trace reaches the coalesced repairs. Without a debouncer it falls
-// back to an immediate Fail, so callers can use one code path either
-// way.
-func (a *Architecture) ReportFailures(ctx context.Context, f Failures) {
-	if a.debounce == nil {
-		_, _ = a.sh.HandleFailures(ctx, f)
-		return
-	}
-	a.debounce.Report(ctx, f)
 }
 
 // FlushFailures dispatches the debouncer's pending failure union
@@ -553,12 +474,6 @@ func (a *Architecture) FlushFailures() ([]RepairReport, error) {
 // Debouncer returns the failure debouncer, or nil when the
 // architecture was built without WithFailureDebounce.
 func (a *Architecture) Debouncer() *FailureDebouncer { return a.debounce }
-
-// Impact returns the blast radius of a set of nodes and links: every
-// active chain that would be affected if they died, with the roles the
-// set plays for it (host / path / slice / standby; a link is only ever
-// path or standby), from the reverse indexes.
-func (a *Architecture) Impact(f Failures) []ImpactEntry { return a.sh.Impact(f) }
 
 // Tracer returns the request-scoped tracer, or nil when tracing was
 // disabled with WithTracing(nil). A nil Tracer is safe to call.
@@ -593,15 +508,9 @@ func (a *Architecture) Close() {
 	a.sh.Close()
 }
 
-// Deployments lists the deployments the orchestrator holds records of
-// (active and failed); deleted chains are not among them (see
-// Sharded().Tombstones). Each copies the record, its Instances, Path
-// and Standby, and shares Spec.NFs, Placement's lists, VC and Slice with
-// the live record: read those only (see orch.Sharded.Deployments).
-func (a *Architecture) Deployments() []*Deployment { return a.sh.Deployments() }
-
-// Deployment returns one deployment, copied as Deployments copies, or
-// nil (unknown or deleted).
+// Deployment returns one deployment, copied as Sharded().Deployments
+// copies (it shares Spec.NFs, Placement's lists, VC and Slice with the
+// live record: read those only), or nil (unknown or deleted).
 func (a *Architecture) Deployment(id DeploymentID) *Deployment { return a.sh.Deployment(id) }
 
 // MeasureDeployment replays n representative flows of the deployment

@@ -66,9 +66,9 @@ func TestDeployLifecycleThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LinearChain: %v", err)
 	}
-	dep, err := arch.Deploy(ctx, spec)
+	dep, err := arch.Sharded().Provision(ctx, spec)
 	if err != nil {
-		t.Fatalf("Deploy: %v", err)
+		t.Fatalf("Provision: %v", err)
 	}
 	if got := arch.Deployment(dep.ID); got == nil || got.State != orch.StateActive {
 		t.Fatal("deployment not active")
@@ -77,10 +77,10 @@ func TestDeployLifecycleThroughFacade(t *testing.T) {
 	if s.ActiveDeployments != 1 || s.Clusters != 1 || s.InstalledRules == 0 {
 		t.Fatalf("summary after deploy = %+v", s)
 	}
-	if err := arch.Apply(dep.ID, ChangeBandwidth(5)); err != nil {
+	if _, err := arch.Sharded().Apply(dep.ID, ChangeBandwidth(5)); err != nil {
 		t.Fatalf("modify: %v", err)
 	}
-	if err := arch.Apply(dep.ID, ChangeVersion()); err != nil {
+	if _, err := arch.Sharded().Apply(dep.ID, ChangeVersion()); err != nil {
 		t.Fatalf("upgrade: %v", err)
 	}
 	res, err := arch.MeasureDeployment(dep.ID, 10)
@@ -90,7 +90,7 @@ func TestDeployLifecycleThroughFacade(t *testing.T) {
 	if res.Flows != 10 || res.MeanHops == 0 {
 		t.Fatalf("flow result = %+v", res)
 	}
-	if _, err := arch.Delete(ctx, dep.ID); err != nil {
+	if _, err := arch.Sharded().Delete(ctx, dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if arch.Summarize().ActiveDeployments != 0 {
@@ -109,22 +109,22 @@ func TestBuildServiceClusters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	vcs, err := arch.BuildServiceClusters()
+	vcs, err := arch.Sharded().BuildServiceClusters()
 	if err != nil {
 		t.Fatalf("BuildServiceClusters: %v", err)
 	}
 	if len(vcs) != 3 {
 		t.Fatalf("clusters = %d, want 3 services", len(vcs))
 	}
-	if len(arch.Clusters()) != 3 {
+	if len(arch.Sharded().Clusters()) != 3 {
 		t.Fatal("Clusters() inconsistent")
 	}
 	for _, vc := range vcs {
-		if err := arch.ReleaseCluster(vc.ID); err != nil {
+		if err := arch.Sharded().ReleaseCluster(vc.ID); err != nil {
 			t.Fatalf("ReleaseCluster: %v", err)
 		}
 	}
-	if len(arch.Clusters()) != 0 {
+	if len(arch.Sharded().Clusters()) != 0 {
 		t.Fatal("clusters remain after release")
 	}
 }
@@ -136,11 +136,11 @@ func TestClusterAndChainShareOPSPool(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := arch.BuildServiceClusters(); err != nil {
+	if _, err := arch.Sharded().BuildServiceClusters(); err != nil {
 		t.Fatalf("BuildServiceClusters: %v", err)
 	}
 	claimed := make(map[NodeID]bool)
-	for _, vc := range arch.Clusters() {
+	for _, vc := range arch.Sharded().Clusters() {
 		for _, ops := range vc.AL.OPSs {
 			claimed[ops] = true
 		}
@@ -149,7 +149,7 @@ func TestClusterAndChainShareOPSPool(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LinearChain: %v", err)
 	}
-	dep, err := arch.Deploy(ctx, spec)
+	dep, err := arch.Sharded().Provision(ctx, spec)
 	if err != nil {
 		// Acceptable outcome: pool exhausted. The invariant is that it
 		// must NOT double-allocate.
@@ -178,7 +178,7 @@ func TestReleaseClusterRefusesAChainsLayer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d shards: New: %v", shards, err)
 		}
-		service, err := arch.BuildServiceClusters()
+		service, err := arch.Sharded().BuildServiceClusters()
 		if err != nil {
 			t.Fatalf("%d shards: BuildServiceClusters: %v", shards, err)
 		}
@@ -188,13 +188,13 @@ func TestReleaseClusterRefusesAChainsLayer(t *testing.T) {
 			if err != nil {
 				t.Fatalf("LinearChain: %v", err)
 			}
-			dep, err := arch.Deploy(ctx, spec)
+			dep, err := arch.Sharded().Provision(ctx, spec)
 			if err != nil {
-				t.Fatalf("%d shards: Deploy %d: %v", shards, i, err)
+				t.Fatalf("%d shards: Provision %d: %v", shards, i, err)
 			}
 			deps = append(deps, dep)
 		}
-		before := arch.Clusters()
+		before := arch.Sharded().Clusters()
 		seen := make(map[cluster.VCID]bool)
 		for _, vc := range before {
 			if seen[vc.ID] {
@@ -203,20 +203,20 @@ func TestReleaseClusterRefusesAChainsLayer(t *testing.T) {
 			seen[vc.ID] = true
 		}
 		for _, dep := range deps {
-			if err := arch.ReleaseCluster(dep.VC.ID); err == nil {
+			if err := arch.Sharded().ReleaseCluster(dep.VC.ID); err == nil {
 				t.Errorf("%d shards: ReleaseCluster(%d) dissolved chain %d's layer", shards, dep.VC.ID, dep.ID)
 			}
 			if now := arch.Deployment(dep.ID); now.State != orch.StateActive || !slices.Equal(now.VC.AL.OPSs, dep.VC.AL.OPSs) {
 				t.Errorf("%d shards: chain %d changed: %v over %v, was over %v", shards, dep.ID, now.State, now.VC.AL.OPSs, dep.VC.AL.OPSs)
 			}
 		}
-		if after := arch.Clusters(); !slices.EqualFunc(after, before, func(a, b *VC) bool { return a.ID == b.ID }) {
+		if after := arch.Sharded().Clusters(); !slices.EqualFunc(after, before, func(a, b *VC) bool { return a.ID == b.ID }) {
 			t.Errorf("%d shards: refused releases moved Clusters() from %d to %d entries", shards, len(before), len(after))
 		}
-		if err := arch.ReleaseCluster(service[0].ID); err != nil {
+		if err := arch.Sharded().ReleaseCluster(service[0].ID); err != nil {
 			t.Errorf("%d shards: ReleaseCluster of a service cluster: %v", shards, err)
 		}
-		if got := len(arch.Clusters()); got != len(before)-1 {
+		if got := len(arch.Sharded().Clusters()); got != len(before)-1 {
 			t.Errorf("%d shards: %d clusters after releasing the service one, want %d", shards, got, len(before)-1)
 		}
 		arch.Close()
@@ -237,9 +237,9 @@ func TestWithOptions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LinearChain: %v", err)
 	}
-	dep, err := arch.Deploy(ctx, spec)
+	dep, err := arch.Sharded().Provision(ctx, spec)
 	if err != nil {
-		t.Fatalf("Deploy: %v", err)
+		t.Fatalf("Provision: %v", err)
 	}
 	if dep.Placement.Policy != "optimal" {
 		t.Fatalf("policy = %s", dep.Placement.Policy)
@@ -262,19 +262,19 @@ func TestFacadeFailureRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LinearChain: %v", err)
 	}
-	dep, err := arch.Deploy(ctx, spec)
+	dep, err := arch.Sharded().Provision(ctx, spec)
 	if err != nil {
-		t.Fatalf("Deploy: %v", err)
+		t.Fatalf("Provision: %v", err)
 	}
 	if dep.Lambda < 0 {
 		t.Fatalf("lambda = %d, want assigned with WithWavelengths", dep.Lambda)
 	}
 	victim := dep.Slice.OPSs[0]
-	reports, err := arch.Fail(ctx, NewFailures([]NodeID{victim}, nil))
+	reports, err := arch.Sharded().HandleFailures(ctx, NewFailures([]NodeID{victim}, nil))
 	if err != nil {
-		t.Fatalf("Fail: %v", err)
+		t.Fatalf("HandleFailures: %v", err)
 	}
-	repaired := RepairedIDs(reports)
+	repaired := orch.RepairedIDs(reports)
 	if len(repaired) != 1 || repaired[0] != dep.ID {
 		t.Fatalf("repaired = %v (reports %+v)", repaired, reports)
 	}
@@ -282,16 +282,16 @@ func TestFacadeFailureRecovery(t *testing.T) {
 	if after.Repairs != 1 || after.Slice.Contains(victim) {
 		t.Fatalf("repair did not move off the failed OPS: %+v", after.Slice.OPSs)
 	}
-	if err := arch.Recover(NewFailures([]NodeID{victim}, nil)); err != nil {
+	if err := arch.Sharded().Recover(NewFailures([]NodeID{victim}, nil)); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if err := arch.Apply(dep.ID, ChangeRebuild()); err != nil {
+	if _, err := arch.Sharded().Apply(dep.ID, ChangeRebuild()); err != nil {
 		t.Fatalf("manual rebuild: %v", err)
 	}
 	if arch.Deployment(dep.ID).Repairs != 2 {
 		t.Fatal("manual repair not counted")
 	}
-	if _, err := arch.Fail(ctx, NewFailures([]NodeID{999999}, nil)); err == nil {
+	if _, err := arch.Sharded().HandleFailures(ctx, NewFailures([]NodeID{999999}, nil)); err == nil {
 		t.Fatal("unknown node accepted")
 	}
 }
@@ -309,9 +309,9 @@ func TestCloseFlushesPendingFailures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LinearChain: %v", err)
 	}
-	dep, err := arch.Deploy(ctx, spec)
+	dep, err := arch.Sharded().Provision(ctx, spec)
 	if err != nil {
-		t.Fatalf("Deploy: %v", err)
+		t.Fatalf("Provision: %v", err)
 	}
 	victim := NodeID(-1)
 	for _, n := range dep.Path {
@@ -323,7 +323,7 @@ func TestCloseFlushesPendingFailures(t *testing.T) {
 	if victim < 0 {
 		t.Fatalf("no slice OPS on the path %v", dep.Path)
 	}
-	arch.ReportFailures(ctx, NewFailures([]NodeID{victim}, nil))
+	arch.Debouncer().Report(ctx, NewFailures([]NodeID{victim}, nil))
 	if nodes, links := arch.Debouncer().Pending(); nodes != 1 || links != 0 {
 		t.Fatalf("before Close: pending (%d, %d), want (1, 0)", nodes, links)
 	}
@@ -343,8 +343,10 @@ func TestCloseFlushesPendingFailures(t *testing.T) {
 // type offers a verb twice (X beside XCtx), a failure twin per node or
 // link, an edit beside Apply (a re-home and a λ-defrag are Changes too,
 // on the optimizer's Target as well), or a second way to observe the
-// control plane beside orch.Hooks. The shard, internal to orch, is held
-// to the same rows by orch's TestShardSurface.
+// control plane beside orch.Hooks; and the facade forwards no verb of
+// the orchestrator, so every chain verb has one home, orch.Sharded. The
+// shard, internal to orch, is held to the same rows by orch's
+// TestShardSurface.
 func TestOneFormPerVerb(t *testing.T) {
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(&orch.Sharded{}),
@@ -375,8 +377,9 @@ func TestOneFormPerVerb(t *testing.T) {
 			}
 		}
 	}
-	// One edit verb: Apply(id, Change) on every layer, no per-edit twin —
-	// the optimizer's re-home and λ-defrag included.
+	// One edit verb: Apply(id, Change) on the orchestrator and the
+	// optimizer's Target, no per-edit twin on any layer — the optimizer's
+	// re-home and λ-defrag included.
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(&orch.Sharded{}),
 		reflect.TypeOf(&Architecture{}),
@@ -387,8 +390,30 @@ func TestOneFormPerVerb(t *testing.T) {
 				t.Errorf("%v.%s: an edit is Apply(id, Change)", typ, name)
 			}
 		}
+	}
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(&orch.Sharded{}),
+		reflect.TypeOf((*optimizer.Target)(nil)).Elem(),
+	} {
 		if _, ok := typ.MethodByName("Apply"); !ok {
 			t.Errorf("%v has no Apply", typ)
+		}
+	}
+	// One orchestration surface: no facade method shares a name with an
+	// orchestrator method, except Close (it composes the debouncer's
+	// flush, the optimizer's stop and the shard set's close) and
+	// Deployment (benchmark/runner.go reads it through the facade); and
+	// the renamed forwarders stay gone.
+	sharded, facade := reflect.TypeOf(&orch.Sharded{}), reflect.TypeOf(&Architecture{})
+	for i := 0; i < facade.NumMethod(); i++ {
+		name := facade.Method(i).Name
+		if _, shared := sharded.MethodByName(name); shared && name != "Close" && name != "Deployment" {
+			t.Errorf("Architecture.%s forwards a verb: call Sharded().%s", name, name)
+		}
+	}
+	for _, name := range []string{"Deploy", "Fail", "ReportFailures"} {
+		if _, ok := facade.MethodByName(name); ok {
+			t.Errorf("Architecture.%s forwards a verb under another name: call Sharded() or Debouncer()", name)
 		}
 	}
 	// One observer seam: every event sink, observer and the tracer is an

@@ -96,7 +96,7 @@ func runClusters(args []string) int {
 		fmt.Fprintf(os.Stderr, "alvc clusters: %v\n", err)
 		return 1
 	}
-	vcs, err := arch.BuildServiceClusters()
+	vcs, err := arch.Sharded().BuildServiceClusters()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "alvc clusters: %v\n", err)
 		return 1
@@ -164,7 +164,7 @@ func runDeploy(args []string) int {
 		"chain", "tenant", "service", "NFs", "AL", "hops", "conversions", "energy J")
 	failures := 0
 	for _, spec := range specs {
-		dep, err := arch.Deploy(ctx, spec)
+		dep, err := arch.Sharded().Provision(ctx, spec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "alvc deploy: %s: %v\n", spec.Name, err)
 			failures++

@@ -1,5 +1,5 @@
 // Count contracts of the control plane at fleet scale, driven through
-// the facade: a failure repairs only the chains it damaged, at a cost
+// the library's orchestrator, arch.Sharded(): a failure repairs only the chains it damaged, at a cost
 // that does not grow with the fleet; a standby swap runs no search; a
 // link storm repairs every victim once; a shard set pays at most one
 // extra plan per chain. Every count is one GET /metrics serves — the
@@ -101,16 +101,16 @@ func TestContractRepairFollowsDamage(t *testing.T) {
 	var first counts
 	for i, chains := range []int{12, 25, 50, 200} {
 		arch := fleet(t, chains, false)
-		victim := arch.Deployments()[0]
+		victim := arch.Sharded().Deployments()[0]
 		before := countsOf(arch)
-		reports, err := arch.Fail(ctx, alvc.NewFailures([]alvc.NodeID{victim.Slice.OPSs[0]}, nil))
+		reports, err := arch.Sharded().HandleFailures(ctx, alvc.NewFailures([]alvc.NodeID{victim.Slice.OPSs[0]}, nil))
 		if err != nil {
 			t.Fatalf("%d chains: Fail: %v", chains, err)
 		}
 		if len(reports) != 1 || reports[0].ID != victim.ID || !reports[0].Succeeded() {
 			t.Fatalf("%d chains: reports = %+v, want one successful repair of chain %d", chains, reports, victim.ID)
 		}
-		for _, dep := range arch.Deployments() {
+		for _, dep := range arch.Sharded().Deployments() {
 			if dep.ID != victim.ID && dep.Repairs != 0 {
 				t.Fatalf("%d chains: untouched chain %d gained %d repairs", chains, dep.ID, dep.Repairs)
 			}
@@ -146,7 +146,7 @@ func TestContractShardingCost(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		// The first chain pays the cold snapshot build.
-		if _, err := arch.Deploy(ctx, specs[0]); err != nil {
+		if _, err := arch.Sharded().Provision(ctx, specs[0]); err != nil {
 			t.Fatalf("warm-up provision: %v", err)
 		}
 		builds := arch.Topology().GraphBuilds()
@@ -169,12 +169,12 @@ func TestContractShardingCost(t *testing.T) {
 		// One slice OPS per 7 chains, in one batch: 7 is coprime with
 		// every shard count, so the victims spread over all shards.
 		var victims []alvc.NodeID
-		for i, dep := range arch.Deployments() {
+		for i, dep := range arch.Sharded().Deployments() {
 			if i%7 == 0 {
 				victims = append(victims, dep.Slice.OPSs[0])
 			}
 		}
-		reports, err := arch.Fail(ctx, alvc.NewFailures(victims, nil))
+		reports, err := arch.Sharded().HandleFailures(ctx, alvc.NewFailures(victims, nil))
 		if err != nil {
 			t.Fatalf("%d shards: Fail: %v", shards, err)
 		}
@@ -233,12 +233,12 @@ func TestContractProtectedRecovery(t *testing.T) {
 	}
 	run := func(opts ...alvc.Option) sample {
 		arch := fleet(t, chains, true, opts...)
-		victim := swapVictim(arch, arch.Deployments()[0])
+		victim := swapVictim(arch, arch.Sharded().Deployments()[0])
 		if victim == 0 {
 			t.Fatal("no transit ToR on the first chain's primary")
 		}
 		before := countsOf(arch)
-		reports, _ := arch.Fail(ctx, alvc.NewFailures([]alvc.NodeID{victim}, nil)) // failed chains are counted below
+		reports, _ := arch.Sharded().HandleFailures(ctx, alvc.NewFailures([]alvc.NodeID{victim}, nil)) // failed chains are counted below
 		s := sample{counts: countsOf(arch).minus(before), affected: len(reports)}
 		for _, rep := range reports {
 			switch rep.Action {
@@ -249,7 +249,7 @@ func TestContractProtectedRecovery(t *testing.T) {
 			}
 		}
 		s.churn = float64(s.ruleInstalls) / float64(s.affected)
-		if err := arch.Recover(alvc.NewFailures([]alvc.NodeID{victim}, nil)); err != nil {
+		if err := arch.Sharded().Recover(alvc.NewFailures([]alvc.NodeID{victim}, nil)); err != nil {
 			t.Fatalf("Recover: %v", err)
 		}
 		if eng := arch.Optimizer(); eng != nil { // the cold run has none
@@ -288,7 +288,7 @@ func TestContractProtectedRecovery(t *testing.T) {
 func rackEvent(t *testing.T, arch *alvc.Architecture) ([]alvc.NodeID, []alvc.LinkID) {
 	t.Helper()
 	topo := arch.Topology()
-	deps := arch.Deployments()
+	deps := arch.Sharded().Deployments()
 	var tor alvc.NodeID
 	for _, n := range deps[0].Path {
 		if topo.Node(n).Kind == topology.KindToR {
@@ -324,7 +324,7 @@ func TestContractAsyncReprotection(t *testing.T) {
 		inline := fleet(t, chains, true)
 		nodes, links := rackEvent(t, inline)
 		before := countsOf(inline)
-		if _, err := inline.Fail(ctx, alvc.NewFailures(nodes, links)); err != nil {
+		if _, err := inline.Sharded().HandleFailures(ctx, alvc.NewFailures(nodes, links)); err != nil {
 			t.Fatalf("%d chains: inline Fail: %v", chains, err)
 		}
 		inlineCost := countsOf(inline).minus(before)
@@ -332,7 +332,7 @@ func TestContractAsyncReprotection(t *testing.T) {
 		async := fleet(t, chains, true, alvc.WithOptimizer(alvc.OptimizerOptions{}))
 		nodes, links = rackEvent(t, async)
 		before = countsOf(async)
-		reports, _ := async.Fail(ctx, alvc.NewFailures(nodes, links)) // failed chains are exempt below
+		reports, _ := async.Sharded().HandleFailures(ctx, alvc.NewFailures(nodes, links)) // failed chains are exempt below
 		asyncCost := countsOf(async).minus(before)
 		t.Logf("%d chains: inline %+v, async %+v", chains, inlineCost, asyncCost)
 		if asyncCost.standbySearches != 0 {
@@ -361,12 +361,12 @@ func TestContractAsyncReprotection(t *testing.T) {
 		async.Optimizer().Drain()
 		protected(false)
 		for _, n := range nodes {
-			if err := async.Recover(alvc.NewFailures([]alvc.NodeID{n}, nil)); err != nil {
+			if err := async.Sharded().Recover(alvc.NewFailures([]alvc.NodeID{n}, nil)); err != nil {
 				t.Fatalf("Recover: %v", err)
 			}
 		}
 		for _, l := range links {
-			if err := async.Recover(alvc.NewFailures(nil, []alvc.LinkID{l})); err != nil {
+			if err := async.Sharded().Recover(alvc.NewFailures(nil, []alvc.LinkID{l})); err != nil {
 				t.Fatalf("Recover: %v", err)
 			}
 		}
@@ -417,20 +417,20 @@ func TestContractDefrag(t *testing.T) {
 		if err != nil {
 			t.Fatalf("LinearChain: %v", err)
 		}
-		if _, err := arch.Deploy(ctx, spec); err != nil {
+		if _, err := arch.Sharded().Provision(ctx, spec); err != nil {
 			t.Fatalf("provision %d: %v", i, err)
 		}
 	}
-	for _, dep := range arch.Deployments() {
+	for _, dep := range arch.Sharded().Deployments() {
 		if dep.Lambda%2 == 0 {
-			if _, err := arch.Delete(ctx, dep.ID); err != nil {
+			if _, err := arch.Sharded().Delete(ctx, dep.ID); err != nil {
 				t.Fatalf("Delete: %v", err)
 			}
 		}
 	}
 	maxLambda := func() int {
 		top := -1
-		for _, dep := range arch.Deployments() {
+		for _, dep := range arch.Sharded().Deployments() {
 			top = max(top, dep.Lambda)
 		}
 		return top
@@ -512,7 +512,7 @@ func stormFleet(t *testing.T, chains int, opts ...alvc.Option) (*alvc.Architectu
 	}
 	var victims []stormVictim
 	claimed := make(map[alvc.LinkID]bool)
-	deps := arch.Deployments()
+	deps := arch.Sharded().Deployments()
 	for _, dep := range deps[1:] {
 		if dep.Standby == nil || !dep.Standby.Disjoint {
 			continue
@@ -535,10 +535,10 @@ func stormFleet(t *testing.T, chains int, opts ...alvc.Option) (*alvc.Architectu
 		}
 	}
 	warm := transit(deps[0].Path)[0]
-	if _, err := arch.Fail(ctx, alvc.NewFailures(nil, []alvc.LinkID{warm})); err != nil {
+	if _, err := arch.Sharded().HandleFailures(ctx, alvc.NewFailures(nil, []alvc.LinkID{warm})); err != nil {
 		t.Fatalf("warm-up Fail: %v", err)
 	}
-	if err := arch.Recover(alvc.NewFailures(nil, []alvc.LinkID{warm})); err != nil {
+	if err := arch.Sharded().Recover(alvc.NewFailures(nil, []alvc.LinkID{warm})); err != nil {
 		t.Fatalf("warm-up Recover: %v", err)
 	}
 	arch.Optimizer().Drain()
@@ -572,7 +572,7 @@ func TestContractLinkStorm(t *testing.T) {
 		func(v stormVictim) alvc.LinkID { return v.standby },
 	} {
 		for _, v := range victims {
-			reports, _ := base.Fail(ctx, alvc.NewFailures(nil, []alvc.LinkID{pick(v)})) // outcomes are counted below
+			reports, _ := base.Sharded().HandleFailures(ctx, alvc.NewFailures(nil, []alvc.LinkID{pick(v)})) // outcomes are counted below
 			for _, rep := range reports {
 				repaired[rep.ID]++
 			}
@@ -590,8 +590,8 @@ func TestContractLinkStorm(t *testing.T) {
 	before := batch.Optimizer().Status()
 	builds = batch.Topology().GraphBuilds()
 	for _, v := range batchVictims {
-		batch.ReportFailures(ctx, alvc.NewFailures(nil, []alvc.LinkID{v.primary}))
-		batch.ReportFailures(ctx, alvc.NewFailures(nil, []alvc.LinkID{v.standby}))
+		batch.Debouncer().Report(ctx, alvc.NewFailures(nil, []alvc.LinkID{v.primary}))
+		batch.Debouncer().Report(ctx, alvc.NewFailures(nil, []alvc.LinkID{v.standby}))
 	}
 	reports, err := batch.FlushFailures()
 	if err != nil {
@@ -689,7 +689,7 @@ func trayCut(arch *alvc.Architecture, tray []alvc.DeploymentID) []alvc.LinkID {
 func TestContractStormRevisit(t *testing.T) {
 	arch, _ := stormFleet(t, 64, alvc.WithOptimizer(alvc.OptimizerOptions{}), alvc.WithFailureDebounce(time.Hour))
 	var tray []alvc.DeploymentID
-	for _, dep := range arch.Deployments()[1:9] {
+	for _, dep := range arch.Sharded().Deployments()[1:9] {
 		tray = append(tray, dep.ID)
 	}
 	type round struct {
@@ -701,7 +701,7 @@ func TestContractStormRevisit(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r := round{links: trayCut(arch, tray)}
 		for _, l := range r.links {
-			arch.ReportFailures(ctx, alvc.NewFailures(nil, []alvc.LinkID{l}))
+			arch.Debouncer().Report(ctx, alvc.NewFailures(nil, []alvc.LinkID{l}))
 		}
 		if _, err := arch.FlushFailures(); err != nil {
 			t.Fatalf("round %d: flush: %v", i, err)
@@ -717,7 +717,7 @@ func TestContractStormRevisit(t *testing.T) {
 			r.standbys = append(r.standbys, dep.Standby.Path)
 		}
 		for _, l := range r.links {
-			if err := arch.Recover(alvc.NewFailures(nil, []alvc.LinkID{l})); err != nil {
+			if err := arch.Sharded().Recover(alvc.NewFailures(nil, []alvc.LinkID{l})); err != nil {
 				t.Fatalf("Recover: %v", err)
 			}
 		}
@@ -759,7 +759,7 @@ func TestContractVMChurnRebuildsNoRoute(t *testing.T) {
 		}
 		return n
 	}
-	unchanged := arch.Deployments()[0]
+	unchanged := arch.Sharded().Deployments()[0]
 	if unchanged.Standby == nil {
 		t.Fatalf("chain %d is unprotected: nothing to re-plan", unchanged.ID)
 	}
@@ -778,7 +778,7 @@ func TestContractVMChurnRebuildsNoRoute(t *testing.T) {
 		t.Fatalf("RemoveVM: %v", err)
 	}
 
-	dep, err := arch.Deploy(ctx, fleetSpecs(t, chains+1)[chains])
+	dep, err := arch.Sharded().Provision(ctx, fleetSpecs(t, chains+1)[chains])
 	if err != nil {
 		t.Fatalf("provision after churn: %v", err)
 	}

@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("failure-recovery: %v", err)
 	}
-	depA, err := arch.Deploy(ctx, specA)
+	depA, err := arch.Sharded().Provision(ctx, specA)
 	if err != nil {
 		log.Fatalf("failure-recovery: deploy a: %v", err)
 	}
@@ -44,18 +44,19 @@ func main() {
 	if err != nil {
 		log.Fatalf("failure-recovery: %v", err)
 	}
-	depB, err := arch.Deploy(ctx, specB)
+	depB, err := arch.Sharded().Provision(ctx, specB)
 	if err != nil {
 		log.Fatalf("failure-recovery: deploy b: %v", err)
 	}
 	fmt.Printf("tenant-a slice: OPSs %v  λ%d\n", depA.Slice.OPSs, depA.Lambda)
 	fmt.Printf("tenant-b slice: OPSs %v  λ%d\n", depB.Slice.OPSs, depB.Lambda)
 
-	// Kill an OPS in tenant-a's slice.
+	// Kill an OPS in tenant-a's slice: the orchestrator's one failure
+	// entry point marks it down and repairs each chain that used it once.
 	victim := depA.Slice.OPSs[0]
 	fmt.Printf("\n*** OPS %d fails ***\n\n", victim)
 	dead := alvc.NewFailures([]alvc.NodeID{victim}, nil)
-	reports, err := arch.Fail(ctx, dead)
+	reports, err := arch.Sharded().HandleFailures(ctx, dead)
 	if err != nil {
 		log.Fatalf("failure-recovery: repair failed: %v", err)
 	}
@@ -76,14 +77,14 @@ func main() {
 		untouched.Slice.OPSs, untouched.Repairs)
 
 	// The switch comes back; new chains may use it again.
-	if err := arch.Recover(dead); err != nil {
+	if err := arch.Sharded().Recover(dead); err != nil {
 		log.Fatalf("failure-recovery: recover: %v", err)
 	}
 	specC, err := alvc.LinearChain("chain-c", "tenant-c", "sns", 1.0, 1<<20, "firewall")
 	if err != nil {
 		log.Fatalf("failure-recovery: %v", err)
 	}
-	depC, err := arch.Deploy(ctx, specC)
+	depC, err := arch.Sharded().Provision(ctx, specC)
 	if err != nil {
 		log.Fatalf("failure-recovery: deploy c: %v", err)
 	}

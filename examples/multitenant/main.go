@@ -41,7 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("multitenant: spec: %v", err)
 		}
-		dep, err := arch.Deploy(ctx, spec)
+		dep, err := arch.Sharded().Provision(ctx, spec)
 		if err != nil {
 			log.Fatalf("multitenant: deploy %s: %v", tn.tenant, err)
 		}
@@ -50,12 +50,13 @@ func main() {
 			tn.tenant, dep.Slice.ID, len(dep.Slice.OPSs), dep.Slice.BandwidthGbps)
 	}
 
-	// Tenant "acme" upgrades to more bandwidth and a new VNF version.
+	// Tenant "acme" upgrades to more bandwidth and a new VNF version:
+	// two edits through the orchestrator's one edit verb, Apply.
 	acme := deps[0]
-	if err := arch.Apply(acme.ID, alvc.ChangeBandwidth(5.0)); err != nil {
+	if _, err := arch.Sharded().Apply(acme.ID, alvc.ChangeBandwidth(5.0)); err != nil {
 		log.Fatalf("multitenant: modify: %v", err)
 	}
-	if err := arch.Apply(acme.ID, alvc.ChangeVersion()); err != nil {
+	if _, err := arch.Sharded().Apply(acme.ID, alvc.ChangeVersion()); err != nil {
 		log.Fatalf("multitenant: upgrade: %v", err)
 	}
 	upgraded := arch.Deployment(acme.ID)
@@ -64,7 +65,7 @@ func main() {
 
 	// Tenant "globex" leaves; its slice returns to the pool.
 	summaryBefore := arch.Summarize()
-	if _, err := arch.Delete(ctx, deps[1].ID); err != nil {
+	if _, err := arch.Sharded().Delete(ctx, deps[1].ID); err != nil {
 		log.Fatalf("multitenant: delete: %v", err)
 	}
 	summaryAfter := arch.Summarize()
@@ -77,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("multitenant: spec: %v", err)
 	}
-	dep, err := arch.Deploy(ctx, spec)
+	dep, err := arch.Sharded().Provision(ctx, spec)
 	if err != nil {
 		log.Fatalf("multitenant: redeploy: %v", err)
 	}

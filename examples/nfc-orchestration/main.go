@@ -43,7 +43,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("nfc-orchestration: spec %s: %v", c.name, err)
 		}
-		dep, err := arch.Deploy(ctx, spec)
+		dep, err := arch.Sharded().Provision(ctx, spec)
 		if err != nil {
 			log.Fatalf("nfc-orchestration: deploy %s: %v", c.name, err)
 		}

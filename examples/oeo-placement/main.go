@@ -60,7 +60,7 @@ func deployUnder(policy alvc.PlacementPolicy, flowBytes int64) (int, float64) {
 	if err != nil {
 		log.Fatalf("oeo-placement: spec: %v", err)
 	}
-	dep, err := arch.Deploy(ctx, spec)
+	dep, err := arch.Sharded().Provision(ctx, spec)
 	if err != nil {
 		log.Fatalf("oeo-placement: deploy: %v", err)
 	}

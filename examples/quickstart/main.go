@@ -1,6 +1,8 @@
 // Quickstart: generate a small AL-VC data center, build one virtual
 // cluster per service (paper §III), and deploy a first network function
-// chain (paper §IV) — the five-minute tour of the public API.
+// chain (paper §IV) — the five-minute tour of the public API: alvc.New
+// stands the management stack up, and every chain verb is called on its
+// orchestrator, arch.Sharded().
 package main
 
 import (
@@ -32,7 +34,7 @@ func main() {
 
 	// §III: service-based virtual clusters. Each cluster's abstraction
 	// layer is the minimum OPS set connecting its VMs.
-	vcs, err := arch.BuildServiceClusters()
+	vcs, err := arch.Sharded().BuildServiceClusters()
 	if err != nil {
 		log.Fatalf("quickstart: clusters: %v", err)
 	}
@@ -43,7 +45,7 @@ func main() {
 	}
 	// Release them so the chain below can claim OPSs.
 	for _, vc := range vcs {
-		if err := arch.ReleaseCluster(vc.ID); err != nil {
+		if err := arch.Sharded().ReleaseCluster(vc.ID); err != nil {
 			log.Fatalf("quickstart: release: %v", err)
 		}
 	}
@@ -56,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("quickstart: spec: %v", err)
 	}
-	dep, err := arch.Deploy(ctx, spec)
+	dep, err := arch.Sharded().Provision(ctx, spec)
 	if err != nil {
 		log.Fatalf("quickstart: deploy: %v", err)
 	}

@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("scaling: spec: %v", err)
 	}
-	dep, err := arch.Deploy(ctx, spec)
+	dep, err := arch.Sharded().Provision(ctx, spec)
 	if err != nil {
 		log.Fatalf("scaling: deploy: %v", err)
 	}
@@ -58,7 +58,7 @@ func main() {
 
 	// Scale out under load: 1 -> 4 replicas.
 	for replicas := 2; replicas <= 4; replicas++ {
-		if err := arch.Apply(dep.ID, alvc.ChangeReplicas(dpiIdx, replicas)); err != nil {
+		if _, err := arch.Sharded().Apply(dep.ID, alvc.ChangeReplicas(dpiIdx, replicas)); err != nil {
 			log.Fatalf("scaling: scale to %d: %v", replicas, err)
 		}
 		fmt.Printf("scaled to %d replicas; host now at %s\n",
@@ -66,7 +66,7 @@ func main() {
 	}
 
 	// Scale back in as load drops.
-	if err := arch.Apply(dep.ID, alvc.ChangeReplicas(dpiIdx, 1)); err != nil {
+	if _, err := arch.Sharded().Apply(dep.ID, alvc.ChangeReplicas(dpiIdx, 1)); err != nil {
 		log.Fatalf("scaling: scale in: %v", err)
 	}
 	fmt.Printf("scaled in to 1 replica; host back to %s\n", mgr.Ledger().Used(host))
@@ -76,7 +76,7 @@ func main() {
 	// push it past the router's capacity.
 	for i, d := range dep.Placement.Domains {
 		if d == topology.DomainOptical {
-			if err := arch.Apply(dep.ID, alvc.ChangeReplicas(i, 50)); err != nil {
+			if _, err := arch.Sharded().Apply(dep.ID, alvc.ChangeReplicas(i, 50)); err != nil {
 				fmt.Printf("\noptical stage %d refused 50 replicas as expected:\n  %v\n", i, err)
 			} else {
 				fmt.Println("\nunexpected: optical stage absorbed 50 replicas")

@@ -27,7 +27,7 @@ func TestFullPaperStory(t *testing.T) {
 	}
 
 	// §III: service clusters with minimal ALs.
-	vcs, err := arch.BuildServiceClusters()
+	vcs, err := arch.Sharded().BuildServiceClusters()
 	if err != nil {
 		t.Fatalf("BuildServiceClusters: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestFullPaperStory(t *testing.T) {
 		if vc.AL.Size() == 0 {
 			t.Fatalf("cluster %s has empty AL", vc.Service)
 		}
-		if err := arch.ReleaseCluster(vc.ID); err != nil {
+		if err := arch.Sharded().ReleaseCluster(vc.ID); err != nil {
 			t.Fatalf("ReleaseCluster: %v", err)
 		}
 	}
@@ -59,9 +59,9 @@ func TestFullPaperStory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("LinearChain: %v", err)
 		}
-		dep, err := arch.Deploy(ctx, spec)
+		dep, err := arch.Sharded().Provision(ctx, spec)
 		if err != nil {
-			t.Fatalf("Deploy %s: %v", c.tenant, err)
+			t.Fatalf("Provision %s: %v", c.tenant, err)
 		}
 		deps = append(deps, dep)
 	}
@@ -81,15 +81,15 @@ func TestFullPaperStory(t *testing.T) {
 
 	// Lifecycle: modify + upgrade + scale the blue chain.
 	blue := deps[0]
-	if err := arch.Apply(blue.ID, ChangeBandwidth(8)); err != nil {
+	if _, err := arch.Sharded().Apply(blue.ID, ChangeBandwidth(8)); err != nil {
 		t.Fatalf("modify: %v", err)
 	}
-	if err := arch.Apply(blue.ID, ChangeVersion()); err != nil {
+	if _, err := arch.Sharded().Apply(blue.ID, ChangeVersion()); err != nil {
 		t.Fatalf("upgrade: %v", err)
 	}
 	for i, d := range blue.Placement.Domains {
 		if d == topology.DomainElectronic {
-			if err := arch.Apply(blue.ID, ChangeReplicas(i, 2)); err != nil {
+			if _, err := arch.Sharded().Apply(blue.ID, ChangeReplicas(i, 2)); err != nil {
 				t.Fatalf("scale: %v", err)
 			}
 			break
@@ -99,14 +99,14 @@ func TestFullPaperStory(t *testing.T) {
 	// Failure: kill an OPS in blue's slice; repair must succeed and
 	// green/black must stay active.
 	victim := blue.Slice.OPSs[0]
-	reports, err := arch.Fail(ctx, NewFailures([]NodeID{victim}, nil))
+	reports, err := arch.Sharded().HandleFailures(ctx, NewFailures([]NodeID{victim}, nil))
 	if err != nil {
-		t.Fatalf("Fail: %v", err)
+		t.Fatalf("HandleFailures: %v", err)
 	}
-	if len(RepairedIDs(reports)) == 0 {
+	if len(orch.RepairedIDs(reports)) == 0 {
 		t.Fatal("no deployment repaired")
 	}
-	for _, dep := range arch.Deployments() {
+	for _, dep := range arch.Sharded().Deployments() {
 		if dep.State != orch.StateActive {
 			t.Fatalf("deployment %d not active after repair: %s", dep.ID, dep.State)
 		}
@@ -133,7 +133,7 @@ func TestFullPaperStory(t *testing.T) {
 
 	// Teardown: everything releases.
 	for _, dep := range deps {
-		if _, err := arch.Delete(ctx, dep.ID); err != nil {
+		if _, err := arch.Sharded().Delete(ctx, dep.ID); err != nil {
 			t.Fatalf("Delete: %v", err)
 		}
 	}
@@ -141,7 +141,7 @@ func TestFullPaperStory(t *testing.T) {
 	if final.ActiveDeployments != 0 || final.Clusters != 0 {
 		t.Fatalf("leaks after teardown: %+v", final)
 	}
-	if !cluster.Disjoint(arch.Clusters()) || !arch.Sharded().Slices().Disjoint() {
+	if !cluster.Disjoint(arch.Sharded().Clusters()) || !arch.Sharded().Slices().Disjoint() {
 		t.Fatal("disjointness violated at the end")
 	}
 }
@@ -157,9 +157,9 @@ func TestMoveNFThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LinearChain: %v", err)
 	}
-	dep, err := arch.Deploy(ctx, spec)
+	dep, err := arch.Sharded().Provision(ctx, spec)
 	if err != nil {
-		t.Fatalf("Deploy: %v", err)
+		t.Fatalf("Provision: %v", err)
 	}
 	before := dep.Conversions
 	var oer NodeID
@@ -172,7 +172,7 @@ func TestMoveNFThroughFacade(t *testing.T) {
 	if oer == 0 {
 		t.Skip("no optoelectronic router in this AL")
 	}
-	if err := arch.Apply(dep.ID, ChangeHost(0, oer)); err != nil {
+	if _, err := arch.Sharded().Apply(dep.ID, ChangeHost(0, oer)); err != nil {
 		t.Fatalf("move: %v", err)
 	}
 	after := arch.Deployment(dep.ID)

@@ -7,6 +7,7 @@ package chain
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/alvc/alvc/internal/topology"
 )
@@ -42,6 +43,10 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("chain: spec: empty name")
 	case s.Tenant == "":
 		return fmt.Errorf("chain: spec %q: empty tenant", s.Name)
+	case strings.Contains(s.Tenant, "/"):
+		// With no "/" in the tenant, the flow key Tenant+"/"+Name names
+		// one tenant, so the tenant router sends equal keys to one shard.
+		return fmt.Errorf("chain: spec %q: tenant %q contains \"/\"", s.Name, s.Tenant)
 	case len(s.NFs) == 0:
 		return fmt.Errorf("chain: spec %q: no network functions", s.Name)
 	case s.BandwidthGbps <= 0:

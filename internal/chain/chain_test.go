@@ -28,6 +28,7 @@ func TestSpecValidate(t *testing.T) {
 	}{
 		{"empty name", func(s *Spec) { s.Name = "" }},
 		{"empty tenant", func(s *Spec) { s.Tenant = "" }},
+		{"tenant with a slash", func(s *Spec) { s.Tenant = "a/b" }},
 		{"no NFs", func(s *Spec) { s.NFs = nil }},
 		{"zero bandwidth", func(s *Spec) { s.BandwidthGbps = 0 }},
 		{"negative bandwidth", func(s *Spec) { s.BandwidthGbps = -1 }},

@@ -89,9 +89,10 @@ func NewShardRouter(n int, mode ShardMode) ShardRouter {
 // Shards returns the shard count.
 func (r ShardRouter) Shards() int { return r.n }
 
-// ShardForSpec returns the shard owning the spec's tenant/name flow
-// key. Both modes derive the shard from the flow key alone, so two specs
-// with the same flow key always land on the same shard — which is what
+// ShardForSpec returns the shard owning the spec: ShardByTenant hashes
+// the tenant, ShardByChain the tenant/name flow key. A valid spec's
+// tenant holds no "/" (chain.Spec.Validate), so equal flow keys have
+// equal tenants and land on one shard in either mode — which is what
 // makes each shard's local flow-key map a global uniqueness check.
 func (r ShardRouter) ShardForSpec(spec chain.Spec) int {
 	if r.n == 1 {
@@ -254,15 +255,16 @@ func (s *Sharded) Clusters() []*cluster.VC {
 }
 
 // Provision routes the spec to its shard and deploys the chain there,
-// end to end. On any failure all partial state is rolled back and the
-// orchestrator is unchanged. Safe for concurrent use: independent specs
-// provision in parallel (see also ProvisionBatch), serialized only at
-// the shared resource pools. With a tracer attached it records a
-// "provision" span — a child of the span in ctx (the server's
-// per-request root) when one is there, the root of a fresh trace
-// otherwise — with every executed pipeline stage as a child span. The
-// spans go up with the request's, or, with no traced operation around
-// the provision, to the store in one insert.
+// end to end (paper §IV): virtual cluster, optical slice, VNF placement
+// and instantiation, SDN path. On any failure all partial state is
+// rolled back and the orchestrator is unchanged. Safe for concurrent
+// use: independent specs provision in parallel (see also
+// ProvisionBatch), serialized only at the shared resource pools. With a
+// tracer attached it records a "provision" span — a child of the span in
+// ctx (the server's per-request root) when one is there, the root of a
+// fresh trace otherwise — with every executed pipeline stage as a child
+// span. The spans go up with the request's, or, with no traced operation
+// around the provision, to the store in one insert.
 func (s *Sharded) Provision(ctx context.Context, spec chain.Spec) (*Deployment, error) {
 	o := s.shards[s.router.ShardForSpec(spec)]
 	tr := s.core.hooks.Load().Tracer
@@ -377,14 +379,16 @@ func (s *Sharded) Delete(ctx context.Context, id DeploymentID) (*Deployment, err
 	return final, err
 }
 
-// Apply makes the change to the chain under its exclusive claim, so a
-// concurrent Delete, repair or edit surfaces as ErrBusy instead of
-// meeting a half-made edit, and answers what it did (Applied). No edit
-// writes what a snapshot shares: a new bandwidth stores a fresh slice
-// record. A move or a re-home is transactional: the record changes only
-// once the new path, wavelength and rules are in place, and a failure
-// moves the instances back, so an error never leaves the placement and
-// the installed rules disagreeing.
+// Apply makes one edit to a deployed chain (§IV-B: modification,
+// upgradation, scaling, a VNF's move, a rebuild, and the optimizer's
+// re-home and λ-defrag) under its exclusive claim, so a concurrent
+// Delete, repair or edit surfaces as ErrBusy instead of meeting a
+// half-made edit, and answers what it did (Applied). No edit writes what
+// a snapshot shares: a new bandwidth stores a fresh slice record. A move
+// or a re-home is transactional: the record changes only once the new
+// path, wavelength and rules are in place, and a failure moves the
+// instances back, so an error never leaves the placement and the
+// installed rules disagreeing.
 //
 // Events follow one rule, emitted after the edit released its locks: a
 // chain rebuilt in place — by ChangeRebuild, or by a move-back that was
@@ -456,8 +460,13 @@ func (s *Sharded) Deployments() (out []*Deployment) {
 // shard concurrently on the set's pool: each shard classifies and
 // repairs its own affected deployments against the union of dead
 // resources, so a rack failure spanning tenants on different shards
-// repairs every affected chain exactly once. Reports merge in ID order;
-// err carries the first failed or permanently-busy repair. Every repair
+// repairs every affected chain exactly once. A repair is differential
+// where it can be: a dead primary link swaps to the standby when one
+// survives (zero shortest-path runs) and re-paths cold otherwise, a dead
+// host replaces only its VNFs, a dead AL switch patches the AL, and a
+// dead standby link merely replans the standby; a chain whose repair is
+// impossible goes to the Failed state. Reports merge in ID order; err
+// carries the first failed or permanently-busy repair. Every repair
 // span joins the trace ctx carries.
 //
 // Unknown IDs are rejected up front: nothing is marked down and no

@@ -197,6 +197,44 @@ func TestShardedDuplicateFlowKeyRejectedAcrossShards(t *testing.T) {
 	}
 }
 
+// TestFlowKeyNamesOneChainAcrossShards: tenant "a/b" with name "c" and
+// tenant "a" with name "b/c" join to the one flow key "a/b/c" but hash
+// to different shards of a 4-shard tenant-routed fleet, so only a spec
+// check can keep the key unique: the tenant with a "/" is refused by
+// validation, and at most one live chain holds the key.
+func TestFlowKeyNamesOneChainAcrossShards(t *testing.T) {
+	s := newSharded(t, shardTopo(t, 32), 4, ShardByTenant)
+	var held int
+	for _, tn := range [][2]string{{"a/b", "c"}, {"a", "b/c"}} {
+		spec, err := chain.Linear(tn[1], "t", "web", 1, 1<<20, "firewall", "nat")
+		if err != nil {
+			t.Fatalf("Linear: %v", err)
+		}
+		spec.Tenant = tn[0]
+		dep, err := s.Provision(bg, spec)
+		if verr := spec.Validate(); verr != nil {
+			if err == nil || errors.Unwrap(err) == nil || errors.Unwrap(err).Error() != verr.Error() {
+				t.Fatalf("Provision(%q + %q) = %v, want the refusal wrapping %q", tn[0], tn[1], err, verr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Provision(%q + %q): %v", tn[0], tn[1], err)
+		}
+		if dep.FlowKey() != "a/b/c" {
+			t.Fatalf("flow key %q, want a/b/c", dep.FlowKey())
+		}
+	}
+	for _, dep := range s.Deployments() {
+		if dep.FlowKey() == "a/b/c" {
+			held++
+		}
+	}
+	if held > 1 {
+		t.Fatalf("%d live chains hold the flow key a/b/c", held)
+	}
+}
+
 // TestBatchDuplicatesFollowJoinedFlowKeys: ProvisionBatch finds the
 // duplicates that joining each spec's flow key, Tenant+"/"+Name, and
 // looking it up would find — "a/b" + "c" duplicates "a" + "b/c" — and

@@ -108,14 +108,14 @@ func audit(t *testing.T, arch *alvc.Architecture, when string) int {
 func TestMemoAuditAfterStormDrains(t *testing.T) {
 	arch := stormArch(t, 32)
 	var tray []alvc.DeploymentID
-	for _, dep := range arch.Deployments()[:8] {
+	for _, dep := range arch.Sharded().Deployments()[:8] {
 		tray = append(tray, dep.ID)
 	}
 	checked := audit(t, arch, "after provisioning")
 	for round := 1; round <= 3; round++ {
 		links := trayLinks(t, arch, tray)
 		for _, l := range links {
-			arch.ReportFailures(context.Background(), topology.NewFailures(nil, []alvc.LinkID{l}))
+			arch.Debouncer().Report(context.Background(), topology.NewFailures(nil, []alvc.LinkID{l}))
 		}
 		if _, err := arch.FlushFailures(); err != nil {
 			t.Fatalf("round %d: flush: %v", round, err)
@@ -123,7 +123,7 @@ func TestMemoAuditAfterStormDrains(t *testing.T) {
 		arch.Optimizer().Drain()
 		checked += audit(t, arch, fmt.Sprintf("round %d, tray cut", round))
 		for _, l := range links {
-			if err := arch.Recover(topology.NewFailures(nil, []topology.LinkID{l})); err != nil {
+			if err := arch.Sharded().Recover(topology.NewFailures(nil, []topology.LinkID{l})); err != nil {
 				t.Fatalf("Recover: %v", err)
 			}
 		}

@@ -443,13 +443,13 @@ func TestOptimizerBodiesEqualEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatalf("LinearChain: %v", err)
 		}
-		dep, err := arch.Deploy(context.Background(), spec)
+		dep, err := arch.Sharded().Provision(context.Background(), spec)
 		if err != nil {
-			t.Fatalf("Deploy: %v", err)
+			t.Fatalf("Provision: %v", err)
 		}
 		hosts = append(hosts, dep.Placement.Hosts[0])
 	}
-	arch.ReportFailures(context.Background(), topology.NewFailures(hosts, nil))
+	arch.Debouncer().Report(context.Background(), topology.NewFailures(hosts, nil))
 	if _, err := arch.FlushFailures(); err != nil {
 		t.Fatalf("FlushFailures: %v", err)
 	}

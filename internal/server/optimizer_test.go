@@ -182,7 +182,7 @@ func TestStormAndDebounceObservabilityOverHTTP(t *testing.T) {
 	// Three per-host notifications in one window: one union batch, one
 	// shared failure domain, every chain repaired exactly once.
 	for _, h := range hosts {
-		arch.ReportFailures(context.Background(), alvc.NewFailures([]alvc.NodeID{h}, nil))
+		arch.Debouncer().Report(context.Background(), alvc.NewFailures([]alvc.NodeID{h}, nil))
 	}
 	reports, err := arch.FlushFailures()
 	if err != nil {
@@ -246,9 +246,9 @@ func TestOptimizerStatusBytesWithAndWithoutDebouncer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ts, arch := newTestServerWith(t, wideConfig(24), append(tc.opts, alvc.WithOptimizer(alvc.OptimizerOptions{}))...)
 			if arch.Debouncer() != nil {
-				arch.ReportFailures(context.Background(), alvc.NewFailures(nil, nil)) // empty: not counted
-				arch.ReportFailures(context.Background(), alvc.NewFailures([]alvc.NodeID{99990}, nil))
-				arch.ReportFailures(context.Background(), alvc.NewFailures([]alvc.NodeID{99991}, nil))
+				arch.Debouncer().Report(context.Background(), alvc.NewFailures(nil, nil)) // empty: not counted
+				arch.Debouncer().Report(context.Background(), alvc.NewFailures([]alvc.NodeID{99990}, nil))
+				arch.Debouncer().Report(context.Background(), alvc.NewFailures([]alvc.NodeID{99991}, nil))
 				if _, err := arch.FlushFailures(); err == nil {
 					t.Fatal("unknown-node batch should error")
 				}

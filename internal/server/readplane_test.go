@@ -48,7 +48,7 @@ func deployOne(tb testing.TB, arch *alvc.Architecture, i int) *alvc.Deployment {
 	if err != nil {
 		tb.Fatalf("spec %d: %v", i, err)
 	}
-	dep, err := arch.Deploy(context.Background(), spec)
+	dep, err := arch.Sharded().Provision(context.Background(), spec)
 	if err != nil {
 		tb.Fatalf("deploy %d: %v", i, err)
 	}
@@ -66,7 +66,7 @@ func oracleList(t *testing.T, arch *alvc.Architecture, state string) []byte {
 		}
 		return mustOracleBody(t, out)
 	}
-	for _, dep := range arch.Deployments() {
+	for _, dep := range arch.Sharded().Deployments() {
 		if state == "" || dep.State.String() == state {
 			out = append(out, toDeploymentJSON(dep))
 		}
@@ -131,7 +131,7 @@ func TestReadsEqualOracleOnFleet(t *testing.T) {
 		checkBody(t, "delete", rec, http.StatusOK, mustOracleBody(t, toDeploymentJSON(before)))
 	}
 	created := serve(t, srv, "POST", "/v1/chains", specBody("late<&>", "tenant-late", "web", "nat", "dpi"))
-	late := arch.Deployments()
+	late := arch.Sharded().Deployments()
 	checkBody(t, "provision", created, http.StatusCreated, mustOracleBody(t, toDeploymentJSON(late[len(late)-1])))
 
 	for _, state := range []string{"", "active", "failed", "deleted", "no-such-state"} {
@@ -183,7 +183,7 @@ func TestReadsEqualOracleOnFleet(t *testing.T) {
 // ID never issued a 404; none of them a panic.
 func TestWriteChainLiveTombstoneUnknown(t *testing.T) {
 	srv, arch, ids := bootFleet(t, 3, 1)
-	if _, err := arch.Delete(context.Background(), ids[1]); err != nil {
+	if _, err := arch.Sharded().Delete(context.Background(), ids[1]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	tomb, ok := arch.Sharded().Tombstone(ids[1])
@@ -323,7 +323,7 @@ func BenchmarkListChains(b *testing.B) {
 		b.Run(fmt.Sprintf("chains=%d/deepcopy", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if len(arch.Deployments()) != n {
+				if len(arch.Sharded().Deployments()) != n {
 					b.Fatal("fleet changed size")
 				}
 			}

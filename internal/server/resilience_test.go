@@ -128,7 +128,7 @@ func TestBatchFailureEndpoint(t *testing.T) {
 		t.Fatalf("empty batch: got %d, want 400", status)
 	}
 	for _, n := range nodes {
-		if err := arch.Recover(topology.NewFailures([]topology.NodeID{n}, nil)); err != nil {
+		if err := arch.Sharded().Recover(topology.NewFailures([]topology.NodeID{n}, nil)); err != nil {
 			t.Fatalf("Recover: %v", err)
 		}
 	}

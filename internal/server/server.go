@@ -172,7 +172,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse chain spec: %v", err)
 		return
 	}
-	dep, err := s.arch.Deploy(requestContext(w, r), spec)
+	dep, err := s.arch.Sharded().Provision(requestContext(w, r), spec)
 	if err != nil {
 		writeError(w, statusOf(err), "provision: %v", err)
 		return
@@ -232,7 +232,7 @@ func (s *Server) handleDeleteChain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	final, err := s.arch.Delete(requestContext(w, r), id)
+	final, err := s.arch.Sharded().Delete(requestContext(w, r), id)
 	if err != nil {
 		writeError(w, statusOf(err), "delete: %v", err)
 		return
@@ -274,7 +274,7 @@ func (s *Server) handleEdit(verb string) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, "parse %s request: %v", verb, err)
 			return
 		}
-		if err := s.arch.Apply(id, c); err != nil {
+		if _, err := s.arch.Sharded().Apply(id, c); err != nil {
 			writeError(w, statusOf(err), "%s: %v", verb, err)
 			return
 		}
@@ -397,7 +397,7 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 	}
 	f := alvc.NewFailures(t.lists())
 	if d := s.arch.Debouncer(); d != nil {
-		s.arch.ReportFailures(requestContext(w, r), f)
+		d.Report(requestContext(w, r), f)
 		resp := FailureAcceptedResponse{Node: t.node[0], Link: t.link[0], Nodes: t.batch.Nodes, Links: t.batch.Links, Accepted: true}
 		resp.PendingNodes, resp.PendingLinks = d.Pending()
 		sc := getScratch()
@@ -406,10 +406,10 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 		sendJSON(w, http.StatusAccepted, sc.body)
 		return
 	}
-	// Every ID exists, so Fail's error can only report repairs that did
-	// not succeed — the injection itself has landed. Report those
-	// in-band: the client asked for a failure and got one.
-	reports, err := s.arch.Fail(requestContext(w, r), f)
+	// Every ID exists, so HandleFailures' error can only report repairs
+	// that did not succeed — the injection itself has landed. Report
+	// those in-band: the client asked for a failure and got one.
+	reports, err := s.arch.Sharded().HandleFailures(requestContext(w, r), f)
 	resp := FailureResponse{Node: t.node[0], Link: t.link[0], Nodes: t.batch.Nodes, Links: t.batch.Links}
 	fillReports(&resp, reports, err)
 	writeJSON(w, http.StatusOK, resp)
@@ -424,7 +424,7 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 	if id == 0 {
 		what, id = "link", int(t.link[0])
 	}
-	if err := s.arch.Recover(alvc.NewFailures(t.lists())); err != nil {
+	if err := s.arch.Sharded().Recover(alvc.NewFailures(t.lists())); err != nil {
 		writeError(w, statusOf(err), "recover %s: %v", what, err)
 		return
 	}
@@ -436,7 +436,7 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 	if !s.parseTarget(w, r, &t) {
 		return
 	}
-	entries := s.arch.Impact(alvc.NewFailures(t.lists()))
+	entries := s.arch.Sharded().Impact(alvc.NewFailures(t.lists()))
 	resp := ImpactResponse{Node: t.node[0], Link: t.link[0], Chains: toImpactJSON(entries), Count: len(entries)}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -365,6 +365,20 @@ func TestDuplicateChain409(t *testing.T) {
 	}
 }
 
+// TestTenantWithSlash400: a tenant holding "/" would make the flow key
+// Tenant+"/"+Name ambiguous ("a/b" + "c" against "a" + "b/c"), so the
+// spec is refused at decode with 400 and nothing is provisioned.
+func TestTenantWithSlash400(t *testing.T) {
+	ts, arch := newTestServer(t)
+	status, resp := do(t, "POST", ts.URL+"/v1/chains", specBody("c", "a/b", "web", "nat"))
+	if status != http.StatusBadRequest || !bytes.Contains(resp, []byte(`tenant \"a/b\" contains \"/\"`)) {
+		t.Fatalf("tenant a/b: got %d (%s), want 400 naming the tenant", status, resp)
+	}
+	if n := arch.Summarize().ActiveDeployments; n != 0 {
+		t.Fatalf("%d chains provisioned by a rejected request", n)
+	}
+}
+
 // TestDeleteTwice409: a deleted chain answers 409 on every route that
 // needs it live — a second delete and each edit. Before the delete, the
 // edit routes refuse a malformed body with 400 and an NF index out of
@@ -522,7 +536,7 @@ func TestConcurrentTraffic(t *testing.T) {
 	wg.Wait()
 
 	// Invariants survived the storm: ALs disjoint, state readable.
-	if !cluster.Disjoint(arch.Clusters()) {
+	if !cluster.Disjoint(arch.Sharded().Clusters()) {
 		t.Fatal("ALs are not disjoint after concurrent traffic")
 	}
 	status, _ := do(t, "GET", ts.URL+"/metrics", nil)

@@ -288,8 +288,8 @@ func TestContextRoutesNestTheOrchestratorSpan(t *testing.T) {
 	}
 	sync, syncArch, syncLogs := boot()
 	debounced, debArch, debLogs := boot(alvc.WithFailureDebounce(time.Hour))
-	victim := syncArch.Deployments()[0].Slice.OPSs[0]
-	reported := debArch.Deployments()[0].Slice.OPSs[0]
+	victim := syncArch.Sharded().Deployments()[0].Slice.OPSs[0]
+	reported := debArch.Sharded().Deployments()[0].Slice.OPSs[0]
 
 	var provisioned DeploymentJSON
 	for _, route := range []struct {

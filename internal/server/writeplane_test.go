@@ -111,10 +111,10 @@ func TestFailureBodiesEqualEncodingJSON(t *testing.T) {
 		check("batch naming a "+field, serve(t, srv, "POST", "/v1/failures:batch", []byte(`{"`+field+`":`+fmt.Sprint(link)+`}`)),
 			http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("parse batch failure request: json: unknown field %q", field)})
 	}
-	nodeImpact := arch.Impact(alvc.NewFailures([]topology.NodeID{node}, nil))
+	nodeImpact := arch.Sharded().Impact(alvc.NewFailures([]topology.NodeID{node}, nil))
 	check("node impact", serve(t, srv, "GET", fmt.Sprintf("/v1/nodes/%d/impact", node), nil), http.StatusOK,
 		ImpactResponse{Node: node, Chains: toImpactJSON(nodeImpact), Count: len(nodeImpact)})
-	linkImpact := arch.Impact(alvc.NewFailures(nil, []topology.LinkID{link}))
+	linkImpact := arch.Sharded().Impact(alvc.NewFailures(nil, []topology.LinkID{link}))
 	check("link impact", serve(t, srv, "GET", fmt.Sprintf("/v1/links/%d/impact", link), nil), http.StatusOK,
 		ImpactResponse{Link: link, Chains: toImpactJSON(linkImpact), Count: len(linkImpact)})
 	if len(nodeImpact) == 0 || len(linkImpact) == 0 {

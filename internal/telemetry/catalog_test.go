@@ -206,7 +206,7 @@ func fleetPlane(t *testing.T, shards int) (*alvc.Architecture, *Plane) {
 		if err != nil {
 			t.Fatalf("spec: %v", err)
 		}
-		if dep, err := arch.Deploy(context.Background(), spec); err == nil {
+		if dep, err := arch.Sharded().Provision(context.Background(), spec); err == nil {
 			deps = append(deps, dep)
 		}
 	}
@@ -217,11 +217,11 @@ func fleetPlane(t *testing.T, shards int) (*alvc.Architecture, *Plane) {
 	for _, dep := range deps[1:] {
 		victims = append(victims, dep.Slice.OPSs[0])
 	}
-	arch.ReportFailures(context.Background(), alvc.NewFailures(victims, nil))
+	arch.Debouncer().Report(context.Background(), alvc.NewFailures(victims, nil))
 	if reports, err := arch.FlushFailures(); err != nil || len(reports) < len(victims) {
 		t.Fatalf("flush: %d reports for %d failed slices, %v", len(reports), len(victims), err)
 	}
-	if _, err := arch.Delete(context.Background(), deps[0].ID); err != nil {
+	if _, err := arch.Sharded().Delete(context.Background(), deps[0].ID); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	return arch, p

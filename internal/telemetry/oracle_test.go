@@ -253,23 +253,23 @@ func TestPlaneExpositionEqualsOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("spec: %v", err)
 		}
-		dep, err := arch.Deploy(context.Background(), spec)
+		dep, err := arch.Sharded().Provision(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("deploy %d: %v", i, err)
 		}
 		deps = append(deps, dep)
 	}
 	victim := deps[3].Slice.OPSs[0]
-	arch.ReportFailures(context.Background(), alvc.NewFailures([]alvc.NodeID{victim, deps[5].Slice.OPSs[0]}, nil))
+	arch.Debouncer().Report(context.Background(), alvc.NewFailures([]alvc.NodeID{victim, deps[5].Slice.OPSs[0]}, nil))
 	if reports, err := arch.FlushFailures(); err != nil || len(reports) == 0 {
 		t.Fatalf("flush: %d reports, %v", len(reports), err)
 	}
 	arch.Optimizer().Drain()
-	if err := arch.Recover(alvc.NewFailures([]alvc.NodeID{victim}, nil)); err != nil {
+	if err := arch.Sharded().Recover(alvc.NewFailures([]alvc.NodeID{victim}, nil)); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	arch.Optimizer().Drain()
-	if _, err := arch.Delete(context.Background(), deps[0].ID); err != nil {
+	if _, err := arch.Sharded().Delete(context.Background(), deps[0].ID); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	checkAgainstOracle(t, "plane after a lifecycle", p.Registry())

@@ -38,7 +38,7 @@ func mustDeploy(t *testing.T, arch *alvc.Architecture, name string) *alvc.Deploy
 	if err != nil {
 		t.Fatalf("spec: %v", err)
 	}
-	dep, err := arch.Deploy(context.Background(), spec)
+	dep, err := arch.Sharded().Provision(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("deploy %s: %v", name, err)
 	}
@@ -115,8 +115,8 @@ func TestPlaneObservesLifecycle(t *testing.T) {
 
 	// Failure goes through the debounced one-code-path entry point and
 	// is flushed explicitly (the test window is an hour).
-	arch.ReportFailures(context.Background(), alvc.NewFailures(nil, nil)) // no-op report must not flush anything
-	arch.ReportFailures(context.Background(), alvc.NewFailures([]alvc.NodeID{dep.Slice.OPSs[0]}, nil))
+	arch.Debouncer().Report(context.Background(), alvc.NewFailures(nil, nil)) // no-op report must not flush anything
+	arch.Debouncer().Report(context.Background(), alvc.NewFailures([]alvc.NodeID{dep.Slice.OPSs[0]}, nil))
 	if reports, err := arch.FlushFailures(); err != nil || len(reports) == 0 {
 		t.Fatalf("flush: reports=%d err=%v", len(reports), err)
 	}
@@ -200,7 +200,7 @@ func TestClosedPlaneStopsObserving(t *testing.T) {
 	p.Close()
 
 	mustDeploy(t, arch, "c2")
-	arch.ReportFailures(context.Background(), alvc.NewFailures([]alvc.NodeID{dep.Slice.OPSs[0]}, nil))
+	arch.Debouncer().Report(context.Background(), alvc.NewFailures([]alvc.NodeID{dep.Slice.OPSs[0]}, nil))
 	if reports, err := arch.FlushFailures(); err != nil || len(reports) == 0 {
 		t.Fatalf("flush: reports=%d err=%v", len(reports), err)
 	}

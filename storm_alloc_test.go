@@ -68,7 +68,7 @@ func TestStormRoundAllocations(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
 		for _, l := range links {
-			arch.ReportFailures(ctx, alvc.NewFailures(nil, []alvc.LinkID{l}))
+			arch.Debouncer().Report(ctx, alvc.NewFailures(nil, []alvc.LinkID{l}))
 		}
 		reports, err := arch.FlushFailures()
 		if err != nil || len(reports) < len(tray) {
@@ -76,7 +76,7 @@ func TestStormRoundAllocations(t *testing.T) {
 		}
 		arch.Optimizer().Drain()
 		for _, l := range links {
-			if err := arch.Recover(alvc.NewFailures(nil, []alvc.LinkID{l})); err != nil {
+			if err := arch.Sharded().Recover(alvc.NewFailures(nil, []alvc.LinkID{l})); err != nil {
 				t.Fatalf("Recover: %v", err)
 			}
 		}

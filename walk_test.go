@@ -43,7 +43,7 @@ func checkWalks(t *testing.T, arch *alvc.Architecture, when string) (premised in
 		t.Fatalf("NewSimulator: %v", err)
 	}
 	walked := 0
-	for _, dep := range arch.Deployments() {
+	for _, dep := range arch.Sharded().Deployments() {
 		if dep.State != orch.StateActive {
 			continue
 		}
@@ -191,14 +191,14 @@ func fig8Premise(topo *topology.Topology, route, hosts []topology.NodeID) bool {
 func TestWalkChecksAfterStormRounds(t *testing.T) {
 	arch, _ := stormFleet(t, 64, alvc.WithOptimizer(alvc.OptimizerOptions{}), alvc.WithFailureDebounce(time.Hour))
 	var tray []alvc.DeploymentID
-	for _, dep := range arch.Deployments()[1:9] {
+	for _, dep := range arch.Sharded().Deployments()[1:9] {
 		tray = append(tray, dep.ID)
 	}
 	checkWalks(t, arch, "provisioned")
 	for round := 1; round <= 3; round++ {
 		links := trayCut(arch, tray)
 		for _, l := range links {
-			arch.ReportFailures(ctx, alvc.NewFailures(nil, []alvc.LinkID{l}))
+			arch.Debouncer().Report(ctx, alvc.NewFailures(nil, []alvc.LinkID{l}))
 		}
 		if _, err := arch.FlushFailures(); err != nil {
 			t.Fatalf("round %d: flush: %v", round, err)
@@ -207,7 +207,7 @@ func TestWalkChecksAfterStormRounds(t *testing.T) {
 		arch.Optimizer().Drain()
 		checkWalks(t, arch, fmt.Sprintf("round %d, drained", round))
 		for _, l := range links {
-			if err := arch.Recover(alvc.NewFailures(nil, []alvc.LinkID{l})); err != nil {
+			if err := arch.Sharded().Recover(alvc.NewFailures(nil, []alvc.LinkID{l})); err != nil {
 				t.Fatalf("round %d: Recover: %v", round, err)
 			}
 		}
@@ -235,18 +235,18 @@ func TestWalkChecksOnDefaultTopology(t *testing.T) {
 			if err != nil {
 				t.Fatalf("LinearChain: %v", err)
 			}
-			_, _ = arch.Deploy(ctx, spec) // the topology fills up: a chain that does not fit is no test
+			_, _ = arch.Sharded().Provision(ctx, spec) // the topology fills up: a chain that does not fit is no test
 		}
 	}
 	deploy(0, 12)
 	premised := checkWalks(t, arch, "provisioned")
-	deps := arch.Deployments()
+	deps := arch.Sharded().Deployments()
 	if len(deps) < 3 {
 		t.Fatalf("%d chains provisioned, want 3 or more", len(deps))
 	}
 	for i, dep := range deps {
 		if i%2 == 0 {
-			if _, err := arch.Delete(ctx, dep.ID); err != nil {
+			if _, err := arch.Sharded().Delete(ctx, dep.ID); err != nil {
 				t.Fatalf("Delete %d: %v", dep.ID, err)
 			}
 		}
@@ -273,9 +273,9 @@ func TestMeasureDeploymentReadsTheSwitches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LinearChain: %v", err)
 	}
-	dep, err := arch.Deploy(ctx, spec)
+	dep, err := arch.Sharded().Provision(ctx, spec)
 	if err != nil {
-		t.Fatalf("Deploy: %v", err)
+		t.Fatalf("Provision: %v", err)
 	}
 	if res, err := arch.MeasureDeployment(dep.ID, 3); err != nil || res.MeanHops != float64(len(dep.Path)-1) {
 		t.Fatalf("MeasureDeployment = %+v, %v; want %d hops a flow", res, err, len(dep.Path)-1)
