@@ -261,8 +261,9 @@ func WithPolicy(p PlacementPolicy) Option {
 	return func(s *settings) { s.policy = p }
 }
 
-// WithPerRunAccounting switches O/E/O accounting from the paper's
-// per-VNF convention to the colocation-aware per-run convention.
+// WithPerRunAccounting switches placement's O/E/O score from the paper's
+// per-VNF convention to the colocation-aware per-run one. It steers
+// placement's choice only: a deployment's Conversions counts its route.
 func WithPerRunAccounting() Option {
 	return func(s *settings) { s.mode = placement.AccountPerRun }
 }

@@ -52,7 +52,7 @@ func run() int {
 	shards := flag.Int("shards", 1, "orchestrator shards (tenant-hashed; each shard owns a disjoint OPS pool)")
 	shardMode := flag.String("shard-mode", "tenant", "shard routing key: tenant or chain")
 	workers := flag.Int("batch-workers", 0, "max workers per batch provision (0 = one per CPU)")
-	perRun := flag.Bool("per-run-accounting", false, "use colocation-aware per-run O/E/O accounting")
+	perRun := flag.Bool("per-run-accounting", false, "score placement by colocation-aware per-run O/E/O accounting (steers placement's choice only)")
 	optimize := flag.Bool("optimizer", true, "run the background optimization engine (async re-protection, standby refresh, re-homing, lambda defrag)")
 	debounce := flag.Duration("debounce", 0, "failure-report debounce window: POST /v1/failures/* coalesces for this long and repairs once against the union (0 = repair synchronously per request)")
 	optTick := flag.Duration("optimizer-tick", 30*time.Second, "idle-tick interval for the optimizer's opportunistic work (0 = event-driven only)")

@@ -161,7 +161,7 @@ func TestMoveNFThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	before := dep.Conversions
+	before := dep.Placement.Conversions
 	var oer NodeID
 	for _, ops := range dep.Slice.OPSs {
 		if n := arch.Topology().Node(ops); n != nil && n.Optoelectronic {
@@ -176,7 +176,7 @@ func TestMoveNFThroughFacade(t *testing.T) {
 		t.Fatalf("move: %v", err)
 	}
 	after := arch.Deployment(dep.ID)
-	if after.Conversions != before-1 {
-		t.Fatalf("conversions %d -> %d, want -1", before, after.Conversions)
+	if after.Placement.Conversions != before-1 {
+		t.Fatalf("conversions %d -> %d, want -1", before, after.Placement.Conversions)
 	}
 }

@@ -236,16 +236,16 @@ func E12FlowSteering() (*Result, error) {
 	}
 	t2 := NewTable("E12b: analytic vs path-measured conversions (blue chain)",
 		"source", "conversions")
-	t2.AddRow("placement (per-VNF accounting)", fmt.Sprint(dep.Conversions))
+	t2.AddRow("placement (per-VNF accounting)", fmt.Sprint(dep.Placement.Conversions))
 	t2.AddRow("path walk (measured excursions)", fmt.Sprint(pf.OEOConversions))
 	res.Tables = append(res.Tables, t2)
-	if pf.OEOConversions <= dep.Conversions {
+	if pf.OEOConversions <= dep.Placement.Conversions {
 		res.Findings = append(res.Findings,
 			"walk-measured excursions never exceed the per-VNF analytic count (colocated VNFs share excursions)")
 	} else {
 		res.Findings = append(res.Findings,
 			fmt.Sprintf("walk-measured %d exceeds analytic %d: transit between electronic hosts re-enters the optical core",
-				pf.OEOConversions, dep.Conversions))
+				pf.OEOConversions, dep.Placement.Conversions))
 	}
 	return res, nil
 }

@@ -44,10 +44,7 @@ type Spec struct {
 // PerFlow is the measured cost of one flow.
 type PerFlow struct {
 	Hops int
-	// OEOConversions counts complete optical→electronic→optical
-	// excursions: boundary transitions / 2, minus the unavoidable
-	// ingress/egress pair when the walk both enters and leaves the
-	// optical core.
+	// OEOConversions counts the walk's O/E/O excursions (sdn.Excursions).
 	OEOConversions int
 	// BoundaryCrossings is the raw count of domain transitions.
 	BoundaryCrossings int
@@ -60,7 +57,6 @@ type Result struct {
 	Flows             int
 	TotalBytes        int64
 	TotalConversions  int
-	TotalCrossings    int
 	TotalEnergyJoules float64
 	MeanLatencyUs     float64
 	MeanHops          float64
@@ -105,13 +101,7 @@ func (s *Simulator) Measure(spec Spec) (PerFlow, error) {
 		}
 	}
 	pf.LatencyUs += float64(pf.BoundaryCrossings) * s.cfg.ConversionDelayUs
-	// Complete O/E/O excursions: each pair of transitions is one
-	// optical↔electronic round trip; the first entry + final exit pair
-	// is the unavoidable ingress/egress, not charged (§IV-D charges
-	// the VNF-visit excursions).
-	if w.EO > 0 && pf.BoundaryCrossings >= 2 {
-		pf.OEOConversions = pf.BoundaryCrossings/2 - 1
-	}
+	pf.OEOConversions = sdn.Excursions(w.OE, w.EO)
 	pf.EnergyJoules = s.cfg.CostModel.TotalEnergy(pf.OEOConversions, spec.Bytes)
 	return pf, nil
 }
@@ -127,7 +117,6 @@ func (s *Simulator) RunBatch(specs []Spec) (Result, error) {
 		res.Flows++
 		res.TotalBytes += spec.Bytes
 		res.TotalConversions += pf.OEOConversions
-		res.TotalCrossings += pf.BoundaryCrossings
 		res.TotalEnergyJoules += pf.EnergyJoules
 		res.MeanLatencyUs += pf.LatencyUs
 		res.MeanHops += float64(pf.Hops)

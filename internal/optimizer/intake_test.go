@@ -227,7 +227,7 @@ func TestDriftLifecycle(t *testing.T) {
 		t.Fatalf("optimizer.New: %v", err)
 	}
 	s.UpdateHooks(func(h *orch.Hooks) { h.Events = []orch.EventSink{eng} })
-	i := slices.IndexFunc(deps, func(d *orch.Deployment) bool { return d.Conversions == 0 })
+	i := slices.IndexFunc(deps, func(d *orch.Deployment) bool { return d.Placement.Conversions == 0 })
 	if i < 0 {
 		t.Fatal("no chain of the fleet was born all-optical")
 	}
@@ -296,8 +296,8 @@ func TestDriftLifecycle(t *testing.T) {
 	if reports, err := s.HandleFailures(bg, topology.NewFailures([]topology.NodeID{spare}, nil)); err != nil || len(reports) != 1 || reports[0].Action != orch.ActionReplaced {
 		t.Fatalf("server failure: reports %+v, %v; want the chain replaced", reports, err)
 	}
-	if dep := get(); !dep.Drifted || dep.Conversions != 1 {
-		t.Fatalf("replaced chain: drifted %v, conversions %d; want drifted on a server", dep.Drifted, dep.Conversions)
+	if dep := get(); !dep.Drifted || dep.Placement.Conversions != 1 {
+		t.Fatalf("replaced chain: drifted %v, conversions %d; want drifted on a server", dep.Drifted, dep.Placement.Conversions)
 	}
 	// While the optical host is full the repair's own re-home finds
 	// nothing better, and above score 0 the flag stays.
@@ -325,9 +325,9 @@ func TestDriftLifecycle(t *testing.T) {
 	for _, res := range eng.Drain() {
 		rehomed = rehomed || (res.Deployment == id && res.Outcome == "rehomed")
 	}
-	if dep := get(); !rehomed || dep.Drifted || dep.Placement.Hosts[0] != home || dep.Conversions != 0 {
+	if dep := get(); !rehomed || dep.Drifted || dep.Placement.Hosts[0] != home || dep.Placement.Conversions != 0 {
 		t.Fatalf("after the re-home: rehomed %v, drifted %v, host %d (home %d), conversions %d",
-			rehomed, dep.Drifted, dep.Placement.Hosts[0], home, dep.Conversions)
+			rehomed, dep.Drifted, dep.Placement.Hosts[0], home, dep.Placement.Conversions)
 	}
 	eng.OrchEvent(orch.Event{Kind: orch.EventNodeRecovered})
 	if got := queued(); len(got) != 0 {

@@ -18,8 +18,8 @@ func TestMoveNFIntoOpticalSavesConversions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	if dep.Conversions != 3 {
-		t.Fatalf("all-electronic conversions = %d, want 3", dep.Conversions)
+	if dep.Placement.Conversions != 3 {
+		t.Fatalf("all-electronic conversions = %d, want 3", dep.Placement.Conversions)
 	}
 	// Find an optoelectronic router in the slice with capacity.
 	var oer topology.NodeID
@@ -37,8 +37,8 @@ func TestMoveNFIntoOpticalSavesConversions(t *testing.T) {
 		t.Fatalf("move: %v", err)
 	}
 	after := s.Deployment(dep.ID)
-	if after.Conversions != 2 {
-		t.Fatalf("conversions after move = %d, want 2", after.Conversions)
+	if after.Placement.Conversions != 2 {
+		t.Fatalf("conversions after move = %d, want 2", after.Placement.Conversions)
 	}
 	if after.Placement.Domains[0] != topology.DomainOptical {
 		t.Fatalf("domain after move = %s", after.Placement.Domains[0])

@@ -178,8 +178,8 @@ func TestRehomeMovesBackAndHysteresis(t *testing.T) {
 		t.Fatalf("move: %v", err)
 	}
 	drifted := s.Deployment(dep.ID)
-	if drifted.Placement.Domains[0] != topology.DomainElectronic || drifted.Conversions != 1 {
-		t.Fatalf("drifted placement = %+v conversions=%d", drifted.Placement, drifted.Conversions)
+	if drifted.Placement.Domains[0] != topology.DomainElectronic || drifted.Placement.Conversions != 1 {
+		t.Fatalf("drifted placement = %+v", drifted.Placement)
 	}
 
 	// Within the margin: a 1-conversion win < margin 2 must not move.
@@ -200,9 +200,8 @@ func TestRehomeMovesBackAndHysteresis(t *testing.T) {
 		t.Fatal("re-home did not undo the drift")
 	}
 	homed := s.Deployment(dep.ID)
-	if homed.Placement.Hosts[0] != opticalHost || homed.Conversions != 0 {
-		t.Fatalf("re-homed placement = %+v conversions=%d, want host %d / 0",
-			homed.Placement, homed.Conversions, opticalHost)
+	if homed.Placement.Hosts[0] != opticalHost || homed.Placement.Conversions != 0 {
+		t.Fatalf("re-homed placement = %+v, want host %d / 0 conversions", homed.Placement, opticalHost)
 	}
 
 	// Stability: an immediate second pass finds nothing to improve.

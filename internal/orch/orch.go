@@ -129,8 +129,9 @@ type Deployment struct {
 	// Lambda is the assigned wavelength on the path's optical segments
 	// (-1 when WDM is disabled).
 	Lambda int
-	// Conversions is the analytic O/E/O count for one representative
-	// flow (per the configured accounting mode).
+	// Conversions is the O/E/O excursions a packet of the chain pays on
+	// the route its rules install (sdn.Excursions), set whenever they
+	// are installed; Placement.Conversions is placement's own score.
 	Conversions int
 	// EnergyJoules is the conversion energy for one representative flow
 	// of Spec.FlowBytes.
@@ -165,8 +166,8 @@ type Config struct {
 	Builder cluster.Builder
 	// Policy places VNFs (defaults to the paper's optical-first).
 	Policy placement.Policy
-	// Mode is the O/E/O accounting convention (defaults to per-VNF,
-	// Fig. 8's accounting).
+	// Mode is the O/E/O convention placement scores by (defaults to
+	// per-VNF, Fig. 8's accounting).
 	Mode placement.Mode
 	// CostModel prices conversions (defaults to DefaultCostModel).
 	CostModel *optical.CostModel

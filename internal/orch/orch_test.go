@@ -8,6 +8,7 @@ import (
 	"github.com/alvc/alvc/internal/cluster"
 	"github.com/alvc/alvc/internal/nfv"
 	"github.com/alvc/alvc/internal/placement"
+	"github.com/alvc/alvc/internal/sdn"
 	"github.com/alvc/alvc/internal/topology"
 )
 
@@ -89,9 +90,13 @@ func TestProvisionEndToEnd(t *testing.T) {
 	if hostIdx != len(stops) {
 		t.Fatalf("path %v does not visit hosts %v in order", dep.Path, stops)
 	}
-	// Conversions and energy are consistent.
-	if dep.Conversions != dep.Placement.Conversions {
-		t.Fatalf("conversions mismatch: %d vs %d", dep.Conversions, dep.Placement.Conversions)
+	// The record counts the excursions the chain's walk pays.
+	w, err := o.ctrl.Walk(dep.FlowKey())
+	if err != nil {
+		t.Fatalf("Walk: %v", err)
+	}
+	if got := sdn.Excursions(w.OE, w.EO); dep.Conversions != got {
+		t.Fatalf("conversions = %d, the walk pays %d", dep.Conversions, got)
 	}
 	if dep.Conversions > 0 && dep.EnergyJoules <= 0 {
 		t.Fatal("energy should be positive with conversions")

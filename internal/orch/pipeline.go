@@ -54,29 +54,23 @@ const (
 	numStages
 )
 
-// String returns the stage name.
-func (s stageID) String() string {
-	switch s {
-	case stageCluster:
-		return "cluster"
-	case stageSlice:
-		return "slice"
-	case stagePlacement:
-		return "placement"
-	case stageInstantiate:
-		return "instantiate"
-	case stagePath:
-		return "path"
-	case stageStandby:
-		return "standby"
-	case stageWDM:
-		return "wdm"
-	case stageRules:
-		return "rules"
-	default:
-		return fmt.Sprintf("stage(%d)", int(s))
-	}
+// stages holds each stage's name and body, in execution order.
+var stages = [numStages]struct {
+	name string
+	run  func(*pipeline) error
+}{
+	{"cluster", (*pipeline).runCluster},
+	{"slice", (*pipeline).runSlice},
+	{"placement", (*pipeline).runPlacement},
+	{"instantiate", (*pipeline).runInstantiate},
+	{"path", (*pipeline).runPath},
+	{"standby", (*pipeline).runStandby},
+	{"wdm", (*pipeline).runWDM},
+	{"rules", (*pipeline).runRules},
 }
+
+// String returns the stage name.
+func (s stageID) String() string { return stages[s].name }
 
 // pipeline carries one chain build (or partial rebuild) through the
 // staged provisioning sequence. A fresh pipeline (newPipeline) starts
@@ -107,7 +101,9 @@ type pipeline struct {
 	primaryLinks []topology.LinkID
 	confined     bool
 	lambda       int
-	standby      *resilience.Standby
+	// conversions is what the installed path pays (sdn.Excursions).
+	conversions int
+	standby     *resilience.Standby
 	// drifted is the deployment's Drifted flag as the commit will leave it.
 	drifted bool
 
@@ -301,14 +297,14 @@ func (p *pipeline) runFrom(first stageID) error {
 		var err error
 		if obs != nil || p.tr != nil {
 			start := time.Now()
-			err = p.runStage(s)
+			err = stages[s].run(p)
 			d := time.Since(start)
 			if obs != nil {
 				obs(s.String(), d)
 			}
 			p.tr.RecordChild(p.sctx, s.String(), trace.KindStage, start, d, err)
 		} else {
-			err = p.runStage(s)
+			err = stages[s].run(p)
 		}
 		if err != nil {
 			p.rollback()
@@ -316,29 +312,6 @@ func (p *pipeline) runFrom(first stageID) error {
 		}
 	}
 	return nil
-}
-
-func (p *pipeline) runStage(s stageID) error {
-	switch s {
-	case stageCluster:
-		return p.runCluster()
-	case stageSlice:
-		return p.runSlice()
-	case stagePlacement:
-		return p.runPlacement()
-	case stageInstantiate:
-		return p.runInstantiate()
-	case stagePath:
-		return p.runPath()
-	case stageStandby:
-		return p.runStandby()
-	case stageWDM:
-		return p.runWDM()
-	case stageRules:
-		return p.runRules()
-	default:
-		return fmt.Errorf("orch: unknown pipeline stage %d", int(s))
-	}
 }
 
 func (p *pipeline) runCluster() error {
@@ -547,9 +520,11 @@ func (p *pipeline) runRules() error {
 	// one's block when the path's length is unchanged. A fresh build has
 	// no previous generation, which costs Reroute one map miss.
 	m := sdn.Match{FlowKey: p.flowKey, Src: p.src, Dst: p.dst}
-	if err := p.o.ctrl.Reroute(m, p.path, 100); err != nil {
+	oe, eo, err := p.o.ctrl.Reroute(m, p.path, 100)
+	if err != nil {
 		return fmt.Errorf("install: %w", err)
 	}
+	p.conversions = sdn.Excursions(oe, eo)
 	p.pushUndo(undoRules, 0)
 	return nil
 }
@@ -568,7 +543,7 @@ func (p *pipeline) commitLocked(dep *Deployment) {
 	dep.Lambda = p.lambda
 	dep.Standby = p.standby
 	dep.Drifted = p.drifted
-	dep.Conversions = p.place.Conversions
-	dep.EnergyJoules = p.o.costModel.TotalEnergy(p.place.Conversions, dep.Spec.FlowBytes)
+	dep.Conversions = p.conversions
+	dep.EnergyJoules = p.o.costModel.TotalEnergy(p.conversions, dep.Spec.FlowBytes)
 	p.o.indexLocked(dep)
 }

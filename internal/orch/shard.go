@@ -565,8 +565,8 @@ type ShardStat struct {
 	// active chains by protection status; Drifted counts those carrying
 	// the Drifted flag.
 	StandbyDisjoint, StandbyNonDisjoint, Unprotected, Drifted int
-	// Conversions and EnergyJoules sum the active chains' per-flow O/E/O
-	// accounting.
+	// Conversions and EnergyJoules sum the O/E/O excursions the active
+	// chains' routes pay per flow, and their energy.
 	Conversions  int
 	EnergyJoules float64
 	// OPSPool is the shard's OPS partition and VCs the ALs built on it.

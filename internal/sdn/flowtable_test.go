@@ -370,7 +370,7 @@ func TestFlowIndexMatchesScanningOracle(t *testing.T) {
 			}
 			prio := rng.Intn(200)
 			m := Match{FlowKey: key, Src: path[0], Dst: path[len(path)-1]}
-			if err := c.Reroute(m, path, prio); err != nil {
+			if _, _, err := c.Reroute(m, path, prio); err != nil {
 				t.Fatalf("step %d: Reroute: %v", step, err)
 			}
 			oracle.reroute(m, path, prio)
@@ -484,9 +484,9 @@ func TestFlowIndexConcurrent(t *testing.T) {
 				var err error
 				switch rng.Intn(4) {
 				case 0:
-					err = c.Reroute(m, f.path(n), 100)
+					_, _, err = c.Reroute(m, f.path(n), 100)
 				case 1:
-					err = c.Reroute(m, f.path(n + i)[:1+rng.Intn(8)], 100)
+					_, _, err = c.Reroute(m, f.path(n + i)[:1+rng.Intn(8)], 100)
 				case 2:
 					c.RemoveFlow(m.FlowKey)
 				default:
@@ -534,7 +534,7 @@ func TestFlowIndexConcurrent(t *testing.T) {
 func installFlows(tb testing.TB, c *Controller, f fabric, n int) {
 	tb.Helper()
 	for i := 0; i < n; i++ {
-		if err := c.Reroute(Match{FlowKey: fmt.Sprintf("bg/%d", i)}, f.path(i), 100); err != nil {
+		if _, _, err := c.Reroute(Match{FlowKey: fmt.Sprintf("bg/%d", i)}, f.path(i), 100); err != nil {
 			tb.Fatalf("Reroute: %v", err)
 		}
 	}
@@ -549,7 +549,7 @@ func churnAllocs(t *testing.T, others int) float64 {
 	installFlows(t, c, f, others)
 	m, path := Match{FlowKey: "t/churn"}, f.path(0) // bg/0's switches
 	return testing.AllocsPerRun(200, func() {
-		if err := c.Reroute(m, path, 100); err != nil {
+		if _, _, err := c.Reroute(m, path, 100); err != nil {
 			t.Fatalf("Reroute: %v", err)
 		}
 		if c.RemoveFlow(m.FlowKey) != len(path) {
@@ -587,12 +587,12 @@ func TestRerouteInPlaceAllocatesNothing(t *testing.T) {
 	installFlows(t, c, f, 2000)
 	m := Match{FlowKey: "t/reroute"}
 	paths := [2][]topology.NodeID{f.path(0), f.path(1)}
-	if err := c.Reroute(m, paths[1], 100); err != nil {
+	if _, _, err := c.Reroute(m, paths[1], 100); err != nil {
 		t.Fatalf("Reroute: %v", err)
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := c.Reroute(m, paths[next%2], 100); err != nil {
+		if _, _, err := c.Reroute(m, paths[next%2], 100); err != nil {
 			t.Fatalf("Reroute: %v", err)
 		}
 		next++
@@ -706,10 +706,10 @@ func BenchmarkFlowChurn(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := c.Reroute(m, path, 100); err != nil {
+				if _, _, err := c.Reroute(m, path, 100); err != nil {
 					b.Fatal(err)
 				}
-				if err := c.Reroute(m, detour, 100); err != nil {
+				if _, _, err := c.Reroute(m, detour, 100); err != nil {
 					b.Fatal(err)
 				}
 				c.RemoveFlow(m.FlowKey)

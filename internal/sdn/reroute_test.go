@@ -20,7 +20,7 @@ func TestRerouteSwapsRuleGenerations(t *testing.T) {
 	}
 	m := Match{FlowKey: "t/chain", Src: ids["vm1"], Dst: ids["vm2"]}
 	oldPath := []topology.NodeID{ids["vm1"], ids["pm1"], ids["tor1"], ids["ops1"], ids["ops2"], ids["tor2"], ids["pm2"], ids["vm2"]}
-	if err := c.Reroute(m, oldPath, 100); err != nil {
+	if _, _, err := c.Reroute(m, oldPath, 100); err != nil {
 		t.Fatalf("Reroute (install): %v", err)
 	}
 	for _, newPath := range [][]topology.NodeID{
@@ -28,7 +28,7 @@ func TestRerouteSwapsRuleGenerations(t *testing.T) {
 		{ids["vm1"], ids["pm1"], ids["tor1"], ids["ops2"], ids["ops1"], ids["tor2"], ids["vm2"]},
 	} {
 		oldIDs := ruleIDs(c, m.FlowKey)
-		if err := c.Reroute(m, newPath, 100); err != nil {
+		if _, _, err := c.Reroute(m, newPath, 100); err != nil {
 			t.Fatalf("Reroute: %v", err)
 		}
 		newIDs := ruleIDs(c, m.FlowKey)
@@ -65,7 +65,7 @@ func TestRerouteWithoutPriorRulesIsInstall(t *testing.T) {
 	}
 	m := Match{FlowKey: "t/fresh", Src: ids["vm1"], Dst: ids["vm2"]}
 	path := []topology.NodeID{ids["vm1"], ids["pm1"], ids["tor1"], ids["ops1"], ids["ops2"], ids["tor2"], ids["pm2"], ids["vm2"]}
-	if err := c.Reroute(m, path, 100); err != nil {
+	if _, _, err := c.Reroute(m, path, 100); err != nil {
 		t.Fatalf("Reroute: %v", err)
 	}
 	if got := len(c.RulesForFlow("t/fresh")); got != len(path) {
@@ -81,18 +81,18 @@ func TestRerouteLeavesOtherFlowsAlone(t *testing.T) {
 	}
 	path := []topology.NodeID{ids["vm1"], ids["pm1"], ids["tor1"], ids["ops1"], ids["ops2"], ids["tor2"], ids["pm2"], ids["vm2"]}
 	other := Match{FlowKey: "t/other", Src: ids["vm1"], Dst: ids["vm2"]}
-	if err := c.Reroute(other, path, 100); err != nil {
+	if _, _, err := c.Reroute(other, path, 100); err != nil {
 		t.Fatalf("Reroute other: %v", err)
 	}
 	m := Match{FlowKey: "t/chain", Src: ids["vm1"], Dst: ids["vm2"]}
-	if err := c.Reroute(m, path, 100); err != nil {
+	if _, _, err := c.Reroute(m, path, 100); err != nil {
 		t.Fatalf("Reroute: %v", err)
 	}
 	want := c.RulesForFlow("t/other")
 	// A shorter path (a new block), then one of its length over other
 	// switches (in place): the other flow's rules stay as they were.
 	for _, p := range [][]topology.NodeID{path[:4], path[4:]} {
-		if err := c.Reroute(m, p, 100); err != nil {
+		if _, _, err := c.Reroute(m, p, 100); err != nil {
 			t.Fatalf("Reroute: %v", err)
 		}
 		if got := c.RulesForFlow("t/other"); !reflect.DeepEqual(got, want) {
@@ -107,13 +107,13 @@ func TestRerouteValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
-	if err := c.Reroute(Match{FlowKey: "k"}, nil, 100); err == nil {
+	if _, _, err := c.Reroute(Match{FlowKey: "k"}, nil, 100); err == nil {
 		t.Fatal("empty path accepted")
 	}
-	if err := c.Reroute(Match{}, []topology.NodeID{ids["vm1"]}, 100); err == nil {
+	if _, _, err := c.Reroute(Match{}, []topology.NodeID{ids["vm1"]}, 100); err == nil {
 		t.Fatal("empty flow key accepted")
 	}
-	if err := c.Reroute(Match{FlowKey: "k"}, []topology.NodeID{99999}, 100); err == nil {
+	if _, _, err := c.Reroute(Match{FlowKey: "k"}, []topology.NodeID{99999}, 100); err == nil {
 		t.Fatal("unknown node accepted")
 	}
 }

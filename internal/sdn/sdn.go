@@ -348,14 +348,18 @@ func (c *Controller) validatePath(m Match, path []topology.NodeID) error {
 // its tables. Either way each hop counts as one rule installed and the
 // old rules as removed. It is the one place node domains become
 // conversion actions: a hop between domains converts before it
-// forwards. The caller holds c.mu and validated the path.
-func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority int) {
-	crossings := 0
+// forwards, and it answers the path's conversions. The caller holds c.mu
+// and validated the path.
+func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority int) (oe, eo int) {
 	for i := 0; i+1 < len(path); i++ {
-		if c.conversion(path[i], path[i+1]) != 0 {
-			crossings++
+		switch c.conversion(path[i], path[i+1]) {
+		case ActionConvertOE:
+			oe++
+		case ActionConvertEO:
+			eo++
 		}
 	}
+	crossings := oe + eo
 	block := c.flows[m.FlowKey]
 	old := block
 	var actions []Action
@@ -406,6 +410,7 @@ func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority
 		c.flows[m.FlowKey] = block
 		c.uninstallLocked(old)
 	}
+	return oe, eo
 }
 
 // uninstallLocked takes the rules out of their switches' tables, each by
@@ -432,14 +437,25 @@ func (c *Controller) uninstallLocked(rules []FlowRule) {
 // and the old ones' removal land in one controller lock hold, so no
 // reader sees the flow without rules. With no rules under the flow key it
 // is a fresh install; a path of the old one's length allocates nothing.
-func (c *Controller) Reroute(m Match, path []topology.NodeID, priority int) error {
+// It answers the new rules' conversions, what a walk of the flow meets.
+func (c *Controller) Reroute(m Match, path []topology.NodeID, priority int) (oe, eo int, err error) {
 	if err := c.validatePath(m, path); err != nil {
-		return err
+		return 0, 0, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.installPathLocked(m, path, priority)
-	return nil
+	oe, eo = c.installPathLocked(m, path, priority)
+	return oe, eo, nil
+}
+
+// Excursions counts a route's O/E/O excursions (§IV-D) from its oe and eo
+// conversions: a pair is one round trip out of the optical core, less
+// the ingress/egress pair of a route that enters it.
+func Excursions(oe, eo int) int {
+	if eo > 0 && oe+eo >= 2 {
+		return (oe+eo)/2 - 1
+	}
+	return 0
 }
 
 // RemoveFlow deletes every rule matching the flow key and returns the

@@ -112,7 +112,7 @@ func TestInstallPathRules(t *testing.T) {
 		t.Fatalf("ComputePath: %v", err)
 	}
 	m := Match{FlowKey: "tenant-a/chain-1", Src: ids["vm1"], Dst: ids["vm2"]}
-	if err := c.Reroute(m, path, 10); err != nil {
+	if _, _, err := c.Reroute(m, path, 10); err != nil {
 		t.Fatalf("Reroute: %v", err)
 	}
 	if rules := ruleIDs(c, m.FlowKey); len(rules) != len(path) {
@@ -160,23 +160,23 @@ func TestInstallPathRules(t *testing.T) {
 func TestInstallPathValidation(t *testing.T) {
 	topo, ids := chainTopo(t)
 	c, _ := NewController(topo)
-	if err := c.Reroute(Match{FlowKey: "k"}, nil, 1); err == nil {
+	if _, _, err := c.Reroute(Match{FlowKey: "k"}, nil, 1); err == nil {
 		t.Fatal("empty path accepted")
 	}
-	if err := c.Reroute(Match{}, []topology.NodeID{ids["vm1"]}, 1); err == nil {
+	if _, _, err := c.Reroute(Match{}, []topology.NodeID{ids["vm1"]}, 1); err == nil {
 		t.Fatal("empty flow key accepted")
 	}
-	if err := c.Reroute(Match{FlowKey: "k"}, []topology.NodeID{9999}, 1); err == nil {
+	if _, _, err := c.Reroute(Match{FlowKey: "k"}, []topology.NodeID{9999}, 1); err == nil {
 		t.Fatal("unknown node accepted")
 	}
 	// A rejected path touches nothing: the flow installed under the key
 	// keeps its rules and the counters stay where they were.
 	path := []topology.NodeID{ids["vm1"], ids["pm1"], ids["tor1"]}
-	if err := c.Reroute(Match{FlowKey: "k"}, path, 1); err != nil {
+	if _, _, err := c.Reroute(Match{FlowKey: "k"}, path, 1); err != nil {
 		t.Fatalf("Reroute: %v", err)
 	}
 	before := c.RulesForFlow("k")
-	if err := c.Reroute(Match{FlowKey: "k"}, []topology.NodeID{ids["vm1"], 9999, ids["tor1"]}, 1); err == nil {
+	if _, _, err := c.Reroute(Match{FlowKey: "k"}, []topology.NodeID{ids["vm1"], 9999, ids["tor1"]}, 1); err == nil {
 		t.Fatal("unknown node accepted under a live key")
 	}
 	if got := c.RulesForFlow("k"); !reflect.DeepEqual(got, before) {
@@ -193,10 +193,10 @@ func TestRemoveFlow(t *testing.T) {
 	path, _ := c.ComputePath(ids["vm1"], ids["vm2"], nil)
 	m1 := Match{FlowKey: "a", Src: ids["vm1"], Dst: ids["vm2"]}
 	m2 := Match{FlowKey: "b", Src: ids["vm1"], Dst: ids["vm2"]}
-	if err := c.Reroute(m1, path, 1); err != nil {
+	if _, _, err := c.Reroute(m1, path, 1); err != nil {
 		t.Fatalf("Reroute: %v", err)
 	}
-	if err := c.Reroute(m2, path, 1); err != nil {
+	if _, _, err := c.Reroute(m2, path, 1); err != nil {
 		t.Fatalf("Reroute: %v", err)
 	}
 	removed := c.RemoveFlow("a")
@@ -264,7 +264,7 @@ func TestWalk(t *testing.T) {
 				if m.Src == 0 {
 					m.Src, m.Dst = tc.path[0], tc.path[len(tc.path)-1]
 				}
-				if err := c.Reroute(m, tc.path, 1); err != nil {
+				if _, _, err := c.Reroute(m, tc.path, 1); err != nil {
 					t.Fatalf("Reroute: %v", err)
 				}
 			}
@@ -328,7 +328,7 @@ func TestRecordHits(t *testing.T) {
 	c, _ := NewController(topo)
 	path, _ := c.ComputePath(ids["vm1"], ids["vm2"], nil)
 	m := Match{FlowKey: "k", Src: ids["vm1"], Dst: ids["vm2"]}
-	if err := c.Reroute(m, path, 1); err != nil {
+	if _, _, err := c.Reroute(m, path, 1); err != nil {
 		t.Fatalf("Reroute: %v", err)
 	}
 	credited := c.RecordHits("k", 5)
@@ -378,7 +378,7 @@ func TestRulesAtReturnsCopies(t *testing.T) {
 	topo, ids := chainTopo(t)
 	c, _ := NewController(topo)
 	path, _ := c.ComputePath(ids["vm1"], ids["vm2"], nil)
-	if err := c.Reroute(Match{FlowKey: "k", Src: ids["vm1"], Dst: ids["vm2"]}, path, 1); err != nil {
+	if _, _, err := c.Reroute(Match{FlowKey: "k", Src: ids["vm1"], Dst: ids["vm2"]}, path, 1); err != nil {
 		t.Fatalf("Reroute: %v", err)
 	}
 	rules := c.RulesAt(ids["vm1"])
