@@ -26,11 +26,10 @@ type VC struct {
 // disjointness rule: one OPS cannot be part of two ALs at the same
 // time. It is safe for concurrent use.
 type Allocator struct {
-	mu       sync.Mutex
-	topo     *topology.Topology
-	builder  Builder
-	vcs      map[VCID]*VC
-	opsOwner map[topology.NodeID]VCID
+	mu      sync.Mutex
+	topo    *topology.Topology
+	builder Builder
+	vcs     map[VCID]*VC
 	// nextID and idStride number the clusters: allocator i of n issues
 	// i+1, i+1+n, i+1+2n, …, so allocators over disjoint pools never issue
 	// one ID twice.
@@ -42,7 +41,7 @@ type Allocator struct {
 	// partition the OPS space. The zero Pool means the whole topology.
 	pool     topology.Pool
 	poolSize int
-	// free marks, by node ID, the pool minus opsOwner's keys: what the
+	// free marks, by node ID, the pool minus the clusters' OPSs: what the
 	// builder may claim, in the dense form the paper's builder reads. It is
 	// kept in step on every claim and release, so a build costs the cover
 	// and not a pool-sized set construction.
@@ -69,7 +68,6 @@ func NewRestrictedAllocator(topo *topology.Topology, builder Builder, pool []top
 		topo:     topo,
 		builder:  builder,
 		vcs:      make(map[VCID]*VC),
-		opsOwner: make(map[topology.NodeID]VCID),
 		nextID:   VCID(i + 1 - n),
 		idStride: VCID(n),
 	}
@@ -78,14 +76,14 @@ func NewRestrictedAllocator(topo *topology.Topology, builder Builder, pool []top
 		if len(pool) == 0 {
 			return nil, fmt.Errorf("cluster: allocator: empty OPS pool")
 		}
-		set := make(map[topology.NodeID]bool, len(pool))
 		for _, ops := range pool {
 			n := a.topo.Node(ops)
 			if n == nil || n.Kind != topology.KindOPS {
 				return nil, fmt.Errorf("cluster: allocator: pool node %d is not an OPS", ops)
 			}
-			set[ops], a.free[ops] = true, true
+			a.free[ops] = true
 		}
+		set := topology.NewNodeSet(pool...)
 		a.pool, a.poolSize = topology.NewPool(set), len(set)
 	} else {
 		for _, n := range topo.Nodes(topology.KindOPS) {
@@ -114,20 +112,20 @@ func (a *Allocator) Pool() topology.Pool {
 	return a.pool
 }
 
-// AvailableOPS returns the set of OPSs not owned by any AL. The map is
+// AvailableOPS returns the set of OPSs not owned by any AL. The set is
 // the caller's.
-func (a *Allocator) AvailableOPS() map[topology.NodeID]bool {
+func (a *Allocator) AvailableOPS() topology.NodeSet {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.freeSetLocked()
 }
 
 // freeSetLocked returns the free OPSs as a set of the caller's own.
-func (a *Allocator) freeSetLocked() map[topology.NodeID]bool {
-	set := make(map[topology.NodeID]bool)
+func (a *Allocator) freeSetLocked() topology.NodeSet {
+	set := topology.NodeSet{}
 	for ops, free := range a.free {
 		if free {
-			set[topology.NodeID(ops)] = true
+			set = append(set, topology.NodeID(ops))
 		}
 	}
 	return set
@@ -138,13 +136,11 @@ func (a *Allocator) freeSetLocked() map[topology.NodeID]bool {
 func (a *Allocator) setALLocked(vc *VC, al AL) {
 	if old := a.vcs[vc.ID]; old != nil {
 		for _, ops := range old.AL.OPSs {
-			delete(a.opsOwner, ops)
 			a.free[ops] = true
 		}
 	}
 	vc.AL = al
 	for _, ops := range al.OPSs {
-		a.opsOwner[ops] = vc.ID
 		a.free[ops] = false
 	}
 	a.vcs[vc.ID] = vc
@@ -255,7 +251,6 @@ func (a *Allocator) Release(id VCID) error {
 		return fmt.Errorf("cluster: release: unknown VC %d", id)
 	}
 	for _, ops := range vc.AL.OPSs {
-		delete(a.opsOwner, ops)
 		a.free[ops] = true
 	}
 	delete(a.vcs, id)

@@ -49,13 +49,13 @@ type AL struct {
 // paper's algorithm minimizes.
 func (al AL) Size() int { return len(al.OPSs) }
 
-// OPSSet returns the OPSs as a set.
-func (al AL) OPSSet() map[topology.NodeID]bool {
-	s := make(map[topology.NodeID]bool, len(al.OPSs))
-	for _, o := range al.OPSs {
-		s[o] = true
+// OPSSet returns the OPSs as a set: the sorted OPS list itself, so the
+// set costs nothing and is read-only. Never nil.
+func (al AL) OPSSet() topology.NodeSet {
+	if al.OPSs == nil {
+		return topology.NodeSet{}
 	}
-	return s
+	return topology.NodeSet(al.OPSs)
 }
 
 // Builder constructs an abstraction layer for a VM group using only
@@ -65,7 +65,7 @@ func (al AL) OPSSet() map[topology.NodeID]bool {
 type Builder interface {
 	// Name identifies the algorithm in experiment output.
 	Name() string
-	Build(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error)
+	Build(topo *topology.Topology, vms []topology.NodeID, allowOPS topology.NodeSet) (AL, error)
 }
 
 // ErrNoVMs is returned when a build is requested for an empty group.
@@ -106,15 +106,15 @@ func (p PaperBuilder) Name() string {
 
 // Build implements Builder: allowOPS densified once into a mask by node
 // ID, then buildMarginal. The Allocator keeps that mask itself and skips this.
-func (p PaperBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
+func (p PaperBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS topology.NodeSet) (AL, error) {
 	if p.StaticWeight {
 		return buildTwoPhase(topo, vms, allowOPS, graph.CoverStatic[topology.NodeID])
 	}
 	var admit []bool
 	if allowOPS != nil {
 		admit = make([]bool, len(topo.OpticalDegrees()))
-		for ops, ok := range allowOPS {
-			if ok && ops >= 0 && int(ops) < len(admit) {
+		for _, ops := range allowOPS {
+			if ops >= 0 && int(ops) < len(admit) {
 				admit[ops] = true
 			}
 		}
@@ -278,7 +278,7 @@ type coverRule func(lefts [][]topology.NodeID, out func(topology.NodeID) float64
 // buildTwoPhase is the baselines' two-phase construction: cover the
 // group's VMs by ToRs, then the chosen ToRs by the OPSs allowOPS admits,
 // with the same rule.
-func buildTwoPhase(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool, cover coverRule) (AL, error) {
+func buildTwoPhase(topo *topology.Topology, vms []topology.NodeID, allowOPS topology.NodeSet, cover coverRule) (AL, error) {
 	_, lefts, err := vmToRs(topo, vms, nil)
 	if err != nil {
 		return AL{}, err
@@ -305,7 +305,7 @@ type GreedyBuilder struct{}
 func (GreedyBuilder) Name() string { return "greedy-setcover" }
 
 // Build implements Builder.
-func (GreedyBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
+func (GreedyBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS topology.NodeSet) (AL, error) {
 	return buildTwoPhase(topo, vms, allowOPS, func(lefts [][]topology.NodeID, _ func(topology.NodeID) float64) ([]topology.NodeID, error) {
 		return graph.CoverMarginal(lefts, nil, nil)
 	})
@@ -322,7 +322,7 @@ type RandomBuilder struct {
 func (RandomBuilder) Name() string { return "random" }
 
 // Build implements Builder.
-func (rb RandomBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
+func (rb RandomBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS topology.NodeSet) (AL, error) {
 	if rb.RNG == nil {
 		return AL{}, fmt.Errorf("cluster: random builder: nil RNG")
 	}
@@ -340,7 +340,7 @@ type ExactBuilder struct{}
 func (ExactBuilder) Name() string { return "exact-per-phase" }
 
 // Build implements Builder.
-func (ExactBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
+func (ExactBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS topology.NodeSet) (AL, error) {
 	return buildTwoPhase(topo, vms, allowOPS, func(lefts [][]topology.NodeID, _ func(topology.NodeID) float64) ([]topology.NodeID, error) {
 		return graph.CoverExact(lefts)
 	})
@@ -364,7 +364,7 @@ func (d DirectBuilder) Name() string {
 }
 
 // Build implements Builder.
-func (d DirectBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
+func (d DirectBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS topology.NodeSet) (AL, error) {
 	_, torsOf, err := vmToRs(topo, vms, nil)
 	if err != nil {
 		return AL{}, err
@@ -413,7 +413,7 @@ func VerifyAL(topo *topology.Topology, vms []topology.NodeID, al AL) bool {
 		ok := false
 		for _, tor := range topo.ToRsOfVM(vm) {
 			for _, o := range topo.OPSsOfToR(tor) {
-				if ops[o] {
+				if ops.Has(o) {
 					ok = true
 					break
 				}

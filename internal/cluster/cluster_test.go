@@ -164,7 +164,7 @@ func TestBuildRestrictedOPSFails(t *testing.T) {
 	// Only opsA available: ToR3's VMs (5,6) cannot be covered — tor3
 	// uplinks only to C; tor4 to A. VM5 is single-homed on tor3, so no
 	// AL exists.
-	allow := map[topology.NodeID]bool{ids["opsA"]: true}
+	allow := topology.NodeSet{ids["opsA"]}
 	for _, b := range []Builder{PaperBuilder{}, GreedyBuilder{}, ExactBuilder{}, DirectBuilder{}} {
 		_, err := b.Build(topo, vms, allow)
 		if err == nil {

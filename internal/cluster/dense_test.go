@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -50,22 +49,19 @@ func randomTopo(t *testing.T, rng *rand.Rand) *topology.Topology {
 }
 
 // randomAllow draws an allow set: nil, empty, or a seeded share of the
-// OPSs — sparse ones leave ToRs uncoverable — with a few explicit false
-// entries, which must read as absent.
-func randomAllow(rng *rand.Rand, topo *topology.Topology) map[topology.NodeID]bool {
+// OPSs — sparse ones leave ToRs uncoverable.
+func randomAllow(rng *rand.Rand, topo *topology.Topology) topology.NodeSet {
 	switch rng.Intn(5) {
 	case 0:
 		return nil
 	case 1:
-		return map[topology.NodeID]bool{}
+		return topology.NodeSet{}
 	}
-	allow := map[topology.NodeID]bool{}
+	allow := topology.NodeSet{}
 	share := rng.Float64()
 	for _, ops := range topo.NodeIDs(topology.KindOPS) {
 		if rng.Float64() < share {
-			allow[ops] = true
-		} else if rng.Intn(4) == 0 {
-			allow[ops] = false
+			allow = append(allow, ops)
 		}
 	}
 	return allow
@@ -89,7 +85,7 @@ func TestPaperBuilderEqualsOracle(t *testing.T) {
 				vms = append(vms, all[rng.Intn(len(all))])
 			}
 			allow := randomAllow(rng, topo)
-			before := maps.Clone(allow)
+			before := slices.Clone(allow)
 			rngSeed := rng.Int63()
 			seeded := func() *rand.Rand { return rand.New(rand.NewSource(rngSeed)) }
 			type build struct {
@@ -134,7 +130,7 @@ func TestPaperBuilderEqualsOracle(t *testing.T) {
 					refused++
 				}
 			}
-			if !maps.Equal(allow, before) {
+			if !slices.Equal(allow, before) {
 				t.Fatalf("seed %d trial %d: Build modified allowOPS", seed, trial)
 			}
 		}
@@ -164,22 +160,20 @@ func TestPaperBuilderRejectsNonVM(t *testing.T) {
 // with what its clusters imply.
 func checkAllocator(t *testing.T, alloc *Allocator, pool []topology.NodeID, step string) {
 	t.Helper()
-	want := make(map[topology.NodeID]bool, len(pool))
-	for _, ops := range pool {
-		want[ops] = true
-	}
+	want := topology.NewNodeSet(pool...)
 	for _, vc := range alloc.VCs() {
 		for _, ops := range vc.AL.OPSs {
-			if !want[ops] {
+			i, found := slices.BinarySearch(want, ops)
+			if !found {
 				t.Fatalf("%s: VC %d holds OPS %d, outside the pool or held twice", step, vc.ID, ops)
 			}
-			delete(want, ops)
+			want = slices.Delete(want, i, i+1)
 			if owner, ok := alloc.OwnerOf(ops); !ok || owner != vc.ID {
 				t.Fatalf("%s: OwnerOf(%d) = %d, %v; want VC %d", step, ops, owner, ok, vc.ID)
 			}
 		}
 	}
-	if got := alloc.AvailableOPS(); !maps.Equal(got, want) {
+	if got := alloc.AvailableOPS(); !slices.Equal(got, want) {
 		t.Fatalf("%s: AvailableOPS = %v, want pool minus owned = %v", step, got, want)
 	}
 	if !Disjoint(alloc.VCs()) {
@@ -267,7 +261,7 @@ func TestAllocatorFreeSetModel(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if opErr != nil && !maps.Equal(alloc.AvailableOPS(), before) {
+			if opErr != nil && !slices.Equal(alloc.AvailableOPS(), before) {
 				t.Fatalf("%s: refused (%v) yet the free set moved", name, opErr)
 			}
 			checkAllocator(t, alloc, pool, name)
@@ -304,10 +298,7 @@ func wideFabric(tb testing.TB, ops int) (*topology.Topology, []topology.NodeID) 
 // the map-and-copy construction took 6469 allocations here.
 func TestPaperBuilderAllocCeiling(t *testing.T) {
 	topo, vms := wideFabric(t, 1200)
-	allow := make(map[topology.NodeID]bool)
-	for _, ops := range topo.NodeIDs(topology.KindOPS) {
-		allow[ops] = true
-	}
+	allow := topology.NewNodeSet(topo.NodeIDs(topology.KindOPS)...)
 	if _, err := (PaperBuilder{}).Build(topo, vms, allow); err != nil { // fills the derived caches
 		t.Fatal(err)
 	}

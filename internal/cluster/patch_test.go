@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/alvc/alvc/internal/topology"
@@ -17,8 +18,12 @@ func (a *Allocator) VC(id VCID) *VC {
 func (a *Allocator) OwnerOf(ops topology.NodeID) (VCID, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	id, ok := a.opsOwner[ops]
-	return id, ok
+	for id, vc := range a.vcs {
+		if slices.Contains(vc.AL.OPSs, ops) {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 func TestPatchVCSwapsFailedOPS(t *testing.T) {

@@ -84,7 +84,7 @@ func refVMToRBipartite(t *topology.Topology, vms []topology.NodeID) (*refBiparti
 	return b, nil
 }
 
-func refToROPSBipartite(t *topology.Topology, tors []topology.NodeID, allow map[topology.NodeID]bool) (*refBipartite, error) {
+func refToROPSBipartite(t *topology.Topology, tors []topology.NodeID, allow topology.NodeSet) (*refBipartite, error) {
 	b := newRefBipartite()
 	for _, tor := range tors {
 		n := t.Node(tor)
@@ -93,7 +93,7 @@ func refToROPSBipartite(t *topology.Topology, tors []topology.NodeID, allow map[
 		}
 		b.AddLeft(tor)
 		for _, ops := range t.OPSsOfToR(tor) {
-			if allow != nil && !allow[ops] {
+			if allow != nil && !allow.Has(ops) {
 				continue
 			}
 			b.AddEdge(tor, ops)
@@ -116,7 +116,7 @@ func refPhase1(topo *topology.Topology, vms []topology.NodeID) (*refBipartite, e
 	return b, nil
 }
 
-func refPhase2(topo *topology.Topology, tors []topology.NodeID, allowOPS map[topology.NodeID]bool) (*refBipartite, error) {
+func refPhase2(topo *topology.Topology, tors []topology.NodeID, allowOPS topology.NodeSet) (*refBipartite, error) {
 	b, err := refToROPSBipartite(topo, tors, allowOPS)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: phase 2: %w", err)
@@ -349,7 +349,7 @@ func refCoverExact(b *refBipartite) ([]topology.NodeID, error) {
 
 // oraclePaperBuild is the PaperBuilder of before the dense cover, in
 // both weight readings, with the optical degree counted from LinksOf.
-func oraclePaperBuild(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool, static bool) (AL, error) {
+func oraclePaperBuild(topo *topology.Topology, vms []topology.NodeID, allowOPS topology.NodeSet, static bool) (AL, error) {
 	b1, err := refPhase1(topo, vms)
 	if err != nil {
 		return AL{}, err
@@ -396,7 +396,7 @@ func oraclePaperBuild(topo *topology.Topology, vms []topology.NodeID, allowOPS m
 }
 
 // refBuildGreedy is GreedyBuilder.Build.
-func refBuildGreedy(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
+func refBuildGreedy(topo *topology.Topology, vms []topology.NodeID, allowOPS topology.NodeSet) (AL, error) {
 	b1, err := refPhase1(topo, vms)
 	if err != nil {
 		return AL{}, err
@@ -417,7 +417,7 @@ func refBuildGreedy(topo *topology.Topology, vms []topology.NodeID, allowOPS map
 }
 
 // refBuildRandom is RandomBuilder.Build.
-func refBuildRandom(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool, rng *rand.Rand) (AL, error) {
+func refBuildRandom(topo *topology.Topology, vms []topology.NodeID, allowOPS topology.NodeSet, rng *rand.Rand) (AL, error) {
 	if rng == nil {
 		return AL{}, fmt.Errorf("cluster: random builder: nil RNG")
 	}
@@ -441,7 +441,7 @@ func refBuildRandom(topo *topology.Topology, vms []topology.NodeID, allowOPS map
 }
 
 // refBuildExact is ExactBuilder.Build.
-func refBuildExact(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool) (AL, error) {
+func refBuildExact(topo *topology.Topology, vms []topology.NodeID, allowOPS topology.NodeSet) (AL, error) {
 	b1, err := refPhase1(topo, vms)
 	if err != nil {
 		return AL{}, err
@@ -462,7 +462,7 @@ func refBuildExact(topo *topology.Topology, vms []topology.NodeID, allowOPS map[
 }
 
 // refBuildDirect is DirectBuilder.Build.
-func refBuildDirect(topo *topology.Topology, vms []topology.NodeID, allowOPS map[topology.NodeID]bool, exact bool) (AL, error) {
+func refBuildDirect(topo *topology.Topology, vms []topology.NodeID, allowOPS topology.NodeSet, exact bool) (AL, error) {
 	if len(vms) == 0 {
 		return AL{}, ErrNoVMs
 	}
@@ -475,7 +475,7 @@ func refBuildDirect(topo *topology.Topology, vms []topology.NodeID, allowOPS map
 		b.AddLeft(vm)
 		for _, tor := range topo.ToRsOfVM(vm) {
 			for _, ops := range topo.OPSsOfToR(tor) {
-				if allowOPS != nil && !allowOPS[ops] {
+				if allowOPS != nil && !allowOPS.Has(ops) {
 					continue
 				}
 				b.AddEdge(vm, ops)

@@ -19,13 +19,19 @@ var ErrInsufficientCapacity = errors.New("nfv: insufficient capacity")
 // constraint that keeps high-demand VNFs in the electronic domain
 // (§IV-D). Safe for concurrent use.
 type Ledger struct {
-	mu       sync.Mutex
-	capacity map[topology.NodeID]topology.Resources
-	used     map[topology.NodeID]topology.Resources
-	domain   map[topology.NodeID]topology.Domain
+	mu sync.Mutex
+	// hosts holds, by node ID, each node's capacity, what is allocated
+	// on it and its domain; a zero domain marks a node that cannot host.
+	hosts []hostEntry
 	// capacityIn and usedIn total capacity and used by domain, kept in
 	// step with every Alloc and Free.
 	capacityIn, usedIn [topology.DomainOptical + 1]topology.Resources
+}
+
+// hostEntry is one node's row of the ledger.
+type hostEntry struct {
+	capacity, used topology.Resources
+	domain         topology.Domain
 }
 
 // NewLedger indexes the topology's hosting-capable nodes: every PM and
@@ -34,41 +40,46 @@ func NewLedger(topo *topology.Topology) (*Ledger, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("nfv: ledger: nil topology")
 	}
-	l := &Ledger{
-		capacity: make(map[topology.NodeID]topology.Resources),
-		used:     make(map[topology.NodeID]topology.Resources),
-		domain:   make(map[topology.NodeID]topology.Domain),
+	l := &Ledger{}
+	add := func(n *topology.Node, d topology.Domain) {
+		l.hosts = topology.Widen(l.hosts, n.ID)
+		l.hosts[n.ID] = hostEntry{capacity: n.Capacity, domain: d}
+		l.capacityIn[d] = l.capacityIn[d].Add(n.Capacity)
 	}
 	for _, n := range topo.Nodes(topology.KindPhysicalMachine) {
-		l.capacity[n.ID] = n.Capacity
-		l.domain[n.ID] = topology.DomainElectronic
-		l.capacityIn[topology.DomainElectronic] = l.capacityIn[topology.DomainElectronic].Add(n.Capacity)
+		add(n, topology.DomainElectronic)
 	}
 	for _, n := range topo.Nodes(topology.KindOPS) {
 		if n.Optoelectronic {
-			l.capacity[n.ID] = n.Capacity
-			l.domain[n.ID] = topology.DomainOptical
-			l.capacityIn[topology.DomainOptical] = l.capacityIn[topology.DomainOptical].Add(n.Capacity)
+			add(n, topology.DomainOptical)
 		}
 	}
 	return l, nil
+}
+
+// host returns the node's row, nil when it cannot host. Caller holds
+// l.mu.
+func (l *Ledger) host(id topology.NodeID) *hostEntry {
+	if id < 0 || int(id) >= len(l.hosts) || l.hosts[id].domain == 0 {
+		return nil
+	}
+	return &l.hosts[id]
 }
 
 // Alloc reserves demand on node id.
 func (l *Ledger) Alloc(id topology.NodeID, demand topology.Resources) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	cap, ok := l.capacity[id]
-	if !ok {
+	h := l.host(id)
+	if h == nil {
 		return fmt.Errorf("nfv: alloc: node %d cannot host VNFs", id)
 	}
-	if !cap.Sub(l.used[id]).Fits(demand) {
+	if !h.capacity.Sub(h.used).Fits(demand) {
 		return fmt.Errorf("%w: node %d lacks room for %s (free %s)",
-			ErrInsufficientCapacity, id, demand, cap.Sub(l.used[id]))
+			ErrInsufficientCapacity, id, demand, h.capacity.Sub(h.used))
 	}
-	l.used[id] = l.used[id].Add(demand)
-	d := l.domain[id]
-	l.usedIn[d] = l.usedIn[d].Add(demand)
+	h.used = h.used.Add(demand)
+	l.usedIn[h.domain] = l.usedIn[h.domain].Add(demand)
 	return nil
 }
 
@@ -77,16 +88,16 @@ func (l *Ledger) Alloc(id topology.NodeID, demand topology.Resources) error {
 func (l *Ledger) Free(id topology.NodeID, demand topology.Resources) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.capacity[id]; !ok {
+	h := l.host(id)
+	if h == nil {
 		return fmt.Errorf("nfv: free: node %d cannot host VNFs", id)
 	}
-	rem := l.used[id].Sub(demand)
+	rem := h.used.Sub(demand)
 	if rem.CPUCores < -1e-9 || rem.MemoryGB < -1e-9 || rem.StorageGB < -1e-9 {
-		return fmt.Errorf("nfv: free: node %d releasing %s exceeds used %s", id, demand, l.used[id])
+		return fmt.Errorf("nfv: free: node %d releasing %s exceeds used %s", id, demand, h.used)
 	}
-	l.used[id] = rem
-	d := l.domain[id]
-	l.usedIn[d] = l.usedIn[d].Sub(demand)
+	h.used = rem
+	l.usedIn[h.domain] = l.usedIn[h.domain].Sub(demand)
 	return nil
 }
 
@@ -95,26 +106,31 @@ func (l *Ledger) Free(id topology.NodeID, demand topology.Resources) error {
 func (l *Ledger) Available(id topology.NodeID) topology.Resources {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	cap, ok := l.capacity[id]
-	if !ok {
+	h := l.host(id)
+	if h == nil {
 		return topology.Resources{}
 	}
-	return cap.Sub(l.used[id])
+	return h.capacity.Sub(h.used)
 }
 
 // Used returns the allocated resources on node id.
 func (l *Ledger) Used(id topology.NodeID) topology.Resources {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.used[id]
+	if h := l.host(id); h != nil {
+		return h.used
+	}
+	return topology.Resources{}
 }
 
 // Domain returns the domain of a hosting-capable node.
 func (l *Ledger) Domain(id topology.NodeID) (topology.Domain, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	d, ok := l.domain[id]
-	return d, ok
+	if h := l.host(id); h != nil {
+		return h.domain, true
+	}
+	return 0, false
 }
 
 // DomainTotals returns what the domain's hosting-capable nodes have

@@ -71,13 +71,14 @@ func (s *Slice) Contains(ops topology.NodeID) bool {
 	return false
 }
 
-// OPSSet returns the slice's OPSs as a set.
-func (s *Slice) OPSSet() map[topology.NodeID]bool {
-	set := make(map[topology.NodeID]bool, len(s.OPSs))
-	for _, o := range s.OPSs {
-		set[o] = true
+// OPSSet returns the slice's OPSs as a set: the OPS list itself, which
+// the manager keeps ascending, so the set costs nothing and is
+// read-only. Never nil: a slice restricts to its OPSs, even none.
+func (s *Slice) OPSSet() topology.NodeSet {
+	if s.OPSs == nil {
+		return topology.NodeSet{}
 	}
-	return set
+	return topology.NodeSet(s.OPSs)
 }
 
 // SliceManager allocates disjoint optical slices. It is the optical-
@@ -88,7 +89,9 @@ type SliceManager struct {
 	mu     sync.Mutex
 	topo   *topology.Topology
 	slices map[SliceID]*Slice
-	owner  map[topology.NodeID]SliceID
+	// owner holds, by node ID, the slice an OPS belongs to, 0 for none
+	// (slice IDs start at 1).
+	owner  []SliceID
 	nextID SliceID
 }
 
@@ -100,7 +103,6 @@ func NewSliceManager(topo *topology.Topology) (*SliceManager, error) {
 	return &SliceManager{
 		topo:   topo,
 		slices: make(map[SliceID]*Slice),
-		owner:  make(map[topology.NodeID]SliceID),
 	}, nil
 }
 
@@ -126,7 +128,7 @@ func (m *SliceManager) Allocate(tenant string, opss []topology.NodeID, bandwidth
 		if n.Down {
 			return nil, fmt.Errorf("optical: allocate: OPS %d is down", ops)
 		}
-		if owner, taken := m.owner[ops]; taken {
+		if owner := m.ownerOf(ops); owner != 0 {
 			return nil, fmt.Errorf("optical: allocate: OPS %d already in slice %d", ops, owner)
 		}
 	}
@@ -138,11 +140,27 @@ func (m *SliceManager) Allocate(tenant string, opss []topology.NodeID, bandwidth
 		BandwidthGbps: bandwidthGbps,
 	}
 	slices.Sort(s.OPSs)
-	for _, ops := range s.OPSs {
-		m.owner[ops] = s.ID
-	}
+	m.own(s.OPSs, s.ID)
 	m.slices[s.ID] = s
 	return s, nil
+}
+
+// ownerOf returns the slice the OPS belongs to, 0 for none. Caller holds
+// m.mu.
+func (m *SliceManager) ownerOf(ops topology.NodeID) SliceID {
+	if ops < 0 || int(ops) >= len(m.owner) {
+		return 0
+	}
+	return m.owner[ops]
+}
+
+// own records the OPSs as the slice's (0: as no slice's). Caller holds
+// m.mu and checked the IDs against the topology.
+func (m *SliceManager) own(opss []topology.NodeID, id SliceID) {
+	for _, ops := range opss {
+		m.owner = topology.Widen(m.owner, ops)
+		m.owner[ops] = id
+	}
 }
 
 // Release frees the slice's OPSs.
@@ -153,9 +171,7 @@ func (m *SliceManager) Release(id SliceID) error {
 	if !ok {
 		return fmt.Errorf("optical: release: unknown slice %d", id)
 	}
-	for _, ops := range s.OPSs {
-		delete(m.owner, ops)
-	}
+	m.own(s.OPSs, 0)
 	delete(m.slices, id)
 	return nil
 }
@@ -185,13 +201,11 @@ func (m *SliceManager) PatchMembership(id SliceID, opss []topology.NodeID) (*Sli
 		if n.Down {
 			return nil, fmt.Errorf("optical: patch: OPS %d is down", ops)
 		}
-		if owner, taken := m.owner[ops]; taken && owner != id {
+		if owner := m.ownerOf(ops); owner != 0 && owner != id {
 			return nil, fmt.Errorf("optical: patch: OPS %d already in slice %d", ops, owner)
 		}
 	}
-	for _, ops := range s.OPSs {
-		delete(m.owner, ops)
-	}
+	m.own(s.OPSs, 0)
 	patched := &Slice{
 		ID:            id,
 		Tenant:        s.Tenant,
@@ -199,9 +213,7 @@ func (m *SliceManager) PatchMembership(id SliceID, opss []topology.NodeID) (*Sli
 		BandwidthGbps: s.BandwidthGbps,
 	}
 	slices.Sort(patched.OPSs)
-	for _, ops := range patched.OPSs {
-		m.owner[ops] = id
-	}
+	m.own(patched.OPSs, id)
 	m.slices[id] = patched
 	return patched, nil
 }

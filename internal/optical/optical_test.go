@@ -12,8 +12,8 @@ import (
 func (m *SliceManager) SliceOf(ops topology.NodeID) (SliceID, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id, ok := m.owner[ops]
-	return id, ok
+	id := m.ownerOf(ops)
+	return id, id != 0
 }
 
 func testTopo(t *testing.T) (*topology.Topology, []topology.NodeID) {
@@ -157,7 +157,7 @@ func TestSliceOPSSetAndSorted(t *testing.T) {
 		t.Fatal("slice OPSs not sorted")
 	}
 	set := s.OPSSet()
-	if !set[ops[0]] || !set[ops[2]] || set[ops[1]] {
+	if !set.Has(ops[0]) || !set.Has(ops[2]) || set.Has(ops[1]) {
 		t.Fatal("OPSSet wrong")
 	}
 }

@@ -261,9 +261,9 @@ func shardPool(s *orch.Sharded, topo *topology.Topology, id orch.DeploymentID) t
 	if len(s.ShardStats()) == 1 {
 		return topology.Pool{}
 	}
-	opss, set := topo.NodeIDs(topology.KindOPS), make(map[topology.NodeID]bool)
+	opss, set := topo.NodeIDs(topology.KindOPS), topology.NodeSet{}
 	for i := s.ShardOf(id); i < len(opss); i += len(s.ShardStats()) {
-		set[opss[i]] = true
+		set = append(set, opss[i])
 	}
 	return topology.NewPool(set)
 }

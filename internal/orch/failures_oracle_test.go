@@ -110,14 +110,15 @@ func refAffectedBy(o *shard, dead refFailureSet) []DeploymentID {
 			out = append(out, o.linkIndex.of(l)...)
 		}
 	case len(dead.SRLGs) > 0:
-		for i, list := range o.linkIndex.lists {
+		for i := range o.linkIndex.slots {
 			l := topology.LinkID(i)
-			if list == nil || dead.Links[l] {
+			holders := o.linkIndex.of(l)
+			if len(holders) == 0 || dead.Links[l] {
 				continue
 			}
 			link := o.topo.Link(l)
 			if link != nil && dead.HitsAnySRLG(link.SRLG) {
-				out = append(out, *list...)
+				out = append(out, holders...)
 			}
 		}
 	}

@@ -56,7 +56,7 @@ type coverMarginalBuilder struct{}
 
 func (coverMarginalBuilder) Name() string { return "cover-marginal" }
 
-func (coverMarginalBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allow map[topology.NodeID]bool) (cluster.AL, error) {
+func (coverMarginalBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allow topology.NodeSet) (cluster.AL, error) {
 	group := slices.Clone(vms)
 	slices.Sort(group)
 	group = slices.Compact(group)
@@ -76,8 +76,8 @@ func (coverMarginalBuilder) Build(topo *topology.Topology, vms []topology.NodeID
 	}
 	degree := topo.OpticalDegrees()
 	admit := make([]bool, len(degree))
-	for ops, ok := range allow {
-		admit[ops] = ok
+	for _, ops := range allow {
+		admit[ops] = true
 	}
 	opss, err := graph.CoverMarginal(lefts, admit, func(ops topology.NodeID) float64 { return float64(degree[ops]) })
 	if err != nil {

@@ -2,19 +2,23 @@ package orch
 
 // The reverse indexes: node → deployments and link → deployments whose
 // footprint holds the resource, so failure impact is a lookup and not a
-// scan of the fleet. Each is a table of posting lists by resource ID —
-// the deployment IDs in ascending order — and every commit is a delta: a
-// repair that moves a chain off three links onto three others touches six
-// lists and recycles the three it emptied, whatever else the chain's
+// scan of the fleet. Each is a table of slots by resource ID, each
+// naming the deployment IDs that hold the resource in ascending order,
+// and every commit is a delta: a repair that moves a chain off three
+// links onto three others touches six slots, whatever else the chain's
 // footprint holds.
 //
-// What a commit costs: a posting operation finds its list by indexing the
+// What a commit costs: a posting operation finds its slot by indexing the
 // table (node and link IDs are dense, topology's tables make them so), so
-// it hashes nothing, and inserts or deletes one ID in a list as long as
-// the chains sharing the resource. A re-protect commit is a handful of
-// them: the old standby's own nodes and links out, the new one's in
-// (setStandbyLocked), each found against the deployment's few dozen
-// registered keys by a linear scan.
+// it hashes nothing. A slot is one word. Most resources have one holder —
+// a slice OPS serves one AL (§III), and so do its boundary links — and
+// such a slot holds that deployment's ID inline: adding or removing it
+// writes the word and allocates nothing. Only a resource two or more
+// chains share has a list, an ascending ID array as long as the chains
+// sharing it, where a posting is one insert or delete. A re-protect
+// commit is a handful of postings: the old standby's own nodes and links
+// out, the new one's in (setStandbyLocked), each found against the
+// deployment's few dozen registered keys by a linear scan.
 
 import (
 	"slices"
@@ -25,81 +29,129 @@ import (
 
 // The bounds of a postings free list: how many emptied arrays it keeps
 // and how large a kept array may be. A list is as long as the chains
-// that share one resource. That is a handful for a slice OPS or a
-// standby's links, but not for a PM hosting every chain's endpoint VMs
-// or the ToRs they hang off: on the benchmark fleets every chain shares
-// those, and with 600 chains resident at 1 200 OPSs, 8 node lists and 4
-// link lists hold all 600. Such a list is only emptied when the fleet
-// is, and it is too long to keep: the cap recycles only the short lists
-// that come and go with single chains, so what is kept is a few
-// kilobytes a shard, whatever the fabric's or the fleet's size.
+// that share one resource. That is a few for a standby's links, but not
+// for a PM hosting every chain's endpoint VMs or the ToRs they hang off:
+// on the benchmark fleets every chain shares those, and with 600 chains
+// resident at 1 200 OPSs, 8 node lists and 4 link lists hold all 600.
+// Such a list is only emptied when the fleet is, and it is too long to
+// keep: the cap recycles only the short lists that come and go with
+// single chains, so what is kept is a few kilobytes a shard, whatever
+// the fabric's or the fleet's size.
 const (
 	maxFreeLists = 64
 	maxFreeCap   = 16
 )
 
-// postings is one reverse index. Guarded by the shard's mu.
+// postings is one reverse index. Guarded by the shard's mu. Deployment
+// IDs are positive, which is what lets a slot tell an inline holder from
+// a list.
 type postings[K ~int] struct {
-	// lists holds, by resource ID, a non-empty, ascending,
-	// duplicate-free ID list per resource some footprint holds, and nil
-	// for the rest. By pointer, so a slot is a word and not a slice
-	// header: the table spans every ID a footprint has held, a few
-	// kilobytes a shard on the benchmark fabrics.
-	lists []*[]DeploymentID
-	// free holds emptied lists, arrays attached, for the next new key.
-	free []*[]DeploymentID
+	// slots holds, by resource ID, who holds the resource: 0 no
+	// footprint, a positive ID the one deployment whose footprint does,
+	// and -(i+1) the list shared[i] of two or more. A word a slot: the
+	// table spans every ID a footprint has held, a few kilobytes a shard
+	// on the benchmark fabrics.
+	slots []DeploymentID
+	// shared holds the lists of the resources two or more deployments
+	// hold, each ascending and duplicate-free; vacant lists the indexes
+	// of its entries no slot names, nil entries, for the next one.
+	shared [][]DeploymentID
+	vacant []int
+	// free holds emptied arrays for the next resource that gains a
+	// second holder.
+	free [][]DeploymentID
 	// ops counts insertions and removals since construction: what the
 	// index commits have cost, for the cost-follows-footprint tests.
 	ops int
 }
 
-// of returns the resource's list, nil when no footprint holds it.
+// of returns the resource's holders, nil when no footprint holds it. A
+// sole holder is answered as a one-element view of its slot, so the
+// answer is good until the index next changes.
 func (p *postings[K]) of(key K) []DeploymentID {
-	if int(key) < len(p.lists) {
-		if list := p.lists[key]; list != nil {
-			return *list
-		}
+	if int(key) >= len(p.slots) {
+		return nil
+	}
+	switch s := p.slots[key]; {
+	case s > 0:
+		return p.slots[key : key+1 : key+1]
+	case s < 0:
+		return p.shared[-s-1]
 	}
 	return nil
 }
 
 func (p *postings[K]) add(key K, id DeploymentID) {
-	if n := int(key) + 1; n > len(p.lists) {
-		p.lists = append(p.lists, make([]*[]DeploymentID, n-len(p.lists))...)
-	}
-	list := p.lists[key]
-	if list == nil {
-		if n := len(p.free); n > 0 {
-			list, p.free = p.free[n-1], p.free[:n-1]
-		} else {
-			list = new([]DeploymentID)
+	p.slots = topology.Widen(p.slots, key)
+	switch s := p.slots[key]; {
+	case s == 0:
+		p.slots[key] = id
+	case s == id:
+		return
+	case s > 0:
+		p.slots[key] = p.share(min(s, id), max(s, id))
+	default:
+		list := &p.shared[-s-1]
+		i, found := slices.BinarySearch(*list, id)
+		if found {
+			return
 		}
-		p.lists[key] = list
-	}
-	if i, found := slices.BinarySearch(*list, id); !found {
 		*list = slices.Insert(*list, i, id)
-		p.ops++
 	}
+	p.ops++
 }
 
 func (p *postings[K]) remove(key K, id DeploymentID) {
-	if int(key) >= len(p.lists) {
+	if int(key) >= len(p.slots) {
 		return
 	}
-	list := p.lists[key]
-	if list == nil {
-		return
-	}
-	i, found := slices.BinarySearch(*list, id)
-	if !found {
+	switch s := p.slots[key]; {
+	case s == id:
+		p.slots[key] = 0
+	case s < 0:
+		list := p.shared[-s-1]
+		i, found := slices.BinarySearch(list, id)
+		if !found {
+			return
+		}
+		if list = slices.Delete(list, i, i+1); len(list) > 1 {
+			p.shared[-s-1] = list
+			break
+		}
+		p.slots[key] = list[0]
+		p.unshare(int(-s - 1))
+	default:
 		return
 	}
 	p.ops++
-	if *list = slices.Delete(*list, i, i+1); len(*list) > 0 {
-		return
+}
+
+// share files the list {a, b}, a < b, in a vacant entry of shared (on a
+// recycled array when the free list has one) and returns the slot value
+// that names it.
+func (p *postings[K]) share(a, b DeploymentID) DeploymentID {
+	var list []DeploymentID
+	if n := len(p.free); n > 0 {
+		list, p.free = p.free[n-1], p.free[:n-1]
 	}
-	p.lists[key] = nil
-	if len(p.free) < maxFreeLists && cap(*list) <= maxFreeCap {
+	list = append(list, a, b)
+	i := len(p.shared)
+	if n := len(p.vacant); n > 0 {
+		i, p.vacant = p.vacant[n-1], p.vacant[:n-1]
+		p.shared[i] = list
+	} else {
+		p.shared = append(p.shared, list)
+	}
+	return DeploymentID(-i - 1)
+}
+
+// unshare vacates shared[i], keeping its array for the next share when
+// the free list has room and the array is short.
+func (p *postings[K]) unshare(i int) {
+	list := p.shared[i][:0]
+	p.shared[i] = nil
+	p.vacant = append(p.vacant, i)
+	if len(p.free) < maxFreeLists && cap(list) <= maxFreeCap {
 		p.free = append(p.free, list)
 	}
 }

@@ -9,6 +9,7 @@ package orch
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -36,10 +37,10 @@ func (o *shard) indexSizes() (nodes, links int) {
 	return o.nodeIndex.keys(), o.linkIndex.keys()
 }
 
-// keys counts the resources the index holds a list for.
+// keys counts the resources some footprint holds.
 func (p *postings[K]) keys() (n int) {
-	for _, list := range p.lists {
-		if list != nil {
+	for _, s := range p.slots {
+		if s != 0 {
 			n++
 		}
 	}
@@ -56,7 +57,9 @@ func (d *Deployment) linkFootprint(primary []topology.LinkID) []topology.LinkID 
 
 // auditPostings holds one reverse index against the lists recomputed
 // from the deployment records: the same keys, each list ascending,
-// duplicate-free and non-empty, and the free list within its bounds.
+// duplicate-free and non-empty, a sole holder inline in its slot and
+// every shared list named by one slot and at least two long, the vacant
+// entries empty, and the free list within its bounds.
 func auditPostings[K ~int](name string, p *postings[K], want map[K][]DeploymentID) (out []string) {
 	if n := p.keys(); n != len(want) {
 		out = append(out, fmt.Sprintf("%s index holds %d keys, the footprints %d", name, n, len(want)))
@@ -67,12 +70,36 @@ func auditPostings[K ~int](name string, p *postings[K], want map[K][]DeploymentI
 			out = append(out, fmt.Sprintf("%s %v: list %v, footprints say %v", name, key, got, ids))
 		}
 	}
+	named := make([]int, len(p.shared))
+	for key, s := range p.slots {
+		if s >= 0 {
+			continue
+		}
+		if i := int(-s - 1); i >= len(p.shared) {
+			out = append(out, fmt.Sprintf("%s %v names shared list %d of %d", name, key, i, len(p.shared)))
+		} else if named[i]++; len(p.shared[i]) < 2 {
+			out = append(out, fmt.Sprintf("%s %v keeps a shared list of %d holders", name, key, len(p.shared[i])))
+		}
+	}
+	vacant := make([]bool, len(p.shared))
+	for _, i := range p.vacant {
+		if i < 0 || i >= len(vacant) || vacant[i] || p.shared[i] != nil {
+			out = append(out, fmt.Sprintf("%s index lists shared entry %d as vacant wrongly", name, i))
+			continue
+		}
+		vacant[i] = true
+	}
+	for i, n := range named {
+		if n != 1 && !vacant[i] || n != 0 && vacant[i] {
+			out = append(out, fmt.Sprintf("%s shared list %d is named by %d slots, vacant %v", name, i, n, vacant[i]))
+		}
+	}
 	if len(p.free) > maxFreeLists {
 		out = append(out, fmt.Sprintf("%s index keeps %d freed arrays, bound %d", name, len(p.free), maxFreeLists))
 	}
 	for _, list := range p.free {
-		if len(*list) != 0 || cap(*list) > maxFreeCap {
-			out = append(out, fmt.Sprintf("%s index keeps a freed list of len %d cap %d", name, len(*list), cap(*list)))
+		if len(list) != 0 || cap(list) > maxFreeCap {
+			out = append(out, fmt.Sprintf("%s index keeps a freed list of len %d cap %d", name, len(list), cap(list)))
 		}
 	}
 	return out
@@ -292,8 +319,9 @@ func TestReverseIndexesEqualRecomputation(t *testing.T) {
 
 // TestIndexAuditFires: each corruption of a structure the auditor guards
 // — a posting taken out, a stray one put in, a list out of order, an
-// empty list left behind, a chain missing from the owed set, a stale
-// per-deployment record, a free list past its bound — is reported.
+// empty list left behind, a sole holder kept in a list, a chain missing
+// from the owed set, a stale per-deployment record, a free list past its
+// bound — is reported.
 func TestIndexAuditFires(t *testing.T) {
 	for name, corrupt := range map[string]func(o *shard, dep *Deployment){
 		"posting removed": func(o *shard, dep *Deployment) {
@@ -307,7 +335,13 @@ func TestIndexAuditFires(t *testing.T) {
 			slices.Reverse(o.nodeIndex.of(shared))
 		},
 		"empty list kept": func(o *shard, dep *Deployment) {
-			o.linkIndex.lists = append(o.linkIndex.lists, new([]DeploymentID))
+			o.linkIndex.shared = append(o.linkIndex.shared, []DeploymentID{})
+			o.linkIndex.slots = append(o.linkIndex.slots, DeploymentID(-len(o.linkIndex.shared)))
+		},
+		"sole holder kept in a list": func(o *shard, dep *Deployment) {
+			own := dep.Slice.OPSs[0] // one OPS, one AL: the chain holds it alone
+			o.nodeIndex.shared = append(o.nodeIndex.shared, []DeploymentID{dep.ID})
+			o.nodeIndex.slots[own] = DeploymentID(-len(o.nodeIndex.shared))
 		},
 		"owed chain unfiled": func(o *shard, dep *Deployment) {
 			dep.Drifted = true
@@ -317,7 +351,7 @@ func TestIndexAuditFires(t *testing.T) {
 		},
 		"free list past its bound": func(o *shard, dep *Deployment) {
 			for len(o.nodeIndex.free) <= maxFreeLists {
-				o.nodeIndex.free = append(o.nodeIndex.free, new([]DeploymentID))
+				o.nodeIndex.free = append(o.nodeIndex.free, make([]DeploymentID, 0, 2))
 			}
 		},
 	} {
@@ -469,4 +503,235 @@ func BenchmarkStormRound(b *testing.B) {
 			}
 		}
 	}
+}
+
+// TestPostingsEqualModel drives one index through seeded adds, removes,
+// retargets and standby moves (moveOwn), beside a map of sorted holder
+// lists, and after every step holds every key's holders, the slot
+// layout and the free list to it. Keys grow past the table now and then,
+// every key passes through 0, 1, 2, 1 and 0 holders, and a view of an
+// untouched key taken before a step reads the same after it.
+func TestPostingsEqualModel(t *testing.T) {
+	type K = topology.NodeID
+	rng := rand.New(rand.NewSource(62))
+	var p postings[K]
+	model := make(map[K][]DeploymentID)
+	set := func(k K, id DeploymentID, in bool) {
+		list := model[k]
+		i, found := slices.BinarySearch(list, id)
+		switch {
+		case in && !found:
+			list = slices.Insert(list, i, id)
+		case !in && found:
+			list = slices.Delete(list, i, i+1)
+		}
+		if len(list) == 0 {
+			delete(model, k)
+		} else {
+			model[k] = list
+		}
+	}
+	// Deployments 1–6 register keys as commits do: rest is what
+	// retarget files, standby what moveOwn adds beside it, reg both.
+	// Deployments 7–12 post raw adds and removes on keys of their own
+	// choosing.
+	type dep struct{ rest, standby, reg []K }
+	deps := make([]dep, 7)
+	keyMax := 24
+	randKeys := func() []K {
+		var out []K
+		for n := rng.Intn(5); len(out) < n; {
+			if k := K(rng.Intn(keyMax)); !slices.Contains(out, k) {
+				out = append(out, k)
+			}
+		}
+		return out
+	}
+	var transitions [5]int // 0→1, 1→2, 2→1, 1→0, growth
+	for step := 0; step < 6000; step++ {
+		if rng.Intn(400) == 0 && keyMax < 400 {
+			keyMax *= 2 // keys past the table: it grows
+		}
+		before := make(map[K]int, len(model))
+		for k, list := range model {
+			before[k] = len(list)
+		}
+		probe := K(rng.Intn(keyMax))
+		view := p.of(probe)
+		held := slices.Clone(view)
+		slots := len(p.slots)
+		touched := map[K]bool{}
+		switch op := rng.Intn(4); {
+		case op == 0:
+			k, id := K(rng.Intn(keyMax)), DeploymentID(7+rng.Intn(6))
+			p.add(k, id)
+			set(k, id, true)
+			touched[k] = true
+		case op == 1:
+			k, id := K(rng.Intn(keyMax)), DeploymentID(7+rng.Intn(6))
+			if list := model[k]; len(list) > 0 && rng.Intn(2) == 0 {
+				id = list[rng.Intn(len(list))]
+				if id < 7 {
+					break // a deployment's own posting moves only with its commits
+				}
+			}
+			p.remove(k, id)
+			set(k, id, false)
+			touched[k] = true
+		case op == 2:
+			id := DeploymentID(1 + rng.Intn(6))
+			d := &deps[id]
+			rest := randKeys()
+			if rng.Intn(8) == 0 {
+				rest = nil // the deployment leaves
+			}
+			now := appendUnseen(slices.Clone(rest), d.standby)
+			if rest == nil {
+				now, d.standby = nil, nil
+			}
+			for _, k := range appendUnseen(slices.Clone(d.reg), now) {
+				set(k, id, slices.Contains(now, k))
+				touched[k] = true
+			}
+			d.reg = p.retarget(id, d.reg, now)
+			d.rest = rest
+		default:
+			id := DeploymentID(1 + rng.Intn(6))
+			d := &deps[id]
+			if d.rest == nil {
+				break // a standby needs a chain
+			}
+			old, now := d.standby, randKeys()
+			shared := func(k K) bool { return slices.Contains(d.rest, k) }
+			for _, k := range old {
+				if !slices.Contains(now, k) && !shared(k) {
+					set(k, id, false)
+					touched[k] = true
+				}
+			}
+			for _, k := range now {
+				set(k, id, true)
+				touched[k] = true
+			}
+			d.reg = p.moveOwn(id, d.reg, old, now, shared)
+			d.standby = now
+		}
+		for k := range touched {
+			switch was, is := before[k], len(model[k]); {
+			case was == 0 && is == 1:
+				transitions[0]++
+			case was == 1 && is == 2:
+				transitions[1]++
+			case was == 2 && is == 1:
+				transitions[2]++
+			case was == 1 && is == 0:
+				transitions[3]++
+			}
+		}
+		if len(p.slots) > slots && slots > 0 {
+			transitions[4]++
+		}
+		if !touched[probe] && !slices.Equal(view, held) {
+			t.Fatalf("step %d: the view of untouched key %d read %v, now %v", step, probe, held, view)
+		}
+		if bad := auditPostings("model", &p, maps.Clone(model)); len(bad) > 0 {
+			t.Fatalf("step %d: %d differences, first: %s", step, len(bad), bad[0])
+		}
+		for id := DeploymentID(1); id <= 6; id++ {
+			if d := deps[id]; !sameSet(d.reg, appendUnseen(slices.Clone(d.rest), d.standby)) {
+				t.Fatalf("step %d: deployment %d registered %v, holds %v and %v", step, id, d.reg, d.rest, d.standby)
+			}
+		}
+	}
+	for i, name := range []string{"0→1", "1→2", "2→1", "1→0", "table growth"} {
+		if transitions[i] < 5 {
+			t.Errorf("the sequence ran %s %d times", name, transitions[i])
+		}
+	}
+	t.Logf("transitions 0→1, 1→2, 2→1, 1→0, growths: %v; %d keys held at the end", transitions, len(model))
+}
+
+// TestRefillCommitsSoleHoldersWithoutAllocating fills a one-shard fleet
+// to its pool and empties it with the real verbs, then commits the
+// fleet's footprints to the shard's emptied indexes as indexLocked and
+// unindexLocked do — every chain in, then every chain out — twice. Only
+// the keys one chain holds alone are committed: its slice OPS and the
+// boundary links to it, since one OPS serves one AL. Such a key costs
+// its slot, so the second cycle allocates nothing, however many keys
+// outnumber the free list's bound.
+func TestRefillCommitsSoleHoldersWithoutAllocating(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	s, o := newTestOrch(t, Config{Topo: benchFleetTopo(t, 48)})
+	var ids []DeploymentID
+	for i := 0; ; i++ {
+		dep, err := s.Provision(bg, residentSpec(t, i, fmt.Sprintf("t%d", i)))
+		if err != nil {
+			break
+		}
+		ids = append(ids, dep.ID)
+	}
+	type footprint struct {
+		id                   DeploymentID
+		nodes, regNodes      []topology.NodeID
+		links, regLinks      []topology.LinkID
+		nodesHeld, linksHeld int
+	}
+	fps := make([]footprint, 0, len(ids))
+	nodeHolders, linkHolders := map[topology.NodeID]int{}, map[topology.LinkID]int{}
+	o.mu.Lock()
+	for _, id := range ids {
+		dep := o.deployments[id]
+		fps = append(fps, footprint{id: id, nodes: slices.Clone(dep.idxNodes), links: slices.Clone(dep.idxLinks)})
+		for _, n := range dep.idxNodes {
+			nodeHolders[n]++
+		}
+		for _, l := range dep.idxLinks {
+			linkHolders[l]++
+		}
+	}
+	o.mu.Unlock()
+	for _, id := range ids {
+		if _, err := s.Delete(bg, id); err != nil {
+			t.Fatalf("Delete %d: %v", id, err)
+		}
+	}
+	sole := 0
+	for i := range fps {
+		f := &fps[i]
+		f.nodes = slices.DeleteFunc(f.nodes, func(n topology.NodeID) bool { return nodeHolders[n] > 1 })
+		f.links = slices.DeleteFunc(f.links, func(l topology.LinkID) bool { return linkHolders[l] > 1 })
+		// The registered lists live in the deployment record, not the
+		// index: made here at full length, as a commit finds them.
+		f.regNodes, f.regLinks = make([]topology.NodeID, 0, len(f.nodes)), make([]topology.LinkID, 0, len(f.links))
+		sole += len(f.nodes) + len(f.links)
+	}
+	if len(ids) < 40 || sole < 2*maxFreeLists {
+		t.Fatalf("%d chains holding %d keys alone: the fleet is too small to show the free list's bound", len(ids), sole)
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if n, l := o.indexSizes(); n+l != 0 {
+		t.Fatalf("the emptied fleet leaves %d node and %d link keys indexed", n, l)
+	}
+	cycle := func() {
+		for i := range fps {
+			f := &fps[i]
+			f.regNodes = o.nodeIndex.retarget(f.id, f.regNodes, f.nodes)
+			f.regLinks = o.linkIndex.retarget(f.id, f.regLinks, f.links)
+		}
+		if n, l := o.indexSizes(); n+l != sole {
+			t.Fatalf("the filled index holds %d keys, the footprints %d alone", n+l, sole)
+		}
+		for i := range fps {
+			f := &fps[i]
+			f.regNodes = o.nodeIndex.retarget(f.id, f.regNodes, nil)
+			f.regLinks = o.linkIndex.retarget(f.id, f.regLinks, nil)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, cycle); allocs != 0 {
+		t.Errorf("refilling %d keys held by one chain each, over %d chains, allocates %.0f times; want 0", sole, len(ids), allocs)
+	}
+	t.Logf("%d chains, %d keys held by one chain each", len(ids), sole)
 }

@@ -48,7 +48,12 @@ func (o *shard) rehomeClaimed(dep *Deployment, margin int) (moved, rebuilt bool,
 	}
 	opticalHosts := o.appendOptoelectronic(nil, dep.VC.AL.OPSs)
 	electronicHosts := o.appendPMs(nil, o.topo.LiveVMs(dep.Spec.Service))
-	ctx, err := placement.NewContext(o.topo, o.mgr.Ledger(), opticalHosts, electronicHosts, profiles, o.mode)
+	// A pooled pipeline lends its placement scratch: the capacity tables
+	// run to the highest candidate ID, so a fresh pair for each re-home
+	// would cost tens of kilobytes on a wide fabric.
+	p := o.getPipeline()
+	defer p.release()
+	ctx, err := p.scratch.place.Context(o.topo, o.mgr.Ledger(), opticalHosts, electronicHosts, profiles, o.mode)
 	if err != nil {
 		return false, false, fmt.Errorf("orch: rehome %d: %w", id, err)
 	}
@@ -60,8 +65,8 @@ func (o *shard) rehomeClaimed(dep *Deployment, margin int) (moved, rebuilt bool,
 		if inst == nil {
 			continue
 		}
-		if free, ok := ctx.Free[inst.Host]; ok {
-			ctx.Free[inst.Host] = free.Add(inst.Demand.Scale(float64(inst.Replicas)))
+		if ctx.Candidate(inst.Host) {
+			ctx.Free[inst.Host] = ctx.Free[inst.Host].Add(inst.Demand.Scale(float64(inst.Replicas)))
 		}
 	}
 	cand, err := o.policy.Place(ctx)

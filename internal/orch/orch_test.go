@@ -126,7 +126,7 @@ func TestProvisionOneVCPerNFC(t *testing.T) {
 	// ALs disjoint (the paper's rule).
 	set1 := d1.VC.AL.OPSSet()
 	for _, ops := range d2.VC.AL.OPSs {
-		if set1[ops] {
+		if set1.Has(ops) {
 			t.Fatalf("OPS %d in both ALs", ops)
 		}
 	}

@@ -130,7 +130,7 @@ type pipeline struct {
 }
 
 // pipelineScratch holds what a build works in and throws away: the
-// placement's candidate hosts and capacity maps, the standby's stops,
+// placement's candidate hosts and capacity tables, the standby's stops,
 // the path before the record's own copy is cut from it.
 type pipelineScratch struct {
 	opticals, pms, stops, path []topology.NodeID

@@ -20,7 +20,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -105,21 +104,23 @@ type Context struct {
 	OpticalHosts []topology.NodeID
 	// ElectronicHosts are candidate servers.
 	ElectronicHosts []topology.NodeID
-	// Free maps each candidate host to its free capacity.
-	Free map[topology.NodeID]topology.Resources
+	// Free holds, by node ID, each candidate host's free capacity. It
+	// reaches at least the highest candidate's ID; what it holds for a
+	// node that is no candidate is not a capacity (see Candidate).
+	Free []topology.Resources
 	// NFs is the chain in processing order.
 	NFs []nfv.NFProfile
 	// Mode is the O/E/O accounting convention.
 	Mode Mode
 
-	// scratch, when set, lends the packer its map (Scratch.Context).
+	// scratch, when set, lends the packer its table (Scratch.Context).
 	scratch *Scratch
 }
 
 // NewContext snapshots free capacities from the ledger into a context
 // of its own.
 func NewContext(topo *topology.Topology, ledger *nfv.Ledger, opticalHosts, electronicHosts []topology.NodeID, nfs []nfv.NFProfile, mode Mode) (Context, error) {
-	ctx, err := newContext(topo, ledger, opticalHosts, electronicHosts, nfs, mode, make(map[topology.NodeID]topology.Resources))
+	ctx, err := newContext(topo, ledger, opticalHosts, electronicHosts, nfs, mode, nil)
 	if err != nil {
 		return Context{}, err
 	}
@@ -129,39 +130,37 @@ func NewContext(topo *topology.Topology, ledger *nfv.Ledger, opticalHosts, elect
 	return ctx, nil
 }
 
-// Scratch is what placing one chain after another reuses: the capacity
-// snapshot and the packer's working copy of it. The zero Scratch is
-// ready; a Scratch serves one placement at a time.
-type Scratch struct {
-	free, packed map[topology.NodeID]topology.Resources
+// Candidate reports whether h is one of the context's hosts, optical or
+// electronic: a node Free holds a capacity for.
+func (c Context) Candidate(h topology.NodeID) bool {
+	return slices.Contains(c.OpticalHosts, h) || slices.Contains(c.ElectronicHosts, h)
 }
 
-// maxScratchHosts bounds the maps a Scratch keeps between placements.
-const maxScratchHosts = 256
+// Scratch is what placing one chain after another reuses: the capacity
+// snapshot and the packer's working copy of it, each a table by node ID
+// as long as the highest candidate ID seen. The zero Scratch is ready; a
+// Scratch serves one placement at a time.
+type Scratch struct {
+	free, packed []topology.Resources
+}
 
-// Context is NewContext over the scratch's maps: the context shares the
-// host and NF lists it is given instead of copying them, and is good
+// Context is NewContext over the scratch's tables: the context shares
+// the host and NF lists it is given instead of copying them, and is good
 // until the scratch builds the next one.
 func (s *Scratch) Context(topo *topology.Topology, ledger *nfv.Ledger, opticalHosts, electronicHosts []topology.NodeID, nfs []nfv.NFProfile, mode Mode) (Context, error) {
-	s.free = reuse(s.free)
 	ctx, err := newContext(topo, ledger, opticalHosts, electronicHosts, nfs, mode, s.free)
-	ctx.scratch = s
-	return ctx, err
-}
-
-// reuse empties m for the next placement, or starts a fresh map when m
-// grew past what a scratch keeps.
-func reuse(m map[topology.NodeID]topology.Resources) map[topology.NodeID]topology.Resources {
-	if m == nil || len(m) > maxScratchHosts {
-		return make(map[topology.NodeID]topology.Resources)
+	if err != nil {
+		return Context{}, err
 	}
-	clear(m)
-	return m
+	s.free = ctx.Free
+	ctx.scratch = s
+	return ctx, nil
 }
 
 // newContext checks the input and snapshots the candidates' free
-// capacities into free.
-func newContext(topo *topology.Topology, ledger *nfv.Ledger, opticalHosts, electronicHosts []topology.NodeID, nfs []nfv.NFProfile, mode Mode, free map[topology.NodeID]topology.Resources) (Context, error) {
+// capacities into free, grown to the highest candidate ID (a fresh table
+// when nil). Only the candidates' entries are written.
+func newContext(topo *topology.Topology, ledger *nfv.Ledger, opticalHosts, electronicHosts []topology.NodeID, nfs []nfv.NFProfile, mode Mode, free []topology.Resources) (Context, error) {
 	if topo == nil || ledger == nil {
 		return Context{}, fmt.Errorf("placement: context: nil topology or ledger")
 	}
@@ -176,6 +175,7 @@ func newContext(topo *topology.Topology, ledger *nfv.Ledger, opticalHosts, elect
 		if n == nil || n.Kind != topology.KindOPS || !n.Optoelectronic {
 			return Context{}, fmt.Errorf("placement: context: node %d is not an optoelectronic router", h)
 		}
+		free = topology.Widen(free, h)
 		free[h] = ledger.Available(h)
 	}
 	for _, h := range electronicHosts {
@@ -183,6 +183,7 @@ func newContext(topo *topology.Topology, ledger *nfv.Ledger, opticalHosts, elect
 		if n == nil || n.Kind != topology.KindPhysicalMachine {
 			return Context{}, fmt.Errorf("placement: context: node %d is not a physical machine", h)
 		}
+		free = topology.Widen(free, h)
 		free[h] = ledger.Available(h)
 	}
 	return Context{
@@ -232,21 +233,25 @@ type Policy interface {
 	Place(ctx Context) (Result, error)
 }
 
-// packer tracks tentative allocations on top of the snapshot.
+// packer tracks tentative allocations on top of the snapshot. Only the
+// candidates' entries of its table are read, and each is copied from the
+// snapshot before.
 type packer struct {
-	free map[topology.NodeID]topology.Resources
+	free []topology.Resources
 }
 
-func newPacker(ctx Context) *packer {
-	var free map[topology.NodeID]topology.Resources
-	if ctx.scratch != nil {
-		ctx.scratch.packed = reuse(ctx.scratch.packed)
-		free = ctx.scratch.packed
-	} else {
-		free = make(map[topology.NodeID]topology.Resources, len(ctx.Free))
+func newPacker(ctx Context) packer {
+	if ctx.scratch == nil {
+		return packer{free: slices.Clone(ctx.Free)}
 	}
-	maps.Copy(free, ctx.Free)
-	return &packer{free: free}
+	free := topology.Widen(ctx.scratch.packed, len(ctx.Free)-1)
+	for _, hosts := range [...][]topology.NodeID{ctx.OpticalHosts, ctx.ElectronicHosts} {
+		for _, h := range hosts {
+			free[h] = ctx.Free[h]
+		}
+	}
+	ctx.scratch.packed = free
+	return packer{free: free}
 }
 
 // firstFit places demand on the first host (in order) with capacity,
@@ -434,7 +439,7 @@ func packAssignment(ctx Context, domains []topology.Domain) ([]topology.NodeID, 
 			}
 			return da.MemoryGB > db.MemoryGB
 		})
-		if !packExact(ctx, pk, items, candidates[side], hosts, 0) {
+		if !packExact(ctx, &pk, items, candidates[side], hosts, 0) {
 			return nil, false
 		}
 	}

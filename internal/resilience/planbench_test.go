@@ -18,7 +18,7 @@ type fleetChain struct {
 	topo    *topology.Topology
 	primary []topology.NodeID
 	stops   []topology.NodeID
-	slice   map[topology.NodeID]bool
+	slice   topology.NodeSet
 }
 
 func newFleetChain(tb testing.TB, ops int, nfOnSliceOPS bool) fleetChain {
@@ -42,7 +42,7 @@ func newFleetChain(tb testing.TB, ops int, nfOnSliceOPS bool) fleetChain {
 	if nfOnSliceOPS {
 		host = sliceOPS
 	}
-	c := fleetChain{topo: topo, slice: map[topology.NodeID]bool{sliceOPS: true}}
+	c := fleetChain{topo: topo, slice: topology.NodeSet{sliceOPS}}
 	if c.primary, err = ctrl.ComputePathVia(src, []topology.NodeID{host}, dst, c.slice); err != nil {
 		tb.Fatalf("ComputePathVia: %v", err)
 	}

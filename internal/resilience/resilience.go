@@ -279,23 +279,17 @@ type Primary struct {
 // PlanStandby computes a standby route for a chain whose primary path
 // visits the given stops (src, VNF hosts, dst) in order: it is
 // PlanStandbyAvoiding with no failure domain, for a chain whose slice is
-// the OPSs sliceOPS maps to true, after checking its arguments. k is
+// the OPSs of sliceOPS, after checking its arguments. k is
 // vestigial: it was the width of the k-shortest search this planner used
 // to run and is only checked to be positive.
-func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS map[topology.NodeID]bool, k int, allow topology.Pool) (*Standby, error) {
+func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeID, stops []topology.NodeID, sliceOPS topology.NodeSet, k int, allow topology.Pool) (*Standby, error) {
 	if f == nil || topo == nil {
 		return nil, fmt.Errorf("resilience: plan standby: nil finder or topology")
 	}
 	if k <= 0 {
 		return nil, fmt.Errorf("resilience: plan standby: k must be positive, got %d", k)
 	}
-	var slice []topology.NodeID
-	for id, ok := range sliceOPS {
-		if ok {
-			slice = append(slice, id)
-		}
-	}
-	return PlanStandbyAvoiding(f, topo, Primary{Path: primary, Stops: stops, Slice: slice}, allow, nil)
+	return PlanStandbyAvoiding(f, topo, Primary{Path: primary, Stops: stops, Slice: sliceOPS}, allow, nil)
 }
 
 // PlanStandbyAvoiding computes a standby route for a chain whose primary

@@ -219,11 +219,11 @@ func TestPlanStandbyConfinedFlag(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		slice map[topology.NodeID]bool
+		slice topology.NodeSet
 		want  bool
 	}{
-		{map[topology.NodeID]bool{opss[0]: true, opss[1]: true}, true},
-		{map[topology.NodeID]bool{opss[0]: true}, false},
+		{topology.NewNodeSet(opss[0], opss[1]), true},
+		{topology.NodeSet{opss[0]}, false},
 	} {
 		sb, err := PlanStandby(finderOver(t, topo), topo, primary, []topology.NodeID{pm1, pm2}, tc.slice, 4, topology.Pool{})
 		if err != nil || !sb.Disjoint {

@@ -1,7 +1,6 @@
 package sdn
 
 import (
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -291,7 +290,7 @@ func (ac *altCache) put(topo *topology.Topology, gen uint64, q *altQuestion, src
 	ac.index(len(ac.entries) - 1)
 	if ac.questions != nil {
 		stored := *q
-		stored.pool = topology.NewPool(maps.Clone(q.pool.OPS))
+		stored.pool = topology.NewPool(slices.Clone(q.pool.OPS))
 		stored.avoid.Nodes, stored.avoid.Links = slices.Clone(q.avoid.Nodes), slices.Clone(q.avoid.Links)
 		ac.questions[h] = stored
 	}

@@ -35,7 +35,7 @@ func TestPathAlternativesCacheHitsAndYenSavings(t *testing.T) {
 	if _, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 2, topology.Pool{}); err != nil {
 		t.Fatalf("PathAlternatives k=2: %v", err)
 	}
-	restrict := map[topology.NodeID]bool{ids["ops1"]: true, ids["ops2"]: true}
+	restrict := topology.NewNodeSet(ids["ops1"], ids["ops2"])
 	if _, err := c.PathAlternatives(ids["pm1"], ids["pm2"], 3, topology.NewPool(restrict)); err != nil {
 		t.Fatalf("PathAlternatives restricted: %v", err)
 	}

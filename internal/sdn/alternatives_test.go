@@ -182,7 +182,7 @@ func TestPathAlternativesRestrictOPS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
-	restrict := map[topology.NodeID]bool{opss[1]: true}
+	restrict := topology.NodeSet{opss[1]}
 	alts, err := c.PathAlternatives(pm1, pm2, 3, topology.NewPool(restrict))
 	if err != nil {
 		t.Fatalf("PathAlternatives restricted: %v", err)

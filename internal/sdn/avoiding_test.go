@@ -119,10 +119,10 @@ func TestAppendRouteAvoidingMemo(t *testing.T) {
 	// Each of these differs from the question above in one part only.
 	_, missesBefore := c.AlternativesCacheStats()
 	variants := []struct {
-		restrict map[topology.NodeID]bool
+		restrict topology.NodeSet
 		avoid    topology.Avoid
 	}{
-		{map[topology.NodeID]bool{opss[0]: true, opss[1]: true, opss[2]: true}, avoid},
+		{topology.NewNodeSet(opss[0], opss[1], opss[2]), avoid},
 		{nil, topology.Avoid{Nodes: avoid.Nodes[:1], Links: avoid.Links}},
 		{nil, topology.Avoid{Nodes: avoid.Nodes, Links: avoid.Links[:1]}},
 		{nil, topology.Avoid{Nodes: avoid.Nodes, Links: avoid.Links, Spread: opss[2]}},
@@ -182,7 +182,7 @@ func TestAppendRouteAvoidingMemoGenerations(t *testing.T) {
 func TestAppendRouteAvoidingErrorsNotCached(t *testing.T) {
 	topo, pm1, pm2, _ := multiRouteTopo(t)
 	c, _ := NewController(topo)
-	none := map[topology.NodeID]bool{}
+	none := topology.NodeSet{}
 	for i := 0; i < 2; i++ {
 		if _, err := c.routeAvoiding(nil, []topology.NodeID{pm1, pm2}, topology.NewPool(none), topology.Avoid{}); err == nil {
 			t.Fatal("route found through an empty OPS pool")
@@ -248,12 +248,12 @@ func TestAvoidingNeverWorseThanYen(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			var pool map[topology.NodeID]bool
+			var pool topology.NodeSet
 			if trial%2 == 1 {
-				pool = make(map[topology.NodeID]bool)
+				pool = topology.NodeSet{}
 				for _, o := range opss {
 					if rng.Intn(4) > 0 {
-						pool[o] = true
+						pool = append(pool, o)
 					}
 				}
 			}
@@ -310,8 +310,8 @@ func TestComputePathViaOneRestriction(t *testing.T) {
 	c, _ := NewController(topo)
 	pms := topo.NodeIDs(topology.KindPhysicalMachine)
 	opss := topo.NodeIDs(topology.KindOPS)
-	pool := map[topology.NodeID]bool{opss[0]: true, opss[2]: true, opss[3]: true, opss[5]: false}
-	for _, restrict := range []map[topology.NodeID]bool{nil, pool} {
+	pool := topology.NewNodeSet(opss[0], opss[2], opss[3])
+	for _, restrict := range []topology.NodeSet{nil, pool} {
 		stops := []topology.NodeID{pms[0], pms[9], pms[9], pms[20], pms[3]}
 		got, err := c.ComputePathVia(stops[0], stops[1:len(stops)-1], stops[len(stops)-1], restrict)
 		if err != nil {
@@ -332,7 +332,7 @@ func TestComputePathViaOneRestriction(t *testing.T) {
 			t.Fatalf("restrict %v: via %v, per-segment %v", restrict, got, want)
 		}
 		for _, n := range got {
-			if restrict != nil && topo.Node(n).Kind == topology.KindOPS && !restrict[n] {
+			if restrict != nil && topo.Node(n).Kind == topology.KindOPS && !restrict.Has(n) {
 				t.Fatalf("via path %v crosses OPS %d outside the pool", got, n)
 			}
 		}

@@ -17,7 +17,7 @@ func AuditMemo(c *Controller) (checked int, bad []string) { return c.auditMemo()
 // ComputePath returns the lowest-latency path between two nodes. When
 // restrictOPS is non-nil only those OPSs may be traversed (routing
 // inside a slice). VMs are routed via their host PM.
-func (c *Controller) ComputePath(src, dst topology.NodeID, restrictOPS map[topology.NodeID]bool) ([]topology.NodeID, error) {
+func (c *Controller) ComputePath(src, dst topology.NodeID, restrictOPS topology.NodeSet) ([]topology.NodeID, error) {
 	c.countPathComputations(1)
 	snap := c.snapshot()
 	r := snap.Restrict(restrictOPS)
@@ -43,7 +43,7 @@ func ruleIDs(c *Controller, flowKey string) []RuleID {
 func (c *Controller) RulesAt(sw topology.NodeID) []FlowRule {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rules := c.tables[sw]
+	rules := c.table(sw)
 	out := make([]FlowRule, 0, len(rules))
 	for _, r := range rules {
 		out = append(out, copyRule(r))

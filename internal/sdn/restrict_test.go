@@ -25,7 +25,7 @@ func TestComputePathViaWarmAllocs(t *testing.T) {
 	c, _ := NewController(topo)
 	vms := topo.NodeIDs(topology.KindVM)
 	pms := topo.NodeIDs(topology.KindPhysicalMachine)
-	slice := map[topology.NodeID]bool{topo.NodeIDs(topology.KindOPS)[150]: true}
+	slice := topology.NodeSet{topo.NodeIDs(topology.KindOPS)[150]}
 	via := []topology.NodeID{pms[1], pms[6]}
 	route := func() {
 		path, err := c.ComputePathVia(vms[0], via, vms[len(vms)-1], slice)

@@ -94,8 +94,9 @@ type Controller struct {
 	mu   sync.Mutex
 	topo *topology.Topology
 	// The rule plane is indexed twice, and c.mu keeps the two in step:
-	// tables is what a switch holds (in no particular order — a removal
-	// moves the table's last rule into the gap), flows is what a flow
+	// tables is what a switch holds, by node ID (in no particular order —
+	// a removal moves the table's last rule into the gap, and an emptied
+	// table keeps its array for the switch's next rule), flows is what a flow
 	// owns, its rules in path order, and what tables' pointers point
 	// into. A flow's rules share one action array, each rule's Actions a
 	// window of it; the first rule's window keeps the whole array as its
@@ -103,7 +104,7 @@ type Controller struct {
 	// flows and costs O(the flow's rules), whatever else the controller
 	// holds — except Walk, the tables' one production reader, which asks
 	// each switch's table what to do with a packet, as the switch would.
-	tables    map[topology.NodeID][]*FlowRule
+	tables    [][]*FlowRule
 	flows     map[string][]FlowRule
 	ruleCount int
 	nextRule  RuleID
@@ -136,9 +137,8 @@ func NewController(topo *topology.Topology) (*Controller, error) {
 		return nil, fmt.Errorf("sdn: controller: nil topology")
 	}
 	return &Controller{
-		topo:   topo,
-		tables: make(map[topology.NodeID][]*FlowRule),
-		flows:  make(map[string][]FlowRule),
+		topo:  topo,
+		flows: make(map[string][]FlowRule),
 	}, nil
 }
 
@@ -154,7 +154,7 @@ func (c *Controller) snapshot() *topology.Snapshot {
 // ComputePathVia returns a path from src to dst that visits every
 // waypoint in order (the chain's VNF hosts): AppendPathVia into a slice
 // of its own.
-func (c *Controller) ComputePathVia(src topology.NodeID, via []topology.NodeID, dst topology.NodeID, restrictOPS map[topology.NodeID]bool) ([]topology.NodeID, error) {
+func (c *Controller) ComputePathVia(src topology.NodeID, via []topology.NodeID, dst topology.NodeID, restrictOPS topology.NodeSet) ([]topology.NodeID, error) {
 	path, err := c.AppendPathVia(nil, src, via, dst, restrictOPS)
 	if err != nil {
 		return nil, err
@@ -167,7 +167,7 @@ func (c *Controller) ComputePathVia(src topology.NodeID, via []topology.NodeID, 
 // fetched once per call, each written over the joint the last one ended
 // on; consecutive duplicate stops are merged. On error buf comes back as
 // it was.
-func (c *Controller) AppendPathVia(buf []topology.NodeID, src topology.NodeID, via []topology.NodeID, dst topology.NodeID, restrictOPS map[topology.NodeID]bool) ([]topology.NodeID, error) {
+func (c *Controller) AppendPathVia(buf []topology.NodeID, src topology.NodeID, via []topology.NodeID, dst topology.NodeID, restrictOPS topology.NodeSet) ([]topology.NodeID, error) {
 	snap := c.snapshot()
 	// One dense restriction for all segments: densifying per segment cost
 	// more than the searches on a wide fabric.
@@ -399,6 +399,7 @@ func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority
 			slot:     rule.slot,
 		}
 		if moved {
+			c.tables = topology.Widen(c.tables, node)
 			rule.slot = int32(len(c.tables[node]))
 			c.tables[node] = append(c.tables[node], rule)
 			c.ruleCount++
@@ -424,11 +425,7 @@ func (c *Controller) uninstallLocked(rules []FlowRule) {
 		table[r.slot] = table[last]
 		table[r.slot].slot = r.slot
 		table[last] = nil
-		if last == 0 {
-			delete(c.tables, r.Switch)
-		} else {
-			c.tables[r.Switch] = table[:last]
-		}
+		c.tables[r.Switch] = table[:last]
 	}
 	c.ruleCount -= len(rules)
 }
@@ -520,6 +517,14 @@ type Walk struct {
 	Rules []RuleID
 }
 
+// table returns the rules the switch holds. Caller holds c.mu.
+func (c *Controller) table(sw topology.NodeID) []*FlowRule {
+	if sw < 0 || int(sw) >= len(c.tables) {
+		return nil
+	}
+	return c.tables[sw]
+}
+
 // Walk follows a packet of the flow through the switches' own tables,
 // not the flow index: from the ingress the flow was installed for
 // (Match.Src), each switch applies its highest-priority rule that matches
@@ -543,7 +548,7 @@ func (c *Controller) Walk(flowKey string) (Walk, error) {
 		w.Route = append(w.Route, at)
 		var rule *FlowRule
 		tied := false
-		for _, r := range c.tables[at] {
+		for _, r := range c.table(at) {
 			switch {
 			case r.Match != m || r.Hop != hop:
 			case rule == nil || r.Priority > rule.Priority:

@@ -66,12 +66,12 @@ func TestComputePathRestricted(t *testing.T) {
 	topo, ids := chainTopo(t)
 	c, _ := NewController(topo)
 	// Restricting to ops1 only removes ops2, disconnecting tor2.
-	_, err := c.ComputePath(ids["vm1"], ids["vm2"], map[topology.NodeID]bool{ids["ops1"]: true})
+	_, err := c.ComputePath(ids["vm1"], ids["vm2"], topology.NodeSet{ids["ops1"]})
 	if err == nil {
 		t.Fatal("path found through excluded OPS")
 	}
 	// Restricting to both works.
-	allow := map[topology.NodeID]bool{ids["ops1"]: true, ids["ops2"]: true}
+	allow := topology.NewNodeSet(ids["ops1"], ids["ops2"])
 	if _, err := c.ComputePath(ids["vm1"], ids["vm2"], allow); err != nil {
 		t.Fatalf("ComputePath with full slice: %v", err)
 	}

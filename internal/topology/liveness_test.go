@@ -54,12 +54,12 @@ func TestLivenessOverlayEqualsColdRebuild(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			var restrict map[NodeID]bool
+			var restrict NodeSet
 			if trial%2 == 1 {
-				restrict = make(map[NodeID]bool)
+				restrict = NodeSet{}
 				for _, ops := range opss {
 					if rng.Float64() < 0.7 {
-						restrict[ops] = true
+						restrict = append(restrict, ops)
 					}
 				}
 			}

@@ -8,7 +8,7 @@ import "github.com/alvc/alvc/internal/graph"
 // VM's edge to its host); down nodes and links are left out, and so is
 // every OPS outside restrict when it is non-nil. It builds no snapshot
 // and does not count in GraphBuilds.
-func routingGraph(t *Topology, includeVMs bool, restrict map[NodeID]bool) *graph.Graph {
+func routingGraph(t *Topology, includeVMs bool, restrict NodeSet) *graph.Graph {
 	g := graph.New(false)
 	include := func(n *Node) bool {
 		if n.Down {
@@ -18,7 +18,7 @@ func routingGraph(t *Topology, includeVMs bool, restrict map[NodeID]bool) *graph
 		case KindVM:
 			return includeVMs
 		case KindOPS:
-			return restrict == nil || restrict[n.ID]
+			return restrict == nil || restrict.Has(n.ID)
 		default:
 			return true
 		}

@@ -29,7 +29,7 @@ func restrictTestTopo(t *testing.T) (*Topology, *Snapshot) {
 
 // searchBoth routes src→dst under restrict by both restricted kernels
 // and by Yen's first path, which lays the set out on its own.
-func searchBoth(snap *Snapshot, src, dst NodeID, restrict map[NodeID]bool) (in, avoiding, filtered []NodeID) {
+func searchBoth(snap *Snapshot, src, dst NodeID, restrict NodeSet) (in, avoiding, filtered []NodeID) {
 	r := snap.Restrict(restrict)
 	defer snap.Release(r)
 	in, _, _ = snap.AppendShortestPathIn(nil, src, dst, r)
@@ -50,10 +50,12 @@ func TestRestrictReleaseRestrict(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	found := 0
 	for trial := 0; trial < 300; trial++ {
-		restrict := make(map[NodeID]bool)
+		restrict := NodeSet{}
 		for _, ops := range opss {
 			if rng.Float64() < []float64{0.9, 0.15, 0}[trial%3] {
-				restrict[ops] = rng.Intn(8) > 0 // a false entry admits nothing
+				if rng.Intn(8) > 0 {
+					restrict = append(restrict, ops)
+				}
 			}
 		}
 		src, dst := pms[rng.Intn(len(pms))], pms[rng.Intn(len(pms))]
@@ -67,7 +69,7 @@ func TestRestrictReleaseRestrict(t *testing.T) {
 			t.Fatalf("trial %d %d->%d under %v: AppendPathAvoiding %v, Yen %v", trial, src, dst, restrict, avoiding, filtered)
 		}
 		for _, n := range avoiding {
-			if topo.Node(n).Kind == KindOPS && !restrict[n] {
+			if topo.Node(n).Kind == KindOPS && !restrict.Has(n) {
 				t.Fatalf("trial %d: avoiding path %v crosses OPS %d outside %v", trial, avoiding, n, restrict)
 			}
 		}
@@ -95,11 +97,11 @@ func TestRestrictConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 200; i++ {
-				restrict := map[NodeID]bool{opss[(w*5+i)%len(opss)]: true, opss[(w*5+i+7)%len(opss)]: true}
+				restrict := NewNodeSet(opss[(w*5+i)%len(opss)], opss[(w*5+i+7)%len(opss)])
 				in, avoiding, _ := searchBoth(snap, pms[rng.Intn(len(pms))], pms[rng.Intn(len(pms))], restrict)
 				for _, path := range [][]NodeID{in, avoiding} {
 					for _, n := range path {
-						if topo.Node(n).Kind == KindOPS && !restrict[n] {
+						if topo.Node(n).Kind == KindOPS && !restrict.Has(n) {
 							errs <- fmt.Errorf("worker %d: path %v crosses OPS %d outside %v", w, path, n, restrict)
 							return
 						}
@@ -213,5 +215,34 @@ func TestHopResolutionAllocatesNothing(t *testing.T) {
 	}
 	if !raceEnabled && allocs != 0 {
 		t.Fatalf("a search with VM ends allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestNilNodeSetIsUnrestricted: a nil set restricts nothing and an empty
+// one admits nothing, for a search and for a pool's digest alike, and a
+// set built from IDs is ascending, duplicate-free and never nil.
+func TestNilNodeSetIsUnrestricted(t *testing.T) {
+	topo, snap := restrictTestTopo(t)
+	opss, pms := topo.NodeIDs(KindOPS), topo.NodeIDs(KindPhysicalMachine)
+	if set := NewNodeSet(); set == nil || len(set) != 0 {
+		t.Fatalf("NewNodeSet() = %#v, want an empty non-nil set", set)
+	}
+	set := NewNodeSet(opss[5], opss[2], opss[5])
+	if !slices.Equal(set, NodeSet{opss[2], opss[5]}) || !set.Has(opss[5]) || set.Has(opss[3]) {
+		t.Fatalf("NewNodeSet = %v, want %v", set, []NodeID{opss[2], opss[5]})
+	}
+	nilPool, empty, some := NewPool(nil), NewPool(NodeSet{}), NewPool(set)
+	if nilPool.Digest() != 0 || empty.Digest() == 0 || empty.Digest() == some.Digest() {
+		t.Fatalf("digests nil %#x, empty %#x, {%v} %#x: want 0 and two others apart", nilPool.Digest(), empty.Digest(), set, some.Digest())
+	}
+	if r := snap.Restrict(nil); r != nil {
+		t.Fatal("a nil set lays out a restriction")
+	}
+	src, dst := pms[0], pms[len(pms)-1]
+	if in, _, _ := searchBoth(snap, src, dst, nil); in == nil {
+		t.Fatalf("no route %d->%d unrestricted", src, dst)
+	}
+	if in, avoiding, _ := searchBoth(snap, src, dst, NodeSet{}); in != nil || avoiding != nil {
+		t.Fatalf("routes %v and %v cross an empty OPS set", in, avoiding)
 	}
 }

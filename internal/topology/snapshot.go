@@ -72,24 +72,21 @@ func (s *Snapshot) Graph() *graph.Frozen { return s.frozen }
 // NewPool, so asking a question under a pool never walks the set; the
 // set must not change after. The zero Pool restricts nothing.
 type Pool struct {
-	OPS    map[NodeID]bool
+	OPS    NodeSet
 	digest uint64
 }
 
-// NewPool makes the pool of an OPS set. Only members mapped to true
-// count, as they do for searches; nil (no restriction) and the empty set
-// digest apart from each other and from any real pool.
-func NewPool(ops map[NodeID]bool) Pool {
+// NewPool makes the pool of an OPS set. nil (no restriction) and the
+// empty set digest apart from each other and from any real pool.
+func NewPool(ops NodeSet) Pool {
 	if ops == nil {
 		return Pool{}
 	}
-	// Members are mixed one by one and summed: the map's iteration order
-	// does not matter and nothing is sorted or allocated.
+	// Members are mixed one by one and summed: nothing is sorted or
+	// allocated.
 	h := uint64(1)
-	for n, ok := range ops {
-		if ok {
-			h += graph.Mix64(uint64(n))
-		}
+	for _, n := range ops {
+		h += graph.Mix64(uint64(n))
 	}
 	return Pool{OPS: ops, digest: h}
 }
@@ -106,16 +103,13 @@ type Restriction = graph.Restriction
 // Restrict lays out an OPS restriction set (nil = unrestricted, which yields
 // nil) at the cost of the admitted OPSs' degrees. Hand the result back
 // with Release once the searches are done.
-func (s *Snapshot) Restrict(restrict map[NodeID]bool) *Restriction {
+func (s *Snapshot) Restrict(restrict NodeSet) *Restriction {
 	if restrict == nil {
 		return nil
 	}
 	r := s.restrictions.Get().(*Restriction)
 	r.Reset()
-	for id, ok := range restrict {
-		if !ok {
-			continue
-		}
+	for _, id := range restrict {
 		if i, found := s.frozen.IndexOf(graph.VertexID(id)); found {
 			r.Admit(i)
 		}
@@ -264,7 +258,7 @@ func (s *Snapshot) AppendHostHop(buf []NodeID, src, dst NodeID) (out []NodeID, o
 // nondecreasing weight order over the snapshot, honoring an OPS
 // restriction set (nil = unrestricted) and the liveness overlay, and the
 // overlay digest the search ran under.
-func (s *Snapshot) KShortestPaths(src, dst NodeID, k int, restrict map[NodeID]bool) ([][]NodeID, []float64, uint64, error) {
+func (s *Snapshot) KShortestPaths(src, dst NodeID, k int, restrict NodeSet) ([][]NodeID, []float64, uint64, error) {
 	r := s.Restrict(restrict)
 	defer s.Release(r)
 	vps, ws, digest, err := s.frozen.KShortestPathsIn(graph.VertexID(src), graph.VertexID(dst), k, r, s.mask)

@@ -11,7 +11,7 @@ import (
 // ShortestPath returns the minimum-weight path between two nodes over
 // the snapshot, honoring an OPS restriction set (nil = unrestricted) and
 // the liveness overlay.
-func (s *Snapshot) ShortestPath(src, dst NodeID, restrict map[NodeID]bool) ([]NodeID, float64, error) {
+func (s *Snapshot) ShortestPath(src, dst NodeID, restrict NodeSet) ([]NodeID, float64, error) {
 	r := s.Restrict(restrict)
 	defer s.Release(r)
 	path, w, err := s.AppendShortestPathIn(nil, src, dst, r)
@@ -296,10 +296,10 @@ func TestSnapshotFilteredEqualsColdRebuild(t *testing.T) {
 	snap := topo.RoutingSnapshot(GraphOptions{IncludeVMs: true})
 	builds := topo.GraphBuilds()
 	for trial := 0; trial < 60; trial++ {
-		restrict := make(map[NodeID]bool)
+		restrict := NodeSet{}
 		for _, ops := range opss {
 			if rng.Float64() < 0.6 {
-				restrict[ops] = true
+				restrict = append(restrict, ops)
 			}
 		}
 		src := tors[rng.Intn(len(tors))]
@@ -331,10 +331,10 @@ func TestSnapshotFilteredEqualsColdRebuild(t *testing.T) {
 
 	// Same property for Yen's k-shortest.
 	for trial := 0; trial < 10; trial++ {
-		restrict := make(map[NodeID]bool)
+		restrict := NodeSet{}
 		for _, ops := range opss {
 			if rng.Float64() < 0.7 {
-				restrict[ops] = true
+				restrict = append(restrict, ops)
 			}
 		}
 		src := tors[rng.Intn(len(tors))]
@@ -375,7 +375,7 @@ func TestSnapshotFilteredEqualsColdRebuild(t *testing.T) {
 func TestSnapshotRestrictedEndpointNoPath(t *testing.T) {
 	topo, _, opss := snapTestTopo(t)
 	snap := topo.RoutingSnapshot(GraphOptions{})
-	restrict := map[NodeID]bool{opss[0]: true}
+	restrict := NodeSet{opss[0]}
 	if _, _, err := snap.ShortestPath(opss[3], opss[0], restrict); err == nil {
 		t.Fatal("restricted-out source must not find a path")
 	}

@@ -65,9 +65,10 @@ type Topology struct {
 	derivedMu  sync.Mutex
 	derivedGen uint64
 	kindAdj    map[kindAdjKey][]NodeID
-	// opsByDegree holds OPSsOfToRByDegree's answers: each an OPSsOfToR
-	// list re-sorted, so it is refilled from that cache per generation.
-	opsByDegree map[NodeID][]NodeID
+	// opsByDegree holds OPSsOfToRByDegree's answers by ToR ID (nil where
+	// none is held): each an OPSsOfToR list re-sorted, so it is refilled
+	// from that cache per generation.
+	opsByDegree [][]NodeID
 	// liveVMs is LiveVMs' index, service → live VMs, filled once per
 	// generation: VM churn and liveness transitions move the generation,
 	// so nothing invalidates it by hand.
@@ -542,12 +543,13 @@ func (t *Topology) OPSsOfToRByDegree(tor NodeID) []NodeID {
 	t.derivedMu.Lock()
 	defer t.derivedMu.Unlock()
 	t.resetDerivedLocked()
-	if out, ok := t.opsByDegree[tor]; ok {
-		return out
+	if int(tor) < len(t.opsByDegree) && t.opsByDegree[tor] != nil {
+		return t.opsByDegree[tor]
 	}
-	if t.opsByDegree == nil {
-		t.opsByDegree = make(map[NodeID][]NodeID)
+	if tor < 0 || int(tor) > int(t.nextNode) {
+		return nil
 	}
+	t.opsByDegree = Widen(t.opsByDegree, tor)
 	deg := t.opticalDegreesLocked()
 	out := slices.Clone(t.neighborsOfKindLocked(tor, KindOPS))
 	// Stable: the list is ascending by ID, which settles equal degrees.
@@ -610,7 +612,7 @@ func (t *Topology) VMsByService() map[string][]NodeID {
 // appear, honoring the one-OPS-one-AL constraint; with a nil allow the
 // lists are the cached OPSsOfToR entries and must be treated as
 // read-only.
-func (t *Topology) ToROPSBipartite(tors []NodeID, allow map[NodeID]bool) ([][]NodeID, error) {
+func (t *Topology) ToROPSBipartite(tors []NodeID, allow NodeSet) ([][]NodeID, error) {
 	lefts := make([][]NodeID, len(tors))
 	for i, tor := range tors {
 		n := t.Node(tor)
@@ -619,7 +621,7 @@ func (t *Topology) ToROPSBipartite(tors []NodeID, allow map[NodeID]bool) ([][]No
 		}
 		lefts[i] = t.OPSsOfToR(tor)
 		if allow != nil {
-			lefts[i] = slices.DeleteFunc(slices.Clone(lefts[i]), func(ops NodeID) bool { return !allow[ops] })
+			lefts[i] = slices.DeleteFunc(slices.Clone(lefts[i]), func(ops NodeID) bool { return !allow.Has(ops) })
 		}
 	}
 	return lefts, nil

@@ -119,7 +119,7 @@ func TestQueries(t *testing.T) {
 
 func TestToROPSBipartiteRestriction(t *testing.T) {
 	topo, ids := smallTopo(t)
-	lefts, err := topo.ToROPSBipartite([]NodeID{ids["tor1"]}, map[NodeID]bool{ids["ops1"]: true})
+	lefts, err := topo.ToROPSBipartite([]NodeID{ids["tor1"]}, NodeSet{ids["ops1"]})
 	if err != nil {
 		t.Fatalf("ToROPSBipartite: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestRoutingGraph(t *testing.T) {
 		t.Fatalf("path pm1->pm2 = %v, want at least pm-tor-pm", path)
 	}
 	// Restricting OPSs removes them from the graph.
-	g2 := routingGraph(topo, false, map[NodeID]bool{ids["ops1"]: true})
+	g2 := routingGraph(topo, false, NodeSet{ids["ops1"]})
 	if g2.HasVertex(gv(ids["ops2"])) {
 		t.Fatal("restricted OPS still present")
 	}

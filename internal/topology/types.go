@@ -11,11 +11,46 @@
 // the abstraction-layer covers of internal/cluster run on.
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // NodeID identifies a node. IDs are assigned densely from 1 by the
 // Topology container and are stable for the lifetime of the topology.
 type NodeID int
+
+// NodeSet is a set of nodes: their IDs, ascending, each once. It is a
+// sorted list and not a bitset because the sets passed around are an
+// AL's or a slice's few OPSs, whose own ascending OPS list is the set at
+// no cost (Slice.OPSSet, AL.OPSSet), and pools of up to every OPS, built
+// once and asked a handful of questions a build. Where a parameter
+// restricts (an OPS pool, a slice, a builder's allowed OPSs), a nil set
+// means unrestricted and an empty one admits nothing.
+type NodeSet []NodeID
+
+// NewNodeSet returns the set of ids, in an array of its own: never nil,
+// so no IDs is the empty set and not "unrestricted".
+func NewNodeSet(ids ...NodeID) NodeSet {
+	s := append(make(NodeSet, 0, len(ids)), ids...)
+	slices.Sort(s)
+	return slices.Compact(s)
+}
+
+// Has reports whether the set holds id.
+func (s NodeSet) Has(id NodeID) bool {
+	_, found := slices.BinarySearch(s, id)
+	return found
+}
+
+// Widen returns table extended with zero entries to hold one for id:
+// per-node and per-link state kept as a table by ID grows through it.
+func Widen[T any, K ~int](table []T, id K) []T {
+	if n := int(id) + 1; n > len(table) {
+		table = append(table, make([]T, n-len(table))...)
+	}
+	return table
+}
 
 // LinkID identifies a link.
 type LinkID int

@@ -61,16 +61,19 @@ var (
 	exportedShardMethod = regexp.MustCompile(`(?m)^func \([a-z]* \*shard\) [A-Z]`)
 	exportedArchMethod  = regexp.MustCompile(`(?m)^func \([a-z]* \*Architecture\) [A-Z]`)
 	exportedFunc        = regexp.MustCompile(`(?m)^func (\([^)]*\) )?[A-Z]`)
+	nodeKeyedMap        = regexp.MustCompile(`(?m)^.*map\[(topology\.)?NodeID\].*$`)
 )
 
 // sourceSizes counts the Go files under root, skipping testdata and
 // hidden directories: lines of non-test code outside and inside
 // benchmark/, lines of tests, methods on the shard set over
 // internal/orch's files (tests included), exported methods on a shard
-// and on the facade's Architecture, and exported functions and methods
-// in internal/graph's non-test files.
+// and on the facade's Architecture, exported functions and methods in
+// internal/graph's non-test files, and the lines of non-test code outside
+// benchmark/ that name a node-keyed map (node IDs are dense: per-node
+// state is a table by ID).
 func sourceSizes(root string) ([]sourceCount, error) {
-	var prod, bench, tests, sharded, shardMethods, archMethods, graphFuncs int
+	var prod, bench, tests, sharded, shardMethods, archMethods, graphFuncs, nodeMaps int
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -98,6 +101,7 @@ func sourceSizes(root string) ([]sourceCount, error) {
 			bench += lines
 		default:
 			prod += lines
+			nodeMaps += len(nodeKeyedMap.FindAll(data, -1))
 		}
 		if dir == "internal/orch" {
 			sharded += len(shardedMethod.FindAll(data, -1))
@@ -121,6 +125,7 @@ func sourceSizes(root string) ([]sourceCount, error) {
 		{"exported shard methods", shardMethods},
 		{"exported Architecture methods", archMethods},
 		{"exported funcs in internal/graph", graphFuncs},
+		{"node-keyed maps in non-test Go", nodeMaps},
 	}, err
 }
 

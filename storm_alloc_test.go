@@ -10,15 +10,17 @@ import (
 )
 
 // stormRoundAllocCeiling bounds TestStormRoundAllocations' allocations a
-// round: 101.6–110.6 measured over 13 runs on a 2-vCPU box, so the
-// highest reading plus that spread; 127.5–130.6 before a standby routed
-// around the cut tray became one block, 135 before the trace store reused
+// round: 99.7–113.2 over 293 runs on a 2-vCPU box (median 108.3), so
+// the highest reading; 103.0–113.2 over 60 runs (median 110.8) and a
+// ceiling of 120 before a resource one chain held cost only its index
+// slot, 127.5–130.6 before a standby routed around the cut tray became
+// one block, 135 before the trace store reused
 // record storage, 158 before a reroute to a path of the old one's length
 // rewrote the flow's rule block in place, and 270 before snapshots and
 // standby records became one block each, repair spans took their
 // carriers from one array and their attributes from a shared list, and
 // liveness patches reused their scratch.
-const stormRoundAllocCeiling = 120
+const stormRoundAllocCeiling = 114
 
 // TestStormRoundAllocations runs failure_storm's rounds in process on
 // the benchmark's storm fleet — 168 OPSs, 160 two-NF residents over 4
