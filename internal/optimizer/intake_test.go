@@ -142,7 +142,7 @@ func mixedFleet(t *testing.T, shards, n int, seed int64) *orch.Sharded {
 // then FIFO order); the claimed groups are dropped.
 func queuedKeys(e *Engine) []taskKey {
 	var keys []taskKey
-	for batch := e.popBatch(); len(batch) > 0; batch = e.popBatch() {
+	for batch := e.popBatch(nil); len(batch) > 0; batch = e.popBatch(nil) {
 		for _, g := range batch {
 			keys = append(keys, g.key)
 			g.free()

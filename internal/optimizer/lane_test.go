@@ -122,7 +122,7 @@ func TestChainRunsInOneTaskARound(t *testing.T) {
 	} {
 		var got []taskKey
 		runs := map[orch.DeploymentID]int{}
-		for _, g := range eng.popBatch() {
+		for _, g := range eng.popBatch(nil) {
 			got = append(got, g.key)
 			for _, id := range g.members {
 				runs[id]++

@@ -38,6 +38,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/alvc/alvc/internal/jsonwrite"
@@ -310,13 +311,14 @@ type Engine struct {
 	// and a tick in flight.
 	loopMu   sync.Mutex
 	stopCh   chan struct{}
-	stopTick func() bool
+	stopTick orch.Timer
 	loopWG   sync.WaitGroup
 
 	// pool runs drain rounds Options.Workers wide until Stop; clock
 	// times the idle tick and the busy pause.
 	pool  *orch.Pool
 	clock orch.Clock
+	drain atomic.Pointer[drainRound] // Drain's scratch between drains
 }
 
 // New builds an engine over the target. The caller wires it as the
@@ -539,13 +541,12 @@ func (e *Engine) Resume() {
 // one task a round — two on two workers would race for its exclusive
 // claim, and the loser would come back as busy — and a task left out
 // keeps its place in its lane for the next round.
-func (e *Engine) popBatch() []*group {
+func (e *Engine) popBatch(out []*group) []*group {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if len(e.groups) == 0 {
-		return nil
+		return out
 	}
-	out := make([]*group, 0, len(e.groups))
 	inRound := func(id orch.DeploymentID) bool { return e.round[id] }
 	for kind, lane := range e.lanes {
 		left := lane[:0]
@@ -602,18 +603,24 @@ func (e *Engine) Drain() []TaskResult {
 	if obs != nil {
 		start = time.Now()
 	}
+	round := e.drain.Swap(nil)
+	if round == nil {
+		round = new(drainRound)
+		round.run = func(i int) { e.run(round.batch[i]) }
+	}
 	var out []TaskResult
 	for {
-		batch := e.popBatch()
-		if len(batch) == 0 {
+		round.batch = e.popBatch(round.batch[:0])
+		if len(round.batch) == 0 {
+			e.drain.Store(round)
 			if obs != nil {
 				obs(time.Since(start), len(out))
 			}
 			return out
 		}
-		e.pool.Run(len(batch), e.opts.Workers, func(i int) { e.run(batch[i]) })
+		e.pool.Run(len(round.batch), e.opts.Workers, round.run)
 		busyOnly := true
-		for _, g := range batch {
+		for i, g := range round.batch {
 			busyOnly = busyOnly && len(g.results) == 0
 			// Busy members rejoin their domain's group, the group's
 			// parents with them: the retry is the same causal operation.
@@ -622,6 +629,7 @@ func (e *Engine) Drain() []TaskResult {
 			}
 			out = append(out, g.results...)
 			g.free()
+			round.batch[i] = nil
 		}
 		if busyOnly {
 			// Everything still queued is waiting on in-flight exclusive
@@ -629,6 +637,13 @@ func (e *Engine) Drain() []TaskResult {
 			e.clock.Sleep(5 * time.Millisecond)
 		}
 	}
+}
+
+// drainRound is Drain's batch and fan-out function, kept on the engine
+// between drains (a concurrent drain builds its own).
+type drainRound struct {
+	batch []*group
+	run   func(i int)
 }
 
 // run executes one claimed task: it runs its kind on every member — a
@@ -867,7 +882,7 @@ func (e *Engine) Stop() {
 	stop := e.stopCh
 	e.stopCh = nil
 	if e.stopTick != nil {
-		e.stopTick() // a stale one, after Start(0), stops nothing
+		e.stopTick.Stop() // a stale one, after Start(0), stops nothing
 	}
 	e.loopMu.Unlock()
 	if stop == nil {

@@ -24,7 +24,8 @@ import (
 // reconciliation entry point, HandleFailures, whose context carries the
 // batch span the debouncer opens, so it reaches the repair spans; and its
 // Hooks, whose Tracer and Flush are the debouncer's tracer and flush
-// observer.
+// observer. HandleFailures keeps nothing of f's lists past its return:
+// the debouncer fills their arrays with the next window.
 type FailureHandler interface {
 	HandleFailures(ctx context.Context, f topology.Failures) ([]RepairReport, error)
 	Hooks() *Hooks
@@ -58,27 +59,34 @@ type FailureDebouncer struct {
 	h      FailureHandler
 	window time.Duration
 	clock  Clock
+	expire func() // an armed window's expiry, bound once
 
 	mu    sync.Mutex
-	nodes []topology.NodeID
-	links []topology.LinkID
-	// stop cancels the armed window's expiry (nil when none is armed);
-	// gen numbers the windows, so a late expiry spares a newer one.
-	stop  func() bool
-	gen   uint64
 	stats DebounceStats
-	// parents are the spans of the coalesced reports (one per distinct
-	// trace), accumulated by Report and drained at flush: the batch
-	// span continues the first parent's trace and links the others, so
-	// the async window does not sever causality.
+	// pending is the open window; spare, a flushed one's arrays, emptied
+	// once its HandleFailures returned, for the next window to fill.
+	pending, spare window
+	timer          Timer // the armed window's expiry; nil when none is armed
+	stale          int   // expiries that fired after a Flush took their window
+}
+
+// window is one debounce window: its union, its reports' spans (one per
+// distinct trace), which the batch span continues and links across the
+// wait, and the batch span's carrier, kept from an earlier flush.
+type window struct {
+	nodes   []topology.NodeID
+	links   []topology.LinkID
 	parents []trace.SpanContext
+	carrier *trace.Carrier
 }
 
 // NewFailureDebouncer wraps a failure handler with a coalescing window.
 // A non-positive window disables coalescing: every Report dispatches
 // synchronously (still through the batch path, still counted).
 func NewFailureDebouncer(h FailureHandler, window time.Duration) *FailureDebouncer {
-	return &FailureDebouncer{h: h, window: window, clock: WallClock}
+	d := &FailureDebouncer{h: h, window: window, clock: WallClock}
+	d.expire = func() { d.flush(true) }
+	return d
 }
 
 // Report merges a failure notification into the pending window. The
@@ -97,21 +105,20 @@ func (d *FailureDebouncer) Report(ctx context.Context, f topology.Failures) {
 	}
 	d.mu.Lock()
 	d.stats.Events++
-	d.nodes = merge(d.nodes, f.Nodes())
-	d.links = merge(d.links, f.Links())
-	if sc, ok := trace.FromContext(ctx); ok && d.h.Hooks().Tracer != nil && len(d.parents) < maxBatchParents &&
-		!slices.ContainsFunc(d.parents, func(p trace.SpanContext) bool { return p.TraceID == sc.TraceID }) {
-		d.parents = append(d.parents, sc.Detached()) // the report's request ends before the flush
+	w := &d.pending
+	w.nodes = merge(w.nodes, f.Nodes())
+	w.links = merge(w.links, f.Links())
+	if sc, ok := trace.FromContext(ctx); ok && d.h.Hooks().Tracer != nil && len(w.parents) < maxBatchParents &&
+		!slices.ContainsFunc(w.parents, func(p trace.SpanContext) bool { return p.TraceID == sc.TraceID }) {
+		w.parents = append(w.parents, sc.Detached()) // the report's request ends before the flush
 	}
 	if d.window <= 0 {
 		d.mu.Unlock()
 		d.Flush()
 		return
 	}
-	if d.stop == nil {
-		d.gen++
-		gen := d.gen
-		d.stop = d.clock.AfterFunc(d.window, func() { d.flush(gen) })
+	if d.timer == nil {
+		d.timer = d.clock.AfterFunc(d.window, d.expire)
 	} else {
 		d.stats.Coalesced++
 	}
@@ -121,27 +128,30 @@ func (d *FailureDebouncer) Report(ctx context.Context, f topology.Failures) {
 // Flush dispatches the pending union immediately as one HandleFailures
 // batch, cancelling the armed window, and returns the batch outcome. A
 // flush with nothing pending is a no-op returning (nil, nil).
-func (d *FailureDebouncer) Flush() ([]RepairReport, error) { return d.flush(0) }
+func (d *FailureDebouncer) Flush() ([]RepairReport, error) { return d.flush(false) }
 
-// flush is Flush, or with gen > 0 the expiry of window gen: a no-op once
-// that window is flushed, so an expiry racing a Flush spares the next.
-func (d *FailureDebouncer) flush(gen uint64) ([]RepairReport, error) {
+// flush is Flush, or with expiry the armed window's expiry: a no-op when
+// a Flush took that window after its timer fired, sparing the next one.
+func (d *FailureDebouncer) flush(expiry bool) ([]RepairReport, error) {
 	d.mu.Lock()
-	stale := gen > 0 && (gen != d.gen || d.stop == nil)
-	if !stale && d.stop != nil {
-		d.stop()
-		d.stop = nil
+	switch {
+	case expiry && d.stale > 0:
+		d.stale--
+		d.mu.Unlock()
+		return nil, nil
+	case !expiry && d.timer != nil && !d.timer.Stop():
+		d.stale++ // the expiry is on its way
 	}
-	if stale || len(d.nodes) == 0 && len(d.links) == 0 {
+	d.timer = nil
+	if len(d.pending.nodes) == 0 && len(d.pending.links) == 0 {
 		d.mu.Unlock()
 		return nil, nil
 	}
-	f := topology.NewFailures(d.nodes, d.links)
-	d.nodes, d.links = nil, nil
+	w := d.pending
+	d.pending, d.spare = d.spare, window{}
 	d.stats.Batches++
-	parents := d.parents
-	d.parents = nil
 	d.mu.Unlock()
+	f := topology.NewFailures(w.nodes, w.links)
 
 	// The batch span continues the first coalesced report's trace — so
 	// a failure report's trace contains the whole downstream repair —
@@ -152,15 +162,16 @@ func (d *FailureDebouncer) flush(gen uint64) ([]RepairReport, error) {
 	hk := d.h.Hooks()
 	tr := hk.Tracer
 	ctx := context.Background()
-	var c *trace.Carrier
 	if tr != nil {
 		var first trace.SpanContext
-		if len(parents) > 0 {
-			first = parents[0]
+		if len(w.parents) > 0 {
+			first = w.parents[0]
 		}
-		c = new(trace.Carrier)
-		tr.Begin(c, ctx, first)
-		ctx = c
+		if w.carrier == nil {
+			w.carrier = new(trace.Carrier)
+		}
+		tr.Begin(w.carrier, ctx, first)
+		ctx = w.carrier
 	}
 
 	start := time.Now()
@@ -174,20 +185,27 @@ func (d *FailureDebouncer) flush(gen uint64) ([]RepairReport, error) {
 				{Key: "links", Value: strconv.Itoa(len(f.Links()))},
 				{Key: "reports", Value: strconv.Itoa(len(reports))},
 			}}
-		if len(parents) > 0 {
-			sp.Parent = parents[0].SpanID
-			for _, p := range parents[1:] {
-				if p.TraceID != c.SC.TraceID {
+		if len(w.parents) > 0 {
+			sp.Parent = w.parents[0].SpanID
+			for _, p := range w.parents[1:] {
+				if p.TraceID != w.carrier.SC.TraceID {
+					if sp.Links == nil {
+						sp.Links = make([]string, 0, len(w.parents)-1)
+					}
 					sp.Links = append(sp.Links, p.TraceID)
 				}
 			}
 		}
 		sp.SetError(err)
-		tr.End(c, sp)
+		tr.End(w.carrier, sp)
 	}
 	if hk.Flush != nil {
 		hk.Flush(elapsed, len(reports))
 	}
+	clear(w.parents)
+	d.mu.Lock()
+	d.spare = window{w.nodes[:0], w.links[:0], w.parents[:0], w.carrier}
+	d.mu.Unlock()
 	return reports, err
 }
 
@@ -195,7 +213,7 @@ func (d *FailureDebouncer) flush(gen uint64) ([]RepairReport, error) {
 func (d *FailureDebouncer) Pending() (int, int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.nodes), len(d.links)
+	return len(d.pending.nodes), len(d.pending.links)
 }
 
 // Stats returns a snapshot of the coalescing counters.

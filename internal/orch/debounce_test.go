@@ -267,3 +267,48 @@ func TestRepairEventsCarryFailureDomain(t *testing.T) {
 		}
 	}
 }
+
+// TestDebouncerConcurrentFlushesKeepTheirWindows: reporters, explicit
+// Flushes and window expiries at once, under the race detector in CI. A
+// flush hands its window's arrays back only after its HandleFailures
+// returned, so every reported node reaches exactly one batch, and the
+// detector sees no report writing into a window a flush still reads.
+func TestDebouncerConcurrentFlushesKeepTheirWindows(t *testing.T) {
+	h := &fakeHandler{}
+	clock := &manualClock{}
+	d := NewFailureDebouncer(h, time.Millisecond)
+	d.clock = clock
+	const reporters, reports = 4, 200
+	var wg sync.WaitGroup
+	for g := range reporters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range reports {
+				d.Report(bg, topology.NewFailures([]topology.NodeID{topology.NodeID(1 + g*reports + i)}, nil))
+				switch i % 3 {
+				case 0:
+					d.Flush()
+				case 1: // a window's timer fires: its expiry runs now
+					if expire := clock.take(); expire != nil {
+						expire()
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	d.Flush()
+	clock.advance(time.Millisecond) // an expiry a Flush overtook finds nothing
+	seen := make(map[int]int)
+	for _, batch := range h.batches {
+		for _, n := range batch[0] {
+			seen[n]++
+		}
+	}
+	for n := 1; n <= reporters*reports; n++ {
+		if seen[n] != 1 {
+			t.Fatalf("node %d reached %d batches, want 1", n, seen[n])
+		}
+	}
+}

@@ -311,7 +311,7 @@ func TestFailureSetsEqualMapReference(t *testing.T) {
 					if len(want) > 0 {
 						hit++
 					}
-					if gotIDs := o.affectedBy(got); !slices.Equal(gotIDs, want) {
+					if gotIDs := o.affectedBy(nil, got); !slices.Equal(gotIDs, want) {
 						t.Fatalf("shards %d seed %d trial %d shard %d: affectedBy %v, reference %v", shards, seed, trial, i, gotIDs, want)
 					}
 					if fallback := refAffectedBy(o, probing); !slices.Equal(fallback, want) {
@@ -409,7 +409,7 @@ func TestDebouncerPendingEqualsMapUnion(t *testing.T) {
 				ls[i] = 999
 			}
 			d.mu.Lock()
-			pendingN, pendingL := slices.Clone(d.nodes), slices.Clone(d.links)
+			pendingN, pendingL := slices.Clone(d.pending.nodes), slices.Clone(d.pending.links)
 			d.mu.Unlock()
 			if !slices.Equal(pendingN, sortedKeys(nodes)) || !slices.Equal(pendingL, sortedKeys(links)) {
 				t.Fatalf("seed %d: pending %v %v, map union %v %v", seed, pendingN, pendingL, sortedKeys(nodes), sortedKeys(links))

@@ -400,8 +400,8 @@ func TestReProtectGroupOfOneAllocations(t *testing.T) {
 // group, recover, re-protect. A repaired chain settles on its other route
 // and the next cut moves it back, so the third round meets the first
 // one's states (TestContractStormRevisit): its group re-plans are memo
-// hits, run no graph search, and each plan allocates its Standby (the
-// record and its path and link arrays) and nothing else. On every round
+// hits, run no graph search, and each member allocates the Standby it
+// keeps and nothing else. On every round
 // each chosen standby equals what resilience.PlanStandbyAvoiding gives
 // that chain alone on the same state, under the pool-then-fabric rule:
 // TestReProtectGroupOfOneEqualsPlanStandby extended to storm rounds.
@@ -456,11 +456,10 @@ func TestStormRoundReplansAreMemoHits(t *testing.T) {
 
 // checkReplanAllocations drops the members' standbys and re-plans them
 // as the storm group did, on the state it did: every leg a memo hit, so
-// each plan — a member's, and a fabric retry's — allocates its Standby,
-// as Clone lays it out (one block when its lists fit one, else the
-// record and its two arrays; the routes around the cut tray run from
-// nine nodes over six links to fifteen over twelve), and the group
-// nothing else.
+// each member allocates the Standby it keeps, as Clone lays it out (one
+// block; the routes around the cut tray run from nine nodes over six
+// links to fifteen over twelve), a fabric retry's losing plan nothing,
+// and the group nothing else.
 func checkReplanAllocations(t *testing.T, s *Sharded, domain FailureDomain, ids []DeploymentID) {
 	t.Helper()
 	members := slices.Clone(ids)
@@ -479,14 +478,12 @@ func checkReplanAllocations(t *testing.T, s *Sharded, domain FailureDomain, ids 
 	})
 	plans, want := 0, 0.0
 	for _, out := range outs {
-		_, alone, _ := planAlone(t, s, out.ID, domain)
-		for _, sb := range alone {
-			plans++
-			want += testing.AllocsPerRun(1, func() { sb.Clone() })
-		}
+		kept, alone, _ := planAlone(t, s, out.ID, domain)
+		plans += len(alone)
+		want += testing.AllocsPerRun(1, func() { kept.Clone() })
 	}
 	if allocs != want {
-		t.Fatalf("re-planning %d members (%d plans) allocates %.1f times, want %.0f: each plan its Standby alone", len(members), plans, allocs, want)
+		t.Fatalf("re-planning %d members (%d plans) allocates %.1f times, want %.0f: each member the Standby it keeps alone", len(members), plans, allocs, want)
 	}
 }
 

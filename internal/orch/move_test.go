@@ -87,7 +87,10 @@ func TestMoveNFValidation(t *testing.T) {
 // TestMoveAllocations holds a ChangeHost move — operate_mix's primary
 // operation below the HTTP layer — to an allocation ceiling, with and
 // without WDM: NF 0 ping-pongs between the first server and one homed to
-// the same ToRs, as the benchmark's move hosts do; -v logs the counts.
+// the same ToRs, as the benchmark's move hosts do; -v logs the counts (6
+// and 11, where the re-planned standby, a route of thirteen nodes or
+// more, cost its record and two arrays before it became one block: 8
+// and 13).
 func TestMoveAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts of pooled code are not exact under the race detector")
@@ -95,7 +98,7 @@ func TestMoveAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		wavelengths int
 		ceiling     float64
-	}{{0, 9.5}, {8, 14.5}} {
+	}{{0, 7.5}, {8, 12.5}} {
 		s, o := newTestOrch(t, Config{Topo: orchTopo(t), Wavelengths: tc.wavelengths})
 		dep, err := s.Provision(bg, webSpec(t, "chain-1"))
 		if err != nil {

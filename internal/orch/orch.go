@@ -851,46 +851,62 @@ func (o *shard) activeLocked(id DeploymentID) (*Deployment, error) {
 	return dep, nil
 }
 
-// snapshotBlock is a two-NF chain's snapshot, snapshotBlock3 a three-NF one's.
+// snapshotBlock is a two-NF chain's snapshot, its standby in S; snapshotBlock3 a three-NF one's.
 type (
-	snapshotBlock struct {
+	snapshotBlock[S any] struct {
 		dep       Deployment
 		instances [2]nfv.InstanceID
 		path      [7]topology.NodeID
-		standby   resilience.StandbyBlock
+		standby   S
 	}
 	snapshotBlock3 struct {
 		dep       Deployment
 		instances [3]nfv.InstanceID
 		path      [11]topology.NodeID
-		standby   resilience.StandbyBlock3
+		standby   resilience.Block11
 	}
 )
 
 // snapshot copies the record, its Instances, Path and Standby: into one
-// block when the lists fit a two-NF chain's or fill a three-NF chain's,
-// else into the record and an array per list (Standby.Clone).
-// Sharded.Deployments says what it shares with the record.
+// block when the lists fit a two-NF chain's, beside the block Clone gives
+// the standby, or fill a three-NF chain's; else into the record and an
+// array per list. Sharded.Deployments says what it shares with the record.
 func snapshot(dep *Deployment) *Deployment {
-	var cp *Deployment
-	var instances []nfv.InstanceID
-	var path []topology.NodeID
-	switch {
-	case len(dep.Instances) <= len(snapshotBlock{}.instances) && len(dep.Path) <= len(snapshotBlock{}.path) && dep.Standby.Fits():
-		b := &snapshotBlock{dep: *dep}
-		cp, instances, path = &b.dep, b.instances[:], b.path[:]
-		cp.Standby = b.standby.Copy(dep.Standby)
-	case len(dep.Instances) <= len(snapshotBlock3{}.instances) && len(dep.Path) > len(snapshotBlock{}.path) &&
-		len(dep.Path) <= len(snapshotBlock3{}.path) && dep.Standby.Fills3():
-		b := &snapshotBlock3{dep: *dep}
-		cp, instances, path = &b.dep, b.instances[:], b.path[:]
-		cp.Standby = b.standby.Copy(dep.Standby)
-	default:
-		d := *dep
-		cp = &d
-		cp.Standby = dep.Standby.Clone()
+	if len(dep.Instances) <= len(snapshotBlock[struct{}]{}.instances) && len(dep.Path) <= len(snapshotBlock[struct{}]{}.path) {
+		switch dep.Standby.BlockNodes() {
+		case 7:
+			return snapshotIn(dep, (*resilience.Block7).Copy)
+		case 9:
+			return snapshotIn(dep, (*resilience.Block9).Copy)
+		case 11:
+			return snapshotIn(dep, (*resilience.Block11).Copy)
+		case 13:
+			return snapshotIn(dep, (*resilience.Block13).Copy)
+		case 15:
+			return snapshotIn(dep, (*resilience.Block15).Copy)
+		}
 	}
-	cp.Instances, cp.Path = resilience.CopyInto(instances, dep.Instances), resilience.CopyInto(path, dep.Path)
+	if len(dep.Instances) <= len(snapshotBlock3{}.instances) && len(dep.Path) <= len(snapshotBlock3{}.path) &&
+		dep.Standby.BlockNodes() == 11 {
+		b := &snapshotBlock3{dep: *dep}
+		b.dep.Standby = b.standby.Copy(dep.Standby)
+		return fillSnapshot(&b.dep, b.instances[:], b.path[:])
+	}
+	cp := *dep
+	cp.Standby = dep.Standby.Clone()
+	return fillSnapshot(&cp, nil, nil)
+}
+
+// snapshotIn is snapshot into a snapshotBlock[S], whose standby copyTo fills.
+func snapshotIn[S any](dep *Deployment, copyTo func(*S, *resilience.Standby) *resilience.Standby) *Deployment {
+	b := &snapshotBlock[S]{dep: *dep}
+	b.dep.Standby = copyTo(&b.standby, dep.Standby)
+	return fillSnapshot(&b.dep, b.instances[:], b.path[:])
+}
+
+// fillSnapshot copies cp's Instances and Path, into the arrays given when they fit.
+func fillSnapshot(cp *Deployment, instances []nfv.InstanceID, path []topology.NodeID) *Deployment {
+	cp.Instances, cp.Path = resilience.CopyInto(instances, cp.Instances), resilience.CopyInto(path, cp.Path)
 	cp.idxNodes, cp.idxLinks, cp.primaryLinks = nil, nil, nil
 	return cp
 }

@@ -386,7 +386,7 @@ func (p *pipeline) runPath() error {
 }
 
 // planStandby plans the chain's alternate route
-// (resilience.PlanStandbyAvoiding — one avoiding search per segment, off
+// (resilience.PlanStandbyWithin — one avoiding search per segment, off
 // the primary and the failure domain's risk groups srlgs, nil outside a
 // storm group) and stores it on the pipeline. The error reports why no
 // standby exists (planning disabled counts as no error); callers decide
@@ -407,21 +407,11 @@ func (p *pipeline) planStandby(srlgs []int) (fellBack bool, err error) {
 	}
 	p.scratch.stops = p.appendStandbyStops(p.scratch.stops[:0])
 	primary := resilience.Primary{Path: p.path, Links: p.primaryLinks, Stops: p.scratch.stops, Slice: p.slice.OPSs}
-	allow := p.o.alloc.Pool()
-	sb, err := resilience.PlanStandbyAvoiding(p.o.ctrl, p.o.topo, primary, allow, srlgs)
-	if allow.OPS != nil && (err != nil || !sb.Disjoint) {
-		fellBack = true
+	p.standby, fellBack, err = resilience.PlanStandbyWithin(p.o.ctrl, p.o.topo, primary, p.o.alloc.Pool(), true, srlgs)
+	if fellBack {
 		p.o.standbyFallbacks.Add(1)
-		wide, wideErr := resilience.PlanStandbyAvoiding(p.o.ctrl, p.o.topo, primary, topology.Pool{}, srlgs)
-		if err != nil || (wideErr == nil && wide.Disjoint) {
-			sb, err = wide, wideErr
-		}
 	}
-	if err != nil {
-		return fellBack, err
-	}
-	p.standby = sb
-	return fellBack, nil
+	return fellBack, err
 }
 
 // appendStandbyStops appends to buf the chain's mandatory standby

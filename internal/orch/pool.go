@@ -27,7 +27,7 @@ type executor interface {
 // optimizer's drain. Workers start when a Run first wants them and serve
 // later Runs until Close. Safe for concurrent and nested use.
 type Pool struct {
-	jobs chan *batch
+	jobs chan job
 	// idle counts the workers waiting on jobs, less those a Run has
 	// claimed: a Run claims a worker by decrementing it, then sends.
 	idle atomic.Int64
@@ -35,24 +35,32 @@ type Pool struct {
 	mu   sync.Mutex
 	quit chan struct{}   // closed by the next Close; nil when none runs
 	wg   *sync.WaitGroup // the workers started since the last Close
+	free chan *batch     // finished Runs' batches for later ones; 16 outnumbers the Runs in flight at once
 
 	callerItems, helperItems atomic.Uint64 // items run by Runs' callers, and by workers
 }
 
 // batch is one Run's items, taken index by index by the caller and the
-// helpers that joined it.
+// helpers that joined it; later Runs reuse it, each a generation of it.
 type batch struct {
 	n    int
 	fn   func(int)
 	next atomic.Int64
-	// mu guards joined and closed: a claimed helper joins only while the
-	// Run still has items to take (join), and the Run closes the batch
-	// once it took the last (close).
+	// mu guards gen, joined and closed: a claimed helper joins only the
+	// generation it was handed, while the Run still has items to take
+	// (join), and the Run closes the batch once it took the last (close).
 	mu     sync.Mutex
+	gen    uint64
 	joined int
 	closed bool
 	// running counts the joined helpers still inside run.
 	running sync.WaitGroup
+}
+
+// job is a Run's batch as handed to a helper, which joins that generation only.
+type job struct {
+	b   *batch
+	gen uint64
 }
 
 // run takes and runs items until none is left, and counts them.
@@ -64,12 +72,12 @@ func (b *batch) run() (ran uint64) {
 	return ran
 }
 
-// join lets a claimed helper in, reporting false once the Run closed
-// the batch.
-func (b *batch) join() bool {
+// join lets a claimed helper in, reporting false once the Run of
+// generation gen closed the batch.
+func (b *batch) join(gen uint64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
+	if b.closed || b.gen != gen {
 		return false
 	}
 	b.joined++
@@ -87,7 +95,7 @@ func (b *batch) close() int {
 }
 
 // NewPool returns a pool with no workers yet.
-func NewPool() *Pool { return &Pool{jobs: make(chan *batch)} }
+func NewPool() *Pool { return &Pool{jobs: make(chan job), free: make(chan *batch, 16)} }
 
 // Run calls fn(i) for every i in [0, n), at most width at a time
 // (DefaultBatchWorkers when width <= 0; width 1 runs them in order). The
@@ -105,19 +113,40 @@ func (p *Pool) Run(n, width int, fn func(i int)) {
 	if width <= 0 {
 		width = DefaultBatchWorkers()
 	}
-	b := &batch{n: n, fn: fn}
+	var b *batch
+	select {
+	case b = <-p.free:
+	default:
+		b = new(batch)
+	}
+	b.n, b.fn = n, fn
+	j := job{b, b.gen}
 	helpers := 0
 	if width > 1 {
 		for want := min(width, n) - 1; want > 0 && p.claim(); want-- {
 			helpers++
-			p.jobs <- b
+			p.jobs <- j
 		}
-		helpers += p.grow(b, width-1)
+		helpers += p.grow(j, width-1)
 	}
 	p.callerItems.Add(b.run())
 	if helpers > 0 {
 		p.idle.Add(int64(helpers - b.close()))
 		b.running.Wait()
+	}
+	p.recycle(b)
+}
+
+// recycle files a finished Run's batch under the next generation, which
+// a helper still holding the old one cannot join.
+func (p *Pool) recycle(b *batch) {
+	b.mu.Lock()
+	b.gen, b.fn, b.joined, b.closed = b.gen+1, nil, 0, false
+	b.mu.Unlock()
+	b.next.Store(0)
+	select {
+	case p.free <- b:
+	default:
 	}
 }
 
@@ -131,9 +160,9 @@ func (p *Pool) claim() bool {
 	return false
 }
 
-// grow starts workers, each beginning on b, until the pool has size,
+// grow starts workers, each beginning on j, until the pool has size,
 // and returns how many it started.
-func (p *Pool) grow(b *batch, size int) int {
+func (p *Pool) grow(j job, size int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	started := 0
@@ -143,28 +172,28 @@ func (p *Pool) grow(b *batch, size int) int {
 		}
 		started++
 		p.wg.Add(1)
-		go p.work(b, p.quit, p.wg)
+		go p.work(j, p.quit, p.wg)
 	}
 	return started
 }
 
-// work helps with b, then with each batch a Run hands it. It marks itself
+// work helps with j, then with each batch a Run hands it. It marks itself
 // idle before leaving a batch it joined, so the Run returns to a pool
 // whose workers can all be claimed; a batch closed before it joined is
 // left alone, its mark already handed back. On quit it leaves once it can
 // take an idle mark back: while every mark is claimed, a Run is about to
 // send to it.
-func (p *Pool) work(b *batch, quit chan struct{}, wg *sync.WaitGroup) {
+func (p *Pool) work(j job, quit chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
-		if b.join() {
+		if b := j.b; b.join(j.gen) {
 			p.helperItems.Add(b.run())
 			p.idle.Add(1)
 			b.running.Done()
 		}
-		for b = nil; b == nil; {
+		for j.b = nil; j.b == nil; {
 			select {
-			case b = <-p.jobs:
+			case j = <-p.jobs:
 			case <-quit:
 				if p.claim() {
 					p.size.Add(-1)
@@ -197,10 +226,15 @@ func (p *Pool) Close() {
 // the optimizer's idle tick, a drain's busy pause, the reconciler's busy
 // retry — so tests can advance it by hand. Span timestamps read time.Now.
 type Clock interface {
-	// AfterFunc calls f on a goroutine of its own once d has elapsed;
-	// stop cancels the call and reports whether it did so before f began.
-	AfterFunc(d time.Duration, f func()) (stop func() bool)
+	// AfterFunc calls f on a goroutine of its own once d has elapsed.
+	AfterFunc(d time.Duration, f func()) Timer
 	Sleep(d time.Duration)
+}
+
+// Timer is an armed AfterFunc call: Stop cancels it and reports whether
+// it did so before f began. A *time.Timer is one.
+type Timer interface {
+	Stop() bool
 }
 
 // WallClock is the Clock of the time package's timers.
@@ -208,8 +242,6 @@ var WallClock Clock = wallClock{}
 
 type wallClock struct{}
 
-func (wallClock) AfterFunc(d time.Duration, f func()) func() bool {
-	return time.AfterFunc(d, f).Stop
-}
+func (wallClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
 func (wallClock) Sleep(d time.Duration) { time.Sleep(d) }

@@ -124,19 +124,22 @@ func TestPoolRunsEveryIndexOnce(t *testing.T) {
 // TestRunReturnsBeforeALateHelper: when the caller finishes every item
 // before a claimed helper joins, Run returns without waiting for it, with
 // the helper's idle mark handed back, and the helper, once it gets to the
-// batch, leaves it alone. The test plays that helper, held at a channel
-// until Run has returned — a Run that waited for it would never return.
-// On a real warm pool every Run, of any width and size, returns with
-// every worker claimable.
+// batch, leaves it alone — also when a later Run has taken the batch up
+// again and is still taking items. The test plays that helper, held at a
+// channel until Run has returned — a Run that waited for it would never
+// return — and releases it from inside the later Run. On a real warm pool
+// every Run, of any width and size, returns with every worker claimable.
 func TestRunReturnsBeforeALateHelper(t *testing.T) {
 	p := NewPool()
 	p.size.Add(1) // one idle worker: the goroutine below
 	p.idle.Add(1)
 	gate, joined := make(chan struct{}), make(chan bool)
+	var first *batch
 	go func() {
-		b := <-p.jobs
+		j := <-p.jobs
+		first = j.b
 		<-gate
-		joined <- b.join()
+		joined <- j.b.join(j.gen)
 	}()
 	var runs atomic.Int32
 	p.Run(4, 2, func(int) { runs.Add(1) })
@@ -146,9 +149,22 @@ func TestRunReturnsBeforeALateHelper(t *testing.T) {
 	if n := p.idle.Load(); n != 1 {
 		t.Fatalf("%d idle marks after Run, want the late helper's 1", n)
 	}
-	close(gate)
-	if <-joined {
-		t.Fatal("the late helper joined a batch its Run had closed")
+	var reused, late bool
+	p.Run(2, 1, func(i int) {
+		if i == 0 {
+			reused = len(p.free) == 0
+			close(gate)
+			late = <-joined
+		}
+	})
+	if !reused {
+		t.Fatal("the second Run did not take up the first Run's batch")
+	}
+	if late {
+		t.Fatal("the late helper joined a batch its Run had closed, now a later Run's")
+	}
+	if <-p.free != first {
+		t.Fatal("the pool kept another batch than the one both Runs ran")
 	}
 	if n := p.idle.Load(); n != 1 {
 		t.Fatalf("%d idle marks after the late helper left, want 1", n)

@@ -123,55 +123,88 @@ func (c *sharedCore) markFailuresDown(f topology.Failures) (resilience.FailureSe
 	return resilience.Classify(c.topo, f), nil
 }
 
-// reconcileFailures is the deployment half of HandleFailures: it finds
-// this shard's affected active deployments through the reverse indexes
-// (O(damage), not O(deployments)) and repairs them concurrently on the
-// set's pool, one report per deployment in ID order. Every
-// shard runs its own pass against the same already-marked failure set.
-// When tracing is enabled every repair records a span — a child of the
-// span in ctx (the HTTP request's root span, or a debouncer batch span)
-// when one is there.
-func (o *shard) reconcileFailures(ctx context.Context, dead resilience.FailureSet) []RepairReport {
-	affected := o.affectedBy(dead)
-	reports := make([]RepairReport, len(affected))
-	tr := o.hooks.Load().Tracer
-	parent, _ := trace.FromContext(ctx)
-	var carriers []trace.Carrier // one per repair, each used inside its repair only
-	if tr != nil {
-		carriers = make([]trace.Carrier, len(affected))
+// failureRound is HandleFailures' scratch, kept on the set between calls
+// (a concurrent call builds its own): its copy of the failure set and each
+// shard's reconcile lists, with the fan-outs' functions bound once.
+type failureRound struct {
+	nodes  []topology.NodeID
+	links  []topology.LinkID
+	ctx    context.Context
+	dead   resilience.FailureSet
+	tr     *trace.Tracer
+	parent trace.SpanContext // the span in ctx, if any: the repairs' parent
+	shards []reconcile
+	fanOut func(i int) // shard i's reconcile
+}
+
+// reconcile is a shard's lists in a round: the affected chains, a report
+// and, traced, a carrier per chain.
+type reconcile struct {
+	r         *failureRound
+	o         *shard
+	affected  []DeploymentID
+	reports   []RepairReport
+	carriers  []trace.Carrier // one per repair, each used inside its repair only
+	repairOne func(i int)     // rc.repair
+}
+
+func newFailureRound(shards []*shard) *failureRound {
+	r := &failureRound{shards: make([]reconcile, len(shards))}
+	for i, o := range shards {
+		rc := &r.shards[i]
+		rc.r, rc.o, rc.repairOne = r, o, rc.repair
 	}
-	o.pool.Run(len(affected), 0, func(i int) {
-		// One repair span per deployment wraps the whole busy-retry
-		// loop — retries are attempts at the same repair, not separate
-		// operations — continuing the caller's trace (the failure
-		// report's HTTP span or the debouncer's batch span).
-		rctx := ctx
-		var c *trace.Carrier
-		var start time.Time
-		if tr != nil {
-			c = &carriers[i]
-			tr.Begin(c, ctx, parent)
-			rctx = c
-			start = time.Now()
-		}
-		rep := o.repairAround(rctx, affected[i], dead)
-		for attempt := 0; attempt < busyRetries &&
-			rep.Action == ActionSkipped && errors.Is(rep.Err, ErrBusy); attempt++ {
-			o.clock.Sleep(busyRetryDelay)
-			rep = o.repairAround(rctx, affected[i], dead)
-		}
-		if tr != nil {
-			sp := trace.Span{Parent: parent.SpanID,
-				Name: "repair", Kind: trace.KindRepair, Start: start, End: time.Now(),
-				Dep:   int(affected[i]),
-				Attrs: actionAttrs[rep.Action]}
-			sp.SetError(rep.Err)
-			tr.End(c, sp)
-			rep.TraceID, rep.SpanID = c.SC.TraceID, c.SC.SpanID
-		}
-		reports[i] = rep
-	})
-	return reports
+	r.fanOut = func(i int) { r.shards[i].run() }
+	return r
+}
+
+// run is the deployment half of HandleFailures on one shard: it finds
+// the shard's affected active deployments through the reverse indexes
+// (O(damage), not O(deployments)) and repairs them concurrently on the
+// set's pool, one report per deployment in ID order, each traced under
+// the span in the call's context when there is one.
+func (rc *reconcile) run() {
+	rc.affected = rc.o.affectedBy(rc.affected[:0], rc.r.dead)
+	n := len(rc.affected)
+	rc.reports = slices.Grow(rc.reports[:0], n)[:n]
+	if rc.r.tr != nil {
+		rc.carriers = slices.Grow(rc.carriers[:0], n)[:n]
+	}
+	rc.o.pool.Run(n, 0, rc.repairOne)
+	clear(rc.carriers) // a carrier holds its repair's context
+}
+
+// repair reconciles the i-th affected deployment. One repair span per
+// deployment wraps the whole busy-retry loop — retries are attempts at
+// the same repair, not separate operations — continuing the caller's
+// trace (the failure report's HTTP span or the debouncer's batch span).
+func (rc *reconcile) repair(i int) {
+	r, o, id := rc.r, rc.o, rc.affected[i]
+	ctx := r.ctx
+	var c *trace.Carrier
+	var start time.Time
+	if r.tr != nil {
+		c = &rc.carriers[i]
+		r.tr.Begin(c, r.ctx, r.parent)
+		ctx = c
+		start = time.Now()
+	}
+	rep := o.repairAround(ctx, id, r.dead)
+	for attempt := 0; attempt < busyRetries &&
+		rep.Action == ActionSkipped && errors.Is(rep.Err, ErrBusy); attempt++ {
+		o.clock.Sleep(busyRetryDelay)
+		rep = o.repairAround(ctx, id, r.dead)
+	}
+	if r.tr != nil {
+		sp := trace.Span{Parent: r.parent.SpanID,
+			Name: "repair", Kind: trace.KindRepair, Start: start, End: time.Now(),
+			Dep:   int(id),
+			Attrs: actionAttrs[rep.Action]}
+		sp.SetError(rep.Err)
+		r.tr.End(c, sp)
+		rep.TraceID, rep.SpanID = c.SC.TraceID, c.SC.SpanID
+	}
+	rc.reports[i] = rep
 }
 
 // actionAttrs is a repair span's attribute list per action, shared: a
@@ -228,35 +261,30 @@ func firstRepairError(reports []RepairReport) error {
 	return nil
 }
 
-// affectedBy returns the active deployments whose footprint intersects
-// the failure set, each exactly once, sorted by ID — a union of
-// reverse-index lookups, not a scan: the posting lists of the dead
+// affectedBy appends to buf the active deployments whose footprint
+// intersects the failure set, each exactly once, sorted by ID — a union
+// of reverse-index lookups, not a scan: the posting lists of the dead
 // nodes and the suspect links, concatenated, sorted once and compacted.
 // The suspect links are the dead ones plus the live links sharing a
 // risk group with one: chains crossing those must be visited too, since
 // their standbys may no longer be survivable.
-func (o *shard) affectedBy(dead resilience.FailureSet) []DeploymentID {
+func (o *shard) affectedBy(buf []DeploymentID, dead resilience.FailureSet) []DeploymentID {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	n := 0
+	start := len(buf)
 	for _, node := range dead.Nodes() {
-		n += len(o.nodeIndex.of(node))
+		buf = append(buf, o.nodeIndex.of(node)...)
 	}
 	for _, l := range dead.Suspect {
-		n += len(o.linkIndex.of(l))
+		buf = append(buf, o.linkIndex.of(l)...)
 	}
-	out := make([]DeploymentID, 0, n)
-	for _, node := range dead.Nodes() {
-		out = append(out, o.nodeIndex.of(node)...)
-	}
-	for _, l := range dead.Suspect {
-		out = append(out, o.linkIndex.of(l)...)
-	}
+	out := buf[start:]
 	slices.Sort(out)
-	return slices.DeleteFunc(slices.Compact(out), func(id DeploymentID) bool {
+	out = slices.DeleteFunc(slices.Compact(out), func(id DeploymentID) bool {
 		dep, ok := o.deployments[id]
 		return !ok || dep.State != StateActive
 	})
+	return buf[:start+len(out)]
 }
 
 // repairAround is the per-deployment reconciler: it classifies how the

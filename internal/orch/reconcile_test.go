@@ -333,7 +333,7 @@ func TestReverseIndexMaintained(t *testing.T) {
 		t.Fatalf("Provision: %v", err)
 	}
 	for _, n := range s.Deployment(dep.ID).Path {
-		ids := o.affectedBy(resilience.Classify(o.topo, topology.NewFailures([]topology.NodeID{n}, nil)))
+		ids := o.affectedBy(nil, resilience.Classify(o.topo, topology.NewFailures([]topology.NodeID{n}, nil)))
 		if len(ids) != 1 || ids[0] != dep.ID {
 			t.Fatalf("affectedBy(%d) = %v, want [%d]", n, ids, dep.ID)
 		}

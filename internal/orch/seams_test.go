@@ -17,24 +17,28 @@ type manualClock struct {
 }
 
 type manualTimer struct {
+	c  *manualClock
 	at time.Duration
 	f  func()
 }
 
-func (c *manualClock) AfterFunc(d time.Duration, f func()) func() bool {
+func (c *manualClock) AfterFunc(d time.Duration, f func()) Timer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := &manualTimer{at: c.now + d, f: f}
+	t := &manualTimer{c: c, at: c.now + d, f: f}
 	c.timers = append(c.timers, t)
-	return func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		i := slices.Index(c.timers, t)
-		if i >= 0 {
-			c.timers = slices.Delete(c.timers, i, i+1)
-		}
-		return i >= 0
+	return t
+}
+
+func (t *manualTimer) Stop() bool {
+	c := t.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i := slices.Index(c.timers, t)
+	if i >= 0 {
+		c.timers = slices.Delete(c.timers, i, i+1)
 	}
+	return i >= 0
 }
 
 func (c *manualClock) Sleep(time.Duration) {}

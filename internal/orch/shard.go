@@ -36,6 +36,7 @@ import (
 	"github.com/alvc/alvc/internal/cluster"
 	"github.com/alvc/alvc/internal/nfv"
 	"github.com/alvc/alvc/internal/optical"
+	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/sdn"
 	"github.com/alvc/alvc/internal/topology"
 	"github.com/alvc/alvc/internal/trace"
@@ -126,6 +127,7 @@ type Sharded struct {
 	core   *sharedCore
 	router ShardRouter
 	shards []*shard
+	round  atomic.Pointer[failureRound] // HandleFailures' scratch between calls
 }
 
 // New builds the orchestrator: n shards (n < 1 is treated as 1) over
@@ -476,19 +478,31 @@ func (s *Sharded) HandleFailures(ctx context.Context, f topology.Failures) ([]Re
 	if f.Empty() {
 		return nil, nil
 	}
-	dead, err := s.core.markFailuresDown(f)
+	r := s.round.Swap(nil)
+	if r == nil {
+		r = newFailureRound(s.shards)
+	}
+	defer s.round.Store(r)
+	r.nodes, r.links = append(r.nodes[:0], f.Nodes()...), append(r.links[:0], f.Links()...)
+	dead, err := s.core.markFailuresDown(topology.NewFailures(r.nodes, r.links))
 	if err != nil {
 		return nil, err
 	}
-	perShard := make([][]RepairReport, len(s.shards))
-	s.core.pool.Run(len(s.shards), 0, func(i int) {
-		perShard[i] = s.shards[i].reconcileFailures(ctx, dead)
-	})
+	r.ctx, r.dead, r.tr = ctx, dead, s.core.hooks.Load().Tracer
+	r.parent, _ = trace.FromContext(ctx)
+	s.core.pool.Run(len(s.shards), 0, r.fanOut)
 	domain := s.core.failureDomain(dead)
-	for _, reps := range perShard {
-		s.core.emitRepairEvents(reps, domain)
+	n := 0
+	for i := range r.shards {
+		n += len(r.shards[i].reports)
 	}
-	reports := slices.Concat(perShard...)
+	reports := slices.Grow([]RepairReport(nil), n)
+	for i := range r.shards {
+		s.core.emitRepairEvents(r.shards[i].reports, domain)
+		reports = append(reports, r.shards[i].reports...)
+		clear(r.shards[i].reports)
+	}
+	r.ctx, r.dead, r.tr, r.parent = nil, resilience.FailureSet{}, nil, trace.SpanContext{}
 	slices.SortFunc(reports, func(a, b RepairReport) int { return int(a.ID - b.ID) })
 	return reports, firstRepairError(reports)
 }

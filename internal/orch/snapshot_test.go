@@ -43,9 +43,12 @@ func asInts[T ~int](list []T) []int {
 // one NF, so its instance list leaves room in the snapshot's block: each
 // list is clipped to its length, and an append must reallocate. The
 // second is the benchmark fleet's three-NF chain, whose lists fill the
-// three-NF block. Either snapshot is one allocation, and a warm plan of
-// either standby is one too.
+// three-NF block. The third is a storm fleet's two-NF chain repaired
+// around a cut tray and re-protected while the tray is down: its standby
+// is a detour past the two-NF standby block. Each snapshot is one
+// allocation, and a warm plan of each standby is one too.
 func TestSnapshotListsAreDeep(t *testing.T) {
+	type twoNF = snapshotBlock[resilience.Block7]
 	t.Run("one NF", func(t *testing.T) {
 		s, o, _ := triOrch(t, Config{})
 		prov, err := s.Provision(bg, triSpec(t, "chain-1"))
@@ -53,8 +56,8 @@ func TestSnapshotListsAreDeep(t *testing.T) {
 			t.Fatalf("Provision: %v", err)
 		}
 		want := s.Deployment(prov.ID)
-		if want.Standby == nil || !want.Standby.Fits() || len(want.Instances) >= len(snapshotBlock{}.instances) ||
-			len(want.Path) > len(snapshotBlock{}.path) {
+		if want.Standby == nil || want.Standby.BlockNodes() != 7 || len(want.Instances) >= len(twoNF{}.instances) ||
+			len(want.Path) > len(twoNF{}.path) {
 			t.Fatalf("the chain must fit a snapshot block with room to spare: %d instances, path %v, standby %+v",
 				len(want.Instances), want.Path, want.Standby)
 		}
@@ -71,12 +74,35 @@ func TestSnapshotListsAreDeep(t *testing.T) {
 			t.Fatalf("Provision: %v", err)
 		}
 		want := s.Deployment(prov.ID)
-		if !want.Standby.Fills3() || len(want.Instances) != len(snapshotBlock3{}.instances) ||
+		if want.Standby.BlockNodes() != 11 || len(want.Instances) != len(snapshotBlock3{}.instances) ||
 			len(want.Path) != len(snapshotBlock3{}.path) {
 			t.Fatalf("the chain must fill a three-NF snapshot block: %d instances, path %v, standby %+v",
 				len(want.Instances), want.Path, want.Standby)
 		}
 		checkSnapshotLists(t, s, o, prov.ID)
+	})
+	t.Run("repaired around a cut tray", func(t *testing.T) {
+		s, topo := stormFleet(t)
+		const id = DeploymentID(1)
+		var tray []topology.LinkID
+		s.ViewDeployment(id, func(dep *Deployment) {
+			prim, stby := transitLinks(t, topo, dep.Path), transitLinks(t, topo, dep.Standby.Path)
+			tray = []topology.LinkID{prim[0], stby[len(stby)-1]}
+		})
+		if _, err := s.HandleFailures(bg, topology.NewFailures(nil, tray)); err != nil {
+			t.Fatalf("HandleFailures: %v", err)
+		}
+		if out := reProtect(s, id); out.Err != nil || out.Standby == nil {
+			t.Fatalf("re-protect around the cut: %+v", out)
+		}
+		want := s.Deployment(id)
+		if want.Standby.BlockNodes() <= 7 ||
+			len(want.Instances) != len(twoNF{}.instances) || len(want.Path) > len(twoNF{}.path) {
+			t.Fatalf("the chain must fit a two-NF snapshot block beside a detour's standby block: %d instances, path %v, standby %+v",
+				len(want.Instances), want.Path, want.Standby)
+		}
+		t.Logf("the detour is %d nodes over %d links", len(want.Standby.Path), len(want.Standby.Links))
+		checkSnapshotLists(t, s, s.owner(id), id)
 	})
 }
 

@@ -42,11 +42,11 @@ type FailureSet struct {
 
 // Classify builds the failure set of f: the dead links' shared-risk
 // groups and the suspect links, read from the topology's group index
-// (SRLGLinks), never walking the link table. It copies f's lists — the
-// set outlives the call on the reconciler's pool workers — so the
-// caller's may live in its own frame.
+// (SRLGLinks), never walking the link table. The set holds f's lists —
+// with no risk group its Suspect is f's links — so it is valid while
+// they are.
 func Classify(topo *topology.Topology, f topology.Failures) FailureSet {
-	links := slices.Clone(f.Links())
+	links := f.Links()
 	var groups []int
 	for _, l := range links {
 		if link := topo.Link(l); link != nil {
@@ -65,7 +65,7 @@ func Classify(topo *topology.Topology, f topology.Failures) FailureSet {
 		suspect = slices.Compact(suspect)
 	}
 	return FailureSet{
-		Failures: topology.NewFailures(slices.Clone(f.Nodes()), links),
+		Failures: f,
 		SRLGs:    groups,
 		Suspect:  suspect,
 	}
@@ -149,67 +149,78 @@ type Standby struct {
 // Clone returns a deep copy: the smallest block that holds its lists,
 // else the record and an array per list (unused arrays cost more bytes).
 func (s *Standby) Clone() *Standby {
-	switch {
-	case s == nil:
+	if s == nil {
 		return nil
-	case s.Fits():
-		return new(StandbyBlock).Copy(s)
-	case s.fitsIn(len(detourBlock{}.path), len(detourBlock{}.links)):
-		b := new(detourBlock)
-		return copyBlock(&b.sb, b.path[:], b.links[:], s)
-	case s.fitsIn(len(StandbyBlock3{}.path), len(StandbyBlock3{}.links)):
-		return new(StandbyBlock3).Copy(s)
+	}
+	switch s.BlockNodes() {
+	case 7:
+		return new(Block7).Copy(s)
+	case 9:
+		return new(Block9).Copy(s)
+	case 11:
+		return new(Block11).Copy(s)
+	case 13:
+		return new(Block13).Copy(s)
+	case 15:
+		return new(Block15).Copy(s)
 	}
 	cp := *s
 	cp.Path, cp.Links, cp.SRLGs = CopyInto(nil, s.Path), CopyInto(nil, s.Links), CopyInto(nil, s.SRLGs)
 	return &cp
 }
 
-func (s *Standby) fitsIn(nodes, links int) bool {
-	return len(s.Path) <= nodes && len(s.Links) <= links
-}
-
-// Fits reports whether s is nil or its lists fit a StandbyBlock.
-func (s *Standby) Fits() bool {
-	return s == nil || s.fitsIn(len(StandbyBlock{}.path), len(StandbyBlock{}.links))
-}
-
-// Fills3 reports whether s's lists fit a StandbyBlock3 and no smaller
-// block: Clone gives s a StandbyBlock3 of its own.
-func (s *Standby) Fills3() bool {
-	return s != nil && s.fitsIn(len(StandbyBlock3{}.path), len(StandbyBlock3{}.links)) &&
-		!s.fitsIn(len(detourBlock{}.path), len(detourBlock{}.links))
-}
-
 // The standby blocks are a Standby and arrays for its lists in one
-// allocation of an allocator class (192, 224, 256 bytes), no more than a
-// record and an array per list take for the route each is sized for: a
-// two-NF chain's standby (seven nodes over four links), one routed around
-// a cut tray (nine over six), a three-NF chain's (eleven over eight).
+// allocation (192 to 320 bytes), no more than a record and an array per
+// list take for a route between two VMs of n nodes over n-3 links: a
+// two-NF chain's (7), a three-NF chain's (11), routes around a cut tray.
 type (
-	StandbyBlock struct {
+	Block7 struct {
 		sb    Standby
 		path  [7]topology.NodeID
 		links [4]topology.LinkID
 	}
-	detourBlock struct {
+	Block9 struct {
 		sb    Standby
 		path  [9]topology.NodeID
 		links [6]topology.LinkID
 	}
-	StandbyBlock3 struct {
+	Block11 struct {
 		sb    Standby
 		path  [11]topology.NodeID
 		links [8]topology.LinkID
 	}
+	Block13 struct {
+		sb    Standby
+		path  [13]topology.NodeID
+		links [10]topology.LinkID
+	}
+	Block15 struct {
+		sb    Standby
+		path  [15]topology.NodeID
+		links [12]topology.LinkID
+	}
 )
+
+// BlockNodes returns the node room of the smallest block that holds s's
+// lists, the one Clone gives it: 7 for nil, 0 when none does.
+func (s *Standby) BlockNodes() int {
+	if s == nil {
+		return 7
+	}
+	n := max(len(s.Path), len(s.Links)+3, 7)
+	if n += 1 - n%2; n > 15 {
+		return 0
+	}
+	return n
+}
 
 // Copy fills b with a deep copy of s and returns it (nil for nil); SRLGs,
 // nil on most topologies, and a list b cannot hold get arrays of their own.
-func (b *StandbyBlock) Copy(s *Standby) *Standby { return copyBlock(&b.sb, b.path[:], b.links[:], s) }
-
-// Copy fills b as StandbyBlock.Copy does.
-func (b *StandbyBlock3) Copy(s *Standby) *Standby { return copyBlock(&b.sb, b.path[:], b.links[:], s) }
+func (b *Block7) Copy(s *Standby) *Standby  { return copyBlock(&b.sb, b.path[:], b.links[:], s) }
+func (b *Block9) Copy(s *Standby) *Standby  { return copyBlock(&b.sb, b.path[:], b.links[:], s) }
+func (b *Block11) Copy(s *Standby) *Standby { return copyBlock(&b.sb, b.path[:], b.links[:], s) }
+func (b *Block13) Copy(s *Standby) *Standby { return copyBlock(&b.sb, b.path[:], b.links[:], s) }
+func (b *Block15) Copy(s *Standby) *Standby { return copyBlock(&b.sb, b.path[:], b.links[:], s) }
 
 func copyBlock(sb *Standby, path []topology.NodeID, links []topology.LinkID, s *Standby) *Standby {
 	if s == nil {
@@ -327,11 +338,42 @@ func PlanStandby(f PathFinder, topo *topology.Topology, primary []topology.NodeI
 // (one block, Clone's; its risk groups too, on a topology that models
 // any).
 func PlanStandbyAvoiding(f PathFinder, topo *topology.Topology, p Primary, allow topology.Pool, domainSRLGs []int) (*Standby, error) {
-	if len(p.Path) == 0 || len(p.Stops) < 2 {
-		return nil, fmt.Errorf("resilience: plan standby: primary and stops required")
-	}
+	sb, _, err := PlanStandbyWithin(f, topo, p, allow, false, domainSRLGs)
+	return sb, err
+}
+
+// PlanStandbyWithin is PlanStandbyAvoiding; with fallback, when allow
+// restricts and its plan fails or is not disjoint, it plans over the whole
+// fabric too (fellBack) and keeps that plan if disjoint or allow's failed.
+// Only the plan kept is copied out of the scratch.
+func PlanStandbyWithin(f PathFinder, topo *topology.Topology, p Primary, allow topology.Pool, fallback bool, domainSRLGs []int) (sb *Standby, fellBack bool, err error) {
 	sc := scratches.Get().(*planScratch)
 	defer sc.release()
+	plan, err := sc.plan(f, topo, p, allow, domainSRLGs)
+	if fallback && allow.OPS != nil && (err != nil || !plan.Disjoint) {
+		wc := scratches.Get().(*planScratch)
+		defer wc.release()
+		wide, wideErr := wc.plan(f, topo, p, topology.Pool{}, domainSRLGs)
+		if fellBack = true; err != nil || (wideErr == nil && wide.Disjoint) {
+			plan, err = wide, wideErr
+		}
+	}
+	if err != nil {
+		return nil, fellBack, err
+	}
+	sb = plan.Clone()
+	if topo.HasSRLGs() {
+		sb.SRLGs = appendLinkSRLGs(nil, topo, sb.Links)
+	}
+	return sb, fellBack, nil
+}
+
+// plan is PlanStandbyAvoiding's search, into sc: the plan's lists are
+// sc's until release.
+func (sc *planScratch) plan(f PathFinder, topo *topology.Topology, p Primary, allow topology.Pool, domainSRLGs []int) (Standby, error) {
+	if len(p.Path) == 0 || len(p.Stops) < 2 {
+		return Standby{}, fmt.Errorf("resilience: plan standby: primary and stops required")
+	}
 	// Primary transit nodes (everything that is not a mandatory stop)
 	// and primary links are what the standby tries to avoid.
 	avoid := topology.Avoid{Nodes: sc.nodes[:0], Links: p.Links, Spread: spreadKey(p.Slice, p.Stops)}
@@ -345,7 +387,7 @@ func PlanStandbyAvoiding(f PathFinder, topo *topology.Topology, p Primary, allow
 	if avoid.Links == nil {
 		var ok bool
 		if avoid.Links, ok = topo.AppendPathLinks(sc.links[:0], p.Path); !ok {
-			return nil, fmt.Errorf("resilience: plan standby: a hop of the primary joins no link")
+			return Standby{}, fmt.Errorf("resilience: plan standby: a hop of the primary joins no link")
 		}
 		sc.links = avoid.Links
 	}
@@ -375,10 +417,10 @@ func PlanStandbyAvoiding(f PathFinder, topo *topology.Topology, p Primary, allow
 	route, links, err := f.AppendRouteAvoiding(sc.route[:0], sc.routeLinks[:0], p.Stops, allow, avoid)
 	sc.route, sc.routeLinks = route, links
 	if err != nil {
-		return nil, fmt.Errorf("resilience: plan standby: %w", err)
+		return Standby{}, fmt.Errorf("resilience: plan standby: %w", err)
 	}
 	if len(route) == 0 {
-		return nil, fmt.Errorf("resilience: plan standby: degenerate stop list")
+		return Standby{}, fmt.Errorf("resilience: plan standby: degenerate stop list")
 	}
 	// The acceptance test, independent of how the route was found: what
 	// does it still share with the primary?
@@ -399,12 +441,7 @@ func PlanStandbyAvoiding(f PathFinder, topo *topology.Topology, p Primary, allow
 			overlap++
 		}
 	}
-	plan := Standby{Path: route, Links: links, Disjoint: overlap == 0, Confined: confined, PlannedAt: time.Now()}
-	sb := plan.Clone()
-	if srlgs {
-		sb.SRLGs = appendLinkSRLGs(nil, topo, links)
-	}
-	return sb, nil
+	return Standby{Path: route, Links: links, Disjoint: overlap == 0, Confined: confined, PlannedAt: time.Now()}, nil
 }
 
 // spreadKey is what rotates a chain's equal-cost choices: its first

@@ -251,10 +251,10 @@ func TestStandbyClone(t *testing.T) {
 
 // TestStandbyCloneBlocks: a clone is deep, equal and clipped whatever
 // its lists' lengths, and is one allocation while they fit a block —
-// up to eleven nodes over eight links — else the record and an array
+// up to fifteen nodes over twelve links — else the record and an array
 // per list.
 func TestStandbyCloneBlocks(t *testing.T) {
-	for nodes := 1; nodes <= 14; nodes++ {
+	for nodes := 1; nodes <= 18; nodes++ {
 		for links := 0; links < nodes; links++ {
 			sb := &Standby{Disjoint: true}
 			for i := range nodes {
@@ -279,7 +279,7 @@ func TestStandbyCloneBlocks(t *testing.T) {
 			}
 			want := 3.0
 			switch {
-			case nodes <= 11 && links <= 8:
+			case nodes <= 15 && links <= 12:
 				want = 1
 			case links == 0:
 				want = 2
@@ -290,7 +290,7 @@ func TestStandbyCloneBlocks(t *testing.T) {
 			// For a route between two VMs (two virtual hops, so links =
 			// nodes - 3) past the two-NF block, a block is never more bytes
 			// than the record and an array per list.
-			if want != 1 || sb.Fits() || links != nodes-3 {
+			if want != 1 || sb.BlockNodes() == 7 || links != nodes-3 {
 				continue
 			}
 			perList := func() {

@@ -10,17 +10,21 @@ import (
 )
 
 // stormRoundAllocCeiling bounds TestStormRoundAllocations' allocations a
-// round: 99.7–113.2 over 293 runs on a 2-vCPU box (median 108.3), so
-// the highest reading; 103.0–113.2 over 60 runs (median 110.8) and a
-// ceiling of 120 before a resource one chain held cost only its index
-// slot, 127.5–130.6 before a standby routed around the cut tray became
+// round: 47.9–56.1 over 1 000 runs on a 2-vCPU box (median 51.4; 48.4–51.0
+// with the collector off), so the highest reading; 99.7–113.2 over 293
+// runs (median 108.3) and a ceiling of 114 before the round's lists were
+// reused, a standby routed around a cut tray became one block up to
+// fifteen nodes, a snapshot took it into its own block and a fabric
+// retry's losing plan stopped being copied; 103.0–113.2 over 60 runs
+// (median 110.8) and a ceiling of 120 before a resource one chain held
+// cost only its index slot, 127.5–130.6 before a standby routed around the cut tray became
 // one block, 135 before the trace store reused
 // record storage, 158 before a reroute to a path of the old one's length
 // rewrote the flow's rule block in place, and 270 before snapshots and
 // standby records became one block each, repair spans took their
 // carriers from one array and their attributes from a shared list, and
 // liveness patches reused their scratch.
-const stormRoundAllocCeiling = 114
+const stormRoundAllocCeiling = 57
 
 // TestStormRoundAllocations runs failure_storm's rounds in process on
 // the benchmark's storm fleet — 168 OPSs, 160 two-NF residents over 4
