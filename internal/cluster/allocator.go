@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -131,24 +130,49 @@ func (a *Allocator) freeSetLocked() topology.NodeSet {
 	return set
 }
 
-// setALLocked stores vc under its ID with al as its layer, moving OPS
-// ownership from the layer the ID held before (if any) to al.
-func (a *Allocator) setALLocked(vc *VC, al AL) {
+// vcBlock is a VC with its VMs, ToRs and OPSs in one array of nodes.
+type vcBlock[A any] struct {
+	vc    VC
+	nodes A
+}
+
+// newVC returns the cluster of vms over al, its three lists copied into
+// one array, each clipped: in a 256-byte block with the record when
+// they fit one — the benchmark fleets' sixteen-VM service does — else
+// in an array of their own.
+func newVC(id VCID, service string, vms []topology.NodeID, al AL) *VC {
+	n := len(vms) + len(al.ToRs) + len(al.OPSs)
+	var vc *VC
+	var room []topology.NodeID
+	if n <= len(vcBlock[[20]topology.NodeID]{}.nodes) {
+		b := new(vcBlock[[20]topology.NodeID])
+		vc, room = &b.vc, b.nodes[:0]
+	} else {
+		vc, room = new(VC), make([]topology.NodeID, 0, n)
+	}
+	room = append(append(append(room, vms...), al.ToRs...), al.OPSs...)
+	v, t := len(vms), len(vms)+len(al.ToRs)
+	*vc = VC{ID: id, Service: service, VMs: room[:v:v], AL: AL{ToRs: room[v:t:t], OPSs: room[t:n:n]}}
+	return vc
+}
+
+// setALLocked stores vc under its ID, moving OPS ownership from the
+// layer the ID held before (if any) to vc's.
+func (a *Allocator) setALLocked(vc *VC) {
 	if old := a.vcs[vc.ID]; old != nil {
 		for _, ops := range old.AL.OPSs {
 			a.free[ops] = true
 		}
 	}
-	vc.AL = al
-	for _, ops := range al.OPSs {
+	for _, ops := range vc.AL.OPSs {
 		a.free[ops] = false
 	}
 	a.vcs[vc.ID] = vc
 }
 
 // buildLocked builds a layer for vms out of the free OPSs. The paper's
-// builder reads the allocator's mask as it is; the baseline builders take
-// a set.
+// builder reads the allocator's mask as it is, and its layer is good
+// until the next build; the baseline builders take a set.
 func (a *Allocator) buildLocked(vms []topology.NodeID) (AL, error) {
 	if p, ok := a.builder.(PaperBuilder); ok && !p.StaticWeight {
 		return buildMarginal(a.topo, vms, a.free, &a.cover, &a.phase1)
@@ -175,8 +199,8 @@ func (a *Allocator) BuildVC(service string, vms []topology.NodeID) (*VC, error) 
 		return nil, fmt.Errorf("cluster: build VC for %q: %w", service, err)
 	}
 	a.nextID += a.idStride
-	vc := &VC{ID: a.nextID, Service: service, VMs: slices.Clone(vms)}
-	a.setALLocked(vc, al)
+	vc := newVC(a.nextID, service, vms, al)
+	a.setALLocked(vc)
 	return vc, nil
 }
 
@@ -237,8 +261,8 @@ func (a *Allocator) PatchVC(id VCID, vms []topology.NodeID) (*VC, error) {
 		}
 		return nil, fmt.Errorf("cluster: patch VC %d: %w", id, err)
 	}
-	patched := &VC{ID: id, Service: vc.Service, VMs: slices.Clone(vms)}
-	a.setALLocked(patched, al)
+	patched := newVC(id, vc.Service, vms, al)
+	a.setALLocked(patched)
 	return patched, nil
 }
 

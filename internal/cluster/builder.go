@@ -139,34 +139,39 @@ type CoverStats struct {
 // VMs' ToR lists, the chosen ToRs' OPS lists, the per-node optical
 // degrees — and no bipartite graph is materialized. admit masks the OPSs
 // by node ID (nil admits all, IDs beyond it are barred) and is only read.
-// sc, when not nil, lends phase 1 its lists.
+// sc, when not nil, lends the build its lists, the AL's among them: the
+// AL is then good until sc's next build.
 func buildMarginal(topo *topology.Topology, vms []topology.NodeID, admit []bool, stats *CoverStats, sc *phase1Scratch) (AL, error) {
+	if sc == nil {
+		sc = new(phase1Scratch)
+	}
 	// Phase 1: cover the (distinct) VMs by ToRs; a ToR's outgoing
 	// connections are its OPS uplinks.
 	group, lefts, err := vmToRs(topo, vms, sc)
-	if sc != nil {
-		defer clear(sc.lefts) // the scratch keeps no topology list past the build
-	}
+	defer clear(sc.lefts) // the scratch keeps no topology list past the build
 	if err != nil {
 		return AL{}, err
 	}
-	tors, err := graph.CoverMarginal(lefts, nil, torUplinks(topo))
+	tors, err := graph.CoverMarginal(sc.tors[:0], lefts, nil, torUplinks(topo))
 	if err != nil {
 		return AL{}, fmt.Errorf("cluster: paper phase 1: VM %d: %w", group[uncoverable(err)], err)
 	}
+	sc.tors = tors
 	// A cover picks at most one ToR per VM, so lefts has room for phase 2.
-	opss, err := coverToRs(topo, tors, lefts[:len(tors)], admit, stats)
+	opss, err := coverToRs(sc.opss[:0], topo, tors, lefts[:len(tors)], admit, stats)
 	if err != nil {
 		return AL{}, fmt.Errorf("%w: ToR %d has no available OPS uplink", ErrInsufficientOPS, tors[uncoverable(err)])
 	}
+	sc.opss = opss
 	return AL{ToRs: tors, OPSs: opss}, nil
 }
 
-// phase1Scratch is what vmToRs fills, kept by an Allocator from one
-// build to the next (it builds under its lock, one at a time).
+// phase1Scratch is what a build works in, kept by an Allocator from one
+// build to the next (it builds under its lock, one at a time): vmToRs's
+// lists and the AL's.
 type phase1Scratch struct {
-	group []topology.NodeID
-	lefts [][]topology.NodeID
+	group, tors, opss []topology.NodeID
+	lefts             [][]topology.NodeID
 }
 
 // vmToRs is phase 1's instance: the group's distinct VMs in ascending
@@ -202,12 +207,12 @@ func torUplinks(topo *topology.Topology) func(topology.NodeID) float64 {
 
 // coverToRs is phase 2: cover the chosen ToRs by admitted OPSs, an OPS's
 // outgoing connections (the tie-break) being its optical-mesh degree. It
-// fills lefts with the ToRs' live uplinks and returns what
-// graph.CoverMarginal would over them, running that candidate pass — one
-// per round over every admitted OPS the ToRs reach, the pool on a wide
-// fabric — only when no single admitted OPS uplinks every chosen ToR (see
-// fullCover). Either way the cover is the one slice it allocates.
-func coverToRs(topo *topology.Topology, tors []topology.NodeID, lefts [][]topology.NodeID, admit []bool, stats *CoverStats) ([]topology.NodeID, error) {
+// fills lefts with the ToRs' live uplinks and appends to dst what
+// graph.CoverMarginal would answer over them, running that candidate
+// pass — one per round over every admitted OPS the ToRs reach, the pool
+// on a wide fabric — only when no single admitted OPS uplinks every
+// chosen ToR (see fullCover). Either way dst is all it allocates.
+func coverToRs(dst []topology.NodeID, topo *topology.Topology, tors []topology.NodeID, lefts [][]topology.NodeID, admit []bool, stats *CoverStats) ([]topology.NodeID, error) {
 	scan := 0
 	for i, tor := range tors {
 		lefts[i] = topo.OPSsOfToR(tor)
@@ -219,11 +224,11 @@ func coverToRs(topo *topology.Topology, tors []topology.NodeID, lefts [][]topolo
 	stats.Evaluated += evaluated
 	if ops > 0 {
 		stats.FullCovers++
-		return []topology.NodeID{ops}, nil
+		return append(dst, ops), nil
 	}
 	stats.Fallbacks++
 	degree := topo.OpticalDegrees()
-	return graph.CoverMarginal(lefts, admit, func(ops topology.NodeID) float64 {
+	return graph.CoverMarginal(dst, lefts, admit, func(ops topology.NodeID) float64 {
 		return float64(degree[ops])
 	})
 }
@@ -307,7 +312,7 @@ func (GreedyBuilder) Name() string { return "greedy-setcover" }
 // Build implements Builder.
 func (GreedyBuilder) Build(topo *topology.Topology, vms []topology.NodeID, allowOPS topology.NodeSet) (AL, error) {
 	return buildTwoPhase(topo, vms, allowOPS, func(lefts [][]topology.NodeID, _ func(topology.NodeID) float64) ([]topology.NodeID, error) {
-		return graph.CoverMarginal(lefts, nil, nil)
+		return graph.CoverMarginal(nil, lefts, nil, nil)
 	})
 }
 
@@ -383,7 +388,7 @@ func (d DirectBuilder) Build(topo *topology.Topology, vms []topology.NodeID, all
 	if d.Exact {
 		ops, err = graph.CoverExact(lefts)
 	} else {
-		ops, err = graph.CoverMarginal(lefts, nil, nil)
+		ops, err = graph.CoverMarginal(nil, lefts, nil, nil)
 	}
 	if err != nil {
 		return AL{}, fmt.Errorf("%w: %v", ErrInsufficientOPS, err)

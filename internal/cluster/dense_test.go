@@ -294,8 +294,9 @@ func wideFabric(tb testing.TB, ops int) (*topology.Topology, []topology.NodeID) 
 	return topo, topo.VMsByService()["web"]
 }
 
-// A build on the 1200-OPS fabric allocates a fixed handful of buffers —
-// the map-and-copy construction took 6469 allocations here.
+// A build on the 1200-OPS fabric allocates a fixed handful of buffers,
+// 6 in every one of 250 runs — the map-and-copy construction took 6469
+// allocations here.
 func TestPaperBuilderAllocCeiling(t *testing.T) {
 	topo, vms := wideFabric(t, 1200)
 	allow := topology.NewNodeSet(topo.NodeIDs(topology.KindOPS)...)
@@ -307,8 +308,9 @@ func TestPaperBuilderAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 40 {
-		t.Fatalf("PaperBuilder.Build allocates %.0f times at 1200 OPS, ceiling 40", allocs)
+	t.Logf("PaperBuilder.Build allocates %.0f times at 1200 OPS (ceiling 6)", allocs)
+	if allocs > 6 && !raceEnabled {
+		t.Fatalf("PaperBuilder.Build allocates %.0f times at 1200 OPS, ceiling 6", allocs)
 	}
 }
 

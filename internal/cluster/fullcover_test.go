@@ -21,13 +21,13 @@ func coverMarginalOnly(topo *topology.Topology, vms []topology.NodeID, admit []b
 	for i, vm := range group {
 		lefts[i] = topo.ToRsOfVM(vm)
 	}
-	tors, err := graph.CoverMarginal(lefts, nil, func(tor topology.NodeID) float64 {
+	tors, err := graph.CoverMarginal(nil, lefts, nil, func(tor topology.NodeID) float64 {
 		return float64(len(topo.OPSsOfToR(tor)))
 	})
 	if err != nil {
 		return AL{}, err
 	}
-	opss, err := graph.CoverMarginal(uplinks(topo, tors), admit, degreeTie(topo))
+	opss, err := graph.CoverMarginal(nil, uplinks(topo, tors), admit, degreeTie(topo))
 	if err != nil {
 		return AL{}, err
 	}
@@ -53,7 +53,7 @@ func degreeTie(topo *topology.Topology) func(topology.NodeID) float64 {
 // ToRs with one OPS.
 func fullCoverAgrees(topo *topology.Topology, tors, byTie []topology.NodeID, admit []bool) error {
 	lefts := uplinks(topo, tors)
-	want, wantErr := graph.CoverMarginal(lefts, admit, degreeTie(topo))
+	want, wantErr := graph.CoverMarginal(nil, lefts, admit, degreeTie(topo))
 	single := wantErr == nil && len(want) == 1
 	switch got, _ := fullCover(lefts, byTie, admit); {
 	case got > 0 && (!single || want[0] != got):

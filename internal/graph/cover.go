@@ -45,9 +45,10 @@ func (e *UncoverableError) Unwrap() error { return ErrUncoverable }
 // admit[r] (IDs beyond the mask do not). Gains live in one counter array
 // over the span of right IDs and are decremented as lefts become
 // covered, so a round costs one pass over the candidates and nothing is
-// copied or hashed; the working arrays are pooled, so a call allocates
-// its result.
-func CoverMarginal[V ~int](lefts [][]V, admit []bool, tie func(V) float64) ([]V, error) {
+// copied or hashed; the working arrays are pooled. The cover is appended
+// to dst, so a call allocates only what dst has no room for; on error
+// dst is returned as given.
+func CoverMarginal[V ~int](dst []V, lefts [][]V, admit []bool, tie func(V) float64) ([]V, error) {
 	admitted := func(r V) bool {
 		return admit == nil || (r >= 0 && int(r) < len(admit) && admit[r])
 	}
@@ -87,11 +88,12 @@ func CoverMarginal[V ~int](lefts [][]V, admit []bool, tie func(V) float64) ([]V,
 			coverable = true
 		}
 		if !coverable {
-			return nil, &UncoverableError{Left: i}
+			return dst, &UncoverableError{Left: i}
 		}
 	}
 	slices.Sort(s.cands)
-	var cover []V
+	start := len(dst)
+	cover := dst
 	for remaining := len(lefts); remaining > 0; {
 		var best V
 		bestGain, bestTie := int32(0), 0.0
@@ -126,7 +128,7 @@ func CoverMarginal[V ~int](lefts [][]V, admit []bool, tie func(V) float64) ([]V,
 			}
 		}
 	}
-	slices.Sort(cover)
+	slices.Sort(cover[start:])
 	return cover, nil
 }
 
@@ -213,7 +215,7 @@ func CoverExact[V ~int](lefts [][]V) ([]V, error) {
 	}
 	order := identity(len(rights))
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(len(adj[b]), len(adj[a])) })
-	seed, err := CoverMarginal(lefts, nil, nil)
+	seed, err := CoverMarginal(nil, lefts, nil, nil)
 	if err != nil {
 		return nil, err
 	}

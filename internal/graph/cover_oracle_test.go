@@ -503,10 +503,10 @@ func TestCoverMarginalEqualsOracle(t *testing.T) {
 		}
 
 		want, wantErr := oracleCoverMaxWeightMarginal(restricted, tie)
-		got, err := CoverMarginal(lefts, admit, tie)
+		got, err := CoverMarginal(nil, lefts, admit, tie)
 		check("CoverMarginal", got, err, want, wantErr)
 		want, wantErr = oracleCoverGreedy(restricted)
-		got, err = CoverMarginal(lefts, admit, nil)
+		got, err = CoverMarginal(nil, lefts, admit, nil)
 		check("CoverMarginal greedy", got, err, want, wantErr)
 
 		want, wantErr = refCoverMaxWeight(restricted, func(r VertexID) float64 {
@@ -545,11 +545,11 @@ func TestCoverMarginalAllocsDoNotGrowWithRounds(t *testing.T) {
 	for i := range admit {
 		admit[i] = true
 	}
-	cover, err := CoverMarginal(lefts, admit, tie)
+	cover, err := CoverMarginal(nil, lefts, admit, tie)
 	if err != nil || len(cover) != 40 {
 		t.Fatalf("cover = %v, %v; want the 40 private rights", cover, err)
 	}
-	allocs := testing.AllocsPerRun(20, func() { _, _ = CoverMarginal(lefts, admit, tie) })
+	allocs := testing.AllocsPerRun(20, func() { _, _ = CoverMarginal(nil, lefts, admit, tie) })
 	if allocs > 8 && !raceEnabled { // the 40-entry cover grows by doubling: 7
 		t.Fatalf("CoverMarginal allocates %.0f times over 40 rounds, want only the cover it returns", allocs)
 	}
@@ -575,7 +575,7 @@ func TestCoverMarginalConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := int64(0); w < 4; w++ {
 		lefts := instance(w)
-		want, err := CoverMarginal(lefts, nil, nil)
+		want, err := CoverMarginal(nil, lefts, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,7 +583,7 @@ func TestCoverMarginalConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if got, err := CoverMarginal(lefts, nil, nil); err != nil || !slices.Equal(got, want) {
+				if got, err := CoverMarginal(nil, lefts, nil, nil); err != nil || !slices.Equal(got, want) {
 					t.Errorf("concurrent CoverMarginal = %v, %v; alone %v", got, err, want)
 					return
 				}

@@ -67,7 +67,7 @@ func TestCoverMaxWeightSkipsRedundant(t *testing.T) {
 
 func TestCoverMaxWeightMarginalFig4(t *testing.T) {
 	lefts, uplinks := fig4Instance()
-	cover, err := CoverMarginal(lefts, nil, uplinks)
+	cover, err := CoverMarginal(nil, lefts, nil, uplinks)
 	if err != nil {
 		t.Fatalf("CoverMarginal: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestCoverMaxWeightMarginalTieBreak(t *testing.T) {
 	// Rights 10 and 11 both cover both lefts; tie-break weight must
 	// pick 11.
 	lefts := [][]VertexID{{10, 11}, {10, 11}}
-	cover, err := CoverMarginal(lefts, nil, func(r VertexID) float64 { return float64(r) })
+	cover, err := CoverMarginal(nil, lefts, nil, func(r VertexID) float64 { return float64(r) })
 	if err != nil {
 		t.Fatalf("CoverMarginal: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestCoverMaxWeightMarginalTieBreak(t *testing.T) {
 func TestCoverMaxWeightMarginalUncoverable(t *testing.T) {
 	lefts := [][]VertexID{{10}, {10, 11}}
 	admit := []bool{10: false, 11: true}
-	_, err := CoverMarginal(lefts, admit, func(VertexID) float64 { return 0 })
+	_, err := CoverMarginal(nil, lefts, admit, func(VertexID) float64 { return 0 })
 	var ue *UncoverableError
 	if !errors.As(err, &ue) || ue.Left != 0 {
 		t.Fatalf("left 0 with no admitted right: err = %v", err)
@@ -103,7 +103,7 @@ func TestCoverGreedySimple(t *testing.T) {
 	// Right 20 covers 3 lefts; rights 21,22 cover one each; greedy must
 	// pick 20 then whichever covers the remaining left.
 	lefts := [][]VertexID{{20}, {20}, {20, 22}, {21}}
-	cover, err := CoverMarginal(lefts, nil, nil)
+	cover, err := CoverMarginal(nil, lefts, nil, nil)
 	if err != nil {
 		t.Fatalf("CoverMarginal: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestCoverGreedySimple(t *testing.T) {
 func TestCoverUncoverable(t *testing.T) {
 	lefts := [][]VertexID{{10}, {}, {11}} // left 1 is isolated
 	solvers := map[string]func() ([]VertexID, error){
-		"marginal": func() ([]VertexID, error) { return CoverMarginal(lefts, nil, nil) },
+		"marginal": func() ([]VertexID, error) { return CoverMarginal(nil, lefts, nil, nil) },
 		"static":   func() ([]VertexID, error) { return CoverStatic(lefts, func(VertexID) float64 { return 1 }) },
 		"exact":    func() ([]VertexID, error) { return CoverExact(lefts) },
 		"random":   func() ([]VertexID, error) { return CoverRandom(lefts, rand.New(rand.NewSource(1))) },
@@ -178,7 +178,7 @@ func TestCoverExactBeatsOrMatchesHeuristics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CoverExact: %v", err)
 		}
-		greedy, err := CoverMarginal(lefts, nil, nil)
+		greedy, err := CoverMarginal(nil, lefts, nil, nil)
 		if err != nil {
 			t.Fatalf("CoverMarginal: %v", err)
 		}
@@ -254,7 +254,7 @@ func TestCoverExactBigUniverse(t *testing.T) {
 		if len(lefts) <= 64 || len(cover) != len(want) || !isCover(lefts, cover) {
 			t.Fatalf("seed %d: %d lefts: cover %v, reference optimum %v", seed, len(lefts), cover, want)
 		}
-		if greedy, _ := CoverMarginal(lefts, nil, nil); len(cover) < len(greedy) {
+		if greedy, _ := CoverMarginal(nil, lefts, nil, nil); len(cover) < len(greedy) {
 			beatGreedy++
 		}
 	}
@@ -290,7 +290,7 @@ func TestCoverPropertyAllSolversValid(t *testing.T) {
 		if err != nil || !isCover(lefts, mw) {
 			return false
 		}
-		gr, err := CoverMarginal(lefts, nil, nil)
+		gr, err := CoverMarginal(nil, lefts, nil, nil)
 		if err != nil || !isCover(lefts, gr) {
 			return false
 		}
@@ -311,7 +311,7 @@ func TestCoverPropertyAllSolversValid(t *testing.T) {
 
 func TestErrUncoverableWrapped(t *testing.T) {
 	// A left whose only right is masked out.
-	_, err := CoverMarginal([][]VertexID{{10}}, []bool{}, nil)
+	_, err := CoverMarginal(nil, [][]VertexID{{10}}, []bool{}, nil)
 	if !errors.Is(err, ErrUncoverable) {
 		t.Fatalf("err = %v, want it to wrap ErrUncoverable", err)
 	}

@@ -133,16 +133,33 @@ func (m *SliceManager) Allocate(tenant string, opss []topology.NodeID, bandwidth
 		}
 	}
 	m.nextID++
-	s := &Slice{
-		ID:            m.nextID,
-		Tenant:        tenant,
-		OPSs:          append([]topology.NodeID(nil), opss...),
-		BandwidthGbps: bandwidthGbps,
-	}
-	slices.Sort(s.OPSs)
+	s := newSlice(m.nextID, tenant, opss, bandwidthGbps)
 	m.own(s.OPSs, s.ID)
 	m.slices[s.ID] = s
 	return s, nil
+}
+
+// sliceBlock is a one-OPS slice with its OPS list inline.
+type sliceBlock struct {
+	s    Slice
+	opss [1]topology.NodeID
+}
+
+// newSlice returns the slice of opss with its OPS list sorted and
+// clipped: in a 64-byte block with the record for one OPS, the benchmark
+// fleets' slices, else in an array of its own.
+func newSlice(id SliceID, tenant string, opss []topology.NodeID, bandwidthGbps float64) *Slice {
+	var s *Slice
+	var room []topology.NodeID
+	if len(opss) == 1 {
+		b := new(sliceBlock)
+		s, room = &b.s, b.opss[:]
+	} else {
+		s, room = new(Slice), make([]topology.NodeID, len(opss))
+	}
+	*s = Slice{ID: id, Tenant: tenant, OPSs: room[:copy(room, opss):len(opss)], BandwidthGbps: bandwidthGbps}
+	slices.Sort(s.OPSs)
+	return s
 }
 
 // ownerOf returns the slice the OPS belongs to, 0 for none. Caller holds
@@ -206,13 +223,7 @@ func (m *SliceManager) PatchMembership(id SliceID, opss []topology.NodeID) (*Sli
 		}
 	}
 	m.own(s.OPSs, 0)
-	patched := &Slice{
-		ID:            id,
-		Tenant:        s.Tenant,
-		OPSs:          append([]topology.NodeID(nil), opss...),
-		BandwidthGbps: s.BandwidthGbps,
-	}
-	slices.Sort(patched.OPSs)
+	patched := newSlice(id, s.Tenant, opss, s.BandwidthGbps)
 	m.own(patched.OPSs, id)
 	m.slices[id] = patched
 	return patched, nil

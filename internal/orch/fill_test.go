@@ -64,7 +64,7 @@ func (coverMarginalBuilder) Build(topo *topology.Topology, vms []topology.NodeID
 	for i, vm := range group {
 		lefts[i] = topo.ToRsOfVM(vm)
 	}
-	tors, err := graph.CoverMarginal(lefts, nil, func(tor topology.NodeID) float64 {
+	tors, err := graph.CoverMarginal(nil, lefts, nil, func(tor topology.NodeID) float64 {
 		return float64(len(topo.OPSsOfToR(tor)))
 	})
 	if err != nil {
@@ -79,7 +79,7 @@ func (coverMarginalBuilder) Build(topo *topology.Topology, vms []topology.NodeID
 	for _, ops := range allow {
 		admit[ops] = true
 	}
-	opss, err := graph.CoverMarginal(lefts, admit, func(ops topology.NodeID) float64 { return float64(degree[ops]) })
+	opss, err := graph.CoverMarginal(nil, lefts, admit, func(ops topology.NodeID) float64 { return float64(degree[ops]) })
 	if err != nil {
 		return cluster.AL{}, fmt.Errorf("%w: %v", cluster.ErrInsufficientOPS, err)
 	}
@@ -218,43 +218,123 @@ func TestProvisionCostFollowsTheAL(t *testing.T) {
 	}
 }
 
+// TestProvisionAllocatesOneBlockPerLayer: on bigpool_fill's fabric with
+// half the pool claimed, each layer keeps a provisioned chain's state in
+// one allocation — the cluster its VC with the VMs and the AL, the
+// optical layer its slice with the OPS list, the orchestrator the record
+// with its lists, for both of the fleet's two- and three-NF shapes — and
+// a warm untraced provision allocates at most 13 times (22 when each list
+// was an allocation of its own), as many at 4800 OPSs as at 1200. Every
+// list a snapshot or a caller reaches is clipped, so an append
+// reallocates; the record's index lists, its own, keep the block's
+// spare room.
+func TestProvisionAllocatesOneBlockPerLayer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts of pooled code are not exact under the race detector")
+	}
+	s, o, topo := halfClaimedFleet(t, 1200)
+	vms, ops := topo.LiveVMs("web"), topo.NodeIDs(topology.KindOPS)[:1]
+	layers := map[string]func(){
+		"cluster.BuildVC": func() {
+			vc, err := o.alloc.BuildVC("web", vms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = o.alloc.Release(vc.ID)
+		},
+		"optical.Allocate": func() {
+			slice, err := o.slices.Allocate("t", ops, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = o.slices.Release(slice.ID)
+		},
+	}
+	for i, shape := range fillShapes[:2] {
+		dep, err := s.Provision(bg, fillSpec(t, i, shape))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d Deployment
+		var nodes, links int
+		s.ViewDeployment(dep.ID, func(live *Deployment) {
+			for name, c := range map[string][2]int{
+				"Instances": {len(live.Instances), cap(live.Instances)}, "Path": {len(live.Path), cap(live.Path)},
+				"Hosts": {len(live.Placement.Hosts), cap(live.Placement.Hosts)}, "Domains": {len(live.Placement.Domains), cap(live.Placement.Domains)},
+				"primaryLinks": {len(live.primaryLinks), cap(live.primaryLinks)}, "VMs": {len(live.VC.VMs), cap(live.VC.VMs)},
+				"ToRs": {len(live.VC.AL.ToRs), cap(live.VC.AL.ToRs)}, "OPSs": {len(live.VC.AL.OPSs), cap(live.VC.AL.OPSs)},
+				"slice OPSs": {len(live.Slice.OPSs), cap(live.Slice.OPSs)},
+			} {
+				if c[0] != c[1] {
+					t.Errorf("%v: the live record's %s has capacity %d for %d elements", shape, name, c[1], c[0])
+				}
+			}
+			d, nodes, links = *live, len(live.idxNodes), len(live.idxLinks)
+		})
+		layers[fmt.Sprintf("orch record of %d NFs", len(shape))] = func() { newRecord(&d, nodes, links) }
+	}
+	for name, fn := range layers {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 1 {
+			t.Errorf("%s allocates %.0f times, want 1: one block", name, allocs)
+		}
+	}
+	const k = 8
+	_, _, small := provisionCosts(t, 1200, k)
+	_, _, big := provisionCosts(t, 4800, k)
+	t.Logf("a provision allocates %d times at 1200 OPSs and %d at 4800", small, big)
+	if small > 13 || big != small {
+		t.Errorf("a provision allocates %d times at 1200 OPSs and %d at 4800, want at most 13 at both", small, big)
+	}
+}
+
 // BenchmarkProvisionFill is bigpool_fill's provision path in process, at
 // its pool size and at four times it: a half-claimed pool, 25-spec
 // batches over 2 workers; every batch is deleted again off the clock.
-// ns/provision is a batch's time over its 25 chains.
+// Each size runs untraced and traced, with a tracer on the default store
+// attached to the hooks as alvc.New attaches one. ns/provision is a
+// batch's time over its 25 chains.
 func BenchmarkProvisionFill(b *testing.B) {
 	const batch, workers = 25, 2
 	for _, ops := range []int{1200, 4800} {
-		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
-			s, _, _ := halfClaimedFleet(b, ops)
-			n := 0
-			specs := func() []chain.Spec {
-				out := make([]chain.Spec, batch)
-				for i := range out {
-					n++
-					out[i] = fillSpec(b, n, fillShapes[n%len(fillShapes)])
-				}
-				return out
+		for _, traced := range []bool{false, true} {
+			name := fmt.Sprintf("ops=%d/untraced", ops)
+			if traced {
+				name = fmt.Sprintf("ops=%d/traced", ops)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				next := specs()
-				b.StartTimer()
-				results := s.ProvisionBatch(next, workers)
-				b.StopTimer()
-				for _, res := range results {
-					if res.Err != nil {
-						b.Fatal(res.Err)
-					}
-					if _, err := s.Delete(bg, res.Deployment.ID); err != nil {
-						b.Fatal(err)
-					}
+			b.Run(name, func(b *testing.B) {
+				s, _, _ := halfClaimedFleet(b, ops)
+				if traced {
+					s.UpdateHooks(func(h *Hooks) { h.Tracer = newTestTracer() })
 				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/provision")
-		})
+				n := 0
+				specs := func() []chain.Spec {
+					out := make([]chain.Spec, batch)
+					for i := range out {
+						n++
+						out[i] = fillSpec(b, n, fillShapes[n%len(fillShapes)])
+					}
+					return out
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					next := specs()
+					b.StartTimer()
+					results := s.ProvisionBatch(next, workers)
+					b.StopTimer()
+					for _, res := range results {
+						if res.Err != nil {
+							b.Fatal(res.Err)
+						}
+						if _, err := s.Delete(bg, res.Deployment.ID); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/provision")
+			})
+		}
 	}
 }

@@ -187,8 +187,14 @@ func (o *shard) indexLocked(dep *Deployment) {
 	dep.primaryLinks, _ = o.topo.AppendPathLinks(dep.primaryLinks[:0], dep.Path)
 	var nodes [64]topology.NodeID // a footprint is a few dozen entries: built on the stack
 	var links [64]topology.LinkID
-	dep.idxNodes = o.nodeIndex.retarget(dep.ID, dep.idxNodes, dep.appendFootprint(nodes[:0]))
-	dep.idxLinks = o.linkIndex.retarget(dep.ID, dep.idxLinks, dep.appendLinkFootprint(links[:0], dep.primaryLinks))
+	o.retargetLocked(dep, dep.appendFootprint(nodes[:0]), dep.appendLinkFootprint(links[:0], dep.primaryLinks))
+}
+
+// retargetLocked is indexLocked past the footprint: the deployment's
+// postings move to nodes and links. Caller holds o.mu.
+func (o *shard) retargetLocked(dep *Deployment, nodes []topology.NodeID, links []topology.LinkID) {
+	dep.idxNodes = o.nodeIndex.retarget(dep.ID, dep.idxNodes, nodes)
+	dep.idxLinks = o.linkIndex.retarget(dep.ID, dep.idxLinks, links)
 	o.noteOwedLocked(dep)
 }
 

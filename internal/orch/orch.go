@@ -479,14 +479,7 @@ func (o *shard) provision(ctx context.Context, spec chain.Spec) (*Deployment, er
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.nextID += o.idStride
-	dep := &Deployment{
-		ID:      o.nextID,
-		Spec:    spec,
-		State:   StateActive,
-		Version: 1,
-		flowKey: flowKey,
-	}
-	b.commitLocked(dep)
+	dep := b.recordLocked(o.nextID)
 	o.deployments[dep.ID] = dep
 	o.flowKeys[flowKey] = dep.ID
 	return snapshot(dep), nil
@@ -849,6 +842,61 @@ func (o *shard) activeLocked(id DeploymentID) (*Deployment, error) {
 		return nil, fmt.Errorf("%w: deployment %d is %s", ErrNotActive, id, dep.State)
 	}
 	return dep, nil
+}
+
+// The record blocks: a provisioned chain's record with its lists inline.
+// nodes holds Placement.Hosts, Path and idxNodes, links primaryLinks and
+// idxLinks; the arrays fill the size classes, 704 and 768 bytes with the
+// runtime's 8-byte header, and hold the fleets' two- and three-NF chains.
+type (
+	recordBlock2 struct {
+		dep       Deployment
+		instances [2]nfv.InstanceID
+		domains   [2]topology.Domain
+		nodes     [20]topology.NodeID
+		links     [15]topology.LinkID
+	}
+	recordBlock3 struct {
+		dep       Deployment
+		instances [3]nfv.InstanceID
+		domains   [3]topology.Domain
+		nodes     [24]topology.NodeID
+		links     [17]topology.LinkID
+	}
+)
+
+// newRecord copies d and its lists into a record block when they fit one
+// with index lists of nodes and links entries, else into a record and an
+// array per element type. The lists a snapshot or a caller can reach are
+// clipped; the index lists, the shard's own, start empty for
+// retargetLocked and take the rest of their arrays, to grow in place.
+func newRecord(d *Deployment, nodes, links int) *Deployment {
+	nf, h, p, l := len(d.Instances), len(d.Placement.Hosts), len(d.Placement.Hosts)+len(d.Path), len(d.primaryLinks)
+	var (
+		dep  *Deployment
+		inst []nfv.InstanceID
+		doms []topology.Domain
+		ns   []topology.NodeID
+		ls   []topology.LinkID
+	)
+	switch {
+	case nf <= len(recordBlock2{}.instances) && p+nodes <= len(recordBlock2{}.nodes) && l+links <= len(recordBlock2{}.links):
+		b := new(recordBlock2)
+		dep, inst, doms, ns, ls = &b.dep, b.instances[:], b.domains[:], b.nodes[:], b.links[:]
+	case nf <= len(recordBlock3{}.instances) && p+nodes <= len(recordBlock3{}.nodes) && l+links <= len(recordBlock3{}.links):
+		b := new(recordBlock3)
+		dep, inst, doms, ns, ls = &b.dep, b.instances[:], b.domains[:], b.nodes[:], b.links[:]
+	default:
+		dep, inst, doms = new(Deployment), make([]nfv.InstanceID, nf), make([]topology.Domain, nf)
+		ns, ls = make([]topology.NodeID, p+nodes), make([]topology.LinkID, l+links)
+	}
+	*dep = *d
+	dep.Instances, dep.Placement.Domains = resilience.CopyInto(inst, d.Instances), resilience.CopyInto(doms, d.Placement.Domains)
+	ns = append(append(ns[:0], d.Placement.Hosts...), d.Path...)
+	dep.Placement.Hosts, dep.Path, dep.idxNodes = ns[:h:h], ns[h:p:p], ns[p:p]
+	ls = append(ls[:0], d.primaryLinks...)
+	dep.primaryLinks, dep.idxLinks = ls[:l:l], ls[l:l]
+	return dep
 }
 
 // snapshotBlock is a two-NF chain's snapshot, its standby in S; snapshotBlock3 a three-NF one's.

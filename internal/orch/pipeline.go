@@ -3,7 +3,6 @@ package orch
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -124,17 +123,21 @@ type pipeline struct {
 
 	undo []undoEntry
 	// scratch is the stages' working space, kept with the pooled
-	// pipeline from one build to the next: nothing in it reaches the
-	// deployment record.
+	// pipeline from one build to the next: the commit copies what the
+	// record keeps of it (recordLocked, commitLocked).
 	scratch pipelineScratch
 }
 
-// pipelineScratch holds what a build works in and throws away: the
-// placement's candidate hosts and capacity tables, the standby's stops,
-// the path before the record's own copy is cut from it.
+// pipelineScratch holds what a build works in: the placement's candidate
+// hosts, capacity tables and result, the standby's stops, and the lists
+// the stages hand the commit — the instances, the path and its links,
+// and the hosts and domains a migration edits (ownPlacement).
 type pipelineScratch struct {
-	opticals, pms, stops, path []topology.NodeID
-	place                      placement.Scratch
+	opticals, pms, stops, path, hosts []topology.NodeID
+	domains                           []topology.Domain
+	instances                         []nfv.InstanceID
+	links                             []topology.LinkID
+	place                             placement.Scratch
 }
 
 // maxScratchLen bounds the lists a pooled pipeline keeps.
@@ -150,18 +153,19 @@ func (o *shard) getPipeline() *pipeline {
 	return p
 }
 
-// release resets the pipeline and returns it to the pool. Every field
-// the deployment record took (commitLocked) was built for the record
-// alone; the pipeline only drops its references to them. The caller
-// must not touch p again.
+// release resets the pipeline and returns it to the pool. The record
+// keeps copies of the scratch lists (commitLocked), and every other
+// field it took was built for it alone; the pipeline only drops its
+// references to them. The caller must not touch p again.
 func (p *pipeline) release() {
 	sc := &p.scratch
-	for _, l := range []*[]topology.NodeID{&sc.opticals, &sc.pms, &sc.stops, &sc.path} {
+	for _, l := range []*[]topology.NodeID{&sc.opticals, &sc.pms, &sc.stops, &sc.path, &sc.hosts} {
 		if cap(*l) > maxScratchLen {
 			*l = nil
 		}
 		*l = (*l)[:0]
 	}
+	sc.domains, sc.instances, sc.links = sc.domains[:0], sc.instances[:0], sc.links[:0]
 	clear(p.profiles)
 	*p = pipeline{undo: p.undo[:0], profiles: p.profiles[:0], scratch: *sc}
 	pipelines.Put(p)
@@ -236,8 +240,8 @@ func appendProfiles(buf []nfv.NFProfile, nfs []chain.NFRef) ([]nfv.NFProfile, er
 // and arms stage-span emission under the span carried by ctx, if any.
 // The fields are immutable records or replaced wholesale by the stages
 // that recompute them, but for the placement's hosts and domains, which
-// snapshot readers share: a caller that migrates an instance takes its
-// own copy first (ownPlacement). The caller must hold the deployment's
+// snapshot readers share: a caller that migrates an instance works on a
+// copy (ownPlacement). The caller must hold the deployment's
 // exclusive-operation claim.
 func (o *shard) pipelineFrom(ctx context.Context, dep *Deployment) *pipeline {
 	p := o.getPipeline()
@@ -252,11 +256,13 @@ func (o *shard) pipelineFrom(ctx context.Context, dep *Deployment) *pipeline {
 	return p
 }
 
-// ownPlacement copies the seeded placement's hosts and domains, so an
-// instance migration edits the pipeline's arrays and not the record's.
+// ownPlacement copies the seeded placement's hosts and domains into the
+// scratch, so an instance migration edits the pipeline's arrays and not
+// the record's.
 func (p *pipeline) ownPlacement() {
-	p.place.Hosts = slices.Clone(p.place.Hosts)
-	p.place.Domains = slices.Clone(p.place.Domains)
+	sc := &p.scratch
+	sc.hosts, sc.domains = append(sc.hosts[:0], p.place.Hosts...), append(sc.domains[:0], p.place.Domains...)
+	p.place.Hosts, p.place.Domains = sc.hosts, sc.domains
 }
 
 func (p *pipeline) pushUndo(kind undoKind, id int) {
@@ -353,7 +359,8 @@ func (p *pipeline) runPlacement() error {
 }
 
 func (p *pipeline) runInstantiate() error {
-	p.instances = make([]nfv.InstanceID, 0, len(p.profiles))
+	sc := &p.scratch
+	sc.instances = sc.instances[:0]
 	for i, prof := range p.profiles {
 		inst, err := p.o.mgr.Create(prof.Type, p.place.Hosts[i])
 		if err != nil {
@@ -363,13 +370,13 @@ func (p *pipeline) runInstantiate() error {
 		if err := p.o.mgr.Activate(inst.ID); err != nil {
 			return fmt.Errorf("activate VNF %d: %w", i, err)
 		}
-		p.instances = append(p.instances, inst.ID)
+		sc.instances = append(sc.instances, inst.ID)
 	}
+	p.instances = sc.instances
 	return nil
 }
 
-// runPath routes the chain in the scratch list and gives the record a
-// copy of its own.
+// runPath routes the chain in the scratch list.
 func (p *pipeline) runPath() error {
 	p.confined = true
 	path, err := p.o.ctrl.AppendPathVia(p.scratch.path[:0], p.src, p.place.Hosts, p.dst, p.slice.OPSSet())
@@ -381,7 +388,7 @@ func (p *pipeline) runPath() error {
 	if err != nil {
 		return fmt.Errorf("path: %w", err)
 	}
-	p.path, p.primaryLinks = slices.Clone(path), nil
+	p.path, p.primaryLinks = path, nil
 	return nil
 }
 
@@ -519,21 +526,54 @@ func (p *pipeline) runRules() error {
 	return nil
 }
 
-// commitLocked copies the pipeline's outcome onto the deployment record
-// and moves the reverse-index entries from the old footprint to the new
-// one, atomically with the fields. The caller must hold o.mu (and the
-// deployment's exclusive claim).
+// recordLocked makes the record of the chain the pipeline provisioned,
+// with ID id, and files it in the reverse indexes: one allocation, the
+// record and its lists in a block, when they fit one (newRecord). The
+// caller must hold o.mu.
+func (p *pipeline) recordLocked(id DeploymentID) *Deployment {
+	d := Deployment{ID: id, Spec: p.spec, State: StateActive, Version: 1, flowKey: p.flowKey}
+	p.setFields(&d)
+	sc := &p.scratch
+	// The path was just computed: its hops are adjacent.
+	sc.links, _ = p.o.topo.AppendPathLinks(sc.links[:0], d.Path)
+	d.primaryLinks = sc.links
+	var nodes [64]topology.NodeID // a footprint is a few dozen entries: built on the stack
+	var links [64]topology.LinkID
+	fn, fl := d.appendFootprint(nodes[:0]), d.appendLinkFootprint(links[:0], d.primaryLinks)
+	dep := newRecord(&d, len(fn), len(fl))
+	p.o.retargetLocked(dep, fn, fl)
+	return dep
+}
+
+// commitLocked copies the pipeline's outcome onto the live record and
+// moves the reverse-index entries from the old footprint to the new one,
+// atomically with the fields. A list a stage re-made gets an array of
+// its own, the record's block keeping the one it replaces for the
+// snapshots that share it; the rest stay the record's. The caller must
+// hold o.mu (and the deployment's exclusive claim).
 func (p *pipeline) commitLocked(dep *Deployment) {
-	dep.VC = p.vc
-	dep.Slice = p.slice
-	dep.Instances = p.instances
-	dep.Placement = p.place
-	dep.Path = p.path
-	dep.SliceConfined = p.confined
-	dep.Lambda = p.lambda
-	dep.Standby = p.standby
-	dep.Drifted = p.drifted
-	dep.Conversions = p.conversions
-	dep.EnergyJoules = p.o.costModel.TotalEnergy(p.conversions, dep.Spec.FlowBytes)
+	old := *dep
+	p.setFields(dep)
+	dep.Instances, dep.Path = kept(dep.Instances, old.Instances), kept(dep.Path, old.Path)
+	dep.Placement.Hosts = kept(dep.Placement.Hosts, old.Placement.Hosts)
+	dep.Placement.Domains = kept(dep.Placement.Domains, old.Placement.Domains)
 	p.o.indexLocked(dep)
+}
+
+// setFields copies the pipeline's outcome onto d, its lists as the
+// pipeline holds them.
+func (p *pipeline) setFields(d *Deployment) {
+	d.VC, d.Slice, d.Instances, d.Placement, d.Path = p.vc, p.slice, p.instances, p.place, p.path
+	d.SliceConfined, d.Lambda, d.Standby, d.Drifted = p.confined, p.lambda, p.standby, p.drifted
+	d.Conversions = p.conversions
+	d.EnergyJoules = p.o.costModel.TotalEnergy(p.conversions, d.Spec.FlowBytes)
+}
+
+// kept is list as the record keeps it: old itself when list is old, a
+// clipped copy when a stage re-made it.
+func kept[T any](list, old []T) []T {
+	if len(list) == len(old) && (len(list) == 0 || &list[0] == &old[0]) {
+		return old
+	}
+	return resilience.CopyInto(nil, list)
 }

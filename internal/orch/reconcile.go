@@ -404,7 +404,8 @@ func (o *shard) swapToStandby(ctx context.Context, dep *Deployment) error {
 	p := o.pipelineFrom(ctx, dep)
 	defer p.release()
 	sb := dep.Standby
-	p.path, p.primaryLinks = append([]topology.NodeID(nil), sb.Path...), nil
+	p.scratch.path = append(p.scratch.path[:0], sb.Path...)
+	p.path, p.primaryLinks = p.scratch.path, nil
 	p.confined = sb.Confined
 	p.standby = nil
 	return o.finishRepairFrom(p, dep, stageWDM)

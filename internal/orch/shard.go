@@ -444,11 +444,11 @@ func (s *Sharded) Deployment(id DeploymentID) (cp *Deployment) {
 
 // Deployments returns snapshots of every shard's deployments sorted by
 // ID, for callers that keep the records: each copies the record, its
-// Instances, Path and Standby, and shares Spec.NFs, Placement's lists, VC
-// and Slice with the live record, which a caller only reads. Verbs
-// replace those, or clone them first (ownPlacement), rather than edit
-// them. Readers that only look use ViewDeployments; fleet sweeps that
-// read a few fields use AppendChainHealth or ShardStats.
+// Instances, Path and Standby, and shares Spec.NFs, Placement's lists (in
+// the record's block), VC and Slice with the live record, which a caller
+// only reads. Verbs replace those, or copy them first (ownPlacement),
+// rather than edit them. Readers that only look use ViewDeployments;
+// fleet sweeps that read a few fields use AppendChainHealth or ShardStats.
 func (s *Sharded) Deployments() (out []*Deployment) {
 	s.ViewDeployments(func(dep *Deployment) { out = append(out, snapshot(dep)) })
 	slices.SortFunc(out, func(a, b *Deployment) int { return int(a.ID - b.ID) })

@@ -1,6 +1,8 @@
 package orch
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -104,6 +106,84 @@ func TestSnapshotListsAreDeep(t *testing.T) {
 		t.Logf("the detour is %d nodes over %d links", len(want.Standby.Path), len(want.Standby.Links))
 		checkSnapshotLists(t, s, s.owner(id), id)
 	})
+	t.Run("a fresh chain through every verb", func(t *testing.T) {
+		s, topo := stormFleet(t)
+		const id = DeploymentID(1)
+		snap := s.Deployment(id)
+		want := snapshotState(snap)
+		verb := func(name string, do func() error) {
+			t.Helper()
+			if err := do(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := snapshotState(snap); got != want {
+				t.Errorf("%s changed a snapshot taken before it:\n got %s\nwant %s", name, got, want)
+			}
+		}
+		apply := func(c Change) func() error {
+			return func() error { _, err := s.Apply(id, c); return err }
+		}
+		// cut fails links and recovers them, checking the chain's repair.
+		cut := func(links []topology.LinkID, action RepairAction) func() error {
+			return func() error {
+				f := topology.NewFailures(nil, links)
+				reports, err := s.HandleFailures(bg, f)
+				for _, r := range reports {
+					if r.ID == id && r.Action != action {
+						t.Errorf("cutting %v: the chain's repair is %s, want %s", links, r.Action, action)
+					}
+				}
+				return errors.Join(err, s.Recover(f))
+			}
+		}
+		primary := func() []topology.LinkID { return transitLinks(t, topo, s.Deployment(id).Path)[:1] }
+		var unused topology.NodeID // a PM off the chain's footprint, cut off for the failed move
+		pms := topo.NodeIDs(topology.KindPhysicalMachine)
+		s.ViewDeployment(id, func(dep *Deployment) {
+			for _, pm := range pms[1:] {
+				if !slices.Contains(dep.idxNodes, pm) {
+					unused = pm
+					break
+				}
+			}
+		})
+		var unusedLinks []topology.LinkID
+		for _, l := range topo.Links() {
+			if l.From == unused || l.To == unused {
+				unusedLinks = append(unusedLinks, l.ID)
+			}
+		}
+
+		verb("modify", apply(ChangeBandwidth(3)))
+		verb("scale", apply(ChangeReplicas(0, 2)))
+		verb("upgrade", apply(ChangeVersion()))
+		// The standby the provision planned takes the first cut; the
+		// repairs leave re-protection to the caller, so the second re-paths.
+		verb("a swap", cut(primary(), ActionSwapped))
+		verb("a storm repath", cut(primary(), ActionRepathed))
+		verb("move", apply(ChangeHost(0, pms[len(pms)-1])))
+		verb("a failed move", func() error {
+			before := s.Deployment(id).Placement.Hosts
+			f := topology.NewFailures(nil, unusedLinks)
+			if _, err := s.HandleFailures(bg, f); err != nil {
+				return err
+			}
+			if _, err := s.Apply(id, ChangeHost(0, unused)); err == nil {
+				return fmt.Errorf("a move onto PM %d, cut off, succeeded", unused)
+			}
+			if after := s.Deployment(id).Placement.Hosts; !slices.Equal(after, before) {
+				return fmt.Errorf("the move did not roll back: hosts %v, were %v", after, before)
+			}
+			return s.Recover(f)
+		})
+		verb("delete", func() error { _, err := s.Delete(bg, id); return err })
+	})
+}
+
+// snapshotState is what a snapshot holds of its chain, as text: its own
+// lists and the parts it shares with the live record.
+func snapshotState(d *Deployment) string {
+	return fmt.Sprint(depLists(d), d.Placement.Hosts, d.Placement.Domains, *d.VC, *d.Slice)
 }
 
 // checkSnapshotLists holds chain id's snapshots and a fresh plan of its

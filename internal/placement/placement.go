@@ -138,15 +138,19 @@ func (c Context) Candidate(h topology.NodeID) bool {
 
 // Scratch is what placing one chain after another reuses: the capacity
 // snapshot and the packer's working copy of it, each a table by node ID
-// as long as the highest candidate ID seen. The zero Scratch is ready; a
-// Scratch serves one placement at a time.
+// as long as the highest candidate ID seen, and OpticalFirst's host and
+// domain lists. The zero Scratch is ready; a Scratch serves one
+// placement at a time.
 type Scratch struct {
 	free, packed []topology.Resources
+	hosts        []topology.NodeID
+	domains      []topology.Domain
 }
 
 // Context is NewContext over the scratch's tables: the context shares
-// the host and NF lists it is given instead of copying them, and is good
-// until the scratch builds the next one.
+// the host and NF lists it is given instead of copying them, and it and
+// an OpticalFirst placement over it are good until the scratch builds
+// the next one.
 func (s *Scratch) Context(topo *topology.Topology, ledger *nfv.Ledger, opticalHosts, electronicHosts []topology.NodeID, nfs []nfv.NFProfile, mode Mode) (Context, error) {
 	ctx, err := newContext(topo, ledger, opticalHosts, electronicHosts, nfs, mode, s.free)
 	if err != nil {
@@ -305,8 +309,15 @@ func (OpticalFirst) Name() string { return "optical-first" }
 // Place implements Policy.
 func (OpticalFirst) Place(ctx Context) (Result, error) {
 	pk := newPacker(ctx)
-	hosts := make([]topology.NodeID, len(ctx.NFs))
-	domains := make([]topology.Domain, len(ctx.NFs))
+	n := len(ctx.NFs)
+	var hosts []topology.NodeID
+	var domains []topology.Domain
+	if s := ctx.scratch; s != nil {
+		s.hosts, s.domains = slices.Grow(s.hosts[:0], n)[:n], slices.Grow(s.domains[:0], n)[:n]
+		hosts, domains = s.hosts, s.domains
+	} else {
+		hosts, domains = make([]topology.NodeID, n), make([]topology.Domain, n)
+	}
 	// Ascending demand order (CPU, then memory, then position for
 	// determinism): lightest VNFs get the scarce optical capacity.
 	var buf [8]int

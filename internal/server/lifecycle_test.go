@@ -87,12 +87,14 @@ func mallocs(f func()) uint64 {
 // middleware on a 100-chain fleet, what a provision of a 2-NF chain, a
 // batch of 25 such chains and a delete allocate, averaged over warm runs
 // and floored as testing.AllocsPerRun does. Each ceiling is the highest
-// of 600 runs on a 2-vCPU box (provision 34 every run, batch 753–775,
-// median 753, delete 7 every run); the batch's 780 (754–780 over 192
-// runs, median 759) before a fan-out reused its pool batch, 35 and 873
-// before a resource one chain holds cost only its index slot and an
-// emptied switch table kept its array. The counts before the one-pass request reader and the
-// pooled pipeline scratch are in the comments.
+// of 250 runs on a 2-vCPU box (provision 21–22, batch 453–473, median
+// 458, delete 7 every run); 34 and 775 (753–775 over 600 runs, median
+// 753) before each layer kept a provisioned chain in one block, the
+// batch's 780 (754–780 over 192 runs, median 759) before a fan-out
+// reused its pool batch, 35 and 873 before a resource one chain holds
+// cost only its index slot and an emptied switch table kept its array.
+// The counts before the one-pass request reader and the pooled pipeline
+// scratch are in the comments.
 func TestLifecyclePlaneAllocationCeilings(t *testing.T) {
 	srv, _, _ := bootFleet(t, 100, 1)
 	spec := func(i int) string {
@@ -147,8 +149,8 @@ func TestLifecyclePlaneAllocationCeilings(t *testing.T) {
 		got     float64
 		ceiling float64
 	}{
-		{"provision", float64(provision / runs), 34},     // 111
-		{"batch of 25", float64(batched / batches), 775}, // 2 479
+		{"provision", float64(provision / runs), 22},     // 111
+		{"batch of 25", float64(batched / batches), 473}, // 2 479
 		{"delete", float64(del / runs), 7},               // 9
 	} {
 		t.Logf("%-11s %4.0f allocations a request (ceiling %.0f)", verb.name, verb.got, verb.ceiling)

@@ -354,9 +354,11 @@ func BenchmarkScrape(b *testing.B) { benchmarkGet(b, "/metrics") }
 func BenchmarkTraceQuery(b *testing.B) { benchmarkGet(b, "/v1/traces") }
 
 // TestReadPlaneUnderWrites lists, gets, scrapes and queries traces from
-// four goroutines while a fifth provisions, modifies, moves and deletes:
-// under -race, the proof for the pooled response buffers, the views
-// under the shard locks and the registry's series created mid-scrape.
+// four goroutines while a fifth provisions, batch-provisions, modifies,
+// moves and deletes: under -race, the proof for the pooled response
+// buffers, the views under the shard locks, the records a batch's
+// workers commit while a list encodes its shard's, and the registry's
+// series created mid-scrape.
 // Every read must be a well-formed answer: 200 (or 404 for a chain the
 // writer has deleted past its tombstone), valid JSON, lists ID-ordered.
 func TestReadPlaneUnderWrites(t *testing.T) {
@@ -427,6 +429,19 @@ func TestReadPlaneUnderWrites(t *testing.T) {
 			t.Fatalf("provision round %d: %d (%s)", round, status, body)
 		}
 		live[slot] = alvc.DeploymentID(mustUnmarshal[DeploymentJSON](t, body).ID)
+		batch := fmt.Appendf(nil, `{"specs":[%s,%s,%s],"workers":2}`,
+			specBody(fmt.Sprintf("batch-%d", round), "tenant-x", "web", "firewall", "nat"),
+			specBody(fmt.Sprintf("batch-%d", round), "tenant-y", "web", "firewall", "lb", "dpi"),
+			specBody(fmt.Sprintf("batch-%d", round), "tenant-z", "web", "nat"))
+		status, body = request("POST", "/v1/chains:batch", batch)
+		if status != http.StatusCreated {
+			t.Fatalf("batch round %d: %d (%s)", round, status, body)
+		}
+		for _, item := range mustUnmarshal[BatchResponse](t, body).Results {
+			if status, body := request("DELETE", fmt.Sprintf("/v1/chains/%d", item.Deployment.ID), nil); status != http.StatusOK {
+				t.Fatalf("delete batched %d: %d (%s)", item.Deployment.ID, status, body)
+			}
+		}
 	}
 	close(stop)
 	readers.Wait()
