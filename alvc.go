@@ -239,7 +239,6 @@ type settings struct {
 	mode           placement.Mode
 	costModel      *optical.CostModel
 	wavelengths    int
-	batchWorkers   int
 	noStandby      bool
 	optimizer      *optimizer.Options
 	shards         int
@@ -282,12 +281,11 @@ func WithWavelengths(n int) Option {
 	return func(s *settings) { s.wavelengths = n }
 }
 
-// WithBatchWorkers sets the worker-pool size a batch provision uses by
-// default (0 means one worker per CPU; see BatchWorkers). Servers tune
-// this to bound how much parallel provisioning a single batch request
-// may claim.
-func WithBatchWorkers(n int) Option {
-	return func(s *settings) { s.batchWorkers = n }
+// WithBatchWorkers is accepted and ignored: a batch provisions its specs
+// in input order on the caller's goroutine. The repository benchmark
+// still passes it; ROADMAP item 3 or 5 drops it.
+func WithBatchWorkers(int) Option {
+	return func(*settings) {}
 }
 
 // WithoutStandby disables standby planning, so every data-path repair
@@ -357,11 +355,10 @@ type Architecture struct {
 	topo *topology.Topology
 	// sh is the orchestrator every verb goes through: a set of shards,
 	// one unless WithShards raised the count.
-	sh           *orch.Sharded
-	opt          *optimizer.Engine
-	debounce     *orch.FailureDebouncer
-	tracer       *trace.Tracer
-	batchWorkers int
+	sh       *orch.Sharded
+	opt      *optimizer.Engine
+	debounce *orch.FailureDebouncer
+	tracer   *trace.Tracer
 }
 
 // New generates a topology from the configuration and stands up the
@@ -402,11 +399,7 @@ func FromTopology(topo *topology.Topology, opts ...Option) (*Architecture, error
 	if err != nil {
 		return nil, fmt.Errorf("alvc: %w", err)
 	}
-	arch := &Architecture{
-		topo:         topo,
-		sh:           sh,
-		batchWorkers: s.batchWorkers,
-	}
+	arch := &Architecture{topo: topo, sh: sh}
 	// Tracing is on by default (bounded store, default sizes); only an
 	// explicit WithTracing(nil) turns it off. The one tracer, on the
 	// orchestrator's Hooks, is read by every shard, the debouncer and the
@@ -451,10 +444,6 @@ func (a *Architecture) Topology() *Topology { return a.topo }
 // manager, slices and wavelengths every shard shares.
 func (a *Architecture) Sharded() *orch.Sharded { return a.sh }
 
-// BatchWorkers returns the configured batch worker-pool size (0 means
-// one worker per CPU).
-func (a *Architecture) BatchWorkers() int { return a.batchWorkers }
-
 // NewFailures builds the failure set of the given nodes and links,
 // ascending and each ID once. A list already strictly ascending is kept,
 // not copied.
@@ -495,8 +484,7 @@ func (a *Architecture) Optimizer() *Optimizer { return a.opt }
 
 // Close flushes the failure debouncer, if attached, so the failures its
 // window still holds are repaired rather than dropped; then it stops the
-// background optimizer, if attached, and ends the orchestrator's fan-out
-// workers. Queued optimizer tasks stay queued.
+// background optimizer, if attached. Queued optimizer tasks stay queued.
 func (a *Architecture) Close() {
 	if a.debounce != nil {
 		// Its outcome goes where a window expiry's goes: the batch span,
@@ -506,7 +494,6 @@ func (a *Architecture) Close() {
 	if a.opt != nil {
 		a.opt.Stop()
 	}
-	a.sh.Close()
 }
 
 // Deployment returns one deployment, copied as Sharded().Deployments

@@ -51,7 +51,6 @@ func run() int {
 	wavelengths := flag.Int("wavelengths", 0, "WDM wavelengths per optical link (0 disables)")
 	shards := flag.Int("shards", 1, "orchestrator shards (tenant-hashed; each shard owns a disjoint OPS pool)")
 	shardMode := flag.String("shard-mode", "tenant", "shard routing key: tenant or chain")
-	workers := flag.Int("batch-workers", 0, "max workers per batch provision (0 = one per CPU)")
 	perRun := flag.Bool("per-run-accounting", false, "score placement by colocation-aware per-run O/E/O accounting (steers placement's choice only)")
 	optimize := flag.Bool("optimizer", true, "run the background optimization engine (async re-protection, standby refresh, re-homing, lambda defrag)")
 	debounce := flag.Duration("debounce", 0, "failure-report debounce window: POST /v1/failures/* coalesces for this long and repairs once against the union (0 = repair synchronously per request)")
@@ -99,9 +98,6 @@ func run() int {
 	default:
 		logger.Error("unknown -shard-mode (want tenant or chain)", "shard_mode", *shardMode)
 		return 1
-	}
-	if *workers > 0 {
-		opts = append(opts, alvc.WithBatchWorkers(*workers))
 	}
 	if *perRun {
 		opts = append(opts, alvc.WithPerRunAccounting())

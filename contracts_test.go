@@ -73,7 +73,7 @@ func fleetSpecs(t *testing.T, chains int) []alvc.Spec {
 
 func deployAll(t *testing.T, arch *alvc.Architecture, specs []alvc.Spec) {
 	t.Helper()
-	for _, res := range arch.Sharded().ProvisionBatch(specs, arch.BatchWorkers()) {
+	for _, res := range arch.Sharded().ProvisionBatch(specs) {
 		if res.Err != nil {
 			t.Fatalf("provision %d: %v", res.Index, res.Err)
 		}
@@ -81,11 +81,11 @@ func deployAll(t *testing.T, arch *alvc.Architecture, specs []alvc.Spec) {
 }
 
 // fleet builds a wideTopology architecture and provisions `chains`
-// chains on it. One batch worker provisions them in spec order, so
-// every count the contracts read is the same run to run.
+// chains on it. The batch provisions them in spec order, so every count
+// the contracts read is the same run to run.
 func fleet(t *testing.T, chains int, dualHomed bool, opts ...alvc.Option) *alvc.Architecture {
 	t.Helper()
-	arch, err := alvc.New(wideTopology(chains, dualHomed), append(opts, alvc.WithBatchWorkers(1))...)
+	arch, err := alvc.New(wideTopology(chains, dualHomed), opts...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestContractShardingCost(t *testing.T) {
 		// so the heaviest shard needs slack beyond chains/shards.
 		cfg.OPSCount = 2 * chains
 		cfg.ToRUplinks = cfg.OPSCount
-		arch, err := alvc.New(cfg, alvc.WithShards(shards), alvc.WithBatchWorkers(1))
+		arch, err := alvc.New(cfg, alvc.WithShards(shards))
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}

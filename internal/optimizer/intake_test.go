@@ -405,7 +405,7 @@ func BenchmarkRecoveryIntake(b *testing.B) {
 // place, and Status still lists the last ResultLog outcomes oldest
 // first.
 func TestResultLogKeepsNewestOldestFirst(t *testing.T) {
-	o, eng := engineOver(t, wideTopo(t, 12), Options{Workers: 1, ResultLog: 4})
+	o, eng := engineOver(t, wideTopo(t, 12), Options{ResultLog: 4})
 	var ids []orch.DeploymentID
 	for i := 0; i < 10; i++ {
 		ids = append(ids, provision(t, o, fmt.Sprintf("chain-%d", i)).ID)
@@ -432,7 +432,7 @@ func TestResultLogKeepsNewestOldestFirst(t *testing.T) {
 // no task may fail for a reason other than its chain having gone.
 func TestRecoveryStormVsDrainAndDeletes(t *testing.T) {
 	s := mixedFleet(t, 4, 40, 5)
-	eng, err := New(s, Options{Workers: 4})
+	eng, err := New(s, Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -143,18 +143,18 @@ func TestChainRunsInOneTaskARound(t *testing.T) {
 // TestSliceFailureAndRecoveryDrainWithoutBusy: a slice OPS dies under a
 // chain (patched, so it owes a re-protect in the failure's group and a
 // re-home), comes back (the chain, still unprotected, owes a refresh), and
-// a two-worker drain runs it all: the chain's tasks take a round each,
+// a drain runs it all: the chain's tasks take a round each,
 // none finds it busy, and the re-protect's and the refreshes' are the only
 // groups opened — two, when the victim is the only chain owed a refresh.
 // The victim's re-protect runs after the recovery and plans a disjoint
 // standby, so its refresh never runs to answer already-protected: it is
 // dropped as a dedup, its group opened and never run. Twenty seeded
-// fleets, run under -race too, where the two workers interleave most.
+// fleets.
 func TestSliceFailureAndRecoveryDrainWithoutBusy(t *testing.T) {
 	alone := 0 // fleets where the victim's are the only two groups
 	for seed := int64(1); seed <= 20; seed++ {
 		s, _, deps := healthyFleet(t, 1, 3, seed)
-		eng, err := New(s, Options{Workers: 2})
+		eng, err := New(s, Options{})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -318,7 +318,7 @@ func TestLaneReplansEqualPlanningAlone(t *testing.T) {
 				}
 			}
 			target := &heldTarget{Sharded: s, calls: make(map[orch.DeploymentID]int)}
-			eng, err := New(target, Options{Workers: 2})
+			eng, err := New(target, Options{})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}

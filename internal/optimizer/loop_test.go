@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/alvc/alvc/internal/orch"
+	"github.com/alvc/alvc/internal/topology"
 )
 
 // manualClock is an orch.Clock the test moves by hand: AfterFunc
@@ -191,5 +192,107 @@ func TestStartStopUnderAManualClock(t *testing.T) {
 	}
 	if n := settle(before); n != before {
 		t.Fatalf("%d goroutines after the second Stop, %d before Start", n, before)
+	}
+}
+
+// settle lets goroutines that have finished their work exit, by count:
+// it yields until NumGoroutine is at most want, at most 100 000 times.
+func settle(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100000 && n > want; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// nestingTarget drains the engine from inside every other re-protect
+// task — a drain nested in a drain's task.
+type nestingTarget struct {
+	*orch.Sharded
+	eng   *Engine
+	calls atomic.Int64
+}
+
+func (n *nestingTarget) ReProtectGroup(buf []orch.GroupOutcome, domain orch.FailureDomain, ids []orch.DeploymentID) []orch.GroupOutcome {
+	if n.calls.Add(1)%2 == 0 {
+		n.eng.Drain()
+	}
+	return n.Sharded.ReProtectGroup(buf, domain, ids)
+}
+
+// TestConcurrentDrainsProtectEveryChain: link cuts and recoveries,
+// drains from two goroutines, drains nested inside group tasks and
+// direct ReProtectGroup calls over the whole fleet all run at once; none
+// of them deadlocks, and once the cuts stop and a last drain
+// runs, every chain is protected. Run under -race.
+func TestConcurrentDrainsProtectEveryChain(t *testing.T) {
+	s, topo, deps := healthyFleet(t, 2, 12, 4)
+	target := &nestingTarget{Sharded: s}
+	eng, err := New(target, Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer eng.Stop()
+	target.eng = eng
+	s.UpdateHooks(func(h *orch.Hooks) { h.Events = []orch.EventSink{eng} })
+	ids := make([]orch.DeploymentID, len(deps))
+	for i, dep := range deps {
+		ids[i] = dep.ID
+	}
+	stop := make(chan struct{})
+	var cutters, others sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		cutters.Add(1)
+		go func(w int) {
+			defer cutters.Done()
+			for round := 0; round < 20; round++ {
+				dep := deps[(w+2*round)%len(deps)]
+				l, ok := primaryTransit(topo, s.Deployment(dep.ID))
+				if !ok {
+					continue
+				}
+				_, _ = s.HandleFailures(bg, topology.NewFailures(nil, []topology.LinkID{l}))
+				if err := s.Recover(topology.NewFailures(nil, []topology.LinkID{l})); err != nil {
+					t.Errorf("Recover: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < 2; w++ {
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				eng.Drain()
+			}
+		}()
+	}
+	others.Add(1)
+	go func() {
+		defer others.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.ReProtectGroup(nil, orch.FailureDomain{SRLGs: []int{9}}, ids)
+		}
+	}()
+	cutters.Wait()
+	close(stop)
+	others.Wait()
+	eng.Drain()
+	for _, id := range ids {
+		if dep := s.Deployment(id); dep.Standby == nil {
+			t.Errorf("chain %d ends unprotected", id)
+		}
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"github.com/alvc/alvc/internal/jsonwrite"
 	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/ring"
+	"github.com/alvc/alvc/internal/spare"
 	"github.com/alvc/alvc/internal/trace"
 )
 
@@ -102,11 +103,6 @@ const busyRetries = 20
 
 // Options tunes an Engine.
 type Options struct {
-	// Workers bounds how many tasks execute concurrently (default 4):
-	// the draining goroutine and up to Workers-1 pool workers, which
-	// start with the first drain that has work for them and live until
-	// Stop.
-	Workers int
 	// RehomeMargin is the hysteresis: a fresh placement must beat the
 	// current one by at least this many O/E/O conversions before a
 	// re-home migrates anything (orch.ChangeRehome raises a value below 1
@@ -129,9 +125,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
 	if o.ResultLog <= 0 {
 		o.ResultLog = 32
 	}
@@ -248,7 +241,7 @@ type retry struct {
 	attempts int
 }
 
-var groupPool = sync.Pool{New: func() any { return new(group) }}
+var groupPool spare.Pool[group]
 
 // free returns a group's record to the pool, keeping its buffers.
 func (g *group) free() {
@@ -314,11 +307,11 @@ type Engine struct {
 	stopTick orch.Timer
 	loopWG   sync.WaitGroup
 
-	// pool runs drain rounds Options.Workers wide until Stop; clock
-	// times the idle tick and the busy pause.
-	pool  *orch.Pool
+	// clock times the idle tick and the busy pause.
 	clock orch.Clock
-	drain atomic.Pointer[drainRound] // Drain's scratch between drains
+	// drain is Drain's batch between drains (a concurrent drain builds
+	// its own).
+	drain atomic.Pointer[[]*group]
 }
 
 // New builds an engine over the target. The caller wires it as the
@@ -333,7 +326,6 @@ func New(o Target, opts Options) (*Engine, error) {
 		groups: make(map[taskKey]*group),
 		member: make(map[memberKey]membership),
 		round:  make(map[orch.DeploymentID]bool),
-		pool:   orch.NewPool(),
 		clock:  orch.WallClock,
 	}
 	e.results = ring.New[loggedResult](e.opts.ResultLog)
@@ -413,7 +405,7 @@ func (e *Engine) join(kind TaskKind, dep orch.DeploymentID, domain orch.FailureD
 	}
 	g, open := e.groups[key]
 	if !open {
-		g = groupPool.Get().(*group)
+		g = groupPool.Get()
 		g.key, g.domain = key, domain
 		e.groups[key] = g
 		e.lanes[kind] = append(e.lanes[kind], key)
@@ -538,9 +530,8 @@ func (e *Engine) Resume() {
 // popBatch claims one drain round's tasks, highest priority first (kind
 // order dominates; within a kind, FIFO): every queued task none of whose
 // members an earlier task of the round holds. So a chain runs in at most
-// one task a round — two on two workers would race for its exclusive
-// claim, and the loser would come back as busy — and a task left out
-// keeps its place in its lane for the next round.
+// one task a round, and a task left out keeps its place in its lane for
+// the next round.
 func (e *Engine) popBatch(out []*group) []*group {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -589,9 +580,10 @@ func (e *Engine) Tick() {
 	}
 }
 
-// Drain executes queued tasks over the worker pool until the queue is
-// empty, and returns the results in completion order. Busy
-// deployments are requeued (with a short pause between rounds) up to
+// Drain executes queued tasks on the calling goroutine, a round's tasks
+// in the order popBatch claimed them, until the queue is empty, and
+// returns the results in completion order. Deployments a concurrent verb
+// holds are requeued as busy (with a short pause between rounds) up to
 // the configured retry budget. Drain ignores Pause — it is the
 // explicit "run the optimizer now" operation behind
 // POST /v1/optimizer:run — and may run concurrently with the
@@ -603,24 +595,25 @@ func (e *Engine) Drain() []TaskResult {
 	if obs != nil {
 		start = time.Now()
 	}
-	round := e.drain.Swap(nil)
-	if round == nil {
-		round = new(drainRound)
-		round.run = func(i int) { e.run(round.batch[i]) }
+	batch := e.drain.Swap(nil)
+	if batch == nil {
+		batch = new([]*group)
 	}
 	var out []TaskResult
 	for {
-		round.batch = e.popBatch(round.batch[:0])
-		if len(round.batch) == 0 {
-			e.drain.Store(round)
+		*batch = e.popBatch((*batch)[:0])
+		if len(*batch) == 0 {
+			e.drain.Store(batch)
 			if obs != nil {
 				obs(time.Since(start), len(out))
 			}
 			return out
 		}
-		e.pool.Run(len(round.batch), e.opts.Workers, round.run)
+		for _, g := range *batch {
+			e.run(g)
+		}
 		busyOnly := true
-		for i, g := range round.batch {
+		for i, g := range *batch {
 			busyOnly = busyOnly && len(g.results) == 0
 			// Busy members rejoin their domain's group, the group's
 			// parents with them: the retry is the same causal operation.
@@ -629,7 +622,7 @@ func (e *Engine) Drain() []TaskResult {
 			}
 			out = append(out, g.results...)
 			g.free()
-			round.batch[i] = nil
+			(*batch)[i] = nil
 		}
 		if busyOnly {
 			// Everything still queued is waiting on in-flight exclusive
@@ -637,13 +630,6 @@ func (e *Engine) Drain() []TaskResult {
 			e.clock.Sleep(5 * time.Millisecond)
 		}
 	}
-}
-
-// drainRound is Drain's batch and fan-out function, kept on the engine
-// between drains (a concurrent drain builds its own).
-type drainRound struct {
-	batch []*group
-	run   func(i int)
 }
 
 // run executes one claimed task: it runs its kind on every member — a
@@ -810,7 +796,7 @@ func (e *Engine) settle(g *group, i int, res TaskResult, err error) {
 }
 
 // Start launches the background dispatcher: queued tasks execute as
-// they arrive (bounded by Options.Workers), and when tickEvery is
+// they arrive, on the dispatcher's goroutine, and when tickEvery is
 // positive an idle tick fires Tick on that interval. Stop shuts both
 // down. Calling Start twice without Stop is an error.
 func (e *Engine) Start(tickEvery time.Duration) error {
@@ -872,12 +858,10 @@ func stopped(stop chan struct{}) bool {
 	}
 }
 
-// Stop halts the background dispatcher and idle tick started by Start,
-// waits for a tick and tasks in flight to finish and ends the task
-// pool's workers; a later Drain starts them again. Queued tasks stay
+// Stop halts the background dispatcher and idle tick started by Start
+// and waits for a tick and tasks in flight to finish. Queued tasks stay
 // queued.
 func (e *Engine) Stop() {
-	defer e.pool.Close()
 	e.loopMu.Lock()
 	stop := e.stopCh
 	e.stopCh = nil

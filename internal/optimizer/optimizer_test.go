@@ -278,7 +278,7 @@ func TestDeleteCancelsQueuedWork(t *testing.T) {
 // must surface as busy-requeues or cancellations, never panics or
 // failures. Run with -race.
 func TestDrainVsDeleteRace(t *testing.T) {
-	o, eng := engineOver(t, wideTopo(t, 8), Options{Workers: 4})
+	o, eng := engineOver(t, wideTopo(t, 8), Options{})
 	var deps []*orch.Deployment
 	for i := 0; i < 4; i++ {
 		deps = append(deps, provision(t, o, fmt.Sprintf("chain-%d", i)))

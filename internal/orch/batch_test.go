@@ -3,7 +3,6 @@ package orch
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -54,13 +53,11 @@ func newWideOrch(t testing.TB, opsCount int) (*Sharded, *shard) {
 }
 
 // TestProvisionBatch100 is the acceptance scenario: 100 independent
-// specs through the bounded pool, all provisioned, invariants intact.
-// Run under -race this also proves the provisioning pipeline's
-// concurrency safety.
+// specs in one batch, all provisioned, invariants intact.
 func TestProvisionBatch100(t *testing.T) {
 	s, o := newWideOrch(t, 128)
 	specs := batchSpecs(t, 100)
-	results := s.ProvisionBatch(specs, 0)
+	results := s.ProvisionBatch(specs)
 	if len(results) != 100 {
 		t.Fatalf("got %d results, want 100", len(results))
 	}
@@ -93,7 +90,7 @@ func TestProvisionBatchPartialFailure(t *testing.T) {
 	// Pool of 8 OPSs: some of 20 specs must fail with capacity errors,
 	// and the failures must not corrupt the successes.
 	s, o := newWideOrch(t, 8)
-	results := s.ProvisionBatch(batchSpecs(t, 20), 4)
+	results := s.ProvisionBatch(batchSpecs(t, 20))
 	ok, failed := 0, 0
 	for _, res := range results {
 		if res.Err != nil {
@@ -118,7 +115,7 @@ func TestProvisionBatchDuplicateFlowKeys(t *testing.T) {
 	specs := batchSpecs(t, 3)
 	specs[2].Name = specs[0].Name
 	specs[2].Tenant = specs[0].Tenant
-	results := s.ProvisionBatch(specs, 2)
+	results := s.ProvisionBatch(specs)
 	if results[0].Err != nil || results[1].Err != nil {
 		t.Fatalf("unique specs failed: %v / %v", results[0].Err, results[1].Err)
 	}
@@ -190,60 +187,47 @@ func TestDuplicateFlowKeyAcrossCalls(t *testing.T) {
 
 func TestProvisionBatchEmpty(t *testing.T) {
 	s, _ := newWideOrch(t, 4)
-	if got := s.ProvisionBatch(nil, 8); len(got) != 0 {
+	if got := s.ProvisionBatch(nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
 }
 
-// TestProvisionBatchOverlapsWork asserts the point of the worker pool —
-// a batch keeps exactly `workers` provisions in flight at once — without
-// reading a clock. A stage observer holds every provision at the end of
-// its first stage until `workers` of them are there together: a pool
-// that ran them one after another would never fill the gate. A second
-// batch on the now warm pool must fill it again.
-func TestProvisionBatchOverlapsWork(t *testing.T) {
+// TestProvisionBatchRunsInInputOrder: a batch provisions its specs one
+// after another on the caller's goroutine, in input order. A stage
+// observer sees each provision's first stage only after the previous
+// provision's last, and a one-shard set issues the IDs in spec order,
+// over two batches.
+func TestProvisionBatchRunsInInputOrder(t *testing.T) {
 	specs := batchSpecs(t, 48)
-	for _, workers := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			s, _ := newWideOrch(t, 128)
-			for round, batch := range [][]chain.Spec{specs[:24], specs[24:]} {
-				var mu sync.Mutex
-				running, peak := 0, 0
-				full := make(chan struct{})
-				var release sync.Once
-				observe := func(stage string, _ time.Duration) {
-					switch stage {
-					case "cluster":
-						mu.Lock()
-						running++
-						peak = max(peak, running)
-						if running == workers {
-							release.Do(func() { close(full) })
-						}
-						mu.Unlock()
-						select {
-						case <-full:
-						case <-time.After(30 * time.Second): // a serialized pool: fail, do not hang
-							t.Errorf("batch %d: gate never filled: the pool does not keep %d provisions in flight", round, workers)
-							release.Do(func() { close(full) })
-						}
-					case "rules":
-						mu.Lock()
-						running--
-						mu.Unlock()
-					}
-				}
-				s.UpdateHooks(func(h *Hooks) { h.Stage = observe })
-				for _, res := range s.ProvisionBatch(batch, workers) {
-					if res.Err != nil {
-						t.Fatalf("batch %d: provision: %v", round, res.Err)
-					}
-				}
-				if peak != workers {
-					t.Fatalf("batch %d: %d provisions in flight at peak, want exactly the %d workers", round, peak, workers)
-				}
+	s, _ := newWideOrch(t, 128)
+	running, peak, started := 0, 0, 0
+	s.UpdateHooks(func(h *Hooks) {
+		h.Stage = func(stage string, _ time.Duration) {
+			switch stage {
+			case "cluster":
+				running++
+				started++
+				peak = max(peak, running)
+			case "rules":
+				running--
 			}
-		})
+		}
+	})
+	next := DeploymentID(1)
+	for round, batch := range [][]chain.Spec{specs[:24], specs[24:]} {
+		for i, res := range s.ProvisionBatch(batch) {
+			if res.Err != nil {
+				t.Fatalf("batch %d: provision: %v", round, res.Err)
+			}
+			if res.Deployment.ID != next || res.Deployment.Spec.Name != batch[i].Name {
+				t.Fatalf("batch %d spec %d: chain %d %q, want chain %d %q", round, i,
+					res.Deployment.ID, res.Deployment.Spec.Name, next, batch[i].Name)
+			}
+			next++
+		}
+	}
+	if peak != 1 || started != len(specs) {
+		t.Fatalf("%d provisions observed, %d at once at peak; want %d, one at a time", started, peak, len(specs))
 	}
 }
 
@@ -269,7 +253,7 @@ func BenchmarkProvisionBatch100(b *testing.B) {
 		b.StopTimer()
 		s, _ := newWideOrch(b, 128)
 		b.StartTimer()
-		for _, res := range s.ProvisionBatch(specs, 0) {
+		for _, res := range s.ProvisionBatch(specs) {
 			if res.Err != nil {
 				b.Fatalf("batch: %v", res.Err)
 			}

@@ -2,8 +2,8 @@
 // trip, a melted conduit — arrives at the control plane as a burst of
 // per-resource notifications spread over milliseconds. Handling each
 // one alone repairs the same chains repeatedly (swap on the first dead
-// link, re-path on the second) and pays one reconciliation fan-out per
-// event. The FailureDebouncer coalesces the burst: reports within one
+// link, re-path on the second) and pays one reconciliation pass over the
+// shards per event. The FailureDebouncer coalesces the burst: reports within one
 // window merge into a union failure set and dispatch as a single
 // HandleFailures batch, so every affected chain is classified against
 // the whole storm at once and repaired exactly once.

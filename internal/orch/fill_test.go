@@ -121,7 +121,7 @@ func TestFullCoverReplaysBigpoolFill(t *testing.T) {
 				n++
 				specs[i] = fillSpec(t, n, fillShapes[rng.Intn(len(fillShapes))])
 			}
-			gotRes, wantRes := got.ProvisionBatch(specs, 1), want.ProvisionBatch(specs, 1)
+			gotRes, wantRes := got.ProvisionBatch(specs), want.ProvisionBatch(specs)
 			for i := range specs {
 				if gotRes[i].Err != nil || wantRes[i].Err != nil {
 					t.Fatalf("cycle %d batch %d spec %d: %v / %v", c, b, i, gotRes[i].Err, wantRes[i].Err)
@@ -289,12 +289,12 @@ func TestProvisionAllocatesOneBlockPerLayer(t *testing.T) {
 
 // BenchmarkProvisionFill is bigpool_fill's provision path in process, at
 // its pool size and at four times it: a half-claimed pool, 25-spec
-// batches over 2 workers; every batch is deleted again off the clock.
+// batches; every batch is deleted again off the clock.
 // Each size runs untraced and traced, with a tracer on the default store
 // attached to the hooks as alvc.New attaches one. ns/provision is a
 // batch's time over its 25 chains.
 func BenchmarkProvisionFill(b *testing.B) {
-	const batch, workers = 25, 2
+	const batch = 25
 	for _, ops := range []int{1200, 4800} {
 		for _, traced := range []bool{false, true} {
 			name := fmt.Sprintf("ops=%d/untraced", ops)
@@ -321,7 +321,7 @@ func BenchmarkProvisionFill(b *testing.B) {
 					b.StopTimer()
 					next := specs()
 					b.StartTimer()
-					results := s.ProvisionBatch(next, workers)
+					results := s.ProvisionBatch(next)
 					b.StopTimer()
 					for _, res := range results {
 						if res.Err != nil {

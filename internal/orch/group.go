@@ -49,8 +49,7 @@ type GroupOutcome struct {
 // Outcomes are appended to buf, one per member in ascending ID order.
 // ids is reordered in place: sorted by owning shard, then ID, so each
 // shard's members are one run that shard re-protects under one hold of
-// its topology read lock, in the calling goroutine — the caller is the
-// optimizer's task pool, which already runs tasks side by side.
+// its topology read lock, in the calling goroutine.
 func (s *Sharded) ReProtectGroup(buf []GroupOutcome, domain FailureDomain, ids []DeploymentID) []GroupOutcome {
 	buf = slices.Grow(buf, len(ids))
 	slices.SortFunc(ids, func(a, b DeploymentID) int {

@@ -10,15 +10,13 @@ import (
 // bg is what the package's tests pass where a request context goes.
 var bg = context.Background()
 
-// newTestSet builds an n-shard orchestrator over cfg; the test's end
-// closes its pool.
+// newTestSet builds an n-shard orchestrator over cfg.
 func newTestSet(t testing.TB, cfg Config, n int) *Sharded {
 	t.Helper()
 	s, err := New(cfg, n, ShardByTenant)
 	if err != nil {
 		t.Fatalf("New(%d shards): %v", n, err)
 	}
-	t.Cleanup(s.Close)
 	return s
 }
 

@@ -228,9 +228,7 @@ type sharedCore struct {
 	// (failureDomain). Shared so sharded fleets number globally.
 	batchSeq uint64
 
-	// pool runs the set's fan-outs until Sharded.Close; clock times the
-	// reconciler's busy retries.
-	pool  executor
+	// clock times the reconciler's busy retries.
 	clock Clock
 }
 
@@ -273,7 +271,6 @@ func newSharedCore(cfg Config) (*sharedCore, error) {
 		costModel:      model,
 		noStandby:      cfg.NoStandby,
 		deferReprotect: cfg.DeferReprotect,
-		pool:           NewPool(),
 		clock:          WallClock,
 	}
 	core.hooks.Store(&Hooks{})

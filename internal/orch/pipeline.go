@@ -3,7 +3,6 @@ package orch
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/alvc/alvc/internal/chain"
@@ -13,6 +12,7 @@ import (
 	"github.com/alvc/alvc/internal/placement"
 	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/sdn"
+	"github.com/alvc/alvc/internal/spare"
 	"github.com/alvc/alvc/internal/topology"
 	"github.com/alvc/alvc/internal/trace"
 )
@@ -144,11 +144,11 @@ type pipelineScratch struct {
 const maxScratchLen = 1 << 10
 
 // pipelines pools pipelines with their scratch (getPipeline, release).
-var pipelines = sync.Pool{New: func() any { return new(pipeline) }}
+var pipelines spare.Pool[pipeline]
 
 // getPipeline returns an empty pipeline for o.
 func (o *shard) getPipeline() *pipeline {
-	p := pipelines.Get().(*pipeline)
+	p := pipelines.Get()
 	p.o, p.lambda = o, -1
 	return p
 }

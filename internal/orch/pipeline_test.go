@@ -11,7 +11,7 @@ import (
 
 // TestRecordsOwnTheirArrays: pipelines are pooled with their scratch,
 // and the records they commit must not be. Through provisions (single
-// and batched over two workers), deletes, a repairing failure and a
+// and batched), deletes, a repairing failure and a
 // move, no two live records share the backing array of a path, an
 // instance list, a placement or a standby path, and a record no verb
 // touched since its provision still reads what the provision answered.
@@ -29,7 +29,7 @@ func TestRecordsOwnTheirArrays(t *testing.T) {
 		}
 		extra = append(extra, spec)
 	}
-	for _, res := range s.ProvisionBatch(extra[:8], 2) {
+	for _, res := range s.ProvisionBatch(extra[:8]) {
 		if res.Err != nil {
 			t.Fatalf("batch %d: %v", res.Index, res.Err)
 		}

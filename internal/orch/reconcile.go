@@ -125,7 +125,7 @@ func (c *sharedCore) markFailuresDown(f topology.Failures) (resilience.FailureSe
 
 // failureRound is HandleFailures' scratch, kept on the set between calls
 // (a concurrent call builds its own): its copy of the failure set and each
-// shard's reconcile lists, with the fan-outs' functions bound once.
+// shard's reconcile lists.
 type failureRound struct {
 	nodes  []topology.NodeID
 	links  []topology.LinkID
@@ -134,57 +134,42 @@ type failureRound struct {
 	tr     *trace.Tracer
 	parent trace.SpanContext // the span in ctx, if any: the repairs' parent
 	shards []reconcile
-	fanOut func(i int) // shard i's reconcile
 }
 
 // reconcile is a shard's lists in a round: the affected chains, a report
-// and, traced, a carrier per chain.
+// per chain and, traced, the carrier each repair uses in turn.
 type reconcile struct {
-	r         *failureRound
-	o         *shard
-	affected  []DeploymentID
-	reports   []RepairReport
-	carriers  []trace.Carrier // one per repair, each used inside its repair only
-	repairOne func(i int)     // rc.repair
+	affected []DeploymentID
+	reports  []RepairReport
+	carrier  trace.Carrier
 }
 
-func newFailureRound(shards []*shard) *failureRound {
-	r := &failureRound{shards: make([]reconcile, len(shards))}
-	for i, o := range shards {
-		rc := &r.shards[i]
-		rc.r, rc.o, rc.repairOne = r, o, rc.repair
-	}
-	r.fanOut = func(i int) { r.shards[i].run() }
-	return r
-}
-
-// run is the deployment half of HandleFailures on one shard: it finds
+// run is the deployment half of HandleFailures on shard o: it finds
 // the shard's affected active deployments through the reverse indexes
-// (O(damage), not O(deployments)) and repairs them concurrently on the
-// set's pool, one report per deployment in ID order, each traced under
-// the span in the call's context when there is one.
-func (rc *reconcile) run() {
-	rc.affected = rc.o.affectedBy(rc.affected[:0], rc.r.dead)
+// (O(damage), not O(deployments)) and repairs them one after another,
+// one report per deployment in ID order, each traced under the span in
+// the call's context when there is one.
+func (rc *reconcile) run(r *failureRound, o *shard) {
+	rc.affected = o.affectedBy(rc.affected[:0], r.dead)
 	n := len(rc.affected)
 	rc.reports = slices.Grow(rc.reports[:0], n)[:n]
-	if rc.r.tr != nil {
-		rc.carriers = slices.Grow(rc.carriers[:0], n)[:n]
+	for i := range rc.affected {
+		rc.repair(r, o, i)
 	}
-	rc.o.pool.Run(n, 0, rc.repairOne)
-	clear(rc.carriers) // a carrier holds its repair's context
+	rc.carrier = trace.Carrier{} // the carrier holds the last repair's context
 }
 
 // repair reconciles the i-th affected deployment. One repair span per
 // deployment wraps the whole busy-retry loop — retries are attempts at
 // the same repair, not separate operations — continuing the caller's
 // trace (the failure report's HTTP span or the debouncer's batch span).
-func (rc *reconcile) repair(i int) {
-	r, o, id := rc.r, rc.o, rc.affected[i]
+func (rc *reconcile) repair(r *failureRound, o *shard, i int) {
+	id := rc.affected[i]
 	ctx := r.ctx
 	var c *trace.Carrier
 	var start time.Time
 	if r.tr != nil {
-		c = &rc.carriers[i]
+		c = &rc.carrier
 		r.tr.Begin(c, r.ctx, r.parent)
 		ctx = c
 		start = time.Now()

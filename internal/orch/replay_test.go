@@ -10,25 +10,21 @@ import (
 	"github.com/alvc/alvc/internal/topology"
 )
 
-// replaySeed drives a four-shard fleet through two batches, three tray
-// cuts and their recoveries with every fan-out on a seeded serial
-// runner, auditing every shard's indexes after each step. It returns
-// what the fleet did — every batch result and repair report, then every
-// deployment and every shard's rule tables, rendered — and the order the
-// runner ran each fan-out in.
-func replaySeed(t *testing.T, seed int64) (string, [][]int) {
+// replayScript drives a four-shard fleet through two batches, three tray
+// cuts and their recoveries, auditing every shard's indexes after each
+// step. It returns what the fleet did — every batch result and repair
+// report, then every deployment and every shard's rule tables, rendered.
+func replayScript(t *testing.T) string {
 	topo := benchFleetTopo(t, 24)
 	s, err := New(Config{Topo: topo}, 4, ShardByTenant)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	runner := newSeededRunner(seed)
-	s.core.pool = runner // the set's own pool never started a worker
 	var out strings.Builder
 	audit := func(step string) {
 		for i := 0; i < len(s.shards); i++ {
 			if bad := auditIndexes(s.shards[i]); len(bad) > 0 {
-				t.Fatalf("seed %d, %s: shard %d: %d differences, first: %s", seed, step, i, len(bad), bad[0])
+				t.Fatalf("%s: shard %d: %d differences, first: %s", step, i, len(bad), bad[0])
 			}
 		}
 	}
@@ -37,7 +33,7 @@ func replaySeed(t *testing.T, seed int64) (string, [][]int) {
 		for i := range specs {
 			specs[i] = residentSpec(t, first+i, fmt.Sprintf("t%d", first+i))
 		}
-		for _, res := range s.ProvisionBatch(specs, 4) {
+		for _, res := range s.ProvisionBatch(specs) {
 			if res.Err != nil {
 				fmt.Fprintf(&out, "spec %d: %v\n", first+res.Index, res.Err)
 			} else {
@@ -93,35 +89,17 @@ func replaySeed(t *testing.T, seed int64) (string, [][]int) {
 			}
 		}
 	}
-	return out.String(), runner.orders
+	return out.String()
 }
 
-// TestFanOutsReplayFromASeed: with the fan-outs run serially in a seeded
-// order, one seed names one run. Over 200 seeds of batches, tray cuts
-// through HandleFailures and recoveries on a four-shard fleet, the same
-// seed run twice gives the same batch results, repair reports,
-// deployments and per-shard rule tables; every shard's indexes audit
-// clean after every step; and the seeds do order the fan-outs
-// differently.
-func TestFanOutsReplayFromASeed(t *testing.T) {
-	const seeds = 200
-	var firstOrders [][]int
-	reordered, outcomes := false, make(map[string]bool)
-	for seed := int64(1); seed <= seeds; seed++ {
-		got, orders := replaySeed(t, seed)
-		again, _ := replaySeed(t, seed)
-		if got != again {
-			t.Fatalf("seed %d ran twice gives two runs:\n%s\nthen:\n%s", seed, got, again)
-		}
-		outcomes[got] = true
-		if firstOrders == nil {
-			firstOrders = orders
-		} else if !slices.EqualFunc(orders, firstOrders, slices.Equal[[]int]) {
-			reordered = true
-		}
+// TestFanOutsReplayInInputOrder: every fan-out — a batch's specs, the
+// shards of a failure report, a shard's repairs — runs in input order on
+// its caller, so the script of batches, tray cuts through HandleFailures
+// and recoveries on a four-shard fleet, run twice, gives the same batch
+// results, repair reports, deployments and per-shard rule tables, and
+// every shard's indexes audit clean after every step.
+func TestFanOutsReplayInInputOrder(t *testing.T) {
+	if got, again := replayScript(t), replayScript(t); got != again {
+		t.Fatalf("the script run twice gives two runs:\n%s\nthen:\n%s", got, again)
 	}
-	if !reordered {
-		t.Fatalf("%d seeds ran every fan-out in one order", seeds)
-	}
-	t.Logf("%d seeds, %d distinct runs", seeds, len(outcomes))
 }

@@ -1,7 +1,6 @@
 package orch
 
 import (
-	"math/rand"
 	"slices"
 	"sync"
 	"time"
@@ -90,27 +89,3 @@ func (c *manualClock) armed() int {
 	defer c.mu.Unlock()
 	return len(c.timers)
 }
-
-// seededRunner is an executor that runs a Run's items one after another
-// on the calling goroutine, in an order drawn from its seed, so one seed
-// names one order of every fan-out. orders records each Run's order.
-type seededRunner struct {
-	rng    *rand.Rand
-	orders [][]int
-}
-
-func newSeededRunner(seed int64) *seededRunner {
-	return &seededRunner{rng: rand.New(rand.NewSource(seed))}
-}
-
-func (r *seededRunner) Run(n, _ int, fn func(int)) {
-	order := r.rng.Perm(n)
-	r.orders = append(r.orders, order)
-	for _, i := range order {
-		fn(i)
-	}
-}
-
-func (r *seededRunner) Items() (caller, helper uint64) { return 0, 0 }
-
-func (r *seededRunner) Close() {}

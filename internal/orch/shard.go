@@ -17,7 +17,7 @@
 // placement mapped onto one data center: a tenant (or a rack-pod-style
 // hash of the chain ID) is a placement domain, and cross-domain
 // operations — batch failure handling, fleet metrics, optimizer status
-// — fan out over the domains and merge.
+// — visit the domains in turn on the caller's goroutine and merge.
 package orch
 
 import (
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,6 +37,7 @@ import (
 	"github.com/alvc/alvc/internal/optical"
 	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/sdn"
+	"github.com/alvc/alvc/internal/spare"
 	"github.com/alvc/alvc/internal/topology"
 	"github.com/alvc/alvc/internal/trace"
 )
@@ -181,10 +181,6 @@ func New(cfg Config, n int, mode ShardMode) (*Sharded, error) {
 	return s, nil
 }
 
-// Close ends the set's fan-out workers once each has finished what it
-// holds; a later fan-out starts them again.
-func (s *Sharded) Close() { s.core.pool.Close() }
-
 // Shard returns the i-th shard. Only the repository benchmark's tracer
 // (benchmark/tracer.go) calls it, for a shard's Allocator and the
 // shared Manager: a caller reaches a chain's shard by its ID
@@ -274,7 +270,7 @@ func (s *Sharded) Provision(ctx context.Context, spec chain.Spec) (*Deployment, 
 		return o.provision(ctx, spec)
 	}
 	parent, _ := trace.FromContext(ctx)
-	c := carriers.Get().(*trace.Carrier)
+	c := carriers.Get()
 	tr.Begin(c, ctx, parent)
 	start := time.Now()
 	dep, err := o.provision(c, spec)
@@ -291,7 +287,7 @@ func (s *Sharded) Provision(ctx context.Context, spec chain.Spec) (*Deployment, 
 
 // carriers pools the carriers of traced provisions: none outlives its
 // End (events carry trace and span IDs, not the carrier).
-var carriers = sync.Pool{New: func() any { return new(trace.Carrier) }}
+var carriers spare.Pool[trace.Carrier]
 
 // BatchResult is the outcome of one spec in a ProvisionBatch call.
 // Exactly one of Deployment and Err is set.
@@ -304,16 +300,15 @@ type BatchResult struct {
 	Err error
 }
 
-// ProvisionBatch provisions independent specs concurrently across
-// shards on the set's pool, workers wide (DefaultBatchWorkers when
-// workers <= 0), one result per spec in input order. Individual
+// ProvisionBatch provisions independent specs one after another, in
+// input order on the caller's goroutine, one result per spec. Individual
 // failures do not abort the batch: each failed spec is rolled back
 // exactly as a lone Provision would be, and reported in its
-// BatchResult. Intra-batch flow-key duplicates are rejected up front —
-// a batch must not race against itself for the same SDN flow table
-// entry; cross-request duplicates are caught by the owning shard (same
-// key → same shard, always).
-func (s *Sharded) ProvisionBatch(specs []chain.Spec, workers int) []BatchResult {
+// BatchResult. Intra-batch flow-key duplicates are rejected up front,
+// each naming its key's first spec, whatever that spec's outcome;
+// cross-request duplicates are caught by the owning shard (same key →
+// same shard, always).
+func (s *Sharded) ProvisionBatch(specs []chain.Spec) []BatchResult {
 	results := make([]BatchResult, len(specs))
 	if len(specs) == 0 {
 		return results
@@ -334,13 +329,13 @@ func (s *Sharded) ProvisionBatch(specs []chain.Spec, workers int) []BatchResult 
 			"orch: batch: spec %d duplicates flow key %q of spec %d",
 			i, specs[i].Tenant+"/"+specs[i].Name, first)}
 	}
-	s.core.pool.Run(len(specs), workers, func(i int) {
+	for i := range specs {
 		if results[i].Err != nil {
-			return
+			continue
 		}
 		dep, err := s.Provision(context.Background(), specs[i])
 		results[i] = BatchResult{Index: i, Deployment: dep, Err: err}
-	})
+	}
 	return results
 }
 
@@ -458,8 +453,8 @@ func (s *Sharded) Deployments() (out []*Deployment) {
 // HandleFailures is the one failure entry point — a node, a link or a
 // rack-scale set. It marks the failed resources down once, in one
 // topology transaction — the topology and its liveness bits are
-// shared-core state — then fans the reconciliation pass out over every
-// shard concurrently on the set's pool: each shard classifies and
+// shared-core state — then runs the reconciliation pass on every shard
+// in turn, on the caller's goroutine: each shard classifies and
 // repairs its own affected deployments against the union of dead
 // resources, so a rack failure spanning tenants on different shards
 // repairs every affected chain exactly once. A repair is differential
@@ -480,7 +475,7 @@ func (s *Sharded) HandleFailures(ctx context.Context, f topology.Failures) ([]Re
 	}
 	r := s.round.Swap(nil)
 	if r == nil {
-		r = newFailureRound(s.shards)
+		r = &failureRound{shards: make([]reconcile, len(s.shards))}
 	}
 	defer s.round.Store(r)
 	r.nodes, r.links = append(r.nodes[:0], f.Nodes()...), append(r.links[:0], f.Links()...)
@@ -490,7 +485,9 @@ func (s *Sharded) HandleFailures(ctx context.Context, f topology.Failures) ([]Re
 	}
 	r.ctx, r.dead, r.tr = ctx, dead, s.core.hooks.Load().Tracer
 	r.parent, _ = trace.FromContext(ctx)
-	s.core.pool.Run(len(s.shards), 0, r.fanOut)
+	for i, o := range s.shards {
+		r.shards[i].run(r, o)
+	}
 	domain := s.core.failureDomain(dead)
 	n := 0
 	for i := range r.shards {
@@ -557,10 +554,6 @@ func (s *Sharded) TopologyJSON() ([]byte, error) {
 // ControllerOf returns the SDN controller of the shard owning the
 // deployment ID — flow rules live in the owning shard's tables.
 func (s *Sharded) ControllerOf(id DeploymentID) *sdn.Controller { return s.owner(id).ctrl }
-
-// PoolItems is the set's pool's Items: fan-out items (batch provisions,
-// shard passes, repairs) run by the Run's caller, and by a pool worker.
-func (s *Sharded) PoolItems() (caller, helper uint64) { return s.core.pool.Items() }
 
 // ShardStat is one shard's slice of the fleet, exactly as GET /metrics
 // serves it: each field is one series labeled with the shard's index,

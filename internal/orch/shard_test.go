@@ -185,7 +185,7 @@ func TestShardedDuplicateFlowKeyRejectedAcrossShards(t *testing.T) {
 	// Batch form: intra-batch duplicates are rejected up front, and a
 	// batch echo of an already-live key is rejected by its shard.
 	dupe := tenantSpec(t, 1)
-	results := s.ProvisionBatch([]chain.Spec{dupe, dupe, spec}, 4)
+	results := s.ProvisionBatch([]chain.Spec{dupe, dupe, spec})
 	if results[0].Err != nil {
 		t.Fatalf("batch spec 0: %v", results[0].Err)
 	}
@@ -261,7 +261,7 @@ func TestBatchDuplicatesFollowJoinedFlowKeys(t *testing.T) {
 		specs = append(specs, chain.Spec{Tenant: parts[k%len(parts)], Name: parts[k/len(parts)]})
 	}
 	seen := map[string]int{}
-	for i, res := range s.ProvisionBatch(specs, 2) {
+	for i, res := range s.ProvisionBatch(specs) {
 		key := specs[i].Tenant + "/" + specs[i].Name
 		first, dup := seen[key]
 		if !dup {

@@ -16,9 +16,9 @@ package resilience
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
+	"github.com/alvc/alvc/internal/spare"
 	"github.com/alvc/alvc/internal/topology"
 )
 
@@ -347,11 +347,11 @@ func PlanStandbyAvoiding(f PathFinder, topo *topology.Topology, p Primary, allow
 // fabric too (fellBack) and keeps that plan if disjoint or allow's failed.
 // Only the plan kept is copied out of the scratch.
 func PlanStandbyWithin(f PathFinder, topo *topology.Topology, p Primary, allow topology.Pool, fallback bool, domainSRLGs []int) (sb *Standby, fellBack bool, err error) {
-	sc := scratches.Get().(*planScratch)
+	sc := scratches.Get()
 	defer sc.release()
 	plan, err := sc.plan(f, topo, p, allow, domainSRLGs)
 	if fallback && allow.OPS != nil && (err != nil || !plan.Disjoint) {
-		wc := scratches.Get().(*planScratch)
+		wc := scratches.Get()
 		defer wc.release()
 		wide, wideErr := wc.plan(f, topo, p, topology.Pool{}, domainSRLGs)
 		if fellBack = true; err != nil || (wideErr == nil && wide.Disjoint) {
@@ -467,7 +467,7 @@ type planScratch struct {
 	marked                   []topology.LinkID
 }
 
-var scratches = sync.Pool{New: func() any { return new(planScratch) }}
+var scratches spare.Pool[planScratch]
 
 // release clears the marks the plan set and pools the scratch.
 func (sc *planScratch) release() {

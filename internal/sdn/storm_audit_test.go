@@ -23,7 +23,7 @@ func stormArch(t *testing.T, chains int) *alvc.Architecture {
 	cfg.ToRUplinks, cfg.OPSChords, cfg.DualHomeFrac = cfg.OPSCount, 0, 1
 	cfg.Services = []string{"web"}
 	cfg.PMCapacity = topology.Resources{CPUCores: 1 << 20, MemoryGB: 1 << 20, StorageGB: 1 << 20}
-	arch, err := alvc.New(cfg, alvc.WithShards(4), alvc.WithBatchWorkers(1),
+	arch, err := alvc.New(cfg, alvc.WithShards(4),
 		alvc.WithOptimizer(alvc.OptimizerOptions{}), alvc.WithFailureDebounce(time.Hour))
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -37,7 +37,7 @@ func stormArch(t *testing.T, chains int) *alvc.Architecture {
 			t.Fatalf("LinearChain: %v", err)
 		}
 	}
-	for _, res := range arch.Sharded().ProvisionBatch(specs, arch.BatchWorkers()) {
+	for _, res := range arch.Sharded().ProvisionBatch(specs) {
 		if res.Err != nil {
 			t.Fatalf("provision %d: %v", res.Index, res.Err)
 		}

@@ -72,8 +72,7 @@ type readCloser struct{ *bytes.Reader }
 func (readCloser) Close() error { return nil }
 
 // mallocs counts the heap allocations f makes, with one P so no other
-// goroutine's allocations interleave; pool workers f waits on are
-// counted, as they are the request's.
+// goroutine's allocations interleave.
 func mallocs(f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
@@ -87,9 +86,11 @@ func mallocs(f func()) uint64 {
 // middleware on a 100-chain fleet, what a provision of a 2-NF chain, a
 // batch of 25 such chains and a delete allocate, averaged over warm runs
 // and floored as testing.AllocsPerRun does. Each ceiling is the highest
-// of 250 runs on a 2-vCPU box (provision 21–22, batch 453–473, median
-// 458, delete 7 every run); 34 and 775 (753–775 over 600 runs, median
-// 753) before each layer kept a provisioned chain in one block, the
+// of 250 runs on a 2-vCPU box (provision 21–22, batch 451–462, median
+// 454, delete 7 every run); the batch's 473 (453–473, median 458) before
+// a batch ran its specs in order on its caller, 34 and 775 (753–775 over
+// 600 runs, median 753) before each layer kept a provisioned chain in
+// one block, the
 // batch's 780 (754–780 over 192 runs, median 759) before a fan-out
 // reused its pool batch, 35 and 873 before a resource one chain holds
 // cost only its index slot and an emptied switch table kept its array.
@@ -150,7 +151,7 @@ func TestLifecyclePlaneAllocationCeilings(t *testing.T) {
 		ceiling float64
 	}{
 		{"provision", float64(provision / runs), 22},     // 111
-		{"batch of 25", float64(batched / batches), 473}, // 2 479
+		{"batch of 25", float64(batched / batches), 462}, // 2 479
 		{"delete", float64(del / runs), 7},               // 9
 	} {
 		t.Logf("%-11s %4.0f allocations a request (ceiling %.0f)", verb.name, verb.got, verb.ceiling)

@@ -356,8 +356,8 @@ func BenchmarkTraceQuery(b *testing.B) { benchmarkGet(b, "/v1/traces") }
 // TestReadPlaneUnderWrites lists, gets, scrapes and queries traces from
 // four goroutines while a fifth provisions, batch-provisions, modifies,
 // moves and deletes: under -race, the proof for the pooled response
-// buffers, the views under the shard locks, the records a batch's
-// workers commit while a list encodes its shard's, and the registry's
+// buffers, the views under the shard locks, the records a batch
+// commits while a list encodes its shard's, and the registry's
 // series created mid-scrape.
 // Every read must be a well-formed answer: 200 (or 404 for a chain the
 // writer has deleted past its tombstone), valid JSON, lists ID-ordered.

@@ -48,10 +48,7 @@ func WithWatchRing(n int) Option {
 	return func(s *Server) { s.watchRing = n }
 }
 
-// Server is the REST control plane over one Architecture. The batch
-// worker ceiling comes from the Architecture's WithBatchWorkers option
-// (one worker per CPU when unset); requests may lower it per call but
-// never raise it.
+// Server is the REST control plane over one Architecture.
 type Server struct {
 	arch      *alvc.Architecture
 	logger    *slog.Logger
@@ -190,17 +187,7 @@ func (s *Server) handleProvisionBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch request has no specs")
 		return
 	}
-	// Clamp to the architecture's pool size so a client cannot demand
-	// unbounded provisioning parallelism.
-	ceiling := s.arch.BatchWorkers()
-	if ceiling <= 0 {
-		ceiling = orch.DefaultBatchWorkers()
-	}
-	workers := req.Workers
-	if workers <= 0 || workers > ceiling {
-		workers = ceiling
-	}
-	writeBatch(w, s.arch.Sharded().ProvisionBatch(req.Specs, workers))
+	writeBatch(w, s.arch.Sharded().ProvisionBatch(req.Specs))
 }
 
 // handleListChains lists the chains the orchestrator holds records of.

@@ -69,16 +69,16 @@ func TestTracedCycleAllocations(t *testing.T) {
 }
 
 // TestTraceCommitsUnderConcurrentReaders runs the store's writers and
-// readers at once: ProvisionBatch workers each committing a batch item's
-// trace, a failure report whose request trace commits and is then
-// continued by the debounce flush's repairs (their spans appended from
-// the pool's workers into the flush's one buffer), and readers of
+// readers at once: a ProvisionBatch committing each batch item's trace,
+// a failure report whose request trace commits and is then continued by
+// the debounce flush's repairs (their spans appended into the flush's
+// one buffer), and readers of
 // GET /v1/traces and GET /v1/traces/{id}. Afterwards every trace is
 // whole: each batch item its own trace of nine spans, the report's
 // trace its request span followed by the flush's tree, one insert per
 // operation. Run it with -race -count=10.
 func TestTraceCommitsUnderConcurrentReaders(t *testing.T) {
-	srv, arch, ids := bootFleet(t, 8, 2, alvc.WithFailureDebounce(time.Hour), alvc.WithBatchWorkers(2))
+	srv, arch, ids := bootFleet(t, 8, 2, alvc.WithFailureDebounce(time.Hour))
 	st := arch.TraceStore()
 	node := arch.Deployment(ids[3]).Path[2]
 	specs := make([]alvc.Spec, 12)
@@ -98,7 +98,7 @@ func TestTraceCommitsUnderConcurrentReaders(t *testing.T) {
 	writers.Add(2)
 	go func() {
 		defer writers.Done()
-		results = arch.Sharded().ProvisionBatch(specs, arch.BatchWorkers())
+		results = arch.Sharded().ProvisionBatch(specs)
 	}()
 	go func() {
 		defer writers.Done()

@@ -73,9 +73,10 @@ func tombstoneJSON(t orch.Tombstone) DeploymentJSON {
 	}
 }
 
-// BatchRequest is the body of POST /v1/chains:batch. Workers bounds
-// the provisioning pool for this request only; 0 uses the server
-// default.
+// BatchRequest is the body of POST /v1/chains:batch. Workers is
+// decoded and checked like any int field, and ignored: a batch
+// provisions its specs in input order. The repository benchmark still
+// sends it; ROADMAP item 3 or 5 drops it.
 type BatchRequest struct {
 	Specs   []chain.Spec `json:"specs"`
 	Workers int          `json:"workers,omitempty"`

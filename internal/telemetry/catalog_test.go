@@ -313,7 +313,6 @@ func TestCardinalityBudget(t *testing.T) {
 		"domain":    2, // electronic, optical
 		"rack":      alvc.DefaultTopology().Racks,
 		"direction": 2, // from, to
-		"runner":    2, // caller, helper
 	}
 	series := make(map[string]map[string]bool) // family → its label sets
 	labelNames := make(map[string][]string)

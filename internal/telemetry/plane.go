@@ -209,13 +209,6 @@ func (p *Plane) registerOrch() {
 	p.reg.GaugeSink("alvc_orch_shard_busy_ops",
 		"Exclusive operations in flight per shard (repairs, moves, deletes).",
 		[]string{"shard"}, p.perShard(func(st *alvc.ShardStat) float64 { return float64(st.BusyOps) }))
-	p.reg.CounterSink("alvc_pool_items_total",
-		"Fan-out items (batch provisions, shard passes, repairs) run by the goroutine that called the pool's Run, or by a pool worker that joined it.",
-		[]string{"runner"}, func(s Sink) {
-			caller, helper := p.arch.Sharded().PoolItems()
-			s.Add(float64(caller), "caller")
-			s.Add(float64(helper), "helper")
-		})
 	p.repairsTotal = p.reg.NewCounterVec("alvc_orch_repairs_total",
 		"Completed repairs by reconciliation action.", "action")
 	p.eventsTotal = p.reg.NewCounterVec("alvc_orch_events_total",

@@ -82,7 +82,7 @@ func TestRestrictReleaseRestrict(t *testing.T) {
 	}
 }
 
-// TestRestrictConcurrent: batch workers lay out and search their own
+// TestRestrictConcurrent: concurrent provisions lay out and search their own
 // restrictions over one snapshot at once, while link failures patch its
 // overlay; every worker's paths stay inside its own slice. Run under
 // -race.

@@ -26,6 +26,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/alvc/alvc/internal/spare"
 )
 
 // Span categories. A trace as a whole is categorized by its root
@@ -306,8 +308,8 @@ func (t *Tracer) put(sc SpanContext, r *record) {
 // its own stages and every operation nested in it — until the operation
 // ends and commits them, in the order they completed, in one insert.
 // Its array comes from a pool at the first span and goes back after
-// the commit, so a buffer costs no allocation of its own. Operations
-// nested on several goroutines (a failure report's repairs) share it,
+// the commit, so a buffer costs no allocation of its own. An operation
+// on another goroutine that names a span of it as parent adds to it too,
 // hence the lock.
 type buffer struct {
 	mu   sync.Mutex
@@ -317,7 +319,7 @@ type buffer struct {
 
 // recordPool recycles buffer arrays; one that grew past maxPooledSpans,
 // the default per-trace cap, goes to the collector instead.
-var recordPool = sync.Pool{New: func() any { return new([]record) }}
+var recordPool spare.Pool[[]record]
 
 const maxPooledSpans = 256
 
@@ -329,7 +331,7 @@ func (b *buffer) add(st *Store, traceID string, r *record) {
 		return
 	}
 	if b.recs == nil {
-		b.recs = recordPool.Get().(*[]record)
+		b.recs = recordPool.Get()
 	}
 	*b.recs = append(*b.recs, *r)
 	b.mu.Unlock()

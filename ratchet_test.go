@@ -62,6 +62,7 @@ var (
 	exportedArchMethod  = regexp.MustCompile(`(?m)^func \([a-z]* \*Architecture\) [A-Z]`)
 	exportedFunc        = regexp.MustCompile(`(?m)^func (\([^)]*\) )?[A-Z]`)
 	nodeKeyedMap        = regexp.MustCompile(`(?m)^.*map\[(topology\.)?NodeID\].*$`)
+	mutexField          = regexp.MustCompile(`(?m)^\s+\w+(, *\w+)*\s+\*?sync\.(RW)?Mutex\b`)
 )
 
 // sourceSizes counts the Go files under root, skipping testdata and
@@ -69,11 +70,12 @@ var (
 // benchmark/, lines of tests, methods on the shard set over
 // internal/orch's files (tests included), exported methods on a shard
 // and on the facade's Architecture, exported functions and methods in
-// internal/graph's non-test files, and the lines of non-test code outside
+// internal/graph's non-test files, the lines of non-test code outside
 // benchmark/ that name a node-keyed map (node IDs are dense: per-node
-// state is a table by ID).
+// state is a table by ID), and the sync.Mutex and sync.RWMutex fields
+// declared there.
 func sourceSizes(root string) ([]sourceCount, error) {
-	var prod, bench, tests, sharded, shardMethods, archMethods, graphFuncs, nodeMaps int
+	var prod, bench, tests, sharded, shardMethods, archMethods, graphFuncs, nodeMaps, mutexes int
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -102,6 +104,7 @@ func sourceSizes(root string) ([]sourceCount, error) {
 		default:
 			prod += lines
 			nodeMaps += len(nodeKeyedMap.FindAll(data, -1))
+			mutexes += len(mutexField.FindAll(data, -1))
 		}
 		if dir == "internal/orch" {
 			sharded += len(shardedMethod.FindAll(data, -1))
@@ -126,6 +129,7 @@ func sourceSizes(root string) ([]sourceCount, error) {
 		{"exported Architecture methods", archMethods},
 		{"exported funcs in internal/graph", graphFuncs},
 		{"node-keyed maps in non-test Go", nodeMaps},
+		{"sync mutex fields in non-test Go", mutexes},
 	}, err
 }
 

@@ -10,8 +10,10 @@ import (
 )
 
 // stormRoundAllocCeiling bounds TestStormRoundAllocations' allocations a
-// round: 47.9–56.1 over 1 000 runs on a 2-vCPU box (median 51.4; 48.4–51.0
-// with the collector off), so the highest reading; 99.7–113.2 over 293
+// round: 48.4–56.5 over 250 runs on a 2-vCPU box (median 50.2), once the
+// fan-outs ran on their callers and the write paths' pools kept a spare
+// object for a lone caller; 47.9–56.1 over 1 000 runs (median 51.4;
+// 48.4–51.0 with the collector off), so the highest reading, before; 99.7–113.2 over 293
 // runs (median 108.3) and a ceiling of 114 before the round's lists were
 // reused, a standby routed around a cut tray became one block up to
 // fifteen nodes, a snapshot took it into its own block and a fabric
@@ -40,7 +42,7 @@ func TestStormRoundAllocations(t *testing.T) {
 	}
 	const chains, shards, trayChains = 160, 4, 8
 	arch, err := alvc.New(wideTopology(chains, true),
-		alvc.WithBatchWorkers(2), alvc.WithShards(shards),
+		alvc.WithShards(shards),
 		alvc.WithOptimizer(alvc.OptimizerOptions{}),
 		alvc.WithFailureDebounce(time.Hour))
 	if err != nil {
@@ -58,7 +60,7 @@ func TestStormRoundAllocations(t *testing.T) {
 		}
 	}
 	var trays [][]alvc.DeploymentID
-	for i, res := range arch.Sharded().ProvisionBatch(residents, arch.BatchWorkers()) {
+	for i, res := range arch.Sharded().ProvisionBatch(residents) {
 		if res.Err != nil {
 			t.Fatalf("provision %d: %v", i, res.Err)
 		}
