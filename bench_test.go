@@ -193,7 +193,7 @@ func BenchmarkE7_Slicing(b *testing.B) {
 	opss := arch.Topology().NodeIDs(topology.KindOPS)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := slices.Allocate("tenant", opss[:4], 1)
+		s, err := slices.Allocate(1, "tenant", opss[:4], 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func BenchmarkE9_UpdateCost(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		vc, err := alloc.BuildVC("web", topo.LiveVMs("web"))
+		vc, err := alloc.BuildVC(1, "web", topo.LiveVMs("web"))
 		if err != nil {
 			b.Fatal(err)
 		}

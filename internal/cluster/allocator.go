@@ -2,13 +2,14 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
+	"github.com/alvc/alvc/internal/slot"
 	"github.com/alvc/alvc/internal/topology"
 )
 
-// VCID identifies a virtual cluster.
+// VCID identifies a virtual cluster: a chain's takes the chain's slot's
+// ID at generation 0 (slot.ID).
 type VCID int
 
 // VC is a virtual cluster: a group of VMs offering one service plus the
@@ -28,11 +29,9 @@ type Allocator struct {
 	mu      sync.Mutex
 	topo    *topology.Topology
 	builder Builder
-	vcs     map[VCID]*VC
-	// nextID and idStride number the clusters: allocator i of n issues
-	// i+1, i+1+n, i+1+2n, …, so allocators over disjoint pools never issue
-	// one ID twice.
-	nextID, idStride VCID
+	// vcs holds the clusters by slot: VC ID i+1+n·k at k.
+	vcs           []*VC
+	index, stride int
 	// pool, when its set is non-nil, restricts this allocator to a subset
 	// of the topology's OPSs, so AL construction (the cover under mu) works
 	// on a smaller candidate set and two allocators with disjoint pools
@@ -54,8 +53,7 @@ type Allocator struct {
 // NewRestrictedAllocator returns an allocator that only claims OPSs
 // from the given pool. A nil pool means every OPS in the topology; an
 // empty (non-nil) pool is rejected since no AL could ever be built. It
-// is allocator i of n (0 of 1 when alone): it issues VC IDs i+1,
-// i+1+n, …, so an ID names one cluster among all n.
+// is allocator i of n (0 of 1 when alone): it holds VC IDs i+1, i+1+n, ….
 func NewRestrictedAllocator(topo *topology.Topology, builder Builder, pool []topology.NodeID, i, n int) (*Allocator, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("cluster: allocator: nil topology")
@@ -64,11 +62,10 @@ func NewRestrictedAllocator(topo *topology.Topology, builder Builder, pool []top
 		return nil, fmt.Errorf("cluster: allocator: nil builder")
 	}
 	a := &Allocator{
-		topo:     topo,
-		builder:  builder,
-		vcs:      make(map[VCID]*VC),
-		nextID:   VCID(i + 1 - n),
-		idStride: VCID(n),
+		topo:    topo,
+		builder: builder,
+		index:   i,
+		stride:  n,
 	}
 	a.free = make([]bool, len(topo.OpticalDegrees())) // one entry per node ID
 	if pool != nil {
@@ -156,10 +153,24 @@ func newVC(id VCID, service string, vms []topology.NodeID, al AL) *VC {
 	return vc
 }
 
+// getLocked returns cluster id, nil for none, and its table index, -1
+// for an ID this allocator never holds.
+func (a *Allocator) getLocked(id VCID) (*VC, int) {
+	s, _ := slot.Of(int(id))
+	switch k := s / a.stride; {
+	case id <= 0 || s%a.stride != a.index:
+		return nil, -1
+	case k < len(a.vcs):
+		return a.vcs[k], k
+	default:
+		return nil, k
+	}
+}
+
 // setALLocked stores vc under its ID, moving OPS ownership from the
 // layer the ID held before (if any) to vc's.
-func (a *Allocator) setALLocked(vc *VC) {
-	if old := a.vcs[vc.ID]; old != nil {
+func (a *Allocator) setALLocked(vc *VC, k int) {
+	if old := a.vcs[k]; old != nil {
 		for _, ops := range old.AL.OPSs {
 			a.free[ops] = true
 		}
@@ -167,7 +178,7 @@ func (a *Allocator) setALLocked(vc *VC) {
 	for _, ops := range vc.AL.OPSs {
 		a.free[ops] = false
 	}
-	a.vcs[vc.ID] = vc
+	a.vcs[k] = vc
 }
 
 // buildLocked builds a layer for vms out of the free OPSs. The paper's
@@ -188,45 +199,24 @@ func (a *Allocator) CoverStats() CoverStats {
 	return a.cover
 }
 
-// BuildVC constructs a virtual cluster for the given VM group, claiming
+// BuildVC constructs virtual cluster id for the given VM group, claiming
 // the OPSs of its new AL. It fails (wrapping ErrInsufficientOPS) when
-// the unclaimed OPSs cannot connect the group.
-func (a *Allocator) BuildVC(service string, vms []topology.NodeID) (*VC, error) {
+// the unclaimed OPSs cannot connect the group, and when id is not one
+// this allocator holds or is taken.
+func (a *Allocator) BuildVC(id VCID, service string, vms []topology.NodeID) (*VC, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	vc, k := a.getLocked(id)
+	if vc != nil || k < 0 {
+		return nil, fmt.Errorf("cluster: build VC %d for %q: ID not free here", id, service)
+	}
 	al, err := a.buildLocked(vms)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: build VC for %q: %w", service, err)
 	}
-	a.nextID += a.idStride
-	vc := newVC(a.nextID, service, vms, al)
-	a.setALLocked(vc)
-	return vc, nil
-}
-
-// BuildAllByService groups the topology's VMs by service (sorted by
-// service name) and builds one VC per service. On failure, clusters
-// already built in this call are released so the allocator state is
-// unchanged.
-func (a *Allocator) BuildAllByService() ([]*VC, error) {
-	byService := a.topo.VMsByService()
-	names := make([]string, 0, len(byService))
-	for name := range byService {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var built []*VC
-	for _, name := range names {
-		vc, err := a.BuildVC(name, byService[name])
-		if err != nil {
-			for _, b := range built {
-				_ = a.Release(b.ID)
-			}
-			return nil, fmt.Errorf("cluster: build all: %w", err)
-		}
-		built = append(built, vc)
-	}
-	return built, nil
+	a.vcs = slot.Widen(a.vcs, k)
+	a.setALLocked(newVC(id, service, vms, al), k)
+	return a.vcs[k], nil
 }
 
 // PatchVC re-runs the AL construction for an existing cluster over the
@@ -244,8 +234,8 @@ func (a *Allocator) BuildAllByService() ([]*VC, error) {
 func (a *Allocator) PatchVC(id VCID, vms []topology.NodeID) (*VC, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	vc, ok := a.vcs[id]
-	if !ok {
+	vc, k := a.getLocked(id)
+	if vc == nil {
 		return nil, fmt.Errorf("cluster: patch: unknown VC %d", id)
 	}
 	// Lend the cluster's own live OPSs to the free set for the build.
@@ -262,7 +252,7 @@ func (a *Allocator) PatchVC(id VCID, vms []topology.NodeID) (*VC, error) {
 		return nil, fmt.Errorf("cluster: patch VC %d: %w", id, err)
 	}
 	patched := newVC(id, vc.Service, vms, al)
-	a.setALLocked(patched)
+	a.setALLocked(patched, k)
 	return patched, nil
 }
 
@@ -270,14 +260,14 @@ func (a *Allocator) PatchVC(id VCID, vms []topology.NodeID) (*VC, error) {
 func (a *Allocator) Release(id VCID) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	vc, ok := a.vcs[id]
-	if !ok {
+	vc, k := a.getLocked(id)
+	if vc == nil {
 		return fmt.Errorf("cluster: release: unknown VC %d", id)
 	}
 	for _, ops := range vc.AL.OPSs {
 		a.free[ops] = true
 	}
-	delete(a.vcs, id)
+	a.vcs[k] = nil
 	return nil
 }
 
@@ -285,11 +275,12 @@ func (a *Allocator) Release(id VCID) error {
 func (a *Allocator) VCs() []*VC {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]*VC, 0, len(a.vcs))
+	out := make([]*VC, 0, slot.Held(a.vcs))
 	for _, vc := range a.vcs {
-		out = append(out, vc)
+		if vc != nil {
+			out = append(out, vc)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -297,7 +288,7 @@ func (a *Allocator) VCs() []*VC {
 func (a *Allocator) VCCount() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.vcs)
+	return slot.Held(a.vcs)
 }
 
 // Disjoint reports whether the clusters' ALs are pairwise disjoint — the

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -191,9 +192,14 @@ func TestAllocatorDisjointALs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
-	vcs, err := alloc.BuildAllByService()
-	if err != nil {
-		t.Fatalf("BuildAllByService: %v", err)
+	byService := topo.VMsByService()
+	var vcs []*VC
+	for _, name := range cfg.Services {
+		vc, err := alloc.BuildVC(freeID(alloc), name, byService[name])
+		if err != nil {
+			t.Fatalf("BuildVC %s: %v", name, err)
+		}
+		vcs = append(vcs, vc)
 	}
 	if len(vcs) != len(cfg.Services) {
 		t.Fatalf("VCs = %d, want %d", len(vcs), len(cfg.Services))
@@ -221,7 +227,7 @@ func TestAllocatorReleaseFreesOPS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
-	vc, err := alloc.BuildVC("web", vms)
+	vc, err := alloc.BuildVC(freeID(alloc), "web", vms)
 	if err != nil {
 		t.Fatalf("BuildVC: %v", err)
 	}
@@ -247,45 +253,16 @@ func TestAllocatorExhaustsOPS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
-	if _, err := alloc.BuildVC("web", vms); err != nil {
+	if _, err := alloc.BuildVC(freeID(alloc), "web", vms); err != nil {
 		t.Fatalf("first BuildVC: %v", err)
 	}
 	// Second cluster over the same VMs cannot get disjoint OPSs
 	// (only 3 OPSs exist and VM5 depends on opsC).
-	if _, err := alloc.BuildVC("web2", vms); !errors.Is(err, ErrInsufficientOPS) {
+	if _, err := alloc.BuildVC(freeID(alloc), "web2", vms); !errors.Is(err, ErrInsufficientOPS) {
 		t.Fatalf("second BuildVC error = %v, want ErrInsufficientOPS", err)
 	}
 	if !Disjoint(alloc.VCs()) {
 		t.Fatal("failed build corrupted disjointness")
-	}
-}
-
-func TestBuildAllByServiceRollsBackOnFailure(t *testing.T) {
-	// Fig. 4 topology has only 3 OPSs; the "web" group (all 6 VMs)
-	// claims 2 of them. Add a second service whose VMs are only
-	// reachable through already-claimed OPSs: BuildAllByService must
-	// fail and release everything.
-	topo, _, ids := fig4Topo(t)
-	pm := topo.AddPM(0, topology.Resources{})
-	if _, err := topo.AddLink(pm, ids["tor3"], topology.LinkElectronic, 10, 1); err != nil {
-		t.Fatalf("AddLink: %v", err)
-	}
-	// tor3 uplinks only to opsC, which "web" will claim (it is forced).
-	if _, err := topo.AddVM(pm, "zzz-backup"); err != nil {
-		t.Fatalf("AddVM: %v", err)
-	}
-	alloc, err := NewRestrictedAllocator(topo, PaperBuilder{}, nil, 0, 1)
-	if err != nil {
-		t.Fatalf("NewRestrictedAllocator: %v", err)
-	}
-	if _, err := alloc.BuildAllByService(); err == nil {
-		t.Fatal("expected failure: second service cannot get a disjoint AL")
-	}
-	if len(alloc.VCs()) != 0 {
-		t.Fatalf("clusters leaked after failed BuildAll: %d", len(alloc.VCs()))
-	}
-	if got := len(alloc.AvailableOPS()); got != 3 {
-		t.Fatalf("available OPSs = %d, want all 3 released", got)
 	}
 }
 
@@ -346,8 +323,9 @@ func abs64(x int64) int64 {
 	return x
 }
 
-// TestAllocatorStridesVCIDs: allocator i of n issues i+1, i+1+n, …, so
-// allocators over disjoint pools never issue one ID twice.
+// TestAllocatorStridesVCIDs: allocator i of n holds IDs i+1, i+1+n, …
+// and builds a cluster under one of them while it is free, so allocators
+// over disjoint pools never hold one ID twice.
 func TestAllocatorStridesVCIDs(t *testing.T) {
 	topo, err := topology.Generate(topology.DefaultGenConfig())
 	if err != nil {
@@ -357,13 +335,25 @@ func TestAllocatorStridesVCIDs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
-	vcs, err := alloc.BuildAllByService()
-	if err != nil || len(vcs) < 2 {
-		t.Fatalf("BuildAllByService: %d VCs, %v", len(vcs), err)
-	}
-	for i, vc := range vcs {
-		if want := VCID(2 + 3*i); vc.ID != want {
-			t.Errorf("VC %d has ID %d, want %d", i, vc.ID, want)
+	vms := topo.VMsByService()["web"][:1]
+	for _, c := range []struct {
+		id VCID
+		ok bool
+	}{{2, true}, {5, true}, {1, false}, {3, false}, {0, false}, {2, false}} {
+		if vc, err := alloc.BuildVC(c.id, "web", vms); (err == nil) != c.ok || c.ok && vc.ID != c.id {
+			t.Errorf("BuildVC(%d) = %v, %v; want it built: %v", c.id, vc, err, c.ok)
 		}
 	}
+	if got := alloc.VCs(); len(got) != 2 || got[0].ID != 2 || got[1].ID != 5 {
+		t.Errorf("VCs() = %v, want clusters 2 and 5 in ID order", got)
+	}
+}
+
+// freeID returns the lowest VC ID the allocator holds no cluster under.
+func freeID(a *Allocator) VCID {
+	k := slices.Index(a.vcs, nil)
+	if k < 0 {
+		k = len(a.vcs)
+	}
+	return VCID(1 + a.index + a.stride*k)
 }

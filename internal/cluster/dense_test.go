@@ -230,7 +230,7 @@ func TestAllocatorFreeSetModel(t *testing.T) {
 				vms := group()
 				want, wantErr := PaperBuilder{}.Build(topo, vms, before)
 				var vc *VC
-				if vc, opErr = alloc.BuildVC("svc", vms); opErr == nil {
+				if vc, opErr = alloc.BuildVC(freeID(alloc), "svc", vms); opErr == nil {
 					live = append(live, vc.ID)
 				}
 				if (opErr == nil) != (wantErr == nil) || (opErr == nil && !reflect.DeepEqual(vc.AL, want)) {
@@ -326,14 +326,15 @@ func BenchmarkBuildVC(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < ops/3; i++ {
-				if _, err := alloc.BuildVC("resident", vms); err != nil {
+				if _, err := alloc.BuildVC(freeID(alloc), "resident", vms); err != nil {
 					b.Fatal(err)
 				}
 			}
+			id := freeID(alloc)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				vc, err := alloc.BuildVC("web", vms)
+				vc, err := alloc.BuildVC(id, "web", vms)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -139,7 +139,7 @@ func TestFullCoverEqualsCoverMarginal(t *testing.T) {
 					vms[i] = vmsAll[rng.Intn(len(vmsAll))]
 				}
 				admit := slices.Clone(alloc.free)
-				vc, err := alloc.BuildVC("svc", vms)
+				vc, err := alloc.BuildVC(freeID(alloc), "svc", vms)
 				check(name+" build", vms, admit, vc, err)
 				if err == nil {
 					live = append(live, vc.ID)

@@ -11,16 +11,17 @@ import (
 func (a *Allocator) VC(id VCID) *VC {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.vcs[id]
+	vc, _ := a.getLocked(id)
+	return vc
 }
 
 // OwnerOf returns the VC owning the given OPS, if any.
 func (a *Allocator) OwnerOf(ops topology.NodeID) (VCID, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for id, vc := range a.vcs {
-		if slices.Contains(vc.AL.OPSs, ops) {
-			return id, true
+	for _, vc := range a.vcs {
+		if vc != nil && slices.Contains(vc.AL.OPSs, ops) {
+			return vc.ID, true
 		}
 	}
 	return 0, false
@@ -32,7 +33,7 @@ func TestPatchVCSwapsFailedOPS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
-	vc, err := a.BuildVC("web", vms)
+	vc, err := a.BuildVC(freeID(a), "web", vms)
 	if err != nil {
 		t.Fatalf("BuildVC: %v", err)
 	}
@@ -82,7 +83,7 @@ func TestPatchVCReusesSurvivors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
-	vc, err := a.BuildVC("web", vms)
+	vc, err := a.BuildVC(freeID(a), "web", vms)
 	if err != nil {
 		t.Fatalf("BuildVC: %v", err)
 	}
@@ -129,7 +130,7 @@ func TestPatchVCFailureLeavesAllocatorUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRestrictedAllocator: %v", err)
 	}
-	vc, err := a.BuildVC("web", vms)
+	vc, err := a.BuildVC(freeID(a), "web", vms)
 	if err != nil {
 		t.Fatalf("BuildVC: %v", err)
 	}

@@ -112,7 +112,7 @@ func RunChurn(topo *topology.Topology, cfg ChurnConfig) (ChurnReport, error) {
 	if err != nil {
 		return ChurnReport{}, fmt.Errorf("churn: %w", err)
 	}
-	vc, err := alloc.BuildVC(cfg.Service, group)
+	vc, err := alloc.BuildVC(1, cfg.Service, group)
 	if err != nil {
 		return ChurnReport{}, fmt.Errorf("churn: %w", err)
 	}

@@ -53,7 +53,7 @@ func walk(t *testing.T, topo *topology.Topology, path []topology.NodeID) sdn.Wal
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
-	if _, _, err := c.Reroute(sdn.Match{FlowKey: "t/flow", Src: path[0], Dst: path[len(path)-1]}, path, 1); err != nil {
+	if _, _, err := c.Reroute(0, sdn.Match{FlowKey: "t/flow", Src: path[0], Dst: path[len(path)-1]}, path, 1); err != nil {
 		t.Fatalf("Reroute: %v", err)
 	}
 	w, err := c.Walk("t/flow")

@@ -87,16 +87,21 @@ func (f *Frozen) getAvoidScratch() *avoidScratch {
 			}
 			s.prev[side] = make([]int32, n)
 			s.done[side] = make([]bool, n)
+			s.heap[side] = make([]frozenItem, 0, avoidCap.Load())
 		}
 		// The whole capacity stays clean, so a smaller graph may reslice.
 		s.dist[side] = s.dist[side][:n]
 		s.prev[side] = s.prev[side][:n]
 		s.done[side] = s.done[side][:n]
 	}
+	if cap(s.touched) == 0 {
+		s.touched = make([]int32, 0, avoidCap.Load())
+	}
 	return s
 }
 
 func putAvoidScratch(s *avoidScratch) {
+	noteCap(&avoidCap, max(cap(s.heap[0]), cap(s.heap[1]), cap(s.touched)))
 	inf := math.Inf(1)
 	for _, v := range s.touched {
 		s.dist[0][v], s.dist[1][v] = inf, inf

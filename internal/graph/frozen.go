@@ -252,6 +252,17 @@ var frozenScratchPool = sync.Pool{
 	New: func() interface{} { return &frozenScratch{} },
 }
 
+// frozenCap and avoidCap hold the longest heap or touched list one kind
+// of search scratch grew, so a pool miss makes its lists once at that
+// length instead of regrowing them step by step.
+var frozenCap, avoidCap atomic.Int64
+
+func noteCap(c *atomic.Int64, n int) {
+	if int64(n) > c.Load() {
+		c.Store(int64(n))
+	}
+}
+
 func (f *Frozen) getScratch() *frozenScratch {
 	s := frozenScratchPool.Get().(*frozenScratch)
 	n := len(f.ids)
@@ -263,6 +274,7 @@ func (f *Frozen) getScratch() *frozenScratch {
 		}
 		s.done = make([]bool, n)
 		s.banVertex = make([]bool, n)
+		s.heap, s.touched = make([]frozenItem, 0, frozenCap.Load()), make([]int32, 0, frozenCap.Load())
 	}
 	// The whole capacity stays clean, so a smaller graph may reslice.
 	s.dist = s.dist[:n]
@@ -276,6 +288,7 @@ func (f *Frozen) getScratch() *frozenScratch {
 }
 
 func (f *Frozen) putScratch(s *frozenScratch) {
+	noteCap(&frozenCap, max(cap(s.heap), cap(s.touched)))
 	f.resetSearch(s)
 	frozenScratchPool.Put(s)
 }

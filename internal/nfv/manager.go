@@ -7,10 +7,12 @@ import (
 	"sync"
 
 	"github.com/alvc/alvc/internal/ring"
+	"github.com/alvc/alvc/internal/slot"
 	"github.com/alvc/alvc/internal/topology"
 )
 
-// InstanceID identifies a VNF instance.
+// InstanceID identifies a VNF instance by its slot in the manager's table
+// and the slot's generation (slot.ID).
 type InstanceID int
 
 // State is a VNF lifecycle state. Transitions follow §IV-B's manager
@@ -118,10 +120,16 @@ type Manager struct {
 	topo      *topology.Topology
 	ledger    *Ledger
 	profiles  map[NFType]NFProfile
-	instances map[InstanceID]*Instance
+	instances []instanceSlot // by slot (slot.Of of the ID); free hands them out
+	free      slot.Free
 	events    ring.Ring[logEntry] // the newest EventLogSize transitions
-	nextID    InstanceID
 	eventSeq  int
+}
+
+// instanceSlot is an instance, nil for none, and its slot's generation.
+type instanceSlot struct {
+	inst *Instance
+	gen  uint32
 }
 
 // NewManager returns a manager over the topology with the default
@@ -132,11 +140,10 @@ func NewManager(topo *topology.Topology) (*Manager, error) {
 		return nil, err
 	}
 	return &Manager{
-		topo:      topo,
-		ledger:    ledger,
-		profiles:  DefaultProfiles(),
-		instances: make(map[InstanceID]*Instance),
-		events:    ring.New[logEntry](EventLogSize),
+		topo:     topo,
+		ledger:   ledger,
+		profiles: DefaultProfiles(),
+		events:   ring.New[logEntry](EventLogSize),
 	}, nil
 }
 
@@ -175,9 +182,16 @@ func (m *Manager) Create(t NFType, host topology.NodeID) (Instance, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.nextID++
+	k := m.free.Take(len(m.instances))
+	if k >= 1<<slot.Bits {
+		m.free.Unget(k)
+		_ = m.ledger.Free(host, profile.Demand) // gives back what Alloc just took
+		return Instance{}, fmt.Errorf("nfv: create %s: every instance slot is taken", t)
+	}
+	m.instances = slot.Widen(m.instances, k)
+	e := &m.instances[k]
 	inst := &Instance{
-		ID:       m.nextID,
+		ID:       InstanceID(slot.ID(k, e.gen)),
 		Type:     t,
 		Host:     host,
 		Domain:   domain,
@@ -186,7 +200,7 @@ func (m *Manager) Create(t NFType, host topology.NodeID) (Instance, error) {
 		Version:  1,
 		Demand:   profile.Demand,
 	}
-	m.instances[inst.ID] = inst
+	e.inst = inst
 	m.recordLocked(inst.ID, 0, StatePending, logEntry{a: int(host), domain: uint8(domain), nf: uint8(slices.Index(catalogTypes, string(t)))})
 	return *inst, nil
 }
@@ -321,17 +335,20 @@ func (m *Manager) Terminate(id InstanceID) error {
 	if err := m.ledger.Free(inst.Host, inst.Demand.Scale(float64(inst.Replicas))); err != nil {
 		return fmt.Errorf("nfv: terminate instance %d: %w", id, err)
 	}
-	delete(m.instances, id)
+	k, _ := slot.Of(int(id))
+	m.instances[k] = instanceSlot{gen: m.instances[k].gen + 1}
+	m.free.Put(k)
 	m.recordLocked(id, inst.State, StateTerminated, logEntry{})
 	return nil
 }
 
 func (m *Manager) getLocked(id InstanceID) (*Instance, error) {
-	inst, ok := m.instances[id]
-	if !ok {
-		return nil, fmt.Errorf("nfv: unknown instance %d", id)
+	if id > 0 {
+		if k, gen := slot.Of(int(id)); k < len(m.instances) && m.instances[k].gen == gen && m.instances[k].inst != nil {
+			return m.instances[k].inst, nil
+		}
 	}
-	return inst, nil
+	return nil, fmt.Errorf("nfv: unknown instance %d", id)
 }
 
 func (m *Manager) copyLocked(inst *Instance) *Instance {
@@ -344,8 +361,8 @@ func (m *Manager) copyLocked(inst *Instance) *Instance {
 func (m *Manager) Instance(id InstanceID) *Instance {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	inst, ok := m.instances[id]
-	if !ok {
+	inst, err := m.getLocked(id)
+	if err != nil {
 		return nil
 	}
 	return m.copyLocked(inst)
@@ -355,9 +372,11 @@ func (m *Manager) Instance(id InstanceID) *Instance {
 func (m *Manager) Instances() []*Instance {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Instance, 0, len(m.instances))
-	for _, inst := range m.instances {
-		out = append(out, m.copyLocked(inst))
+	var out []*Instance
+	for _, e := range m.instances {
+		if e.inst != nil {
+			out = append(out, m.copyLocked(e.inst))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

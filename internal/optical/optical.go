@@ -9,9 +9,9 @@ package optical
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
+	"github.com/alvc/alvc/internal/slot"
 	"github.com/alvc/alvc/internal/topology"
 )
 
@@ -47,7 +47,8 @@ func (m CostModel) TotalEnergy(conversions int, flowBytes int64) float64 {
 	return float64(conversions) * m.ConversionEnergy(flowBytes)
 }
 
-// SliceID identifies an optical slice.
+// SliceID identifies an optical slice. A chain's slice takes the chain's
+// slot as its ID (slot.ID at generation 0).
 type SliceID int
 
 // Slice is the portion of the optical network allocated to one tenant's
@@ -86,13 +87,13 @@ func (s *Slice) OPSSet() topology.NodeSet {
 // enforces it at the logical layer; slicing re-checks it where the
 // resources actually live). Safe for concurrent use.
 type SliceManager struct {
-	mu     sync.Mutex
-	topo   *topology.Topology
-	slices map[SliceID]*Slice
+	mu   sync.Mutex
+	topo *topology.Topology
+	// slices holds the slices by slot, slice ID k+1 at k.
+	slices []*Slice
 	// owner holds, by node ID, the slice an OPS belongs to, 0 for none
 	// (slice IDs start at 1).
-	owner  []SliceID
-	nextID SliceID
+	owner []SliceID
 }
 
 // NewSliceManager returns a manager over the topology's OPSs.
@@ -100,15 +101,21 @@ func NewSliceManager(topo *topology.Topology) (*SliceManager, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("optical: slice manager: nil topology")
 	}
-	return &SliceManager{
-		topo:   topo,
-		slices: make(map[SliceID]*Slice),
-	}, nil
+	return &SliceManager{topo: topo}, nil
 }
 
-// Allocate reserves the given OPSs as a slice for tenant. It fails if
-// any OPS is unknown, not an OPS, or already part of another slice.
-func (m *SliceManager) Allocate(tenant string, opss []topology.NodeID, bandwidthGbps float64) (*Slice, error) {
+// getLocked returns slice id, nil when there is none. Caller holds m.mu.
+func (m *SliceManager) getLocked(id SliceID) *Slice {
+	if id <= 0 || int(id) > len(m.slices) {
+		return nil
+	}
+	return m.slices[id-1]
+}
+
+// Allocate reserves the given OPSs as slice id for tenant. It fails if
+// the ID is taken, or any OPS is unknown, not an OPS, or already part of
+// another slice.
+func (m *SliceManager) Allocate(id SliceID, tenant string, opss []topology.NodeID, bandwidthGbps float64) (*Slice, error) {
 	if tenant == "" {
 		return nil, fmt.Errorf("optical: allocate: empty tenant")
 	}
@@ -120,6 +127,9 @@ func (m *SliceManager) Allocate(tenant string, opss []topology.NodeID, bandwidth
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if id <= 0 || m.getLocked(id) != nil {
+		return nil, fmt.Errorf("optical: allocate: slice ID %d is not free", id)
+	}
 	for _, ops := range opss {
 		n := m.topo.Node(ops)
 		if n == nil || n.Kind != topology.KindOPS {
@@ -132,10 +142,10 @@ func (m *SliceManager) Allocate(tenant string, opss []topology.NodeID, bandwidth
 			return nil, fmt.Errorf("optical: allocate: OPS %d already in slice %d", ops, owner)
 		}
 	}
-	m.nextID++
-	s := newSlice(m.nextID, tenant, opss, bandwidthGbps)
+	s := newSlice(id, tenant, opss, bandwidthGbps)
 	m.own(s.OPSs, s.ID)
-	m.slices[s.ID] = s
+	m.slices = slot.Widen(m.slices, int(id-1))
+	m.slices[id-1] = s
 	return s, nil
 }
 
@@ -184,12 +194,12 @@ func (m *SliceManager) own(opss []topology.NodeID, id SliceID) {
 func (m *SliceManager) Release(id SliceID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.slices[id]
-	if !ok {
+	s := m.getLocked(id)
+	if s == nil {
 		return fmt.Errorf("optical: release: unknown slice %d", id)
 	}
 	m.own(s.OPSs, 0)
-	delete(m.slices, id)
+	m.slices[id-1] = nil
 	return nil
 }
 
@@ -206,8 +216,8 @@ func (m *SliceManager) PatchMembership(id SliceID, opss []topology.NodeID) (*Sli
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.slices[id]
-	if !ok {
+	s := m.getLocked(id)
+	if s == nil {
 		return nil, fmt.Errorf("optical: patch: unknown slice %d", id)
 	}
 	for _, ops := range opss {
@@ -225,7 +235,7 @@ func (m *SliceManager) PatchMembership(id SliceID, opss []topology.NodeID) (*Sli
 	m.own(s.OPSs, 0)
 	patched := newSlice(id, s.Tenant, opss, s.BandwidthGbps)
 	m.own(patched.OPSs, id)
-	m.slices[id] = patched
+	m.slices[id-1] = patched
 	return patched, nil
 }
 
@@ -236,13 +246,13 @@ func (m *SliceManager) PatchMembership(id SliceID, opss []topology.NodeID) (*Sli
 func (m *SliceManager) UpdateBandwidth(id SliceID, bandwidthGbps float64) (*Slice, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.slices[id]
-	if !ok {
+	s := m.getLocked(id)
+	if s == nil {
 		return nil, fmt.Errorf("optical: update bandwidth: unknown slice %d", id)
 	}
 	updated := *s
 	updated.BandwidthGbps = bandwidthGbps
-	m.slices[id] = &updated
+	m.slices[id-1] = &updated
 	return &updated, nil
 }
 
@@ -250,11 +260,12 @@ func (m *SliceManager) UpdateBandwidth(id SliceID, bandwidthGbps float64) (*Slic
 func (m *SliceManager) Slices() []*Slice {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Slice, 0, len(m.slices))
+	out := make([]*Slice, 0, slot.Held(m.slices))
 	for _, s := range m.slices {
-		out = append(out, s)
+		if s != nil {
+			out = append(out, s)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -263,12 +274,15 @@ func (m *SliceManager) Disjoint() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	seen := make(map[topology.NodeID]SliceID)
-	for id, s := range m.slices {
+	for _, s := range m.slices {
+		if s == nil {
+			continue
+		}
 		for _, ops := range s.OPSs {
-			if prev, dup := seen[ops]; dup && prev != id {
+			if prev, dup := seen[ops]; dup && prev != s.ID {
 				return false
 			}
-			seen[ops] = id
+			seen[ops] = s.ID
 		}
 	}
 	return true

@@ -73,7 +73,7 @@ func TestSliceAllocateAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSliceManager: %v", err)
 	}
-	s1, err := m.Allocate("tenant-a", ops[:2], 10)
+	s1, err := m.Allocate(1, "tenant-a", ops[:2], 10)
 	if err != nil {
 		t.Fatalf("Allocate: %v", err)
 	}
@@ -84,11 +84,11 @@ func TestSliceAllocateAndRelease(t *testing.T) {
 		t.Fatal("SliceOf wrong")
 	}
 	// Overlapping allocation must fail.
-	if _, err := m.Allocate("tenant-b", ops[1:3], 10); err == nil {
+	if _, err := m.Allocate(2, "tenant-b", ops[1:3], 10); err == nil {
 		t.Fatal("overlapping slice accepted")
 	}
 	// Disjoint allocation succeeds.
-	s2, err := m.Allocate("tenant-b", ops[2:], 5)
+	s2, err := m.Allocate(2, "tenant-b", ops[2:], 5)
 	if err != nil {
 		t.Fatalf("Allocate disjoint: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestSliceAllocateAndRelease(t *testing.T) {
 		t.Fatal("released OPS still owned")
 	}
 	// Released OPSs are allocatable again.
-	if _, err := m.Allocate("tenant-c", ops[:1], 1); err != nil {
+	if _, err := m.Allocate(1, "tenant-c", ops[:1], 1); err != nil {
 		t.Fatalf("re-allocate after release: %v", err)
 	}
 	_ = s2
@@ -131,7 +131,7 @@ func TestSliceAllocateValidation(t *testing.T) {
 		{"unknown node", "t", []topology.NodeID{9999}, 1},
 	}
 	for _, tc := range cases {
-		if _, err := m.Allocate(tc.tenant, tc.opss, tc.bw); err == nil {
+		if _, err := m.Allocate(1, tc.tenant, tc.opss, tc.bw); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -149,7 +149,7 @@ func TestNewSliceManagerNilTopo(t *testing.T) {
 func TestSliceOPSSetAndSorted(t *testing.T) {
 	topo, ops := testTopo(t)
 	m, _ := NewSliceManager(topo)
-	s, err := m.Allocate("t", []topology.NodeID{ops[2], ops[0]}, 1)
+	s, err := m.Allocate(1, "t", []topology.NodeID{ops[2], ops[0]}, 1)
 	if err != nil {
 		t.Fatalf("Allocate: %v", err)
 	}

@@ -12,7 +12,7 @@ func TestPatchMembershipKeepsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSliceManager: %v", err)
 	}
-	s, err := m.Allocate("tenant-a", ops[:2], 5)
+	s, err := m.Allocate(1, "tenant-a", ops[:2], 5)
 	if err != nil {
 		t.Fatalf("Allocate: %v", err)
 	}
@@ -49,11 +49,11 @@ func TestPatchMembershipValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSliceManager: %v", err)
 	}
-	a, err := m.Allocate("tenant-a", ops[:1], 1)
+	a, err := m.Allocate(1, "tenant-a", ops[:1], 1)
 	if err != nil {
 		t.Fatalf("Allocate a: %v", err)
 	}
-	b, err := m.Allocate("tenant-b", ops[1:2], 1)
+	b, err := m.Allocate(2, "tenant-b", ops[1:2], 1)
 	if err != nil {
 		t.Fatalf("Allocate b: %v", err)
 	}

@@ -124,7 +124,7 @@ func refAffectedBy(o *shard, dead refFailureSet) []DeploymentID {
 	}
 	slices.Sort(out)
 	return slices.DeleteFunc(slices.Compact(out), func(id DeploymentID) bool {
-		dep, ok := o.deployments[id]
+		dep, ok := o.lookup(id)
 		return !ok || dep.State != StateActive
 	})
 }
@@ -134,7 +134,7 @@ func refNodeImpact(o *shard, node topology.NodeID) []ImpactEntry {
 	defer o.mu.Unlock()
 	var out []ImpactEntry
 	for _, id := range o.nodeIndex.of(node) {
-		dep, ok := o.deployments[id]
+		dep, ok := o.lookup(id)
 		if !ok || dep.State != StateActive {
 			continue
 		}
@@ -165,7 +165,7 @@ func refLinkImpact(o *shard, link topology.LinkID) []ImpactEntry {
 	defer o.mu.Unlock()
 	var out []ImpactEntry
 	for _, id := range o.linkIndex.of(link) {
-		dep, ok := o.deployments[id]
+		dep, ok := o.lookup(id)
 		if !ok || dep.State != StateActive {
 			continue
 		}

@@ -10,6 +10,7 @@ import (
 	"github.com/alvc/alvc/internal/chain"
 	"github.com/alvc/alvc/internal/cluster"
 	"github.com/alvc/alvc/internal/graph"
+	"github.com/alvc/alvc/internal/optical"
 	"github.com/alvc/alvc/internal/topology"
 )
 
@@ -159,7 +160,7 @@ func halfClaimedFleet(tb testing.TB, ops int) (*Sharded, *shard, *topology.Topol
 	s, o := newTestOrch(tb, Config{Topo: topo})
 	vms := topo.NodeIDs(topology.KindVM)
 	for i := 0; i < ops/2; i++ {
-		if _, err := o.alloc.BuildVC("resident", vms); err != nil {
+		if _, err := o.alloc.BuildVC(cluster.VCID(claimSlot(o)), "resident", vms); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -234,16 +235,17 @@ func TestProvisionAllocatesOneBlockPerLayer(t *testing.T) {
 	}
 	s, o, topo := halfClaimedFleet(t, 1200)
 	vms, ops := topo.LiveVMs("web"), topo.NodeIDs(topology.KindOPS)[:1]
+	id := claimSlot(o)
 	layers := map[string]func(){
 		"cluster.BuildVC": func() {
-			vc, err := o.alloc.BuildVC("web", vms)
+			vc, err := o.alloc.BuildVC(cluster.VCID(id), "web", vms)
 			if err != nil {
 				t.Fatal(err)
 			}
 			_ = o.alloc.Release(vc.ID)
 		},
 		"optical.Allocate": func() {
-			slice, err := o.slices.Allocate("t", ops, 1)
+			slice, err := o.slices.Allocate(optical.SliceID(id), "t", ops, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

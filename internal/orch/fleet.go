@@ -38,23 +38,19 @@ func healthOf(dep *Deployment) ChainHealth {
 }
 
 // AppendChainHealth appends one entry per active deployment of every
-// shard to buf — with owed, per active chain in the shards'
-// maintenance-owed indexes only: the chains without a disjoint standby
-// or Drifted, what a recovery can help, so it reads, copies and sorts
-// those and not the fleet. It sorts the appended part by ID, so a sweep
+// shard to buf — with owed, per active chain the shards' slot tables
+// mark owed only: the chains without a disjoint standby or Drifted, what
+// a recovery can help, so it copies and sorts those and not the fleet.
+// It sorts the appended part by ID, so a sweep
 // sees the same order at any shard count, and allocates only when buf
 // has to grow.
 func (s *Sharded) AppendChainHealth(buf []ChainHealth, owed bool) []ChainHealth {
 	out := buf
 	for _, o := range s.shards {
 		o.mu.Lock()
-		deps := o.deployments
-		if owed {
-			deps = o.owed
-		}
-		for _, dep := range deps {
-			if dep.State == StateActive {
-				out = append(out, healthOf(dep))
+		for _, e := range o.slots {
+			if e.dep != nil && e.dep.State == StateActive && (e.owed || !owed) {
+				out = append(out, healthOf(e.dep))
 			}
 		}
 		o.mu.Unlock()

@@ -69,12 +69,12 @@ func owedSize(t *testing.T, s *Sharded) int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for id, dep := range sh.owed {
-			if sh.deployments[id] != dep || dep.State != StateActive {
+		for id, dep := range sh.owedSet() {
+			if sh.held(id) != dep || dep.State != StateActive {
 				t.Errorf("shard %d: owed entry %d is not the shard's active record", sh.index, id)
 			}
 		}
-		n += len(sh.owed)
+		n += len(sh.owedSet())
 		sh.mu.Unlock()
 	}
 	return n
@@ -392,8 +392,8 @@ func sizesOf(o *shard, st *trace.Store) storeSizes {
 	defer o.mu.Unlock()
 	nodeIndex, linkIndex := o.indexSizes()
 	return storeSizes{
-		deployments: len(o.deployments), nodeIndex: nodeIndex, linkIndex: linkIndex,
-		flowKeys: len(o.flowKeys), busy: len(o.busy), owed: len(o.owed),
+		deployments: len(o.records()), nodeIndex: nodeIndex, linkIndex: linkIndex,
+		flowKeys: len(o.flowKeys), busy: o.busy, owed: len(o.owedSet()),
 		instances: len(o.mgr.Instances()), events: len(o.mgr.Events()),
 		tracedChains: st.Stats().IndexedChains,
 	}
@@ -492,7 +492,7 @@ func TestViewsShowLiveRecords(t *testing.T) {
 	lastOf := make(map[int]DeploymentID)
 	s.ViewDeployments(func(dep *Deployment) {
 		sh := s.owner(dep.ID)
-		if sh.deployments[dep.ID] != dep { // under sh.mu: the view holds it
+		if sh.held(dep.ID) != dep { // under sh.mu: the view holds it
 			t.Errorf("view of %d is not the shard's record", dep.ID)
 		}
 		if seen[dep.ID] || dep.ID <= lastOf[sh.index] {

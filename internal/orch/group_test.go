@@ -286,7 +286,7 @@ func TestReProtectGroupOfOneEqualsPlanStandby(t *testing.T) {
 			for _, dep := range s.Deployments() {
 				o := s.owner(dep.ID)
 				o.mu.Lock()
-				live := o.deployments[dep.ID]
+				live := o.held(dep.ID)
 				o.mu.Unlock()
 				stops, slice, pool := o.pipelineFrom(bg, live).appendStandbyStops(nil), live.Slice.OPSSet(), o.alloc.Pool()
 				want, wantErr := resilience.PlanStandby(o.ctrl, o.topo, live.Path, stops, slice, 1, pool)
@@ -340,7 +340,7 @@ func TestReProtectGroupAvoidsDomainSRLGs(t *testing.T) {
 	}
 	drop := func() {
 		o.mu.Lock()
-		o.setStandbyLocked(o.deployments[dep.ID], nil)
+		o.setStandbyLocked(o.held(dep.ID), nil)
 		o.mu.Unlock()
 	}
 	drop()
@@ -379,7 +379,7 @@ func TestReProtectGroupOfOneAllocations(t *testing.T) {
 			t.Fatal("alive disjoint standby re-planned")
 		}
 	})
-	live := o.deployments[dep.ID]
+	live := o.held(dep.ID)
 	replan := testing.AllocsPerRun(100, func() {
 		o.mu.Lock()
 		o.setStandbyLocked(live, nil)
@@ -468,7 +468,7 @@ func checkReplanAllocations(t *testing.T, s *Sharded, domain FailureDomain, ids 
 		for _, id := range members {
 			o := s.owner(id)
 			o.mu.Lock()
-			o.setStandbyLocked(o.deployments[id], nil)
+			o.setStandbyLocked(o.held(id), nil)
 			o.mu.Unlock()
 		}
 	}
@@ -507,7 +507,7 @@ func planAlone(t *testing.T, s *Sharded, id DeploymentID, domain FailureDomain) 
 	t.Helper()
 	o := s.owner(id)
 	o.mu.Lock()
-	dep := o.deployments[id]
+	dep := o.held(id)
 	o.mu.Unlock()
 	p := o.pipelineFrom(bg, dep)
 	primary := resilience.Primary{Path: dep.Path, Stops: p.appendStandbyStops(nil), Slice: dep.Slice.OPSs}

@@ -30,8 +30,8 @@ func (o *shard) impact(f topology.Failures) []ImpactEntry {
 	}
 	var out []ImpactEntry
 	for _, id := range ids {
-		dep, ok := o.deployments[id]
-		if !ok || dep.State != StateActive {
+		dep := o.held(id)
+		if dep == nil || dep.State != StateActive {
 			continue
 		}
 		h := hitsOf(dep, f)

@@ -201,11 +201,7 @@ func (o *shard) retargetLocked(dep *Deployment, nodes []topology.NodeID, links [
 // noteOwedLocked files the deployment in the maintenance-owed index, or
 // takes it out, as its standby and Drifted flag stand. Caller holds o.mu.
 func (o *shard) noteOwedLocked(dep *Deployment) {
-	if dep.Standby == nil || !dep.Standby.Disjoint || dep.Drifted {
-		o.owed[dep.ID] = dep
-	} else {
-		delete(o.owed, dep.ID)
-	}
+	o.slots[o.slotOf(dep.ID)].owed = dep.Standby == nil || !dep.Standby.Disjoint || dep.Drifted
 }
 
 // unindexLocked takes a deployment that is leaving the active fleet out

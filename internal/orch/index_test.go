@@ -113,10 +113,10 @@ func auditIndexes(o *shard) (out []string) {
 	defer o.mu.Unlock()
 	wantNodes := make(map[topology.NodeID][]DeploymentID)
 	wantLinks := make(map[topology.LinkID][]DeploymentID)
-	wantOwed := 0
-	for id, dep := range o.deployments {
+	wantOwed, owed := 0, o.owedSet()
+	for id, dep := range o.records() {
 		if dep.State != StateActive {
-			if len(dep.idxNodes)+len(dep.idxLinks) > 0 || o.owed[id] != nil {
+			if len(dep.idxNodes)+len(dep.idxLinks) > 0 || owed[id] != nil {
 				out = append(out, fmt.Sprintf("%s deployment %d is still indexed", dep.State, id))
 			}
 			continue
@@ -146,12 +146,12 @@ func auditIndexes(o *shard) (out []string) {
 		if owes {
 			wantOwed++
 		}
-		if (o.owed[id] == dep) != owes {
-			out = append(out, fmt.Sprintf("deployment %d: owed %v, in the owed set %v", id, owes, o.owed[id] != nil))
+		if (owed[id] == dep) != owes {
+			out = append(out, fmt.Sprintf("deployment %d: owed %v, in the owed set %v", id, owes, owed[id] != nil))
 		}
 	}
-	if len(o.owed) != wantOwed {
-		out = append(out, fmt.Sprintf("owed set holds %d chains, %d are owed", len(o.owed), wantOwed))
+	if len(owed) != wantOwed {
+		out = append(out, fmt.Sprintf("owed set holds %d chains, %d are owed", len(owed), wantOwed))
 	}
 	out = append(out, auditPostings("node", &o.nodeIndex, wantNodes)...)
 	return append(out, auditPostings("link", &o.linkIndex, wantLinks)...)
@@ -365,7 +365,7 @@ func TestIndexAuditFires(t *testing.T) {
 			if bad := auditIndexes(o); len(bad) > 0 {
 				t.Fatalf("a fresh fleet audits dirty: %v", bad)
 			}
-			dep := o.deployments[2]
+			dep := o.held(2)
 			if got := o.indexed(dep.Path[1]); len(got) < 2 {
 				t.Fatalf("node %d is indexed for %v, want a shared one", dep.Path[1], got)
 			}
@@ -385,6 +385,8 @@ func TestReProtectCommitCostsTheStandby(t *testing.T) {
 	commitOps := func(scale int) int {
 		o := newShard(&sharedCore{}, nil, nil, 0, 1)
 		dep := &Deployment{ID: 7, Slice: &optical.Slice{}}
+		o.slots = make([]slotEntry, 7)
+		o.slots[6].dep = dep
 		for i := 0; i < 6*scale; i++ {
 			dep.Path = append(dep.Path, topology.NodeID(100+i))
 			dep.primaryLinks = append(dep.primaryLinks, topology.LinkID(100+i))
@@ -682,7 +684,7 @@ func TestRefillCommitsSoleHoldersWithoutAllocating(t *testing.T) {
 	nodeHolders, linkHolders := map[topology.NodeID]int{}, map[topology.LinkID]int{}
 	o.mu.Lock()
 	for _, id := range ids {
-		dep := o.deployments[id]
+		dep := o.held(id)
 		fps = append(fps, footprint{id: id, nodes: slices.Clone(dep.idxNodes), links: slices.Clone(dep.idxLinks)})
 		for _, n := range dep.idxNodes {
 			nodeHolders[n]++

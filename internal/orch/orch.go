@@ -44,6 +44,7 @@ import (
 	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/ring"
 	"github.com/alvc/alvc/internal/sdn"
+	"github.com/alvc/alvc/internal/slot"
 	"github.com/alvc/alvc/internal/topology"
 )
 
@@ -63,7 +64,10 @@ var (
 	ErrDuplicateChain = errors.New("duplicate chain")
 )
 
-// DeploymentID identifies a deployed chain.
+// DeploymentID identifies a deployed chain by its slot and the slot's
+// generation (slot.ID): shard s of n holds slots s, s+n, …, so a fleet
+// that never reused a slot numbers shard s's chains s+1, s+1+n, …, and a
+// delete moves the slot's generation on, so no later chain takes the ID.
 type DeploymentID int
 
 // DeploymentState tracks a deployment's lifecycle.
@@ -192,10 +196,10 @@ type Config struct {
 // lock, the capacity ledger (Cloud/NFV manager), the optical slice
 // manager (the optical-layer one-OPS-one-slice check must stay global),
 // the wavelength allocator (per-link λ occupancy is physical truth),
-// and the configuration knobs. Per-shard state — deployment maps,
-// reverse indexes, flow-key reservations, busy guards, the OPS-pool-
-// restricted cluster allocator and the SDN flow tables — lives on each
-// shard; a one-shard set is simply one shard owning the whole pool.
+// and the configuration knobs. Per-shard state — the slot table of
+// records and guards, reverse indexes, flow-key reservations, the OPS-
+// pool-restricted cluster allocator and the SDN flow tables — lives on
+// each shard; a one-shard set is simply one shard owning the whole pool.
 type sharedCore struct {
 	// topoMu serializes topology mutations (node up/down transitions)
 	// against the provisioning pipeline, which reads liveness bits all
@@ -281,29 +285,27 @@ func newSharedCore(cfg Config) (*sharedCore, error) {
 // it coordinates the cluster allocator, slice manager, Cloud/NFV manager
 // and SDN controller for the deployments it owns. Safe for concurrent
 // use. New stands up N of them over one sharedCore with partitioned OPS
-// pools and strided deployment and VC IDs; every verb is the set's,
-// which routes a chain's to the shard that issued its ID.
+// pools and strided slots; every verb is the set's, which routes a
+// chain's to the shard that holds its slot.
 type shard struct {
 	*sharedCore
 
 	mu sync.Mutex
 
-	// index/idStride place this shard in its set: shard s of n issues
-	// deployment IDs s+1, s+1+n, s+1+2n, … so the owning shard of any ID
-	// is (id-1) mod n — no shared ID allocator, no cross-shard lookup. A
-	// one-shard set is shard 0 with stride 1 (IDs 1,2,3,…).
-	index    int
-	idStride DeploymentID
+	// index/stride place this shard in its set: shard s of n holds slot
+	// s+n·k in entry k of its slot table, so an ID's shard is its slot mod n.
+	index, stride int
 
 	alloc *cluster.Allocator
 	ctrl  *sdn.Controller
 
-	// deployments holds the chains this shard has a record of: active
-	// ones and those a failed repair left in StateFailed. Delete takes
-	// the record out and leaves a Tombstone in tombs, so every walk of
-	// the map is O(active).
-	deployments map[DeploymentID]*Deployment
-	tombs       ring.Ring[Tombstone] // the newest TombstoneRing deletes
+	// slots holds each chain's record — active, or Failed by a repair —
+	// and guards; free hands the entries out, busy counts those marked
+	// busy. Delete leaves a Tombstone in tombs. Guarded by mu.
+	slots []slotEntry
+	free  slot.Free
+	busy  int
+	tombs ring.Ring[Tombstone] // the newest TombstoneRing deletes
 	// viewOrder is ViewDeployments' scratch: the records in ID order
 	// while a view runs, cleared between views. Guarded by mu.
 	viewOrder []*Deployment
@@ -318,16 +320,8 @@ type shard struct {
 	// two live chains must never share a key (Delete of one would strip
 	// the other's rules). Per-shard: the router sends every spec with
 	// the same flow key to the same shard, so a per-shard map is a
-	// global uniqueness check.
+	// global uniqueness check, and the shard's one index by string.
 	flowKeys map[string]DeploymentID
-	// busy marks deployments with an exclusive operation (repair, edit,
-	// delete) in flight, so those verbs cannot interleave teardowns.
-	busy   map[DeploymentID]bool
-	nextID DeploymentID
-	// serviceVCs are the service clusters Sharded.BuildServiceClusters
-	// built on this shard's allocator, the only clusters ReleaseCluster
-	// dissolves: every other one is a chain's. Guarded by mu.
-	serviceVCs map[cluster.VCID]bool
 
 	// nodeIndex is the reverse index node → deployments whose footprint
 	// (slice OPSs, VNF hosts, path nodes, standby nodes) includes it,
@@ -339,12 +333,6 @@ type shard struct {
 	// standby links), so link failures classify without scanning.
 	// Guarded by mu.
 	linkIndex postings[topology.LinkID]
-	// owed is the maintenance-owed index: the active chains a recovery
-	// can help, those without a disjoint standby (refresh) or Drifted
-	// (re-home). Filed where the reverse indexes commit (indexLocked,
-	// setStandbyLocked: they bracket every standby and placement change),
-	// left with the active state (delete, failLocked). Guarded by mu.
-	owed map[DeploymentID]*Deployment
 
 	// provisionOK/provisionFail count Provision outcomes (atomics).
 	provisionOK   uint64
@@ -356,24 +344,72 @@ type shard struct {
 }
 
 // newShard assembles one orchestrator shard over an existing core.
-// index is 0-based; stride is the total shard count. The first ID a
-// shard issues is index+1, then it advances by stride, so shard ID
-// spaces never overlap and ShardRouter.ShardOf is pure arithmetic.
+// index is 0-based; stride is the total shard count.
 func newShard(core *sharedCore, alloc *cluster.Allocator, ctrl *sdn.Controller, index, stride int) *shard {
 	return &shard{
-		sharedCore:  core,
-		index:       index,
-		idStride:    DeploymentID(stride),
-		alloc:       alloc,
-		ctrl:        ctrl,
-		nextID:      DeploymentID(index + 1 - stride),
-		deployments: make(map[DeploymentID]*Deployment),
-		flowKeys:    make(map[string]DeploymentID),
-		busy:        make(map[DeploymentID]bool),
-		owed:        make(map[DeploymentID]*Deployment),
-		serviceVCs:  make(map[cluster.VCID]bool),
-		tombs:       ring.New[Tombstone](TombstoneRing),
+		sharedCore: core,
+		index:      index,
+		stride:     stride,
+		alloc:      alloc,
+		ctrl:       ctrl,
+		flowKeys:   make(map[string]DeploymentID),
+		tombs:      ring.New[Tombstone](TombstoneRing),
 	}
+}
+
+// slotEntry is one slot: its chain's record (nil while free, while the
+// chain provisions, or for a service cluster) and the generation of its
+// ID. busy marks an exclusive operation (repair, edit, delete) in
+// flight. owed files an active chain a recovery can help — no disjoint
+// standby, or Drifted — in the maintenance-owed index, as indexLocked and
+// setStandbyLocked leave it. service marks a cluster BuildServiceClusters
+// built, the only kind ReleaseCluster dissolves.
+type slotEntry struct {
+	dep                 *Deployment
+	gen                 uint32
+	busy, owed, service bool
+}
+
+// slotOf returns the table entry of the slot id names.
+func (o *shard) slotOf(id DeploymentID) int {
+	s, _ := slot.Of(int(id))
+	return s / o.stride
+}
+
+// layerID is the ID of table entry k's slot at generation 0: its VC's and
+// slice's.
+func (o *shard) layerID(k int) int { return slot.ID(o.index+o.stride*k, 0) }
+
+// entryLocked returns the entry of the chain id names, nil when the shard
+// holds no record of it. Caller holds o.mu.
+func (o *shard) entryLocked(id DeploymentID) *slotEntry {
+	if id <= 0 {
+		return nil
+	}
+	s, gen := slot.Of(int(id))
+	if k := s / o.stride; s%o.stride == o.index && k < len(o.slots) && o.slots[k].gen == gen && o.slots[k].dep != nil {
+		return &o.slots[k]
+	}
+	return nil
+}
+
+// held is entryLocked's record, nil for none.
+func (o *shard) held(id DeploymentID) *Deployment {
+	if e := o.entryLocked(id); e != nil {
+		return e.dep
+	}
+	return nil
+}
+
+// takeSlotLocked takes an entry for a chain or service cluster.
+func (o *shard) takeSlotLocked() (int, error) {
+	k := o.free.Take(len(o.slots))
+	if o.index+o.stride*k >= 1<<slot.Bits {
+		o.free.Unget(k)
+		return 0, fmt.Errorf("orch: shard %d: every slot is taken", o.index)
+	}
+	o.slots = slot.Widen(o.slots, k)
+	return k, nil
 }
 
 // beginExclusive claims the deployment for an exclusive operation. The
@@ -386,16 +422,22 @@ func (o *shard) beginExclusive(id DeploymentID) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.busy[id] {
+	e := o.entryLocked(id)
+	if e.busy {
 		return nil, fmt.Errorf("%w: deployment %d", ErrBusy, id)
 	}
-	o.busy[id] = true
+	e.busy = true
+	o.busy++
 	return dep, nil
 }
 
+// endExclusive ends the claim, unless a delete took it with the record.
 func (o *shard) endExclusive(id DeploymentID) {
 	o.mu.Lock()
-	delete(o.busy, id)
+	if e := o.entryLocked(id); e != nil && e.busy {
+		e.busy = false
+		o.busy--
+	}
 	o.mu.Unlock()
 }
 
@@ -413,7 +455,7 @@ func (o *shard) Allocator() *cluster.Allocator { return o.alloc }
 // the first non-nil one; teardown keeps going regardless.
 func (o *shard) teardown(dep *Deployment) error {
 	var firstErr error
-	o.ctrl.RemoveFlow(dep.FlowKey())
+	o.ctrl.Remove(o.slotOf(dep.ID))
 	if o.wdm != nil {
 		if _, ok := o.wdm.AssignmentOf(dep.FlowKey()); ok {
 			if err := o.wdm.Release(dep.FlowKey()); err != nil && firstErr == nil {
@@ -452,6 +494,12 @@ func (o *shard) provision(ctx context.Context, spec chain.Spec) (*Deployment, er
 		return nil, fmt.Errorf("orch: provision %q: %w: flow key %q is held by deployment %d",
 			spec.Name, ErrDuplicateChain, flowKey, owner)
 	}
+	k, err := o.takeSlotLocked()
+	if err != nil {
+		o.mu.Unlock()
+		atomic.AddUint64(&o.provisionFail, 1)
+		return nil, err
+	}
 	o.flowKeys[flowKey] = 0 // reserved, no ID yet
 	o.mu.Unlock()
 
@@ -459,7 +507,7 @@ func (o *shard) provision(ctx context.Context, spec chain.Spec) (*Deployment, er
 	// back all partial state it created.
 	o.topoMu.RLock()
 	defer o.topoMu.RUnlock()
-	b, err := o.newPipeline(spec, flowKey)
+	b, err := o.newPipeline(spec, flowKey, k)
 	if err == nil {
 		defer b.release()
 		b.attachTrace(ctx)
@@ -468,6 +516,7 @@ func (o *shard) provision(ctx context.Context, spec chain.Spec) (*Deployment, er
 	if err != nil {
 		o.mu.Lock()
 		delete(o.flowKeys, flowKey)
+		o.free.Unget(k)
 		o.mu.Unlock()
 		atomic.AddUint64(&o.provisionFail, 1)
 		return nil, fmt.Errorf("orch: provision %q: %w", spec.Name, err)
@@ -475,9 +524,8 @@ func (o *shard) provision(ctx context.Context, spec chain.Spec) (*Deployment, er
 	atomic.AddUint64(&o.provisionOK, 1)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.nextID += o.idStride
-	dep := b.recordLocked(o.nextID)
-	o.deployments[dep.ID] = dep
+	dep := b.recordLocked(DeploymentID(slot.ID(o.index+o.stride*k, o.slots[k].gen)))
+	o.slots[k].dep = dep
 	o.flowKeys[flowKey] = dep.ID
 	return snapshot(dep), nil
 }
@@ -494,7 +542,7 @@ func (o *shard) rebuild(ctx context.Context, dep *Deployment) error {
 		o.failLocked(dep)
 		return fmt.Errorf("teardown: %w", err)
 	}
-	b, err := o.newPipeline(dep.Spec, dep.FlowKey())
+	b, err := o.newPipeline(dep.Spec, dep.FlowKey(), o.slotOf(dep.ID))
 	if err == nil {
 		defer b.release()
 		b.attachTrace(ctx)
@@ -522,7 +570,7 @@ func (o *shard) rebuild(ctx context.Context, dep *Deployment) error {
 func (o *shard) failLocked(dep *Deployment) {
 	o.mu.Lock()
 	o.unindexLocked(dep)
-	delete(o.owed, dep.ID)
+	o.slots[o.slotOf(dep.ID)].owed = false
 	dep.State = StateFailed
 	delete(o.flowKeys, dep.FlowKey())
 	o.mu.Unlock()
@@ -781,18 +829,21 @@ func (o *shard) restoreWavelength(dep *Deployment) {
 	o.mu.Unlock()
 }
 
+// delete takes the record and its claim out of the slot, moving the
+// slot's generation on, and frees the slot once the teardown released
+// what the chain held under its ID.
 func (o *shard) delete(id DeploymentID, traceID string) (*Deployment, error) {
 	dep, err := o.beginExclusive(id)
 	if err != nil {
 		return nil, fmt.Errorf("orch: delete: %w", err)
 	}
-	defer o.endExclusive(id)
+	k := o.slotOf(id)
 	o.mu.Lock()
 	o.unindexLocked(dep)
 	dep.State = StateDeleted
 	delete(o.flowKeys, dep.FlowKey())
-	delete(o.deployments, id)
-	delete(o.owed, id)
+	o.slots[k] = slotEntry{gen: o.slots[k].gen + 1}
+	o.busy--
 	o.deletedTotal++
 	o.tombs.Push(Tombstone{
 		ID: id, Name: dep.Spec.Name, Tenant: dep.Spec.Tenant, Service: dep.Spec.Service,
@@ -804,7 +855,10 @@ func (o *shard) delete(id DeploymentID, traceID string) (*Deployment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("orch: delete deployment %d: %w", id, err)
 	}
-	// The record left the map under this call's exclusive claim, so
+	o.mu.Lock()
+	o.free.Put(k)
+	o.mu.Unlock()
+	// The record left the table under this call's exclusive claim, so
 	// nothing else can reach it: it is the caller's, no copy needed.
 	return dep, nil
 }
@@ -816,8 +870,10 @@ func (o *shard) viewDeployments(fn func(dep *Deployment)) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	order := o.viewOrder[:0]
-	for _, dep := range o.deployments {
-		order = append(order, dep)
+	for _, e := range o.slots {
+		if e.dep != nil {
+			order = append(order, e.dep)
+		}
 	}
 	slices.SortFunc(order, func(a, b *Deployment) int { return int(a.ID - b.ID) })
 	for _, dep := range order {
@@ -828,8 +884,8 @@ func (o *shard) viewDeployments(fn func(dep *Deployment)) {
 }
 
 func (o *shard) activeLocked(id DeploymentID) (*Deployment, error) {
-	dep, ok := o.deployments[id]
-	if !ok {
+	dep := o.held(id)
+	if dep == nil {
 		if _, deleted := findTombstone(&o.tombs, id); deleted {
 			return nil, fmt.Errorf("%w: deployment %d is %s", ErrNotActive, id, StateDeleted)
 		}

@@ -82,6 +82,7 @@ type pipeline struct {
 	o       *shard
 	spec    chain.Spec
 	flowKey string
+	k       int // the chain's slot-table entry: its flow's in the controller
 
 	// vms are the live VMs offering the spec's service (full builds
 	// only; seeded pipelines keep the deployment's endpoints instead).
@@ -203,8 +204,9 @@ func (p *pipeline) attachTrace(ctx context.Context) {
 }
 
 // newPipeline resolves the spec (live VMs, NF profiles with demand
-// overrides) and returns a pipeline ready to run from stageCluster.
-func (o *shard) newPipeline(spec chain.Spec, flowKey string) (*pipeline, error) {
+// overrides) and returns a pipeline ready to run from stageCluster for
+// the chain in slot-table entry k.
+func (o *shard) newPipeline(spec chain.Spec, flowKey string, k int) (*pipeline, error) {
 	vms := o.topo.LiveVMs(spec.Service)
 	if len(vms) == 0 {
 		return nil, fmt.Errorf("no live VMs offer service %q", spec.Service)
@@ -215,7 +217,7 @@ func (o *shard) newPipeline(spec chain.Spec, flowKey string) (*pipeline, error) 
 		p.release()
 		return nil, err
 	}
-	p.spec, p.flowKey = spec, flowKey
+	p.spec, p.flowKey, p.k = spec, flowKey, k
 	p.vms, p.src, p.dst = vms, vms[0], vms[len(vms)-1]
 	return p, nil
 }
@@ -245,7 +247,7 @@ func appendProfiles(buf []nfv.NFProfile, nfs []chain.NFRef) ([]nfv.NFProfile, er
 // exclusive-operation claim.
 func (o *shard) pipelineFrom(ctx context.Context, dep *Deployment) *pipeline {
 	p := o.getPipeline()
-	p.spec, p.flowKey = dep.Spec, dep.FlowKey()
+	p.spec, p.flowKey, p.k = dep.Spec, dep.FlowKey(), o.slotOf(dep.ID)
 	p.src, p.dst = dep.Path[0], dep.Path[len(dep.Path)-1]
 	p.vc, p.slice, p.place = dep.VC, dep.Slice, dep.Placement
 	p.instances, p.path, p.confined = dep.Instances, dep.Path, dep.SliceConfined
@@ -286,7 +288,7 @@ func (p *pipeline) rollback() {
 		case undoWavelength:
 			_ = p.o.wdm.Release(p.flowKey)
 		case undoRules:
-			p.o.ctrl.RemoveFlow(p.flowKey)
+			p.o.ctrl.Remove(p.k)
 		}
 	}
 	p.undo = p.undo[:0]
@@ -321,7 +323,7 @@ func (p *pipeline) runFrom(first stageID) error {
 }
 
 func (p *pipeline) runCluster() error {
-	vc, err := p.o.alloc.BuildVC(p.spec.Service, p.vms)
+	vc, err := p.o.alloc.BuildVC(cluster.VCID(p.o.layerID(p.k)), p.spec.Service, p.vms)
 	if err != nil {
 		return err
 	}
@@ -331,7 +333,7 @@ func (p *pipeline) runCluster() error {
 }
 
 func (p *pipeline) runSlice() error {
-	slice, err := p.o.slices.Allocate(p.spec.Tenant, p.vc.AL.OPSs, p.spec.BandwidthGbps)
+	slice, err := p.o.slices.Allocate(optical.SliceID(p.vc.ID), p.spec.Tenant, p.vc.AL.OPSs, p.spec.BandwidthGbps)
 	if err != nil {
 		return fmt.Errorf("slice: %w", err)
 	}
@@ -515,9 +517,9 @@ func (p *pipeline) runRules() error {
 	// Make-before-break: a repair re-run writes the new generation of
 	// rules before the previous generation disappears, over the previous
 	// one's block when the path's length is unchanged. A fresh build has
-	// no previous generation, which costs Reroute one map miss.
+	// no previous generation: the chain's slot in the controller is empty.
 	m := sdn.Match{FlowKey: p.flowKey, Src: p.src, Dst: p.dst}
-	oe, eo, err := p.o.ctrl.Reroute(m, p.path, 100)
+	oe, eo, err := p.o.ctrl.Reroute(p.k, m, p.path, 100)
 	if err != nil {
 		return fmt.Errorf("install: %w", err)
 	}
@@ -547,14 +549,16 @@ func (p *pipeline) recordLocked(id DeploymentID) *Deployment {
 
 // commitLocked copies the pipeline's outcome onto the live record and
 // moves the reverse-index entries from the old footprint to the new one,
-// atomically with the fields. A list a stage re-made gets an array of
-// its own, the record's block keeping the one it replaces for the
-// snapshots that share it; the rest stay the record's. The caller must
-// hold o.mu (and the deployment's exclusive claim).
+// atomically with the fields. A re-made Instances or Path list is
+// written over the record's own when it fits there: snapshots copy those
+// two, and no report, event or index reads them. A re-made placement
+// list gets an array of its own, the record's block keeping the one it
+// replaces for the snapshots that share it. The caller must hold o.mu
+// (and the deployment's exclusive claim).
 func (p *pipeline) commitLocked(dep *Deployment) {
 	old := *dep
 	p.setFields(dep)
-	dep.Instances, dep.Path = kept(dep.Instances, old.Instances), kept(dep.Path, old.Path)
+	dep.Instances, dep.Path = rewritten(dep.Instances, old.Instances), rewritten(dep.Path, old.Path)
 	dep.Placement.Hosts = kept(dep.Placement.Hosts, old.Placement.Hosts)
 	dep.Placement.Domains = kept(dep.Placement.Domains, old.Placement.Domains)
 	p.o.indexLocked(dep)
@@ -576,4 +580,13 @@ func kept[T any](list, old []T) []T {
 		return old
 	}
 	return resilience.CopyInto(nil, list)
+}
+
+// rewritten is kept for a list no snapshot shares: a re-made list that
+// fits old's array is written over it.
+func rewritten[T any](list, old []T) []T {
+	if len(list) > 0 && len(list) <= cap(old) && &list[0] != &old[:1][0] {
+		return old[:copy(old[:len(list)], list)]
+	}
+	return kept(list, old)
 }

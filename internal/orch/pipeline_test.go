@@ -74,7 +74,7 @@ func TestRecordsOwnTheirArrays(t *testing.T) {
 	checked := 0
 	for _, o := range s.shards {
 		o.mu.Lock()
-		for id, dep := range o.deployments {
+		for id, dep := range o.records() {
 			if dep.State != StateActive {
 				continue
 			}

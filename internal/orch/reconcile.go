@@ -266,8 +266,8 @@ func (o *shard) affectedBy(buf []DeploymentID, dead resilience.FailureSet) []Dep
 	out := buf[start:]
 	slices.Sort(out)
 	out = slices.DeleteFunc(slices.Compact(out), func(id DeploymentID) bool {
-		dep, ok := o.deployments[id]
-		return !ok || dep.State != StateActive
+		dep := o.held(id)
+		return dep == nil || dep.State != StateActive
 	})
 	return buf[:start+len(out)]
 }

@@ -37,6 +37,7 @@ import (
 	"github.com/alvc/alvc/internal/optical"
 	"github.com/alvc/alvc/internal/resilience"
 	"github.com/alvc/alvc/internal/sdn"
+	"github.com/alvc/alvc/internal/slot"
 	"github.com/alvc/alvc/internal/spare"
 	"github.com/alvc/alvc/internal/topology"
 	"github.com/alvc/alvc/internal/trace"
@@ -72,7 +73,8 @@ func (m ShardMode) String() string {
 // ShardRouter maps specs and deployment IDs to shard indexes. Routing
 // is pure arithmetic over immutable fields, so it needs no lock:
 // specs hash (FNV-1a) on tenant or flow key, and deployment IDs decode
-// their issuing shard from the ID-stride scheme ((id-1) mod n).
+// their shard from their slot (slot mod n, which is (id-1) mod n for an
+// ID of a slot never reused).
 type ShardRouter struct {
 	n    int
 	mode ShardMode
@@ -108,15 +110,16 @@ func (r ShardRouter) ShardForSpec(spec chain.Spec) int {
 	return int(h.Sum32() % uint32(r.n))
 }
 
-// ShardOf returns the shard that issued the given deployment ID
-// (shard s of n issues IDs s+1, s+1+n, …). Non-positive IDs — never
+// ShardOf returns the shard that holds the given deployment ID's slot
+// (shard s of n holds slots s, s+n, …). Non-positive IDs — never
 // issued — map to shard 0 so lookups fail with the shard's own
 // ErrUnknownDeployment instead of an index panic.
 func (r ShardRouter) ShardOf(id DeploymentID) int {
 	if id <= 0 {
 		return 0
 	}
-	return int(id-1) % r.n
+	s, _ := slot.Of(int(id))
+	return s % r.n
 }
 
 // Sharded is the orchestrator: per-deployment verbs routed to the owning
@@ -133,7 +136,8 @@ type Sharded struct {
 // New builds the orchestrator: n shards (n < 1 is treated as 1) over
 // one shared core, partitioning the topology's OPSs round-robin (in ID
 // order) into n disjoint allocator pools; one shard owns the whole pool.
-// Shard s issues deployment and VC IDs s+1, s+1+n, …
+// Shard s holds slots s, s+n, …: deployment IDs s+1, s+1+n, … until a
+// slot is reused, and VC and slice IDs s+1, s+1+n, ….
 func New(cfg Config, n int, mode ShardMode) (*Sharded, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("orch: nil topology")
@@ -205,44 +209,63 @@ func (s *Sharded) Slices() *optical.SliceManager { return s.core.slices }
 // disabled).
 func (s *Sharded) WDM() *optical.WDM { return s.core.wdm }
 
-// BuildServiceClusters constructs one virtual cluster per service
-// (paper §III, Fig. 1/3) — the pure clustering use of AL-VC, without
-// chains — out of shard 0's OPS partition, which chains provisioned
-// there claim from too. On failure nothing stays built.
-func (s *Sharded) BuildServiceClusters() ([]*cluster.VC, error) {
+// BuildServiceClusters constructs one virtual cluster per service, in
+// service-name order (paper §III, Fig. 1/3) — the pure clustering use of
+// AL-VC, without chains — out of shard 0's OPS partition, which chains
+// provisioned there claim from too. Each holds a slot of shard 0, whose
+// ID it takes as a chain's cluster does. On failure nothing stays built.
+func (s *Sharded) BuildServiceClusters() (vcs []*cluster.VC, err error) {
 	o := s.shards[0]
-	vcs, err := o.alloc.BuildAllByService()
-	if err != nil {
-		return nil, fmt.Errorf("orch: %w", err)
-	}
 	o.mu.Lock()
-	for _, vc := range vcs {
-		o.serviceVCs[vc.ID] = true
+	defer o.mu.Unlock()
+	byService := o.topo.VMsByService()
+	names := make([]string, 0, len(byService))
+	for name := range byService {
+		names = append(names, name)
 	}
-	o.mu.Unlock()
+	slices.Sort(names)
+	for _, name := range names {
+		k, err := o.takeSlotLocked()
+		if err == nil {
+			var vc *cluster.VC
+			if vc, err = o.alloc.BuildVC(cluster.VCID(o.layerID(k)), name, byService[name]); err == nil {
+				o.slots[k].service, vcs = true, append(vcs, vc)
+				continue
+			}
+			o.free.Unget(k)
+		}
+		for i := len(vcs) - 1; i >= 0; i-- {
+			_ = o.alloc.Release(vcs[i].ID)
+			k := o.slotOf(DeploymentID(vcs[i].ID))
+			o.slots[k].service = false
+			o.free.Unget(k)
+		}
+		return nil, fmt.Errorf("orch: build service clusters: %w", err)
+	}
 	return vcs, nil
 }
 
 // ReleaseCluster dissolves a cluster BuildServiceClusters built, routed
-// by its ID (allocators stride VC IDs as shards stride deployment IDs).
-// It refuses any other ID and changes nothing: a chain's cluster is its
+// by its ID (a VC's ID is its slot's, strided as deployment IDs are). It
+// refuses any other ID and changes nothing: a chain's cluster is its
 // abstraction layer, whose OPSs must not go back to the free pool while
 // the chain holds them (one OPS serves one AL, §III).
 func (s *Sharded) ReleaseCluster(id cluster.VCID) error {
 	o := s.owner(DeploymentID(id))
 	o.mu.Lock()
-	built := o.serviceVCs[id]
-	delete(o.serviceVCs, id)
-	o.mu.Unlock()
-	if !built {
+	defer o.mu.Unlock()
+	k := o.slotOf(DeploymentID(id))
+	if id <= 0 || int(id) != o.layerID(k) || k >= len(o.slots) || !o.slots[k].service {
 		return fmt.Errorf("orch: release cluster %d: not a service cluster (a chain's leaves with the chain)", id)
 	}
+	o.slots[k].service = false
+	o.free.Put(k)
 	return o.alloc.Release(id)
 }
 
 // Clusters returns every shard's virtual clusters — service clusters
 // and chain-backing ones alike — sorted by ID. The IDs are fleet-unique:
-// allocator s of n issues s+1, s+1+n, ….
+// each is its slot's, allocator s of n holding s+1, s+1+n, ….
 func (s *Sharded) Clusters() []*cluster.VC {
 	var out []*cluster.VC
 	for _, o := range s.shards {
@@ -413,11 +436,11 @@ func (s *Sharded) ViewDeployment(id DeploymentID, fn func(dep *Deployment)) bool
 	o := s.owner(id)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	dep, ok := o.deployments[id]
-	if ok {
+	dep := o.held(id)
+	if dep != nil {
 		fn(dep)
 	}
-	return ok
+	return dep != nil
 }
 
 // ViewDeployments shows fn every shard's records, shard by shard and in
@@ -622,8 +645,12 @@ func (o *shard) shardStat() ShardStat {
 	st.CandidateCacheHits, st.CandidateCacheMisses = o.ctrl.AlternativesCacheStats()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	st.Deleted, st.Repairs, st.BusyOps = o.deletedTotal, o.repairsTotal, len(o.busy)
-	for _, dep := range o.deployments {
+	st.Deleted, st.Repairs, st.BusyOps = o.deletedTotal, o.repairsTotal, o.busy
+	for _, e := range o.slots {
+		dep := e.dep
+		if dep == nil {
+			continue
+		}
 		if dep.State != StateActive {
 			st.Failed++
 			continue

@@ -229,7 +229,7 @@ func checkSnapshotLists(t *testing.T, s *Sharded, o *shard, id DeploymentID) {
 	}
 
 	o.mu.Lock()
-	live := o.deployments[id]
+	live := o.held(id)
 	p := o.pipelineFrom(bg, live)
 	primary := resilience.Primary{Path: live.Path, Stops: p.appendStandbyStops(nil), Slice: live.Slice.OPSs}
 	p.release()

@@ -109,7 +109,7 @@ func TestStandbyFleetAllDisjoint(t *testing.T) {
 	dep := s.Deployments()[117]
 	for _, memo := range []bool{true, false, true} {
 		o.ctrl.SetAlternativesCache(memo)
-		p := o.pipelineFrom(context.Background(), o.deployments[dep.ID])
+		p := o.pipelineFrom(context.Background(), o.held(dep.ID))
 		if _, err := p.planStandby(nil); err != nil {
 			t.Fatalf("replan (memo %v): %v", memo, err)
 		}

@@ -19,6 +19,10 @@ type Ring[T any] struct {
 // New returns an empty ring of the given capacity.
 func New[T any](capacity int) Ring[T] { return Ring[T]{max: capacity} }
 
+// In returns an empty ring of the given capacity that fills buf, at most
+// that long, before it allocates.
+func In[T any](buf []T, capacity int) Ring[T] { return Ring[T]{buf: buf, max: capacity} }
+
 // Len is the number of values held.
 func (r *Ring[T]) Len() int { return r.n }
 

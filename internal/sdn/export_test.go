@@ -3,6 +3,7 @@ package sdn
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/alvc/alvc/internal/topology"
 )
@@ -57,9 +58,37 @@ func (c *Controller) FlowHits(flowKey string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var total int64
-	rules := c.flows[flowKey]
+	_, rules := c.flowLocked(flowKey)
 	for i := range rules {
 		total += rules[i].Hits
 	}
 	return total
+}
+
+// keySlots files every flow key the tests install under a slot of its
+// own, in the order the keys first appear.
+var keySlots struct {
+	sync.Mutex
+	m map[string]int
+}
+
+// reroute is Reroute with the flow filed under its key's slot.
+func reroute(c *Controller, m Match, path []topology.NodeID, priority int) (oe, eo int, err error) {
+	keySlots.Lock()
+	k, ok := keySlots.m[m.FlowKey]
+	if !ok {
+		if keySlots.m == nil {
+			keySlots.m = make(map[string]int)
+		}
+		k = len(keySlots.m)
+		keySlots.m[m.FlowKey] = k
+	}
+	keySlots.Unlock()
+	return c.Reroute(k, m, path, priority)
+}
+
+// flow returns the rules of the flow with the key, the controller's own.
+func (c *Controller) flow(flowKey string) []FlowRule {
+	_, rules := c.flowLocked(flowKey)
+	return rules
 }

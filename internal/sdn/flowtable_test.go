@@ -223,10 +223,11 @@ func checkIndexes(t *testing.T, c *Controller) {
 		}
 	}
 	inFlows := 0
-	for key, rules := range c.flows {
+	for _, rules := range c.flows {
 		if len(rules) == 0 {
-			t.Fatalf("flow %q keeps an empty entry", key)
+			continue
 		}
+		key := rules[0].Match.FlowKey
 		inFlows += len(rules)
 		array, next := rules[0].Actions[:cap(rules[0].Actions)], 0
 		for i := range rules {
@@ -343,7 +344,7 @@ func TestFlowIndexMatchesScanningOracle(t *testing.T) {
 					path[rng.Intn(len(path))] = switches[rng.Intn(len(switches))]
 				}
 			}
-			block := c.flows[key]
+			block := c.flow(key)
 			if cur != nil {
 				op = "reroute-other-length"
 				if len(path) == len(cur) {
@@ -368,12 +369,12 @@ func TestFlowIndexMatchesScanningOracle(t *testing.T) {
 			}
 			prio := rng.Intn(200)
 			m := Match{FlowKey: key, Src: path[0], Dst: path[len(path)-1]}
-			if _, _, err := c.Reroute(m, path, prio); err != nil {
+			if _, _, err := reroute(c, m, path, prio); err != nil {
 				t.Fatalf("step %d: Reroute: %v", step, err)
 			}
 			oracle.reroute(m, path, prio)
 			fits := len(path) == len(cur) && cap(block[0].Actions) >= len(path)+crossings(path)
-			if inPlace := fits && &c.flows[key][0] == &block[0]; inPlace != fits {
+			if inPlace := fits && &c.flow(key)[0] == &block[0]; inPlace != fits {
 				t.Fatalf("step %d: a reroute from %v to %v rewrote the block in place: %v, want %v", step, cur, path, inPlace, fits)
 			} else if inPlace {
 				seen["reroute-in-place"]++
@@ -482,9 +483,9 @@ func TestFlowIndexConcurrent(t *testing.T) {
 				var err error
 				switch rng.Intn(4) {
 				case 0:
-					_, _, err = c.Reroute(m, f.path(n), 100)
+					_, _, err = reroute(c, m, f.path(n), 100)
 				case 1:
-					_, _, err = c.Reroute(m, f.path(n + i)[:1+rng.Intn(8)], 100)
+					_, _, err = reroute(c, m, f.path(n + i)[:1+rng.Intn(8)], 100)
 				case 2:
 					c.RemoveFlow(m.FlowKey)
 				default:
@@ -532,7 +533,7 @@ func TestFlowIndexConcurrent(t *testing.T) {
 func installFlows(tb testing.TB, c *Controller, f fabric, n int) {
 	tb.Helper()
 	for i := 0; i < n; i++ {
-		if _, _, err := c.Reroute(Match{FlowKey: fmt.Sprintf("bg/%d", i)}, f.path(i), 100); err != nil {
+		if _, _, err := reroute(c, Match{FlowKey: fmt.Sprintf("bg/%d", i)}, f.path(i), 100); err != nil {
 			tb.Fatalf("Reroute: %v", err)
 		}
 	}
@@ -547,7 +548,7 @@ func churnAllocs(t *testing.T, others int) float64 {
 	installFlows(t, c, f, others)
 	m, path := Match{FlowKey: "t/churn"}, f.path(0) // bg/0's switches
 	return testing.AllocsPerRun(200, func() {
-		if _, _, err := c.Reroute(m, path, 100); err != nil {
+		if _, _, err := reroute(c, m, path, 100); err != nil {
 			t.Fatalf("Reroute: %v", err)
 		}
 		if c.RemoveFlow(m.FlowKey) != len(path) {
@@ -607,12 +608,12 @@ func TestRerouteInPlaceAllocatesNothing(t *testing.T) {
 	installFlows(t, c, f, 2000)
 	m := Match{FlowKey: "t/reroute"}
 	paths := [2][]topology.NodeID{f.path(0), f.path(1)}
-	if _, _, err := c.Reroute(m, paths[1], 100); err != nil {
+	if _, _, err := reroute(c, m, paths[1], 100); err != nil {
 		t.Fatalf("Reroute: %v", err)
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, err := c.Reroute(m, paths[next%2], 100); err != nil {
+		if _, _, err := reroute(c, m, paths[next%2], 100); err != nil {
 			t.Fatalf("Reroute: %v", err)
 		}
 		next++
@@ -730,10 +731,10 @@ func BenchmarkFlowChurn(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := c.Reroute(m, path, 100); err != nil {
+				if _, _, err := reroute(c, m, path, 100); err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := c.Reroute(m, detour, 100); err != nil {
+				if _, _, err := reroute(c, m, detour, 100); err != nil {
 					b.Fatal(err)
 				}
 				c.RemoveFlow(m.FlowKey)

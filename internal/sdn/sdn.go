@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/alvc/alvc/internal/slot"
 	"github.com/alvc/alvc/internal/topology"
 )
 
@@ -97,15 +98,16 @@ type Controller struct {
 	// tables is what a switch holds, by node ID (in no particular order —
 	// a removal moves the table's last rule into the gap, and an emptied
 	// table keeps its array for the switch's next rule), flows is what a flow
-	// owns, its rules in path order, and what tables' pointers point
-	// into. A flow's rules share one action array, each rule's Actions a
-	// window of it; the first rule's window keeps the whole array as its
-	// capacity, which is how a reroute finds it. Every verb goes through
-	// flows and costs O(the flow's rules), whatever else the controller
-	// holds — except Walk, the tables' one production reader, which asks
-	// each switch's table what to do with a packet, as the switch would.
+	// owns, by the slot its caller gives it, its rules in path order, and
+	// what tables' pointers point into. A flow's rules share one action
+	// array, each rule's Actions a window of it; the first rule's window
+	// keeps the whole array as its capacity, which is how a reroute finds
+	// it. Every verb by slot costs O(the flow's rules), whatever else the
+	// controller holds; one by flow key scans the slots. Walk, the tables'
+	// one production reader, asks each switch's table what to do with a
+	// packet, as the switch would.
 	tables    [][]*FlowRule
-	flows     map[string][]FlowRule
+	flows     [][]FlowRule
 	ruleCount int
 	nextRule  RuleID
 
@@ -136,10 +138,18 @@ func NewController(topo *topology.Topology) (*Controller, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("sdn: controller: nil topology")
 	}
-	return &Controller{
-		topo:  topo,
-		flows: make(map[string][]FlowRule),
-	}, nil
+	return &Controller{topo: topo}, nil
+}
+
+// flowLocked returns the slot and rules of the flow keyed flowKey, -1 and
+// nil for none. Caller holds c.mu.
+func (c *Controller) flowLocked(flowKey string) (int, []FlowRule) {
+	for k, rules := range c.flows {
+		if len(rules) > 0 && rules[0].Match.FlowKey == flowKey {
+			return k, rules
+		}
+	}
+	return -1, nil
 }
 
 // snapshot returns the epoch-cached routing view the controller
@@ -350,7 +360,7 @@ func (c *Controller) validatePath(m Match, path []topology.NodeID) error {
 // conversion actions: a hop between domains converts before it
 // forwards, and it answers the path's conversions. The caller holds c.mu
 // and validated the path.
-func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority int) (oe, eo int) {
+func (c *Controller) installPathLocked(k int, m Match, path []topology.NodeID, priority int) (oe, eo int) {
 	for i := 0; i+1 < len(path); i++ {
 		switch c.conversion(path[i], path[i+1]) {
 		case ActionConvertOE:
@@ -360,7 +370,8 @@ func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority
 		}
 	}
 	crossings := oe + eo
-	block := c.flows[m.FlowKey]
+	c.flows = slot.Widen(c.flows, k)
+	block := c.flows[k]
 	old := block
 	var actions []Action
 	fits := len(old) == len(path) && cap(old[0].Actions) >= len(path)+crossings
@@ -408,7 +419,7 @@ func (c *Controller) installPathLocked(m Match, path []topology.NodeID, priority
 	c.rulesInstalled += len(path)
 	c.pathsProvisioned++
 	if !fits {
-		c.flows[m.FlowKey] = block
+		c.flows[k] = block
 		c.uninstallLocked(old)
 	}
 	return oe, eo
@@ -430,18 +441,19 @@ func (c *Controller) uninstallLocked(rules []FlowRule) {
 	c.ruleCount -= len(rules)
 }
 
-// Reroute makes path the flow's rules, make-before-break: the new rules
-// and the old ones' removal land in one controller lock hold, so no
-// reader sees the flow without rules. With no rules under the flow key it
-// is a fresh install; a path of the old one's length allocates nothing.
-// It answers the new rules' conversions, what a walk of the flow meets.
-func (c *Controller) Reroute(m Match, path []topology.NodeID, priority int) (oe, eo int, err error) {
+// Reroute makes path the rules of m's flow, in slot k (one flow a slot),
+// make-before-break: the new rules and the old ones' removal land in one
+// controller lock hold, so no reader sees the flow without rules. With no
+// rules in the slot it is a fresh install; a path of the old one's length
+// allocates nothing. It answers the new rules' conversions, what a walk
+// of the flow meets.
+func (c *Controller) Reroute(k int, m Match, path []topology.NodeID, priority int) (oe, eo int, err error) {
 	if err := c.validatePath(m, path); err != nil {
 		return 0, 0, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	oe, eo = c.installPathLocked(m, path, priority)
+	oe, eo = c.installPathLocked(k, m, path, priority)
 	return oe, eo, nil
 }
 
@@ -460,8 +472,23 @@ func Excursions(oe, eo int) int {
 func (c *Controller) RemoveFlow(flowKey string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rules := c.flows[flowKey]
-	delete(c.flows, flowKey)
+	k, _ := c.flowLocked(flowKey)
+	return c.removeLocked(k)
+}
+
+// Remove deletes the rules of the flow in slot k, answering how many.
+func (c *Controller) Remove(k int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.removeLocked(k)
+}
+
+func (c *Controller) removeLocked(k int) int {
+	if k < 0 || k >= len(c.flows) {
+		return 0
+	}
+	rules := c.flows[k]
+	c.flows[k] = nil
 	c.uninstallLocked(rules)
 	return len(rules)
 }
@@ -481,7 +508,7 @@ func copyRule(r *FlowRule) FlowRule {
 func (c *Controller) RulesForFlow(flowKey string) []FlowRule {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rules := c.flows[flowKey]
+	_, rules := c.flowLocked(flowKey)
 	if len(rules) == 0 {
 		return nil
 	}
@@ -538,7 +565,7 @@ func (c *Controller) Walk(flowKey string) (Walk, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var w Walk
-	block := c.flows[flowKey]
+	_, block := c.flowLocked(flowKey)
 	if len(block) == 0 {
 		return Walk{}, fmt.Errorf("%w: flow %q has no rules", ErrBlackhole, flowKey)
 	}
@@ -598,7 +625,7 @@ func (c *Controller) RecordHits(flowKey string, n int64) int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rules := c.flows[flowKey]
+	_, rules := c.flowLocked(flowKey)
 	for i := range rules {
 		rules[i].Hits += n
 	}

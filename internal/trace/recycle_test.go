@@ -80,12 +80,12 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 			t.Errorf("a spare entry is not blank: %+v", e)
 		}
 	}
-	if n := len(st.spareRings); n == 0 || n > maxSpareEntries {
+	if n := len(st.spareDeps); n == 0 || n > maxSpareEntries {
 		t.Errorf("%d spare chain rings after chain 5 was deleted, want 1 to %d", n, maxSpareEntries)
 	}
-	for _, r := range st.spareRings {
-		if r.Len() != 0 {
-			t.Errorf("a spare chain ring holds %d traces", r.Len())
+	for _, x := range st.spareDeps {
+		if x.r.Len() != 0 {
+			t.Errorf("a spare chain ring holds %d traces", x.r.Len())
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/alvc/alvc/internal/ring"
+	"github.com/alvc/alvc/internal/slot"
 )
 
 // StoreOptions bound the store. Zero values take the defaults noted
@@ -139,15 +140,15 @@ type Store struct {
 	// duration, slowKey).
 	slow    []*entry
 	slowSeq uint64
-	byDep   map[int]ring.Ring[*entry] // deployment -> traces, oldest first
-	order   []*entry                  // trace creation order from head on (nil = freed)
-	head    int                       // order[:head] is consumed
-	total   int                       // live spans across all traces
-	// spare holds freed traces' entries and spareRings the emptied chain
-	// indexes' rings, for the next new trace and chain: a full store
-	// frees one trace for every one it admits.
-	spare      []*entry
-	spareRings []ring.Ring[*entry]
+	byDep   []*depIndex // the chain index, by the deployment's slot (slot.Of)
+	order   []*entry    // trace creation order from head on (nil = freed)
+	head    int         // order[:head] is consumed
+	total   int         // live spans across all traces
+	// spare holds freed traces' entries and spareDeps the emptied chain
+	// indexes, for the next new trace and chain: a full store frees one
+	// trace for every one it admits.
+	spare     []*entry
+	spareDeps []*depIndex
 	// ones holds freed one-record arrays, cleared, for the next one-span
 	// trace: the commonest trace skips the pools spanSpares keeps.
 	ones [][]record
@@ -167,8 +168,26 @@ func NewStore(opts StoreOptions) *Store {
 		traces: make(map[string]*entry),
 		recent: make(map[string]*ring.Ring[*entry]),
 		errs:   ring.New[*entry](opts.ErroredN),
-		byDep:  make(map[int]ring.Ring[*entry]),
 	}
+}
+
+// depIndex is one chain's traces, oldest first, under its full
+// deployment ID, in one block with the ring's first array.
+type depIndex struct {
+	id    int
+	r     ring.Ring[*entry]
+	first [4]*entry
+}
+
+// depLocked returns the chain index of deployment d, nil when there is
+// none.
+func (s *Store) depLocked(d int) *depIndex {
+	if d > 0 {
+		if k, _ := slot.Of(d); k < len(s.byDep) && s.byDep[k] != nil && s.byDep[k].id == d {
+			return s.byDep[k]
+		}
+	}
+	return nil
 }
 
 // commit inserts the spans of one trace under one lock, in order. Each
@@ -338,13 +357,10 @@ func (s *Store) forceEvict(e *entry) {
 		e.inErr = false
 	}
 	for _, d := range e.deps {
-		r := s.byDep[d]
-		removeEntry(&r, e)
-		if r.Len() == 0 {
-			delete(s.byDep, d)
-			s.spareRing(r)
-		} else {
-			s.byDep[d] = r
+		x := s.depLocked(d)
+		removeEntry(&x.r, e)
+		if x.r.Len() == 0 {
+			s.spareDep(x)
 		}
 	}
 	e.deps = e.deps[:0]
@@ -389,11 +405,15 @@ func (s *Store) free(e *entry) {
 	}
 }
 
-// spareRing keeps r, an emptied chain-index ring, for the next chain.
-func (s *Store) spareRing(r ring.Ring[*entry]) {
-	if len(s.spareRings) < maxSpareEntries {
-		r.Clear()
-		s.spareRings = append(s.spareRings, r)
+// spareDep takes x, emptied, out of the chain index and keeps it for the
+// next chain.
+func (s *Store) spareDep(x *depIndex) {
+	k, _ := slot.Of(x.id)
+	s.byDep[k] = nil
+	if len(s.spareDeps) < maxSpareEntries {
+		x.r.Clear()
+		clear(x.first[:]) // outgrown by the ring, it may still name its first traces
+		s.spareDeps = append(s.spareDeps, x)
 	}
 }
 
@@ -619,18 +639,23 @@ func (s *Store) indexDep(e *entry, d int) {
 	}
 	e.deps = append(e.deps, d)
 	e.refs++
-	r, ok := s.byDep[d]
-	if !ok {
-		if k := len(s.spareRings); k > 0 {
-			r = s.spareRings[k-1]
-			s.spareRings[k-1] = ring.Ring[*entry]{}
-			s.spareRings = s.spareRings[:k-1]
-		} else {
-			r = ring.New[*entry](s.opts.ChainDepth)
+	x := s.depLocked(d)
+	if x == nil {
+		k, _ := slot.Of(d)
+		if s.byDep = slot.Widen(s.byDep, k); s.byDep[k] != nil {
+			// The slot's previous chain left without a delete span.
+			s.dropDep(s.byDep[k].id)
 		}
+		if n := len(s.spareDeps); n > 0 {
+			x, s.spareDeps[n-1] = s.spareDeps[n-1], nil
+			s.spareDeps = s.spareDeps[:n-1]
+		} else {
+			x = new(depIndex)
+			x.r = ring.In(x.first[:min(len(x.first), s.opts.ChainDepth)], s.opts.ChainDepth)
+		}
+		x.id, s.byDep[k] = d, x
 	}
-	old, evicted := r.Push(e)
-	s.byDep[d] = r
+	old, evicted := x.r.Push(e)
 	if evicted {
 		old.deps = removeDep(old.deps, d)
 		s.unref(old)
@@ -640,17 +665,16 @@ func (s *Store) indexDep(e *entry, d int) {
 // dropDep forgets deployment d's chain index, releasing the reference it
 // held on each indexed trace.
 func (s *Store) dropDep(d int) {
-	r, ok := s.byDep[d]
-	if !ok {
+	x := s.depLocked(d)
+	if x == nil {
 		return
 	}
-	delete(s.byDep, d)
-	for i := 0; i < r.Len(); i++ {
-		v := r.At(i)
+	for i := 0; i < x.r.Len(); i++ {
+		v := x.r.At(i)
 		v.deps = removeDep(v.deps, d)
 		s.unref(v)
 	}
-	s.spareRing(r)
+	s.spareDep(x)
 }
 
 func removeDep(deps []int, d int) []int {
@@ -767,9 +791,10 @@ func (s *Store) matchLocked(q Query) []*entry {
 func (s *Store) ViewChainTraces(dep int, fn func(sum Summary)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.byDep[dep]
-	for i := r.Len() - 1; i >= 0; i-- {
-		fn(s.summaryLocked(r.At(i)))
+	if x := s.depLocked(dep); x != nil {
+		for i := x.r.Len() - 1; i >= 0; i-- {
+			fn(s.summaryLocked(x.r.At(i)))
+		}
 	}
 }
 
@@ -812,6 +837,6 @@ func (s *Store) Stats() Stats {
 		TracesEvicted: s.evicted,
 		LiveSpans:     s.total,
 		LiveTraces:    len(s.traces),
-		IndexedChains: len(s.byDep),
+		IndexedChains: slot.Held(s.byDep),
 	}
 }

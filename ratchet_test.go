@@ -62,6 +62,7 @@ var (
 	exportedArchMethod  = regexp.MustCompile(`(?m)^func \([a-z]* \*Architecture\) [A-Z]`)
 	exportedFunc        = regexp.MustCompile(`(?m)^func (\([^)]*\) )?[A-Z]`)
 	nodeKeyedMap        = regexp.MustCompile(`(?m)^.*map\[(topology\.)?NodeID\].*$`)
+	chainKeyedMap       = regexp.MustCompile(`(?m)^.*(map\[(\w+\.)?(DeploymentID|VCID|SliceID|InstanceID|taskKey|memberKey)\]|\b(flowKeys|flows|graced|byDep):?\s+(make\()?map\[).*$`)
 	mutexField          = regexp.MustCompile(`(?m)^\s+\w+(, *\w+)*\s+\*?sync\.(RW)?Mutex\b`)
 )
 
@@ -72,10 +73,12 @@ var (
 // and on the facade's Architecture, exported functions and methods in
 // internal/graph's non-test files, the lines of non-test code outside
 // benchmark/ that name a node-keyed map (node IDs are dense: per-node
-// state is a table by ID), and the sync.Mutex and sync.RWMutex fields
-// declared there.
+// state is a table by ID) or a chain-keyed one — keyed by a chain's ID,
+// its VC's, slice's or instances', or by its flow key, or by a key that
+// holds its ID (a chain's slot makes its state a table by slot) — and
+// the sync.Mutex and sync.RWMutex fields declared there.
 func sourceSizes(root string) ([]sourceCount, error) {
-	var prod, bench, tests, sharded, shardMethods, archMethods, graphFuncs, nodeMaps, mutexes int
+	var prod, bench, tests, sharded, shardMethods, archMethods, graphFuncs, nodeMaps, chainMaps, mutexes int
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -104,6 +107,7 @@ func sourceSizes(root string) ([]sourceCount, error) {
 		default:
 			prod += lines
 			nodeMaps += len(nodeKeyedMap.FindAll(data, -1))
+			chainMaps += len(chainKeyedMap.FindAll(data, -1))
 			mutexes += len(mutexField.FindAll(data, -1))
 		}
 		if dir == "internal/orch" {
@@ -129,6 +133,7 @@ func sourceSizes(root string) ([]sourceCount, error) {
 		{"exported Architecture methods", archMethods},
 		{"exported funcs in internal/graph", graphFuncs},
 		{"node-keyed maps in non-test Go", nodeMaps},
+		{"chain-keyed maps in non-test Go", chainMaps},
 		{"sync mutex fields in non-test Go", mutexes},
 	}, err
 }
